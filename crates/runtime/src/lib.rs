@@ -21,14 +21,16 @@
 //!   into the inputs of the next (functional mode) or assembling a
 //!   whole-graph [`GraphReport`] with a per-node stream timeline (timing
 //!   mode);
-//! - a [`SchedulePolicy`] on the session choosing between the serial
-//!   walk (default — the makespan is the sum of the launches) and
-//!   **multi-stream concurrent scheduling**, where a ready-queue assigns
-//!   independent nodes to simulated streams, co-resident launches
-//!   contend for SMs/L2/HBM under the [`cypress_sim::concurrent`] model,
-//!   and dependents are released as upstream launches retire. Every
-//!   schedule satisfies `critical_path <= makespan <= serial_sum` (see
-//!   [`GraphReport`]), and functional results are policy-independent;
+//! - a [`SchedulePolicy`] on the session setting the stream count of
+//!   the one ready-queue scheduler: one stream per device (the default
+//!   [`SchedulePolicy::Serial`] — on one device the makespan is the sum
+//!   of the launches) or **multi-stream concurrent scheduling**, where
+//!   independent nodes are assigned to simulated streams, co-resident
+//!   launches contend for SMs/L2/HBM under the
+//!   [`cypress_sim::concurrent`] model, and dependents are released as
+//!   upstream launches retire. Every schedule satisfies
+//!   `critical_path <= makespan <= serial_sum` (see [`GraphReport`]),
+//!   and functional results are policy-independent;
 //! - a [`MappingPolicy`] on the session choosing between every node's
 //!   hand-tuned mapping ([`MappingPolicy::Default`], bit-identical to
 //!   the plain builders) and **simulator-driven mapping autotuning**
@@ -52,7 +54,7 @@
 //!   partitioned across N simulated devices connected by NVLink-class
 //!   links (see [`cypress_sim::Topology`]), every cross-device edge
 //!   becomes an explicit transfer kernel charged to its link, and the
-//!   concurrent scheduler overlaps communication with compute. Tensors
+//!   scheduler overlaps communication with compute. Tensors
 //!   are bitwise identical across placement policies and device counts,
 //!   and `Sharded { devices: 1 }` is exactly
 //!   [`PlacementPolicy::SingleDevice`], timeline included (see the

@@ -6,9 +6,10 @@
 //! absence) is directly observable. Three aggregate numbers summarize the
 //! schedule:
 //!
-//! - [`GraphReport::makespan`] — when the last node retired. Under the
-//!   serial policy this equals the serial sum; under a concurrent policy
-//!   it shrinks toward the critical path as independent nodes overlap.
+//! - [`GraphReport::makespan`] — when the last node retired. At one
+//!   stream on one device this equals the serial sum; with more streams
+//!   or devices it shrinks toward the critical path as independent nodes
+//!   overlap.
 //! - [`GraphReport::critical_path`] — the longest dependency chain of
 //!   solo node makespans: no schedule, however many streams, can beat it.
 //! - [`GraphReport::serial_sum`] — the cost of launching every node
@@ -80,9 +81,9 @@ pub struct Recovery {
 
 /// Timing of a whole graph execution, with per-node stream timeline.
 ///
-/// Nodes appear in completion order (for the serial policy that is the
-/// deterministic topological schedule). Launch overheads are included in
-/// each node's interval — the same place the paper's §5.3
+/// Nodes appear in completion order (at one stream on one device that is
+/// the deterministic topological schedule). Launch overheads are included
+/// in each node's interval — the same place the paper's §5.3
 /// persistent-kernel effect shows up at graph scale.
 #[derive(Debug, Clone, Default)]
 pub struct GraphReport {

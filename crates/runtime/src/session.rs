@@ -7,12 +7,12 @@
 //! pipeline, and a [`BufferPool`] so intermediate tensors are reused
 //! across launches instead of reallocated.
 //!
-//! Graph launches are scheduled according to the session's
-//! [`SchedulePolicy`]. The default, [`SchedulePolicy::Serial`], launches
-//! nodes back-to-back in the deterministic topological order — existing
-//! callers see bit-identical reports. Switching to
-//! [`SchedulePolicy::Concurrent`] assigns independent nodes to simulated
-//! streams so their launches overlap (see the
+//! Graph launches are scheduled by one ready-queue scheduler; the
+//! session's [`SchedulePolicy`] sets its stream count. The default,
+//! [`SchedulePolicy::Serial`], is one stream per device: on one device
+//! nodes launch back-to-back in the deterministic topological order.
+//! [`SchedulePolicy::Concurrent`] assigns independent nodes to several
+//! simulated streams so their launches overlap (see the
 //! [executor docs](crate::executor) and [`crate::GraphReport`] for how to
 //! read the resulting timeline). Functional results never depend on the
 //! policy: data always moves in the deterministic topological order.
@@ -43,7 +43,7 @@
 //! across N simulated devices connected by NVLink-class links (see
 //! [`cypress_sim::Topology`] and [`crate::shard`]): every cross-device
 //! edge becomes an explicit transfer kernel charged to its link, the
-//! concurrent scheduler overlaps communication with compute, and
+//! scheduler overlaps communication with compute, and
 //! results are re-addressed to the caller's node ids — bitwise
 //! identical at every device count. `Sharded { devices: 1 }` is
 //! exactly `SingleDevice`, timeline included.
@@ -51,12 +51,12 @@
 use crate::cache::{CacheStats, KernelCache};
 use crate::error::RuntimeError;
 use crate::executor;
-use crate::executor::{CommLaunch, GraphRun, NodeLaunch};
+use crate::executor::{CommLaunch, FaultContext, GraphRun, NodeLaunch};
 use crate::fuse::{self, FusionPlan, FusionPolicy};
 use crate::graph::TaskGraph;
 use crate::pool::{BufferPool, PoolStats};
 use crate::program::Program;
-use crate::report::{GraphReport, Recovery};
+use crate::report::GraphReport;
 use crate::shard::{self, PlacementPolicy, ShardPlan};
 use crate::telemetry::{Event, MetricsRegistry, MetricsSnapshot, NoopRecorder, Recorder};
 use crate::tuner::{key_for, TunedMapping, TunerBudget, TuningKey, TuningTable};
@@ -73,17 +73,19 @@ use std::sync::Arc;
 /// Functional tensor results are identical under every policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedulePolicy {
-    /// Launch nodes back-to-back in the deterministic topological
-    /// schedule. The graph makespan is the sum of the solo launches —
-    /// the pre-stream behavior, bit for bit.
+    /// One stream per device — exactly `Concurrent { streams: 1 }`. On
+    /// one device nodes launch back-to-back in the deterministic
+    /// topological schedule and the makespan is the sum of the solo
+    /// launches; on a sharded topology each device runs its own launches
+    /// back to back and devices overlap. Attaching a fault plan does not
+    /// change this.
     #[default]
     Serial,
-    /// Ready-queue scheduling onto `streams` simulated streams:
-    /// independent nodes launch as soon as a stream frees up, co-resident
-    /// launches contend for SMs, L2, and HBM under the
+    /// Ready-queue scheduling onto `streams` simulated streams per
+    /// device: independent nodes launch as soon as a stream frees up,
+    /// co-resident launches contend for SMs, L2, and HBM under the
     /// [`cypress_sim::concurrent`] model, and dependents are released as
-    /// upstream launches retire. `streams: 1` reproduces
-    /// [`SchedulePolicy::Serial`] numbers exactly.
+    /// upstream launches retire.
     Concurrent {
         /// Number of simulated streams (clamped to at least 1).
         streams: usize,
@@ -191,30 +193,45 @@ pub enum FaultPolicy {
 pub struct CompiledGraph {
     /// The graph as submitted; results stay addressed by its node ids.
     graph: TaskGraph,
+    prepared: Prepared,
+}
+
+/// What one graph turns into under the session's fusion, placement and
+/// mapping policies: the product of the one preparation step every
+/// launch shares (see `Session::prepare`).
+#[derive(Debug)]
+struct Prepared {
     /// The fusion rewrite, when the session's policy rewrote the graph.
     plan: Option<FusionPlan>,
     /// The shard rewrite, when the session's placement policy
     /// partitioned the (possibly fused) graph across devices.
     shard: Option<ShardPlan>,
-    /// The device topology frozen at compile time, so launches replay
-    /// against the same links the shard plan was made for.
+    /// The device topology the shard plan was made for, so a compiled
+    /// graph replays against the same links.
     topology: Topology,
     /// One launch per executed node — of the sharded graph when `shard`
-    /// is set, of the fused graph when `plan` is, of `graph` otherwise.
+    /// is set, of the fused graph when `plan` is, of the submitted graph
+    /// otherwise.
     launches: Vec<NodeLaunch>,
 }
 
-impl CompiledGraph {
-    /// The graph that actually executes: the sharded rewrite of the
-    /// fused rewrite, whichever of the two fired.
-    fn exec_graph(&self) -> &TaskGraph {
-        self.shard
-            .as_ref()
-            .map(|s| &s.graph)
-            .or_else(|| self.plan.as_ref().map(|p| &p.graph))
-            .unwrap_or(&self.graph)
+impl Prepared {
+    /// `graph` after the fusion rewrite, if one fired.
+    fn fused_graph<'a>(&'a self, graph: &'a TaskGraph) -> &'a TaskGraph {
+        self.plan.as_ref().map_or(graph, |p| &p.graph)
     }
 
+    /// The graph that actually executes: the sharded rewrite of the
+    /// fused rewrite of `graph`, whichever of the two fired.
+    fn exec_graph<'a>(&'a self, graph: &'a TaskGraph) -> &'a TaskGraph {
+        match &self.shard {
+            Some(s) => &s.graph,
+            None => self.fused_graph(graph),
+        }
+    }
+}
+
+impl CompiledGraph {
     /// The graph this handle was compiled from (the caller's addressing).
     #[must_use]
     pub fn graph(&self) -> &TaskGraph {
@@ -225,20 +242,20 @@ impl CompiledGraph {
     /// `graph().len()` when fusion collapsed nodes).
     #[must_use]
     pub fn launch_count(&self) -> usize {
-        self.launches.len()
+        self.prepared.launches.len()
     }
 
     /// Whether the session's fusion policy rewrote this graph.
     #[must_use]
     pub fn is_fused(&self) -> bool {
-        self.plan.is_some()
+        self.prepared.plan.is_some()
     }
 
     /// Whether the session's placement policy sharded this graph across
     /// devices.
     #[must_use]
     pub fn is_sharded(&self) -> bool {
-        self.shard.is_some()
+        self.prepared.shard.is_some()
     }
 }
 
@@ -253,16 +270,10 @@ pub struct Session {
     mapping_policy: MappingPolicy,
     fusion_policy: FusionPolicy,
     placement_policy: PlacementPolicy,
-    fault_policy: FaultPolicy,
-    /// Faults subsequent launches inject into the timing schedule
-    /// (see [`Session::set_fault_plan`]); `None` injects nothing.
-    fault_plan: Option<FaultPlan>,
-    /// Per-node completion bound in cycles (see
-    /// [`Session::set_node_deadline`]).
-    node_deadline: Option<f64>,
-    /// Whole-graph makespan bound in cycles (see
-    /// [`Session::set_graph_deadline`]).
-    graph_deadline: Option<f64>,
+    /// The fault axes: injected plan, [`FaultPolicy`], and the per-node /
+    /// whole-graph deadlines (see the `set_fault_*` / `set_*_deadline`
+    /// setters).
+    fault: FaultContext,
     tuning: TuningTable,
     /// Compiled winners per tuning key, so warm `Autotune` launches skip
     /// the space builder entirely.
@@ -311,10 +322,7 @@ impl Session {
             mapping_policy: MappingPolicy::default(),
             fusion_policy: FusionPolicy::default(),
             placement_policy: PlacementPolicy::default(),
-            fault_policy: FaultPolicy::default(),
-            fault_plan: None,
-            node_deadline: None,
-            graph_deadline: None,
+            fault: FaultContext::default(),
             tuning: TuningTable::new(),
             tuned_launches: HashMap::new(),
             untunable: HashSet::new(),
@@ -331,12 +339,6 @@ impl Session {
         self.simulator.machine()
     }
 
-    /// The schedule policy graph launches currently use.
-    #[must_use]
-    pub fn policy(&self) -> SchedulePolicy {
-        self.policy
-    }
-
     /// Change how subsequent graph launches are scheduled.
     pub fn set_policy(&mut self, policy: SchedulePolicy) {
         self.policy = policy;
@@ -347,12 +349,6 @@ impl Session {
     pub fn with_policy(mut self, policy: SchedulePolicy) -> Self {
         self.policy = policy;
         self
-    }
-
-    /// The mapping policy node launches currently use.
-    #[must_use]
-    pub fn mapping_policy(&self) -> MappingPolicy {
-        self.mapping_policy
     }
 
     /// Change which mapping subsequent launches use.
@@ -367,33 +363,16 @@ impl Session {
         self
     }
 
-    /// The fusion policy graph launches currently use.
-    #[must_use]
-    pub fn fusion_policy(&self) -> FusionPolicy {
-        self.fusion_policy
-    }
-
-    /// Change whether subsequent graph launches are rewritten through
-    /// the fusion rewriter (see [`crate::fuse`]). [`FusionPolicy::Off`]
-    /// launches graphs exactly as written; [`FusionPolicy::Auto`]
-    /// collapses producer→consumer patterns into the paper's fused
-    /// kernels when the simulator confirms the fused launch wins —
-    /// functional results stay bitwise identical either way.
-    pub fn set_fusion_policy(&mut self, policy: FusionPolicy) {
-        self.fusion_policy = policy;
-    }
-
-    /// Builder-style [`Session::set_fusion_policy`].
+    /// Choose whether graph launches are rewritten through the fusion
+    /// rewriter (see [`crate::fuse`]). [`FusionPolicy::Off`] launches
+    /// graphs exactly as written; [`FusionPolicy::Auto`] collapses
+    /// producer→consumer patterns into the paper's fused kernels when
+    /// the simulator confirms the fused launch wins — functional results
+    /// stay bitwise identical either way.
     #[must_use]
     pub fn with_fusion_policy(mut self, policy: FusionPolicy) -> Self {
         self.fusion_policy = policy;
         self
-    }
-
-    /// The placement policy graph launches currently use.
-    #[must_use]
-    pub fn placement_policy(&self) -> PlacementPolicy {
-        self.placement_policy
     }
 
     /// Change how subsequent graph launches are placed onto simulated
@@ -414,55 +393,35 @@ impl Session {
         self
     }
 
-    /// The fault policy graph launches currently use.
-    #[must_use]
-    pub fn fault_policy(&self) -> FaultPolicy {
-        self.fault_policy
-    }
-
     /// Change how subsequent graph launches react to injected faults
     /// (see [`FaultPolicy`]). Inert until a fault plan is attached with
     /// [`Session::set_fault_plan`].
     pub fn set_fault_policy(&mut self, policy: FaultPolicy) {
-        self.fault_policy = policy;
+        self.fault.policy = policy;
     }
 
     /// Builder-style [`Session::set_fault_policy`].
     #[must_use]
     pub fn with_fault_policy(mut self, policy: FaultPolicy) -> Self {
-        self.fault_policy = policy;
+        self.fault.policy = policy;
         self
-    }
-
-    /// The fault plan subsequent graph launches inject, if any.
-    #[must_use]
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.fault_plan.as_ref()
     }
 
     /// Attach a deterministic [`FaultPlan`] that subsequent graph
     /// launches inject into their timing schedule (`None` detaches).
     /// An empty plan injects nothing and leaves every schedule
-    /// bit-identical to a plan-free launch, timeline included. A
-    /// non-empty plan routes even [`SchedulePolicy::Serial`] launches
-    /// through the concurrent engine (at one stream per device) — the
-    /// serial walk has no notion of in-flight launches to kill or
-    /// retry.
+    /// bit-identical to a plan-free launch, timeline included. A plan
+    /// never changes *how* launches are scheduled — the stream count
+    /// stays the [`SchedulePolicy`]'s — only what happens to them.
     pub fn set_fault_plan(&mut self, plan: Option<FaultPlan>) {
-        self.fault_plan = plan;
+        self.fault.plan = plan;
     }
 
     /// Builder-style [`Session::set_fault_plan`].
     #[must_use]
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault_plan = Some(plan);
+        self.fault.plan = Some(plan);
         self
-    }
-
-    /// The per-node completion deadline in cycles, if set.
-    #[must_use]
-    pub fn node_deadline(&self) -> Option<f64> {
-        self.node_deadline
     }
 
     /// Bound the cycles from a node's first launch to its successful
@@ -470,44 +429,26 @@ impl Session {
     /// launch with [`RuntimeError::DeadlineExceeded`] carrying the
     /// partial report (`None` removes the bound).
     pub fn set_node_deadline(&mut self, deadline: Option<f64>) {
-        self.node_deadline = deadline;
-    }
-
-    /// Builder-style [`Session::set_node_deadline`].
-    #[must_use]
-    pub fn with_node_deadline(mut self, deadline: f64) -> Self {
-        self.node_deadline = Some(deadline);
-        self
-    }
-
-    /// The whole-graph makespan deadline in cycles, if set.
-    #[must_use]
-    pub fn graph_deadline(&self) -> Option<f64> {
-        self.graph_deadline
+        self.fault.node_deadline = deadline;
     }
 
     /// Bound the whole schedule's makespan: a launch whose timeline
     /// passes the bound aborts with [`RuntimeError::DeadlineExceeded`]
     /// carrying the partial report (`None` removes the bound).
     pub fn set_graph_deadline(&mut self, deadline: Option<f64>) {
-        self.graph_deadline = deadline;
+        self.fault.graph_deadline = deadline;
     }
 
     /// Builder-style [`Session::set_graph_deadline`].
     #[must_use]
     pub fn with_graph_deadline(mut self, deadline: f64) -> Self {
-        self.graph_deadline = Some(deadline);
+        self.fault.graph_deadline = Some(deadline);
         self
     }
 
     /// Bound the kernel cache to at most `capacity` compiled kernels
-    /// (LRU eviction; `None` removes the bound). Autotuning compiles one
-    /// kernel per candidate, so bounded sessions keep memory flat.
-    pub fn set_cache_capacity(&mut self, capacity: Option<usize>) {
-        self.cache.set_capacity(capacity);
-    }
-
-    /// Builder-style [`Session::set_cache_capacity`].
+    /// (LRU eviction). Autotuning compiles one kernel per candidate, so
+    /// bounded sessions keep memory flat.
     #[must_use]
     pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
         self.cache.set_capacity(Some(capacity));
@@ -515,14 +456,9 @@ impl Session {
     }
 
     /// Bound the buffer pool to at most `capacity` parked buffers
-    /// (least-recently-released eviction; `None` removes the bound).
-    /// Sessions serving shape-diverse graphs keep memory flat this way
-    /// instead of parking one buffer per distinct shape forever.
-    pub fn set_pool_capacity(&mut self, capacity: Option<usize>) {
-        self.pool.set_capacity(capacity);
-    }
-
-    /// Builder-style [`Session::set_pool_capacity`].
+    /// (least-recently-released eviction). Sessions serving
+    /// shape-diverse graphs keep memory flat this way instead of
+    /// parking one buffer per distinct shape forever.
     #[must_use]
     pub fn with_pool_capacity(mut self, capacity: usize) -> Self {
         self.pool.set_capacity(Some(capacity));
@@ -626,31 +562,9 @@ impl Session {
             )
         })?;
         if let Some(before) = before {
-            self.record_cache_lookup(fp, before, &compiled);
+            record_cache_lookup(self.recorder.as_mut(), &self.cache, fp, before, &compiled);
         }
         Ok(compiled)
-    }
-
-    /// Emit the [`Event::CacheLookup`] for one successful lookup (hit
-    /// and eviction flags read from the cache's own counter deltas) and,
-    /// on a miss, the opt-in host-time [`Event::CompilePass`] stream of
-    /// the freshly compiled kernel.
-    fn record_cache_lookup(&mut self, fp: u64, before: CacheStats, compiled: &Compiled) {
-        let after = self.cache.stats();
-        let hit = after.hits > before.hits;
-        self.recorder.record(Event::CacheLookup {
-            fingerprint: fp,
-            hit,
-            evictions: after.evictions - before.evictions,
-        });
-        if !hit {
-            for (pass, ns) in &compiled.pass_nanos {
-                self.recorder.record(Event::CompilePass {
-                    pass: pass.clone(),
-                    host_ns: *ns,
-                });
-            }
-        }
     }
 
     /// Autotune `program`'s mapping: enumerate its space's candidates
@@ -1042,25 +956,14 @@ impl Session {
             replays += 1;
             match compiled {
                 Ok(compiled) => {
-                    // Inline (not `record_cache_lookup`): the `compiler`
-                    // borrow above lives across the loop, so only
-                    // disjoint field borrows of `self` are possible here.
                     if let Some(before) = before {
-                        let after = self.cache.stats();
-                        let hit = after.hits > before.hits;
-                        self.recorder.record(Event::CacheLookup {
-                            fingerprint: fp,
-                            hit,
-                            evictions: after.evictions - before.evictions,
-                        });
-                        if !hit {
-                            for (pass, ns) in &compiled.pass_nanos {
-                                self.recorder.record(Event::CompilePass {
-                                    pass: pass.clone(),
-                                    host_ns: *ns,
-                                });
-                            }
-                        }
+                        record_cache_lookup(
+                            self.recorder.as_mut(),
+                            &self.cache,
+                            fp,
+                            before,
+                            &compiled,
+                        );
                     }
                     resident.push((cfg, compiled));
                 }
@@ -1177,19 +1080,6 @@ impl Session {
         })
     }
 
-    /// One launch per node, indexed by `NodeId::index()` so the executor
-    /// never depends on schedule order for the pairing.
-    fn compile_nodes(&mut self, graph: &TaskGraph) -> Result<Vec<NodeLaunch>, RuntimeError> {
-        graph
-            .nodes()
-            .iter()
-            .map(|node| {
-                let program = node.program.clone();
-                self.node_launch(&program)
-            })
-            .collect()
-    }
-
     /// Plan fusion for `graph` under the session's [`FusionPolicy`]:
     /// `None` when the policy is `Off` or no rewrite fired.
     fn fusion_plan(&mut self, graph: &TaskGraph) -> Result<Option<FusionPlan>, RuntimeError> {
@@ -1220,25 +1110,6 @@ impl Session {
             }
         }
         Ok((!plan.is_identity()).then_some(plan))
-    }
-
-    /// Compile the launches of a fused plan's graph, annotating each
-    /// fused node with the original nodes it replaced.
-    fn compile_plan(&mut self, plan: &FusionPlan) -> Result<Vec<NodeLaunch>, RuntimeError> {
-        let mut launches = self.compile_nodes(&plan.graph)?;
-        for (launch, replaced) in launches.iter_mut().zip(plan.replaced_by_node()) {
-            launch.replaced = replaced;
-        }
-        Ok(launches)
-    }
-
-    /// The device topology the session's [`PlacementPolicy`] implies:
-    /// one device for [`PlacementPolicy::SingleDevice`], an all-pairs
-    /// NVLink mesh for [`PlacementPolicy::Sharded`]
-    /// ([`Topology::nvlink`] at one device *is* the single-device
-    /// topology, which keeps `Sharded { devices: 1 }` bit-identical).
-    fn topology(&self) -> Topology {
-        Topology::nvlink(self.machine(), self.placement_policy.devices())
     }
 
     /// Shard `graph` across `topology`'s devices under the session's
@@ -1277,47 +1148,108 @@ impl Session {
         Ok(Some(plan))
     }
 
-    /// Compile the launches of a sharded graph: each launch carries its
-    /// device, transfer nodes carry their link accounting, and (when a
-    /// fusion plan preceded the shard) fused nodes keep their
-    /// `replaced` annotations via the shard's origin map.
-    fn compile_shard(
-        &mut self,
-        shard: &ShardPlan,
-        plan: Option<&FusionPlan>,
-    ) -> Result<Vec<NodeLaunch>, RuntimeError> {
-        let mut launches = self.compile_nodes(&shard.graph)?;
-        let replaced = plan.map(FusionPlan::replaced_by_node);
-        for (i, launch) in launches.iter_mut().enumerate() {
-            launch.device = shard.device(i);
-            launch.comm = shard.transfer_of(i).map(|t| CommLaunch {
-                link: t.link,
-                bytes: t.bytes,
-            });
-            if let (Some(rep), Some(origin)) = (&replaced, shard.origin(i)) {
-                launch.replaced = rep[origin].clone();
+    /// The one preparation step behind every graph launch: plan fusion,
+    /// shard the (possibly fused) graph across the placement policy's
+    /// topology, and compile one launch per executed node, indexed by
+    /// `NodeId::index()`. Each launch carries its device, transfer nodes
+    /// carry their link accounting, and fused nodes the names of the
+    /// nodes they replaced (through the shard's origin map when both
+    /// rewrites fired).
+    fn prepare(&mut self, graph: &TaskGraph) -> Result<Prepared, RuntimeError> {
+        // One device for `SingleDevice`, an all-pairs NVLink mesh for
+        // `Sharded` — at one device the mesh *is* the single-device
+        // topology, which keeps `Sharded { devices: 1 }` bit-identical.
+        let topology = Topology::nvlink(self.machine(), self.placement_policy.devices());
+        let plan = self.fusion_plan(graph)?;
+        let fused_graph = plan.as_ref().map_or(graph, |p| &p.graph);
+        let shard = self.shard_plan(fused_graph, &topology)?;
+        let exec_graph = shard.as_ref().map_or(fused_graph, |s| &s.graph);
+        let replaced = plan.as_ref().map(FusionPlan::replaced_by_node);
+        let mut launches = Vec::with_capacity(exec_graph.len());
+        for (i, node) in exec_graph.nodes().iter().enumerate() {
+            let mut launch = self.node_launch(&node.program)?;
+            let mut origin = Some(i);
+            if let Some(shard) = &shard {
+                launch.device = shard.device(i);
+                launch.comm = shard.transfer_of(i).map(|t| CommLaunch {
+                    link: t.link,
+                    bytes: t.bytes,
+                });
+                origin = shard.origin(i);
             }
+            if let (Some(replaced), Some(origin)) = (&replaced, origin) {
+                launch.replaced = replaced[origin].clone();
+            }
+            launches.push(launch);
         }
-        Ok(launches)
+        Ok(Prepared {
+            plan,
+            shard,
+            topology,
+            launches,
+        })
     }
 
-    /// The executor-facing bundle of the session's fault axes.
-    fn fault_context(&self) -> executor::FaultContext {
-        executor::FaultContext {
-            plan: self.fault_plan.clone(),
-            policy: self.fault_policy,
-            node_deadline: self.node_deadline,
-            graph_deadline: self.graph_deadline,
+    /// Announce a graph launch to the recorder.
+    fn record_submitted(&mut self, graph: &TaskGraph, mode: &'static str) {
+        if self.recorder.enabled() {
+            self.recorder.record(Event::GraphSubmitted {
+                nodes: graph.len(),
+                mode,
+            });
         }
     }
 
-    /// Fold one launch's [`Recovery`] section into the session metrics
-    /// (all-zero sections — every fault-free launch — are free).
-    fn note_recovery(&mut self, recovery: &Recovery) {
-        self.metrics.faults_injected += recovery.faults;
-        self.metrics.retries += recovery.retries;
-        self.metrics.devices_evicted += recovery.evicted_devices.len() as u64;
-        self.metrics.nodes_resharded += recovery.resharded_nodes.len() as u64;
+    /// Fold one launch's [`crate::Recovery`] section — of its report, or
+    /// of the partial report inside a fault-carrying error, so failed
+    /// launches count too — into the session metrics.
+    fn note_recovery(&mut self, outcome: Result<&GraphReport, &RuntimeError>) {
+        let report = match outcome {
+            Ok(report) => report,
+            Err(RuntimeError::NodeFailed { report, .. })
+            | Err(RuntimeError::DeviceLost { report, .. })
+            | Err(RuntimeError::DeadlineExceeded { report, .. }) => report,
+            Err(_) => return,
+        };
+        self.metrics.faults_injected += report.recovery.faults;
+        self.metrics.retries += report.recovery.retries;
+        self.metrics.devices_evicted += report.recovery.evicted_devices.len() as u64;
+        self.metrics.nodes_resharded += report.recovery.resharded_nodes.len() as u64;
+    }
+
+    /// Run a prepared graph functionally against `inputs` and re-address
+    /// the results to `graph`'s node ids.
+    fn launch_prepared(
+        &mut self,
+        graph: &TaskGraph,
+        prepared: &Prepared,
+        inputs: &HashMap<String, Tensor>,
+    ) -> Result<GraphRun, RuntimeError> {
+        let run = executor::run_functional(
+            &self.simulator,
+            &prepared.topology,
+            prepared.exec_graph(graph),
+            &prepared.launches,
+            inputs,
+            &mut self.pool,
+            self.policy,
+            self.parallelism,
+            &self.fault,
+            self.recorder.as_mut(),
+        );
+        self.note_recovery(run.as_ref().map(|run| &run.report));
+        let run = run?;
+        self.metrics.apply_bytes.merge(run.apply_bytes);
+        let run = match &prepared.shard {
+            Some(s) => {
+                executor::remap_run(run, prepared.fused_graph(graph), &|i, p| s.target(i, p))
+            }
+            None => run,
+        };
+        Ok(match &prepared.plan {
+            Some(p) => executor::remap_run(run, graph, &|i, q| p.target(i, q)),
+            None => run,
+        })
     }
 
     /// Launch `graph` functionally: real data flows along the graph's
@@ -1340,53 +1272,9 @@ impl Session {
         graph: &TaskGraph,
         inputs: &HashMap<String, Tensor>,
     ) -> Result<GraphRun, RuntimeError> {
-        if self.recorder.enabled() {
-            self.recorder.record(Event::GraphSubmitted {
-                nodes: graph.len(),
-                mode: "functional",
-            });
-        }
-        let topology = self.topology();
-        let plan = self.fusion_plan(graph)?;
-        let fused_graph = plan.as_ref().map_or(graph, |p| &p.graph);
-        let shard = self.shard_plan(fused_graph, &topology)?;
-        let launches = match (&shard, &plan) {
-            (Some(s), p) => self.compile_shard(s, p.as_ref())?,
-            (None, Some(p)) => self.compile_plan(p)?,
-            (None, None) => self.compile_nodes(graph)?,
-        };
-        let exec_graph = shard.as_ref().map_or(fused_graph, |s| &s.graph);
-        let fault = self.fault_context();
-        let run = match executor::run_functional(
-            &self.simulator,
-            &topology,
-            exec_graph,
-            &launches,
-            inputs,
-            &mut self.pool,
-            self.policy,
-            self.parallelism,
-            &fault,
-            self.recorder.as_mut(),
-        ) {
-            Ok(run) => run,
-            Err(e) => {
-                if let Some(r) = recovery_of(&e) {
-                    self.note_recovery(r);
-                }
-                return Err(e);
-            }
-        };
-        self.note_recovery(&run.report.recovery);
-        self.metrics.apply_bytes.merge(run.apply_bytes);
-        let run = match &shard {
-            Some(s) => executor::remap_run(run, fused_graph, &|i, p| s.target(i, p)),
-            None => run,
-        };
-        Ok(match &plan {
-            Some(p) => executor::remap_run(run, graph, &|i, q| p.target(i, q)),
-            None => run,
-        })
+        self.record_submitted(graph, "functional");
+        let prepared = self.prepare(graph)?;
+        self.launch_prepared(graph, &prepared, inputs)
     }
 
     /// Compile `graph` once into a reusable [`CompiledGraph`] handle:
@@ -1402,21 +1290,9 @@ impl Session {
     /// Returns [`RuntimeError`] on compile failure or when the fusion
     /// gate's timing simulation fails.
     pub fn compile_graph(&mut self, graph: &TaskGraph) -> Result<CompiledGraph, RuntimeError> {
-        let topology = self.topology();
-        let plan = self.fusion_plan(graph)?;
-        let fused_graph = plan.as_ref().map_or(graph, |p| &p.graph);
-        let shard = self.shard_plan(fused_graph, &topology)?;
-        let launches = match (&shard, &plan) {
-            (Some(s), p) => self.compile_shard(s, p.as_ref())?,
-            (None, Some(p)) => self.compile_plan(p)?,
-            (None, None) => self.compile_nodes(graph)?,
-        };
         Ok(CompiledGraph {
             graph: graph.clone(),
-            plan,
-            shard,
-            topology,
-            launches,
+            prepared: self.prepare(graph)?,
         })
     }
 
@@ -1434,44 +1310,8 @@ impl Session {
         compiled: &CompiledGraph,
         inputs: &HashMap<String, Tensor>,
     ) -> Result<GraphRun, RuntimeError> {
-        if self.recorder.enabled() {
-            self.recorder.record(Event::GraphSubmitted {
-                nodes: compiled.graph.len(),
-                mode: "functional",
-            });
-        }
-        let fault = self.fault_context();
-        let run = match executor::run_functional(
-            &self.simulator,
-            &compiled.topology,
-            compiled.exec_graph(),
-            &compiled.launches,
-            inputs,
-            &mut self.pool,
-            self.policy,
-            self.parallelism,
-            &fault,
-            self.recorder.as_mut(),
-        ) {
-            Ok(run) => run,
-            Err(e) => {
-                if let Some(r) = recovery_of(&e) {
-                    self.note_recovery(r);
-                }
-                return Err(e);
-            }
-        };
-        self.note_recovery(&run.report.recovery);
-        self.metrics.apply_bytes.merge(run.apply_bytes);
-        let fused_graph = compiled.plan.as_ref().map_or(&compiled.graph, |p| &p.graph);
-        let run = match &compiled.shard {
-            Some(s) => executor::remap_run(run, fused_graph, &|i, p| s.target(i, p)),
-            None => run,
-        };
-        Ok(match &compiled.plan {
-            Some(p) => executor::remap_run(run, &compiled.graph, &|i, q| p.target(i, q)),
-            None => run,
-        })
+        self.record_submitted(&compiled.graph, "functional");
+        self.launch_prepared(&compiled.graph, &compiled.prepared, inputs)
     }
 
     /// Launch `graph` in timing mode: no data moves; the result is the
@@ -1487,42 +1327,19 @@ impl Session {
     ///
     /// Returns [`RuntimeError`] on compile or simulation failure.
     pub fn launch_timing(&mut self, graph: &TaskGraph) -> Result<GraphReport, RuntimeError> {
-        if self.recorder.enabled() {
-            self.recorder.record(Event::GraphSubmitted {
-                nodes: graph.len(),
-                mode: "timing",
-            });
-        }
-        let topology = self.topology();
-        let plan = self.fusion_plan(graph)?;
-        let fused_graph = plan.as_ref().map_or(graph, |p| &p.graph);
-        let shard = self.shard_plan(fused_graph, &topology)?;
-        let launches = match (&shard, &plan) {
-            (Some(s), p) => self.compile_shard(s, p.as_ref())?,
-            (None, Some(p)) => self.compile_plan(p)?,
-            (None, None) => self.compile_nodes(graph)?,
-        };
-        let exec_graph = shard.as_ref().map_or(fused_graph, |s| &s.graph);
-        let fault = self.fault_context();
-        let report = match executor::run_timing(
+        self.record_submitted(graph, "timing");
+        let prepared = self.prepare(graph)?;
+        let report = executor::run_timing(
             &self.simulator,
-            &topology,
-            exec_graph,
-            &launches,
+            &prepared.topology,
+            prepared.exec_graph(graph),
+            &prepared.launches,
             self.policy,
-            &fault,
+            &self.fault,
             self.recorder.as_mut(),
-        ) {
-            Ok(report) => report,
-            Err(e) => {
-                if let Some(r) = recovery_of(&e) {
-                    self.note_recovery(r);
-                }
-                return Err(e);
-            }
-        };
-        self.note_recovery(&report.recovery);
-        Ok(report)
+        );
+        self.note_recovery(report.as_ref());
+        report
     }
 
     /// Compile (with caching) and functionally run a single program —
@@ -1583,15 +1400,31 @@ impl Session {
     }
 }
 
-/// The [`Recovery`] section inside a fault-carrying error's partial
-/// report, if the error carries one — how failed launches still feed
-/// the session's fault metrics.
-fn recovery_of(e: &RuntimeError) -> Option<&Recovery> {
-    match e {
-        RuntimeError::NodeFailed { report, .. }
-        | RuntimeError::DeviceLost { report, .. }
-        | RuntimeError::DeadlineExceeded { report, .. } => Some(&report.recovery),
-        _ => None,
+/// Emit the [`Event::CacheLookup`] for one successful lookup (hit and
+/// eviction flags read from the cache's own counter deltas since
+/// `before`) and, on a miss, the opt-in host-time [`Event::CompilePass`]
+/// stream of the freshly compiled kernel.
+fn record_cache_lookup(
+    recorder: &mut dyn Recorder,
+    cache: &KernelCache,
+    fp: u64,
+    before: CacheStats,
+    compiled: &Compiled,
+) {
+    let after = cache.stats();
+    let hit = after.hits > before.hits;
+    recorder.record(Event::CacheLookup {
+        fingerprint: fp,
+        hit,
+        evictions: after.evictions - before.evictions,
+    });
+    if !hit {
+        for (pass, ns) in &compiled.pass_nanos {
+            recorder.record(Event::CompilePass {
+                pass: pass.clone(),
+                host_ns: *ns,
+            });
+        }
     }
 }
 

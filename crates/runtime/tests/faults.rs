@@ -411,6 +411,49 @@ fn device_loss_drains_stranded_buffers_with_recovery_transfers() {
     assert_eq!(run.report.recovery.evicted_devices, vec![1]);
 }
 
+/// A fault never changes which scheduler runs: under every schedule
+/// policy and device count, a run with one transient is the clean run
+/// of the same session plus its reported recovery overhead, bit for
+/// bit — and never shorter.
+#[test]
+fn a_transient_costs_exactly_its_reported_overhead() {
+    let machine = MachineConfig::test_gpu();
+    let (graph, _, _) = fanout(&machine, 128);
+    for policy in [
+        SchedulePolicy::Serial,
+        SchedulePolicy::Concurrent { streams: 2 },
+    ] {
+        for devices in [1usize, 2, 4] {
+            let mut session = Session::new(machine.clone())
+                .with_policy(policy)
+                .with_placement_policy(PlacementPolicy::Sharded { devices })
+                .with_fault_policy(FaultPolicy::Retry {
+                    max_attempts: 3,
+                    backoff: 0.0,
+                });
+            let clean = session.launch_timing(&graph).unwrap();
+            session.set_fault_plan(Some(FaultPlan::new().with_transient(0, 0)));
+            let faulted = session.launch_timing(&graph).unwrap();
+            let label = format!("{policy:?}, {devices} devices");
+            assert_eq!(faulted.recovery.faults, 1, "{label}");
+            assert_eq!(
+                (faulted.makespan - faulted.recovery.overhead_cycles).to_bits(),
+                clean.makespan.to_bits(),
+                "faulted makespan {} - overhead {} != clean makespan {} ({label})",
+                faulted.makespan,
+                faulted.recovery.overhead_cycles,
+                clean.makespan
+            );
+            assert!(
+                faulted.makespan >= clean.makespan,
+                "a fault shortened the schedule: {} < {} ({label})",
+                faulted.makespan,
+                clean.makespan
+            );
+        }
+    }
+}
+
 /// Exhausting the retry budget is a typed error, not a hang: a plan
 /// that faults the same node on both of its allowed attempts returns
 /// `NodeFailed` with the attempt count and the partial report.
@@ -465,8 +508,7 @@ fn exhausted_retry_budget_returns_node_failed() {
 }
 
 /// Deadlines are typed errors with partial reports — and generous
-/// deadlines never fire. Both scheduler paths (serial post-hoc and
-/// engine in-flight) enforce them.
+/// deadlines never fire, at one stream or several.
 #[test]
 fn deadlines_return_typed_errors_with_partial_reports() {
     let machine = MachineConfig::test_gpu();

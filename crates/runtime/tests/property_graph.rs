@@ -9,8 +9,10 @@
 //!    same schedule out of single-kernel `Simulator::run_functional`
 //!    calls, threading buffers by hand.
 //! 2. **Timing invariants**: under every policy and stream count,
-//!    `critical_path <= makespan <= serial_sum`; one stream reproduces
-//!    the serial policy exactly.
+//!    `critical_path <= makespan <= serial_sum`; the serial policy is the
+//!    back-to-back topological walk (checked against a prefix-sum oracle
+//!    that never touches the engine), and one stream reproduces it
+//!    exactly.
 
 use cypress_core::compile::{CompilerOptions, CypressCompiler};
 use cypress_core::kernels::{attention, batched, dual_gemm, gemm, gemm_reduction};
@@ -204,6 +206,22 @@ proptest! {
         let serial = session.launch_timing(&graph).unwrap();
         prop_assert_eq!(serial.makespan, serial.serial_sum(),
             "serial makespan is the serial sum by definition");
+        // The back-to-back walk, recomputed without the engine: nodes in
+        // `graph.schedule()` order, each starting at the running sum of
+        // the solo cycles before it.
+        let schedule = graph.schedule();
+        prop_assert_eq!(serial.nodes.len(), schedule.len());
+        let mut cursor = 0.0f64;
+        for (timing, id) in serial.nodes.iter().zip(&schedule) {
+            prop_assert_eq!(&timing.node, &graph.nodes()[id.index()].name,
+                "serial order is the topological schedule (seed {})", seed);
+            prop_assert_eq!(timing.start.to_bits(), cursor.to_bits(),
+                "{} starts at the prefix sum (seed {})", timing.node, seed);
+            cursor += timing.report.cycles;
+            prop_assert_eq!(timing.end.to_bits(), cursor.to_bits(),
+                "{} ends one solo launch later (seed {})", timing.node, seed);
+            prop_assert_eq!((timing.device, timing.stream), (0, 0));
+        }
 
         session.set_policy(SchedulePolicy::Concurrent { streams });
         let conc = session.launch_timing(&graph).unwrap();
