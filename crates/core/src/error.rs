@@ -74,6 +74,13 @@ pub enum CompileError {
         /// Tensor name in the IR.
         tensor: String,
     },
+    /// Copy elimination was still rewriting the program when it ran out of
+    /// fixpoint rounds (§4.2.3); the half-eliminated program is not handed
+    /// to resource allocation.
+    CopyElimDiverged {
+        /// Rounds executed (`copyelim::Options::max_rounds`).
+        rounds: usize,
+    },
     /// Shared-memory allocation failed even with maximal aliasing (§4.2.4).
     OutOfSharedMemory {
         /// Bytes required with maximal aliasing.
@@ -145,6 +152,11 @@ impl fmt::Display for CompileError {
                 "tensor `{tensor}` is mapped to the none memory but could not be eliminated; \
                  change the partitioning or mapping strategy"
             ),
+            CompileError::CopyElimDiverged { rounds } => write!(
+                f,
+                "copy elimination was still rewriting after {rounds} rounds; raise \
+                 `copyelim::Options::max_rounds` or flatten the task tree"
+            ),
             CompileError::OutOfSharedMemory { required, limit } => write!(
                 f,
                 "shared-memory allocation failed: {required} bytes required with maximal \
@@ -173,5 +185,10 @@ mod tests {
             limit: 10,
         };
         assert!(e.to_string().contains("100"));
+        let e = CompileError::CopyElimDiverged { rounds: 512 };
+        assert!(e.to_string().contains("512"));
+        assert!(e
+            .to_string()
+            .contains("raise `copyelim::Options::max_rounds`"));
     }
 }

@@ -248,7 +248,7 @@ impl EventType {
 }
 
 /// One index of an event-array reference (Fig. 7: `ei`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EvIdx {
     /// Broadcast `[:]`: all events of the dimension must complete.
     All,
@@ -257,7 +257,7 @@ pub enum EvIdx {
 }
 
 /// Reference to an event, possibly indexing an event array.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct EventRef {
     /// The referenced event.
     pub event: EventId,

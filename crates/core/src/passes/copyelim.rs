@@ -26,11 +26,18 @@
 //! Per §4.2.3, event-eliminating (spill-style) patterns run before
 //! dependence-preserving ones; `Options::spill_first` exposes the ordering
 //! for the ablation benchmark.
+//!
+//! The fixpoint never copies the program. Patterns that ask "how is
+//! tensor `t` used?" share one `Uses` summary, built in a single walk
+//! and rebuilt only after a rewrite; canonical equality is decided in
+//! place on the references themselves.
 
 use crate::error::CompileError;
-use crate::front::machine::{MemLevel, ProcLevel};
-use crate::ir::{Block, EventId, EventRef, IdxExpr, IrProgram, Op, OpKind, TensorId, TensorRef};
-use std::collections::{HashMap, HashSet};
+use crate::front::machine::MemLevel;
+use crate::ir::{
+    Block, EventId, EventRef, IdxExpr, IrProgram, Op, OpKind, PartId, PartKind, TensorId, TensorRef,
+};
+use std::collections::HashSet;
 
 /// Pass options.
 #[derive(Debug, Clone, Copy)]
@@ -60,123 +67,122 @@ pub struct Stats {
     pub rounds: usize,
 }
 
+type Pattern<'p> = fn(&mut Pass<'p>) -> bool;
+
 /// Run copy elimination to fixpoint.
 ///
 /// # Errors
 ///
 /// Returns [`CompileError::NoneMemoryMaterialized`] if a `none`-mapped
-/// tensor survives (§3.3 requires the user to adjust the mapping).
+/// tensor survives (§3.3 requires the user to adjust the mapping), naming
+/// the surviving tensor with the lowest id, and
+/// [`CompileError::CopyElimDiverged`] if the patterns are still rewriting
+/// after `opts.max_rounds` rounds.
 pub fn run(prog: &mut IrProgram, opts: Options) -> Result<Stats, CompileError> {
-    let mut stats = Stats::default();
-    for round in 0..opts.max_rounds {
-        stats.rounds = round + 1;
-        let before = prog.copy_count();
-        let mut changed = false;
-        if opts.spill_first {
-            changed |= copy_propagation(prog);
-            changed |= forward_allocations(prog);
-            changed |= materialize_none(prog);
-            changed |= identify_pieces(prog);
-            changed |= hoist_invariant_copies(prog);
-            changed |= self_copies(prog);
-            changed |= duplicate_copies(prog);
-            changed |= dead_copies(prog);
-        } else {
-            changed |= self_copies(prog);
-            changed |= duplicate_copies(prog);
-            changed |= dead_copies(prog);
-            changed |= copy_propagation(prog);
-            changed |= forward_allocations(prog);
-            changed |= materialize_none(prog);
-            changed |= identify_pieces(prog);
-            changed |= hoist_invariant_copies(prog);
+    let mut pass = Pass::new(prog);
+    // Event-eliminating (spill-style) patterns and dependence-preserving
+    // ones, each in application order.
+    let spill: [Pattern<'_>; 5] = [
+        Pass::copy_propagation,
+        Pass::forward_allocations,
+        Pass::materialize_none,
+        Pass::identify_pieces,
+        Pass::hoist_invariant_copies,
+    ];
+    let preserving: [Pattern<'_>; 3] =
+        [Pass::self_copies, Pass::duplicate_copies, Pass::dead_copies];
+    let (first, second) = if opts.spill_first {
+        (&spill[..], &preserving[..])
+    } else {
+        (&preserving[..], &spill[..])
+    };
+    let mut rounds = 0;
+    let mut changed = false;
+    while rounds < opts.max_rounds {
+        rounds += 1;
+        changed = false;
+        for pattern in first.iter().chain(second) {
+            changed |= pattern(&mut pass);
         }
-        stats.removed_copies += before.saturating_sub(prog.copy_count());
         if !changed {
             break;
         }
     }
-    check_none_memory(prog)?;
-    Ok(stats)
-}
-
-// ---- canonical references -------------------------------------------------
-
-/// Canonical index: processor-level variables of the same level compare
-/// equal (two warpgroup-level `pfor` variables denote the same processor
-/// index after vectorization).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum CanonIdx {
-    Const(i64),
-    Loop(usize, i64, i64),
-    Proc(ProcLevel, i64, i64),
-}
-
-fn canon_idx(prog: &IrProgram, i: &IdxExpr) -> CanonIdx {
-    match i.var {
-        None => CanonIdx::Const(i.offset),
-        Some(v) => match prog.proc_vars.get(&v) {
-            Some(p) => CanonIdx::Proc(*p, i.scale, i.offset),
-            None => CanonIdx::Loop(v, i.scale, i.offset),
-        },
+    if changed {
+        return Err(CompileError::CopyElimDiverged { rounds });
     }
+    pass.check_none_memory()?;
+    Ok(Stats {
+        removed_copies: pass.removed,
+        rounds,
+    })
 }
 
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct CanonRef {
-    tensor: TensorId,
-    path: Vec<(CanonPart, Vec<CanonIdx>)>,
-}
+// ---- canonical equality -----------------------------------------------------
 
-/// Partitions compare structurally: two partitions of the same parent with
-/// the same decomposition are the same partition.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum CanonPart {
-    Blocks(usize, usize),
-    Mma(usize, usize, usize, bool),
-}
-
-fn canon_part(prog: &IrProgram, p: usize) -> CanonPart {
-    match &prog.parts[p].kind {
-        crate::ir::PartKind::Blocks {
-            tile_rows,
-            tile_cols,
-            ..
-        } => CanonPart::Blocks(*tile_rows, *tile_cols),
-        crate::ir::PartKind::Mma {
-            pieces,
-            piece_rows,
-            piece_cols,
-            replicated,
-            ..
-        } => CanonPart::Mma(*pieces, *piece_rows, *piece_cols, *replicated),
+/// Canonical index equality: processor-level variables of the same level
+/// compare equal (two warpgroup-level `pfor` variables denote the same
+/// processor index after vectorization); constants compare by value.
+fn idx_eq(prog: &IrProgram, a: &IdxExpr, b: &IdxExpr) -> bool {
+    if a == b {
+        return true;
     }
-}
-
-fn canon_ref(prog: &IrProgram, r: &TensorRef) -> CanonRef {
-    CanonRef {
-        tensor: r.tensor,
-        path: r
-            .path
-            .iter()
-            .map(|(p, idx)| {
-                (
-                    canon_part(prog, *p),
-                    idx.iter().map(|i| canon_idx(prog, i)).collect(),
+    match (a.var, b.var) {
+        (None, None) => a.offset == b.offset,
+        // Distinct variables: equal only as processor indices of one level.
+        (Some(va), Some(vb)) => {
+            (a.scale, a.offset) == (b.scale, b.offset)
+                && matches!(
+                    (prog.proc_vars.get(&va), prog.proc_vars.get(&vb)),
+                    (Some(pa), Some(pb)) if pa == pb
                 )
-            })
-            .collect(),
+        }
+        _ => false,
     }
 }
 
-// ---- generic traversal helpers ---------------------------------------------
+/// Partitions compare structurally: two partitions with the same
+/// decomposition (piece shape, and for `mma` the piece count and
+/// replication) are the same partition.
+fn part_eq(prog: &IrProgram, p: PartId, q: PartId) -> bool {
+    let key = |id: PartId| {
+        let part = &prog.parts[id];
+        let mma = match part.kind {
+            PartKind::Blocks { .. } => None,
+            PartKind::Mma {
+                pieces, replicated, ..
+            } => Some((pieces, replicated)),
+        };
+        (part.piece_shape(), mma)
+    };
+    p == q || key(p) == key(q)
+}
+
+type PathEntry = (PartId, Vec<IdxExpr>);
+
+fn entry_eq(prog: &IrProgram, a: &PathEntry, b: &PathEntry) -> bool {
+    part_eq(prog, a.0, b.0)
+        && a.1.len() == b.1.len()
+        && a.1.iter().zip(&b.1).all(|(x, y)| idx_eq(prog, x, y))
+}
+
+/// Do `a` and `b` denote the same data under canonical equality?
+fn canon_eq(prog: &IrProgram, a: &TensorRef, b: &TensorRef) -> bool {
+    a.tensor == b.tensor
+        && a.path.len() == b.path.len()
+        && a.path
+            .iter()
+            .zip(&b.path)
+            .all(|(x, y)| entry_eq(prog, x, y))
+}
+
+// ---- traversal helpers ------------------------------------------------------
 
 fn for_each_op<'b>(block: &'b Block, f: &mut impl FnMut(&'b Op)) {
     for op in &block.ops {
         f(op);
-        match &op.kind {
-            OpKind::For { body, .. } | OpKind::Pfor { body, .. } => for_each_op(body, f),
-            _ => {}
+        if let OpKind::For { body, .. } | OpKind::Pfor { body, .. } = &op.kind {
+            for_each_op(body, f);
         }
     }
 }
@@ -184,538 +190,686 @@ fn for_each_op<'b>(block: &'b Block, f: &mut impl FnMut(&'b Op)) {
 fn for_each_op_mut(block: &mut Block, f: &mut impl FnMut(&mut Op)) {
     for op in &mut block.ops {
         f(op);
-        match &mut op.kind {
-            OpKind::For { body, .. } | OpKind::Pfor { body, .. } => for_each_op_mut(body, f),
-            _ => {}
+        if let OpKind::For { body, .. } | OpKind::Pfor { body, .. } = &mut op.kind {
+            for_each_op_mut(body, f);
         }
     }
 }
 
 /// All tensor references of an op (reads and writes), excluding loop bodies.
-fn op_refs(op: &Op) -> Vec<&TensorRef> {
+fn op_refs(op: &Op) -> impl Iterator<Item = &TensorRef> {
+    let (pair, args): ([Option<&TensorRef>; 2], &[TensorRef]) = match &op.kind {
+        OpKind::Copy { src, dst } => ([Some(src), Some(dst)], &[]),
+        OpKind::Call { args, .. } => ([None, None], args),
+        _ => ([None, None], &[]),
+    };
+    pair.into_iter().flatten().chain(args)
+}
+
+fn op_refs_mut(op: &mut Op) -> impl Iterator<Item = &mut TensorRef> {
+    let (pair, args): ([Option<&mut TensorRef>; 2], &mut [TensorRef]) = match &mut op.kind {
+        OpKind::Copy { src, dst } => ([Some(src), Some(dst)], &mut []),
+        OpKind::Call { args, .. } => ([None, None], args),
+        _ => ([None, None], &mut []),
+    };
+    pair.into_iter().flatten().chain(args)
+}
+
+/// The base tensor an op writes: a copy's destination, a call's last
+/// argument (a call without arguments writes nothing).
+fn op_write(op: &Op) -> Option<TensorId> {
     match &op.kind {
-        OpKind::Copy { src, dst } => vec![src, dst],
-        OpKind::Call { args, .. } => args.iter().collect(),
-        _ => vec![],
+        OpKind::Copy { dst, .. } => Some(dst.tensor),
+        OpKind::Call { args, .. } => args.last().map(|r| r.tensor),
+        _ => None,
     }
 }
 
-fn op_refs_mut(op: &mut Op) -> Vec<&mut TensorRef> {
-    match &mut op.kind {
-        OpKind::Copy { src, dst } => vec![src, dst],
-        OpKind::Call { args, .. } => args.iter_mut().collect(),
-        _ => vec![],
-    }
-}
-
-/// Tensors an op reads / writes (base tensors).
-fn op_reads_writes(op: &Op) -> (Vec<TensorId>, Vec<TensorId>) {
+/// Visit the base tensors an op reads.
+fn for_each_read(op: &Op, mut f: impl FnMut(TensorId)) {
     match &op.kind {
-        OpKind::Copy { src, dst } => (vec![src.tensor], vec![dst.tensor]),
-        OpKind::Call { f, args } => {
-            let dst = args.last().expect("calls have a destination").tensor;
-            let mut reads: Vec<TensorId> =
-                args[..args.len() - 1].iter().map(|r| r.tensor).collect();
-            if f.dst_reads() {
-                reads.push(dst);
+        OpKind::Copy { src, .. } => f(src.tensor),
+        OpKind::Call { f: leaf, args } => {
+            if let Some((dst, inputs)) = args.split_last() {
+                inputs.iter().for_each(|r| f(r.tensor));
+                if leaf.dst_reads() {
+                    f(dst.tensor);
+                }
             }
-            (reads, vec![dst])
         }
-        _ => (vec![], vec![]),
+        _ => {}
     }
 }
 
-/// Remove ops whose result event is listed, substituting references to
-/// their events with each op's own preconditions.
-fn remove_ops(prog: &mut IrProgram, remove: &HashSet<EventId>) {
-    if remove.is_empty() {
-        return;
-    }
-    // Collect substitutions first.
-    let mut subst: HashMap<EventId, Vec<EventRef>> = HashMap::new();
-    for_each_op(&prog.body.clone(), &mut |op| {
-        if remove.contains(&op.result) {
-            subst.insert(op.result, op.pre.clone());
-        }
-    });
-    // Filter blocks.
-    fn filter(block: &mut Block, remove: &HashSet<EventId>) {
-        block.ops.retain(|o| !remove.contains(&o.result));
-        for op in &mut block.ops {
-            match &mut op.kind {
-                OpKind::For { body, .. } | OpKind::Pfor { body, .. } => filter(body, remove),
-                _ => {}
-            }
-        }
-    }
-    let mut body = std::mem::take(&mut prog.body);
-    filter(&mut body, remove);
-    prog.body = body;
-    // Substitute events (chasing chains).
-    let mut body = std::mem::take(&mut prog.body);
-    for_each_op_mut(&mut body, &mut |op| {
-        let mut new_pre = Vec::new();
-        for pre in op.pre.drain(..) {
-            expand(&pre, &subst, &mut new_pre, 0);
-        }
-        // Deduplicate.
-        let mut seen = Vec::new();
-        for p in new_pre {
-            if !seen.contains(&p) {
-                seen.push(p);
-            }
-        }
-        op.pre = seen;
-    });
-    prog.body = body;
+/// Does `op` end a forward scan for copies equivalent to `copy(a, b)`: a
+/// nested loop, or a write to either tensor?
+fn ends_scan(op: &Op, a: &TensorRef, b: &TensorRef) -> bool {
+    matches!(op.kind, OpKind::For { .. } | OpKind::Pfor { .. })
+        || op_write(op).is_some_and(|w| w == a.tensor || w == b.tensor)
 }
 
-fn expand(
-    e: &EventRef,
-    subst: &HashMap<EventId, Vec<EventRef>>,
-    out: &mut Vec<EventRef>,
-    depth: usize,
-) {
-    if depth > 64 {
-        return;
-    }
-    match subst.get(&e.event) {
-        None => out.push(e.clone()),
-        Some(replacements) => {
-            for r in replacements {
-                expand(r, subst, out, depth + 1);
-            }
-        }
+// ---- removing ops -----------------------------------------------------------
+
+/// Order-preserving deduplication, linear in the list length.
+fn dedup(pre: &mut Vec<EventRef>) {
+    if pre.len() > 1 {
+        let mut seen = HashSet::with_capacity(pre.len());
+        pre.retain(|e| seen.insert(e.clone()));
     }
 }
 
-/// Rewrite every reference with base tensor `t` to compose with `r`.
-fn rewrite_base(prog: &mut IrProgram, t: TensorId, r: &TensorRef) {
-    let mut body = std::mem::take(&mut prog.body);
-    for_each_op_mut(&mut body, &mut |op| {
-        for rf in op_refs_mut(op) {
-            if rf.tensor == t {
-                let suffix = std::mem::take(&mut rf.path);
-                rf.tensor = r.tensor;
-                rf.path = r.path.clone();
-                rf.path.extend(suffix);
+/// Resolve the substitution `remove[i] -> subst[i]` to a fixed point, so
+/// that no list names a removed event. An op waits only on events that
+/// exist before it, so removed events form a DAG and `subst.len()` sweeps
+/// always suffice (one, when event ids ascend in program order).
+fn close_substitution(remove: &[EventId], subst: &mut [Vec<EventRef>]) {
+    let slot = |e: &EventRef| remove.binary_search(&e.event).ok();
+    for _ in 0..subst.len() {
+        let mut settled = true;
+        for i in 0..subst.len() {
+            if subst[i].iter().all(|e| slot(e).is_none()) {
+                continue;
+            }
+            settled = false;
+            let mut closed = Vec::new();
+            for e in std::mem::take(&mut subst[i]) {
+                match slot(&e) {
+                    None => closed.push(e),
+                    Some(j) => closed.extend(subst[j].iter().cloned()),
+                }
+            }
+            dedup(&mut closed);
+            subst[i] = closed;
+        }
+        if settled {
+            return;
+        }
+    }
+    debug_assert!(false, "removed events wait on each other in a cycle");
+}
+
+/// Drop the ops in `remove` (sorted) from `block` and rewire the
+/// survivors' preconditions through the closed substitution. Returns the
+/// number of ops dropped.
+fn filter_and_rewire(
+    block: &mut Block,
+    remove: &[EventId],
+    subst: &[Vec<EventRef>],
+    dedup_all: bool,
+) -> usize {
+    let before = block.ops.len();
+    block
+        .ops
+        .retain(|op| remove.binary_search(&op.result).is_err());
+    let mut dropped = before - block.ops.len();
+    for op in &mut block.ops {
+        let rewire = op
+            .pre
+            .iter()
+            .any(|e| remove.binary_search(&e.event).is_ok());
+        if rewire {
+            for e in std::mem::take(&mut op.pre) {
+                match remove.binary_search(&e.event) {
+                    Err(_) => op.pre.push(e),
+                    Ok(i) => op.pre.extend(subst[i].iter().cloned()),
+                }
             }
         }
-    });
-    prog.body = body;
+        if rewire || dedup_all {
+            dedup(&mut op.pre);
+        }
+        if let OpKind::For { body, .. } | OpKind::Pfor { body, .. } = &mut op.kind {
+            dropped += filter_and_rewire(body, remove, subst, dedup_all);
+        }
+    }
+    dropped
+}
+
+// ---- the per-round summary --------------------------------------------------
+
+/// How the program uses one tensor.
+#[derive(Clone, Copy, Default)]
+struct TensorUse {
+    /// References to the tensor or a piece of it, over all ops.
+    refs: u32,
+    /// Ops reading / writing it (base tensor).
+    reads: u32,
+    writes: u32,
+}
+
+/// What one walk learns about tensor `t`, while the walk still borrows
+/// the program.
+#[derive(Clone, Copy, Default)]
+struct Facts<'a> {
+    /// References to the whole tensor / to a piece of it.
+    whole: u32,
+    pieces: u32,
+    reads: u32,
+    writes: u32,
+    /// Whole-tensor copies of `t` onto itself.
+    self_copies: u32,
+    /// First *upstream* copy partner of the whole tensor — the reference a
+    /// launch site's copy-in/copy-out named, which belongs to the caller's
+    /// frame and was therefore created before `t` — and whether a later
+    /// upstream partner differs from it. Copies where `t` feeds a later
+    /// child allocation are downstream and collapse on later rounds.
+    upstream: Option<&'a TensorRef>,
+    upstream_mixed: bool,
+    /// First materialized same-shape tensor copied whole to/from `t`.
+    whole_partner: Option<TensorId>,
+    /// First materialized whole tensor copied to/from a single-level
+    /// piece of `t`.
+    piece_partner: Option<&'a TensorRef>,
+    /// First path entry of the first piece reference, and whether a later
+    /// piece reference starts differently. Only the first entry must be
+    /// the per-processor piece; deeper entries ride along.
+    first_piece: Option<&'a PathEntry>,
+    pieces_mixed: bool,
+}
+
+/// Per-tensor use summary plus the rewrite each summary-driven pattern
+/// would make, valid until the next rewrite. Each pattern rewrites at
+/// most one tensor per round — the lowest id that qualifies — because a
+/// rewrite invalidates the partner references the others were chosen by.
+#[derive(Default)]
+struct Uses {
+    valid: bool,
+    tensors: Vec<TensorUse>,
+    /// Allocation forwarding: `(t, r)`, replace `t` by `r`.
+    forward: Option<(TensorId, TensorRef)>,
+    /// Whole-tensor identification of a `none` tensor: `(t, partner)`.
+    materialize: Option<(TensorId, TensorId)>,
+    /// Piece identification: `(t, r)`, replace `t`'s pieces by `r`.
+    identify: Option<(TensorId, TensorRef)>,
+}
+
+impl Uses {
+    fn build(prog: &IrProgram) -> Uses {
+        let decls = &prog.tensors;
+        // `none`-mapped temporaries: the only tensors identification
+        // applies to.
+        let ghost = |t: TensorId| decls[t].mem == MemLevel::None && decls[t].param.is_none();
+        let mut facts = vec![Facts::default(); decls.len()];
+        for_each_op(&prog.body, &mut |op| {
+            for r in op_refs(op) {
+                let f = &mut facts[r.tensor];
+                match r.path.first() {
+                    None => f.whole += 1,
+                    Some(entry) => {
+                        f.pieces += 1;
+                        match f.first_piece {
+                            _ if !ghost(r.tensor) => {}
+                            None => f.first_piece = Some(entry),
+                            Some(first) => {
+                                f.pieces_mixed = f.pieces_mixed || !entry_eq(prog, first, entry);
+                            }
+                        }
+                    }
+                }
+            }
+            for_each_read(op, |t| facts[t].reads += 1);
+            if let Some(t) = op_write(op) {
+                facts[t].writes += 1;
+            }
+            let OpKind::Copy { src, dst } = &op.kind else {
+                return;
+            };
+            for (this, other) in [(dst, src), (src, dst)] {
+                let (t, o) = (this.tensor, other.tensor);
+                let f = &mut facts[t];
+                if this.path.is_empty() && o == t {
+                    f.self_copies += 1;
+                } else if this.path.is_empty() && o < t {
+                    match f.upstream {
+                        None => f.upstream = Some(other),
+                        Some(first) => {
+                            f.upstream_mixed = f.upstream_mixed || !canon_eq(prog, first, other);
+                        }
+                    }
+                }
+                if !ghost(t) || o == t || !other.path.is_empty() || decls[o].mem == MemLevel::None {
+                    continue;
+                }
+                if this.path.is_empty() {
+                    let same_shape =
+                        (decls[o].rows, decls[o].cols) == (decls[t].rows, decls[t].cols);
+                    if f.whole_partner.is_none() && same_shape {
+                        f.whole_partner = Some(o);
+                    }
+                } else if this.path.len() == 1 && f.piece_partner.is_none() {
+                    f.piece_partner = Some(other);
+                }
+            }
+        });
+        let tensors = 0..decls.len();
+        let summary = |f: &Facts| TensorUse {
+            refs: f.whole + f.pieces,
+            reads: f.reads,
+            writes: f.writes,
+        };
+        Uses {
+            valid: true,
+            tensors: facts.iter().map(summary).collect(),
+            forward: tensors.clone().find_map(|t| {
+                let (f, r) = (&facts[t], facts[t].upstream?);
+                // Forwarding must imply no memory-level change.
+                let same_mem =
+                    decls[t].mem == MemLevel::None || decls[t].mem == decls[r.tensor].mem;
+                (decls[t].param.is_none() && f.self_copies == 0 && !f.upstream_mixed && same_mem)
+                    .then(|| (t, r.clone()))
+            }),
+            materialize: tensors.clone().find_map(|t| {
+                let f = &facts[t];
+                (f.pieces == 0).then_some((t, f.whole_partner?))
+            }),
+            identify: tensors.clone().find_map(|t| {
+                let (f, r) = (&facts[t], facts[t].piece_partner?);
+                (f.whole == 0 && !f.pieces_mixed).then(|| (t, r.clone()))
+            }),
+        }
+    }
 }
 
 // ---- patterns ---------------------------------------------------------------
 
-/// Fig. 10d: `copy(t, t)` (canonically equal references) is erased.
-fn self_copies(prog: &mut IrProgram) -> bool {
-    let mut remove = HashSet::new();
-    for_each_op(&prog.body.clone(), &mut |op| {
-        if let OpKind::Copy { src, dst } = &op.kind {
-            if canon_ref(prog, src) == canon_ref(prog, dst) {
-                remove.insert(op.result);
-            }
-        }
-    });
-    let changed = !remove.is_empty();
-    remove_ops(prog, &remove);
-    changed
+/// The program being rewritten plus what the fixpoint carries across
+/// patterns and rounds.
+struct Pass<'p> {
+    prog: &'p mut IrProgram,
+    uses: Uses,
+    /// Ops removed so far (all of them copies).
+    removed: usize,
+    /// Precondition lists have been deduplicated once (dependence analysis
+    /// may name an event twice); from then on only rewired lists can gain
+    /// duplicates.
+    pre_deduped: bool,
 }
 
-/// Fig. 10c: duplicate copies within one block with no intervening write.
-fn duplicate_copies(prog: &mut IrProgram) -> bool {
-    let mut remove = HashSet::new();
-    fn scan(prog: &IrProgram, block: &Block, remove: &mut HashSet<EventId>) {
-        for (i, op) in block.ops.iter().enumerate() {
-            if let OpKind::Copy { src, dst } = &op.kind {
-                let (cs, cd) = (canon_ref(prog, src), canon_ref(prog, dst));
-                for later in &block.ops[i + 1..] {
-                    let (_, writes) = op_reads_writes(later);
-                    if let OpKind::Copy { src: s2, dst: d2 } = &later.kind {
-                        if canon_ref(prog, s2) == cs && canon_ref(prog, d2) == cd {
-                            remove.insert(later.result);
-                            continue;
-                        }
-                    }
-                    if writes.contains(&src.tensor) || writes.contains(&dst.tensor) {
-                        break;
-                    }
-                    if matches!(later.kind, OpKind::For { .. } | OpKind::Pfor { .. }) {
-                        break;
-                    }
-                }
-            }
-            match &op.kind {
-                OpKind::For { body, .. } | OpKind::Pfor { body, .. } => scan(prog, body, remove),
-                _ => {}
-            }
+impl<'p> Pass<'p> {
+    fn new(prog: &'p mut IrProgram) -> Self {
+        Pass {
+            prog,
+            uses: Uses::default(),
+            removed: 0,
+            pre_deduped: false,
         }
     }
-    scan(prog, &prog.body.clone(), &mut remove);
-    let changed = !remove.is_empty();
-    remove_ops(prog, &remove);
-    changed
-}
 
-/// `copy(a, X); ...; copy(X, b)` with no intervening write to `X` or `a`
-/// forwards the second copy's source to `a` (the spill-elimination engine).
-fn copy_propagation(prog: &mut IrProgram) -> bool {
-    let mut changed = false;
-    fn scan(prog_ro: &IrProgram, block: &mut Block, changed: &mut bool) {
-        for i in 0..block.ops.len() {
-            if let OpKind::Copy { src: a, dst: x } = &block.ops[i].kind {
-                let (a, x) = (a.clone(), x.clone());
-                let (ca, cx) = (canon_ref(prog_ro, &a), canon_ref(prog_ro, &x));
-                if ca == cx {
-                    continue;
+    /// The summary of the current program, rebuilt if a rewrite happened
+    /// since it was last built.
+    fn uses(&mut self) -> &mut Uses {
+        if !self.uses.valid {
+            self.uses = Uses::build(self.prog);
+        }
+        &mut self.uses
+    }
+
+    /// Remove ops whose result event is listed, substituting references to
+    /// their events with each op's own preconditions.
+    fn remove_ops(&mut self, mut remove: Vec<EventId>) -> bool {
+        if remove.is_empty() {
+            return false;
+        }
+        self.uses.valid = false;
+        remove.sort_unstable();
+        remove.dedup();
+        // The removed ops go away, so take their preconditions.
+        let mut subst = vec![Vec::new(); remove.len()];
+        for_each_op_mut(&mut self.prog.body, &mut |op| {
+            if let Ok(i) = remove.binary_search(&op.result) {
+                subst[i] = std::mem::take(&mut op.pre);
+            }
+        });
+        close_substitution(&remove, &mut subst);
+        let dedup_all = !std::mem::replace(&mut self.pre_deduped, true);
+        self.removed += filter_and_rewire(&mut self.prog.body, &remove, &subst, dedup_all);
+        true
+    }
+
+    /// Rewrite every reference with base tensor `t` to compose with `r`,
+    /// after dropping the reference's first `strip` path entries.
+    fn rewrite_base(&mut self, t: TensorId, r: &TensorRef, strip: usize) {
+        self.uses.valid = false;
+        for_each_op_mut(&mut self.prog.body, &mut |op| {
+            for rf in op_refs_mut(op).filter(|rf| rf.tensor == t) {
+                let suffix = std::mem::replace(&mut rf.path, r.path.clone());
+                rf.tensor = r.tensor;
+                rf.path.extend(suffix.into_iter().skip(strip));
+            }
+        });
+    }
+
+    /// Fig. 10d: `copy(t, t)` (canonically equal references) is erased.
+    fn self_copies(&mut self) -> bool {
+        let prog = &*self.prog;
+        let mut remove = Vec::new();
+        for_each_op(&prog.body, &mut |op| {
+            if let OpKind::Copy { src, dst } = &op.kind {
+                if canon_eq(prog, src, dst) {
+                    remove.push(op.result);
                 }
-                let mut j = i + 1;
-                while j < block.ops.len() {
-                    let (_, writes) = op_reads_writes(&block.ops[j]);
-                    if let OpKind::Copy { src: s2, .. } = &block.ops[j].kind {
-                        if canon_ref(prog_ro, s2) == cx {
-                            if let OpKind::Copy { src: s2m, .. } = &mut block.ops[j].kind {
-                                *s2m = a.clone();
-                                *changed = true;
+            }
+        });
+        self.remove_ops(remove)
+    }
+
+    /// Fig. 10c: duplicate copies within one block with no intervening write.
+    fn duplicate_copies(&mut self) -> bool {
+        fn scan(prog: &IrProgram, block: &Block, remove: &mut Vec<EventId>) {
+            for (i, op) in block.ops.iter().enumerate() {
+                match &op.kind {
+                    OpKind::Copy { src, dst } => {
+                        for later in &block.ops[i + 1..] {
+                            if let OpKind::Copy { src: s2, dst: d2 } = &later.kind {
+                                if canon_eq(prog, s2, src) && canon_eq(prog, d2, dst) {
+                                    remove.push(later.result);
+                                    continue;
+                                }
                             }
-                            j += 1;
-                            continue;
+                            if ends_scan(later, src, dst) {
+                                break;
+                            }
                         }
                     }
-                    if writes.contains(&x.tensor)
-                        || writes.contains(&a.tensor)
-                        || matches!(block.ops[j].kind, OpKind::For { .. } | OpKind::Pfor { .. })
-                    {
-                        break;
+                    OpKind::For { body, .. } | OpKind::Pfor { body, .. } => {
+                        scan(prog, body, remove);
                     }
-                    j += 1;
+                    OpKind::Call { .. } => {}
                 }
             }
-            match &mut block.ops[i].kind {
-                OpKind::For { body, .. } | OpKind::Pfor { body, .. } => {
-                    scan(prog_ro, body, changed)
+        }
+        let mut remove = Vec::new();
+        scan(self.prog, &self.prog.body, &mut remove);
+        self.remove_ops(remove)
+    }
+
+    /// `copy(a, X); ...; copy(X, b)` with no intervening write to `X` or `a`
+    /// forwards the second copy's source to `a` (the spill-elimination engine).
+    fn copy_propagation(&mut self) -> bool {
+        fn scan(prog: &IrProgram, block: &mut Block, changed: &mut bool) {
+            for i in 0..block.ops.len() {
+                let (head, tail) = block.ops.split_at_mut(i + 1);
+                match &mut head[i].kind {
+                    OpKind::Copy { src: a, dst: x } if !canon_eq(prog, a, x) => {
+                        for later in tail {
+                            if let OpKind::Copy { src, .. } = &mut later.kind {
+                                if canon_eq(prog, src, x) {
+                                    *src = a.clone();
+                                    *changed = true;
+                                    continue;
+                                }
+                            }
+                            if ends_scan(later, x, a) {
+                                break;
+                            }
+                        }
+                    }
+                    OpKind::For { body, .. } | OpKind::Pfor { body, .. } => {
+                        scan(prog, body, changed);
+                    }
+                    _ => {}
                 }
-                _ => {}
             }
         }
+        let mut changed = false;
+        let mut body = std::mem::take(&mut self.prog.body);
+        scan(self.prog, &mut body, &mut changed);
+        self.prog.body = body;
+        self.uses.valid &= !changed;
+        changed
     }
-    let prog_ro = prog.clone();
-    let mut body = std::mem::take(&mut prog.body);
-    scan(&prog_ro, &mut body, &mut changed);
-    prog.body = body;
-    changed
-}
 
-/// Allocation forwarding: a fresh tensor whose copy partners all name the
-/// same external reference `r` is replaced by `r` when no memory-level
-/// change is implied.
-fn forward_allocations(prog: &mut IrProgram) -> bool {
-    // Gather, per tensor: copy-in/out partner refs and whether other uses
-    // exist as whole-tensor copies.
-    #[derive(Default)]
-    struct Uses {
-        partners: Vec<(TensorRef, EventId)>,
-        other_whole_copies: usize,
-    }
-    let mut uses: HashMap<TensorId, Uses> = HashMap::new();
-    for_each_op(&prog.body.clone(), &mut |op| {
-        if let OpKind::Copy { src, dst } = &op.kind {
-            if dst.path.is_empty() && src.tensor != dst.tensor {
-                uses.entry(dst.tensor)
-                    .or_default()
-                    .partners
-                    .push((src.clone(), op.result));
-            } else if dst.path.is_empty() {
-                uses.entry(dst.tensor).or_default().other_whole_copies += 1;
-            }
-            if src.path.is_empty() && src.tensor != dst.tensor {
-                uses.entry(src.tensor)
-                    .or_default()
-                    .partners
-                    .push((dst.clone(), op.result));
-            } else if src.path.is_empty() {
-                uses.entry(src.tensor).or_default().other_whole_copies += 1;
-            }
-        }
-    });
-
-    // Forward at most one allocation per invocation: a rewrite invalidates
-    // the collected partner references, so the fixpoint loop recomputes
-    // them before the next forwarding.
-    let candidates: Vec<TensorId> = (0..prog.tensors.len()).collect();
-    for t in candidates {
-        let decl = &prog.tensors[t];
-        if decl.param.is_some() {
-            continue;
-        }
-        let Some(u) = uses.get(&t) else { continue };
-        if u.other_whole_copies > 0 {
-            continue;
-        }
-        // Only *upstream* partners qualify: the reference the launch site's
-        // copy-in/copy-out named, which belongs to the caller's frame and
-        // was therefore created before `t`. Copies where `t` feeds a later
-        // child allocation are downstream and collapse on later rounds.
-        let upstream: Vec<&(TensorRef, EventId)> =
-            u.partners.iter().filter(|(p, _)| p.tensor < t).collect();
-        let Some((first_ref, _)) = upstream.first().map(|x| (*x).clone()) else {
-            continue;
+    /// Allocation forwarding: a fresh tensor whose upstream copy partners
+    /// all name the same external reference `r` is replaced by `r` when no
+    /// memory-level change is implied. The partner copies become
+    /// self-copies, removed on the next self-copy sweep.
+    fn forward_allocations(&mut self) -> bool {
+        let Some((t, r)) = self.uses().forward.take() else {
+            return false;
         };
-        let first = canon_ref(prog, &first_ref);
-        if !upstream.iter().all(|(p, _)| canon_ref(prog, p) == first) {
-            continue;
-        }
-        let r = first_ref;
-        if r.tensor == t {
-            continue;
-        }
-        let r_mem = prog.tensors[r.tensor].mem;
-        let ok_mem = decl.mem == MemLevel::None || decl.mem == r_mem;
-        if !ok_mem {
-            continue;
-        }
-        // Forward: rewrite refs, turning the partner copies into self-copies
-        // removed on the next self-copy sweep.
-        rewrite_base(prog, t, &r);
-        return true;
+        self.rewrite_base(t, &r, 0);
+        true
     }
-    false
-}
 
-/// Piece identification: a `none`-mapped parent used exclusively through
-/// canonically identical per-processor pieces is identified with the
-/// materialized tensor those pieces are copied to/from.
-fn identify_pieces(prog: &mut IrProgram) -> bool {
-    // One identification per invocation (see `forward_allocations`).
-    for t in 0..prog.tensors.len() {
-        if prog.tensors[t].mem != MemLevel::None || prog.tensors[t].param.is_some() {
-            continue;
-        }
-        // Collect all refs with base t and copy partners of piece refs.
-        let mut piece_canons: HashSet<Vec<(CanonPart, Vec<CanonIdx>)>> = HashSet::new();
-        let mut whole_uses = 0usize;
-        let mut any_use = false;
-        let mut partner: Option<TensorRef> = None;
-        for_each_op(&prog.body.clone(), &mut |op| {
-            let refs = op_refs(op);
-            let uses_t: Vec<&&TensorRef> = refs.iter().filter(|r| r.tensor == t).collect();
-            if uses_t.is_empty() {
-                return;
-            }
-            any_use = true;
-            for r in &uses_t {
-                if r.path.is_empty() {
-                    whole_uses += 1;
-                } else {
-                    // Only the first path entry must be the per-processor
-                    // piece; deeper entries ride along.
-                    let c = canon_ref(
-                        prog,
-                        &TensorRef {
-                            tensor: t,
-                            path: vec![r.path[0].clone()],
-                        },
-                    );
-                    piece_canons.insert(c.path);
-                }
-            }
-            // Copy between a single-level piece of t and a whole tensor:
-            // candidate identification partner. Several distinct partners
-            // are fine — the remaining ones collapse into the chosen one
-            // by allocation forwarding on later rounds.
-            if let OpKind::Copy { src, dst } = &op.kind {
-                let pair = if src.tensor == t && src.path.len() == 1 && dst.path.is_empty() {
-                    Some(dst)
-                } else if dst.tensor == t && dst.path.len() == 1 && src.path.is_empty() {
-                    Some(src)
-                } else {
-                    None
-                };
-                if let Some(p) = pair {
-                    if partner.is_none()
-                        && prog.tensors[p.tensor].mem != MemLevel::None
-                        && p.tensor != t
-                    {
-                        partner = Some((*p).clone());
-                    }
-                }
-            }
-        });
-        let Some(r) = partner else { continue };
-        if !any_use || whole_uses > 0 || piece_canons.len() != 1 {
-            continue;
-        }
-        // Identify: strip the leading piece entry and redirect to r.
-        let mut body = std::mem::take(&mut prog.body);
-        for_each_op_mut(&mut body, &mut |op| {
-            for rf in op_refs_mut(op) {
-                if rf.tensor == t {
-                    let mut suffix = std::mem::take(&mut rf.path);
-                    suffix.remove(0);
-                    rf.tensor = r.tensor;
-                    rf.path = r.path.clone();
-                    rf.path.extend(suffix);
-                }
-            }
-        });
-        prog.body = body;
-        return true;
+    /// A `none`-mapped tensor used only through whole-tensor copies is
+    /// identified with its first materialized copy partner (the
+    /// whole-tensor analogue of `identify_pieces`; attention's score matrix
+    /// `S` takes this route into a register fragment).
+    fn materialize_none(&mut self) -> bool {
+        let Some((t, partner)) = self.uses().materialize.take() else {
+            return false;
+        };
+        self.rewrite_base(t, &TensorRef::whole(partner), 0);
+        true
     }
-    false
-}
 
-/// A `none`-mapped tensor used only through whole-tensor copies is
-/// identified with its first materialized copy partner (the whole-tensor
-/// analogue of `identify_pieces`; attention's score matrix `S` takes this
-/// route into a register fragment).
-fn materialize_none(prog: &mut IrProgram) -> bool {
-    for t in 0..prog.tensors.len() {
-        if prog.tensors[t].mem != MemLevel::None || prog.tensors[t].param.is_some() {
-            continue;
-        }
-        let mut partner: Option<TensorId> = None;
-        let mut piece_uses = 0usize;
-        let mut any = false;
-        for_each_op(&prog.body.clone(), &mut |op| {
-            for r in op_refs(op) {
-                if r.tensor == t {
-                    any = true;
-                    if !r.path.is_empty() {
-                        piece_uses += 1;
-                    }
-                }
-            }
-            if let OpKind::Copy { src, dst } = &op.kind {
-                let other = if src.tensor == t && src.path.is_empty() && dst.path.is_empty() {
-                    Some(dst.tensor)
-                } else if dst.tensor == t && dst.path.is_empty() && src.path.is_empty() {
-                    Some(src.tensor)
-                } else {
-                    None
-                };
-                if let Some(o) = other {
-                    if partner.is_none() && o != t && prog.tensors[o].mem != MemLevel::None {
-                        let same_shape = prog.tensors[o].rows == prog.tensors[t].rows
-                            && prog.tensors[o].cols == prog.tensors[t].cols;
-                        if same_shape {
-                            partner = Some(o);
-                        }
-                    }
-                }
-            }
-        });
-        let Some(o) = partner else { continue };
-        if !any || piece_uses > 0 {
-            continue;
-        }
-        rewrite_base(prog, t, &TensorRef::whole(o));
-        return true;
+    /// Piece identification: a `none`-mapped parent used exclusively
+    /// through canonically identical per-processor pieces is identified
+    /// with the materialized tensor those pieces are copied to/from, by
+    /// stripping the leading piece entry. Several distinct partners are
+    /// fine — the remaining ones collapse into the chosen one by
+    /// allocation forwarding on later rounds.
+    fn identify_pieces(&mut self) -> bool {
+        let Some((t, r)) = self.uses().identify.take() else {
+            return false;
+        };
+        self.rewrite_base(t, &r, 1);
+        true
     }
-    false
-}
 
-/// Fig. 10b (spill hoisting, simplified to the loop-invariant case):
-/// a copy inside a `for` whose references do not use the loop variable,
-/// whose source is never written, and whose destination is written only by
-/// this copy, moves to the loop preamble. This hoists attention's Q-tile
-/// load out of the K/V loop.
-fn hoist_invariant_copies(prog: &mut IrProgram) -> bool {
-    // Tensors written anywhere (by op kind).
-    let mut writers: HashMap<TensorId, usize> = HashMap::new();
-    for_each_op(&prog.body.clone(), &mut |op| {
-        let (_, writes) = op_reads_writes(op);
-        for w in writes {
-            *writers.entry(w).or_default() += 1;
-        }
-    });
-    let mut hoisted = false;
-    fn scan(block: &mut Block, writers: &HashMap<TensorId, usize>, hoisted: &mut bool) {
-        let mut i = 0;
-        while i < block.ops.len() {
-            let mut lift: Option<Op> = None;
-            if let OpKind::For { var, body, .. } = &mut block.ops[i].kind {
-                let var = *var;
-                // Recurse first.
-                scan(body, writers, hoisted);
-                if let Some(pos) = body.ops.iter().position(|op| {
-                    if let OpKind::Copy { src, dst } = &op.kind {
-                        !src.uses_var(var)
-                            && !dst.uses_var(var)
-                            && writers.get(&src.tensor).copied().unwrap_or(0) == 0
-                            && writers.get(&dst.tensor).copied().unwrap_or(0) == 1
-                            && dst.path.is_empty()
-                    } else {
-                        false
+    /// Fig. 10b (spill hoisting, simplified to the loop-invariant case):
+    /// a copy inside a `for` whose references do not use the loop variable,
+    /// whose source is never written, and whose destination is written only
+    /// by this copy, moves to the loop preamble. This hoists attention's
+    /// Q-tile load out of the K/V loop.
+    fn hoist_invariant_copies(&mut self) -> bool {
+        fn scan(block: &mut Block, tensors: &[TensorUse], hoisted: &mut bool) {
+            let mut i = 0;
+            while i < block.ops.len() {
+                if let OpKind::For { var, body, .. } = &mut block.ops[i].kind {
+                    let var = *var;
+                    // Recurse first.
+                    scan(body, tensors, hoisted);
+                    let invariant = body.ops.iter().position(|op| {
+                        matches!(&op.kind, OpKind::Copy { src, dst }
+                            if !src.uses_var(var)
+                                && !dst.uses_var(var)
+                                && tensors[src.tensor].writes == 0
+                                && tensors[dst.tensor].writes == 1
+                                && dst.path.is_empty())
+                    });
+                    if let Some(pos) = invariant {
+                        let mut op = body.ops.remove(pos);
+                        // The hoisted copy keeps no intra-loop preconditions.
+                        op.pre.clear();
+                        block.ops.insert(i, op);
+                        *hoisted = true;
+                        i += 1;
                     }
-                }) {
-                    let mut op = body.ops.remove(pos);
-                    // The hoisted copy keeps no intra-loop preconditions.
-                    op.pre.clear();
-                    lift = Some(op);
                 }
-            }
-            if let Some(op) = lift {
-                block.ops.insert(i, op);
-                *hoisted = true;
                 i += 1;
             }
-            i += 1;
         }
+        let mut hoisted = false;
+        self.uses();
+        scan(&mut self.prog.body, &self.uses.tensors, &mut hoisted);
+        self.uses.valid &= !hoisted;
+        hoisted
     }
-    let mut body = std::mem::take(&mut prog.body);
-    scan(&mut body, &writers, &mut hoisted);
-    prog.body = body;
-    hoisted
-}
 
-/// Remove copies into tensors that are never read and are not parameters.
-fn dead_copies(prog: &mut IrProgram) -> bool {
-    let mut read: HashSet<TensorId> = HashSet::new();
-    for_each_op(&prog.body.clone(), &mut |op| {
-        let (reads, _) = op_reads_writes(op);
-        read.extend(reads);
-    });
-    let mut remove = HashSet::new();
-    for_each_op(&prog.body.clone(), &mut |op| {
-        if let OpKind::Copy { dst, .. } = &op.kind {
-            if prog.tensors[dst.tensor].param.is_none() && !read.contains(&dst.tensor) {
-                remove.insert(op.result);
+    /// Remove copies into tensors that are never read and are not parameters.
+    fn dead_copies(&mut self) -> bool {
+        self.uses();
+        let (prog, tensors) = (&*self.prog, &self.uses.tensors);
+        let mut remove = Vec::new();
+        for_each_op(&prog.body, &mut |op| {
+            if let OpKind::Copy { dst, .. } = &op.kind {
+                if prog.tensors[dst.tensor].param.is_none() && tensors[dst.tensor].reads == 0 {
+                    remove.push(op.result);
+                }
+            }
+        });
+        self.remove_ops(remove)
+    }
+
+    /// §3.3: every tensor mapped to the `none` memory must have been
+    /// eliminated entirely — except promotable block-local tensors
+    /// (`make_tensor`), which fall back to a shared-memory home when no
+    /// identification applies. That is the fused-kernel shape: a producer
+    /// phase writes the tensor through one partition and a consumer phase
+    /// re-tiles it through another, so no single existing allocation can
+    /// stand in for it, and materializing it on-chip (rather than erroring)
+    /// is exactly the intermediate-stays-in-shared-memory behavior fusion
+    /// exists for. Writes into the shared home round to the tensor's
+    /// declared dtype, which is also what keeps fused results bitwise equal
+    /// to the unfused chain.
+    fn check_none_memory(&mut self) -> Result<(), CompileError> {
+        self.uses();
+        for (decl, uses) in self.prog.tensors.iter_mut().zip(&self.uses.tensors) {
+            if uses.refs > 0 && decl.mem == MemLevel::None {
+                if !decl.promotable {
+                    return Err(CompileError::NoneMemoryMaterialized {
+                        tensor: decl.name.clone(),
+                    });
+                }
+                decl.mem = MemLevel::Shared;
             }
         }
-    });
-    let changed = !remove.is_empty();
-    remove_ops(prog, &remove);
-    changed
+        Ok(())
+    }
 }
 
-/// §3.3: every tensor mapped to the `none` memory must have been
-/// eliminated entirely — except promotable block-local tensors
-/// (`make_tensor`), which fall back to a shared-memory home when no
-/// identification applies. That is the fused-kernel shape: a producer
-/// phase writes the tensor through one partition and a consumer phase
-/// re-tiles it through another, so no single existing allocation can
-/// stand in for it, and materializing it on-chip (rather than erroring)
-/// is exactly the intermediate-stays-in-shared-memory behavior fusion
-/// exists for. Writes into the shared home round to the tensor's
-/// declared dtype, which is also what keeps fused results bitwise equal
-/// to the unfused chain.
-fn check_none_memory(prog: &mut IrProgram) -> Result<(), CompileError> {
-    let mut surviving: HashSet<TensorId> = HashSet::new();
-    for_each_op(&prog.body.clone(), &mut |op| {
-        for r in op_refs(op) {
-            surviving.insert(r.tensor);
-        }
-    });
-    for t in surviving {
-        if prog.tensors[t].mem == MemLevel::None {
-            if prog.tensors[t].promotable {
-                prog.tensors[t].mem = MemLevel::Shared;
-            } else {
-                return Err(CompileError::NoneMemoryMaterialized {
-                    tensor: prog.tensors[t].name.clone(),
-                });
-            }
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::front::ast::LeafFn;
+    use crate::ir::EventType;
+    use cypress_tensor::DType;
+
+    fn tensor(prog: &mut IrProgram, name: &str, mem: MemLevel, param: Option<usize>) -> TensorRef {
+        TensorRef::whole(prog.add_tensor(name, 8, 8, DType::F16, mem, param))
+    }
+
+    fn op(result: EventId, pre: &[EventId], kind: OpKind) -> Op {
+        Op {
+            result,
+            ty: EventType::Unit,
+            pre: pre.iter().map(|&e| EventRef::unit(e)).collect(),
+            kind,
         }
     }
-    Ok(())
+
+    fn copy(result: EventId, pre: &[EventId], src: &TensorRef, dst: &TensorRef) -> Op {
+        let (src, dst) = (src.clone(), dst.clone());
+        op(result, pre, OpKind::Copy { src, dst })
+    }
+
+    fn results(block: &Block) -> Vec<EventId> {
+        block.ops.iter().map(|o| o.result).collect()
+    }
+
+    /// `head; c1 <- head; c2 <- c1; ...; survivor <- c200`, with the chain's
+    /// event ids assigned by `id`.
+    fn chain_program(id: impl Fn(usize) -> EventId) -> (IrProgram, Vec<EventId>) {
+        let mut prog = IrProgram::new("chain");
+        let a = tensor(&mut prog, "a", MemLevel::Global, Some(0));
+        let b = tensor(&mut prog, "b", MemLevel::Shared, None);
+        // The head waits on the same event twice: the rewired list must
+        // come out deduplicated, in order.
+        let mut ops = vec![copy(id(1), &[7, 3, 7], &a, &b)];
+        ops.extend((2..=200).map(|i| copy(id(i), &[id(i - 1)], &a, &b)));
+        ops.push(copy(5000, &[id(200)], &b, &a));
+        prog.body = Block { ops };
+        (prog, (1..=200).map(id).collect())
+    }
+
+    #[test]
+    fn removing_a_long_copy_chain_rewires_the_survivor_to_the_head() {
+        // Ascending ids close in one sweep; descending ids are the worst
+        // case for the sweep order. Neither may drop the dependence.
+        for id in [|i| 1000 + i, |i| 2000 - i] {
+            let (mut prog, chain) = chain_program(id);
+            let mut pass = Pass::new(&mut prog);
+            assert!(pass.remove_ops(chain));
+            assert_eq!(pass.removed, 200);
+            assert_eq!(results(&prog.body), [5000]);
+            assert_eq!(prog.body.ops[0].pre, [EventRef::unit(7), EventRef::unit(3)]);
+        }
+    }
+
+    #[test]
+    fn a_call_without_arguments_reads_and_writes_nothing() {
+        let mut prog = IrProgram::new("bare-call");
+        let a = tensor(&mut prog, "a", MemLevel::Global, Some(0));
+        let b = tensor(&mut prog, "b", MemLevel::Global, Some(1));
+        let call = OpKind::Call {
+            f: LeafFn::MmaAccum,
+            args: Vec::new(),
+        };
+        prog.body = Block {
+            ops: vec![copy(0, &[], &a, &b), op(1, &[0], call)],
+        };
+        let stats = run(&mut prog, Options::default()).expect("no panic, no error");
+        assert_eq!(stats.removed_copies, 0);
+        assert_eq!(results(&prog.body), [0, 1]);
+    }
+
+    /// `for v { copy(src, dst); call(dst -> acc); extra... }`
+    fn loop_program(extra: impl FnOnce(&TensorRef, &TensorRef) -> Vec<Op>) -> IrProgram {
+        let mut prog = IrProgram::new("loop");
+        let src = tensor(&mut prog, "src", MemLevel::Global, Some(0));
+        let dst = tensor(&mut prog, "dst", MemLevel::Shared, None);
+        let acc = tensor(&mut prog, "acc", MemLevel::Register, None);
+        let exp = OpKind::Call {
+            f: LeafFn::Exp,
+            args: vec![dst.clone(), acc.clone()],
+        };
+        let mut ops = vec![copy(1, &[], &src, &dst), op(2, &[1], exp)];
+        ops.extend(extra(&src, &acc));
+        let body = Block { ops };
+        let (var, extent) = (prog.fresh_var(), 4);
+        prog.body = Block {
+            ops: vec![op(9, &[], OpKind::For { var, extent, body })],
+        };
+        prog
+    }
+
+    #[test]
+    fn hoisting_moves_only_copies_whose_source_the_loop_leaves_alone() {
+        let mut invariant = loop_program(|_, _| Vec::new());
+        assert!(Pass::new(&mut invariant).hoist_invariant_copies());
+        assert_eq!(results(&invariant.body), [1, 9]);
+
+        // The loop writes the copy's source: every iteration must reload it.
+        let mut written = loop_program(|src, acc| vec![copy(3, &[2], acc, src)]);
+        let before = written.clone();
+        assert!(!Pass::new(&mut written).hoist_invariant_copies());
+        assert_eq!(written, before);
+    }
+
+    #[test]
+    fn duplicate_scan_stops_at_a_write_or_a_nested_loop() {
+        let mut prog = IrProgram::new("dups");
+        let a = tensor(&mut prog, "a", MemLevel::Global, Some(0));
+        let b = tensor(&mut prog, "b", MemLevel::Shared, None);
+        let c = tensor(&mut prog, "c", MemLevel::Shared, None);
+        let var = prog.fresh_var();
+        let nested = OpKind::For {
+            var,
+            extent: 2,
+            body: Block::default(),
+        };
+        prog.body = Block {
+            ops: vec![
+                copy(0, &[], &a, &b),
+                copy(1, &[0], &a, &b), // duplicate of 0
+                copy(2, &[], &c, &a),  // writes the source
+                copy(3, &[2], &a, &b), // not a duplicate of 0 any more...
+                op(4, &[], nested),
+                copy(5, &[], &a, &b), // ...and 3 cannot see past the loop
+            ],
+        };
+        assert!(Pass::new(&mut prog).duplicate_copies());
+        assert_eq!(results(&prog.body), [0, 2, 3, 4, 5]);
+    }
 }

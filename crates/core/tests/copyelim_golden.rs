@@ -1,0 +1,177 @@
+//! Golden digests of the IR copy elimination produces.
+//!
+//! `tests/golden/copyelim.digests` pins — for every kernel family × every
+//! `MappingSpace::candidates` point at two shapes × both pattern orders —
+//! an FNV-64 of `print_program` after `copyelim::run`, plus the pass's
+//! `removed_copies` and `rounds`. The file was generated by the
+//! implementation it guards against (the parent of the clone-free
+//! rewrite), so a change to the pass that alters the rewrite sequence
+//! anywhere shows up as a diff here, naming the case.
+//!
+//! After an *intentional* IR change, regenerate the file with
+//!
+//! ```sh
+//! cargo test --release -p cypress-core --test copyelim_golden -- --ignored regenerate
+//! ```
+//!
+//! and review the diff like any other golden file.
+
+use cypress_core::fingerprint::Fnv64;
+use cypress_core::ir::printer::print_program;
+use cypress_core::kernels::attention::{Algorithm, AttentionSpace};
+use cypress_core::kernels::{batched, chain, comm, dual_gemm, gemm, gemm_reduction, reduction};
+use cypress_core::passes::{copyelim, depan, vectorize};
+use cypress_core::{MappingSpace, Shape};
+use cypress_sim::MachineConfig;
+use std::fmt::Write as _;
+
+const GOLDEN: &str = include_str!("golden/copyelim.digests");
+
+/// Every kernel family with the two shapes it is pinned at.
+fn families() -> Vec<(&'static str, Box<dyn MappingSpace>, [Shape; 2])> {
+    let s = |a: &[usize], b: &[usize]| [Shape::of(a), Shape::of(b)];
+    vec![
+        (
+            "gemm",
+            Box::new(gemm::GemmSpace),
+            s(&[512, 512, 512], &[4096, 4096, 4096]),
+        ),
+        (
+            "batched",
+            Box::new(batched::BatchedGemmSpace),
+            s(&[4, 512, 512, 512], &[8, 2048, 2048, 2048]),
+        ),
+        (
+            "dual_gemm",
+            Box::new(dual_gemm::DualGemmSpace),
+            s(&[512, 512, 512], &[4096, 4096, 4096]),
+        ),
+        (
+            "gemm_reduction",
+            Box::new(gemm_reduction::GemmReductionSpace),
+            s(&[512, 512, 512], &[4096, 4096, 4096]),
+        ),
+        (
+            "gemm_reduction_pinned",
+            Box::new(gemm_reduction::PinnedVSpace { v: 256 }),
+            s(&[512, 256, 512], &[2048, 256, 2048]),
+        ),
+        (
+            "chain",
+            Box::new(chain::ChainSpace),
+            s(&[512, 512, 512, 512], &[2048, 2048, 2048, 512]),
+        ),
+        (
+            "reduction",
+            Box::new(reduction::ReductionSpace),
+            s(&[512, 512], &[4096, 4096]),
+        ),
+        (
+            "comm_transfer",
+            Box::new(comm::TransferSpace),
+            s(&[512, 512], &[4096, 4096]),
+        ),
+        (
+            "comm_halo",
+            Box::new(comm::HaloSpace),
+            s(&[128, 512], &[256, 4096]),
+        ),
+        (
+            "comm_all_reduce",
+            Box::new(comm::AllReduceSpace),
+            s(&[2, 512, 512], &[4, 2048, 2048]),
+        ),
+        (
+            "fa2",
+            Box::new(AttentionSpace {
+                algorithm: Algorithm::Fa2,
+            }),
+            s(&[4, 512, 128], &[16, 4096, 128]),
+        ),
+        (
+            "fa3",
+            Box::new(AttentionSpace {
+                algorithm: Algorithm::Fa3,
+            }),
+            s(&[4, 512, 128], &[16, 4096, 128]),
+        ),
+    ]
+}
+
+/// One line per family × shape × candidate × pattern order.
+fn digests() -> String {
+    let machine = MachineConfig::h100_sxm5();
+    let mut out = String::new();
+    for (family, space, shapes) in families() {
+        for shape in &shapes {
+            let candidates = space.candidates(&machine, shape);
+            assert!(!candidates.is_empty(), "{family} {shape}: empty space");
+            for cfg in candidates {
+                let (reg, mapping, args) = space.build(shape, &cfg).expect("candidates build");
+                let mut analyzed =
+                    depan::analyze(&reg, &mapping, space.entry(), &args).expect("depan");
+                vectorize::run(&mut analyzed);
+                vectorize::normalize_ranks(&mut analyzed);
+                for spill_first in [true, false] {
+                    let mut prog = analyzed.clone();
+                    let opts = copyelim::Options {
+                        spill_first,
+                        ..Default::default()
+                    };
+                    let _ = write!(
+                        out,
+                        "{family} {shape} {} spill_first={spill_first} ",
+                        cfg.encode()
+                    );
+                    match copyelim::run(&mut prog, opts) {
+                        Ok(stats) => {
+                            let mut h = Fnv64::new();
+                            h.write_str(&print_program(&prog));
+                            let _ = writeln!(
+                                out,
+                                "{:016x} removed={} rounds={}",
+                                h.finish(),
+                                stats.removed_copies,
+                                stats.rounds
+                            );
+                        }
+                        Err(e) => {
+                            let _ = writeln!(out, "error: {e}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn copyelim_output_matches_golden_digests() {
+    let actual = digests();
+    let (want, got): (Vec<&str>, Vec<&str>) = (GOLDEN.lines().collect(), actual.lines().collect());
+    let diffs: Vec<String> = want
+        .iter()
+        .zip(&got)
+        .filter(|(w, g)| w != g)
+        .take(10)
+        .map(|(w, g)| format!("  golden: {w}\n  actual: {g}"))
+        .collect();
+    assert!(
+        diffs.is_empty() && want.len() == got.len(),
+        "copy elimination no longer reproduces tests/golden/copyelim.digests \
+         ({} golden lines, {} actual); first differences:\n{}",
+        want.len(),
+        got.len(),
+        diffs.join("\n")
+    );
+}
+
+/// Rewrites the golden file from the current implementation (see the
+/// module header for when that is legitimate).
+#[test]
+#[ignore = "regenerates tests/golden/copyelim.digests"]
+fn regenerate() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/copyelim.digests");
+    std::fs::write(path, digests()).expect("write golden file");
+}
