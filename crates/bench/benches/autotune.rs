@@ -26,8 +26,8 @@ fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("autotune");
     g.sample_size(10);
 
-    // Cold: a fresh session per iteration sweeps the whole space, one
-    // candidate at a time.
+    // Cold: a fresh session per iteration sweeps the whole space on one
+    // worker.
     g.bench_function("gemm_512_cold_sweep", |b| {
         b.iter(|| {
             let mut session = Session::new(machine.clone()).with_parallelism(1);

@@ -1,9 +1,9 @@
 //! Host-side throughput of the functional engine: the fast resolved-view
 //! data path against the retained scalar reference interpreter
-//! (`--features scalar-oracle` path of `cypress-sim`), and the parallel
-//! graph executor against the serial walk. The `--smoke` CI run proves
-//! both paths still execute; full runs track the speedups the data-path
-//! rewrite is responsible for.
+//! (`--features scalar-oracle` path of `cypress-sim`), and the graph
+//! executor at the available worker count against one worker. The
+//! `--smoke` CI run proves both data paths still execute; full runs
+//! track the speedups the data-path rewrite is responsible for.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use cypress_core::compile::{CompilerOptions, CypressCompiler};
@@ -51,8 +51,8 @@ fn bench(c: &mut Criterion) {
         })
     });
 
-    // A fan-out graph of independent GEMMs: serial executor vs the
-    // scoped worker pool.
+    // A fan-out graph of independent GEMMs: the executor at one worker
+    // vs the scoped worker pool.
     let program = Program::from_parts(gemm::build(D, D, D, &machine).expect("gemm builds"), "gemm");
     let mut graph = TaskGraph::new();
     let mut inputs = HashMap::new();

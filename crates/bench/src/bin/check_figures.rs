@@ -36,9 +36,9 @@ const EXPECTED: [(&str, usize); 11] = [
 /// must never lose. The bytecode and graph gates carry a small
 /// tolerance because their rows are independent wall-clock
 /// measurements on a possibly contended runner, so the slack only
-/// absorbs scheduler jitter, never a real regression (one executor
-/// worker *is* the serial walk, and the bytecode VM replays the exact
-/// applies the walk issues).
+/// absorbs scheduler jitter, never a real regression (the graph rows
+/// run one executor at two worker counts, and the bytecode VM replays
+/// the exact applies the walk issues).
 const FUNCTIONAL_GATES: [(&str, &str, f64); 4] = [
     ("GEMM functional (fast)", "GEMM functional (scalar)", 3.0),
     ("GEMM functional (bytecode)", "GEMM functional (fast)", 0.95),

@@ -859,9 +859,9 @@ pub fn fig_functional(machine: &MachineConfig) -> Vec<Row> {
     });
     let workers = cypress_sim::par::available();
     let parallel = if workers <= 1 {
-        // With one worker the parallel executor *is* the serial walk
-        // (byte for byte), so re-measuring it would only add noise to
-        // the `parallel >= serial` gate on single-core hosts.
+        // On a single-core host both rows would measure the same
+        // one-worker run, so re-measuring it would only add noise to
+        // the `parallel >= serial` gate.
         serial
     } else {
         let mut parallel_session = Session::new(machine.clone()).with_parallelism(workers);

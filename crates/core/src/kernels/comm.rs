@@ -394,6 +394,23 @@ fn comm_estimate(
     })
 }
 
+/// The mapping a `build_*` helper launches `shape` with: the machine
+/// default when it validates, else the first candidate the space
+/// enumerates (the hand-tuned `V = 256` of an H100 does not divide a
+/// 128-column attention output; `V = 64` does). An empty grid surfaces
+/// the default's own typed validation error.
+fn default_or_first_candidate(
+    space: &dyn MappingSpace,
+    machine: &MachineConfig,
+    shape: &Shape,
+) -> Result<MappingConfig, CompileError> {
+    let cfg = space.default_for(machine);
+    match space.validate(machine, shape, &cfg) {
+        Ok(()) => Ok(cfg),
+        Err(e) => space.candidates(machine, shape).into_iter().next().ok_or(e),
+    }
+}
+
 /// The copy-family default mapping: the machine's hand-tuned GEMM point
 /// (its `U`/`V`/`WGS` are exactly the tile/warpgroup split the copy
 /// trees need).
@@ -453,20 +470,20 @@ impl MappingSpace for TransferSpace {
 }
 
 /// Build the transfer program `Y[m,n] = X[m,n]` with the default
-/// mapping for `machine`.
+/// mapping for `machine`, or — when the default does not fit the shape —
+/// the first candidate [`TransferSpace`] enumerates for it.
 ///
 /// # Errors
 ///
-/// Returns [`CompileError`] when the default mapping is invalid for
-/// this machine/shape combination.
+/// Returns the default mapping's [`CompileError`] when no mapping of
+/// the space is valid for this machine/shape combination.
 pub fn build_transfer(
     m: usize,
     n: usize,
     machine: &MachineConfig,
 ) -> Result<(TaskRegistry, MappingSpec, Vec<EntryArg>), CompileError> {
     let shape = Shape::of(&[m, n]);
-    let cfg = TransferSpace.default_for(machine);
-    TransferSpace.validate(machine, &shape, &cfg)?;
+    let cfg = default_or_first_candidate(&TransferSpace, machine, &shape)?;
     TransferSpace.build(&shape, &cfg)
 }
 
@@ -534,20 +551,20 @@ impl MappingSpace for HaloSpace {
 }
 
 /// Build the halo-exchange program for a `[halo_rows, n]` boundary band
-/// with the default mapping for `machine`.
+/// with the default mapping for `machine`, or — when the default does
+/// not fit the shape — the first candidate [`HaloSpace`] enumerates.
 ///
 /// # Errors
 ///
-/// Returns [`CompileError`] when the default mapping is invalid for
-/// this machine/shape combination.
+/// Returns the default mapping's [`CompileError`] when no mapping of
+/// the space is valid for this machine/shape combination.
 pub fn build_halo(
     halo_rows: usize,
     n: usize,
     machine: &MachineConfig,
 ) -> Result<(TaskRegistry, MappingSpec, Vec<EntryArg>), CompileError> {
     let shape = Shape::of(&[halo_rows, n]);
-    let cfg = HaloSpace.default_for(machine);
-    HaloSpace.validate(machine, &shape, &cfg)?;
+    let cfg = default_or_first_candidate(&HaloSpace, machine, &shape)?;
     HaloSpace.build(&shape, &cfg)
 }
 
@@ -619,12 +636,14 @@ impl MappingSpace for AllReduceSpace {
 }
 
 /// Build the all-reduce program `Y = X0 + … + X{ways-1}` with the
-/// default mapping for `machine`.
+/// default mapping for `machine`, or — when the default does not fit the
+/// shape — the first candidate [`AllReduceSpace`] enumerates for it.
 ///
 /// # Errors
 ///
-/// Returns [`CompileError`] when `ways < 2` or the default mapping is
-/// invalid for this machine/shape combination.
+/// Returns [`CompileError`] when `ways < 2`, or the default mapping's
+/// error when no mapping of the space is valid for this machine/shape
+/// combination.
 pub fn build_all_reduce(
     ways: usize,
     m: usize,
@@ -632,8 +651,7 @@ pub fn build_all_reduce(
     machine: &MachineConfig,
 ) -> Result<(TaskRegistry, MappingSpec, Vec<EntryArg>), CompileError> {
     let shape = Shape::of(&[ways, m, n]);
-    let cfg = AllReduceSpace.default_for(machine);
-    AllReduceSpace.validate(machine, &shape, &cfg)?;
+    let cfg = default_or_first_candidate(&AllReduceSpace, machine, &shape)?;
     AllReduceSpace.build(&shape, &cfg)
 }
 
@@ -791,6 +809,29 @@ mod tests {
         assert!(reg.variant("xfer_host").is_ok());
         assert_eq!(mapping.entry().instance, "xfer_host");
         assert_eq!(args.len(), 2);
+        let err = build_transfer(100, 128, &machine);
+        assert!(matches!(err, Err(CompileError::Partition(_))), "{err:?}");
+    }
+
+    /// The H100 default (`V = 256`) does not divide a 128-column tensor
+    /// — the shape of every attention output; the builders fall back to
+    /// the first enumerated candidate, and keep the default's typed
+    /// error when the grid is empty.
+    #[test]
+    fn builders_fall_back_to_the_first_candidate() {
+        let machine = MachineConfig::h100_sxm5();
+        let default = TransferSpace.default_for(&machine);
+        let shape = Shape::of(&[256, 128]);
+        assert!(TransferSpace.validate(&machine, &shape, &default).is_err());
+        let first = TransferSpace.candidates(&machine, &shape)[0]
+            .as_gemm("xfer")
+            .unwrap();
+        let (_, mapping, args) = build_transfer(256, 128, &machine).unwrap();
+        assert_eq!(mapping.entry().tunables["V"], first.v as i64);
+        assert_eq!((args[0].rows, args[0].cols), (256, 128));
+        assert!(build_halo(64, 128, &machine).is_ok());
+        assert!(build_all_reduce(2, 256, 128, &machine).is_ok());
+        // No `V` rescues a row count the fixed `U` does not divide.
         let err = build_transfer(100, 128, &machine);
         assert!(matches!(err, Err(CompileError::Partition(_))), "{err:?}");
     }

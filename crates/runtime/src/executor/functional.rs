@@ -1,6 +1,6 @@
-//! The functional walk: real tensors move along the graph's
-//! tensor-buffer edges in the deterministic topological schedule, then
-//! the same launches are timed by the scheduler.
+//! The functional executor: real tensors move along the graph's
+//! tensor-buffer edges one ready wave at a time, then the same launches
+//! are timed by the scheduler.
 
 use super::schedule::assemble_report;
 use super::{comm_report, FaultContext, NodeLaunch};
@@ -63,10 +63,10 @@ fn keeps_buffers(graph: &TaskGraph, node: usize, total_consumers: &[usize]) -> b
     graph.nodes()[node].retain || total_consumers[node] == 0
 }
 
-/// Tensor-buffer edge bookkeeping shared by the serial and parallel
-/// functional walks: which producer slots still have pending consumers,
-/// when a buffer's last use lets it move instead of clone, and when a
-/// drained producer's buffers recycle into the pool.
+/// Tensor-buffer edge bookkeeping of the functional executor: which
+/// producer slots still have pending consumers, when a buffer's last use
+/// lets it move instead of clone, and when a drained producer's pooled
+/// buffers recycle into the pool.
 struct EdgeBuffers {
     /// Pending consumers per `(node, param)`.
     per_param: Vec<Vec<usize>>,
@@ -77,6 +77,13 @@ struct EdgeBuffers {
     /// Produced tensors per node (`None` until the node ran, entries
     /// taken by last uses or recycled into the pool).
     slots: Vec<Option<Vec<Option<Tensor>>>>,
+    /// Per `(node, param)`: whether the tensor in that slot is a buffer
+    /// the pool handed out (a `Zeros` acquisition, possibly moved
+    /// downstream on its last use). Only those go back into the pool
+    /// when their node drains; clones of external inputs and of shared
+    /// upstream buffers are plain allocations and are dropped, so a
+    /// serving loop never parks more than the pool handed out.
+    pooled: Vec<Vec<bool>>,
 }
 
 impl EdgeBuffers {
@@ -88,6 +95,7 @@ impl EdgeBuffers {
             per_param,
             total_initial,
             slots: vec![None; graph.len()],
+            pooled: vec![Vec::new(); graph.len()],
         }
     }
 
@@ -104,9 +112,10 @@ impl EdgeBuffers {
     ) -> Result<Vec<Tensor>, RuntimeError> {
         let node = &graph.nodes()[id.index()];
         let mut params = Vec::with_capacity(node.bindings.len());
+        let mut pooled = Vec::with_capacity(node.bindings.len());
         for (i, binding) in node.bindings.iter().enumerate() {
             let arg = &node.program.args[i];
-            let tensor = match binding {
+            let (tensor, from_pool) = match binding {
                 Binding::External(name) => {
                     let t = inputs
                         .get(name)
@@ -136,7 +145,7 @@ impl EdgeBuffers {
                             ),
                         });
                     }
-                    t.clone()
+                    (t.clone(), false)
                 }
                 Binding::Output { node: src, param } => {
                     self.per_param[src.0][*param] -= 1;
@@ -155,9 +164,9 @@ impl EdgeBuffers {
                     let last_use = self.per_param[src.0][*param] == 0
                         && !keeps_buffers(graph, src.0, &self.total_initial);
                     if last_use {
-                        slot.take().ok_or_else(missing)?
+                        (slot.take().ok_or_else(missing)?, self.pooled[src.0][*param])
                     } else {
-                        slot.as_ref().ok_or_else(missing)?.clone()
+                        (slot.as_ref().ok_or_else(missing)?.clone(), false)
                     }
                 }
                 Binding::Zeros => {
@@ -173,11 +182,13 @@ impl EdgeBuffers {
                             reused: pool.stats().reused > before.reused,
                         });
                     }
-                    t
+                    (t, true)
                 }
             };
             params.push(tensor);
+            pooled.push(from_pool);
         }
+        self.pooled[id.index()] = pooled;
         Ok(params)
     }
 
@@ -186,7 +197,8 @@ impl EdgeBuffers {
         self.slots[id.index()] = Some(tensors.into_iter().map(Some).collect());
     }
 
-    /// Recycle any producer that `id` (just finished) drained.
+    /// Recycle any producer that `id` (just finished) drained: the pool's
+    /// own buffers are released, every other leftover tensor is dropped.
     fn recycle_drained(
         &mut self,
         graph: &TaskGraph,
@@ -198,7 +210,10 @@ impl EdgeBuffers {
             if self.total_remaining[dep.0] == 0 && !keeps_buffers(graph, dep.0, &self.total_initial)
             {
                 if let Some(rest) = self.slots[dep.0].take() {
-                    for t in rest.into_iter().flatten() {
+                    for (t, &pooled) in rest.into_iter().zip(&self.pooled[dep.0]) {
+                        let Some(t) = t.filter(|_| pooled) else {
+                            continue;
+                        };
                         let before = recorder.enabled().then(|| pool.stats());
                         let dtype = t.dtype();
                         let elements = t.shape().iter().product();
@@ -218,14 +233,16 @@ impl EdgeBuffers {
 }
 
 /// `launches` is indexed by `NodeId::index()` (one entry per graph node).
-/// With `parallelism <= 1` nodes run one at a time in the deterministic
-/// topological schedule — the pre-parallel behavior, byte for byte. With
-/// more workers, each *ready wave* of nodes (all dependencies satisfied)
-/// runs concurrently on the scoped worker pool; inputs are materialized
-/// and results joined serially in ascending node order. Each launch is a
-/// deterministic function of its input tensors (and pooled buffers are
+/// Each *ready wave* of nodes (all dependencies satisfied) runs on the
+/// scoped worker pool; inputs are materialized, results joined and
+/// drained producers recycled serially, in ascending node order per
+/// wave. That order — and with it the buffer pool's traffic and the
+/// `WaveScheduled` / `PoolAcquire` / `PoolRelease` events — is a function
+/// of the graph alone: the simulator's worker count changes wall time
+/// only (one worker runs each wave inline, see [`cypress_sim::par`]). Each launch is
+/// a deterministic function of its input tensors (and pooled buffers are
 /// handed out zeroed), so tensors and reports are bit-identical at every
-/// parallelism level — only wall time changes.
+/// parallelism level.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_functional(
     simulator: &Simulator,
@@ -235,7 +252,6 @@ pub(crate) fn run_functional(
     inputs: &HashMap<String, Tensor>,
     pool: &mut BufferPool,
     policy: SchedulePolicy,
-    parallelism: usize,
     fault: &FaultContext,
     recorder: &mut dyn Recorder,
 ) -> Result<GraphRun, RuntimeError> {
@@ -243,76 +259,57 @@ pub(crate) fn run_functional(
     let mut reports: Vec<Option<TimingReport>> = vec![None; graph.len()];
     let mut apply_bytes = ApplyBytes::default();
 
-    if parallelism <= 1 {
-        for &id in &graph.schedule() {
-            let params = edges.materialize(graph, id, inputs, pool, recorder)?;
-            let compiled = &launches[id.index()].compiled;
-            let run =
-                simulator.run_functional_lowered(&compiled.kernel, &compiled.lowered, params)?;
-            apply_bytes.merge(run.apply_bytes);
-            reports[id.index()] = Some(run.report);
-            edges.store(id, run.params);
-            edges.recycle_drained(graph, id, pool, recorder);
+    let (mut indegree, consumers) = graph.dependency_edges();
+    let mut wave: Vec<usize> = (0..graph.len()).filter(|&i| indegree[i] == 0).collect();
+    let mut wave_index = 0usize;
+    while !wave.is_empty() {
+        if recorder.enabled() {
+            recorder.record(Event::WaveScheduled {
+                wave: wave_index,
+                nodes: wave.clone(),
+            });
         }
-    } else {
-        let (mut indegree, consumers) = graph.dependency_edges();
-        let mut wave: Vec<usize> = (0..graph.len()).filter(|&i| indegree[i] == 0).collect();
-        let mut wave_index = 0usize;
-        while !wave.is_empty() {
-            if recorder.enabled() {
-                recorder.record(Event::WaveScheduled {
-                    wave: wave_index,
-                    nodes: wave.clone(),
-                });
-            }
-            wave_index += 1;
-            // Materialize inputs serially in ascending node order (the
-            // take-vs-clone bookkeeping is order-sensitive), then run the
-            // whole wave on the worker pool.
-            let mut jobs = Vec::with_capacity(wave.len());
-            for &idx in &wave {
-                let id = NodeId(idx);
-                let params = edges.materialize(graph, id, inputs, pool, recorder)?;
-                jobs.push((idx, Arc::clone(&launches[idx].compiled), params));
-            }
-            let runs = cypress_sim::par::parallel_map(
-                parallelism,
-                jobs,
-                |(idx, compiled, params): (usize, Arc<Compiled>, Vec<Tensor>)| {
-                    (
-                        idx,
-                        simulator.run_functional_lowered(
-                            &compiled.kernel,
-                            &compiled.lowered,
-                            params,
-                        ),
-                    )
-                },
-            );
-            // Join in input (ascending node) order; the byte counters
-            // are commutative sums, so the merged totals match the
-            // serial walk exactly.
-            for (idx, run) in runs {
-                let run = run?;
-                apply_bytes.merge(run.apply_bytes);
-                reports[idx] = Some(run.report);
-                edges.store(NodeId(idx), run.params);
-            }
-            for &idx in &wave {
-                edges.recycle_drained(graph, NodeId(idx), pool, recorder);
-            }
-            let mut next = Vec::new();
-            for &idx in &wave {
-                for &c in &consumers[idx] {
-                    indegree[c] -= 1;
-                    if indegree[c] == 0 {
-                        next.push(c);
-                    }
+        wave_index += 1;
+        // Materialize inputs serially in ascending node order (the
+        // take-vs-clone bookkeeping is order-sensitive), then run the
+        // whole wave on the worker pool.
+        let mut jobs = Vec::with_capacity(wave.len());
+        for &idx in &wave {
+            let id = NodeId(idx);
+            let params = edges.materialize(graph, id, inputs, pool, recorder)?;
+            jobs.push((idx, Arc::clone(&launches[idx].compiled), params));
+        }
+        let runs = cypress_sim::par::parallel_map(
+            simulator.parallelism(),
+            jobs,
+            |(idx, compiled, params): (usize, Arc<Compiled>, Vec<Tensor>)| {
+                (
+                    idx,
+                    simulator.run_functional_lowered(&compiled.kernel, &compiled.lowered, params),
+                )
+            },
+        );
+        // Join in input (ascending node) order.
+        for (idx, run) in runs {
+            let run = run?;
+            apply_bytes.merge(run.apply_bytes);
+            reports[idx] = Some(run.report);
+            edges.store(NodeId(idx), run.params);
+        }
+        for &idx in &wave {
+            edges.recycle_drained(graph, NodeId(idx), pool, recorder);
+        }
+        let mut next = Vec::new();
+        for &idx in &wave {
+            for &c in &consumers[idx] {
+                indegree[c] -= 1;
+                if indegree[c] == 0 {
+                    next.push(c);
                 }
             }
-            next.sort_unstable();
-            wave = next;
         }
+        next.sort_unstable();
+        wave = next;
     }
 
     let mut reports: Vec<TimingReport> = reports

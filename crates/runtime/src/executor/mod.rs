@@ -1,16 +1,18 @@
-//! Graph execution over the simulator: the functional data walk and the
-//! ready-queue timing schedule.
+//! Graph execution over the simulator: the functional wave executor and
+//! the ready-queue timing schedule.
 //!
 //! The executor launches each node's compiled kernel on
 //! [`cypress_sim::Simulator`]. In **functional** mode (`functional.rs`)
 //! it threads real tensors along the graph's tensor-buffer edges — the
 //! output buffers of one launch become the input buffers of the next —
-//! recycling dead intermediates through the [`crate::BufferPool`]. Data
-//! always moves in the deterministic topological schedule, so functional
-//! results are bit-identical across policies — and across worker counts:
-//! with host parallelism above 1 each ready wave of nodes runs
-//! concurrently on [`cypress_sim::par`]'s scoped pool, with inputs
-//! materialized and results joined serially in ascending node order.
+//! recycling dead intermediates through the [`crate::BufferPool`]. There
+//! is one executor: each ready wave of nodes runs on
+//! [`cypress_sim::par`]'s scoped pool (inline when there is one worker
+//! or one node), with inputs materialized, results joined and drained
+//! producers recycled serially in ascending node order. Data movement,
+//! pool traffic and recorded events are therefore functions of the graph
+//! alone — bit-identical across schedule policies and worker counts; the
+//! worker count changes wall time only.
 //!
 //! In **timing** mode no data moves; per-node
 //! [`cypress_sim::TimingReport`]s are assembled into a

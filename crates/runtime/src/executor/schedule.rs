@@ -114,9 +114,8 @@ pub(super) fn assemble_report(
     }
     // The policy-invariant `NodeExecuted` stream in ascending node-id
     // (insertion) order, then the schedule's `NodeSpan` timeline in
-    // completion order. Both the serial walk and the wave executor land
-    // here with `reports` indexed by node id, so the emitted stream is
-    // independent of how the nodes actually ran.
+    // completion order. `reports` is indexed by node id, so the emitted
+    // stream is independent of how the nodes actually ran.
     if recorder.enabled() {
         for (i, node) in graph.nodes().iter().enumerate() {
             recorder.record(Event::NodeExecuted {

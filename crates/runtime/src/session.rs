@@ -285,16 +285,12 @@ pub struct Session {
     /// rewriter's simulator gate consults, memoized so warm launches pay
     /// hash lookups instead of re-simulation.
     solo_cycles: HashMap<u64, f64>,
-    /// Host worker threads for the functional graph executor, the
-    /// autotune sweep, and concurrent solo timing (see
-    /// [`Session::set_parallelism`]).
-    parallelism: usize,
     /// Telemetry sink every launch reports to (see
     /// [`Session::set_recorder`]); [`NoopRecorder`] by default, so the
     /// hot path constructs no events.
     recorder: Box<dyn Recorder>,
     /// Counters no component stats struct carries (fusion decisions,
-    /// sweep replays, functional apply bytes); unified with the cache,
+    /// comm launches, functional apply bytes); unified with the cache,
     /// pool, and tuner stats by [`Session::metrics`].
     metrics: MetricsRegistry,
 }
@@ -327,7 +323,6 @@ impl Session {
             tuned_launches: HashMap::new(),
             untunable: HashSet::new(),
             solo_cycles: HashMap::new(),
-            parallelism: cypress_sim::par::available(),
             recorder: Box::new(NoopRecorder),
             metrics: MetricsRegistry::default(),
         }
@@ -482,8 +477,9 @@ impl Session {
     }
 
     /// One unified snapshot of everything the session counts: cache,
-    /// pool, and tuner stats plus fusion decisions, parallel-sweep cache
-    /// replays, and the functional apply-path byte counters.
+    /// pool, and tuner stats plus fusion decisions, comm and fault
+    /// counters, and the functional apply-path byte counters — the same
+    /// at every worker count.
     #[must_use]
     pub fn metrics(&self) -> MetricsSnapshot {
         self.metrics
@@ -493,18 +489,18 @@ impl Session {
     /// The host worker threads the session currently uses.
     #[must_use]
     pub fn parallelism(&self) -> usize {
-        self.parallelism
+        self.simulator.parallelism()
     }
 
     /// Set how many host worker threads the session may use (clamped to
     /// at least 1; new sessions default to the available cores). The
     /// workers parallelize *host-side* work — running ready graph nodes
     /// in the functional executor, compiling and timing autotune
-    /// candidates, and solo-timing kernel batches. `1` reproduces the
-    /// serial behavior exactly; at every setting tensors, reports, and
-    /// tuning winners are bit-identical — only wall time changes.
+    /// candidates, and solo-timing kernel batches. The worker count
+    /// changes wall time only — there is one executor and one sweep, so
+    /// tensors, reports, tuning winners, metrics, and the recorded event
+    /// stream are identical at every setting.
     pub fn set_parallelism(&mut self, parallelism: usize) {
-        self.parallelism = parallelism.max(1);
         self.simulator.set_parallelism(parallelism);
     }
 
@@ -605,10 +601,10 @@ impl Session {
     /// to the timed set as a transfer seed — under `TopK(0)` it is the
     /// *only* candidate timed, so warm fleets re-tune new shapes at the
     /// cost of one simulation. The kept candidates then flow through
-    /// the same serial or parallel sweep machinery in enumeration
-    /// order, so `TopK(k >= candidates.len())` reproduces the
-    /// exhaustive sweep bit for bit — same winner, same kernel-cache
-    /// traffic, same `TunerCandidate` telemetry.
+    /// the one sweep in enumeration order, so
+    /// `TopK(k >= candidates.len())` reproduces the exhaustive sweep bit
+    /// for bit — same winner, same kernel-cache traffic, same
+    /// `TunerCandidate` telemetry.
     ///
     /// # Errors
     ///
@@ -674,8 +670,7 @@ impl Session {
         let total = candidates.len();
         // Guided budgets shrink the candidate list *before* the sweep;
         // the survivors stay in enumeration order, so the sweep below
-        // (and every tie break after it) is shared verbatim with the
-        // exhaustive path.
+        // (and every tie break after it) is the exhaustive path's.
         let candidates = match budget {
             TunerBudget::Exhaustive => candidates,
             TunerBudget::TopK(k) => {
@@ -697,26 +692,7 @@ impl Session {
                 kept
             }
         };
-        // Both sweeps produce `(cycles, config)` in candidate order with
-        // bit-identical values, so everything downstream — the tie break,
-        // the stats bump, the emitted events — is shared.
-        let timed: Vec<(f64, cypress_core::MappingConfig)> = if self.parallelism <= 1 {
-            let mut timed = Vec::with_capacity(total);
-            for cfg in candidates {
-                let report = match self.time_candidate(&binding, &cfg) {
-                    Ok(r) => r,
-                    // A space's `validate` is a cheap resource estimate; the
-                    // compiler's allocator is the authority. Candidates it
-                    // rejects are skipped, not errors.
-                    Err(RuntimeError::Compile(_)) => continue,
-                    Err(e) => return Err(e),
-                };
-                timed.push((report.cycles, cfg));
-            }
-            timed
-        } else {
-            self.sweep_parallel(&binding, candidates)?
-        };
+        let timed = self.sweep(&binding, candidates)?;
         self.tuning.note_sweep(timed.len() as u64);
         if self.recorder.enabled() {
             for (cycles, cfg) in &timed {
@@ -834,17 +810,12 @@ impl Session {
         for &i in order.iter().take(keep) {
             selected[i] = true;
         }
-        let neighbor = self
+        let seed = self
             .tuning
             .nearest_neighbor(binding.space.entry(), key.machine, &key.shape)
-            .map(|(_, t)| t.config)
-            .filter(|c| candidates.contains(c));
-        let transferred = neighbor.is_some();
-        if let Some(seed) = neighbor {
-            let i = candidates
-                .iter()
-                .position(|c| *c == seed)
-                .expect("seed filtered to enumerated candidates");
+            .and_then(|(_, t)| candidates.iter().position(|c| *c == t.config));
+        let transferred = seed.is_some();
+        if let Some(i) = seed {
             if !selected[i] {
                 if keep > 0 {
                     selected[order[keep - 1]] = false;
@@ -866,30 +837,17 @@ impl Session {
         (kept, pruned, transferred)
     }
 
-    /// Compile (via the cache) and solo-time one candidate of a space.
-    fn time_candidate(
-        &mut self,
-        binding: &crate::program::SpaceBinding,
-        cfg: &cypress_core::MappingConfig,
-    ) -> Result<TimingReport, RuntimeError> {
-        let (registry, mapping, args) = binding.space.build(&binding.shape, cfg)?;
-        let candidate = Program::new(registry, mapping, binding.space.entry(), args);
-        let compiled = self.compile(&candidate)?;
-        Ok(self
-            .simulator
-            .run_timing_lowered(&compiled.kernel, &compiled.lowered)?)
-    }
-
-    /// The parallel cold sweep: compile every cache-missing candidate on
-    /// the worker pool, replay the cache lookups in candidate order (so
-    /// hit/miss counters and LRU behavior match the serial sweep
-    /// exactly), then solo-time each distinct compiled kernel in
-    /// parallel. Returns `(cycles, config)` in candidate order —
-    /// bit-identical values to the serial sweep, so the caller's
-    /// first-wins tie break picks the same winner. Candidates the
-    /// builder or compiler rejects are skipped; simulation failures
-    /// propagate.
-    fn sweep_parallel(
+    /// The cold sweep: compile every cache-missing candidate on the
+    /// worker pool, issue the cache lookups in candidate order (so
+    /// hit/miss counters, LRU behavior, and the recorded events are a
+    /// function of the candidate list alone), then solo-time each
+    /// distinct compiled kernel on the pool. Returns `(cycles, config)`
+    /// in candidate order, so the caller's first-wins tie break is
+    /// independent of the worker count. A space's `validate` is a cheap
+    /// resource estimate and the compiler's allocator is the authority:
+    /// candidates the builder or compiler rejects are skipped, not
+    /// errors; simulation failures propagate.
+    fn sweep(
         &mut self,
         binding: &crate::program::SpaceBinding,
         candidates: Vec<cypress_core::MappingConfig>,
@@ -920,7 +878,7 @@ impl Session {
             .map(|(_, program, fp)| (*fp, program))
             .collect();
         let mut precompiled: HashMap<u64, Result<cypress_core::Compiled, _>> =
-            par::parallel_map(self.parallelism, jobs, |(fp, p)| {
+            par::parallel_map(self.parallelism(), jobs, |(fp, p)| {
                 let result = compiler.compile_with_fingerprint(
                     &p.registry,
                     &p.mapping,
@@ -932,14 +890,12 @@ impl Session {
             })
             .into_iter()
             .collect();
-        // Replay the lookups in candidate order; misses consume the
+        // Issue the lookups in candidate order; misses consume the
         // precompiled kernels (recompiling inline only if a bounded cache
-        // evicted an entry mid-sweep, exactly as the serial sweep would).
-        // The replay also emits the `CacheLookup` (and miss-side
-        // `CompilePass`) events in candidate order, so a recorder sees
-        // the same stream the serial sweep produces.
+        // evicted an entry mid-sweep). This is also where the
+        // `CacheLookup` (and miss-side `CompilePass`) events are
+        // emitted, in candidate order.
         let mut resident = Vec::with_capacity(built.len());
-        let mut replays = 0u64;
         for (cfg, program, fp) in built {
             let before = self.recorder.enabled().then(|| self.cache.stats());
             let compiled = self.cache.get_or_compile(fp, || {
@@ -953,7 +909,6 @@ impl Session {
                     )
                 })
             });
-            replays += 1;
             match compiled {
                 Ok(compiled) => {
                     if let Some(before) = before {
@@ -973,7 +928,6 @@ impl Session {
                 Err(_) => continue,
             }
         }
-        self.metrics.sweep_replays += replays;
         // Solo-time each distinct kernel on the worker pool. Timing is
         // deterministic per kernel, so deduplication cannot change any
         // candidate's cycles.
@@ -984,7 +938,7 @@ impl Session {
             .map(|(_, c)| Arc::clone(c))
             .collect();
         let simulator = &self.simulator;
-        let timed = par::parallel_map(self.parallelism, sims, |c| {
+        let timed = par::parallel_map(self.parallelism(), sims, |c| {
             (
                 c.fingerprint,
                 simulator.run_timing_lowered(&c.kernel, &c.lowered),
@@ -1233,7 +1187,6 @@ impl Session {
             inputs,
             &mut self.pool,
             self.policy,
-            self.parallelism,
             &self.fault,
             self.recorder.as_mut(),
         );

@@ -15,7 +15,7 @@
 //!   are never even constructed.
 //! - **[`MetricsRegistry`] / [`MetricsSnapshot`]** — one snapshot
 //!   unifying the existing stats structs plus the new counters (fusion
-//!   rewrites applied/declined, tuner sweep cache replays, per-dtype
+//!   rewrites applied/declined, comm and fault counters, per-dtype
 //!   functional apply bytes). Read it with [`crate::Session::metrics`].
 //! - **[`TraceSink`]** — a hand-rolled Chrome-trace-event JSON exporter
 //!   (no `serde`, mirroring [`crate::TuningTable`]'s text round-trip):
@@ -38,11 +38,12 @@
 //! |-------|------------------|
 //! | [`EventClass::Flow`] | repeat runs, schedule policies, parallelism levels |
 //! | [`EventClass::Schedule`] | repeat runs, parallelism levels (the timeline is the policy's output) |
-//! | [`EventClass::Exec`] | repeat runs at fixed settings (host-side interleaving is the point) |
 //! | [`EventClass::Host`] | nothing — wall clock, opt-in |
 //!
-//! For a fixed session configuration the full recorded stream (minus
-//! `Host`) is bit-identical across repeat runs; the property suite in
+//! No class depends on the worker count: there is one functional
+//! executor and one tuner sweep, so the full recorded stream (minus
+//! `Host`) is bit-identical across repeat runs *and* across
+//! [`crate::Session::set_parallelism`] settings; the property suite in
 //! `tests/determinism_streams.rs` locks each row of the table down.
 
 use crate::cache::CacheStats;
@@ -57,17 +58,15 @@ use std::sync::{Arc, Mutex};
 /// How reproducible an [`Event`] is (see the module docs' table).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EventClass {
-    /// Deterministic dataflow decisions: identical across repeat runs,
-    /// schedule policies, and parallelism levels.
+    /// Deterministic dataflow decisions — graph and fusion rewrites,
+    /// cache lookups, tuner sweeps, the executor's ready waves and its
+    /// buffer-pool traffic: identical across repeat runs, schedule
+    /// policies, and parallelism levels.
     Flow,
     /// The sim-cycle timeline a schedule policy produced: identical
     /// across repeat runs and parallelism levels; differs between
     /// policies by design (that difference *is* the policy).
     Schedule,
-    /// Host-side execution detail (pool traffic, wave grouping):
-    /// identical across repeat runs at fixed settings, but legitimately
-    /// different between the serial walk and the wave executor.
-    Exec,
     /// Host wall-clock measurements: never comparable, off by default
     /// (see [`TraceLog::with_host`]).
     Host,
@@ -193,8 +192,9 @@ pub enum Event {
         /// Payload bytes moved across the link.
         bytes: f64,
     },
-    /// The wave executor scheduled one ready wave of nodes (absent under
-    /// the serial walk, which has no waves).
+    /// The functional executor scheduled one ready wave of nodes (every
+    /// node whose dependencies are satisfied) — a function of the graph
+    /// alone, recorded at every worker count.
     WaveScheduled {
         /// Zero-based wave index.
         wave: usize,
@@ -302,15 +302,15 @@ impl Event {
             | Event::TunerCandidate { .. }
             | Event::NodeExecuted { .. }
             | Event::ShardAssigned { .. }
-            | Event::LinkTransfer { .. } => EventClass::Flow,
+            | Event::LinkTransfer { .. }
+            | Event::WaveScheduled { .. }
+            | Event::PoolAcquire { .. }
+            | Event::PoolRelease { .. } => EventClass::Flow,
             Event::NodeSpan { .. }
             | Event::FaultInjected { .. }
             | Event::NodeRetried { .. }
             | Event::DeviceEvicted { .. }
             | Event::Resharded { .. } => EventClass::Schedule,
-            Event::WaveScheduled { .. } | Event::PoolAcquire { .. } | Event::PoolRelease { .. } => {
-                EventClass::Exec
-            }
             Event::CompilePass { .. } | Event::TunerRanked { .. } => EventClass::Host,
         }
     }
@@ -437,11 +437,6 @@ pub struct MetricsRegistry {
     pub fusion_applied: u64,
     /// Fusion candidates the simulator rejected (fused launch loses).
     pub fusion_declined: u64,
-    /// Cache lookups replayed in candidate order by the parallel
-    /// autotune sweep (see `Session::set_parallelism`): how much cache
-    /// traffic the sweep re-issued to keep counters bit-identical to
-    /// the serial sweep.
-    pub sweep_replays: u64,
     /// Transfer kernels the graph sharder inserted across every launch
     /// of this session (one per cross-device edge after deduplication).
     pub comm_launches: u64,
@@ -476,7 +471,6 @@ impl MetricsRegistry {
             tuner,
             fusion_applied: self.fusion_applied,
             fusion_declined: self.fusion_declined,
-            sweep_replays: self.sweep_replays,
             comm_launches: self.comm_launches,
             link_bytes: self.link_bytes,
             apply_bytes: self.apply_bytes,
@@ -490,9 +484,7 @@ impl MetricsRegistry {
 
 /// One unified view of everything the session counts, returned by
 /// [`crate::Session::metrics`]. Every field is deterministic for a
-/// fixed launch sequence (the pool's reuse counters may differ across
-/// *parallelism* settings, since buffer interleaving is host-side; see
-/// [`EventClass::Exec`]).
+/// fixed launch sequence and independent of the worker count.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MetricsSnapshot {
     /// Kernel-cache counters ([`crate::Session::cache_stats`]).
@@ -505,8 +497,6 @@ pub struct MetricsSnapshot {
     pub fusion_applied: u64,
     /// Fusion rewrites declined by the simulator gate.
     pub fusion_declined: u64,
-    /// Parallel-sweep cache replays.
-    pub sweep_replays: u64,
     /// Transfer kernels inserted by the graph sharder.
     pub comm_launches: u64,
     /// Payload bytes moved across topology links by those transfers.
@@ -538,15 +528,14 @@ impl fmt::Display for MetricsSnapshot {
         writeln!(
             f,
             "tuner   lookups {} | hits {} | sweeps {} | candidates timed {} | ranked {} | \
-             pruned {} | transferred {} | sweep replays {}",
+             pruned {} | transferred {}",
             self.tuner.lookups,
             self.tuner.hits,
             self.tuner.sweeps,
             self.tuner.candidates_timed,
             self.tuner.ranked,
             self.tuner.pruned,
-            self.tuner.transferred,
-            self.sweep_replays
+            self.tuner.transferred
         )?;
         writeln!(
             f,

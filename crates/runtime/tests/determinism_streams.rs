@@ -5,10 +5,11 @@
 //!
 //! The telemetry event stream rides the same contract (see the
 //! determinism table in `cypress_runtime::telemetry`): recorded streams
-//! are bit-identical across repeat runs, worker counts agree on every
-//! event the wave executor emits, and schedule policies agree on all
+//! are bit-identical across repeat runs and worker counts (as are the
+//! session's metrics), and schedule policies agree on all
 //! [`EventClass::Flow`] events.
 
+use cypress_core::kernels::space::Shape;
 use cypress_core::kernels::{dual_gemm, gemm, gemm_reduction};
 use cypress_runtime::telemetry::TraceLog;
 use cypress_runtime::{
@@ -19,6 +20,7 @@ use cypress_tensor::{DType, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 const D: usize = 64;
 
@@ -364,31 +366,65 @@ fn event_stream_is_identical_across_repeat_runs() {
     }
 }
 
-/// Worker-count rows: the wave executor's stream is identical
-/// event-for-event at parallelism 2 and 8, and the serial walk
-/// (parallelism 1) agrees on every [`EventClass::Flow`] and
-/// [`EventClass::Schedule`] event — it only lacks the wave/pool
-/// interleaving detail ([`EventClass::Exec`]), because it has no waves.
+/// Worker-count row: there is one functional executor, so the *whole*
+/// recorded stream — ready waves and buffer-pool traffic included — is
+/// identical event for event at parallelism 1, 2 and 8.
 #[test]
 fn event_stream_is_identical_across_worker_counts() {
     let policy = SchedulePolicy::Concurrent { streams: 4 };
     let p1 = recorded_stream(1, policy);
-    let p2 = recorded_stream(2, policy);
-    let p8 = recorded_stream(8, policy);
-    assert_eq!(p2, p8, "worker count leaked into the event stream");
-    assert_eq!(
-        filtered(&p1, &[EventClass::Flow, EventClass::Schedule]),
-        filtered(&p2, &[EventClass::Flow, EventClass::Schedule]),
-        "serial walk and wave executor disagree on flow/schedule events"
-    );
+    for parallelism in [2, 8] {
+        assert_eq!(
+            p1,
+            recorded_stream(parallelism, policy),
+            "worker count {parallelism} leaked into the event stream"
+        );
+    }
     assert!(
-        p2.iter().any(|e| matches!(e, Event::WaveScheduled { .. })),
+        p1.iter().any(|e| matches!(e, Event::WaveScheduled { .. })),
         "the wave executor must record its waves"
     );
     assert!(
-        !p1.iter().any(|e| matches!(e, Event::WaveScheduled { .. })),
-        "the serial walk has no waves to record"
+        p1.iter().any(|e| matches!(e, Event::PoolAcquire { .. })),
+        "and its pool traffic"
     );
+}
+
+/// `Session::metrics()` is a function of the launch sequence alone: after
+/// three fan-out launches (cold pool, then warm) and one autotune sweep,
+/// every counter — pool reuse and occupancy, cache traffic, tuner stats,
+/// apply bytes — is equal at parallelism 1, 2 and 8.
+#[test]
+fn metrics_are_identical_across_worker_counts() {
+    let machine = MachineConfig::test_gpu();
+    let (graph, _, _) = fan_out_graph(&machine);
+    let ins = inputs(29);
+    let tuned = Program::from_space(
+        Arc::new(gemm::GemmSpace),
+        Shape::of(&[128, 128, 64]),
+        &machine,
+    )
+    .unwrap();
+    let metrics_at = |parallelism: usize| {
+        let mut session = Session::new(machine.clone()).with_parallelism(parallelism);
+        for _ in 0..3 {
+            session.launch_functional(&graph, &ins).unwrap();
+        }
+        session.autotune(&tuned).unwrap();
+        session.metrics()
+    };
+    let want = metrics_at(1);
+    assert!(
+        want.pool.reused > 0 && want.tuner.candidates_timed > 1,
+        "{want}"
+    );
+    for parallelism in [2, 8] {
+        assert_eq!(
+            want,
+            metrics_at(parallelism),
+            "worker count {parallelism} leaked into the session metrics"
+        );
+    }
 }
 
 /// Policy row: [`EventClass::Flow`] events are schedule-policy

@@ -1,8 +1,14 @@
 //! Buffer-pool edge cases under graph execution: diamond-shaped sharing
-//! (two consumers of one producer), retained nodes never recycling, and
-//! reuse counters across repeated `Session` launches.
+//! (two consumers of one producer), retained nodes never recycling,
+//! reuse counters across repeated `Session` launches, and a serving loop
+//! whose pool stays flat.
+//!
+//! The pool only ever takes back what it handed out: a `Zeros` buffer —
+//! wherever its last-use moves carried it — returns when the node holding
+//! it drains; clones of external inputs and of shared upstream buffers
+//! are dropped.
 
-use cypress_core::kernels::{dual_gemm, gemm};
+use cypress_core::kernels::{dual_gemm, gemm, gemm_reduction};
 use cypress_runtime::{Binding, NodeId, Program, Session, TaskGraph};
 use cypress_sim::MachineConfig;
 use cypress_tensor::{DType, Tensor};
@@ -91,8 +97,8 @@ fn inputs(seed: u64) -> HashMap<String, Tensor> {
 }
 
 /// Diamond sharing: the producer's buffer is cloned for the first
-/// consumer, moved into the second (its last use), and the producer's
-/// remaining buffers recycle exactly once — after *both* consumers ran.
+/// consumer, moved into the second (its last use), and recycles exactly
+/// once — when `right`, the node it was moved into, drains.
 #[test]
 fn diamond_recycles_the_producer_once_after_both_consumers() {
     let machine = MachineConfig::test_gpu();
@@ -106,15 +112,20 @@ fn diamond_recycles_the_producer_once_after_both_consumers() {
     for pi in 0..4 {
         assert!(run.tensor(s, pi).is_some(), "sink param {pi} kept");
     }
-    // One `Zeros` acquisition per node. The producer recycles as soon as
-    // `right` drains it — *within* the launch — so the sink's `Zeros`
-    // is already served from the pool on a cold session.
+    // One `Zeros` acquisition per node, none of them served by reuse on
+    // a cold session: the only pool buffer that dies within the launch
+    // is the producer's output, and `right` holds it until the sink ran.
     let stats = session.pool_stats();
     assert_eq!(stats.acquired, 4, "one Zeros binding per node");
-    assert_eq!(stats.reused, 1, "sink reuses the drained producer's buffer");
-    // Parked afterward: producer {A, B} minus the one the sink took,
-    // left {producer-clone, B1}, right {producer-output, B2}.
-    assert_eq!(stats.free, 5, "five dead buffers parked after the launch");
+    assert_eq!(
+        stats.reused, 0,
+        "nothing is parked before the sink acquires"
+    );
+    // Parked afterward: the producer's output (via `right`). The cloned
+    // externals {A, B, B1, B2} and `left`'s clone of the producer's
+    // output never came from the pool and are dropped; the consumers'
+    // own outputs left with the sink.
+    assert_eq!(stats.free, 1, "only the pool's own dead buffer is parked");
 }
 
 /// A retained producer is never recycled, even with two consumers: its
@@ -139,8 +150,9 @@ fn retained_producer_is_never_recycled() {
         "retained input param is the external tensor"
     );
     // Both consumers cloned: the producer's buffers never reached the
-    // pool, so only the consumers' dead params are parked (2 + 2).
-    assert_eq!(session.pool_stats().free, 4);
+    // pool, and the consumers' dead params are clones the pool never
+    // handed out — nothing is parked.
+    assert_eq!(session.pool_stats().free, 0);
 
     // The retained output is actually the product, not zeros.
     assert!(run.tensor(p, 0).unwrap().data().iter().any(|&v| v != 0.0));
@@ -166,9 +178,10 @@ fn retained_sink_matches_plain_sink() {
     assert_eq!(a.pool_stats(), b.pool_stats(), "identical pool traffic");
 }
 
-/// Reuse counters across repeated launches: every warm launch serves all
-/// of its `Zeros` acquisitions from the pool, and the counters advance
-/// by exactly one launch's worth each time.
+/// Reuse counters across repeated launches: every warm launch takes back
+/// the one buffer a launch parks (the other three `Zeros` buffers leave
+/// with the sink), and the counters advance by exactly one launch's
+/// worth each time.
 #[test]
 fn pool_reuse_is_counted_across_repeated_launches() {
     let machine = MachineConfig::test_gpu();
@@ -178,19 +191,17 @@ fn pool_reuse_is_counted_across_repeated_launches() {
 
     session.launch_functional(&graph, &ins).unwrap();
     let cold = session.pool_stats();
-    // Even the cold launch reuses once: the drained producer's buffer
-    // comes back for the sink's `Zeros` within the same launch.
-    assert_eq!((cold.acquired, cold.reused), (4, 1));
+    assert_eq!((cold.acquired, cold.reused, cold.free), (4, 0, 1));
 
     for launch in 1..=3u64 {
         session.launch_functional(&graph, &ins).unwrap();
         let warm = session.pool_stats();
         assert_eq!(warm.acquired, 4 * (launch + 1));
         assert_eq!(
-            warm.reused,
-            4 * launch + 1,
-            "warm launch {launch} serves every Zeros from the pool"
+            warm.reused, launch,
+            "warm launch {launch} reuses the buffer the previous launch parked"
         );
+        assert_eq!(warm.free, 1, "and parks its own in exchange");
     }
 
     // Clearing the pool drops parked buffers but keeps counters.
@@ -241,15 +252,103 @@ fn failed_launch_reclaims_every_in_flight_buffer() {
     assert!(run.tensor(s, 0).is_some());
 }
 
+/// Four independent GEMMs feeding two dual-GEMM combiners feeding a
+/// GEMM+Reduction sink: eight `Zeros` acquisitions per launch.
+fn fan_out(machine: &MachineConfig) -> TaskGraph {
+    let gemm_p = Program::from_parts(gemm::build(D, D, D, machine).unwrap(), "gemm");
+    let dual_p = Program::from_parts(dual_gemm::build(D, D, D, machine).unwrap(), "dual");
+    let gr_p = Program::from_parts(gemm_reduction::build(D, D, D, machine).unwrap(), "gr");
+    let mut g = TaskGraph::new();
+    let gemms: Vec<NodeId> = (0..4)
+        .map(|i| {
+            g.add_node(
+                &format!("gemm{i}"),
+                gemm_p.clone(),
+                vec![
+                    Binding::Zeros,
+                    Binding::external("A"),
+                    Binding::external("B"),
+                ],
+            )
+            .unwrap()
+        })
+        .collect();
+    let combiners: Vec<NodeId> = gemms
+        .chunks(2)
+        .enumerate()
+        .map(|(i, pair)| {
+            g.add_node(
+                &format!("combine{i}"),
+                dual_p.clone(),
+                vec![
+                    Binding::Zeros,
+                    Binding::external("X"),
+                    Binding::output(pair[0], 0),
+                    Binding::output(pair[1], 0),
+                ],
+            )
+            .unwrap()
+        })
+        .collect();
+    g.add_node(
+        "reduce",
+        gr_p,
+        vec![
+            Binding::Zeros,
+            Binding::Zeros,
+            Binding::output(combiners[0], 0),
+            Binding::output(combiners[1], 0),
+        ],
+    )
+    .unwrap();
+    g
+}
+
+/// A serving loop on the default (unbounded) pool stays flat: the pool
+/// parks exactly what a launch hands back — the four GEMM outputs, once
+/// the combiners that consumed them drain — and the next launch takes
+/// all of it back, so occupancy after launch 50 is what it was after
+/// launch 2. (The other four buffers of a launch leave with the sink in
+/// the `GraphRun`, so four of its eight acquisitions are fresh by
+/// construction.) Before the fix every drained external clone was parked
+/// too and `free` grew with the launch count.
+#[test]
+fn serving_loop_keeps_the_unbounded_pool_flat() {
+    let machine = MachineConfig::test_gpu();
+    let graph = fan_out(&machine);
+    let ins = inputs(8);
+    let mut session = Session::new(machine);
+
+    session.launch_functional(&graph, &ins).unwrap();
+    let mut prev = session.pool_stats();
+    assert_eq!((prev.acquired, prev.reused), (8, 0));
+    assert_eq!(prev.free, 4, "the four drained GEMM outputs are parked");
+    let steady = prev.free;
+    for launch in 2..=50 {
+        session.launch_functional(&graph, &ins).unwrap();
+        let now = session.pool_stats();
+        assert_eq!(now.acquired - prev.acquired, 8);
+        assert_eq!(
+            now.reused - prev.reused,
+            prev.free as u64,
+            "launch {launch} takes back everything the pool had parked"
+        );
+        assert_eq!(now.free, steady, "launch {launch}: occupancy is flat");
+        prev = now;
+    }
+    assert_eq!(prev.evicted, 0);
+}
+
 #[test]
 fn bounded_pool_never_exceeds_its_cap_across_a_randomized_sweep() {
     use rand::Rng;
-    // A shape-diverse serving sweep: random graphs of gemms at varying
-    // sizes park buffers of many distinct `(dtype, element count)`
-    // classes. A bounded pool must hold `free <= cap` after every
-    // launch — the unbounded pool's parked set only ever grows.
+    // A shape-diverse serving sweep: random three-gemm chains at varying
+    // sizes park one buffer per launch (the head's output, once the
+    // middle node drains) in a `(dtype, element count)` class of their
+    // size. A bounded pool must hold `free <= cap` after every launch;
+    // the unbounded pool keeps one parked buffer per class it has seen.
     let machine = MachineConfig::test_gpu();
-    let cap = 3usize;
+    let cap = 2usize;
     let mut bounded = Session::new(machine.clone()).with_pool_capacity(cap);
     let mut unbounded = Session::new(machine.clone());
     let mut rng = StdRng::seed_from_u64(41);
@@ -269,12 +368,23 @@ fn bounded_pool_never_exceeds_its_cap_across_a_randomized_sweep() {
                 ],
             )
             .unwrap();
+        let b = g
+            .add_node(
+                "b",
+                program.clone(),
+                vec![
+                    Binding::Zeros,
+                    Binding::output(a, 0),
+                    Binding::external("B"),
+                ],
+            )
+            .unwrap();
         g.add_node(
-            "b",
+            "c",
             program,
             vec![
                 Binding::Zeros,
-                Binding::output(a, 0),
+                Binding::output(b, 0),
                 Binding::external("B"),
             ],
         )

@@ -209,12 +209,25 @@ fn timing_mode_reports_per_node_breakdown() {
     assert_eq!((stats.misses, stats.hits), (1, 1));
 }
 
-/// Buffers of drained intermediates return to the pool and are reused by
-/// later launches.
+/// Pool buffers of drained intermediates return to the pool and are
+/// reused by later launches: in a three-node chain the head's output is
+/// moved into the middle node, and goes back once the tail drained it
+/// (a two-node chain parks nothing — everything leaves with its sink).
 #[test]
 fn intermediate_buffers_recycle_through_the_pool() {
     let machine = MachineConfig::test_gpu();
-    let (graph, _) = two_gemm_graph(&machine);
+    let (mut graph, second) = two_gemm_graph(&machine);
+    graph
+        .add_node(
+            "third",
+            gemm_program(64, 64, 64, &machine),
+            vec![
+                Binding::Zeros,
+                Binding::output(second, 0),
+                Binding::external("B2"),
+            ],
+        )
+        .unwrap();
     let inputs = test_inputs(7);
     let mut session = Session::new(machine);
     session.launch_functional(&graph, &inputs).unwrap();

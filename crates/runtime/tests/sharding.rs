@@ -324,6 +324,85 @@ fn transfers_hit_the_report_counters_and_events() {
     }
 }
 
+/// An attention output is `[seq, 128]`, and the H100's hand-tuned copy
+/// tile (`V = 256`) does not divide 128 columns: the sharder moves it
+/// with the first mapping the transfer space enumerates for the shape
+/// instead of failing the launch. The heavier weight operand pins the
+/// projection to device 0, so the attention output (device 1) is the
+/// edge that crosses — and the run stays bitwise identical to one
+/// device.
+#[test]
+fn attention_output_crosses_a_device_boundary() {
+    let machine = MachineConfig::h100_sxm5();
+    let (seq, d, n) = (256, 128, 512);
+    let mut graph = TaskGraph::new();
+    let weights = graph
+        .add_node(
+            "weights",
+            Program::from_parts(gemm::build(d, n, 64, &machine).unwrap(), "gemm"),
+            vec![
+                Binding::Zeros,
+                Binding::external("wA"),
+                Binding::external("wB"),
+            ],
+        )
+        .unwrap();
+    let attn = graph
+        .add_node(
+            "attention",
+            Program::from_parts(
+                attention::build(attention::Algorithm::Fa2, 1, seq, d, &machine).unwrap(),
+                "fa",
+            ),
+            vec![
+                Binding::Zeros,
+                Binding::external("Q"),
+                Binding::external("K"),
+                Binding::external("V"),
+            ],
+        )
+        .unwrap();
+    let proj = graph
+        .add_node(
+            "projection",
+            Program::from_parts(gemm::build(seq, n, d, &machine).unwrap(), "gemm"),
+            vec![
+                Binding::Zeros,
+                Binding::output(attn, 0),
+                Binding::output(weights, 0),
+            ],
+        )
+        .unwrap();
+    let ins = random_inputs(&graph, 77);
+
+    let single = Session::new(machine.clone())
+        .launch_functional(&graph, &ins)
+        .unwrap();
+    let mut session =
+        Session::new(machine).with_placement_policy(PlacementPolicy::Sharded { devices: 2 });
+    let sharded = session.launch_functional(&graph, &ins).unwrap();
+
+    assert_eq!(
+        single.tensor(proj, 0).unwrap().data(),
+        sharded.tensor(proj, 0).unwrap().data(),
+        "the sharded projection diverged from the single-device run"
+    );
+    let xfers: Vec<&str> = sharded
+        .report
+        .nodes
+        .iter()
+        .filter(|n| n.node.starts_with("xfer:"))
+        .map(|n| n.node.as_str())
+        .collect();
+    assert_eq!(
+        xfers,
+        ["xfer:attention.0->d0"],
+        "{}",
+        sharded.report.breakdown()
+    );
+    assert_eq!(session.metrics().link_bytes, (seq * d * 2) as u64);
+}
+
 /// The Chrome trace declares the device count and packs each device's
 /// streams into a contiguous `tid` band.
 #[test]

@@ -14,10 +14,11 @@
 //!    per-node `tuned_speedup` below 1.0, and never lose to the default
 //!    on the serial makespan.
 
-use cypress_core::kernels::space::{MappingSpace, Shape};
+use cypress_core::kernels::space::{MappingConfig, MappingSpace, Shape};
 use cypress_core::kernels::{attention, batched, dual_gemm, gemm, gemm_reduction};
+use cypress_core::{CompilerOptions, CypressCompiler};
 use cypress_runtime::{Binding, MappingPolicy, Program, RuntimeError, Session, TuningTable};
-use cypress_sim::MachineConfig;
+use cypress_sim::{MachineConfig, Simulator};
 use cypress_tensor::{DType, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -163,12 +164,56 @@ fn autotune_results_are_cached_in_the_table() {
     assert_eq!(session.tuning_table().len(), 1);
 }
 
-/// The parallel sweep is transparent: for every paper kernel, a session
-/// tuning on the worker pool picks the identical winner with identical
-/// cycle counts *and* identical kernel-cache counters as the serial
-/// sweep — the workers only change wall time.
+/// What an exhaustive sweep must compute, spelled out without a
+/// session: enumerate, build, compile, solo-time every candidate in a
+/// plain loop; the first strict minimum wins. Candidates the builder or
+/// the compiler rejects are skipped. Returns `(winner, tuned cycles,
+/// default cycles, candidates enumerated)`.
+fn oracle_sweep(
+    space: &dyn MappingSpace,
+    shape: &Shape,
+    machine: &MachineConfig,
+) -> (MappingConfig, f64, f64, usize) {
+    let compiler = CypressCompiler::new(CompilerOptions {
+        machine: machine.clone(),
+        ..Default::default()
+    });
+    let simulator = Simulator::new(machine.clone());
+    let default_cfg = space.default_for(machine);
+    let candidates = space.candidates(machine, shape);
+    let mut default_cycles = None;
+    let mut best: Option<(f64, MappingConfig)> = None;
+    for cfg in &candidates {
+        let Ok((registry, mapping, args)) = space.build(shape, cfg) else {
+            continue;
+        };
+        let Ok(compiled) = compiler.compile(&registry, &mapping, space.entry(), &args) else {
+            continue;
+        };
+        let cycles = simulator.run_timing(&compiled.kernel).unwrap().cycles;
+        if *cfg == default_cfg {
+            default_cycles = Some(cycles);
+        }
+        if best.as_ref().is_none_or(|(c, _)| cycles < *c) {
+            best = Some((cycles, *cfg));
+        }
+    }
+    let (tuned_cycles, config) = best.expect("a paper space has a candidate that compiles");
+    (
+        config,
+        tuned_cycles,
+        default_cycles.unwrap_or(tuned_cycles),
+        candidates.len(),
+    )
+}
+
+/// The sweep is what the session-free oracle says it is, at every worker
+/// count: for every paper kernel, sessions tuning on 1, 2 and 8 workers
+/// pick the oracle's winner with the oracle's cycle counts and leave
+/// identical kernel-cache counters behind — the workers only change wall
+/// time.
 #[test]
-fn parallel_sweep_matches_serial_sweep_exactly() {
+fn sweep_matches_a_session_free_oracle_at_every_worker_count() {
     let machine = MachineConfig::test_gpu();
     let mut rng = StdRng::seed_from_u64(31);
     for space in paper_spaces() {
@@ -176,31 +221,40 @@ fn parallel_sweep_matches_serial_sweep_exactly() {
         let Ok(program) = Program::from_space(Arc::clone(&space), shape.clone(), &machine) else {
             continue;
         };
-        let mut serial = Session::new(machine.clone()).with_parallelism(1);
-        let want = serial.autotune(&program).unwrap();
-        for parallelism in [2, 8] {
-            let mut parallel = Session::new(machine.clone()).with_parallelism(parallelism);
-            let got = parallel.autotune(&program).unwrap();
+        let (config, tuned_cycles, default_cycles, candidates) =
+            oracle_sweep(space.as_ref(), &shape, &machine);
+        let mut cache_stats = None;
+        for parallelism in [1, 2, 8] {
+            let mut session = Session::new(machine.clone()).with_parallelism(parallelism);
+            let got = session.autotune(&program).unwrap();
+            let label = format!("{} {shape} at parallelism {parallelism}", space.entry());
+            assert_eq!(got.config, config, "{label}");
             assert_eq!(
-                want,
-                got,
-                "{} {shape} at parallelism {parallelism}",
-                space.entry()
+                got.tuned_cycles.to_bits(),
+                tuned_cycles.to_bits(),
+                "{label}"
             );
             assert_eq!(
-                serial.cache_stats(),
-                parallel.cache_stats(),
-                "cache counters must match the serial sweep ({})",
-                space.entry()
+                got.default_cycles.to_bits(),
+                default_cycles.to_bits(),
+                "{label}"
+            );
+            assert_eq!(got.candidates, candidates, "{label}");
+            let stats = session.cache_stats();
+            assert_eq!(
+                *cache_stats.get_or_insert(stats),
+                stats,
+                "cache counters depend on the worker count ({label})"
             );
         }
     }
 }
 
-/// A bounded kernel cache behaves identically under the parallel sweep:
-/// the lookup replay preserves the serial hit/miss/eviction sequence.
+/// A bounded kernel cache behaves identically at every worker count: the
+/// sweep issues its lookups in candidate order, so the hit/miss/eviction
+/// sequence is a function of the candidate list alone.
 #[test]
-fn parallel_sweep_preserves_bounded_cache_semantics() {
+fn sweep_preserves_bounded_cache_semantics_across_worker_counts() {
     let machine = MachineConfig::test_gpu();
     let program = Program::from_space(
         Arc::new(gemm::GemmSpace),
@@ -208,16 +262,16 @@ fn parallel_sweep_preserves_bounded_cache_semantics() {
         &machine,
     )
     .unwrap();
-    let mut serial = Session::new(machine.clone())
+    let mut one = Session::new(machine.clone())
         .with_parallelism(1)
         .with_cache_capacity(2);
-    let want = serial.autotune(&program).unwrap();
-    let mut parallel = Session::new(machine)
+    let want = one.autotune(&program).unwrap();
+    let mut four = Session::new(machine)
         .with_parallelism(4)
         .with_cache_capacity(2);
-    let got = parallel.autotune(&program).unwrap();
+    let got = four.autotune(&program).unwrap();
     assert_eq!(want, got);
-    assert_eq!(serial.cache_stats(), parallel.cache_stats());
+    assert_eq!(one.cache_stats(), four.cache_stats());
 }
 
 #[test]

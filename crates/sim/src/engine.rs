@@ -19,18 +19,21 @@
 //! exposed latency.
 
 use crate::apply::{self, FuncData, RSlice, Scratch};
-use crate::bytecode::{self, BcCond, BcInstr, BcOp, BcSlice, Program, SVal, SimtCost};
+use crate::bytecode::{self, BcInstr, BcOp, BcSlice, Program, SimtCost};
 use crate::error::SimError;
-use crate::expr::{Cond, Env, EvalError, Expr};
-use crate::flatten::{flatten, Flat};
-use crate::instr::{Instr, SimtOp};
+use crate::expr::{Env, EvalError};
+use crate::instr::SimtOp;
 use crate::kernel::{Kernel, RoleKind};
 use crate::machine::MachineConfig;
-use crate::mem::{MemRef, Slice, Space};
+use crate::mem::MemRef;
 use crate::report::{ApplyBytes, TimingReport};
 use cypress_tensor::{DType, Tensor};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+
+#[cfg(any(test, feature = "scalar-oracle"))]
+#[path = "walk.rs"]
+mod walk;
 
 const EVENT_LIMIT: u64 = 400_000_000;
 /// Synthetic named-barrier id used for `__syncthreads`.
@@ -177,46 +180,15 @@ pub enum Mode {
     Timing,
 }
 
-/// Which compiled form of the kernel the engine executes: the borrowed
-/// IR walk (flattened at construction) or a pre-lowered bytecode
-/// [`Program`]. Both produce bit-identical schedules and data; the
-/// bytecode frontend skips per-invocation expression trees and quantity
-/// derivations.
-enum Frontend<'k> {
-    Walk(Vec<Vec<Flat<'k>>>),
-    Bytecode(&'k Program),
-}
-
-/// One fetched instruction, decoded from either frontend. Payloads are
-/// copies or `'k` references, so fetching ends the borrow of the engine
-/// before execution mutates it.
-enum Step<'k> {
-    End,
-    Jump(usize),
-    BranchWalk(&'k Cond, usize),
-    BranchBc(&'k BcCond, usize),
-    LoopStartWalk {
-        var: usize,
-        count: &'k Expr,
-        end: usize,
-    },
-    LoopStartBc {
-        var: usize,
-        count: &'k SVal,
-        end: usize,
-    },
-    LoopEnd,
-    OpWalk(&'k Instr),
-    OpBc(&'k BcOp),
-}
-
 pub(crate) struct Engine<'k> {
     kernel: &'k Kernel,
     machine: &'k MachineConfig,
-    frontend: Frontend<'k>,
-    /// Scratch registers of the bytecode index machine (empty under the
-    /// walk frontend). Preludes run to completion inside one resolve, so
-    /// a single buffer serves every executor.
+    /// The kernel's bytecode: the one instruction stream the engine
+    /// executes.
+    program: &'k Program,
+    /// Scratch registers of the bytecode index machine. Preludes run to
+    /// completion inside one resolve, so a single buffer serves every
+    /// executor.
     idx_regs: Vec<i64>,
     events: BinaryHeap<Reverse<Event>>,
     seq: u64,
@@ -253,6 +225,11 @@ pub(crate) struct Engine<'k> {
     /// resolved-view path — the bitwise oracle of tests and benchmarks.
     #[cfg(any(test, feature = "scalar-oracle"))]
     scalar: bool,
+    /// The flattened IR tree of every role once [`Engine::set_walk`]
+    /// switched the reference frontend on (see [`walk`]); `None`
+    /// executes `program`.
+    #[cfg(any(test, feature = "scalar-oracle"))]
+    walk: Option<walk::Flattened<'k>>,
 }
 
 impl<'k> Engine<'k> {
@@ -261,18 +238,16 @@ impl<'k> Engine<'k> {
         machine: &'k MachineConfig,
         mode: Mode,
         params: Option<Vec<Tensor>>,
-        lowered: Option<&'k Program>,
+        program: &'k Program,
     ) -> Result<Self, SimError> {
         kernel.validate(machine)?;
-        if let Some(program) = lowered {
-            if program.shape_hash != bytecode::kernel_shape_hash(kernel) {
-                return Err(SimError::Internal {
-                    what: format!(
-                        "bytecode program was lowered from a different kernel than `{}`",
-                        kernel.name
-                    ),
-                });
-            }
+        if program.shape_hash != bytecode::kernel_shape_hash(kernel) {
+            return Err(SimError::Internal {
+                what: format!(
+                    "bytecode program was lowered from a different kernel than `{}`",
+                    kernel.name
+                ),
+            });
         }
         if let Some(p) = &params {
             if p.len() != kernel.params.len() {
@@ -318,11 +293,6 @@ impl<'k> Engine<'k> {
         };
 
         let share = active_sms as f64;
-        let frontend = match lowered {
-            Some(p) => Frontend::Bytecode(p),
-            None => Frontend::Walk(kernel.roles.iter().map(|r| flatten(&r.body)).collect()),
-        };
-        let idx_regs = vec![0i64; lowered.map_or(0, |p| p.num_regs)];
         let data = params.map(|params| FuncData {
             params,
             smem: Vec::new(),
@@ -333,8 +303,8 @@ impl<'k> Engine<'k> {
         let mut eng = Engine {
             kernel,
             machine,
-            frontend,
-            idx_regs,
+            program,
+            idx_regs: vec![0i64; program.num_regs],
             events: BinaryHeap::new(),
             seq: 0,
             now: 0.0,
@@ -362,6 +332,8 @@ impl<'k> Engine<'k> {
             apply_bytes: ApplyBytes::default(),
             #[cfg(any(test, feature = "scalar-oracle"))]
             scalar: false,
+            #[cfg(any(test, feature = "scalar-oracle"))]
+            walk: None,
         };
         eng.now = machine.kernel_launch_cycles;
         let first = eng.window.min(eng.n_sim);
@@ -614,122 +586,82 @@ impl<'k> Engine<'k> {
             }
             self.execs[exec_id].pc += 1;
         }
+        #[cfg(any(test, feature = "scalar-oracle"))]
+        if self.walk.is_some() {
+            return self.resume_walk(exec_id);
+        }
+        // Copy the `'k` reference out of `self`, so matching on an
+        // instruction does not hold a borrow of the engine.
+        let program = self.program;
         loop {
             let e = &self.execs[exec_id];
             if e.done {
                 return Ok(());
             }
-            match self.fetch(e.role, e.pc) {
-                Step::End => {
-                    self.execs[exec_id].done = true;
-                    let cta = self.execs[exec_id].cta;
-                    self.ctas[cta].roles_done += 1;
-                    if self.ctas[cta].roles_done == self.kernel.roles.len() {
-                        self.finished += 1;
-                        self.running -= 1;
-                        if self.next_cta < self.n_sim && self.running < self.window {
-                            self.launch_next_cta(self.now);
-                        }
-                    }
+            match &program.roles[e.role][e.pc] {
+                BcInstr::End => {
+                    self.finish_role(exec_id);
                     return Ok(());
                 }
-                Step::Jump(t) => {
-                    self.execs[exec_id].pc = t;
+                BcInstr::Jump(t) => {
+                    self.execs[exec_id].pc = *t;
                 }
-                Step::BranchWalk(cond, else_target) => {
-                    let taken = cond
-                        .eval(&self.execs[exec_id].env)
-                        .map_err(|e| self.eval_err(exec_id, e))?;
-                    self.take_branch(exec_id, taken, else_target);
-                }
-                Step::BranchBc(cond, else_target) => {
+                BcInstr::Branch { cond, else_target } => {
                     let taken =
                         bytecode::eval_cond(&mut self.idx_regs, &self.execs[exec_id].env, cond)
                             .map_err(|e| self.eval_err(exec_id, e))?;
-                    self.take_branch(exec_id, taken, else_target);
+                    self.take_branch(exec_id, taken, *else_target);
                 }
-                Step::LoopStartWalk { var, count, end } => {
-                    let trips = count
-                        .eval(&self.execs[exec_id].env)
-                        .map_err(|e| self.eval_err(exec_id, e))?;
-                    self.enter_loop(exec_id, var, trips, end);
-                }
-                Step::LoopStartBc { var, count, end } => {
+                BcInstr::LoopStart { var, count, end } => {
                     let trips =
                         bytecode::eval_sval(&mut self.idx_regs, &self.execs[exec_id].env, count)
                             .map_err(|e| self.eval_err(exec_id, e))?;
-                    self.enter_loop(exec_id, var, trips, end);
+                    self.enter_loop(exec_id, *var, trips, *end);
                 }
-                Step::LoopEnd => {
-                    let e = &mut self.execs[exec_id];
-                    let ctx = e.loops.last_mut().ok_or_else(|| SimError::Internal {
-                        what: "loop stack underflow at a loop back-edge".into(),
-                    })?;
-                    ctx.iter += 1;
-                    if ctx.iter < ctx.trips {
-                        let (var, iter, body) = (ctx.var, ctx.iter, ctx.body);
-                        e.env.bind(var, iter);
-                        e.pc = body;
-                    } else {
-                        let var = ctx.var;
-                        e.loops.pop();
-                        e.env.unbind(var);
-                        e.pc += 1;
-                    }
-                }
-                Step::OpWalk(instr) => {
-                    if self.execute(exec_id, instr)? {
+                BcInstr::LoopEnd => self.loop_back_edge(exec_id)?,
+                BcInstr::Op(op) => {
+                    if self.execute(exec_id, op)? {
                         return Ok(());
                     }
                     // Instruction completed inline; pc already advanced.
-                }
-                Step::OpBc(op) => {
-                    if self.execute_bc(exec_id, op)? {
-                        return Ok(());
-                    }
                 }
             }
         }
     }
 
-    /// Decode the instruction at `pc` from whichever frontend is active.
-    /// The returned [`Step`] borrows only the kernel or program (`'k`),
-    /// so execution is free to mutate the engine afterwards.
-    ///
-    /// The explicit derefs copy the inner `'k` references out of the
-    /// `&self`-lifetime borrow; auto-deref would reborrow at the shorter
-    /// lifetime and the returned `Step<'k>` would not compile.
-    #[allow(clippy::explicit_auto_deref)]
-    fn fetch(&self, role: usize, pc: usize) -> Step<'k> {
-        match &self.frontend {
-            Frontend::Walk(flat) => match &flat[role][pc] {
-                Flat::End => Step::End,
-                Flat::Jump(t) => Step::Jump(*t),
-                Flat::Branch { cond, else_target } => Step::BranchWalk(*cond, *else_target),
-                Flat::LoopStart { var, count, end } => Step::LoopStartWalk {
-                    var: *var,
-                    count: *count,
-                    end: *end,
-                },
-                Flat::LoopEnd { .. } => Step::LoopEnd,
-                Flat::Op(instr) => Step::OpWalk(*instr),
-            },
-            Frontend::Bytecode(p) => {
-                let p: &'k Program = *p;
-                match &p.roles[role][pc] {
-                    BcInstr::End => Step::End,
-                    BcInstr::Jump(t) => Step::Jump(*t),
-                    BcInstr::Branch { cond, else_target } => Step::BranchBc(cond, *else_target),
-                    BcInstr::LoopStart { var, count, end } => Step::LoopStartBc {
-                        var: *var,
-                        count,
-                        end: *end,
-                    },
-                    BcInstr::LoopEnd => Step::LoopEnd,
-                    BcInstr::Op(op) => Step::OpBc(op),
-                }
+    /// A role reached the end of its program: retire it, and when it was
+    /// the CTA's last, retire the CTA and launch the next one in line.
+    fn finish_role(&mut self, exec_id: usize) {
+        self.execs[exec_id].done = true;
+        let cta = self.execs[exec_id].cta;
+        self.ctas[cta].roles_done += 1;
+        if self.ctas[cta].roles_done == self.kernel.roles.len() {
+            self.finished += 1;
+            self.running -= 1;
+            if self.next_cta < self.n_sim && self.running < self.window {
+                self.launch_next_cta(self.now);
             }
         }
+    }
+
+    /// A loop back-edge: start the next iteration or leave the loop.
+    fn loop_back_edge(&mut self, exec_id: usize) -> Result<(), SimError> {
+        let e = &mut self.execs[exec_id];
+        let ctx = e.loops.last_mut().ok_or_else(|| SimError::Internal {
+            what: "loop stack underflow at a loop back-edge".into(),
+        })?;
+        ctx.iter += 1;
+        if ctx.iter < ctx.trips {
+            let (var, iter, body) = (ctx.var, ctx.iter, ctx.body);
+            e.env.bind(var, iter);
+            e.pc = body;
+        } else {
+            let var = ctx.var;
+            e.loops.pop();
+            e.env.unbind(var);
+            e.pc += 1;
+        }
+        Ok(())
     }
 
     /// Take or skip a conditional branch.
@@ -768,94 +700,12 @@ impl<'k> Engine<'k> {
         }
     }
 
-    /// Execute one walked instruction. Returns `true` if the executor
+    /// Execute one bytecode operation. Returns `true` if the executor
     /// yielded (scheduled a resume or blocked); `false` if it completed
-    /// inline. Byte counts, flop counts, and SIMT costs are derived from
-    /// the resolved slices here; the bytecode frontend precomputes the
-    /// identical values at lowering time.
-    fn execute(&mut self, exec_id: usize, instr: &'k Instr) -> Result<bool, SimError> {
-        match instr {
-            Instr::TmaLoad { src, dst, bar } => {
-                let rsrc = self.resolve(exec_id, src)?;
-                let rdst = self.resolve(exec_id, dst)?;
-                let bytes = self.slice_bytes(&rsrc);
-                self.issue_tma_load(exec_id, rsrc, rdst, *bar, bytes);
-                Ok(true)
-            }
-            Instr::CpAsyncLoad { src, dst, bar } => {
-                let rsrc = self.resolve(exec_id, src)?;
-                let rdst = self.resolve(exec_id, dst)?;
-                let bytes = self.slice_bytes(&rsrc);
-                self.issue_cp_async_load(exec_id, rsrc, rdst, *bar, bytes);
-                Ok(true)
-            }
-            Instr::TmaStore { src, dst } => {
-                let rsrc = self.resolve(exec_id, src)?;
-                let rdst = self.resolve(exec_id, dst)?;
-                let bytes = self.slice_bytes(&rsrc);
-                self.issue_tma_store(exec_id, rsrc, rdst, bytes);
-                Ok(true)
-            }
-            Instr::TmaStoreWait => self.step_tma_store_wait(exec_id),
-            Instr::MbarArrive { bar } => self.step_mbar_arrive(exec_id, *bar),
-            Instr::MbarWait { bar } => self.step_mbar_wait(exec_id, *bar),
-            Instr::Wgmma {
-                a,
-                b,
-                acc,
-                accumulate,
-                transpose_b,
-            } => {
-                let ra = self.resolve(exec_id, a)?;
-                let rb = self.resolve(exec_id, b)?;
-                let racc = self.resolve(exec_id, acc)?;
-                let flops = 2.0 * (ra.rows * ra.cols) as f64 * racc.cols as f64;
-                // Operands stream from shared memory through the Tensor Core.
-                let smem_bytes = self.slice_bytes(&rb)
-                    + if ra.mem.space() == Space::Shared {
-                        self.slice_bytes(&ra)
-                    } else {
-                        0.0
-                    };
-                self.issue_wgmma(
-                    exec_id,
-                    ra,
-                    rb,
-                    racc,
-                    *accumulate,
-                    *transpose_b,
-                    flops,
-                    smem_bytes,
-                );
-                Ok(true)
-            }
-            Instr::WgmmaWait { pending } => self.step_wgmma_wait(exec_id, *pending),
-            Instr::Simt(op) => {
-                let mut srcs = Vec::new();
-                for s in op.sources() {
-                    srcs.push(self.resolve(exec_id, s)?);
-                }
-                let dst = self.resolve(exec_id, op.dst())?;
-                let cost = self.simt_cost_dyn(op, &srcs, &dst);
-                self.issue_simt(exec_id, op, srcs, dst, &cost);
-                Ok(true)
-            }
-            Instr::NamedBarrier { id, parties } => self.named_barrier(exec_id, *id, *parties),
-            Instr::Syncthreads => {
-                let parties = self.kernel.roles.len();
-                self.named_barrier(exec_id, SYNCTHREADS_ID, parties)
-            }
-            Instr::Loop { .. } | Instr::If { .. } => Err(SimError::Internal {
-                what: "control flow reached the execute stage unflattened".into(),
-            }),
-        }
-    }
-
-    /// Execute one bytecode operation. Mirrors [`Engine::execute`] — the
-    /// fluid reservations happen in the same order on the same shared
-    /// issue helpers — but quantities come pre-computed from the
-    /// [`Program`], so only slice origins are evaluated per invocation.
-    fn execute_bc(&mut self, exec_id: usize, op: &'k BcOp) -> Result<bool, SimError> {
+    /// inline. Byte counts, flop counts, and SIMT costs come pre-computed
+    /// from the [`Program`], so only slice origins are evaluated per
+    /// invocation.
+    fn execute(&mut self, exec_id: usize, op: &'k BcOp) -> Result<bool, SimError> {
         match op {
             BcOp::TmaLoad {
                 src,
@@ -863,8 +713,8 @@ impl<'k> Engine<'k> {
                 bar,
                 bytes,
             } => {
-                let rsrc = self.resolve_bc(exec_id, src)?;
-                let rdst = self.resolve_bc(exec_id, dst)?;
+                let rsrc = self.resolve(exec_id, src)?;
+                let rdst = self.resolve(exec_id, dst)?;
                 self.issue_tma_load(exec_id, rsrc, rdst, *bar, *bytes);
                 Ok(true)
             }
@@ -874,14 +724,14 @@ impl<'k> Engine<'k> {
                 bar,
                 bytes,
             } => {
-                let rsrc = self.resolve_bc(exec_id, src)?;
-                let rdst = self.resolve_bc(exec_id, dst)?;
+                let rsrc = self.resolve(exec_id, src)?;
+                let rdst = self.resolve(exec_id, dst)?;
                 self.issue_cp_async_load(exec_id, rsrc, rdst, *bar, *bytes);
                 Ok(true)
             }
             BcOp::TmaStore { src, dst, bytes } => {
-                let rsrc = self.resolve_bc(exec_id, src)?;
-                let rdst = self.resolve_bc(exec_id, dst)?;
+                let rsrc = self.resolve(exec_id, src)?;
+                let rdst = self.resolve(exec_id, dst)?;
                 self.issue_tma_store(exec_id, rsrc, rdst, *bytes);
                 Ok(true)
             }
@@ -897,9 +747,9 @@ impl<'k> Engine<'k> {
                 flops,
                 smem_bytes,
             } => {
-                let ra = self.resolve_bc(exec_id, a)?;
-                let rb = self.resolve_bc(exec_id, b)?;
-                let racc = self.resolve_bc(exec_id, acc)?;
+                let ra = self.resolve(exec_id, a)?;
+                let rb = self.resolve(exec_id, b)?;
+                let racc = self.resolve(exec_id, acc)?;
                 self.issue_wgmma(
                     exec_id,
                     ra,
@@ -921,9 +771,9 @@ impl<'k> Engine<'k> {
             } => {
                 let mut rsrcs = Vec::with_capacity(srcs.len());
                 for s in srcs {
-                    rsrcs.push(self.resolve_bc(exec_id, s)?);
+                    rsrcs.push(self.resolve(exec_id, s)?);
                 }
-                let rdst = self.resolve_bc(exec_id, dst)?;
+                let rdst = self.resolve(exec_id, dst)?;
                 self.issue_simt(exec_id, op, rsrcs, rdst, cost);
                 Ok(true)
             }
@@ -1102,38 +952,6 @@ impl<'k> Engine<'k> {
         self.push(self.now + dur, EventKind::Resume(exec_id));
     }
 
-    /// Derive a SIMT operation's cost factors from its resolved slices
-    /// (walk frontend); the bytecode frontend computes the identical
-    /// value once at lowering time.
-    fn simt_cost_dyn(&self, op: &SimtOp, srcs: &[RSlice], dst: &RSlice) -> SimtCost {
-        let elems: f64 = srcs
-            .iter()
-            .map(|s| (s.rows * s.cols) as f64)
-            .fold((dst.rows * dst.cols) as f64, f64::max);
-        let mut smem_bytes = 0.0;
-        let mut gl_read = 0.0;
-        let mut gl_write = 0.0;
-        for s in srcs {
-            match s.mem.space() {
-                Space::Shared => smem_bytes += self.slice_bytes(s),
-                Space::Global => gl_read += self.slice_bytes(s),
-                Space::Register => {}
-            }
-        }
-        match dst.mem.space() {
-            Space::Shared => smem_bytes += self.slice_bytes(dst),
-            Space::Global => gl_write += self.slice_bytes(dst),
-            Space::Register => {}
-        }
-        SimtCost {
-            elems,
-            sfu: op.uses_sfu(),
-            smem_bytes,
-            gl_read,
-            gl_write,
-        }
-    }
-
     /// Reserve the units a SIMT operation touches and return its
     /// duration.
     fn simt_reserve(&mut self, cost: &SimtCost) -> f64 {
@@ -1202,69 +1020,10 @@ impl<'k> Engine<'k> {
         }
     }
 
-    fn slice_bytes(&self, s: &RSlice) -> f64 {
-        let elem = match s.mem {
-            MemRef::Param(i) => self.kernel.params[i].dtype.size_bytes(),
-            MemRef::Smem(i) => self.kernel.smem[i].dtype.size_bytes(),
-            MemRef::Frag(_) => 4,
-        };
-        (s.rows * s.cols * elem) as f64
-    }
-
-    fn resolve(&self, exec_id: usize, s: &Slice) -> Result<RSlice, SimError> {
-        let env = &self.execs[exec_id].env;
-        let ev = |e: &crate::expr::Expr| e.eval(env).map_err(|er| self.eval_err(exec_id, er));
-        let stage = ev(&s.stage)?;
-        let row0 = ev(&s.row0)?;
-        let col0 = ev(&s.col0)?;
-        if stage < 0 || row0 < 0 || col0 < 0 {
-            return Err(SimError::OutOfBounds {
-                what: format!(
-                    "negative slice origin ({stage},{row0},{col0}) of {:?}",
-                    s.mem
-                ),
-            });
-        }
-        let r = RSlice {
-            mem: s.mem,
-            stage: stage as usize,
-            row0: row0 as usize,
-            col0: col0 as usize,
-            rows: s.rows,
-            cols: s.cols,
-        };
-        let (prows, pcols, stages) = match s.mem {
-            MemRef::Param(i) => {
-                let p = &self.kernel.params[i];
-                (p.rows, p.cols, 1)
-            }
-            MemRef::Smem(i) => {
-                let d = &self.kernel.smem[i];
-                (d.rows, d.cols, d.stages)
-            }
-            MemRef::Frag(i) => {
-                let f = &self.kernel.frags[i];
-                (f.rows, f.cols, 1)
-            }
-        };
-        if r.stage >= stages
-            || r.row0.checked_add(r.rows).is_none_or(|end| end > prows)
-            || r.col0.checked_add(r.cols).is_none_or(|end| end > pcols)
-        {
-            return Err(SimError::OutOfBounds {
-                what: format!(
-                    "slice of {:?}: stage {} origin ({},{}) extent ({}x{}) exceeds ({}x{} stages {})",
-                    s.mem, r.stage, r.row0, r.col0, r.rows, r.cols, prows, pcols, stages
-                ),
-            });
-        }
-        Ok(r)
-    }
-
     /// Resolve a lowered slice: run its index prelude, read the origin
     /// scalars, and bounds-check against the extents baked in at
-    /// lowering time. Error messages match [`Engine::resolve`] exactly.
-    fn resolve_bc(&mut self, exec_id: usize, s: &BcSlice) -> Result<RSlice, SimError> {
+    /// lowering time.
+    fn resolve(&mut self, exec_id: usize, s: &BcSlice) -> Result<RSlice, SimError> {
         bytecode::run_pre(&mut self.idx_regs, &self.execs[exec_id].env, &s.pre)
             .map_err(|e| self.eval_err(exec_id, e))?;
         let stage = bytecode::read_scalar(&self.idx_regs, &self.execs[exec_id].env, s.stage)
@@ -1414,13 +1173,6 @@ impl<'k> Engine<'k> {
             return apply::scalar::simt(kernel, data, cta, role, op, srcs, dst);
         }
         apply::simt(kernel, data, &mut self.scratch, cta, role, op, srcs, dst)
-    }
-
-    /// Route all functional applies through the scalar reference
-    /// interpreter (the pre-optimization data path).
-    #[cfg(any(test, feature = "scalar-oracle"))]
-    pub(crate) fn set_scalar(&mut self) {
-        self.scalar = true;
     }
 }
 

@@ -25,15 +25,20 @@
 //! its solo-timing pass fans out over the [`par`] worker pool (see
 //! [`Simulator::set_parallelism`]).
 //!
-//! Functional data movement runs on a fast resolved-view path (each
-//! slice becomes a flat-buffer view once per apply; WGMMA is a blocked
-//! microkernel) that is bitwise identical to — and property-tested
-//! against — the retained scalar reference interpreter (the
-//! `scalar-oracle` feature exposes it as
-//! `Simulator::run_functional_scalar`). **Timing mode is unaffected by
-//! the data-path rewrite**: no data moves in timing runs, so the
-//! discrete-event schedule and every cycle count are exactly what they
-//! were under the scalar interpreter.
+//! The engine executes one instruction set: the flat [`bytecode`] every
+//! entry point lowers a kernel to (once per compiled kernel in the
+//! runtime, which replays the cached [`Program`]). Functional data
+//! movement runs on a fast resolved-view path (each slice becomes a
+//! flat-buffer view once per apply; WGMMA is a blocked microkernel).
+//! Both have a retained reference implementation that exists only for
+//! tests to compare against, bit for bit — the per-invocation IR walk
+//! (`walk.rs`) and the scalar per-element interpreter — compiled under
+//! `cfg(test)` and the `scalar-oracle` feature, which exposes them as
+//! `Simulator::run_functional_walk` / `Simulator::run_functional_scalar`;
+//! a build without the feature contains neither. **Timing mode is
+//! unaffected by the data-path rewrite**: no data moves in timing runs,
+//! so the discrete-event schedule and every cycle count are exactly what
+//! they were under the scalar interpreter.
 //!
 //! # Example
 //!
@@ -144,9 +149,9 @@ impl Simulator {
 
     /// Set how many host worker threads batch entry points (today:
     /// [`Simulator::run_timing_concurrent`]'s solo-timing pass) may use,
-    /// clamped to at least 1. `1` reproduces the serial behavior exactly
-    /// — results are bit-identical at every setting, only wall time
-    /// changes.
+    /// clamped to at least 1. The worker count changes wall time only —
+    /// every setting runs the same code ([`par::parallel_map`] runs a
+    /// batch inline at one worker), so results are bit-identical.
     pub fn set_parallelism(&mut self, parallelism: usize) {
         self.parallelism = parallelism.max(1);
     }
@@ -177,8 +182,8 @@ impl Simulator {
     /// [`Simulator::run_functional`] with a pre-lowered bytecode
     /// [`Program`] (see [`bytecode::lower`]). The runtime lowers once per
     /// compiled kernel and replays the program on every launch, skipping
-    /// the per-invocation IR walk; schedules and tensors are bit-identical
-    /// to the walk.
+    /// the per-invocation lowering; schedules and tensors are
+    /// bit-identical to [`Simulator::run_functional`]'s.
     ///
     /// # Errors
     ///
@@ -196,16 +201,17 @@ impl Simulator {
             &self.machine,
             Mode::Functional,
             Some(params),
-            Some(program),
+            program,
         )?;
         Self::finish_functional(engine.run()?)
     }
 
-    /// [`Simulator::run_functional`] through the per-invocation IR tree
-    /// walk (no bytecode), with the fast resolved-view data path. Kept as
-    /// the middle leg of the three-way differential suites and for the
-    /// benchmark harness's walk-vs-bytecode rows. Only available with the
-    /// `scalar-oracle` feature.
+    /// [`Simulator::run_functional`] through the reference IR tree walk
+    /// (the engine's walk frontend instead of its bytecode loop), with
+    /// the fast resolved-view data path. Kept as the middle leg of the
+    /// three-way differential suites and for the benchmark harness's
+    /// walk-vs-bytecode rows. Only available with the `scalar-oracle`
+    /// feature.
     ///
     /// # Errors
     ///
@@ -216,15 +222,24 @@ impl Simulator {
         kernel: &Kernel,
         params: Vec<Tensor>,
     ) -> Result<FunctionalRun, SimError> {
-        let engine = Engine::new(kernel, &self.machine, Mode::Functional, Some(params), None)?;
+        let program = bytecode::lower(kernel)?;
+        let mut engine = Engine::new(
+            kernel,
+            &self.machine,
+            Mode::Functional,
+            Some(params),
+            &program,
+        )?;
+        engine.set_walk();
         Self::finish_functional(engine.run()?)
     }
 
     /// [`Simulator::run_functional`] through the retained **scalar**
     /// reference interpreter — the pre-optimization per-element data path
-    /// kept as a bitwise oracle. Tests diff the two paths; the benchmark
-    /// harness measures the fast path's speedup against this one. Only
-    /// available with the `scalar-oracle` feature.
+    /// on top of the reference IR walk, kept as a bitwise oracle. Tests
+    /// diff the paths; the benchmark harness measures the fast path's
+    /// speedup against this one. Only available with the `scalar-oracle`
+    /// feature.
     ///
     /// # Errors
     ///
@@ -235,7 +250,15 @@ impl Simulator {
         kernel: &Kernel,
         params: Vec<Tensor>,
     ) -> Result<FunctionalRun, SimError> {
-        let mut engine = Engine::new(kernel, &self.machine, Mode::Functional, Some(params), None)?;
+        let program = bytecode::lower(kernel)?;
+        let mut engine = Engine::new(
+            kernel,
+            &self.machine,
+            Mode::Functional,
+            Some(params),
+            &program,
+        )?;
+        engine.set_walk();
         engine.set_scalar();
         Self::finish_functional(engine.run()?)
     }
@@ -267,7 +290,7 @@ impl Simulator {
 
     /// [`Simulator::run_timing`] with a pre-lowered bytecode [`Program`]
     /// (see [`bytecode::lower`]); the discrete-event schedule is
-    /// bit-identical to the walk's.
+    /// bit-identical to [`Simulator::run_timing`]'s.
     ///
     /// # Errors
     ///
@@ -279,7 +302,7 @@ impl Simulator {
         kernel: &Kernel,
         program: &bytecode::Program,
     ) -> Result<TimingReport, SimError> {
-        let engine = Engine::new(kernel, &self.machine, Mode::Timing, None, Some(program))?;
+        let engine = Engine::new(kernel, &self.machine, Mode::Timing, None, program)?;
         let (report, _, _) = engine.run()?;
         Ok(report)
     }

@@ -145,9 +145,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- Host-side executor parallelism --------------------------------
     // Independent ready nodes (the four GEMMs) run concurrently on a
-    // scoped worker pool; results join in deterministic topological
-    // order, so tensors are bit-identical to the serial walk at any
-    // worker count — only wall time changes.
+    // scoped worker pool; results join in ascending node order, so
+    // tensors are bit-identical at any worker count — only wall time
+    // changes.
     let workers = cypress::sim::par::available();
     let mut parallel = Session::new(machine).with_parallelism(workers);
     let prun = parallel.launch_functional(&graph, &inputs)?;
