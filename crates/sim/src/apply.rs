@@ -37,7 +37,7 @@ use cypress_tensor::{DType, Tensor};
 use crate::instr::SimtOp;
 
 /// A slice with all expressions evaluated for a specific CTA/iteration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct RSlice {
     pub(crate) mem: MemRef,
     pub(crate) stage: usize,
@@ -1074,7 +1074,7 @@ mod tests {
             // slice exactly (the in-place RowZip/Map the compiler emits).
             let source = |rng: &mut StdRng, rows: usize, cols: usize| -> Option<RSlice> {
                 if rng.gen_bool(0.25) && rows == dst.rows && cols == dst.cols {
-                    return Some(dst.clone());
+                    return Some(dst);
                 }
                 let sm = random_mem(&kernel, rng);
                 if sm == dm {

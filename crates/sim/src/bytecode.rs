@@ -11,7 +11,9 @@
 //!   preludes over virtual `i64` registers, constant-folded and
 //!   common-subexpression-eliminated per instruction),
 //! - slice bounds (`prows`/`pcols`/`stages`) resolved from the kernel's
-//!   declarations at lowering time,
+//!   declarations at lowering time, and launch-constant slices (literal
+//!   origin, no prelude, in bounds) resolved outright (see
+//!   `BcSlice::fixed`),
 //! - transfer bytes, WGMMA FLOPs and SIMT cost factors pre-computed with
 //!   overflow-checked arithmetic.
 //!
@@ -29,6 +31,7 @@
 
 use std::collections::HashMap;
 
+use crate::apply::RSlice;
 use crate::error::SimError;
 use crate::expr::{Cond, Env, EvalError, Expr};
 use crate::flatten::{flatten, Flat};
@@ -125,6 +128,61 @@ pub(crate) struct BcSlice {
     pub(crate) pcols: usize,
     /// Stage bound of the owning object (1 outside shared memory).
     pub(crate) stages: usize,
+    /// The slice resolved at lowering time, when nothing about it depends
+    /// on the launch: an empty prelude, three [`Scalar::Imm`] origins, and
+    /// an origin [`BcSlice::at`] accepts. The engine returns it without
+    /// evaluating anything. A constant origin that is *out of* bounds
+    /// stays `None`, so the error is raised by the dynamic path when —
+    /// and only if — the instruction executes, exactly like the walk.
+    pub(crate) fixed: Option<RSlice>,
+}
+
+impl BcSlice {
+    /// The slice at an evaluated origin: the sign and bounds check every
+    /// resolve performs, whether at lowering time (constant origins) or
+    /// per invocation.
+    pub(crate) fn at(&self, stage: i64, row0: i64, col0: i64) -> Result<RSlice, SimError> {
+        if stage < 0 || row0 < 0 || col0 < 0 {
+            return Err(SimError::OutOfBounds {
+                what: format!(
+                    "negative slice origin ({stage},{row0},{col0}) of {:?}",
+                    self.mem
+                ),
+            });
+        }
+        let r = RSlice {
+            mem: self.mem,
+            stage: stage as usize,
+            row0: row0 as usize,
+            col0: col0 as usize,
+            rows: self.rows,
+            cols: self.cols,
+        };
+        if r.stage >= self.stages
+            || r.row0
+                .checked_add(r.rows)
+                .is_none_or(|end| end > self.prows)
+            || r.col0
+                .checked_add(r.cols)
+                .is_none_or(|end| end > self.pcols)
+        {
+            return Err(SimError::OutOfBounds {
+                what: format!(
+                    "slice of {:?}: stage {} origin ({},{}) extent ({}x{}) exceeds ({}x{} stages {})",
+                    self.mem,
+                    r.stage,
+                    r.row0,
+                    r.col0,
+                    r.rows,
+                    r.cols,
+                    self.prows,
+                    self.pcols,
+                    self.stages
+                ),
+            });
+        }
+        Ok(r)
+    }
 }
 
 /// Pre-computed cost factors of a SIMT operation, mirroring what the
@@ -142,18 +200,20 @@ pub(crate) struct SimtCost {
 /// A lowered device operation with its quantities pre-computed.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum BcOp {
-    /// TMA global→shared copy arriving `bar` on completion.
+    /// TMA global→shared copy arriving `bar` on completion. `bar` is
+    /// narrowed here, once, because the completion event carries it (see
+    /// [`index32`]).
     TmaLoad {
         src: BcSlice,
         dst: BcSlice,
-        bar: usize,
+        bar: u32,
         bytes: f64,
     },
     /// `cp.async` global→shared copy arriving `bar` on completion.
     CpAsyncLoad {
         src: BcSlice,
         dst: BcSlice,
-        bar: usize,
+        bar: u32,
         bytes: f64,
     },
     /// TMA shared→global copy tracked by [`BcOp::TmaStoreWait`].
@@ -251,13 +311,23 @@ impl Program {
 
 /// FNV-1a over the kernel's debug representation: a cheap structural
 /// fingerprint tying a [`Program`] to the kernel it was lowered from.
+/// Every run recomputes it, so the formatter streams into the hash
+/// instead of building the string first.
 pub(crate) fn kernel_shape_hash(kernel: &Kernel) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in format!("{kernel:?}").as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    struct Fnv(u64);
+    impl std::fmt::Write for Fnv {
+        fn write_str(&mut self, s: &str) -> std::fmt::Result {
+            for b in s.bytes() {
+                self.0 ^= u64::from(b);
+                self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+            Ok(())
+        }
     }
-    h
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    // The sink never fails, so neither does the formatter.
+    let _ = std::fmt::Write::write_fmt(&mut h, format_args!("{kernel:?}"));
+    h.0
 }
 
 /// Lower `kernel`'s role bodies into a flat [`Program`].
@@ -378,7 +448,7 @@ impl Lower<'_> {
                 BcOp::TmaLoad {
                     src,
                     dst,
-                    bar: *bar,
+                    bar: index32(*bar, "mbarrier index")?,
                     bytes,
                 }
             }
@@ -389,7 +459,7 @@ impl Lower<'_> {
                 BcOp::CpAsyncLoad {
                     src,
                     dst,
-                    bar: *bar,
+                    bar: index32(*bar, "mbarrier index")?,
                     bytes,
                 }
             }
@@ -481,7 +551,7 @@ impl Lower<'_> {
         let stage = self.emit(&s.stage, &mut pre);
         let row0 = self.emit(&s.row0, &mut pre);
         let col0 = self.emit(&s.col0, &mut pre);
-        Ok(BcSlice {
+        let mut lowered = BcSlice {
             mem: s.mem,
             pre,
             stage,
@@ -492,7 +562,14 @@ impl Lower<'_> {
             prows,
             pcols,
             stages,
-        })
+            fixed: None,
+        };
+        if let (true, Scalar::Imm(stage), Scalar::Imm(row0), Scalar::Imm(col0)) =
+            (lowered.pre.is_empty(), stage, row0, col0)
+        {
+            lowered.fixed = lowered.at(stage, row0, col0).ok();
+        }
+        Ok(lowered)
     }
 
     fn slice_bytes(&self, s: &BcSlice) -> Result<f64, SimError> {
@@ -623,6 +700,15 @@ impl Lower<'_> {
         });
         Scalar::Reg(dst)
     }
+}
+
+/// `i` as event-queue elements store indices: they index with `u32` to
+/// stay small, and a `what` that does not fit is a typed error, never a
+/// truncation.
+pub(crate) fn index32(i: usize, what: &str) -> Result<u32, SimError> {
+    u32::try_from(i).map_err(|_| SimError::Internal {
+        what: format!("{what} {i} exceeds the event queue's u32 indices"),
+    })
 }
 
 fn overflow(s: &BcSlice) -> SimError {
@@ -909,6 +995,44 @@ mod tests {
             }
         }
         assert!(program.num_instructions() > 0);
+    }
+
+    /// Only a slice that cannot fail is resolved at lowering time.
+    #[test]
+    fn launch_constant_slices_are_resolved_at_lowering() {
+        let mut kernel = pipelined_kernel();
+        let lower_slice = |kernel: &Kernel, s: &Slice| {
+            let mut ctx = Lower {
+                kernel,
+                cse: HashMap::new(),
+                next_reg: 0,
+                max_regs: 0,
+            };
+            ctx.lower_slice(s).unwrap()
+        };
+        let whole = lower_slice(&kernel, &Slice::frag(0).extent(32, 32));
+        let r = whole.fixed.expect("literal origin, in bounds");
+        assert_eq!((r.stage, r.row0, r.col0, r.rows, r.cols), (0, 0, 0, 32, 32));
+        assert_eq!(Ok(r), whole.at(0, 0, 0));
+        // Constant but out of bounds: left to the instruction that runs it.
+        for bad in [
+            Slice::smem(0).stage(2).extent(32, 16),
+            Slice::frag(0).at(1, 0).extent(32, 32),
+            Slice::frag(0).at(0, -1).extent(32, 32),
+        ] {
+            assert_eq!(lower_slice(&kernel, &bad).fixed, None, "{bad:?}");
+        }
+        // Launch-dependent origins.
+        for dynamic in [
+            Slice::param(1).at(Expr::block_x() * 32, 0).extent(32, 16),
+            Slice::smem(0).stage(Expr::var(0) % 2).extent(32, 16),
+        ] {
+            assert_eq!(lower_slice(&kernel, &dynamic).fixed, None, "{dynamic:?}");
+        }
+        // The bound is the declaration's at lowering time.
+        kernel.frags[0].rows = 16;
+        let shrunk = lower_slice(&kernel, &Slice::frag(0).extent(32, 32));
+        assert_eq!(shrunk.fixed, None);
     }
 
     #[test]

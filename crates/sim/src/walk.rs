@@ -20,6 +20,7 @@
 //! [`Expr`]: crate::expr::Expr
 
 use super::{Engine, RSlice, SimError, SimtCost, SYNCTHREADS_ID};
+use crate::bytecode::index32;
 use crate::flatten::{flatten, Flat};
 use crate::instr::{Instr, SimtOp};
 use crate::mem::{MemRef, Slice, Space};
@@ -98,14 +99,20 @@ impl<'k> Engine<'k> {
                 let rsrc = self.resolve_walk(exec_id, src)?;
                 let rdst = self.resolve_walk(exec_id, dst)?;
                 let bytes = self.slice_bytes(&rsrc);
-                self.issue_tma_load(exec_id, rsrc, rdst, *bar, bytes);
+                self.issue_tma_load(exec_id, rsrc, rdst, index32(*bar, "mbarrier index")?, bytes);
                 Ok(true)
             }
             Instr::CpAsyncLoad { src, dst, bar } => {
                 let rsrc = self.resolve_walk(exec_id, src)?;
                 let rdst = self.resolve_walk(exec_id, dst)?;
                 let bytes = self.slice_bytes(&rsrc);
-                self.issue_cp_async_load(exec_id, rsrc, rdst, *bar, bytes);
+                self.issue_cp_async_load(
+                    exec_id,
+                    rsrc,
+                    rdst,
+                    index32(*bar, "mbarrier index")?,
+                    bytes,
+                );
                 Ok(true)
             }
             Instr::TmaStore { src, dst } => {
@@ -382,6 +389,116 @@ mod tests {
             for (g, w) in got.iter().zip(&want) {
                 assert_eq!(g.data(), w.data(), "scalar data path: {scalar}");
             }
+        }
+    }
+
+    /// One compute role: fill the fragment, then — under `cond` — `op`.
+    fn guarded(cond: Cond, op: impl FnOnce(usize, usize, usize) -> Instr) -> Kernel {
+        let mut b = KernelBuilder::new("static_slices", [1, 1, 1]);
+        let a = b.param("A", ROWS, COLS, DType::F16);
+        let s = b.smem("S", ROWS, COLS, DType::F16, 2);
+        let f = b.frag("F", ROWS, COLS);
+        b.role(
+            RoleKind::Compute(0),
+            vec![
+                Instr::Simt(SimtOp::Fill {
+                    dst: Slice::frag(f).extent(ROWS, COLS),
+                    value: 1.0,
+                }),
+                Instr::If {
+                    cond,
+                    then_: vec![op(a, s, f)],
+                    else_: vec![],
+                },
+            ],
+        );
+        b.build()
+    }
+
+    /// Both frontends, both modes; every run must agree.
+    fn run_all(kernel: &Kernel) -> Result<TimingReport, crate::SimError> {
+        let machine = MachineConfig::test_gpu();
+        let program = bytecode::lower(kernel).unwrap();
+        let mut outcomes = Vec::new();
+        for mode in [Mode::Timing, Mode::Functional] {
+            for walk in [false, true] {
+                let params = (mode == Mode::Functional)
+                    .then(|| vec![Tensor::zeros(DType::F16, &[ROWS, COLS])]);
+                let mut engine = Engine::new(kernel, &machine, mode, params, &program).unwrap();
+                if walk {
+                    engine.set_walk();
+                }
+                outcomes.push(engine.run().map(|(report, _, _)| report));
+            }
+        }
+        for o in &outcomes[1..] {
+            assert_eq!(o, &outcomes[0], "frontends or modes disagree");
+        }
+        outcomes.swap_remove(0)
+    }
+
+    /// A constant-origin slice that is out of bounds is an error of the
+    /// instruction that uses it, raised when (and only if) it executes —
+    /// never of lowering — with the walk's exact text and operand order.
+    #[test]
+    fn constant_out_of_bounds_slices_fail_where_the_walk_fails() {
+        let never = || Cond::Ge(Expr::block_x(), Expr::lit(1));
+        let always = || Cond::Ge(Expr::block_x(), Expr::lit(0));
+        let frag = |f| Slice::frag(f).extent(ROWS, COLS);
+        type Case = (fn(usize, usize) -> Slice, &'static str);
+        let cases: [Case; 3] = [
+            (
+                |_, s| Slice::smem(s).stage(2).extent(ROWS, COLS),
+                "slice of Smem(0): stage 2 origin (0,0) extent (8x8) exceeds (8x8 stages 2)",
+            ),
+            (
+                |a, _| Slice::param(a).at(4, 0).extent(ROWS, COLS),
+                "slice of Param(0): stage 0 origin (4,0) extent (8x8) exceeds (8x8 stages 1)",
+            ),
+            (
+                |a, _| Slice::param(a).at(-1, 0).extent(ROWS, COLS),
+                "negative slice origin (0,-1,0) of Param(0)",
+            ),
+        ];
+        for (bad, text) in cases {
+            let copy_in = |a, s, f| {
+                Instr::Simt(SimtOp::Copy {
+                    src: bad(a, s),
+                    dst: frag(f),
+                })
+            };
+            let clean = run_all(&guarded(never(), copy_in)).expect("untaken branch");
+            assert!(clean.events > 0);
+            match run_all(&guarded(always(), copy_in)) {
+                Err(crate::SimError::OutOfBounds { what }) => assert_eq!(what, text),
+                other => panic!("expected `{text}`, got {other:?}"),
+            }
+            // Operands resolve left to right: ahead of an unbound
+            // variable the constant slice's error wins, behind it the
+            // evaluation error (which names the pc) does.
+            let unbound = |f| Slice::frag(f).at(Expr::var(7), 0).extent(ROWS, COLS);
+            let first = run_all(&guarded(always(), |a, s, f| {
+                Instr::Simt(SimtOp::Copy {
+                    src: bad(a, s),
+                    dst: unbound(f),
+                })
+            }));
+            assert!(
+                matches!(&first, Err(crate::SimError::OutOfBounds { what }) if what == text),
+                "{first:?}"
+            );
+            let second = run_all(&guarded(always(), |a, s, f| {
+                Instr::Simt(SimtOp::Zip {
+                    op: BinOp::Add,
+                    a: unbound(f),
+                    b: bad(a, s),
+                    dst: frag(f),
+                })
+            }));
+            assert!(
+                matches!(&second, Err(crate::SimError::Eval { context, .. }) if context == "cta0/wg0 pc=2"),
+                "{second:?}"
+            );
         }
     }
 }

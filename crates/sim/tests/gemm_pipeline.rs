@@ -5,7 +5,8 @@
 //! store-out of the staged result.
 
 use cypress_sim::{
-    Cond, Expr, Instr, KernelBuilder, MachineConfig, RoleKind, SimError, SimtOp, Simulator, Slice,
+    bytecode, Cond, Expr, Instr, KernelBuilder, MachineConfig, RoleKind, SimError, SimtOp,
+    Simulator, Slice,
 };
 use cypress_tensor::{tensor::reference, DType, Tensor};
 use rand::rngs::StdRng;
@@ -237,4 +238,44 @@ fn functional_and_timing_agree_on_schedule_length() {
     // One CTA only: functional (all CTAs) and timing (busiest SM) simulate
     // the same work and must agree exactly.
     assert_eq!(f.report.cycles, t.cycles);
+}
+
+/// A pre-lowered program is accepted for the kernel it was lowered from
+/// (or a clone of it) and rejected, in both modes, for a kernel that
+/// differs in as little as one slice extent.
+#[test]
+fn a_program_runs_only_the_kernel_it_was_lowered_from() {
+    let kernel = build_gemm(64, 64, 128, 2, true);
+    let program = bytecode::lower(&kernel).unwrap();
+    let mut other = kernel.clone();
+    match &mut other.roles[1].body[0] {
+        Instr::Simt(SimtOp::Fill { dst, .. }) => dst.rows = T_M / 2,
+        first => panic!("the compute role starts with its accumulator fill, not {first:?}"),
+    }
+    let sim = Simulator::new(MachineConfig::test_gpu());
+    let operands = || {
+        let (a, b, c) = random_operands(64, 64, 128);
+        vec![a, b, c]
+    };
+
+    let rejected = |e: SimError| match e {
+        SimError::Internal { what } => {
+            assert!(what.contains("lowered from a different kernel"), "{what}");
+        }
+        other => panic!("expected the lowered-program guard, got {other:?}"),
+    };
+    rejected(sim.run_timing_lowered(&other, &program).unwrap_err());
+    rejected(
+        sim.run_functional_lowered(&other, &program, operands())
+            .unwrap_err(),
+    );
+
+    let clone = kernel.clone();
+    let timed = sim.run_timing_lowered(&clone, &program).unwrap();
+    assert_eq!(timed, sim.run_timing(&kernel).unwrap());
+    let ran = sim
+        .run_functional_lowered(&clone, &program, operands())
+        .unwrap();
+    let direct = sim.run_functional(&kernel, operands()).unwrap();
+    assert_eq!(ran.params[2].data(), direct.params[2].data());
 }
