@@ -7,12 +7,18 @@
 //! — a flat buffer key plus base offset and row stride — and the applies
 //! run as bulk operations over contiguous rows:
 //!
-//! - [`wgmma`] is a blocked microkernel (hoisted row bases, `JB`-column
-//!   blocking, a dedicated `transpose_b` dot-product path). The k-loop
-//!   accumulation order of every output element is exactly the scalar
-//!   interpreter's, so results are **bitwise identical**.
+//! - [`wgmma`] is one register-tiled microkernel: an `MR x NR` block of
+//!   outputs (4 x 8) accumulates in registers across the k-loop, so the
+//!   adds of one k-step are independent of each other and only the next
+//!   k-step waits on them. A `transpose_b` operand is packed k-major once
+//!   per apply into [`Scratch`] and fed to the same tile. Each output
+//!   element still starts from its own initial value and adds
+//!   `a(i, k) * b(k, j)` — a multiply, then an add, never fused — in
+//!   ascending `k`: exactly the scalar interpreter's operation sequence,
+//!   so results are **bitwise identical**.
 //! - [`copy`] streams whole rows with [`DType::quantize_copy`] — no
-//!   per-element division/modulo, one dtype dispatch per row.
+//!   per-element division/modulo, one dtype dispatch per row, and a
+//!   branch-free quantizer the compiler vectorizes.
 //! - [`simt`] stages each source row once and writes each destination row
 //!   through [`DType::quantize_slice`].
 //!
@@ -298,17 +304,23 @@ fn copy_rows(sbuf: &[f32], sv: &View, dbuf: &mut [f32], dv: &View) -> Result<(),
 
 // ---- wgmma -------------------------------------------------------------
 
-/// Column-block width of the non-transposed microkernel: accumulators for
-/// `JB` outputs stay in registers across the hoisted k-loop.
-const JB: usize = 8;
+/// Tile shape of the microkernel: an `MR x NR` block of outputs stays in
+/// registers across the k-loop. With 4-lane vectors that is eight
+/// independent add chains, enough to cover the latency of one add.
+const MR: usize = 4;
+const NR: usize = 8;
 
-/// The blocked matrix-multiply microkernel over flat row-strided operands.
+/// The register-tiled matrix-multiply microkernel over flat row-strided
+/// operands, `b` k-major (`b(kk, j)` at `bbuf[bv.row(kk) + j]`).
 ///
-/// Every output element `(i, j)` accumulates `a(i, k) * b(k, j)` in
-/// ascending `k` order starting from its initial value — exactly the
-/// scalar interpreter's order — so results are bitwise identical; the
-/// blocking only changes which *outputs* are in flight, never the order of
-/// operations within one output.
+/// Rows are taken `MR` at a time and columns `NR` at a time through
+/// [`tile`]; the `m % MR` row tail runs as one-row tiles and the `n % NR`
+/// column tail as one-column tiles (`tile::<1, 1>` is the scalar form).
+/// Whatever the tile, every output element `(i, j)` starts from its own
+/// initial value and adds `a(i, k) * b(k, j)` — a multiply, then an add —
+/// in ascending `k` order: exactly the scalar interpreter's operation
+/// sequence, so results are bitwise identical. Tiling only changes which
+/// *outputs* are in flight, never the order of operations within one.
 #[allow(clippy::too_many_arguments)]
 fn wgmma_rows(
     abuf: &[f32],
@@ -319,48 +331,102 @@ fn wgmma_rows(
     cv: &View,
     n: usize,
     accumulate: bool,
-    transpose_b: bool,
 ) {
-    let (m, k) = (av.rows, av.cols);
-    for i in 0..m {
-        let arow = &abuf[av.row(i)..av.row(i) + k];
-        let crow = &mut out[cv.row(i)..cv.row(i) + n];
-        if transpose_b {
-            // b is stored j-major: output (i, j) is a dot product of two
-            // contiguous rows.
-            for (j, c) in crow.iter_mut().enumerate() {
-                let brow = &bbuf[bv.row(j)..bv.row(j) + k];
-                let mut v = if accumulate { *c } else { 0.0 };
-                for (x, y) in arow.iter().zip(brow) {
-                    v += x * y;
-                }
-                *c = v;
-            }
-        } else {
-            // b is stored k-major: block the columns so `JB` accumulators
-            // share each broadcast `a(i, k)` load.
-            let mut j0 = 0;
-            while j0 < n {
-                let jn = (j0 + JB).min(n);
-                let w = jn - j0;
-                let mut acc = [0.0f32; JB];
-                if accumulate {
-                    acc[..w].copy_from_slice(&crow[j0..jn]);
-                }
-                for (kk, &a_ik) in arow.iter().enumerate() {
-                    let brow = &bbuf[bv.row(kk) + j0..bv.row(kk) + jn];
-                    for (slot, &b_kj) in acc[..w].iter_mut().zip(brow) {
-                        *slot += a_ik * b_kj;
-                    }
-                }
-                crow[j0..jn].copy_from_slice(&acc[..w]);
-                j0 = jn;
+    let full = av.rows - av.rows % MR;
+    for i0 in (0..full).step_by(MR) {
+        row_block::<MR>(abuf, av, bbuf, bv, out, cv, n, accumulate, i0);
+    }
+    for i0 in full..av.rows {
+        row_block::<1>(abuf, av, bbuf, bv, out, cv, n, accumulate, i0);
+    }
+}
+
+/// Output rows `i0..i0 + R` of [`wgmma_rows`]: all `n` columns, then the
+/// store quantization of the finished rows.
+#[allow(clippy::too_many_arguments)]
+fn row_block<const R: usize>(
+    abuf: &[f32],
+    av: &View,
+    bbuf: &[f32],
+    bv: &View,
+    out: &mut [f32],
+    cv: &View,
+    n: usize,
+    accumulate: bool,
+    i0: usize,
+) {
+    let a: [&[f32]; R] = std::array::from_fn(|r| &abuf[av.row(i0 + r)..av.row(i0 + r) + av.cols]);
+    let c: [usize; R] = std::array::from_fn(|r| cv.row(i0 + r));
+    let full = n - n % NR;
+    for j0 in (0..full).step_by(NR) {
+        let c = c.map(|c| c + j0);
+        tile::<R, NR>(a, bbuf, bv.base + j0, bv.stride, out, c, accumulate);
+    }
+    for j0 in full..n {
+        let c = c.map(|c| c + j0);
+        tile::<R, 1>(a, bbuf, bv.base + j0, bv.stride, out, c, accumulate);
+    }
+    // Each element was written exactly once after its (optional)
+    // accumulate read, so quantizing the finished rows is identical to
+    // quantizing each store.
+    for c in c {
+        cv.dtype.quantize_slice(&mut out[c..c + n]);
+    }
+}
+
+/// One `R x C` tile: `out[c[r] + j] (+)= Σ_k a[r][k] * b(k, j)` for `j`
+/// in `0..C`, with `b(k, j)` at `bbuf[b0 + k * bstride + j]`. The
+/// accumulators are a local array the optimizer keeps in registers; each
+/// one sees its products in ascending `k` order.
+fn tile<const R: usize, const C: usize>(
+    a: [&[f32]; R],
+    bbuf: &[f32],
+    b0: usize,
+    bstride: usize,
+    out: &mut [f32],
+    c: [usize; R],
+    accumulate: bool,
+) {
+    let mut acc = [[0.0f32; C]; R];
+    if accumulate {
+        for (acc, c) in acc.iter_mut().zip(c) {
+            acc.copy_from_slice(&out[c..c + C]);
+        }
+    }
+    // Equal, loop-invariant lengths let the row loads below go unchecked.
+    let k = a[0].len();
+    let a = a.map(|row| &row[..k]);
+    for kk in 0..k {
+        let b = &bbuf[b0 + kk * bstride..][..C];
+        for (acc, row) in acc.iter_mut().zip(a) {
+            let a_ik = row[kk];
+            for (slot, b_kj) in acc.iter_mut().zip(b) {
+                *slot += a_ik * b_kj;
             }
         }
-        // Each element was written exactly once after its (optional)
-        // accumulate read, so quantizing the finished row is identical to
-        // quantizing each store.
-        cv.dtype.quantize_slice(crow);
+    }
+    for (acc, c) in acc.iter().zip(c) {
+        out[c..c + C].copy_from_slice(acc);
+    }
+}
+
+/// Pack a `transpose_b` operand (stored j-major: `b(kk, j)` at
+/// `buf[bv.row(j) + kk]`) k-major into `pack`, columns `0..n`, and return
+/// the view [`wgmma_rows`] reads it through. One pass per apply moves the
+/// operand once instead of striding it per output element.
+fn pack_k_major(pack: &mut Vec<f32>, buf: &[f32], bv: &View, n: usize) -> View {
+    let k = bv.cols;
+    pack.clear();
+    pack.reserve(k * n);
+    for kk in 0..k {
+        pack.extend((0..n).map(|j| buf[bv.row(j) + kk]));
+    }
+    View {
+        base: 0,
+        stride: n,
+        rows: k,
+        cols: n,
+        ..*bv
     }
 }
 
@@ -401,33 +467,38 @@ pub(crate) fn wgmma(
         smem,
         frags,
     } = data;
-    if let BufKey::Frag {
-        cta: fc,
-        role: fr,
-        frag: facc,
-    } = cv.key
+    if let (
+        BufKey::Frag {
+            cta: fc,
+            role: fr,
+            frag: facc,
+        },
+        Some(bbuf),
+    ) = (cv.key, param_or_smem(params, smem, bv.key))
     {
+        // The microkernel reads `b` k-major: in place when it is stored
+        // that way, through the pack buffer when it is transposed.
+        let (bbuf, bv) = if transpose_b {
+            let packed = pack_k_major(&mut scratch.b, bbuf, &bv, n);
+            (scratch.b.as_slice(), packed)
+        } else {
+            (bbuf, bv)
+        };
         // Accumulator in the register pool, operands elsewhere: all three
         // views coexist on split borrows.
-        if let (Some(abuf), Some(bbuf)) = (
-            param_or_smem(params, smem, av.key),
-            param_or_smem(params, smem, bv.key),
-        ) {
+        if let Some(abuf) = param_or_smem(params, smem, av.key) {
             let out = &mut frags[fc][fr][facc];
-            wgmma_rows(abuf, &av, bbuf, &bv, out, &cv, n, accumulate, transpose_b);
+            wgmma_rows(abuf, &av, bbuf, &bv, out, &cv, n, accumulate);
             return Ok(());
         }
         // `a` is a sibling fragment of the same warpgroup (the FA2
         // register-operand path): split the fragment pool around the two
         // indices.
-        if let (
-            BufKey::Frag {
-                cta: ac,
-                role: ar,
-                frag: af,
-            },
-            Some(bbuf),
-        ) = (av.key, param_or_smem(params, smem, bv.key))
+        if let BufKey::Frag {
+            cta: ac,
+            role: ar,
+            frag: af,
+        } = av.key
         {
             if (ac, ar) == (fc, fr) && af != facc {
                 let pool = &mut frags[fc][fr];
@@ -437,38 +508,32 @@ pub(crate) fn wgmma(
                 } else {
                     (&hi[0], &mut lo[facc])
                 };
-                wgmma_rows(abuf, &av, bbuf, &bv, out, &cv, n, accumulate, transpose_b);
+                wgmma_rows(abuf, &av, bbuf, &bv, out, &cv, n, accumulate);
                 return Ok(());
             }
         }
     }
     // Anything else (hand-built kernels the validator admits but the
-    // compiler never emits): stage both operands, then write through the
-    // accumulator's buffer alone.
+    // compiler never emits): stage both operands — `b` k-major either
+    // way — then write through the accumulator's buffer alone.
     gather(&mut scratch.a, data.buf(av.key), &av);
-    gather(&mut scratch.b, data.buf(bv.key), &bv);
     let sa = View {
         base: 0,
         stride: av.cols,
         ..av
     };
-    let sb = View {
-        base: 0,
-        stride: bv.cols,
-        ..bv
+    let sb = if transpose_b {
+        pack_k_major(&mut scratch.b, data.buf(bv.key), &bv, n)
+    } else {
+        gather(&mut scratch.b, data.buf(bv.key), &bv);
+        View {
+            base: 0,
+            stride: bv.cols,
+            ..bv
+        }
     };
     let out = data.buf_mut(cv.key);
-    wgmma_rows(
-        &scratch.a,
-        &sa,
-        &scratch.b,
-        &sb,
-        out,
-        &cv,
-        n,
-        accumulate,
-        transpose_b,
-    );
+    wgmma_rows(&scratch.a, &sa, &scratch.b, &sb, out, &cv, n, accumulate);
     Ok(())
 }
 
@@ -963,6 +1028,47 @@ mod tests {
         }
     }
 
+    /// Run one `wgmma` through the fast path and the scalar oracle on
+    /// copies of `data` and compare every buffer bitwise.
+    fn assert_wgmma_matches_oracle(
+        kernel: &Kernel,
+        data: &FuncData,
+        [a, b, acc]: [&RSlice; 3],
+        accumulate: bool,
+        transpose_b: bool,
+        what: &str,
+    ) {
+        let mut fast = clone_data(data);
+        let mut oracle = clone_data(data);
+        let mut scratch = Scratch::default();
+        wgmma(
+            kernel,
+            &mut fast,
+            &mut scratch,
+            0,
+            0,
+            a,
+            b,
+            acc,
+            accumulate,
+            transpose_b,
+        )
+        .unwrap();
+        scalar::wgmma(
+            kernel,
+            &mut oracle,
+            0,
+            0,
+            a,
+            b,
+            acc,
+            accumulate,
+            transpose_b,
+        )
+        .unwrap();
+        assert_bitwise_equal(&fast, &oracle, what);
+    }
+
     #[test]
     fn wgmma_matches_scalar_oracle() {
         let mut rng = StdRng::seed_from_u64(0xBEEF);
@@ -996,36 +1102,127 @@ mod tests {
             let Some(acc) = random_slice(&kernel, cm, m, n, &mut rng) else {
                 continue;
             };
-            let mut fast = clone_data(&data);
-            let mut oracle = clone_data(&data);
-            let mut scratch = Scratch::default();
-            wgmma(
+            assert_wgmma_matches_oracle(
                 &kernel,
-                &mut fast,
-                &mut scratch,
-                0,
-                0,
-                &a,
-                &b,
-                &acc,
+                &data,
+                [&a, &b, &acc],
                 accumulate,
                 transpose_b,
-            )
-            .unwrap();
-            scalar::wgmma(
-                &kernel,
-                &mut oracle,
-                0,
-                0,
-                &a,
-                &b,
-                &acc,
-                accumulate,
-                transpose_b,
-            )
-            .unwrap();
-            assert_bitwise_equal(&fast, &oracle, "wgmma");
+                "wgmma",
+            );
             cases += 1;
+        }
+    }
+
+    /// The second generator: every declaration `80 x 80` — two
+    /// parameters, two three-stage shared regions, three fragments — so
+    /// slices span several microkernel tiles and sit at non-zero
+    /// `row0`/`col0`/`stage`. `dst` is the dtype of `Param(0)` and
+    /// `Smem(0)`, where the cases below put a non-fragment accumulator.
+    fn tile_kernel(dst: DType, rng: &mut StdRng) -> Kernel {
+        const DIM: usize = 80;
+        let mut kernel = random_kernel(rng);
+        kernel.params = [dst, DTYPES[rng.gen_range(0..3)]]
+            .into_iter()
+            .enumerate()
+            .map(|(i, dtype)| ParamDecl {
+                name: format!("p{i}"),
+                rows: DIM,
+                cols: DIM,
+                dtype,
+            })
+            .collect();
+        kernel.smem = [dst, DTYPES[rng.gen_range(0..3)]]
+            .into_iter()
+            .enumerate()
+            .map(|(i, dtype)| SmemDecl {
+                name: format!("s{i}"),
+                rows: DIM,
+                cols: DIM,
+                dtype,
+                stages: 3,
+            })
+            .collect();
+        for f in &mut kernel.frags {
+            (f.rows, f.cols) = (DIM, DIM);
+        }
+        kernel
+    }
+
+    /// Where the operands of one tile case live.
+    #[derive(Debug, Clone, Copy)]
+    enum Placement {
+        /// `a`, `b` in params / shared memory, `acc` a fragment: the
+        /// zero-copy path of every compiled kernel.
+        SplitBorrow,
+        /// `a` a sibling fragment of `acc`, `b` in shared memory.
+        SiblingFragment,
+        /// `acc` in `Param(0)` / `Smem(0)` (stores quantize to the
+        /// destination dtype): everything staged.
+        QuantizedDestination,
+        /// All three operands fragments: staged out of `acc`'s own pool.
+        SamePool,
+    }
+
+    #[test]
+    fn wgmma_tiles_match_scalar_oracle() {
+        let mut rng = StdRng::seed_from_u64(0x711E);
+        // m and n at a multiple of the tile, one below and one above it.
+        let ms = [MR - 1, MR, MR + 1, 2 * MR, 2 * MR + 1, 16 * MR];
+        let ns = [NR - 1, NR, NR + 1, 2 * NR, 2 * NR + 1, 9 * NR - 1];
+        let placements = [
+            Placement::SplitBorrow,
+            Placement::SiblingFragment,
+            Placement::QuantizedDestination,
+            Placement::SamePool,
+        ];
+        let mut case = 0usize;
+        for (m, n) in ms.into_iter().flat_map(|m| ns.map(|n| (m, n))) {
+            for (transpose_b, accumulate) in
+                [(false, false), (false, true), (true, false), (true, true)]
+            {
+                for placement in placements {
+                    case += 1;
+                    let kernel = tile_kernel(DTYPES[case % 3], &mut rng);
+                    let data = random_data(&kernel, &mut rng);
+                    let k = [1, 3, 16, 64, 80][rng.gen_range(0..5)];
+                    let elsewhere =
+                        |rng: &mut StdRng| [MemRef::Param(1), MemRef::Smem(1)][rng.gen_range(0..2)];
+                    let (am, bm, cm) = match placement {
+                        Placement::SplitBorrow => {
+                            (elsewhere(&mut rng), elsewhere(&mut rng), MemRef::Frag(0))
+                        }
+                        Placement::SiblingFragment => {
+                            let (af, cf) = [(0, 1), (2, 1)][rng.gen_range(0..2)];
+                            (MemRef::Frag(af), elsewhere(&mut rng), MemRef::Frag(cf))
+                        }
+                        Placement::QuantizedDestination => (
+                            [elsewhere(&mut rng), MemRef::Frag(0)][rng.gen_range(0..2)],
+                            [elsewhere(&mut rng), MemRef::Frag(1)][rng.gen_range(0..2)],
+                            [MemRef::Param(0), MemRef::Smem(0)][rng.gen_range(0..2)],
+                        ),
+                        Placement::SamePool => (MemRef::Frag(0), MemRef::Frag(1), MemRef::Frag(2)),
+                    };
+                    let (br, bc) = if transpose_b { (n, k) } else { (k, n) };
+                    let slice = |mem, rows, cols, rng: &mut StdRng| {
+                        random_slice(&kernel, mem, rows, cols, rng).expect("fits 80 x 80")
+                    };
+                    let a = slice(am, m, k, &mut rng);
+                    let b = slice(bm, br, bc, &mut rng);
+                    let acc = slice(cm, m, n, &mut rng);
+                    let what = format!(
+                        "{m}x{n}x{k} transpose_b={transpose_b} accumulate={accumulate} {placement:?}"
+                    );
+                    assert_wgmma_matches_oracle(
+                        &kernel,
+                        &data,
+                        [&a, &b, &acc],
+                        accumulate,
+                        transpose_b,
+                        &what,
+                    );
+                }
+            }
         }
     }
 

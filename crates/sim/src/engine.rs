@@ -1173,7 +1173,7 @@ impl<'k> Engine<'k> {
 
     /// Account the bytes a functional apply touches, per element type.
     /// Called only on the functional path, so timing counters stay zero.
-    fn count_apply(&mut self, slices: &[&RSlice]) {
+    fn count_apply<'s>(&mut self, slices: impl IntoIterator<Item = &'s RSlice>) {
         for s in slices {
             let dtype = self.slice_dtype(s.mem);
             let bytes = (s.rows * s.cols * dtype.size_bytes()) as u64;
@@ -1185,7 +1185,7 @@ impl<'k> Engine<'k> {
         let (cta, role) = (self.execs[exec_id].cta, self.execs[exec_id].role);
         let kernel = self.kernel;
         if self.data.is_some() {
-            self.count_apply(&[src, dst]);
+            self.count_apply([src, dst]);
         }
         let Some(data) = self.data.as_mut() else {
             return Ok(());
@@ -1209,7 +1209,7 @@ impl<'k> Engine<'k> {
         let (cta, role) = (self.execs[exec_id].cta, self.execs[exec_id].role);
         let kernel = self.kernel;
         if self.data.is_some() {
-            self.count_apply(&[a, b, acc]);
+            self.count_apply([a, b, acc]);
         }
         let Some(data) = self.data.as_mut() else {
             return Ok(());
@@ -1252,9 +1252,7 @@ impl<'k> Engine<'k> {
         let (cta, role) = (self.execs[exec_id].cta, self.execs[exec_id].role);
         let kernel = self.kernel;
         if self.data.is_some() {
-            let mut slices: Vec<&RSlice> = srcs.iter().collect();
-            slices.push(dst);
-            self.count_apply(&slices);
+            self.count_apply(srcs.iter().chain([dst]));
         }
         let Some(data) = self.data.as_mut() else {
             return Ok(());

@@ -45,19 +45,22 @@ impl DType {
     }
 
     /// Quantize every element of `row` in place — the bulk form of
-    /// [`DType::quantize`]. One dtype dispatch covers the whole row (the
-    /// simulator's functional data path calls this once per contiguous
-    /// row instead of matching per element), and `F32` is a no-op.
+    /// [`DType::quantize`], bit-for-bit equal to it on every `f32` bit
+    /// pattern (the `exhaustive` test walks all 2^32). One dtype dispatch
+    /// covers the whole row and `F32` is a no-op. The half types do not
+    /// call the scalar conversions: they compute the `f32 → half → f32`
+    /// round trip directly on the `f32` bits with selects instead of
+    /// branches, so the loop autovectorizes.
     pub fn quantize_slice(self, row: &mut [f32]) {
         match self {
             DType::F16 => {
                 for v in row {
-                    *v = f16::from_f32(*v).to_f32();
+                    *v = f16_round_trip(*v);
                 }
             }
             DType::BF16 => {
                 for v in row {
-                    *v = bf16::from_f32(*v).to_f32();
+                    *v = bf16_round_trip(*v);
                 }
             }
             DType::F32 => {}
@@ -65,8 +68,12 @@ impl DType {
     }
 
     /// Copy `src` into `dst`, quantizing each element to this dtype —
-    /// the bulk form of a quantized store. `F32` degenerates to a plain
-    /// `copy_from_slice`.
+    /// the bulk form of a quantized store, with the same branch-free
+    /// round trip (and the same bit-for-bit contract) as
+    /// [`DType::quantize_slice`]. `F32` degenerates to a plain
+    /// `copy_from_slice`. Every element is quantized even when the source
+    /// already has this dtype: [`crate::Tensor::data_mut`] lets callers
+    /// store unquantized values behind a half dtype.
     ///
     /// # Panics
     ///
@@ -77,12 +84,12 @@ impl DType {
         match self {
             DType::F16 => {
                 for (d, s) in dst.iter_mut().zip(src) {
-                    *d = f16::from_f32(*s).to_f32();
+                    *d = f16_round_trip(*s);
                 }
             }
             DType::BF16 => {
                 for (d, s) in dst.iter_mut().zip(src) {
-                    *d = bf16::from_f32(*s).to_f32();
+                    *d = bf16_round_trip(*s);
                 }
             }
             DType::F32 => dst.copy_from_slice(src),
@@ -110,6 +117,60 @@ impl fmt::Display for DType {
         };
         f.write_str(s)
     }
+}
+
+/// `f16::from_f32(x).to_f32()` without a branch: the round trip computed
+/// on the `f32` bit pattern, every range evaluated and one selected.
+///
+/// - `|x| ≥ 2^-14` (normal halves, ∞): add-and-mask round-to-nearest-even
+///   of the 23-bit mantissa to 10 bits — the carry walks into the exponent
+///   by itself — and anything that reaches `2^16` becomes ∞.
+/// - `2^-24 ≤ |x| < 2^-14` (subnormal halves): `(|x| + 0.5) - 0.5`. In
+///   `[0.5, 1)` an `f32` ulp is `2^-24`, the subnormal half spacing, so
+///   the hardware add performs exactly the rounding (ties to even
+///   included) and the subtraction is exact.
+/// - `|x| < 2^-24` flushes to signed zero and NaN becomes the quiet NaN
+///   `0x7FC0_0000 | sign`, both as [`f16::from_f32`] defines them.
+#[inline]
+fn f16_round_trip(x: f32) -> f32 {
+    let bits = x.to_bits();
+    let sign = bits & 0x8000_0000;
+    let abs = bits & 0x7FFF_FFFF;
+    let rounded = (abs + 0x0FFF + ((abs >> 13) & 1)) & !0x1FFF;
+    let normal = if rounded >= 0x4780_0000 {
+        0x7F80_0000
+    } else {
+        rounded
+    };
+    let subnormal = ((f32::from_bits(abs) + 0.5) - 0.5).to_bits();
+    let finite = if abs >= 0x3880_0000 {
+        normal
+    } else if abs >= 0x3380_0000 {
+        subnormal
+    } else {
+        0
+    };
+    let magnitude = if abs > 0x7F80_0000 {
+        0x7FC0_0000
+    } else {
+        finite
+    };
+    f32::from_bits(sign | magnitude)
+}
+
+/// `bf16::from_f32(x).to_f32()` without a branch: add-and-mask
+/// round-to-nearest-even of the low 16 bits, or the quieted truncation
+/// when `x` is NaN.
+#[inline]
+fn bf16_round_trip(x: f32) -> f32 {
+    let bits = x.to_bits();
+    let rounded = bits.wrapping_add(0x7FFF + ((bits >> 16) & 1)) & 0xFFFF_0000;
+    let quieted = (bits & 0xFFFF_0000) | 0x0040_0000;
+    f32::from_bits(if bits & 0x7FFF_FFFF > 0x7F80_0000 {
+        quieted
+    } else {
+        rounded
+    })
 }
 
 /// Software IEEE 754 binary16.
@@ -143,8 +204,17 @@ impl f16 {
         self.0
     }
 
-    /// Convert from `f32` with round-to-nearest-even, handling overflow to
-    /// infinity, subnormals, and NaN propagation.
+    /// Convert from `f32` with round-to-nearest-even for every input of
+    /// magnitude at least `2^-24` (the smallest subnormal half): overflow
+    /// goes to infinity, `[2^-24, 2^-14)` rounds onto the subnormal halves,
+    /// and a NaN keeps its sign and becomes the quiet NaN `0x7E00`.
+    ///
+    /// Below `2^-24` the conversion **flushes to signed zero**. That is
+    /// round-to-nearest-even for `|x| ≤ 2^-25` but not for the open
+    /// interval `(2^-25, 2^-24)`, where IEEE rounding gives `2^-24`. The
+    /// simulator's tensors are defined by this behaviour (test
+    /// `half_subnormal_underflow_flushes_below_two_pow_minus_24`), so
+    /// changing it is a change to the functional model.
     #[must_use]
     pub fn from_f32(x: f32) -> Self {
         let bits = x.to_bits();
@@ -401,16 +471,139 @@ mod tests {
             .map(|i| (i as f32 - 128.0) * 0.3711 + 1.0 / (i as f32 + 1.0))
             .collect();
         for dt in [DType::F16, DType::BF16, DType::F32] {
-            let mut bulk = values.clone();
-            dt.quantize_slice(&mut bulk);
-            let mut copied = vec![0.0f32; values.len()];
-            dt.quantize_copy(&values, &mut copied);
-            for (i, &v) in values.iter().enumerate() {
-                let expect = dt.quantize(v);
-                assert_eq!(bulk[i].to_bits(), expect.to_bits(), "{dt} slice at {i}");
-                assert_eq!(copied[i].to_bits(), expect.to_bits(), "{dt} copy at {i}");
+            assert_bulk_matches_scalar(dt, &values);
+        }
+    }
+
+    /// Both bulk quantizers of `dt` agree with the scalar definition
+    /// `dt.quantize` on every value, bit for bit.
+    fn assert_bulk_matches_scalar(dt: DType, values: &[f32]) {
+        let mut sliced = values.to_vec();
+        dt.quantize_slice(&mut sliced);
+        let mut copied = vec![0.0f32; values.len()];
+        dt.quantize_copy(values, &mut copied);
+        for (i, &v) in values.iter().enumerate() {
+            let expect = dt.quantize(v).to_bits();
+            let bits = v.to_bits();
+            assert_eq!(sliced[i].to_bits(), expect, "{dt} slice of {bits:#010x}");
+            assert_eq!(copied[i].to_bits(), expect, "{dt} copy of {bits:#010x}");
+        }
+    }
+
+    /// Mantissas that sit on and next to every rounding decision of both
+    /// half types at any exponent — zero, all-ones, each single bit and
+    /// its neighbours (the halfway points of the normal, subnormal and
+    /// bfloat16 roundings, with the kept lsb clear and set) — followed by
+    /// 4096 pseudo-random ones.
+    fn stratified_mantissas() -> Vec<u32> {
+        let mut mants = vec![0, 0x007F_FFFF];
+        for s in 0..23 {
+            let bit = 1u32 << s;
+            for m in [
+                bit - 1,
+                bit,
+                bit + 1,
+                3 * bit,
+                3 * bit + 1,
+                0x007F_FFFF - bit,
+            ] {
+                mants.push(m & 0x007F_FFFF);
             }
         }
+        let mut state = 0x2545_F491u32;
+        for _ in 0..4096 {
+            state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            mants.push(state >> 9);
+        }
+        mants
+    }
+
+    #[test]
+    fn bulk_quantizers_match_scalar_on_stratified_bit_patterns() {
+        let mantissas = stratified_mantissas();
+        let mut values = Vec::new();
+        for sign in [0u32, 0x8000_0000] {
+            for exp in 0..=0xFFu32 {
+                for &mant in &mantissas {
+                    values.push(f32::from_bits(sign | (exp << 23) | mant));
+                }
+            }
+        }
+        // ±0, ±∞, quiet and signalling NaN payloads, the f16 overflow
+        // edge (65504 is MAX, 65520 the first value that rounds to ∞) and
+        // the 2^-14 / 2^-24 / 2^-25 range edges, each with its neighbours.
+        for bits in [
+            0x0000_0000u32,
+            0x7F80_0000,
+            0x7FC0_0000,
+            0x7FC0_0001,
+            0x7F80_0001,
+            0x7FBF_FFFF,
+            0x7FFF_FFFF,
+            0x477F_E000,
+            0x477F_EFFF,
+            0x477F_F000,
+            0x477F_F001,
+            0x3880_0000,
+            0x387F_FFFF,
+            0x3380_0000,
+            0x337F_FFFF,
+            0x3300_0000,
+            0x3300_0001,
+            0x32FF_FFFF,
+        ] {
+            values.push(f32::from_bits(bits));
+            values.push(f32::from_bits(bits | 0x8000_0000));
+        }
+        for dt in [DType::F16, DType::BF16, DType::F32] {
+            // Chunk lengths cycle through sizes below, at and above the
+            // vector widths, so bodies and remainders both run.
+            let lengths = [1usize, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 33, 64, 100];
+            let mut rest = values.as_slice();
+            for len in lengths.iter().cycle() {
+                if rest.is_empty() {
+                    break;
+                }
+                let (chunk, tail) = rest.split_at((*len).min(rest.len()));
+                assert_bulk_matches_scalar(dt, chunk);
+                rest = tail;
+            }
+        }
+    }
+
+    /// All 2^32 `f32` bit patterns through both bulk quantizers of both
+    /// half types. Run in release:
+    /// `cargo test --release -p cypress-tensor -- --ignored exhaustive`.
+    #[test]
+    #[ignore = "walks all 2^32 bit patterns; run in release"]
+    fn exhaustive_bulk_quantizers_match_scalar_on_every_bit_pattern() {
+        const CHUNK: u32 = 1 << 16;
+        let mut values = vec![0.0f32; CHUNK as usize];
+        for hi in 0..=u32::MAX / CHUNK {
+            for (lo, v) in (0..CHUNK).zip(values.iter_mut()) {
+                *v = f32::from_bits(hi * CHUNK + lo);
+            }
+            assert_bulk_matches_scalar(DType::F16, &values);
+            assert_bulk_matches_scalar(DType::BF16, &values);
+        }
+    }
+
+    #[test]
+    fn half_subnormal_underflow_flushes_below_two_pow_minus_24() {
+        let two_pow_m24 = 0x3380_0000u32;
+        let two_pow_m25 = 0x3300_0000u32;
+        // 2^-24 is the smallest subnormal half and survives.
+        assert_eq!(f16::from_f32(f32::from_bits(two_pow_m24)).to_bits(), 1);
+        // Everything in (2^-25, 2^-24) flushes to signed zero, although
+        // round-to-nearest-even would give 2^-24 ...
+        for bits in [two_pow_m24 - 1, two_pow_m25 + 0x0040_0000, two_pow_m25 + 1] {
+            assert_eq!(f16::from_f32(f32::from_bits(bits)).to_bits(), 0x0000);
+            let negative = f32::from_bits(bits | 0x8000_0000);
+            assert_eq!(f16::from_f32(negative).to_bits(), 0x8000);
+            assert_eq!(DType::F16.quantize(negative).to_bits(), 0x8000_0000);
+        }
+        // ... while 2^-25 itself is a tie that goes to (even) zero anyway.
+        assert_eq!(f16::from_f32(f32::from_bits(two_pow_m25)).to_bits(), 0);
     }
 
     #[test]
