@@ -1,86 +1,78 @@
-//! Stable fingerprints of compiler inputs, for compiled-kernel caching.
+//! Stable fingerprints of compiler inputs, for compiled-kernel caching
+//! and persisted tuning results.
 //!
-//! A fingerprint identifies everything that determines the output of
-//! [`crate::compile::CypressCompiler::compile`]: the task registry, the
-//! mapping specification, the entry task name, the entry argument shapes,
-//! the target machine, and the compiler options that change codegen. Two
-//! invocations with equal fingerprints produce the same [`cypress_sim::Kernel`],
-//! so a runtime (see the `cypress-runtime` crate) can skip the Fig. 6 pass
-//! pipeline entirely on a fingerprint match.
+//! A compile is identified by two independent halves:
 //!
-//! The hash is FNV-1a over a canonical rendering of the inputs. Maps are
-//! visited in sorted key order, so the value is independent of `HashMap`
-//! iteration order (which differs between processes and instances); it is
-//! deterministic for the lifetime of a build, which is the cache's domain.
+//! - the **source** — entry task name, entry argument shapes, task
+//!   registry, mapping specification — hashed by [`source_identity`];
+//! - the **target** — the machine and the compiler options that change
+//!   codegen (`spill_first`) — hashed by [`target_fingerprint`].
+//!
+//! [`fingerprint`]` = `[`combine`]`(source, target)` identifies everything
+//! that determines the output of
+//! [`crate::compile::CypressCompiler::compile`]: two invocations with
+//! equal fingerprints produce the same [`cypress_sim::Kernel`], so a
+//! runtime (see the `cypress-runtime` crate) can skip the Fig. 6 pass
+//! pipeline entirely on a fingerprint match. The split exists so each
+//! half is hashed once by whoever owns it — a program its source, a
+//! session its target — and a cache lookup combines two `u64`s. Neither
+//! half knows the other: a source hash is valid under every machine.
+//!
+//! # Which values are frozen
+//!
+//! [`SourceIdentity::computation`] (the source minus its mapping) and
+//! [`machine_fingerprint`] key the runtime's *persisted* `TuningTable`:
+//! their values must never change, and tests pin them to recorded
+//! constants. Their record streams start with `cypress-computation-v1`
+//! / `cypress-machine-v1`. [`SourceIdentity::source`],
+//! [`target_fingerprint`] and [`fingerprint`] key only the in-process
+//! kernel cache and are free to change between builds; the source
+//! stream carries the version tag `cypress-fingerprint-v2` (v1 hashed
+//! source and target into one accumulator) — bump it when the record
+//! layout changes.
+//!
+//! The hash is FNV-1a ([`Fnv64`], defined in `cypress-sim`) over a
+//! canonical rendering of the inputs, streamed record by record into the
+//! accumulator. Maps are visited in sorted key order, so the value is
+//! independent of `HashMap` iteration order (which differs between
+//! processes and instances). The computation hash is a prefix of the
+//! source stream, so both come out of one walk of the registry — the
+//! part that dominates the cost.
 
 use crate::front::mapping::MappingSpec;
 use crate::front::task::TaskRegistry;
 use crate::passes::depan::EntryArg;
 use cypress_sim::MachineConfig;
 
-/// A 64-bit FNV-1a accumulator.
-#[derive(Debug, Clone, Copy)]
-pub struct Fnv64(u64);
+pub use cypress_sim::Fnv64;
 
-impl Default for Fnv64 {
-    fn default() -> Self {
-        Fnv64(0xCBF2_9CE4_8422_2325)
-    }
+/// The target-free identity of a `(registry, mapping, entry, args)`
+/// source, from one walk of its parts (see [`source_identity`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SourceIdentity {
+    /// Hash of the entry name, entry argument shapes and task registry —
+    /// the source minus its mapping, so every candidate mapping of one
+    /// computation shares it. Persisted in tuning tables: frozen.
+    pub computation: u64,
+    /// Hash of the whole source, mapping included; [`combine`] it with a
+    /// [`target_fingerprint`] to get the compile [`fingerprint`].
+    pub source: u64,
 }
 
-impl Fnv64 {
-    /// A fresh accumulator at the FNV offset basis.
-    #[must_use]
-    pub fn new() -> Self {
-        Fnv64::default()
-    }
-
-    /// Fold `bytes` into the accumulator.
-    pub fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-
-    /// Fold a string (with a terminator so `"ab","c"` != `"a","bc"`).
-    pub fn write_str(&mut self, s: &str) {
-        self.write(s.as_bytes());
-        self.write(&[0xFF]);
-    }
-
-    /// The accumulated hash.
-    #[must_use]
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// Fingerprint of a full compiler invocation.
-///
-/// Covers `(registry, mapping, entry, entry_args, machine, spill_first)` —
-/// the complete input of [`crate::compile::CypressCompiler::compile`] as far
-/// as the produced kernel is concerned (`dump_ir` only adds diagnostics).
+/// Hash a compile's source. Independent of any machine or compiler
+/// option, so the result can be memoized with the source it describes.
 #[must_use]
-pub fn fingerprint(
+pub fn source_identity(
     registry: &TaskRegistry,
     mapping: &MappingSpec,
     entry: &str,
     entry_args: &[EntryArg],
-    machine: &MachineConfig,
-    spill_first: bool,
-) -> u64 {
+) -> SourceIdentity {
     let mut h = Fnv64::new();
-    h.write_str("cypress-fingerprint-v1");
+    h.write_str("cypress-computation-v1");
     h.write_str(entry);
-    h.write_str(&format!("spill_first={spill_first}"));
-
-    // Machine: the Debug rendering covers every public field and contains
-    // no maps, so it is canonical.
-    h.write_str(&format!("{machine:?}"));
-
     for arg in entry_args {
-        h.write_str(&format!(
+        h.write_args(format_args!(
             "arg {} {}x{} {:?}",
             arg.name, arg.rows, arg.cols, arg.dtype
         ));
@@ -91,15 +83,17 @@ pub fn fingerprint(
     let mut variants: Vec<_> = registry.iter().collect();
     variants.sort_by(|a, b| a.name.cmp(&b.name));
     for v in variants {
-        h.write_str(&format!("{v:?}"));
+        h.write_args(format_args!("{v:?}"));
     }
+    let computation = h.finish();
 
     // Mapping: instances sorted by name, tunables sorted by key (the one
     // map-shaped field inside `TaskMapping`).
+    h.write_str("cypress-fingerprint-v2");
     let mut instances: Vec<_> = mapping.iter().collect();
     instances.sort_by(|a, b| a.instance.cmp(&b.instance));
     for m in instances {
-        h.write_str(&format!(
+        h.write_args(format_args!(
             "inst {} variant {} proc {:?} mems {:?} calls {:?} ws {} pipe {} entry {}",
             m.instance,
             m.variant,
@@ -113,12 +107,69 @@ pub fn fingerprint(
         let mut tunables: Vec<_> = m.tunables.iter().collect();
         tunables.sort();
         for (k, val) in tunables {
-            h.write_str(&format!("tun {k}={val}"));
+            h.write_args(format_args!("tun {k}={val}"));
         }
     }
-    h.write_str(&format!("smem_limit {:?}", mapping.smem_limit));
+    h.write_args(format_args!("smem_limit {:?}", mapping.smem_limit));
 
+    SourceIdentity {
+        computation,
+        source: h.finish(),
+    }
+}
+
+/// The machine's record stream: its `Debug` rendering covers every
+/// public field and contains no maps, so it is canonical.
+fn machine_hasher(machine: &MachineConfig) -> Fnv64 {
+    let mut h = Fnv64::new();
+    h.write_str("cypress-machine-v1");
+    h.write_args(format_args!("{machine:?}"));
+    h
+}
+
+/// Fingerprint of a machine configuration. Persisted in tuning tables:
+/// frozen.
+#[must_use]
+pub fn machine_fingerprint(machine: &MachineConfig) -> u64 {
+    machine_hasher(machine).finish()
+}
+
+/// Hash a compile's target: the machine plus the compiler options that
+/// change codegen (`dump_ir` only adds diagnostics).
+#[must_use]
+pub fn target_fingerprint(machine: &MachineConfig, spill_first: bool) -> u64 {
+    let mut h = machine_hasher(machine);
+    h.write_args(format_args!("spill_first={spill_first}"));
     h.finish()
+}
+
+/// The compile fingerprint of a source hash under a target hash.
+#[must_use]
+pub fn combine(source: u64, target: u64) -> u64 {
+    let mut h = Fnv64::new();
+    h.write(&source.to_le_bytes());
+    h.write(&target.to_le_bytes());
+    h.finish()
+}
+
+/// Fingerprint of a full compiler invocation.
+///
+/// Covers `(registry, mapping, entry, entry_args, machine, spill_first)` —
+/// the complete input of [`crate::compile::CypressCompiler::compile`] as far
+/// as the produced kernel is concerned.
+#[must_use]
+pub fn fingerprint(
+    registry: &TaskRegistry,
+    mapping: &MappingSpec,
+    entry: &str,
+    entry_args: &[EntryArg],
+    machine: &MachineConfig,
+    spill_first: bool,
+) -> u64 {
+    combine(
+        source_identity(registry, mapping, entry, entry_args).source,
+        target_fingerprint(machine, spill_first),
+    )
 }
 
 #[cfg(test)]
@@ -152,6 +203,47 @@ mod tests {
             fingerprint(&r, &m, "gemm", &a, &MachineConfig::h100_sxm5(), true)
         );
         assert_ne!(base, fingerprint(&r, &m, "other", &a, &machine, true));
+    }
+
+    #[test]
+    fn fingerprint_is_source_combined_with_target() {
+        let machine = MachineConfig::test_gpu();
+        let (r, m, a) = gemm::build(128, 128, 64, &machine).unwrap();
+        let id = source_identity(&r, &m, "gemm", &a);
+        for (target, spill_first) in [
+            (&machine, true),
+            (&machine, false),
+            (&MachineConfig::h100_sxm5(), true),
+        ] {
+            assert_eq!(
+                fingerprint(&r, &m, "gemm", &a, target, spill_first),
+                combine(id.source, target_fingerprint(target, spill_first)),
+            );
+        }
+        // The computation half ignores the mapping; the source does not.
+        let (r2, mut m2, a2) = gemm::build(128, 128, 64, &machine).unwrap();
+        m2.smem_limit = Some(1 << 14);
+        let other = source_identity(&r2, &m2, "gemm", &a2);
+        assert_eq!(id.computation, other.computation);
+        assert_ne!(id.source, other.source);
+    }
+
+    #[test]
+    fn persisted_fingerprints_keep_their_recorded_values() {
+        // Tuning tables saved by earlier builds are keyed by these two
+        // hashes; the constants were recorded before the source/target
+        // split and must survive every refactor of this module.
+        let machine = MachineConfig::test_gpu();
+        let (r, m, a) = gemm::build(128, 128, 64, &machine).unwrap();
+        assert_eq!(
+            source_identity(&r, &m, "gemm", &a).computation,
+            0xbb4e_cfc8_11e2_8011
+        );
+        assert_eq!(machine_fingerprint(&machine), 0x1e96_30c2_67f7_9944);
+        assert_eq!(
+            machine_fingerprint(&MachineConfig::h100_sxm5()),
+            0x762f_744f_9b15_cfc8
+        );
     }
 
     #[test]

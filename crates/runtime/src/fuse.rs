@@ -113,30 +113,23 @@ pub struct FusionDecline {
     pub unfused_cycles: f64,
 }
 
-/// The result of planning fusion over a graph: the rewritten graph plus
-/// the bookkeeping to map results back to the original addressing.
+/// A fusion rewrite of a graph — at least one rule fired: the rewritten
+/// graph plus the bookkeeping to map results back to the original
+/// addressing. Nodes no rewrite touched share their [`Program`] with the
+/// source graph's.
 #[derive(Debug)]
 pub struct FusionPlan {
-    /// The rewritten graph ([`FusionPolicy::Off`] never builds one).
+    /// The rewritten graph (never built when nothing fused).
     pub graph: TaskGraph,
     /// Per original node, per parameter: where that parameter's buffer
     /// lives in the rewritten graph (`None` for parameters a fused node
     /// no longer materializes, e.g. a dead intermediate).
     param_map: Vec<Vec<Option<(usize, usize)>>>,
-    /// The rewrites that fired, in application order.
+    /// The rewrites that fired, in application order (never empty).
     pub rewrites: Vec<FusionRewrite>,
-    /// Candidates the simulator gate measured and rejected, in match
-    /// order (empty for the identity plan).
-    pub declined: Vec<FusionDecline>,
 }
 
 impl FusionPlan {
-    /// `true` when no rewrite fired (the plan is the identity).
-    #[must_use]
-    pub fn is_identity(&self) -> bool {
-        self.rewrites.is_empty()
-    }
-
     /// Where original `(node, param)` lives in the rewritten graph.
     #[must_use]
     pub fn target(&self, node: usize, param: usize) -> Option<(usize, usize)> {
@@ -193,12 +186,14 @@ pub(crate) trait FusionGate {
 
 /// Plan fusion over `graph` for `machine`: match candidates, let `gate`
 /// veto the ones that do not pay, and rebuild the graph with the
-/// survivors applied.
+/// survivors applied. Returns the rewrite — `None` when nothing fused,
+/// in which case no graph is built — and the candidates the gate
+/// measured and rejected, in match order.
 pub(crate) fn plan(
     graph: &TaskGraph,
     machine: &MachineConfig,
     gate: &mut dyn FusionGate,
-) -> Result<FusionPlan, RuntimeError> {
+) -> Result<(Option<FusionPlan>, Vec<FusionDecline>), RuntimeError> {
     let candidates = match_candidates(graph, machine);
     let mut accepted: Vec<Candidate> = Vec::new();
     let mut declined: Vec<FusionDecline> = Vec::new();
@@ -246,24 +241,12 @@ pub(crate) fn plan(
         cand.unfused_cycles = unfused;
         accepted.push(cand);
     }
-    let mut plan = apply(graph, accepted)?;
-    plan.declined = declined;
-    Ok(plan)
-}
-
-/// The identity plan (used by `FusionPolicy::Off` paths and tests).
-pub(crate) fn identity_plan(graph: &TaskGraph) -> FusionPlan {
-    FusionPlan {
-        graph: graph.clone(),
-        param_map: graph
-            .nodes()
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (0..n.program.args.len()).map(|p| Some((i, p))).collect())
-            .collect(),
-        rewrites: Vec::new(),
-        declined: Vec::new(),
-    }
+    let plan = if accepted.is_empty() {
+        None
+    } else {
+        Some(apply(graph, accepted)?)
+    };
+    Ok((plan, declined))
 }
 
 /// Pattern-match all fusion candidates, deterministically (ascending
@@ -446,9 +429,6 @@ fn same_source(a: &Binding, b: &Binding) -> bool {
 /// Rebuild the graph with `accepted` rewrites applied, producing the
 /// original→rewritten parameter map.
 fn apply(graph: &TaskGraph, accepted: Vec<Candidate>) -> Result<FusionPlan, RuntimeError> {
-    if accepted.is_empty() {
-        return Ok(identity_plan(graph));
-    }
     let mut at_position: Vec<Option<&Candidate>> = vec![None; graph.len()];
     let mut member_of: Vec<Option<&Candidate>> = vec![None; graph.len()];
     for cand in &accepted {
@@ -556,7 +536,6 @@ fn apply(graph: &TaskGraph, accepted: Vec<Candidate>) -> Result<FusionPlan, Runt
         graph: fused,
         param_map,
         rewrites,
-        declined: Vec::new(),
     })
 }
 
@@ -627,7 +606,8 @@ mod tests {
     #[test]
     fn chain_pattern_fuses_to_one_node() {
         let g = chain_graph();
-        let plan = plan(&g, &MachineConfig::test_gpu(), &mut AlwaysFuse).unwrap();
+        let (plan, declined) = plan(&g, &MachineConfig::test_gpu(), &mut AlwaysFuse).unwrap();
+        let plan = plan.expect("the chain fuses");
         assert_eq!(plan.graph.len(), 1);
         assert_eq!(plan.rewrites.len(), 1);
         assert_eq!(plan.rewrites[0].rule, "dual_chain");
@@ -635,7 +615,7 @@ mod tests {
         // AlwaysFuse scores every program 1.0: fused 1.0 vs 2 members.
         assert_eq!(plan.rewrites[0].fused_cycles, 1.0);
         assert_eq!(plan.rewrites[0].unfused_cycles, 2.0);
-        assert!(plan.declined.is_empty());
+        assert!(declined.is_empty());
         assert_eq!(plan.graph.nodes()[0].name, "up+down");
         // The consumer's C maps to the fused C; the dead intermediate
         // maps nowhere.
@@ -644,22 +624,51 @@ mod tests {
     }
 
     #[test]
+    fn untouched_nodes_share_their_programs_with_the_source_graph() {
+        let mut g = chain_graph();
+        for name in ["side", "tail"] {
+            g.add_node(
+                name,
+                gemm_program(64, 64, 64),
+                vec![
+                    Binding::Zeros,
+                    Binding::external("X"),
+                    Binding::external("W1"),
+                ],
+            )
+            .unwrap();
+        }
+        let (plan, _) = plan(&g, &MachineConfig::test_gpu(), &mut AlwaysFuse).unwrap();
+        let plan = plan.expect("the chain fuses");
+        assert_eq!(plan.graph.len(), 3);
+        for (orig, node) in g.nodes().iter().enumerate().skip(2) {
+            let (idx, _) = plan.target(orig, 0).unwrap();
+            let rebuilt = &plan.graph.nodes()[idx];
+            assert_eq!(rebuilt.name, node.name);
+            assert!(
+                rebuilt.program.shares_parts_with(&node.program),
+                "`{}` was copied, not shared",
+                node.name
+            );
+        }
+    }
+
+    #[test]
     fn gate_vetoes_everything_when_it_cannot_evaluate() {
         let g = chain_graph();
-        let plan = plan(&g, &MachineConfig::test_gpu(), &mut NeverFuse).unwrap();
-        assert!(plan.is_identity());
-        assert_eq!(plan.graph.len(), 2);
+        let (plan, declined) = plan(&g, &MachineConfig::test_gpu(), &mut NeverFuse).unwrap();
+        assert!(plan.is_none(), "nothing fused, so no graph is built");
         // Unevaluable candidates are skipped, not declined.
-        assert!(plan.declined.is_empty());
+        assert!(declined.is_empty());
     }
 
     #[test]
     fn measured_losers_are_declined_with_margins() {
         let g = chain_graph();
-        let plan = plan(&g, &MachineConfig::test_gpu(), &mut PreferUnfused).unwrap();
-        assert!(plan.is_identity());
-        assert_eq!(plan.declined.len(), 1);
-        let d = &plan.declined[0];
+        let (plan, declined) = plan(&g, &MachineConfig::test_gpu(), &mut PreferUnfused).unwrap();
+        assert!(plan.is_none());
+        assert_eq!(declined.len(), 1);
+        let d = &declined[0];
         assert_eq!(d.rule, "dual_chain");
         assert_eq!(d.replaced, vec!["up", "down"]);
         assert_eq!(d.fused_cycles, 10.0);
@@ -670,8 +679,8 @@ mod tests {
     fn retained_intermediate_stays_unfused() {
         let mut g = chain_graph();
         g.retain(NodeId(0)).unwrap();
-        let plan = plan(&g, &MachineConfig::test_gpu(), &mut AlwaysFuse).unwrap();
-        assert!(plan.is_identity());
+        let (plan, _) = plan(&g, &MachineConfig::test_gpu(), &mut AlwaysFuse).unwrap();
+        assert!(plan.is_none());
     }
 
     #[test]
@@ -694,7 +703,8 @@ mod tests {
             vec![Binding::Zeros, Binding::external("X")],
         )
         .unwrap();
-        let plan = plan(&g, &machine, &mut AlwaysFuse).unwrap();
+        let (plan, _) = plan(&g, &machine, &mut AlwaysFuse).unwrap();
+        let plan = plan.expect("the pair fuses");
         assert_eq!(plan.graph.len(), 1);
         assert_eq!(plan.rewrites[0].rule, "gemm_reduction");
         assert_eq!(plan.target(0, 0), Some((0, 0)), "gemm C -> gr C");
@@ -722,7 +732,7 @@ mod tests {
             vec![Binding::Zeros, Binding::output(a, 0)],
         )
         .unwrap();
-        let plan = plan(&g, &machine, &mut AlwaysFuse).unwrap();
-        assert!(plan.is_identity());
+        let (plan, _) = plan(&g, &machine, &mut AlwaysFuse).unwrap();
+        assert!(plan.is_none());
     }
 }

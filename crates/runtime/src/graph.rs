@@ -346,8 +346,10 @@ mod tests {
     fn edges_validate_dtypes() {
         use cypress_tensor::DType;
         let mut g = TaskGraph::new();
-        let mut f32_producer = gemm_program(64, 64, 64);
-        f32_producer.args[0].dtype = DType::F32;
+        let (registry, mapping, mut args) =
+            gemm::build(64, 64, 64, &MachineConfig::test_gpu()).unwrap();
+        args[0].dtype = DType::F32;
+        let f32_producer = Program::new(registry, mapping, "gemm", args);
         let a = g
             .add_node(
                 "first",

@@ -7,7 +7,9 @@
 //! Hidet's driver layer play in related systems):
 //!
 //! - [`Program`]: one compilable unit — task registry, mapping
-//!   specification, entry name, and entry argument descriptors;
+//!   specification, entry name, and entry argument descriptors — as an
+//!   immutable handle whose clones share storage and which hashes its
+//!   own identity once;
 //! - [`TaskGraph`]: a DAG of kernel launches whose edges are explicit
 //!   tensor buffers ([`Binding::Output`] wires a producer's parameter
 //!   buffer into a consumer's parameter slot);
@@ -152,7 +154,7 @@ pub use executor::GraphRun;
 pub use fuse::{FusionDecline, FusionPolicy, FusionRewrite};
 pub use graph::{Binding, Node, NodeId, TaskGraph};
 pub use pool::{BufferPool, PoolStats};
-pub use program::{Program, SpaceBinding};
+pub use program::{Program, ProgramParts, SpaceBinding};
 pub use report::{GraphReport, NodeTiming, Recovery};
 pub use session::{CompiledGraph, FaultPolicy, MappingPolicy, SchedulePolicy, Session};
 pub use shard::{PlacementPolicy, ShardPlan, ShardTransfer};

@@ -14,11 +14,39 @@
 //! mappings and transparently swap the winner in. [`Program::from_space`]
 //! builds a bound program at the space's hand-tuned default, so an
 //! untuned launch is bit-identical to the plain builders.
+//!
+//! # Immutable, shared, self-identifying
+//!
+//! A `Program` is a handle to [`ProgramParts`] behind an [`Arc`]. The
+//! parts are readable by plain field access through `Deref`
+//! (`program.registry`, `&node.program.args`, `program.space`) and are
+//! never writable after construction: there is no `DerefMut`, no setter,
+//! and [`Program::with_space`] builds a new value. That is what makes
+//! two things sound:
+//!
+//! - **Clones share everything.** `Program::clone` bumps a reference
+//!   count, so every graph the runtime rebuilds from another (the fusion
+//!   and shard rewrites, [`crate::Session::compile_graph`]) shares its
+//!   nodes' registries and mappings with the source graph.
+//! - **The identity is computed once.** The parts memoize their
+//!   target-free [`SourceIdentity`] — the hash a warm launch needs to
+//!   find its compiled kernel — on first use; every clone sees the memo.
+//!
+//! The identity is *structural*, never the allocation's address: it is
+//! the hash [`cypress_core::fingerprint::source_identity`] computes from
+//! the parts, so a program rebuilt from scratch has the identity of the
+//! original and hits the same cache entries, and nothing
+//! target-dependent is stored — a session combines the program's source
+//! hash with its own target hash, so one program launched through
+//! sessions with different machines or compiler options still gets
+//! different fingerprints.
 
+use cypress_core::fingerprint::{source_identity, SourceIdentity};
 use cypress_core::front::Privilege;
 use cypress_core::{CompileError, EntryArg, MappingSpace, MappingSpec, Shape, TaskRegistry};
 use cypress_sim::MachineConfig;
-use std::sync::Arc;
+use std::ops::Deref;
+use std::sync::{Arc, OnceLock};
 
 /// The mapping space a tunable program was built from, plus its problem
 /// shape — what [`crate::Session::autotune`] needs to enumerate
@@ -31,9 +59,18 @@ pub struct SpaceBinding {
     pub shape: Shape,
 }
 
-/// One compilable Cypress program.
+/// One compilable Cypress program: an immutable, cheaply cloned handle
+/// (see the [module docs](self)). Dereferences to its [`ProgramParts`].
 #[derive(Debug, Clone)]
 pub struct Program {
+    parts: Arc<ProgramParts>,
+}
+
+/// What a [`Program`] holds, read through the program's `Deref`. Only
+/// [`Program`]'s constructors build one, and nothing hands out `&mut`
+/// access, so the memoized identity can never go stale.
+#[derive(Debug)]
+pub struct ProgramParts {
     /// Task variants.
     pub registry: TaskRegistry,
     /// Mapping specification (must have exactly one entrypoint).
@@ -45,9 +82,38 @@ pub struct Program {
     /// The mapping space this program was built from, when known —
     /// `None` programs always run their fixed mapping.
     pub space: Option<SpaceBinding>,
+    /// Hash of `(registry, mapping, entry, args)`, filled on first use.
+    identity: OnceLock<SourceIdentity>,
+}
+
+impl Deref for Program {
+    type Target = ProgramParts;
+
+    fn deref(&self) -> &ProgramParts {
+        &self.parts
+    }
 }
 
 impl Program {
+    fn build(
+        registry: TaskRegistry,
+        mapping: MappingSpec,
+        entry: String,
+        args: Vec<EntryArg>,
+        space: Option<SpaceBinding>,
+    ) -> Self {
+        Program {
+            parts: Arc::new(ProgramParts {
+                registry,
+                mapping,
+                entry,
+                args,
+                space,
+                identity: OnceLock::new(),
+            }),
+        }
+    }
+
     /// Package a registry, mapping, and argument list under `entry`.
     #[must_use]
     pub fn new(
@@ -56,13 +122,7 @@ impl Program {
         entry: &str,
         args: Vec<EntryArg>,
     ) -> Self {
-        Program {
-            registry,
-            mapping,
-            entry: entry.to_string(),
-            args,
-            space: None,
-        }
+        Program::build(registry, mapping, entry.to_string(), args, None)
     }
 
     /// Adapt the `(registry, mapping, args)` triple the kernel builders
@@ -91,21 +151,50 @@ impl Program {
         space.validate(machine, &shape, &cfg)?;
         let (registry, mapping, args) = space.build(&shape, &cfg)?;
         let entry = space.entry().to_string();
-        Ok(Program {
+        Ok(Program::build(
             registry,
             mapping,
             entry,
             args,
-            space: Some(SpaceBinding { space, shape }),
-        })
+            Some(SpaceBinding { space, shape }),
+        ))
     }
 
-    /// Attach a [`SpaceBinding`] to an already-built program (the
-    /// program must have been built from the same space and shape).
+    /// This program with a [`SpaceBinding`] attached (the program must
+    /// have been built from the same space and shape). Builds a new
+    /// value: a handle nobody else holds gives up its parts, a shared
+    /// one is copied and its other holders are unaffected. The binding
+    /// is not part of the identity, so a memoized one carries over.
     #[must_use]
-    pub fn with_space(mut self, space: Arc<dyn MappingSpace>, shape: Shape) -> Self {
-        self.space = Some(SpaceBinding { space, shape });
-        self
+    pub fn with_space(self, space: Arc<dyn MappingSpace>, shape: Shape) -> Self {
+        let mut parts = Arc::try_unwrap(self.parts).unwrap_or_else(|shared| ProgramParts {
+            registry: shared.registry.clone(),
+            mapping: shared.mapping.clone(),
+            entry: shared.entry.clone(),
+            args: shared.args.clone(),
+            space: None,
+            identity: shared.identity.clone(),
+        });
+        parts.space = Some(SpaceBinding { space, shape });
+        Program {
+            parts: Arc::new(parts),
+        }
+    }
+
+    /// The target-free identity of `(registry, mapping, entry, args)`,
+    /// hashed on first use and shared by every clone.
+    pub(crate) fn identity(&self) -> SourceIdentity {
+        *self
+            .parts
+            .identity
+            .get_or_init(|| source_identity(&self.registry, &self.mapping, &self.entry, &self.args))
+    }
+
+    /// `true` when `self` and `other` are handles to the same parts —
+    /// what the rebuild passes' tests assert about the graphs they emit.
+    #[cfg(test)]
+    pub(crate) fn shares_parts_with(&self, other: &Program) -> bool {
+        Arc::ptr_eq(&self.parts, &other.parts)
     }
 
     /// The index of the entry parameter called `name`.
@@ -155,5 +244,69 @@ mod tests {
         assert_eq!(p.param_index("A"), Some(1));
         assert_eq!(p.param_index("B"), Some(2));
         assert_eq!(p.output_indices(), vec![0]);
+    }
+
+    fn gemm_program() -> Program {
+        Program::from_parts(
+            gemm::build(128, 128, 64, &MachineConfig::test_gpu()).unwrap(),
+            "gemm",
+        )
+    }
+
+    #[test]
+    fn clones_and_rebuilds_have_the_memoized_identity() {
+        let original = gemm_program();
+        // Taken before the original is hashed: the clone shares the
+        // (still empty) memo, the rebuild owns its own.
+        let early_clone = original.clone();
+        let early_rebuild = gemm_program();
+        assert!(early_clone.shares_parts_with(&original));
+        assert!(!early_rebuild.shares_parts_with(&original));
+        let early_rebuild_id = early_rebuild.identity();
+
+        let id = original.identity();
+        assert_eq!(
+            id,
+            source_identity(
+                &original.registry,
+                &original.mapping,
+                &original.entry,
+                &original.args
+            ),
+            "the memo is the structural hash of the parts"
+        );
+        assert_eq!(early_clone.identity(), id);
+        assert_eq!(early_rebuild_id, id);
+        // And after: a late clone reads the memo, a late rebuild rehashes
+        // to the same value.
+        assert_eq!(original.clone().identity(), id);
+        assert_eq!(gemm_program().identity(), id);
+        assert_eq!(original.identity(), id, "asking twice changes nothing");
+    }
+
+    #[test]
+    fn with_space_rebuilds_and_keeps_the_identity() {
+        let shape = Shape::of(&[128, 128, 64]);
+        let plain = gemm_program();
+        let id = plain.identity();
+        // A shared handle is copied: the other holder stays unbound.
+        let bound = plain
+            .clone()
+            .with_space(Arc::new(gemm::GemmSpace), shape.clone());
+        assert!(plain.space.is_none());
+        assert!(bound.space.is_some());
+        assert!(!bound.shares_parts_with(&plain));
+        assert_eq!(bound.identity(), id);
+        // A sole handle gives up its parts; the binding never enters
+        // the identity either way.
+        let sole = gemm_program().with_space(Arc::new(gemm::GemmSpace), shape);
+        assert_eq!(sole.identity(), id);
+    }
+
+    #[test]
+    fn programs_cross_threads() {
+        // The sweep workers borrow programs; the memo must not cost that.
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<Program>();
     }
 }

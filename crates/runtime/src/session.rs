@@ -60,6 +60,7 @@ use crate::report::GraphReport;
 use crate::shard::{self, PlacementPolicy, ShardPlan};
 use crate::telemetry::{Event, MetricsRegistry, MetricsSnapshot, NoopRecorder, Recorder};
 use crate::tuner::{key_for, TunedMapping, TunerBudget, TuningKey, TuningTable};
+use cypress_core::fingerprint::{combine, machine_fingerprint, target_fingerprint};
 use cypress_core::{Compiled, CompilerOptions, CypressCompiler, COST_MODEL_VERSION};
 use cypress_sim::{FaultPlan, MachineConfig, Simulator, TimingReport, Topology};
 use cypress_tensor::Tensor;
@@ -263,6 +264,12 @@ impl CompiledGraph {
 #[derive(Debug)]
 pub struct Session {
     compiler: CypressCompiler,
+    /// [`target_fingerprint`] of the compiler's machine and options and
+    /// [`machine_fingerprint`] of the machine, hashed once here: with a
+    /// program's memoized source hash they make a cache key or a tuning
+    /// key without rendering anything.
+    target: u64,
+    machine_fp: u64,
     simulator: Simulator,
     cache: KernelCache,
     pool: BufferPool,
@@ -310,6 +317,8 @@ impl Session {
     pub fn with_options(opts: CompilerOptions) -> Self {
         let machine = opts.machine.clone();
         Session {
+            target: target_fingerprint(&machine, opts.spill_first),
+            machine_fp: machine_fingerprint(&machine),
             compiler: CypressCompiler::new(opts),
             simulator: Simulator::new(machine),
             cache: KernelCache::new(),
@@ -531,6 +540,14 @@ impl Session {
         self.tuning.merge(table);
     }
 
+    /// The compile fingerprint of `program` in this session — the value
+    /// [`CypressCompiler::fingerprint`] computes from the parts, here
+    /// from the program's memoized source hash and the session's target
+    /// hash.
+    fn fingerprint_of(&self, program: &Program) -> u64 {
+        combine(program.identity().source, self.target)
+    }
+
     /// Compile `program`, reusing the cached kernel when the fingerprint
     /// of `(tasks, mapping, entry args, machine, options)` matches a
     /// previous compile. A hit returns the identical [`Compiled`] without
@@ -540,12 +557,7 @@ impl Session {
     ///
     /// Propagates [`RuntimeError::Compile`] from the pass pipeline.
     pub fn compile(&mut self, program: &Program) -> Result<Arc<Compiled>, RuntimeError> {
-        let fp = self.compiler.fingerprint(
-            &program.registry,
-            &program.mapping,
-            &program.entry,
-            &program.args,
-        );
+        let fp = self.fingerprint_of(program);
         let before = self.recorder.enabled().then(|| self.cache.stats());
         let compiler = &self.compiler;
         let compiled = self.cache.get_or_compile(fp, || {
@@ -620,7 +632,7 @@ impl Session {
             });
         };
         let machine = self.machine().clone();
-        let key = key_for(program, &binding.shape, &machine);
+        let key = key_for(program, &binding.shape, self.machine_fp);
         if let Some(done) = self.tuning.get(&key) {
             // Tables can be hand-edited or imported from elsewhere: a
             // stored winner that no longer validates is re-tuned below
@@ -861,12 +873,7 @@ impl Session {
                 continue;
             };
             let program = Program::new(registry, mapping, binding.space.entry(), args);
-            let fp = self.compiler.fingerprint(
-                &program.registry,
-                &program.mapping,
-                &program.entry,
-                &program.args,
-            );
+            let fp = self.fingerprint_of(&program);
             built.push((cfg, program, fp));
         }
         // Compile the cache misses on the worker pool.
@@ -965,8 +972,9 @@ impl Session {
     /// [`MappingPolicy`], with its mapping annotation.
     ///
     /// Tuned launches are memoized per [`crate::TuningKey`], so a warm
-    /// serving loop pays one fingerprint hash per node — the same as the
-    /// default path — instead of re-running the space's builder. A
+    /// serving loop pays one map lookup per node — keyed by hashes the
+    /// program and the session already hold, the same as the default
+    /// path — instead of re-running the space's builder. A
     /// program whose space has no valid candidate on this machine (e.g.
     /// built for a different machine) falls back to its own mapping.
     fn node_launch(&mut self, program: &Program) -> Result<NodeLaunch, RuntimeError> {
@@ -977,7 +985,7 @@ impl Session {
         };
         if let Some(budget) = budget {
             if let Some(binding) = program.space.clone() {
-                let key = key_for(program, &binding.shape, self.machine());
+                let key = key_for(program, &binding.shape, self.machine_fp);
                 if let Some(hit) = self.tuned_launches.get(&key) {
                     return Ok(hit.clone());
                 }
@@ -1041,29 +1049,33 @@ impl Session {
             return Ok(None);
         }
         let machine = self.machine().clone();
-        let plan = fuse::plan(graph, &machine, self)?;
-        self.metrics.fusion_applied += plan.rewrites.len() as u64;
-        self.metrics.fusion_declined += plan.declined.len() as u64;
+        let (plan, declined) = fuse::plan(graph, &machine, self)?;
+        if let Some(plan) = &plan {
+            self.metrics.fusion_applied += plan.rewrites.len() as u64;
+        }
+        self.metrics.fusion_declined += declined.len() as u64;
         if self.recorder.enabled() {
-            for r in &plan.rewrites {
-                self.recorder.record(Event::FusionApplied {
-                    rule: r.rule,
-                    fused: plan.graph.nodes()[r.fused.index()].name.clone(),
-                    replaced: r.replaced.clone(),
-                    fused_cycles: r.fused_cycles,
-                    unfused_cycles: r.unfused_cycles,
-                });
+            if let Some(plan) = &plan {
+                for r in &plan.rewrites {
+                    self.recorder.record(Event::FusionApplied {
+                        rule: r.rule,
+                        fused: plan.graph.nodes()[r.fused.index()].name.clone(),
+                        replaced: r.replaced.clone(),
+                        fused_cycles: r.fused_cycles,
+                        unfused_cycles: r.unfused_cycles,
+                    });
+                }
             }
-            for d in &plan.declined {
+            for d in declined {
                 self.recorder.record(Event::FusionDeclined {
                     rule: d.rule,
-                    replaced: d.replaced.clone(),
+                    replaced: d.replaced,
                     fused_cycles: d.fused_cycles,
                     unfused_cycles: d.unfused_cycles,
                 });
             }
         }
-        Ok((!plan.is_identity()).then_some(plan))
+        Ok(plan)
     }
 
     /// Shard `graph` across `topology`'s devices under the session's
@@ -1387,12 +1399,7 @@ impl fuse::FusionGate for Session {
     /// program that does not compile (the rewriter's candidate did not
     /// fit this machine after all) yields `None`, vetoing its rewrite.
     fn solo_cycles(&mut self, program: &Program) -> Option<f64> {
-        let fp = self.compiler.fingerprint(
-            &program.registry,
-            &program.mapping,
-            &program.entry,
-            &program.args,
-        );
+        let fp = self.fingerprint_of(program);
         if let Some(c) = self.solo_cycles.get(&fp) {
             return Some(*c);
         }

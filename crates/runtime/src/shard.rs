@@ -33,6 +33,7 @@ use crate::program::Program;
 use cypress_core::kernels::comm;
 use cypress_core::Shape;
 use cypress_sim::Topology;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -254,7 +255,9 @@ pub(crate) fn replan(
 /// then rebuild the graph with an explicit transfer node on every
 /// cross-device tensor-buffer edge (one per distinct
 /// `(producer, param, destination device)` — a buffer consumed twice on
-/// the same remote device crosses the link once).
+/// the same remote device crosses the link once). Original nodes share
+/// their [`Program`] with `graph`'s; transfers of one tensor shape share
+/// one transfer program.
 ///
 /// # Errors
 ///
@@ -277,6 +280,10 @@ pub(crate) fn plan(graph: &TaskGraph, topology: &Topology) -> Result<ShardPlan, 
     let mut new_id: Vec<NodeId> = Vec::with_capacity(graph.len());
     // (producer, param, destination device) -> inserted transfer node.
     let mut xfer_cache: HashMap<(usize, usize, usize), NodeId> = HashMap::new();
+    // (rows, cols) -> the transfer program of that shape: every transfer
+    // of one shape launches a handle to the same program (the session's
+    // topologies are homogeneous, so the destination does not enter).
+    let mut xfer_programs: HashMap<(usize, usize), Program> = HashMap::new();
 
     for (i, node) in graph.nodes().iter().enumerate() {
         let dev = device[i];
@@ -306,14 +313,19 @@ pub(crate) fn plan(graph: &TaskGraph, topology: &Topology) -> Result<ShardPlan, 
                             ),
                         }
                     })?;
-                    let program = Program::from_parts(
-                        comm::build_transfer(arg.rows, arg.cols, &topology.devices[dev])?,
-                        "xfer",
-                    )
-                    .with_space(
-                        Arc::new(comm::TransferSpace),
-                        Shape::of(&[arg.rows, arg.cols]),
-                    );
+                    let program = match xfer_programs.entry((arg.rows, arg.cols)) {
+                        Entry::Occupied(built) => built.get().clone(),
+                        Entry::Vacant(slot) => {
+                            let parts =
+                                comm::build_transfer(arg.rows, arg.cols, &topology.devices[dev])?;
+                            let shape = Shape::of(&[arg.rows, arg.cols]);
+                            slot.insert(
+                                Program::from_parts(parts, "xfer")
+                                    .with_space(Arc::new(comm::TransferSpace), shape),
+                            )
+                            .clone()
+                        }
+                    };
                     let id = sharded.add_node(
                         &format!("xfer:{}.{param}->d{dev}", producer.name),
                         program,
@@ -454,6 +466,50 @@ mod tests {
         for (orig, n) in [(0usize, "a"), (1, "b"), (2, "c")] {
             let (idx, _) = plan.target(orig, 0).unwrap();
             assert_eq!(plan.graph.nodes()[idx].name, n);
+        }
+    }
+
+    #[test]
+    fn rebuilt_nodes_share_programs_and_transfers_share_per_shape() {
+        let machine = MachineConfig::test_gpu();
+        let mut g = TaskGraph::new();
+        // Four roots round-robin over four devices; each consumer reads
+        // two of them, so at least one 64x64 buffer per consumer crosses
+        // a link.
+        let roots: Vec<NodeId> = (0..4).map(|i| root(&mut g, &format!("r{i}"), 64)).collect();
+        for i in 0..4 {
+            g.add_node(
+                &format!("c{i}"),
+                gemm_program(64),
+                vec![
+                    Binding::Zeros,
+                    Binding::output(roots[i], 0),
+                    Binding::output(roots[(i + 1) % 4], 0),
+                ],
+            )
+            .unwrap();
+        }
+        let plan = plan(&g, &Topology::nvlink(&machine, 4)).unwrap();
+        assert!(
+            plan.transfers.len() >= 2,
+            "{} transfers",
+            plan.transfers.len()
+        );
+        for (i, node) in plan.graph.nodes().iter().enumerate() {
+            match plan.origin(i) {
+                Some(orig) => assert!(
+                    node.program.shares_parts_with(&g.nodes()[orig].program),
+                    "`{}` was copied, not shared",
+                    node.name
+                ),
+                None => assert!(
+                    node.program.shares_parts_with(
+                        &plan.graph.nodes()[plan.transfers[0].node.index()].program
+                    ),
+                    "`{}` built its own 64x64 transfer program",
+                    node.name
+                ),
+            }
         }
     }
 

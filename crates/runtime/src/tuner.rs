@@ -19,9 +19,8 @@
 
 use crate::error::RuntimeError;
 use crate::program::Program;
-use cypress_core::fingerprint::Fnv64;
+pub use cypress_core::fingerprint::machine_fingerprint;
 use cypress_core::{MappingConfig, Shape, COST_MODEL_VERSION};
-use cypress_sim::MachineConfig;
 use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -61,7 +60,7 @@ pub struct TuningKey {
     pub computation: u64,
     /// The problem shape the winner was tuned at.
     pub shape: Vec<usize>,
-    /// Fingerprint of the [`MachineConfig`] (see
+    /// Fingerprint of the [`cypress_sim::MachineConfig`] (see
     /// [`machine_fingerprint`]).
     pub machine: u64,
 }
@@ -428,44 +427,23 @@ impl TuningTable {
 /// Fingerprint of a program's *computation*: the task registry (sorted
 /// by variant name), the entry task, and the entry argument shapes —
 /// deliberately excluding the mapping, so every candidate mapping of one
-/// computation shares a tuning-table key.
+/// computation shares a tuning-table key. It is the
+/// [`cypress_core::fingerprint::SourceIdentity::computation`] half of
+/// the identity the program memoizes, so asking again costs nothing.
 #[must_use]
 pub fn computation_fingerprint(program: &Program) -> u64 {
-    let mut h = Fnv64::new();
-    h.write_str("cypress-computation-v1");
-    h.write_str(&program.entry);
-    for arg in &program.args {
-        h.write_str(&format!(
-            "arg {} {}x{} {:?}",
-            arg.name, arg.rows, arg.cols, arg.dtype
-        ));
-    }
-    let mut variants: Vec<_> = program.registry.iter().collect();
-    variants.sort_by(|a, b| a.name.cmp(&b.name));
-    for v in variants {
-        h.write_str(&format!("{v:?}"));
-    }
-    h.finish()
+    program.identity().computation
 }
 
-/// Fingerprint of a machine configuration (its `Debug` rendering covers
-/// every public field and contains no maps, so it is canonical).
-#[must_use]
-pub fn machine_fingerprint(machine: &MachineConfig) -> u64 {
-    let mut h = Fnv64::new();
-    h.write_str("cypress-machine-v1");
-    h.write_str(&format!("{machine:?}"));
-    h.finish()
-}
-
-/// The table key for `program` at `machine` (the shape comes from the
+/// The table key for `program` on the machine whose
+/// [`machine_fingerprint`] is `machine` (the shape comes from the
 /// program's [`crate::SpaceBinding`]).
 #[must_use]
-pub(crate) fn key_for(program: &Program, shape: &Shape, machine: &MachineConfig) -> TuningKey {
+pub(crate) fn key_for(program: &Program, shape: &Shape, machine: u64) -> TuningKey {
     TuningKey {
         computation: computation_fingerprint(program),
         shape: shape.0.clone(),
-        machine: machine_fingerprint(machine),
+        machine,
     }
 }
 
@@ -473,6 +451,7 @@ pub(crate) fn key_for(program: &Program, shape: &Shape, machine: &MachineConfig)
 mod tests {
     use super::*;
     use cypress_core::kernels::gemm::GemmConfig;
+    use cypress_sim::MachineConfig;
 
     fn sample_table() -> TuningTable {
         let mut t = TuningTable::new();

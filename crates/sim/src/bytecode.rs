@@ -30,11 +30,13 @@
 //! exactly where the tree walk would.
 
 use std::collections::HashMap;
+use std::fmt::Write as _;
 
 use crate::apply::RSlice;
 use crate::error::SimError;
 use crate::expr::{Cond, Env, EvalError, Expr};
 use crate::flatten::{flatten, Flat};
+use crate::fnv::Fnv64;
 use crate::instr::{Instr, SimtOp};
 use crate::kernel::Kernel;
 use crate::mem::{MemRef, Slice, Space};
@@ -314,20 +316,10 @@ impl Program {
 /// Every run recomputes it, so the formatter streams into the hash
 /// instead of building the string first.
 pub(crate) fn kernel_shape_hash(kernel: &Kernel) -> u64 {
-    struct Fnv(u64);
-    impl std::fmt::Write for Fnv {
-        fn write_str(&mut self, s: &str) -> std::fmt::Result {
-            for b in s.bytes() {
-                self.0 ^= u64::from(b);
-                self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-            Ok(())
-        }
-    }
-    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    let mut h = Fnv64::new();
     // The sink never fails, so neither does the formatter.
-    let _ = std::fmt::Write::write_fmt(&mut h, format_args!("{kernel:?}"));
-    h.0
+    let _ = write!(h, "{kernel:?}");
+    h.finish()
 }
 
 /// Lower `kernel`'s role bodies into a flat [`Program`].

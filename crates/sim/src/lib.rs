@@ -74,6 +74,7 @@ pub mod error;
 pub mod expr;
 pub mod fault;
 pub mod flatten;
+mod fnv;
 pub mod instr;
 pub mod kernel;
 pub mod machine;
@@ -91,6 +92,7 @@ pub use concurrent::{
 pub use error::SimError;
 pub use expr::{Cond, Env, Expr};
 pub use fault::{Fault, FaultPlan};
+pub use fnv::Fnv64;
 pub use instr::{BinOp, Instr, RedOp, SimtOp, UnOp};
 pub use kernel::{Kernel, KernelError, MbarDecl, Role, RoleKind, StaticTotals};
 pub use machine::{CostConstants, MachineConfig};
