@@ -12,6 +12,8 @@ pub enum CompileError {
     UnknownInstance(String),
     /// The mapping has no (or more than one) entrypoint.
     BadEntrypoint,
+    /// Two mapping instances share a name.
+    DuplicateInstance(String),
     /// A launch site had no mapping dispatch for the launched task.
     NoDispatch {
         /// Instance performing the launch.
@@ -102,6 +104,12 @@ impl fmt::Display for CompileError {
             CompileError::BadEntrypoint => {
                 write!(f, "mapping must declare exactly one entrypoint instance")
             }
+            CompileError::DuplicateInstance(i) => {
+                write!(
+                    f,
+                    "mapping declares instance `{i}` more than once; instance names must be unique"
+                )
+            }
             CompileError::NoDispatch { from, task } => {
                 write!(
                     f,
@@ -185,6 +193,8 @@ mod tests {
             limit: 10,
         };
         assert!(e.to_string().contains("100"));
+        let e = CompileError::DuplicateInstance("gemm_tile".into());
+        assert!(e.to_string().contains("`gemm_tile` more than once"));
         let e = CompileError::CopyElimDiverged { rounds: 512 };
         assert!(e.to_string().contains("512"));
         assert!(e

@@ -88,11 +88,15 @@ impl TaskMapping {
     }
 }
 
-/// A full mapping specification: a set of instances, exactly one of which
-/// is the entrypoint.
-#[derive(Debug, Clone, Default)]
+/// A full mapping specification: a set of uniquely named instances,
+/// exactly one of which is the entrypoint.
+#[derive(Debug, Clone)]
 pub struct MappingSpec {
-    instances: HashMap<String, TaskMapping>,
+    /// The entrypoint, held apart from the rest so "exactly one" is a
+    /// property of the type.
+    entry: TaskMapping,
+    /// Every other instance, by name.
+    others: HashMap<String, TaskMapping>,
     /// Shared-memory budget per thread block for the resource allocator;
     /// `None` uses the machine's full per-SM capacity.
     pub smem_limit: Option<usize>,
@@ -104,29 +108,33 @@ impl MappingSpec {
     /// # Errors
     ///
     /// Returns [`CompileError::BadEntrypoint`] unless exactly one instance
-    /// is marked `entrypoint`, or [`CompileError::UnknownInstance`] if a
+    /// is marked `entrypoint`, [`CompileError::DuplicateInstance`] if two
+    /// instances share a name, or [`CompileError::UnknownInstance`] if a
     /// `calls` target is missing.
     pub fn new(instances: Vec<TaskMapping>) -> Result<Self, CompileError> {
-        let mut map = HashMap::new();
-        let mut entry = 0usize;
+        let mut entry = None;
+        let mut others = HashMap::new();
         for i in instances {
             if i.entrypoint {
-                entry += 1;
+                if entry.replace(i).is_some() {
+                    return Err(CompileError::BadEntrypoint);
+                }
+            } else if let Some(dup) = others.insert(i.instance.clone(), i) {
+                return Err(CompileError::DuplicateInstance(dup.instance));
             }
-            map.insert(i.instance.clone(), i);
         }
-        if entry != 1 {
-            return Err(CompileError::BadEntrypoint);
+        let entry = entry.ok_or(CompileError::BadEntrypoint)?;
+        if others.contains_key(&entry.instance) {
+            return Err(CompileError::DuplicateInstance(entry.instance));
         }
         let spec = MappingSpec {
-            instances: map,
+            entry,
+            others,
             smem_limit: None,
         };
-        for inst in spec.instances.values() {
-            for c in &inst.calls {
-                if !spec.instances.contains_key(c) {
-                    return Err(CompileError::UnknownInstance(c.clone()));
-                }
+        for inst in spec.iter() {
+            if let Some(missing) = inst.calls.iter().find(|c| spec.instance(c).is_err()) {
+                return Err(CompileError::UnknownInstance(missing.clone()));
             }
         }
         Ok(spec)
@@ -142,10 +150,7 @@ impl MappingSpec {
     /// The entrypoint instance.
     #[must_use]
     pub fn entry(&self) -> &TaskMapping {
-        self.instances
-            .values()
-            .find(|i| i.entrypoint)
-            .expect("validated on construction")
+        &self.entry
     }
 
     /// Look up an instance by name.
@@ -154,14 +159,17 @@ impl MappingSpec {
     ///
     /// Returns [`CompileError::UnknownInstance`] if absent.
     pub fn instance(&self, name: &str) -> Result<&TaskMapping, CompileError> {
-        self.instances
+        if name == self.entry.instance {
+            return Ok(&self.entry);
+        }
+        self.others
             .get(name)
             .ok_or_else(|| CompileError::UnknownInstance(name.to_string()))
     }
 
     /// Iterate all instances.
     pub fn iter(&self) -> impl Iterator<Item = &TaskMapping> {
-        self.instances.values()
+        std::iter::once(&self.entry).chain(self.others.values())
     }
 }
 
@@ -184,6 +192,28 @@ mod tests {
         assert!(MappingSpec::new(vec![inst("a", true), inst("b", true)]).is_err());
         let ok = MappingSpec::new(vec![inst("a", true), inst("b", false)]).unwrap();
         assert_eq!(ok.entry().instance, "a");
+    }
+
+    #[test]
+    fn instance_names_are_unique() {
+        // An entrypoint and a plain instance under one name used to pass
+        // validation with the entrypoint overwritten; `entry()` then
+        // panicked.
+        for (first, second) in [(true, false), (false, true)] {
+            assert_eq!(
+                MappingSpec::new(vec![inst("x", first), inst("x", second)]).err(),
+                Some(CompileError::DuplicateInstance("x".into()))
+            );
+        }
+        assert_eq!(
+            MappingSpec::new(vec![inst("a", true), inst("x", false), inst("x", false)]).err(),
+            Some(CompileError::DuplicateInstance("x".into()))
+        );
+        let ok = MappingSpec::new(vec![inst("b", false), inst("a", true)]).unwrap();
+        assert_eq!(ok.entry().instance, "a");
+        assert_eq!(ok.instance("a").unwrap().instance, "a");
+        assert_eq!(ok.instance("b").unwrap().instance, "b");
+        assert_eq!(ok.iter().count(), 2);
     }
 
     #[test]

@@ -14,19 +14,27 @@
 //! sequential `for`, `prange` to `pfor` loops whose iterations must not
 //! perform aliasing writes — enforced here, which is what makes mapping
 //! decisions unable to affect correctness (§3.3).
+//!
+//! The pass runs once per mapping candidate of a tuner sweep, so a launch
+//! site costs what the IR it emits costs: variants, instances, bodies and
+//! the names in them are borrowed from the registry and mapping for the
+//! whole run, per-tensor state is indexed by `TensorId`, an access is
+//! recorded in the innermost scope only, and MMA partitions are checked
+//! against the shape rules without building their lane tables
+//! (`tests/depan_allocs.rs` holds the allocation budget).
 
 use crate::error::CompileError;
 use crate::front::ast::{ArgExpr, LeafFn, Privilege, SExpr, Stmt};
-use crate::front::machine::MemLevel;
+use crate::front::machine::{MemLevel, ProcLevel};
 use crate::front::mapping::{MappingSpec, TaskMapping};
 use crate::front::task::{TaskRegistry, TaskVariant};
 use crate::ir::{
-    Block, EvIdx, EventRef, EventType, IdxExpr, IrProgram, Op, OpKind, PartId, PartKind, TensorId,
-    TensorRef, VarId,
+    Block, EvIdx, EventId, EventRef, EventType, IdxExpr, IrProgram, Op, OpKind, PartId, PartKind,
+    TensorId, TensorRef, VarId,
 };
-use cypress_tensor::partition::{MmaLevel, MmaOperand};
+use cypress_tensor::partition::{check_mma_shape, MmaInstr, MmaLevel, MmaOperand};
 use cypress_tensor::DType;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// A global tensor bound to the entrypoint task.
 #[derive(Debug, Clone)]
@@ -54,15 +62,7 @@ pub fn analyze(
     name: &str,
     entry_args: &[EntryArg],
 ) -> Result<IrProgram, CompileError> {
-    let mut a = Analyzer {
-        reg: registry,
-        map: mapping,
-        prog: IrProgram::new(name),
-        last_write: HashMap::new(),
-        readers: HashMap::new(),
-        scopes: vec![Scope::top()],
-    };
-    let entry = mapping.entry().clone();
+    let entry = mapping.entry();
     let variant = registry.variant(&entry.variant)?;
     if variant.params.len() != entry_args.len() {
         return Err(CompileError::ArityMismatch {
@@ -71,21 +71,31 @@ pub fn analyze(
             actual: entry_args.len(),
         });
     }
-    let mut frame = Frame::default();
-    for (i, (arg, p)) in entry_args.iter().zip(variant.params.iter()).enumerate() {
+    let mut a = Analyzer {
+        reg: registry,
+        map: mapping,
+        prog: IrProgram::new(name),
+        tensors: Vec::new(),
+        scope: Scope::opening_at(0),
+        open_loops: Vec::new(),
+        pending: Vec::new(),
+    };
+    let mut frame = Frame::new(entry, variant);
+    for (i, (arg, p)) in entry_args.iter().zip(&variant.params).enumerate() {
         let mem = entry.mems.get(i).copied().unwrap_or(MemLevel::Global);
-        let id = a.prog.add_tensor(
+        let shape = (arg.rows, arg.cols);
+        let id = a.add_tensor(
             arg.name.clone(),
-            arg.rows,
-            arg.cols,
+            shape,
             arg.dtype,
             mem,
             Some(i),
+            p.privilege,
         );
-        frame.tensors.insert(p.name.clone(), id);
-        frame.privs.insert(id, p.privilege);
+        frame.tensors.insert(&p.name, id);
     }
-    let body = a.lower_body(&entry, variant, &mut frame)?;
+    let mut body = Block::default();
+    a.lower_stmts(&mut frame, &variant.body, &mut body)?;
     a.prog.body = body;
     Ok(a.prog)
 }
@@ -132,53 +142,95 @@ impl SVal {
     }
 }
 
-/// Per-task-variant lexical frame.
-#[derive(Debug, Clone, Default)]
-struct Frame {
-    scalars: HashMap<String, SVal>,
-    tensors: HashMap<String, TensorId>,
-    parts: HashMap<String, PartId>,
-    privs: HashMap<TensorId, Privilege>,
+/// Lexical frame of one task instance: what it runs and the names its
+/// body has bound so far, keyed by the variant's own strings.
+struct Frame<'a> {
+    inst: &'a TaskMapping,
+    variant: &'a TaskVariant,
+    scalars: HashMap<&'a str, SVal>,
+    tensors: HashMap<&'a str, TensorId>,
+    parts: HashMap<&'a str, PartId>,
 }
 
-/// One loop scope during lowering.
-#[derive(Debug)]
+impl<'a> Frame<'a> {
+    fn new(inst: &'a TaskMapping, variant: &'a TaskVariant) -> Self {
+        Frame {
+            inst,
+            variant,
+            scalars: HashMap::new(),
+            tensors: HashMap::new(),
+            parts: HashMap::new(),
+        }
+    }
+}
+
+/// The completion of an emitted op as later ops wait on it: a unit event
+/// or, for a `pfor`, its whole event array (`[:]`). Dependence analysis
+/// produces no other reference shape; point-wise indices come from
+/// vectorization.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Dep {
+    event: EventId,
+    all: bool,
+}
+
+impl Dep {
+    fn unit(event: EventId) -> Self {
+        Dep { event, all: false }
+    }
+
+    fn to_ref(self) -> EventRef {
+        EventRef {
+            event: self.event,
+            idx: if self.all {
+                vec![EvIdx::All]
+            } else {
+                Vec::new()
+            },
+        }
+    }
+}
+
+/// What the analysis tracks per tensor, indexed by [`TensorId`] beside
+/// `IrProgram::tensors`.
+struct TensorState {
+    /// What the task instance holding the tensor may do with it.
+    privilege: Privilege,
+    /// The loop whose body created the tensor (`None` outside every loop).
+    home: Option<VarId>,
+    last_write: Option<Dep>,
+    /// Reads since the last write.
+    readers: Vec<Dep>,
+}
+
+const READ: u8 = 1;
+const WRITE: u8 = 2;
+
+/// The entrypoint body or one loop body during lowering.
 struct Scope {
     /// Events created at or after this id belong to the scope.
-    first_event: usize,
-    /// Parallel-loop variable, if this scope is a `pfor`.
-    pfor_var: Option<VarId>,
+    first_event: EventId,
     /// Dependencies on events outside the scope, lifted to the loop op.
-    lifted: Vec<EventRef>,
-    /// Tensors created inside the scope.
-    created: HashSet<TensorId>,
-    /// Tensors written inside the scope.
-    writes: HashSet<TensorId>,
-    /// Tensors read inside the scope.
-    reads: HashSet<TensorId>,
+    lifted: Vec<Dep>,
+    /// `READ`/`WRITE` flags of the tensors accessed inside the scope,
+    /// indexed by [`TensorId`] (as long as the highest id touched).
+    access: Vec<u8>,
 }
 
 impl Scope {
-    fn top() -> Self {
+    fn opening_at(first_event: EventId) -> Self {
         Scope {
-            first_event: 0,
-            pfor_var: None,
+            first_event,
             lifted: Vec::new(),
-            created: HashSet::new(),
-            writes: HashSet::new(),
-            reads: HashSet::new(),
+            access: Vec::new(),
         }
     }
 
-    fn for_loop(first_event: usize, pfor_var: Option<VarId>) -> Self {
-        Scope {
-            first_event,
-            pfor_var,
-            lifted: Vec::new(),
-            created: HashSet::new(),
-            writes: HashSet::new(),
-            reads: HashSet::new(),
+    fn mark(&mut self, t: TensorId, flag: u8) {
+        if self.access.len() <= t {
+            self.access.resize(t + 1, 0);
         }
+        self.access[t] |= flag;
     }
 }
 
@@ -186,9 +238,15 @@ struct Analyzer<'a> {
     reg: &'a TaskRegistry,
     map: &'a MappingSpec,
     prog: IrProgram,
-    last_write: HashMap<TensorId, EventRef>,
-    readers: HashMap<TensorId, Vec<EventRef>>,
-    scopes: Vec<Scope>,
+    tensors: Vec<TensorState>,
+    /// The innermost open scope. Accesses are recorded here only and
+    /// merged into the enclosing scope when a loop closes; the enclosing
+    /// scopes wait in the `lower_loop` calls that opened them.
+    scope: Scope,
+    /// Variable and parallelism of every open loop, outermost first.
+    open_loops: Vec<(VarId, bool)>,
+    /// Dependencies of the op about to be emitted, in `pre` order.
+    pending: Vec<Dep>,
 }
 
 impl<'a> Analyzer<'a> {
@@ -204,7 +262,7 @@ impl<'a> Analyzer<'a> {
             SExpr::Lit(v) => SVal::constant(*v),
             SExpr::Var(n) => *frame
                 .scalars
-                .get(n)
+                .get(n.as_str())
                 .ok_or_else(|| CompileError::UnboundVariable(n.clone()))?,
             SExpr::ShapeDim(t, d) => {
                 let id = self.resolve_tensor(frame, t)?;
@@ -316,17 +374,13 @@ impl<'a> Analyzer<'a> {
             ArgExpr::Piece { partition, indices } => {
                 let pid = *frame
                     .parts
-                    .get(partition)
+                    .get(partition.as_str())
                     .ok_or_else(|| CompileError::UnboundName(partition.clone()))?;
                 let idx: Vec<IdxExpr> = indices
                     .iter()
                     .map(|e| self.eval(frame, e).map(SVal::to_idx))
                     .collect::<Result<_, _>>()?;
-                let parent = self.prog.parts[pid].parent;
-                Ok(TensorRef {
-                    tensor: parent,
-                    path: vec![(pid, idx)],
-                })
+                Ok(TensorRef::piece(self.prog.parts[pid].parent, pid, idx))
             }
             ArgExpr::Scalar(_) => Err(CompileError::Unsupported("scalar task arguments".into())),
         }
@@ -343,68 +397,96 @@ impl<'a> Analyzer<'a> {
         }
     }
 
+    /// Declare a tensor created in the innermost open loop.
+    fn add_tensor(
+        &mut self,
+        name: String,
+        (rows, cols): (usize, usize),
+        dtype: DType,
+        mem: MemLevel,
+        param: Option<usize>,
+        privilege: Privilege,
+    ) -> TensorId {
+        self.tensors.push(TensorState {
+            privilege,
+            home: self.open_loops.last().map(|&(var, _)| var),
+            last_write: None,
+            readers: Vec::new(),
+        });
+        self.prog.add_tensor(name, rows, cols, dtype, mem, param)
+    }
+
     // ---- event bookkeeping ------------------------------------------------
 
-    fn register_read(&mut self, t: TensorId, ev: EventRef) {
-        self.readers.entry(t).or_default().push(ev);
-        for s in &mut self.scopes {
-            s.reads.insert(t);
-        }
+    fn register_read(&mut self, t: TensorId, ev: Dep) {
+        self.tensors[t].readers.push(ev);
+        self.scope.mark(t, READ);
     }
 
-    fn register_write(&mut self, t: TensorId, ev: EventRef) {
-        self.last_write.insert(t, ev);
-        self.readers.remove(&t);
-        for s in &mut self.scopes {
-            s.writes.insert(t);
-        }
+    fn register_write(&mut self, t: TensorId, ev: Dep) {
+        let state = &mut self.tensors[t];
+        state.last_write = Some(ev);
+        state.readers.clear();
+        self.scope.mark(t, WRITE);
     }
 
-    fn read_deps(&self, t: TensorId) -> Vec<EventRef> {
-        self.last_write.get(&t).cloned().into_iter().collect()
+    /// The next op reads `t`: it waits for the last write.
+    fn after_write(&mut self, t: TensorId) {
+        self.pending.extend(self.tensors[t].last_write);
     }
 
-    fn write_deps(&self, t: TensorId) -> Vec<EventRef> {
-        let mut d = self.read_deps(t);
-        if let Some(rs) = self.readers.get(&t) {
-            d.extend(rs.iter().cloned());
-        }
-        d
+    /// The next op overwrites `t`: it waits for the last write and for
+    /// every read since.
+    fn after_accesses(&mut self, t: TensorId) {
+        self.after_write(t);
+        self.pending.extend(&self.tensors[t].readers);
     }
 
-    /// Emit an op into `block`, routing preconditions defined outside the
-    /// current scope to the scope's lifted set (they become the enclosing
-    /// loop's preconditions, as in Fig. 8b).
-    fn emit(&mut self, block: &mut Block, kind: OpKind, pre: Vec<EventRef>) -> EventRef {
-        let scope_start = self.scopes.last().expect("scope stack").first_event;
-        let (inner, outer): (Vec<_>, Vec<_>) =
-            pre.into_iter().partition(|e| e.event >= scope_start);
-        let scope = self.scopes.last_mut().expect("scope stack");
-        for o in outer {
-            if !scope.lifted.contains(&o) {
-                scope.lifted.push(o);
+    /// Allocate the next op's event and turn the pending dependencies
+    /// into its preconditions, routing those defined outside the current
+    /// scope to the scope's lifted set (they become the enclosing loop's
+    /// preconditions, as in Fig. 8b).
+    fn begin_op(&mut self) -> (EventId, Vec<EventRef>) {
+        let mut pre = Vec::new();
+        for d in self.pending.drain(..) {
+            if d.event >= self.scope.first_event {
+                pre.push(d.to_ref());
+            } else if !self.scope.lifted.contains(&d) {
+                self.scope.lifted.push(d);
             }
         }
-        let result = self.prog.fresh_event();
+        (self.prog.fresh_event(), pre)
+    }
+
+    /// Emit `copy(src, dst)` into `block` after the last write of the
+    /// source and every access of the destination (none yet, for a
+    /// copy-in's fresh tensor).
+    fn emit_copy(&mut self, block: &mut Block, src: TensorRef, dst: TensorRef) {
+        let (read, written) = (src.tensor, dst.tensor);
+        self.after_write(read);
+        self.after_accesses(written);
+        let (result, pre) = self.begin_op();
         block.ops.push(Op {
             result,
             ty: EventType::Unit,
-            pre: inner,
-            kind,
+            pre,
+            kind: OpKind::Copy { src, dst },
         });
-        EventRef::unit(result)
+        self.register_read(read, Dep::unit(result));
+        self.register_write(written, Dep::unit(result));
     }
 
     /// Check the prange aliasing-write rule for a write to `r` under every
-    /// enclosing pfor scope.
+    /// enclosing pfor.
     fn check_parallel_write(&self, variant: &str, r: &TensorRef) -> Result<(), CompileError> {
-        for (i, s) in self.scopes.iter().enumerate() {
-            let Some(v) = s.pfor_var else { continue };
-            // Created at or below this scope => private per iteration.
-            let created_below = self.scopes[i..]
-                .iter()
-                .any(|sc| sc.created.contains(&r.tensor));
-            if created_below {
+        let home = self.tensors[r.tensor].home;
+        for (i, &(v, parallel)) in self.open_loops.iter().enumerate() {
+            if !parallel {
+                continue;
+            }
+            // Created in this loop or one open below it => private per
+            // iteration.
+            if home.is_some_and(|h| self.open_loops[i..].iter().any(|&(l, _)| l == h)) {
                 continue;
             }
             // Otherwise the write must target a piece of a disjoint
@@ -425,53 +507,37 @@ impl<'a> Analyzer<'a> {
 
     // ---- statement lowering -----------------------------------------------
 
-    fn lower_body(
-        &mut self,
-        inst: &TaskMapping,
-        variant: &TaskVariant,
-        frame: &mut Frame,
-    ) -> Result<Block, CompileError> {
-        let mut block = Block::default();
-        self.lower_stmts(inst, variant, frame, &variant.body.clone(), &mut block)?;
-        Ok(block)
-    }
-
     fn lower_stmts(
         &mut self,
-        inst: &TaskMapping,
-        variant: &TaskVariant,
-        frame: &mut Frame,
-        stmts: &[Stmt],
+        frame: &mut Frame<'a>,
+        stmts: &'a [Stmt],
         block: &mut Block,
     ) -> Result<(), CompileError> {
         for stmt in stmts {
-            self.lower_stmt(inst, variant, frame, stmt, block)?;
+            self.lower_stmt(frame, stmt, block)?;
         }
         Ok(())
     }
 
     fn lower_stmt(
         &mut self,
-        inst: &TaskMapping,
-        variant: &TaskVariant,
-        frame: &mut Frame,
-        stmt: &Stmt,
+        frame: &mut Frame<'a>,
+        stmt: &'a Stmt,
         block: &mut Block,
     ) -> Result<(), CompileError> {
         match stmt {
             Stmt::Let { name, value } => {
                 let v = self.eval(frame, value)?;
-                frame.scalars.insert(name.clone(), v);
+                frame.scalars.insert(name, v);
             }
             Stmt::Tunable { name } => {
-                let v = *inst
-                    .tunables
-                    .get(name)
-                    .ok_or_else(|| CompileError::UnboundTunable {
-                        variant: variant.name.clone(),
+                let Some(&v) = frame.inst.tunables.get(name) else {
+                    return Err(CompileError::UnboundTunable {
+                        variant: frame.variant.name.clone(),
                         tunable: name.clone(),
-                    })?;
-                frame.scalars.insert(name.clone(), SVal::constant(v));
+                    });
+                };
+                frame.scalars.insert(name, SVal::constant(v));
             }
             Stmt::MakeTensor {
                 name,
@@ -488,26 +554,20 @@ impl<'a> Analyzer<'a> {
                 if r <= 0 || c <= 0 {
                     return Err(CompileError::Scalar(format!("degenerate tensor {r}x{c}")));
                 }
-                let id = self.prog.add_tensor(
-                    format!("{}.{}", inst.instance, name),
-                    r as usize,
-                    c as usize,
+                let id = self.add_tensor(
+                    [frame.inst.instance.as_str(), ".", name].concat(),
+                    (r as usize, c as usize),
                     *dtype,
                     MemLevel::None,
                     None,
+                    Privilege::ReadWrite,
                 );
                 // Block-local tensors may fall back to a shared-memory
                 // home when copy elimination cannot identify them with
                 // one existing allocation (fused kernels re-tile a
                 // producer phase's result for the consumer phase).
                 self.prog.tensors[id].promotable = true;
-                frame.tensors.insert(name.clone(), id);
-                frame.privs.insert(id, Privilege::ReadWrite);
-                self.scopes
-                    .last_mut()
-                    .expect("scope stack")
-                    .created
-                    .insert(id);
+                frame.tensors.insert(name, id);
             }
             Stmt::PartitionBlocks {
                 name,
@@ -537,7 +597,7 @@ impl<'a> Analyzer<'a> {
                     grid_cols: cols / tc,
                 };
                 let pid = self.prog.add_part(name.clone(), t, kind);
-                frame.parts.insert(name.clone(), pid);
+                frame.parts.insert(name, pid);
             }
             Stmt::PartitionMma {
                 name,
@@ -548,59 +608,40 @@ impl<'a> Analyzer<'a> {
                 let t = self.resolve_tensor(frame, tensor)?;
                 let decl = &self.prog.tensors[t];
                 let (rows, cols) = (decl.rows, decl.cols);
-                // Validate against the architected WGMMA partition rules.
-                let instr = cypress_tensor::MmaInstr::wgmma_64x256x16();
-                cypress_tensor::mma(&[rows, cols], instr, *level, *operand)
+                // Validate against the architected WGMMA partition rules;
+                // the IR records piece shapes, not per-lane gather tables.
+                check_mma_shape(&[rows, cols], MmaInstr::wgmma_64x256x16(), *level, *operand)
                     .map_err(|e| CompileError::Partition(e.to_string()))?;
-                let kind = match (level, operand) {
-                    (MmaLevel::Warp, MmaOperand::A | MmaOperand::C) => PartKind::Mma {
-                        pieces: 4,
-                        piece_rows: rows / 4,
-                        piece_cols: cols,
-                        replicated: false,
-                        level: crate::front::machine::ProcLevel::Warp,
-                    },
-                    (MmaLevel::Thread, MmaOperand::A | MmaOperand::C) => PartKind::Mma {
-                        pieces: 32,
-                        piece_rows: 2,
-                        piece_cols: cols / 4,
-                        replicated: false,
-                        level: crate::front::machine::ProcLevel::Thread,
-                    },
-                    (MmaLevel::Warp, MmaOperand::B) => PartKind::Mma {
-                        pieces: 4,
-                        piece_rows: rows,
-                        piece_cols: cols,
-                        replicated: true,
-                        level: crate::front::machine::ProcLevel::Warp,
-                    },
-                    (MmaLevel::Thread, MmaOperand::B) => PartKind::Mma {
-                        pieces: 32,
-                        piece_rows: rows,
-                        piece_cols: cols,
-                        replicated: true,
-                        level: crate::front::machine::ProcLevel::Thread,
-                    },
+                let (pieces, proc) = match level {
+                    MmaLevel::Warp => (4, ProcLevel::Warp),
+                    MmaLevel::Thread => (32, ProcLevel::Thread),
+                };
+                // B is replicated; A and C split into 16-row warp groups,
+                // then into the per-lane fragments of Fig. 4.
+                let (piece_rows, piece_cols) = match (operand, level) {
+                    (MmaOperand::B, _) => (rows, cols),
+                    (_, MmaLevel::Warp) => (rows / 4, cols),
+                    (_, MmaLevel::Thread) => (2, cols / 4),
+                };
+                let kind = PartKind::Mma {
+                    pieces,
+                    piece_rows,
+                    piece_cols,
+                    replicated: *operand == MmaOperand::B,
+                    level: proc,
                 };
                 let pid = self.prog.add_part(name.clone(), t, kind);
-                frame.parts.insert(name.clone(), pid);
+                frame.parts.insert(name, pid);
             }
-            Stmt::Launch { task, args } => {
-                self.lower_launch(inst, variant, frame, task, args, block)?;
-            }
+            Stmt::Launch { task, args } => self.lower_launch(frame, task, args, block)?,
             Stmt::SRange { var, extent, body } => {
                 let n = self
                     .eval(frame, extent)?
                     .as_const()
                     .ok_or_else(|| CompileError::Scalar("srange extent must be constant".into()))?;
-                let v = self.prog.fresh_var();
-                frame.scalars.insert(var.clone(), SVal::var(v));
-                self.scopes
-                    .push(Scope::for_loop(self.prog.next_event, None));
-                let mut inner = Block::default();
-                self.lower_stmts(inst, variant, frame, body, &mut inner)?;
-                self.close_loop(block, inner, v, n, None)?;
-                frame.scalars.remove(var);
+                self.lower_loop(frame, var, n, None, block, |a, frame, inner| {
+                    a.lower_stmts(frame, body, inner)
+                })?;
             }
             Stmt::PRange {
                 vars,
@@ -611,25 +652,18 @@ impl<'a> Analyzer<'a> {
                     return Err(CompileError::Scalar("prange takes 1-3 variables".into()));
                 }
                 // Determine the processor level from the dispatched launch.
-                let proc = self.prange_proc(inst, body)?;
-                self.lower_prange(inst, variant, frame, vars, extents, body, proc, block, 0)?;
+                let proc = self.prange_proc(frame.inst, body)?;
+                self.lower_prange(frame, vars, extents, body, proc, block)?;
             }
-            Stmt::CallExternal { f, args } => {
-                self.lower_call_external(variant, frame, *f, args, block)?;
-            }
+            Stmt::CallExternal { f, args } => self.lower_call_external(frame, *f, args, block)?,
         }
         Ok(())
     }
 
-    fn prange_proc(
-        &self,
-        inst: &TaskMapping,
-        body: &[Stmt],
-    ) -> Result<crate::front::machine::ProcLevel, CompileError> {
+    fn prange_proc(&self, inst: &TaskMapping, body: &[Stmt]) -> Result<ProcLevel, CompileError> {
         for s in body {
             if let Stmt::Launch { task, .. } = s {
-                let callee = self.dispatch(inst, task)?;
-                return Ok(callee.proc);
+                return Ok(self.dispatch(inst, task)?.0.proc);
             }
         }
         Err(CompileError::Unsupported(
@@ -637,130 +671,113 @@ impl<'a> Analyzer<'a> {
         ))
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// One nested `pfor` per prange variable, outermost first, around the
+    /// body.
     fn lower_prange(
         &mut self,
-        inst: &TaskMapping,
-        variant: &TaskVariant,
-        frame: &mut Frame,
-        vars: &[String],
-        extents: &[SExpr],
-        body: &[Stmt],
-        proc: crate::front::machine::ProcLevel,
+        frame: &mut Frame<'a>,
+        vars: &'a [String],
+        extents: &'a [SExpr],
+        body: &'a [Stmt],
+        proc: ProcLevel,
         block: &mut Block,
-        depth: usize,
     ) -> Result<(), CompileError> {
-        if depth == vars.len() {
-            return self.lower_stmts(inst, variant, frame, body, block);
-        }
+        let (Some((var, vars)), Some((extent, extents))) =
+            (vars.split_first(), extents.split_first())
+        else {
+            return self.lower_stmts(frame, body, block);
+        };
         let n = self
-            .eval(frame, &extents[depth])?
+            .eval(frame, extent)?
             .as_const()
             .ok_or_else(|| CompileError::Scalar("prange extent must be constant".into()))?;
-        let v = self.prog.fresh_var();
-        frame.scalars.insert(vars[depth].clone(), SVal::var(v));
-        self.scopes
-            .push(Scope::for_loop(self.prog.next_event, Some(v)));
-        let mut inner = Block::default();
-        self.lower_prange(
-            inst,
-            variant,
-            frame,
-            vars,
-            extents,
-            body,
-            proc,
-            &mut inner,
-            depth + 1,
-        )?;
-        self.close_loop(block, inner, v, n, Some(proc))?;
-        frame.scalars.remove(&vars[depth]);
-        Ok(())
+        self.lower_loop(frame, var, n, Some(proc), block, |a, frame, inner| {
+            a.lower_prange(frame, vars, extents, body, proc, inner)
+        })
     }
 
-    /// Pop the scope and emit the loop op, propagating event state.
-    fn close_loop(
+    /// Lower a loop over `name` into `block`: open a scope, let `body`
+    /// fill the loop's block, close the scope and emit the loop op,
+    /// propagating event state. The enclosing scope waits here, so every
+    /// opened scope is closed and the innermost one always exists.
+    fn lower_loop(
         &mut self,
-        block: &mut Block,
-        inner: Block,
-        var: VarId,
+        frame: &mut Frame<'a>,
+        name: &'a str,
         extent: i64,
-        pfor: Option<crate::front::machine::ProcLevel>,
+        pfor: Option<ProcLevel>,
+        block: &mut Block,
+        body: impl FnOnce(&mut Self, &mut Frame<'a>, &mut Block) -> Result<(), CompileError>,
     ) -> Result<(), CompileError> {
-        let scope = self.scopes.pop().expect("scope stack");
-        let result = self.prog.fresh_event();
-        let ty = match pfor {
-            Some(proc) => EventType::Array(vec![(extent as usize, proc)]),
-            None => EventType::Unit,
+        let var = self.prog.fresh_var();
+        frame.scalars.insert(name, SVal::var(var));
+        self.open_loops.push((var, pfor.is_some()));
+        let opened = Scope::opening_at(self.prog.next_event);
+        let enclosing = std::mem::replace(&mut self.scope, opened);
+        let mut inner = Block::default();
+        body(self, frame, &mut inner)?;
+        let closed = std::mem::replace(&mut self.scope, enclosing);
+        self.open_loops.pop();
+        frame.scalars.remove(name);
+
+        // Loop preconditions: the dependencies lifted out of the body,
+        // themselves routed through the now-current scope.
+        self.pending.extend(closed.lifted);
+        let (result, pre) = self.begin_op();
+        let (ty, kind) = match pfor {
+            Some(proc) => (
+                EventType::Array(vec![(extent as usize, proc)]),
+                OpKind::Pfor {
+                    var,
+                    extent,
+                    proc,
+                    body: inner,
+                },
+            ),
+            None => (
+                EventType::Unit,
+                OpKind::For {
+                    var,
+                    extent,
+                    body: inner,
+                },
+            ),
         };
-        let loop_ref = match pfor {
-            Some(_) => EventRef {
-                event: result,
-                idx: vec![EvIdx::All],
-            },
-            None => EventRef::unit(result),
-        };
-        // Loop preconditions: deps lifted out of the body. Route those that
-        // are outer to the *new* current scope onward.
-        let pre = scope.lifted;
-        let kind = match pfor {
-            Some(proc) => OpKind::Pfor {
-                var,
-                extent,
-                proc,
-                body: inner,
-            },
-            None => OpKind::For {
-                var,
-                extent,
-                body: inner,
-            },
-        };
-        // Re-route pres through the now-current scope.
-        let scope_start = self.scopes.last().expect("scope stack").first_event;
-        let (inner_pre, outer): (Vec<_>, Vec<_>) =
-            pre.into_iter().partition(|e| e.event >= scope_start);
-        {
-            let cur = self.scopes.last_mut().expect("scope stack");
-            for o in outer {
-                if !cur.lifted.contains(&o) {
-                    cur.lifted.push(o);
-                }
-            }
-        }
         block.ops.push(Op {
             result,
             ty,
-            pre: inner_pre,
+            pre,
             kind,
         });
-        // Propagate event state: tensors written in the loop now depend on
-        // the whole loop; readers likewise.
-        for t in &scope.writes {
-            self.last_write.insert(*t, loop_ref.clone());
-            self.readers.remove(t);
-            for s in &mut self.scopes {
-                s.writes.insert(*t);
-            }
-        }
-        for t in &scope.reads {
-            if !scope.writes.contains(t) {
-                self.readers.entry(*t).or_default().push(loop_ref.clone());
-                for s in &mut self.scopes {
-                    s.reads.insert(*t);
-                }
+        // Tensors written in the loop now depend on the whole loop, as do
+        // later writers of tensors it only read; the accesses become the
+        // enclosing scope's.
+        let whole_loop = Dep {
+            event: result,
+            all: pfor.is_some(),
+        };
+        for (t, flags) in closed.access.into_iter().enumerate() {
+            if flags & WRITE != 0 {
+                self.register_write(t, whole_loop);
+            } else if flags & READ != 0 {
+                self.register_read(t, whole_loop);
             }
         }
         Ok(())
     }
 
-    fn dispatch(&self, inst: &TaskMapping, task: &str) -> Result<&'a TaskMapping, CompileError> {
+    /// The instance (and its variant) `inst` dispatches launches of `task`
+    /// to.
+    fn dispatch(
+        &self,
+        inst: &TaskMapping,
+        task: &str,
+    ) -> Result<(&'a TaskMapping, &'a TaskVariant), CompileError> {
         for c in &inst.calls {
             let cand = self.map.instance(c)?;
             let v = self.reg.variant(&cand.variant)?;
             if v.task == task {
-                // Safety: instances live as long as the mapping borrow.
-                return self.map.instance(c);
+                return Ok((cand, v));
             }
         }
         Err(CompileError::NoDispatch {
@@ -771,15 +788,12 @@ impl<'a> Analyzer<'a> {
 
     fn lower_launch(
         &mut self,
-        inst: &TaskMapping,
-        variant: &TaskVariant,
-        frame: &mut Frame,
+        frame: &mut Frame<'a>,
         task: &str,
         args: &[ArgExpr],
         block: &mut Block,
     ) -> Result<(), CompileError> {
-        let callee_inst = self.dispatch(inst, task)?.clone();
-        let callee_var = self.reg.variant(&callee_inst.variant)?.clone();
+        let (callee, callee_var) = self.dispatch(frame.inst, task)?;
         if callee_var.params.len() != args.len() {
             return Err(CompileError::ArityMismatch {
                 task: task.to_string(),
@@ -789,17 +803,13 @@ impl<'a> Analyzer<'a> {
         }
 
         // Resolve arguments and check privileges against the caller's.
-        let mut resolved = Vec::new();
-        for (arg, p) in args.iter().zip(callee_var.params.iter()) {
+        let mut resolved = Vec::with_capacity(args.len());
+        for (arg, p) in args.iter().zip(&callee_var.params) {
             let r = self.resolve_arg(frame, arg)?;
-            let caller_priv = frame
-                .privs
-                .get(&r.tensor)
-                .copied()
-                .unwrap_or(Privilege::ReadWrite);
+            let caller_priv = self.tensors[r.tensor].privilege;
             if !caller_priv.covers(p.privilege) {
                 return Err(CompileError::PrivilegeViolation {
-                    variant: variant.name.clone(),
+                    variant: frame.variant.name.clone(),
                     param: p.name.clone(),
                     detail: format!(
                         "caller holds {caller_priv} but launch of `{task}` requires {}",
@@ -811,72 +821,41 @@ impl<'a> Analyzer<'a> {
         }
 
         // Copy-in/copy-out discipline (§4.2.1 steps 1-4).
-        let mut callee_frame = Frame::default();
-        let mut fresh_ids = Vec::new();
-        for (i, (r, p)) in resolved.iter().zip(callee_var.params.iter()).enumerate() {
-            let (rows, cols) = self.ref_shape(r);
-            let mem = callee_inst.mems.get(i).copied().unwrap_or(MemLevel::None);
-            let fresh = self.prog.add_tensor(
-                format!("{}.{}", callee_inst.instance, p.name),
-                rows,
-                cols,
+        let mut callee_frame = Frame::new(callee, callee_var);
+        let mut copy_outs = Vec::new();
+        for (i, (outer, p)) in resolved.into_iter().zip(&callee_var.params).enumerate() {
+            let fresh = self.add_tensor(
+                [callee.instance.as_str(), ".", p.name.as_str()].concat(),
+                self.ref_shape(&outer),
                 p.dtype,
-                mem,
+                callee.mems.get(i).copied().unwrap_or(MemLevel::None),
                 None,
+                p.privilege,
             );
-            self.scopes
-                .last_mut()
-                .expect("scope stack")
-                .created
-                .insert(fresh);
-            if p.privilege.can_read() {
-                let pre = self.read_deps(r.tensor);
-                let ev = self.emit(
-                    block,
-                    OpKind::Copy {
-                        src: r.clone(),
-                        dst: TensorRef::whole(fresh),
-                    },
-                    pre,
-                );
-                self.register_read(r.tensor, ev.clone());
-                self.register_write(fresh, ev);
+            callee_frame.tensors.insert(&p.name, fresh);
+            let (copy_in, copy_out) = match p.privilege {
+                Privilege::Read => (Some(outer), None),
+                Privilege::Write => (None, Some(outer)),
+                Privilege::ReadWrite => (Some(outer.clone()), Some(outer)),
+            };
+            if let Some(src) = copy_in {
+                self.emit_copy(block, src, TensorRef::whole(fresh));
             }
-            callee_frame.tensors.insert(p.name.clone(), fresh);
-            callee_frame.privs.insert(fresh, p.privilege);
-            fresh_ids.push(fresh);
+            copy_outs.extend(copy_out.map(|dst| (fresh, dst)));
         }
 
-        let mut callee_block = self.lower_body(&callee_inst, &callee_var, &mut callee_frame)?;
-        block.ops.append(&mut callee_block.ops);
+        self.lower_stmts(&mut callee_frame, &callee_var.body, block)?;
 
-        for (r, (fresh, p)) in resolved
-            .iter()
-            .zip(fresh_ids.iter().zip(callee_var.params.iter()))
-        {
-            if p.privilege.can_write() {
-                self.check_parallel_write(&variant.name, r)?;
-                let mut pre = self.read_deps(*fresh);
-                pre.extend(self.write_deps(r.tensor));
-                let ev = self.emit(
-                    block,
-                    OpKind::Copy {
-                        src: TensorRef::whole(*fresh),
-                        dst: r.clone(),
-                    },
-                    pre,
-                );
-                self.register_read(*fresh, ev.clone());
-                self.register_write(r.tensor, ev);
-            }
+        for (fresh, dst) in copy_outs {
+            self.check_parallel_write(&frame.variant.name, &dst)?;
+            self.emit_copy(block, TensorRef::whole(fresh), dst);
         }
         Ok(())
     }
 
     fn lower_call_external(
         &mut self,
-        variant: &TaskVariant,
-        frame: &mut Frame,
+        frame: &Frame<'a>,
         f: LeafFn,
         args: &[ArgExpr],
         block: &mut Block,
@@ -885,85 +864,62 @@ impl<'a> Analyzer<'a> {
             .iter()
             .map(|a| self.resolve_arg(frame, a))
             .collect::<Result<_, _>>()?;
-        if refs.is_empty() {
+        // The destination is always the last argument; the rest are read.
+        let Some((dst, srcs)) = refs.split_last() else {
             return Err(CompileError::Unsupported(
                 "call-external with no arguments".into(),
             ));
+        };
+        if refs.len() != f.arity() {
+            return Err(CompileError::ArityMismatch {
+                task: format!("{f:?}"),
+                expected: f.arity(),
+                actual: refs.len(),
+            });
         }
-        let (reads, dst_reads) = leaf_effects(f, refs.len())?;
-        let dst = refs.last().expect("nonempty").clone();
 
         // Privilege enforcement: the leaf may only write parameters its
         // task declared writable, and only read readable ones.
-        let dst_priv = frame
-            .privs
-            .get(&dst.tensor)
-            .copied()
-            .unwrap_or(Privilege::ReadWrite);
-        if !dst_priv.can_write() {
-            return Err(CompileError::PrivilegeViolation {
-                variant: variant.name.clone(),
-                param: self.prog.tensors[dst.tensor].name.clone(),
-                detail: "leaf writes a tensor without write privilege".into(),
-            });
+        let violation = |t: TensorId, detail: &str| CompileError::PrivilegeViolation {
+            variant: frame.variant.name.clone(),
+            param: self.prog.tensors[t].name.clone(),
+            detail: detail.into(),
+        };
+        if !self.tensors[dst.tensor].privilege.can_write() {
+            return Err(violation(
+                dst.tensor,
+                "leaf writes a tensor without write privilege",
+            ));
         }
-        for &i in &reads {
-            let p = frame
-                .privs
-                .get(&refs[i].tensor)
-                .copied()
-                .unwrap_or(Privilege::ReadWrite);
-            if !p.can_read() {
-                return Err(CompileError::PrivilegeViolation {
-                    variant: variant.name.clone(),
-                    param: self.prog.tensors[refs[i].tensor].name.clone(),
-                    detail: "leaf reads a tensor without read privilege".into(),
-                });
+        for s in srcs {
+            if !self.tensors[s.tensor].privilege.can_read() {
+                return Err(violation(
+                    s.tensor,
+                    "leaf reads a tensor without read privilege",
+                ));
             }
         }
+        self.check_parallel_write(&frame.variant.name, dst)?;
 
-        let mut pre = Vec::new();
-        for &i in &reads {
-            pre.extend(self.read_deps(refs[i].tensor));
+        for s in srcs {
+            self.after_write(s.tensor);
         }
-        pre.extend(self.write_deps(dst.tensor));
-        if dst_reads {
-            pre.extend(self.read_deps(dst.tensor));
+        self.after_accesses(dst.tensor);
+        if f.dst_reads() {
+            self.after_write(dst.tensor);
         }
-        self.check_parallel_write(&variant.name, &dst)?;
-        let ev = self.emit(
-            block,
-            OpKind::Call {
-                f,
-                args: refs.clone(),
-            },
-            pre,
-        );
-        for &i in &reads {
-            self.register_read(refs[i].tensor, ev.clone());
+        let (result, pre) = self.begin_op();
+        let ev = Dep::unit(result);
+        for s in srcs {
+            self.register_read(s.tensor, ev);
         }
         self.register_write(dst.tensor, ev);
+        block.ops.push(Op {
+            result,
+            ty: EventType::Unit,
+            pre,
+            kind: OpKind::Call { f, args: refs },
+        });
         Ok(())
     }
-}
-
-/// Read/write behaviour of an external function: `(read positions,
-/// destination-also-read)`. The destination is always the last argument.
-fn leaf_effects(f: LeafFn, arity: usize) -> Result<(Vec<usize>, bool), CompileError> {
-    let (expected, dst_reads): (usize, bool) = match f {
-        LeafFn::Fill(_) => (1, false),
-        LeafFn::CopyExt | LeafFn::Exp | LeafFn::Scale(_) => (2, false),
-        LeafFn::MmaAccum | LeafFn::MmaAccumBT => (3, true),
-        LeafFn::AddExt | LeafFn::MaxExt => (3, false),
-        LeafFn::RowMaxAccum | LeafFn::RowSumAccum => (2, true),
-        LeafFn::SubRow | LeafFn::MulRow | LeafFn::DivRow => (3, false),
-    };
-    if arity != expected {
-        return Err(CompileError::ArityMismatch {
-            task: format!("{f:?}"),
-            expected,
-            actual: arity,
-        });
-    }
-    Ok(((0..arity - 1).collect(), dst_reads))
 }

@@ -36,7 +36,7 @@ pub mod view;
 pub use dtype::{bf16, f16, DType};
 pub use error::TensorError;
 pub use layout::{Layout, Swizzle};
-pub use partition::{blocks, mma, MmaInstr, MmaOperand, Partition};
+pub use partition::{blocks, check_mma_shape, mma, MmaInstr, MmaOperand, Partition};
 pub use tensor::Tensor;
 pub use view::{IndexMap, TensorView};
 

@@ -293,6 +293,54 @@ pub enum MmaLevel {
     Thread,
 }
 
+/// The shape rules of `partition_by_mma`, without building the
+/// partition: succeeds exactly when [`mma`] would, and fails with the
+/// error [`mma`] would return. This is the one definition of the rules —
+/// [`mma`] calls it first — for callers that only need the verdict (the
+/// compiler's dependence analysis records an MMA partition by its piece
+/// shape and never looks at the per-lane gather tables).
+///
+/// # Errors
+///
+/// Returns [`TensorError::RankMismatch`] unless `shape` is
+/// two-dimensional, and [`TensorError::UnsupportedMmaShape`] if it is not
+/// compatible with the instruction: warp-level `A`/`C` rows must equal the
+/// instruction's `m`, thread-level `A`/`C` must be the 16-row warp group
+/// with a multiple of 8 columns, and `B` rows must be a multiple of the
+/// instruction's `k`.
+pub fn check_mma_shape(
+    shape: &[usize],
+    instr: MmaInstr,
+    level: MmaLevel,
+    operand: MmaOperand,
+) -> Result<(), TensorError> {
+    let &[rows, cols] = shape else {
+        return Err(TensorError::RankMismatch {
+            expected: 2,
+            actual: shape.len(),
+        });
+    };
+    let requirement = match (level, operand) {
+        (MmaLevel::Warp, MmaOperand::A | MmaOperand::C) if rows != instr.m() => {
+            "warp-level A/C rows must equal the instruction m (64)"
+        }
+        (MmaLevel::Thread, MmaOperand::A | MmaOperand::C) if rows != 16 => {
+            "thread-level A/C rows must equal the 16-row warp group"
+        }
+        (MmaLevel::Thread, MmaOperand::A | MmaOperand::C) if cols % 8 != 0 => {
+            "thread-level A/C columns must be a multiple of 8"
+        }
+        (_, MmaOperand::B) if rows % instr.k() != 0 => {
+            "B rows must be a multiple of the instruction k (16)"
+        }
+        _ => return Ok(()),
+    };
+    Err(TensorError::UnsupportedMmaShape {
+        shape: shape.to_vec(),
+        requirement,
+    })
+}
+
 /// `partition_by_mma`: the Tensor-Core-mandated partition of an operand.
 ///
 /// For operands `A` and `C` at [`MmaLevel::Warp`], rows are split into four
@@ -305,58 +353,29 @@ pub enum MmaLevel {
 ///
 /// # Errors
 ///
-/// Returns [`TensorError::UnsupportedMmaShape`] if the tensor shape is not
-/// compatible with the instruction (e.g. `A`/`C` rows not equal to 16·pieces
-/// at warp level, columns not a multiple of 8 at thread level).
+/// Whatever [`check_mma_shape`] rejects (e.g. `A`/`C` rows not equal to
+/// 16·pieces at warp level, columns not a multiple of 8 at thread level).
 pub fn mma(
     shape: &[usize],
     instr: MmaInstr,
     level: MmaLevel,
     operand: MmaOperand,
 ) -> Result<Partition, TensorError> {
-    if shape.len() != 2 {
-        return Err(TensorError::RankMismatch {
-            expected: 2,
-            actual: shape.len(),
-        });
-    }
-    let (rows, cols) = (shape[0], shape[1]);
-    match (level, operand) {
+    check_mma_shape(shape, instr, level, operand)?;
+    let cols = shape[1];
+    let (grid, pieces) = match (level, operand) {
         (MmaLevel::Warp, MmaOperand::A | MmaOperand::C) => {
             // Four 16-row groups per 64-row instruction block.
-            if rows != instr.m() {
-                return Err(TensorError::UnsupportedMmaShape {
-                    shape: shape.to_vec(),
-                    requirement: "warp-level A/C rows must equal the instruction m (64)",
-                });
-            }
             let group = instr.m() / 4;
             let pieces = (0..4)
                 .map(|w| TensorView::affine(vec![group, cols], vec![w * group, 0]))
                 .collect();
-            Ok(Partition {
-                grid: vec![4],
-                pieces,
-                parent_shape: shape.to_vec(),
-                kind: PartitionKind::Mma,
-            })
+            (4, pieces)
         }
         (MmaLevel::Thread, MmaOperand::A | MmaOperand::C) => {
             // Fig. 4: lane l of the warp holds rows {l/4, l/4+8} and columns
             // {2(l%4)+8k, 2(l%4)+8k+1} for k in 0..cols/8. Compacted shape is
             // [2, cols/4]: (row-group, column) in thread-local order.
-            if rows != 16 {
-                return Err(TensorError::UnsupportedMmaShape {
-                    shape: shape.to_vec(),
-                    requirement: "thread-level A/C rows must equal the 16-row warp group",
-                });
-            }
-            if cols % 8 != 0 {
-                return Err(TensorError::UnsupportedMmaShape {
-                    shape: shape.to_vec(),
-                    requirement: "thread-level A/C columns must be a multiple of 8",
-                });
-            }
             let mut pieces = Vec::with_capacity(32);
             for lane in 0..32usize {
                 let r0 = lane / 4;
@@ -371,21 +390,10 @@ pub fn mma(
                 }
                 pieces.push(TensorView::gather(vec![2, cols / 4], table));
             }
-            Ok(Partition {
-                grid: vec![32],
-                pieces,
-                parent_shape: shape.to_vec(),
-                kind: PartitionKind::Mma,
-            })
+            (32, pieces)
         }
         (level, MmaOperand::B) => {
             // B stays in shared memory; every warp (or lane) sees all of it.
-            if rows % instr.k() != 0 {
-                return Err(TensorError::UnsupportedMmaShape {
-                    shape: shape.to_vec(),
-                    requirement: "B rows must be a multiple of the instruction k (16)",
-                });
-            }
             let n = match level {
                 MmaLevel::Warp => 4,
                 MmaLevel::Thread => 32,
@@ -393,14 +401,15 @@ pub fn mma(
             let pieces = (0..n)
                 .map(|_| TensorView::identity(shape.to_vec()))
                 .collect();
-            Ok(Partition {
-                grid: vec![n],
-                pieces,
-                parent_shape: shape.to_vec(),
-                kind: PartitionKind::Mma,
-            })
+            (n, pieces)
         }
-    }
+    };
+    Ok(Partition {
+        grid: vec![grid],
+        pieces,
+        parent_shape: shape.to_vec(),
+        kind: PartitionKind::Mma,
+    })
 }
 
 #[cfg(test)]
@@ -505,6 +514,37 @@ mod tests {
         assert!(mma(&[17, 8], instr, MmaLevel::Thread, MmaOperand::C).is_err());
         assert!(mma(&[16, 9], instr, MmaLevel::Thread, MmaOperand::C).is_err());
         assert!(mma(&[15, 8], instr, MmaLevel::Warp, MmaOperand::B).is_err());
+    }
+
+    #[test]
+    fn shape_check_agrees_with_mma_on_every_verdict() {
+        let levels = [MmaLevel::Warp, MmaLevel::Thread];
+        let operands = [MmaOperand::A, MmaOperand::B, MmaOperand::C];
+        for instr in [MmaInstr::wgmma(8).unwrap(), MmaInstr::wgmma_64x256x16()] {
+            for (level, operand) in levels.iter().flat_map(|l| operands.map(|o| (*l, o))) {
+                let agree = |shape: &[usize]| {
+                    assert_eq!(
+                        check_mma_shape(shape, instr, level, operand),
+                        mma(shape, instr, level, operand).map(drop),
+                        "{shape:?} {instr} {level:?} {operand:?}"
+                    );
+                };
+                for rows in 0..=66 {
+                    for cols in 0..=33 {
+                        agree(&[rows, cols]);
+                    }
+                }
+                agree(&[64, 256]);
+                agree(&[16, 256]);
+                agree(&[]);
+                agree(&[64]);
+                agree(&[64, 64, 64]);
+            }
+        }
+        // Both verdicts occur, so the comparison above is not vacuous.
+        let instr = MmaInstr::wgmma_64x256x16();
+        assert!(check_mma_shape(&[16, 32], instr, MmaLevel::Thread, MmaOperand::A).is_ok());
+        assert!(check_mma_shape(&[16, 33], instr, MmaLevel::Thread, MmaOperand::A).is_err());
     }
 
     #[test]
