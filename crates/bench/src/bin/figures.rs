@@ -1,90 +1,60 @@
 //! Regenerate every evaluation figure of the paper as text tables, with
-//! the paper's reported ratio bands printed next to the measured ratios.
-//! Alongside the tables, writes `BENCH_figures.json` — one
-//! `{figure, system, size, tflops}` row per measurement — so the perf
-//! trajectory can be tracked across PRs by machines, not eyeballs.
+//! the paper's reported ratio bands printed next to the measured ratios
+//! and every CI gate of `cypress_bench::gates` next to the rows it
+//! bounds. Alongside the tables, writes `BENCH_figures.json` — one
+//! `{figure, system, size, tflops, unit}` row per measurement, all on
+//! the simulated clock — so the perf trajectory can be tracked across
+//! PRs by machines, not eyeballs.
 //!
 //! Run with `cargo run --release -p cypress-bench --bin figures`.
 
 use cypress_bench::{
-    autotune_entries, fault_loss_system, fault_retry_system, fig13a, fig13b, fig13c, fig13d, fig14,
-    fig_autotune_with_times, fig_fault_tolerance, fig_functional, fig_fusion, fig_graph_overlap,
-    fig_multi_gpu, multi_gpu_system, overlap_concurrent_system, ratio, Row, AUTOTUNE_GUIDED_SYSTEM,
-    AUTOTUNE_HAND_SYSTEM, AUTOTUNE_SIZES, AUTOTUNE_TIMED_EXHAUSTIVE_SYSTEM,
-    AUTOTUNE_TIMED_GUIDED_SYSTEM, AUTOTUNE_TUNED_SYSTEM, FAULT_DEVICES, FAULT_SIZE,
-    FAULT_TRANSIENTS, FUNCTIONAL_FAN_OUT, FUNCTIONAL_SIZE, FUSION_SIZES, GEMM_SIZES,
-    MULTI_GPU_OVERLAP_SYSTEM, MULTI_GPU_SIZES, OVERLAP_SERIAL_SYSTEM, OVERLAP_SIZES, OVERLAP_WIDTH,
-    SEQ_LENS,
+    fig13a, fig13b, fig13c, fig13d, fig14, fig_autotune, fig_fault_tolerance, fig_fusion,
+    fig_graph_overlap, fig_multi_gpu, gates, overlap_concurrent_system, ratio, value, FigureFile,
+    Row, Unit, GEMM_SIZES, OVERLAP_SERIAL_SYSTEM, OVERLAP_SIZES, OVERLAP_WIDTH, SEQ_LENS,
 };
 use cypress_sim::MachineConfig;
+use std::process::ExitCode;
 
-/// Render `(figure, rows)` pairs as a JSON array (no serde in the
-/// offline build; the format is four flat fields per row).
-fn rows_to_json(figures: &[(&str, &[Row])], machine: &MachineConfig) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!(
-        "  \"machine\": \"{}\",\n  \"peak_tflops\": {:.1},\n  \"rows\": [\n",
-        machine.name,
-        machine.peak_tflops()
-    ));
-    let mut first = true;
-    for (figure, rows) in figures {
-        for r in *rows {
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
-            out.push_str(&format!(
-                "    {{\"figure\": \"{figure}\", \"system\": \"{}\", \"size\": {}, \"tflops\": {:.3}}}",
-                r.system, r.size, r.tflops
-            ));
-        }
-    }
-    out.push_str("\n  ]\n}\n");
-    out
-}
-
-/// One row's value (the autotune count rows carry counts, not TFLOP/s).
-fn find(rows: &[Row], system: &str, size: usize) -> f64 {
-    rows.iter()
-        .find(|r| r.system == system && r.size == size)
-        .map(|r| r.tflops)
-        .unwrap_or(f64::NAN)
-}
-
+/// Print one figure's rows as a `system x size` table, each series with
+/// its unit, then every gate on the figure with the values it compared.
 fn print_rows(title: &str, rows: &[Row]) {
     println!("\n=== {title} ===");
-    let mut systems: Vec<&str> = Vec::new();
+    let mut series: Vec<&Row> = Vec::new();
+    let mut sizes: Vec<usize> = Vec::new();
     for r in rows {
-        if !systems.contains(&r.system.as_str()) {
-            systems.push(&r.system);
+        if !series.iter().any(|s| s.system == r.system) {
+            series.push(r);
+        }
+        if !sizes.contains(&r.size) {
+            sizes.push(r.size);
         }
     }
-    print!("{:>24}", "size");
-    let sizes: Vec<usize> = {
-        let mut s: Vec<usize> = rows.iter().map(|r| r.size).collect();
-        s.dedup();
-        s
-    };
+    let width = series.iter().map(|s| s.system.len()).max().unwrap_or(0) + 2;
+    print!("{:>width$}", "size");
     for s in &sizes {
         print!("{s:>10}");
     }
     println!();
-    for sys in systems {
-        print!("{sys:>24}");
-        for s in &sizes {
-            let t = rows
-                .iter()
-                .find(|r| r.system == sys && r.size == *s)
-                .map(|r| r.tflops)
-                .unwrap_or(f64::NAN);
-            print!("{t:>10.0}");
+    for first in series {
+        print!("{:>width$}", first.system);
+        let digits = if first.unit == Unit::Ratio { 3 } else { 0 };
+        for &s in &sizes {
+            let v = value(rows, &first.system, s).unwrap_or(f64::NAN);
+            print!("{v:>10.digits$}");
         }
-        println!("  TFLOP/s");
+        println!("  {}", first.unit.label());
+    }
+    let figure = rows.first().map(|r| r.figure.as_str());
+    for gate in gates().iter().filter(|g| Some(g.figure) == figure) {
+        match gate.check(rows) {
+            Ok(held) => println!("  gated in CI: {held}"),
+            Err(failed) => println!("  GATE FAILS: {failed}"),
+        }
     }
 }
 
-fn main() {
+fn main() -> ExitCode {
     let machine = MachineConfig::h100_sxm5();
     println!(
         "Cypress evaluation on simulated {} ({:.0} TFLOP/s FP16 peak)",
@@ -138,7 +108,6 @@ fn main() {
     }
 
     let g = fig_graph_overlap(&machine);
-    let concurrent_system = overlap_concurrent_system();
     print_rows(
         &format!(
             "Graph overlap: {OVERLAP_WIDTH} independent GEMMs, serial vs {OVERLAP_WIDTH} streams"
@@ -148,169 +117,47 @@ fn main() {
     for s in OVERLAP_SIZES {
         println!(
             "  size {s}: {OVERLAP_WIDTH} streams / serial = {:.2}x makespan speedup",
-            ratio(&g, &concurrent_system, OVERLAP_SERIAL_SYSTEM, s)
+            ratio(&g, &overlap_concurrent_system(), OVERLAP_SERIAL_SYSTEM, s)
         );
     }
 
     let mg = fig_multi_gpu(&machine);
     print_rows(
-        &format!("Multi-GPU: {OVERLAP_WIDTH} independent GEMMs sharded across 1/2/4 devices"),
+        "Multi-GPU: the same graphs sharded across 1/2/4 devices; transfer cycles hidden under compute",
         &mg,
     );
-    for s in MULTI_GPU_SIZES {
-        println!(
-            "  size {s}: 2 devices / 1 device = {:.2}x, 4 devices / 1 device = {:.2}x makespan \
-             speedup (2 > 1 gated in CI), comm hidden under compute = {:.0}%",
-            ratio(&mg, &multi_gpu_system(2), &multi_gpu_system(1), s),
-            ratio(&mg, &multi_gpu_system(4), &multi_gpu_system(1), s),
-            100.0 * find(&mg, MULTI_GPU_OVERLAP_SYSTEM, s)
-        );
-    }
 
     let fu = fig_fusion(&machine);
     print_rows(
         "Graph fusion: producer->consumer pairs, unfused vs FusionPolicy::Auto",
         &fu,
     );
-    for s in FUSION_SIZES {
-        println!(
-            "  size {s}: chained-GEMM fused/unfused = {:.2}x, GEMM+Reduction fused/unfused = {:.2}x \
-             (>= 1.00 by construction; gated in CI)",
-            ratio(&fu, "Chained GEMM (fused)", "Chained GEMM (unfused)", s),
-            ratio(
-                &fu,
-                "GEMM+Reduction pair (fused)",
-                "GEMM+Reduction pair (unfused)",
-                s
-            )
-        );
-    }
 
-    let (t, sweep_times) = fig_autotune_with_times(&machine);
+    let t = fig_autotune(&machine);
     print_rows("Mapping autotune: hand-tuned H100 vs tuned vs guided", &t);
-    for size in AUTOTUNE_SIZES {
-        for (name, _, _, _) in autotune_entries(size) {
-            println!(
-                "  {name} @ {size}: autotuned/hand-tuned = {:.2}x (>= 1.00 by construction; gated in CI), \
-                 guided/autotuned = {:.2}x (gated >= 0.95), candidates timed {:.0} vs {:.0} (gated <)",
-                ratio(
-                    &t,
-                    &format!("{name} {AUTOTUNE_TUNED_SYSTEM}"),
-                    &format!("{name} {AUTOTUNE_HAND_SYSTEM}"),
-                    size
-                ),
-                ratio(
-                    &t,
-                    &format!("{name} {AUTOTUNE_GUIDED_SYSTEM}"),
-                    &format!("{name} {AUTOTUNE_TUNED_SYSTEM}"),
-                    size
-                ),
-                find(&t, &format!("{name} {AUTOTUNE_TIMED_GUIDED_SYSTEM}"), size),
-                find(
-                    &t,
-                    &format!("{name} {AUTOTUNE_TIMED_EXHAUSTIVE_SYSTEM}"),
-                    size
-                ),
-            );
-        }
-    }
-    println!("\n  cold-sweep wall time (host-measured, not part of BENCH_figures.json):");
-    for st in &sweep_times {
-        println!(
-            "  {:<16} @ {:>5}: exhaustive {:>7.1} ms, guided {:>7.1} ms ({:.2}x)",
-            st.name,
-            st.size,
-            st.exhaustive_s * 1e3,
-            st.guided_s * 1e3,
-            st.exhaustive_s / st.guided_s
-        );
-    }
 
     let ft = fig_fault_tolerance(&machine);
-    println!("\n=== Fault tolerance: recovery overhead (faulted/clean makespan ratio) ===");
-    for r in &ft {
-        println!("  {:<28} {:>8.3}x", r.system, r.tflops);
-    }
-    for devices in FAULT_DEVICES {
-        let retry: Vec<String> = FAULT_TRANSIENTS
-            .iter()
-            .map(|&t| {
-                format!(
-                    "{t} transient = {:.3}x",
-                    find(&ft, &fault_retry_system(devices, t), FAULT_SIZE)
-                )
-            })
-            .collect();
-        if devices > 1 {
-            println!(
-                "  {devices} devices: {} | device loss at 50% = {:.3}x (zero-fault == 1.000 and \
-                 loss < 4x gated in CI)",
-                retry.join(", "),
-                find(&ft, &fault_loss_system(devices), FAULT_SIZE)
-            );
-        } else {
-            println!("  {devices} device:  {}", retry.join(", "));
+    print_rows(
+        "Fault tolerance: recovery overhead (faulted/clean makespan; device loss at 50%)",
+        &ft,
+    );
+
+    let file = FigureFile {
+        machine: machine.name.into(),
+        peak_tflops: machine.peak_tflops(),
+        rows: [a, b, c, d, f, g, mg, fu, t, ft].concat(),
+    };
+    let written = file
+        .to_json()
+        .and_then(|json| std::fs::write("BENCH_figures.json", json).map_err(|e| e.to_string()));
+    match written {
+        Ok(()) => {
+            println!("\nwrote BENCH_figures.json ({} rows)", file.rows.len());
+            ExitCode::SUCCESS
         }
-    }
-
-    let fun = fig_functional(&machine);
-    println!("\n=== Functional data path (host-measured, Melem/s and graphs/s) ===");
-    for r in &fun {
-        println!("  {:<28} {:>12.1}", r.system, r.tflops);
-    }
-    println!(
-        "  GEMM bytecode/fast-apply = {:.2}x (gated, jitter-tolerant), GEMM fast/scalar = {:.1}x (gated >= 3x), \
-         attention fast/scalar = {:.1}x, \
-         {FUNCTIONAL_FAN_OUT}-wide graph parallel/serial = {:.2}x (gated, jitter-tolerant)",
-        ratio(
-            &fun,
-            "GEMM functional (bytecode)",
-            "GEMM functional (fast)",
-            FUNCTIONAL_SIZE
-        ),
-        ratio(
-            &fun,
-            "GEMM functional (fast)",
-            "GEMM functional (scalar)",
-            FUNCTIONAL_SIZE
-        ),
-        ratio(
-            &fun,
-            "Attention functional (fast)",
-            "Attention functional (scalar)",
-            FUNCTIONAL_SIZE
-        ),
-        ratio(
-            &fun,
-            "Fan-out graph (parallel)",
-            "Fan-out graph (serial)",
-            FUNCTIONAL_SIZE
-        )
-    );
-
-    let json = rows_to_json(
-        &[
-            ("13a_gemm", &a),
-            ("13b_batched_gemm", &b),
-            ("13c_dual_gemm", &c),
-            ("13d_gemm_reduction", &d),
-            ("14_attention", &f),
-            ("graph_overlap", &g),
-            ("fig_multi_gpu", &mg),
-            ("fig_fusion", &fu),
-            ("fig_autotune", &t),
-            ("fig_fault_tolerance", &ft),
-            // Host-measured rows; excluded from the bit-identical
-            // regeneration check in CI (see the workflow's sync step).
-            ("fig_functional", &fun),
-        ],
-        &machine,
-    );
-    match std::fs::write("BENCH_figures.json", &json) {
-        Ok(()) => println!(
-            "\nwrote BENCH_figures.json ({} rows)",
-            json.matches("\"figure\"").count()
-        ),
-        Err(e) => eprintln!("\nfailed to write BENCH_figures.json: {e}"),
+        Err(e) => {
+            eprintln!("\nfailed to write BENCH_figures.json: {e}");
+            ExitCode::FAILURE
+        }
     }
 }

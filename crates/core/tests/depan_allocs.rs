@@ -4,9 +4,10 @@
 //! allocations per op, tensor and partition (names, `pre` lists, piece
 //! paths), nothing per lane of an MMA partition and nothing per scope a
 //! tensor access passes through. The count below is exact and repeats
-//! run to run (the analyzer is deterministic and this binary holds one
-//! single-threaded test, so nothing else allocates while it counts), so
-//! it can gate where a timing could not. The analyzer this replaced
+//! run to run (the analyzer is deterministic and single-threaded, and
+//! the counter is per thread: libtest's main thread allocates now and
+//! then while it waits for the test's), so it can gate where a timing
+//! could not. The analyzer this replaced
 //! made 19 329 allocations on the GEMM.
 
 use cypress_core::kernels::attention::{self, Algorithm};
@@ -14,19 +15,26 @@ use cypress_core::kernels::gemm;
 use cypress_core::passes::depan;
 use cypress_sim::MachineConfig;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
-/// Counts every `alloc` and `realloc` the process makes.
+/// Counts every `alloc` and `realloc` each thread makes.
 struct Counting;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // A thread past its TLS teardown still allocates; it is not counted.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
 // which upholds the `GlobalAlloc` contract; the counter is a statistic
 // that publishes no other data.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
 
@@ -35,7 +43,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -60,9 +68,9 @@ fn analyze_stays_within_its_allocation_budget() {
     ];
     for (entry, (reg, mapping, args), budget) in &programs {
         let count = || {
-            let before = ALLOCATIONS.load(Ordering::Relaxed);
+            let before = ALLOCATIONS.get();
             let prog = depan::analyze(reg, mapping, entry, args).expect("paper kernel analyzes");
-            let after = ALLOCATIONS.load(Ordering::Relaxed);
+            let after = ALLOCATIONS.get();
             (after - before, prog.op_count())
         };
         let (first, ops) = count();

@@ -139,6 +139,7 @@ pub mod error;
 pub mod executor;
 pub mod fuse;
 pub mod graph;
+pub mod json;
 pub mod pool;
 pub mod program;
 pub mod report;

@@ -21,18 +21,19 @@
 //!   (no `serde`, mirroring [`crate::TuningTable`]'s text round-trip):
 //!   [`TraceSink::chrome_json`] turns any [`GraphReport`] into a file
 //!   that opens directly in Perfetto (<https://ui.perfetto.dev>) or
-//!   `chrome://tracing`, and [`TraceSink::parse_chrome_json`] is the
-//!   minimal parser the round-trip tests and the CI trace validator use.
+//!   `chrome://tracing`, and [`TraceSink::parse_chrome_json`] reads one
+//!   back through [`crate::json`] for the round-trip tests and the CI
+//!   trace validator.
 //!
 //! # Determinism contract
 //!
 //! Every event payload is expressed in **sim cycles** (or other
 //! deterministic quantities), never host wall-clock, except the
 //! [`EventClass::Host`] events, which exist precisely to carry wall
-//! time and are opt-in ([`TraceLog::with_host`]) — filtered from every
-//! comparison the way `fig_functional` rows are filtered from CI figure
-//! diffs. Each event belongs to an [`EventClass`] that states exactly
-//! how reproducible it is:
+//! time and are opt-in ([`TraceLog::with_host`]) — kept out of every
+//! comparison the way host measurements are kept out of
+//! `BENCH_figures.json` (they live in `benchmark/`). Each event belongs
+//! to an [`EventClass`] that states exactly how reproducible it is:
 //!
 //! | class | identical across |
 //! |-------|------------------|
@@ -47,6 +48,7 @@
 //! `tests/determinism_streams.rs` locks each row of the table down.
 
 use crate::cache::CacheStats;
+use crate::json::{json_num, json_str, JsonParser, JsonValue};
 use crate::pool::PoolStats;
 use crate::report::GraphReport;
 use crate::tuner::TunerStats;
@@ -767,328 +769,6 @@ impl TraceSink {
             }
         }
         Ok(trace)
-    }
-}
-
-/// Render an `f64` as a JSON number that parses back bit-for-bit:
-/// integral values print as integers, everything else in Rust's
-/// shortest round-trip form. Non-finite values (never produced by the
-/// simulator) clamp to 0.
-fn json_num(x: f64) -> String {
-    if !x.is_finite() {
-        return "0".to_string();
-    }
-    if x.fract() == 0.0 && x.abs() < 9e15 {
-        format!("{}", x as i64)
-    } else {
-        format!("{x:?}")
-    }
-}
-
-/// Escape a string for a JSON string literal.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Minimal JSON value for the hand-rolled parser.
-#[derive(Debug, Clone, PartialEq)]
-enum JsonValue {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<JsonValue>),
-    Obj(Vec<(String, JsonValue)>),
-}
-
-impl JsonValue {
-    fn get(&self, key: &str) -> Option<&JsonValue> {
-        match self {
-            JsonValue::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_array(&self) -> Option<&[JsonValue]> {
-        match self {
-            JsonValue::Arr(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonValue::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_f64(&self) -> Option<f64> {
-        match self {
-            JsonValue::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-}
-
-/// Recursive-descent JSON parser: just enough for Chrome traces, with
-/// positions in error messages.
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> JsonParser<'a> {
-    fn parse(text: &'a str) -> Result<JsonValue, String> {
-        let mut p = JsonParser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing data at byte {}", p.pos));
-        }
-        Ok(v)
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&mut self) -> Result<u8, String> {
-        self.skip_ws();
-        self.bytes
-            .get(self.pos)
-            .copied()
-            .ok_or_else(|| "unexpected end of input".to_string())
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek()? == b {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected `{}` at byte {}", char::from(b), self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<JsonValue, String> {
-        match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
-            b'"' => Ok(JsonValue::Str(self.string()?)),
-            b't' => self.literal("true", JsonValue::Bool(true)),
-            b'f' => self.literal("false", JsonValue::Bool(false)),
-            b'n' => self.literal("null", JsonValue::Null),
-            b'-' | b'0'..=b'9' => self.number(),
-            other => Err(format!(
-                "unexpected byte `{}` at {}",
-                char::from(other),
-                self.pos
-            )),
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: JsonValue) -> Result<JsonValue, String> {
-        self.skip_ws();
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(format!("expected `{word}` at byte {}", self.pos))
-        }
-    }
-
-    fn object(&mut self) -> Result<JsonValue, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek()? == b'}' {
-            self.pos += 1;
-            return Ok(JsonValue::Obj(fields));
-        }
-        loop {
-            let key = self.string()?;
-            self.expect(b':')?;
-            fields.push((key, self.value()?));
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b'}' => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Obj(fields));
-                }
-                other => {
-                    return Err(format!(
-                        "expected `,` or `}}` at byte {}, found `{}`",
-                        self.pos,
-                        char::from(other)
-                    ))
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<JsonValue, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek()? == b']' {
-            self.pos += 1;
-            return Ok(JsonValue::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b']' => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Arr(items));
-                }
-                other => {
-                    return Err(format!(
-                        "expected `,` or `]` at byte {}, found `{}`",
-                        self.pos,
-                        char::from(other)
-                    ))
-                }
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let b = *self
-                .bytes
-                .get(self.pos)
-                .ok_or_else(|| "unterminated string".to_string())?;
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let esc = *self
-                        .bytes
-                        .get(self.pos)
-                        .ok_or_else(|| "unterminated escape".to_string())?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{0008}'),
-                        b'f' => out.push('\u{000C}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let code = self.hex4()?;
-                            match code {
-                                // High surrogate: JSON encodes astral-plane
-                                // characters as a `\uXXXX\uXXXX` pair; combine
-                                // with the low half that must follow.
-                                0xD800..=0xDBFF
-                                    if self.bytes.get(self.pos) == Some(&b'\\')
-                                        && self.bytes.get(self.pos + 1) == Some(&b'u') =>
-                                {
-                                    let rewind = self.pos;
-                                    self.pos += 2;
-                                    let lo = self.hex4()?;
-                                    if (0xDC00..=0xDFFF).contains(&lo) {
-                                        let c = 0x10000 + ((code - 0xD800) << 10) + (lo - 0xDC00);
-                                        out.push(
-                                            char::from_u32(c)
-                                                .expect("combined surrogate pair is a scalar"),
-                                        );
-                                    } else {
-                                        // Not a low half: the lone high
-                                        // surrogate is U+FFFD and the second
-                                        // escape stands on its own.
-                                        out.push('\u{FFFD}');
-                                        self.pos = rewind;
-                                    }
-                                }
-                                // Lone or trailing surrogate halves are not
-                                // scalar values; replace like `String::from_utf8_lossy`.
-                                0xD800..=0xDFFF => out.push('\u{FFFD}'),
-                                _ => out.push(
-                                    char::from_u32(code)
-                                        .expect("non-surrogate u16 code points are scalars"),
-                                ),
-                            }
-                        }
-                        other => {
-                            return Err(format!(
-                                "bad escape `\\{}` at byte {}",
-                                char::from(other),
-                                self.pos - 1
-                            ))
-                        }
-                    }
-                }
-                _ => {
-                    // Re-decode from the byte position: names can carry
-                    // multi-byte UTF-8.
-                    let start = self.pos - 1;
-                    let s = std::str::from_utf8(&self.bytes[start..])
-                        .map_err(|e| format!("bad UTF-8 at byte {start}: {e}"))?;
-                    let c = s
-                        .chars()
-                        .next()
-                        .ok_or_else(|| "unterminated string".to_string())?;
-                    out.push(c);
-                    self.pos = start + c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn hex4(&mut self) -> Result<u32, String> {
-        let end = self.pos + 4;
-        let digits = self
-            .bytes
-            .get(self.pos..end)
-            .ok_or_else(|| "truncated \\u escape".to_string())?;
-        let s = std::str::from_utf8(digits).map_err(|_| "bad \\u escape".to_string())?;
-        let code = u32::from_str_radix(s, 16).map_err(|e| format!("bad \\u escape `{s}`: {e}"))?;
-        self.pos = end;
-        Ok(code)
-    }
-
-    fn number(&mut self) -> Result<JsonValue, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        let s = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| format!("bad number at byte {start}"))?;
-        s.parse::<f64>()
-            .map(JsonValue::Num)
-            .map_err(|e| format!("bad number `{s}` at byte {start}: {e}"))
     }
 }
 

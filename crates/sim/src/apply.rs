@@ -638,8 +638,8 @@ fn stage_row(out: &mut Vec<f32>, buf: &[f32], v: &View, i: usize, width: usize) 
 /// reference oracle: every element access is a `match` on the memory
 /// object plus two-dimensional index arithmetic, every store a scalar
 /// dtype conversion. Tests assert the fast path above is bitwise
-/// identical; the `scalar-oracle` feature exposes it to the benchmark
-/// harness so the speedup stays measured, not assumed.
+/// identical; the `scalar-oracle` feature exposes it to the cross-crate
+/// differential tests.
 #[cfg(any(test, feature = "scalar-oracle"))]
 pub(crate) mod scalar {
     use super::{FuncData, RSlice};
