@@ -311,6 +311,110 @@ pub enum Stmt {
     },
 }
 
+impl Stmt {
+    /// `name = value`.
+    #[must_use]
+    pub fn let_(name: impl Into<String>, value: SExpr) -> Self {
+        Stmt::Let {
+            name: name.into(),
+            value,
+        }
+    }
+
+    /// `name = tunable(int)`.
+    #[must_use]
+    pub fn tunable(name: impl Into<String>) -> Self {
+        Stmt::Tunable { name: name.into() }
+    }
+
+    /// `name = make_tensor(rows, cols, dtype)`.
+    #[must_use]
+    pub fn make_tensor(name: impl Into<String>, rows: SExpr, cols: SExpr, dtype: DType) -> Self {
+        Stmt::MakeTensor {
+            name: name.into(),
+            rows,
+            cols,
+            dtype,
+        }
+    }
+
+    /// `name = partition_by_blocks(tensor, (tile_rows, tile_cols))`.
+    #[must_use]
+    pub fn blocks(
+        name: impl Into<String>,
+        tensor: impl Into<String>,
+        tile_rows: SExpr,
+        tile_cols: SExpr,
+    ) -> Self {
+        Stmt::PartitionBlocks {
+            name: name.into(),
+            tensor: tensor.into(),
+            tile_rows,
+            tile_cols,
+        }
+    }
+
+    /// `name = partition_by_mma(tensor, level, operand)`.
+    #[must_use]
+    pub fn mma(
+        name: impl Into<String>,
+        tensor: impl Into<String>,
+        level: MmaLevel,
+        operand: MmaOperand,
+    ) -> Self {
+        Stmt::PartitionMma {
+            name: name.into(),
+            tensor: tensor.into(),
+            level,
+            operand,
+        }
+    }
+
+    /// `launch(task, args)`.
+    #[must_use]
+    pub fn launch(task: impl Into<String>, args: Vec<ArgExpr>) -> Self {
+        Stmt::Launch {
+            task: task.into(),
+            args,
+        }
+    }
+
+    /// `launch(task, tensors...)` with every argument a whole tensor.
+    #[must_use]
+    pub fn launch_whole(task: impl Into<String>, tensors: &[&str]) -> Self {
+        Stmt::launch(task, tensors.iter().map(|t| ArgExpr::tensor(*t)).collect())
+    }
+
+    /// `for var in srange(extent): body`.
+    #[must_use]
+    pub fn srange(var: impl Into<String>, extent: SExpr, body: Vec<Stmt>) -> Self {
+        Stmt::SRange {
+            var: var.into(),
+            extent,
+            body,
+        }
+    }
+
+    /// `for vars in prange(extents): body`.
+    #[must_use]
+    pub fn prange(vars: &[&str], extents: Vec<SExpr>, body: Vec<Stmt>) -> Self {
+        Stmt::PRange {
+            vars: vars.iter().map(|v| (*v).to_string()).collect(),
+            extents,
+            body,
+        }
+    }
+
+    /// `call-external(f, tensors...)`, destination last.
+    #[must_use]
+    pub fn call_external(f: LeafFn, tensors: &[&str]) -> Self {
+        Stmt::CallExternal {
+            f,
+            args: tensors.iter().map(|t| ArgExpr::tensor(*t)).collect(),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -52,6 +52,13 @@ impl TaskMapping {
         }
     }
 
+    /// An instance named after the variant it runs — the common case: a
+    /// variant bound at one point of the machine needs no second name.
+    #[must_use]
+    pub fn for_variant(variant: &str, proc: ProcLevel, mems: Vec<MemLevel>) -> Self {
+        TaskMapping::new(variant, variant, proc, mems)
+    }
+
     /// Bind a tunable.
     #[must_use]
     pub fn tunable(mut self, name: &str, value: i64) -> Self {

@@ -6,7 +6,7 @@
 //! privileges). Inner variants decompose; leaf variants compute.
 
 use crate::error::CompileError;
-use crate::front::ast::{ArgExpr, Privilege, Stmt};
+use crate::front::ast::{Privilege, Stmt};
 use cypress_tensor::DType;
 use std::collections::HashMap;
 
@@ -98,8 +98,10 @@ impl TaskVariant {
     }
 }
 
-/// Registry of all task variants of a program.
-#[derive(Debug, Clone, Default)]
+/// Registry of all task variants of a program. Two registries are equal
+/// when they hold the same variants, whatever order they were registered
+/// in.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TaskRegistry {
     variants: HashMap<String, TaskVariant>,
 }
@@ -155,12 +157,6 @@ impl TaskRegistry {
     }
 }
 
-/// Convenience helpers for building arguments.
-#[must_use]
-pub fn targ(name: &str) -> ArgExpr {
-    ArgExpr::tensor(name)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,10 +177,7 @@ mod tests {
             name: "clear_inner".into(),
             kind: VariantKind::Inner,
             params: sig(),
-            body: vec![Stmt::CallExternal {
-                f: LeafFn::Fill(0.0),
-                args: vec![targ("C")],
-            }],
+            body: vec![Stmt::call_external(LeafFn::Fill(0.0), &["C"])],
         };
         assert!(matches!(
             v.check_kind(),
@@ -199,10 +192,7 @@ mod tests {
             name: "clear_leaf".into(),
             kind: VariantKind::Leaf,
             params: sig(),
-            body: vec![Stmt::Launch {
-                task: "clear".into(),
-                args: vec![targ("C")],
-            }],
+            body: vec![Stmt::launch_whole("clear", &["C"])],
         };
         assert!(matches!(
             v.check_kind(),
@@ -213,14 +203,11 @@ mod tests {
             name: "clear_leaf2".into(),
             kind: VariantKind::Leaf,
             params: sig(),
-            body: vec![Stmt::SRange {
-                var: "i".into(),
-                extent: SExpr::lit(2),
-                body: vec![Stmt::Launch {
-                    task: "clear".into(),
-                    args: vec![targ("C")],
-                }],
-            }],
+            body: vec![Stmt::srange(
+                "i",
+                SExpr::lit(2),
+                vec![Stmt::launch_whole("clear", &["C"])],
+            )],
         };
         assert!(nested.check_kind().is_err());
     }

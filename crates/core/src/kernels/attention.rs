@@ -13,11 +13,11 @@
 //! group-waits the first GEMM, overlapping softmax with Tensor Core work.
 
 use crate::error::CompileError;
-use crate::front::ast::{LeafFn, Privilege, SExpr, Stmt};
+use crate::front::ast::{ArgExpr, LeafFn, Privilege, SExpr, Stmt};
 use crate::front::machine::{MemLevel, ProcLevel};
 use crate::front::mapping::{MappingSpec, TaskMapping};
-use crate::front::task::{TaskRegistry, TaskVariant, VariantKind};
-use crate::kernels::common::{self, p, piece, t, v};
+use crate::front::task::{ParamSig, TaskRegistry};
+use crate::kernels::common::{self, p};
 use crate::kernels::space::{MappingConfig, MappingSpace, Shape};
 use crate::passes::depan::EntryArg;
 use cypress_sim::MachineConfig;
@@ -254,7 +254,6 @@ pub fn build(
 /// # Errors
 ///
 /// Returns [`CompileError`] on malformed trees or indivisible tilings.
-#[allow(clippy::too_many_lines)]
 pub fn build_with(
     algorithm: Algorithm,
     heads: usize,
@@ -267,721 +266,303 @@ pub fn build_with(
     common::register_store(&mut reg, "store")?;
     common::register_vec_clear(&mut reg, "vclear", 0.0)?;
     common::register_vec_clear(&mut reg, "nclear", -30000.0)?;
+    register_leaves(&mut reg, 1.0 / (head_dim as f64).sqrt() as f32)?;
+    // FA2 steps over one K/V tile, FA3 over two.
+    let fa2 = [("Sc", "K", "V")];
+    let fa3 = [("S0", "K0", "V0"), ("S1", "K1", "V1")];
+    register_step(&mut reg, cfg.bc, "fstep", ("ftile", "ftile_fa2"), &fa2)?;
+    register_step(&mut reg, cfg.bc, "fstep3", ("ftile3", "ftile_fa3"), &fa3)?;
+    register_levels(&mut reg, algorithm)?;
 
-    // Elementwise leaf tasks of the online softmax.
-    let scale = 1.0 / (head_dim as f64).sqrt() as f32;
-    common::register_leaf(
-        &mut reg,
-        "szero",
-        vec![p("X", Privilege::Write)],
-        LeafFn::Fill(0.0),
-        &["X"],
-    )?;
-    common::register_leaf(
-        &mut reg,
-        "qk",
-        vec![
-            p("S", Privilege::ReadWrite),
-            p("Q", Privilege::Read),
-            p("K", Privilege::Read),
-        ],
-        LeafFn::MmaAccumBT,
-        &["Q", "K", "S"],
-    )?;
-    common::register_leaf(
-        &mut reg,
-        "sscale",
-        vec![p("X", Privilege::ReadWrite)],
-        LeafFn::Scale(scale),
-        &["X", "X"],
-    )?;
-    common::register_leaf(
-        &mut reg,
-        "vcopy",
-        vec![p("S", Privilege::Read), p("D", Privilege::Write)],
-        LeafFn::CopyExt,
-        &["S", "D"],
-    )?;
-    common::register_leaf(
-        &mut reg,
-        "rmax",
-        vec![p("M", Privilege::ReadWrite), p("S", Privilege::Read)],
-        LeafFn::RowMaxAccum,
-        &["S", "M"],
-    )?;
-    common::register_leaf(
-        &mut reg,
-        "vsub",
-        vec![p("X", Privilege::ReadWrite), p("R", Privilege::Read)],
-        LeafFn::SubRow,
-        &["X", "R", "X"],
-    )?;
-    common::register_leaf(
-        &mut reg,
-        "vexp",
-        vec![p("X", Privilege::ReadWrite)],
-        LeafFn::Exp,
-        &["X", "X"],
-    )?;
-    common::register_leaf(
-        &mut reg,
-        "vmul",
-        vec![p("X", Privilege::ReadWrite), p("R", Privilege::Read)],
-        LeafFn::MulRow,
-        &["X", "R", "X"],
-    )?;
-    common::register_leaf(
-        &mut reg,
-        "rsum",
-        vec![p("Y", Privilege::ReadWrite), p("A", Privilege::Read)],
-        LeafFn::RowSumAccum,
-        &["A", "Y"],
-    )?;
-    common::register_leaf(
-        &mut reg,
-        "pv",
-        vec![
-            p("O", Privilege::ReadWrite),
-            p("P", Privilege::Read),
-            p("V", Privilege::Read),
-        ],
-        LeafFn::MmaAccum,
-        &["P", "V", "O"],
-    )?;
-    common::register_leaf(
-        &mut reg,
-        "fin",
-        vec![p("O", Privilege::ReadWrite), p("L", Privilege::Read)],
-        LeafFn::DivRow,
-        &["O", "L", "O"],
-    )?;
+    let rows = heads * seq;
+    let args = ["O", "Q", "K", "V"].map(|t| EntryArg::f16(t, rows, head_dim));
+    Ok((reg, mapping(algorithm, heads, &cfg)?, args.to_vec()))
+}
 
+/// The warpgroup-level leaves of a step with the memories their
+/// parameters are mapped to: `P` and the statistics live in register
+/// fragments, `Q`/`K`/`V` tiles in shared memory.
+const STEP_LEAVES: [(&str, &[MemLevel]); 10] = {
+    const R: MemLevel = MemLevel::Register;
+    const SH: MemLevel = MemLevel::Shared;
+    [
+        ("szero", &[R]),
+        ("qk", &[R, SH, SH]),
+        ("sscale", &[R]),
+        ("vcopy", &[R, R]),
+        ("rmax", &[R, R]),
+        ("vsub", &[R, R]),
+        ("vexp", &[R]),
+        ("vmul", &[R, R]),
+        ("rsum", &[R, R]),
+        ("pv", &[R, R, SH]),
+    ]
+};
+
+/// Elementwise leaf tasks of the online softmax, the two Tensor Core
+/// leaves around it, and the final normalization.
+fn register_leaves(reg: &mut TaskRegistry, scale: f32) -> Result<(), CompileError> {
+    use Privilege::{Read as R, ReadWrite as RW, Write as W};
+    let mut leaf = |task: &str, params: &[(&str, Privilege)], f: LeafFn, args: &[&str]| {
+        let params = params.iter().map(|&(name, privilege)| p(name, privilege));
+        common::register_leaf(reg, task, params.collect(), f, args)
+    };
+    // In place on `X`, alone or against a broadcast column `R`.
+    let (unary, by_row) = ([("X", RW)], [("X", RW), ("R", R)]);
+    leaf("szero", &[("X", W)], LeafFn::Fill(0.0), &["X"])?;
+    leaf("sscale", &unary, LeafFn::Scale(scale), &["X", "X"])?;
+    leaf("vexp", &unary, LeafFn::Exp, &["X", "X"])?;
+    leaf("vsub", &by_row, LeafFn::SubRow, &["X", "R", "X"])?;
+    leaf("vmul", &by_row, LeafFn::MulRow, &["X", "R", "X"])?;
+    leaf("vcopy", &[("S", R), ("D", W)], LeafFn::CopyExt, &["S", "D"])?;
+    let (rmax, rsum) = ([("M", RW), ("S", R)], [("Y", RW), ("A", R)]);
+    leaf("rmax", &rmax, LeafFn::RowMaxAccum, &["S", "M"])?;
+    leaf("rsum", &rsum, LeafFn::RowSumAccum, &["A", "Y"])?;
+    let qk = [("S", RW), ("Q", R), ("K", R)];
+    leaf("qk", &qk, LeafFn::MmaAccumBT, &["Q", "K", "S"])?;
+    let pv = [("O", RW), ("P", R), ("V", R)];
+    leaf("pv", &pv, LeafFn::MmaAccum, &["P", "V", "O"])?;
+    let fin = [("O", RW), ("L", R)];
+    leaf("fin", &fin, LeafFn::DivRow, &["O", "L", "O"])?;
     // finish tree: divide O by the softmax denominator, per warpgroup row
     // band.
-    reg.register(TaskVariant {
-        task: "finish".into(),
-        name: "finish_tile".into(),
-        kind: VariantKind::Inner,
-        params: vec![p("O", Privilege::ReadWrite), p("L", Privilege::Read)],
-        body: vec![
-            Stmt::Tunable { name: "WGS".into() },
-            Stmt::Let {
-                name: "M".into(),
-                value: SExpr::shape("O", 0),
-            },
-            Stmt::Let {
-                name: "D".into(),
-                value: SExpr::shape("O", 1),
-            },
-            Stmt::PartitionBlocks {
-                name: "Op".into(),
-                tensor: "O".into(),
-                tile_rows: v("M") / v("WGS"),
-                tile_cols: v("D"),
-            },
-            Stmt::PartitionBlocks {
-                name: "Lp".into(),
-                tensor: "L".into(),
-                tile_rows: v("M") / v("WGS"),
-                tile_cols: SExpr::lit(1),
-            },
-            Stmt::PRange {
-                vars: vec!["w".into()],
-                extents: vec![v("WGS")],
-                body: vec![Stmt::Launch {
-                    task: "fin".into(),
-                    args: vec![
-                        piece("Op", vec![v("w"), SExpr::lit(0)]),
-                        piece("Lp", vec![v("w"), SExpr::lit(0)]),
-                    ],
-                }],
-            },
-        ],
-    })?;
+    let split = [("O", SExpr::var("D")), ("L", SExpr::lit(1))];
+    let finish = common::row_split(("M", "O"), &[("D", "O", 1)], &split, &[], "fin");
+    let params = vec![p("O", RW), p("L", R)];
+    common::register_inner(reg, "finish", "finish_tile", params, finish)
+}
 
-    // The per-warpgroup online-softmax step (FA2: one tile; FA3: two).
-    let softmax_block = |sname: &str| -> Vec<Stmt> {
-        vec![
-            // Scale the scores, save the old max, fold in the tile max.
-            Stmt::Launch {
-                task: "sscale".into(),
-                args: vec![t(sname)],
-            },
-            Stmt::Launch {
-                task: "vcopy".into(),
-                args: vec![t("m"), t("tm")],
-            },
-            Stmt::Launch {
-                task: "rmax".into(),
-                args: vec![t("m"), t(sname)],
-            },
-            // alpha = exp(m_old - m_new), stored in tm.
-            Stmt::Launch {
-                task: "vsub".into(),
-                args: vec![t("tm"), t("m")],
-            },
-            Stmt::Launch {
-                task: "vexp".into(),
-                args: vec![t("tm")],
-            },
-            // Rescale running denominator and output.
-            Stmt::Launch {
-                task: "vmul".into(),
-                args: vec![t("l"), t("tm")],
-            },
-            Stmt::Launch {
-                task: "vmul".into(),
-                args: vec![t("O"), t("tm")],
-            },
-            // P = exp(S - m), fold into l.
-            Stmt::Launch {
-                task: "vsub".into(),
-                args: vec![t(sname), t("m")],
-            },
-            Stmt::Launch {
-                task: "vexp".into(),
-                args: vec![t(sname)],
-            },
-            Stmt::Launch {
-                task: "rsum".into(),
-                args: vec![t("l"), t(sname)],
-            },
-        ]
+/// The online-softmax update of one score tile `s` against the running
+/// max `m`, denominator `l` and output `O`.
+fn softmax(s: &str) -> [Stmt; 10] {
+    [
+        // Scale the scores, save the old max, fold in the tile max.
+        Stmt::launch_whole("sscale", &[s]),
+        Stmt::launch_whole("vcopy", &["m", "tm"]),
+        Stmt::launch_whole("rmax", &["m", s]),
+        // alpha = exp(m_old - m_new), stored in tm.
+        Stmt::launch_whole("vsub", &["tm", "m"]),
+        Stmt::launch_whole("vexp", &["tm"]),
+        // Rescale running denominator and output.
+        Stmt::launch_whole("vmul", &["l", "tm"]),
+        Stmt::launch_whole("vmul", &["O", "tm"]),
+        // P = exp(S - m), fold into l.
+        Stmt::launch_whole("vsub", &[s, "m"]),
+        Stmt::launch_whole("vexp", &[s]),
+        Stmt::launch_whole("rsum", &["l", s]),
+    ]
+}
+
+/// One step of the K/V loop over `tiles`, each `(scores, K, V)`:
+/// `{step}_wg`, what a warpgroup does with its 64-row band, and the
+/// BLOCK-level variant `tile.1` of task `tile.0` that splits rows across
+/// warpgroups (its K/V parameters are `K0`/`V0`… for uniformity).
+fn register_step(
+    reg: &mut TaskRegistry,
+    bc: usize,
+    step: &str,
+    tile: (&str, &str),
+    tiles: &[(&str, &str, &str)],
+) -> Result<(), CompileError> {
+    let params = |kv: &[String]| -> Vec<ParamSig> {
+        let state = ["O", "m", "l"].map(|t| p(t, Privilege::ReadWrite));
+        let operands = std::iter::once("Q").chain(kv.iter().map(String::as_str));
+        state
+            .into_iter()
+            .chain(operands.map(|t| p(t, Privilege::Read)))
+            .collect()
     };
+    let wg_kv: Vec<String> = tiles
+        .iter()
+        .flat_map(|&(_, k, v)| [k.to_string(), v.to_string()])
+        .collect();
+    let tile_kv: Vec<String> = (0..tiles.len())
+        .flat_map(|i| [format!("K{i}"), format!("V{i}")])
+        .collect();
 
-    let step_params_fa2 = vec![
-        p("O", Privilege::ReadWrite),
-        p("m", Privilege::ReadWrite),
-        p("l", Privilege::ReadWrite),
-        p("Q", Privilege::Read),
-        p("K", Privilege::Read),
-        p("V", Privilege::Read),
-    ];
-    let mut fa2_wg_body = vec![
-        Stmt::MakeTensor {
-            name: "Sc".into(),
-            rows: SExpr::lit(64),
-            cols: SExpr::lit(cfg.bc as i64),
-            dtype: DType::F16,
-        },
-        Stmt::MakeTensor {
-            name: "tm".into(),
-            rows: SExpr::lit(64),
-            cols: SExpr::lit(1),
-            dtype: DType::F16,
-        },
-        Stmt::Launch {
-            task: "szero".into(),
-            args: vec![t("Sc")],
-        },
-        Stmt::Launch {
-            task: "qk".into(),
-            args: vec![t("Sc"), t("Q"), t("K")],
-        },
-    ];
-    fa2_wg_body.extend(softmax_block("Sc"));
-    fa2_wg_body.push(Stmt::Launch {
-        task: "pv".into(),
-        args: vec![t("O"), t("Sc"), t("V")],
-    });
-    reg.register(TaskVariant {
-        task: "fstep".into(),
-        name: "fstep_wg".into(),
-        kind: VariantKind::Inner,
-        params: step_params_fa2.clone(),
-        body: fa2_wg_body,
-    })?;
-
-    let step_params_fa3 = vec![
-        p("O", Privilege::ReadWrite),
-        p("m", Privilege::ReadWrite),
-        p("l", Privilege::ReadWrite),
-        p("Q", Privilege::Read),
-        p("K0", Privilege::Read),
-        p("V0", Privilege::Read),
-        p("K1", Privilege::Read),
-        p("V1", Privilege::Read),
-    ];
-    let mut fa3_wg_body = vec![
-        Stmt::MakeTensor {
-            name: "S0".into(),
-            rows: SExpr::lit(64),
-            cols: SExpr::lit(cfg.bc as i64),
-            dtype: DType::F16,
-        },
-        Stmt::MakeTensor {
-            name: "S1".into(),
-            rows: SExpr::lit(64),
-            cols: SExpr::lit(cfg.bc as i64),
-            dtype: DType::F16,
-        },
-        Stmt::MakeTensor {
-            name: "tm".into(),
-            rows: SExpr::lit(64),
-            cols: SExpr::lit(1),
-            dtype: DType::F16,
-        },
-        // Both QK^T GEMMs issue before the first softmax: the compiler's
-        // group-wait analysis retires only the first when its scores are
-        // read, leaving the second in flight (FA3's overlap).
-        Stmt::Launch {
-            task: "szero".into(),
-            args: vec![t("S0")],
-        },
-        Stmt::Launch {
-            task: "qk".into(),
-            args: vec![t("S0"), t("Q"), t("K0")],
-        },
-        Stmt::Launch {
-            task: "szero".into(),
-            args: vec![t("S1")],
-        },
-        Stmt::Launch {
-            task: "qk".into(),
-            args: vec![t("S1"), t("Q"), t("K1")],
-        },
-    ];
-    fa3_wg_body.extend(softmax_block("S0"));
-    fa3_wg_body.push(Stmt::Launch {
-        task: "pv".into(),
-        args: vec![t("O"), t("S0"), t("V0")],
-    });
-    fa3_wg_body.extend(softmax_block("S1"));
-    fa3_wg_body.push(Stmt::Launch {
-        task: "pv".into(),
-        args: vec![t("O"), t("S1"), t("V1")],
-    });
-    reg.register(TaskVariant {
-        task: "fstep3".into(),
-        name: "fstep3_wg".into(),
-        kind: VariantKind::Inner,
-        params: step_params_fa3.clone(),
-        body: fa3_wg_body,
-    })?;
+    let fragment = |name: &str, cols: i64| {
+        Stmt::make_tensor(name, SExpr::lit(64), SExpr::lit(cols), DType::F16)
+    };
+    let mut body: Vec<Stmt> = tiles
+        .iter()
+        .map(|&(s, ..)| fragment(s, bc as i64))
+        .collect();
+    body.push(fragment("tm", 1));
+    // Every QK^T GEMM issues before the first softmax: the compiler's
+    // group-wait analysis retires only the first when its scores are
+    // read, leaving the second in flight (FA3's overlap).
+    for &(s, k, _) in tiles {
+        body.push(Stmt::launch_whole("szero", &[s]));
+        body.push(Stmt::launch_whole("qk", &[s, "Q", k]));
+    }
+    for &(s, _, v) in tiles {
+        body.extend(softmax(s));
+        body.push(Stmt::launch_whole("pv", &["O", s, v]));
+    }
+    common::register_inner(reg, step, &format!("{step}_wg"), params(&wg_kv), body)?;
 
     // BLOCK-level step: split rows across warpgroups.
-    let make_step_tile = |task: &str, params: &[crate::front::task::ParamSig], kv: usize| {
-        let mut body = vec![
-            Stmt::Tunable { name: "WGS".into() },
-            Stmt::Let {
-                name: "BR".into(),
-                value: SExpr::shape("O", 0),
-            },
-            Stmt::Let {
-                name: "D".into(),
-                value: SExpr::shape("O", 1),
-            },
-            Stmt::PartitionBlocks {
-                name: "Op".into(),
-                tensor: "O".into(),
-                tile_rows: v("BR") / v("WGS"),
-                tile_cols: v("D"),
-            },
-            Stmt::PartitionBlocks {
-                name: "mp".into(),
-                tensor: "m".into(),
-                tile_rows: v("BR") / v("WGS"),
-                tile_cols: SExpr::lit(1),
-            },
-            Stmt::PartitionBlocks {
-                name: "lp".into(),
-                tensor: "l".into(),
-                tile_rows: v("BR") / v("WGS"),
-                tile_cols: SExpr::lit(1),
-            },
-            Stmt::PartitionBlocks {
-                name: "Qp".into(),
-                tensor: "Q".into(),
-                tile_rows: v("BR") / v("WGS"),
-                tile_cols: v("D"),
-            },
-        ];
-        let mut args = vec![
-            piece("Op", vec![v("w"), SExpr::lit(0)]),
-            piece("mp", vec![v("w"), SExpr::lit(0)]),
-            piece("lp", vec![v("w"), SExpr::lit(0)]),
-            piece("Qp", vec![v("w"), SExpr::lit(0)]),
-        ];
-        for i in 0..kv {
-            args.push(t(&format!("K{i}")));
-            args.push(t(&format!("V{i}")));
-        }
-        body.push(Stmt::PRange {
-            vars: vec!["w".into()],
-            extents: vec![v("WGS")],
-            body: vec![Stmt::Launch {
-                task: task.into(),
-                args,
-            }],
-        });
-        (body, params.to_vec())
-    };
+    let one = SExpr::lit(1);
+    let split = [
+        ("O", SExpr::var("D")),
+        ("m", one.clone()),
+        ("l", one),
+        ("Q", SExpr::var("D")),
+    ];
+    let whole: Vec<&str> = tile_kv.iter().map(String::as_str).collect();
+    let body = common::row_split(("BR", "O"), &[("D", "O", 1)], &split, &whole, step);
+    common::register_inner(reg, tile.0, tile.1, params(&tile_kv), body)
+}
 
-    // FA2 tile step: rename K/V params to K0/V0 for uniformity.
-    let mut fa2_tile_params = step_params_fa2.clone();
-    fa2_tile_params[4].name = "K0".into();
-    fa2_tile_params[5].name = "V0".into();
-    let (fa2_tile_body, fa2_tile_params) = make_step_tile("fstep", &fa2_tile_params, 1);
-    reg.register(TaskVariant {
-        task: "ftile".into(),
-        name: "ftile_fa2".into(),
-        kind: VariantKind::Inner,
-        params: fa2_tile_params,
-        body: fa2_tile_body,
-    })?;
-    let mut fa3_tile_params = step_params_fa3.clone();
-    fa3_tile_params[4].name = "K0".into();
-    fa3_tile_params[5].name = "V0".into();
-    let (fa3_tile_body, fa3_tile_params) = make_step_tile("fstep3", &fa3_tile_params, 2);
-    reg.register(TaskVariant {
-        task: "ftile3".into(),
-        name: "ftile_fa3".into(),
-        kind: VariantKind::Inner,
-        params: fa3_tile_params,
-        body: fa3_tile_body,
-    })?;
-
-    // BLOCK-level attention over one Q row-band.
-    let fa_params = vec![
+/// The `fa` task's three levels: host (one band of rows per head), head
+/// (row bands of Q/O), and the BLOCK-level K/V loop of `algorithm`.
+fn register_levels(reg: &mut TaskRegistry, algorithm: Algorithm) -> Result<(), CompileError> {
+    let params = vec![
         p("O", Privilege::ReadWrite),
         p("Q", Privilege::Read),
         p("K", Privilege::Read),
         p("V", Privilege::Read),
     ];
-    let mut fa_block_body = vec![
-        Stmt::Tunable { name: "BC".into() },
-        Stmt::Let {
-            name: "BR".into(),
-            value: SExpr::shape("Q", 0),
-        },
-        Stmt::Let {
-            name: "D".into(),
-            value: SExpr::shape("Q", 1),
-        },
-        Stmt::Let {
-            name: "SEQ".into(),
-            value: SExpr::shape("K", 0),
-        },
-        Stmt::PartitionBlocks {
-            name: "Kp".into(),
-            tensor: "K".into(),
-            tile_rows: v("BC"),
-            tile_cols: v("D"),
-        },
-        Stmt::PartitionBlocks {
-            name: "Vp".into(),
-            tensor: "V".into(),
-            tile_rows: v("BC"),
-            tile_cols: v("D"),
-        },
-        Stmt::MakeTensor {
-            name: "m".into(),
-            rows: v("BR"),
-            cols: SExpr::lit(1),
-            dtype: DType::F16,
-        },
-        Stmt::MakeTensor {
-            name: "l".into(),
-            rows: v("BR"),
-            cols: SExpr::lit(1),
-            dtype: DType::F16,
-        },
-        Stmt::MakeTensor {
-            name: "Oa".into(),
-            rows: v("BR"),
-            cols: v("D"),
-            dtype: DType::F16,
-        },
-        Stmt::Launch {
-            task: "nclear".into(),
-            args: vec![t("m")],
-        },
-        Stmt::Launch {
-            task: "vclear".into(),
-            args: vec![t("l")],
-        },
-        Stmt::Launch {
-            task: "clear".into(),
-            args: vec![t("Oa")],
-        },
+    let piece = |part: &str, row: SExpr| ArgExpr::piece(part, vec![row, SExpr::lit(0)]);
+
+    // BLOCK-level attention over one Q row-band.
+    let kv = |row: SExpr| [piece("Kp", row.clone()), piece("Vp", row)];
+    let (step, extent, tiles) = match algorithm {
+        Algorithm::Fa2 => (
+            "ftile",
+            SExpr::var("SEQ") / SExpr::var("BC"),
+            vec![SExpr::var("j")],
+        ),
+        Algorithm::Fa3 => (
+            "ftile3",
+            SExpr::var("SEQ") / (SExpr::var("BC") * SExpr::lit(2)),
+            vec![
+                SExpr::var("j") * SExpr::lit(2),
+                SExpr::var("j") * SExpr::lit(2) + SExpr::lit(1),
+            ],
+        ),
+    };
+    let mut step_args: Vec<ArgExpr> = ["Oa", "m", "l", "Q"].map(ArgExpr::tensor).to_vec();
+    step_args.extend(tiles.into_iter().flat_map(kv));
+    let block = vec![
+        Stmt::tunable("BC"),
+        Stmt::let_("BR", SExpr::shape("Q", 0)),
+        Stmt::let_("D", SExpr::shape("Q", 1)),
+        Stmt::let_("SEQ", SExpr::shape("K", 0)),
+        Stmt::blocks("Kp", "K", SExpr::var("BC"), SExpr::var("D")),
+        Stmt::blocks("Vp", "V", SExpr::var("BC"), SExpr::var("D")),
+        Stmt::make_tensor("m", SExpr::var("BR"), SExpr::lit(1), DType::F16),
+        Stmt::make_tensor("l", SExpr::var("BR"), SExpr::lit(1), DType::F16),
+        Stmt::make_tensor("Oa", SExpr::var("BR"), SExpr::var("D"), DType::F16),
+        Stmt::launch_whole("nclear", &["m"]),
+        Stmt::launch_whole("vclear", &["l"]),
+        Stmt::launch_whole("clear", &["Oa"]),
+        Stmt::srange("j", extent, vec![Stmt::launch(step, step_args)]),
+        Stmt::launch_whole("finish", &["Oa", "l"]),
+        Stmt::launch_whole("store", &["Oa", "O"]),
     ];
-    match algorithm {
-        Algorithm::Fa2 => {
-            fa_block_body.push(Stmt::SRange {
-                var: "j".into(),
-                extent: v("SEQ") / v("BC"),
-                body: vec![Stmt::Launch {
-                    task: "ftile".into(),
-                    args: vec![
-                        t("Oa"),
-                        t("m"),
-                        t("l"),
-                        t("Q"),
-                        piece("Kp", vec![v("j"), SExpr::lit(0)]),
-                        piece("Vp", vec![v("j"), SExpr::lit(0)]),
-                    ],
-                }],
-            });
-        }
-        Algorithm::Fa3 => {
-            fa_block_body.push(Stmt::SRange {
-                var: "j".into(),
-                extent: v("SEQ") / (v("BC") * SExpr::lit(2)),
-                body: vec![Stmt::Launch {
-                    task: "ftile3".into(),
-                    args: vec![
-                        t("Oa"),
-                        t("m"),
-                        t("l"),
-                        t("Q"),
-                        piece("Kp", vec![v("j") * SExpr::lit(2), SExpr::lit(0)]),
-                        piece("Vp", vec![v("j") * SExpr::lit(2), SExpr::lit(0)]),
-                        piece(
-                            "Kp",
-                            vec![v("j") * SExpr::lit(2) + SExpr::lit(1), SExpr::lit(0)],
-                        ),
-                        piece(
-                            "Vp",
-                            vec![v("j") * SExpr::lit(2) + SExpr::lit(1), SExpr::lit(0)],
-                        ),
-                    ],
-                }],
-            });
-        }
-    }
-    fa_block_body.push(Stmt::Launch {
-        task: "finish".into(),
-        args: vec![t("Oa"), t("l")],
-    });
-    fa_block_body.push(Stmt::Launch {
-        task: "store".into(),
-        args: vec![t("Oa"), t("O")],
-    });
-    reg.register(TaskVariant {
-        task: "fa".into(),
-        name: "fa_block".into(),
-        kind: VariantKind::Inner,
-        params: fa_params.clone(),
-        body: fa_block_body,
-    })?;
+    common::register_inner(reg, "fa", "fa_block", params.clone(), block)?;
 
     // Head level: row bands of Q/O.
-    reg.register(TaskVariant {
-        task: "fa".into(),
-        name: "fa_head".into(),
-        kind: VariantKind::Inner,
-        params: fa_params.clone(),
-        body: vec![
-            Stmt::Tunable { name: "BR".into() },
-            Stmt::Let {
-                name: "SEQ".into(),
-                value: SExpr::shape("Q", 0),
-            },
-            Stmt::Let {
-                name: "D".into(),
-                value: SExpr::shape("Q", 1),
-            },
-            Stmt::PartitionBlocks {
-                name: "Qp".into(),
-                tensor: "Q".into(),
-                tile_rows: v("BR"),
-                tile_cols: v("D"),
-            },
-            Stmt::PartitionBlocks {
-                name: "Op".into(),
-                tensor: "O".into(),
-                tile_rows: v("BR"),
-                tile_cols: v("D"),
-            },
-            Stmt::PRange {
-                vars: vec!["i".into()],
-                extents: vec![v("SEQ") / v("BR")],
-                body: vec![Stmt::Launch {
-                    task: "fa".into(),
-                    args: vec![
-                        piece("Op", vec![v("i"), SExpr::lit(0)]),
-                        piece("Qp", vec![v("i"), SExpr::lit(0)]),
-                        t("K"),
-                        t("V"),
-                    ],
-                }],
-            },
-        ],
-    })?;
+    let band = vec![
+        piece("Op", SExpr::var("i")),
+        piece("Qp", SExpr::var("i")),
+        ArgExpr::tensor("K"),
+        ArgExpr::tensor("V"),
+    ];
+    let head = vec![
+        Stmt::tunable("BR"),
+        Stmt::let_("SEQ", SExpr::shape("Q", 0)),
+        Stmt::let_("D", SExpr::shape("Q", 1)),
+        Stmt::blocks("Qp", "Q", SExpr::var("BR"), SExpr::var("D")),
+        Stmt::blocks("Op", "O", SExpr::var("BR"), SExpr::var("D")),
+        Stmt::prange(
+            &["i"],
+            vec![SExpr::var("SEQ") / SExpr::var("BR")],
+            vec![Stmt::launch("fa", band)],
+        ),
+    ];
+    common::register_inner(reg, "fa", "fa_head", params.clone(), head)?;
 
     // Host level: one band of rows per head.
-    reg.register(TaskVariant {
-        task: "fa".into(),
-        name: "fa_host".into(),
-        kind: VariantKind::Inner,
-        params: fa_params,
-        body: vec![
-            Stmt::Tunable { name: "H".into() },
-            Stmt::Let {
-                name: "SEQ".into(),
-                value: SExpr::shape("Q", 0) / v("H"),
-            },
-            Stmt::Let {
-                name: "D".into(),
-                value: SExpr::shape("Q", 1),
-            },
-            Stmt::PartitionBlocks {
-                name: "Qh".into(),
-                tensor: "Q".into(),
-                tile_rows: v("SEQ"),
-                tile_cols: v("D"),
-            },
-            Stmt::PartitionBlocks {
-                name: "Oh".into(),
-                tensor: "O".into(),
-                tile_rows: v("SEQ"),
-                tile_cols: v("D"),
-            },
-            Stmt::PartitionBlocks {
-                name: "Kh".into(),
-                tensor: "K".into(),
-                tile_rows: v("SEQ"),
-                tile_cols: v("D"),
-            },
-            Stmt::PartitionBlocks {
-                name: "Vh".into(),
-                tensor: "V".into(),
-                tile_rows: v("SEQ"),
-                tile_cols: v("D"),
-            },
-            Stmt::PRange {
-                vars: vec!["h".into()],
-                extents: vec![v("H")],
-                body: vec![Stmt::Launch {
-                    task: "fa".into(),
-                    args: vec![
-                        piece("Oh", vec![v("h"), SExpr::lit(0)]),
-                        piece("Qh", vec![v("h"), SExpr::lit(0)]),
-                        piece("Kh", vec![v("h"), SExpr::lit(0)]),
-                        piece("Vh", vec![v("h"), SExpr::lit(0)]),
-                    ],
-                }],
-            },
-        ],
-    })?;
+    let per_head = ["Oh", "Qh", "Kh", "Vh"].map(|part| piece(part, SExpr::var("h")));
+    let host = vec![
+        Stmt::tunable("H"),
+        Stmt::let_("SEQ", SExpr::shape("Q", 0) / SExpr::var("H")),
+        Stmt::let_("D", SExpr::shape("Q", 1)),
+        Stmt::blocks("Qh", "Q", SExpr::var("SEQ"), SExpr::var("D")),
+        Stmt::blocks("Oh", "O", SExpr::var("SEQ"), SExpr::var("D")),
+        Stmt::blocks("Kh", "K", SExpr::var("SEQ"), SExpr::var("D")),
+        Stmt::blocks("Vh", "V", SExpr::var("SEQ"), SExpr::var("D")),
+        Stmt::prange(
+            &["h"],
+            vec![SExpr::var("H")],
+            vec![Stmt::launch("fa", per_head.to_vec())],
+        ),
+    ];
+    common::register_inner(reg, "fa", "fa_host", params, host)
+}
 
-    // ---- mapping ----------------------------------------------------------
-    let g4 = vec![MemLevel::Global; 4];
-    let reg_mem = MemLevel::Register;
-    let sh = MemLevel::Shared;
-    let (tile_task, tile_var, step_task, step_var, kv) = match algorithm {
-        Algorithm::Fa2 => ("ftile", "ftile_fa2", "fstep", "fstep_wg", 1usize),
-        Algorithm::Fa3 => ("ftile3", "ftile_fa3", "fstep3", "fstep3_wg", 2usize),
+/// The mapping: host → head → block → step tile → step warpgroup →
+/// leaves, plus the shared clear/store trees.
+fn mapping(
+    algorithm: Algorithm,
+    heads: usize,
+    cfg: &AttentionConfig,
+) -> Result<MappingSpec, CompileError> {
+    let (tile_task, tile_variant, step, kv) = match algorithm {
+        Algorithm::Fa2 => ("ftile", "ftile_fa2", "fstep", 1usize),
+        Algorithm::Fa3 => ("ftile3", "ftile_fa3", "fstep3", 2usize),
     };
-    let mut step_tile_mems = vec![MemLevel::None, MemLevel::None, MemLevel::None, sh];
-    for _ in 0..kv {
-        step_tile_mems.push(sh);
-        step_tile_mems.push(sh);
-    }
-    let mut step_wg_mems = vec![reg_mem, reg_mem, reg_mem, sh];
-    for _ in 0..kv {
-        step_wg_mems.push(sh);
-        step_wg_mems.push(sh);
-    }
-
+    let (tile, step_wg) = (format!("{tile_task}_tile"), format!("{step}_wg"));
+    let global = vec![MemLevel::Global; 4];
+    let registers = [MemLevel::Register; 2];
+    // O, m, l in fragments; Q and the K/V tiles staged in shared memory.
+    let step_mems = [
+        vec![MemLevel::Register; 3],
+        vec![MemLevel::Shared; 1 + 2 * kv],
+    ]
+    .concat();
+    let block_calls = [
+        "nclear_tile",
+        "vclear_tile",
+        "clear_tile",
+        &tile,
+        "finish_tile",
+        "store_tile",
+    ];
+    let step_calls = STEP_LEAVES.iter().map(|(leaf, _)| format!("{leaf}_leaf"));
     let mut instances = vec![
-        TaskMapping::new("fa_host", "fa_host", ProcLevel::Host, g4.clone())
+        TaskMapping::for_variant("fa_host", ProcLevel::Host, global.clone())
             .tunable("H", heads as i64)
             .calls(&["fa_head"])
             .entrypoint(),
-        TaskMapping::new("fa_head", "fa_head", ProcLevel::Block, g4.clone())
+        TaskMapping::for_variant("fa_head", ProcLevel::Block, global.clone())
             .tunable("BR", cfg.br as i64)
             .calls(&["fa_block"]),
-        TaskMapping::new("fa_block", "fa_block", ProcLevel::Block, g4)
+        TaskMapping::for_variant("fa_block", ProcLevel::Block, global)
             .tunable("BC", cfg.bc as i64)
-            .calls(&[
-                "nclear_tile",
-                "vclear_tile",
-                "clear_tile",
-                &format!("{tile_task}_tile"),
-                "finish_tile",
-                "store_tile",
-            ])
+            .calls(&block_calls)
             .warpspecialize()
             .pipeline(cfg.pipeline),
-        TaskMapping::new(
-            &format!("{tile_task}_tile"),
-            tile_var,
-            ProcLevel::Block,
-            step_tile_mems,
-        )
-        .tunable("WGS", cfg.wgs as i64)
-        .calls(&[&format!("{step_task}_wg")]),
-        TaskMapping::new(
-            &format!("{step_task}_wg"),
-            step_var,
-            ProcLevel::Warpgroup,
-            step_wg_mems,
-        )
-        .calls(&[
-            "szero_leaf",
-            "qk_leaf",
-            "sscale_leaf",
-            "vcopy_leaf",
-            "rmax_leaf",
-            "vsub_leaf",
-            "vexp_leaf",
-            "vmul_leaf",
-            "rsum_leaf",
-            "pv_leaf",
-        ]),
-        TaskMapping::new(
+        common::row_split_instance(&tile, tile_variant, cfg.wgs, &step_mems, &step_wg),
+        TaskMapping {
+            calls: step_calls.collect(),
+            ..TaskMapping::for_variant(&step_wg, ProcLevel::Warpgroup, step_mems)
+        },
+        common::row_split_instance(
             "finish_tile",
             "finish_tile",
-            ProcLevel::Block,
-            vec![MemLevel::None, MemLevel::None],
-        )
-        .tunable("WGS", cfg.wgs as i64)
-        .calls(&["fin_leaf"]),
-        common::leaf_mapping("fin", vec![reg_mem, reg_mem]),
-        common::leaf_mapping("szero", vec![reg_mem]),
-        common::leaf_mapping("qk", vec![reg_mem, sh, sh]),
-        common::leaf_mapping("sscale", vec![reg_mem]),
-        common::leaf_mapping("vcopy", vec![reg_mem, reg_mem]),
-        common::leaf_mapping("rmax", vec![reg_mem, reg_mem]),
-        common::leaf_mapping("vsub", vec![reg_mem, reg_mem]),
-        common::leaf_mapping("vexp", vec![reg_mem]),
-        common::leaf_mapping("vmul", vec![reg_mem, reg_mem]),
-        common::leaf_mapping("rsum", vec![reg_mem, reg_mem]),
-        common::leaf_mapping("pv", vec![reg_mem, reg_mem, sh]),
+            cfg.wgs,
+            &registers,
+            "fin_leaf",
+        ),
+        common::leaf_mapping("fin", registers.to_vec()),
     ];
-    instances.extend(common::clear_mappings("clear", cfg.wgs as i64));
-    instances.extend(common::store_mappings("store", cfg.wgs as i64));
-    instances.extend(common::vec_clear_mappings("vclear", cfg.wgs as i64));
-    instances.extend(common::vec_clear_mappings("nclear", cfg.wgs as i64));
-    let mapping = MappingSpec::new(instances)?;
-
-    let rows = heads * seq;
-    let args = vec![
-        EntryArg {
-            name: "O".into(),
-            rows,
-            cols: head_dim,
-            dtype: DType::F16,
-        },
-        EntryArg {
-            name: "Q".into(),
-            rows,
-            cols: head_dim,
-            dtype: DType::F16,
-        },
-        EntryArg {
-            name: "K".into(),
-            rows,
-            cols: head_dim,
-            dtype: DType::F16,
-        },
-        EntryArg {
-            name: "V".into(),
-            rows,
-            cols: head_dim,
-            dtype: DType::F16,
-        },
-    ];
-    Ok((reg, mapping, args))
+    instances.extend(STEP_LEAVES.map(|(leaf, mems)| common::leaf_mapping(leaf, mems.to_vec())));
+    instances.extend(common::clear_mappings("clear", cfg.wgs));
+    instances.extend(common::store_mappings("store", cfg.wgs));
+    instances.extend(common::vec_clear_mappings("vclear", cfg.wgs));
+    instances.extend(common::vec_clear_mappings("nclear", cfg.wgs));
+    MappingSpec::new(instances)
 }

@@ -6,18 +6,17 @@
 //! grid dimension.
 
 use crate::error::CompileError;
-use crate::front::ast::{Privilege, SExpr, Stmt};
+use crate::front::ast::{ArgExpr, Privilege, SExpr, Stmt};
 use crate::front::machine::{MemLevel, ProcLevel};
 use crate::front::mapping::{MappingSpec, TaskMapping};
-use crate::front::task::{TaskRegistry, TaskVariant, VariantKind};
-use crate::kernels::common::{self, p, piece, v};
-use crate::kernels::gemm::GemmConfig;
+use crate::front::task::TaskRegistry;
+use crate::kernels::common::{self, p};
+use crate::kernels::gemm::{self, GemmConfig};
 use crate::kernels::space::{
     gemm_family_candidates, validate_gemm_family, GemmFootprint, MappingConfig, MappingSpace, Shape,
 };
 use crate::passes::depan::EntryArg;
 use cypress_sim::MachineConfig;
-use cypress_tensor::DType;
 
 /// Algorithmic FLOPs (Fig. 13b reports `L` GEMMs).
 #[must_use]
@@ -115,113 +114,47 @@ pub fn build_with(
     k: usize,
     cfg: GemmConfig,
 ) -> Result<(TaskRegistry, MappingSpec, Vec<EntryArg>), CompileError> {
-    let mut reg = TaskRegistry::new();
     // The per-matrix levels are exactly the plain GEMM tree.
-    crate::kernels::gemm::register_gemm_tasks(&mut reg)?;
-    common::register_clear(&mut reg, "clear")?;
-    common::register_store(&mut reg, "store")?;
-    common::register_mma_chain(&mut reg, "gemm", crate::front::ast::LeafFn::MmaAccum)?;
+    let mut reg = gemm::FAMILY.registry()?;
 
     // Host level: peel the batch.
-    reg.register(TaskVariant {
-        task: "bgemm".into(),
-        name: "bgemm_host".into(),
-        kind: VariantKind::Inner,
-        params: vec![
-            p("C", Privilege::ReadWrite),
-            p("A", Privilege::Read),
-            p("B", Privilege::Read),
-        ],
-        body: vec![
-            Stmt::Tunable { name: "L".into() },
-            Stmt::Let {
-                name: "M".into(),
-                value: SExpr::shape("C", 0) / v("L"),
-            },
-            Stmt::Let {
-                name: "N".into(),
-                value: SExpr::shape("C", 1),
-            },
-            Stmt::Let {
-                name: "K".into(),
-                value: SExpr::shape("A", 1),
-            },
-            Stmt::Let {
-                name: "KL".into(),
-                value: SExpr::shape("B", 0) / v("L"),
-            },
-            Stmt::PartitionBlocks {
-                name: "Cb".into(),
-                tensor: "C".into(),
-                tile_rows: v("M"),
-                tile_cols: v("N"),
-            },
-            Stmt::PartitionBlocks {
-                name: "Ab".into(),
-                tensor: "A".into(),
-                tile_rows: v("M"),
-                tile_cols: v("K"),
-            },
-            Stmt::PartitionBlocks {
-                name: "Bb".into(),
-                tensor: "B".into(),
-                tile_rows: v("KL"),
-                tile_cols: v("N"),
-            },
-            Stmt::PRange {
-                vars: vec!["l".into()],
-                extents: vec![v("L")],
-                body: vec![Stmt::Launch {
-                    task: "gemm".into(),
-                    args: vec![
-                        piece("Cb", vec![v("l"), SExpr::lit(0)]),
-                        piece("Ab", vec![v("l"), SExpr::lit(0)]),
-                        piece("Bb", vec![v("l"), SExpr::lit(0)]),
-                    ],
-                }],
-            },
-        ],
-    })?;
+    let params = vec![
+        p("C", Privilege::ReadWrite),
+        p("A", Privilege::Read),
+        p("B", Privilege::Read),
+    ];
+    let matrix = |part: &str| ArgExpr::piece(part, vec![SExpr::var("l"), SExpr::lit(0)]);
+    let per_matrix = Stmt::launch("gemm", vec![matrix("Cb"), matrix("Ab"), matrix("Bb")]);
+    let host = vec![
+        Stmt::tunable("L"),
+        Stmt::let_("M", SExpr::shape("C", 0) / SExpr::var("L")),
+        Stmt::let_("N", SExpr::shape("C", 1)),
+        Stmt::let_("K", SExpr::shape("A", 1)),
+        Stmt::let_("KL", SExpr::shape("B", 0) / SExpr::var("L")),
+        Stmt::blocks("Cb", "C", SExpr::var("M"), SExpr::var("N")),
+        Stmt::blocks("Ab", "A", SExpr::var("M"), SExpr::var("K")),
+        Stmt::blocks("Bb", "B", SExpr::var("KL"), SExpr::var("N")),
+        Stmt::prange(&["l"], vec![SExpr::var("L")], vec![per_matrix]),
+    ];
+    common::register_inner(&mut reg, "bgemm", "bgemm_host", params, host)?;
 
-    let mut instances = vec![TaskMapping::new(
-        "bgemm_host",
-        "bgemm_host",
-        ProcLevel::Host,
-        vec![MemLevel::Global, MemLevel::Global, MemLevel::Global],
-    )
-    .tunable("L", batch as i64)
-    .calls(&["gemm_grid"])
-    .entrypoint()];
+    let global = vec![MemLevel::Global; 3];
+    let mut instances = vec![
+        TaskMapping::for_variant("bgemm_host", ProcLevel::Host, global)
+            .tunable("L", batch as i64)
+            .calls(&["gemm_grid"])
+            .entrypoint(),
+    ];
     // The per-matrix grid reuses the `gemm_host` *variant* at BLOCK level —
     // the same logical description bound to a different machine point, the
     // reuse §3.2 promises.
-    instances.extend(common::gemm_tree_instances(
-        "gemm_grid",
-        ProcLevel::Block,
-        false,
-        &cfg,
-    ));
-    let mapping = MappingSpec::new(instances)?;
+    let grid = Some(("gemm_grid", ProcLevel::Block));
+    instances.extend(gemm::FAMILY.instances(&cfg, grid));
 
     let args = vec![
-        EntryArg {
-            name: "C".into(),
-            rows: batch * m,
-            cols: n,
-            dtype: DType::F16,
-        },
-        EntryArg {
-            name: "A".into(),
-            rows: batch * m,
-            cols: k,
-            dtype: DType::F16,
-        },
-        EntryArg {
-            name: "B".into(),
-            rows: batch * k,
-            cols: n,
-            dtype: DType::F16,
-        },
+        EntryArg::f16("C", batch * m, n),
+        EntryArg::f16("A", batch * m, k),
+        EntryArg::f16("B", batch * k, n),
     ];
-    Ok((reg, mapping, args))
+    Ok((reg, MappingSpec::new(instances)?, args))
 }

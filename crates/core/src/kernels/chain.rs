@@ -30,12 +30,12 @@
 //! property suite (`cypress-runtime/tests/fusion.rs`) locks this down.
 
 use crate::error::CompileError;
-use crate::front::ast::{Privilege, SExpr, Stmt};
+use crate::front::ast::{ArgExpr, Privilege, SExpr, Stmt};
 use crate::front::machine::{MemLevel, ProcLevel};
 use crate::front::mapping::{MappingSpec, TaskMapping};
-use crate::front::task::{TaskRegistry, TaskVariant, VariantKind};
-use crate::kernels::common::{self, p, piece, t, v};
-use crate::kernels::gemm::GemmConfig;
+use crate::front::task::TaskRegistry;
+use crate::kernels::common::{self, p, tiled};
+use crate::kernels::gemm::{self, GemmConfig};
 use crate::kernels::space::{gemm_family_candidates, MappingConfig, MappingSpace, Shape};
 use crate::passes::depan::EntryArg;
 use cypress_sim::MachineConfig;
@@ -201,260 +201,126 @@ pub fn build_with(
     mid: usize,
     cfg: GemmConfig,
 ) -> Result<(TaskRegistry, MappingSpec, Vec<EntryArg>), CompileError> {
-    let mut reg = TaskRegistry::new();
-    crate::kernels::gemm::register_gemm_tasks(&mut reg)?;
-    common::register_clear(&mut reg, "clear")?;
-    common::register_store(&mut reg, "store")?;
-    common::register_mma_chain(&mut reg, "gemm", crate::front::ast::LeafFn::MmaAccum)?;
-
+    let mut reg = gemm::FAMILY.registry()?;
     let params = vec![
         p("C", Privilege::ReadWrite),
         p("A", Privilege::Read),
         p("B1", Privilege::Read),
         p("B2", Privilege::Read),
     ];
+    common::register_inner(&mut reg, "chain", "chain_host", params.clone(), host_body())?;
+    common::register_inner(&mut reg, "chain", "chain_block", params, block_body())?;
 
-    // Host: one CTA per (row band, output-column chunk). Each CTA reads
-    // its A band and the full B1, and the B2 columns of its chunk.
-    reg.register(TaskVariant {
-        task: "chain".into(),
-        name: "chain_host".into(),
-        kind: VariantKind::Inner,
-        params: params.clone(),
-        body: vec![
-            Stmt::Tunable { name: "U".into() },
-            Stmt::Tunable { name: "V".into() },
-            Stmt::Let {
-                name: "M".into(),
-                value: SExpr::shape("C", 0),
-            },
-            Stmt::Let {
-                name: "N".into(),
-                value: SExpr::shape("C", 1),
-            },
-            Stmt::Let {
-                name: "K".into(),
-                value: SExpr::shape("A", 1),
-            },
-            Stmt::Let {
-                name: "P".into(),
-                value: SExpr::shape("B1", 1),
-            },
-            Stmt::PartitionBlocks {
-                name: "Cp".into(),
-                tensor: "C".into(),
-                tile_rows: v("U"),
-                tile_cols: v("V"),
-            },
-            Stmt::PartitionBlocks {
-                name: "Ap".into(),
-                tensor: "A".into(),
-                tile_rows: v("U"),
-                tile_cols: v("K"),
-            },
-            Stmt::PartitionBlocks {
-                name: "B2p".into(),
-                tensor: "B2".into(),
-                tile_rows: v("P"),
-                tile_cols: v("V"),
-            },
-            Stmt::PRange {
-                vars: vec!["i".into(), "j".into()],
-                extents: vec![v("M") / v("U"), v("N") / v("V")],
-                body: vec![Stmt::Launch {
-                    task: "chain".into(),
-                    args: vec![
-                        piece("Cp", vec![v("i"), v("j")]),
-                        piece("Ap", vec![v("i"), SExpr::lit(0)]),
-                        t("B1"),
-                        piece("B2p", vec![SExpr::lit(0), v("j")]),
-                    ],
-                }],
-            },
-        ],
-    })?;
-
-    // Block: phase 1 walks the intermediate band's column chunks — each
-    // chunk accumulates `Ts[:, jt] = A · B1[:, jt]` in registers and
-    // materializes into the shared-memory band (the bitwise f16
-    // rounding point). Phase 2 consumes the band as the A operand of
-    // `C = Ts · B2`, reduction-tiled by `W`.
-    reg.register(TaskVariant {
-        task: "chain".into(),
-        name: "chain_block".into(),
-        kind: VariantKind::Inner,
-        params,
-        body: vec![
-            Stmt::Tunable { name: "W".into() },
-            Stmt::Tunable { name: "V".into() },
-            Stmt::Let {
-                name: "M".into(),
-                value: SExpr::shape("C", 0),
-            },
-            Stmt::Let {
-                name: "K".into(),
-                value: SExpr::shape("A", 1),
-            },
-            Stmt::Let {
-                name: "P".into(),
-                value: SExpr::shape("B1", 1),
-            },
-            // Phase 1: the intermediate band, one V-wide chunk at a time.
-            Stmt::PartitionBlocks {
-                name: "A1p".into(),
-                tensor: "A".into(),
-                tile_rows: v("M"),
-                tile_cols: v("W"),
-            },
-            Stmt::PartitionBlocks {
-                name: "B1p".into(),
-                tensor: "B1".into(),
-                tile_rows: v("W"),
-                tile_cols: v("V"),
-            },
-            Stmt::MakeTensor {
-                name: "Ts".into(),
-                rows: v("M"),
-                cols: v("P"),
-                dtype: DType::F16,
-            },
-            Stmt::PartitionBlocks {
-                name: "Tsw".into(),
-                tensor: "Ts".into(),
-                tile_rows: v("M"),
-                tile_cols: v("V"),
-            },
-            Stmt::MakeTensor {
-                name: "Tacc".into(),
-                rows: v("M"),
-                cols: v("V"),
-                dtype: DType::F16,
-            },
-            Stmt::SRange {
-                var: "jt".into(),
-                extent: SExpr::cdiv(v("P"), v("V")),
-                body: vec![
-                    Stmt::Launch {
-                        task: "clear".into(),
-                        args: vec![t("Tacc")],
-                    },
-                    Stmt::SRange {
-                        var: "k".into(),
-                        extent: SExpr::cdiv(v("K"), v("W")),
-                        body: vec![Stmt::Launch {
-                            task: "gemm".into(),
-                            args: vec![
-                                t("Tacc"),
-                                piece("A1p", vec![SExpr::lit(0), v("k")]),
-                                piece("B1p", vec![v("k"), v("jt")]),
-                            ],
-                        }],
-                    },
-                    Stmt::Launch {
-                        task: "store".into(),
-                        args: vec![t("Tacc"), piece("Tsw", vec![SExpr::lit(0), v("jt")])],
-                    },
-                ],
-            },
-            // Phase 2: C = Ts · B2, straight from shared memory.
-            Stmt::PartitionBlocks {
-                name: "T2p".into(),
-                tensor: "Ts".into(),
-                tile_rows: v("M"),
-                tile_cols: v("W"),
-            },
-            Stmt::PartitionBlocks {
-                name: "B2q".into(),
-                tensor: "B2".into(),
-                tile_rows: v("W"),
-                tile_cols: v("V"),
-            },
-            Stmt::MakeTensor {
-                name: "Cacc".into(),
-                rows: v("M"),
-                cols: v("V"),
-                dtype: DType::F16,
-            },
-            Stmt::Launch {
-                task: "clear".into(),
-                args: vec![t("Cacc")],
-            },
-            Stmt::SRange {
-                var: "q".into(),
-                extent: SExpr::cdiv(v("P"), v("W")),
-                body: vec![Stmt::Launch {
-                    task: "gemm".into(),
-                    args: vec![
-                        t("Cacc"),
-                        piece("T2p", vec![SExpr::lit(0), v("q")]),
-                        piece("B2q", vec![v("q"), SExpr::lit(0)]),
-                    ],
-                }],
-            },
-            Stmt::Launch {
-                task: "store".into(),
-                args: vec![t("Cacc"), t("C")],
-            },
-        ],
-    })?;
-
-    let g4 = vec![MemLevel::Global; 4];
-    let mut block = TaskMapping::new("chain_block", "chain_block", ProcLevel::Block, g4.clone())
-        .tunable("W", cfg.w as i64)
-        .tunable("V", cfg.v as i64)
-        .calls(&["clear_tile", "gemm_tile", "store_tile"])
-        .pipeline(cfg.pipeline);
-    if cfg.warpspecialize {
-        block = block.warpspecialize();
-    }
+    let global = vec![MemLevel::Global; 4];
+    let block_calls = ["clear_tile", "gemm_tile", "store_tile"];
     let mut instances = vec![
-        TaskMapping::new("chain_host", "chain_host", ProcLevel::Host, g4)
+        TaskMapping::for_variant("chain_host", ProcLevel::Host, global.clone())
             .tunable("U", cfg.u as i64)
             .tunable("V", cfg.v as i64)
             .calls(&["chain_block"])
             .entrypoint(),
-        block,
-        TaskMapping::new(
-            "gemm_tile",
-            "gemm_tile",
-            ProcLevel::Block,
-            vec![MemLevel::None, MemLevel::Shared, MemLevel::Shared],
-        )
-        .tunable("WGS", cfg.wgs as i64)
-        .calls(&["gemm_wgmma"]),
+        common::accumulate_block_instance("chain_block", global, &cfg, &block_calls)
+            .tunable("V", cfg.v as i64),
     ];
-    instances.extend(common::mma_chain_mappings("gemm", MemLevel::Shared));
-    instances.extend(common::clear_mappings("clear", cfg.wgs as i64));
-    instances.extend(common::store_mappings("store", cfg.wgs as i64));
-    let mapping = MappingSpec::new(instances)?;
+    // Both phases are the plain GEMM from its tile level down (the
+    // family lists its host and block instances first).
+    instances.extend(gemm::FAMILY.instances(&cfg, None).into_iter().skip(2));
 
     let args = vec![
-        EntryArg {
-            name: "C".into(),
-            rows: m,
-            cols: n,
-            dtype: DType::F16,
-        },
-        EntryArg {
-            name: "A".into(),
-            rows: m,
-            cols: k,
-            dtype: DType::F16,
-        },
-        EntryArg {
-            name: "B1".into(),
-            rows: k,
-            cols: mid,
-            dtype: DType::F16,
-        },
-        EntryArg {
-            name: "B2".into(),
-            rows: mid,
-            cols: n,
-            dtype: DType::F16,
-        },
+        EntryArg::f16("C", m, n),
+        EntryArg::f16("A", m, k),
+        EntryArg::f16("B1", k, mid),
+        EntryArg::f16("B2", mid, n),
     ];
-    Ok((reg, mapping, args))
+    Ok((reg, MappingSpec::new(instances)?, args))
+}
+
+/// Host: one CTA per (row band, output-column chunk). Each CTA reads
+/// its A band and the full B1, and the B2 columns of its chunk.
+fn host_body() -> Vec<Stmt> {
+    let [u, v, m, n, k, mid, i, j] = ["U", "V", "M", "N", "K", "P", "i", "j"].map(SExpr::var);
+    let zero = SExpr::lit(0);
+    let mut body = vec![
+        Stmt::tunable("U"),
+        Stmt::tunable("V"),
+        Stmt::let_("M", SExpr::shape("C", 0)),
+        Stmt::let_("N", SExpr::shape("C", 1)),
+        Stmt::let_("K", SExpr::shape("A", 1)),
+        Stmt::let_("P", SExpr::shape("B1", 1)),
+    ];
+    let mut args = Vec::new();
+    tiled(&["C"], [&u, &v], [&i, &j], &mut body, &mut args);
+    tiled(&["A"], [&u, &k], [&i, &zero], &mut body, &mut args);
+    args.push(ArgExpr::tensor("B1"));
+    tiled(&["B2"], [&mid, &v], [&zero, &j], &mut body, &mut args);
+    let launch = Stmt::launch("chain", args);
+    body.push(Stmt::prange(&["i", "j"], vec![m / u, n / v], vec![launch]));
+    body
+}
+
+/// Block: phase 1 walks the intermediate band's column chunks — each
+/// chunk accumulates `Ts[:, jt] = A · B1[:, jt]` in registers and
+/// materializes into the shared-memory band (the bitwise f16
+/// rounding point). Phase 2 consumes the band as the A operand of
+/// `C = Ts · B2`, reduction-tiled by `W`.
+fn block_body() -> Vec<Stmt> {
+    vec![
+        Stmt::tunable("W"),
+        Stmt::tunable("V"),
+        Stmt::let_("M", SExpr::shape("C", 0)),
+        Stmt::let_("K", SExpr::shape("A", 1)),
+        Stmt::let_("P", SExpr::shape("B1", 1)),
+        // Phase 1: the intermediate band, one V-wide chunk at a time.
+        Stmt::blocks("A1p", "A", SExpr::var("M"), SExpr::var("W")),
+        Stmt::blocks("B1p", "B1", SExpr::var("W"), SExpr::var("V")),
+        Stmt::make_tensor("Ts", SExpr::var("M"), SExpr::var("P"), DType::F16),
+        Stmt::blocks("Tsw", "Ts", SExpr::var("M"), SExpr::var("V")),
+        Stmt::make_tensor("Tacc", SExpr::var("M"), SExpr::var("V"), DType::F16),
+        Stmt::srange(
+            "jt",
+            SExpr::cdiv(SExpr::var("P"), SExpr::var("V")),
+            vec![
+                Stmt::launch_whole("clear", &["Tacc"]),
+                Stmt::srange(
+                    "k",
+                    SExpr::cdiv(SExpr::var("K"), SExpr::var("W")),
+                    vec![Stmt::launch(
+                        "gemm",
+                        vec![
+                            ArgExpr::tensor("Tacc"),
+                            ArgExpr::piece("A1p", vec![SExpr::lit(0), SExpr::var("k")]),
+                            ArgExpr::piece("B1p", vec![SExpr::var("k"), SExpr::var("jt")]),
+                        ],
+                    )],
+                ),
+                Stmt::launch(
+                    "store",
+                    vec![
+                        ArgExpr::tensor("Tacc"),
+                        ArgExpr::piece("Tsw", vec![SExpr::lit(0), SExpr::var("jt")]),
+                    ],
+                ),
+            ],
+        ),
+        // Phase 2: C = Ts · B2, straight from shared memory.
+        Stmt::blocks("T2p", "Ts", SExpr::var("M"), SExpr::var("W")),
+        Stmt::blocks("B2q", "B2", SExpr::var("W"), SExpr::var("V")),
+        Stmt::make_tensor("Cacc", SExpr::var("M"), SExpr::var("V"), DType::F16),
+        Stmt::launch_whole("clear", &["Cacc"]),
+        Stmt::srange(
+            "q",
+            SExpr::cdiv(SExpr::var("P"), SExpr::var("W")),
+            vec![Stmt::launch(
+                "gemm",
+                vec![
+                    ArgExpr::tensor("Cacc"),
+                    ArgExpr::piece("T2p", vec![SExpr::lit(0), SExpr::var("q")]),
+                    ArgExpr::piece("B2q", vec![SExpr::var("q"), SExpr::lit(0)]),
+                ],
+            )],
+        ),
+        Stmt::launch_whole("store", &["Cacc", "C"]),
+    ]
 }
 
 #[cfg(test)]

@@ -31,8 +31,8 @@ use crate::error::CompileError;
 use crate::front::ast::{LeafFn, Privilege, SExpr, Stmt};
 use crate::front::machine::{MemLevel, ProcLevel};
 use crate::front::mapping::{MappingSpec, TaskMapping};
-use crate::front::task::{TaskRegistry, TaskVariant, VariantKind};
-use crate::kernels::common::{self, p, piece, t, v};
+use crate::front::task::TaskRegistry;
+use crate::kernels::common::{self, p, tiled};
 use crate::kernels::cost::CostEstimate;
 use crate::kernels::gemm::GemmConfig;
 use crate::kernels::space::{MappingConfig, MappingSpace, Shape};
@@ -66,228 +66,93 @@ pub fn all_reduce_flops(ways: usize, m: usize, n: usize) -> f64 {
 /// elementwise analogue of the reduction kernel's `rstep`.
 fn register_accumulate(reg: &mut TaskRegistry, task: &str) -> Result<(), CompileError> {
     let params = vec![p("T", Privilege::ReadWrite), p("X", Privilege::Read)];
-    reg.register(TaskVariant {
-        task: task.into(),
-        name: format!("{task}_tile"),
-        kind: VariantKind::Inner,
-        params: params.clone(),
-        body: vec![
-            Stmt::Tunable { name: "WGS".into() },
-            Stmt::Let {
-                name: "M".into(),
-                value: SExpr::shape("T", 0),
-            },
-            Stmt::Let {
-                name: "N".into(),
-                value: SExpr::shape("T", 1),
-            },
-            Stmt::PartitionBlocks {
-                name: "Tp".into(),
-                tensor: "T".into(),
-                tile_rows: v("M") / v("WGS"),
-                tile_cols: v("N"),
-            },
-            Stmt::PartitionBlocks {
-                name: "Xp".into(),
-                tensor: "X".into(),
-                tile_rows: v("M") / v("WGS"),
-                tile_cols: v("N"),
-            },
-            Stmt::PRange {
-                vars: vec!["w".into()],
-                extents: vec![v("WGS")],
-                body: vec![Stmt::Launch {
-                    task: task.into(),
-                    args: vec![
-                        piece("Tp", vec![v("w"), SExpr::lit(0)]),
-                        piece("Xp", vec![v("w"), SExpr::lit(0)]),
-                    ],
-                }],
-            },
-        ],
-    })?;
-    reg.register(TaskVariant {
-        task: task.into(),
-        name: format!("{task}_leaf"),
-        kind: VariantKind::Leaf,
-        params,
-        body: vec![Stmt::CallExternal {
-            f: LeafFn::AddExt,
-            args: vec![t("T"), t("X"), t("T")],
-        }],
-    })
+    common::register_band_tile(reg, task, params.clone(), "T", &["T", "X"])?;
+    common::register_leaf(reg, task, params, LeafFn::AddExt, &["T", "X", "T"])
 }
 
-/// Mapping instances for an accumulate tree rooted at the BLOCK level:
-/// `X` staged in shared memory, `T` held in register fragments.
-fn accumulate_mappings(task: &str, wgs: i64) -> Vec<TaskMapping> {
-    vec![
-        TaskMapping::new(
-            &format!("{task}_tile"),
-            &format!("{task}_tile"),
-            ProcLevel::Block,
-            vec![MemLevel::None, MemLevel::Shared],
-        )
-        .tunable("WGS", wgs)
-        .calls(&[&format!("{task}_leaf")]),
-        TaskMapping::new(
-            &format!("{task}_leaf"),
-            &format!("{task}_leaf"),
-            ProcLevel::Warpgroup,
-            vec![MemLevel::Register, MemLevel::Shared],
-        ),
-    ]
-}
-
-/// Mapping instances for an inbound copy tree (`register_vec_store`'s
-/// task shape with the memory placement reversed): the *source* is
-/// staged through shared memory and the destination lands in register
-/// fragments.
-fn vec_load_mappings(task: &str, wgs: i64) -> Vec<TaskMapping> {
-    vec![
-        TaskMapping::new(
-            &format!("{task}_tile"),
-            &format!("{task}_tile"),
-            ProcLevel::Block,
-            vec![MemLevel::Shared, MemLevel::None],
-        )
-        .tunable("WGS", wgs)
-        .calls(&[&format!("{task}_leaf")]),
-        TaskMapping::new(
-            &format!("{task}_leaf"),
-            &format!("{task}_leaf"),
-            ProcLevel::Warpgroup,
-            vec![MemLevel::Shared, MemLevel::Register],
-        ),
-    ]
-}
-
-/// Build the transfer program for `Y[m,n] = X[m,n]` under the entry
-/// task name `task` (`"xfer"` or `"halo"`).
-fn build_copy(
+/// Build `Y[m,n] = inputs[0] + inputs[1] + …` under the entry task name
+/// `task`: the transfer copy (`"xfer"`, `"halo"`) with one input, the
+/// all-reduce with several.
+fn build_fold(
     task: &str,
+    inputs: &[String],
     m: usize,
     n: usize,
     cfg: GemmConfig,
 ) -> Result<(TaskRegistry, MappingSpec, Vec<EntryArg>), CompileError> {
+    let Some((first, rest)) = inputs.split_first() else {
+        return Err(CompileError::Unsupported(format!(
+            "`{task}` needs at least one input"
+        )));
+    };
     let mut reg = TaskRegistry::new();
     // Inbound X → T copy and outbound T → Y copy share the vec-store
     // task shape; only the mapping's memory placement differs.
     common::register_vec_store(&mut reg, "xin")?;
     common::register_vec_store(&mut reg, "xout")?;
+    if !rest.is_empty() {
+        register_accumulate(&mut reg, "radd")?;
+    }
 
-    let params = vec![p("Y", Privilege::Write), p("X", Privilege::Read)];
-    reg.register(TaskVariant {
-        task: task.into(),
-        name: format!("{task}_host"),
-        kind: VariantKind::Inner,
-        params: params.clone(),
-        body: vec![
-            Stmt::Tunable { name: "U".into() },
-            Stmt::Tunable { name: "V".into() },
-            Stmt::Let {
-                name: "M".into(),
-                value: SExpr::shape("Y", 0),
-            },
-            Stmt::Let {
-                name: "N".into(),
-                value: SExpr::shape("Y", 1),
-            },
-            Stmt::PartitionBlocks {
-                name: "Yp".into(),
-                tensor: "Y".into(),
-                tile_rows: v("U"),
-                tile_cols: v("V"),
-            },
-            Stmt::PartitionBlocks {
-                name: "Xp".into(),
-                tensor: "X".into(),
-                tile_rows: v("U"),
-                tile_cols: v("V"),
-            },
-            Stmt::PRange {
-                vars: vec!["i".into(), "j".into()],
-                extents: vec![v("M") / v("U"), v("N") / v("V")],
-                body: vec![Stmt::Launch {
-                    task: task.into(),
-                    args: vec![
-                        piece("Yp", vec![v("i"), v("j")]),
-                        piece("Xp", vec![v("i"), v("j")]),
-                    ],
-                }],
-            },
-        ],
-    })?;
-    reg.register(TaskVariant {
-        task: task.into(),
-        name: format!("{task}_block"),
-        kind: VariantKind::Inner,
-        params,
-        body: vec![
-            Stmt::Let {
-                name: "M".into(),
-                value: SExpr::shape("Y", 0),
-            },
-            Stmt::Let {
-                name: "N".into(),
-                value: SExpr::shape("Y", 1),
-            },
-            Stmt::MakeTensor {
-                name: "T".into(),
-                rows: v("M"),
-                cols: v("N"),
-                dtype: DType::F16,
-            },
-            Stmt::Launch {
-                task: "xin".into(),
-                args: vec![t("X"), t("T")],
-            },
-            Stmt::Launch {
-                task: "xout".into(),
-                args: vec![t("T"), t("Y")],
-            },
-        ],
-    })?;
+    let (host_name, block_name) = (format!("{task}_host"), format!("{task}_block"));
+    let tensors: Vec<&str> = std::iter::once("Y")
+        .chain(inputs.iter().map(String::as_str))
+        .collect();
+    let mut params = vec![p("Y", Privilege::Write)];
+    params.extend(inputs.iter().map(|x| p(x, Privilege::Read)));
 
-    let g2 = vec![MemLevel::Global; 2];
+    let [u, v, i, j] = ["U", "V", "i", "j"].map(SExpr::var);
+    let extents = [
+        Stmt::let_("M", SExpr::shape("Y", 0)),
+        Stmt::let_("N", SExpr::shape("Y", 1)),
+    ];
+    let mut host = vec![Stmt::tunable("U"), Stmt::tunable("V")];
+    host.extend(extents.clone());
+    let mut tiles = Vec::new();
+    tiled(&tensors, [&u, &v], [&i, &j], &mut host, &mut tiles);
+    let grid = vec![SExpr::var("M") / u, SExpr::var("N") / v];
+    let launch = Stmt::launch(task, tiles);
+    host.push(Stmt::prange(&["i", "j"], grid, vec![launch]));
+    common::register_inner(&mut reg, task, &host_name, params.clone(), host)?;
+
+    // Block level: seed the accumulator from the first input, fold the
+    // remaining inputs in ascending order, stage the result out. The
+    // fixed fold order makes the sum independent of the tiling.
+    let mut block = extents.to_vec();
+    let (rows, cols) = (SExpr::var("M"), SExpr::var("N"));
+    block.push(Stmt::make_tensor("T", rows, cols, DType::F16));
+    block.push(Stmt::launch_whole("xin", &[first, "T"]));
+    block.extend(rest.iter().map(|x| Stmt::launch_whole("radd", &["T", x])));
+    block.push(Stmt::launch_whole("xout", &["T", "Y"]));
+    common::register_inner(&mut reg, task, &block_name, params, block)?;
+
+    let global = vec![MemLevel::Global; tensors.len()];
+    let block_calls: &[&str] = if rest.is_empty() {
+        &["xin_tile", "xout_tile"]
+    } else {
+        &["xin_tile", "radd_tile", "xout_tile"]
+    };
     let mut instances = vec![
-        TaskMapping::new(
-            &format!("{task}_host"),
-            &format!("{task}_host"),
-            ProcLevel::Host,
-            g2.clone(),
-        )
-        .tunable("U", cfg.u as i64)
-        .tunable("V", cfg.v as i64)
-        .calls(&[&format!("{task}_block")])
-        .entrypoint(),
-        TaskMapping::new(
-            &format!("{task}_block"),
-            &format!("{task}_block"),
-            ProcLevel::Block,
-            g2,
-        )
-        .calls(&["xin_tile", "xout_tile"]),
+        TaskMapping::for_variant(&host_name, ProcLevel::Host, global.clone())
+            .tunable("U", cfg.u as i64)
+            .tunable("V", cfg.v as i64)
+            .calls(&[&block_name])
+            .entrypoint(),
+        TaskMapping::for_variant(&block_name, ProcLevel::Block, global).calls(block_calls),
     ];
-    instances.extend(vec_load_mappings("xin", cfg.wgs as i64));
-    instances.extend(common::vec_store_mappings("xout", cfg.wgs as i64));
-    let mapping = MappingSpec::new(instances)?;
+    // The inbound copy is the vec-store task shape with the memory
+    // placement reversed: the *source* is staged through shared memory
+    // and the destination lands in register fragments.
+    let inbound = [MemLevel::Shared, MemLevel::Register];
+    instances.extend(common::band_mappings("xin", cfg.wgs, &inbound));
+    if !rest.is_empty() {
+        // `X` staged in shared memory, `T` held in register fragments.
+        instances.extend(common::vec_store_mappings("radd", cfg.wgs));
+    }
+    instances.extend(common::vec_store_mappings("xout", cfg.wgs));
 
-    let args = vec![
-        EntryArg {
-            name: "Y".into(),
-            rows: m,
-            cols: n,
-            dtype: DType::F16,
-        },
-        EntryArg {
-            name: "X".into(),
-            rows: m,
-            cols: n,
-            dtype: DType::F16,
-        },
-    ];
-    Ok((reg, mapping, args))
+    let args = tensors.iter().map(|t| EntryArg::f16(*t, m, n)).collect();
+    Ok((reg, MappingSpec::new(instances)?, args))
 }
 
 /// Shared validation for the copy-family spaces (`xfer`, `halo`):
@@ -414,8 +279,8 @@ fn default_or_first_candidate(
 /// The copy-family default mapping: the machine's hand-tuned GEMM point
 /// (its `U`/`V`/`WGS` are exactly the tile/warpgroup split the copy
 /// trees need).
-fn copy_default(machine: &MachineConfig) -> MappingConfig {
-    MappingConfig::Gemm(GemmConfig::for_machine(machine))
+fn copy_default(machine: &MachineConfig) -> GemmConfig {
+    GemmConfig::for_machine(machine)
 }
 
 // ---------------------------------------------------------------------------
@@ -432,7 +297,7 @@ impl MappingSpace for TransferSpace {
     }
 
     fn default_for(&self, machine: &MachineConfig) -> MappingConfig {
-        copy_default(machine)
+        MappingConfig::Gemm(copy_default(machine))
     }
 
     fn validate(
@@ -455,7 +320,7 @@ impl MappingSpace for TransferSpace {
         cfg: &MappingConfig,
     ) -> Result<(TaskRegistry, MappingSpec, Vec<EntryArg>), CompileError> {
         let [m, n] = shape.expect_dims::<2>("xfer")?;
-        build_copy("xfer", m, n, cfg.as_gemm("xfer")?)
+        build_fold("xfer", &["X".into()], m, n, cfg.as_gemm("xfer")?)
     }
 
     fn estimate(
@@ -506,9 +371,7 @@ impl MappingSpace for HaloSpace {
     fn default_for(&self, machine: &MachineConfig) -> MappingConfig {
         // Halo bands are a handful of rows: one warpgroup-row tile keeps
         // `U` dividing even a single-block-row band.
-        let MappingConfig::Gemm(c) = copy_default(machine) else {
-            unreachable!("copy_default always returns a GEMM point");
-        };
+        let c = copy_default(machine);
         MappingConfig::Gemm(GemmConfig {
             u: 64.min(c.u),
             wgs: 1,
@@ -536,7 +399,7 @@ impl MappingSpace for HaloSpace {
         cfg: &MappingConfig,
     ) -> Result<(TaskRegistry, MappingSpec, Vec<EntryArg>), CompileError> {
         let [m, n] = shape.expect_dims::<2>("halo")?;
-        build_copy("halo", m, n, cfg.as_gemm("halo")?)
+        build_fold("halo", &["X".into()], m, n, cfg.as_gemm("halo")?)
     }
 
     fn estimate(
@@ -586,7 +449,7 @@ impl MappingSpace for AllReduceSpace {
     }
 
     fn default_for(&self, machine: &MachineConfig) -> MappingConfig {
-        copy_default(machine)
+        MappingConfig::Gemm(copy_default(machine))
     }
 
     fn validate(
@@ -666,136 +529,8 @@ pub fn build_all_reduce_with(
     n: usize,
     cfg: GemmConfig,
 ) -> Result<(TaskRegistry, MappingSpec, Vec<EntryArg>), CompileError> {
-    let mut reg = TaskRegistry::new();
-    common::register_vec_store(&mut reg, "xin")?;
-    common::register_vec_store(&mut reg, "xout")?;
-    register_accumulate(&mut reg, "radd")?;
-
-    let mut params = vec![p("Y", Privilege::Write)];
-    for i in 0..ways {
-        params.push(p(&format!("X{i}"), Privilege::Read));
-    }
-
-    let mut host_body = vec![
-        Stmt::Tunable { name: "U".into() },
-        Stmt::Tunable { name: "V".into() },
-        Stmt::Let {
-            name: "M".into(),
-            value: SExpr::shape("Y", 0),
-        },
-        Stmt::Let {
-            name: "N".into(),
-            value: SExpr::shape("Y", 1),
-        },
-        Stmt::PartitionBlocks {
-            name: "Yp".into(),
-            tensor: "Y".into(),
-            tile_rows: v("U"),
-            tile_cols: v("V"),
-        },
-    ];
-    for i in 0..ways {
-        host_body.push(Stmt::PartitionBlocks {
-            name: format!("X{i}p"),
-            tensor: format!("X{i}"),
-            tile_rows: v("U"),
-            tile_cols: v("V"),
-        });
-    }
-    let mut launch_args = vec![piece("Yp", vec![v("i"), v("j")])];
-    for i in 0..ways {
-        launch_args.push(piece(&format!("X{i}p"), vec![v("i"), v("j")]));
-    }
-    host_body.push(Stmt::PRange {
-        vars: vec!["i".into(), "j".into()],
-        extents: vec![v("M") / v("U"), v("N") / v("V")],
-        body: vec![Stmt::Launch {
-            task: "allred".into(),
-            args: launch_args,
-        }],
-    });
-    reg.register(TaskVariant {
-        task: "allred".into(),
-        name: "allred_host".into(),
-        kind: VariantKind::Inner,
-        params: params.clone(),
-        body: host_body,
-    })?;
-
-    // Block level: seed the accumulator from X0, fold the remaining
-    // inputs in ascending order, stage the result out. The fixed fold
-    // order makes the sum independent of the tiling.
-    let mut block_body = vec![
-        Stmt::Let {
-            name: "M".into(),
-            value: SExpr::shape("Y", 0),
-        },
-        Stmt::Let {
-            name: "N".into(),
-            value: SExpr::shape("Y", 1),
-        },
-        Stmt::MakeTensor {
-            name: "T".into(),
-            rows: v("M"),
-            cols: v("N"),
-            dtype: DType::F16,
-        },
-        Stmt::Launch {
-            task: "xin".into(),
-            args: vec![t("X0"), t("T")],
-        },
-    ];
-    for i in 1..ways {
-        block_body.push(Stmt::Launch {
-            task: "radd".into(),
-            args: vec![t("T"), t(&format!("X{i}"))],
-        });
-    }
-    block_body.push(Stmt::Launch {
-        task: "xout".into(),
-        args: vec![t("T"), t("Y")],
-    });
-    reg.register(TaskVariant {
-        task: "allred".into(),
-        name: "allred_block".into(),
-        kind: VariantKind::Inner,
-        params,
-        body: block_body,
-    })?;
-
-    let gn = vec![MemLevel::Global; ways + 1];
-    let mut instances = vec![
-        TaskMapping::new("allred_host", "allred_host", ProcLevel::Host, gn.clone())
-            .tunable("U", cfg.u as i64)
-            .tunable("V", cfg.v as i64)
-            .calls(&["allred_block"])
-            .entrypoint(),
-        TaskMapping::new("allred_block", "allred_block", ProcLevel::Block, gn).calls(&[
-            "xin_tile",
-            "radd_tile",
-            "xout_tile",
-        ]),
-    ];
-    instances.extend(vec_load_mappings("xin", cfg.wgs as i64));
-    instances.extend(accumulate_mappings("radd", cfg.wgs as i64));
-    instances.extend(common::vec_store_mappings("xout", cfg.wgs as i64));
-    let mapping = MappingSpec::new(instances)?;
-
-    let mut args = vec![EntryArg {
-        name: "Y".into(),
-        rows: m,
-        cols: n,
-        dtype: DType::F16,
-    }];
-    for i in 0..ways {
-        args.push(EntryArg {
-            name: format!("X{i}"),
-            rows: m,
-            cols: n,
-            dtype: DType::F16,
-        });
-    }
-    Ok((reg, mapping, args))
+    let inputs: Vec<String> = (0..ways).map(|i| format!("X{i}")).collect();
+    build_fold("allred", &inputs, m, n, cfg)
 }
 
 #[cfg(test)]

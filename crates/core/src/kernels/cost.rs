@@ -124,7 +124,13 @@ pub fn estimate_with(
     machine: &MachineConfig,
     constants: &CostConstants,
 ) -> Option<CostEstimate> {
-    let profile = match entry {
+    Some(combine(&profile(entry, shape, cfg)?, machine, constants))
+}
+
+/// The constants-free half of a price: what `entry` moves and computes
+/// at `cfg`, or `None` where [`estimate`] returns `None`.
+fn profile(entry: &str, shape: &Shape, cfg: &MappingConfig) -> Option<Profile> {
+    Some(match entry {
         "gemm" => gemm_profile(shape, cfg, 1, 1, 0)?,
         "bgemm" => {
             let [l, m, n, k] = *shape.dims().first_chunk::<4>()?;
@@ -149,8 +155,7 @@ pub fn estimate_with(
         }
         "fa" => attention_profile(shape, cfg, false)?,
         _ => return None,
-    };
-    Some(combine(&profile, machine, constants))
+    })
 }
 
 /// Price an attention candidate, with the algorithm made explicit:
@@ -400,10 +405,12 @@ pub struct CalibrationSample {
 /// fit to keep the stored values honest.
 #[must_use]
 pub fn calibrate(machine: &MachineConfig, samples: &[CalibrationSample]) -> CostConstants {
-    let usable: Vec<&CalibrationSample> = samples
+    // A sample's profile does not depend on the constants being fitted:
+    // price that half once and keep it with the measurement.
+    let usable: Vec<(Profile, f64)> = samples
         .iter()
         .filter(|s| s.measured_cycles > 0.0)
-        .filter(|s| estimate(&s.entry, &s.shape, &s.config, machine).is_some())
+        .filter_map(|s| Some((profile(&s.entry, &s.shape, &s.config)?, s.measured_cycles)))
         .collect();
     if usable.is_empty() {
         return CostConstants {
@@ -415,10 +422,8 @@ pub fn calibrate(machine: &MachineConfig, samples: &[CalibrationSample]) -> Cost
     let error = |c: &CostConstants| -> f64 {
         usable
             .iter()
-            .map(|s| {
-                let est = estimate_with(&s.entry, &s.shape, &s.config, machine, c)
-                    .expect("usable samples price");
-                let r = est.cycles / s.measured_cycles - 1.0;
+            .map(|(p, measured)| {
+                let r = combine(p, machine, c).cycles / measured - 1.0;
                 r * r
             })
             .sum()

@@ -5,18 +5,14 @@
 //! the behaviour Triton misses (§5.2).
 
 use crate::error::CompileError;
-use crate::front::ast::{Privilege, SExpr, Stmt};
-use crate::front::machine::{MemLevel, ProcLevel};
-use crate::front::mapping::{MappingSpec, TaskMapping};
-use crate::front::task::{TaskRegistry, TaskVariant, VariantKind};
-use crate::kernels::common::{self, p, piece, t, v};
-use crate::kernels::gemm::GemmConfig;
+use crate::front::mapping::MappingSpec;
+use crate::front::task::TaskRegistry;
+use crate::kernels::gemm::{Family, GemmConfig};
 use crate::kernels::space::{
     gemm_family_candidates, validate_gemm_family, GemmFootprint, MappingConfig, MappingSpace, Shape,
 };
 use crate::passes::depan::EntryArg;
 use cypress_sim::MachineConfig;
-use cypress_tensor::DType;
 
 /// Algorithmic FLOPs: two GEMMs.
 #[must_use]
@@ -114,281 +110,17 @@ pub fn build_with(
     k: usize,
     cfg: GemmConfig,
 ) -> Result<(TaskRegistry, MappingSpec, Vec<EntryArg>), CompileError> {
-    let mut reg = TaskRegistry::new();
-    common::register_clear(&mut reg, "clear")?;
-    common::register_store(&mut reg, "store")?;
-    common::register_mma_chain(&mut reg, "gemm", crate::front::ast::LeafFn::MmaAccum)?;
-
-    let params = vec![
-        p("C", Privilege::ReadWrite),
-        p("A", Privilege::Read),
-        p("B1", Privilege::Read),
-        p("B2", Privilege::Read),
-    ];
-
-    reg.register(TaskVariant {
-        task: "dual".into(),
-        name: "dual_host".into(),
-        kind: VariantKind::Inner,
-        params: params.clone(),
-        body: vec![
-            Stmt::Tunable { name: "U".into() },
-            Stmt::Tunable { name: "V".into() },
-            Stmt::Let {
-                name: "M".into(),
-                value: SExpr::shape("C", 0),
-            },
-            Stmt::Let {
-                name: "N".into(),
-                value: SExpr::shape("C", 1),
-            },
-            Stmt::Let {
-                name: "K".into(),
-                value: SExpr::shape("A", 1),
-            },
-            Stmt::PartitionBlocks {
-                name: "Cp".into(),
-                tensor: "C".into(),
-                tile_rows: v("U"),
-                tile_cols: v("V"),
-            },
-            Stmt::PartitionBlocks {
-                name: "Ap".into(),
-                tensor: "A".into(),
-                tile_rows: v("U"),
-                tile_cols: v("K"),
-            },
-            Stmt::PartitionBlocks {
-                name: "B1p".into(),
-                tensor: "B1".into(),
-                tile_rows: v("K"),
-                tile_cols: v("V"),
-            },
-            Stmt::PartitionBlocks {
-                name: "B2p".into(),
-                tensor: "B2".into(),
-                tile_rows: v("K"),
-                tile_cols: v("V"),
-            },
-            Stmt::PRange {
-                vars: vec!["i".into(), "j".into()],
-                extents: vec![v("M") / v("U"), v("N") / v("V")],
-                body: vec![Stmt::Launch {
-                    task: "dual".into(),
-                    args: vec![
-                        piece("Cp", vec![v("i"), v("j")]),
-                        piece("Ap", vec![v("i"), SExpr::lit(0)]),
-                        piece("B1p", vec![SExpr::lit(0), v("j")]),
-                        piece("B2p", vec![SExpr::lit(0), v("j")]),
-                    ],
-                }],
-            },
-        ],
-    })?;
-
-    reg.register(TaskVariant {
-        task: "dual".into(),
-        name: "dual_block".into(),
-        kind: VariantKind::Inner,
-        params: params.clone(),
-        body: vec![
-            Stmt::Tunable { name: "W".into() },
-            Stmt::Let {
-                name: "M".into(),
-                value: SExpr::shape("C", 0),
-            },
-            Stmt::Let {
-                name: "N".into(),
-                value: SExpr::shape("C", 1),
-            },
-            Stmt::Let {
-                name: "K".into(),
-                value: SExpr::shape("A", 1),
-            },
-            Stmt::PartitionBlocks {
-                name: "Ap".into(),
-                tensor: "A".into(),
-                tile_rows: v("M"),
-                tile_cols: v("W"),
-            },
-            Stmt::PartitionBlocks {
-                name: "B1p".into(),
-                tensor: "B1".into(),
-                tile_rows: v("W"),
-                tile_cols: v("N"),
-            },
-            Stmt::PartitionBlocks {
-                name: "B2p".into(),
-                tensor: "B2".into(),
-                tile_rows: v("W"),
-                tile_cols: v("N"),
-            },
-            Stmt::MakeTensor {
-                name: "Cacc".into(),
-                rows: v("M"),
-                cols: v("N"),
-                dtype: DType::F16,
-            },
-            Stmt::Launch {
-                task: "clear".into(),
-                args: vec![t("Cacc")],
-            },
-            Stmt::SRange {
-                var: "k".into(),
-                extent: SExpr::cdiv(v("K"), v("W")),
-                body: vec![Stmt::Launch {
-                    task: "dual".into(),
-                    args: vec![
-                        t("Cacc"),
-                        piece("Ap", vec![SExpr::lit(0), v("k")]),
-                        piece("B1p", vec![v("k"), SExpr::lit(0)]),
-                        piece("B2p", vec![v("k"), SExpr::lit(0)]),
-                    ],
-                }],
-            },
-            Stmt::Launch {
-                task: "store".into(),
-                args: vec![t("Cacc"), t("C")],
-            },
-        ],
-    })?;
-
-    // Tile level: split rows across warpgroups; each warpgroup issues the
-    // two GEMMs back-to-back against the shared A tile.
-    reg.register(TaskVariant {
-        task: "dual".into(),
-        name: "dual_tile".into(),
-        kind: VariantKind::Inner,
-        params: params.clone(),
-        body: vec![
-            Stmt::Tunable { name: "WGS".into() },
-            Stmt::Let {
-                name: "M".into(),
-                value: SExpr::shape("C", 0),
-            },
-            Stmt::Let {
-                name: "N".into(),
-                value: SExpr::shape("C", 1),
-            },
-            Stmt::Let {
-                name: "K".into(),
-                value: SExpr::shape("A", 1),
-            },
-            Stmt::PartitionBlocks {
-                name: "Cp".into(),
-                tensor: "C".into(),
-                tile_rows: v("M") / v("WGS"),
-                tile_cols: v("N"),
-            },
-            Stmt::PartitionBlocks {
-                name: "Ap".into(),
-                tensor: "A".into(),
-                tile_rows: v("M") / v("WGS"),
-                tile_cols: v("K"),
-            },
-            Stmt::PRange {
-                vars: vec!["w".into()],
-                extents: vec![v("WGS")],
-                body: vec![Stmt::Launch {
-                    task: "dual".into(),
-                    args: vec![
-                        piece("Cp", vec![v("w"), SExpr::lit(0)]),
-                        piece("Ap", vec![v("w"), SExpr::lit(0)]),
-                        t("B1"),
-                        t("B2"),
-                    ],
-                }],
-            },
-        ],
-    })?;
-
-    reg.register(TaskVariant {
-        task: "dual".into(),
-        name: "dual_wg".into(),
-        kind: VariantKind::Inner,
-        params,
-        body: vec![
-            Stmt::Launch {
-                task: "gemm".into(),
-                args: vec![t("C"), t("A"), t("B1")],
-            },
-            Stmt::Launch {
-                task: "gemm".into(),
-                args: vec![t("C"), t("A"), t("B2")],
-            },
-        ],
-    })?;
-
-    let g4 = vec![MemLevel::Global; 4];
-    let mut instances = vec![
-        TaskMapping::new("dual_host", "dual_host", ProcLevel::Host, g4.clone())
-            .tunable("U", cfg.u as i64)
-            .tunable("V", cfg.v as i64)
-            .calls(&["dual_block"])
-            .entrypoint(),
-        common::accumulate_block_instance(
-            "dual_block",
-            "dual_block",
-            g4,
-            &cfg,
-            &["clear_tile", "dual_tile", "store_tile"],
-        ),
-        TaskMapping::new(
-            "dual_tile",
-            "dual_tile",
-            ProcLevel::Block,
-            vec![
-                MemLevel::None,
-                MemLevel::Shared,
-                MemLevel::Shared,
-                MemLevel::Shared,
-            ],
-        )
-        .tunable("WGS", cfg.wgs as i64)
-        .calls(&["dual_wg"]),
-        TaskMapping::new(
-            "dual_wg",
-            "dual_wg",
-            ProcLevel::Warpgroup,
-            vec![
-                MemLevel::Register,
-                MemLevel::Shared,
-                MemLevel::Shared,
-                MemLevel::Shared,
-            ],
-        )
-        .calls(&["gemm_wgmma"]),
-    ];
-    instances.extend(common::mma_chain_mappings("gemm", MemLevel::Shared));
-    instances.extend(common::clear_mappings("clear", cfg.wgs as i64));
-    instances.extend(common::store_mappings("store", cfg.wgs as i64));
-    let mapping = MappingSpec::new(instances)?;
-
-    let args = vec![
-        EntryArg {
-            name: "C".into(),
-            rows: m,
-            cols: n,
-            dtype: DType::F16,
-        },
-        EntryArg {
-            name: "A".into(),
-            rows: m,
-            cols: k,
-            dtype: DType::F16,
-        },
-        EntryArg {
-            name: "B1".into(),
-            rows: k,
-            cols: n,
-            dtype: DType::F16,
-        },
-        EntryArg {
-            name: "B2".into(),
-            rows: k,
-            cols: n,
-            dtype: DType::F16,
-        },
-    ];
-    Ok((reg, mapping, args))
+    FAMILY.program(m, n, k, &cfg)
 }
+
+/// Fig. 5a with two column operands: each warpgroup issues the two GEMMs
+/// back-to-back against the shared A tile.
+const FAMILY: Family = Family {
+    task: "dual",
+    accs: &["C"],
+    vec_accs: &[],
+    rows: &["A"],
+    cols: &["B1", "B2"],
+    wg: &[("gemm", &["C", "A", "B1"]), ("gemm", &["C", "A", "B2"])],
+    wg_calls: &["gemm_wgmma"],
+};

@@ -4,11 +4,11 @@
 //! warp specialization and pipeline depth.
 
 use crate::error::CompileError;
-use crate::front::ast::{SExpr, Stmt};
-use crate::front::machine::ProcLevel;
-use crate::front::mapping::MappingSpec;
-use crate::front::task::{TaskRegistry, TaskVariant, VariantKind};
-use crate::kernels::common::{self, p, piece, v};
+use crate::front::ast::{ArgExpr, LeafFn, Privilege, SExpr, Stmt};
+use crate::front::machine::{MemLevel, ProcLevel};
+use crate::front::mapping::{MappingSpec, TaskMapping};
+use crate::front::task::{ParamSig, TaskRegistry};
+use crate::kernels::common::{self, p, register_inner, row_split, tiled};
 use crate::kernels::space::{
     gemm_family_candidates, validate_gemm_family, GemmFootprint, MappingConfig, MappingSpace, Shape,
 };
@@ -161,218 +161,250 @@ pub fn build_with(
     k: usize,
     cfg: GemmConfig,
 ) -> Result<(TaskRegistry, MappingSpec, Vec<EntryArg>), CompileError> {
-    let mut reg = TaskRegistry::new();
-    register_gemm_tasks(&mut reg)?;
-    common::register_clear(&mut reg, "clear")?;
-    common::register_store(&mut reg, "store")?;
-    common::register_mma_chain(&mut reg, "gemm", crate::front::ast::LeafFn::MmaAccum)?;
-
-    let mapping = gemm_mapping(cfg)?;
-    let args = vec![
-        EntryArg {
-            name: "C".into(),
-            rows: m,
-            cols: n,
-            dtype: DType::F16,
-        },
-        EntryArg {
-            name: "A".into(),
-            rows: m,
-            cols: k,
-            dtype: DType::F16,
-        },
-        EntryArg {
-            name: "B".into(),
-            rows: k,
-            cols: n,
-            dtype: DType::F16,
-        },
-    ];
-    Ok((reg, mapping, args))
+    FAMILY.program(m, n, k, &cfg)
 }
 
-/// Register the host/block/tile levels of the `gemm` task (the `mma` chain
-/// below the warpgroup level is shared with other kernels).
-pub(crate) fn register_gemm_tasks(reg: &mut TaskRegistry) -> Result<(), CompileError> {
-    use crate::front::ast::Privilege;
-    let params = vec![
-        p("C", Privilege::ReadWrite),
-        p("A", Privilege::Read),
-        p("B", Privilege::Read),
-    ];
+/// Fig. 5a itself: one accumulator, one operand of each kind, and a
+/// warpgroup's band goes straight to the Tensor Core.
+pub(crate) const FAMILY: Family = Family {
+    task: "gemm",
+    accs: &["C"],
+    vec_accs: &[],
+    rows: &["A"],
+    cols: &["B"],
+    wg: &[],
+    wg_calls: &[],
+};
 
-    // Fig. 5a `gemm_host`: tile C into U x V blocks, launch a parallel grid.
-    reg.register(TaskVariant {
-        task: "gemm".into(),
-        name: "gemm_host".into(),
-        kind: VariantKind::Inner,
-        params: params.clone(),
-        body: vec![
-            Stmt::Tunable { name: "U".into() },
-            Stmt::Tunable { name: "V".into() },
-            Stmt::Let {
-                name: "M".into(),
-                value: SExpr::shape("C", 0),
-            },
-            Stmt::Let {
-                name: "N".into(),
-                value: SExpr::shape("C", 1),
-            },
-            Stmt::Let {
-                name: "K".into(),
-                value: SExpr::shape("A", 1),
-            },
-            Stmt::PartitionBlocks {
-                name: "Cp".into(),
-                tensor: "C".into(),
-                tile_rows: v("U"),
-                tile_cols: v("V"),
-            },
-            Stmt::PartitionBlocks {
-                name: "Ap".into(),
-                tensor: "A".into(),
-                tile_rows: v("U"),
-                tile_cols: v("K"),
-            },
-            Stmt::PartitionBlocks {
-                name: "Bp".into(),
-                tensor: "B".into(),
-                tile_rows: v("K"),
-                tile_cols: v("V"),
-            },
-            Stmt::PRange {
-                vars: vec!["i".into(), "j".into()],
-                extents: vec![v("M") / v("U"), v("N") / v("V")],
-                body: vec![Stmt::Launch {
-                    task: "gemm".into(),
-                    args: vec![
-                        piece("Cp", vec![v("i"), v("j")]),
-                        piece("Ap", vec![v("i"), SExpr::lit(0)]),
-                        piece("Bp", vec![SExpr::lit(0), v("j")]),
-                    ],
-                }],
-            },
-        ],
-    })?;
-
-    // Fig. 5a `gemm_block`: accumulator + sequential K-reduction.
-    reg.register(TaskVariant {
-        task: "gemm".into(),
-        name: "gemm_block".into(),
-        kind: VariantKind::Inner,
-        params: params.clone(),
-        body: vec![
-            Stmt::Tunable { name: "W".into() },
-            Stmt::Let {
-                name: "M".into(),
-                value: SExpr::shape("C", 0),
-            },
-            Stmt::Let {
-                name: "N".into(),
-                value: SExpr::shape("C", 1),
-            },
-            Stmt::Let {
-                name: "K".into(),
-                value: SExpr::shape("A", 1),
-            },
-            Stmt::PartitionBlocks {
-                name: "Ap".into(),
-                tensor: "A".into(),
-                tile_rows: v("M"),
-                tile_cols: v("W"),
-            },
-            Stmt::PartitionBlocks {
-                name: "Bp".into(),
-                tensor: "B".into(),
-                tile_rows: v("W"),
-                tile_cols: v("N"),
-            },
-            Stmt::MakeTensor {
-                name: "Cacc".into(),
-                rows: v("M"),
-                cols: v("N"),
-                dtype: DType::F16,
-            },
-            Stmt::Launch {
-                task: "clear".into(),
-                args: vec![common::t("Cacc")],
-            },
-            Stmt::SRange {
-                var: "k".into(),
-                extent: SExpr::cdiv(v("K"), v("W")),
-                body: vec![Stmt::Launch {
-                    task: "gemm".into(),
-                    args: vec![
-                        common::t("Cacc"),
-                        piece("Ap", vec![SExpr::lit(0), v("k")]),
-                        piece("Bp", vec![v("k"), SExpr::lit(0)]),
-                    ],
-                }],
-            },
-            Stmt::Launch {
-                task: "store".into(),
-                args: vec![common::t("Cacc"), common::t("C")],
-            },
-        ],
-    })?;
-
-    // Fig. 5a `gemm_tile`: split rows across warpgroups.
-    reg.register(TaskVariant {
-        task: "gemm".into(),
-        name: "gemm_tile".into(),
-        kind: VariantKind::Inner,
-        params,
-        body: vec![
-            Stmt::Tunable { name: "WGS".into() },
-            Stmt::Let {
-                name: "M".into(),
-                value: SExpr::shape("C", 0),
-            },
-            Stmt::Let {
-                name: "N".into(),
-                value: SExpr::shape("C", 1),
-            },
-            Stmt::Let {
-                name: "K".into(),
-                value: SExpr::shape("A", 1),
-            },
-            Stmt::PartitionBlocks {
-                name: "Cp".into(),
-                tensor: "C".into(),
-                tile_rows: v("M") / v("WGS"),
-                tile_cols: v("N"),
-            },
-            Stmt::PartitionBlocks {
-                name: "Ap".into(),
-                tensor: "A".into(),
-                tile_rows: v("M") / v("WGS"),
-                tile_cols: v("K"),
-            },
-            Stmt::PRange {
-                vars: vec!["w".into()],
-                extents: vec![v("WGS")],
-                body: vec![Stmt::Launch {
-                    task: "gemm".into(),
-                    args: vec![
-                        piece("Cp", vec![v("w"), SExpr::lit(0)]),
-                        piece("Ap", vec![v("w"), SExpr::lit(0)]),
-                        common::t("B"),
-                    ],
-                }],
-            },
-        ],
-    })?;
-    Ok(())
+/// The task tree of Fig. 5a over an operand list — what GEMM, Dual-GEMM
+/// and GEMM+Reduction share. A kernel of the family computes `[M, N]`
+/// accumulators (and `[M, N/V]` row-vector partials) from row operands
+/// `[M, K]` and column operands `[K, N]`; its task takes them in that
+/// order. [`Family::host`] tiles the outputs into `U x V` blocks,
+/// [`Family::block`] accumulates over `W`-wide slices of `K`,
+/// [`Family::tile`] splits a block's rows across warpgroups, and `wg`
+/// says what one warpgroup does with its band.
+pub(crate) struct Family {
+    /// The task; its variants are `{task}_host`, `_block`, `_tile`, `_wg`.
+    pub task: &'static str,
+    /// Matrix accumulators `[M, N]`, cleared and stored by the `clear` /
+    /// `store` trees.
+    pub accs: &'static [&'static str],
+    /// Row-vector accumulators (one column per block column), cleared and
+    /// stored by `vclear` / `vstore`.
+    pub vec_accs: &'static [&'static str],
+    /// Row operands `[M, K]`: tiled with the rows of the output.
+    pub rows: &'static [&'static str],
+    /// Column operands `[K, N]`: tiled with the columns of the output.
+    pub cols: &'static [&'static str],
+    /// The per-warpgroup body: `(task, whole-tensor arguments)` launches
+    /// in program order. Empty when the band is the `gemm` task's own.
+    pub wg: &'static [(&'static str, &'static [&'static str])],
+    /// The instances the `wg` launches dispatch to.
+    pub wg_calls: &'static [&'static str],
 }
 
-/// Assemble the GEMM mapping specification (Fig. 5b).
-pub(crate) fn gemm_mapping(cfg: GemmConfig) -> Result<MappingSpec, CompileError> {
-    MappingSpec::new(common::gemm_tree_instances(
-        "gemm_host",
-        ProcLevel::Host,
-        true,
-        &cfg,
-    ))
+impl Family {
+    /// Accumulators read-write, then the operands read-only.
+    fn params(&self) -> Vec<ParamSig> {
+        let accs = self.accs.iter().chain(self.vec_accs);
+        let operands = self.rows.iter().chain(self.cols);
+        accs.map(|a| p(a, Privilege::ReadWrite))
+            .chain(operands.map(|o| p(o, Privilege::Read)))
+            .collect()
+    }
+
+    /// The tensors the extents are read from: `M x N` is the first
+    /// accumulator's shape, `K` the first row operand's width.
+    fn lead(&self) -> Result<(&'static str, &'static str), CompileError> {
+        match (self.accs.first(), self.rows.first()) {
+            (Some(c), Some(a)) => Ok((c, a)),
+            _ => Err(CompileError::Unsupported(format!(
+                "`{}` needs a matrix accumulator and a row operand",
+                self.task
+            ))),
+        }
+    }
+
+    /// `M, N, K = C.shape[0], C.shape[1], A.shape[1]`.
+    fn extents((c, a): (&str, &str)) -> [Stmt; 3] {
+        [
+            Stmt::let_("M", SExpr::shape(c, 0)),
+            Stmt::let_("N", SExpr::shape(c, 1)),
+            Stmt::let_("K", SExpr::shape(a, 1)),
+        ]
+    }
+
+    /// Fig. 5a `gemm_host`: tile the outputs into `U x V` blocks and
+    /// launch a parallel grid, each block taking its row band of the row
+    /// operands and its column band of the column operands.
+    fn host(&self, lead: (&str, &str)) -> Vec<Stmt> {
+        let [u, v, m, n, k, i, j] = ["U", "V", "M", "N", "K", "i", "j"].map(SExpr::var);
+        let (zero, one) = (SExpr::lit(0), SExpr::lit(1));
+        let mut body = vec![Stmt::tunable("U"), Stmt::tunable("V")];
+        body.extend(Self::extents(lead));
+        let mut args = Vec::new();
+        tiled(self.accs, [&u, &v], [&i, &j], &mut body, &mut args);
+        tiled(self.vec_accs, [&u, &one], [&i, &j], &mut body, &mut args);
+        tiled(self.rows, [&u, &k], [&i, &zero], &mut body, &mut args);
+        tiled(self.cols, [&k, &v], [&zero, &j], &mut body, &mut args);
+        let launch = Stmt::launch(self.task, args);
+        body.push(Stmt::prange(&["i", "j"], vec![m / u, n / v], vec![launch]));
+        body
+    }
+
+    /// Fig. 5a `gemm_block`: one accumulator per output, cleared, updated
+    /// by a sequential walk over `W`-wide slices of `K`, and stored.
+    fn block(&self, lead: (&str, &str)) -> Vec<Stmt> {
+        let [m, n, k, w, step] = ["M", "N", "K", "W", "k"].map(SExpr::var);
+        let (zero, one) = (SExpr::lit(0), SExpr::lit(1));
+        let mut body = vec![Stmt::tunable("W")];
+        body.extend(Self::extents(lead));
+        let mut slices = Vec::new();
+        tiled(self.rows, [&m, &w], [&zero, &step], &mut body, &mut slices);
+        tiled(self.cols, [&w, &n], [&step, &zero], &mut body, &mut slices);
+        let (mut clears, mut args, mut stores) = (Vec::new(), Vec::new(), Vec::new());
+        let matrices = self.accs.iter().map(|c| (c, &n, "clear", "store"));
+        let vectors = self.vec_accs.iter().map(|y| (y, &one, "vclear", "vstore"));
+        for (out, cols, clear, store) in matrices.chain(vectors) {
+            let acc = format!("{out}acc");
+            body.push(Stmt::make_tensor(&acc, m.clone(), cols.clone(), DType::F16));
+            clears.push(Stmt::launch_whole(clear, &[&acc]));
+            stores.push(Stmt::launch_whole(store, &[&acc, out]));
+            args.push(ArgExpr::tensor(acc));
+        }
+        args.extend(slices);
+        body.extend(clears);
+        let launch = Stmt::launch(self.task, args);
+        body.push(Stmt::srange("k", SExpr::cdiv(k, w), vec![launch]));
+        body.extend(stores);
+        body
+    }
+
+    /// Fig. 5a `gemm_tile`: split rows across warpgroups; the column
+    /// operands are shared by all of them.
+    fn tile(&self, (c, a): (&str, &str)) -> Vec<Stmt> {
+        let cols = |tensors: &'static [&'static str], width: SExpr| {
+            tensors.iter().map(move |t| (*t, width.clone()))
+        };
+        let split: Vec<_> = cols(self.accs, SExpr::var("N"))
+            .chain(cols(self.vec_accs, SExpr::lit(1)))
+            .chain(cols(self.rows, SExpr::var("K")))
+            .collect();
+        let dims = [("N", c, 1), ("K", a, 1)];
+        row_split(("M", c), &dims, &split, self.cols, self.task)
+    }
+
+    /// The family's registry: its own levels plus the shared `clear` /
+    /// `store` trees and the `gemm` mma chain below the warpgroup.
+    pub(crate) fn registry(&self) -> Result<TaskRegistry, CompileError> {
+        let lead = self.lead()?;
+        let mut reg = TaskRegistry::new();
+        let name = |level: &str| format!("{}_{level}", self.task);
+        for (level, body) in [
+            ("host", self.host(lead)),
+            ("block", self.block(lead)),
+            ("tile", self.tile(lead)),
+        ] {
+            register_inner(&mut reg, self.task, &name(level), self.params(), body)?;
+        }
+        if !self.wg.is_empty() {
+            let launches = self.wg.iter().map(|(t, args)| Stmt::launch_whole(*t, args));
+            let (wg, params) = (name("wg"), self.params());
+            register_inner(&mut reg, self.task, &wg, params, launches.collect())?;
+        }
+        common::register_clear(&mut reg, "clear")?;
+        common::register_store(&mut reg, "store")?;
+        if !self.vec_accs.is_empty() {
+            common::register_vec_clear(&mut reg, "vclear", 0.0)?;
+            common::register_vec_store(&mut reg, "vstore")?;
+        }
+        common::register_mma_chain(&mut reg, "gemm", LeafFn::MmaAccum)?;
+        Ok(reg)
+    }
+
+    /// The family's mapping instances (Fig. 5b), host first: grid → block
+    /// → tile (→ wg) plus the shared mma/clear/store trees. With `root`
+    /// the host variant is not the entrypoint but bound under that
+    /// instance name and processor by a caller that peels an outer
+    /// dimension first (batched GEMM: the §3.2 reuse).
+    pub(crate) fn instances(
+        &self,
+        cfg: &GemmConfig,
+        root: Option<(&str, ProcLevel)>,
+    ) -> Vec<TaskMapping> {
+        let name = |level: &str| format!("{}_{level}", self.task);
+        let (host, block, tile, wg) = (name("host"), name("block"), name("tile"), name("wg"));
+        let n_accs = self.accs.len() + self.vec_accs.len();
+        let n_tensors = n_accs + self.rows.len() + self.cols.len();
+        let global = vec![MemLevel::Global; n_tensors];
+        // A warpgroup accumulates in registers from operand tiles staged
+        // in shared memory.
+        let mut wg_mems = vec![MemLevel::Register; n_accs];
+        wg_mems.resize(n_tensors, MemLevel::Shared);
+        let grid = match root {
+            None => TaskMapping::for_variant(&host, ProcLevel::Host, global.clone()).entrypoint(),
+            Some((instance, proc)) => TaskMapping::new(instance, &host, proc, global.clone()),
+        };
+        let vectors = !self.vec_accs.is_empty();
+        let mut block_calls = vec!["clear_tile", &tile, "store_tile"];
+        if vectors {
+            block_calls.insert(1, "vclear_tile");
+            block_calls.push("vstore_tile");
+        }
+        let below = if self.wg.is_empty() {
+            "gemm_wgmma"
+        } else {
+            &wg
+        };
+        let mut out = vec![
+            grid.tunable("U", cfg.u as i64)
+                .tunable("V", cfg.v as i64)
+                .calls(&[&block]),
+            common::accumulate_block_instance(&block, global, cfg, &block_calls),
+            common::row_split_instance(&tile, &tile, cfg.wgs, &wg_mems, below),
+        ];
+        if !self.wg.is_empty() {
+            let per_wg = TaskMapping::for_variant(&wg, ProcLevel::Warpgroup, wg_mems);
+            out.push(per_wg.calls(self.wg_calls));
+        }
+        out.extend(common::mma_chain_mappings("gemm", MemLevel::Shared));
+        out.extend(common::clear_mappings("clear", cfg.wgs));
+        out.extend(common::store_mappings("store", cfg.wgs));
+        if vectors {
+            out.extend(common::vec_clear_mappings("vclear", cfg.wgs));
+            out.extend(common::vec_store_mappings("vstore", cfg.wgs));
+        }
+        out
+    }
+
+    /// The entry tensors for an `m x n x k` problem.
+    pub(crate) fn entry_args(
+        &self,
+        m: usize,
+        n: usize,
+        k: usize,
+        cfg: &GemmConfig,
+    ) -> Vec<EntryArg> {
+        let accs = self.accs.iter().map(|c| EntryArg::f16(*c, m, n));
+        let partials = self.vec_accs.iter();
+        let vecs = partials.map(|y| EntryArg::f16(*y, m, n / cfg.v));
+        let rows = self.rows.iter().map(|a| EntryArg::f16(*a, m, k));
+        let cols = self.cols.iter().map(|b| EntryArg::f16(*b, k, n));
+        accs.chain(vecs).chain(rows).chain(cols).collect()
+    }
+
+    /// Registry, mapping and entry arguments together.
+    pub(crate) fn program(
+        &self,
+        m: usize,
+        n: usize,
+        k: usize,
+        cfg: &GemmConfig,
+    ) -> Result<(TaskRegistry, MappingSpec, Vec<EntryArg>), CompileError> {
+        let mapping = MappingSpec::new(self.instances(cfg, None))?;
+        Ok((self.registry()?, mapping, self.entry_args(m, n, k, cfg)))
+    }
 }
 
 #[cfg(test)]

@@ -11,18 +11,17 @@
 //! `N/V` columns.
 
 use crate::error::CompileError;
-use crate::front::ast::{LeafFn, Privilege, SExpr, Stmt};
-use crate::front::machine::{MemLevel, ProcLevel};
-use crate::front::mapping::{MappingSpec, TaskMapping};
-use crate::front::task::{TaskRegistry, TaskVariant, VariantKind};
-use crate::kernels::common::{self, p, piece, t, v};
-use crate::kernels::gemm::GemmConfig;
+use crate::front::ast::{LeafFn, Privilege};
+use crate::front::machine::MemLevel;
+use crate::front::mapping::MappingSpec;
+use crate::front::task::TaskRegistry;
+use crate::kernels::common::{self, p};
+use crate::kernels::gemm::{Family, GemmConfig};
 use crate::kernels::space::{
     gemm_family_candidates, validate_gemm_family, GemmFootprint, MappingConfig, MappingSpace, Shape,
 };
 use crate::passes::depan::EntryArg;
 use cypress_sim::MachineConfig;
-use cypress_tensor::DType;
 
 /// Algorithmic FLOPs (the figure reports GEMM FLOPs; the reduction is
 /// O(MK) and not counted, as in the paper).
@@ -188,313 +187,31 @@ pub fn build_with(
     k: usize,
     cfg: GemmConfig,
 ) -> Result<(TaskRegistry, MappingSpec, Vec<EntryArg>), CompileError> {
-    let mut reg = TaskRegistry::new();
-    common::register_clear(&mut reg, "clear")?;
-    common::register_store(&mut reg, "store")?;
-    common::register_vec_clear(&mut reg, "vclear", 0.0)?;
-    common::register_vec_store(&mut reg, "vstore")?;
-    common::register_mma_chain(&mut reg, "gemm", LeafFn::MmaAccum)?;
+    let mut reg = FAMILY.registry()?;
+    let rsum_params = vec![p("Y", Privilege::ReadWrite), p("A", Privilege::Read)];
     common::register_leaf(
         &mut reg,
         "rsum",
-        vec![p("Y", Privilege::ReadWrite), p("A", Privilege::Read)],
+        rsum_params,
         LeafFn::RowSumAccum,
         &["A", "Y"],
     )?;
-
-    let params = vec![
-        p("C", Privilege::ReadWrite),
-        p("Y", Privilege::ReadWrite),
-        p("A", Privilege::Read),
-        p("B", Privilege::Read),
-    ];
-
-    reg.register(TaskVariant {
-        task: "gr".into(),
-        name: "gr_host".into(),
-        kind: VariantKind::Inner,
-        params: params.clone(),
-        body: vec![
-            Stmt::Tunable { name: "U".into() },
-            Stmt::Tunable { name: "V".into() },
-            Stmt::Let {
-                name: "M".into(),
-                value: SExpr::shape("C", 0),
-            },
-            Stmt::Let {
-                name: "N".into(),
-                value: SExpr::shape("C", 1),
-            },
-            Stmt::Let {
-                name: "K".into(),
-                value: SExpr::shape("A", 1),
-            },
-            Stmt::PartitionBlocks {
-                name: "Cp".into(),
-                tensor: "C".into(),
-                tile_rows: v("U"),
-                tile_cols: v("V"),
-            },
-            Stmt::PartitionBlocks {
-                name: "Yp".into(),
-                tensor: "Y".into(),
-                tile_rows: v("U"),
-                tile_cols: SExpr::lit(1),
-            },
-            Stmt::PartitionBlocks {
-                name: "Ap".into(),
-                tensor: "A".into(),
-                tile_rows: v("U"),
-                tile_cols: v("K"),
-            },
-            Stmt::PartitionBlocks {
-                name: "Bp".into(),
-                tensor: "B".into(),
-                tile_rows: v("K"),
-                tile_cols: v("V"),
-            },
-            Stmt::PRange {
-                vars: vec!["i".into(), "j".into()],
-                extents: vec![v("M") / v("U"), v("N") / v("V")],
-                body: vec![Stmt::Launch {
-                    task: "gr".into(),
-                    args: vec![
-                        piece("Cp", vec![v("i"), v("j")]),
-                        piece("Yp", vec![v("i"), v("j")]),
-                        piece("Ap", vec![v("i"), SExpr::lit(0)]),
-                        piece("Bp", vec![SExpr::lit(0), v("j")]),
-                    ],
-                }],
-            },
-        ],
-    })?;
-
-    reg.register(TaskVariant {
-        task: "gr".into(),
-        name: "gr_block".into(),
-        kind: VariantKind::Inner,
-        params: params.clone(),
-        body: vec![
-            Stmt::Tunable { name: "W".into() },
-            Stmt::Let {
-                name: "M".into(),
-                value: SExpr::shape("C", 0),
-            },
-            Stmt::Let {
-                name: "N".into(),
-                value: SExpr::shape("C", 1),
-            },
-            Stmt::Let {
-                name: "K".into(),
-                value: SExpr::shape("A", 1),
-            },
-            Stmt::PartitionBlocks {
-                name: "Ap".into(),
-                tensor: "A".into(),
-                tile_rows: v("M"),
-                tile_cols: v("W"),
-            },
-            Stmt::PartitionBlocks {
-                name: "Bp".into(),
-                tensor: "B".into(),
-                tile_rows: v("W"),
-                tile_cols: v("N"),
-            },
-            Stmt::MakeTensor {
-                name: "Cacc".into(),
-                rows: v("M"),
-                cols: v("N"),
-                dtype: DType::F16,
-            },
-            Stmt::MakeTensor {
-                name: "Yacc".into(),
-                rows: v("M"),
-                cols: SExpr::lit(1),
-                dtype: DType::F16,
-            },
-            Stmt::Launch {
-                task: "clear".into(),
-                args: vec![t("Cacc")],
-            },
-            Stmt::Launch {
-                task: "vclear".into(),
-                args: vec![t("Yacc")],
-            },
-            Stmt::SRange {
-                var: "k".into(),
-                extent: SExpr::cdiv(v("K"), v("W")),
-                body: vec![Stmt::Launch {
-                    task: "gr".into(),
-                    args: vec![
-                        t("Cacc"),
-                        t("Yacc"),
-                        piece("Ap", vec![SExpr::lit(0), v("k")]),
-                        piece("Bp", vec![v("k"), SExpr::lit(0)]),
-                    ],
-                }],
-            },
-            Stmt::Launch {
-                task: "store".into(),
-                args: vec![t("Cacc"), t("C")],
-            },
-            Stmt::Launch {
-                task: "vstore".into(),
-                args: vec![t("Yacc"), t("Y")],
-            },
-        ],
-    })?;
-
-    reg.register(TaskVariant {
-        task: "gr".into(),
-        name: "gr_tile".into(),
-        kind: VariantKind::Inner,
-        params: params.clone(),
-        body: vec![
-            Stmt::Tunable { name: "WGS".into() },
-            Stmt::Let {
-                name: "M".into(),
-                value: SExpr::shape("C", 0),
-            },
-            Stmt::Let {
-                name: "N".into(),
-                value: SExpr::shape("C", 1),
-            },
-            Stmt::Let {
-                name: "K".into(),
-                value: SExpr::shape("A", 1),
-            },
-            Stmt::PartitionBlocks {
-                name: "Cp".into(),
-                tensor: "C".into(),
-                tile_rows: v("M") / v("WGS"),
-                tile_cols: v("N"),
-            },
-            Stmt::PartitionBlocks {
-                name: "Yp".into(),
-                tensor: "Y".into(),
-                tile_rows: v("M") / v("WGS"),
-                tile_cols: SExpr::lit(1),
-            },
-            Stmt::PartitionBlocks {
-                name: "Ap".into(),
-                tensor: "A".into(),
-                tile_rows: v("M") / v("WGS"),
-                tile_cols: v("K"),
-            },
-            Stmt::PRange {
-                vars: vec!["w".into()],
-                extents: vec![v("WGS")],
-                body: vec![Stmt::Launch {
-                    task: "gr".into(),
-                    args: vec![
-                        piece("Cp", vec![v("w"), SExpr::lit(0)]),
-                        piece("Yp", vec![v("w"), SExpr::lit(0)]),
-                        piece("Ap", vec![v("w"), SExpr::lit(0)]),
-                        t("B"),
-                    ],
-                }],
-            },
-        ],
-    })?;
-
-    // Per-warpgroup: the Tensor Core GEMM and the SIMT row-sum, unordered
-    // with respect to each other (they only read A).
-    reg.register(TaskVariant {
-        task: "gr".into(),
-        name: "gr_wg".into(),
-        kind: VariantKind::Inner,
-        params,
-        body: vec![
-            Stmt::Launch {
-                task: "gemm".into(),
-                args: vec![t("C"), t("A"), t("B")],
-            },
-            Stmt::Launch {
-                task: "rsum".into(),
-                args: vec![t("Y"), t("A")],
-            },
-        ],
-    })?;
-
-    let g4 = vec![MemLevel::Global; 4];
-    let mut instances = vec![
-        TaskMapping::new("gr_host", "gr_host", ProcLevel::Host, g4.clone())
-            .tunable("U", cfg.u as i64)
-            .tunable("V", cfg.v as i64)
-            .calls(&["gr_block"])
-            .entrypoint(),
-        common::accumulate_block_instance(
-            "gr_block",
-            "gr_block",
-            g4,
-            &cfg,
-            &[
-                "clear_tile",
-                "vclear_tile",
-                "gr_tile",
-                "store_tile",
-                "vstore_tile",
-            ],
-        ),
-        TaskMapping::new(
-            "gr_tile",
-            "gr_tile",
-            ProcLevel::Block,
-            vec![
-                MemLevel::None,
-                MemLevel::None,
-                MemLevel::Shared,
-                MemLevel::Shared,
-            ],
-        )
-        .tunable("WGS", cfg.wgs as i64)
-        .calls(&["gr_wg"]),
-        TaskMapping::new(
-            "gr_wg",
-            "gr_wg",
-            ProcLevel::Warpgroup,
-            vec![
-                MemLevel::Register,
-                MemLevel::Register,
-                MemLevel::Shared,
-                MemLevel::Shared,
-            ],
-        )
-        .calls(&["gemm_wgmma", "rsum_leaf"]),
-        common::leaf_mapping("rsum", vec![MemLevel::Register, MemLevel::Shared]),
-    ];
-    instances.extend(common::mma_chain_mappings("gemm", MemLevel::Shared));
-    instances.extend(common::clear_mappings("clear", cfg.wgs as i64));
-    instances.extend(common::store_mappings("store", cfg.wgs as i64));
-    instances.extend(common::vec_clear_mappings("vclear", cfg.wgs as i64));
-    instances.extend(common::vec_store_mappings("vstore", cfg.wgs as i64));
-    let mapping = MappingSpec::new(instances)?;
-
-    let args = vec![
-        EntryArg {
-            name: "C".into(),
-            rows: m,
-            cols: n,
-            dtype: DType::F16,
-        },
-        EntryArg {
-            name: "Y".into(),
-            rows: m,
-            cols: n / cfg.v,
-            dtype: DType::F16,
-        },
-        EntryArg {
-            name: "A".into(),
-            rows: m,
-            cols: k,
-            dtype: DType::F16,
-        },
-        EntryArg {
-            name: "B".into(),
-            rows: k,
-            cols: n,
-            dtype: DType::F16,
-        },
-    ];
-    Ok((reg, mapping, args))
+    let mut instances = FAMILY.instances(&cfg, None);
+    let rsum_mems = vec![MemLevel::Register, MemLevel::Shared];
+    instances.push(common::leaf_mapping("rsum", rsum_mems));
+    let args = FAMILY.entry_args(m, n, k, &cfg);
+    Ok((reg, MappingSpec::new(instances)?, args))
 }
+
+/// Fig. 5a with a row-vector accumulator beside `C`. Per warpgroup: the
+/// Tensor Core GEMM and the SIMT row-sum, unordered with respect to each
+/// other (they only read A).
+const FAMILY: Family = Family {
+    task: "gr",
+    accs: &["C"],
+    vec_accs: &["Y"],
+    rows: &["A"],
+    cols: &["B"],
+    wg: &[("gemm", &["C", "A", "B"]), ("rsum", &["Y", "A"])],
+    wg_calls: &["gemm_wgmma", "rsum_leaf"],
+};

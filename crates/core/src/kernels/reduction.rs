@@ -12,11 +12,11 @@
 //! and unfused row sums are bitwise identical.
 
 use crate::error::CompileError;
-use crate::front::ast::{LeafFn, Privilege, SExpr, Stmt};
+use crate::front::ast::{ArgExpr, LeafFn, Privilege, SExpr, Stmt};
 use crate::front::machine::{MemLevel, ProcLevel};
 use crate::front::mapping::{MappingSpec, TaskMapping};
-use crate::front::task::{TaskRegistry, TaskVariant, VariantKind};
-use crate::kernels::common::{self, p, piece, t, v};
+use crate::front::task::TaskRegistry;
+use crate::kernels::common::{self, p, tiled};
 use crate::kernels::gemm::GemmConfig;
 use crate::kernels::space::{gemm_family_candidates, MappingConfig, MappingSpace, Shape};
 use crate::passes::depan::EntryArg;
@@ -132,189 +132,75 @@ pub fn build_with(
     let mut reg = TaskRegistry::new();
     common::register_vec_clear(&mut reg, "vclear", 0.0)?;
     common::register_vec_store(&mut reg, "vstore")?;
+    let params = vec![p("Y", Privilege::ReadWrite), p("A", Privilege::Read)];
     common::register_leaf(
         &mut reg,
         "rsum",
-        vec![p("Y", Privilege::ReadWrite), p("A", Privilege::Read)],
+        params.clone(),
         LeafFn::RowSumAccum,
         &["A", "Y"],
     )?;
 
-    let params = vec![p("Y", Privilege::ReadWrite), p("A", Privilege::Read)];
+    // Host: one CTA per `U`-row band of `A` and `Y`.
+    let [u, kk, i] = ["U", "K", "i"].map(SExpr::var);
+    let (zero, one) = (SExpr::lit(0), SExpr::lit(1));
+    let mut host = vec![
+        Stmt::tunable("U"),
+        Stmt::let_("M", SExpr::shape("A", 0)),
+        Stmt::let_("K", SExpr::shape("A", 1)),
+    ];
+    let mut bands = Vec::new();
+    tiled(&["Y"], [&u, &one], [&i, &zero], &mut host, &mut bands);
+    tiled(&["A"], [&u, &kk], [&i, &zero], &mut host, &mut bands);
+    let launch = Stmt::launch("reduce", bands);
+    host.push(Stmt::prange(
+        &["i"],
+        vec![SExpr::var("M") / u],
+        vec![launch],
+    ));
+    common::register_inner(&mut reg, "reduce", "red_host", params.clone(), host)?;
 
-    reg.register(TaskVariant {
-        task: "reduce".into(),
-        name: "red_host".into(),
-        kind: VariantKind::Inner,
-        params: params.clone(),
-        body: vec![
-            Stmt::Tunable { name: "U".into() },
-            Stmt::Let {
-                name: "M".into(),
-                value: SExpr::shape("A", 0),
-            },
-            Stmt::Let {
-                name: "K".into(),
-                value: SExpr::shape("A", 1),
-            },
-            Stmt::PartitionBlocks {
-                name: "Yp".into(),
-                tensor: "Y".into(),
-                tile_rows: v("U"),
-                tile_cols: SExpr::lit(1),
-            },
-            Stmt::PartitionBlocks {
-                name: "Ap".into(),
-                tensor: "A".into(),
-                tile_rows: v("U"),
-                tile_cols: v("K"),
-            },
-            Stmt::PRange {
-                vars: vec!["i".into()],
-                extents: vec![v("M") / v("U")],
-                body: vec![Stmt::Launch {
-                    task: "reduce".into(),
-                    args: vec![
-                        piece("Yp", vec![v("i"), SExpr::lit(0)]),
-                        piece("Ap", vec![v("i"), SExpr::lit(0)]),
-                    ],
-                }],
-            },
-        ],
-    })?;
-
-    reg.register(TaskVariant {
-        task: "reduce".into(),
-        name: "red_block".into(),
-        kind: VariantKind::Inner,
-        params: params.clone(),
-        body: vec![
-            Stmt::Tunable { name: "W".into() },
-            Stmt::Let {
-                name: "M".into(),
-                value: SExpr::shape("A", 0),
-            },
-            Stmt::Let {
-                name: "K".into(),
-                value: SExpr::shape("A", 1),
-            },
-            Stmt::PartitionBlocks {
-                name: "Ap".into(),
-                tensor: "A".into(),
-                tile_rows: v("M"),
-                tile_cols: v("W"),
-            },
-            Stmt::MakeTensor {
-                name: "Yacc".into(),
-                rows: v("M"),
-                cols: SExpr::lit(1),
-                dtype: DType::F16,
-            },
-            Stmt::Launch {
-                task: "vclear".into(),
-                args: vec![t("Yacc")],
-            },
-            Stmt::SRange {
-                var: "k".into(),
-                extent: SExpr::cdiv(v("K"), v("W")),
-                body: vec![Stmt::Launch {
-                    task: "rstep".into(),
-                    args: vec![t("Yacc"), piece("Ap", vec![SExpr::lit(0), v("k")])],
-                }],
-            },
-            Stmt::Launch {
-                task: "vstore".into(),
-                args: vec![t("Yacc"), t("Y")],
-            },
-        ],
-    })?;
+    // Block: running sums in registers, folded over `W`-wide slices of K.
+    let slice = ArgExpr::piece("Ap", vec![SExpr::lit(0), SExpr::var("k")]);
+    let block = vec![
+        Stmt::tunable("W"),
+        Stmt::let_("M", SExpr::shape("A", 0)),
+        Stmt::let_("K", SExpr::shape("A", 1)),
+        Stmt::blocks("Ap", "A", SExpr::var("M"), SExpr::var("W")),
+        Stmt::make_tensor("Yacc", SExpr::var("M"), SExpr::lit(1), DType::F16),
+        Stmt::launch_whole("vclear", &["Yacc"]),
+        Stmt::srange(
+            "k",
+            SExpr::cdiv(kk, SExpr::var("W")),
+            vec![Stmt::launch("rstep", vec![ArgExpr::tensor("Yacc"), slice])],
+        ),
+        Stmt::launch_whole("vstore", &["Yacc", "Y"]),
+    ];
+    common::register_inner(&mut reg, "reduce", "red_block", params.clone(), block)?;
 
     // Tile level: split rows across warpgroups; each warpgroup folds its
     // band of the A tile into its band of the running sums.
-    reg.register(TaskVariant {
-        task: "rstep".into(),
-        name: "rstep_tile".into(),
-        kind: VariantKind::Inner,
-        params: params.clone(),
-        body: vec![
-            Stmt::Tunable { name: "WGS".into() },
-            Stmt::Let {
-                name: "M".into(),
-                value: SExpr::shape("A", 0),
-            },
-            Stmt::Let {
-                name: "W".into(),
-                value: SExpr::shape("A", 1),
-            },
-            Stmt::PartitionBlocks {
-                name: "Yp".into(),
-                tensor: "Y".into(),
-                tile_rows: v("M") / v("WGS"),
-                tile_cols: SExpr::lit(1),
-            },
-            Stmt::PartitionBlocks {
-                name: "Ap".into(),
-                tensor: "A".into(),
-                tile_rows: v("M") / v("WGS"),
-                tile_cols: v("W"),
-            },
-            Stmt::PRange {
-                vars: vec!["w".into()],
-                extents: vec![v("WGS")],
-                body: vec![Stmt::Launch {
-                    task: "rsum".into(),
-                    args: vec![
-                        piece("Yp", vec![v("w"), SExpr::lit(0)]),
-                        piece("Ap", vec![v("w"), SExpr::lit(0)]),
-                    ],
-                }],
-            },
-        ],
-    })?;
+    let split = [("Y", one), ("A", SExpr::var("W"))];
+    let tile = common::row_split(("M", "A"), &[("W", "A", 1)], &split, &[], "rsum");
+    common::register_inner(&mut reg, "rstep", "rstep_tile", params, tile)?;
 
-    let g2 = vec![MemLevel::Global; 2];
-    let mut block = TaskMapping::new("red_block", "red_block", ProcLevel::Block, g2.clone())
-        .tunable("W", cfg.w as i64)
-        .calls(&["vclear_tile", "rstep_tile", "vstore_tile"])
-        .pipeline(cfg.pipeline);
-    if cfg.warpspecialize {
-        block = block.warpspecialize();
-    }
+    let global = vec![MemLevel::Global; 2];
+    let staged = [MemLevel::Register, MemLevel::Shared];
+    let block_calls = ["vclear_tile", "rstep_tile", "vstore_tile"];
     let mut instances = vec![
-        TaskMapping::new("red_host", "red_host", ProcLevel::Host, g2)
+        TaskMapping::for_variant("red_host", ProcLevel::Host, global.clone())
             .tunable("U", cfg.u as i64)
             .calls(&["red_block"])
             .entrypoint(),
-        block,
-        TaskMapping::new(
-            "rstep_tile",
-            "rstep_tile",
-            ProcLevel::Block,
-            vec![MemLevel::None, MemLevel::Shared],
-        )
-        .tunable("WGS", cfg.wgs as i64)
-        .calls(&["rsum_leaf"]),
-        common::leaf_mapping("rsum", vec![MemLevel::Register, MemLevel::Shared]),
+        common::accumulate_block_instance("red_block", global, &cfg, &block_calls),
+        common::row_split_instance("rstep_tile", "rstep_tile", cfg.wgs, &staged, "rsum_leaf"),
+        common::leaf_mapping("rsum", staged.to_vec()),
     ];
-    instances.extend(common::vec_clear_mappings("vclear", cfg.wgs as i64));
-    instances.extend(common::vec_store_mappings("vstore", cfg.wgs as i64));
-    let mapping = MappingSpec::new(instances)?;
+    instances.extend(common::vec_clear_mappings("vclear", cfg.wgs));
+    instances.extend(common::vec_store_mappings("vstore", cfg.wgs));
 
-    let args = vec![
-        EntryArg {
-            name: "Y".into(),
-            rows: m,
-            cols: 1,
-            dtype: DType::F16,
-        },
-        EntryArg {
-            name: "A".into(),
-            rows: m,
-            cols: k,
-            dtype: DType::F16,
-        },
-    ];
-    Ok((reg, mapping, args))
+    let args = vec![EntryArg::f16("Y", m, 1), EntryArg::f16("A", m, k)];
+    Ok((reg, MappingSpec::new(instances)?, args))
 }
 
 #[cfg(test)]

@@ -49,6 +49,20 @@ pub struct EntryArg {
     pub dtype: DType,
 }
 
+impl EntryArg {
+    /// An f16 `rows x cols` entry tensor (every evaluation kernel's
+    /// operands are f16).
+    #[must_use]
+    pub fn f16(name: impl Into<String>, rows: usize, cols: usize) -> Self {
+        EntryArg {
+            name: name.into(),
+            rows,
+            cols,
+            dtype: DType::F16,
+        }
+    }
+}
+
 /// Run dependence analysis: instantiate the task tree into event IR.
 ///
 /// # Errors

@@ -1,0 +1,78 @@
+//! Golden digests of what the kernel library builds.
+//!
+//! `tests/golden/kernels.digests` pins — for every kernel family × every
+//! `MappingSpace::candidates` point at two shapes — the
+//! [`SourceIdentity`] of the `(TaskRegistry, MappingSpec, Vec<EntryArg>)`
+//! that `MappingSpace::build` returns (`computation` covers the entry
+//! arguments and every task variant's body, `source` adds every mapping
+//! instance) and the rendered entry-argument list. `computation` keys
+//! persisted tuning tables, so a rewrite of how a family's task tree is
+//! *written* must leave every line here untouched: the file was generated
+//! by the hand-expanded literals the shared generators replaced.
+//!
+//! After an *intentional* change to a kernel's logical description or
+//! mapping, regenerate the file with
+//!
+//! ```sh
+//! cargo test --release -p cypress-core --test kernels_golden -- --ignored regenerate
+//! ```
+//!
+//! and review the diff like any other golden file.
+
+use cypress_core::fingerprint::{source_identity, SourceIdentity};
+use cypress_sim::MachineConfig;
+use std::fmt::Write as _;
+
+#[path = "golden/shared.rs"]
+mod shared;
+use shared::{assert_matches_golden, families};
+
+const GOLDEN: &str = include_str!("golden/kernels.digests");
+
+/// One line per family × shape × candidate.
+fn digests() -> String {
+    let machine = MachineConfig::h100_sxm5();
+    let mut out = String::new();
+    for (family, space, shapes) in families() {
+        for shape in &shapes {
+            let candidates = space.candidates(&machine, shape);
+            assert!(!candidates.is_empty(), "{family} {shape}: empty space");
+            for cfg in candidates {
+                let (reg, mapping, args) = space.build(shape, &cfg).expect("candidates build");
+                let SourceIdentity {
+                    computation,
+                    source,
+                } = source_identity(&reg, &mapping, space.entry(), &args);
+                let _ = write!(
+                    out,
+                    "{family} {shape} {} computation={computation:016x} source={source:016x} args=",
+                    cfg.encode()
+                );
+                for (i, a) in args.iter().enumerate() {
+                    let sep = if i == 0 { "" } else { "," };
+                    let _ = write!(out, "{sep}{}:{}x{}:{:?}", a.name, a.rows, a.cols, a.dtype);
+                }
+                out.push('\n');
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn kernel_library_matches_golden_digests() {
+    assert_matches_golden(
+        GOLDEN,
+        &digests(),
+        "the kernel library no longer reproduces tests/golden/kernels.digests",
+    );
+}
+
+/// Rewrites the golden file from the current implementation (see the
+/// module header for when that is legitimate).
+#[test]
+#[ignore = "regenerates tests/golden/kernels.digests"]
+fn regenerate() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/kernels.digests");
+    std::fs::write(path, digests()).expect("write golden file");
+}

@@ -57,10 +57,11 @@
 use crate::error::RuntimeError;
 use crate::graph::{Binding, NodeId, TaskGraph};
 use crate::program::Program;
-use cypress_core::kernels::{chain, gemm_reduction};
-use cypress_core::{MappingConfig, MappingSpace, Shape};
+use cypress_core::kernels::gemm::{self, GemmConfig};
+use cypress_core::kernels::{chain, gemm_reduction, reduction};
+use cypress_core::{MappingConfig, MappingSpace, Shape, TaskRegistry};
 use cypress_sim::MachineConfig;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Whether a [`crate::Session`] rewrites graphs before launching them
 /// (mirrors [`crate::SchedulePolicy`] and [`crate::MappingPolicy`]).
@@ -249,6 +250,36 @@ pub(crate) fn plan(
     Ok((plan, declined))
 }
 
+/// Whether `program` *is* the library GEMM, not merely named and shaped
+/// like it: the rewrite replaces the member by a kernel built from the
+/// library's definition, so a look-alike (`C = A·B + 1` under the entry
+/// name `gemm`) must not match. The library GEMM's task registry depends
+/// on neither shape nor mapping, so one canonical copy, built once,
+/// identifies a member by comparison; name and arity go first because
+/// they settle almost every miss for free.
+fn is_library_gemm(program: &Program) -> bool {
+    static LIBRARY: OnceLock<Option<TaskRegistry>> = OnceLock::new();
+    let library = || {
+        let parts = gemm::build_with(64, 64, 64, GemmConfig::test());
+        parts.ok().map(|(registry, ..)| registry)
+    };
+    program.entry == "gemm"
+        && program.args.len() == 3
+        && LIBRARY.get_or_init(library).as_ref() == Some(&program.registry)
+}
+
+/// [`is_library_gemm`] for the standalone row-reduction.
+fn is_library_reduction(program: &Program) -> bool {
+    static LIBRARY: OnceLock<Option<TaskRegistry>> = OnceLock::new();
+    let library = || {
+        let parts = reduction::build_with(64, 64, GemmConfig::test());
+        parts.ok().map(|(registry, ..)| registry)
+    };
+    program.entry == "reduce"
+        && program.args.len() == 2
+        && LIBRARY.get_or_init(library).as_ref() == Some(&program.registry)
+}
+
 /// Pattern-match all fusion candidates, deterministically (ascending
 /// consumer node order, chain rule before reduction rule).
 fn match_candidates(graph: &TaskGraph, machine: &MachineConfig) -> Vec<Candidate> {
@@ -256,6 +287,12 @@ fn match_candidates(graph: &TaskGraph, machine: &MachineConfig) -> Vec<Candidate
     let mut claimed = vec![false; graph.len()];
     let consumers = graph.consumer_counts();
     let total_consumers: Vec<usize> = consumers.iter().map(|c| c.iter().sum()).collect();
+    // One registry comparison per node, not per pairing the rules try.
+    let is_gemm: Vec<bool> = graph
+        .nodes()
+        .iter()
+        .map(|n| is_library_gemm(&n.program))
+        .collect();
 
     // Rule 1: gemm -> gemm chains (consumer order).
     for j in 0..graph.len() {
@@ -263,7 +300,7 @@ fn match_candidates(graph: &TaskGraph, machine: &MachineConfig) -> Vec<Candidate
             continue;
         }
         let nj = &graph.nodes()[j];
-        if nj.program.entry != "gemm" || nj.program.args.len() != 3 {
+        if !is_gemm[j] {
             continue;
         }
         let Binding::Output {
@@ -281,12 +318,7 @@ fn match_candidates(graph: &TaskGraph, machine: &MachineConfig) -> Vec<Candidate
         // The producer must be a GEMM whose only observable output is
         // the edge into `j`: unretained, and its C consumed exactly by
         // this one edge (the intermediate is dead after fusion).
-        if ni.program.entry != "gemm"
-            || ni.program.args.len() != 3
-            || ni.retain
-            || total_consumers[i] != 1
-            || consumers[i][0] != 1
-        {
+        if !is_gemm[i] || ni.retain || total_consumers[i] != 1 || consumers[i][0] != 1 {
             continue;
         }
         // Shapes: C1[m,mid] = A[m,k]·B1[k,mid]; C[m,n] = C1·B2[mid,n].
@@ -332,7 +364,7 @@ fn match_candidates(graph: &TaskGraph, machine: &MachineConfig) -> Vec<Candidate
             continue;
         }
         let nr = &graph.nodes()[r];
-        if nr.program.entry != "reduce" || nr.program.args.len() != 2 {
+        if !is_library_reduction(&nr.program) {
             continue;
         }
         for g in 0..graph.len() {
@@ -340,7 +372,7 @@ fn match_candidates(graph: &TaskGraph, machine: &MachineConfig) -> Vec<Candidate
                 continue;
             }
             let ng = &graph.nodes()[g];
-            if ng.program.entry != "gemm" || ng.program.args.len() != 3 {
+            if !is_gemm[g] {
                 continue;
             }
             // Both must read the same A (the reduction of a GEMM's

@@ -18,6 +18,7 @@
 //! are locked down alongside.
 
 use cypress_core::kernels::{batched, dual_gemm, gemm, gemm_reduction, reduction};
+use cypress_core::{EntryArg, LeafFn, MappingSpec, Stmt, TaskRegistry};
 use cypress_runtime::{Binding, FusionPolicy, NodeId, Program, SchedulePolicy, Session, TaskGraph};
 use cypress_sim::MachineConfig;
 use cypress_tensor::Tensor;
@@ -368,6 +369,78 @@ fn chain_pair_fuses_to_a_single_launch() {
     auto.launch_functional(&graph, &inputs).unwrap();
     let after = auto.cache_stats();
     assert_eq!(before.misses, after.misses, "fused fingerprints are stable");
+}
+
+/// `parts` with every zero-fill replaced by a one-fill: a GEMM that
+/// computes `A·B + 1` (a reduction that computes `Σ + 1`) under the
+/// library kernel's entry name, arity, shapes and mapping.
+fn biased(
+    (registry, mapping, args): (TaskRegistry, MappingSpec, Vec<EntryArg>),
+) -> (TaskRegistry, MappingSpec, Vec<EntryArg>) {
+    let mut look_alike = TaskRegistry::new();
+    for variant in registry.iter() {
+        let mut variant = variant.clone();
+        for stmt in &mut variant.body {
+            if let Stmt::CallExternal { f, .. } = stmt {
+                if *f == LeafFn::Fill(0.0) {
+                    *f = LeafFn::Fill(1.0);
+                }
+            }
+        }
+        look_alike.register(variant).unwrap();
+    }
+    (look_alike, mapping, args)
+}
+
+/// The rewriter knows a library kernel by its definition, not its entry
+/// name: a member that only looks like a GEMM or a row-reduction stays
+/// unfused, in either position of either rule, and `Auto` returns
+/// `Off`'s tensors bit for bit.
+#[test]
+fn look_alikes_of_library_kernels_are_not_fused() {
+    let machine = MachineConfig::test_gpu();
+    let gemm_parts = || gemm::build(D, D, D, &machine).unwrap();
+    let reduce_parts = || reduction::build(D, D, &machine).unwrap();
+    let operands = |a: Binding, b: &str| vec![Binding::Zeros, a, Binding::external(b)];
+    let cases = [
+        ("chain producer", biased(gemm_parts()), gemm_parts(), true),
+        ("chain consumer", gemm_parts(), biased(gemm_parts()), true),
+        ("reduced gemm", biased(gemm_parts()), reduce_parts(), false),
+        ("reduction", gemm_parts(), biased(reduce_parts()), false),
+    ];
+    for (what, first, second, chained) in cases {
+        let mut graph = TaskGraph::new();
+        let first = Program::from_parts(first, "gemm");
+        let up = graph
+            .add_node("first", first, operands(Binding::external("X"), "W1"))
+            .unwrap();
+        let down = if chained {
+            let second = Program::from_parts(second, "gemm");
+            let bindings = operands(Binding::output(up, 0), "W2");
+            graph.add_node("second", second, bindings).unwrap()
+        } else {
+            let second = Program::from_parts(second, "reduce");
+            let bindings = vec![Binding::Zeros, Binding::external("X")];
+            graph.add_node("second", second, bindings).unwrap()
+        };
+        let inputs = random_inputs(&graph, 11);
+
+        let mut off = Session::new(machine.clone());
+        let off_run = off.launch_functional(&graph, &inputs).unwrap();
+        let mut auto = Session::new(machine.clone()).with_fusion_policy(FusionPolicy::Auto);
+        let auto_run = auto.launch_functional(&graph, &inputs).unwrap();
+        let auto_timing = auto.launch_timing(&graph).unwrap();
+
+        assert_eq!(auto_timing.nodes.len(), 2, "{what}: both launches remain");
+        assert!(auto_timing.nodes.iter().all(|n| n.replaced.is_empty()));
+        for node in [up, down] {
+            assert_eq!(
+                auto_run.tensor(node, 0).map(Tensor::data),
+                off_run.tensor(node, 0).map(Tensor::data),
+                "{what}: output diverged under fusion"
+            );
+        }
+    }
 }
 
 #[test]
