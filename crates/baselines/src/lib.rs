@@ -14,6 +14,8 @@
 //! simulator as the Cypress compiler's output, so comparisons isolate
 //! *scheduling structure*, exactly as DESIGN.md §1 argues.
 
+#![forbid(unsafe_code)]
+
 pub mod hand;
 
 use cypress_sim::{Kernel, MachineConfig, Simulator};

@@ -6,6 +6,8 @@
 //! [`gates`] are what the `check_figures` binary holds that file to.
 //! Host-clock numbers live in the standalone `benchmark/` package.
 
+#![forbid(unsafe_code)]
+
 use cypress_baselines::{cublas, cudnn, fa3, thunderkittens, triton};
 use cypress_core::compile::{CompilerOptions, CypressCompiler};
 use cypress_core::kernels::space::{MappingSpace, Shape};

@@ -39,6 +39,8 @@
 //! # Ok::<(), cypress_core::CompileError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod codegen;
 pub mod compile;
 pub mod error;

@@ -134,6 +134,8 @@
 //! # Ok::<(), cypress_runtime::RuntimeError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod error;
 pub mod executor;

@@ -6,6 +6,8 @@
 //! fixed number of deterministic cases (no shrinking); failures panic with
 //! the offending inputs via the assertion message.
 
+#![forbid(unsafe_code)]
+
 use rand::rngs::StdRng;
 
 /// Cases run per property.

@@ -7,6 +7,8 @@
 //! SplitMix64 — deterministic across runs and platforms, which is exactly
 //! what reproducible tests and the runtime's determinism guarantees need.
 
+#![forbid(unsafe_code)]
+
 use std::ops::Range;
 
 /// Core randomness source: a stream of `u64`s.

@@ -8,17 +8,26 @@
 //! run as bulk operations over contiguous rows:
 //!
 //! - [`wgmma`] is one register-tiled microkernel: an `MR x NR` block of
-//!   outputs (4 x 8) accumulates in registers across the k-loop, so the
-//!   adds of one k-step are independent of each other and only the next
-//!   k-step waits on them. A `transpose_b` operand is packed k-major once
-//!   per apply into [`Scratch`] and fed to the same tile. Each output
+//!   outputs accumulates in registers across the k-loop, so the adds of
+//!   one k-step are independent of each other and only the next k-step
+//!   waits on them. A `transpose_b` operand is packed k-major once per
+//!   apply into [`Scratch`] and fed to the same tile. Each output
 //!   element still starts from its own initial value and adds
 //!   `a(i, k) * b(k, j)` — a multiply, then an add, never fused — in
 //!   ascending `k`: exactly the scalar interpreter's operation sequence,
-//!   so results are **bitwise identical**.
+//!   so results are **bitwise identical**. The one source of that loop
+//!   is compiled at two widths: 4 x 8 (eight 4-lane accumulators, every
+//!   host) and 4 x 16 (eight 8-lane ones) inside a
+//!   `#[target_feature(enable = "avx2")]` wrapper that `wgmma_rows`
+//!   enters only after detecting AVX2 on the running CPU — this module's
+//!   one `unsafe` block. A wider vector holds more *outputs*; it never
+//!   touches the order of the sum within one, and neither `fma` nor
+//!   `mul_add` appears anywhere, so the two widths agree in every bit
+//!   (the oracle tests below run both on every host).
 //! - [`copy`] streams whole rows with [`DType::quantize_copy`] — no
-//!   per-element division/modulo, one dtype dispatch per row, and a
-//!   branch-free quantizer the compiler vectorizes.
+//!   per-element division/modulo, one dtype dispatch per row (per slice
+//!   when both sides are dense), and a branch-free quantizer the
+//!   compiler vectorizes, at the same two widths.
 //! - [`simt`] stages each source row once and writes each destination row
 //!   through [`DType::quantize_slice`].
 //!
@@ -271,10 +280,18 @@ pub(crate) fn copy(
 
 /// Stream `sv`'s elements (linearly, slice-row-major) into `dv`'s rows,
 /// quantizing stores to the destination dtype. Same-width slices reduce
-/// to one `quantize_copy` per row; reshapes walk a `(row, col)` cursor
-/// over the source — the bulk form of the scalar `idx / src.cols` walk.
+/// to one `quantize_copy` per row — one for the whole slice when both
+/// sides are dense (rows back to back), the elementwise map being the
+/// same either way; reshapes walk a `(row, col)` cursor over the source —
+/// the bulk form of the scalar `idx / src.cols` walk.
 fn copy_rows(sbuf: &[f32], sv: &View, dbuf: &mut [f32], dv: &View) -> Result<(), SimError> {
-    if sv.cols == dv.cols {
+    if sv.cols == dv.cols && sv.stride == sv.cols && dv.stride == dv.cols {
+        let len = dv.rows * dv.cols;
+        dv.dtype.quantize_copy(
+            &sbuf[sv.base..sv.base + len],
+            &mut dbuf[dv.base..dv.base + len],
+        );
+    } else if sv.cols == dv.cols {
         for i in 0..dv.rows {
             let srow = &sbuf[sv.row(i)..sv.row(i) + dv.cols];
             let drow = &mut dbuf[dv.row(i)..dv.row(i) + dv.cols];
@@ -304,23 +321,23 @@ fn copy_rows(sbuf: &[f32], sv: &View, dbuf: &mut [f32], dv: &View) -> Result<(),
 
 // ---- wgmma -------------------------------------------------------------
 
-/// Tile shape of the microkernel: an `MR x NR` block of outputs stays in
-/// registers across the k-loop. With 4-lane vectors that is eight
-/// independent add chains, enough to cover the latency of one add.
+/// Tile shape of the microkernel: an `MR x W` block of outputs stays in
+/// registers across the k-loop, `W` being [`NR`] or [`NR_WIDE`] — eight
+/// accumulator vectors either way (4-lane on the portable path, 8-lane
+/// under AVX2), eight independent add chains, enough to cover the latency
+/// of one add. The width only decides which *outputs* share a vector;
+/// each lane is still one output's own multiply-then-add in ascending
+/// `k`, so the two widths cannot differ in a bit.
 const MR: usize = 4;
+/// Tile width of the portable instantiation: two 4-lane vectors a row.
 const NR: usize = 8;
+/// Tile width of the AVX2 instantiation: two 8-lane vectors a row.
+#[cfg(target_arch = "x86_64")]
+const NR_WIDE: usize = 2 * NR;
 
 /// The register-tiled matrix-multiply microkernel over flat row-strided
-/// operands, `b` k-major (`b(kk, j)` at `bbuf[bv.row(kk) + j]`).
-///
-/// Rows are taken `MR` at a time and columns `NR` at a time through
-/// [`tile`]; the `m % MR` row tail runs as one-row tiles and the `n % NR`
-/// column tail as one-column tiles (`tile::<1, 1>` is the scalar form).
-/// Whatever the tile, every output element `(i, j)` starts from its own
-/// initial value and adds `a(i, k) * b(k, j)` — a multiply, then an add —
-/// in ascending `k` order: exactly the scalar interpreter's operation
-/// sequence, so results are bitwise identical. Tiling only changes which
-/// *outputs* are in flight, never the order of operations within one.
+/// operands, `b` k-major (`b(kk, j)` at `bbuf[bv.row(kk) + j]`):
+/// [`wgmma_rows_at`] at the widest tile the host's vector unit holds.
 #[allow(clippy::too_many_arguments)]
 fn wgmma_rows(
     abuf: &[f32],
@@ -332,19 +349,77 @@ fn wgmma_rows(
     n: usize,
     accumulate: bool,
 ) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: the line above detected AVX2 on the running CPU, the one
+        // requirement of `wgmma_rows_avx2`.
+        return unsafe { wgmma_rows_avx2(abuf, av, bbuf, bv, out, cv, n, accumulate) };
+    }
+    wgmma_rows_at::<NR>(abuf, av, bbuf, bv, out, cv, n, accumulate);
+}
+
+/// [`wgmma_rows_at`] at [`NR_WIDE`], compiled with AVX2 enabled: the
+/// whole `#[inline(always)]` chain below is instantiated inside this
+/// function, so its accumulators are YMM registers. Only `avx2` is
+/// enabled — never `fma`, and the source never writes `mul_add` — so the
+/// multiply and the add stay two roundings.
+///
+/// # Safety
+///
+/// The running CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn wgmma_rows_avx2(
+    abuf: &[f32],
+    av: &View,
+    bbuf: &[f32],
+    bv: &View,
+    out: &mut [f32],
+    cv: &View,
+    n: usize,
+    accumulate: bool,
+) {
+    wgmma_rows_at::<NR_WIDE>(abuf, av, bbuf, bv, out, cv, n, accumulate);
+}
+
+/// [`wgmma_rows`] at tile width `W`.
+///
+/// Rows are taken `MR` at a time and columns `W` at a time through
+/// [`tile`]; the `m % MR` row tail runs as one-row tiles and the `n % W`
+/// column tail as at most one `NR`-wide tile, then one-column tiles
+/// (`tile::<1, 1>` is the scalar form). Whatever the tile, every output
+/// element `(i, j)` starts from its own initial value and adds
+/// `a(i, k) * b(k, j)` — a multiply, then an add — in ascending `k`
+/// order: exactly the scalar interpreter's operation sequence, so results
+/// are bitwise identical. Tiling only changes which *outputs* are in
+/// flight, never the order of operations within one.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn wgmma_rows_at<const W: usize>(
+    abuf: &[f32],
+    av: &View,
+    bbuf: &[f32],
+    bv: &View,
+    out: &mut [f32],
+    cv: &View,
+    n: usize,
+    accumulate: bool,
+) {
     let full = av.rows - av.rows % MR;
     for i0 in (0..full).step_by(MR) {
-        row_block::<MR>(abuf, av, bbuf, bv, out, cv, n, accumulate, i0);
+        row_block::<MR, W>(abuf, av, bbuf, bv, out, cv, n, accumulate, i0);
     }
     for i0 in full..av.rows {
-        row_block::<1>(abuf, av, bbuf, bv, out, cv, n, accumulate, i0);
+        row_block::<1, W>(abuf, av, bbuf, bv, out, cv, n, accumulate, i0);
     }
 }
 
-/// Output rows `i0..i0 + R` of [`wgmma_rows`]: all `n` columns, then the
-/// store quantization of the finished rows.
+/// Output rows `i0..i0 + R` of [`wgmma_rows_at`]: all `n` columns, then
+/// the store quantization of the finished rows.
+#[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn row_block<const R: usize>(
+fn row_block<const R: usize, const W: usize>(
     abuf: &[f32],
     av: &View,
     bbuf: &[f32],
@@ -357,12 +432,20 @@ fn row_block<const R: usize>(
 ) {
     let a: [&[f32]; R] = std::array::from_fn(|r| &abuf[av.row(i0 + r)..av.row(i0 + r) + av.cols]);
     let c: [usize; R] = std::array::from_fn(|r| cv.row(i0 + r));
-    let full = n - n % NR;
-    for j0 in (0..full).step_by(NR) {
+    let mut tail = n - n % W;
+    for j0 in (0..tail).step_by(W) {
         let c = c.map(|c| c + j0);
-        tile::<R, NR>(a, bbuf, bv.base + j0, bv.stride, out, c, accumulate);
+        tile::<R, W>(a, bbuf, bv.base + j0, bv.stride, out, c, accumulate);
     }
-    for j0 in full..n {
+    // A wide tile leaves up to `W - 1` columns: the WGMMA shapes (`n` a
+    // multiple of 8) finish with one portable-width tile, not eight
+    // one-column ones.
+    if W > NR && n - tail >= NR {
+        let c = c.map(|c| c + tail);
+        tile::<R, NR>(a, bbuf, bv.base + tail, bv.stride, out, c, accumulate);
+        tail += NR;
+    }
+    for j0 in tail..n {
         let c = c.map(|c| c + j0);
         tile::<R, 1>(a, bbuf, bv.base + j0, bv.stride, out, c, accumulate);
     }
@@ -378,6 +461,7 @@ fn row_block<const R: usize>(
 /// in `0..C`, with `b(k, j)` at `bbuf[b0 + k * bstride + j]`. The
 /// accumulators are a local array the optimizer keeps in registers; each
 /// one sees its products in ascending `k` order.
+#[inline(always)]
 fn tile<const R: usize, const C: usize>(
     a: [&[f32]; R],
     bbuf: &[f32],
@@ -514,27 +598,42 @@ pub(crate) fn wgmma(
         }
     }
     // Anything else (hand-built kernels the validator admits but the
-    // compiler never emits): stage both operands — `b` k-major either
-    // way — then write through the accumulator's buffer alone.
-    gather(&mut scratch.a, data.buf(av.key), &av);
-    let sa = View {
-        base: 0,
-        stride: av.cols,
-        ..av
-    };
-    let sb = if transpose_b {
-        pack_k_major(&mut scratch.b, data.buf(bv.key), &bv, n)
-    } else {
-        gather(&mut scratch.b, data.buf(bv.key), &bv);
-        View {
-            base: 0,
-            stride: bv.cols,
-            ..bv
-        }
-    };
+    // compiler never emits): stage both operands, then write through the
+    // accumulator's buffer alone.
+    let (sa, sb) = stage_operands(scratch, data, &av, &bv, n, transpose_b);
     let out = data.buf_mut(cv.key);
     wgmma_rows(&scratch.a, &sa, &scratch.b, &sb, out, &cv, n, accumulate);
     Ok(())
+}
+
+/// Stage both operands of a `wgmma` contiguously in `scratch` — `a`
+/// row-major in `scratch.a`, `b` k-major in `scratch.b` whichever way it
+/// is stored — and return the views that read them there.
+fn stage_operands(
+    scratch: &mut Scratch,
+    data: &FuncData,
+    av: &View,
+    bv: &View,
+    n: usize,
+    transpose_b: bool,
+) -> (View, View) {
+    gather(&mut scratch.a, data.buf(av.key), av);
+    let sa = View {
+        base: 0,
+        stride: av.cols,
+        ..*av
+    };
+    let sb = if transpose_b {
+        pack_k_major(&mut scratch.b, data.buf(bv.key), bv, n)
+    } else {
+        gather(&mut scratch.b, data.buf(bv.key), bv);
+        View {
+            base: 0,
+            stride: bv.cols,
+            ..*bv
+        }
+    };
+    (sa, sb)
 }
 
 // ---- simt --------------------------------------------------------------
@@ -1018,18 +1117,53 @@ mod tests {
             let Some(src) = random_slice(&kernel, sm, sr, sc, &mut rng) else {
                 continue;
             };
-            let mut fast = clone_data(&data);
-            let mut oracle = clone_data(&data);
-            let mut scratch = Scratch::default();
-            copy(&kernel, &mut fast, &mut scratch, 0, 0, &src, &dst).unwrap();
-            scalar::copy(&kernel, &mut oracle, 0, 0, &src, &dst).unwrap();
-            assert_bitwise_equal(&fast, &oracle, "copy");
+            assert_copy_matches_oracle(&kernel, &data, &src, &dst, "copy");
             cases += 1;
+        }
+        // The generator above rarely spans a declaration's full width:
+        // one batched `quantize_copy` (both sides dense) and the per-row
+        // loop (strided) explicitly, across and within a pool, at each
+        // destination dtype.
+        for (cols, dtype) in [80, 40].into_iter().flat_map(|c| DTYPES.map(|d| (c, d))) {
+            let kernel = tile_kernel(dtype, &mut rng);
+            let data = random_data(&kernel, &mut rng);
+            for (sm, dm) in [
+                (MemRef::Param(1), MemRef::Smem(0)),
+                (MemRef::Frag(0), MemRef::Param(0)),
+                (MemRef::Frag(0), MemRef::Frag(1)),
+            ] {
+                let src = random_slice(&kernel, sm, 5, cols, &mut rng).expect("fits 80 x 80");
+                let dst = random_slice(&kernel, dm, 5, cols, &mut rng).expect("fits 80 x 80");
+                let dense = View::of(&kernel, 0, 0, &dst).stride == cols;
+                assert_eq!(dense, cols == 80);
+                let what = format!("copy {cols} wide {sm:?} -> {dm:?}");
+                assert_copy_matches_oracle(&kernel, &data, &src, &dst, &what);
+            }
         }
     }
 
-    /// Run one `wgmma` through the fast path and the scalar oracle on
+    /// Run one `copy` through the fast path and the scalar oracle on
     /// copies of `data` and compare every buffer bitwise.
+    fn assert_copy_matches_oracle(
+        kernel: &Kernel,
+        data: &FuncData,
+        src: &RSlice,
+        dst: &RSlice,
+        what: &str,
+    ) {
+        let mut fast = clone_data(data);
+        let mut oracle = clone_data(data);
+        let mut scratch = Scratch::default();
+        copy(kernel, &mut fast, &mut scratch, 0, 0, src, dst).unwrap();
+        scalar::copy(kernel, &mut oracle, 0, 0, src, dst).unwrap();
+        assert_bitwise_equal(&fast, &oracle, what);
+    }
+
+    /// Run one `wgmma` through the fast path — at the width the host
+    /// dispatches to, and through the portable `NR`-wide chain called
+    /// directly, which an AVX2 host would otherwise never execute — and
+    /// the scalar oracle on copies of `data`, and compare every buffer
+    /// bitwise.
     fn assert_wgmma_matches_oracle(
         kernel: &Kernel,
         data: &FuncData,
@@ -1067,6 +1201,14 @@ mod tests {
         )
         .unwrap();
         assert_bitwise_equal(&fast, &oracle, what);
+
+        let mut portable = clone_data(data);
+        let [av, bv, cv] = [a, b, acc].map(|s| View::of(kernel, 0, 0, s));
+        let n = acc.cols;
+        let (sa, sb) = stage_operands(&mut scratch, &portable, &av, &bv, n, transpose_b);
+        let out = portable.buf_mut(cv.key);
+        wgmma_rows_at::<NR>(&scratch.a, &sa, &scratch.b, &sb, out, &cv, n, accumulate);
+        assert_bitwise_equal(&portable, &oracle, &format!("{what} (portable)"));
     }
 
     #[test]
@@ -1167,9 +1309,11 @@ mod tests {
     #[test]
     fn wgmma_tiles_match_scalar_oracle() {
         let mut rng = StdRng::seed_from_u64(0x711E);
-        // m and n at a multiple of the tile, one below and one above it.
+        // m and n at a multiple of the tile, one below and one above it —
+        // of both tile widths for n, plus the wide tile's `NR`-wide tail
+        // (24, 40, 72) and a tail of every kind at once (79).
         let ms = [MR - 1, MR, MR + 1, 2 * MR, 2 * MR + 1, 16 * MR];
-        let ns = [NR - 1, NR, NR + 1, 2 * NR, 2 * NR + 1, 9 * NR - 1];
+        let ns = [7, 8, 9, 15, 16, 17, 24, 32, 33, 40, 72, 79];
         let placements = [
             Placement::SplitBorrow,
             Placement::SiblingFragment,

@@ -65,6 +65,10 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+// The only `unsafe` in this crate is the guarded call of a
+// `#[target_feature]` function; each one says why it is sound.
+#![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
+
 pub(crate) mod apply;
 pub mod builder;
 pub mod bytecode;

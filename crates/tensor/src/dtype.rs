@@ -50,21 +50,16 @@ impl DType {
     /// covers the whole row and `F32` is a no-op. The half types do not
     /// call the scalar conversions: they compute the `f32 → half → f32`
     /// round trip directly on the `f32` bits with selects instead of
-    /// branches, so the loop autovectorizes.
+    /// branches, so the loop autovectorizes — 8 lanes wide where the host
+    /// has AVX2, 4 lanes otherwise, the same integer operations per lane.
     pub fn quantize_slice(self, row: &mut [f32]) {
-        match self {
-            DType::F16 => {
-                for v in row {
-                    *v = f16_round_trip(*v);
-                }
-            }
-            DType::BF16 => {
-                for v in row {
-                    *v = bf16_round_trip(*v);
-                }
-            }
-            DType::F32 => {}
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: the line above detected AVX2 on the running CPU, the
+            // one requirement of `quantize_slice_avx2`.
+            return unsafe { quantize_slice_avx2(self, row) };
         }
+        quantize_slice_lanes(self, row);
     }
 
     /// Copy `src` into `dst`, quantizing each element to this dtype —
@@ -81,19 +76,13 @@ impl DType {
     /// [`slice::copy_from_slice`]).
     pub fn quantize_copy(self, src: &[f32], dst: &mut [f32]) {
         assert_eq!(src.len(), dst.len(), "quantize_copy length mismatch");
-        match self {
-            DType::F16 => {
-                for (d, s) in dst.iter_mut().zip(src) {
-                    *d = f16_round_trip(*s);
-                }
-            }
-            DType::BF16 => {
-                for (d, s) in dst.iter_mut().zip(src) {
-                    *d = bf16_round_trip(*s);
-                }
-            }
-            DType::F32 => dst.copy_from_slice(src),
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: the line above detected AVX2 on the running CPU, the
+            // one requirement of `quantize_copy_avx2`.
+            return unsafe { quantize_copy_avx2(self, src, dst) };
         }
+        quantize_copy_lanes(self, src, dst);
     }
 
     /// Relative tolerance appropriate for comparing results computed in this
@@ -119,6 +108,70 @@ impl fmt::Display for DType {
     }
 }
 
+/// The body of [`DType::quantize_slice`], inlined into each caller so it
+/// is compiled at that caller's vector width: once portable, once inside
+/// [`quantize_slice_avx2`].
+#[inline(always)]
+fn quantize_slice_lanes(dtype: DType, row: &mut [f32]) {
+    match dtype {
+        DType::F16 => {
+            for v in row {
+                *v = f16_round_trip(*v);
+            }
+        }
+        DType::BF16 => {
+            for v in row {
+                *v = bf16_round_trip(*v);
+            }
+        }
+        DType::F32 => {}
+    }
+}
+
+/// The body of [`DType::quantize_copy`] (equal lengths already checked),
+/// inlined into each caller like [`quantize_slice_lanes`].
+#[inline(always)]
+fn quantize_copy_lanes(dtype: DType, src: &[f32], dst: &mut [f32]) {
+    match dtype {
+        DType::F16 => {
+            for (d, s) in dst.iter_mut().zip(src) {
+                *d = f16_round_trip(*s);
+            }
+        }
+        DType::BF16 => {
+            for (d, s) in dst.iter_mut().zip(src) {
+                *d = bf16_round_trip(*s);
+            }
+        }
+        DType::F32 => dst.copy_from_slice(src),
+    }
+}
+
+/// [`quantize_slice_lanes`] compiled with AVX2 enabled: 8-lane integer
+/// vectors, and the unsigned compares and selects of the round trips are
+/// single instructions instead of SSE2 emulations. The operations per
+/// element are the portable ones, so the bits are too.
+///
+/// # Safety
+///
+/// The running CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn quantize_slice_avx2(dtype: DType, row: &mut [f32]) {
+    quantize_slice_lanes(dtype, row);
+}
+
+/// [`quantize_copy_lanes`] compiled with AVX2 enabled.
+///
+/// # Safety
+///
+/// The running CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn quantize_copy_avx2(dtype: DType, src: &[f32], dst: &mut [f32]) {
+    quantize_copy_lanes(dtype, src, dst);
+}
+
 /// `f16::from_f32(x).to_f32()` without a branch: the round trip computed
 /// on the `f32` bit pattern, every range evaluated and one selected.
 ///
@@ -131,7 +184,7 @@ impl fmt::Display for DType {
 ///   included) and the subtraction is exact.
 /// - `|x| < 2^-24` flushes to signed zero and NaN becomes the quiet NaN
 ///   `0x7FC0_0000 | sign`, both as [`f16::from_f32`] defines them.
-#[inline]
+#[inline(always)]
 fn f16_round_trip(x: f32) -> f32 {
     let bits = x.to_bits();
     let sign = bits & 0x8000_0000;
@@ -161,7 +214,7 @@ fn f16_round_trip(x: f32) -> f32 {
 /// `bf16::from_f32(x).to_f32()` without a branch: add-and-mask
 /// round-to-nearest-even of the low 16 bits, or the quieted truncation
 /// when `x` is NaN.
-#[inline]
+#[inline(always)]
 fn bf16_round_trip(x: f32) -> f32 {
     let bits = x.to_bits();
     let rounded = bits.wrapping_add(0x7FFF + ((bits >> 16) & 1)) & 0xFFFF_0000;
@@ -476,17 +529,29 @@ mod tests {
     }
 
     /// Both bulk quantizers of `dt` agree with the scalar definition
-    /// `dt.quantize` on every value, bit for bit.
+    /// `dt.quantize` on every value, bit for bit — at the width the host
+    /// dispatches to, and in the portable instantiation called directly
+    /// (which an AVX2 host would otherwise never execute).
     fn assert_bulk_matches_scalar(dt: DType, values: &[f32]) {
         let mut sliced = values.to_vec();
         dt.quantize_slice(&mut sliced);
         let mut copied = vec![0.0f32; values.len()];
         dt.quantize_copy(values, &mut copied);
+        let mut sliced_portable = values.to_vec();
+        quantize_slice_lanes(dt, &mut sliced_portable);
+        let mut copied_portable = vec![0.0f32; values.len()];
+        quantize_copy_lanes(dt, values, &mut copied_portable);
         for (i, &v) in values.iter().enumerate() {
             let expect = dt.quantize(v).to_bits();
             let bits = v.to_bits();
-            assert_eq!(sliced[i].to_bits(), expect, "{dt} slice of {bits:#010x}");
-            assert_eq!(copied[i].to_bits(), expect, "{dt} copy of {bits:#010x}");
+            for (got, what) in [
+                (sliced[i], "slice"),
+                (copied[i], "copy"),
+                (sliced_portable[i], "portable slice"),
+                (copied_portable[i], "portable copy"),
+            ] {
+                assert_eq!(got.to_bits(), expect, "{dt} {what} of {bits:#010x}");
+            }
         }
     }
 

@@ -26,6 +26,10 @@
 //! assert_eq!(p.num_pieces(), 2);
 //! ```
 
+// The only `unsafe` in this crate is the guarded call of a
+// `#[target_feature]` function; each one says why it is sound.
+#![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
+
 pub mod dtype;
 pub mod error;
 pub mod layout;

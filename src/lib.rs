@@ -10,6 +10,9 @@
 //! kernel caching, buffer pooling, and a per-session
 //! [`runtime::SchedulePolicy`] choosing serial or multi-stream concurrent
 //! execution (see `examples/graph_overlap.rs`).
+
+#![forbid(unsafe_code)]
+
 pub use cypress_baselines as baselines;
 pub use cypress_core as core;
 pub use cypress_runtime as runtime;
