@@ -15,6 +15,7 @@
 //! *scheduling structure*, exactly as DESIGN.md §1 argues.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::too_many_lines)]
 
 pub mod hand;
 

@@ -159,3 +159,8 @@ fn persistent_fa3_matches_reference() {
 fn bulk_sync_attention_matches_reference() {
     check_attention(attention_schedule(false, false, true), 1, 256, 64);
 }
+
+#[test]
+fn bulk_sync_pingpong_attention_matches_reference() {
+    check_attention(attention_schedule(true, false, true), 1, 256, 64);
+}

@@ -24,15 +24,16 @@
 //!   become one warpgroup-granular instruction (the simulator computes at
 //!   fragment granularity; see DESIGN.md §1).
 
+#![deny(clippy::too_many_lines)]
+
 use crate::error::CompileError;
+use crate::front::ast::LeafFn;
 use crate::front::machine::{MemLevel, ProcLevel};
 use crate::ir::{
     Block, EventId, EventType, IdxExpr, IrProgram, Op, OpKind, PartKind, TensorId, VarId,
 };
 use crate::passes::alloc::Allocation;
-use cypress_sim::{
-    BinOp, Expr, Instr, Kernel, KernelBuilder, RedOp, RoleKind, SimtOp, Slice, UnOp,
-};
+use cypress_sim::{BinOp, Cond, Expr, Instr, Kernel, KernelBuilder, RedOp, RoleKind, Slice, UnOp};
 use std::collections::{HashMap, HashSet};
 
 /// Scheduling options extracted from the mapping specification.
@@ -62,11 +63,10 @@ impl Default for SchedOptions {
 /// propagates backend validation failures.
 pub fn lower(
     prog: &IrProgram,
-    alloc: &Allocation,
+    _alloc: &Allocation,
     opts: SchedOptions,
 ) -> Result<Kernel, CompileError> {
-    let mut s = Scheduler::new(prog, alloc, opts)?;
-    s.build()
+    Scheduler::new(prog, opts)?.build()
 }
 
 struct Scheduler<'a> {
@@ -74,8 +74,6 @@ struct Scheduler<'a> {
     opts: SchedOptions,
     /// Block-level pfor vars -> grid dimension (0 = x, 1 = y, 2 = z).
     block_vars: HashMap<VarId, usize>,
-    #[allow(dead_code)]
-    grid: [usize; 3],
     /// CTA-level body.
     body: &'a Block,
     n_wgs: usize,
@@ -121,7 +119,6 @@ struct Scheduler<'a> {
     /// reduction loops) keeps the producer/consumer skew bounded by the
     /// pipeline depth globally, not merely per entry.
     loop_stack: Vec<(VarId, i64)>,
-    _alloc: &'a Allocation,
 }
 
 /// Classification of one IR op for the warp-specialization partition.
@@ -150,12 +147,9 @@ fn classify(prog: &IrProgram, op: &Op) -> Class {
 }
 
 impl<'a> Scheduler<'a> {
-    fn new(
-        prog: &'a IrProgram,
-        alloc: &'a Allocation,
-        opts: SchedOptions,
-    ) -> Result<Self, CompileError> {
-        // Unwrap the outer BLOCK pfor nest.
+    /// Grid extraction: unwrap the outer BLOCK `pfor` nest into the
+    /// kernel grid and count the warpgroups of the CTA-level body.
+    fn new(prog: &'a IrProgram, opts: SchedOptions) -> Result<Self, CompileError> {
         let mut block_vars = HashMap::new();
         let mut grid = [1usize; 3];
         let mut cur: &Block = &prog.body;
@@ -207,15 +201,13 @@ impl<'a> Scheduler<'a> {
         }
         scan_wgs(cur, &mut n_wgs);
 
-        let name = prog.name.clone();
         Ok(Scheduler {
             prog,
             opts,
             block_vars,
-            grid,
             body: cur,
             n_wgs,
-            builder: KernelBuilder::new(name, grid),
+            builder: KernelBuilder::new(prog.name.clone(), grid),
             param_of: HashMap::new(),
             region_of: HashMap::new(),
             frag_of: HashMap::new(),
@@ -231,12 +223,49 @@ impl<'a> Scheduler<'a> {
             var_map: HashMap::new(),
             stage_var: None,
             loop_stack: Vec::new(),
-            _alloc: alloc,
         })
     }
 
-    fn build(&mut self) -> Result<Kernel, CompileError> {
-        // Declare parameters in declaration order.
+    fn build(mut self) -> Result<Kernel, CompileError> {
+        // DMA-loaded tensors, per loop or prologue: they size the stages
+        // and own the producer/consumer barriers.
+        let mut loaded_in_loop = HashSet::new();
+        let mut loaded_outside = HashSet::new();
+        scan_loads(
+            self.prog,
+            self.body,
+            false,
+            &mut loaded_in_loop,
+            &mut loaded_outside,
+        );
+        self.declare_memory(&loaded_in_loop)?;
+        self.declare_barriers(&loaded_in_loop, &loaded_outside)?;
+
+        // Pre-allocate sim loop vars for every IR For var.
+        let mut fors = Vec::new();
+        scan_fors(self.body, &mut fors);
+        for v in fors {
+            let sv = self.builder.fresh_var();
+            self.var_map.insert(v, sv);
+        }
+
+        // Emit roles. Bulk-synchronous: no DMA role, warpgroup 0 issues
+        // the data movement inline.
+        let warpspec = self.opts.warpspecialize;
+        if warpspec {
+            let dma = self.emit_dma(self.body)?;
+            self.builder.role(RoleKind::Dma, dma);
+        }
+        for wg in 0..self.n_wgs {
+            let body = self.emit_compute(self.body, wg, warpspec)?;
+            self.builder.role(RoleKind::Compute(wg), body);
+        }
+        Ok(self.builder.build())
+    }
+
+    /// Declare parameters in declaration order, then shared regions and
+    /// register fragments for every tensor that survives in the body.
+    fn declare_memory(&mut self, loaded_in_loop: &HashSet<TensorId>) -> Result<(), CompileError> {
         let mut params: Vec<&crate::ir::TensorDecl> = self
             .prog
             .tensors
@@ -249,61 +278,8 @@ impl<'a> Scheduler<'a> {
             self.param_of.insert(t.id, idx);
         }
 
-        // Find DMA-loaded tensors (per loop or prologue) to size stages.
-        let mut loaded_in_loop: HashSet<TensorId> = HashSet::new();
-        let mut loaded_outside: HashSet<TensorId> = HashSet::new();
-        fn scan_loads(
-            prog: &IrProgram,
-            b: &Block,
-            in_loop: bool,
-            il: &mut HashSet<TensorId>,
-            ol: &mut HashSet<TensorId>,
-        ) {
-            for op in &b.ops {
-                match &op.kind {
-                    OpKind::Copy { .. } if classify(prog, op) == Class::DmaLoad => {
-                        if let OpKind::Copy { dst, .. } = &op.kind {
-                            if in_loop {
-                                il.insert(dst.tensor);
-                            } else {
-                                ol.insert(dst.tensor);
-                            }
-                        }
-                    }
-                    OpKind::For { body, .. } => scan_loads(prog, body, true, il, ol),
-                    OpKind::Pfor { body, .. } => scan_loads(prog, body, in_loop, il, ol),
-                    _ => {}
-                }
-            }
-        }
-        scan_loads(
-            self.prog,
-            self.body,
-            false,
-            &mut loaded_in_loop,
-            &mut loaded_outside,
-        );
-
-        // Declare shared regions and register fragments for every tensor
-        // that survives in the body.
-        let mut used: HashSet<TensorId> = HashSet::new();
-        fn scan_used(b: &Block, used: &mut HashSet<TensorId>) {
-            for op in &b.ops {
-                match &op.kind {
-                    OpKind::Copy { src, dst } => {
-                        used.insert(src.tensor);
-                        used.insert(dst.tensor);
-                    }
-                    OpKind::Call { args, .. } => {
-                        for a in args {
-                            used.insert(a.tensor);
-                        }
-                    }
-                    OpKind::For { body, .. } | OpKind::Pfor { body, .. } => scan_used(body, used),
-                }
-            }
-        }
-        scan_used(self.body, &mut used);
+        let mut used = HashSet::new();
+        collect_touched(self.body, &mut used);
         let mut used: Vec<TensorId> = used.into_iter().collect();
         used.sort_unstable();
         let pipe = self.opts.pipeline.max(1);
@@ -337,96 +313,43 @@ impl<'a> Scheduler<'a> {
                 }
             }
         }
+        Ok(())
+    }
 
-        // Barriers: one prod/cons pair per DMA-loaded smem tensor, plus a
-        // copyout barrier if there is a DMA store fed by compute results.
-        let mut all_loaded: Vec<TensorId> = loaded_in_loop
-            .iter()
-            .chain(loaded_outside.iter())
-            .copied()
-            .collect();
+    /// Barriers: one prod/cons pair per DMA-loaded smem tensor, plus a
+    /// copyout barrier if there is a DMA store fed by compute results —
+    /// or, in mid-store mode, the per-staging-tensor ready/done pairs.
+    fn declare_barriers(
+        &mut self,
+        loaded_in_loop: &HashSet<TensorId>,
+        loaded_outside: &HashSet<TensorId>,
+    ) -> Result<(), CompileError> {
+        let mut all_loaded: Vec<TensorId> = loaded_in_loop.union(loaded_outside).copied().collect();
         all_loaded.sort_unstable();
-        all_loaded.dedup();
-        for t in &all_loaded {
+        for t in all_loaded {
             let p = self.builder.mbar(1);
-            self.prod_bar.insert(*t, p);
+            self.prod_bar.insert(t, p);
         }
         let mut in_loop_sorted: Vec<TensorId> = loaded_in_loop.iter().copied().collect();
         in_loop_sorted.sort_unstable();
-        for t in &in_loop_sorted {
+        for t in in_loop_sorted {
             let c = self.builder.mbar(self.n_wgs);
-            self.cons_bar.insert(*t, c);
+            self.cons_bar.insert(t, c);
         }
         // Program-order class stream: detects whether any DMA store is
         // followed by a DMA load (a mid-kernel store→load chain, the
-        // shape fused kernels lower to) and collects stored staging
-        // tensors.
-        let mut class_stream: Vec<(Class, Option<TensorId>)> = Vec::new();
-        fn scan_classes(prog: &IrProgram, b: &Block, out: &mut Vec<(Class, Option<TensorId>)>) {
-            for op in &b.ops {
-                match &op.kind {
-                    OpKind::For { body, .. } | OpKind::Pfor { body, .. } => {
-                        scan_classes(prog, body, out)
-                    }
-                    OpKind::Copy { src, .. } => {
-                        let class = classify(prog, op);
-                        let staging = (class == Class::DmaStore).then_some(src.tensor);
-                        out.push((class, staging));
-                    }
-                    OpKind::Call { .. } => out.push((Class::Compute, None)),
-                }
-            }
-        }
+        // shape fused kernels lower to).
+        let mut class_stream = Vec::new();
         scan_classes(self.prog, self.body, &mut class_stream);
-        let has_store = class_stream.iter().any(|(c, _)| *c == Class::DmaStore);
-        let last_load = class_stream.iter().rposition(|(c, _)| *c == Class::DmaLoad);
-        let first_store = class_stream.iter().position(|(c, _)| *c == Class::DmaStore);
+        let last_load = class_stream.iter().rposition(|c| *c == Class::DmaLoad);
+        let first_store = class_stream.iter().position(|c| *c == Class::DmaStore);
         self.mid_store = matches!((first_store, last_load), (Some(s), Some(l)) if s < l);
         if self.mid_store {
             self.analyze_mid_stores(self.body, None)?;
-        } else if has_store {
+        } else if first_store.is_some() {
             self.copyout_bar = Some(self.builder.mbar(self.n_wgs));
         }
-
-        // Pre-allocate sim loop vars for every IR For var.
-        fn scan_fors(b: &Block, vars: &mut Vec<VarId>) {
-            for op in &b.ops {
-                match &op.kind {
-                    OpKind::For { var, body, .. } => {
-                        vars.push(*var);
-                        scan_fors(body, vars);
-                    }
-                    OpKind::Pfor { body, .. } => scan_fors(body, vars),
-                    _ => {}
-                }
-            }
-        }
-        let mut fors = Vec::new();
-        scan_fors(self.body, &mut fors);
-        for v in fors {
-            let sv = self.builder.fresh_var();
-            self.var_map.insert(v, sv);
-        }
-
-        // Emit roles.
-        let wgs = self.n_wgs;
-        if self.opts.warpspecialize {
-            let dma = self.emit_dma(self.body)?;
-            self.builder.role(RoleKind::Dma, dma);
-            for wg in 0..wgs {
-                let body = self.emit_compute(self.body, wg, true)?;
-                self.builder.role(RoleKind::Compute(wg), body);
-            }
-        } else {
-            // Bulk-synchronous: warpgroup 0 issues the data movement inline.
-            for wg in 0..wgs {
-                let body = self.emit_compute(self.body, wg, false)?;
-                self.builder.role(RoleKind::Compute(wg), body);
-            }
-        }
-
-        let b = std::mem::replace(&mut self.builder, KernelBuilder::new("done", [1, 1, 1]));
-        Ok(b.build())
+        Ok(())
     }
 
     // ---- mid-kernel store analysis ----------------------------------------
@@ -516,121 +439,47 @@ impl<'a> Scheduler<'a> {
             () => {
                 if let Some(t) = open_group.take() {
                     out.push(Instr::TmaStoreWait);
-                    out.push(Instr::MbarArrive {
-                        bar: self.done_bar[&t],
-                    });
+                    out.push(Instr::mbar_arrive(self.done_bar[&t]));
                 }
             };
         }
         for op in &block.ops {
-            match classify(self.prog, op) {
-                Class::DmaLoad => {
-                    let OpKind::Copy { src, dst } = &op.kind else {
-                        unreachable!()
-                    };
+            match (classify(self.prog, op), &op.kind) {
+                (Class::DmaLoad, OpKind::Copy { src, dst }) => {
                     // A later load may read just-stored data back (the
                     // fused-chain round trip): the store must land first.
                     close_group!();
-                    let s = self.slice(src, 0)?;
-                    let d = self.slice(dst, 0)?;
-                    let bar = self.prod_bar[&dst.tensor];
-                    out.push(Instr::TmaLoad {
-                        src: s,
-                        dst: d,
-                        bar,
-                    });
+                    out.push(Instr::tma_load(
+                        self.slice(src, 0)?,
+                        self.slice(dst, 0)?,
+                        self.prod_bar[&dst.tensor],
+                    ));
                 }
-                Class::DmaStore => {
-                    let OpKind::Copy { src, dst } = &op.kind else {
-                        unreachable!()
-                    };
+                (Class::DmaStore, OpKind::Copy { src, dst }) => {
                     if self.mid_store {
                         if open_group != Some(src.tensor) {
                             close_group!();
                             // Wait until every warpgroup has written this
                             // generation of the staging tensor.
                             if ready_waited.insert(src.tensor) {
-                                out.push(Instr::MbarWait {
-                                    bar: self.ready_bar[&src.tensor],
-                                });
+                                out.push(Instr::mbar_wait(self.ready_bar[&src.tensor]));
                             }
                             open_group = Some(src.tensor);
                         }
                     } else if let Some(co) = self.copyout_bar {
                         if !pending_store {
-                            out.push(Instr::MbarWait { bar: co });
+                            out.push(Instr::mbar_wait(co));
                             pending_store = true;
                         }
                     }
-                    let s = self.slice(src, 0)?;
-                    let d = self.slice(dst, 0)?;
-                    out.push(Instr::TmaStore { src: s, dst: d });
+                    out.push(Instr::tma_store(self.slice(src, 0)?, self.slice(dst, 0)?));
                 }
-                Class::Compute => {}
-                Class::Loop => {
-                    let (var, extent, body, parallel) = match &op.kind {
-                        OpKind::For { var, extent, body } => (*var, *extent, body, false),
-                        OpKind::Pfor {
-                            var, extent, body, ..
-                        } => (*var, *extent, body, true),
-                        _ => unreachable!(),
-                    };
-                    if parallel {
-                        return Err(CompileError::Unsupported(
-                            "nested non-BLOCK pfor survived vectorization".into(),
-                        ));
-                    }
+                (Class::Loop, OpKind::For { var, extent, body }) => {
                     close_group!();
-                    // Loads anywhere below pick the innermost loop as the
-                    // pipeline stage index; the WAR guard belongs to the
-                    // loop whose body issues the loads directly.
-                    let mut il = HashSet::new();
-                    let mut ol = HashSet::new();
-                    scan_loads_block(self.prog, body, &mut il, &mut ol);
-                    let direct = direct_loads(self.prog, body);
-                    let prev_stage = self.stage_var;
-                    if !il.is_empty() || !ol.is_empty() {
-                        self.stage_var = Some(var);
-                    }
-                    self.loop_stack.push((var, extent));
-                    let inner = self.emit_dma(body)?;
-                    // Backwards WAR dependencies: from the `stages`-th
-                    // global iteration of the nest onward, wait for the
-                    // consumer to free each buffer. The ordinal (not the
-                    // bare loop variable) keeps the skew bounded when an
-                    // outer loop re-enters this one.
-                    let guard_ord = self.stage_ordinal(var);
-                    self.loop_stack.pop();
-                    self.stage_var = prev_stage;
-                    if inner.is_empty() {
-                        continue;
-                    }
-                    let sv = self.var_map[&var];
-                    let mut guarded = Vec::new();
-                    if !direct.is_empty() {
-                        let pipe = self.opts.pipeline.max(1) as i64;
-                        let mut waits = Vec::new();
-                        for t in &direct {
-                            if let Some(c) = self.cons_bar.get(t) {
-                                waits.push(Instr::MbarWait { bar: *c });
-                            }
-                        }
-                        if !waits.is_empty() {
-                            let ord = guard_ord.expect("the loop was on the stack during emission");
-                            guarded.push(Instr::If {
-                                cond: cypress_sim::Cond::Ge(ord, Expr::lit(pipe)),
-                                then_: waits,
-                                else_: vec![],
-                            });
-                        }
-                    }
-                    guarded.extend(inner);
-                    out.push(Instr::Loop {
-                        var: sv,
-                        count: Expr::lit(extent),
-                        body: guarded,
-                    });
+                    out.extend(self.dma_loop(*var, *extent, body)?);
                 }
+                (Class::Loop, _) => return Err(nested_pfor()),
+                _ => {}
             }
         }
         close_group!();
@@ -638,6 +487,50 @@ impl<'a> Scheduler<'a> {
             out.push(Instr::TmaStoreWait);
         }
         Ok(out)
+    }
+
+    /// A `For` of the DMA role: its body's DMA work, guarded by the
+    /// pipeline's backwards (write-after-read) dependencies; `None` if
+    /// the body moves no data.
+    fn dma_loop(
+        &mut self,
+        var: VarId,
+        extent: i64,
+        body: &Block,
+    ) -> Result<Option<Instr>, CompileError> {
+        // Loads anywhere below pick the innermost loop as the pipeline
+        // stage index; the WAR guard belongs to the loop whose body
+        // issues the loads directly.
+        let direct = direct_loads(self.prog, body);
+        let prev_stage = self.stage_var;
+        if has_loads(self.prog, body) {
+            self.stage_var = Some(var);
+        }
+        self.loop_stack.push((var, extent));
+        let inner = self.emit_dma(body)?;
+        // From the `stages`-th global iteration of the nest onward, wait
+        // for the consumer to free each buffer. The ordinal (not the
+        // bare loop variable) keeps the skew bounded when an outer loop
+        // re-enters this one.
+        let guard_ord = self.stage_ordinal(var);
+        self.loop_stack.pop();
+        self.stage_var = prev_stage;
+        if inner.is_empty() {
+            return Ok(None);
+        }
+        let waits: Vec<Instr> = direct
+            .iter()
+            .filter_map(|t| self.cons_bar.get(t))
+            .map(|c| Instr::mbar_wait(*c))
+            .collect();
+        let mut guarded = Vec::new();
+        if !waits.is_empty() {
+            let ord = guard_ord.expect("the loop was on the stack during emission");
+            let pipe = self.opts.pipeline.max(1) as i64;
+            guarded.push(Instr::when(Cond::Ge(ord, Expr::lit(pipe)), waits));
+        }
+        guarded.extend(inner);
+        Ok(Some(Instr::repeat(self.var_map[&var], extent, guarded)))
     }
 
     // ---- compute roles ----------------------------------------------------
@@ -661,12 +554,11 @@ impl<'a> Scheduler<'a> {
         // Final arrivals: release the copyout barrier after all work.
         if let Some(co) = self.copyout_bar {
             flush_wgmma(&mut out, &mut st, 0);
-            out.push(Instr::MbarArrive { bar: co });
+            out.push(Instr::mbar_arrive(co));
         }
         Ok(out)
     }
 
-    #[allow(clippy::too_many_lines)]
     fn emit_compute_block(
         &mut self,
         block: &Block,
@@ -675,179 +567,162 @@ impl<'a> Scheduler<'a> {
         st: &mut ComputeState,
     ) -> Result<Vec<Instr>, CompileError> {
         let mut out = Vec::new();
+        // Bulk-synchronous mode: warpgroup 0 moves the data inline.
+        let moves_data = !warpspec && wg == 0;
         for op in &block.ops {
-            // Mid-store handshake, wait side: before overwriting a staging
-            // tensor for the next store generation, the previous
-            // generation's store must have landed.
             if warpspec && self.mid_store {
-                if let Some(list) = self.wait_done_before.get(&op.result) {
-                    for (t, var) in list.clone() {
-                        // Guard on the *global* generation ordinal, not
-                        // the bare loop variable: like the pipeline
-                        // guards, the skew must stay bounded even when
-                        // an outer loop re-enters the store loop.
-                        let ord = self
-                            .stage_ordinal(var)
-                            .unwrap_or_else(|| Expr::var(self.var_map[&var]));
-                        out.push(Instr::If {
-                            cond: cypress_sim::Cond::Ge(ord, Expr::lit(1)),
-                            then_: vec![Instr::MbarWait {
-                                bar: self.done_bar[&t],
-                            }],
-                            else_: vec![],
-                        });
-                    }
-                }
+                self.wait_staging_stored(op, &mut out);
             }
-            match classify(self.prog, op) {
-                Class::DmaLoad => {
-                    if !warpspec && wg == 0 {
-                        // Bulk-synchronous mode: warpgroup 0 issues the load.
-                        let OpKind::Copy { src, dst } = &op.kind else {
-                            unreachable!()
-                        };
-                        let s = self.slice(src, wg)?;
-                        let d = self.slice(dst, wg)?;
-                        let bar = self.prod_bar[&dst.tensor];
-                        out.push(Instr::TmaLoad {
-                            src: s,
-                            dst: d,
-                            bar,
-                        });
-                    }
+            match (classify(self.prog, op), &op.kind) {
+                (Class::DmaLoad, OpKind::Copy { src, dst }) if moves_data => {
+                    out.push(Instr::tma_load(
+                        self.slice(src, wg)?,
+                        self.slice(dst, wg)?,
+                        self.prod_bar[&dst.tensor],
+                    ));
                 }
-                Class::DmaStore => {
-                    if !warpspec && wg == 0 {
-                        let OpKind::Copy { src, dst } = &op.kind else {
-                            unreachable!()
-                        };
-                        flush_wgmma(&mut out, st, 0);
-                        let s = self.slice(src, wg)?;
-                        let d = self.slice(dst, wg)?;
-                        out.push(Instr::TmaStore { src: s, dst: d });
-                        out.push(Instr::TmaStoreWait);
-                    }
+                (Class::DmaStore, OpKind::Copy { src, dst }) if moves_data => {
+                    flush_wgmma(&mut out, st, 0);
+                    out.push(Instr::tma_store(self.slice(src, wg)?, self.slice(dst, wg)?));
+                    out.push(Instr::TmaStoreWait);
                 }
-                Class::Compute => {
+                (Class::Compute, _) => {
                     // Skip ops that belong to other warpgroups.
                     if !self.op_on_wg(op, wg) {
                         continue;
                     }
-                    let (reads, writes) = self.op_data(op, wg)?;
-                    // Producer waits: first touch of a DMA-loaded buffer.
-                    for t in reads.iter().chain(writes.iter()) {
-                        self.wait_prod(&mut out, st, *t);
-                    }
-                    // Tensor Core hazards (a wgmma issues asynchronously; a
-                    // subsequent conflicting op must group-wait first).
-                    if !matches!(
-                        &op.kind,
-                        OpKind::Call {
-                            f: crate::front::ast::LeafFn::MmaAccum
-                                | crate::front::ast::LeafFn::MmaAccumBT,
-                            ..
-                        }
-                    ) {
-                        if let Some(i) = st.last_conflict(&writes, &reads) {
-                            let pending = st.outstanding.len() - 1 - i;
-                            flush_wgmma(&mut out, st, pending);
-                        }
-                    }
-                    self.emit_op(op, wg, &mut out, st)?;
+                    self.compute_op(op, wg, &mut out, st)?;
                 }
-                Class::Loop => {
-                    let (var, extent, body) = match &op.kind {
-                        OpKind::For { var, extent, body } => (*var, *extent, body),
-                        OpKind::Pfor { .. } => {
-                            return Err(CompileError::Unsupported(
-                                "nested non-BLOCK pfor survived vectorization".into(),
-                            ))
-                        }
-                        _ => unreachable!(),
-                    };
-                    let mut il = HashSet::new();
-                    let mut ol = HashSet::new();
-                    scan_loads_block(self.prog, body, &mut il, &mut ol);
-                    // A loop is a main (pipelined) loop when its body
-                    // issues loads directly; loops that only contain
-                    // deeper load loops must not duplicate the per-
-                    // iteration consumer handshake.
-                    let direct = direct_loads(self.prog, body);
-                    let is_main = !direct.is_empty();
-                    let prev_stage = self.stage_var;
-                    if !il.is_empty() || !ol.is_empty() {
-                        self.stage_var = Some(var);
-                    }
-                    let mut inner_st = ComputeState::default();
-                    if is_main {
-                        // Buffers loaded this iteration need prod waits.
-                        inner_st.dma_loaded = direct.iter().copied().collect();
-                    } else {
-                        // Hoist producer waits out of the inner loop — a
-                        // wait inside would consume one phase per inner
-                        // iteration.
-                        let mut touched = HashSet::new();
-                        collect_touched(body, &mut touched);
-                        let mut need: Vec<TensorId> = touched
-                            .iter()
-                            .filter(|t| st.dma_loaded.contains(t) && !st.waited.contains(*t))
-                            .copied()
-                            .collect();
-                        need.sort_unstable();
-                        for t in need {
-                            self.wait_prod(&mut out, st, t);
-                        }
-                        inner_st.dma_loaded = st.dma_loaded.clone();
-                        inner_st.waited = st.waited.clone();
-                        inner_st.outstanding = std::mem::take(&mut st.outstanding);
-                    }
-                    self.loop_stack.push((var, extent));
-                    let mut inner = self.emit_compute_block(body, wg, warpspec, &mut inner_st)?;
-                    self.loop_stack.pop();
-                    // End of iteration: retire Tensor Core work that reads
-                    // pipelined buffers, then release them to the DMA warp.
-                    if is_main {
-                        let mut sorted: Vec<TensorId> =
-                            inner_st.dma_loaded.iter().copied().collect();
-                        sorted.sort_unstable();
-                        if let Some(i) = inner_st.last_conflict(&sorted, &[]) {
-                            let pending = inner_st.outstanding.len() - 1 - i;
-                            flush_wgmma(&mut inner, &mut inner_st, pending);
-                        }
-                        for t in &sorted {
-                            if let Some(c) = self.cons_bar.get(t) {
-                                inner.push(Instr::MbarArrive { bar: *c });
-                            }
-                        }
-                    } else {
-                        // Propagate hazards out of the inner loop.
-                        st.outstanding = std::mem::take(&mut inner_st.outstanding);
-                        st.waited = inner_st.waited.clone();
-                    }
-                    self.stage_var = prev_stage;
-                    if !inner.is_empty() {
-                        let sv = self.var_map[&var];
-                        out.push(Instr::Loop {
-                            var: sv,
-                            count: Expr::lit(extent),
-                            body: inner,
-                        });
-                    }
+                (Class::Loop, OpKind::For { var, extent, body }) => {
+                    let nest = (*var, *extent, body);
+                    let inner = self.compute_loop(nest, wg, warpspec, &mut out, st)?;
+                    out.extend(inner);
                 }
+                (Class::Loop, _) => return Err(nested_pfor()),
+                _ => {}
             }
             // Mid-store handshake, arrive side: the staging data for a
             // store generation is complete once its last write retires.
             if warpspec && self.mid_store {
                 if let Some(list) = self.arrive_ready_after.get(&op.result) {
-                    for t in list.clone() {
-                        out.push(Instr::MbarArrive {
-                            bar: self.ready_bar[&t],
-                        });
-                    }
+                    out.extend(list.iter().map(|t| Instr::mbar_arrive(self.ready_bar[t])));
                 }
             }
         }
         Ok(out)
+    }
+
+    /// Mid-store handshake, wait side: before overwriting a staging
+    /// tensor for the next store generation, the previous generation's
+    /// store must have landed.
+    fn wait_staging_stored(&self, op: &Op, out: &mut Vec<Instr>) {
+        let Some(list) = self.wait_done_before.get(&op.result) else {
+            return;
+        };
+        for (t, var) in list {
+            // Guard on the *global* generation ordinal, not the bare loop
+            // variable: like the pipeline guards, the skew must stay
+            // bounded even when an outer loop re-enters the store loop.
+            let ord = self
+                .stage_ordinal(*var)
+                .unwrap_or_else(|| Expr::var(self.var_map[var]));
+            out.push(Instr::when(
+                Cond::Ge(ord, Expr::lit(1)),
+                vec![Instr::mbar_wait(self.done_bar[t])],
+            ));
+        }
+    }
+
+    /// One compute op of this warpgroup: producer waits, Tensor Core
+    /// hazards, then the op itself.
+    fn compute_op(
+        &self,
+        op: &Op,
+        wg: usize,
+        out: &mut Vec<Instr>,
+        st: &mut ComputeState,
+    ) -> Result<(), CompileError> {
+        let (reads, writes) = op_data(op);
+        // Producer waits: first touch of a DMA-loaded buffer.
+        for t in reads.iter().chain(writes.iter()) {
+            self.wait_prod(out, st, *t);
+        }
+        // Tensor Core hazards (a wgmma issues asynchronously; a
+        // subsequent conflicting op must group-wait first).
+        let is_mma = matches!(
+            &op.kind,
+            OpKind::Call {
+                f: LeafFn::MmaAccum | LeafFn::MmaAccumBT,
+                ..
+            }
+        );
+        if !is_mma {
+            if let Some(i) = st.last_conflict(&writes, &reads) {
+                let pending = st.outstanding.len() - 1 - i;
+                flush_wgmma(out, st, pending);
+            }
+        }
+        self.emit_op(op, wg, out, st)
+    }
+
+    /// A `For` of a compute role. A loop is a main (pipelined) loop when
+    /// its body issues loads directly; loops that only contain deeper
+    /// load loops must not duplicate the per-iteration consumer handshake.
+    fn compute_loop(
+        &mut self,
+        (var, extent, body): (VarId, i64, &Block),
+        wg: usize,
+        warpspec: bool,
+        out: &mut Vec<Instr>,
+        st: &mut ComputeState,
+    ) -> Result<Option<Instr>, CompileError> {
+        let direct = direct_loads(self.prog, body);
+        let is_main = !direct.is_empty();
+        let prev_stage = self.stage_var;
+        if has_loads(self.prog, body) {
+            self.stage_var = Some(var);
+        }
+        let mut inner_st = ComputeState::default();
+        if is_main {
+            // Buffers loaded this iteration need prod waits.
+            inner_st.dma_loaded = direct.iter().copied().collect();
+        } else {
+            // Hoist producer waits out of the inner loop — a wait inside
+            // would consume one phase per inner iteration.
+            let mut touched = HashSet::new();
+            collect_touched(body, &mut touched);
+            let mut need: Vec<TensorId> = touched
+                .iter()
+                .filter(|t| st.dma_loaded.contains(t) && !st.waited.contains(*t))
+                .copied()
+                .collect();
+            need.sort_unstable();
+            for t in need {
+                self.wait_prod(out, st, t);
+            }
+            inner_st.dma_loaded = st.dma_loaded.clone();
+            inner_st.waited = st.waited.clone();
+            inner_st.outstanding = std::mem::take(&mut st.outstanding);
+        }
+        self.loop_stack.push((var, extent));
+        let mut inner = self.emit_compute_block(body, wg, warpspec, &mut inner_st)?;
+        self.loop_stack.pop();
+        if is_main {
+            // End of iteration: retire Tensor Core work that reads
+            // pipelined buffers, then release them to the DMA warp.
+            if let Some(i) = inner_st.last_conflict(&direct, &[]) {
+                let pending = inner_st.outstanding.len() - 1 - i;
+                flush_wgmma(&mut inner, &mut inner_st, pending);
+            }
+            let freed = direct.iter().filter_map(|t| self.cons_bar.get(t));
+            inner.extend(freed.map(|c| Instr::mbar_arrive(*c)));
+        } else {
+            // Propagate hazards out of the inner loop.
+            st.outstanding = std::mem::take(&mut inner_st.outstanding);
+            st.waited = inner_st.waited;
+        }
+        self.stage_var = prev_stage;
+        Ok((!inner.is_empty()).then(|| Instr::repeat(self.var_map[&var], extent, inner)))
     }
 
     /// Does this op execute on warpgroup `wg`? Ops without a warpgroup
@@ -866,142 +741,58 @@ impl<'a> Scheduler<'a> {
         }
     }
 
-    /// Base tensors an op reads/writes after truncation.
-    fn op_data(&self, op: &Op, _wg: usize) -> Result<(Vec<TensorId>, Vec<TensorId>), CompileError> {
-        Ok(match &op.kind {
-            OpKind::Copy { src, dst } => (vec![src.tensor], vec![dst.tensor]),
-            OpKind::Call { f, args } => {
-                let dst = args.last().expect("call has destination").tensor;
-                let mut reads: Vec<TensorId> =
-                    args[..args.len() - 1].iter().map(|r| r.tensor).collect();
-                if f.dst_reads() {
-                    reads.push(dst);
-                }
-                (reads, vec![dst])
-            }
-            _ => (vec![], vec![]),
-        })
-    }
-
-    fn wait_prod(&mut self, out: &mut Vec<Instr>, st: &mut ComputeState, t: TensorId) {
+    fn wait_prod(&self, out: &mut Vec<Instr>, st: &mut ComputeState, t: TensorId) {
         if st.dma_loaded.contains(&t) && !st.waited.contains(&t) {
             if let Some(p) = self.prod_bar.get(&t) {
-                out.push(Instr::MbarWait { bar: *p });
+                out.push(Instr::mbar_wait(*p));
                 st.waited.insert(t);
             }
         }
     }
 
     fn emit_op(
-        &mut self,
+        &self,
         op: &Op,
         wg: usize,
         out: &mut Vec<Instr>,
         st: &mut ComputeState,
     ) -> Result<(), CompileError> {
-        match &op.kind {
+        use LeafFn as L;
+        let (f, args) = match &op.kind {
             OpKind::Copy { src, dst } => {
-                let s = self.slice(src, wg)?;
-                let d = self.slice(dst, wg)?;
-                out.push(Instr::Simt(SimtOp::Copy { src: s, dst: d }));
+                out.push(Instr::copy(self.slice(src, wg)?, self.slice(dst, wg)?));
+                return Ok(());
             }
-            OpKind::Call { f, args } => {
-                use crate::front::ast::LeafFn as L;
-                let sl = |me: &mut Self, i: usize| me.slice(&args[i], wg);
-                match f {
-                    L::MmaAccum | L::MmaAccumBT => {
-                        let a = sl(self, 0)?;
-                        let b = sl(self, 1)?;
-                        let acc = sl(self, 2)?;
-                        let reads = vec![args[0].tensor, args[1].tensor];
-                        let writes = vec![args[2].tensor];
-                        out.push(Instr::Wgmma {
-                            a,
-                            b,
-                            acc,
-                            accumulate: true,
-                            transpose_b: matches!(f, L::MmaAccumBT),
-                        });
-                        st.outstanding.push(WgmmaHazard { reads, writes });
-                    }
-                    L::Fill(v) => {
-                        let d = sl(self, 0)?;
-                        out.push(Instr::Simt(SimtOp::Fill { dst: d, value: *v }));
-                    }
-                    L::CopyExt => {
-                        let s = sl(self, 0)?;
-                        let d = sl(self, 1)?;
-                        out.push(Instr::Simt(SimtOp::Copy { src: s, dst: d }));
-                    }
-                    L::Exp => {
-                        let s = sl(self, 0)?;
-                        let d = sl(self, 1)?;
-                        out.push(Instr::Simt(SimtOp::Map {
-                            op: UnOp::Exp,
-                            src: s,
-                            dst: d,
-                        }));
-                    }
-                    L::Scale(c) => {
-                        let s = sl(self, 0)?;
-                        let d = sl(self, 1)?;
-                        out.push(Instr::Simt(SimtOp::Map {
-                            op: UnOp::Scale(*c),
-                            src: s,
-                            dst: d,
-                        }));
-                    }
-                    L::AddExt | L::MaxExt => {
-                        let a = sl(self, 0)?;
-                        let b = sl(self, 1)?;
-                        let d = sl(self, 2)?;
-                        let bin = if matches!(f, L::AddExt) {
-                            BinOp::Add
-                        } else {
-                            BinOp::Max
-                        };
-                        out.push(Instr::Simt(SimtOp::Zip {
-                            op: bin,
-                            a,
-                            b,
-                            dst: d,
-                        }));
-                    }
-                    L::RowMaxAccum | L::RowSumAccum => {
-                        let s = sl(self, 0)?;
-                        let d = sl(self, 1)?;
-                        let red = if matches!(f, L::RowMaxAccum) {
-                            RedOp::Max
-                        } else {
-                            RedOp::Sum
-                        };
-                        out.push(Instr::Simt(SimtOp::RowReduce {
-                            op: red,
-                            src: s,
-                            dst: d,
-                            include_dst: true,
-                        }));
-                    }
-                    L::SubRow | L::MulRow | L::DivRow => {
-                        let s = sl(self, 0)?;
-                        let r = sl(self, 1)?;
-                        let d = sl(self, 2)?;
-                        let bin = match f {
-                            L::SubRow => BinOp::Sub,
-                            L::MulRow => BinOp::Mul,
-                            _ => BinOp::Div,
-                        };
-                        out.push(Instr::Simt(SimtOp::RowZip {
-                            op: bin,
-                            src: s,
-                            row: r,
-                            dst: d,
-                        }));
-                    }
-                }
-            }
+            OpKind::Call { f, args } => (f, args),
             _ => unreachable!("loops handled by the caller"),
-        }
+        };
+        let sl = |i: usize| self.slice(&args[i], wg);
+        out.push(match f {
+            L::MmaAccum | L::MmaAccumBT => {
+                let mma = if matches!(f, L::MmaAccumBT) {
+                    Instr::wgmma_bt
+                } else {
+                    Instr::wgmma
+                };
+                let instr = mma(sl(0)?, sl(1)?, sl(2)?);
+                st.outstanding.push(WgmmaHazard {
+                    reads: vec![args[0].tensor, args[1].tensor],
+                    writes: vec![args[2].tensor],
+                });
+                instr
+            }
+            L::Fill(v) => Instr::fill(sl(0)?, *v),
+            L::CopyExt => Instr::copy(sl(0)?, sl(1)?),
+            L::Exp => Instr::map(UnOp::Exp, sl(0)?, sl(1)?),
+            L::Scale(c) => Instr::map(UnOp::Scale(*c), sl(0)?, sl(1)?),
+            L::AddExt => Instr::zip(BinOp::Add, sl(0)?, sl(1)?, sl(2)?),
+            L::MaxExt => Instr::zip(BinOp::Max, sl(0)?, sl(1)?, sl(2)?),
+            L::RowMaxAccum => Instr::row_reduce(RedOp::Max, sl(0)?, sl(1)?),
+            L::RowSumAccum => Instr::row_reduce(RedOp::Sum, sl(0)?, sl(1)?),
+            L::SubRow => Instr::row_zip(BinOp::Sub, sl(0)?, sl(1)?, sl(2)?),
+            L::MulRow => Instr::row_zip(BinOp::Mul, sl(0)?, sl(1)?, sl(2)?),
+            L::DivRow => Instr::row_zip(BinOp::Div, sl(0)?, sl(1)?, sl(2)?),
+        });
         Ok(())
     }
 
@@ -1129,6 +920,84 @@ impl<'a> Scheduler<'a> {
     }
 }
 
+fn nested_pfor() -> CompileError {
+    CompileError::Unsupported("nested non-BLOCK pfor survived vectorization".into())
+}
+
+/// DMA-loaded shared tensors, split by whether the load sits inside a
+/// `For` (`il`: pipelined, multi-stage) or in the prologue (`ol`).
+fn scan_loads(
+    prog: &IrProgram,
+    b: &Block,
+    in_loop: bool,
+    il: &mut HashSet<TensorId>,
+    ol: &mut HashSet<TensorId>,
+) {
+    for op in &b.ops {
+        match &op.kind {
+            OpKind::Copy { dst, .. } if classify(prog, op) == Class::DmaLoad => {
+                if in_loop {
+                    il.insert(dst.tensor);
+                } else {
+                    ol.insert(dst.tensor);
+                }
+            }
+            OpKind::For { body, .. } => scan_loads(prog, body, true, il, ol),
+            OpKind::Pfor { body, .. } => scan_loads(prog, body, in_loop, il, ol),
+            _ => {}
+        }
+    }
+}
+
+/// Does this subtree issue any DMA load?
+fn has_loads(prog: &IrProgram, b: &Block) -> bool {
+    b.ops.iter().any(|op| match &op.kind {
+        OpKind::For { body, .. } | OpKind::Pfor { body, .. } => has_loads(prog, body),
+        _ => classify(prog, op) == Class::DmaLoad,
+    })
+}
+
+/// The partition classes of the body's copies and calls, in program order.
+fn scan_classes(prog: &IrProgram, b: &Block, out: &mut Vec<Class>) {
+    for op in &b.ops {
+        match &op.kind {
+            OpKind::For { body, .. } | OpKind::Pfor { body, .. } => scan_classes(prog, body, out),
+            _ => out.push(classify(prog, op)),
+        }
+    }
+}
+
+/// Every IR `For` variable of the subtree, outermost first.
+fn scan_fors(b: &Block, vars: &mut Vec<VarId>) {
+    for op in &b.ops {
+        match &op.kind {
+            OpKind::For { var, body, .. } => {
+                vars.push(*var);
+                scan_fors(body, vars);
+            }
+            OpKind::Pfor { body, .. } => scan_fors(body, vars),
+            _ => {}
+        }
+    }
+}
+
+/// Base tensors an op reads and writes.
+fn op_data(op: &Op) -> (Vec<TensorId>, Vec<TensorId>) {
+    match &op.kind {
+        OpKind::Copy { src, dst } => (vec![src.tensor], vec![dst.tensor]),
+        OpKind::Call { f, args } => {
+            let dst = args.last().expect("call has destination").tensor;
+            let mut reads: Vec<TensorId> =
+                args[..args.len() - 1].iter().map(|r| r.tensor).collect();
+            if f.dst_reads() {
+                reads.push(dst);
+            }
+            (reads, vec![dst])
+        }
+        _ => (vec![], vec![]),
+    }
+}
+
 /// Tensors DMA-loaded directly in this block's op list (not nested in a
 /// deeper `For`), sorted: the set a loop's per-iteration pipeline
 /// handshake covers.
@@ -1137,12 +1006,7 @@ fn direct_loads(prog: &IrProgram, b: &Block) -> Vec<TensorId> {
         .ops
         .iter()
         .filter_map(|op| match &op.kind {
-            OpKind::Copy { src, dst }
-                if prog.tensors[src.tensor].mem == MemLevel::Global
-                    && prog.tensors[dst.tensor].mem == MemLevel::Shared =>
-            {
-                Some(dst.tensor)
-            }
+            OpKind::Copy { dst, .. } if classify(prog, op) == Class::DmaLoad => Some(dst.tensor),
             _ => None,
         })
         .collect();
@@ -1159,29 +1023,6 @@ fn subtree_writes(op: &Op, t: TensorId) -> bool {
         OpKind::Call { args, .. } => args.last().is_some_and(|d| d.tensor == t),
         OpKind::For { body, .. } | OpKind::Pfor { body, .. } => {
             body.ops.iter().any(|o| subtree_writes(o, t))
-        }
-    }
-}
-
-#[allow(clippy::only_used_in_recursion)]
-fn scan_loads_block(
-    prog: &IrProgram,
-    b: &Block,
-    il: &mut HashSet<TensorId>,
-    ol: &mut HashSet<TensorId>,
-) {
-    for op in &b.ops {
-        match &op.kind {
-            OpKind::Copy { src, dst }
-                if prog.tensors[src.tensor].mem == MemLevel::Global
-                    && prog.tensors[dst.tensor].mem == MemLevel::Shared =>
-            {
-                ol.insert(dst.tensor);
-            }
-            OpKind::For { body, .. } | OpKind::Pfor { body, .. } => {
-                scan_loads_block(prog, body, il, ol);
-            }
-            _ => {}
         }
     }
 }

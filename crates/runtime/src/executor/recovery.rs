@@ -92,7 +92,7 @@ impl Scheduler<'_> {
     /// buffers over the links.
     pub(super) fn evict(&mut self, dead: usize, at: f64) {
         let (graph, launches, n) = (self.graph, self.launches, self.graph.len());
-        let machine = &self.topology.devices[0];
+        let machine = self.topology.machine();
         let out = &mut self.out;
         out.makespan = out.makespan.max(at);
         out.recovery.faults += 1;
@@ -212,7 +212,7 @@ impl Scheduler<'_> {
             self.device_of[p],
             dst,
             self.topology,
-            &self.topology.devices[0],
+            self.topology.machine(),
         ));
         self.device_of.push(dst);
         self.launched_on.push(dst);

@@ -265,7 +265,7 @@ impl<'a> Scheduler<'a> {
             fault,
             profiles: reports
                 .iter()
-                .map(|r| KernelProfile::from_report(r, &topology.devices[0]))
+                .map(|r| KernelProfile::from_report(r, topology.machine()))
                 .collect(),
             engine,
             ready: (0..n).filter(|&i| indegree[i] == 0).collect(),

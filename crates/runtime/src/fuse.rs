@@ -81,7 +81,7 @@ pub enum FusionPolicy {
 /// One applied rewrite: which fused node replaced which originals, and
 /// the sim-confirmed win margin that justified it.
 #[derive(Debug, Clone)]
-pub struct FusionRewrite {
+pub(crate) struct FusionRewrite {
     /// The fused node in the rewritten graph.
     pub fused: NodeId,
     /// The rewrite rule that fired (`"dual_chain"` or
@@ -102,7 +102,7 @@ pub struct FusionRewrite {
 /// Candidates the gate could not evaluate at all (the fused kernel does
 /// not compile here) are skipped silently, not declined.
 #[derive(Debug, Clone)]
-pub struct FusionDecline {
+pub(crate) struct FusionDecline {
     /// The rewrite rule that matched.
     pub rule: &'static str,
     /// Names of the nodes that stayed unfused.
@@ -119,7 +119,7 @@ pub struct FusionDecline {
 /// addressing. Nodes no rewrite touched share their [`Program`] with the
 /// source graph's.
 #[derive(Debug)]
-pub struct FusionPlan {
+pub(crate) struct FusionPlan {
     /// The rewritten graph (never built when nothing fused).
     pub graph: TaskGraph,
     /// Per original node, per parameter: where that parameter's buffer
@@ -284,17 +284,31 @@ fn is_library_reduction(program: &Program) -> bool {
 /// consumer node order, chain rule before reduction rule).
 fn match_candidates(graph: &TaskGraph, machine: &MachineConfig) -> Vec<Candidate> {
     let mut out = Vec::new();
+    // A node joins at most one candidate.
     let mut claimed = vec![false; graph.len()];
-    let consumers = graph.consumer_counts();
-    let total_consumers: Vec<usize> = consumers.iter().map(|c| c.iter().sum()).collect();
     // One registry comparison per node, not per pairing the rules try.
     let is_gemm: Vec<bool> = graph
         .nodes()
         .iter()
         .map(|n| is_library_gemm(&n.program))
         .collect();
+    match_chains(graph, machine, &is_gemm, &mut claimed, &mut out);
+    match_gemm_reductions(graph, machine, &is_gemm, &mut claimed, &mut out);
+    // Candidates apply in insertion-position order.
+    out.sort_by_key(|c| c.position);
+    out
+}
 
-    // Rule 1: gemm -> gemm chains (consumer order).
+/// Rule 1: gemm -> gemm chains (consumer order).
+fn match_chains(
+    graph: &TaskGraph,
+    machine: &MachineConfig,
+    is_gemm: &[bool],
+    claimed: &mut [bool],
+    out: &mut Vec<Candidate>,
+) {
+    let consumers = graph.consumer_counts();
+    let total_consumers: Vec<usize> = consumers.iter().map(|c| c.iter().sum()).collect();
     for j in 0..graph.len() {
         if claimed[j] {
             continue;
@@ -357,8 +371,16 @@ fn match_candidates(graph: &TaskGraph, machine: &MachineConfig) -> Vec<Candidate
             unfused_cycles: 0.0,
         });
     }
+}
 
-    // Rule 2: gemm + row-reduction over the same A source.
+/// Rule 2: gemm + row-reduction over the same A source.
+fn match_gemm_reductions(
+    graph: &TaskGraph,
+    machine: &MachineConfig,
+    is_gemm: &[bool],
+    claimed: &mut [bool],
+    out: &mut Vec<Candidate>,
+) {
     for r in 0..graph.len() {
         if claimed[r] {
             continue;
@@ -434,10 +456,6 @@ fn match_candidates(graph: &TaskGraph, machine: &MachineConfig) -> Vec<Candidate
             break;
         }
     }
-
-    // Candidates apply in insertion-position order.
-    out.sort_by_key(|c| c.position);
-    out
 }
 
 /// Two bindings denote the same tensor source.

@@ -154,13 +154,13 @@ pub use cache::{CacheStats, KernelCache};
 pub use cypress_sim::{ApplyBytes, Fault, FaultPlan};
 pub use error::RuntimeError;
 pub use executor::GraphRun;
-pub use fuse::{FusionDecline, FusionPolicy, FusionRewrite};
+pub use fuse::FusionPolicy;
 pub use graph::{Binding, Node, NodeId, TaskGraph};
 pub use pool::{BufferPool, PoolStats};
 pub use program::{Program, ProgramParts, SpaceBinding};
 pub use report::{GraphReport, NodeTiming, Recovery};
 pub use session::{CompiledGraph, FaultPolicy, MappingPolicy, SchedulePolicy, Session};
-pub use shard::{PlacementPolicy, ShardPlan, ShardTransfer};
+pub use shard::PlacementPolicy;
 pub use telemetry::{
     ChromeSpan, ChromeTrace, Event, EventClass, MetricsRegistry, MetricsSnapshot, NoopRecorder,
     Recorder, TraceLog, TraceSink,

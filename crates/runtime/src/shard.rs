@@ -9,11 +9,11 @@
 //! link connecting the two devices instead of to any device's SMs.
 //!
 //! The sharder mirrors the fusion planner's shape (see [`crate::fuse`]):
-//! the crate-internal `plan` entry point returns a [`ShardPlan`]
+//! the crate-internal `plan` entry point returns a `ShardPlan`
 //! holding the rewritten graph plus the
 //! bookkeeping to map results back to the original addressing, and the
 //! session re-addresses launch results through it exactly like it does
-//! through a [`crate::fuse::FusionPlan`]. Because transfer kernels are
+//! through a `FusionPlan`. Because transfer kernels are
 //! bitwise copies and the all-reduce combine is tiling-independent,
 //! functional results are bitwise identical across placement policies
 //! and device counts; only the timeline changes.
@@ -70,7 +70,7 @@ impl PlacementPolicy {
 
 /// One transfer node the sharder inserted on a cross-device edge.
 #[derive(Debug, Clone)]
-pub struct ShardTransfer {
+pub(crate) struct ShardTransfer {
     /// The transfer node in the sharded graph.
     pub node: NodeId,
     /// Index into [`Topology::links`] of the link it travels.
@@ -87,7 +87,7 @@ pub struct ShardTransfer {
 /// bookkeeping to map results back to the original addressing (the
 /// placement analogue of [`crate::fuse::FusionPlan`]).
 #[derive(Debug)]
-pub struct ShardPlan {
+pub(crate) struct ShardPlan {
     /// The sharded graph, with transfer nodes inserted before their
     /// consumers.
     pub graph: TaskGraph,
@@ -123,12 +123,6 @@ impl ShardPlan {
     #[must_use]
     pub fn origin(&self, node: usize) -> Option<usize> {
         self.origin.get(node).copied().flatten()
-    }
-
-    /// `true` when no edge crossed a device boundary.
-    #[must_use]
-    pub fn is_comm_free(&self) -> bool {
-        self.transfers.is_empty()
     }
 
     /// The transfer riding sharded-graph node `node`, if it is one.
@@ -281,8 +275,8 @@ pub(crate) fn plan(graph: &TaskGraph, topology: &Topology) -> Result<ShardPlan, 
     // (producer, param, destination device) -> inserted transfer node.
     let mut xfer_cache: HashMap<(usize, usize, usize), NodeId> = HashMap::new();
     // (rows, cols) -> the transfer program of that shape: every transfer
-    // of one shape launches a handle to the same program (the session's
-    // topologies are homogeneous, so the destination does not enter).
+    // of one shape launches a handle to the same program (a validated
+    // topology is homogeneous, so the destination does not enter).
     let mut xfer_programs: HashMap<(usize, usize), Program> = HashMap::new();
 
     for (i, node) in graph.nodes().iter().enumerate() {
@@ -317,7 +311,7 @@ pub(crate) fn plan(graph: &TaskGraph, topology: &Topology) -> Result<ShardPlan, 
                         Entry::Occupied(built) => built.get().clone(),
                         Entry::Vacant(slot) => {
                             let parts =
-                                comm::build_transfer(arg.rows, arg.cols, &topology.devices[dev])?;
+                                comm::build_transfer(arg.rows, arg.cols, topology.machine())?;
                             let shape = Shape::of(&[arg.rows, arg.cols]);
                             slot.insert(
                                 Program::from_parts(parts, "xfer")
@@ -404,7 +398,7 @@ mod tests {
             root(&mut g, &format!("g{i}"), 64);
         }
         let plan = plan(&g, &Topology::nvlink(&machine, 2)).unwrap();
-        assert!(plan.is_comm_free());
+        assert!(plan.transfers.is_empty());
         assert_eq!(plan.graph.len(), 4);
         assert_eq!(
             (0..4).map(|i| plan.device(i)).collect::<Vec<_>>(),
@@ -433,7 +427,7 @@ mod tests {
         .unwrap();
         let plan = plan(&g, &Topology::nvlink(&machine, 2)).unwrap();
         // b sits with its producer: no bytes cross a link.
-        assert!(plan.is_comm_free());
+        assert!(plan.transfers.is_empty());
         assert_eq!(plan.device(0), 0);
         assert_eq!(plan.device(1), 0);
     }
@@ -572,7 +566,7 @@ mod tests {
         )
         .unwrap();
         let plan = plan(&g, &Topology::single(machine)).unwrap();
-        assert!(plan.is_comm_free());
+        assert!(plan.transfers.is_empty());
         assert_eq!(plan.graph.len(), g.len());
         assert!((0..g.len()).all(|i| plan.device(i) == 0));
     }
@@ -586,6 +580,16 @@ mod tests {
         };
         let err = plan(&g, &empty).unwrap_err();
         assert!(matches!(err, RuntimeError::BadTopology { .. }), "{err}");
+
+        // Kernels are profiled and transfers priced against one machine:
+        // a mixed topology is refused, not scheduled with device 0's numbers.
+        let mut mixed = Topology::nvlink(&MachineConfig::test_gpu(), 2);
+        mixed.devices[1] = MachineConfig::h100_sxm5();
+        let err = plan(&g, &mixed).unwrap_err();
+        assert!(
+            matches!(&err, RuntimeError::BadTopology { what } if what.contains("homogeneous")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -172,12 +172,11 @@ impl DeviceCaps {
 /// ([`ConcurrentEngine::launch_transfer`]) draw only on their link's
 /// bandwidth, split proportionally when several transfers share it.
 ///
-/// Drive it by [`ConcurrentEngine::launch`]ing kernels (each launch
-/// starts at the engine's current time) and calling
-/// [`ConcurrentEngine::advance`] to step to the next completion. The
+/// Drive it by launching kernels ([`ConcurrentEngine::launch_on`]; each
+/// launch starts at the engine's current time) and calling
+/// [`ConcurrentEngine::step`] to reach the next completion. The
 /// runtime's stream scheduler interleaves launches and completions to
-/// model dependency-gated streams; [`crate::Simulator::run_timing_concurrent`]
-/// launches everything at time zero.
+/// model dependency-gated streams.
 #[derive(Debug)]
 pub struct ConcurrentEngine {
     devices: Vec<DeviceCaps>,
@@ -199,23 +198,7 @@ pub struct ConcurrentEngine {
 }
 
 impl ConcurrentEngine {
-    /// An idle single device at cycle 0.
-    #[must_use]
-    pub fn new(machine: &MachineConfig) -> Self {
-        ConcurrentEngine {
-            devices: vec![DeviceCaps::of(machine)],
-            links: Vec::new(),
-            now: 0.0,
-            active: Vec::new(),
-            fault_plan: None,
-            launch_counts: vec![0],
-            lost: vec![None],
-            pending: VecDeque::new(),
-        }
-    }
-
-    /// An idle multi-device machine at cycle 0. A one-device topology is
-    /// bit-identical to [`ConcurrentEngine::new`] on that device.
+    /// An idle machine of one or more devices at cycle 0.
     #[must_use]
     pub fn with_topology(topology: &Topology) -> Self {
         let n = topology.devices.len();
@@ -285,13 +268,8 @@ impl ConcurrentEngine {
         self.devices.len()
     }
 
-    /// Admit a kernel on device 0 at the current time. `id` is echoed
-    /// back in its [`Completion`].
-    pub fn launch(&mut self, id: usize, profile: &KernelProfile) {
-        self.launch_on(id, 0, profile);
-    }
-
-    /// Admit a compute kernel on `device` at the current time (out of
+    /// Admit a compute kernel on `device` at the current time; `id` is
+    /// echoed back in its [`Completion`] (out of
     /// range clamps to the last device — callers validate their topology
     /// before launching).
     pub fn launch_on(&mut self, id: usize, device: usize, profile: &KernelProfile) {
@@ -490,10 +468,10 @@ impl ConcurrentEngine {
 
     /// Advance to the next observable event: a launch retiring (with
     /// its [`LaunchOutcome`]) or a device dying. Returns `None` when
-    /// nothing is active or queued. Without a fault plan this is
-    /// exactly [`ConcurrentEngine::advance`] wrapped in
-    /// [`EngineStep::Retired`] / [`LaunchOutcome::Completed`], bit for
-    /// bit.
+    /// nothing is active or queued. Ties complete lowest-id-first, one
+    /// per call, so completion order is deterministic. Without a fault
+    /// plan every step is an [`EngineStep::Retired`] with
+    /// [`LaunchOutcome::Completed`].
     pub fn step(&mut self) -> Option<EngineStep> {
         if let Some(s) = self.pending.pop_front() {
             return Some(s);
@@ -555,65 +533,6 @@ impl ConcurrentEngine {
             });
         }
     }
-
-    /// Advance time to the next kernel completion and retire it. Returns
-    /// `None` when no kernel is active. Ties complete lowest-id-first,
-    /// one per call, so completion order is deterministic. Eviction
-    /// markers are skipped and faulted outcomes are collapsed into plain
-    /// completions — fault-aware schedulers should drive
-    /// [`ConcurrentEngine::step`] instead.
-    pub fn advance(&mut self) -> Option<Completion> {
-        loop {
-            match self.step() {
-                Some(EngineStep::Retired { completion, .. }) => return Some(completion),
-                Some(EngineStep::DeviceEvicted { .. }) => {}
-                None => return None,
-            }
-        }
-    }
-}
-
-/// Result of [`crate::Simulator::run_timing_concurrent`]: per-kernel
-/// intervals on the shared device plus the whole-batch makespan.
-#[derive(Debug, Clone)]
-pub struct ConcurrentReport {
-    /// One slot per input kernel, in input order.
-    pub kernels: Vec<KernelSlot>,
-    /// Batch makespan in cycles: the latest completion.
-    pub makespan: f64,
-    /// Batch makespan in seconds at the machine clock.
-    pub seconds: f64,
-}
-
-/// One kernel's interval within a concurrent batch.
-#[derive(Debug, Clone)]
-pub struct KernelSlot {
-    /// Launch cycle (0 for a whole-batch run).
-    pub start: f64,
-    /// Retire cycle.
-    pub end: f64,
-    /// The kernel's solo timing report (what it would do alone).
-    pub solo: TimingReport,
-}
-
-impl ConcurrentReport {
-    /// What the batch would cost launched back-to-back: the sum of the
-    /// solo makespans.
-    #[must_use]
-    pub fn serial_sum(&self) -> f64 {
-        self.kernels.iter().map(|k| k.solo.cycles).sum()
-    }
-
-    /// `serial_sum / makespan` — 1.0 means no overlap, `n` means `n`
-    /// kernels ran fully in parallel.
-    #[must_use]
-    pub fn overlap_speedup(&self) -> f64 {
-        if self.makespan > 0.0 {
-            self.serial_sum() / self.makespan
-        } else {
-            1.0
-        }
-    }
 }
 
 #[cfg(test)]
@@ -634,23 +553,39 @@ mod tests {
         MachineConfig::test_gpu() // 4 SMs, 64 B/cycle HBM
     }
 
+    /// An idle one-device engine.
+    fn engine() -> ConcurrentEngine {
+        ConcurrentEngine::with_topology(&Topology::single(machine4()))
+    }
+
+    /// Step to the next completion, whatever its outcome, skipping
+    /// eviction markers.
+    fn advance(e: &mut ConcurrentEngine) -> Option<Completion> {
+        loop {
+            match e.step()? {
+                EngineStep::Retired { completion, .. } => return Some(completion),
+                EngineStep::DeviceEvicted { .. } => {}
+            }
+        }
+    }
+
     #[test]
     fn lone_kernel_runs_at_full_rate() {
-        let mut e = ConcurrentEngine::new(&machine4());
-        e.launch(0, &profile("a", 1000.0, 2.0, 10.0));
-        let c = e.advance().unwrap();
+        let mut e = engine();
+        e.launch_on(0, 0, &profile("a", 1000.0, 2.0, 10.0));
+        let c = advance(&mut e).unwrap();
         assert_eq!((c.start, c.end), (0.0, 1000.0));
-        assert!(e.advance().is_none());
+        assert!(advance(&mut e).is_none());
     }
 
     #[test]
     fn small_kernels_overlap_fully() {
         // Two 1-SM kernels on a 4-SM machine: no contention at all.
-        let mut e = ConcurrentEngine::new(&machine4());
-        e.launch(0, &profile("a", 1000.0, 1.0, 1.0));
-        e.launch(1, &profile("b", 600.0, 1.0, 1.0));
-        let first = e.advance().unwrap();
-        let second = e.advance().unwrap();
+        let mut e = engine();
+        e.launch_on(0, 0, &profile("a", 1000.0, 1.0, 1.0));
+        e.launch_on(1, 0, &profile("b", 600.0, 1.0, 1.0));
+        let first = advance(&mut e).unwrap();
+        let second = advance(&mut e).unwrap();
         assert_eq!((first.id, first.end), (1, 600.0));
         assert_eq!((second.id, second.end), (0, 1000.0));
     }
@@ -659,11 +594,11 @@ mod tests {
     fn full_device_kernels_serialize() {
         // Two full-device kernels: proportional SM sharing halves both
         // rates, so the pair costs exactly the serial sum.
-        let mut e = ConcurrentEngine::new(&machine4());
-        e.launch(0, &profile("a", 1000.0, 4.0, 0.0));
-        e.launch(1, &profile("b", 1000.0, 4.0, 0.0));
-        let first = e.advance().unwrap();
-        let second = e.advance().unwrap();
+        let mut e = engine();
+        e.launch_on(0, 0, &profile("a", 1000.0, 4.0, 0.0));
+        e.launch_on(1, 0, &profile("b", 1000.0, 4.0, 0.0));
+        let first = advance(&mut e).unwrap();
+        let second = advance(&mut e).unwrap();
         assert_eq!(first.id, 0, "ties retire lowest id first");
         assert!((second.end - 2000.0).abs() < 1e-9);
     }
@@ -672,39 +607,20 @@ mod tests {
     fn devices_do_not_contend_with_each_other() {
         // Two full-device kernels serialize on one device but overlap
         // perfectly when placed on different devices of a 2-GPU topology.
-        let topo = crate::topology::Topology::nvlink(&machine4(), 2);
+        let topo = Topology::nvlink(&machine4(), 2);
         let mut e = ConcurrentEngine::with_topology(&topo);
         assert_eq!(e.device_count(), 2);
         e.launch_on(0, 0, &profile("a", 1000.0, 4.0, 0.0));
         e.launch_on(1, 1, &profile("b", 1000.0, 4.0, 0.0));
-        let first = e.advance().unwrap();
-        let second = e.advance().unwrap();
+        let first = advance(&mut e).unwrap();
+        let second = advance(&mut e).unwrap();
         assert_eq!((first.id, first.end), (0, 1000.0));
         assert_eq!((second.id, second.end), (1, 1000.0));
     }
 
     #[test]
-    fn one_device_topology_matches_single_device_engine() {
-        let topo = crate::topology::Topology::single(machine4());
-        let mut multi = ConcurrentEngine::with_topology(&topo);
-        let mut single = ConcurrentEngine::new(&machine4());
-        for e in [&mut multi, &mut single] {
-            e.launch(0, &profile("a", 1000.0, 4.0, 64.0));
-            e.launch(1, &profile("b", 700.0, 2.0, 32.0));
-            e.launch(2, &profile("c", 300.0, 1.0, 8.0));
-        }
-        loop {
-            let (a, b) = (multi.advance(), single.advance());
-            assert_eq!(a, b, "bit-identical completions");
-            if a.is_none() {
-                break;
-            }
-        }
-    }
-
-    #[test]
     fn transfers_share_link_bandwidth_proportionally() {
-        let topo = crate::topology::Topology::nvlink(&machine4(), 2);
+        let topo = Topology::nvlink(&machine4(), 2);
         let cap = topo.links[0].bytes_per_cycle;
         let mut e = ConcurrentEngine::with_topology(&topo);
         // Two transfers each demanding the full link: both stretch 2x.
@@ -712,41 +628,41 @@ mod tests {
         e.launch_transfer(1, 0, 1000.0, cap);
         // A compute kernel is untouched by the link fight.
         e.launch_on(2, 0, &profile("alu", 1000.0, 1.0, 0.0));
-        let first = e.advance().unwrap();
+        let first = advance(&mut e).unwrap();
         assert_eq!((first.id, first.end), (2, 1000.0));
-        let second = e.advance().unwrap();
+        let second = advance(&mut e).unwrap();
         assert_eq!(second.id, 0, "ties retire lowest id first");
         assert!((second.end - 2000.0).abs() < 1e-9, "end {}", second.end);
-        let third = e.advance().unwrap();
+        let third = advance(&mut e).unwrap();
         assert!((third.end - 2000.0).abs() < 1e-9);
     }
 
     #[test]
     fn transfers_on_distinct_links_do_not_contend() {
-        let topo = crate::topology::Topology::nvlink(&machine4(), 4);
+        let topo = Topology::nvlink(&machine4(), 4);
         let cap = topo.links[0].bytes_per_cycle;
         let mut e = ConcurrentEngine::with_topology(&topo);
         let l01 = topo.link_between(0, 1).unwrap();
         let l23 = topo.link_between(2, 3).unwrap();
         e.launch_transfer(0, l01, 1000.0, cap);
         e.launch_transfer(1, l23, 1000.0, cap);
-        let first = e.advance().unwrap();
-        let second = e.advance().unwrap();
+        let first = advance(&mut e).unwrap();
+        let second = advance(&mut e).unwrap();
         assert_eq!(first.end, 1000.0);
         assert_eq!(second.end, 1000.0);
     }
 
     #[test]
     fn empty_fault_plan_is_bit_identical() {
-        let mut plain = ConcurrentEngine::new(&machine4());
-        let mut faulted = ConcurrentEngine::new(&machine4()).with_fault_plan(FaultPlan::new());
+        let mut plain = engine();
+        let mut faulted = engine().with_fault_plan(FaultPlan::new());
         for e in [&mut plain, &mut faulted] {
-            e.launch(0, &profile("a", 1000.0, 4.0, 64.0));
-            e.launch(1, &profile("b", 700.0, 2.0, 32.0));
-            e.launch(2, &profile("c", 300.0, 1.0, 8.0));
+            e.launch_on(0, 0, &profile("a", 1000.0, 4.0, 64.0));
+            e.launch_on(1, 0, &profile("b", 700.0, 2.0, 32.0));
+            e.launch_on(2, 0, &profile("c", 300.0, 1.0, 8.0));
         }
         loop {
-            let (a, b) = (plain.advance(), faulted.advance());
+            let (a, b) = (advance(&mut plain), advance(&mut faulted));
             assert_eq!(a, b, "bit-identical completions");
             if a.is_none() {
                 break;
@@ -757,9 +673,9 @@ mod tests {
     #[test]
     fn transient_faults_surface_as_typed_outcomes() {
         let plan = FaultPlan::new().with_transient(0, 1);
-        let mut e = ConcurrentEngine::new(&machine4()).with_fault_plan(plan);
-        e.launch(0, &profile("a", 300.0, 1.0, 0.0)); // launch 0: clean
-        e.launch(1, &profile("b", 600.0, 1.0, 0.0)); // launch 1: faults once
+        let mut e = engine().with_fault_plan(plan);
+        e.launch_on(0, 0, &profile("a", 300.0, 1.0, 0.0)); // launch 0: clean
+        e.launch_on(1, 0, &profile("b", 600.0, 1.0, 0.0)); // launch 1: faults once
         match e.step().unwrap() {
             EngineStep::Retired {
                 completion,
@@ -780,7 +696,7 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         // The retry is launch index 2 on device 0: it succeeds.
-        e.launch(2, &profile("b'", 600.0, 1.0, 0.0));
+        e.launch_on(2, 0, &profile("b'", 600.0, 1.0, 0.0));
         match e.step().unwrap() {
             EngineStep::Retired { outcome, .. } => assert_eq!(outcome, LaunchOutcome::Completed),
             other => panic!("unexpected {other:?}"),
@@ -789,7 +705,7 @@ mod tests {
 
     #[test]
     fn device_loss_kills_in_flight_launches_at_the_loss_cycle() {
-        let topo = crate::topology::Topology::nvlink(&machine4(), 2);
+        let topo = Topology::nvlink(&machine4(), 2);
         let plan = FaultPlan::new().with_device_loss(1, 400.0);
         let mut e = ConcurrentEngine::with_topology(&topo).with_fault_plan(plan);
         e.launch_on(0, 0, &profile("safe", 1000.0, 1.0, 0.0));
@@ -841,15 +757,15 @@ mod tests {
         // wall cycles buy 250 solo cycles, the remaining 750 run at
         // full rate, so the kernel retires at 1250.
         let plan = FaultPlan::new().with_slowdown(0, 0.0, 500.0, 0.5);
-        let mut e = ConcurrentEngine::new(&machine4()).with_fault_plan(plan);
-        e.launch(0, &profile("slow", 1000.0, 1.0, 0.0));
-        let c = e.advance().unwrap();
+        let mut e = engine().with_fault_plan(plan);
+        e.launch_on(0, 0, &profile("slow", 1000.0, 1.0, 0.0));
+        let c = advance(&mut e).unwrap();
         assert!((c.end - 1250.0).abs() < 1e-9, "end {}", c.end);
     }
 
     #[test]
     fn link_degradation_stretches_transfers_only() {
-        let topo = crate::topology::Topology::nvlink(&machine4(), 2);
+        let topo = Topology::nvlink(&machine4(), 2);
         let cap = topo.links[0].bytes_per_cycle;
         // The link runs at quarter bandwidth forever (window far past
         // the transfer): 1000 solo cycles become 4000.
@@ -857,9 +773,9 @@ mod tests {
         let mut e = ConcurrentEngine::with_topology(&topo).with_fault_plan(plan);
         e.launch_transfer(0, 0, 1000.0, cap);
         e.launch_on(1, 0, &profile("alu", 1000.0, 1.0, 0.0));
-        let first = e.advance().unwrap();
+        let first = advance(&mut e).unwrap();
         assert_eq!((first.id, first.end), (1, 1000.0), "compute untouched");
-        let second = e.advance().unwrap();
+        let second = advance(&mut e).unwrap();
         assert!((second.end - 4000.0).abs() < 1e-6, "end {}", second.end);
     }
 
@@ -867,15 +783,15 @@ mod tests {
     fn bandwidth_contention_throttles_only_consumers() {
         // One HBM-saturating kernel and one compute-only kernel: the
         // compute kernel is not throttled by the bandwidth fight.
-        let mut e = ConcurrentEngine::new(&machine4());
-        e.launch(0, &profile("mem", 1000.0, 1.0, 64.0));
-        e.launch(1, &profile("mem2", 1000.0, 1.0, 64.0));
-        e.launch(2, &profile("alu", 1000.0, 1.0, 0.0));
-        let first = e.advance().unwrap();
+        let mut e = engine();
+        e.launch_on(0, 0, &profile("mem", 1000.0, 1.0, 64.0));
+        e.launch_on(1, 0, &profile("mem2", 1000.0, 1.0, 64.0));
+        e.launch_on(2, 0, &profile("alu", 1000.0, 1.0, 0.0));
+        let first = advance(&mut e).unwrap();
         assert_eq!(first.id, 2, "compute kernel finishes first");
         assert_eq!(first.end, 1000.0);
         // The two memory kernels split HBM: both stretch to ~2x.
-        let second = e.advance().unwrap();
+        let second = advance(&mut e).unwrap();
         assert!((second.end - 2000.0).abs() < 1e-6, "end {}", second.end);
     }
 }

@@ -108,6 +108,131 @@ pub enum Instr {
     },
 }
 
+/// Constructors for the variants the kernel emitters build (the Cypress
+/// code generator and the hand-scheduled baselines), so a device program
+/// reads as a list of operations rather than of struct literals. Each
+/// builds exactly the variant it is named after; anything rarer — an
+/// overwriting `wgmma`, a two-armed branch, a loop with a computed trip
+/// count — is still written as the variant itself.
+impl Instr {
+    /// [`Instr::TmaLoad`] of `src` into `dst`, arriving mbarrier `bar`.
+    #[must_use]
+    pub fn tma_load(src: Slice, dst: Slice, bar: usize) -> Self {
+        Instr::TmaLoad { src, dst, bar }
+    }
+
+    /// [`Instr::CpAsyncLoad`] of `src` into `dst`, arriving mbarrier `bar`.
+    #[must_use]
+    pub fn cp_async_load(src: Slice, dst: Slice, bar: usize) -> Self {
+        Instr::CpAsyncLoad { src, dst, bar }
+    }
+
+    /// [`Instr::TmaStore`] of `src` into `dst`.
+    #[must_use]
+    pub fn tma_store(src: Slice, dst: Slice) -> Self {
+        Instr::TmaStore { src, dst }
+    }
+
+    /// [`Instr::MbarArrive`] on `bar`.
+    #[must_use]
+    pub fn mbar_arrive(bar: usize) -> Self {
+        Instr::MbarArrive { bar }
+    }
+
+    /// [`Instr::MbarWait`] on `bar`.
+    #[must_use]
+    pub fn mbar_wait(bar: usize) -> Self {
+        Instr::MbarWait { bar }
+    }
+
+    /// Accumulating [`Instr::Wgmma`]: `acc += a @ b`.
+    #[must_use]
+    pub fn wgmma(a: Slice, b: Slice, acc: Slice) -> Self {
+        Instr::Wgmma {
+            a,
+            b,
+            acc,
+            accumulate: true,
+            transpose_b: false,
+        }
+    }
+
+    /// Accumulating [`Instr::Wgmma`] against the transpose: `acc += a @ bᵀ`.
+    #[must_use]
+    pub fn wgmma_bt(a: Slice, b: Slice, acc: Slice) -> Self {
+        Instr::Wgmma {
+            a,
+            b,
+            acc,
+            accumulate: true,
+            transpose_b: true,
+        }
+    }
+
+    /// One-armed [`Instr::If`]: run `then` when `cond` holds.
+    #[must_use]
+    pub fn when(cond: Cond, then: Vec<Instr>) -> Self {
+        Instr::If {
+            cond,
+            then_: then,
+            else_: vec![],
+        }
+    }
+
+    /// [`Instr::Loop`] running `body` with `var` bound to `0..trips`.
+    #[must_use]
+    pub fn repeat(var: usize, trips: i64, body: Vec<Instr>) -> Self {
+        Instr::Loop {
+            var,
+            count: Expr::lit(trips),
+            body,
+        }
+    }
+
+    /// [`SimtOp::Fill`]: `dst = value`.
+    #[must_use]
+    pub fn fill(dst: Slice, value: f32) -> Self {
+        Instr::Simt(SimtOp::Fill { dst, value })
+    }
+
+    /// [`SimtOp::Copy`]: `dst = src`.
+    #[must_use]
+    pub fn copy(src: Slice, dst: Slice) -> Self {
+        Instr::Simt(SimtOp::Copy { src, dst })
+    }
+
+    /// [`SimtOp::Map`]: `dst = op(src)`.
+    #[must_use]
+    pub fn map(op: UnOp, src: Slice, dst: Slice) -> Self {
+        Instr::Simt(SimtOp::Map { op, src, dst })
+    }
+
+    /// [`SimtOp::Zip`]: `dst = op(a, b)`.
+    #[must_use]
+    pub fn zip(op: BinOp, a: Slice, b: Slice, dst: Slice) -> Self {
+        Instr::Simt(SimtOp::Zip { op, a, b, dst })
+    }
+
+    /// [`SimtOp::RowZip`]: `dst = op(src, row)` with the column vector
+    /// `row` broadcast across `src`'s columns.
+    #[must_use]
+    pub fn row_zip(op: BinOp, src: Slice, row: Slice, dst: Slice) -> Self {
+        Instr::Simt(SimtOp::RowZip { op, src, row, dst })
+    }
+
+    /// Running [`SimtOp::RowReduce`]: fold each row of `src` *and* the old
+    /// `dst` into `dst`.
+    #[must_use]
+    pub fn row_reduce(op: RedOp, src: Slice, dst: Slice) -> Self {
+        Instr::Simt(SimtOp::RowReduce {
+            op,
+            src,
+            dst,
+            include_dst: true,
+        })
+    }
+}
+
 /// Bulk SIMT math on slices, executed by a whole warpgroup.
 ///
 /// Operations are expressed at fragment granularity (the functional

@@ -19,11 +19,9 @@
 //! [`Simulator::run_timing`]): functional runs move real data for
 //! correctness checks; timing runs reproduce the schedule at paper-scale
 //! problem sizes in milliseconds of host time. On top of solo timing,
-//! [`Simulator::run_timing_concurrent`] co-schedules a batch of kernels
-//! under the [`concurrent`] contention model (shared SMs, L2, and HBM),
-//! which is what the runtime's multi-stream graph scheduler builds on;
-//! its solo-timing pass fans out over the [`par`] worker pool (see
-//! [`Simulator::set_parallelism`]).
+//! the [`concurrent`] contention model (shared SMs, L2, and HBM)
+//! co-schedules kernels distilled to [`KernelProfile`]s, which is what
+//! the runtime's multi-stream graph scheduler builds on.
 //!
 //! The engine executes one instruction set: the flat [`bytecode`] every
 //! entry point lowers a kernel to (once per compiled kernel in the
@@ -89,10 +87,7 @@ pub mod topology;
 
 pub use builder::KernelBuilder;
 pub use bytecode::Program;
-pub use concurrent::{
-    Completion, ConcurrentEngine, ConcurrentReport, EngineStep, KernelProfile, KernelSlot,
-    LaunchOutcome,
-};
+pub use concurrent::{Completion, ConcurrentEngine, EngineStep, KernelProfile, LaunchOutcome};
 pub use error::SimError;
 pub use expr::{Cond, Env, Expr};
 pub use fault::{Fault, FaultPlan};
@@ -111,7 +106,7 @@ use engine::{Engine, Mode};
 #[derive(Debug, Clone)]
 pub struct Simulator {
     machine: MachineConfig,
-    /// Host worker threads batch entry points may use (see
+    /// Host worker threads batches of runs may use (see
     /// [`Simulator::set_parallelism`]). Single-kernel runs are always
     /// single-threaded and deterministic regardless of this setting.
     parallelism: usize,
@@ -131,7 +126,7 @@ pub struct FunctionalRun {
 }
 
 impl Simulator {
-    /// A simulator for `machine`. Batch entry points default to one host
+    /// A simulator for `machine`. Batches of runs default to one host
     /// worker per available core (see [`Simulator::set_parallelism`]).
     #[must_use]
     pub fn new(machine: MachineConfig) -> Self {
@@ -147,17 +142,18 @@ impl Simulator {
         &self.machine
     }
 
-    /// The host worker threads batch entry points currently use.
+    /// The host worker threads batches of runs currently use.
     #[must_use]
     pub fn parallelism(&self) -> usize {
         self.parallelism
     }
 
-    /// Set how many host worker threads batch entry points (today:
-    /// [`Simulator::run_timing_concurrent`]'s solo-timing pass) may use,
-    /// clamped to at least 1. The worker count changes wall time only —
-    /// every setting runs the same code ([`par::parallel_map`] runs a
-    /// batch inline at one worker), so results are bit-identical.
+    /// Set how many host worker threads a caller that fans independent
+    /// runs of this simulator out over [`par::parallel_map`] (the
+    /// runtime's executor and tuner) may use, clamped to at least 1. The
+    /// worker count changes wall time only — every setting runs the same
+    /// code (a batch runs inline at one worker), so results are
+    /// bit-identical.
     pub fn set_parallelism(&mut self, parallelism: usize) {
         self.parallelism = parallelism.max(1);
     }
@@ -311,59 +307,5 @@ impl Simulator {
         let engine = Engine::new(kernel, &self.machine, Mode::Timing, None, program)?;
         let (report, _, _) = engine.run()?;
         Ok(report)
-    }
-
-    /// Time `kernels` launched together on the shared device: each kernel
-    /// is first timed solo, then all of them are co-scheduled under the
-    /// [`concurrent`] contention model (SMs split proportionally when
-    /// oversubscribed, L2/HBM bandwidth shared between consumers).
-    ///
-    /// The resulting makespan always satisfies
-    /// `max(solo) <= makespan <= sum(solo)`: a batch of small kernels
-    /// overlaps almost fully, while full-device kernels degrade to the
-    /// serial sum. A single kernel reproduces [`Simulator::run_timing`]
-    /// exactly.
-    ///
-    /// The solo-timing pass runs on the simulator's host worker pool (see
-    /// [`Simulator::set_parallelism`]); each solo simulation is
-    /// independent and deterministic, so the report is bit-identical at
-    /// every parallelism level.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError`] if any kernel fails its solo timing run.
-    pub fn run_timing_concurrent(&self, kernels: &[Kernel]) -> Result<ConcurrentReport, SimError> {
-        let solos = par::parallel_map(self.parallelism, kernels.iter().collect(), |k| {
-            self.run_timing(k)
-        })
-        .into_iter()
-        .collect::<Result<Vec<_>, _>>()?;
-        let mut engine = ConcurrentEngine::new(&self.machine);
-        for (id, solo) in solos.iter().enumerate() {
-            engine.launch(id, &KernelProfile::from_report(solo, &self.machine));
-        }
-        let mut slots: Vec<Option<KernelSlot>> = vec![None; solos.len()];
-        while let Some(c) = engine.advance() {
-            slots[c.id] = Some(KernelSlot {
-                start: c.start,
-                end: c.end,
-                solo: solos[c.id].clone(),
-            });
-        }
-        let makespan = engine.now();
-        let kernels = slots
-            .into_iter()
-            .enumerate()
-            .map(|(id, s)| {
-                s.ok_or_else(|| SimError::Internal {
-                    what: format!("launched kernel {id} never completed its concurrent schedule"),
-                })
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(ConcurrentReport {
-            kernels,
-            makespan,
-            seconds: self.machine.cycles_to_seconds(makespan),
-        })
     }
 }

@@ -67,9 +67,7 @@ pub struct Topology {
 }
 
 impl Topology {
-    /// The degenerate one-device topology: no links. A
-    /// [`crate::ConcurrentEngine`] built over it is bit-identical to one
-    /// built from the machine directly.
+    /// The degenerate one-device topology: no links.
     #[must_use]
     pub fn single(machine: MachineConfig) -> Self {
         Topology {
@@ -110,6 +108,19 @@ impl Topology {
         self.devices.len()
     }
 
+    /// The machine every device is: a topology that passes
+    /// [`Topology::validate`] is homogeneous, so kernels are profiled and
+    /// transfers priced against this one configuration whatever device
+    /// they run on.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a topology without devices, which `validate` rejects.
+    #[must_use]
+    pub fn machine(&self) -> &MachineConfig {
+        &self.devices[0]
+    }
+
     /// Index of the link joining devices `a` and `b` (order-insensitive),
     /// or `None` when the pair is not connected (or `a == b` — a local
     /// move needs no link).
@@ -119,8 +130,9 @@ impl Topology {
         self.links.iter().position(|l| l.a == lo && l.b == hi)
     }
 
-    /// Structural validity: at least one device, link endpoints in range
-    /// and distinct, at most one link per pair, positive bandwidths and
+    /// Structural validity: at least one device, every device the same
+    /// machine (see [`Topology::machine`]), link endpoints in range and
+    /// distinct, at most one link per pair, positive bandwidths and
     /// finite non-negative latencies. Returns a description of the first
     /// violation — the runtime wraps it in its typed error.
     ///
@@ -130,6 +142,13 @@ impl Topology {
     pub fn validate(&self) -> Result<(), String> {
         if self.devices.is_empty() {
             return Err("topology has no devices".to_string());
+        }
+        if let Some(i) = self.devices.iter().position(|d| d != self.machine()) {
+            return Err(format!(
+                "device {i} ({}) differs from device 0 ({}): topologies must be homogeneous",
+                self.devices[i].name,
+                self.machine().name
+            ));
         }
         let n = self.devices.len();
         for (i, l) in self.links.iter().enumerate() {
@@ -248,6 +267,10 @@ mod tests {
             links: vec![],
         };
         assert!(empty.validate().unwrap_err().contains("no devices"));
+
+        let mut t = Topology::nvlink(&m, 2);
+        t.devices[1] = MachineConfig::h100_sxm5();
+        assert!(t.validate().unwrap_err().contains("homogeneous"));
 
         let mut t = Topology::nvlink(&m, 2);
         t.links[0].b = 5;

@@ -3,7 +3,10 @@
 //! degrade to the serial sum, and the `max(solo) <= makespan <=
 //! sum(solo)` invariants hold for generated batches.
 
-use cypress_sim::{Expr, Instr, Kernel, KernelBuilder, MachineConfig, RoleKind, Simulator, Slice};
+use cypress_sim::{
+    ConcurrentEngine, EngineStep, Expr, Instr, Kernel, KernelBuilder, KernelProfile, MachineConfig,
+    RoleKind, Simulator, Slice, TimingReport, Topology,
+};
 use cypress_tensor::DType;
 use proptest::prelude::*;
 
@@ -36,23 +39,79 @@ fn stream_kernel(name: &str, grid: usize, trips: i64, rows: usize) -> Kernel {
     b.build()
 }
 
+/// One kernel's interval within a batch, beside its solo report.
+struct Slot {
+    start: f64,
+    end: f64,
+    solo: TimingReport,
+}
+
+/// A batch launched at cycle 0 on one device — what the runtime does for
+/// a graph of independent nodes: time each kernel solo, distill the
+/// reports into profiles, launch them all, step until the engine drains.
+struct Batch {
+    kernels: Vec<Slot>,
+    makespan: f64,
+}
+
+impl Batch {
+    fn run(sim: &Simulator, kernels: &[Kernel]) -> Batch {
+        let machine = sim.machine();
+        let mut engine = ConcurrentEngine::with_topology(&Topology::single(machine.clone()));
+        let mut slots: Vec<Slot> = kernels
+            .iter()
+            .enumerate()
+            .map(|(id, k)| {
+                let solo = sim.run_timing(k).unwrap();
+                engine.launch_on(id, 0, &KernelProfile::from_report(&solo, machine));
+                Slot {
+                    start: f64::NAN,
+                    end: f64::NAN,
+                    solo,
+                }
+            })
+            .collect();
+        while let Some(step) = engine.step() {
+            let EngineStep::Retired { completion: c, .. } = step else {
+                panic!("no fault plan, no evictions: {step:?}");
+            };
+            (slots[c.id].start, slots[c.id].end) = (c.start, c.end);
+        }
+        Batch {
+            kernels: slots,
+            makespan: engine.now(),
+        }
+    }
+
+    /// What the batch would cost launched back-to-back.
+    fn serial_sum(&self) -> f64 {
+        self.kernels.iter().map(|k| k.solo.cycles).sum()
+    }
+
+    fn longest(&self) -> f64 {
+        self.kernels
+            .iter()
+            .map(|k| k.solo.cycles)
+            .fold(0.0f64, f64::max)
+    }
+}
+
 #[test]
 fn single_kernel_reproduces_solo_timing_exactly() {
     let sim = Simulator::new(MachineConfig::test_gpu());
     let k = stream_kernel("solo", 2, 6, 32);
     let solo = sim.run_timing(&k).unwrap();
-    let batch = sim.run_timing_concurrent(std::slice::from_ref(&k)).unwrap();
+    let batch = Batch::run(&sim, std::slice::from_ref(&k));
     assert_eq!(batch.makespan, solo.cycles, "one kernel, no contention");
     assert_eq!(batch.kernels.len(), 1);
     assert_eq!(batch.kernels[0].start, 0.0);
     assert_eq!(batch.kernels[0].end, solo.cycles);
-    assert!((batch.overlap_speedup() - 1.0).abs() < 1e-12);
 }
 
 #[test]
 fn empty_batch_is_trivial() {
     let sim = Simulator::new(MachineConfig::test_gpu());
-    let batch = sim.run_timing_concurrent(&[]).unwrap();
+    let batch = Batch::run(&sim, &[]);
     assert_eq!(batch.makespan, 0.0);
     assert!(batch.kernels.is_empty());
 }
@@ -65,21 +124,17 @@ fn small_kernels_overlap_on_a_big_machine() {
     let kernels: Vec<Kernel> = (0..4)
         .map(|i| stream_kernel(&format!("k{i}"), 1, 8, 32))
         .collect();
-    let batch = sim.run_timing_concurrent(&kernels).unwrap();
+    let batch = Batch::run(&sim, &kernels);
     let serial = batch.serial_sum();
-    let longest = batch
-        .kernels
-        .iter()
-        .map(|k| k.solo.cycles)
-        .fold(0.0f64, f64::max);
     assert!(
         batch.makespan < serial,
         "batch {} should beat serial {}",
         batch.makespan,
         serial
     );
-    assert!(batch.makespan >= longest - 1e-9);
-    assert!(batch.overlap_speedup() > 1.5, "{}", batch.overlap_speedup());
+    assert!(batch.makespan >= batch.longest() - 1e-9);
+    let speedup = serial / batch.makespan;
+    assert!(speedup > 1.5, "{speedup}");
 }
 
 #[test]
@@ -90,7 +145,7 @@ fn full_device_kernels_degrade_to_the_serial_sum() {
     let kernels: Vec<Kernel> = (0..2)
         .map(|i| stream_kernel(&format!("big{i}"), 8, 6, 32))
         .collect();
-    let batch = sim.run_timing_concurrent(&kernels).unwrap();
+    let batch = Batch::run(&sim, &kernels);
     let serial = batch.serial_sum();
     assert!(
         (batch.makespan - serial).abs() <= 1e-9 * serial,
@@ -108,11 +163,10 @@ proptest! {
         let kernels: Vec<Kernel> = (0..count)
             .map(|i| stream_kernel(&format!("p{i}"), grid, trips + i as i64, 32))
             .collect();
-        let a = sim.run_timing_concurrent(&kernels).unwrap();
-        let b = sim.run_timing_concurrent(&kernels).unwrap();
+        let a = Batch::run(&sim, &kernels);
+        let b = Batch::run(&sim, &kernels);
         prop_assert_eq!(a.makespan, b.makespan, "concurrent timing is deterministic");
-        let serial = a.serial_sum();
-        let longest = a.kernels.iter().map(|k| k.solo.cycles).fold(0.0f64, f64::max);
+        let (serial, longest) = (a.serial_sum(), a.longest());
         prop_assert!(a.makespan >= longest - 1e-9 * longest, "{} < longest {}", a.makespan, longest);
         prop_assert!(a.makespan <= serial + 1e-9 * serial, "{} > serial {}", a.makespan, serial);
         for (i, slot) in a.kernels.iter().enumerate() {
@@ -124,7 +178,6 @@ proptest! {
 
 #[test]
 fn zero_cycle_profiles_retire_immediately_and_in_order() {
-    use cypress_sim::concurrent::{ConcurrentEngine, KernelProfile};
     let machine = MachineConfig::test_gpu();
     let zero = KernelProfile {
         name: "instant".into(),
@@ -140,13 +193,19 @@ fn zero_cycle_profiles_retire_immediately_and_in_order() {
         hbm_demand: 0.0,
         l2_demand: 0.0,
     };
-    let mut e = ConcurrentEngine::new(&machine);
-    e.launch(0, &slow);
-    e.launch(1, &zero);
-    e.launch(2, &zero);
+    let mut e = ConcurrentEngine::with_topology(&Topology::single(machine));
+    e.launch_on(0, 0, &slow);
+    e.launch_on(1, 0, &zero);
+    e.launch_on(2, 0, &zero);
     let mut last_end = f64::NEG_INFINITY;
     let mut ids = Vec::new();
-    while let Some(done) = e.advance() {
+    while let Some(step) = e.step() {
+        let EngineStep::Retired {
+            completion: done, ..
+        } = step
+        else {
+            panic!("no fault plan, no evictions: {step:?}");
+        };
         assert!(done.end.is_finite(), "no NaN from zero-cycle work");
         assert!(
             done.end >= last_end,
@@ -165,8 +224,6 @@ fn zero_cycle_profiles_retire_immediately_and_in_order() {
 
 #[test]
 fn zero_cycle_report_distills_to_a_safe_profile() {
-    use cypress_sim::concurrent::KernelProfile;
-    use cypress_sim::TimingReport;
     let machine = MachineConfig::test_gpu();
     let report = TimingReport {
         kernel: "empty".into(),
