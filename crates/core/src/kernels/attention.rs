@@ -18,7 +18,8 @@ use crate::front::machine::{MemLevel, ProcLevel};
 use crate::front::mapping::{MappingSpec, TaskMapping};
 use crate::front::task::{ParamSig, TaskRegistry};
 use crate::kernels::common::{self, p};
-use crate::kernels::space::{MappingConfig, MappingSpace, Shape};
+use crate::kernels::footprint::Footprint;
+use crate::kernels::space::{build_default, Grid, MappingConfig, MappingSpace, Shape};
 use crate::passes::depan::EntryArg;
 use cypress_sim::MachineConfig;
 use cypress_tensor::DType;
@@ -115,78 +116,16 @@ impl MappingSpace for AttentionSpace {
         MappingConfig::Attention(AttentionConfig::for_machine(self.algorithm, machine))
     }
 
-    fn validate(
-        &self,
-        machine: &MachineConfig,
-        shape: &Shape,
-        cfg: &MappingConfig,
-    ) -> Result<(), CompileError> {
-        let [heads, seq, head_dim] = shape.expect_dims::<3>("fa")?;
-        let c = cfg.as_attention("fa")?;
-        if heads == 0 || c.wgs == 0 || c.pipeline == 0 {
-            return Err(CompileError::Unsupported(
-                "`fa` needs heads >= 1, wgs >= 1 and pipeline >= 1".into(),
-            ));
-        }
-        if c.br != 64 * c.wgs {
-            return Err(CompileError::Partition(format!(
-                "`fa` row tile Br={} must equal 64 x wgs ({} warpgroups of one 64-row band)",
-                c.br, c.wgs
-            )));
-        }
-        if c.bc == 0 || c.bc % 16 != 0 {
-            return Err(CompileError::Partition(format!(
-                "`fa` K/V tile Bc={} must be a positive multiple of 16",
-                c.bc
-            )));
-        }
-        let kv_step = match self.algorithm {
-            Algorithm::Fa2 => c.bc,
-            Algorithm::Fa3 => 2 * c.bc,
-        };
-        for (tile, tname) in [(c.br, "Br"), (kv_step, "Bc per iteration")] {
-            if seq % tile != 0 {
-                return Err(CompileError::Partition(format!(
-                    "`fa` tile {tname}={tile} does not divide seq={seq}"
-                )));
-            }
-        }
-        // Staged per pipeline stage: the K/V tiles (FA3 keeps two pairs
-        // in flight) plus the Q tile, which is reloaded per iteration of
-        // the K/V loop; the output store staging sits outside the loop.
-        let in_flight = match self.algorithm {
-            Algorithm::Fa2 => 2,
-            Algorithm::Fa3 => 4,
-        };
-        let required = c.pipeline * (in_flight * c.bc + c.br) * head_dim * 2 + c.br * head_dim * 2;
-        if required > machine.smem_per_sm {
-            return Err(CompileError::OutOfSharedMemory {
-                required,
-                limit: machine.smem_per_sm,
-            });
-        }
-        Ok(())
+    fn footprint(&self) -> Footprint {
+        Footprint::Attention(self.algorithm)
     }
 
-    fn candidates(&self, machine: &MachineConfig, shape: &Shape) -> Vec<MappingConfig> {
-        let MappingConfig::Attention(default) = self.default_for(machine) else {
-            return Vec::new();
-        };
-        let mut out = Vec::new();
-        for wgs in [1usize, 2] {
-            for pipeline in [1usize, 2, 3] {
-                let cfg = MappingConfig::Attention(AttentionConfig {
-                    br: 64 * wgs,
-                    bc: default.bc,
-                    wgs,
-                    pipeline,
-                });
-                if self.validate(machine, shape, &cfg).is_ok() {
-                    out.push(cfg);
-                }
-            }
+    fn grid(&self) -> Grid {
+        Grid {
+            wgs: &[1, 2],
+            pipeline: &[1, 2, 3],
+            ..Grid::default()
         }
-        out
     }
 
     fn build(
@@ -194,31 +133,8 @@ impl MappingSpace for AttentionSpace {
         shape: &Shape,
         cfg: &MappingConfig,
     ) -> Result<(TaskRegistry, MappingSpec, Vec<EntryArg>), CompileError> {
-        let [heads, seq, head_dim] = shape.expect_dims::<3>("fa")?;
-        build_with(
-            self.algorithm,
-            heads,
-            seq,
-            head_dim,
-            cfg.as_attention("fa")?,
-        )
-    }
-
-    /// The entry name `"fa"` covers both algorithms, but their staged
-    /// footprints differ (FA3 keeps two K/V pairs in flight), so the
-    /// space passes the algorithm to the cost model explicitly.
-    fn estimate(
-        &self,
-        machine: &MachineConfig,
-        shape: &Shape,
-        cfg: &MappingConfig,
-    ) -> Option<crate::kernels::cost::CostEstimate> {
-        crate::kernels::cost::estimate_attention(
-            shape,
-            cfg,
-            machine,
-            matches!(self.algorithm, Algorithm::Fa3),
-        )
+        let cfg = cfg.as_attention("fa")?;
+        program(self.algorithm, shape.expect_dims("fa")?, &cfg)
     }
 }
 
@@ -242,24 +158,18 @@ pub fn build(
     head_dim: usize,
     machine: &MachineConfig,
 ) -> Result<(TaskRegistry, MappingSpec, Vec<EntryArg>), CompileError> {
-    let space = AttentionSpace { algorithm };
-    let shape = Shape::of(&[heads, seq, head_dim]);
-    let cfg = space.default_for(machine);
-    space.validate(machine, &shape, &cfg)?;
-    space.build(&shape, &cfg)
+    build_default(
+        &AttentionSpace { algorithm },
+        &[heads, seq, head_dim],
+        machine,
+    )
 }
 
-/// Build with an explicit configuration.
-///
-/// # Errors
-///
-/// Returns [`CompileError`] on malformed trees or indivisible tilings.
-pub fn build_with(
+/// The program of `algorithm` at `cfg`.
+fn program(
     algorithm: Algorithm,
-    heads: usize,
-    seq: usize,
-    head_dim: usize,
-    cfg: AttentionConfig,
+    [heads, seq, head_dim]: [usize; 3],
+    cfg: &AttentionConfig,
 ) -> Result<(TaskRegistry, MappingSpec, Vec<EntryArg>), CompileError> {
     let mut reg = TaskRegistry::new();
     common::register_clear(&mut reg, "clear")?;
@@ -276,7 +186,7 @@ pub fn build_with(
 
     let rows = heads * seq;
     let args = ["O", "Q", "K", "V"].map(|t| EntryArg::f16(t, rows, head_dim));
-    Ok((reg, mapping(algorithm, heads, &cfg)?, args.to_vec()))
+    Ok((reg, mapping(algorithm, heads, cfg)?, args.to_vec()))
 }
 
 /// The warpgroup-level leaves of a step with the memories their

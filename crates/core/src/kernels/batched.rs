@@ -11,10 +11,9 @@ use crate::front::machine::{MemLevel, ProcLevel};
 use crate::front::mapping::{MappingSpec, TaskMapping};
 use crate::front::task::TaskRegistry;
 use crate::kernels::common::{self, p};
+use crate::kernels::footprint::Footprint;
 use crate::kernels::gemm::{self, GemmConfig};
-use crate::kernels::space::{
-    gemm_family_candidates, validate_gemm_family, GemmFootprint, MappingConfig, MappingSpace, Shape,
-};
+use crate::kernels::space::{build_default, Grid, MappingConfig, MappingSpace, Shape};
 use crate::passes::depan::EntryArg;
 use cypress_sim::MachineConfig;
 
@@ -39,38 +38,12 @@ impl MappingSpace for BatchedGemmSpace {
         MappingConfig::Gemm(GemmConfig::for_machine(machine))
     }
 
-    fn validate(
-        &self,
-        machine: &MachineConfig,
-        shape: &Shape,
-        cfg: &MappingConfig,
-    ) -> Result<(), CompileError> {
-        let [l, m, n, k] = shape.expect_dims::<4>("bgemm")?;
-        if l == 0 {
-            return Err(CompileError::Unsupported(
-                "`bgemm` needs a batch of at least 1".into(),
-            ));
-        }
-        let c = cfg.as_gemm("bgemm")?;
-        validate_gemm_family(
-            "bgemm",
-            machine,
-            m,
-            n,
-            k,
-            &c,
-            GemmFootprint {
-                b_tiles: 1,
-                extra_bytes: 0,
-            },
-        )
+    fn footprint(&self) -> Footprint {
+        gemm::FAMILY.footprint(true)
     }
 
-    fn candidates(&self, machine: &MachineConfig, shape: &Shape) -> Vec<MappingConfig> {
-        let MappingConfig::Gemm(default) = self.default_for(machine) else {
-            return Vec::new();
-        };
-        gemm_family_candidates(self, machine, shape, default, true, true)
+    fn grid(&self) -> Grid {
+        Grid::GEMM
     }
 
     fn build(
@@ -78,8 +51,7 @@ impl MappingSpace for BatchedGemmSpace {
         shape: &Shape,
         cfg: &MappingConfig,
     ) -> Result<(TaskRegistry, MappingSpec, Vec<EntryArg>), CompileError> {
-        let [l, m, n, k] = shape.expect_dims::<4>("bgemm")?;
-        build_with(l, m, n, k, cfg.as_gemm("bgemm")?)
+        program(shape.expect_dims("bgemm")?, &cfg.as_gemm("bgemm")?)
     }
 }
 
@@ -96,23 +68,14 @@ pub fn build(
     k: usize,
     machine: &MachineConfig,
 ) -> Result<(TaskRegistry, MappingSpec, Vec<EntryArg>), CompileError> {
-    let shape = Shape::of(&[batch, m, n, k]);
-    let cfg = BatchedGemmSpace.default_for(machine);
-    BatchedGemmSpace.validate(machine, &shape, &cfg)?;
-    BatchedGemmSpace.build(&shape, &cfg)
+    build_default(&BatchedGemmSpace, &[batch, m, n, k], machine)
 }
 
-/// Build with an explicit mapping configuration.
-///
-/// # Errors
-///
-/// Returns [`CompileError`] on malformed trees or indivisible tilings.
-pub fn build_with(
-    batch: usize,
-    m: usize,
-    n: usize,
-    k: usize,
-    cfg: GemmConfig,
+/// The program at `cfg`: the GEMM family's tree under a host level that
+/// peels the batch.
+fn program(
+    [batch, m, n, k]: [usize; 4],
+    cfg: &GemmConfig,
 ) -> Result<(TaskRegistry, MappingSpec, Vec<EntryArg>), CompileError> {
     // The per-matrix levels are exactly the plain GEMM tree.
     let mut reg = gemm::FAMILY.registry()?;
@@ -149,7 +112,7 @@ pub fn build_with(
     // the same logical description bound to a different machine point, the
     // reuse §3.2 promises.
     let grid = Some(("gemm_grid", ProcLevel::Block));
-    instances.extend(gemm::FAMILY.instances(&cfg, grid));
+    instances.extend(gemm::FAMILY.instances(cfg, grid));
 
     let args = vec![
         EntryArg::f16("C", batch * m, n),

@@ -35,8 +35,9 @@ use crate::front::machine::{MemLevel, ProcLevel};
 use crate::front::mapping::{MappingSpec, TaskMapping};
 use crate::front::task::TaskRegistry;
 use crate::kernels::common::{self, p, tiled};
+use crate::kernels::footprint::Footprint;
 use crate::kernels::gemm::{self, GemmConfig};
-use crate::kernels::space::{gemm_family_candidates, MappingConfig, MappingSpace, Shape};
+use crate::kernels::space::{build_fitted, Grid, MappingConfig, MappingSpace, Shape};
 use crate::passes::depan::EntryArg;
 use cypress_sim::MachineConfig;
 use cypress_tensor::DType;
@@ -74,71 +75,14 @@ impl MappingSpace for ChainSpace {
         MappingConfig::Gemm(cfg)
     }
 
-    fn validate(
-        &self,
-        machine: &MachineConfig,
-        shape: &Shape,
-        cfg: &MappingConfig,
-    ) -> Result<(), CompileError> {
-        let [m, n, k, mid] = shape.expect_dims::<4>("chain")?;
-        let c = cfg.as_gemm("chain")?;
-        if c.wgs == 0 || c.pipeline == 0 {
-            return Err(CompileError::Unsupported(
-                "`chain` mapping needs wgs >= 1 and pipeline >= 1".into(),
-            ));
-        }
-        if c.u != 64 * c.wgs {
-            return Err(CompileError::Partition(format!(
-                "`chain` block tile rows {} must equal 64 x wgs",
-                c.u
-            )));
-        }
-        for (dim, name, tile, tname) in [
-            (m, "M", c.u, "U"),
-            (k, "K", c.w, "W"),
-            (mid, "MID", c.w, "W"),
-            (mid, "MID", c.v, "V"),
-            (n, "N", c.v, "V"),
-        ] {
-            if tile == 0 || dim % tile != 0 {
-                return Err(CompileError::Partition(format!(
-                    "`chain` tile {tname}={tile} does not divide {name}={dim}"
-                )));
-            }
-        }
-        // Both phases' chunk accumulators live in registers at once.
-        let frag_regs = 2 * c.u * c.v / (c.wgs * 128);
-        if frag_regs + 64 > machine.max_regs_per_thread {
-            return Err(CompileError::Unsupported(format!(
-                "`chain` chunk accumulators need ~{} registers per thread, machine allows {}",
-                frag_regs + 64,
-                machine.max_regs_per_thread
-            )));
-        }
-        // Resident at once: the shared-memory intermediate band
-        // (u x mid), both phases' pipelined operand tiles (the allocator
-        // does not alias across the two reduction loops), and the chunk
-        // store staging (the phase-1 and terminal stagings do alias).
-        let elem = 2usize;
-        let band = c.u * mid * elem;
-        let staged = c.pipeline * (c.u * c.w + c.w * c.v) * elem;
-        let required = band + 2 * staged + c.u * c.v * elem;
-        if required > machine.smem_per_sm {
-            return Err(CompileError::OutOfSharedMemory {
-                required,
-                limit: machine.smem_per_sm,
-            });
-        }
-        Ok(())
+    fn footprint(&self) -> Footprint {
+        Footprint::Chain
     }
 
-    fn candidates(&self, machine: &MachineConfig, shape: &Shape) -> Vec<MappingConfig> {
-        let MappingConfig::Gemm(default) = self.default_for(machine) else {
-            return Vec::new();
-        };
-        // The register budget in `validate` filters chunk widths the
+    fn grid(&self) -> Grid {
+        // The footprint's register budget filters the chunk widths the
         // shared grid proposes beyond 128.
-        gemm_family_candidates(self, machine, shape, default, true, true)
+        Grid::GEMM
     }
 
     fn build(
@@ -146,21 +90,8 @@ impl MappingSpace for ChainSpace {
         shape: &Shape,
         cfg: &MappingConfig,
     ) -> Result<(TaskRegistry, MappingSpec, Vec<EntryArg>), CompileError> {
-        let [m, n, k, mid] = shape.expect_dims::<4>("chain")?;
-        build_with(m, n, k, mid, cfg.as_gemm("chain")?)
+        program(shape.expect_dims("chain")?, &cfg.as_gemm("chain")?)
     }
-}
-
-/// The first config for `(machine, shape)` that validates: the default
-/// when it fits, otherwise the first valid candidate of the enumeration
-/// (deterministic). `None` when the shape has no valid chain mapping on
-/// this machine (indivisible tiles, or an intermediate band beyond
-/// shared memory) — the fusion rewriter then simply leaves the chain
-/// unfused.
-#[must_use]
-pub fn config_for(machine: &MachineConfig, shape: &Shape) -> Option<GemmConfig> {
-    crate::kernels::space::default_or_first_candidate(&ChainSpace, machine, shape)
-        .and_then(|c| c.as_gemm("chain").ok())
 }
 
 /// Build the chained dual-GEMM program for `machine`:
@@ -170,8 +101,10 @@ pub fn config_for(machine: &MachineConfig, shape: &Shape) -> Option<GemmConfig> 
 ///
 /// # Errors
 ///
-/// Returns [`CompileError`] when no mapping in the space is valid for
-/// this machine/shape combination.
+/// Returns the default mapping's [`CompileError`] when no mapping in
+/// the space is valid for this machine/shape combination (indivisible
+/// tiles, or an intermediate band beyond shared memory) — the fusion
+/// rewriter then simply leaves the chain unfused.
 pub fn build(
     m: usize,
     n: usize,
@@ -179,27 +112,14 @@ pub fn build(
     mid: usize,
     machine: &MachineConfig,
 ) -> Result<(TaskRegistry, MappingSpec, Vec<EntryArg>), CompileError> {
-    let shape = Shape::of(&[m, n, k, mid]);
-    let cfg = config_for(machine, &shape).ok_or_else(|| {
-        CompileError::Unsupported(format!(
-            "`chain` has no valid mapping for {m}x{n}x{k} (mid {mid}) on {}",
-            machine.name
-        ))
-    })?;
-    ChainSpace.build(&shape, &MappingConfig::Gemm(cfg))
+    build_fitted(&ChainSpace, &[m, n, k, mid], machine)
 }
 
-/// Build with an explicit mapping configuration.
-///
-/// # Errors
-///
-/// Returns [`CompileError`] on malformed trees or indivisible tilings.
-pub fn build_with(
-    m: usize,
-    n: usize,
-    k: usize,
-    mid: usize,
-    cfg: GemmConfig,
+/// The program at `cfg`: two phases of the plain GEMM under the chain's
+/// own host and block levels.
+fn program(
+    [m, n, k, mid]: [usize; 4],
+    cfg: &GemmConfig,
 ) -> Result<(TaskRegistry, MappingSpec, Vec<EntryArg>), CompileError> {
     let mut reg = gemm::FAMILY.registry()?;
     let params = vec![
@@ -219,12 +139,12 @@ pub fn build_with(
             .tunable("V", cfg.v as i64)
             .calls(&["chain_block"])
             .entrypoint(),
-        common::accumulate_block_instance("chain_block", global, &cfg, &block_calls)
+        common::accumulate_block_instance("chain_block", global, cfg, &block_calls)
             .tunable("V", cfg.v as i64),
     ];
     // Both phases are the plain GEMM from its tile level down (the
     // family lists its host and block instances first).
-    instances.extend(gemm::FAMILY.instances(&cfg, None).into_iter().skip(2));
+    instances.extend(gemm::FAMILY.instances(cfg, None).into_iter().skip(2));
 
     let args = vec![
         EntryArg::f16("C", m, n),
@@ -354,6 +274,6 @@ mod tests {
     #[test]
     fn indivisible_shapes_are_typed_errors() {
         let err = build(100, 64, 64, 64, &MachineConfig::test_gpu());
-        assert!(matches!(err, Err(CompileError::Unsupported(_))), "{err:?}");
+        assert!(matches!(err, Err(CompileError::Partition(_))), "{err:?}");
     }
 }

@@ -23,9 +23,9 @@
 //!   as the paper kernels' spaces.
 //!
 //! Each space enumerates only functionally transparent dimensions (the
-//! `V` column tile), prices candidates with an explicit
-//! [`CostEstimate`] override (bandwidth-bound, no tensor-core term),
-//! and validates shared-memory budgets with typed errors.
+//! `V` column tile) and states the [`Footprint::Fold`] footprint, which
+//! the cost model prices as a bandwidth-bound stream (no tensor-core
+//! term) and `validate` bounds with typed errors.
 
 use crate::error::CompileError;
 use crate::front::ast::{LeafFn, Privilege, SExpr, Stmt};
@@ -33,15 +33,16 @@ use crate::front::machine::{MemLevel, ProcLevel};
 use crate::front::mapping::{MappingSpec, TaskMapping};
 use crate::front::task::TaskRegistry;
 use crate::kernels::common::{self, p, tiled};
-use crate::kernels::cost::CostEstimate;
+use crate::kernels::footprint::Footprint;
 use crate::kernels::gemm::GemmConfig;
-use crate::kernels::space::{MappingConfig, MappingSpace, Shape};
+use crate::kernels::space::{build_fitted, Grid, MappingConfig, MappingSpace, Shape};
 use crate::passes::depan::EntryArg;
-use cypress_sim::{CostConstants, MachineConfig};
+use cypress_sim::MachineConfig;
 use cypress_tensor::DType;
 
-/// f16 element size in bytes.
-const ELEM: usize = 2;
+/// f16 element size in bytes: every staged operand tile and every
+/// tensor the kernel library moves is f16.
+pub(crate) const ELEM: usize = 2;
 
 /// Bytes one `[rows, cols]` f16 tensor occupies — what a transfer of it
 /// moves across a link.
@@ -70,16 +71,20 @@ fn register_accumulate(reg: &mut TaskRegistry, task: &str) -> Result<(), Compile
     common::register_leaf(reg, task, params, LeafFn::AddExt, &["T", "X", "T"])
 }
 
-/// Build `Y[m,n] = inputs[0] + inputs[1] + …` under the entry task name
-/// `task`: the transfer copy (`"xfer"`, `"halo"`) with one input, the
-/// all-reduce with several.
+/// Build `Y[m,n] = X0 + X1 + …` over `ways` inputs under the entry task
+/// name `task`: the transfer copy (`"xfer"`, `"halo"`) of the one input
+/// `X`, the all-reduce of `X0`…`X{ways-1}`.
 fn build_fold(
     task: &str,
-    inputs: &[String],
+    ways: usize,
     m: usize,
     n: usize,
-    cfg: GemmConfig,
+    cfg: &GemmConfig,
 ) -> Result<(TaskRegistry, MappingSpec, Vec<EntryArg>), CompileError> {
+    let inputs: Vec<String> = match ways {
+        1 => vec!["X".into()],
+        _ => (0..ways).map(|i| format!("X{i}")).collect(),
+    };
     let Some((first, rest)) = inputs.split_first() else {
         return Err(CompileError::Unsupported(format!(
             "`{task}` needs at least one input"
@@ -155,133 +160,19 @@ fn build_fold(
     Ok((reg, MappingSpec::new(instances)?, args))
 }
 
-/// Shared validation for the copy-family spaces (`xfer`, `halo`):
-/// divisibility, warpgroup row split, and the two staged tiles
-/// (inbound `X` + outbound `Y`) against the shared-memory budget.
-fn validate_copy(
-    kernel: &str,
-    machine: &MachineConfig,
-    m: usize,
-    n: usize,
-    cfg: &GemmConfig,
-    staged_tiles: usize,
-) -> Result<(), CompileError> {
-    if cfg.wgs == 0 || cfg.pipeline == 0 {
-        return Err(CompileError::Unsupported(format!(
-            "`{kernel}` mapping needs wgs >= 1 and pipeline >= 1"
-        )));
-    }
-    if cfg.u == 0 || !cfg.u.is_multiple_of(cfg.wgs) {
-        return Err(CompileError::Partition(format!(
-            "`{kernel}` block tile rows {} must split across {} warpgroups",
-            cfg.u, cfg.wgs
-        )));
-    }
-    for (dim, name, tile, tname) in [(m, "M", cfg.u, "U"), (n, "N", cfg.v, "V")] {
-        if tile == 0 || dim % tile != 0 {
-            return Err(CompileError::Partition(format!(
-                "`{kernel}` tile {tname}={tile} does not divide {name}={dim}"
-            )));
-        }
-    }
-    let required = staged_tiles * cfg.u * cfg.v * ELEM;
-    if required > machine.smem_per_sm {
-        return Err(CompileError::OutOfSharedMemory {
-            required,
-            limit: machine.smem_per_sm,
-        });
-    }
-    Ok(())
-}
-
-/// The copy-family candidate grid: the column tile `V` is the one
+/// The copy family maps with the machine's hand-tuned GEMM point (its
+/// `U`/`V`/`WGS` are exactly the tile/warpgroup split the copy trees
+/// need) and walks one dimension of it: the column tile `V` is the one
 /// functionally transparent dimension worth enumerating (rows are
 /// pinned to the warpgroup split, and the copy has no K loop, so
-/// pipeline depth and warp specialization change nothing). Deterministic
-/// fixed walk order, filtered through the space's `validate`.
-fn copy_candidates(
-    space: &dyn MappingSpace,
-    machine: &MachineConfig,
-    shape: &Shape,
-) -> Vec<MappingConfig> {
-    let MappingConfig::Gemm(default) = space.default_for(machine) else {
-        return Vec::new();
-    };
-    let mut v_choices = vec![64usize, 128, 256];
-    if !v_choices.contains(&default.v) {
-        v_choices.push(default.v);
-    }
-    let mut out = Vec::new();
-    for &vv in &v_choices {
-        let cfg = MappingConfig::Gemm(GemmConfig { v: vv, ..default });
-        if space.validate(machine, shape, &cfg).is_ok() {
-            out.push(cfg);
-        }
-    }
-    out
-}
-
-/// Analytical price of a bandwidth-bound communication kernel: no
-/// tensor-core term, HBM traffic of `inputs + 1` tensor passes, per-CTA
-/// launch overhead amortized over waves. Deterministic pure arithmetic,
-/// like [`crate::kernels::cost::estimate`].
-fn comm_estimate(
-    m: usize,
-    n: usize,
-    inputs: usize,
-    cfg: &MappingConfig,
-    machine: &MachineConfig,
-) -> Option<CostEstimate> {
-    let c = match cfg {
-        MappingConfig::Gemm(c) => *c,
-        MappingConfig::Attention(_) => return None,
-    };
-    if c.u == 0 || c.v == 0 || !m.is_multiple_of(c.u) || !n.is_multiple_of(c.v) {
-        return None;
-    }
-    let ctas = (m / c.u).checked_mul(n / c.v)?.max(1);
-    let active_sms = ctas.min(machine.sms).max(1);
-    let waves = ctas.div_ceil(active_sms);
-    // Every input streams in once, the output streams out once; an
-    // elementwise copy has no reuse, so every load is an HBM load.
-    let hbm_bytes = tensor_bytes(m, n) * (inputs as f64 + 1.0);
-    let constants = CostConstants::for_machine(machine);
-    let mem = hbm_bytes / (machine.hbm_bytes_per_cycle * constants.mem_efficiency);
-    let serial = waves as f64 * (machine.cta_launch_cycles + constants.cta_overhead_cycles);
-    Some(CostEstimate {
-        ctas,
-        occupancy: 1,
-        waves,
-        hbm_bytes,
-        wgmma_flops: 0.0,
-        overlap: 0.0,
-        cycles: machine.kernel_launch_cycles + mem + serial,
-    })
-}
-
-/// The mapping a `build_*` helper launches `shape` with: the machine
-/// default when it validates, else the first candidate the space
-/// enumerates (the hand-tuned `V = 256` of an H100 does not divide a
-/// 128-column attention output; `V = 64` does). An empty grid surfaces
-/// the default's own typed validation error.
-fn default_or_first_candidate(
-    space: &dyn MappingSpace,
-    machine: &MachineConfig,
-    shape: &Shape,
-) -> Result<MappingConfig, CompileError> {
-    let cfg = space.default_for(machine);
-    match space.validate(machine, shape, &cfg) {
-        Ok(()) => Ok(cfg),
-        Err(e) => space.candidates(machine, shape).into_iter().next().ok_or(e),
-    }
-}
-
-/// The copy-family default mapping: the machine's hand-tuned GEMM point
-/// (its `U`/`V`/`WGS` are exactly the tile/warpgroup split the copy
-/// trees need).
-fn copy_default(machine: &MachineConfig) -> GemmConfig {
-    GemmConfig::for_machine(machine)
-}
+/// pipeline depth and warp specialization change nothing).
+const COPY_GRID: Grid = Grid {
+    wgs: &[],
+    v: &[64, 128, 256],
+    w: &[],
+    pipeline: &[],
+    warpspecialize: false,
+};
 
 // ---------------------------------------------------------------------------
 // Transfer (tensor exchange).
@@ -297,21 +188,15 @@ impl MappingSpace for TransferSpace {
     }
 
     fn default_for(&self, machine: &MachineConfig) -> MappingConfig {
-        MappingConfig::Gemm(copy_default(machine))
+        MappingConfig::Gemm(GemmConfig::for_machine(machine))
     }
 
-    fn validate(
-        &self,
-        machine: &MachineConfig,
-        shape: &Shape,
-        cfg: &MappingConfig,
-    ) -> Result<(), CompileError> {
-        let [m, n] = shape.expect_dims::<2>("xfer")?;
-        validate_copy("xfer", machine, m, n, &cfg.as_gemm("xfer")?, 2)
+    fn footprint(&self) -> Footprint {
+        Footprint::Fold { reduce: false }
     }
 
-    fn candidates(&self, machine: &MachineConfig, shape: &Shape) -> Vec<MappingConfig> {
-        copy_candidates(self, machine, shape)
+    fn grid(&self) -> Grid {
+        COPY_GRID
     }
 
     fn build(
@@ -319,18 +204,8 @@ impl MappingSpace for TransferSpace {
         shape: &Shape,
         cfg: &MappingConfig,
     ) -> Result<(TaskRegistry, MappingSpec, Vec<EntryArg>), CompileError> {
-        let [m, n] = shape.expect_dims::<2>("xfer")?;
-        build_fold("xfer", &["X".into()], m, n, cfg.as_gemm("xfer")?)
-    }
-
-    fn estimate(
-        &self,
-        machine: &MachineConfig,
-        shape: &Shape,
-        cfg: &MappingConfig,
-    ) -> Option<CostEstimate> {
-        let [m, n] = shape.expect_dims::<2>("xfer").ok()?;
-        comm_estimate(m, n, 1, cfg, machine)
+        let [m, n] = shape.expect_dims("xfer")?;
+        build_fold("xfer", 1, m, n, &cfg.as_gemm("xfer")?)
     }
 }
 
@@ -347,9 +222,7 @@ pub fn build_transfer(
     n: usize,
     machine: &MachineConfig,
 ) -> Result<(TaskRegistry, MappingSpec, Vec<EntryArg>), CompileError> {
-    let shape = Shape::of(&[m, n]);
-    let cfg = default_or_first_candidate(&TransferSpace, machine, &shape)?;
-    TransferSpace.build(&shape, &cfg)
+    build_fitted(&TransferSpace, &[m, n], machine)
 }
 
 // ---------------------------------------------------------------------------
@@ -371,7 +244,7 @@ impl MappingSpace for HaloSpace {
     fn default_for(&self, machine: &MachineConfig) -> MappingConfig {
         // Halo bands are a handful of rows: one warpgroup-row tile keeps
         // `U` dividing even a single-block-row band.
-        let c = copy_default(machine);
+        let c = GemmConfig::for_machine(machine);
         MappingConfig::Gemm(GemmConfig {
             u: 64.min(c.u),
             wgs: 1,
@@ -379,18 +252,12 @@ impl MappingSpace for HaloSpace {
         })
     }
 
-    fn validate(
-        &self,
-        machine: &MachineConfig,
-        shape: &Shape,
-        cfg: &MappingConfig,
-    ) -> Result<(), CompileError> {
-        let [m, n] = shape.expect_dims::<2>("halo")?;
-        validate_copy("halo", machine, m, n, &cfg.as_gemm("halo")?, 2)
+    fn footprint(&self) -> Footprint {
+        Footprint::Fold { reduce: false }
     }
 
-    fn candidates(&self, machine: &MachineConfig, shape: &Shape) -> Vec<MappingConfig> {
-        copy_candidates(self, machine, shape)
+    fn grid(&self) -> Grid {
+        COPY_GRID
     }
 
     fn build(
@@ -398,18 +265,8 @@ impl MappingSpace for HaloSpace {
         shape: &Shape,
         cfg: &MappingConfig,
     ) -> Result<(TaskRegistry, MappingSpec, Vec<EntryArg>), CompileError> {
-        let [m, n] = shape.expect_dims::<2>("halo")?;
-        build_fold("halo", &["X".into()], m, n, cfg.as_gemm("halo")?)
-    }
-
-    fn estimate(
-        &self,
-        machine: &MachineConfig,
-        shape: &Shape,
-        cfg: &MappingConfig,
-    ) -> Option<CostEstimate> {
-        let [m, n] = shape.expect_dims::<2>("halo").ok()?;
-        comm_estimate(m, n, 1, cfg, machine)
+        let [m, n] = shape.expect_dims("halo")?;
+        build_fold("halo", 1, m, n, &cfg.as_gemm("halo")?)
     }
 }
 
@@ -426,9 +283,7 @@ pub fn build_halo(
     n: usize,
     machine: &MachineConfig,
 ) -> Result<(TaskRegistry, MappingSpec, Vec<EntryArg>), CompileError> {
-    let shape = Shape::of(&[halo_rows, n]);
-    let cfg = default_or_first_candidate(&HaloSpace, machine, &shape)?;
-    HaloSpace.build(&shape, &cfg)
+    build_fitted(&HaloSpace, &[halo_rows, n], machine)
 }
 
 // ---------------------------------------------------------------------------
@@ -449,28 +304,15 @@ impl MappingSpace for AllReduceSpace {
     }
 
     fn default_for(&self, machine: &MachineConfig) -> MappingConfig {
-        MappingConfig::Gemm(copy_default(machine))
+        MappingConfig::Gemm(GemmConfig::for_machine(machine))
     }
 
-    fn validate(
-        &self,
-        machine: &MachineConfig,
-        shape: &Shape,
-        cfg: &MappingConfig,
-    ) -> Result<(), CompileError> {
-        let [ways, m, n] = shape.expect_dims::<3>("allred")?;
-        if ways < 2 {
-            return Err(CompileError::Unsupported(format!(
-                "`allred` needs at least 2 inputs, got {ways}"
-            )));
-        }
-        // Staged at once: one inbound input tile, the accumulator's
-        // outbound staging, and one radd-staged tile.
-        validate_copy("allred", machine, m, n, &cfg.as_gemm("allred")?, 3)
+    fn footprint(&self) -> Footprint {
+        Footprint::Fold { reduce: true }
     }
 
-    fn candidates(&self, machine: &MachineConfig, shape: &Shape) -> Vec<MappingConfig> {
-        copy_candidates(self, machine, shape)
+    fn grid(&self) -> Grid {
+        COPY_GRID
     }
 
     fn build(
@@ -478,23 +320,13 @@ impl MappingSpace for AllReduceSpace {
         shape: &Shape,
         cfg: &MappingConfig,
     ) -> Result<(TaskRegistry, MappingSpec, Vec<EntryArg>), CompileError> {
-        let [ways, m, n] = shape.expect_dims::<3>("allred")?;
+        let [ways, m, n] = shape.expect_dims("allred")?;
         if ways < 2 {
             return Err(CompileError::Unsupported(format!(
                 "`allred` needs at least 2 inputs, got {ways}"
             )));
         }
-        build_all_reduce_with(ways, m, n, cfg.as_gemm("allred")?)
-    }
-
-    fn estimate(
-        &self,
-        machine: &MachineConfig,
-        shape: &Shape,
-        cfg: &MappingConfig,
-    ) -> Option<CostEstimate> {
-        let [ways, m, n] = shape.expect_dims::<3>("allred").ok()?;
-        comm_estimate(m, n, ways, cfg, machine)
+        build_fold("allred", ways, m, n, &cfg.as_gemm("allred")?)
     }
 }
 
@@ -513,24 +345,7 @@ pub fn build_all_reduce(
     n: usize,
     machine: &MachineConfig,
 ) -> Result<(TaskRegistry, MappingSpec, Vec<EntryArg>), CompileError> {
-    let shape = Shape::of(&[ways, m, n]);
-    let cfg = default_or_first_candidate(&AllReduceSpace, machine, &shape)?;
-    AllReduceSpace.build(&shape, &cfg)
-}
-
-/// Build the all-reduce program with an explicit mapping configuration.
-///
-/// # Errors
-///
-/// Returns [`CompileError`] on malformed trees or indivisible tilings.
-pub fn build_all_reduce_with(
-    ways: usize,
-    m: usize,
-    n: usize,
-    cfg: GemmConfig,
-) -> Result<(TaskRegistry, MappingSpec, Vec<EntryArg>), CompileError> {
-    let inputs: Vec<String> = (0..ways).map(|i| format!("X{i}")).collect();
-    build_fold("allred", &inputs, m, n, cfg)
+    build_fitted(&AllReduceSpace, &[ways, m, n], machine)
 }
 
 #[cfg(test)]

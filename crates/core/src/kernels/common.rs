@@ -24,18 +24,6 @@ pub(crate) fn is_h100_class(machine: &MachineConfig) -> bool {
     machine.smem_per_sm >= 200 * 1024
 }
 
-/// The one machine dispatch every GEMM-family kernel shares: the paper's
-/// hand-tuned H100 mapping on H100-class parts, the small unit-test
-/// mapping elsewhere. The former per-kernel `for_machine` copies all
-/// route through here.
-pub(crate) fn default_gemm_config(machine: &MachineConfig) -> GemmConfig {
-    if is_h100_class(machine) {
-        GemmConfig::h100()
-    } else {
-        GemmConfig::test()
-    }
-}
-
 /// The BLOCK-level accumulate instance every GEMM-family kernel uses:
 /// binds the K tile `W`, the pipeline depth, and warp specialization
 /// from `cfg`.

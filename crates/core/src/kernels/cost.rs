@@ -2,15 +2,14 @@
 //! without compiling.
 //!
 //! The autotuner's exhaustive sweep compiles and simulates every point
-//! of a [`MappingSpace`](crate::MappingSpace) — correct, but linear in
-//! the candidate count. This module prices a candidate *analytically*,
-//! straight from its [`MappingConfig`] + [`Shape`] + [`MachineConfig`]:
+//! of a [`MappingSpace`] — correct, but linear in the candidate count.
+//! This module prices a candidate *analytically*: the launch its
+//! space's [`Footprint`](crate::kernels::footprint) measures in checked
+//! tile math — the same one `validate` holds against the machine, so no
+//! kernel family is named here — combined with the machine's rates:
 //! CTA occupancy from the shared-memory and warp budgets, waves per SM,
 //! HBM bytes moved (with the simulator's own L2-reuse discount), WGMMA
-//! FLOPs, and a pipeline-stage overlap factor. The byte/FLOP arithmetic
-//! is the same checked-`usize` tile math the bytecode lowering bakes
-//! into kernel metadata — overflow returns `None` instead of wrapping —
-//! so the model prices exactly the working set the engine charges for.
+//! FLOPs, and a pipeline-stage overlap factor.
 //!
 //! Predictions are *relative*, not absolute: the guided tuner
 //! (`cypress-runtime`) ranks candidates by [`CostEstimate::cycles`],
@@ -24,23 +23,20 @@
 //! no randomness, no transcendental functions — so a ranking computed
 //! on one machine or in one session is bit-identical on any other.
 
-use crate::kernels::space::{MappingConfig, Shape};
+use crate::kernels::space::{MappingConfig, MappingSpace, Shape};
 use cypress_sim::{CostConstants, MachineConfig};
+use std::sync::Arc;
 
 /// Version of the analytical model. Persisted per entry in the tuning
 /// table (`cypress-runtime`) so stale predictions are detectable; bump
 /// whenever a formula or calibrated constant changes meaning.
 pub const COST_MODEL_VERSION: u32 = 1;
 
-/// f16 element size in bytes (every staged operand tile is f16).
-const ELEM: usize = 2;
-
 /// The analytical price of one mapping candidate.
 ///
-/// Produced by [`estimate`] (or a space's
-/// [`MappingSpace::estimate`](crate::MappingSpace::estimate) override);
-/// [`CostEstimate::cycles`] is the rankable summary, the other fields
-/// expose the terms it was built from.
+/// Produced by [`MappingSpace::estimate`]; [`CostEstimate::cycles`] is
+/// the rankable summary, the other fields expose the terms it was built
+/// from.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostEstimate {
     /// CTAs in the launch grid.
@@ -63,256 +59,93 @@ pub struct CostEstimate {
     pub cycles: f64,
 }
 
-/// Per-kernel raw quantities the closed form combines. All derived with
-/// checked arithmetic from the tile math.
-struct Profile {
-    ctas: usize,
-    smem_bytes: usize,
-    warps_per_cta: usize,
-    tc_flops_per_cta: f64,
-    load_bytes_per_cta: f64,
-    store_bytes_per_cta: f64,
-    simt_flops_per_cta: f64,
-    sfu_ops_per_cta: f64,
+/// What one point of a mapping space launches: what `validate` holds
+/// against the machine's budgets, and the constants-free half of a price.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Launch {
+    /// CTAs in the launch grid.
+    pub ctas: usize,
+    /// Shared-memory bytes one CTA stages (a conservative over-estimate
+    /// of what the allocator and pipeline staging will bind; aliasing
+    /// only shrinks it).
+    pub smem_bytes: usize,
+    /// Registers per thread the mapping pins up front; 0 where the
+    /// compiler's allocator is the only authority.
+    pub regs_per_thread: usize,
+    /// What the CTAs move and compute; `None` for the families the
+    /// model does not price.
+    pub work: Option<Work>,
+}
+
+/// The two kernel shapes the model prices.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Work {
+    /// A Tensor Core kernel with a software-pipelined main loop.
+    Pipelined(Pipeline),
+    /// A bandwidth-bound elementwise pass: no reuse, so every one of
+    /// `hbm_bytes` is an HBM byte, and no Tensor Core term.
+    Streamed { hbm_bytes: f64 },
+}
+
+/// Per-CTA raw quantities the closed form [`combine`]s.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Pipeline {
+    pub warps_per_cta: usize,
+    pub tc_flops_per_cta: f64,
+    pub load_bytes_per_cta: f64,
+    pub store_bytes_per_cta: f64,
+    pub simt_flops_per_cta: f64,
+    pub sfu_ops_per_cta: f64,
     /// Distinct HBM bytes the whole launch reads (the L2-hit estimate
     /// mirrors the engine: `1 - unique / total_loads`).
-    unique_load_bytes: f64,
+    pub unique_load_bytes: f64,
     /// Inner pipelined iterations per CTA (`K/W`, or the K/V loop).
-    iters: f64,
-    pipeline: usize,
+    pub iters: f64,
+    pub pipeline: usize,
     /// Counts like an extra pipeline stage: a producer warpgroup keeps
     /// loads in flight during consumer compute.
-    warpspecialize: bool,
+    pub warpspecialize: bool,
 }
 
-/// Predict the cost of `cfg` for the paper kernel named `entry`
-/// (`"gemm"`, `"bgemm"`, `"dual"`, `"gr"`, `"fa"`), using the
-/// calibrated [`CostConstants`] for `machine`.
-///
-/// Returns `None` for unknown entries, mismatched config/shape kinds,
-/// tiles that do not divide the problem, or tile math that overflows —
-/// callers fall back to the exhaustive sweep. `"fa"` is priced with the
-/// FlashAttention-2 footprint; [`AttentionSpace`] overrides
-/// [`MappingSpace::estimate`](crate::MappingSpace::estimate) to pass
-/// the FA3 flag, which is the accurate path.
-///
-/// [`AttentionSpace`]: crate::kernels::attention::AttentionSpace
-#[must_use]
-pub fn estimate(
-    entry: &str,
-    shape: &Shape,
-    cfg: &MappingConfig,
-    machine: &MachineConfig,
-) -> Option<CostEstimate> {
-    estimate_with(
-        entry,
-        shape,
-        cfg,
-        machine,
-        &CostConstants::for_machine(machine),
-    )
-}
-
-/// [`estimate`] with explicit constants — what [`calibrate`] sweeps.
-///
-/// Returns `None` under the same conditions as [`estimate`].
-#[must_use]
-pub fn estimate_with(
-    entry: &str,
-    shape: &Shape,
-    cfg: &MappingConfig,
+/// Price `launch` under `machine`'s physical rates and the calibrated
+/// `constants`; `None` when the launch carries no [`Work`].
+pub(crate) fn price(
+    launch: &Launch,
     machine: &MachineConfig,
     constants: &CostConstants,
 ) -> Option<CostEstimate> {
-    Some(combine(&profile(entry, shape, cfg)?, machine, constants))
-}
-
-/// The constants-free half of a price: what `entry` moves and computes
-/// at `cfg`, or `None` where [`estimate`] returns `None`.
-fn profile(entry: &str, shape: &Shape, cfg: &MappingConfig) -> Option<Profile> {
-    Some(match entry {
-        "gemm" => gemm_profile(shape, cfg, 1, 1, 0)?,
-        "bgemm" => {
-            let [l, m, n, k] = *shape.dims().first_chunk::<4>()?;
-            if shape.dims().len() != 4 {
-                return None;
+    Some(match launch.work.as_ref()? {
+        Work::Pipelined(p) => combine(launch, p, machine, constants),
+        Work::Streamed { hbm_bytes } => {
+            let ctas = launch.ctas.max(1);
+            let waves = ctas.div_ceil(ctas.min(machine.sms).max(1));
+            // Per-CTA launch overhead amortized over waves.
+            let mem = hbm_bytes / (machine.hbm_bytes_per_cycle * constants.mem_efficiency);
+            let serial = waves as f64 * (machine.cta_launch_cycles + constants.cta_overhead_cycles);
+            CostEstimate {
+                ctas,
+                occupancy: 1,
+                waves,
+                hbm_bytes: *hbm_bytes,
+                wgmma_flops: 0.0,
+                overlap: 0.0,
+                cycles: machine.kernel_launch_cycles + mem + serial,
             }
-            let mut p = gemm_profile(&Shape(vec![m, n, k]), cfg, 1, 1, 0)?;
-            p.ctas = p.ctas.checked_mul(l)?;
-            p.unique_load_bytes *= l as f64;
-            p
         }
-        // Dual-GEMM stages two B tiles per pipeline stage and issues two
-        // WGMMAs per iteration.
-        "dual" => gemm_profile(shape, cfg, 2, 2, 0)?,
-        // GEMM+Reduction stages the partial-sum vector outside the loop.
-        "gr" => {
-            let u = match cfg {
-                MappingConfig::Gemm(c) => c.u,
-                MappingConfig::Attention(_) => return None,
-            };
-            gemm_profile(shape, cfg, 1, 1, u.checked_mul(ELEM)?)?
-        }
-        "fa" => attention_profile(shape, cfg, false)?,
-        _ => return None,
     })
 }
 
-/// Price an attention candidate, with the algorithm made explicit:
-/// FA3 (`fa3 = true`) keeps two K/V pairs in flight (twice the staged
-/// bytes, half the loop iterations) — exactly the footprint its space
-/// validates against.
-///
-/// Returns `None` for non-attention configs, malformed shapes, or tiles
-/// that do not divide the problem.
-#[must_use]
-pub fn estimate_attention(
-    shape: &Shape,
-    cfg: &MappingConfig,
-    machine: &MachineConfig,
-    fa3: bool,
-) -> Option<CostEstimate> {
-    let profile = attention_profile(shape, cfg, fa3)?;
-    Some(combine(
-        &profile,
-        machine,
-        &CostConstants::for_machine(machine),
-    ))
-}
-
-/// Exact checked division: `None` unless `b` divides `a`.
-fn div_exact(a: usize, b: usize) -> Option<usize> {
-    if b == 0 || !a.is_multiple_of(b) {
-        return None;
-    }
-    Some(a / b)
-}
-
-/// GEMM-family profile. `b_tiles` = B-shaped operand tiles staged per
-/// pipeline stage, `wgmmas` = tensor-core ops per staged tile pair
-/// (dual-GEMM: 2), `extra_smem` = fixed bytes outside the loop.
-fn gemm_profile(
-    shape: &Shape,
-    cfg: &MappingConfig,
-    b_tiles: usize,
-    wgmmas: usize,
-    extra_smem: usize,
-) -> Option<Profile> {
-    let [m, n, k] = *shape.dims().first_chunk::<3>()?;
-    if shape.dims().len() != 3 {
-        return None;
-    }
-    let c = match cfg {
-        MappingConfig::Gemm(c) => *c,
-        MappingConfig::Attention(_) => return None,
-    };
-    if c.u == 0 || c.v == 0 || c.w == 0 || c.pipeline == 0 {
-        return None;
-    }
-    let ctas = div_exact(m, c.u)?.checked_mul(div_exact(n, c.v)?)?;
-    // Staged working set: the same formula the space validators bound.
-    let staged = c
-        .pipeline
-        .checked_mul(
-            c.u.checked_mul(c.w)?
-                .checked_add(b_tiles.checked_mul(c.w)?.checked_mul(c.v)?)?,
-        )?
-        .checked_mul(ELEM)?;
-    let smem_bytes = staged
-        .checked_add(c.u.checked_mul(c.v)?.checked_mul(ELEM)?)?
-        .checked_add(extra_smem)?;
-    // Per-CTA traffic and FLOPs from the tile math: the A panel (u x k)
-    // plus `b_tiles` B panels (k x v) stream in, the C tile streams out.
-    let loads =
-        c.u.checked_add(b_tiles.checked_mul(c.v)?)?
-            .checked_mul(k)?
-            .checked_mul(ELEM)?;
-    let stores = c.u.checked_mul(c.v)?.checked_mul(ELEM)?;
-    let tc = 2.0 * wgmmas as f64 * (c.u as f64) * (c.v as f64) * k as f64;
-    // Distinct bytes: A once, each B panel once per batch.
-    let unique = m
-        .checked_mul(k)?
-        .checked_add(b_tiles.checked_mul(k)?.checked_mul(n)?)?
-        .checked_mul(ELEM)?;
-    Some(Profile {
-        ctas,
-        smem_bytes,
-        warps_per_cta: 4 * (c.wgs + usize::from(c.warpspecialize)),
-        tc_flops_per_cta: tc,
-        load_bytes_per_cta: loads as f64,
-        store_bytes_per_cta: stores as f64,
-        // Epilogue clear + accumulate of the C tile.
-        simt_flops_per_cta: (c.u * c.v * wgmmas) as f64,
-        sfu_ops_per_cta: 0.0,
-        unique_load_bytes: unique as f64,
-        iters: div_exact(k, c.w)? as f64,
-        pipeline: c.pipeline,
-        warpspecialize: c.warpspecialize,
-    })
-}
-
-/// FlashAttention profile; `fa3` selects the two-pairs-in-flight
-/// footprint (and the doubled K/V step) of the FA3 schedule.
-fn attention_profile(shape: &Shape, cfg: &MappingConfig, fa3: bool) -> Option<Profile> {
-    let [heads, seq, head_dim] = *shape.dims().first_chunk::<3>()?;
-    if shape.dims().len() != 3 {
-        return None;
-    }
-    let c = match cfg {
-        MappingConfig::Attention(c) => *c,
-        MappingConfig::Gemm(_) => return None,
-    };
-    if c.br == 0 || c.bc == 0 || c.pipeline == 0 {
-        return None;
-    }
-    let ctas = heads.checked_mul(div_exact(seq, c.br)?)?;
-    let in_flight: usize = if fa3 { 4 } else { 2 };
-    let kv_step = if fa3 { 2 * c.bc } else { c.bc };
-    let smem_bytes = c
-        .pipeline
-        .checked_mul(in_flight.checked_mul(c.bc)?.checked_add(c.br)?)?
-        .checked_add(c.br)?
-        .checked_mul(head_dim)?
-        .checked_mul(ELEM)?;
-    // QK^T and PV: two u x seq x d contractions per row band.
-    let tc = 4.0 * (c.br as f64) * seq as f64 * head_dim as f64;
-    // Q tile once, the full K and V streams per CTA; O tile out.
-    let loads =
-        c.br.checked_add(2usize.checked_mul(seq)?)?
-            .checked_mul(head_dim)?
-            .checked_mul(ELEM)?;
-    let stores = c.br.checked_mul(head_dim)?.checked_mul(ELEM)?;
-    let unique = 3usize
-        .checked_mul(heads)?
-        .checked_mul(seq)?
-        .checked_mul(head_dim)?
-        .checked_mul(ELEM)?;
-    // Online softmax: row-max, exp, two rescales over the br x seq score
-    // matrix (SIMT), one exp per score (SFU).
-    let scores = (c.br as f64) * seq as f64;
-    Some(Profile {
-        ctas,
-        smem_bytes,
-        // The FA kernels always run a producer warpgroup.
-        warps_per_cta: 4 * (c.wgs + 1),
-        tc_flops_per_cta: tc,
-        load_bytes_per_cta: loads as f64,
-        store_bytes_per_cta: stores as f64,
-        simt_flops_per_cta: 6.0 * scores,
-        sfu_ops_per_cta: scores,
-        unique_load_bytes: unique as f64,
-        iters: div_exact(seq, kv_step)? as f64,
-        pipeline: c.pipeline,
-        warpspecialize: true,
-    })
-}
-
-/// Fold a kernel profile into a [`CostEstimate`] under `machine`'s
+/// Fold a pipelined launch into a [`CostEstimate`] under `machine`'s
 /// physical rates and the calibrated `constants`.
-fn combine(p: &Profile, machine: &MachineConfig, constants: &CostConstants) -> CostEstimate {
-    let ctas = p.ctas.max(1);
+fn combine(
+    launch: &Launch,
+    p: &Pipeline,
+    machine: &MachineConfig,
+    constants: &CostConstants,
+) -> CostEstimate {
+    let ctas = launch.ctas.max(1);
     let active_sms = ctas.min(machine.sms).max(1);
-    let occupancy = occupancy(p, machine);
+    let occupancy = occupancy(launch.smem_bytes, p.warps_per_cta, machine);
     let waves = ctas.div_ceil(active_sms);
 
     // Pipeline overlap: `pipeline` staged buffers (plus a producer
@@ -324,7 +157,8 @@ fn combine(p: &Profile, machine: &MachineConfig, constants: &CostConstants) -> C
     // overlaps as well as a deep pipeline that crowds out its
     // neighbors.
     let resident = occupancy.min(waves).max(1);
-    let depth = ((p.pipeline + usize::from(p.warpspecialize)) * resident) as f64;
+    let stages = p.pipeline as f64 + f64::from(u8::from(p.warpspecialize));
+    let depth = stages * resident as f64;
     let overlap = 1.0 - 1.0 / depth;
 
     // Device-level throughput times (cycles), each resource at its
@@ -371,21 +205,22 @@ fn combine(p: &Profile, machine: &MachineConfig, constants: &CostConstants) -> C
 /// Analytical occupancy: the engine's limiter mirror (shared memory,
 /// resident warps, scheduler slots), minus the register file, which the
 /// closed form cannot see without compiling.
-fn occupancy(p: &Profile, machine: &MachineConfig) -> usize {
+fn occupancy(smem_bytes: usize, warps_per_cta: usize, machine: &MachineConfig) -> usize {
     let by_smem = machine
         .smem_per_sm
-        .checked_div(p.smem_bytes)
+        .checked_div(smem_bytes)
         .unwrap_or(machine.max_ctas_per_sm);
-    let by_warps = machine.max_warps_per_sm / p.warps_per_cta.max(1);
+    let by_warps = machine.max_warps_per_sm / warps_per_cta.max(1);
     machine.max_ctas_per_sm.min(by_smem).min(by_warps).max(1)
 }
 
-/// One measured point for [`calibrate`]: a kernel/shape/config triple
+/// One measured point for [`calibrate`]: a space/shape/config triple
 /// plus the simulator's solo cycles for it.
 #[derive(Debug, Clone)]
 pub struct CalibrationSample {
-    /// Entry task name (`"gemm"`, `"bgemm"`, `"dual"`, `"gr"`, `"fa"`).
-    pub entry: String,
+    /// The space the mapping is a point of (its footprint is what the
+    /// model prices).
+    pub space: Arc<dyn MappingSpace>,
     /// Problem shape the sample was measured at.
     pub shape: Shape,
     /// The mapping that was simulated.
@@ -405,12 +240,17 @@ pub struct CalibrationSample {
 /// fit to keep the stored values honest.
 #[must_use]
 pub fn calibrate(machine: &MachineConfig, samples: &[CalibrationSample]) -> CostConstants {
-    // A sample's profile does not depend on the constants being fitted:
-    // price that half once and keep it with the measurement.
-    let usable: Vec<(Profile, f64)> = samples
+    // A sample's launch does not depend on the constants being fitted:
+    // measure that half once and keep it with the measurement.
+    let usable: Vec<(Launch, f64)> = samples
         .iter()
         .filter(|s| s.measured_cycles > 0.0)
-        .filter_map(|s| Some((profile(&s.entry, &s.shape, &s.config)?, s.measured_cycles)))
+        .filter_map(|s| {
+            let footprint = s.space.footprint();
+            let launch = footprint.measure(s.space.entry(), &s.shape, &s.config);
+            let launch = launch.ok().filter(|l| l.work.is_some())?;
+            Some((launch, s.measured_cycles))
+        })
         .collect();
     if usable.is_empty() {
         return CostConstants {
@@ -422,9 +262,9 @@ pub fn calibrate(machine: &MachineConfig, samples: &[CalibrationSample]) -> Cost
     let error = |c: &CostConstants| -> f64 {
         usable
             .iter()
-            .map(|(p, measured)| {
-                let r = combine(p, machine, c).cycles / measured - 1.0;
-                r * r
+            .filter_map(|(launch, measured)| {
+                let r = price(launch, machine, c)?.cycles / measured - 1.0;
+                Some(r * r)
             })
             .sum()
     };
@@ -458,8 +298,9 @@ pub fn calibrate(machine: &MachineConfig, samples: &[CalibrationSample]) -> Cost
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernels::attention::AttentionConfig;
-    use crate::kernels::gemm::GemmConfig;
+    use crate::kernels::attention::{Algorithm, AttentionConfig, AttentionSpace};
+    use crate::kernels::batched::BatchedGemmSpace;
+    use crate::kernels::gemm::{GemmConfig, GemmSpace};
 
     fn h100() -> MachineConfig {
         MachineConfig::h100_sxm5()
@@ -470,8 +311,8 @@ mod tests {
         let machine = h100();
         let shape = Shape::of(&[4096, 4096, 4096]);
         let cfg = MappingConfig::Gemm(GemmConfig::h100());
-        let a = estimate("gemm", &shape, &cfg, &machine).unwrap();
-        let b = estimate("gemm", &shape, &cfg, &machine).unwrap();
+        let a = GemmSpace.estimate(&machine, &shape, &cfg).unwrap();
+        let b = GemmSpace.estimate(&machine, &shape, &cfg).unwrap();
         assert_eq!(a, b, "pure arithmetic: same inputs, same estimate");
         assert!(a.cycles.is_finite() && a.cycles > 0.0);
         assert!(a.hbm_bytes > 0.0 && a.wgmma_flops > 0.0);
@@ -479,19 +320,23 @@ mod tests {
     }
 
     #[test]
-    fn unknown_entries_and_mismatched_configs_are_none() {
+    fn mismatched_configs_and_shapes_are_none() {
         let machine = h100();
         let shape = Shape::of(&[4096, 4096, 4096]);
         let gemm = MappingConfig::Gemm(GemmConfig::h100());
-        assert!(estimate("mystery", &shape, &gemm, &machine).is_none());
-        assert!(estimate("fa", &shape, &gemm, &machine).is_none());
+        let fa2 = AttentionSpace {
+            algorithm: Algorithm::Fa2,
+        };
+        assert!(fa2.estimate(&machine, &shape, &gemm).is_none());
         let attn = MappingConfig::Attention(AttentionConfig::fa2_h100());
-        assert!(estimate("gemm", &shape, &attn, &machine).is_none());
+        assert!(GemmSpace.estimate(&machine, &shape, &attn).is_none());
         // Tiles that do not divide the shape are unpriceable, not wrong.
-        assert!(estimate("gemm", &Shape::of(&[100, 100, 100]), &gemm, &machine).is_none());
+        let odd = Shape::of(&[100, 100, 100]);
+        assert!(GemmSpace.estimate(&machine, &odd, &gemm).is_none());
         // Wrong rank.
-        assert!(estimate("gemm", &Shape::of(&[4096, 4096]), &gemm, &machine).is_none());
-        assert!(estimate("bgemm", &shape, &gemm, &machine).is_none());
+        let flat = Shape::of(&[4096, 4096]);
+        assert!(GemmSpace.estimate(&machine, &flat, &gemm).is_none());
+        assert!(BatchedGemmSpace.estimate(&machine, &shape, &gemm).is_none());
     }
 
     #[test]
@@ -508,7 +353,7 @@ mod tests {
                 warpspecialize: ws,
                 ..base
             });
-            estimate("gemm", &shape, &cfg, &machine).unwrap()
+            GemmSpace.estimate(&machine, &shape, &cfg).unwrap()
         };
         assert!(price(1, false).overlap < price(2, false).overlap);
         assert!(price(2, false).overlap < price(2, true).overlap);
@@ -525,7 +370,7 @@ mod tests {
             warpspecialize: false,
             ..base
         });
-        let est = estimate("gemm", &big, &shallow, &machine).unwrap();
+        let est = GemmSpace.estimate(&machine, &big, &shallow).unwrap();
         assert!(est.occupancy > 1);
         assert!(est.overlap > 0.0);
     }
@@ -544,10 +389,8 @@ mod tests {
             pipeline: 3,
             ..GemmConfig::h100()
         });
-        let occ_small = estimate("gemm", &shape, &small, &machine)
-            .unwrap()
-            .occupancy;
-        let occ_big = estimate("gemm", &shape, &big, &machine).unwrap().occupancy;
+        let occupancy = |cfg| GemmSpace.estimate(&machine, &shape, cfg).unwrap().occupancy;
+        let (occ_small, occ_big) = (occupancy(&small), occupancy(&big));
         assert!(
             occ_small > occ_big,
             "smaller staging must fit more CTAs ({occ_small} vs {occ_big})"
@@ -559,8 +402,11 @@ mod tests {
         let machine = h100();
         let shape = Shape::of(&[16, 4096, 128]);
         let cfg = MappingConfig::Attention(AttentionConfig::fa3_h100());
-        let fa2 = estimate_attention(&shape, &cfg, &machine, false).unwrap();
-        let fa3 = estimate_attention(&shape, &cfg, &machine, true).unwrap();
+        let price = |algorithm| {
+            let space = AttentionSpace { algorithm };
+            space.estimate(&machine, &shape, &cfg).unwrap()
+        };
+        let (fa2, fa3) = (price(Algorithm::Fa2), price(Algorithm::Fa3));
         // Twice the staged K/V bytes can only lower occupancy; half the
         // iterations can only lower the exposed latency.
         assert!(fa3.occupancy <= fa2.occupancy);

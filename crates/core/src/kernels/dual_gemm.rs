@@ -7,10 +7,9 @@
 use crate::error::CompileError;
 use crate::front::mapping::MappingSpec;
 use crate::front::task::TaskRegistry;
+use crate::kernels::footprint::Footprint;
 use crate::kernels::gemm::{Family, GemmConfig};
-use crate::kernels::space::{
-    gemm_family_candidates, validate_gemm_family, GemmFootprint, MappingConfig, MappingSpace, Shape,
-};
+use crate::kernels::space::{build_default, Grid, MappingConfig, MappingSpace, Shape};
 use crate::passes::depan::EntryArg;
 use cypress_sim::MachineConfig;
 
@@ -21,7 +20,7 @@ pub fn flops(m: usize, n: usize, k: usize) -> f64 {
 }
 
 /// The Dual-GEMM mapping space: shape `[m, n, k]`. Each pipeline stage
-/// carries three operand tiles (`A`, `B1`, `B2`), which the validator's
+/// carries three operand tiles (`A`, `B1`, `B2`), which the family's
 /// footprint accounts for — on the H100 budget that caps the pipeline at
 /// depth 2, exactly the hand-tuned clamp the builder used to hard-code.
 #[derive(Debug, Clone, Copy, Default)]
@@ -40,35 +39,17 @@ impl MappingSpace for DualGemmSpace {
         MappingConfig::Gemm(cfg)
     }
 
-    fn validate(
-        &self,
-        machine: &MachineConfig,
-        shape: &Shape,
-        cfg: &MappingConfig,
-    ) -> Result<(), CompileError> {
-        let [m, n, k] = shape.expect_dims::<3>("dual")?;
-        let c = cfg.as_gemm("dual")?;
-        validate_gemm_family(
-            "dual",
-            machine,
-            m,
-            n,
-            k,
-            &c,
-            GemmFootprint {
-                b_tiles: 2,
-                extra_bytes: 0,
-            },
-        )
+    fn footprint(&self) -> Footprint {
+        FAMILY.footprint(false)
     }
 
-    fn candidates(&self, machine: &MachineConfig, shape: &Shape) -> Vec<MappingConfig> {
+    fn grid(&self) -> Grid {
         // `W` is structural here: it interleaves the B1/B2 accumulations,
         // so re-tiling K would change rounding, not just time.
-        let MappingConfig::Gemm(default) = self.default_for(machine) else {
-            return Vec::new();
-        };
-        gemm_family_candidates(self, machine, shape, default, true, false)
+        Grid {
+            w: &[],
+            ..Grid::GEMM
+        }
     }
 
     fn build(
@@ -76,8 +57,7 @@ impl MappingSpace for DualGemmSpace {
         shape: &Shape,
         cfg: &MappingConfig,
     ) -> Result<(TaskRegistry, MappingSpec, Vec<EntryArg>), CompileError> {
-        let [m, n, k] = shape.expect_dims::<3>("dual")?;
-        build_with(m, n, k, cfg.as_gemm("dual")?)
+        FAMILY.program(shape.expect_dims("dual")?, &cfg.as_gemm("dual")?)
     }
 }
 
@@ -93,24 +73,7 @@ pub fn build(
     k: usize,
     machine: &MachineConfig,
 ) -> Result<(TaskRegistry, MappingSpec, Vec<EntryArg>), CompileError> {
-    let shape = Shape::of(&[m, n, k]);
-    let cfg = DualGemmSpace.default_for(machine);
-    DualGemmSpace.validate(machine, &shape, &cfg)?;
-    DualGemmSpace.build(&shape, &cfg)
-}
-
-/// Build with an explicit mapping configuration.
-///
-/// # Errors
-///
-/// Returns [`CompileError`] on malformed trees or indivisible tilings.
-pub fn build_with(
-    m: usize,
-    n: usize,
-    k: usize,
-    cfg: GemmConfig,
-) -> Result<(TaskRegistry, MappingSpec, Vec<EntryArg>), CompileError> {
-    FAMILY.program(m, n, k, &cfg)
+    build_default(&DualGemmSpace, &[m, n, k], machine)
 }
 
 /// Fig. 5a with two column operands: each warpgroup issues the two GEMMs

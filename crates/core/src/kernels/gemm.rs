@@ -9,9 +9,8 @@ use crate::front::machine::{MemLevel, ProcLevel};
 use crate::front::mapping::{MappingSpec, TaskMapping};
 use crate::front::task::{ParamSig, TaskRegistry};
 use crate::kernels::common::{self, p, register_inner, row_split, tiled};
-use crate::kernels::space::{
-    gemm_family_candidates, validate_gemm_family, GemmFootprint, MappingConfig, MappingSpace, Shape,
-};
+use crate::kernels::footprint::Footprint;
+use crate::kernels::space::{build_default, Grid, MappingConfig, MappingSpace, Shape};
 use crate::passes::depan::EntryArg;
 use cypress_sim::MachineConfig;
 use cypress_tensor::DType;
@@ -60,11 +59,16 @@ impl GemmConfig {
         }
     }
 
-    /// Pick a mapping appropriate for `machine` (the shared GEMM-family
-    /// dispatch in `crate::kernels::common`).
+    /// The one machine dispatch every GEMM-family kernel shares: the
+    /// paper's hand-tuned H100 mapping on H100-class parts, the small
+    /// unit-test mapping elsewhere.
     #[must_use]
     pub fn for_machine(machine: &MachineConfig) -> Self {
-        common::default_gemm_config(machine)
+        if common::is_h100_class(machine) {
+            GemmConfig::h100()
+        } else {
+            GemmConfig::test()
+        }
     }
 }
 
@@ -84,33 +88,12 @@ impl MappingSpace for GemmSpace {
         MappingConfig::Gemm(GemmConfig::for_machine(machine))
     }
 
-    fn validate(
-        &self,
-        machine: &MachineConfig,
-        shape: &Shape,
-        cfg: &MappingConfig,
-    ) -> Result<(), CompileError> {
-        let [m, n, k] = shape.expect_dims::<3>("gemm")?;
-        let c = cfg.as_gemm("gemm")?;
-        validate_gemm_family(
-            "gemm",
-            machine,
-            m,
-            n,
-            k,
-            &c,
-            GemmFootprint {
-                b_tiles: 1,
-                extra_bytes: 0,
-            },
-        )
+    fn footprint(&self) -> Footprint {
+        FAMILY.footprint(false)
     }
 
-    fn candidates(&self, machine: &MachineConfig, shape: &Shape) -> Vec<MappingConfig> {
-        let MappingConfig::Gemm(default) = self.default_for(machine) else {
-            return Vec::new();
-        };
-        gemm_family_candidates(self, machine, shape, default, true, true)
+    fn grid(&self) -> Grid {
+        Grid::GEMM
     }
 
     fn build(
@@ -118,8 +101,7 @@ impl MappingSpace for GemmSpace {
         shape: &Shape,
         cfg: &MappingConfig,
     ) -> Result<(TaskRegistry, MappingSpec, Vec<EntryArg>), CompileError> {
-        let [m, n, k] = shape.expect_dims::<3>("gemm")?;
-        build_with(m, n, k, cfg.as_gemm("gemm")?)
+        FAMILY.program(shape.expect_dims("gemm")?, &cfg.as_gemm("gemm")?)
     }
 }
 
@@ -143,25 +125,7 @@ pub fn build(
     k: usize,
     machine: &MachineConfig,
 ) -> Result<(TaskRegistry, MappingSpec, Vec<EntryArg>), CompileError> {
-    let shape = Shape::of(&[m, n, k]);
-    let cfg = GemmSpace.default_for(machine);
-    GemmSpace.validate(machine, &shape, &cfg)?;
-    GemmSpace.build(&shape, &cfg)
-}
-
-/// Build the GEMM program with an explicit mapping configuration.
-///
-/// # Errors
-///
-/// Returns [`CompileError`] if the task tree or mapping is malformed
-/// (e.g. tile sizes that do not divide the problem).
-pub fn build_with(
-    m: usize,
-    n: usize,
-    k: usize,
-    cfg: GemmConfig,
-) -> Result<(TaskRegistry, MappingSpec, Vec<EntryArg>), CompileError> {
-    FAMILY.program(m, n, k, &cfg)
+    build_default(&GemmSpace, &[m, n, k], machine)
 }
 
 /// Fig. 5a itself: one accumulator, one operand of each kind, and a
@@ -212,6 +176,21 @@ impl Family {
         accs.map(|a| p(a, Privilege::ReadWrite))
             .chain(operands.map(|o| p(o, Privilege::Read)))
             .collect()
+    }
+
+    /// What a point of the family's space stages and launches, read off
+    /// the operand lists: one `B`-shaped tile per column operand, one
+    /// Tensor Core op per `gemm` launch of the warpgroup body (the band
+    /// itself when there is no body), one staged vector per row-vector
+    /// accumulator.
+    pub(crate) fn footprint(&self, batched: bool) -> Footprint {
+        let wgmmas = self.wg.iter().filter(|(task, _)| *task == "gemm").count();
+        Footprint::Gemm {
+            b_tiles: self.cols.len(),
+            wgmmas: wgmmas.max(1),
+            vec_accs: self.vec_accs.len(),
+            batched,
+        }
     }
 
     /// The tensors the extents are read from: `M x N` is the first
@@ -397,9 +376,7 @@ impl Family {
     /// Registry, mapping and entry arguments together.
     pub(crate) fn program(
         &self,
-        m: usize,
-        n: usize,
-        k: usize,
+        [m, n, k]: [usize; 3],
         cfg: &GemmConfig,
     ) -> Result<(TaskRegistry, MappingSpec, Vec<EntryArg>), CompileError> {
         let mapping = MappingSpec::new(self.instances(cfg, None))?;

@@ -16,10 +16,9 @@ use crate::front::machine::MemLevel;
 use crate::front::mapping::MappingSpec;
 use crate::front::task::TaskRegistry;
 use crate::kernels::common::{self, p};
+use crate::kernels::footprint::Footprint;
 use crate::kernels::gemm::{Family, GemmConfig};
-use crate::kernels::space::{
-    gemm_family_candidates, validate_gemm_family, GemmFootprint, MappingConfig, MappingSpace, Shape,
-};
+use crate::kernels::space::{build_default, Grid, MappingConfig, MappingSpace, Shape};
 use crate::passes::depan::EntryArg;
 use cypress_sim::MachineConfig;
 
@@ -47,34 +46,15 @@ impl MappingSpace for GemmReductionSpace {
         MappingConfig::Gemm(GemmConfig::for_machine(machine))
     }
 
-    fn validate(
-        &self,
-        machine: &MachineConfig,
-        shape: &Shape,
-        cfg: &MappingConfig,
-    ) -> Result<(), CompileError> {
-        let [m, n, k] = shape.expect_dims::<3>("gr")?;
-        let c = cfg.as_gemm("gr")?;
-        validate_gemm_family(
-            "gr",
-            machine,
-            m,
-            n,
-            k,
-            &c,
-            GemmFootprint {
-                b_tiles: 1,
-                // The Y partial column staged through shared on store.
-                extra_bytes: c.u * 2,
-            },
-        )
+    fn footprint(&self) -> Footprint {
+        FAMILY.footprint(false)
     }
 
-    fn candidates(&self, machine: &MachineConfig, shape: &Shape) -> Vec<MappingConfig> {
-        let MappingConfig::Gemm(default) = self.default_for(machine) else {
-            return Vec::new();
-        };
-        gemm_family_candidates(self, machine, shape, default, false, true)
+    fn grid(&self) -> Grid {
+        Grid {
+            v: &[],
+            ..Grid::GEMM
+        }
     }
 
     fn build(
@@ -82,8 +62,7 @@ impl MappingSpace for GemmReductionSpace {
         shape: &Shape,
         cfg: &MappingConfig,
     ) -> Result<(TaskRegistry, MappingSpec, Vec<EntryArg>), CompileError> {
-        let [m, n, k] = shape.expect_dims::<3>("gr")?;
-        build_with(m, n, k, cfg.as_gemm("gr")?)
+        program(shape.expect_dims("gr")?, &cfg.as_gemm("gr")?)
     }
 }
 
@@ -114,6 +93,15 @@ impl MappingSpace for PinnedVSpace {
         MappingConfig::Gemm(cfg)
     }
 
+    fn footprint(&self) -> Footprint {
+        FAMILY.footprint(false)
+    }
+
+    fn grid(&self) -> Grid {
+        // The default already carries the pinned `v`.
+        GemmReductionSpace.grid()
+    }
+
     fn validate(
         &self,
         machine: &MachineConfig,
@@ -130,32 +118,13 @@ impl MappingSpace for PinnedVSpace {
         GemmReductionSpace.validate(machine, shape, cfg)
     }
 
-    fn candidates(&self, machine: &MachineConfig, shape: &Shape) -> Vec<MappingConfig> {
-        let MappingConfig::Gemm(default) = self.default_for(machine) else {
-            return Vec::new();
-        };
-        // `default` already carries the pinned `v`, and `validate`
-        // rejects any other, so the shared grid stays pinned.
-        gemm_family_candidates(self, machine, shape, default, false, true)
-    }
-
     fn build(
         &self,
         shape: &Shape,
         cfg: &MappingConfig,
     ) -> Result<(TaskRegistry, MappingSpec, Vec<EntryArg>), CompileError> {
-        let [m, n, k] = shape.expect_dims::<3>("gr")?;
-        build_with(m, n, k, cfg.as_gemm("gr")?)
+        GemmReductionSpace.build(shape, cfg)
     }
-}
-
-/// The first `V = v` config for `(machine, shape)` that validates: the
-/// pinned default when it fits, otherwise the first valid candidate.
-/// `None` when no pinned config is valid on this machine.
-#[must_use]
-pub fn config_for_pinned_v(machine: &MachineConfig, shape: &Shape, v: usize) -> Option<GemmConfig> {
-    crate::kernels::space::default_or_first_candidate(&PinnedVSpace { v }, machine, shape)
-        .and_then(|c| c.as_gemm("gr").ok())
 }
 
 /// Build the fused GEMM+Reduction program.
@@ -170,22 +139,14 @@ pub fn build(
     k: usize,
     machine: &MachineConfig,
 ) -> Result<(TaskRegistry, MappingSpec, Vec<EntryArg>), CompileError> {
-    let shape = Shape::of(&[m, n, k]);
-    let cfg = GemmReductionSpace.default_for(machine);
-    GemmReductionSpace.validate(machine, &shape, &cfg)?;
-    GemmReductionSpace.build(&shape, &cfg)
+    build_default(&GemmReductionSpace, &[m, n, k], machine)
 }
 
-/// Build with an explicit mapping configuration.
-///
-/// # Errors
-///
-/// Returns [`CompileError`] on malformed trees or indivisible tilings.
-pub fn build_with(
-    m: usize,
-    n: usize,
-    k: usize,
-    cfg: GemmConfig,
+/// The program at `cfg`: the family's tree plus the `rsum` leaf its
+/// warpgroup body launches.
+fn program(
+    [m, n, k]: [usize; 3],
+    cfg: &GemmConfig,
 ) -> Result<(TaskRegistry, MappingSpec, Vec<EntryArg>), CompileError> {
     let mut reg = FAMILY.registry()?;
     let rsum_params = vec![p("Y", Privilege::ReadWrite), p("A", Privilege::Read)];
@@ -196,10 +157,10 @@ pub fn build_with(
         LeafFn::RowSumAccum,
         &["A", "Y"],
     )?;
-    let mut instances = FAMILY.instances(&cfg, None);
+    let mut instances = FAMILY.instances(cfg, None);
     let rsum_mems = vec![MemLevel::Register, MemLevel::Shared];
     instances.push(common::leaf_mapping("rsum", rsum_mems));
-    let args = FAMILY.entry_args(m, n, k, &cfg);
+    let args = FAMILY.entry_args(m, n, k, cfg);
     Ok((reg, MappingSpec::new(instances)?, args))
 }
 

@@ -9,6 +9,7 @@ pub mod comm;
 pub(crate) mod common;
 pub mod cost;
 pub mod dual_gemm;
+pub mod footprint;
 pub mod gemm;
 pub mod gemm_reduction;
 pub mod reduction;

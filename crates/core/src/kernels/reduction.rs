@@ -17,8 +17,9 @@ use crate::front::machine::{MemLevel, ProcLevel};
 use crate::front::mapping::{MappingSpec, TaskMapping};
 use crate::front::task::TaskRegistry;
 use crate::kernels::common::{self, p, tiled};
+use crate::kernels::footprint::Footprint;
 use crate::kernels::gemm::GemmConfig;
-use crate::kernels::space::{gemm_family_candidates, MappingConfig, MappingSpace, Shape};
+use crate::kernels::space::{build_default, Grid, MappingConfig, MappingSpace, Shape};
 use crate::passes::depan::EntryArg;
 use cypress_sim::MachineConfig;
 use cypress_tensor::DType;
@@ -46,49 +47,15 @@ impl MappingSpace for ReductionSpace {
         MappingConfig::Gemm(GemmConfig::for_machine(machine))
     }
 
-    fn validate(
-        &self,
-        machine: &MachineConfig,
-        shape: &Shape,
-        cfg: &MappingConfig,
-    ) -> Result<(), CompileError> {
-        let [m, k] = shape.expect_dims::<2>("reduce")?;
-        let c = cfg.as_gemm("reduce")?;
-        if c.wgs == 0 || c.pipeline == 0 {
-            return Err(CompileError::Unsupported(
-                "`reduce` mapping needs wgs >= 1 and pipeline >= 1".into(),
-            ));
-        }
-        if c.u != 64 * c.wgs {
-            return Err(CompileError::Partition(format!(
-                "`reduce` block tile rows {} must equal 64 x wgs",
-                c.u
-            )));
-        }
-        for (dim, name, tile, tname) in [(m, "M", c.u, "U"), (k, "K", c.w, "W")] {
-            if tile == 0 || dim % tile != 0 {
-                return Err(CompileError::Partition(format!(
-                    "`reduce` tile {tname}={tile} does not divide {name}={dim}"
-                )));
-            }
-        }
-        // Staged per pipeline stage: one A tile; plus the Y staging.
-        let elem = 2usize;
-        let required = c.pipeline * c.u * c.w * elem + c.u * elem;
-        if required > machine.smem_per_sm {
-            return Err(CompileError::OutOfSharedMemory {
-                required,
-                limit: machine.smem_per_sm,
-            });
-        }
-        Ok(())
+    fn footprint(&self) -> Footprint {
+        Footprint::RowReduce
     }
 
-    fn candidates(&self, machine: &MachineConfig, shape: &Shape) -> Vec<MappingConfig> {
-        let MappingConfig::Gemm(default) = self.default_for(machine) else {
-            return Vec::new();
-        };
-        gemm_family_candidates(self, machine, shape, default, false, true)
+    fn grid(&self) -> Grid {
+        Grid {
+            v: &[],
+            ..Grid::GEMM
+        }
     }
 
     fn build(
@@ -96,8 +63,7 @@ impl MappingSpace for ReductionSpace {
         shape: &Shape,
         cfg: &MappingConfig,
     ) -> Result<(TaskRegistry, MappingSpec, Vec<EntryArg>), CompileError> {
-        let [m, k] = shape.expect_dims::<2>("reduce")?;
-        build_with(m, k, cfg.as_gemm("reduce")?)
+        program(shape.expect_dims("reduce")?, &cfg.as_gemm("reduce")?)
     }
 }
 
@@ -113,21 +79,14 @@ pub fn build(
     k: usize,
     machine: &MachineConfig,
 ) -> Result<(TaskRegistry, MappingSpec, Vec<EntryArg>), CompileError> {
-    let shape = Shape::of(&[m, k]);
-    let cfg = ReductionSpace.default_for(machine);
-    ReductionSpace.validate(machine, &shape, &cfg)?;
-    ReductionSpace.build(&shape, &cfg)
+    build_default(&ReductionSpace, &[m, k], machine)
 }
 
-/// Build with an explicit mapping configuration.
-///
-/// # Errors
-///
-/// Returns [`CompileError`] on malformed trees or indivisible tilings.
-pub fn build_with(
-    m: usize,
-    k: usize,
-    cfg: GemmConfig,
+/// The program at `cfg`: host bands, a block-level fold over `W`-wide
+/// slices, and the warpgroup row split down to the `rsum` leaf.
+fn program(
+    [m, k]: [usize; 2],
+    cfg: &GemmConfig,
 ) -> Result<(TaskRegistry, MappingSpec, Vec<EntryArg>), CompileError> {
     let mut reg = TaskRegistry::new();
     common::register_vec_clear(&mut reg, "vclear", 0.0)?;
@@ -192,7 +151,7 @@ pub fn build_with(
             .tunable("U", cfg.u as i64)
             .calls(&["red_block"])
             .entrypoint(),
-        common::accumulate_block_instance("red_block", global, &cfg, &block_calls),
+        common::accumulate_block_instance("red_block", global, cfg, &block_calls),
         common::row_split_instance("rstep_tile", "rstep_tile", cfg.wgs, &staged, "rsum_leaf"),
         common::leaf_mapping("rsum", staged.to_vec()),
     ];

@@ -33,9 +33,11 @@ use crate::error::CompileError;
 use crate::front::mapping::MappingSpec;
 use crate::front::task::TaskRegistry;
 use crate::kernels::attention::AttentionConfig;
+use crate::kernels::cost::{self, CostEstimate};
+use crate::kernels::footprint::Footprint;
 use crate::kernels::gemm::GemmConfig;
 use crate::passes::depan::EntryArg;
-use cypress_sim::MachineConfig;
+use cypress_sim::{CostConstants, MachineConfig};
 use std::fmt;
 
 /// A problem shape: flat extents whose meaning is per kernel
@@ -182,7 +184,47 @@ impl MappingConfig {
     }
 }
 
+/// The mapping dimensions a space's [`MappingSpace::candidates`] walks,
+/// each with the values it tries (the default's own joins a list that
+/// lacks it); an empty list — the `Default` — pins the dimension. A
+/// listed dimension is claimed functionally transparent for the kernel.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Grid {
+    /// Warpgroup counts; the row tile follows as `64 x wgs`.
+    pub wgs: &'static [usize],
+    /// Column tiles `V` (attention: the K/V tile `Bc`).
+    pub v: &'static [usize],
+    /// Reduction tiles `W`.
+    pub w: &'static [usize],
+    /// Software pipeline depths.
+    pub pipeline: &'static [usize],
+    /// Whether warp specialization is tried both on and off.
+    pub warpspecialize: bool,
+}
+
+impl Grid {
+    /// What the GEMM family walks: the `V`/`W` tiles, the pipeline
+    /// depth, and warp specialization. The warpgroup count (and with it
+    /// the row tile `U`) stays at the hand-tuned default — re-splitting
+    /// rows across warpgroups interacts with warp specialization in ways
+    /// the functional guarantee does not cover. A kernel for which a
+    /// tile is structural pins it: `Grid { w: &[], ..Grid::GEMM }`.
+    pub const GEMM: Grid = Grid {
+        wgs: &[],
+        v: &[64, 128, 256],
+        w: &[32, 64],
+        pipeline: &[1, 2, 3],
+        warpspecialize: true,
+    };
+}
+
 /// An enumerable, validated mapping space for one kernel.
+///
+/// An implementor states the five facts that differ between kernels —
+/// [`entry`](MappingSpace::entry), [`default_for`](MappingSpace::default_for),
+/// [`footprint`](MappingSpace::footprint), [`grid`](MappingSpace::grid)
+/// and [`build`](MappingSpace::build) — and gets `validate`,
+/// `candidates` and `estimate` from them.
 ///
 /// The trait is object-safe so a runtime can carry `Arc<dyn MappingSpace>`
 /// next to a compiled program; `candidates` therefore returns a `Vec`
@@ -192,13 +234,21 @@ impl MappingConfig {
 /// deterministic autotuner needs.
 pub trait MappingSpace: fmt::Debug + Send + Sync {
     /// The entry task name of programs this space builds (`"gemm"`,
-    /// `"bgemm"`, `"dual"`, `"gr"`, `"fa"`).
+    /// `"bgemm"`, `"dual"`, `"gr"`, `"chain"`, `"reduce"`, `"xfer"`,
+    /// `"halo"`, `"allred"`, `"fa"`).
     fn entry(&self) -> &'static str;
 
     /// The hand-tuned default mapping for `machine` — exactly what the
     /// kernel's `build` uses, so `build(shape, &default_for(machine))`
     /// reproduces the pre-space programs bit for bit.
     fn default_for(&self, machine: &MachineConfig) -> MappingConfig;
+
+    /// What one point of this space stages and launches: the single
+    /// description `validate` bounds and `estimate` prices.
+    fn footprint(&self) -> Footprint;
+
+    /// The functionally transparent dimensions `candidates` enumerates.
+    fn grid(&self) -> Grid;
 
     /// Check one point against `machine` and `shape`: tile divisibility
     /// and the shared-memory budget.
@@ -208,18 +258,97 @@ pub trait MappingSpace: fmt::Debug + Send + Sync {
     /// [`CompileError::Partition`] for tiles that do not divide the
     /// problem, [`CompileError::OutOfSharedMemory`] for points whose
     /// staged working set exceeds the machine, and
-    /// [`CompileError::Unsupported`] for malformed shapes or configs.
+    /// [`CompileError::Unsupported`] for malformed shapes or configs,
+    /// including ones whose byte counts overflow `usize`.
     fn validate(
         &self,
         machine: &MachineConfig,
         shape: &Shape,
         cfg: &MappingConfig,
-    ) -> Result<(), CompileError>;
+    ) -> Result<(), CompileError> {
+        let kernel = self.entry();
+        let launch = self.footprint().measure(kernel, shape, cfg)?;
+        if launch.regs_per_thread > machine.max_regs_per_thread {
+            return Err(CompileError::Unsupported(format!(
+                "`{kernel}` accumulators need ~{} registers per thread, machine allows {}",
+                launch.regs_per_thread, machine.max_regs_per_thread
+            )));
+        }
+        if launch.smem_bytes > machine.smem_per_sm {
+            return Err(CompileError::OutOfSharedMemory {
+                required: launch.smem_bytes,
+                limit: machine.smem_per_sm,
+            });
+        }
+        Ok(())
+    }
 
     /// Every valid point for `(machine, shape)`, in a deterministic
-    /// order. All returned points compile, and all compute bitwise the
-    /// same function as [`MappingSpace::default_for`]'s point.
-    fn candidates(&self, machine: &MachineConfig, shape: &Shape) -> Vec<MappingConfig>;
+    /// order: the [`grid`](MappingSpace::grid) around the default,
+    /// walked `wgs`, `V`, `W`, pipeline depth, warp specialization
+    /// (outermost first) and filtered through `validate`. All returned
+    /// points compile, and all compute bitwise the same function as
+    /// [`MappingSpace::default_for`]'s point.
+    fn candidates(&self, machine: &MachineConfig, shape: &Shape) -> Vec<MappingConfig> {
+        let (default, grid) = (self.default_for(machine), self.grid());
+        let (wgs, v, w, pipeline, ws) = match default {
+            MappingConfig::Gemm(c) => (c.wgs, c.v, c.w, c.pipeline, c.warpspecialize),
+            MappingConfig::Attention(c) => (c.wgs, c.bc, 0, c.pipeline, true),
+        };
+        let axis = |tried: &[usize], default: usize| {
+            let mut values = tried.to_vec();
+            if !values.contains(&default) {
+                values.push(default);
+            }
+            values
+        };
+        let [wgs, v, w, pipeline] = [
+            axis(grid.wgs, wgs),
+            axis(grid.v, v),
+            axis(grid.w, w),
+            axis(grid.pipeline, pipeline),
+        ];
+        let ws = if grid.warpspecialize {
+            vec![true, false]
+        } else {
+            vec![ws]
+        };
+        let mut out = Vec::new();
+        for &wgs in &wgs {
+            // A varied warpgroup count takes the row tile with it.
+            let rows = (!grid.wgs.is_empty()).then_some(64 * wgs);
+            for &v in &v {
+                for &w in &w {
+                    for &pipeline in &pipeline {
+                        for &warpspecialize in &ws {
+                            let cfg = match default {
+                                MappingConfig::Gemm(c) => MappingConfig::Gemm(GemmConfig {
+                                    u: rows.unwrap_or(c.u),
+                                    v,
+                                    w,
+                                    wgs,
+                                    pipeline,
+                                    warpspecialize,
+                                }),
+                                MappingConfig::Attention(c) => {
+                                    MappingConfig::Attention(AttentionConfig {
+                                        br: rows.unwrap_or(c.br),
+                                        bc: v,
+                                        wgs,
+                                        pipeline,
+                                    })
+                                }
+                            };
+                            if self.validate(machine, shape, &cfg).is_ok() {
+                                out.push(cfg);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
 
     /// Build the kernel's program at `cfg`.
     ///
@@ -234,160 +363,72 @@ pub trait MappingSpace: fmt::Debug + Send + Sync {
 
     /// Analytically predict the cost of one candidate (see
     /// [`crate::kernels::cost`]): what a guided tuner ranks by before
-    /// paying the simulator. The default dispatches on
-    /// [`MappingSpace::entry`]; spaces whose footprint the entry name
-    /// alone cannot determine (FA2 vs FA3 attention) override it.
-    /// `None` means the point is unpriceable — a guided sweep falls
-    /// back to the exhaustive one.
+    /// paying the simulator. The price is of the launch
+    /// [`footprint`](MappingSpace::footprint) measures, so it sees
+    /// exactly what `validate` bounds. `None` means the point is
+    /// unpriceable — malformed, overflowing, or of a family the model
+    /// does not cover — and a guided sweep falls back to the exhaustive
+    /// one.
     fn estimate(
         &self,
         machine: &MachineConfig,
         shape: &Shape,
         cfg: &MappingConfig,
-    ) -> Option<crate::kernels::cost::CostEstimate> {
-        crate::kernels::cost::estimate(self.entry(), shape, cfg, machine)
+    ) -> Option<CostEstimate> {
+        let launch = self.footprint().measure(self.entry(), shape, cfg).ok()?;
+        cost::price(&launch, machine, &CostConstants::for_machine(machine))
     }
-}
 
-// ---------------------------------------------------------------------------
-// GEMM family: shared grid enumeration and validation.
-// ---------------------------------------------------------------------------
-
-/// f16 element size in bytes.
-const ELEM: usize = 2;
-
-/// How a GEMM-family kernel's shared-memory working set scales, for the
-/// candidate filter (a conservative over-estimate of what the allocator
-/// and pipeline staging will bind; aliasing only shrinks it).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct GemmFootprint {
-    /// `B`-shaped tiles staged per pipeline stage (dual-GEMM has two).
-    pub b_tiles: usize,
-    /// Fixed extra bytes outside the pipelined loop (vector staging etc.).
-    pub extra_bytes: usize,
-}
-
-/// Validate a GEMM-family point: warpgroup row split, divisibility, and
-/// the staged shared-memory footprint.
-pub(crate) fn validate_gemm_family(
-    kernel: &str,
-    machine: &MachineConfig,
-    m: usize,
-    n: usize,
-    k: usize,
-    cfg: &GemmConfig,
-    foot: GemmFootprint,
-) -> Result<(), CompileError> {
-    if cfg.wgs == 0 || cfg.pipeline == 0 {
-        return Err(CompileError::Unsupported(format!(
-            "`{kernel}` mapping needs wgs >= 1 and pipeline >= 1"
-        )));
-    }
-    if cfg.u != 64 * cfg.wgs {
-        return Err(CompileError::Partition(format!(
-            "`{kernel}` block tile rows {} must equal 64 x wgs ({} warpgroups of one wgmma row band)",
-            cfg.u, cfg.wgs
-        )));
-    }
-    for (dim, name, tile, tname) in [
-        (m, "M", cfg.u, "U"),
-        (n, "N", cfg.v, "V"),
-        (k, "K", cfg.w, "W"),
-    ] {
-        if tile == 0 || dim % tile != 0 {
-            return Err(CompileError::Partition(format!(
-                "`{kernel}` tile {tname}={tile} does not divide {name}={dim}"
-            )));
+    /// The hand-tuned default when it validates for `(machine, shape)`,
+    /// otherwise the first valid candidate of the deterministic
+    /// enumeration — the shape-adaptive fallback the fused and
+    /// communication kernels use, since their defaults cannot anticipate
+    /// every width (the hand-tuned `V = 256` of an H100 does not divide
+    /// a 128-column attention output; `V = 64` does).
+    ///
+    /// # Errors
+    ///
+    /// The default's own typed validation error when the grid is empty.
+    fn default_or_first_candidate(
+        &self,
+        machine: &MachineConfig,
+        shape: &Shape,
+    ) -> Result<MappingConfig, CompileError> {
+        let cfg = self.default_for(machine);
+        match self.validate(machine, shape, &cfg) {
+            Ok(()) => Ok(cfg),
+            Err(e) => self.candidates(machine, shape).into_iter().next().ok_or(e),
         }
     }
-    let staged = cfg.pipeline * (cfg.u * cfg.w + foot.b_tiles * cfg.w * cfg.v) * ELEM;
-    let required = staged + cfg.u * cfg.v * ELEM + foot.extra_bytes;
-    if required > machine.smem_per_sm {
-        return Err(CompileError::OutOfSharedMemory {
-            required,
-            limit: machine.smem_per_sm,
-        });
-    }
-    Ok(())
 }
 
-/// The GEMM-family candidate grid (fixed walk order), filtered through
-/// `validate`. The warpgroup count (and with it the row tile `U`) is
-/// pinned to the hand-tuned default — re-splitting rows across
-/// warpgroups interacts with warp specialization in ways the functional
-/// guarantee does not cover. `vary_v` / `vary_w` let a kernel pin a
-/// structural tile: GEMM+Reduction's `V` fixes its partial-sum output
-/// shape, and Dual-GEMM's `W` fixes the `B1`/`B2` accumulation
-/// interleaving (both would change results, not just time).
-pub(crate) fn gemm_family_candidates(
+/// `space`'s program at its default mapping, which must fit `dims`.
+pub(crate) fn build_default(
     space: &dyn MappingSpace,
+    dims: &[usize],
     machine: &MachineConfig,
-    shape: &Shape,
-    default: GemmConfig,
-    vary_v: bool,
-    vary_w: bool,
-) -> Vec<MappingConfig> {
-    let v_choices: Vec<usize> = if vary_v {
-        let mut c = vec![64, 128, 256];
-        if !c.contains(&default.v) {
-            c.push(default.v);
-        }
-        c
-    } else {
-        vec![default.v]
-    };
-    let w_choices: Vec<usize> = if vary_w {
-        let mut c = vec![32, 64];
-        if !c.contains(&default.w) {
-            c.push(default.w);
-        }
-        c
-    } else {
-        vec![default.w]
-    };
-    let mut out = Vec::new();
-    for &v in &v_choices {
-        for &w in &w_choices {
-            for pipeline in [1usize, 2, 3] {
-                for warpspecialize in [true, false] {
-                    let cfg = MappingConfig::Gemm(GemmConfig {
-                        u: default.u,
-                        v,
-                        w,
-                        wgs: default.wgs,
-                        pipeline,
-                        warpspecialize,
-                    });
-                    if space.validate(machine, shape, &cfg).is_ok() {
-                        out.push(cfg);
-                    }
-                }
-            }
-        }
-    }
-    out
+) -> Result<(TaskRegistry, MappingSpec, Vec<EntryArg>), CompileError> {
+    let (shape, cfg) = (Shape::of(dims), space.default_for(machine));
+    space.validate(machine, &shape, &cfg)?;
+    space.build(&shape, &cfg)
 }
 
-/// The space's hand-tuned default when it validates for `(machine,
-/// shape)`, otherwise the first valid candidate of the deterministic
-/// enumeration, otherwise `None` — the shape-adaptive fallback fused
-/// kernels use, since their defaults cannot anticipate every
-/// intermediate width.
-pub(crate) fn default_or_first_candidate(
+/// `space`'s program at the mapping its
+/// [`default_or_first_candidate`](MappingSpace::default_or_first_candidate)
+/// picks for `dims`.
+pub(crate) fn build_fitted(
     space: &dyn MappingSpace,
+    dims: &[usize],
     machine: &MachineConfig,
-    shape: &Shape,
-) -> Option<MappingConfig> {
-    let default = space.default_for(machine);
-    if space.validate(machine, shape, &default).is_ok() {
-        return Some(default);
-    }
-    space.candidates(machine, shape).into_iter().next()
+) -> Result<(TaskRegistry, MappingSpec, Vec<EntryArg>), CompileError> {
+    let shape = Shape::of(dims);
+    space.build(&shape, &space.default_or_first_candidate(machine, &shape)?)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::gemm::GemmSpace;
 
     #[test]
     fn shape_displays_and_extracts() {
@@ -413,17 +454,16 @@ mod tests {
     #[test]
     fn gemm_family_validation_is_typed() {
         let machine = MachineConfig::test_gpu();
-        let foot = GemmFootprint {
-            b_tiles: 1,
-            extra_bytes: 0,
+        let validate = |dims: &[usize], cfg| {
+            GemmSpace.validate(&machine, &Shape::of(dims), &MappingConfig::Gemm(cfg))
         };
         let ok = GemmConfig::test();
-        assert!(validate_gemm_family("gemm", &machine, 128, 128, 64, &ok, foot).is_ok());
+        assert!(validate(&[128, 128, 64], ok).is_ok());
         // Indivisible N.
-        let err = validate_gemm_family("gemm", &machine, 128, 100, 64, &ok, foot);
+        let err = validate(&[128, 100, 64], ok);
         assert!(matches!(err, Err(CompileError::Partition(_))), "{err:?}");
         // H100 mapping blows the test GPU's shared memory.
-        let err = validate_gemm_family("gemm", &machine, 128, 256, 64, &GemmConfig::h100(), foot);
+        let err = validate(&[128, 256, 64], GemmConfig::h100());
         assert!(
             matches!(err, Err(CompileError::OutOfSharedMemory { .. })),
             "{err:?}"
@@ -434,7 +474,7 @@ mod tests {
             wgs: 1,
             ..GemmConfig::test()
         };
-        let err = validate_gemm_family("gemm", &machine, 128, 128, 64, &bad, foot);
+        let err = validate(&[128, 128, 64], bad);
         assert!(matches!(err, Err(CompileError::Partition(_))), "{err:?}");
     }
 }

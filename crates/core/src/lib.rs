@@ -20,22 +20,33 @@
 //! dependence analysis, vectorization, copy elimination, resource
 //! allocation, warp specialization — and emits a [`cypress_sim::Kernel`]
 //! plus pseudo-CUDA. [`kernels`] contains the evaluation programs (GEMM,
-//! batched/dual GEMM, GEMM+reduction, FlashAttention-2/3).
+//! batched/dual GEMM, GEMM+reduction, FlashAttention-2/3), each behind a
+//! [`MappingSpace`] that enumerates, validates and prices its mappings.
 //!
 //! # Example
 //!
 //! ```
-//! use cypress_core::kernels::gemm;
+//! use cypress_core::kernels::gemm::{self, GemmSpace};
 //! use cypress_core::compile::{CompilerOptions, CypressCompiler};
+//! use cypress_core::{MappingSpace, Shape};
 //! use cypress_sim::MachineConfig;
 //!
-//! let (registry, mapping, args) = gemm::build(256, 256, 128, &MachineConfig::test_gpu())?;
+//! let machine = MachineConfig::test_gpu();
+//! let (registry, mapping, args) = gemm::build(256, 256, 128, &machine)?;
 //! let compiler = CypressCompiler::new(CompilerOptions {
-//!     machine: MachineConfig::test_gpu(),
+//!     machine: machine.clone(),
 //!     ..Default::default()
 //! });
 //! let compiled = compiler.compile(&registry, &mapping, "gemm", &args)?;
 //! assert!(compiled.kernel.has_dma_warp());
+//!
+//! // The same logical description at every other valid mapping.
+//! let shape = Shape::of(&[256, 256, 128]);
+//! for cfg in GemmSpace.candidates(&machine, &shape) {
+//!     assert!(GemmSpace.estimate(&machine, &shape, &cfg).is_some());
+//!     let (registry, mapping, args) = GemmSpace.build(&shape, &cfg)?;
+//!     compiler.compile(&registry, &mapping, GemmSpace.entry(), &args)?;
+//! }
 //! # Ok::<(), cypress_core::CompileError>(())
 //! ```
 
@@ -58,5 +69,6 @@ pub use front::{
     TaskMapping, TaskRegistry, TaskVariant, VariantKind,
 };
 pub use kernels::cost::{CostEstimate, COST_MODEL_VERSION};
-pub use kernels::space::{MappingConfig, MappingSpace, Shape};
+pub use kernels::footprint::Footprint;
+pub use kernels::space::{Grid, MappingConfig, MappingSpace, Shape};
 pub use passes::depan::EntryArg;

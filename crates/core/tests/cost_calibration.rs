@@ -45,7 +45,11 @@ fn shape_for(entry: &str, size: usize) -> Shape {
 fn measure(
     machine: &MachineConfig,
     sizes: &[usize],
-) -> Vec<(String, Shape, Vec<(MappingConfig, Option<f64>, f64)>)> {
+) -> Vec<(
+    Arc<dyn MappingSpace>,
+    Shape,
+    Vec<(MappingConfig, Option<f64>, f64)>,
+)> {
     let compiler = CypressCompiler::new(CompilerOptions {
         machine: machine.clone(),
         ..Default::default()
@@ -53,7 +57,6 @@ fn measure(
     let sim = Simulator::new(machine.clone());
     let mut out = Vec::new();
     for space in paper_spaces() {
-        let fa3 = format!("{space:?}").contains("Fa3");
         for &size in sizes {
             let shape = shape_for(space.entry(), size);
             let candidates = space.candidates(machine, &shape);
@@ -76,8 +79,7 @@ fn measure(
                 let predicted = space.estimate(machine, &shape, &cfg).map(|e| e.cycles);
                 rows.push((cfg, predicted, measured));
             }
-            let label = format!("{}{}", space.entry(), if fa3 { "3" } else { "" });
-            out.push((label, shape, rows));
+            out.push((Arc::clone(&space), shape, rows));
         }
     }
     out
@@ -124,14 +126,10 @@ fn every_paper_candidate_is_priceable() {
 fn stored_constants_match_the_calibration_fit() {
     for machine in [MachineConfig::test_gpu(), MachineConfig::h100_sxm5()] {
         let mut samples = Vec::new();
-        for (label, shape, rows) in measure(&machine, &calibration_sizes(&machine)) {
+        for (space, shape, rows) in measure(&machine, &calibration_sizes(&machine)) {
             for (cfg, _, measured) in rows {
                 samples.push(CalibrationSample {
-                    entry: if label.starts_with("fa") {
-                        "fa".into()
-                    } else {
-                        label.clone()
-                    },
+                    space: Arc::clone(&space),
                     shape: shape.clone(),
                     config: cfg,
                     measured_cycles: measured,
@@ -156,7 +154,7 @@ fn stored_constants_match_the_calibration_fit() {
 #[test]
 fn predicted_top_half_contains_a_near_best_candidate() {
     for machine in [MachineConfig::test_gpu(), MachineConfig::h100_sxm5()] {
-        for (label, shape, rows) in measure(&machine, &calibration_sizes(&machine)) {
+        for (space, shape, rows) in measure(&machine, &calibration_sizes(&machine)) {
             let best = rows.iter().map(|r| r.2).fold(f64::INFINITY, f64::min);
             let mut ranked: Vec<_> = rows.iter().collect();
             ranked.sort_by(|a, b| {
@@ -170,7 +168,7 @@ fn predicted_top_half_contains_a_near_best_candidate() {
                 .fold(f64::INFINITY, f64::min);
             assert!(
                 top_half_best <= best * 1.05,
-                "{label} {shape} on {}: top-half best {top_half_best} vs best {best}",
+                "{space:?} {shape} on {}: top-half best {top_half_best} vs best {best}",
                 machine.name
             );
         }

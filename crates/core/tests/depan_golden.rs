@@ -22,11 +22,12 @@
 use cypress_core::fingerprint::Fnv64;
 use cypress_core::ir::printer::print_program;
 use cypress_core::ir::IrProgram;
-use cypress_core::kernels::gemm::{self, GemmConfig};
+use cypress_core::kernels::gemm::{GemmConfig, GemmSpace};
 use cypress_core::passes::depan;
 use cypress_core::{
-    ArgExpr, CompileError, EntryArg, LeafFn, MappingSpec, MemLevel, ParamSig, Privilege, ProcLevel,
-    SExpr, Stmt, TaskMapping, TaskRegistry, TaskVariant, VariantKind,
+    ArgExpr, CompileError, EntryArg, LeafFn, MappingConfig, MappingSpace, MappingSpec, MemLevel,
+    ParamSig, Privilege, ProcLevel, SExpr, Shape, Stmt, TaskMapping, TaskRegistry, TaskVariant,
+    VariantKind,
 };
 use cypress_sim::MachineConfig;
 use cypress_tensor::partition::{MmaLevel, MmaOperand};
@@ -557,7 +558,8 @@ fn tiny_cases() -> Vec<(&'static str, Result<IrProgram, CompileError>)> {
 /// the real task tree.
 fn gemm_cases() -> Vec<(&'static str, Result<IrProgram, CompileError>)> {
     let analyze = |m, n, k, cfg: GemmConfig, strip: Option<(&str, &str)>, drop_arg: bool| {
-        let (reg, mut mapping, mut args) = gemm::build_with(m, n, k, cfg)?;
+        let (reg, mut mapping, mut args) =
+            GemmSpace.build(&Shape::of(&[m, n, k]), &MappingConfig::Gemm(cfg))?;
         if let Some((instance, tunable)) = strip {
             let mut instances: Vec<TaskMapping> = mapping.iter().cloned().collect();
             for i in &mut instances {

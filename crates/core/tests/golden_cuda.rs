@@ -4,12 +4,15 @@
 //! `wgmma` with group waits, and a staged TMA store-out.
 
 use cypress_core::compile::{CompilerOptions, CypressCompiler};
-use cypress_core::kernels::gemm::{self, GemmConfig};
+use cypress_core::kernels::gemm::{GemmConfig, GemmSpace};
+use cypress_core::{MappingConfig, MappingSpace, Shape};
 use cypress_sim::MachineConfig;
 
 fn compile(cfg: GemmConfig) -> cypress_core::Compiled {
     let machine = MachineConfig::h100_sxm5();
-    let (reg, mapping, args) = gemm::build_with(4096, 4096, 4096, cfg).unwrap();
+    let (reg, mapping, args) = GemmSpace
+        .build(&Shape::of(&[4096; 3]), &MappingConfig::Gemm(cfg))
+        .unwrap();
     CypressCompiler::new(CompilerOptions {
         machine,
         ..Default::default()
@@ -96,7 +99,9 @@ fn illegal_single_warpgroup_tile_is_rejected() {
         wgs: 1,
         ..GemmConfig::h100()
     };
-    let (reg, mapping, args) = gemm::build_with(4096, 4096, 4096, cfg).unwrap();
+    let (reg, mapping, args) = GemmSpace
+        .build(&Shape::of(&[4096; 3]), &MappingConfig::Gemm(cfg))
+        .unwrap();
     let err = CypressCompiler::new(CompilerOptions {
         machine,
         ..Default::default()

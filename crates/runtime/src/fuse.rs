@@ -260,7 +260,8 @@ pub(crate) fn plan(
 fn is_library_gemm(program: &Program) -> bool {
     static LIBRARY: OnceLock<Option<TaskRegistry>> = OnceLock::new();
     let library = || {
-        let parts = gemm::build_with(64, 64, 64, GemmConfig::test());
+        let cfg = MappingConfig::Gemm(GemmConfig::test());
+        let parts = gemm::GemmSpace.build(&Shape::of(&[64, 64, 64]), &cfg);
         parts.ok().map(|(registry, ..)| registry)
     };
     program.entry == "gemm"
@@ -272,7 +273,8 @@ fn is_library_gemm(program: &Program) -> bool {
 fn is_library_reduction(program: &Program) -> bool {
     static LIBRARY: OnceLock<Option<TaskRegistry>> = OnceLock::new();
     let library = || {
-        let parts = reduction::build_with(64, 64, GemmConfig::test());
+        let cfg = MappingConfig::Gemm(GemmConfig::test());
+        let parts = reduction::ReductionSpace.build(&Shape::of(&[64, 64]), &cfg);
         parts.ok().map(|(registry, ..)| registry)
     };
     program.entry == "reduce"
@@ -340,14 +342,11 @@ fn match_chains(
         let k = ni.program.args[1].cols;
         let n = nj.program.args[0].cols;
         let shape = Shape::of(&[m, n, k, mid]);
-        let Some(cfg) = chain::config_for(machine, &shape) else {
+        // No valid chain mapping for this shape on this machine: the
+        // chain simply stays unfused.
+        let Ok(program) = Program::fitted(Arc::new(chain::ChainSpace), shape, machine) else {
             continue;
         };
-        let Ok(parts) = chain::ChainSpace.build(&shape, &MappingConfig::Gemm(cfg)) else {
-            continue;
-        };
-        let program =
-            Program::from_parts(parts, "chain").with_space(Arc::new(chain::ChainSpace), shape);
         // chain(C, A, B1, B2): C from the consumer, A/B1 from the
         // producer, B2 from the consumer.
         let bindings = vec![
@@ -423,14 +422,12 @@ fn match_gemm_reductions(
                 continue;
             }
             let shape = Shape::of(&[m, n, k]);
-            let Some(cfg) = gemm_reduction::config_for_pinned_v(machine, &shape, n) else {
+            // The standalone reduction's output is `M x 1`, which pins
+            // the fused kernel's structural `V` to `N`.
+            let pinned = Arc::new(gemm_reduction::PinnedVSpace { v: n });
+            let Ok(program) = Program::fitted(pinned, shape, machine) else {
                 continue;
             };
-            let Ok(parts) = gemm_reduction::build_with(m, n, k, cfg) else {
-                continue;
-            };
-            let program = Program::from_parts(parts, "gr")
-                .with_space(Arc::new(gemm_reduction::PinnedVSpace { v: n }), shape);
             // gr(C, Y, A, B): C/B from the GEMM, Y from the reduction,
             // A from the shared source.
             let bindings = vec![

@@ -43,7 +43,9 @@
 
 use cypress_core::fingerprint::{source_identity, SourceIdentity};
 use cypress_core::front::Privilege;
-use cypress_core::{CompileError, EntryArg, MappingSpace, MappingSpec, Shape, TaskRegistry};
+use cypress_core::{
+    CompileError, EntryArg, MappingConfig, MappingSpace, MappingSpec, Shape, TaskRegistry,
+};
 use cypress_sim::MachineConfig;
 use std::ops::Deref;
 use std::sync::{Arc, OnceLock};
@@ -149,7 +151,34 @@ impl Program {
     ) -> Result<Self, CompileError> {
         let cfg = space.default_for(machine);
         space.validate(machine, &shape, &cfg)?;
-        let (registry, mapping, args) = space.build(&shape, &cfg)?;
+        Program::bound(space, shape, &cfg)
+    }
+
+    /// [`Program::from_space`] for the kernels the runtime inserts on
+    /// its own (fused nodes, cross-device transfers), whose shapes no
+    /// hand-tuned default anticipated: built at the default mapping when
+    /// it fits `shape`, else at the space's first candidate.
+    ///
+    /// # Errors
+    ///
+    /// The default mapping's [`CompileError`] when the space has no
+    /// valid mapping for this machine/shape combination.
+    pub(crate) fn fitted(
+        space: Arc<dyn MappingSpace>,
+        shape: Shape,
+        machine: &MachineConfig,
+    ) -> Result<Self, CompileError> {
+        let cfg = space.default_or_first_candidate(machine, &shape)?;
+        Program::bound(space, shape, &cfg)
+    }
+
+    /// `space`'s program for `shape` at `cfg`, carrying the binding.
+    fn bound(
+        space: Arc<dyn MappingSpace>,
+        shape: Shape,
+        cfg: &MappingConfig,
+    ) -> Result<Self, CompileError> {
+        let (registry, mapping, args) = space.build(&shape, cfg)?;
         let entry = space.entry().to_string();
         Ok(Program::build(
             registry,

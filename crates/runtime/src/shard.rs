@@ -310,14 +310,10 @@ pub(crate) fn plan(graph: &TaskGraph, topology: &Topology) -> Result<ShardPlan, 
                     let program = match xfer_programs.entry((arg.rows, arg.cols)) {
                         Entry::Occupied(built) => built.get().clone(),
                         Entry::Vacant(slot) => {
-                            let parts =
-                                comm::build_transfer(arg.rows, arg.cols, topology.machine())?;
                             let shape = Shape::of(&[arg.rows, arg.cols]);
-                            slot.insert(
-                                Program::from_parts(parts, "xfer")
-                                    .with_space(Arc::new(comm::TransferSpace), shape),
-                            )
-                            .clone()
+                            let space = Arc::new(comm::TransferSpace);
+                            slot.insert(Program::fitted(space, shape, topology.machine())?)
+                                .clone()
                         }
                     };
                     let id = sharded.add_node(

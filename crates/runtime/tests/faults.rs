@@ -11,6 +11,7 @@
 //! bit, timeline included.
 
 use cypress_core::kernels::{attention, batched, dual_gemm, gemm, gemm_reduction};
+use cypress_core::{MappingConfig, MappingSpace, Shape};
 use cypress_runtime::{
     Binding, FaultPlan, FaultPolicy, NodeId, PlacementPolicy, Program, RuntimeError,
     SchedulePolicy, Session, TaskGraph,
@@ -34,17 +35,17 @@ fn paper_program(kind: usize, machine: &MachineConfig) -> Program {
         2 => Program::from_parts(dual_gemm::build(D, D, D, machine).unwrap(), "dual"),
         3 => Program::from_parts(gemm_reduction::build(D, D, D, machine).unwrap(), "gr"),
         _ => Program::from_parts(
-            attention::build_with(
-                attention::Algorithm::Fa2,
-                1,
-                D,
-                D,
-                attention::AttentionConfig {
+            attention::AttentionSpace {
+                algorithm: attention::Algorithm::Fa2,
+            }
+            .build(
+                &Shape::of(&[1, D, D]),
+                &MappingConfig::Attention(attention::AttentionConfig {
                     br: 64,
                     bc: 64,
                     wgs: 1,
                     pipeline: 1,
-                },
+                }),
             )
             .expect("64-row attention is well-formed"),
             "fa",

@@ -16,6 +16,7 @@
 
 use cypress_core::compile::{CompilerOptions, CypressCompiler};
 use cypress_core::kernels::{attention, batched, dual_gemm, gemm, gemm_reduction};
+use cypress_core::{MappingConfig, MappingSpace, Shape};
 use cypress_runtime::{Binding, NodeId, Program, SchedulePolicy, Session, TaskGraph};
 use cypress_sim::{MachineConfig, Simulator};
 use cypress_tensor::Tensor;
@@ -36,18 +37,18 @@ fn paper_program(kind: usize, machine: &MachineConfig) -> Program {
         2 => Program::from_parts(dual_gemm::build(D, D, D, machine).unwrap(), "dual"),
         3 => Program::from_parts(gemm_reduction::build(D, D, D, machine).unwrap(), "gr"),
         _ => Program::from_parts(
-            attention::build_with(
-                attention::Algorithm::Fa2,
-                1,
-                D,
-                D,
+            attention::AttentionSpace {
+                algorithm: attention::Algorithm::Fa2,
+            }
+            .build(
+                &Shape::of(&[1, D, D]),
                 // One 64-row warpgroup so the uniform D x D size tiles.
-                attention::AttentionConfig {
+                &MappingConfig::Attention(attention::AttentionConfig {
                     br: 64,
                     bc: 64,
                     wgs: 1,
                     pipeline: 1,
-                },
+                }),
             )
             .expect("64-row attention is well-formed"),
             "fa",

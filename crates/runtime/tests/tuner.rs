@@ -616,36 +616,51 @@ fn corrupted_table_entries_are_revalidated_and_retuned() {
     let shape = Shape::of(&[128, 128, 128]);
     let program = Program::from_space(Arc::new(gemm::GemmSpace), shape, &machine).unwrap();
 
-    // Tune once to learn the key, then forge a table whose winner has a
-    // non-dividing V tile (a hand-edited/corrupted but parseable entry).
+    // Tune once to learn the key, then forge tables whose winner is
+    // parseable but wrong: a non-dividing V tile (hand-edited), and the
+    // honest winner at a pipeline depth whose staged bytes overflow
+    // `usize` (what `MappingConfig::decode` makes of `pipe=<2^64-1>`).
     let mut donor = Session::new(machine.clone());
     let honest = donor.autotune(&program).unwrap();
     let key = donor.tuning_table().iter().next().unwrap().0.clone();
-    let mut forged = TuningTable::new();
-    forged.insert(
-        key,
-        cypress_runtime::TunedMapping {
-            entry: "gemm".into(),
-            config: cypress_core::MappingConfig::Gemm(GemmConfig {
-                v: 100, // does not divide N=128
-                ..GemmConfig::test()
-            }),
-            default_cycles: 1.0,
-            tuned_cycles: 1.0,
-            predicted_cycles: 0.0,
-            candidates: 1,
-            model_version: 0,
+    let cypress_core::MappingConfig::Gemm(winner) = honest.config else {
+        panic!("a GEMM space tunes to a GEMM mapping");
+    };
+    let forgeries = [
+        GemmConfig {
+            v: 100, // does not divide N=128
+            ..GemmConfig::test()
         },
-    );
+        GemmConfig {
+            pipeline: usize::MAX,
+            ..winner
+        },
+    ];
+    for forgery in forgeries {
+        let mut forged = TuningTable::new();
+        forged.insert(
+            key.clone(),
+            cypress_runtime::TunedMapping {
+                entry: "gemm".into(),
+                config: cypress_core::MappingConfig::Gemm(forgery),
+                default_cycles: 1.0,
+                tuned_cycles: 1.0,
+                predicted_cycles: 0.0,
+                candidates: 1,
+                model_version: 0,
+            },
+        );
 
-    let mut session = Session::new(machine).with_mapping_policy(MappingPolicy::Autotune);
-    session.import_tuning(forged);
-    // The invalid stored winner is rejected and the space re-tuned
-    // instead of building a non-dividing mapping blind.
-    let retuned = session.autotune(&program).unwrap();
-    assert_eq!(retuned, honest, "re-tune must reproduce the honest winner");
-    let report = session.run_timing(&program).unwrap();
-    assert!((report.cycles - honest.tuned_cycles).abs() < 1e-9);
+        let mut session =
+            Session::new(machine.clone()).with_mapping_policy(MappingPolicy::Autotune);
+        session.import_tuning(forged);
+        // The invalid stored winner is rejected and the space re-tuned
+        // instead of building a non-dividing mapping blind.
+        let retuned = session.autotune(&program).unwrap();
+        assert_eq!(retuned, honest, "re-tune must reproduce the honest winner");
+        let report = session.run_timing(&program).unwrap();
+        assert!((report.cycles - honest.tuned_cycles).abs() < 1e-9);
+    }
 }
 
 /// One guided-vs-exhaustive comparison: returns (exhaustive result,

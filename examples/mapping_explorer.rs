@@ -12,7 +12,7 @@
 
 use cypress::core::compile::{CompilerOptions, CypressCompiler};
 use cypress::core::kernels::gemm::{self, GemmConfig, GemmSpace};
-use cypress::core::kernels::space::Shape;
+use cypress::core::{MappingConfig, MappingSpace, Shape};
 use cypress::runtime::{MappingPolicy, Program, Session};
 use cypress::sim::{MachineConfig, Simulator};
 use std::sync::Arc;
@@ -44,7 +44,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     warpspecialize,
                     ..GemmConfig::h100()
                 };
-                let Ok((reg, mapping, args)) = gemm::build_with(size, size, size, cfg) else {
+                let built = GemmSpace.build(&Shape::of(&[size; 3]), &MappingConfig::Gemm(cfg));
+                let Ok((reg, mapping, args)) = built else {
                     continue;
                 };
                 let compiled = match compiler.compile(&reg, &mapping, "gemm", &args) {

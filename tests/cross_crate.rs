@@ -11,6 +11,7 @@ use cypress::core::kernels::{
     attention, batched, chain, dual_gemm, gemm, gemm_reduction, reduction,
 };
 use cypress::core::passes::depan::EntryArg;
+use cypress::core::{MappingConfig, MappingSpace, Shape};
 use cypress::sim::{MachineConfig, Simulator};
 use cypress::tensor::{DType, Tensor};
 use rand::rngs::StdRng;
@@ -279,7 +280,9 @@ fn pipeline_depth_ablation_shows_latency_hiding() {
             pipeline: pipe,
             ..gemm::GemmConfig::h100()
         };
-        let (reg, mapping, args) = gemm::build_with(4096, 4096, 4096, cfg).unwrap();
+        let (reg, mapping, args) = gemm::GemmSpace
+            .build(&Shape::of(&[4096; 3]), &MappingConfig::Gemm(cfg))
+            .unwrap();
         let c = compiler.compile(&reg, &mapping, "gemm", &args).unwrap();
         let cycles = sim.run_timing(&c.kernel).unwrap().cycles;
         assert!(cycles < prev, "deeper pipeline must not be slower");
