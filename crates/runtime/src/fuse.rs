@@ -47,6 +47,35 @@
 //! every applied rewrite strictly helps, and everything else is left
 //! alone.
 //!
+//! Everything the gate and the matcher derive is a pure function of
+//! data that does not change under them, so it is computed once and
+//! looked up on every later launch:
+//!
+//! - **Fused programs**, per `FusedKernel` — the rule plus the shape
+//!   the fused kernel is fitted at (`[m, n, k, mid]` for the chain,
+//!   `[m, n, k]` with `V = N` for GEMM+Reduction), which determines its
+//!   mapping space completely. With the session's machine, which never
+//!   changes, that is everything `Program::fitted` reads, so the
+//!   session's memo hands back the program — and its already-hashed
+//!   identity — a fresh build would reproduce bit for bit. A kernel with
+//!   no valid mapping is memoized as a negative entry and skipped as
+//!   before.
+//! - **Solo verdicts**, per compiled-kernel fingerprint: the session's
+//!   solo cycles of a program, or that it could not be compiled or timed
+//!   — compile and simulation are deterministic in the fingerprint, so a
+//!   rejected fused kernel is compiled once per session, not once per
+//!   launch.
+//! - **Member classification**, per program: whether a node *is* the
+//!   library GEMM or row-reduction is memoized beside the program's
+//!   identity — never by entry name, arity or shape, which look-alikes
+//!   share — since it reads nothing but the program's own parts.
+//!
+//! The memos remove work, not decisions: the gate consults the same
+//! numbers in the same order, so every applied and declined rewrite,
+//! every kernel-cache lookup of a program that compiles, and every
+//! recorded event is what rebuilding from scratch produces.
+//! `Session::clear` drops the session's two memos with its kernels.
+//!
 //! Fused nodes flow through the rest of the runtime like any node: they
 //! get stable fingerprints in the kernel cache, carry a
 //! [`cypress_core::MappingSpace`] so `MappingPolicy::Autotune` tunes
@@ -59,7 +88,7 @@ use crate::graph::{Binding, NodeId, TaskGraph};
 use crate::program::Program;
 use cypress_core::kernels::gemm::{self, GemmConfig};
 use cypress_core::kernels::{chain, gemm_reduction, reduction};
-use cypress_core::{MappingConfig, MappingSpace, Shape, TaskRegistry};
+use cypress_core::{CompileError, MappingConfig, MappingSpace, Shape, TaskRegistry};
 use cypress_sim::MachineConfig;
 use std::sync::{Arc, OnceLock};
 
@@ -149,15 +178,65 @@ impl FusionPlan {
     }
 }
 
+/// A fused kernel a rewrite rule inserts, as plain data: the rule plus
+/// the shape the kernel is fitted at, which together determine its
+/// mapping space and problem shape completely — the key the session
+/// memoizes built fused programs by.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum FusedKernel {
+    /// Rule 1's [`chain`] kernel `C = (A·B1)·B2` at `[m, n, k, mid]`.
+    Chain {
+        m: usize,
+        n: usize,
+        k: usize,
+        mid: usize,
+    },
+    /// Rule 2's `gr` kernel at `[m, n, k]` with its structural `V`
+    /// pinned to `n`.
+    GemmReduction { m: usize, n: usize, k: usize },
+}
+
+impl FusedKernel {
+    /// The rewrite rule that inserts this kernel.
+    fn rule(self) -> &'static str {
+        match self {
+            FusedKernel::Chain { .. } => "dual_chain",
+            FusedKernel::GemmReduction { .. } => "gemm_reduction",
+        }
+    }
+
+    /// The bound program for `machine`, fitted as [`Program::fitted`]
+    /// fits it.
+    ///
+    /// # Errors
+    ///
+    /// The space's [`CompileError`] when no mapping of it is valid for
+    /// this shape on `machine`.
+    pub(crate) fn build(self, machine: &MachineConfig) -> Result<Program, CompileError> {
+        match self {
+            FusedKernel::Chain { m, n, k, mid } => Program::fitted(
+                Arc::new(chain::ChainSpace),
+                Shape::of(&[m, n, k, mid]),
+                machine,
+            ),
+            FusedKernel::GemmReduction { m, n, k } => Program::fitted(
+                Arc::new(gemm_reduction::PinnedVSpace { v: n }),
+                Shape::of(&[m, n, k]),
+                machine,
+            ),
+        }
+    }
+}
+
 /// A candidate rewrite found by pattern matching, before the simulator
 /// gate has decided whether it pays.
 struct Candidate {
-    rule: &'static str,
+    kernel: FusedKernel,
     /// Original node indices replaced (sorted ascending).
     members: Vec<usize>,
     /// Insertion position in the original order (the latest member).
     position: usize,
-    /// The fused program.
+    /// The fused program, as the gate built it for `kernel`.
     program: Program,
     /// Fused-node bindings, expressed against *original* node ids.
     bindings: Vec<Binding>,
@@ -178,24 +257,28 @@ struct Candidate {
 /// How the simulator judges one candidate: solo cycles of the fused
 /// program vs. the summed solo cycles of the programs it replaces.
 /// `None` means "could not evaluate" (e.g. the fused kernel does not
-/// compile here) and vetoes the rewrite.
+/// compile here) and vetoes the rewrite. The gate also builds the
+/// fused programs, for the machine it judges them on.
 pub(crate) trait FusionGate {
     /// Solo makespan of `program` on the gate's machine, or `None` when
     /// it cannot be compiled or timed.
     fn solo_cycles(&mut self, program: &Program) -> Option<f64>;
+
+    /// `kernel`'s program on the gate's machine ([`FusedKernel::build`]),
+    /// or `None` when no mapping of its space fits there.
+    fn fused_program(&mut self, kernel: FusedKernel) -> Option<Program>;
 }
 
-/// Plan fusion over `graph` for `machine`: match candidates, let `gate`
-/// veto the ones that do not pay, and rebuild the graph with the
+/// Plan fusion over `graph` on `gate`'s machine: match candidates, let
+/// `gate` veto the ones that do not pay, and rebuild the graph with the
 /// survivors applied. Returns the rewrite — `None` when nothing fused,
 /// in which case no graph is built — and the candidates the gate
 /// measured and rejected, in match order.
 pub(crate) fn plan(
     graph: &TaskGraph,
-    machine: &MachineConfig,
     gate: &mut dyn FusionGate,
 ) -> Result<(Option<FusionPlan>, Vec<FusionDecline>), RuntimeError> {
-    let candidates = match_candidates(graph, machine);
+    let candidates = match_candidates(graph, gate);
     let mut accepted: Vec<Candidate> = Vec::new();
     let mut declined: Vec<FusionDecline> = Vec::new();
     let mut used = vec![false; graph.len()];
@@ -224,7 +307,7 @@ pub(crate) fn plan(
             // Measured and lost: worth reporting, unlike candidates the
             // gate could not evaluate at all.
             declined.push(FusionDecline {
-                rule: cand.rule,
+                rule: cand.kernel.rule(),
                 replaced: cand
                     .members
                     .iter()
@@ -248,6 +331,27 @@ pub(crate) fn plan(
         Some(apply(graph, accepted)?)
     };
     Ok((plan, declined))
+}
+
+/// A library kernel a rewrite rule takes as a member.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum LibraryKernel {
+    /// [`gemm`], `C = A·B`.
+    Gemm,
+    /// [`reduction`], the standalone row-reduction.
+    Reduction,
+}
+
+/// Which library kernel `program` is, if any. Read through
+/// [`Program::library_kernel`], which memoizes it beside the identity.
+pub(crate) fn classify(program: &Program) -> Option<LibraryKernel> {
+    if is_library_gemm(program) {
+        Some(LibraryKernel::Gemm)
+    } else if is_library_reduction(program) {
+        Some(LibraryKernel::Reduction)
+    } else {
+        None
+    }
 }
 
 /// Whether `program` *is* the library GEMM, not merely named and shaped
@@ -284,18 +388,18 @@ fn is_library_reduction(program: &Program) -> bool {
 
 /// Pattern-match all fusion candidates, deterministically (ascending
 /// consumer node order, chain rule before reduction rule).
-fn match_candidates(graph: &TaskGraph, machine: &MachineConfig) -> Vec<Candidate> {
+fn match_candidates(graph: &TaskGraph, gate: &mut dyn FusionGate) -> Vec<Candidate> {
     let mut out = Vec::new();
     // A node joins at most one candidate.
     let mut claimed = vec![false; graph.len()];
-    // One registry comparison per node, not per pairing the rules try.
-    let is_gemm: Vec<bool> = graph
+    // One classification per program, ever: the program memoizes it.
+    let kinds: Vec<Option<LibraryKernel>> = graph
         .nodes()
         .iter()
-        .map(|n| is_library_gemm(&n.program))
+        .map(|n| n.program.library_kernel())
         .collect();
-    match_chains(graph, machine, &is_gemm, &mut claimed, &mut out);
-    match_gemm_reductions(graph, machine, &is_gemm, &mut claimed, &mut out);
+    match_chains(graph, gate, &kinds, &mut claimed, &mut out);
+    match_gemm_reductions(graph, gate, &kinds, &mut claimed, &mut out);
     // Candidates apply in insertion-position order.
     out.sort_by_key(|c| c.position);
     out
@@ -304,11 +408,12 @@ fn match_candidates(graph: &TaskGraph, machine: &MachineConfig) -> Vec<Candidate
 /// Rule 1: gemm -> gemm chains (consumer order).
 fn match_chains(
     graph: &TaskGraph,
-    machine: &MachineConfig,
-    is_gemm: &[bool],
+    gate: &mut dyn FusionGate,
+    kinds: &[Option<LibraryKernel>],
     claimed: &mut [bool],
     out: &mut Vec<Candidate>,
 ) {
+    let is_gemm = |i: usize| kinds[i] == Some(LibraryKernel::Gemm);
     let consumers = graph.consumer_counts();
     let total_consumers: Vec<usize> = consumers.iter().map(|c| c.iter().sum()).collect();
     for j in 0..graph.len() {
@@ -316,7 +421,7 @@ fn match_chains(
             continue;
         }
         let nj = &graph.nodes()[j];
-        if !is_gemm[j] {
+        if !is_gemm(j) {
             continue;
         }
         let Binding::Output {
@@ -334,17 +439,17 @@ fn match_chains(
         // The producer must be a GEMM whose only observable output is
         // the edge into `j`: unretained, and its C consumed exactly by
         // this one edge (the intermediate is dead after fusion).
-        if !is_gemm[i] || ni.retain || total_consumers[i] != 1 || consumers[i][0] != 1 {
+        if !is_gemm(i) || ni.retain || total_consumers[i] != 1 || consumers[i][0] != 1 {
             continue;
         }
         // Shapes: C1[m,mid] = A[m,k]·B1[k,mid]; C[m,n] = C1·B2[mid,n].
         let (m, mid) = (ni.program.args[0].rows, ni.program.args[0].cols);
         let k = ni.program.args[1].cols;
         let n = nj.program.args[0].cols;
-        let shape = Shape::of(&[m, n, k, mid]);
+        let kernel = FusedKernel::Chain { m, n, k, mid };
         // No valid chain mapping for this shape on this machine: the
         // chain simply stays unfused.
-        let Ok(program) = Program::fitted(Arc::new(chain::ChainSpace), shape, machine) else {
+        let Some(program) = gate.fused_program(kernel) else {
             continue;
         };
         // chain(C, A, B1, B2): C from the consumer, A/B1 from the
@@ -358,7 +463,7 @@ fn match_chains(
         claimed[i] = true;
         claimed[j] = true;
         out.push(Candidate {
-            rule: "dual_chain",
+            kernel,
             members: vec![i, j],
             position: j,
             program,
@@ -375,8 +480,8 @@ fn match_chains(
 /// Rule 2: gemm + row-reduction over the same A source.
 fn match_gemm_reductions(
     graph: &TaskGraph,
-    machine: &MachineConfig,
-    is_gemm: &[bool],
+    gate: &mut dyn FusionGate,
+    kinds: &[Option<LibraryKernel>],
     claimed: &mut [bool],
     out: &mut Vec<Candidate>,
 ) {
@@ -385,7 +490,7 @@ fn match_gemm_reductions(
             continue;
         }
         let nr = &graph.nodes()[r];
-        if !is_library_reduction(&nr.program) {
+        if kinds[r] != Some(LibraryKernel::Reduction) {
             continue;
         }
         for g in 0..graph.len() {
@@ -393,7 +498,7 @@ fn match_gemm_reductions(
                 continue;
             }
             let ng = &graph.nodes()[g];
-            if !is_gemm[g] {
+            if kinds[g] != Some(LibraryKernel::Gemm) {
                 continue;
             }
             // Both must read the same A (the reduction of a GEMM's
@@ -421,11 +526,10 @@ fn match_gemm_reductions(
             if early_consumer {
                 continue;
             }
-            let shape = Shape::of(&[m, n, k]);
             // The standalone reduction's output is `M x 1`, which pins
             // the fused kernel's structural `V` to `N`.
-            let pinned = Arc::new(gemm_reduction::PinnedVSpace { v: n });
-            let Ok(program) = Program::fitted(pinned, shape, machine) else {
+            let kernel = FusedKernel::GemmReduction { m, n, k };
+            let Some(program) = gate.fused_program(kernel) else {
                 continue;
             };
             // gr(C, Y, A, B): C/B from the GEMM, Y from the reduction,
@@ -441,7 +545,7 @@ fn match_gemm_reductions(
             let mut members = vec![g, r];
             members.sort_unstable();
             out.push(Candidate {
-                rule: "gemm_reduction",
+                kernel,
                 members,
                 position,
                 program,
@@ -549,7 +653,7 @@ fn apply(graph: &TaskGraph, accepted: Vec<Candidate>) -> Result<FusionPlan, Runt
             }
             rewrites.push(FusionRewrite {
                 fused: id,
-                rule: cand.rule,
+                rule: cand.kernel.rule(),
                 replaced: cand
                     .members
                     .iter()
@@ -591,30 +695,36 @@ mod tests {
     use super::*;
     use cypress_core::kernels::{gemm, reduction};
 
-    struct AlwaysFuse;
-    impl FusionGate for AlwaysFuse {
-        fn solo_cycles(&mut self, _program: &Program) -> Option<f64> {
-            Some(1.0)
+    /// A gate on the unit-test machine that scores programs with its
+    /// function and builds every fused program afresh.
+    struct Scored(fn(&Program) -> Option<f64>);
+    impl FusionGate for Scored {
+        fn solo_cycles(&mut self, program: &Program) -> Option<f64> {
+            (self.0)(program)
+        }
+
+        fn fused_program(&mut self, kernel: FusedKernel) -> Option<Program> {
+            kernel.build(&MachineConfig::test_gpu()).ok()
         }
     }
 
-    struct NeverFuse;
-    impl FusionGate for NeverFuse {
-        fn solo_cycles(&mut self, _program: &Program) -> Option<f64> {
-            None
-        }
+    fn always_fuse() -> Scored {
+        Scored(|_| Some(1.0))
+    }
+
+    fn never_fuse() -> Scored {
+        Scored(|_| None)
     }
 
     /// Scores fused kernels slower than the launches they replace.
-    struct PreferUnfused;
-    impl FusionGate for PreferUnfused {
-        fn solo_cycles(&mut self, program: &Program) -> Option<f64> {
+    fn prefer_unfused() -> Scored {
+        Scored(|program| {
             Some(if program.entry == "chain" || program.entry == "gr" {
                 10.0
             } else {
                 1.0
             })
-        }
+        })
     }
 
     fn gemm_program(m: usize, n: usize, k: usize) -> Program {
@@ -653,7 +763,7 @@ mod tests {
     #[test]
     fn chain_pattern_fuses_to_one_node() {
         let g = chain_graph();
-        let (plan, declined) = plan(&g, &MachineConfig::test_gpu(), &mut AlwaysFuse).unwrap();
+        let (plan, declined) = plan(&g, &mut always_fuse()).unwrap();
         let plan = plan.expect("the chain fuses");
         assert_eq!(plan.graph.len(), 1);
         assert_eq!(plan.rewrites.len(), 1);
@@ -685,7 +795,7 @@ mod tests {
             )
             .unwrap();
         }
-        let (plan, _) = plan(&g, &MachineConfig::test_gpu(), &mut AlwaysFuse).unwrap();
+        let (plan, _) = plan(&g, &mut always_fuse()).unwrap();
         let plan = plan.expect("the chain fuses");
         assert_eq!(plan.graph.len(), 3);
         for (orig, node) in g.nodes().iter().enumerate().skip(2) {
@@ -703,7 +813,7 @@ mod tests {
     #[test]
     fn gate_vetoes_everything_when_it_cannot_evaluate() {
         let g = chain_graph();
-        let (plan, declined) = plan(&g, &MachineConfig::test_gpu(), &mut NeverFuse).unwrap();
+        let (plan, declined) = plan(&g, &mut never_fuse()).unwrap();
         assert!(plan.is_none(), "nothing fused, so no graph is built");
         // Unevaluable candidates are skipped, not declined.
         assert!(declined.is_empty());
@@ -712,7 +822,7 @@ mod tests {
     #[test]
     fn measured_losers_are_declined_with_margins() {
         let g = chain_graph();
-        let (plan, declined) = plan(&g, &MachineConfig::test_gpu(), &mut PreferUnfused).unwrap();
+        let (plan, declined) = plan(&g, &mut prefer_unfused()).unwrap();
         assert!(plan.is_none());
         assert_eq!(declined.len(), 1);
         let d = &declined[0];
@@ -726,7 +836,7 @@ mod tests {
     fn retained_intermediate_stays_unfused() {
         let mut g = chain_graph();
         g.retain(NodeId(0)).unwrap();
-        let (plan, _) = plan(&g, &MachineConfig::test_gpu(), &mut AlwaysFuse).unwrap();
+        let (plan, _) = plan(&g, &mut always_fuse()).unwrap();
         assert!(plan.is_none());
     }
 
@@ -750,7 +860,7 @@ mod tests {
             vec![Binding::Zeros, Binding::external("X")],
         )
         .unwrap();
-        let (plan, _) = plan(&g, &machine, &mut AlwaysFuse).unwrap();
+        let (plan, _) = plan(&g, &mut always_fuse()).unwrap();
         let plan = plan.expect("the pair fuses");
         assert_eq!(plan.graph.len(), 1);
         assert_eq!(plan.rewrites[0].rule, "gemm_reduction");
@@ -779,7 +889,7 @@ mod tests {
             vec![Binding::Zeros, Binding::output(a, 0)],
         )
         .unwrap();
-        let (plan, _) = plan(&g, &machine, &mut AlwaysFuse).unwrap();
+        let (plan, _) = plan(&g, &mut always_fuse()).unwrap();
         assert!(plan.is_none());
     }
 }

@@ -31,6 +31,8 @@
 //! - **The identity is computed once.** The parts memoize their
 //!   target-free [`SourceIdentity`] — the hash a warm launch needs to
 //!   find its compiled kernel — on first use; every clone sees the memo.
+//!   The same goes for which library kernel the parts are, the deep
+//!   registry comparison the fusion rewriter matches members by.
 //!
 //! The identity is *structural*, never the allocation's address: it is
 //! the hash [`cypress_core::fingerprint::source_identity`] computes from
@@ -41,6 +43,7 @@
 //! sessions with different machines or compiler options still gets
 //! different fingerprints.
 
+use crate::fuse::{self, LibraryKernel};
 use cypress_core::fingerprint::{source_identity, SourceIdentity};
 use cypress_core::front::Privilege;
 use cypress_core::{
@@ -86,6 +89,9 @@ pub struct ProgramParts {
     pub space: Option<SpaceBinding>,
     /// Hash of `(registry, mapping, entry, args)`, filled on first use.
     identity: OnceLock<SourceIdentity>,
+    /// Which library kernel `(registry, entry, args)` is, if any,
+    /// classified on first use.
+    library: OnceLock<Option<LibraryKernel>>,
 }
 
 impl Deref for Program {
@@ -112,6 +118,7 @@ impl Program {
                 args,
                 space,
                 identity: OnceLock::new(),
+                library: OnceLock::new(),
             }),
         }
     }
@@ -193,7 +200,8 @@ impl Program {
     /// have been built from the same space and shape). Builds a new
     /// value: a handle nobody else holds gives up its parts, a shared
     /// one is copied and its other holders are unaffected. The binding
-    /// is not part of the identity, so a memoized one carries over.
+    /// is part of neither the identity nor the library classification,
+    /// so memoized ones carry over.
     #[must_use]
     pub fn with_space(self, space: Arc<dyn MappingSpace>, shape: Shape) -> Self {
         let mut parts = Arc::try_unwrap(self.parts).unwrap_or_else(|shared| ProgramParts {
@@ -203,6 +211,7 @@ impl Program {
             args: shared.args.clone(),
             space: None,
             identity: shared.identity.clone(),
+            library: shared.library.clone(),
         });
         parts.space = Some(SpaceBinding { space, shape });
         Program {
@@ -217,6 +226,13 @@ impl Program {
             .parts
             .identity
             .get_or_init(|| source_identity(&self.registry, &self.mapping, &self.entry, &self.args))
+    }
+
+    /// The library kernel this program is, if any — what the fusion
+    /// rewriter's rules match members by — classified on first use and
+    /// shared by every clone.
+    pub(crate) fn library_kernel(&self) -> Option<LibraryKernel> {
+        *self.parts.library.get_or_init(|| fuse::classify(self))
     }
 
     /// `true` when `self` and `other` are handles to the same parts —

@@ -52,7 +52,7 @@ use crate::cache::{CacheStats, KernelCache};
 use crate::error::RuntimeError;
 use crate::executor;
 use crate::executor::{CommLaunch, FaultContext, GraphRun, NodeLaunch};
-use crate::fuse::{self, FusionPlan, FusionPolicy};
+use crate::fuse::{self, FusedKernel, FusionPlan, FusionPolicy};
 use crate::graph::TaskGraph;
 use crate::pool::{BufferPool, PoolStats};
 use crate::program::Program;
@@ -290,8 +290,16 @@ pub struct Session {
     untunable: HashSet<TuningKey>,
     /// Solo makespans per compiled-kernel fingerprint — what the fusion
     /// rewriter's simulator gate consults, memoized so warm launches pay
-    /// hash lookups instead of re-simulation.
-    solo_cycles: HashMap<u64, f64>,
+    /// hash lookups instead of re-simulation. `None` is the verdict
+    /// "could not compile or time it", memoized too, so a rejected fused
+    /// kernel is compiled once per session rather than on every launch.
+    solo_cycles: HashMap<u64, Option<f64>>,
+    /// The fusion rewriter's fused programs per `FusedKernel` (rule plus
+    /// fitted shape; with this session's machine, everything the build
+    /// reads), so a warm launch reuses one program — its identity
+    /// already hashed — instead of building and hashing it afresh.
+    /// `None` marks a kernel with no valid mapping on this machine.
+    fused_programs: HashMap<FusedKernel, Option<Program>>,
     /// Telemetry sink every launch reports to (see
     /// [`Session::set_recorder`]); [`NoopRecorder`] by default, so the
     /// hot path constructs no events.
@@ -332,6 +340,7 @@ impl Session {
             tuned_launches: HashMap::new(),
             untunable: HashSet::new(),
             solo_cycles: HashMap::new(),
+            fused_programs: HashMap::new(),
             recorder: Box::new(NoopRecorder),
             metrics: MetricsRegistry::default(),
         }
@@ -1048,8 +1057,7 @@ impl Session {
         if self.fusion_policy == FusionPolicy::Off {
             return Ok(None);
         }
-        let machine = self.machine().clone();
-        let (plan, declined) = fuse::plan(graph, &machine, self)?;
+        let (plan, declined) = fuse::plan(graph, self)?;
         if let Some(plan) = &plan {
             self.metrics.fusion_applied += plan.rewrites.len() as u64;
         }
@@ -1354,13 +1362,18 @@ impl Session {
         self.pool.stats()
     }
 
-    /// Drop all cached kernels, memoized tuned launches, memoized
-    /// fusion-gate timings, and pooled buffers (counters and tuning
-    /// results are kept).
+    /// Drop all cached kernels, pooled buffers and the session's launch
+    /// memos: the compiled autotuned winners, the fusion gate's solo
+    /// cycles and "could not evaluate" verdicts, and the fusion
+    /// rewriter's fused programs. The next launch rebuilds and re-times
+    /// what it needs and reports exactly what it reported before.
+    /// Counters, tuning results and the marks of untunable programs are
+    /// kept.
     pub fn clear(&mut self) {
         self.cache.clear();
         self.tuned_launches.clear();
         self.solo_cycles.clear();
+        self.fused_programs.clear();
         self.pool.clear();
     }
 }
@@ -1397,18 +1410,154 @@ impl fuse::FusionGate for Session {
     /// Solo cycles of `program`, compiled through the kernel cache and
     /// memoized per fingerprint: what the fusion rewriter compares. A
     /// program that does not compile (the rewriter's candidate did not
-    /// fit this machine after all) yields `None`, vetoing its rewrite.
+    /// fit this machine after all) yields `None`, vetoing its rewrite —
+    /// memoized like a success, since compile and simulation are
+    /// deterministic in the fingerprint.
     fn solo_cycles(&mut self, program: &Program) -> Option<f64> {
         let fp = self.fingerprint_of(program);
-        if let Some(c) = self.solo_cycles.get(&fp) {
-            return Some(*c);
+        if let Some(&verdict) = self.solo_cycles.get(&fp) {
+            return verdict;
         }
-        let compiled = self.compile(program).ok()?;
-        let report = self
-            .simulator
-            .run_timing_lowered(&compiled.kernel, &compiled.lowered)
-            .ok()?;
-        self.solo_cycles.insert(fp, report.cycles);
-        Some(report.cycles)
+        let verdict = self.compile(program).ok().and_then(|compiled| {
+            self.simulator
+                .run_timing_lowered(&compiled.kernel, &compiled.lowered)
+                .ok()
+                .map(|report| report.cycles)
+        });
+        self.solo_cycles.insert(fp, verdict);
+        verdict
+    }
+
+    /// `kernel`'s program for this session's machine, built on first
+    /// request and shared by every later one (`None` memoized too).
+    fn fused_program(&mut self, kernel: FusedKernel) -> Option<Program> {
+        let machine = self.simulator.machine();
+        self.fused_programs
+            .entry(kernel)
+            .or_insert_with(|| kernel.build(machine).ok())
+            .clone()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::graph::Binding;
+    use cypress_core::kernels::{gemm, reduction};
+
+    fn gemm_program(m: usize, n: usize, k: usize) -> Program {
+        Program::from_parts(
+            gemm::build(m, n, k, &MachineConfig::test_gpu()).unwrap(),
+            "gemm",
+        )
+    }
+
+    fn auto_session() -> Session {
+        Session::new(MachineConfig::test_gpu()).with_fusion_policy(FusionPolicy::Auto)
+    }
+
+    /// A GEMM chain `up -> down` through a `64 x mid` intermediate, plus
+    /// a GEMM and a row-reduction over one source.
+    fn graph(mid: usize) -> TaskGraph {
+        let mut g = TaskGraph::new();
+        let operands = |a: Binding, b: &str| vec![Binding::Zeros, a, Binding::external(b)];
+        let up = g
+            .add_node(
+                "up",
+                gemm_program(64, mid, 64),
+                operands(Binding::external("X"), "W1"),
+            )
+            .unwrap();
+        g.add_node(
+            "down",
+            gemm_program(64, 64, mid),
+            operands(Binding::output(up, 0), "W2"),
+        )
+        .unwrap();
+        g.add_node(
+            "proj",
+            gemm_program(64, 64, 64),
+            operands(Binding::external("Y"), "W3"),
+        )
+        .unwrap();
+        let stat = reduction::build(64, 64, &MachineConfig::test_gpu()).unwrap();
+        g.add_node(
+            "stat",
+            Program::from_parts(stat, "reduce"),
+            vec![Binding::Zeros, Binding::external("Y")],
+        )
+        .unwrap();
+        g
+    }
+
+    /// The fused nodes' programs of one more plan of `graph`.
+    fn fused_programs(session: &mut Session, graph: &TaskGraph) -> Vec<Program> {
+        let compiled = session.compile_graph(graph).unwrap();
+        let plan = compiled.prepared.plan.expect("the graph fuses");
+        plan.rewrites
+            .iter()
+            .map(|r| plan.graph.nodes()[r.fused.index()].program.clone())
+            .collect()
+    }
+
+    #[test]
+    fn fused_programs_are_built_once_per_session() {
+        let graph = graph(64);
+        let mut session = auto_session();
+        let first = fused_programs(&mut session, &graph);
+        assert_eq!(first.len(), 2, "both rules fire");
+        let second = fused_programs(&mut session, &graph);
+        for (a, b) in first.iter().zip(&second) {
+            assert!(a.shares_parts_with(b), "`{}` was rebuilt", a.entry);
+        }
+        // Another session builds its own, structurally identical ones.
+        let other = fused_programs(&mut auto_session(), &graph);
+        for (a, b) in first.iter().zip(&other) {
+            assert!(!a.shares_parts_with(b));
+            assert_eq!(a.identity(), b.identity());
+        }
+    }
+
+    #[test]
+    fn a_chain_with_no_valid_mapping_is_built_once() {
+        // A 64 x 1024 f16 band is 128 KiB; the test machine has 64.
+        let graph = graph(1024);
+        let chain = FusedKernel::Chain {
+            m: 64,
+            n: 64,
+            k: 64,
+            mid: 1024,
+        };
+        assert!(chain.build(&MachineConfig::test_gpu()).is_err());
+        let mut session = auto_session();
+        for _ in 0..2 {
+            let (plan, _) = fuse::plan(&graph, &mut session).unwrap();
+            let replaced = plan.expect("the pair still fuses").replaced_by_node();
+            assert!(!replaced.contains(&vec!["up".to_string(), "down".to_string()]));
+            // One negative entry, found by every plan after the first.
+            assert_eq!(session.fused_programs.len(), 2);
+            assert!(matches!(session.fused_programs.get(&chain), Some(None)));
+        }
+    }
+
+    #[test]
+    fn clear_drops_the_fusion_memos_and_no_report_bit() {
+        let graph = graph(64);
+        let mut session = auto_session();
+        session.launch_timing(&graph).unwrap();
+        let before = session.launch_timing(&graph).unwrap();
+        let held = fused_programs(&mut session, &graph);
+        session.clear();
+        assert!(session.fused_programs.is_empty() && session.solo_cycles.is_empty());
+        let after = session.launch_timing(&graph).unwrap();
+        assert_eq!(format!("{after:?}"), format!("{before:?}"));
+        for (old, new) in held.iter().zip(fused_programs(&mut session, &graph)) {
+            assert!(
+                !old.shares_parts_with(&new),
+                "`{}` survived clear",
+                old.entry
+            );
+            assert_eq!(old.identity(), new.identity());
+        }
     }
 }

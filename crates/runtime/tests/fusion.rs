@@ -395,13 +395,54 @@ fn biased(
 /// The rewriter knows a library kernel by its definition, not its entry
 /// name: a member that only looks like a GEMM or a row-reduction stays
 /// unfused, in either position of either rule, and `Auto` returns
-/// `Off`'s tensors bit for bit.
+/// `Off`'s tensors bit for bit — on a fresh session, and on one that
+/// already fused the genuine pairs at the same shapes, so a memo of the
+/// classification or of the fused programs keyed by anything the
+/// look-alikes share (entry name, arity, shape) fuses them and fails.
 #[test]
 fn look_alikes_of_library_kernels_are_not_fused() {
     let machine = MachineConfig::test_gpu();
     let gemm_parts = || gemm::build(D, D, D, &machine).unwrap();
     let reduce_parts = || reduction::build(D, D, &machine).unwrap();
     let operands = |a: Binding, b: &str| vec![Binding::Zeros, a, Binding::external(b)];
+
+    let mut warm = Session::new(machine.clone()).with_fusion_policy(FusionPolicy::Auto);
+    let mut genuine = TaskGraph::new();
+    let up = genuine
+        .add_node(
+            "up",
+            Program::from_parts(gemm_parts(), "gemm"),
+            operands(Binding::external("X"), "W1"),
+        )
+        .unwrap();
+    genuine
+        .add_node(
+            "down",
+            Program::from_parts(gemm_parts(), "gemm"),
+            operands(Binding::output(up, 0), "W2"),
+        )
+        .unwrap();
+    genuine
+        .add_node(
+            "proj",
+            Program::from_parts(gemm_parts(), "gemm"),
+            operands(Binding::external("Y"), "W3"),
+        )
+        .unwrap();
+    genuine
+        .add_node(
+            "stat",
+            Program::from_parts(reduce_parts(), "reduce"),
+            vec![Binding::Zeros, Binding::external("Y")],
+        )
+        .unwrap();
+    warm.launch_functional(&genuine, &random_inputs(&genuine, 3))
+        .unwrap();
+    let fused = warm.launch_timing(&genuine).unwrap();
+    let replaced: Vec<_> = fused.nodes.iter().map(|n| n.replaced.clone()).collect();
+    assert!(replaced.contains(&vec!["up".to_string(), "down".to_string()]));
+    assert!(replaced.contains(&vec!["proj".to_string(), "stat".to_string()]));
+
     let cases = [
         ("chain producer", biased(gemm_parts()), gemm_parts(), true),
         ("chain consumer", gemm_parts(), biased(gemm_parts()), true),
@@ -427,18 +468,21 @@ fn look_alikes_of_library_kernels_are_not_fused() {
 
         let mut off = Session::new(machine.clone());
         let off_run = off.launch_functional(&graph, &inputs).unwrap();
-        let mut auto = Session::new(machine.clone()).with_fusion_policy(FusionPolicy::Auto);
-        let auto_run = auto.launch_functional(&graph, &inputs).unwrap();
-        let auto_timing = auto.launch_timing(&graph).unwrap();
+        let mut fresh = Session::new(machine.clone()).with_fusion_policy(FusionPolicy::Auto);
+        for (session, which) in [(&mut fresh, "fresh"), (&mut warm, "warm")] {
+            let auto_run = session.launch_functional(&graph, &inputs).unwrap();
+            let auto_timing = session.launch_timing(&graph).unwrap();
 
-        assert_eq!(auto_timing.nodes.len(), 2, "{what}: both launches remain");
-        assert!(auto_timing.nodes.iter().all(|n| n.replaced.is_empty()));
-        for node in [up, down] {
-            assert_eq!(
-                auto_run.tensor(node, 0).map(Tensor::data),
-                off_run.tensor(node, 0).map(Tensor::data),
-                "{what}: output diverged under fusion"
-            );
+            let what = format!("{what} on a {which} session");
+            assert_eq!(auto_timing.nodes.len(), 2, "{what}: both launches remain");
+            assert!(auto_timing.nodes.iter().all(|n| n.replaced.is_empty()));
+            for node in [up, down] {
+                assert_eq!(
+                    auto_run.tensor(node, 0).map(Tensor::data),
+                    off_run.tensor(node, 0).map(Tensor::data),
+                    "{what}: output diverged under fusion"
+                );
+            }
         }
     }
 }

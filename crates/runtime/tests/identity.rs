@@ -182,13 +182,35 @@ fn warm_launches_still_look_every_node_up() {
             events_of_next_launch(&mut cold, &rebuilt),
             "{what}"
         );
-        // The same lookups, too (a fusion candidate that does not fit
-        // this machine is a miss on every launch, memo or not).
+        // The same lookups, too, and all of them hits: the gate memoizes
+        // a fused kernel this machine's compiler rejects like one it
+        // timed, so the rejection costs one miss per session.
         let delta = |(h, m): (u64, u64), s: &Session| (lookups(s).0 - h, lookups(s).1 - m);
         assert_eq!(
             delta(warm_before, &warm),
             delta(cold_before, &cold),
             "{what}"
+        );
+        assert_eq!(delta(warm_before, &warm).1, 0, "{what}");
+    }
+}
+
+/// From its second launch on, a warm `Auto` launch of a graph whose
+/// fusion candidates include kernels the compiler rejects looks up
+/// exactly its launched nodes, every one a hit — the rejected kernels
+/// are not compiled again.
+#[test]
+fn rejected_fused_kernels_are_compiled_once_per_session() {
+    let graph = graph_of_32();
+    let mut auto = session(FusionPolicy::Auto, 1, 1);
+    auto.launch_timing(&graph).unwrap();
+    for _ in 0..3 {
+        let before = auto.cache_stats();
+        let launched = auto.launch_timing(&graph).unwrap().nodes.len() as u64;
+        let after = auto.cache_stats();
+        assert_eq!(
+            (after.hits - before.hits, after.misses - before.misses),
+            (launched, 0)
         );
     }
 }
