@@ -33,19 +33,6 @@ pub struct CacheStats {
     pub entries: usize,
 }
 
-impl CacheStats {
-    /// Hit fraction over all lookups (0 when the cache is cold).
-    #[must_use]
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 /// One resident kernel plus its recency stamp.
 #[derive(Debug)]
 struct Entry {

@@ -45,16 +45,6 @@ impl GraphRun {
         let idx = self.names.iter().position(|n| n == node)?;
         self.tensor(NodeId(idx), param)
     }
-
-    /// Move the final tensor of `(id, param)` out of the run.
-    #[must_use]
-    pub fn take_tensor(&mut self, id: NodeId, param: usize) -> Option<Tensor> {
-        self.results
-            .get_mut(id.index())?
-            .as_mut()?
-            .get_mut(param)?
-            .take()
-    }
 }
 
 /// `true` if `node`'s buffers survive the launch: sinks (nothing consumes

@@ -86,15 +86,7 @@ pub(super) fn assemble_report(
     recorder: &mut dyn Recorder,
 ) -> Result<GraphReport, RuntimeError> {
     let streams = policy.streams();
-    let mut sched = Scheduler::new(topology, graph, launches, reports, streams, fault).run()?;
-    if sched.recovery.faults > 0 && sched.abort.is_none() {
-        // Recovery overhead: the faulted makespan over a clean run of the
-        // same launches on the same streams, so the delta isolates the
-        // faults.
-        let inactive = FaultContext::default();
-        let clean = Scheduler::new(topology, graph, launches, reports, streams, &inactive).run()?;
-        sched.recovery.overhead_cycles = sched.makespan - clean.makespan;
-    }
+    let sched = Scheduler::new(topology, graph, launches, reports, streams, fault).run()?;
     if recorder.enabled() {
         for ev in sched.events {
             recorder.record(ev);
@@ -146,6 +138,10 @@ fn critical_path(graph: &TaskGraph, reports: &[TimingReport]) -> f64 {
     }
     best
 }
+
+/// Name prefix of a failed attempt's span: a transient fault, or a launch
+/// a device loss killed in flight.
+const RETRY: &str = "retry:";
 
 /// Turns the partial report of a schedule that ended early into its
 /// typed [`RuntimeError`].
@@ -366,9 +362,14 @@ impl<'a> Scheduler<'a> {
     }
 
     /// Put launch `done.id`'s interval on the timeline, a graph node's
-    /// name behind `prefix`.
+    /// name behind `prefix`. A failed attempt ([`RETRY`]) and a recovery
+    /// transfer are recovery work: their spans add to
+    /// [`Recovery::overhead_cycles`].
     fn push_span(&mut self, prefix: &str, done: &Completion) {
         let n = self.graph.len();
+        if prefix == RETRY || done.id >= n {
+            self.out.recovery.overhead_cycles += done.end - done.start;
+        }
         let route = self.loss.route(done.id, n);
         let name = match route {
             // A recovery transfer's report carries its span name.
@@ -454,7 +455,7 @@ impl<'a> Scheduler<'a> {
         }
         let node = self.graph.nodes()[id].name.clone();
         let (device, attempts, cycle) = (self.launched_on[id], self.attempts[id], done.end);
-        self.push_span("retry:", done);
+        self.push_span(RETRY, done);
         let transient = outcome == LaunchOutcome::TransientFault;
         if transient {
             self.out.recovery.faults += 1;

@@ -58,11 +58,12 @@ pub struct NodeTiming {
 
 /// What the fault layer did during one graph execution.
 ///
-/// All-zero (the [`Default`]) for a fault-free run — including every run
-/// under [`crate::FaultPolicy::FailFast`], which never recovers. Under
+/// All-zero (the [`Default`]) for a fault-free run. Under
 /// [`crate::FaultPolicy::Retry`] the counters record the injected faults
-/// the schedule absorbed, and [`Recovery::overhead_cycles`] is the
-/// makespan paid over the fault-free schedule of the same graph.
+/// the schedule absorbed, and [`Recovery::overhead_cycles`] the cycles
+/// spent recovering from them; under [`crate::FaultPolicy::FailFast`] the
+/// first fault ends the run, and the partial report its typed error
+/// carries records it.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Recovery {
     /// Injected faults the schedule observed (transient + device loss).
@@ -74,8 +75,13 @@ pub struct Recovery {
     /// Nodes re-planned onto surviving devices after an eviction, in
     /// re-plan order (includes re-routed pending transfers).
     pub resharded_nodes: Vec<String>,
-    /// Makespan paid over the fault-free schedule, in cycles (0.0 when
-    /// nothing faulted).
+    /// Cycles of recovery work on the timeline: the summed `end - start`
+    /// of every `retry:` span (a failed attempt, or a launch a device loss
+    /// killed in flight) and every `xfer:recover:` transfer. Never
+    /// negative; 0.0 when nothing faulted. Spans on different streams or
+    /// devices may overlap, so this is work, not how much later the graph
+    /// finished than a fault-free run. Retry backoff gaps are idle time
+    /// and are not counted.
     pub overhead_cycles: f64,
 }
 
@@ -133,15 +139,6 @@ impl GraphReport {
     #[must_use]
     pub fn events(&self) -> u64 {
         self.nodes.iter().map(|n| n.report.events).sum()
-    }
-
-    /// Device FLOPs executed across all launches (Tensor Core + SIMT).
-    #[must_use]
-    pub fn device_flops(&self) -> f64 {
-        self.nodes
-            .iter()
-            .map(|n| n.report.tc_flops + n.report.simt_flops)
-            .sum()
     }
 
     /// Whole-graph TFLOP/s for an externally supplied algorithmic FLOP

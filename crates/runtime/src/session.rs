@@ -251,13 +251,6 @@ impl CompiledGraph {
     pub fn is_fused(&self) -> bool {
         self.prepared.plan.is_some()
     }
-
-    /// Whether the session's placement policy sharded this graph across
-    /// devices.
-    #[must_use]
-    pub fn is_sharded(&self) -> bool {
-        self.prepared.shard.is_some()
-    }
 }
 
 /// A long-lived runtime for compiling and launching task graphs.

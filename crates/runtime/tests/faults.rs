@@ -13,7 +13,7 @@
 use cypress_core::kernels::{attention, batched, dual_gemm, gemm, gemm_reduction};
 use cypress_core::{MappingConfig, MappingSpace, Shape};
 use cypress_runtime::{
-    Binding, FaultPlan, FaultPolicy, NodeId, PlacementPolicy, Program, RuntimeError,
+    Binding, FaultPlan, FaultPolicy, GraphReport, NodeId, PlacementPolicy, Program, RuntimeError,
     SchedulePolicy, Session, TaskGraph,
 };
 use cypress_sim::MachineConfig;
@@ -143,6 +143,24 @@ fn assert_runs_match(
     compared
 }
 
+/// A recovered report's overhead is its recovery work: the summed
+/// duration of its `retry:` and `xfer:recover:` spans, in timeline
+/// order, bit for bit — so never negative.
+fn assert_overhead_is_recovery_work(report: &GraphReport, label: &str) {
+    let work = report
+        .nodes
+        .iter()
+        .filter(|n| n.node.starts_with("retry:") || n.node.starts_with("xfer:recover:"))
+        .fold(0.0, |sum, n| sum + (n.end - n.start));
+    let overhead = report.recovery.overhead_cycles;
+    assert_eq!(
+        overhead.to_bits(),
+        work.to_bits(),
+        "overhead {overhead} != recovery spans {work} ({label})"
+    );
+    assert!(overhead >= 0.0, "negative overhead {overhead} ({label})");
+}
+
 proptest! {
     /// Faults are functionally invisible under `Retry`: random DAGs
     /// launched against seeded transient fault plans at 2 and 4 devices
@@ -175,6 +193,7 @@ proptest! {
                 recovery.retries, recovery.faults,
                 "transient-only plans retry every injected fault ({})", label
             );
+            assert_overhead_is_recovery_work(&run.report, &label);
         }
     }
 
@@ -310,10 +329,7 @@ fn device_loss_mid_run_completes_bitwise() {
             !recovery.resharded_nodes.is_empty(),
             "mid-run loss strands queued nodes ({label})"
         );
-        assert!(
-            recovery.overhead_cycles >= 0.0,
-            "losing a device never speeds the run up ({label})"
-        );
+        assert_overhead_is_recovery_work(&run.report, &label);
         assert!(
             run.report
                 .nodes
@@ -410,12 +426,104 @@ fn device_loss_drains_stranded_buffers_with_recovery_transfers() {
         run.report.breakdown()
     );
     assert_eq!(run.report.recovery.evicted_devices, vec![1]);
+    assert_overhead_is_recovery_work(&run.report, "stranded-buffer drain");
+}
+
+/// Losing a device can *shorten* a schedule: here the casualty re-plans
+/// onto the device its consumer already sits on, so the cross-device
+/// transfer between them collapses to a launch. The overhead is still
+/// the recovery work — the killed attempt — and not the (negative)
+/// difference to the clean makespan.
+#[test]
+fn a_device_loss_that_shortens_the_schedule_still_costs_its_recovery_work() {
+    let machine = MachineConfig::test_gpu();
+    let program = Program::from_parts(gemm::build(D, D, D, &machine).unwrap(), "gemm");
+    let mut graph = TaskGraph::new();
+    let mut roots = Vec::new();
+    for name in ["a", "b"] {
+        let root = graph
+            .add_node(
+                name,
+                program.clone(),
+                vec![
+                    Binding::Zeros,
+                    Binding::External(format!("{name}A")),
+                    Binding::External(format!("{name}B")),
+                ],
+            )
+            .unwrap();
+        roots.push(root);
+    }
+    // Roots round-robin over the two devices; `c` follows `a` to device
+    // 0, so `b`'s output crosses the link.
+    let c = graph
+        .add_node(
+            "c",
+            program.clone(),
+            vec![
+                Binding::Zeros,
+                Binding::output(roots[0], 0),
+                Binding::output(roots[1], 0),
+            ],
+        )
+        .unwrap();
+    graph.retain(c).unwrap();
+    let inputs = random_inputs(&graph, 41);
+    let mut oracle = Session::new(machine.clone());
+    let baseline = oracle.launch_functional(&graph, &inputs).unwrap();
+
+    let mut session = Session::new(machine)
+        .with_placement_policy(PlacementPolicy::Sharded { devices: 2 })
+        .with_policy(SchedulePolicy::Concurrent { streams: 2 })
+        .with_fault_policy(FaultPolicy::Retry {
+            max_attempts: 3,
+            backoff: 0.0,
+        });
+    let clean = session.launch_timing(&graph).unwrap();
+    let b = clean.timeline("b").unwrap();
+    assert_eq!(b.device, 1, "`b` runs on the device that will be lost");
+    let transfer = clean.timeline("xfer:b.0->d0").unwrap();
+    // Kill device 1 early in `b`'s run.
+    let loss_at = b.start + 0.025 * (b.end - b.start);
+    session.set_fault_plan(Some(FaultPlan::new().with_device_loss(1, loss_at)));
+    let run = session.launch_functional(&graph, &inputs).unwrap();
+    let label = "device loss that drops a transfer";
+    assert_eq!(
+        run.tensor(c, 0).unwrap().data(),
+        baseline.tensor(c, 0).unwrap().data(),
+        "{label}"
+    );
+    let report = &run.report;
+    assert_eq!(report.recovery.evicted_devices, vec![1], "{label}");
+    assert!(
+        report.timeline("retry:b").is_some(),
+        "`b` was killed in flight"
+    );
+    let moved = report.timeline("xfer:b.0->d0").unwrap();
+    assert!(
+        moved.end - moved.start < transfer.end - transfer.start,
+        "the re-planned transfer no longer crosses the link"
+    );
+    assert!(
+        report.makespan < clean.makespan,
+        "the loss shortened the schedule: {} vs {}",
+        report.makespan,
+        clean.makespan
+    );
+    assert!(
+        report.recovery.overhead_cycles > 0.0,
+        "overhead {} ({label})",
+        report.recovery.overhead_cycles
+    );
+    assert_overhead_is_recovery_work(report, label);
 }
 
 /// A fault never changes which scheduler runs: under every schedule
-/// policy and device count, a run with one transient is the clean run
-/// of the same session plus its reported recovery overhead, bit for
-/// bit — and never shorter.
+/// policy and device count, a run with one transient is never shorter
+/// than the clean run of the same session, and reports the failed
+/// attempt as its overhead. Serially on one device nothing overlaps the
+/// failed attempt, so there the faulted makespan is the clean one plus
+/// that overhead.
 #[test]
 fn a_transient_costs_exactly_its_reported_overhead() {
     let machine = MachineConfig::test_gpu();
@@ -437,14 +545,18 @@ fn a_transient_costs_exactly_its_reported_overhead() {
             let faulted = session.launch_timing(&graph).unwrap();
             let label = format!("{policy:?}, {devices} devices");
             assert_eq!(faulted.recovery.faults, 1, "{label}");
-            assert_eq!(
-                (faulted.makespan - faulted.recovery.overhead_cycles).to_bits(),
-                clean.makespan.to_bits(),
-                "faulted makespan {} - overhead {} != clean makespan {} ({label})",
-                faulted.makespan,
-                faulted.recovery.overhead_cycles,
-                clean.makespan
-            );
+            assert_overhead_is_recovery_work(&faulted, &label);
+            assert!(faulted.recovery.overhead_cycles > 0.0, "{label}");
+            if (policy, devices) == (SchedulePolicy::Serial, 1) {
+                let paid = faulted.makespan - faulted.recovery.overhead_cycles;
+                assert!(
+                    (paid - clean.makespan).abs() <= 1e-9 * clean.makespan,
+                    "faulted makespan {} - overhead {} != clean makespan {} ({label})",
+                    faulted.makespan,
+                    faulted.recovery.overhead_cycles,
+                    clean.makespan
+                );
+            }
             assert!(
                 faulted.makespan >= clean.makespan,
                 "a fault shortened the schedule: {} < {} ({label})",

@@ -303,12 +303,6 @@ impl Program {
     pub fn num_instructions(&self) -> usize {
         self.roles.iter().map(Vec::len).sum()
     }
-
-    /// Virtual `i64` index registers the dispatch loop needs.
-    #[must_use]
-    pub fn num_registers(&self) -> usize {
-        self.num_regs
-    }
 }
 
 /// FNV-1a over the kernel's debug representation: a cheap structural

@@ -256,12 +256,6 @@ impl ConcurrentEngine {
         }
     }
 
-    /// Number of co-resident kernels.
-    #[must_use]
-    pub fn active_len(&self) -> usize {
-        self.active.len()
-    }
-
     /// Number of devices the engine models.
     #[must_use]
     pub fn device_count(&self) -> usize {

@@ -242,8 +242,6 @@ impl f16 {
     pub const MAX: f16 = f16(0x7BFF);
     /// One.
     pub const ONE: f16 = f16(0x3C00);
-    /// Positive zero.
-    pub const ZERO: f16 = f16(0);
 
     /// Construct from raw IEEE binary16 bits.
     #[must_use]

@@ -3,14 +3,10 @@
 use std::error::Error;
 use std::fmt;
 
-/// Error produced by tensor construction, viewing, and partitioning.
+/// Error produced by tensor construction, indexing, and the MMA shape
+/// rules.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TensorError {
-    /// A shape was empty or contained a zero extent where one is not allowed.
-    InvalidShape {
-        /// The offending shape.
-        shape: Vec<usize>,
-    },
     /// Two shapes that must agree did not.
     ShapeMismatch {
         /// Expected shape.
@@ -18,20 +14,12 @@ pub enum TensorError {
         /// Shape actually supplied.
         actual: Vec<usize>,
     },
-    /// An index was out of bounds for the tensor or partition.
+    /// An index was out of bounds for the tensor.
     IndexOutOfBounds {
         /// Index supplied.
         index: Vec<usize>,
         /// Bounds it was checked against.
         bounds: Vec<usize>,
-    },
-    /// A tile shape does not divide the tensor shape and padding was not
-    /// requested.
-    IndivisibleTiling {
-        /// Tensor shape.
-        shape: Vec<usize>,
-        /// Tile shape.
-        tile: Vec<usize>,
     },
     /// Rank of an argument did not match the operation's requirement.
     RankMismatch {
@@ -53,17 +41,11 @@ pub enum TensorError {
 impl fmt::Display for TensorError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            TensorError::InvalidShape { shape } => {
-                write!(f, "invalid tensor shape {shape:?}")
-            }
             TensorError::ShapeMismatch { expected, actual } => {
                 write!(f, "shape mismatch: expected {expected:?}, got {actual:?}")
             }
             TensorError::IndexOutOfBounds { index, bounds } => {
                 write!(f, "index {index:?} out of bounds {bounds:?}")
-            }
-            TensorError::IndivisibleTiling { shape, tile } => {
-                write!(f, "tile {tile:?} does not divide shape {shape:?}")
             }
             TensorError::RankMismatch { expected, actual } => {
                 write!(f, "rank mismatch: expected {expected}, got {actual}")
@@ -84,7 +66,6 @@ mod tests {
     #[test]
     fn display_is_nonempty_and_lowercase() {
         let errs: Vec<TensorError> = vec![
-            TensorError::InvalidShape { shape: vec![0] },
             TensorError::ShapeMismatch {
                 expected: vec![1],
                 actual: vec![2],
@@ -92,10 +73,6 @@ mod tests {
             TensorError::IndexOutOfBounds {
                 index: vec![3],
                 bounds: vec![2],
-            },
-            TensorError::IndivisibleTiling {
-                shape: vec![5],
-                tile: vec![2],
             },
             TensorError::RankMismatch {
                 expected: 2,

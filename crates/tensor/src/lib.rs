@@ -7,23 +7,25 @@
 //! - [`DType`] and software-emulated `f16`/[`bf16`] element types, so that
 //!   functional simulation reproduces Tensor Core numerics (FP16 operands,
 //!   FP32 accumulation) without hardware support,
-//! - [`Layout`]: shape/stride layouts with the shared-memory swizzles used to
-//!   avoid bank conflicts on real hardware,
-//! - [`Tensor`]: an owned dense tensor with host-side reference operations
-//!   (matmul, softmax, reductions) used as oracles by the test suite,
-//! - [`TensorView`] and [`IndexMap`]: logically non-contiguous sub-tensors
-//!   with compacted origin-based coordinates (paper §3.2),
-//! - [`partition`]: the paper's two partitioning operators, `blocks` (tiling)
-//!   and `mma` (the Hopper WGMMA operand/accumulator swizzles of Fig. 4).
+//! - [`Tensor`]: an owned dense row-major tensor with host-side reference
+//!   operations (matmul, softmax, reductions) used as oracles by the test
+//!   suite,
+//! - [`partition`]: the shape rules of the paper's `mma` partitioning
+//!   operator (§3.2, Fig. 4) — the WGMMA instruction shape and
+//!   [`check_mma_shape`]. The partitioning operators themselves are IR
+//!   statements in `cypress-core` (`Stmt::blocks` / `Stmt::mma`), which
+//!   its dependence analysis checks with these rules.
 //!
 //! # Example
 //!
 //! ```
-//! use cypress_tensor::{Tensor, DType, partition::blocks};
+//! use cypress_tensor::partition::{MmaLevel, MmaOperand};
+//! use cypress_tensor::{check_mma_shape, DType, MmaInstr, Tensor};
 //!
-//! let a = Tensor::zeros(DType::F16, &[128, 64]);
-//! let p = blocks(a.shape(), &[64, 64]).expect("tile shape divides tensor");
-//! assert_eq!(p.num_pieces(), 2);
+//! let acc = Tensor::zeros(DType::F32, &[64, 256]);
+//! let instr = MmaInstr::wgmma_64x256x16();
+//! assert!(check_mma_shape(acc.shape(), instr, MmaLevel::Warp, MmaOperand::C).is_ok());
+//! assert!(check_mma_shape(&[63, 256], instr, MmaLevel::Warp, MmaOperand::C).is_err());
 //! ```
 
 // The only `unsafe` in this crate is the guarded call of a
@@ -32,17 +34,13 @@
 
 pub mod dtype;
 pub mod error;
-pub mod layout;
 pub mod partition;
 pub mod tensor;
-pub mod view;
 
 pub use dtype::{bf16, f16, DType};
 pub use error::TensorError;
-pub use layout::{Layout, Swizzle};
-pub use partition::{blocks, check_mma_shape, mma, MmaInstr, MmaOperand, Partition};
+pub use partition::{check_mma_shape, MmaInstr, MmaOperand};
 pub use tensor::Tensor;
-pub use view::{IndexMap, TensorView};
 
 /// Convenience alias used throughout the workspace.
 pub type Shape = Vec<usize>;

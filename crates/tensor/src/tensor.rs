@@ -8,10 +8,9 @@
 
 use crate::dtype::DType;
 use crate::error::TensorError;
-use crate::layout::Layout;
 use rand::Rng;
 
-/// An owned dense tensor.
+/// An owned dense tensor, stored row-major.
 ///
 /// # Example
 ///
@@ -26,12 +25,12 @@ use rand::Rng;
 #[derive(Debug, Clone, PartialEq)]
 pub struct Tensor {
     dtype: DType,
-    layout: Layout,
+    shape: Vec<usize>,
     data: Vec<f32>,
 }
 
 impl Tensor {
-    /// A zero-filled tensor with row-major layout.
+    /// A zero-filled tensor.
     ///
     /// # Panics
     ///
@@ -43,12 +42,10 @@ impl Tensor {
             !shape.is_empty() && shape.iter().all(|&s| s > 0),
             "degenerate shape {shape:?}"
         );
-        let layout = Layout::row_major(shape);
-        let n = layout.num_elements();
         Tensor {
             dtype,
-            layout,
-            data: vec![0.0; n],
+            shape: shape.to_vec(),
+            data: vec![0.0; shape.iter().product()],
         }
     }
 
@@ -82,8 +79,7 @@ impl Tensor {
     /// Returns [`TensorError::ShapeMismatch`] if `data.len()` differs from the
     /// number of elements `shape` implies.
     pub fn from_data(dtype: DType, shape: &[usize], data: Vec<f32>) -> Result<Self, TensorError> {
-        let layout = Layout::row_major(shape);
-        if data.len() != layout.num_elements() {
+        if data.len() != shape.iter().product::<usize>() {
             return Err(TensorError::ShapeMismatch {
                 expected: shape.to_vec(),
                 actual: vec![data.len()],
@@ -92,7 +88,7 @@ impl Tensor {
         let data = data.into_iter().map(|x| dtype.quantize(x)).collect();
         Ok(Tensor {
             dtype,
-            layout,
+            shape: shape.to_vec(),
             data,
         })
     }
@@ -114,13 +110,7 @@ impl Tensor {
     /// The logical shape.
     #[must_use]
     pub fn shape(&self) -> &[usize] {
-        self.layout.shape()
-    }
-
-    /// The layout (always row-major for owned tensors).
-    #[must_use]
-    pub fn layout(&self) -> &Layout {
-        &self.layout
+        &self.shape
     }
 
     /// Number of elements.
@@ -139,20 +129,43 @@ impl Tensor {
     ///
     /// # Errors
     ///
-    /// Propagates layout indexing errors.
+    /// Returns [`TensorError::RankMismatch`] if `coord` has the wrong rank
+    /// and [`TensorError::IndexOutOfBounds`] if a coordinate exceeds its
+    /// extent.
     pub fn get(&self, coord: &[usize]) -> Result<f32, TensorError> {
-        Ok(self.data[self.layout.offset(coord)?])
+        Ok(self.data[self.offset(coord)?])
     }
 
     /// Write one element (quantized).
     ///
     /// # Errors
     ///
-    /// Propagates layout indexing errors.
+    /// As [`Tensor::get`].
     pub fn set(&mut self, coord: &[usize], value: f32) -> Result<(), TensorError> {
-        let off = self.layout.offset(coord)?;
+        let off = self.offset(coord)?;
         self.data[off] = self.dtype.quantize(value);
         Ok(())
+    }
+
+    /// Row-major element offset of `coord`.
+    fn offset(&self, coord: &[usize]) -> Result<usize, TensorError> {
+        if coord.len() != self.shape.len() {
+            return Err(TensorError::RankMismatch {
+                expected: self.shape.len(),
+                actual: coord.len(),
+            });
+        }
+        let mut off = 0;
+        for (&c, &s) in coord.iter().zip(&self.shape) {
+            if c >= s {
+                return Err(TensorError::IndexOutOfBounds {
+                    index: coord.to_vec(),
+                    bounds: self.shape.clone(),
+                });
+            }
+            off = off * s + c;
+        }
+        Ok(off)
     }
 
     /// Raw row-major data.

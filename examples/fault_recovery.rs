@@ -140,7 +140,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     assert!(
         rec.overhead_cycles > 0.0,
-        "recovery costs cycles over the fault-free schedule"
+        "the failed attempts and recovery transfers cost cycles"
     );
     let retries = report
         .nodes
@@ -154,7 +154,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!(
         "recovered on device {survivor}: {} resharded node(s), {} retry \
-         span(s), +{:.0} cycles over clean ({:.2}x)",
+         span(s), {:.0} cycles of recovery work, makespan {:.2}x clean",
         rec.resharded_nodes.len(),
         retries,
         rec.overhead_cycles,
