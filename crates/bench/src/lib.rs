@@ -332,7 +332,7 @@ pub fn fig_graph_overlap(machine: &MachineConfig) -> Vec<Row> {
 
 /// Device counts of the multi-GPU figure (powers of two behind
 /// NVLink-class all-to-all links; 1 is the single-device control).
-pub const MULTI_GPU_DEVICES: [usize; 3] = [1, 2, 4];
+const MULTI_GPU_DEVICES: [usize; 3] = [1, 2, 4];
 
 /// Problem sizes of the multi-GPU figure: the device-filling regime
 /// where eight concurrent GEMMs oversubscribe one simulated H100, so
@@ -358,7 +358,7 @@ const MULTI_GPU_OVERLAP_SYSTEM: &str = "Comm overlap (2 devices)";
 /// `size`), so early pairs retire while late pairs still compute and
 /// their cross-device transfers have compute to hide under.
 #[must_use]
-pub fn multi_gpu_comm_graph(width: usize, size: usize, machine: &MachineConfig) -> TaskGraph {
+fn multi_gpu_comm_graph(width: usize, size: usize, machine: &MachineConfig) -> TaskGraph {
     let join = Program::from_parts(
         gemm::build(size, size, size, machine).expect("paper kernel builds"),
         "gemm",
@@ -407,7 +407,7 @@ pub fn multi_gpu_comm_graph(width: usize, size: usize, machine: &MachineConfig) 
 /// nodes the graph sharder inserts). `NaN` when the report has no
 /// transfers.
 #[must_use]
-pub fn comm_overlap_ratio(report: &cypress_runtime::GraphReport) -> f64 {
+fn comm_overlap_ratio(report: &cypress_runtime::GraphReport) -> f64 {
     let is_xfer = |n: &cypress_runtime::NodeTiming| n.node.starts_with("xfer:");
     let mut total = 0.0;
     let mut hidden = 0.0;
@@ -438,7 +438,7 @@ pub fn comm_overlap_ratio(report: &cypress_runtime::GraphReport) -> f64 {
 /// Multi-GPU figure: the 8-wide fan-out graph sharded across 1/2/4
 /// simulated devices ([`PlacementPolicy::Sharded`], concurrent
 /// streams), plus the fraction of cross-device transfer cycles the
-/// 2-device schedule hides under compute on [`multi_gpu_comm_graph`].
+/// 2-device schedule hides under compute on `multi_gpu_comm_graph`.
 /// [`gates`] holds 2 devices to strictly beating 1 at every size and
 /// the overlap ratio to a valid fraction.
 #[must_use]
@@ -486,7 +486,7 @@ const FUSION_SIZES: [usize; 3] = [256, 512, 1024];
 /// A two-node GEMM→GEMM chain: `C1 = A·W1`, `C = C1·W2`, the dead
 /// intermediate making it a `dual_chain` fusion candidate.
 #[must_use]
-pub fn chained_gemm_graph(size: usize, machine: &MachineConfig) -> TaskGraph {
+fn chained_gemm_graph(size: usize, machine: &MachineConfig) -> TaskGraph {
     let program = Program::from_parts(
         gemm::build(size, size, size, machine).expect("paper kernel builds"),
         "gemm",
@@ -521,7 +521,7 @@ pub fn chained_gemm_graph(size: usize, machine: &MachineConfig) -> TaskGraph {
 /// Fig. 13d dataflow as two primitive nodes, a `gemm_reduction` fusion
 /// candidate.
 #[must_use]
-pub fn gemm_reduction_pair_graph(size: usize, machine: &MachineConfig) -> TaskGraph {
+fn gemm_reduction_pair_graph(size: usize, machine: &MachineConfig) -> TaskGraph {
     let mut graph = TaskGraph::new();
     graph
         .add_node(

@@ -25,18 +25,6 @@ pub enum ProcLevel {
 }
 
 impl ProcLevel {
-    /// Number of child processors of this level inside one parent at the
-    /// next level up, on Hopper (`None` for levels whose extent is chosen
-    /// by the program: grid size, warpgroups per CTA).
-    #[must_use]
-    pub fn hopper_extent(self) -> Option<usize> {
-        match self {
-            ProcLevel::Host | ProcLevel::Block | ProcLevel::Warpgroup => None,
-            ProcLevel::Warp => Some(4),
-            ProcLevel::Thread => Some(32),
-        }
-    }
-
     /// `true` for the levels whose parallelism is implicit in the GPU
     /// programming model and flattened by the vectorization pass (§4.2.2).
     #[must_use]
@@ -110,24 +98,6 @@ mod tests {
         assert!(ProcLevel::Block < ProcLevel::Warpgroup);
         assert!(ProcLevel::Warpgroup < ProcLevel::Warp);
         assert!(ProcLevel::Warp < ProcLevel::Thread);
-    }
-
-    #[test]
-    fn hopper_extents() {
-        assert_eq!(ProcLevel::Warp.hopper_extent(), Some(4));
-        assert_eq!(ProcLevel::Thread.hopper_extent(), Some(32));
-        assert_eq!(ProcLevel::Block.hopper_extent(), None);
-    }
-
-    #[test]
-    fn visibility_matches_figure_2() {
-        assert!(MemLevel::Global.visible_from(ProcLevel::Host));
-        assert!(MemLevel::Global.visible_from(ProcLevel::Thread));
-        assert!(!MemLevel::Shared.visible_from(ProcLevel::Host));
-        assert!(MemLevel::Shared.visible_from(ProcLevel::Block));
-        assert!(MemLevel::Shared.visible_from(ProcLevel::Thread));
-        assert!(!MemLevel::Register.visible_from(ProcLevel::Block));
-        assert!(MemLevel::Register.visible_from(ProcLevel::Warpgroup));
     }
 
     #[test]

@@ -147,13 +147,6 @@ impl MappingSpec {
         Ok(spec)
     }
 
-    /// Set the shared-memory budget per thread block.
-    #[must_use]
-    pub fn with_smem_limit(mut self, bytes: usize) -> Self {
-        self.smem_limit = Some(bytes);
-        self
-    }
-
     /// The entrypoint instance.
     #[must_use]
     pub fn entry(&self) -> &TaskMapping {

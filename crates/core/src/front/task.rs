@@ -53,7 +53,7 @@ impl TaskVariant {
     /// # Errors
     ///
     /// Returns [`CompileError::KindViolation`] on the first violation.
-    pub fn check_kind(&self) -> Result<(), CompileError> {
+    fn check_kind(&self) -> Result<(), CompileError> {
         fn walk(v: &TaskVariant, body: &[Stmt]) -> Result<(), CompileError> {
             for s in body {
                 match s {

@@ -274,12 +274,6 @@ impl EventRef {
             idx: Vec::new(),
         }
     }
-
-    /// `true` if every index is a broadcast.
-    #[must_use]
-    pub fn is_broadcast(&self) -> bool {
-        !self.idx.is_empty() && self.idx.iter().all(|i| matches!(i, EvIdx::All))
-    }
 }
 
 /// Operation kinds (Fig. 7: `o`).
@@ -488,21 +482,6 @@ mod tests {
         assert!(r.uses_var(7));
         assert!(!r.uses_var(8));
         assert!(!TensorRef::whole(0).uses_var(7));
-    }
-
-    #[test]
-    fn broadcast_detection() {
-        let b = EventRef {
-            event: 0,
-            idx: vec![EvIdx::All, EvIdx::All],
-        };
-        assert!(b.is_broadcast());
-        let p = EventRef {
-            event: 0,
-            idx: vec![EvIdx::Var(1)],
-        };
-        assert!(!p.is_broadcast());
-        assert!(!EventRef::unit(0).is_broadcast());
     }
 
     #[test]

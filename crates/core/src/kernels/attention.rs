@@ -18,7 +18,7 @@ use crate::front::machine::{MemLevel, ProcLevel};
 use crate::front::mapping::{MappingSpec, TaskMapping};
 use crate::front::task::{ParamSig, TaskRegistry};
 use crate::kernels::common::{self, p};
-use crate::kernels::footprint::Footprint;
+use crate::kernels::footprint::{self, Footprint};
 use crate::kernels::space::{build_default, Grid, MappingConfig, MappingSpace, Shape};
 use crate::passes::depan::EntryArg;
 use cypress_sim::MachineConfig;
@@ -184,7 +184,7 @@ fn program(
     register_step(&mut reg, cfg.bc, "fstep3", ("ftile3", "ftile_fa3"), &fa3)?;
     register_levels(&mut reg, algorithm)?;
 
-    let rows = heads * seq;
+    let rows = footprint::folded_rows("fa", heads, seq)?;
     let args = ["O", "Q", "K", "V"].map(|t| EntryArg::f16(t, rows, head_dim));
     Ok((reg, mapping(algorithm, heads, cfg)?, args.to_vec()))
 }

@@ -11,7 +11,7 @@ use crate::front::machine::{MemLevel, ProcLevel};
 use crate::front::mapping::{MappingSpec, TaskMapping};
 use crate::front::task::TaskRegistry;
 use crate::kernels::common::{self, p};
-use crate::kernels::footprint::Footprint;
+use crate::kernels::footprint::{self, Footprint};
 use crate::kernels::gemm::{self, GemmConfig};
 use crate::kernels::space::{build_default, Grid, MappingConfig, MappingSpace, Shape};
 use crate::passes::depan::EntryArg;
@@ -114,10 +114,11 @@ fn program(
     let grid = Some(("gemm_grid", ProcLevel::Block));
     instances.extend(gemm::FAMILY.instances(cfg, grid));
 
+    let rows = |extent| footprint::folded_rows("bgemm", batch, extent);
     let args = vec![
-        EntryArg::f16("C", batch * m, n),
-        EntryArg::f16("A", batch * m, k),
-        EntryArg::f16("B", batch * k, n),
+        EntryArg::f16("C", rows(m)?, n),
+        EntryArg::f16("A", rows(m)?, k),
+        EntryArg::f16("B", rows(k)?, n),
     ];
     Ok((reg, MappingSpec::new(instances)?, args))
 }

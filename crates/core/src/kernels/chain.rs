@@ -26,8 +26,9 @@
 //! after its complete first-GEMM sum, through an f16 shared-memory
 //! store, the same single rounding the standalone GEMM performs on its
 //! `C` — and the second phase reads those f16 values back, exactly like
-//! the consumer kernel of the unfused chain. The runtime's fusion
-//! property suite (`cypress-runtime/tests/fusion.rs`) locks this down.
+//! the consumer kernel of the unfused chain. The runtime's
+//! policy-product property (`cypress-runtime/tests/policy_product.rs`)
+//! holds fused launches to a single-kernel oracle bit for bit.
 
 use crate::error::CompileError;
 use crate::front::ast::{ArgExpr, Privilege, SExpr, Stmt};

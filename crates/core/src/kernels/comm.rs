@@ -33,7 +33,7 @@ use crate::front::machine::{MemLevel, ProcLevel};
 use crate::front::mapping::{MappingSpec, TaskMapping};
 use crate::front::task::TaskRegistry;
 use crate::kernels::common::{self, p, tiled};
-use crate::kernels::footprint::Footprint;
+use crate::kernels::footprint::{self, Footprint};
 use crate::kernels::gemm::GemmConfig;
 use crate::kernels::space::{build_fitted, Grid, MappingConfig, MappingSpace, Shape};
 use crate::passes::depan::EntryArg;
@@ -49,13 +49,6 @@ pub(crate) const ELEM: usize = 2;
 #[must_use]
 pub fn tensor_bytes(rows: usize, cols: usize) -> f64 {
     rows as f64 * cols as f64 * ELEM as f64
-}
-
-/// Algorithmic FLOPs of a `ways`-input all-reduce: one add per element
-/// per extra input.
-#[must_use]
-pub fn all_reduce_flops(ways: usize, m: usize, n: usize) -> f64 {
-    (ways.saturating_sub(1) * m * n) as f64
 }
 
 // ---------------------------------------------------------------------------
@@ -321,11 +314,7 @@ impl MappingSpace for AllReduceSpace {
         cfg: &MappingConfig,
     ) -> Result<(TaskRegistry, MappingSpec, Vec<EntryArg>), CompileError> {
         let [ways, m, n] = shape.expect_dims("allred")?;
-        if ways < 2 {
-            return Err(CompileError::Unsupported(format!(
-                "`allred` needs at least 2 inputs, got {ways}"
-            )));
-        }
+        footprint::fold_inputs("allred", ways, 2)?;
         build_fold("allred", ways, m, n, &cfg.as_gemm("allred")?)
     }
 }
@@ -336,9 +325,9 @@ impl MappingSpace for AllReduceSpace {
 ///
 /// # Errors
 ///
-/// Returns [`CompileError`] when `ways < 2`, or the default mapping's
-/// error when no mapping of the space is valid for this machine/shape
-/// combination.
+/// Returns [`CompileError`] when `ways` is outside `2..=1024`, or the
+/// default mapping's error when no mapping of the space is valid for
+/// this machine/shape combination.
 pub fn build_all_reduce(
     ways: usize,
     m: usize,
@@ -409,7 +398,6 @@ mod tests {
             build_all_reduce(1, 128, 128, &machine),
             Err(CompileError::Unsupported(_))
         ));
-        assert_eq!(all_reduce_flops(4, 8, 8), 192.0);
     }
 
     #[test]

@@ -91,6 +91,29 @@ impl From<usize> for Checked {
     }
 }
 
+/// `outer * inner` rows of an entry argument that folds an outer extent
+/// (batch, heads) into its rows: a shape whose rows overflow `usize` is
+/// the same typed error as a footprint that does.
+pub(crate) fn folded_rows(kernel: &str, outer: usize, inner: usize) -> Result<usize, CompileError> {
+    (Checked::from(outer) * inner).get(kernel)
+}
+
+/// The most inputs one fold sums: an all-reduce takes one per device,
+/// and each is an entry argument and a launch in the task tree, so the
+/// bound is what keeps a hostile extent from sizing those lists.
+const MAX_FOLD_INPUTS: usize = 1 << 10;
+
+/// `min <= inputs <= MAX_FOLD_INPUTS`, for the input count of a fold.
+pub(crate) fn fold_inputs(kernel: &str, inputs: usize, min: usize) -> Result<(), CompileError> {
+    at_least(kernel, "inputs", inputs, min)?;
+    if inputs <= MAX_FOLD_INPUTS {
+        return Ok(());
+    }
+    Err(CompileError::Unsupported(format!(
+        "`{kernel}` folds at most {MAX_FOLD_INPUTS} inputs, got {inputs}"
+    )))
+}
+
 /// `value >= min`, for the extents that count things (batch, heads,
 /// all-reduce inputs).
 fn at_least(kernel: &str, what: &str, value: usize, min: usize) -> Result<(), CompileError> {
@@ -274,7 +297,7 @@ impl Footprint {
                     let [m, n] = shape.expect_dims::<2>(kernel)?;
                     [1, m, n]
                 };
-                at_least(kernel, "inputs", inputs, if reduce { 2 } else { 1 })?;
+                fold_inputs(kernel, inputs, if reduce { 2 } else { 1 })?;
                 let c = cfg.as_gemm(kernel)?;
                 check_split(kernel, c.u, c.wgs, c.pipeline, None)?;
                 check_tiles(kernel, &[(m, "M", c.u, "U"), (n, "N", c.v, "V")])?;

@@ -31,7 +31,7 @@ pub struct Allocation {
 impl Allocation {
     /// Total bytes across regions.
     #[must_use]
-    pub fn total_bytes(&self) -> usize {
+    fn total_bytes(&self) -> usize {
         self.region_bytes.iter().sum()
     }
 }

@@ -167,11 +167,27 @@ fn unread(family: &str, field: &str, value: usize) -> bool {
 /// turn by 0, 2^40 and `usize::MAX`: `validate` answers with a typed
 /// error and `estimate` with `None` or a price — never a panic (the dev
 /// profile's overflow check) and never `Ok` off a wrapped product (the
-/// release profile).
+/// release profile). Then every extent of both pinned shapes, replaced
+/// in turn by 2^40 and 2^62: `validate`, `candidates`, `estimate` and
+/// `build` (at the default and at the first candidate) all return.
 #[test]
 fn hostile_mapping_values_are_typed_errors() {
     let machine = MachineConfig::h100_sxm5();
     for (family, space, shapes) in families() {
+        let default = space.default_for(&machine);
+        for fit in &shapes {
+            for i in 0..fit.dims().len() {
+                for value in [1 << 40, 1 << 62] {
+                    let shape = with_dim(fit, i, |_| value);
+                    let _ = space.validate(&machine, &shape, &default);
+                    let _ = space.estimate(&machine, &shape, &default);
+                    let _ = space.build(&shape, &default);
+                    if let Some(first) = space.candidates(&machine, &shape).first() {
+                        let _ = space.build(&shape, first);
+                    }
+                }
+            }
+        }
         let shape = &shapes[1];
         let default = space.default_for(&machine);
         assert_eq!(

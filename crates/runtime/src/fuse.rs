@@ -17,8 +17,8 @@
 //! unrounded f32 fragments and rounds only at f16 materializations, and
 //! each fused kernel keeps exactly the same rounding points as the
 //! launches it replaces (see the kernel docs of
-//! [`cypress_core::kernels::chain`] and the property suite in
-//! `tests/fusion.rs`).
+//! [`cypress_core::kernels::chain`] and the policy-product property in
+//! `tests/policy_product.rs`).
 //!
 //! 1. **GEMM→GEMM (chained dual-GEMM)** — a `gemm` node whose `C`
 //!    output feeds exactly one consumer: the `A` slot of another `gemm`

@@ -121,11 +121,18 @@ impl From<JsonError> for String {
     }
 }
 
+/// Deepest `[` / `{` nesting [`JsonParser::parse`] accepts. The files
+/// the workspace writes nest at most four deep; the bound keeps a
+/// hostile file from recursing the parser off the stack.
+const MAX_DEPTH: usize = 128;
+
 /// Recursive-descent JSON parser with positions in error messages.
 #[derive(Debug)]
 pub struct JsonParser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl<'a> JsonParser<'a> {
@@ -133,11 +140,13 @@ impl<'a> JsonParser<'a> {
     ///
     /// # Errors
     ///
-    /// Returns the first syntax problem and the offset it was found at.
+    /// Returns the first syntax problem and the offset it was found at;
+    /// nesting deeper than 128 arrays and objects is one.
     pub fn parse(text: &'a str) -> Result<JsonValue, JsonError> {
         let mut p = JsonParser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         let parsed = p.value().and_then(|v| {
             p.skip_ws();
@@ -182,8 +191,22 @@ impl<'a> JsonParser<'a> {
 
     fn value(&mut self) -> Result<JsonValue, String> {
         match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
+            open @ (b'{' | b'[') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let nested = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                nested
+            }
             b'"' => Ok(JsonValue::Str(self.string()?)),
             b't' => self.literal("true", JsonValue::Bool(true)),
             b'f' => self.literal("false", JsonValue::Bool(false)),
@@ -376,5 +399,29 @@ impl<'a> JsonParser<'a> {
         s.parse::<f64>()
             .map(JsonValue::Num)
             .map_err(|e| format!("bad number `{s}` at byte {start}: {e}"))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::TraceSink;
+
+    /// A file nested past the cap is a typed error at the first bracket
+    /// beyond it, through the parser and through the trace reader built
+    /// on it — not a stack overflow that aborts the process.
+    #[test]
+    fn deep_nesting_is_a_typed_error() {
+        let arrays = "[".repeat(100_000);
+        let err = JsonParser::parse(&arrays).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH, "{err}");
+        let objects = "{\"a\":".repeat(100_000);
+        let err = JsonParser::parse(&objects).unwrap_err();
+        assert_eq!(err.offset, 5 * MAX_DEPTH, "{err}");
+        let err = TraceSink::parse_chrome_json(&objects).unwrap_err();
+        assert!(err.starts_with("nesting deeper than"), "{err}");
+
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(JsonParser::parse(&at_cap).is_ok());
     }
 }

@@ -242,12 +242,6 @@ impl Program {
         Arc::ptr_eq(&self.parts, &other.parts)
     }
 
-    /// The index of the entry parameter called `name`.
-    #[must_use]
-    pub fn param_index(&self, name: &str) -> Option<usize> {
-        self.args.iter().position(|a| a.name == name)
-    }
-
     /// Declared privilege of entry parameter `idx`, if the entry variant
     /// declares its signature (used to distinguish outputs from inputs).
     #[must_use]
@@ -285,9 +279,6 @@ mod tests {
             "gemm",
         );
         assert_eq!(p.args.len(), 3);
-        assert_eq!(p.param_index("C"), Some(0));
-        assert_eq!(p.param_index("A"), Some(1));
-        assert_eq!(p.param_index("B"), Some(2));
         assert_eq!(p.output_indices(), vec![0]);
     }
 

@@ -44,8 +44,11 @@
 //! No class depends on the worker count: there is one functional
 //! executor and one tuner sweep, so the full recorded stream (minus
 //! `Host`) is bit-identical across repeat runs *and* across
-//! [`crate::Session::set_parallelism`] settings; the property suite in
-//! `tests/determinism_streams.rs` locks each row of the table down.
+//! [`crate::Session::set_parallelism`] settings. `tests/policy_product.rs`
+//! locks each row of the table down: repeat runs of a fixed graph, and
+//! on random graphs at random policy points, the whole stream at
+//! parallelism 1 and 8 and the `Flow` events of serial and concurrent
+//! schedules.
 
 use crate::cache::CacheStats;
 use crate::json::{json_num, json_str, JsonParser, JsonValue};

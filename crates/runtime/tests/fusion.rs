@@ -1,254 +1,25 @@
-//! Property suite for the graph-level fusion rewriter.
+//! The graph-level fusion rewriter on fixed graphs.
 //!
-//! Random DAGs over the paper kernels (plus the standalone
-//! row-reduction) are launched twice — [`FusionPolicy::Off`] and
-//! [`FusionPolicy::Auto`] — and checked three ways:
-//!
-//! 1. **Functional differential**: every output tensor the unfused run
-//!    retains must be *bitwise identical* under `Auto` (fusion never
-//!    changes results, only launch count).
-//! 2. **Makespan**: the fused graph's makespan never exceeds the
-//!    unfused serial sum — structural, because the session's simulator
-//!    gate only applies rewrites that win.
-//! 3. **Coverage**: across the generated corpus at least one rewrite of
-//!    each rule fires (otherwise the suite would vacuously pass).
-//!
-//! Degenerate shapes both policies must treat identically — the empty
-//! graph, a single node, and a graph that fuses down to a single node —
-//! are locked down alongside.
+//! On random DAGs, `policy_product.rs` holds [`FusionPolicy::Auto`] to
+//! the single-kernel oracle bit for bit, bounds the fused makespan by
+//! the unfused serial sum, accounts for every replaced node, and counts
+//! both rules firing. The tests here lock down what a random draw does
+//! not reach: degenerate graphs both policies must treat identically —
+//! empty, a single node, a pair that fuses down to a single launch —
+//! library look-alikes that must stay unfused, and fusion under
+//! autotuning.
 
-use cypress_core::kernels::{batched, dual_gemm, gemm, gemm_reduction, reduction};
+mod common;
+
+use common::{gemm_chain, gemm_node, gemm_program, graph_inputs, D};
+use cypress_core::kernels::{gemm, reduction};
 use cypress_core::{EntryArg, LeafFn, MappingSpec, Stmt, TaskRegistry};
-use cypress_runtime::{Binding, FusionPolicy, NodeId, Program, SchedulePolicy, Session, TaskGraph};
+use cypress_runtime::{
+    Binding, FusionPolicy, MappingPolicy, Program, SchedulePolicy, Session, TaskGraph,
+};
 use cypress_sim::MachineConfig;
 use cypress_tensor::Tensor;
-use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
-
-/// Uniform problem size: every consumable tensor is `D x D`.
-const D: usize = 64;
-
-/// One of the paper kernels (or the standalone reduction) at the
-/// uniform size.
-fn node_program(kind: usize, machine: &MachineConfig) -> Program {
-    match kind % 6 {
-        0 | 5 => Program::from_parts(gemm::build(D, D, D, machine).unwrap(), "gemm"),
-        1 => Program::from_parts(batched::build(1, D, D, D, machine).unwrap(), "bgemm"),
-        2 => Program::from_parts(dual_gemm::build(D, D, D, machine).unwrap(), "dual"),
-        3 => Program::from_parts(gemm_reduction::build(D, D, D, machine).unwrap(), "gr"),
-        _ => Program::from_parts(reduction::build(D, D, machine).unwrap(), "reduce"),
-    }
-}
-
-/// A random DAG mixing the six node kinds; GEMM is weighted up so
-/// GEMM→GEMM chains and GEMM+reduction pairs occur regularly.
-fn random_graph(
-    seed: u64,
-    max_nodes: usize,
-    machine: &MachineConfig,
-) -> (TaskGraph, Vec<NodeId>, Vec<Program>) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let n = rng.gen_range(2..max_nodes.max(2) + 1);
-    let mut graph = TaskGraph::new();
-    let mut ids: Vec<NodeId> = Vec::new();
-    let mut programs: Vec<Program> = Vec::new();
-    for i in 0..n {
-        let prog = node_program(rng.gen_range(0usize..6), machine);
-        let outputs = prog.output_indices();
-        let mut bindings = Vec::with_capacity(prog.args.len());
-        for (pi, arg) in prog.args.iter().enumerate() {
-            if outputs.contains(&pi) {
-                bindings.push(Binding::Zeros);
-                continue;
-            }
-            let candidates: Vec<usize> = (0..i)
-                .filter(|&j| {
-                    let src = &programs[j].args[0];
-                    (src.rows, src.cols, src.dtype) == (arg.rows, arg.cols, arg.dtype)
-                })
-                .collect();
-            if !candidates.is_empty() && rng.gen_range(0u32..100) < 60 {
-                let j = candidates[rng.gen_range(0..candidates.len())];
-                bindings.push(Binding::output(ids[j], 0));
-            } else {
-                bindings.push(Binding::External(format!("x{i}_{pi}")));
-            }
-        }
-        let id = graph
-            .add_node(&format!("n{i}"), prog.clone(), bindings)
-            .expect("generated bindings are compatible by construction");
-        if rng.gen_range(0u32..2) == 0 {
-            graph.retain(id).unwrap();
-        }
-        ids.push(id);
-        programs.push(prog);
-    }
-    (graph, ids, programs)
-}
-
-/// Random external inputs matching every `External` binding.
-fn random_inputs(graph: &TaskGraph, seed: u64) -> HashMap<String, Tensor> {
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED_F00D);
-    let mut inputs = HashMap::new();
-    for node in graph.nodes() {
-        for (pi, binding) in node.bindings.iter().enumerate() {
-            if let Binding::External(name) = binding {
-                let arg = &node.program.args[pi];
-                inputs.insert(
-                    name.clone(),
-                    Tensor::random(arg.dtype, &[arg.rows, arg.cols], &mut rng, -0.5, 0.5),
-                );
-            }
-        }
-    }
-    inputs
-}
-
-proptest! {
-    /// Off vs Auto on random DAGs: bitwise-identical retained outputs,
-    /// fused makespan never above the unfused serial sum, and the
-    /// fusion annotations account exactly for the replaced nodes.
-    #[test]
-    fn auto_matches_off_bitwise(seed in 0u64..1_000_000) {
-        let machine = MachineConfig::test_gpu();
-        let (graph, ids, programs) = random_graph(seed, 5, &machine);
-        let inputs = random_inputs(&graph, seed);
-
-        let mut off = Session::new(machine.clone());
-        let off_run = off.launch_functional(&graph, &inputs).unwrap();
-        let off_timing = off.launch_timing(&graph).unwrap();
-
-        let mut auto = Session::new(machine.clone()).with_fusion_policy(FusionPolicy::Auto);
-        let auto_run = auto.launch_functional(&graph, &inputs).unwrap();
-
-        // Every output tensor the unfused run kept must exist and match
-        // bitwise under fusion.
-        let mut compared = 0usize;
-        for (i, prog) in programs.iter().enumerate() {
-            for pi in prog.output_indices() {
-                if let Some(want) = off_run.tensor(ids[i], pi) {
-                    let got = auto_run.tensor(ids[i], pi).unwrap_or_else(|| {
-                        panic!("node {i} param {pi} vanished under fusion (seed {seed})")
-                    });
-                    prop_assert_eq!(
-                        got.data(),
-                        want.data(),
-                        "node {} param {} diverged under fusion (seed {})",
-                        i, pi, seed
-                    );
-                    compared += 1;
-                }
-            }
-        }
-        prop_assert!(compared > 0, "every graph retains at least its sinks");
-
-        // Beyond outputs: wherever both runs expose a parameter tensor
-        // (operands of retained nodes included), the bits must match.
-        for (i, prog) in programs.iter().enumerate() {
-            for pi in 0..prog.args.len() {
-                if let (Some(want), Some(got)) =
-                    (off_run.tensor(ids[i], pi), auto_run.tensor(ids[i], pi))
-                {
-                    prop_assert_eq!(
-                        got.data(),
-                        want.data(),
-                        "node {} param {} operand diverged under fusion (seed {})",
-                        i, pi, seed
-                    );
-                }
-            }
-        }
-
-        // Makespan: the fused serial schedule never loses to unfused.
-        let auto_timing = auto.launch_timing(&graph).unwrap();
-        let eps = 1e-9 * off_timing.serial_sum().max(1.0);
-        prop_assert!(
-            auto_timing.makespan <= off_timing.serial_sum() + eps,
-            "fused makespan {} > unfused serial sum {} (seed {seed})",
-            auto_timing.makespan, off_timing.serial_sum()
-        );
-
-        // Fused launches annotate exactly the nodes they replaced, and
-        // launch count shrinks by the number of replaced-away nodes.
-        let replaced: usize = auto_timing.nodes.iter().map(|n| n.replaced.len()).sum();
-        let fused_launches = auto_timing.nodes.iter().filter(|n| !n.replaced.is_empty()).count();
-        prop_assert_eq!(auto_timing.nodes.len(), graph.len() - replaced + fused_launches);
-        for node in &auto_timing.nodes {
-            prop_assert!(
-                node.replaced.is_empty() || node.replaced.len() == 2,
-                "a rewrite replaced {} nodes", node.replaced.len()
-            );
-        }
-
-        // Under the concurrent policy the fused graph still satisfies
-        // the scheduling invariants.
-        auto.set_policy(SchedulePolicy::Concurrent { streams: 3 });
-        let conc = auto.launch_timing(&graph).unwrap();
-        prop_assert!(conc.critical_path <= conc.makespan + eps);
-        prop_assert!(conc.makespan <= auto_timing.makespan + eps);
-        let conc_run = auto.launch_functional(&graph, &inputs).unwrap();
-        for (i, prog) in programs.iter().enumerate() {
-            for pi in prog.output_indices() {
-                if let Some(want) = off_run.tensor(ids[i], pi) {
-                    prop_assert_eq!(
-                        conc_run.tensor(ids[i], pi).unwrap().data(),
-                        want.data(),
-                        "concurrent fused run diverged (seed {})", seed
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// The rules must actually fire across the generated corpus — run after
-/// the property (cargo runs tests in one process, order-independent by
-/// generating a dedicated corpus here).
-#[test]
-fn both_rules_fire_on_the_corpus() {
-    let machine = MachineConfig::test_gpu();
-    let mut chain = 0usize;
-    let mut gr = 0usize;
-    for seed in 0..200u64 {
-        let (graph, _, _) = random_graph(seed, 5, &machine);
-        let mut auto = Session::new(machine.clone()).with_fusion_policy(FusionPolicy::Auto);
-        let report = auto.launch_timing(&graph).unwrap();
-        for node in &report.nodes {
-            if !node.replaced.is_empty() {
-                match graph_rule_of(&graph, &node.replaced) {
-                    Rule::Chain => chain += 1,
-                    Rule::Gr => gr += 1,
-                }
-            }
-        }
-    }
-    assert!(chain > 0, "no GEMM->GEMM chain fused in 200 random graphs");
-    assert!(gr > 0, "no GEMM+reduction pair fused in 200 random graphs");
-}
-
-enum Rule {
-    Chain,
-    Gr,
-}
-
-/// Which rule a fused launch came from, judged by the replaced nodes'
-/// programs in the original graph.
-fn graph_rule_of(graph: &TaskGraph, replaced: &[String]) -> Rule {
-    let any_reduce = replaced.iter().any(|name| {
-        graph
-            .nodes()
-            .iter()
-            .any(|n| &n.name == name && n.program.entry == "reduce")
-    });
-    if any_reduce {
-        Rule::Gr
-    } else {
-        Rule::Chain
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Degenerate graphs both policies must handle identically.
 // ---------------------------------------------------------------------------
@@ -282,21 +53,11 @@ fn empty_graph_is_a_no_op_under_both_policies() {
 
 #[test]
 fn single_node_is_identical_under_both_policies() {
-    let machine = MachineConfig::test_gpu();
-    let program = Program::from_parts(gemm::build(D, D, D, &machine).unwrap(), "gemm");
+    let program = gemm_program(&MachineConfig::test_gpu(), D);
     let mut graph = TaskGraph::new();
-    let id = graph
-        .add_node(
-            "only",
-            program,
-            vec![
-                Binding::Zeros,
-                Binding::external("A"),
-                Binding::external("B"),
-            ],
-        )
-        .unwrap();
-    let inputs = random_inputs(&graph, 99);
+    let [a, b] = ["A", "B"].map(Binding::external);
+    let id = gemm_node(&mut graph, "only", &program, a, b);
+    let inputs = graph_inputs(&graph, 99);
     let mut runs = Vec::new();
     for (_, mut session) in sessions() {
         let run = session.launch_functional(&graph, &inputs).unwrap();
@@ -310,31 +71,8 @@ fn single_node_is_identical_under_both_policies() {
 #[test]
 fn chain_pair_fuses_to_a_single_launch() {
     let machine = MachineConfig::test_gpu();
-    let program = Program::from_parts(gemm::build(D, D, D, &machine).unwrap(), "gemm");
-    let mut graph = TaskGraph::new();
-    let up = graph
-        .add_node(
-            "up",
-            program.clone(),
-            vec![
-                Binding::Zeros,
-                Binding::external("X"),
-                Binding::external("W1"),
-            ],
-        )
-        .unwrap();
-    let down = graph
-        .add_node(
-            "down",
-            program,
-            vec![
-                Binding::Zeros,
-                Binding::output(up, 0),
-                Binding::external("W2"),
-            ],
-        )
-        .unwrap();
-    let inputs = random_inputs(&graph, 7);
+    let (graph, up, down) = gemm_chain(&machine);
+    let inputs = graph_inputs(&graph, 7);
 
     let mut off = Session::new(machine.clone());
     let off_run = off.launch_functional(&graph, &inputs).unwrap();
@@ -407,36 +145,13 @@ fn look_alikes_of_library_kernels_are_not_fused() {
     let operands = |a: Binding, b: &str| vec![Binding::Zeros, a, Binding::external(b)];
 
     let mut warm = Session::new(machine.clone()).with_fusion_policy(FusionPolicy::Auto);
-    let mut genuine = TaskGraph::new();
-    let up = genuine
-        .add_node(
-            "up",
-            Program::from_parts(gemm_parts(), "gemm"),
-            operands(Binding::external("X"), "W1"),
-        )
-        .unwrap();
-    genuine
-        .add_node(
-            "down",
-            Program::from_parts(gemm_parts(), "gemm"),
-            operands(Binding::output(up, 0), "W2"),
-        )
-        .unwrap();
-    genuine
-        .add_node(
-            "proj",
-            Program::from_parts(gemm_parts(), "gemm"),
-            operands(Binding::external("Y"), "W3"),
-        )
-        .unwrap();
-    genuine
-        .add_node(
-            "stat",
-            Program::from_parts(reduce_parts(), "reduce"),
-            vec![Binding::Zeros, Binding::external("Y")],
-        )
-        .unwrap();
-    warm.launch_functional(&genuine, &random_inputs(&genuine, 3))
+    let (mut genuine, _, _) = gemm_chain(&machine);
+    let [y, w3] = ["Y", "W3"].map(Binding::external);
+    gemm_node(&mut genuine, "proj", &gemm_program(&machine, D), y, w3);
+    let stat = vec![Binding::Zeros, Binding::external("Y")];
+    let reduce = Program::from_parts(reduce_parts(), "reduce");
+    genuine.add_node("stat", reduce, stat).unwrap();
+    warm.launch_functional(&genuine, &graph_inputs(&genuine, 3))
         .unwrap();
     let fused = warm.launch_timing(&genuine).unwrap();
     let replaced: Vec<_> = fused.nodes.iter().map(|n| n.replaced.clone()).collect();
@@ -464,7 +179,7 @@ fn look_alikes_of_library_kernels_are_not_fused() {
             let bindings = vec![Binding::Zeros, Binding::external("X")];
             graph.add_node("second", second, bindings).unwrap()
         };
-        let inputs = random_inputs(&graph, 11);
+        let inputs = graph_inputs(&graph, 11);
 
         let mut off = Session::new(machine.clone());
         let off_run = off.launch_functional(&graph, &inputs).unwrap();
@@ -489,33 +204,9 @@ fn look_alikes_of_library_kernels_are_not_fused() {
 
 #[test]
 fn fusion_composes_with_autotuning() {
-    use cypress_runtime::MappingPolicy;
     let machine = MachineConfig::test_gpu();
-    let program = Program::from_parts(gemm::build(D, D, D, &machine).unwrap(), "gemm");
-    let mut graph = TaskGraph::new();
-    let up = graph
-        .add_node(
-            "up",
-            program.clone(),
-            vec![
-                Binding::Zeros,
-                Binding::external("X"),
-                Binding::external("W1"),
-            ],
-        )
-        .unwrap();
-    let down = graph
-        .add_node(
-            "down",
-            program,
-            vec![
-                Binding::Zeros,
-                Binding::output(up, 0),
-                Binding::external("W2"),
-            ],
-        )
-        .unwrap();
-    let inputs = random_inputs(&graph, 11);
+    let (graph, _, down) = gemm_chain(&machine);
+    let inputs = graph_inputs(&graph, 11);
 
     let mut off = Session::new(machine.clone());
     let want = off.launch_functional(&graph, &inputs).unwrap();

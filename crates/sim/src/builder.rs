@@ -4,7 +4,6 @@
 //! baseline kernels. The builder hands out indices for memory objects and
 //! fresh loop-variable ids, then assembles a validated [`Kernel`].
 
-use crate::expr::Expr;
 use crate::instr::Instr;
 use crate::kernel::{Kernel, MbarDecl, Role, RoleKind};
 use crate::mem::{FragDecl, ParamDecl, SmemDecl};
@@ -121,22 +120,6 @@ impl KernelBuilder {
         self.vars - 1
     }
 
-    /// Convenience: a counted loop over `0..count` with a fresh variable.
-    /// The closure receives the loop variable as an [`Expr`] and the raw id.
-    pub fn counted_loop(
-        &mut self,
-        count: impl Into<Expr>,
-        f: impl FnOnce(&mut Self, Expr, usize) -> Vec<Instr>,
-    ) -> Instr {
-        let var = self.fresh_var();
-        let body = f(self, Expr::var(var), var);
-        Instr::Loop {
-            var,
-            count: count.into(),
-            body,
-        }
-    }
-
     /// Add a role with its instruction stream.
     pub fn role(&mut self, kind: RoleKind, body: Vec<Instr>) -> &mut Self {
         self.roles.push(Role { kind, body });
@@ -186,23 +169,5 @@ mod tests {
         let k = b.build();
         assert_eq!(k.num_ctas(), 4);
         k.validate(&MachineConfig::test_gpu()).unwrap();
-    }
-
-    #[test]
-    fn counted_loop_allocates_fresh_vars() {
-        let mut b = KernelBuilder::new("k", [1, 1, 1]);
-        let l = b.counted_loop(4i64, |b, _i, _id| {
-            vec![b.counted_loop(2i64, |_b, _j, _jid| vec![Instr::Syncthreads])]
-        });
-        match l {
-            Instr::Loop { var, body, .. } => {
-                assert_eq!(var, 0);
-                match &body[0] {
-                    Instr::Loop { var, .. } => assert_eq!(*var, 1),
-                    other => panic!("expected nested loop, got {other:?}"),
-                }
-            }
-            other => panic!("expected loop, got {other:?}"),
-        }
     }
 }

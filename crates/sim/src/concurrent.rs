@@ -229,14 +229,6 @@ impl ConcurrentEngine {
         self.fault_plan.as_ref()
     }
 
-    /// The cycle `device` died at, once its [`crate::Fault::DeviceLoss`]
-    /// has fired (`None` while it is healthy or before the loss cycle is
-    /// reached).
-    #[must_use]
-    pub fn device_lost(&self, device: usize) -> Option<f64> {
-        self.lost.get(device).copied().flatten()
-    }
-
     /// Current simulated time in cycles.
     #[must_use]
     pub fn now(&self) -> f64 {
@@ -718,8 +710,6 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        assert_eq!(e.device_lost(1), Some(400.0));
-        assert_eq!(e.device_lost(0), None);
         // The surviving kernel still completes on time.
         match e.step().unwrap() {
             EngineStep::Retired {

@@ -263,7 +263,7 @@ pub mod reference {
     /// # Errors
     ///
     /// Returns [`TensorError::RankMismatch`] for non-matrix input.
-    pub fn softmax_rows(x: &Tensor, out_dtype: DType) -> Result<Tensor, TensorError> {
+    pub(super) fn softmax_rows(x: &Tensor, out_dtype: DType) -> Result<Tensor, TensorError> {
         if x.shape().len() != 2 {
             return Err(TensorError::RankMismatch {
                 expected: 2,
