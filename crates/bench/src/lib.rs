@@ -320,7 +320,7 @@ pub fn fig_graph_overlap(machine: &MachineConfig) -> Vec<Row> {
             tflops,
             Unit::Tflops,
         ));
-        session.set_policy(SchedulePolicy::Concurrent {
+        session = session.with_policy(SchedulePolicy::Concurrent {
             streams: OVERLAP_WIDTH,
         });
         let conc = session.launch_timing(&graph).expect("graph times");
@@ -767,7 +767,7 @@ pub fn fig_fault_tolerance(machine: &MachineConfig) -> Vec<Row> {
                 streams: OVERLAP_WIDTH,
             });
         let clean = session.launch_timing(&graph).expect("graph times").makespan;
-        session.set_fault_policy(FaultPolicy::Retry {
+        session = session.with_fault_policy(FaultPolicy::Retry {
             max_attempts: 3,
             backoff: 0.0,
         });
@@ -776,7 +776,7 @@ pub fn fig_fault_tolerance(machine: &MachineConfig) -> Vec<Row> {
             for launch in 0..transients {
                 plan = plan.with_transient(0, launch as u64);
             }
-            session.set_fault_plan(Some(plan));
+            session = session.with_fault_plan(plan);
             let faulted = session
                 .launch_timing(&graph)
                 .expect("transient faults recover under Retry")
@@ -791,9 +791,8 @@ pub fn fig_fault_tolerance(machine: &MachineConfig) -> Vec<Row> {
             ));
         }
         if devices > 1 {
-            session.set_fault_plan(Some(
-                FaultPlan::new().with_device_loss(devices - 1, clean * 0.5),
-            ));
+            session = session
+                .with_fault_plan(FaultPlan::new().with_device_loss(devices - 1, clean * 0.5));
             let faulted = session
                 .launch_timing(&graph)
                 .expect("device loss recovers by re-sharding onto survivors")

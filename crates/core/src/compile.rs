@@ -8,13 +8,13 @@ use crate::passes::depan::EntryArg;
 use crate::passes::{alloc, copyelim, depan, vectorize, warpspec};
 use cypress_sim::{Kernel, MachineConfig};
 
-/// Compiler configuration.
+/// Compiler configuration. The machine is the only input besides the
+/// program that decides the emitted kernel; `dump_ir` adds diagnostics.
 #[derive(Debug, Clone)]
 pub struct CompilerOptions {
-    /// Target machine (used for shared-memory budgets and validation).
+    /// Target machine (its shared memory per SM is the allocation budget;
+    /// the kernel is validated against it).
     pub machine: MachineConfig,
-    /// Copy-elimination pattern ordering (§4.2.3); the ablation flips it.
-    pub spill_first: bool,
     /// Keep per-pass IR dumps in the result.
     pub dump_ir: bool,
 }
@@ -23,7 +23,6 @@ impl Default for CompilerOptions {
     fn default() -> Self {
         CompilerOptions {
             machine: MachineConfig::h100_sxm5(),
-            spill_first: true,
             dump_ir: false,
         }
     }
@@ -133,21 +132,16 @@ impl CypressCompiler {
         }
 
         // 3. Copy elimination (§4.2.3).
-        let ce_opts = copyelim::Options {
-            spill_first: self.opts.spill_first,
-            ..Default::default()
-        };
         let t = std::time::Instant::now();
-        let stats = copyelim::run(&mut prog, ce_opts)?;
+        let stats = copyelim::run(&mut prog)?;
         timed("copyelim", t);
         if self.opts.dump_ir {
             dumps.push(("copyelim".to_string(), print_program(&prog)));
         }
 
         // 4. Resource allocation (§4.2.4).
-        let limit = mapping.smem_limit.unwrap_or(self.opts.machine.smem_per_sm);
         let t = std::time::Instant::now();
-        let allocation = alloc::run(&prog, limit)?;
+        let allocation = alloc::run(&prog, self.opts.machine.smem_per_sm)?;
         timed("alloc", t);
 
         // 5/6. Warp specialization, pipelining, and code generation
@@ -187,8 +181,8 @@ impl CypressCompiler {
         })
     }
 
-    /// Stable fingerprint of a compile invocation under this compiler's
-    /// options — equal fingerprints guarantee an equal [`Compiled::kernel`],
+    /// Stable fingerprint of a compile invocation on this compiler's
+    /// machine — equal fingerprints guarantee an equal [`Compiled::kernel`],
     /// so callers may reuse a cached result instead of compiling.
     #[must_use]
     pub fn fingerprint(
@@ -198,14 +192,7 @@ impl CypressCompiler {
         name: &str,
         entry_args: &[EntryArg],
     ) -> u64 {
-        crate::fingerprint::fingerprint(
-            registry,
-            mapping,
-            name,
-            entry_args,
-            &self.opts.machine,
-            self.opts.spill_first,
-        )
+        crate::fingerprint::fingerprint(registry, mapping, name, entry_args, &self.opts.machine)
     }
 
     /// The options this compiler was constructed with.

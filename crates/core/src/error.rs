@@ -80,7 +80,7 @@ pub enum CompileError {
     /// fixpoint rounds (§4.2.3); the half-eliminated program is not handed
     /// to resource allocation.
     CopyElimDiverged {
-        /// Rounds executed (`copyelim::Options::max_rounds`).
+        /// Rounds executed (the pass's fixed bound).
         rounds: usize,
     },
     /// Shared-memory allocation failed even with maximal aliasing (§4.2.4).
@@ -162,8 +162,8 @@ impl fmt::Display for CompileError {
             ),
             CompileError::CopyElimDiverged { rounds } => write!(
                 f,
-                "copy elimination was still rewriting after {rounds} rounds; raise \
-                 `copyelim::Options::max_rounds` or flatten the task tree"
+                "copy elimination was still rewriting after {rounds} rounds; flatten the \
+                 task tree or split it into smaller tasks"
             ),
             CompileError::OutOfSharedMemory { required, limit } => write!(
                 f,
@@ -197,8 +197,6 @@ mod tests {
         assert!(e.to_string().contains("`gemm_tile` more than once"));
         let e = CompileError::CopyElimDiverged { rounds: 512 };
         assert!(e.to_string().contains("512"));
-        assert!(e
-            .to_string()
-            .contains("raise `copyelim::Options::max_rounds`"));
+        assert!(e.to_string().contains("flatten the task tree"));
     }
 }

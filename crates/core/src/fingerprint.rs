@@ -5,8 +5,13 @@
 //!
 //! - the **source** — entry task name, entry argument shapes, task
 //!   registry, mapping specification — hashed by [`source_identity`];
-//! - the **target** — the machine and the compiler options that change
-//!   codegen (`spill_first`) — hashed by [`target_fingerprint`].
+//! - the **target** — the machine — hashed by [`target_fingerprint`].
+//!
+//! Both streams still carry the records of two settings the compiler no
+//! longer has — a per-mapping shared-memory limit (`smem_limit None`) and
+//! the copy-elimination pattern order (`spill_first=true`) — as the
+//! constant texts they always hashed to, so no fingerprint moved when the
+//! settings went.
 //!
 //! [`fingerprint`]` = `[`combine`]`(source, target)` identifies everything
 //! that determines the output of
@@ -110,7 +115,7 @@ pub fn source_identity(
             h.write_args(format_args!("tun {k}={val}"));
         }
     }
-    h.write_args(format_args!("smem_limit {:?}", mapping.smem_limit));
+    h.write_str("smem_limit None");
 
     SourceIdentity {
         computation,
@@ -134,12 +139,12 @@ pub fn machine_fingerprint(machine: &MachineConfig) -> u64 {
     machine_hasher(machine).finish()
 }
 
-/// Hash a compile's target: the machine plus the compiler options that
-/// change codegen (`dump_ir` only adds diagnostics).
+/// Hash a compile's target: the machine (`dump_ir` only adds
+/// diagnostics).
 #[must_use]
-pub fn target_fingerprint(machine: &MachineConfig, spill_first: bool) -> u64 {
+pub fn target_fingerprint(machine: &MachineConfig) -> u64 {
     let mut h = machine_hasher(machine);
-    h.write_args(format_args!("spill_first={spill_first}"));
+    h.write_str("spill_first=true");
     h.finish()
 }
 
@@ -154,8 +159,8 @@ pub fn combine(source: u64, target: u64) -> u64 {
 
 /// Fingerprint of a full compiler invocation.
 ///
-/// Covers `(registry, mapping, entry, entry_args, machine, spill_first)` —
-/// the complete input of [`crate::compile::CypressCompiler::compile`] as far
+/// Covers `(registry, mapping, entry, entry_args, machine)` — the
+/// complete input of [`crate::compile::CypressCompiler::compile`] as far
 /// as the produced kernel is concerned.
 #[must_use]
 pub fn fingerprint(
@@ -164,11 +169,10 @@ pub fn fingerprint(
     entry: &str,
     entry_args: &[EntryArg],
     machine: &MachineConfig,
-    spill_first: bool,
 ) -> u64 {
     combine(
         source_identity(registry, mapping, entry, entry_args).source,
-        target_fingerprint(machine, spill_first),
+        target_fingerprint(machine),
     )
 }
 
@@ -185,8 +189,8 @@ mod tests {
         // Separately-built registries/mappings hash identically even though
         // their HashMaps have different iteration orders.
         assert_eq!(
-            fingerprint(&r1, &m1, "gemm", &a1, &machine, true),
-            fingerprint(&r2, &m2, "gemm", &a2, &machine, true),
+            fingerprint(&r1, &m1, "gemm", &a1, &machine),
+            fingerprint(&r2, &m2, "gemm", &a2, &machine),
         );
     }
 
@@ -194,15 +198,14 @@ mod tests {
     fn different_inputs_differ() {
         let machine = MachineConfig::test_gpu();
         let (r, m, a) = gemm::build(128, 128, 64, &machine).unwrap();
-        let base = fingerprint(&r, &m, "gemm", &a, &machine, true);
+        let base = fingerprint(&r, &m, "gemm", &a, &machine);
         let (r2, m2, a2) = gemm::build(128, 128, 128, &machine).unwrap();
-        assert_ne!(base, fingerprint(&r2, &m2, "gemm", &a2, &machine, true));
-        assert_ne!(base, fingerprint(&r, &m, "gemm", &a, &machine, false));
+        assert_ne!(base, fingerprint(&r2, &m2, "gemm", &a2, &machine));
         assert_ne!(
             base,
-            fingerprint(&r, &m, "gemm", &a, &MachineConfig::h100_sxm5(), true)
+            fingerprint(&r, &m, "gemm", &a, &MachineConfig::h100_sxm5())
         );
-        assert_ne!(base, fingerprint(&r, &m, "other", &a, &machine, true));
+        assert_ne!(base, fingerprint(&r, &m, "other", &a, &machine));
     }
 
     #[test]
@@ -210,20 +213,17 @@ mod tests {
         let machine = MachineConfig::test_gpu();
         let (r, m, a) = gemm::build(128, 128, 64, &machine).unwrap();
         let id = source_identity(&r, &m, "gemm", &a);
-        for (target, spill_first) in [
-            (&machine, true),
-            (&machine, false),
-            (&MachineConfig::h100_sxm5(), true),
-        ] {
+        for target in [&machine, &MachineConfig::h100_sxm5()] {
             assert_eq!(
-                fingerprint(&r, &m, "gemm", &a, target, spill_first),
-                combine(id.source, target_fingerprint(target, spill_first)),
+                fingerprint(&r, &m, "gemm", &a, target),
+                combine(id.source, target_fingerprint(target)),
             );
         }
         // The computation half ignores the mapping; the source does not.
-        let (r2, mut m2, a2) = gemm::build(128, 128, 64, &machine).unwrap();
-        m2.smem_limit = Some(1 << 14);
-        let other = source_identity(&r2, &m2, "gemm", &a2);
+        let mut instances: Vec<_> = m.iter().cloned().collect();
+        instances[0].pipeline += 1;
+        let deeper = MappingSpec::new(instances).unwrap();
+        let other = source_identity(&r, &deeper, "gemm", &a);
         assert_eq!(id.computation, other.computation);
         assert_ne!(id.source, other.source);
     }
@@ -244,6 +244,19 @@ mod tests {
             machine_fingerprint(&MachineConfig::h100_sxm5()),
             0x762f_744f_9b15_cfc8
         );
+        // The whole compile fingerprint keys only the in-process kernel
+        // cache, but it is pinned too: removing a compiler option must not
+        // move it.
+        for (target, recorded) in [
+            (machine, 0xee81_0f87_ce39_1c42),
+            (MachineConfig::h100_sxm5(), 0xb0eb_3729_490d_504d),
+        ] {
+            let compiler = crate::CypressCompiler::new(crate::CompilerOptions {
+                machine: target,
+                ..Default::default()
+            });
+            assert_eq!(compiler.fingerprint(&r, &m, "gemm", &a), recorded);
+        }
     }
 
     #[test]
@@ -257,16 +270,16 @@ mod tests {
         let machine = MachineConfig::test_gpu();
         let (rc1, mc1, ac1) = chain::build(64, 64, 64, 64, &machine).unwrap();
         let (rc2, mc2, ac2) = chain::build(64, 64, 64, 64, &machine).unwrap();
-        let fused = fingerprint(&rc1, &mc1, "chain", &ac1, &machine, true);
+        let fused = fingerprint(&rc1, &mc1, "chain", &ac1, &machine);
         assert_eq!(
             fused,
-            fingerprint(&rc2, &mc2, "chain", &ac2, &machine, true),
+            fingerprint(&rc2, &mc2, "chain", &ac2, &machine),
             "rebuilt fused programs hit the same cache entry"
         );
         let (rg, mg, ag) = gemm::build(64, 64, 64, &machine).unwrap();
-        assert_ne!(fused, fingerprint(&rg, &mg, "gemm", &ag, &machine, true));
+        assert_ne!(fused, fingerprint(&rg, &mg, "gemm", &ag, &machine));
         let (rr, mr, ar) = reduction::build(64, 64, &machine).unwrap();
-        assert_ne!(fused, fingerprint(&rr, &mr, "reduce", &ar, &machine, true));
+        assert_ne!(fused, fingerprint(&rr, &mr, "reduce", &ar, &machine));
     }
 
     #[test]

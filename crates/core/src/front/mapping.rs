@@ -104,9 +104,6 @@ pub struct MappingSpec {
     entry: TaskMapping,
     /// Every other instance, by name.
     others: HashMap<String, TaskMapping>,
-    /// Shared-memory budget per thread block for the resource allocator;
-    /// `None` uses the machine's full per-SM capacity.
-    pub smem_limit: Option<usize>,
 }
 
 impl MappingSpec {
@@ -134,11 +131,7 @@ impl MappingSpec {
         if others.contains_key(&entry.instance) {
             return Err(CompileError::DuplicateInstance(entry.instance));
         }
-        let spec = MappingSpec {
-            entry,
-            others,
-            smem_limit: None,
-        };
+        let spec = MappingSpec { entry, others };
         for inst in spec.iter() {
             if let Some(missing) = inst.calls.iter().find(|c| spec.instance(c).is_err()) {
                 return Err(CompileError::UnknownInstance(missing.clone()));

@@ -24,8 +24,9 @@
 //! - **dead-copy elimination**: copies into tensors never read again.
 //!
 //! Per §4.2.3, event-eliminating (spill-style) patterns run before
-//! dependence-preserving ones; `Options::spill_first` exposes the ordering
-//! for the ablation benchmark.
+//! dependence-preserving ones. Here the order changes only how many
+//! rounds the fixpoint takes: on every case of the golden corpus the
+//! reverse order emits the same program and removes the same copies.
 //!
 //! The fixpoint never copies the program. Patterns that ask "how is
 //! tensor `t` used?" share one `Uses` summary, built in a single walk
@@ -39,24 +40,9 @@ use crate::ir::{
 };
 use std::collections::HashSet;
 
-/// Pass options.
-#[derive(Debug, Clone, Copy)]
-pub struct Options {
-    /// Apply event-eliminating patterns before dependence-preserving ones
-    /// (the paper's ordering heuristic; disable for the ablation).
-    pub spill_first: bool,
-    /// Maximum fixpoint rounds (safety bound).
-    pub max_rounds: usize,
-}
-
-impl Default for Options {
-    fn default() -> Self {
-        Options {
-            spill_first: true,
-            max_rounds: 512,
-        }
-    }
-}
+/// Fixpoint rounds before the pass gives up (safety bound; the golden
+/// corpus needs at most 67).
+const MAX_ROUNDS: usize = 512;
 
 /// Statistics for reporting and tests.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -77,31 +63,32 @@ type Pattern<'p> = fn(&mut Pass<'p>) -> bool;
 /// tensor survives (§3.3 requires the user to adjust the mapping), naming
 /// the surviving tensor with the lowest id, and
 /// [`CompileError::CopyElimDiverged`] if the patterns are still rewriting
-/// after `opts.max_rounds` rounds.
-pub fn run(prog: &mut IrProgram, opts: Options) -> Result<Stats, CompileError> {
+/// after a fixed bound of 512 rounds.
+pub fn run(prog: &mut IrProgram) -> Result<Stats, CompileError> {
+    run_bounded(prog, MAX_ROUNDS)
+}
+
+/// [`run`] with at most `max_rounds` fixpoint rounds.
+fn run_bounded(prog: &mut IrProgram, max_rounds: usize) -> Result<Stats, CompileError> {
     let mut pass = Pass::new(prog);
-    // Event-eliminating (spill-style) patterns and dependence-preserving
-    // ones, each in application order.
-    let spill: [Pattern<'_>; 5] = [
+    // Event-eliminating (spill-style) patterns first, then the
+    // dependence-preserving ones, each in application order.
+    let patterns: [Pattern<'_>; 8] = [
         Pass::copy_propagation,
         Pass::forward_allocations,
         Pass::materialize_none,
         Pass::identify_pieces,
         Pass::hoist_invariant_copies,
+        Pass::self_copies,
+        Pass::duplicate_copies,
+        Pass::dead_copies,
     ];
-    let preserving: [Pattern<'_>; 3] =
-        [Pass::self_copies, Pass::duplicate_copies, Pass::dead_copies];
-    let (first, second) = if opts.spill_first {
-        (&spill[..], &preserving[..])
-    } else {
-        (&preserving[..], &spill[..])
-    };
     let mut rounds = 0;
     let mut changed = false;
-    while rounds < opts.max_rounds {
+    while rounds < max_rounds {
         rounds += 1;
         changed = false;
-        for pattern in first.iter().chain(second) {
+        for pattern in &patterns {
             changed |= pattern(&mut pass);
         }
         if !changed {
@@ -809,7 +796,7 @@ mod tests {
         prog.body = Block {
             ops: vec![copy(0, &[], &a, &b), op(1, &[0], call)],
         };
-        let stats = run(&mut prog, Options::default()).expect("no panic, no error");
+        let stats = run(&mut prog).expect("no panic, no error");
         assert_eq!(stats.removed_copies, 0);
         assert_eq!(results(&prog.body), [0, 1]);
     }
@@ -871,5 +858,18 @@ mod tests {
         };
         assert!(Pass::new(&mut prog).duplicate_copies());
         assert_eq!(results(&prog.body), [0, 2, 3, 4, 5]);
+    }
+
+    #[test]
+    fn running_out_of_rounds_is_an_error_not_a_half_eliminated_program() {
+        let machine = cypress_sim::MachineConfig::test_gpu();
+        let (reg, mapping, args) = crate::kernels::gemm::build(128, 128, 64, &machine).unwrap();
+        let mut prog = crate::passes::depan::analyze(&reg, &mapping, "gemm", &args).unwrap();
+        crate::passes::vectorize::run(&mut prog);
+        crate::passes::vectorize::normalize_ranks(&mut prog);
+        assert_eq!(
+            run_bounded(&mut prog, 1),
+            Err(CompileError::CopyElimDiverged { rounds: 1 })
+        );
     }
 }

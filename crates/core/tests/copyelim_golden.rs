@@ -1,8 +1,8 @@
 //! Golden digests of the IR copy elimination produces.
 //!
 //! `tests/golden/copyelim.digests` pins — for every kernel family × every
-//! `MappingSpace::candidates` point at two shapes × both pattern orders —
-//! an FNV-64 of `print_program` after `copyelim::run`, plus the pass's
+//! `MappingSpace::candidates` point at two shapes — an FNV-64 of
+//! `print_program` after `copyelim::run`, plus the pass's
 //! `removed_copies` and `rounds`. The file was generated by the
 //! implementation it guards against (the parent of the clone-free
 //! rewrite), so a change to the pass that alters the rewrite sequence
@@ -28,7 +28,7 @@ use shared::{assert_matches_golden, families};
 
 const GOLDEN: &str = include_str!("golden/copyelim.digests");
 
-/// One line per family × shape × candidate × pattern order.
+/// One line per family × shape × candidate.
 fn digests() -> String {
     let machine = MachineConfig::h100_sxm5();
     let mut out = String::new();
@@ -38,36 +38,24 @@ fn digests() -> String {
             assert!(!candidates.is_empty(), "{family} {shape}: empty space");
             for cfg in candidates {
                 let (reg, mapping, args) = space.build(shape, &cfg).expect("candidates build");
-                let mut analyzed =
-                    depan::analyze(&reg, &mapping, space.entry(), &args).expect("depan");
-                vectorize::run(&mut analyzed);
-                vectorize::normalize_ranks(&mut analyzed);
-                for spill_first in [true, false] {
-                    let mut prog = analyzed.clone();
-                    let opts = copyelim::Options {
-                        spill_first,
-                        ..Default::default()
-                    };
-                    let _ = write!(
-                        out,
-                        "{family} {shape} {} spill_first={spill_first} ",
-                        cfg.encode()
-                    );
-                    match copyelim::run(&mut prog, opts) {
-                        Ok(stats) => {
-                            let mut h = Fnv64::new();
-                            h.write_str(&print_program(&prog));
-                            let _ = writeln!(
-                                out,
-                                "{:016x} removed={} rounds={}",
-                                h.finish(),
-                                stats.removed_copies,
-                                stats.rounds
-                            );
-                        }
-                        Err(e) => {
-                            let _ = writeln!(out, "error: {e}");
-                        }
+                let mut prog = depan::analyze(&reg, &mapping, space.entry(), &args).expect("depan");
+                vectorize::run(&mut prog);
+                vectorize::normalize_ranks(&mut prog);
+                let _ = write!(out, "{family} {shape} {} ", cfg.encode());
+                match copyelim::run(&mut prog) {
+                    Ok(stats) => {
+                        let mut h = Fnv64::new();
+                        h.write_str(&print_program(&prog));
+                        let _ = writeln!(
+                            out,
+                            "{:016x} removed={} rounds={}",
+                            h.finish(),
+                            stats.removed_copies,
+                            stats.rounds
+                        );
+                    }
+                    Err(e) => {
+                        let _ = writeln!(out, "error: {e}");
                     }
                 }
             }

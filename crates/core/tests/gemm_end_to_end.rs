@@ -12,7 +12,6 @@ use rand::SeedableRng;
 fn compiler(machine: &MachineConfig) -> CypressCompiler {
     CypressCompiler::new(CompilerOptions {
         machine: machine.clone(),
-        spill_first: true,
         dump_ir: true,
     })
 }

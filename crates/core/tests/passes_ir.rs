@@ -56,7 +56,7 @@ fn copy_elimination_leaves_only_real_data_movement() {
     vectorize::run(&mut prog);
     vectorize::normalize_ranks(&mut prog);
     let before = prog.copy_count();
-    let stats = copyelim::run(&mut prog, copyelim::Options::default()).unwrap();
+    let stats = copyelim::run(&mut prog).unwrap();
     let after = prog.copy_count();
     assert!(stats.removed_copies > 0);
     assert!(after < before / 2, "{before} -> {after}");
@@ -79,35 +79,6 @@ fn copy_elimination_leaves_only_real_data_movement() {
     }
     count(&prog, &prog.body, &mut crossings);
     assert_eq!(crossings, 3, "expected loads of A and B plus the C store");
-}
-
-#[test]
-fn pattern_order_ablation_still_converges() {
-    let mut a = analyzed();
-    vectorize::run(&mut a);
-    vectorize::normalize_ranks(&mut a);
-    let mut b = a.clone();
-    let sf = copyelim::run(
-        &mut a,
-        copyelim::Options {
-            spill_first: true,
-            max_rounds: 512,
-        },
-    )
-    .unwrap();
-    let sl = copyelim::run(
-        &mut b,
-        copyelim::Options {
-            spill_first: false,
-            max_rounds: 512,
-        },
-    )
-    .unwrap();
-    // Both orderings reach a fixpoint with the same surviving copies (the
-    // paper orders spill patterns first to elide more synchronization; the
-    // copy count converges either way).
-    assert_eq!(a.copy_count(), b.copy_count());
-    assert!(sf.rounds > 0 && sl.rounds > 0);
 }
 
 #[test]
@@ -181,7 +152,7 @@ fn none_memory_survivor_is_reported() {
     exp(&wraith, &ghost);
     exp(&ghost, &dst);
     for _ in 0..32 {
-        let err = copyelim::run(&mut prog.clone(), copyelim::Options::default());
+        let err = copyelim::run(&mut prog.clone());
         assert_eq!(
             err,
             Err(CompileError::NoneMemoryMaterialized {
@@ -189,19 +160,4 @@ fn none_memory_survivor_is_reported() {
             })
         );
     }
-}
-
-#[test]
-fn running_out_of_rounds_is_an_error_not_a_half_eliminated_program() {
-    let mut prog = analyzed();
-    vectorize::run(&mut prog);
-    vectorize::normalize_ranks(&mut prog);
-    let opts = copyelim::Options {
-        max_rounds: 1,
-        ..Default::default()
-    };
-    assert_eq!(
-        copyelim::run(&mut prog, opts),
-        Err(cypress_core::CompileError::CopyElimDiverged { rounds: 1 })
-    );
 }

@@ -130,8 +130,8 @@ pub enum RuntimeError {
         report: Box<crate::GraphReport>,
     },
     /// A per-node or whole-graph deadline expired mid-schedule (see
-    /// [`crate::Session::set_node_deadline`] /
-    /// [`crate::Session::set_graph_deadline`]). Carries the partial
+    /// [`crate::Session::with_node_deadline`] /
+    /// [`crate::Session::with_graph_deadline`]). Carries the partial
     /// [`crate::GraphReport`].
     DeadlineExceeded {
         /// What missed the deadline: a node name, or `"graph"`.

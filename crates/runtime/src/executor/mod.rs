@@ -50,14 +50,14 @@ use std::sync::Arc;
 
 /// The fault-handling settings one graph launch runs under: the
 /// session's injected [`FaultPlan`], its [`FaultPolicy`], and the
-/// optional per-node / whole-graph deadlines. An inactive context (no
-/// plan, no deadlines — the default) leaves every schedule bit-identical
-/// to the pre-fault runtime.
+/// optional per-node / whole-graph deadlines. An inactive context (an
+/// empty plan, no deadlines — the default) leaves every schedule
+/// bit-identical to the pre-fault runtime.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct FaultContext {
-    /// Faults to inject into the concurrent engine (`None` or an empty
-    /// plan injects nothing).
-    pub plan: Option<FaultPlan>,
+    /// Faults to inject into the concurrent engine (an empty plan
+    /// injects nothing).
+    pub plan: FaultPlan,
     /// How the scheduler reacts to injected faults.
     pub policy: FaultPolicy,
     /// Max cycles from a node's first launch to its successful

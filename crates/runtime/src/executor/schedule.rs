@@ -250,8 +250,8 @@ impl<'a> Scheduler<'a> {
         let (indegree, consumers) = graph.dependency_edges();
         let device_of: Vec<usize> = launches.iter().map(|l| l.device).collect();
         let mut engine = ConcurrentEngine::with_topology(topology);
-        if let Some(plan) = fault.plan.as_ref().filter(|p| !p.is_empty()) {
-            engine = engine.with_fault_plan(plan.clone());
+        if !fault.plan.is_empty() {
+            engine = engine.with_fault_plan(fault.plan.clone());
         }
         Scheduler {
             topology,

@@ -15,7 +15,7 @@
 //!   buffer into a consumer's parameter slot);
 //! - [`Session`]: the long-lived object owning a **compiled-kernel
 //!   cache** keyed by the stable fingerprint of
-//!   `(tasks, mapping, entry args, machine, options)` — a repeated launch
+//!   `(tasks, mapping, entry args, machine)` — a repeated launch
 //!   skips the Fig. 6 pass pipeline entirely — plus a [`BufferPool`] that
 //!   recycles intermediate tensors across launches;
 //! - an executor that schedules the graph over
@@ -62,14 +62,14 @@
 //!   [`PlacementPolicy::SingleDevice`], timeline included (see the
 //!   [`shard`] docs);
 //! - **host-side parallelism** on the session
-//!   ([`Session::set_parallelism`], default = available cores): the
+//!   ([`Session::with_parallelism`], default = available cores): the
 //!   functional executor runs each ready wave of nodes on a scoped
 //!   worker pool, and `Session::autotune` compiles and times space
 //!   candidates in parallel. Tensors, reports, and tuning winners are
 //!   bit-identical at every worker count (`1` is byte-for-byte the
 //!   serial path); only wall time changes.
 //! - **deterministic observability** ([`telemetry`]): attach a
-//!   [`Recorder`] with [`Session::set_recorder`] to trace the whole
+//!   [`Recorder`] with [`Session::with_recorder`] to trace the whole
 //!   execution path — graph submissions, fusion decisions with their
 //!   sim-confirmed margins, cache and pool traffic, autotune sweeps,
 //!   wave scheduling, per-node spans in sim cycles — read one unified
@@ -79,14 +79,14 @@
 //!   default) nothing is constructed and every result is byte-identical
 //!   to a session without the telemetry layer.
 //! - **fault-tolerant execution** ([`FaultPolicy`]): attach a seeded
-//!   deterministic [`FaultPlan`] ([`Session::set_fault_plan`]) injecting
+//!   deterministic [`FaultPlan`] ([`Session::with_fault_plan`]) injecting
 //!   transient kernel faults, permanent device losses, and slowdown
 //!   windows into the simulated machine. Under the default
 //!   [`FaultPolicy::FailFast`] any fault surfaces as a typed
 //!   [`RuntimeError`] carrying a partial [`GraphReport`]; under
 //!   [`FaultPolicy::Retry`] transient faults re-execute the node (with
 //!   optional backoff and per-node / whole-graph deadlines,
-//!   [`Session::set_node_deadline`] / [`Session::set_graph_deadline`])
+//!   [`Session::with_node_deadline`] / [`Session::with_graph_deadline`])
 //!   and a permanent device loss triggers **degraded re-sharding**: the
 //!   unexecuted frontier is re-planned onto the surviving devices,
 //!   recovery transfers re-route stranded buffers, and the run completes
@@ -129,8 +129,8 @@
 //! let run = session.launch_functional(&graph, &inputs)?;
 //! assert!(run.tensor(second, 0).is_some());
 //! // Both nodes share one compiled kernel: one miss, one hit.
-//! assert_eq!(session.cache_stats().misses, 1);
-//! assert_eq!(session.cache_stats().hits, 1);
+//! let cache = session.metrics().cache;
+//! assert_eq!((cache.misses, cache.hits), (1, 1));
 //! # Ok::<(), cypress_runtime::RuntimeError>(())
 //! ```
 
@@ -162,7 +162,7 @@ pub use report::{GraphReport, NodeTiming, Recovery};
 pub use session::{CompiledGraph, FaultPolicy, MappingPolicy, SchedulePolicy, Session};
 pub use shard::PlacementPolicy;
 pub use telemetry::{
-    ChromeSpan, ChromeTrace, Event, EventClass, MetricsRegistry, MetricsSnapshot, NoopRecorder,
-    Recorder, TraceLog, TraceSink,
+    ChromeSpan, ChromeTrace, Event, EventClass, MetricsSnapshot, NoopRecorder, Recorder, TraceLog,
+    TraceSink,
 };
 pub use tuner::{TunedMapping, TunerBudget, TunerStats, TuningKey, TuningTable};

@@ -54,11 +54,11 @@ use crate::executor;
 use crate::executor::{CommLaunch, FaultContext, GraphRun, NodeLaunch};
 use crate::fuse::{self, FusedKernel, FusionPlan, FusionPolicy};
 use crate::graph::TaskGraph;
-use crate::pool::{BufferPool, PoolStats};
+use crate::pool::BufferPool;
 use crate::program::Program;
 use crate::report::GraphReport;
 use crate::shard::{self, PlacementPolicy, ShardPlan};
-use crate::telemetry::{Event, MetricsRegistry, MetricsSnapshot, NoopRecorder, Recorder};
+use crate::telemetry::{Event, MetricsSnapshot, NoopRecorder, Recorder};
 use crate::tuner::{key_for, TunedMapping, TunerBudget, TuningKey, TuningTable};
 use cypress_core::fingerprint::{combine, machine_fingerprint, target_fingerprint};
 use cypress_core::{Compiled, CompilerOptions, CypressCompiler, COST_MODEL_VERSION};
@@ -137,7 +137,7 @@ pub enum MappingPolicy {
 
 /// How a [`Session`] reacts to injected faults during a graph launch —
 /// the fifth policy axis, layered on the [`cypress_sim::FaultPlan`]
-/// attached with [`Session::set_fault_plan`].
+/// attached with [`Session::with_fault_plan`].
 ///
 /// The policy lives entirely in the *timing* domain: functional tensors
 /// are computed along the deterministic topological data path before
@@ -257,8 +257,8 @@ impl CompiledGraph {
 #[derive(Debug)]
 pub struct Session {
     compiler: CypressCompiler,
-    /// [`target_fingerprint`] of the compiler's machine and options and
-    /// [`machine_fingerprint`] of the machine, hashed once here: with a
+    /// [`target_fingerprint`] and [`machine_fingerprint`] of the
+    /// machine, hashed once here: with a
     /// program's memoized source hash they make a cache key or a tuning
     /// key without rendering anything.
     target: u64,
@@ -271,8 +271,8 @@ pub struct Session {
     fusion_policy: FusionPolicy,
     placement_policy: PlacementPolicy,
     /// The fault axes: injected plan, [`FaultPolicy`], and the per-node /
-    /// whole-graph deadlines (see the `set_fault_*` / `set_*_deadline`
-    /// setters).
+    /// whole-graph deadlines (see the `with_fault_*` / `with_*_deadline`
+    /// builders).
     fault: FaultContext,
     tuning: TuningTable,
     /// Compiled winners per tuning key, so warm `Autotune` launches skip
@@ -294,33 +294,27 @@ pub struct Session {
     /// `None` marks a kernel with no valid mapping on this machine.
     fused_programs: HashMap<FusedKernel, Option<Program>>,
     /// Telemetry sink every launch reports to (see
-    /// [`Session::set_recorder`]); [`NoopRecorder`] by default, so the
+    /// [`Session::with_recorder`]); [`NoopRecorder`] by default, so the
     /// hot path constructs no events.
     recorder: Box<dyn Recorder>,
     /// Counters no component stats struct carries (fusion decisions,
-    /// comm launches, functional apply bytes); unified with the cache,
-    /// pool, and tuner stats by [`Session::metrics`].
-    metrics: MetricsRegistry,
+    /// comm launches, fault counters, functional apply bytes). Its
+    /// `cache` / `pool` / `tuner` fields stay at their defaults:
+    /// [`Session::metrics`] fills them in from the components.
+    metrics: MetricsSnapshot,
 }
 
 impl Session {
-    /// A session targeting `machine` with default compiler options.
+    /// A session that compiles for and simulates `machine`.
     #[must_use]
     pub fn new(machine: MachineConfig) -> Self {
-        Session::with_options(CompilerOptions {
-            machine,
-            ..Default::default()
-        })
-    }
-
-    /// A session with explicit compiler options.
-    #[must_use]
-    pub fn with_options(opts: CompilerOptions) -> Self {
-        let machine = opts.machine.clone();
         Session {
-            target: target_fingerprint(&machine, opts.spill_first),
+            target: target_fingerprint(&machine),
             machine_fp: machine_fingerprint(&machine),
-            compiler: CypressCompiler::new(opts),
+            compiler: CypressCompiler::new(CompilerOptions {
+                machine: machine.clone(),
+                ..Default::default()
+            }),
             simulator: Simulator::new(machine),
             cache: KernelCache::new(),
             pool: BufferPool::new(),
@@ -335,7 +329,7 @@ impl Session {
             solo_cycles: HashMap::new(),
             fused_programs: HashMap::new(),
             recorder: Box::new(NoopRecorder),
-            metrics: MetricsRegistry::default(),
+            metrics: MetricsSnapshot::default(),
         }
     }
 
@@ -345,24 +339,20 @@ impl Session {
         self.simulator.machine()
     }
 
-    /// Change how subsequent graph launches are scheduled.
-    pub fn set_policy(&mut self, policy: SchedulePolicy) {
-        self.policy = policy;
-    }
-
-    /// Builder-style [`Session::set_policy`].
+    /// Schedule subsequent graph launches under `policy`.
+    ///
+    /// Every `with_*` setting applies to the launches after it and leaves
+    /// the session's kernel cache, buffer pool, tuning table and launch
+    /// memos as they are, so a warm session is re-pointed in place:
+    /// `session = session.with_policy(..)`.
     #[must_use]
     pub fn with_policy(mut self, policy: SchedulePolicy) -> Self {
         self.policy = policy;
         self
     }
 
-    /// Change which mapping subsequent launches use.
-    pub fn set_mapping_policy(&mut self, policy: MappingPolicy) {
-        self.mapping_policy = policy;
-    }
-
-    /// Builder-style [`Session::set_mapping_policy`].
+    /// Choose which mapping subsequent launches use (see
+    /// [`MappingPolicy`]).
     #[must_use]
     pub fn with_mapping_policy(mut self, policy: MappingPolicy) -> Self {
         self.mapping_policy = policy;
@@ -381,32 +371,22 @@ impl Session {
         self
     }
 
-    /// Change how subsequent graph launches are placed onto simulated
+    /// Choose how subsequent graph launches are placed onto simulated
     /// devices (see [`crate::shard`]).
     /// [`PlacementPolicy::SingleDevice`] keeps everything on one
     /// device; [`PlacementPolicy::Sharded`] partitions each graph
     /// across N devices connected by NVLink-class links, inserting
     /// explicit transfer kernels on cross-device edges — functional
     /// results stay bitwise identical at every device count.
-    pub fn set_placement_policy(&mut self, policy: PlacementPolicy) {
-        self.placement_policy = policy;
-    }
-
-    /// Builder-style [`Session::set_placement_policy`].
     #[must_use]
     pub fn with_placement_policy(mut self, policy: PlacementPolicy) -> Self {
         self.placement_policy = policy;
         self
     }
 
-    /// Change how subsequent graph launches react to injected faults
+    /// Choose how subsequent graph launches react to injected faults
     /// (see [`FaultPolicy`]). Inert until a fault plan is attached with
-    /// [`Session::set_fault_plan`].
-    pub fn set_fault_policy(&mut self, policy: FaultPolicy) {
-        self.fault.policy = policy;
-    }
-
-    /// Builder-style [`Session::set_fault_policy`].
+    /// [`Session::with_fault_plan`].
     #[must_use]
     pub fn with_fault_policy(mut self, policy: FaultPolicy) -> Self {
         self.fault.policy = policy;
@@ -414,38 +394,31 @@ impl Session {
     }
 
     /// Attach a deterministic [`FaultPlan`] that subsequent graph
-    /// launches inject into their timing schedule (`None` detaches).
-    /// An empty plan injects nothing and leaves every schedule
-    /// bit-identical to a plan-free launch, timeline included. A plan
+    /// launches inject into their timing schedule, replacing the
+    /// previous one. An empty plan — the default, and how a plan is
+    /// detached — injects nothing and leaves every schedule
+    /// bit-identical to a fault-free launch, timeline included. A plan
     /// never changes *how* launches are scheduled — the stream count
     /// stays the [`SchedulePolicy`]'s — only what happens to them.
-    pub fn set_fault_plan(&mut self, plan: Option<FaultPlan>) {
-        self.fault.plan = plan;
-    }
-
-    /// Builder-style [`Session::set_fault_plan`].
     #[must_use]
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault.plan = Some(plan);
+        self.fault.plan = plan;
         self
     }
 
     /// Bound the cycles from a node's first launch to its successful
     /// retirement: a node that exceeds the bound aborts the graph
     /// launch with [`RuntimeError::DeadlineExceeded`] carrying the
-    /// partial report (`None` removes the bound).
-    pub fn set_node_deadline(&mut self, deadline: Option<f64>) {
-        self.fault.node_deadline = deadline;
+    /// partial report.
+    #[must_use]
+    pub fn with_node_deadline(mut self, deadline: f64) -> Self {
+        self.fault.node_deadline = Some(deadline);
+        self
     }
 
     /// Bound the whole schedule's makespan: a launch whose timeline
     /// passes the bound aborts with [`RuntimeError::DeadlineExceeded`]
-    /// carrying the partial report (`None` removes the bound).
-    pub fn set_graph_deadline(&mut self, deadline: Option<f64>) {
-        self.fault.graph_deadline = deadline;
-    }
-
-    /// Builder-style [`Session::set_graph_deadline`].
+    /// carrying the partial report.
     #[must_use]
     pub fn with_graph_deadline(mut self, deadline: f64) -> Self {
         self.fault.graph_deadline = Some(deadline);
@@ -472,18 +445,13 @@ impl Session {
     }
 
     /// Attach a telemetry [`Recorder`] that subsequent launches report
-    /// to (mirrors [`Session::set_policy`]). The usual sink is a
-    /// [`crate::TraceLog`] clone — keep one handle, hand the session the
-    /// other, read the events after launching. Replacing the recorder
-    /// drops the previous one; pass [`NoopRecorder`] to detach.
-    pub fn set_recorder(&mut self, recorder: impl Recorder + 'static) {
-        self.recorder = Box::new(recorder);
-    }
-
-    /// Builder-style [`Session::set_recorder`].
+    /// to. The usual sink is a [`crate::TraceLog`] clone — keep one
+    /// handle, hand the session the other, read the events after
+    /// launching. Replacing the recorder drops the previous one; pass
+    /// [`NoopRecorder`] to detach.
     #[must_use]
     pub fn with_recorder(mut self, recorder: impl Recorder + 'static) -> Self {
-        self.set_recorder(recorder);
+        self.recorder = Box::new(recorder);
         self
     }
 
@@ -493,8 +461,12 @@ impl Session {
     /// at every worker count.
     #[must_use]
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.metrics
-            .snapshot(self.cache.stats(), self.pool.stats(), self.tuning.stats())
+        MetricsSnapshot {
+            cache: self.cache.stats(),
+            pool: self.pool.stats(),
+            tuner: self.tuning.stats(),
+            ..self.metrics
+        }
     }
 
     /// The host worker threads the session currently uses.
@@ -511,14 +483,9 @@ impl Session {
     /// changes wall time only — there is one executor and one sweep, so
     /// tensors, reports, tuning winners, metrics, and the recorded event
     /// stream are identical at every setting.
-    pub fn set_parallelism(&mut self, parallelism: usize) {
-        self.simulator.set_parallelism(parallelism);
-    }
-
-    /// Builder-style [`Session::set_parallelism`].
     #[must_use]
     pub fn with_parallelism(mut self, parallelism: usize) -> Self {
-        self.set_parallelism(parallelism);
+        self.simulator = self.simulator.with_parallelism(parallelism);
         self
     }
 
@@ -551,7 +518,7 @@ impl Session {
     }
 
     /// Compile `program`, reusing the cached kernel when the fingerprint
-    /// of `(tasks, mapping, entry args, machine, options)` matches a
+    /// of `(tasks, mapping, entry args, machine)` matches a
     /// previous compile. A hit returns the identical [`Compiled`] without
     /// re-running any pass.
     ///
@@ -1341,18 +1308,6 @@ impl Session {
         Ok(self
             .simulator
             .run_timing_lowered(&launch.compiled.kernel, &launch.compiled.lowered)?)
-    }
-
-    /// Kernel-cache counters.
-    #[must_use]
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
-    }
-
-    /// Buffer-pool counters.
-    #[must_use]
-    pub fn pool_stats(&self) -> PoolStats {
-        self.pool.stats()
     }
 
     /// Drop all cached kernels, pooled buffers and the session's launch

@@ -9,14 +9,13 @@
 //!   the whole execution path (graph submission, fusion rewrites with
 //!   their sim-confirmed win margins, kernel-cache lookups, buffer-pool
 //!   traffic, autotune sweeps, wave scheduling, per-node execution).
-//!   Attach one with [`crate::Session::set_recorder`] /
-//!   [`crate::Session::with_recorder`]; the default is the zero-cost
-//!   [`NoopRecorder`], whose `enabled() == false` means event payloads
-//!   are never even constructed.
-//! - **[`MetricsRegistry`] / [`MetricsSnapshot`]** — one snapshot
-//!   unifying the existing stats structs plus the new counters (fusion
-//!   rewrites applied/declined, comm and fault counters, per-dtype
-//!   functional apply bytes). Read it with [`crate::Session::metrics`].
+//!   Attach one with [`crate::Session::with_recorder`]; the default is
+//!   the zero-cost [`NoopRecorder`], whose `enabled() == false` means
+//!   event payloads are never even constructed.
+//! - **[`MetricsSnapshot`]** — one snapshot unifying the existing stats
+//!   structs plus the session's own counters (fusion rewrites
+//!   applied/declined, comm and fault counters, per-dtype functional
+//!   apply bytes). Read it with [`crate::Session::metrics`].
 //! - **[`TraceSink`]** — a hand-rolled Chrome-trace-event JSON exporter
 //!   (no `serde`, mirroring [`crate::TuningTable`]'s text round-trip):
 //!   [`TraceSink::chrome_json`] turns any [`GraphReport`] into a file
@@ -44,7 +43,7 @@
 //! No class depends on the worker count: there is one functional
 //! executor and one tuner sweep, so the full recorded stream (minus
 //! `Host`) is bit-identical across repeat runs *and* across
-//! [`crate::Session::set_parallelism`] settings. `tests/policy_product.rs`
+//! [`crate::Session::with_parallelism`] settings. `tests/policy_product.rs`
 //! locks each row of the table down: repeat runs of a fixed graph, and
 //! on random graphs at random policy points, the whole stream at
 //! parallelism 1 and 8 and the `Flow` events of serial and concurrent
@@ -432,83 +431,30 @@ impl Recorder for TraceLog {
     }
 }
 
-/// The session-owned accumulator behind [`MetricsSnapshot`]: the new
-/// counters that no existing stats struct carries. The session merges
-/// it with [`CacheStats`], [`PoolStats`], and [`TunerStats`] in
-/// [`crate::Session::metrics`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MetricsRegistry {
-    /// Fusion rewrites the simulator confirmed and the session applied.
-    pub fusion_applied: u64,
-    /// Fusion candidates the simulator rejected (fused launch loses).
-    pub fusion_declined: u64,
-    /// Transfer kernels the graph sharder inserted across every launch
-    /// of this session (one per cross-device edge after deduplication).
-    pub comm_launches: u64,
-    /// Payload bytes those transfers moved across topology links.
-    pub link_bytes: u64,
-    /// Per-dtype bytes the functional `apply` path moved across every
-    /// launch of this session.
-    pub apply_bytes: ApplyBytes,
-    /// Injected faults the fault layer observed across every launch.
-    pub faults_injected: u64,
-    /// Node attempts re-executed after transient faults.
-    pub retries: u64,
-    /// Devices permanently lost and evicted from schedules.
-    pub devices_evicted: u64,
-    /// Nodes re-planned onto surviving devices after evictions.
-    pub nodes_resharded: u64,
-}
-
-impl MetricsRegistry {
-    /// Combine these counters with the component stats into one
-    /// [`MetricsSnapshot`].
-    #[must_use]
-    pub fn snapshot(
-        &self,
-        cache: CacheStats,
-        pool: PoolStats,
-        tuner: TunerStats,
-    ) -> MetricsSnapshot {
-        MetricsSnapshot {
-            cache,
-            pool,
-            tuner,
-            fusion_applied: self.fusion_applied,
-            fusion_declined: self.fusion_declined,
-            comm_launches: self.comm_launches,
-            link_bytes: self.link_bytes,
-            apply_bytes: self.apply_bytes,
-            faults_injected: self.faults_injected,
-            retries: self.retries,
-            devices_evicted: self.devices_evicted,
-            nodes_resharded: self.nodes_resharded,
-        }
-    }
-}
-
 /// One unified view of everything the session counts, returned by
 /// [`crate::Session::metrics`]. Every field is deterministic for a
 /// fixed launch sequence and independent of the worker count.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct MetricsSnapshot {
-    /// Kernel-cache counters ([`crate::Session::cache_stats`]).
+    /// Kernel-cache counters.
     pub cache: CacheStats,
-    /// Buffer-pool counters ([`crate::Session::pool_stats`]).
+    /// Buffer-pool counters.
     pub pool: PoolStats,
     /// Tuning-table counters ([`crate::TuningTable::stats`]).
     pub tuner: TunerStats,
-    /// Fusion rewrites applied (see [`MetricsRegistry`]).
+    /// Fusion rewrites the simulator confirmed and the session applied.
     pub fusion_applied: u64,
-    /// Fusion rewrites declined by the simulator gate.
+    /// Fusion rewrites declined by the simulator gate (fused launch
+    /// loses).
     pub fusion_declined: u64,
-    /// Transfer kernels inserted by the graph sharder.
+    /// Transfer kernels inserted by the graph sharder across every
+    /// launch (one per cross-device edge after deduplication).
     pub comm_launches: u64,
     /// Payload bytes moved across topology links by those transfers.
     pub link_bytes: u64,
     /// Per-dtype functional apply bytes.
     pub apply_bytes: ApplyBytes,
-    /// Injected faults observed (see [`MetricsRegistry`]).
+    /// Injected faults the fault layer observed across every launch.
     pub faults_injected: u64,
     /// Node attempts re-executed after transient faults.
     pub retries: u64,

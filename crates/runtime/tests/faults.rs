@@ -40,13 +40,12 @@ fn device_loss_mid_run_completes_bitwise() {
             .with_policy(SchedulePolicy::Concurrent { streams: 2 });
         let clean = session.launch_timing(&graph).unwrap();
         let victim = devices - 1;
-        session.set_fault_policy(FaultPolicy::Retry {
-            max_attempts: 3,
-            backoff: 0.0,
-        });
-        session.set_fault_plan(Some(
-            FaultPlan::new().with_device_loss(victim, clean.makespan * 0.5),
-        ));
+        session = session
+            .with_fault_policy(FaultPolicy::Retry {
+                max_attempts: 3,
+                backoff: 0.0,
+            })
+            .with_fault_plan(FaultPlan::new().with_device_loss(victim, clean.makespan * 0.5));
         let run = session.launch_functional(&graph, &inputs).unwrap();
         let label = format!("device loss at {devices} devices");
         assert_runs_match(&baseline, &run, &graph, &label);
@@ -119,11 +118,12 @@ fn device_loss_drains_stranded_buffers_with_recovery_transfers() {
         .map(|n| n.end)
         .fold(f64::INFINITY, f64::min);
     assert!(first_end.is_finite(), "device 1 runs at least one producer");
-    session.set_fault_policy(FaultPolicy::Retry {
-        max_attempts: 3,
-        backoff: 0.0,
-    });
-    session.set_fault_plan(Some(FaultPlan::new().with_device_loss(1, first_end + 1.0)));
+    session = session
+        .with_fault_policy(FaultPolicy::Retry {
+            max_attempts: 3,
+            backoff: 0.0,
+        })
+        .with_fault_plan(FaultPlan::new().with_device_loss(1, first_end + 1.0));
     let run = session.launch_functional(&graph, &inputs).unwrap();
     assert_runs_match(&baseline, &run, &graph, "stranded-buffer drain");
     assert!(
@@ -166,7 +166,7 @@ fn a_device_loss_that_shortens_the_schedule_still_costs_its_recovery_work() {
     let transfer = clean.timeline("xfer:b.0->d0").unwrap();
     // Kill device 1 early in `b`'s run.
     let loss_at = b.start + 0.025 * (b.end - b.start);
-    session.set_fault_plan(Some(FaultPlan::new().with_device_loss(1, loss_at)));
+    session = session.with_fault_plan(FaultPlan::new().with_device_loss(1, loss_at));
     let run = session.launch_functional(&graph, &inputs).unwrap();
     let label = "device loss that drops a transfer";
     assert_eq!(
@@ -222,7 +222,7 @@ fn a_transient_costs_exactly_its_reported_overhead() {
                     backoff: 0.0,
                 });
             let clean = session.launch_timing(&graph).unwrap();
-            session.set_fault_plan(Some(FaultPlan::new().with_transient(0, 0)));
+            session = session.with_fault_plan(FaultPlan::new().with_transient(0, 0));
             let faulted = session.launch_timing(&graph).unwrap();
             let label = format!("{policy:?}, {devices} devices");
             assert_eq!(faulted.recovery.faults, 1, "{label}");
@@ -304,7 +304,7 @@ fn deadlines_return_typed_errors_with_partial_reports() {
         let mut session = Session::new(machine.clone()).with_policy(policy);
         let clean = session.launch_timing(&graph).unwrap();
 
-        session.set_graph_deadline(Some(clean.makespan * 0.5));
+        session = session.with_graph_deadline(clean.makespan * 0.5);
         match session.launch_timing(&graph) {
             Err(RuntimeError::DeadlineExceeded {
                 what,
@@ -321,13 +321,15 @@ fn deadlines_return_typed_errors_with_partial_reports() {
             }
             other => panic!("expected DeadlineExceeded under {policy:?}, got {other:?}"),
         }
-        session.set_graph_deadline(Some(clean.makespan * 2.0));
+        session = session.with_graph_deadline(clean.makespan * 2.0);
         session
             .launch_timing(&graph)
             .expect("a generous graph deadline never fires");
-        session.set_graph_deadline(None);
 
-        session.set_node_deadline(Some(1.0));
+        // Node deadlines on a session without a graph deadline.
+        let mut session = Session::new(machine.clone())
+            .with_policy(policy)
+            .with_node_deadline(1.0);
         match session.launch_timing(&graph) {
             Err(RuntimeError::DeadlineExceeded { what, .. }) => {
                 assert!(
@@ -337,7 +339,7 @@ fn deadlines_return_typed_errors_with_partial_reports() {
             }
             other => panic!("expected node DeadlineExceeded under {policy:?}, got {other:?}"),
         }
-        session.set_node_deadline(Some(clean.makespan * 2.0));
+        session = session.with_node_deadline(clean.makespan * 2.0);
         session
             .launch_timing(&graph)
             .expect("a generous node deadline never fires");
@@ -354,9 +356,7 @@ fn failfast_device_loss_is_typed() {
         .with_placement_policy(PlacementPolicy::Sharded { devices: 2 })
         .with_policy(SchedulePolicy::Concurrent { streams: 2 });
     let clean = session.launch_timing(&graph).unwrap();
-    session.set_fault_plan(Some(
-        FaultPlan::new().with_device_loss(1, clean.makespan * 0.5),
-    ));
+    session = session.with_fault_plan(FaultPlan::new().with_device_loss(1, clean.makespan * 0.5));
     match session.launch_timing(&graph) {
         Err(RuntimeError::DeviceLost {
             device,
@@ -385,11 +385,11 @@ fn slow_windows_stretch_the_clock_not_the_tensors() {
         .with_placement_policy(PlacementPolicy::Sharded { devices: 2 })
         .with_policy(SchedulePolicy::Concurrent { streams: 2 });
     let clean = session.launch_timing(&graph).unwrap();
-    session.set_fault_plan(Some(
+    session = session.with_fault_plan(
         FaultPlan::new()
             .with_slowdown(0, 0.0, clean.makespan, 0.5)
             .with_link_degraded(0, 0.0, clean.makespan, 0.25),
-    ));
+    );
     let run = session.launch_functional(&graph, &inputs).unwrap();
     assert_runs_match(&baseline, &run, &graph, "slow windows");
     assert!(

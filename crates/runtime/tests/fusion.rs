@@ -45,7 +45,7 @@ fn empty_graph_is_a_no_op_under_both_policies() {
         let timing = session.launch_timing(&graph).unwrap();
         assert_eq!(timing.makespan, 0.0, "{label}");
         assert_eq!(timing.critical_path, 0.0, "{label}");
-        session.set_policy(SchedulePolicy::Concurrent { streams: 4 });
+        session = session.with_policy(SchedulePolicy::Concurrent { streams: 4 });
         let conc = session.launch_timing(&graph).unwrap();
         assert_eq!(conc.makespan, 0.0, "{label}");
     }
@@ -103,9 +103,9 @@ fn chain_pair_fuses_to_a_single_launch() {
     );
 
     // A second launch serves the fused kernel from the cache.
-    let before = auto.cache_stats();
+    let before = auto.metrics().cache;
     auto.launch_functional(&graph, &inputs).unwrap();
-    let after = auto.cache_stats();
+    let after = auto.metrics().cache;
     assert_eq!(before.misses, after.misses, "fused fingerprints are stable");
 }
 

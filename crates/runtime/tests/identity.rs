@@ -1,6 +1,6 @@
 //! A program's memoized identity is sound: it is structural (rebuilds
 //! hit the cache), target-free (one program under two sessions with
-//! different machines or compiler options gets different fingerprints),
+//! different machines gets different fingerprints),
 //! the persisted halves keep their recorded values, and memoizing it
 //! changes nothing a launch reports — a warm launch still performs one
 //! kernel-cache lookup per node and records the same event stream.
@@ -23,8 +23,12 @@ fn gemm_program(m: usize, n: usize, k: usize) -> Program {
 }
 
 /// What `CypressCompiler::fingerprint` computes from the parts.
-fn fingerprint_of_parts(opts: &CompilerOptions, program: &Program) -> u64 {
-    CypressCompiler::new(opts.clone()).fingerprint(
+fn fingerprint_of_parts(machine: &MachineConfig, program: &Program) -> u64 {
+    CypressCompiler::new(CompilerOptions {
+        machine: machine.clone(),
+        ..Default::default()
+    })
+    .fingerprint(
         &program.registry,
         &program.mapping,
         &program.entry,
@@ -33,33 +37,20 @@ fn fingerprint_of_parts(opts: &CompilerOptions, program: &Program) -> u64 {
 }
 
 /// One program, hashed once, compiled through sessions that differ in
-/// machine and in `spill_first`: the memo holds nothing target-dependent,
-/// so every session derives its own fingerprint and none hits another's
-/// kernel.
+/// machine: the memo holds nothing target-dependent, so every session
+/// derives its own fingerprint and none hits another's kernel.
 #[test]
 fn one_program_under_different_targets_gets_different_fingerprints() {
     // A mapping built for the small machine also fits the large one.
     let program = gemm_program(128, 128, 64);
-    let targets = [
-        CompilerOptions {
-            machine: MachineConfig::test_gpu(),
-            ..Default::default()
-        },
-        CompilerOptions {
-            machine: MachineConfig::test_gpu(),
-            spill_first: false,
-            ..Default::default()
-        },
-        CompilerOptions {
-            machine: MachineConfig::h100_sxm5(),
-            ..Default::default()
-        },
-    ];
     let mut seen = Vec::new();
-    for opts in &targets {
-        let mut session = Session::with_options(opts.clone());
+    for machine in [MachineConfig::test_gpu(), MachineConfig::h100_sxm5()] {
+        let mut session = Session::new(machine.clone());
         let compiled = session.compile(&program).unwrap();
-        assert_eq!(compiled.fingerprint, fingerprint_of_parts(opts, &program));
+        assert_eq!(
+            compiled.fingerprint,
+            fingerprint_of_parts(&machine, &program)
+        );
         assert!(
             !seen.contains(&compiled.fingerprint),
             "two targets share fingerprint {:#x}",
@@ -68,13 +59,13 @@ fn one_program_under_different_targets_gets_different_fingerprints() {
         seen.push(compiled.fingerprint);
         // Each session missed once: the program's memo carried no hit
         // over from the session before.
-        let stats = session.cache_stats();
+        let stats = session.metrics().cache;
         assert_eq!((stats.hits, stats.misses), (0, 1));
         // A clone and a rebuild hit what the original compiled.
         for same in [program.clone(), gemm_program(128, 128, 64)] {
             assert!(Arc::ptr_eq(&compiled, &session.compile(&same).unwrap()));
         }
-        assert_eq!(session.cache_stats().misses, 1);
+        assert_eq!(session.metrics().cache.misses, 1);
     }
 }
 
@@ -129,12 +120,13 @@ fn session(fusion: FusionPolicy, devices: usize, streams: usize) -> Session {
         .with_policy(SchedulePolicy::Concurrent { streams })
 }
 
-/// The events of one more `launch_timing` of `graph` on `session`.
-fn events_of_next_launch(session: &mut Session, graph: &TaskGraph) -> String {
+/// The events of one more `launch_timing` of `graph` on `session`, and
+/// the session with the recorder attached.
+fn events_of_next_launch(session: Session, graph: &TaskGraph) -> (Session, String) {
     let log = TraceLog::new();
-    session.set_recorder(log.clone());
+    let mut session = session.with_recorder(log.clone());
     session.launch_timing(graph).unwrap();
-    format!("{:#?}", log.events())
+    (session, format!("{:#?}", log.events()))
 }
 
 /// The identity memo removes hashing, not lookups: a warm launch of a
@@ -146,11 +138,11 @@ fn warm_launches_still_look_every_node_up() {
     let graph = graph_of_32();
     let mut warm = session(FusionPolicy::Off, 1, 1);
     warm.launch_timing(&graph).unwrap();
-    assert_eq!(warm.cache_stats().misses, 3, "one kernel per shape");
+    assert_eq!(warm.metrics().cache.misses, 3, "one kernel per shape");
     for _ in 0..3 {
-        let before = warm.cache_stats();
+        let before = warm.metrics().cache;
         warm.launch_timing(&graph).unwrap();
-        let after = warm.cache_stats();
+        let after = warm.metrics().cache;
         assert_eq!(
             (after.hits - before.hits, after.misses - before.misses),
             (32, 0)
@@ -174,14 +166,12 @@ fn warm_launches_still_look_every_node_up() {
         let mut cold = session(fusion, devices, streams);
         cold.launch_timing(&rebuilt).unwrap();
 
-        let lookups = |s: &Session| (s.cache_stats().hits, s.cache_stats().misses);
+        let lookups = |s: &Session| (s.metrics().cache.hits, s.metrics().cache.misses);
         let (warm_before, cold_before) = (lookups(&warm), lookups(&cold));
         let what = format!("fusion {fusion:?}, {devices} devices, {streams} streams");
-        assert_eq!(
-            events_of_next_launch(&mut warm, &graph),
-            events_of_next_launch(&mut cold, &rebuilt),
-            "{what}"
-        );
+        let (warm, warm_events) = events_of_next_launch(warm, &graph);
+        let (cold, cold_events) = events_of_next_launch(cold, &rebuilt);
+        assert_eq!(warm_events, cold_events, "{what}");
         // The same lookups, too, and all of them hits: the gate memoizes
         // a fused kernel this machine's compiler rejects like one it
         // timed, so the rejection costs one miss per session.
@@ -205,9 +195,9 @@ fn rejected_fused_kernels_are_compiled_once_per_session() {
     let mut auto = session(FusionPolicy::Auto, 1, 1);
     auto.launch_timing(&graph).unwrap();
     for _ in 0..3 {
-        let before = auto.cache_stats();
+        let before = auto.metrics().cache;
         let launched = auto.launch_timing(&graph).unwrap().nodes.len() as u64;
-        let after = auto.cache_stats();
+        let after = auto.metrics().cache;
         assert_eq!(
             (after.hits - before.hits, after.misses - before.misses),
             (launched, 0)

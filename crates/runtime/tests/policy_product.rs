@@ -22,8 +22,10 @@
 //!   fused makespan stays within the unfused serial sum, and both rules
 //!   fire across the cases;
 //! - a warm relaunch, a compiled-graph re-bind and a session warmed at
-//!   another point reproduce the cold launch, and a relaunch compiles
-//!   and tunes nothing while counting every fusion decision again;
+//!   another point reproduce the cold launch, and a relaunch — also
+//!   after re-pointing the session's schedule, faults, worker count and
+//!   recorder — compiles and tunes nothing while counting every fusion
+//!   decision again;
 //! - on every fourth case, parallelism 1 and 8 record the same event
 //!   stream, and serial and concurrent schedules the same
 //!   [`EventClass::Flow`] events.
@@ -202,7 +204,7 @@ fn oracle_run(
 /// How a point injects faults.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Faults {
-    /// No plan.
+    /// No faults: the empty plan, under `FailFast`.
     None,
     /// Under `Retry`, a plan that injects nothing: empty, or one
     /// transient at a launch index no run reaches.
@@ -269,35 +271,35 @@ impl Point {
 
     /// A fresh session at this point.
     fn session(&self, machine: &MachineConfig, seed: u64) -> Session {
-        let mut session = Session::new(machine.clone()).with_fusion_policy(self.fusion);
-        self.apply(&mut session, seed);
-        session
+        self.apply(Session::new(machine.clone()), seed)
     }
 
-    /// Move `session` to this point on every axis but fusion, which a
-    /// session only takes at construction.
-    fn apply(&self, session: &mut Session, seed: u64) {
-        session.set_mapping_policy(self.mapping);
-        session.set_policy(self.schedule);
-        session.set_placement_policy(self.placement);
-        session.set_parallelism(self.parallelism);
-        let seeded = |n| Some(FaultPlan::seeded(seed, self.devices(), n));
+    /// `session` moved to this point on every axis, its caches kept.
+    fn apply(&self, session: Session, seed: u64) -> Session {
+        let seeded = |n| FaultPlan::seeded(seed, self.devices(), n);
         let unreached = FaultPlan::new().with_transient(0, 1_000_000);
         let (retry, plan) = match self.faults {
-            Faults::None => (false, None),
-            Faults::Inert { unreached: false } => (true, Some(FaultPlan::new())),
-            Faults::Inert { unreached: true } => (true, Some(unreached)),
+            Faults::None => (false, FaultPlan::new()),
+            Faults::Inert { unreached: false } => (true, FaultPlan::new()),
+            Faults::Inert { unreached: true } => (true, unreached),
             Faults::Retry(n) => (true, seeded(n)),
             Faults::FailFast(n) => (false, seeded(n)),
         };
-        session.set_fault_policy(match retry {
+        let fault_policy = match retry {
             true => FaultPolicy::Retry {
                 max_attempts: 8,
                 backoff: 8.0,
             },
             false => FaultPolicy::FailFast,
-        });
-        session.set_fault_plan(plan);
+        };
+        session
+            .with_fusion_policy(self.fusion)
+            .with_mapping_policy(self.mapping)
+            .with_policy(self.schedule)
+            .with_placement_policy(self.placement)
+            .with_parallelism(self.parallelism)
+            .with_fault_policy(fault_policy)
+            .with_fault_plan(plan)
     }
 
     /// This point with every axis that has an identical twin swapped
@@ -526,7 +528,7 @@ fn check_case(
     let log = TraceLog::new();
     let mut session = point.session(machine, seed);
     if record {
-        session.set_recorder(log.clone());
+        session = session.with_recorder(log.clone());
     }
     let (cold, counts) = counted_launch(&mut session, case);
     let stream = log.events();
@@ -546,7 +548,7 @@ fn check_case(
     let timing = session.launch_timing(graph);
     assert_eq!(rendered(timing.as_ref()), cold_report, "{label}");
     if let Some(twin) = point.twin() {
-        twin.apply(&mut session, seed);
+        session = twin.apply(session, seed);
         let got = rendered(session.launch_timing(graph).as_ref());
         assert_eq!(got, cold_report, "twin {twin:?} of {label}");
     }
@@ -556,7 +558,7 @@ fn check_case(
                 schedule: SchedulePolicy::Serial,
                 ..point
             };
-            serial.apply(&mut session, seed);
+            session = serial.apply(session, seed);
             let serial = session.launch_timing(graph).unwrap();
             let (conc, eps) = (&run.report, 1e-9 * serial.makespan);
             assert!(
@@ -569,7 +571,7 @@ fn check_case(
     }
 
     // Compile once, re-bind fresh inputs twice.
-    point.apply(&mut session, seed);
+    session = point.apply(session, seed);
     let compiled = session.compile_graph(graph).unwrap();
     for round in 1..=2 {
         let inputs = graph_inputs(graph, seed ^ round);
@@ -578,20 +580,47 @@ fn check_case(
         assert_same(&rebind, &fresh, graph, &format!("re-bind {round}, {label}"));
     }
 
+    // Re-pointed at the warmer's schedule, fault plan and worker count,
+    // with another recorder, the session keeps its kernel cache, pool,
+    // tuning table and fusion memos: no counter moves, and the next
+    // launch compiles and tunes nothing.
+    let before = session.metrics();
+    let repointed = Point {
+        schedule: warmer.schedule,
+        faults: warmer.faults,
+        parallelism: warmer.parallelism,
+        ..point
+    };
+    session = repointed
+        .apply(session, seed)
+        .with_recorder(TraceLog::new());
+    assert_eq!(
+        session.metrics(),
+        before,
+        "re-pointing moved a counter ({label})"
+    );
+    let (_, repointed_counts) = counted_launch(&mut session, case);
+    let want = [0, 0, counts[2], counts[3]];
+    assert_eq!(
+        repointed_counts, want,
+        "re-pointed at {repointed:?}: {label}"
+    );
+
     // A second session that first launched the graph at another point.
     // On recorded cases that is this point at the other worker count,
     // whose stream must be this one's. Otherwise it is a random point
     // that keeps this point's mapping unless it drew the default, warmed
     // by a timing launch and this session's tuning table, so it sweeps
     // nothing.
-    let mut other = if record {
+    let other = if record {
         let workers = Point {
             parallelism: 9 - point.parallelism,
             ..point
         };
         let other_log = TraceLog::new();
-        let mut other = workers.session(machine, seed);
-        other.set_recorder(other_log.clone());
+        let mut other = workers
+            .session(machine, seed)
+            .with_recorder(other_log.clone());
         let _ = other.launch_functional(graph, &case.inputs);
         let other_stream = other_log.events();
         assert_eq!(stream, other_stream, "worker count leaked ({label})");
@@ -606,9 +635,8 @@ fn check_case(
         other.import_tuning(session.tuning_table().clone());
         let _ = other.launch_timing(graph);
         other
-    }
-    .with_fusion_policy(point.fusion);
-    point.apply(&mut other, seed);
+    };
+    let mut other = point.apply(other, seed);
     let (launch, other_counts) = counted_launch(&mut other, case);
     assert_same(&cold, &launch, graph, &format!("second session, {label}"));
     // It already holds this point's winners, from the table or from its
@@ -623,8 +651,9 @@ fn check_case(
             SchedulePolicy::Concurrent { .. } => SchedulePolicy::Serial,
         };
         let flipped_log = TraceLog::new();
-        let mut flipped = Point { schedule, ..point }.session(machine, seed);
-        flipped.set_recorder(flipped_log.clone());
+        let mut flipped = Point { schedule, ..point }
+            .session(machine, seed)
+            .with_recorder(flipped_log.clone());
         let _ = flipped.launch_functional(graph, &case.inputs);
         let flow = |events: Vec<Event>| -> Vec<Event> {
             let flow = events.into_iter().filter(|e| e.class() == EventClass::Flow);
@@ -705,7 +734,7 @@ fn fan_out_overlaps_under_concurrent_policy() {
     assert_eq!(serial.streams, 1);
     assert!(serial.nodes.iter().all(|n| n.stream == 0));
 
-    session.set_policy(SchedulePolicy::Concurrent { streams: 4 });
+    session = session.with_policy(SchedulePolicy::Concurrent { streams: 4 });
     let conc = session.launch_timing(&graph).unwrap();
     let (makespan, serial_sum) = (conc.makespan, serial.serial_sum());
     assert!(
@@ -733,7 +762,7 @@ fn invariants_across_stream_counts() {
 
     let mut prev = f64::INFINITY;
     for streams in 1..=6 {
-        session.set_policy(SchedulePolicy::Concurrent { streams });
+        session = session.with_policy(SchedulePolicy::Concurrent { streams });
         let r = session.launch_timing(&graph).unwrap();
         let eps = 1e-9 * serial.makespan;
         assert!(r.critical_path <= r.makespan + eps, "streams {streams}");
@@ -743,9 +772,9 @@ fn invariants_across_stream_counts() {
         prev = r.makespan;
     }
     // Beyond the graph's width, extra streams change nothing.
-    session.set_policy(SchedulePolicy::Concurrent { streams: 4 });
+    session = session.with_policy(SchedulePolicy::Concurrent { streams: 4 });
     let four = session.launch_timing(&graph).unwrap();
-    session.set_policy(SchedulePolicy::Concurrent { streams: 16 });
+    session = session.with_policy(SchedulePolicy::Concurrent { streams: 16 });
     let sixteen = session.launch_timing(&graph).unwrap();
     assert_eq!(four.makespan.to_bits(), sixteen.makespan.to_bits());
 }

@@ -115,7 +115,7 @@ fn diamond_recycles_the_producer_once_after_both_consumers() {
     // One `Zeros` acquisition per node, none of them served by reuse on
     // a cold session: the only pool buffer that dies within the launch
     // is the producer's output, and `right` holds it until the sink ran.
-    let stats = session.pool_stats();
+    let stats = session.metrics().pool;
     assert_eq!(stats.acquired, 4, "one Zeros binding per node");
     assert_eq!(
         stats.reused, 0,
@@ -152,7 +152,7 @@ fn retained_producer_is_never_recycled() {
     // Both consumers cloned: the producer's buffers never reached the
     // pool, and the consumers' dead params are clones the pool never
     // handed out — nothing is parked.
-    assert_eq!(session.pool_stats().free, 0);
+    assert_eq!(session.metrics().pool.free, 0);
 
     // The retained output is actually the product, not zeros.
     assert!(run.tensor(p, 0).unwrap().data().iter().any(|&v| v != 0.0));
@@ -175,7 +175,7 @@ fn retained_sink_matches_plain_sink() {
         ra.tensor(s1, 0).unwrap().data(),
         rb.tensor(s2, 0).unwrap().data()
     );
-    assert_eq!(a.pool_stats(), b.pool_stats(), "identical pool traffic");
+    assert_eq!(a.metrics().pool, b.metrics().pool, "identical pool traffic");
 }
 
 /// Reuse counters across repeated launches: every warm launch takes back
@@ -190,12 +190,12 @@ fn pool_reuse_is_counted_across_repeated_launches() {
     let ins = inputs(6);
 
     session.launch_functional(&graph, &ins).unwrap();
-    let cold = session.pool_stats();
+    let cold = session.metrics().pool;
     assert_eq!((cold.acquired, cold.reused, cold.free), (4, 0, 1));
 
     for launch in 1..=3u64 {
         session.launch_functional(&graph, &ins).unwrap();
-        let warm = session.pool_stats();
+        let warm = session.metrics().pool;
         assert_eq!(warm.acquired, 4 * (launch + 1));
         assert_eq!(
             warm.reused, launch,
@@ -205,9 +205,9 @@ fn pool_reuse_is_counted_across_repeated_launches() {
     }
 
     // Clearing the pool drops parked buffers but keeps counters.
-    let before = session.pool_stats();
+    let before = session.metrics().pool;
     session.clear();
-    let after = session.pool_stats();
+    let after = session.metrics().pool;
     assert_eq!(after.free, 0);
     assert_eq!(after.acquired, before.acquired);
     assert_eq!(after.reused, before.reused);
@@ -226,12 +226,12 @@ fn failed_launch_reclaims_every_in_flight_buffer() {
 
     let mut clean = Session::new(machine.clone());
     clean.launch_functional(&graph, &ins).unwrap();
-    let ok = clean.pool_stats();
+    let ok = clean.metrics().pool;
 
     let mut session = Session::new(machine).with_fault_plan(FaultPlan::new().with_transient(0, 0));
     let err = session.launch_functional(&graph, &ins).unwrap_err();
     assert!(matches!(err, RuntimeError::NodeFailed { .. }), "{err}");
-    let failed = session.pool_stats();
+    let failed = session.metrics().pool;
     assert_eq!(failed.acquired, ok.acquired, "same functional traffic");
     assert_eq!(
         failed.free,
@@ -241,9 +241,9 @@ fn failed_launch_reclaims_every_in_flight_buffer() {
 
     // The pool really is warm: dropping the plan, the next launch
     // succeeds and serves every `Zeros` acquisition from the pool.
-    session.set_fault_plan(None);
+    session = session.with_fault_plan(FaultPlan::new());
     let run = session.launch_functional(&graph, &ins).unwrap();
-    let warm = session.pool_stats();
+    let warm = session.metrics().pool;
     assert_eq!(
         warm.reused,
         failed.reused + 4,
@@ -320,13 +320,13 @@ fn serving_loop_keeps_the_unbounded_pool_flat() {
     let mut session = Session::new(machine);
 
     session.launch_functional(&graph, &ins).unwrap();
-    let mut prev = session.pool_stats();
+    let mut prev = session.metrics().pool;
     assert_eq!((prev.acquired, prev.reused), (8, 0));
     assert_eq!(prev.free, 4, "the four drained GEMM outputs are parked");
     let steady = prev.free;
     for launch in 2..=50 {
         session.launch_functional(&graph, &ins).unwrap();
-        let now = session.pool_stats();
+        let now = session.metrics().pool;
         assert_eq!(now.acquired - prev.acquired, 8);
         assert_eq!(
             now.reused - prev.reused,
@@ -402,15 +402,15 @@ fn bounded_pool_never_exceeds_its_cap_across_a_randomized_sweep() {
         ]);
         bounded.launch_functional(&g, &ins).unwrap();
         unbounded.launch_functional(&g, &ins).unwrap();
-        let stats = bounded.pool_stats();
+        let stats = bounded.metrics().pool;
         assert!(
             stats.free <= cap,
             "round {round}: bounded pool parked {} > cap {cap}",
             stats.free
         );
-        unbounded_peak = unbounded_peak.max(unbounded.pool_stats().free);
+        unbounded_peak = unbounded_peak.max(unbounded.metrics().pool.free);
     }
-    let stats = bounded.pool_stats();
+    let stats = bounded.metrics().pool;
     assert_eq!(stats.capacity, Some(cap));
     assert!(
         stats.evicted > 0,

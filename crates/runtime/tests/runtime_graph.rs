@@ -25,7 +25,7 @@ fn cache_hit_returns_identical_kernel() {
     let program = gemm_program(64, 64, 64, &machine);
 
     let first = session.compile(&program).unwrap();
-    assert_eq!(session.cache_stats().misses, 1);
+    assert_eq!(session.metrics().cache.misses, 1);
 
     // Rebuilding the program from scratch still hits: the fingerprint is
     // structural, not identity-based.
@@ -35,7 +35,7 @@ fn cache_hit_returns_identical_kernel() {
         Arc::ptr_eq(&first, &second),
         "hit must return the identical kernel"
     );
-    let stats = session.cache_stats();
+    let stats = session.metrics().cache;
     assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
 
     // A different problem size is a different kernel.
@@ -43,7 +43,7 @@ fn cache_hit_returns_identical_kernel() {
         .compile(&gemm_program(128, 64, 64, &machine))
         .unwrap();
     assert!(!Arc::ptr_eq(&first, &other));
-    assert_eq!(session.cache_stats().misses, 2);
+    assert_eq!(session.metrics().cache.misses, 2);
 }
 
 /// The compiled fingerprint matches what the compiler reports, and a
@@ -205,7 +205,7 @@ fn timing_mode_reports_per_node_breakdown() {
     let sum: f64 = report.nodes.iter().map(|n| n.report.cycles).sum();
     assert_eq!(report.cycles(), sum);
     // Two identical single-kernel launches: one compile, one hit.
-    let stats = session.cache_stats();
+    let stats = session.metrics().cache;
     assert_eq!((stats.misses, stats.hits), (1, 1));
 }
 
@@ -231,9 +231,9 @@ fn intermediate_buffers_recycle_through_the_pool() {
     let inputs = test_inputs(7);
     let mut session = Session::new(machine);
     session.launch_functional(&graph, &inputs).unwrap();
-    let cold = session.pool_stats();
+    let cold = session.metrics().pool;
     session.launch_functional(&graph, &inputs).unwrap();
-    let warm = session.pool_stats();
+    let warm = session.metrics().pool;
     assert!(
         warm.reused > cold.reused,
         "second launch reuses pooled buffers (cold {cold:?}, warm {warm:?})"

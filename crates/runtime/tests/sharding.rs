@@ -174,7 +174,7 @@ fn two_devices_beat_one_on_fanout() {
     let graph = gemm_fanout(&machine, 256);
     let mut session = Session::new(machine).with_policy(SchedulePolicy::Concurrent { streams: 8 });
     let single = session.launch_timing(&graph).unwrap();
-    session.set_placement_policy(PlacementPolicy::Sharded { devices: 2 });
+    session = session.with_placement_policy(PlacementPolicy::Sharded { devices: 2 });
     let sharded = session.launch_timing(&graph).unwrap();
     assert_eq!(sharded.devices, 2);
     assert!(

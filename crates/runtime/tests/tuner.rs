@@ -152,7 +152,7 @@ fn autotune_results_are_cached_in_the_table() {
     .unwrap();
     let mut session = Session::new(machine);
     let first = session.autotune(&program).unwrap();
-    let misses = session.cache_stats().misses;
+    let misses = session.metrics().cache.misses;
     assert_eq!(
         misses as usize, first.candidates,
         "one compile per candidate"
@@ -160,7 +160,7 @@ fn autotune_results_are_cached_in_the_table() {
     // Second call is served from the table: no new compiles, same answer.
     let second = session.autotune(&program).unwrap();
     assert_eq!(first, second);
-    assert_eq!(session.cache_stats().misses, misses);
+    assert_eq!(session.metrics().cache.misses, misses);
     assert_eq!(session.tuning_table().len(), 1);
 }
 
@@ -240,7 +240,7 @@ fn sweep_matches_a_session_free_oracle_at_every_worker_count() {
                 "{label}"
             );
             assert_eq!(got.candidates, candidates, "{label}");
-            let stats = session.cache_stats();
+            let stats = session.metrics().cache;
             assert_eq!(
                 *cache_stats.get_or_insert(stats),
                 stats,
@@ -271,7 +271,7 @@ fn sweep_preserves_bounded_cache_semantics_across_worker_counts() {
         .with_cache_capacity(2);
     let got = four.autotune(&program).unwrap();
     assert_eq!(want, got);
-    assert_eq!(one.cache_stats(), four.cache_stats());
+    assert_eq!(one.metrics().cache, four.metrics().cache);
 }
 
 #[test]
@@ -304,7 +304,7 @@ fn tuning_tables_persist_across_sessions() {
     fresh.import_tuning(loaded);
     let answer = fresh.autotune(&program).unwrap();
     assert_eq!(answer, tuned);
-    assert_eq!(fresh.cache_stats().misses, 0, "served from the table");
+    assert_eq!(fresh.metrics().cache.misses, 0, "served from the table");
 }
 
 #[test]
@@ -438,11 +438,11 @@ fn bounded_cache_survives_autotuning_sweeps() {
     let mut session = Session::new(machine).with_cache_capacity(2);
     let tuned = session.autotune(&program).unwrap();
     assert!(tuned.candidates > 2, "sweep exceeds the cache bound");
-    let stats = session.cache_stats();
+    let stats = session.metrics().cache;
     assert!(stats.evictions > 0, "the bound must have evicted");
     assert!(stats.entries <= 2);
     // The tuned program still launches fine (recompiles are transparent).
-    session.set_mapping_policy(MappingPolicy::Autotune);
+    session = session.with_mapping_policy(MappingPolicy::Autotune);
     let report = session.run_timing(&program).unwrap();
     assert!((report.cycles - tuned.tuned_cycles).abs() < 1e-9);
 }
@@ -479,7 +479,7 @@ fn cross_machine_programs_fall_back_to_their_own_mapping() {
     );
     // ...but policy-driven launches transparently run the default.
     let default_report = session.run_timing(&program).unwrap();
-    session.set_mapping_policy(MappingPolicy::Autotune);
+    session = session.with_mapping_policy(MappingPolicy::Autotune);
     let tuned_report = session.run_timing(&program).unwrap();
     assert_eq!(default_report.cycles, tuned_report.cycles);
     let mut graph = cypress_runtime::TaskGraph::new();
@@ -510,17 +510,17 @@ fn warm_autotuned_launches_skip_the_compiler_entirely() {
     .unwrap();
     let mut session = Session::new(machine).with_mapping_policy(MappingPolicy::Autotune);
     let first = session.run_timing(&program).unwrap();
-    let warm_stats = session.cache_stats();
+    let warm_stats = session.metrics().cache;
     // Memoized tuned launch: no cache traffic at all on later launches.
     let second = session.run_timing(&program).unwrap();
     let third = session.run_timing(&program).unwrap();
-    assert_eq!(session.cache_stats(), warm_stats);
+    assert_eq!(session.metrics().cache, warm_stats);
     assert_eq!(first.cycles, second.cycles);
     assert_eq!(first.cycles, third.cycles);
     // `clear` drops the memo; the relaunch recompiles through the cache.
     session.clear();
     session.run_timing(&program).unwrap();
-    assert!(session.cache_stats().misses > warm_stats.misses);
+    assert!(session.metrics().cache.misses > warm_stats.misses);
 }
 
 #[test]
@@ -602,9 +602,9 @@ fn untunable_fallback_is_memoized_across_launches() {
     let mut session =
         Session::new(MachineConfig::h100_sxm5()).with_mapping_policy(MappingPolicy::Autotune);
     session.run_timing(&program).unwrap();
-    let warm = session.cache_stats();
+    let warm = session.metrics().cache;
     session.run_timing(&program).unwrap();
-    let next = session.cache_stats();
+    let next = session.metrics().cache;
     assert_eq!(next.misses, warm.misses, "fallback never recompiles");
     assert_eq!(next.hits, warm.hits + 1, "one cache hit per warm launch");
 }
@@ -671,7 +671,7 @@ fn tune_exhaustive(
 ) -> (cypress_runtime::TunedMapping, cypress_runtime::CacheStats) {
     let mut session = Session::new(machine.clone());
     let tuned = session.autotune(program).unwrap();
-    (tuned, session.cache_stats())
+    (tuned, session.metrics().cache)
 }
 
 proptest::proptest! {
@@ -709,7 +709,7 @@ proptest::proptest! {
         let got = full.autotune_with(&program, TunerBudget::TopK(total)).unwrap();
         proptest::prop_assert_eq!(&got, &exhaustive, "{} {}: full-budget guided diverged", space.entry(), &shape);
         proptest::prop_assert_eq!(
-            full.cache_stats(),
+            full.metrics().cache,
             exhaustive_cache,
             "{} {}: full-budget guided cache traffic diverged",
             space.entry(),

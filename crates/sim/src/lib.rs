@@ -107,7 +107,7 @@ use engine::{Engine, Mode};
 pub struct Simulator {
     machine: MachineConfig,
     /// Host worker threads batches of runs may use (see
-    /// [`Simulator::set_parallelism`]). Single-kernel runs are always
+    /// [`Simulator::with_parallelism`]). Single-kernel runs are always
     /// single-threaded and deterministic regardless of this setting.
     parallelism: usize,
 }
@@ -127,7 +127,7 @@ pub struct FunctionalRun {
 
 impl Simulator {
     /// A simulator for `machine`. Batches of runs default to one host
-    /// worker per available core (see [`Simulator::set_parallelism`]).
+    /// worker per available core (see [`Simulator::with_parallelism`]).
     #[must_use]
     pub fn new(machine: MachineConfig) -> Self {
         Simulator {
@@ -148,20 +148,15 @@ impl Simulator {
         self.parallelism
     }
 
-    /// Set how many host worker threads a caller that fans independent
-    /// runs of this simulator out over [`par::parallel_map`] (the
-    /// runtime's executor and tuner) may use, clamped to at least 1. The
+    /// Let a caller that fans independent runs of this simulator out
+    /// over [`par::parallel_map`] (the runtime's executor and tuner) use
+    /// `parallelism` host worker threads, clamped to at least 1. The
     /// worker count changes wall time only — every setting runs the same
     /// code (a batch runs inline at one worker), so results are
     /// bit-identical.
-    pub fn set_parallelism(&mut self, parallelism: usize) {
-        self.parallelism = parallelism.max(1);
-    }
-
-    /// Builder-style [`Simulator::set_parallelism`].
     #[must_use]
     pub fn with_parallelism(mut self, parallelism: usize) -> Self {
-        self.set_parallelism(parallelism);
+        self.parallelism = parallelism.max(1);
         self
     }
 

@@ -15,7 +15,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (reg, mapping, args) = gemm::build(128, 128, 64, &machine)?;
     let compiler = CypressCompiler::new(CompilerOptions {
         machine,
-        spill_first: true,
         dump_ir: true,
     });
     let compiled = compiler.compile(&reg, &mapping, "gemm", &args)?;

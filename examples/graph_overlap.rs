@@ -96,7 +96,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(serial.makespan, serial.serial_sum());
 
     // --- Concurrent timing: four streams, overlap observable -----------
-    session.set_policy(SchedulePolicy::Concurrent { streams: 4 });
+    session = session.with_policy(SchedulePolicy::Concurrent { streams: 4 });
     let conc = session.launch_timing(&graph)?;
     println!("concurrent timeline (4 streams):\n{}", conc.breakdown());
     assert!(

@@ -128,9 +128,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // stays pinned to the critical path (= the serial sum). Contrast
     // with `examples/graph_overlap.rs`, where a fan-out graph overlaps.
     let serial_timing = session.launch_timing(&graph)?;
-    session.set_policy(SchedulePolicy::Concurrent { streams: 2 });
+    session = session.with_policy(SchedulePolicy::Concurrent { streams: 2 });
     let conc_timing = session.launch_timing(&graph)?;
-    session.set_policy(SchedulePolicy::Serial);
+    session = session.with_policy(SchedulePolicy::Serial);
     assert_eq!(
         conc_timing.makespan, serial_timing.makespan,
         "a chain gains nothing from streams"
@@ -142,9 +142,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // --- Second launch: every kernel comes from the cache ---------------
-    let cold = session.cache_stats();
+    let cold = session.metrics().cache;
     session.launch_functional(&graph, &inputs)?;
-    let warm = session.cache_stats();
+    let warm = session.metrics().cache;
     println!(
         "kernel cache: {} misses cold, {} hits on relaunch (entries {})",
         cold.misses,
@@ -194,7 +194,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             Binding::external("W3"),
         ],
     )?;
-    let before = session.cache_stats();
+    let before = session.metrics().cache;
     for _ in 0..3 {
         let served = session.launch_functional(&serving, &inputs)?;
         let p = served
@@ -202,12 +202,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .expect("sink kept");
         assert!(p.relative_error(&p_want)? < 3e-2);
     }
-    let after = session.cache_stats();
+    let after = session.metrics().cache;
     assert_eq!(
         after.misses, before.misses,
         "serving graph compiles nothing new"
     );
-    let pool = session.pool_stats();
+    let pool = session.metrics().pool;
     println!(
         "serving x3: 0 new compiles; buffer pool {} acquisitions, {} served by reuse",
         pool.acquired, pool.reused
