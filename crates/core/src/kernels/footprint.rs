@@ -40,12 +40,9 @@ pub enum Footprint {
     /// FlashAttention over `[heads, seq, head_dim]`: FA2 stages one K/V
     /// pair per stage and steps one `Bc` tile per iteration, FA3 two.
     Attention(Algorithm),
-    /// `Y = X0 + X1 + …` elementwise: the `[m, n]` single-input copy,
-    /// or with `reduce` the `[ways, m, n]` sum of `ways >= 2` inputs.
-    Fold {
-        /// Whether the shape leads with the input count.
-        reduce: bool,
-    },
+    /// `Y = X0 + X1 + …` elementwise over `[ways, m, n]`: the sum of
+    /// `ways >= 2` inputs.
+    Fold,
     /// The chained dual-GEMM over `[m, n, k, mid]`: the `U x mid`
     /// intermediate band stays resident beside both phases' pipelined
     /// operand tiles.
@@ -103,9 +100,9 @@ pub(crate) fn folded_rows(kernel: &str, outer: usize, inner: usize) -> Result<us
 /// bound is what keeps a hostile extent from sizing those lists.
 const MAX_FOLD_INPUTS: usize = 1 << 10;
 
-/// `min <= inputs <= MAX_FOLD_INPUTS`, for the input count of a fold.
-pub(crate) fn fold_inputs(kernel: &str, inputs: usize, min: usize) -> Result<(), CompileError> {
-    at_least(kernel, "inputs", inputs, min)?;
+/// `2 <= inputs <= MAX_FOLD_INPUTS`, for the input count of a fold.
+pub(crate) fn fold_inputs(kernel: &str, inputs: usize) -> Result<(), CompileError> {
+    at_least(kernel, "inputs", inputs, 2)?;
     if inputs <= MAX_FOLD_INPUTS {
         return Ok(());
     }
@@ -290,24 +287,18 @@ impl Footprint {
                     })),
                 })
             }
-            Footprint::Fold { reduce } => {
-                let [inputs, m, n] = if reduce {
-                    shape.expect_dims::<3>(kernel)?
-                } else {
-                    let [m, n] = shape.expect_dims::<2>(kernel)?;
-                    [1, m, n]
-                };
-                fold_inputs(kernel, inputs, if reduce { 2 } else { 1 })?;
+            Footprint::Fold => {
+                let [inputs, m, n] = shape.expect_dims::<3>(kernel)?;
+                fold_inputs(kernel, inputs)?;
                 let c = cfg.as_gemm(kernel)?;
                 check_split(kernel, c.u, c.wgs, c.pipeline, None)?;
                 check_tiles(kernel, &[(m, "M", c.u, "U"), (n, "N", c.v, "V")])?;
-                // Staged at once: one inbound input tile and the
-                // accumulator's outbound staging, plus one radd-staged
-                // tile when there is a second input to fold in.
-                let staged_tiles = if reduce { 3 } else { 2 };
+                // Staged at once: one inbound input tile, one radd-staged
+                // tile of the next input to fold in, and the
+                // accumulator's outbound staging.
                 Ok(Launch {
                     ctas: (Checked::from(m / c.u) * (n / c.v)).get(kernel)?,
-                    smem_bytes: (Checked::from(c.u) * c.v * staged_tiles * ELEM).get(kernel)?,
+                    smem_bytes: (Checked::from(c.u) * c.v * 3 * ELEM).get(kernel)?,
                     regs_per_thread: 0,
                     // Every input streams in once, the output out once.
                     work: Some(Work::Streamed {

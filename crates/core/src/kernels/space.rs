@@ -234,8 +234,8 @@ impl Grid {
 /// deterministic autotuner needs.
 pub trait MappingSpace: fmt::Debug + Send + Sync {
     /// The entry task name of programs this space builds (`"gemm"`,
-    /// `"bgemm"`, `"dual"`, `"gr"`, `"chain"`, `"reduce"`, `"xfer"`,
-    /// `"halo"`, `"allred"`, `"fa"`).
+    /// `"bgemm"`, `"dual"`, `"gr"`, `"chain"`, `"reduce"`, `"allred"`,
+    /// `"fa"`).
     fn entry(&self) -> &'static str;
 
     /// The hand-tuned default mapping for `machine` — exactly what the

@@ -46,16 +46,6 @@ pub fn families() -> Vec<(&'static str, Box<dyn MappingSpace>, [Shape; 2])> {
             s(&[512, 512], &[4096, 4096]),
         ),
         (
-            "comm_transfer",
-            Box::new(comm::TransferSpace),
-            s(&[512, 512], &[4096, 4096]),
-        ),
-        (
-            "comm_halo",
-            Box::new(comm::HaloSpace),
-            s(&[128, 512], &[256, 4096]),
-        ),
-        (
             "comm_all_reduce",
             Box::new(comm::AllReduceSpace),
             s(&[2, 512, 512], &[4, 2048, 2048]),

@@ -156,32 +156,6 @@ fn attention_case(alg: attention::Algorithm, heads: usize, seq: usize, d: usize)
 }
 
 #[test]
-fn transfer_is_a_bitwise_copy() {
-    let machine = MachineConfig::test_gpu();
-    let (m, n) = (128, 192);
-    let (reg, mapping, args) = comm::build_transfer(m, n, &machine).unwrap();
-    let mut rng = StdRng::seed_from_u64(25);
-    let x = Tensor::random(DType::F16, &[m, n], &mut rng, -1.0, 1.0);
-    let y = Tensor::zeros(DType::F16, &[m, n]);
-
-    let out = compile_and_run(&reg, &mapping, "xfer", &args, vec![y, x.clone()]);
-    assert_eq!(out[0].data(), x.data(), "transfer must copy bitwise");
-}
-
-#[test]
-fn halo_is_a_bitwise_copy_of_the_band() {
-    let machine = MachineConfig::test_gpu();
-    let (rows, n) = (64, 256);
-    let (reg, mapping, args) = comm::build_halo(rows, n, &machine).unwrap();
-    let mut rng = StdRng::seed_from_u64(26);
-    let x = Tensor::random(DType::F16, &[rows, n], &mut rng, -1.0, 1.0);
-    let y = Tensor::zeros(DType::F16, &[rows, n]);
-
-    let out = compile_and_run(&reg, &mapping, "halo", &args, vec![y, x.clone()]);
-    assert_eq!(out[0].data(), x.data(), "halo exchange must copy bitwise");
-}
-
-#[test]
 fn all_reduce_matches_elementwise_sum() {
     let machine = MachineConfig::test_gpu();
     let (ways, m, n) = (3, 64, 64);

@@ -150,14 +150,12 @@ fn with_field(cfg: MappingConfig, field: &str, value: usize) -> Option<MappingCo
 }
 
 /// The fields a family's kernels do not read, so no value of them can
-/// misfit: the copy kernels have no K loop (`W` is never bound and the
+/// misfit: the all-reduce has no K loop (`W` is never bound and the
 /// pipeline depth only has to be a depth, >= 1), and the row reduction
 /// has no output columns to tile.
 fn unread(family: &str, field: &str, value: usize) -> bool {
     match family {
-        "comm_transfer" | "comm_halo" | "comm_all_reduce" => {
-            field == "w" || (field == "pipe" && value != 0)
-        }
+        "comm_all_reduce" => field == "w" || (field == "pipe" && value != 0),
         "reduction" => field == "v",
         _ => false,
     }

@@ -3,8 +3,9 @@
 //! are timed by the scheduler.
 
 use super::schedule::assemble_report;
-use super::{comm_report, FaultContext, NodeLaunch};
+use super::{FaultContext, Launch, NodeLaunch};
 use crate::error::RuntimeError;
+use crate::fuse::FusionPlan;
 use crate::graph::{Binding, NodeId, TaskGraph};
 use crate::pool::BufferPool;
 use crate::report::GraphReport;
@@ -222,8 +223,11 @@ impl EdgeBuffers {
     }
 }
 
-/// `launches` is indexed by `NodeId::index()` (one entry per graph node).
-/// Each *ready wave* of nodes (all dependencies satisfied) runs on the
+/// `nodes` is indexed by `NodeId::index()` (one entry per graph node),
+/// and `timeline` is how the scheduler times them. The graph runs as
+/// written on any placement: a consumer on another device reads its
+/// producer's buffer directly, since the transfer between them would be
+/// a bitwise copy. Each *ready wave* of nodes (all dependencies satisfied) runs on the
 /// scoped worker pool; inputs are materialized, results joined and
 /// drained producers recycled serially, in ascending node order per
 /// wave. That order — and with it the buffer pool's traffic and the
@@ -238,7 +242,8 @@ pub(crate) fn run_functional(
     simulator: &Simulator,
     topology: &Topology,
     graph: &TaskGraph,
-    launches: &[NodeLaunch],
+    nodes: &[NodeLaunch],
+    timeline: Vec<Launch>,
     inputs: &HashMap<String, Tensor>,
     pool: &mut BufferPool,
     policy: SchedulePolicy,
@@ -267,7 +272,7 @@ pub(crate) fn run_functional(
         for &idx in &wave {
             let id = NodeId(idx);
             let params = edges.materialize(graph, id, inputs, pool, recorder)?;
-            jobs.push((idx, Arc::clone(&launches[idx].compiled), params));
+            jobs.push((idx, Arc::clone(&nodes[idx].compiled), params));
         }
         let runs = cypress_sim::par::parallel_map(
             simulator.parallelism(),
@@ -302,7 +307,7 @@ pub(crate) fn run_functional(
         wave = next;
     }
 
-    let mut reports: Vec<TimingReport> = reports
+    let reports: Vec<TimingReport> = reports
         .into_iter()
         .map(|r| {
             r.ok_or_else(|| RuntimeError::Internal {
@@ -312,28 +317,8 @@ pub(crate) fn run_functional(
             })
         })
         .collect::<Result<_, _>>()?;
-    // Communication launches are priced by their link, not by the solo
-    // simulation of the copy kernel (which already moved the data above).
-    for (i, launch) in launches.iter().enumerate() {
-        if let Some(comm) = &launch.comm {
-            reports[i] = comm_report(
-                &launch.compiled.kernel.name,
-                comm,
-                topology,
-                simulator.machine(),
-            );
-        }
-    }
-    let report = match assemble_report(
-        simulator.machine(),
-        topology,
-        graph,
-        launches,
-        &reports,
-        policy,
-        fault,
-        recorder,
-    ) {
+    let report = assemble_report(topology, nodes, &reports, timeline, policy, fault, recorder);
+    let report = match report {
         Ok(report) => report,
         Err(e) => {
             // The schedule aborted (fail-fast fault, exhausted retry
@@ -356,18 +341,12 @@ pub(crate) fn run_functional(
     })
 }
 
-/// Re-address a rewritten graph's [`GraphRun`] to the *original* graph:
-/// the result's node ids and names are the original ones, each
-/// parameter's tensor pulled from wherever `target` placed its buffer
-/// (a [`crate::fuse::FusionPlan::target`] or
-/// [`crate::shard::ShardPlan::target`]), while the timing report keeps
-/// the rewritten launches (with their `replaced` annotations) so the
-/// timeline shows what actually ran.
-pub(crate) fn remap_run(
-    run: GraphRun,
-    original: &TaskGraph,
-    target: &dyn Fn(usize, usize) -> Option<(usize, usize)>,
-) -> GraphRun {
+/// Re-address a fused graph's [`GraphRun`] to the *original* graph: the
+/// result's node ids and names are the original ones, each parameter's
+/// tensor pulled from wherever `plan` placed its buffer, while the
+/// timing report keeps the fused launches (with their `replaced`
+/// annotations) so the timeline shows what actually ran.
+pub(crate) fn remap_run(run: GraphRun, original: &TaskGraph, plan: &FusionPlan) -> GraphRun {
     // Clone rather than move: several original slots can share one
     // rewritten buffer (two fused members reading the same operand).
     let rewritten_results = run.results;
@@ -378,7 +357,7 @@ pub(crate) fn remap_run(
         .map(|(i, node)| {
             let params: Vec<Option<Tensor>> = (0..node.program.args.len())
                 .map(|p| {
-                    let (fi, fp) = target(i, p)?;
+                    let (fi, fp) = plan.target(i, p)?;
                     rewritten_results.get(fi)?.as_ref()?.get(fp)?.clone()
                 })
                 .collect();

@@ -14,15 +14,24 @@
 //! alone — bit-identical across schedule policies and worker counts; the
 //! worker count changes wall time only.
 //!
+//! Both modes then time the same *timeline* (built by `timeline`): the
+//! graph's compute launches on their devices, plus — on a sharded
+//! topology — one link launch per cross-device transfer, numbered just
+//! before its first consumer. A transfer runs no kernel in either mode:
+//! its `Transfer` report comes from the link model, exactly like the
+//! `xfer:recover:` transfers a device loss inserts, and a functional
+//! consumer reads its producer's buffer directly.
+//!
 //! In **timing** mode no data moves; per-node
 //! [`cypress_sim::TimingReport`]s are assembled into a
 //! [`crate::GraphReport`] by one ready-queue scheduler (`schedule.rs`)
-//! that assigns independent nodes to the simulated streams of their
+//! that assigns independent launches to the simulated streams of their
 //! device. Co-resident launches contend for SMs, L2, and HBM through
-//! [`cypress_sim::concurrent::ConcurrentEngine`]; dependents are released
-//! as upstream launches retire. Ready nodes and free streams are taken
-//! lowest-id-first, so schedules stay deterministic. The session's
-//! [`crate::SchedulePolicy`] only sets the stream count:
+//! [`cypress_sim::concurrent::ConcurrentEngine`], transfers for their
+//! link; dependents are released as upstream launches retire. Ready
+//! launches and free streams are taken lowest-id-first, so schedules stay
+//! deterministic. The session's [`crate::SchedulePolicy`] only sets the
+//! stream count:
 //!
 //! - **Serial**: one stream per device. On one device nodes run
 //!   back-to-back in the topological schedule and the makespan is the
@@ -43,9 +52,13 @@ pub use functional::GraphRun;
 pub(crate) use functional::{remap_run, run_functional};
 pub(crate) use schedule::run_timing;
 
+use crate::graph::{Binding, TaskGraph};
 use crate::session::FaultPolicy;
+use crate::shard::{self, ShardPlan};
+use cypress_core::kernels::comm;
 use cypress_core::Compiled;
 use cypress_sim::{FaultPlan, MachineConfig, TimingReport, Topology};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// The fault-handling settings one graph launch runs under: the
@@ -82,43 +95,166 @@ pub(crate) struct NodeLaunch {
     /// Original node names this launch replaced when it came from the
     /// fusion rewriter (empty for ordinary nodes).
     pub replaced: Vec<String>,
-    /// Device this launch runs on (0 unless the graph was sharded).
-    pub device: usize,
-    /// The link transfer this launch performs when it is a
-    /// sharder-inserted communication node (`None` for compute nodes).
-    pub comm: Option<CommLaunch>,
 }
 
-/// A communication launch's link accounting: the scheduler
-/// charges it to this link's bandwidth instead of any device's SMs, and
-/// both launch modes price it with [`cypress_sim::Link::transfer_cycles`]
-/// so functional and timing reports agree on its cost.
+/// The `kernel` of a shard transfer's report.
+const TRANSFER_KERNEL: &str = "xfer";
+
+/// A buffer moving between devices, priced by its link: the scheduler
+/// charges it to the link's bandwidth instead of any device's SMs. Shard
+/// transfers and device-loss recovery transfers alike.
 #[derive(Debug, Clone)]
-pub(crate) struct CommLaunch {
+pub(crate) struct Transfer {
     /// Index into the topology's links.
     pub link: usize,
-    /// Bytes moved across the link.
+    /// The fluid bandwidth demand: the rate a solo transfer sustains, so
+    /// an uncontended link reproduces the report's cycles exactly.
+    pub demand: f64,
+    /// The link-derived report: launch overhead + latency + bytes at
+    /// link bandwidth.
+    pub report: TimingReport,
+}
+
+impl Transfer {
+    /// Move `bytes` from device `src` to device `dst`, reported under
+    /// `kernel`: over the connecting link when one exists, collapsing to
+    /// the launch overhead (and no link demand) when the endpoints are
+    /// co-located or unlinked.
+    fn new(kernel: &str, bytes: f64, (src, dst): (usize, usize), topology: &Topology) -> Self {
+        let machine = topology.machine();
+        let link = topology.link_between(src, dst).filter(|_| src != dst);
+        let cycles = match link.and_then(|l| topology.links.get(l)) {
+            Some(l) => l.transfer_cycles(bytes, machine),
+            None => machine.kernel_launch_cycles,
+        };
+        Transfer {
+            link: link.unwrap_or(0),
+            demand: link.map_or(0.0, |_| bytes / cycles.max(1.0)),
+            report: off_sm_report(kernel, cycles, bytes, 1, machine),
+        }
+    }
+}
+
+/// A tensor-buffer edge into a launch: parameter `param` of launch
+/// `launch`, `bytes` long.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Edge {
+    pub launch: usize,
+    pub param: usize,
     pub bytes: f64,
 }
 
-/// The link-derived [`TimingReport`] of a communication launch: a
-/// transfer is priced by its link (launch overhead + latency + bytes at
-/// link bandwidth), not by simulating the copy kernel on an SM — the
-/// copy kernel still runs for real in functional mode, this report only
-/// feeds the timeline.
-fn comm_report(
-    kernel: &str,
-    comm: &CommLaunch,
+/// What a launch does.
+#[derive(Debug, Clone)]
+pub(crate) enum Work {
+    /// Run the kernel of node `i` of the graph.
+    Node(usize),
+    /// Move a buffer over a link.
+    Transfer(Transfer),
+}
+
+/// One launch of a graph's timing schedule.
+#[derive(Debug, Clone)]
+pub(crate) struct Launch {
+    /// Its span name: the node's, or `xfer:{producer}.{param}->d{dst}`.
+    pub name: String,
+    /// The device it runs on (a transfer's destination).
+    pub device: usize,
+    /// The edges it reads, in binding order.
+    pub inputs: Vec<Edge>,
+    /// Bytes of all its parameter buffers: its placement load.
+    pub bytes: f64,
+    pub work: Work,
+}
+
+impl Launch {
+    /// The launches it depends on (deduplicated, ascending).
+    fn dependencies(&self) -> Vec<usize> {
+        let mut deps: Vec<usize> = self.inputs.iter().map(|e| e.launch).collect();
+        deps.sort_unstable();
+        deps.dedup();
+        deps
+    }
+
+    /// Its solo report: its node's entry of `reports` (indexed by graph
+    /// node), or its transfer's.
+    fn report<'a>(&'a self, reports: &'a [TimingReport]) -> &'a TimingReport {
+        match &self.work {
+            Work::Node(i) => &reports[*i],
+            Work::Transfer(t) => &t.report,
+        }
+    }
+}
+
+/// Number `graph`'s launches as the scheduler runs them: its nodes in id
+/// order on the devices `shard` places them on (device 0 without a
+/// plan), each of the plan's transfers just before its first consumer.
+/// A consumer on another device than its producer reads the transfer.
+pub(crate) fn timeline(
+    graph: &TaskGraph,
+    shard: Option<&ShardPlan>,
     topology: &Topology,
-    machine: &MachineConfig,
-) -> TimingReport {
-    let cycles = match topology.links.get(comm.link) {
-        Some(link) => link.transfer_cycles(comm.bytes, machine),
-        // No links in the topology (a degenerate sharded launch on one
-        // device): the transfer collapses to its launch overhead.
-        None => machine.kernel_launch_cycles,
-    };
-    off_sm_report(kernel, cycles, comm.bytes, 1, machine)
+) -> Vec<Launch> {
+    let transfers = shard.map_or(&[][..], |s| &s.transfers);
+    let mut launches = Vec::with_capacity(graph.len() + transfers.len());
+    let mut launch_of = Vec::with_capacity(graph.len());
+    // (producer, param, destination device) -> its transfer's launch.
+    let mut moved = HashMap::new();
+    let mut pending = transfers.iter().peekable();
+    for (i, node) in graph.nodes().iter().enumerate() {
+        while let Some(t) = pending.next_if(|t| t.consumer == i) {
+            moved.insert((t.producer, t.param, t.dst), launches.len());
+            let producer = &graph.nodes()[t.producer].name;
+            launches.push(Launch {
+                name: format!("xfer:{producer}.{}->d{}", t.param, t.dst),
+                device: t.dst,
+                inputs: vec![Edge {
+                    launch: launch_of[t.producer],
+                    param: t.param,
+                    bytes: t.bytes,
+                }],
+                // Placement load: the buffer at both ends of the link.
+                bytes: 2.0 * t.bytes,
+                work: Work::Transfer(Transfer::new(
+                    TRANSFER_KERNEL,
+                    t.bytes,
+                    (t.src, t.dst),
+                    topology,
+                )),
+            });
+        }
+        let device = shard.map_or(0, |s| s.device_of[i]);
+        let bindings = node.bindings.iter().zip(&node.program.args);
+        let inputs = bindings
+            .filter_map(|(b, arg)| {
+                let Binding::Output { node: src, param } = b else {
+                    return None;
+                };
+                let bytes = comm::tensor_bytes(arg.rows, arg.cols);
+                Some(match moved.get(&(src.index(), *param, device)) {
+                    Some(&launch) => Edge {
+                        launch,
+                        param: 0,
+                        bytes,
+                    },
+                    None => Edge {
+                        launch: launch_of[src.index()],
+                        param: *param,
+                        bytes,
+                    },
+                })
+            })
+            .collect();
+        launch_of.push(launches.len());
+        launches.push(Launch {
+            name: node.name.clone(),
+            device,
+            inputs,
+            bytes: shard::node_bytes(graph, i),
+            work: Work::Node(i),
+        });
+    }
+    launches
 }
 
 /// The [`TimingReport`] of a timeline span that occupies no SM: a link

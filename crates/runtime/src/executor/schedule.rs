@@ -1,11 +1,11 @@
 //! The timing schedule and report assembly: one ready-queue scheduler
-//! over [`ConcurrentEngine`] turns per-node solo reports into a
-//! [`GraphReport`], absorbing injected faults on the way.
+//! over [`ConcurrentEngine`] turns per-node solo reports and link
+//! transfers into a [`GraphReport`], absorbing injected faults on the
+//! way.
 
 use super::recovery::LossRecovery;
-use super::{comm_report, FaultContext, NodeLaunch};
+use super::{FaultContext, Launch, NodeLaunch, Work};
 use crate::error::RuntimeError;
-use crate::graph::TaskGraph;
 use crate::report::{GraphReport, NodeTiming, Recovery};
 use crate::session::{FaultPolicy, SchedulePolicy};
 use crate::telemetry::{Event, Recorder};
@@ -13,80 +13,75 @@ use cypress_core::Compiled;
 use cypress_sim::concurrent::{
     Completion, ConcurrentEngine, EngineStep, KernelProfile, LaunchOutcome,
 };
-use cypress_sim::{MachineConfig, Simulator, TimingReport, Topology};
+use cypress_sim::{Simulator, TimingReport, Topology};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// `launches` is indexed by `NodeId::index()` (one entry per graph node).
+/// Time `timeline`, whose compute launches run `nodes` (one per graph
+/// node).
 pub(crate) fn run_timing(
     simulator: &Simulator,
     topology: &Topology,
-    graph: &TaskGraph,
-    launches: &[NodeLaunch],
+    nodes: &[NodeLaunch],
+    timeline: Vec<Launch>,
     policy: SchedulePolicy,
     fault: &FaultContext,
     recorder: &mut dyn Recorder,
 ) -> Result<GraphReport, RuntimeError> {
     // Solo-time each node once per distinct compiled kernel: graphs that
     // repeat a program (the cache hands back the identical `Arc`) pay for
-    // one simulation, not one per node. Communication launches skip the
-    // simulator entirely — their cost is link-derived.
+    // one simulation, not one per node.
     let mut by_kernel: HashMap<*const Compiled, TimingReport> = HashMap::new();
-    let mut reports = Vec::with_capacity(graph.len());
-    for launch in launches {
-        if let Some(comm) = &launch.comm {
-            reports.push(comm_report(
-                &launch.compiled.kernel.name,
-                comm,
-                topology,
-                simulator.machine(),
-            ));
-            continue;
-        }
-        let key = Arc::as_ptr(&launch.compiled);
+    let mut reports = Vec::with_capacity(nodes.len());
+    for node in nodes {
+        let key = Arc::as_ptr(&node.compiled);
         let report = match by_kernel.get(&key) {
             Some(r) => r.clone(),
             None => {
-                let r = simulator
-                    .run_timing_lowered(&launch.compiled.kernel, &launch.compiled.lowered)?;
+                let r =
+                    simulator.run_timing_lowered(&node.compiled.kernel, &node.compiled.lowered)?;
                 by_kernel.insert(key, r.clone());
                 r
             }
         };
         reports.push(report);
     }
-    assemble_report(
-        simulator.machine(),
-        topology,
-        graph,
-        launches,
-        &reports,
-        policy,
-        fault,
-        recorder,
-    )
+    assemble_report(topology, nodes, &reports, timeline, policy, fault, recorder)
 }
 
-/// Assemble the whole-graph report from per-node solo reports (indexed by
-/// `NodeId::index()`) on `policy.streams()` streams per device, injecting
-/// and recovering from the fault context's plan, and emit the run's
-/// events. A schedule that ended early — a fail-fast fault, an exhausted
-/// retry budget, a device loss with no survivor, a blown deadline — comes
-/// back as the matching typed [`RuntimeError`] carrying the partial
-/// report.
-#[allow(clippy::too_many_arguments)]
+/// Assemble the whole-graph report of `timeline` from per-node solo
+/// reports (indexed by graph node) on `policy.streams()` streams per
+/// device, injecting and recovering from the fault context's plan, and
+/// emit the run's events. A schedule that ended early — a fail-fast
+/// fault, an exhausted retry budget, a device loss with no survivor, a
+/// blown deadline — comes back as the matching typed [`RuntimeError`]
+/// carrying the partial report.
 pub(super) fn assemble_report(
-    machine: &MachineConfig,
     topology: &Topology,
-    graph: &TaskGraph,
-    launches: &[NodeLaunch],
+    nodes: &[NodeLaunch],
     reports: &[TimingReport],
+    timeline: Vec<Launch>,
     policy: SchedulePolicy,
     fault: &FaultContext,
     recorder: &mut dyn Recorder,
 ) -> Result<GraphReport, RuntimeError> {
     let streams = policy.streams();
-    let sched = Scheduler::new(topology, graph, launches, reports, streams, fault).run()?;
+    let critical_path = critical_path(&timeline, reports);
+    // The policy-invariant `NodeExecuted` stream in ascending launch-id
+    // order, independent of how the launches actually ran (and of what a
+    // device loss re-routes).
+    let mut executed = Vec::new();
+    if recorder.enabled() {
+        for launch in &timeline {
+            let report = launch.report(reports);
+            executed.push(Event::NodeExecuted {
+                node: launch.name.clone(),
+                kernel: report.kernel.clone(),
+                cycles: report.cycles,
+            });
+        }
+    }
+    let sched = Scheduler::new(topology, timeline, nodes, reports, streams, fault).run()?;
     if recorder.enabled() {
         for ev in sched.events {
             recorder.record(ev);
@@ -95,8 +90,8 @@ pub(super) fn assemble_report(
     let report = GraphReport {
         nodes: sched.nodes,
         makespan: sched.makespan,
-        seconds: machine.cycles_to_seconds(sched.makespan),
-        critical_path: critical_path(graph, reports),
+        seconds: topology.machine().cycles_to_seconds(sched.makespan),
+        critical_path,
         streams,
         devices: topology.device_count(),
         recovery: sched.recovery,
@@ -104,37 +99,30 @@ pub(super) fn assemble_report(
     if let Some(abort) = sched.abort {
         return Err(abort(Box::new(report)));
     }
-    // The policy-invariant `NodeExecuted` stream in ascending node-id
-    // (insertion) order, then the schedule's `NodeSpan` timeline in
-    // completion order. `reports` is indexed by node id, so the emitted
-    // stream is independent of how the nodes actually ran.
+    // Then the schedule's `NodeSpan` timeline in completion order.
     if recorder.enabled() {
-        for (i, node) in graph.nodes().iter().enumerate() {
-            recorder.record(Event::NodeExecuted {
-                node: node.name.clone(),
-                kernel: launches[i].compiled.kernel.name.clone(),
-                cycles: reports[i].cycles,
-            });
-        }
-        for ev in report.trace_events() {
+        for ev in executed.into_iter().chain(report.trace_events()) {
             recorder.record(ev);
         }
     }
     Ok(report)
 }
 
-/// The longest dependency chain of solo node makespans: the lower bound
-/// no schedule can beat.
-fn critical_path(graph: &TaskGraph, reports: &[TimingReport]) -> f64 {
-    let mut longest = vec![0.0f64; graph.len()];
+/// The longest dependency chain of solo launch makespans: the lower
+/// bound no schedule can beat. Every launch depends only on launches
+/// before it, so one pass in id order suffices.
+fn critical_path(timeline: &[Launch], reports: &[TimingReport]) -> f64 {
+    let mut longest = Vec::with_capacity(timeline.len());
     let mut best = 0.0f64;
-    for id in graph.schedule() {
-        let mut upstream = 0.0f64;
-        for dep in graph.dependencies(id) {
-            upstream = upstream.max(longest[dep.0]);
-        }
-        longest[id.index()] = upstream + reports[id.index()].cycles;
-        best = best.max(longest[id.index()]);
+    for launch in timeline {
+        let upstream = launch
+            .inputs
+            .iter()
+            .map(|e| longest[e.launch])
+            .fold(0.0f64, f64::max);
+        let chain = upstream + launch.report(reports).cycles;
+        longest.push(chain);
+        best = best.max(chain);
     }
     best
 }
@@ -182,14 +170,14 @@ pub(super) fn span(
 }
 
 /// Ready-queue scheduling onto `streams` simulated streams *per device*:
-/// independent nodes launch as soon as a stream on their device is free,
-/// co-resident launches contend for their own device's SMs/L2/HBM
+/// independent launches start as soon as a stream on their device is
+/// free, co-resident kernels contend for their own device's SMs/L2/HBM
 /// through the fluid [`ConcurrentEngine`] (kernels on different devices
-/// only meet on links), and communication launches draw on their link's
-/// bandwidth instead. Dependents are released as upstream launches
-/// retire. Ready nodes and free streams are both taken lowest-id-first;
-/// at one stream on one device this is the back-to-back topological
-/// walk, bit for bit.
+/// only meet on links), and transfers draw on their link's bandwidth
+/// instead. Dependents are released as upstream launches retire. Ready
+/// launches and free streams are both taken lowest-id-first; at one
+/// stream on one device this is the back-to-back topological walk, bit
+/// for bit.
 ///
 /// With an active [`FaultContext`] the same loop also absorbs injected
 /// faults: transient launch failures show up as `retry:`-prefixed spans
@@ -199,16 +187,21 @@ pub(super) fn span(
 /// inactive context every step reduces to the fault-free scheduler, bit
 /// for bit.
 ///
-/// Launch ids `0..graph.len()` are the graph's nodes; recovery transfers
-/// a device loss inserts are appended behind them, and every per-launch
+/// Launch ids `0..planned` are the timeline's; recovery transfers a
+/// device loss inserts are appended behind them, and every per-launch
 /// vector below grows with them.
 pub(super) struct Scheduler<'a> {
     pub(super) topology: &'a Topology,
-    pub(super) graph: &'a TaskGraph,
-    pub(super) launches: &'a [NodeLaunch],
+    /// Every launch; a device loss rewrites their devices and transfers
+    /// in place.
+    pub(super) launches: Vec<Launch>,
+    /// The timeline's length: its compute launches and shard transfers.
+    pub(super) planned: usize,
+    /// Kernel, solo report and profile per graph node.
+    nodes: &'a [NodeLaunch],
     reports: &'a [TimingReport],
-    pub(super) fault: &'a FaultContext,
     profiles: Vec<KernelProfile>,
+    pub(super) fault: &'a FaultContext,
     engine: ConcurrentEngine,
     /// Unretired dependencies per launch.
     pub(super) indegree: Vec<usize>,
@@ -218,21 +211,18 @@ pub(super) struct Scheduler<'a> {
     /// Free stream ids per device, ascending.
     free: Vec<Vec<usize>>,
     pub(super) stream_of: Vec<usize>,
-    /// Where each launch runs *now* — starts at the shard plan's
-    /// placement, rewritten by degraded re-sharding after a device loss.
-    pub(super) device_of: Vec<usize>,
     /// Device each launch actually went to: streams are freed on the
-    /// launch device even if the node was re-planned while in flight.
+    /// launch device even if the launch was re-planned while in flight.
     pub(super) launched_on: Vec<usize>,
     pub(super) completed: Vec<bool>,
-    /// Completed graph nodes (recovery transfers not counted).
-    completed_nodes: usize,
+    /// Completed planned launches (recovery transfers not counted).
+    completed_planned: usize,
     attempts: Vec<u32>,
-    /// Cycle of each node's first attempt (node deadlines run from it).
+    /// Cycle of each launch's first attempt (node deadlines run from it).
     first_start: Vec<f64>,
-    /// Nodes whose relaunch is held back by a retry backoff window.
+    /// Launches whose relaunch is held back by a retry backoff window.
     deferred: HashMap<usize, f64>,
-    /// Transfers re-routed or inserted by device losses.
+    /// Recovery transfers inserted by device losses.
     pub(super) loss: LossRecovery,
     pub(super) out: Sched,
 }
@@ -240,39 +230,45 @@ pub(super) struct Scheduler<'a> {
 impl<'a> Scheduler<'a> {
     fn new(
         topology: &'a Topology,
-        graph: &'a TaskGraph,
-        launches: &'a [NodeLaunch],
+        launches: Vec<Launch>,
+        nodes: &'a [NodeLaunch],
         reports: &'a [TimingReport],
         streams: usize,
         fault: &'a FaultContext,
     ) -> Self {
-        let n = graph.len();
-        let (indegree, consumers) = graph.dependency_edges();
-        let device_of: Vec<usize> = launches.iter().map(|l| l.device).collect();
+        let n = launches.len();
+        let mut indegree = vec![0usize; n];
+        let mut consumers = vec![Vec::new(); n];
+        for (i, launch) in launches.iter().enumerate() {
+            for dep in launch.dependencies() {
+                indegree[i] += 1;
+                consumers[dep].push(i);
+            }
+        }
         let mut engine = ConcurrentEngine::with_topology(topology);
         if !fault.plan.is_empty() {
             engine = engine.with_fault_plan(fault.plan.clone());
         }
         Scheduler {
             topology,
-            graph,
+            launched_on: launches.iter().map(|l| l.device).collect(),
             launches,
+            planned: n,
+            nodes,
             reports,
-            fault,
             profiles: reports
                 .iter()
                 .map(|r| KernelProfile::from_report(r, topology.machine()))
                 .collect(),
+            fault,
             engine,
             ready: (0..n).filter(|&i| indegree[i] == 0).collect(),
             indegree,
             consumers,
             free: vec![(0..streams).collect(); topology.device_count()],
             stream_of: vec![0; n],
-            launched_on: device_of.clone(),
-            device_of,
             completed: vec![false; n],
-            completed_nodes: 0,
+            completed_planned: 0,
             attempts: vec![0; n],
             first_start: vec![0.0; n],
             deferred: HashMap::new(),
@@ -283,7 +279,7 @@ impl<'a> Scheduler<'a> {
 
     /// Run the schedule to completion or to its abort.
     fn run(mut self) -> Result<Sched, RuntimeError> {
-        while self.completed_nodes < self.graph.len() && self.out.abort.is_none() {
+        while self.completed_planned < self.planned && self.out.abort.is_none() {
             self.launch_ready();
             match self.engine.step() {
                 Some(EngineStep::Retired {
@@ -313,16 +309,15 @@ impl<'a> Scheduler<'a> {
         Ok(self.out)
     }
 
-    /// Launch every ready node with a free stream on its device and no
+    /// Start every ready launch with a free stream on its device and no
     /// pending backoff, lowest id first.
     fn launch_ready(&mut self) {
-        let n = self.graph.len();
         while let Some(next) = self
             .ready
             .iter()
             .copied()
             .filter(|&i| {
-                !self.free[self.device_of[i]].is_empty()
+                !self.free[self.launches[i].device].is_empty()
                     && self
                         .deferred
                         .get(&i)
@@ -332,56 +327,42 @@ impl<'a> Scheduler<'a> {
         {
             self.ready.retain(|&x| x != next);
             self.deferred.remove(&next);
-            let device = self.device_of[next];
+            let device = self.launches[next].device;
             self.stream_of[next] = self.free[device].remove(0);
             self.launched_on[next] = device;
-            if next < n {
+            if next < self.planned {
                 if self.attempts[next] == 0 {
                     self.first_start[next] = self.engine.now();
                 }
                 self.attempts[next] += 1;
             }
-            let comm = self.launches.get(next).and_then(|l| l.comm.as_ref());
-            match (self.loss.route(next, n), comm) {
-                (Some(r), _) => {
+            match &self.launches[next].work {
+                Work::Transfer(t) => {
                     self.engine
-                        .launch_transfer(next, r.link, r.report.cycles, r.demand);
+                        .launch_transfer(next, t.link, t.report.cycles, t.demand);
                 }
-                (None, Some(comm)) => {
-                    // The link-derived solo cycles were already folded
-                    // into this node's report; the demand is the rate a
-                    // solo transfer sustains, so an uncontended link
-                    // reproduces them exactly.
-                    let cycles = self.reports[next].cycles;
-                    let demand = comm.bytes / cycles.max(1.0);
-                    self.engine.launch_transfer(next, comm.link, cycles, demand);
-                }
-                (None, None) => self.engine.launch_on(next, device, &self.profiles[next]),
+                Work::Node(i) => self.engine.launch_on(next, device, &self.profiles[*i]),
             }
         }
     }
 
-    /// Put launch `done.id`'s interval on the timeline, a graph node's
-    /// name behind `prefix`. A failed attempt ([`RETRY`]) and a recovery
-    /// transfer are recovery work: their spans add to
-    /// [`Recovery::overhead_cycles`].
+    /// Put launch `done.id`'s interval on the timeline, its name behind
+    /// `prefix`. A failed attempt ([`RETRY`]) and a recovery transfer are
+    /// recovery work: their spans add to [`Recovery::overhead_cycles`].
     fn push_span(&mut self, prefix: &str, done: &Completion) {
-        let n = self.graph.len();
-        if prefix == RETRY || done.id >= n {
+        if prefix == RETRY || done.id >= self.planned {
             self.out.recovery.overhead_cycles += done.end - done.start;
         }
-        let route = self.loss.route(done.id, n);
-        let name = match route {
-            // A recovery transfer's report carries its span name.
-            Some(r) if done.id >= n => r.report.kernel.clone(),
-            _ => format!("{prefix}{}", self.graph.nodes()[done.id].name),
+        let launch = &self.launches[done.id];
+        let (node, report) = match &launch.work {
+            Work::Node(i) => (Some(&self.nodes[*i]), self.reports[*i].clone()),
+            Work::Transfer(t) => (None, t.report.clone()),
         };
-        let report = route.map_or_else(|| self.reports[done.id].clone(), |r| r.report.clone());
         self.out.nodes.push(span(
-            name,
+            format!("{prefix}{}", launch.name),
             (self.launched_on[done.id], self.stream_of[done.id]),
             (done.start, done.end),
-            self.launches.get(done.id),
+            node,
             report,
         ));
     }
@@ -389,7 +370,6 @@ impl<'a> Scheduler<'a> {
     /// A launch left the engine: free its stream, then release its
     /// dependents (completion) or hand it to [`Scheduler::fault`].
     fn retire(&mut self, done: &Completion, outcome: LaunchOutcome) -> Result<(), RuntimeError> {
-        let n = self.graph.len();
         let (device, stream) = (self.launched_on[done.id], self.stream_of[done.id]);
         let idx = self.free[device].partition_point(|&s| s < stream);
         self.free[device].insert(idx, stream);
@@ -412,11 +392,12 @@ impl<'a> Scheduler<'a> {
                     self.ready.push(c);
                 }
             }
-            if done.id < n {
-                self.completed_nodes += 1;
+            if done.id < self.planned {
+                self.completed_planned += 1;
                 if let Some(deadline) = self.fault.node_deadline {
                     if done.end - self.first_start[done.id] > deadline {
-                        self.abort_on_deadline(&self.graph.nodes()[done.id].name, deadline, done);
+                        let what = self.launches[done.id].name.clone();
+                        self.abort_on_deadline(what, deadline, done);
                     }
                 }
             }
@@ -425,16 +406,16 @@ impl<'a> Scheduler<'a> {
         }
         if let Some(deadline) = self.fault.graph_deadline {
             if self.out.abort.is_none() && done.end > deadline {
-                self.abort_on_deadline("graph", deadline, done);
+                self.abort_on_deadline("graph".to_string(), deadline, done);
             }
         }
         Ok(())
     }
 
-    /// End the schedule: `what` (a node, or `"graph"`) blew `deadline`
+    /// End the schedule: `what` (a launch, or `"graph"`) blew `deadline`
     /// when `done` retired.
-    fn abort_on_deadline(&mut self, what: &str, deadline: f64, done: &Completion) {
-        let (what, at) = (what.to_string(), done.end);
+    fn abort_on_deadline(&mut self, what: String, deadline: f64, done: &Completion) {
+        let at = done.end;
         self.out.abort = Some(Box::new(move |report| RuntimeError::DeadlineExceeded {
             what,
             deadline,
@@ -445,15 +426,15 @@ impl<'a> Scheduler<'a> {
 
     /// A launch faulted (transiently, or as the casualty of a device
     /// loss): abort under [`FaultPolicy::FailFast`] or an exhausted retry
-    /// budget, otherwise queue the node for re-execution.
+    /// budget, otherwise queue the launch for re-execution.
     fn fault(&mut self, done: &Completion, outcome: LaunchOutcome) -> Result<(), RuntimeError> {
         let id = done.id;
-        if id >= self.graph.len() {
+        if id >= self.planned {
             return Err(RuntimeError::Internal {
                 what: "a recovery transfer reported a fault outcome".into(),
             });
         }
-        let node = self.graph.nodes()[id].name.clone();
+        let node = self.launches[id].name.clone();
         let (device, attempts, cycle) = (self.launched_on[id], self.attempts[id], done.end);
         self.push_span(RETRY, done);
         let transient = outcome == LaunchOutcome::TransientFault;
@@ -493,7 +474,7 @@ impl<'a> Scheduler<'a> {
         self.out.recovery.retries += 1;
         self.out.events.push(Event::NodeRetried {
             node,
-            device: self.device_of[id],
+            device: self.launches[id].device,
             attempt: attempts + 1,
         });
         if transient && backoff > 0.0 {

@@ -55,8 +55,8 @@
 //!   sharded execution** ([`PlacementPolicy::Sharded`]): the graph is
 //!   partitioned across N simulated devices connected by NVLink-class
 //!   links (see [`cypress_sim::Topology`]), every cross-device edge
-//!   becomes an explicit transfer kernel charged to its link, and the
-//!   scheduler overlaps communication with compute. Tensors
+//!   becomes a link launch priced by the link model (no copy kernel),
+//!   and the scheduler overlaps communication with compute. Tensors
 //!   are bitwise identical across placement policies and device counts,
 //!   and `Sharded { devices: 1 }` is exactly
 //!   [`PlacementPolicy::SingleDevice`], timeline included (see the

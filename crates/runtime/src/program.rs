@@ -162,7 +162,7 @@ impl Program {
     }
 
     /// [`Program::from_space`] for the kernels the runtime inserts on
-    /// its own (fused nodes, cross-device transfers), whose shapes no
+    /// its own (fused nodes), whose shapes no
     /// hand-tuned default anticipated: built at the default mapping when
     /// it fits `shape`, else at the space's first candidate.
     ///

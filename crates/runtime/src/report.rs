@@ -27,8 +27,8 @@ pub struct NodeTiming {
     /// The node's display name.
     pub node: String,
     /// Simulated device the node ran on (0 under
-    /// [`crate::PlacementPolicy::SingleDevice`]; transfer nodes report
-    /// their destination device).
+    /// [`crate::PlacementPolicy::SingleDevice`]; transfers report their
+    /// destination device).
     pub device: usize,
     /// Simulated stream the node was assigned to on its device (0 under
     /// the serial policy).
@@ -171,8 +171,7 @@ impl GraphReport {
     /// [`crate::telemetry::Event::NodeSpan`] per node, in completion
     /// order — exactly the spans a session-attached recorder receives
     /// after a graph launch, and exactly what
-    /// [`crate::TraceSink::chrome_json`] serializes. [`GraphReport::breakdown`]
-    /// and [`GraphReport::breakdown_csv`] render on top of this stream.
+    /// [`crate::TraceSink::chrome_json`] serializes.
     #[must_use]
     pub fn trace_events(&self) -> Vec<crate::telemetry::Event> {
         self.nodes
@@ -186,26 +185,13 @@ impl GraphReport {
             .collect()
     }
 
-    /// A human-readable per-node breakdown with the stream timeline,
-    /// rendered from [`GraphReport::trace_events`].
+    /// A human-readable per-node breakdown with the stream timeline.
     #[must_use]
     pub fn breakdown(&self) -> String {
         use std::fmt::Write;
         let mut out = String::new();
         let total = self.makespan.max(1.0);
-        // Spans and nodes are in the same (completion) order by
-        // construction, so zipping pairs each span with its annotations
-        // even when node names repeat.
-        for (ev, n) in self.trace_events().iter().zip(&self.nodes) {
-            let crate::telemetry::Event::NodeSpan {
-                node,
-                stream,
-                start,
-                end,
-            } = ev
-            else {
-                continue;
-            };
+        for n in &self.nodes {
             let share = 100.0 * n.report.cycles / total;
             let mapping = if n.mapping == "default" {
                 String::new()
@@ -220,7 +206,7 @@ impl GraphReport {
             let _ = writeln!(
                 out,
                 "{:<24} d{}/s{} [{:>12.0}, {:>12.0}) {:>14.0} cycles ({:>5.1}%)  {:>8.1} TFLOP/s achieved{mapping}{fused}",
-                node, n.device, stream, start, end, n.report.cycles, share, n.report.achieved_tflops
+                n.node, n.device, n.stream, n.start, n.end, n.report.cycles, share, n.report.achieved_tflops
             );
         }
         let _ = writeln!(
@@ -248,24 +234,15 @@ impl GraphReport {
             "node,device,stream,start,end,cycles,share_pct,achieved_tflops,mapping,tuned_speedup,fused\n",
         );
         let total = self.makespan.max(1.0);
-        for (ev, n) in self.trace_events().iter().zip(&self.nodes) {
-            let crate::telemetry::Event::NodeSpan {
-                node,
-                stream,
-                start,
-                end,
-            } = ev
-            else {
-                continue;
-            };
+        for n in &self.nodes {
             let _ = writeln!(
                 out,
                 "{},{},{},{},{},{},{},{},{},{},{}",
-                csv_field(node),
+                csv_field(&n.node),
                 n.device,
-                stream,
-                start,
-                end,
+                n.stream,
+                n.start,
+                n.end,
                 n.report.cycles,
                 100.0 * n.report.cycles / total,
                 n.report.achieved_tflops,

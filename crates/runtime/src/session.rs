@@ -42,22 +42,21 @@
 //! [`PlacementPolicy::Sharded`] partitions the (possibly fused) graph
 //! across N simulated devices connected by NVLink-class links (see
 //! [`cypress_sim::Topology`] and [`crate::shard`]): every cross-device
-//! edge becomes an explicit transfer kernel charged to its link, the
-//! scheduler overlaps communication with compute, and
-//! results are re-addressed to the caller's node ids — bitwise
-//! identical at every device count. `Sharded { devices: 1 }` is
+//! edge becomes a link launch on the timeline, with no copy kernel, and
+//! the scheduler overlaps communication with compute. Tensors are
+//! bitwise identical at every device count. `Sharded { devices: 1 }` is
 //! exactly `SingleDevice`, timeline included.
 
 use crate::cache::{CacheStats, KernelCache};
 use crate::error::RuntimeError;
 use crate::executor;
-use crate::executor::{CommLaunch, FaultContext, GraphRun, NodeLaunch};
+use crate::executor::{FaultContext, GraphRun, Launch, NodeLaunch};
 use crate::fuse::{self, FusedKernel, FusionPlan, FusionPolicy};
 use crate::graph::TaskGraph;
 use crate::pool::BufferPool;
 use crate::program::Program;
 use crate::report::GraphReport;
-use crate::shard::{self, PlacementPolicy, ShardPlan};
+use crate::shard::{self, PlacementPolicy};
 use crate::telemetry::{Event, MetricsSnapshot, NoopRecorder, Recorder};
 use crate::tuner::{key_for, TunedMapping, TunerBudget, TuningKey, TuningTable};
 use cypress_core::fingerprint::{combine, machine_fingerprint, target_fingerprint};
@@ -204,31 +203,22 @@ pub struct CompiledGraph {
 struct Prepared {
     /// The fusion rewrite, when the session's policy rewrote the graph.
     plan: Option<FusionPlan>,
-    /// The shard rewrite, when the session's placement policy
-    /// partitioned the (possibly fused) graph across devices.
-    shard: Option<ShardPlan>,
-    /// The device topology the shard plan was made for, so a compiled
+    /// The device topology the timeline was placed on, so a compiled
     /// graph replays against the same links.
     topology: Topology,
-    /// One launch per executed node — of the sharded graph when `shard`
-    /// is set, of the fused graph when `plan` is, of the submitted graph
-    /// otherwise.
-    launches: Vec<NodeLaunch>,
+    /// One launch per node of the executed graph: the fused graph when
+    /// `plan` is set, the submitted graph otherwise.
+    nodes: Vec<NodeLaunch>,
+    /// How the scheduler times them: the nodes on their devices, with a
+    /// link transfer before each cross-device consumer.
+    timeline: Vec<Launch>,
 }
 
 impl Prepared {
-    /// `graph` after the fusion rewrite, if one fired.
-    fn fused_graph<'a>(&'a self, graph: &'a TaskGraph) -> &'a TaskGraph {
+    /// The graph that executes: `graph` after the fusion rewrite, if one
+    /// fired.
+    fn graph<'a>(&'a self, graph: &'a TaskGraph) -> &'a TaskGraph {
         self.plan.as_ref().map_or(graph, |p| &p.graph)
-    }
-
-    /// The graph that actually executes: the sharded rewrite of the
-    /// fused rewrite of `graph`, whichever of the two fired.
-    fn exec_graph<'a>(&'a self, graph: &'a TaskGraph) -> &'a TaskGraph {
-        match &self.shard {
-            Some(s) => &s.graph,
-            None => self.fused_graph(graph),
-        }
     }
 }
 
@@ -239,11 +229,12 @@ impl CompiledGraph {
         &self.graph
     }
 
-    /// Number of launches a run of this handle performs (fewer than
-    /// `graph().len()` when fusion collapsed nodes).
+    /// Number of launches a run of this handle performs, link
+    /// transfers included (fewer than `graph().len()` when fusion
+    /// collapsed nodes).
     #[must_use]
     pub fn launch_count(&self) -> usize {
-        self.prepared.launches.len()
+        self.prepared.timeline.len()
     }
 
     /// Whether the session's fusion policy rewrote this graph.
@@ -375,9 +366,9 @@ impl Session {
     /// devices (see [`crate::shard`]).
     /// [`PlacementPolicy::SingleDevice`] keeps everything on one
     /// device; [`PlacementPolicy::Sharded`] partitions each graph
-    /// across N devices connected by NVLink-class links, inserting
-    /// explicit transfer kernels on cross-device edges — functional
-    /// results stay bitwise identical at every device count.
+    /// across N devices connected by NVLink-class links, launching a
+    /// link transfer on every cross-device edge — functional results
+    /// stay bitwise identical at every device count.
     #[must_use]
     pub fn with_placement_policy(mut self, policy: PlacementPolicy) -> Self {
         self.placement_policy = policy;
@@ -985,8 +976,6 @@ impl Session {
                                 mapping: mapping_label,
                                 tuned_speedup: tuned.speedup(),
                                 replaced: Vec::new(),
-                                device: 0,
-                                comm: None,
                             };
                             self.tuned_launches.insert(key, launch.clone());
                             return Ok(launch);
@@ -1006,8 +995,6 @@ impl Session {
             mapping: "default".to_string(),
             tuned_speedup: 1.0,
             replaced: Vec::new(),
-            device: 0,
-            comm: None,
         })
     }
 
@@ -1046,28 +1033,29 @@ impl Session {
         Ok(plan)
     }
 
-    /// Shard `graph` across `topology`'s devices under the session's
-    /// [`PlacementPolicy`]: `None` below two devices (placement is the
-    /// identity there), otherwise the [`ShardPlan`] with its telemetry
-    /// (one [`Event::ShardAssigned`] per sharded-graph node, one
-    /// [`Event::LinkTransfer`] per inserted transfer) and the comm
+    /// Place `graph`'s launches on `topology`'s devices under the
+    /// session's [`PlacementPolicy`]: below two devices every launch runs
+    /// on device 0, otherwise the shard plan's transfers join the
+    /// timeline, with their telemetry (one [`Event::ShardAssigned`] per
+    /// launch, one [`Event::LinkTransfer`] per transfer) and the comm
     /// counters bumped.
-    fn shard_plan(
+    fn timeline(
         &mut self,
         graph: &TaskGraph,
         topology: &Topology,
-    ) -> Result<Option<ShardPlan>, RuntimeError> {
+    ) -> Result<Vec<Launch>, RuntimeError> {
         if self.placement_policy.devices() < 2 {
-            return Ok(None);
+            return Ok(executor::timeline(graph, None, topology));
         }
         let plan = shard::plan(graph, topology)?;
         self.metrics.comm_launches += plan.transfers.len() as u64;
         self.metrics.link_bytes += plan.transfers.iter().map(|t| t.bytes).sum::<f64>() as u64;
+        let timeline = executor::timeline(graph, Some(&plan), topology);
         if self.recorder.enabled() {
-            for (i, node) in plan.graph.nodes().iter().enumerate() {
+            for launch in &timeline {
                 self.recorder.record(Event::ShardAssigned {
-                    node: node.name.clone(),
-                    device: plan.device(i),
+                    node: launch.name.clone(),
+                    device: launch.device,
                 });
             }
             for t in &plan.transfers {
@@ -1079,48 +1067,36 @@ impl Session {
                 });
             }
         }
-        Ok(Some(plan))
+        Ok(timeline)
     }
 
     /// The one preparation step behind every graph launch: plan fusion,
-    /// shard the (possibly fused) graph across the placement policy's
-    /// topology, and compile one launch per executed node, indexed by
-    /// `NodeId::index()`. Each launch carries its device, transfer nodes
-    /// carry their link accounting, and fused nodes the names of the
-    /// nodes they replaced (through the shard's origin map when both
-    /// rewrites fired).
+    /// place the (possibly fused) graph's launches across the placement
+    /// policy's topology, and compile one launch per node, indexed by
+    /// `NodeId::index()`. Fused nodes carry the names of the nodes they
+    /// replaced.
     fn prepare(&mut self, graph: &TaskGraph) -> Result<Prepared, RuntimeError> {
         // One device for `SingleDevice`, an all-pairs NVLink mesh for
         // `Sharded` — at one device the mesh *is* the single-device
         // topology, which keeps `Sharded { devices: 1 }` bit-identical.
         let topology = Topology::nvlink(self.machine(), self.placement_policy.devices());
         let plan = self.fusion_plan(graph)?;
-        let fused_graph = plan.as_ref().map_or(graph, |p| &p.graph);
-        let shard = self.shard_plan(fused_graph, &topology)?;
-        let exec_graph = shard.as_ref().map_or(fused_graph, |s| &s.graph);
+        let fused = plan.as_ref().map_or(graph, |p| &p.graph);
+        let timeline = self.timeline(fused, &topology)?;
         let replaced = plan.as_ref().map(FusionPlan::replaced_by_node);
-        let mut launches = Vec::with_capacity(exec_graph.len());
-        for (i, node) in exec_graph.nodes().iter().enumerate() {
+        let mut nodes = Vec::with_capacity(fused.len());
+        for (i, node) in fused.nodes().iter().enumerate() {
             let mut launch = self.node_launch(&node.program)?;
-            let mut origin = Some(i);
-            if let Some(shard) = &shard {
-                launch.device = shard.device(i);
-                launch.comm = shard.transfer_of(i).map(|t| CommLaunch {
-                    link: t.link,
-                    bytes: t.bytes,
-                });
-                origin = shard.origin(i);
+            if let Some(replaced) = &replaced {
+                launch.replaced = replaced[i].clone();
             }
-            if let (Some(replaced), Some(origin)) = (&replaced, origin) {
-                launch.replaced = replaced[origin].clone();
-            }
-            launches.push(launch);
+            nodes.push(launch);
         }
         Ok(Prepared {
             plan,
-            shard,
             topology,
-            launches,
+            nodes,
+            timeline,
         })
     }
 
@@ -1162,8 +1138,9 @@ impl Session {
         let run = executor::run_functional(
             &self.simulator,
             &prepared.topology,
-            prepared.exec_graph(graph),
-            &prepared.launches,
+            prepared.graph(graph),
+            &prepared.nodes,
+            prepared.timeline.clone(),
             inputs,
             &mut self.pool,
             self.policy,
@@ -1173,14 +1150,8 @@ impl Session {
         self.note_recovery(run.as_ref().map(|run| &run.report));
         let run = run?;
         self.metrics.apply_bytes.merge(run.apply_bytes);
-        let run = match &prepared.shard {
-            Some(s) => {
-                executor::remap_run(run, prepared.fused_graph(graph), &|i, p| s.target(i, p))
-            }
-            None => run,
-        };
         Ok(match &prepared.plan {
-            Some(p) => executor::remap_run(run, graph, &|i, q| p.target(i, q)),
+            Some(plan) => executor::remap_run(run, graph, plan),
             None => run,
         })
     }
@@ -1265,8 +1236,8 @@ impl Session {
         let report = executor::run_timing(
             &self.simulator,
             &prepared.topology,
-            prepared.exec_graph(graph),
-            &prepared.launches,
+            &prepared.nodes,
+            prepared.timeline,
             self.policy,
             &self.fault,
             self.recorder.as_mut(),

@@ -174,18 +174,17 @@ pub enum Event {
         /// Retire cycle relative to graph launch.
         end: f64,
     },
-    /// The graph sharder assigned a node to a simulated device
+    /// The graph sharder assigned a launch to a simulated device
     /// (emitted only under [`crate::PlacementPolicy::Sharded`] with two
-    /// or more devices, in ascending node-id order of the sharded
-    /// graph).
+    /// or more devices, in ascending launch-id order of the timeline).
     ShardAssigned {
-        /// Node name in the sharded graph (transfer nodes included).
+        /// Launch name on the timeline (`xfer:` transfers included).
         node: String,
         /// Zero-based device the node was placed on.
         device: usize,
     },
-    /// The sharder materialized a cross-device edge as an explicit
-    /// transfer kernel charged to a topology link.
+    /// The sharder turned a cross-device edge into a transfer charged
+    /// to a topology link.
     LinkTransfer {
         /// Index of the link in [`cypress_sim::Topology::links`].
         link: usize,

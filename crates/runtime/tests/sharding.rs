@@ -4,18 +4,24 @@
 //! tensors bitwise identical across placement policies and device
 //! counts, `Sharded { devices: 1 }` exactly `SingleDevice` — is a
 //! property of `policy_product.rs`, over random DAGs and every other
-//! policy axis. The tests here pin down the observability surface
-//! (device-qualified reports, Chrome traces, comm counters), a transfer
-//! whose shape the hand-tuned copy tile does not divide, and the whole
-//! point of the exercise: two devices beat one on fan-out work.
+//! policy axis, and `schedule_golden.rs` pins sharded timelines bit for
+//! bit. The tests here pin down the observability surface
+//! (device-qualified reports, Chrome traces, comm counters), that a
+//! transfer is a link launch and no kernel work, a transfer of a shape
+//! no hand-tuned tile anticipated, and the whole point of the exercise:
+//! two devices beat one on fan-out work.
 
 mod common;
 
 use common::{diamond, gemm_fanout, gemm_node, graph_inputs, D};
 use cypress_core::kernels::{attention, gemm};
+use cypress_core::Shape;
 use cypress_runtime::telemetry::{Event, TraceLog, TraceSink};
-use cypress_runtime::{Binding, PlacementPolicy, Program, SchedulePolicy, Session, TaskGraph};
+use cypress_runtime::{
+    Binding, MappingPolicy, PlacementPolicy, Program, SchedulePolicy, Session, TaskGraph,
+};
 use cypress_sim::MachineConfig;
+use std::sync::Arc;
 
 /// On the diamond the sharded timeline carries the transfer node — on
 /// its destination device — the comm counters count it, and the
@@ -65,7 +71,11 @@ fn transfers_hit_the_report_counters_and_events() {
             _ => None,
         })
         .collect();
-    assert_eq!(assigned.len(), 4, "one assignment per sharded-graph node");
+    assert_eq!(
+        assigned.len(),
+        4,
+        "one assignment per launch, the transfer included"
+    );
     assert!(assigned.iter().any(|(n, d)| n == "a" && *d == 0));
     assert!(assigned.iter().any(|(n, d)| n == "b" && *d == 1));
     let transfers: Vec<&Event> = events
@@ -83,13 +93,57 @@ fn transfers_hit_the_report_counters_and_events() {
     }
 }
 
-/// An attention output is `[seq, 128]`, and the H100's hand-tuned copy
-/// tile (`V = 256`) does not divide 128 columns: the sharder moves it
-/// with the first mapping the transfer space enumerates for the shape
-/// instead of failing the launch. The heavier weight operand pins the
-/// projection to device 0, so the attention output (device 1) is the
-/// edge that crosses — and the run stays bitwise identical to one
-/// device.
+/// A sharded launch does no kernel work its single-device twin skips: a
+/// cross-device edge is a link launch, so on a cold session the kernel
+/// cache, the tuner and the functional data path see the same work on
+/// two devices as on one, and the transfer span reads as the untuned
+/// link it is.
+#[test]
+fn transfers_compile_tune_and_run_no_kernel() {
+    let machine = MachineConfig::test_gpu();
+    let shape = Shape::of(&[D, D, D]);
+    let program = Program::from_space(Arc::new(gemm::GemmSpace), shape, &machine).unwrap();
+    let mut graph = TaskGraph::new();
+    let roots = ["a", "b"].map(|name| {
+        let [x, y] = [format!("{name}A"), format!("{name}B")].map(Binding::External);
+        gemm_node(&mut graph, name, &program, x, y)
+    });
+    let [x, y] = roots.map(|root| Binding::output(root, 0));
+    gemm_node(&mut graph, "c", &program, x, y);
+    let inputs = graph_inputs(&graph, 5);
+    for mapping in [MappingPolicy::Default, MappingPolicy::Autotune] {
+        let work = |placement| {
+            let mut session = Session::new(machine.clone())
+                .with_mapping_policy(mapping)
+                .with_placement_policy(placement);
+            let run = session.launch_functional(&graph, &inputs).unwrap();
+            let m = session.metrics();
+            let counts = [m.cache.misses, m.tuner.sweeps, m.tuner.candidates_timed];
+            (run, counts)
+        };
+        let (single, single_counts) = work(PlacementPolicy::SingleDevice);
+        let (sharded, sharded_counts) = work(PlacementPolicy::Sharded { devices: 2 });
+        assert_eq!(sharded_counts, single_counts, "{mapping:?}");
+        assert_eq!(sharded.apply_bytes, single.apply_bytes, "{mapping:?}");
+        let xfers: Vec<_> = sharded
+            .report
+            .nodes
+            .iter()
+            .filter(|n| n.node.starts_with("xfer:"))
+            .collect();
+        assert_eq!(xfers.len(), 1, "{mapping:?}");
+        for xfer in xfers {
+            assert_eq!(xfer.mapping, "default", "{mapping:?}");
+            assert_eq!(xfer.tuned_speedup, 1.0, "{mapping:?}");
+        }
+    }
+}
+
+/// An attention output is `[seq, 128]`, a column count the H100's
+/// hand-tuned tiles (`V = 256`) do not divide; a link moves it all the
+/// same. The heavier weight operand pins the projection to device 0, so
+/// the attention output (device 1) is the edge that crosses — and the
+/// run stays bitwise identical to one device.
 #[test]
 fn attention_output_crosses_a_device_boundary() {
     let machine = MachineConfig::h100_sxm5();

@@ -8,11 +8,11 @@
 //!
 //! Under `PlacementPolicy::Sharded { devices: 2 }` the graph sharder
 //! round-robins the two column halves onto different devices, keeps
-//! each down-projection co-located with its producer, and inserts one
-//! explicit `xfer:` transfer node for the partial that must cross the
-//! link into the all-reduce. Functional results are bitwise identical
-//! to the single-device run — placement only moves work, never changes
-//! arithmetic.
+//! each down-projection co-located with its producer, and launches one
+//! `xfer:` transfer on the link for the partial that must cross into the
+//! all-reduce — a link launch priced by the link model, with no copy
+//! kernel. Functional results are bitwise identical to the single-device
+//! run — placement only moves work, never changes arithmetic.
 //!
 //! The 2-device concurrent timeline is exported as Chrome-trace JSON
 //! with device-banded lanes (`tid = device * streams + stream`) — load
