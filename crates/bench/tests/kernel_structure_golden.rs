@@ -1,15 +1,17 @@
 //! Golden digests of the device programs the two kernel emitters build.
 //!
 //! `tests/golden/kernel_structure.digests` pins one FNV-64 of
-//! `format!("{kernel:?}")` — the rendering `bytecode::kernel_shape_hash`
-//! streams — per case: every `cypress-baselines` hand schedule (each
-//! autotune *candidate*, not just the winner, so nothing is simulated)
-//! at the Fig. 13/14 sizes and at the sizes the functional tests run,
-//! the full flag product of both schedule structs at a small size, and
-//! `Compiled.kernel` for every kernel family × every
-//! `MappingSpace::candidates` point at two shapes. "The same `Kernel`"
-//! is therefore checked structurally, instruction for instruction,
-//! where `timing.digests` could only infer it from equal cycles.
+//! `format!("{kernel:?}")` — the full rendering, independent of how the
+//! simulator's own shape check hashes a kernel — per case: every
+//! `cypress-baselines` hand schedule (each autotune *candidate*, not
+//! just the winner, so nothing is simulated) at the Fig. 13/14 sizes
+//! and at the sizes the functional tests run, the full flag product of
+//! both schedule structs at a small size, and `Compiled.kernel` for
+//! every kernel family × every `MappingSpace::candidates` point at two
+//! shapes, compiled through one shared compiler front per group of
+//! schedule siblings. "The same `Kernel`" is therefore checked
+//! structurally, instruction for instruction, where `timing.digests`
+//! could only infer it from equal cycles.
 //!
 //! The file was generated by the generators it guards against (the
 //! parent of the `Instr`-constructor rewrite of `baselines/hand.rs` and
@@ -32,7 +34,7 @@ use std::fmt::Write as _;
 
 #[path = "../../core/tests/golden/shared.rs"]
 mod shared;
-use shared::{assert_matches_golden, families};
+use shared::{assert_matches_golden, families, schedule_siblings};
 
 const GOLDEN: &str = include_str!("golden/kernel_structure.digests");
 
@@ -251,7 +253,10 @@ fn hand_flag_product(out: &mut String) {
     }
 }
 
-/// `Compiled.kernel` per family × shape × candidate.
+/// `Compiled.kernel` per family × shape × candidate, each group of
+/// schedule siblings finished from the one `Front` its first member
+/// builds — the way `Session::sweep` compiles — so the digests also pin
+/// that a shared front changes no kernel.
 fn compiled(out: &mut String, machine: &MachineConfig) {
     let compiler = CypressCompiler::new(CompilerOptions {
         machine: machine.clone(),
@@ -261,16 +266,34 @@ fn compiled(out: &mut String, machine: &MachineConfig) {
         for shape in &shapes {
             let candidates = space.candidates(machine, shape);
             assert!(!candidates.is_empty(), "{family} {shape}: empty space");
-            for cfg in candidates {
-                let (reg, mapping, args) = space.build(shape, &cfg).expect("candidates build");
-                let label = format!("{family} {shape} {}", cfg.encode());
-                match compiler.compile(&reg, &mapping, space.entry(), &args) {
-                    Ok(c) => digest_line(out, format_args!("{label}"), &c.kernel),
-                    Err(e) => {
-                        let _ = writeln!(out, "{label} compile error: {e}");
+            let mut lines = vec![String::new(); candidates.len()];
+            for group in schedule_siblings(&candidates) {
+                let built: Vec<_> = group
+                    .iter()
+                    .map(|&i| {
+                        space
+                            .build(shape, &candidates[i])
+                            .expect("candidates build")
+                    })
+                    .collect();
+                let (reg, mapping, args) = &built[0];
+                let mut front = compiler.front(reg, mapping, space.entry(), args);
+                for (&i, (reg, mapping, args)) in group.iter().zip(&built) {
+                    let label = format!("{family} {shape} {}", candidates[i].encode());
+                    let fp = compiler.fingerprint(reg, mapping, space.entry(), args);
+                    match front
+                        .as_mut()
+                        .map_err(|e| e.clone())
+                        .and_then(|front| front.finish(mapping, fp))
+                    {
+                        Ok(c) => digest_line(&mut lines[i], format_args!("{label}"), &c.kernel),
+                        Err(e) => {
+                            let _ = writeln!(lines[i], "{label} compile error: {e}");
+                        }
                     }
                 }
             }
+            out.extend(lines);
         }
     }
 }

@@ -1,9 +1,20 @@
 //! The compiler driver: runs the pass pipeline of Fig. 6.
+//!
+//! The pipeline has a seam the paper already draws. Dependence
+//! analysis, vectorization, copy elimination and allocation
+//! (§4.2.1–4.2.4) never read a mapping's pipeline depth or warp
+//! specialization; only warp specialization (§4.2.5) does. So
+//! [`CypressCompiler::front`] runs the first four passes once into a
+//! [`Front`], and [`Front::finish`] lowers it at one schedule. A tuner
+//! whose candidates differ only in those two fields builds one front
+//! and finishes it per candidate; [`CypressCompiler::compile`] is one
+//! front finished once.
 
 use crate::error::CompileError;
-use crate::front::mapping::MappingSpec;
+use crate::front::mapping::{MappingSpec, TaskMapping};
 use crate::front::task::TaskRegistry;
 use crate::ir::printer::print_program;
+use crate::ir::IrProgram;
 use crate::passes::depan::EntryArg;
 use crate::passes::{alloc, copyelim, depan, vectorize, warpspec};
 use cypress_sim::{Kernel, MachineConfig};
@@ -53,7 +64,9 @@ pub struct Compiled {
     /// order. Observability only: the numbers are nondeterministic, are
     /// never part of [`Compiled::fingerprint`], and downstream consumers
     /// (the runtime's telemetry layer) treat them as opt-in host-time
-    /// fields.
+    /// fields. A kernel finished from a [`Front`] another kernel was
+    /// already finished from reads 0 for the four front passes: the
+    /// front's time is charged once.
     pub pass_nanos: Vec<(String, u64)>,
 }
 
@@ -61,6 +74,25 @@ pub struct Compiled {
 #[derive(Debug, Clone, Default)]
 pub struct CypressCompiler {
     opts: CompilerOptions,
+}
+
+/// A program through the front half of Fig. 6 — dependence analysis,
+/// vectorization, copy elimination and allocation — ready to be
+/// finished at any pipeline depth and warp-specialization choice.
+///
+/// Built by [`CypressCompiler::front`]; [`Front::finish`] runs the rest.
+#[derive(Debug, Clone)]
+pub struct Front<'c> {
+    machine: &'c MachineConfig,
+    /// The mapping the front was built from; `finish` accepts only its
+    /// schedule siblings.
+    mapping: MappingSpec,
+    prog: IrProgram,
+    copyelim_stats: copyelim::Stats,
+    ir_dumps: Vec<(String, String)>,
+    /// The front passes' host nanoseconds, zeroed once a finished
+    /// kernel has carried them.
+    pass_nanos: Vec<(String, u64)>,
 }
 
 impl CypressCompiler {
@@ -86,30 +118,29 @@ impl CypressCompiler {
         entry_args: &[EntryArg],
     ) -> Result<Compiled, CompileError> {
         let fingerprint = self.fingerprint(registry, mapping, name, entry_args);
-        self.compile_with_fingerprint(registry, mapping, name, entry_args, fingerprint)
+        self.front(registry, mapping, name, entry_args)?
+            .finish(mapping, fingerprint)
     }
 
-    /// [`CypressCompiler::compile`] with a fingerprint the caller already
-    /// computed (kernel caches hash the inputs to form their key; this
-    /// avoids hashing them a second time on a miss). `fingerprint` must
-    /// come from [`CypressCompiler::fingerprint`] on the same inputs.
+    /// Run the passes that do not read the mapping's schedule fields:
+    /// dependence analysis (§4.2.1), vectorization (§4.2.2), copy
+    /// elimination (§4.2.3) and resource allocation (§4.2.4), whose
+    /// budget check rejects a program that cannot fit shared memory.
     ///
     /// # Errors
     ///
-    /// Propagates [`CompileError`] from any pass; backend validation
-    /// failures are wrapped in [`CompileError::Backend`].
-    pub fn compile_with_fingerprint(
+    /// Propagates [`CompileError`] from any of the four passes.
+    pub fn front(
         &self,
         registry: &TaskRegistry,
         mapping: &MappingSpec,
         name: &str,
         entry_args: &[EntryArg],
-        fingerprint: u64,
-    ) -> Result<Compiled, CompileError> {
-        let mut dumps = Vec::new();
+    ) -> Result<Front<'_>, CompileError> {
+        let mut ir_dumps = Vec::new();
         // Pass wall-clock timings (observability only; kept out of the
         // fingerprint so cache keys and BENCH rows are unaffected).
-        let mut pass_nanos: Vec<(String, u64)> = Vec::with_capacity(6);
+        let mut pass_nanos = Vec::with_capacity(4);
         let mut timed = |name: &str, since: std::time::Instant| {
             pass_nanos.push((name.to_string(), since.elapsed().as_nanos() as u64));
         };
@@ -119,7 +150,7 @@ impl CypressCompiler {
         let mut prog = depan::analyze(registry, mapping, name, entry_args)?;
         timed("depan", t);
         if self.opts.dump_ir {
-            dumps.push(("depan".to_string(), print_program(&prog)));
+            ir_dumps.push(("depan".to_string(), print_program(&prog)));
         }
 
         // 2. Vectorization (§4.2.2).
@@ -128,55 +159,28 @@ impl CypressCompiler {
         vectorize::normalize_ranks(&mut prog);
         timed("vectorize", t);
         if self.opts.dump_ir {
-            dumps.push(("vectorize".to_string(), print_program(&prog)));
+            ir_dumps.push(("vectorize".to_string(), print_program(&prog)));
         }
 
         // 3. Copy elimination (§4.2.3).
         let t = std::time::Instant::now();
-        let stats = copyelim::run(&mut prog)?;
+        let copyelim_stats = copyelim::run(&mut prog)?;
         timed("copyelim", t);
         if self.opts.dump_ir {
-            dumps.push(("copyelim".to_string(), print_program(&prog)));
+            ir_dumps.push(("copyelim".to_string(), print_program(&prog)));
         }
 
         // 4. Resource allocation (§4.2.4).
         let t = std::time::Instant::now();
-        let allocation = alloc::run(&prog, self.opts.machine.smem_per_sm)?;
+        alloc::run(&prog, self.opts.machine.smem_per_sm)?;
         timed("alloc", t);
 
-        // 5/6. Warp specialization, pipelining, and code generation
-        // (§4.2.5, §4.2.6).
-        let sched = warpspec::SchedOptions {
-            warpspecialize: mapping.iter().any(|i| i.warpspecialize),
-            pipeline: mapping.iter().map(|i| i.pipeline).max().unwrap_or(0).max(1),
-        };
-        let t = std::time::Instant::now();
-        let kernel = warpspec::lower(&prog, &allocation, sched)?;
-        kernel
-            .validate(&self.opts.machine)
-            .map_err(|e| CompileError::Backend(e.to_string()))?;
-        timed("warpspec", t);
-
-        let t = std::time::Instant::now();
-        let cuda = crate::codegen::cuda::render(&kernel);
-        timed("codegen", t);
-
-        // 7. Bytecode lowering: compile the kernel body once into the flat
-        // instruction stream the simulator's dispatch loop executes.
-        let t = std::time::Instant::now();
-        let lowered = cypress_sim::bytecode::lower(&kernel)
-            .map_err(|e| CompileError::Backend(e.to_string()))?;
-        timed("lower", t);
-
-        let smem_bytes = kernel.smem_bytes();
-        Ok(Compiled {
-            kernel,
-            cuda,
-            ir_dumps: dumps,
-            copyelim_stats: stats,
-            smem_bytes,
-            lowered,
-            fingerprint,
+        Ok(Front {
+            machine: &self.opts.machine,
+            mapping: mapping.clone(),
+            prog,
+            copyelim_stats,
+            ir_dumps,
             pass_nanos,
         })
     }
@@ -199,5 +203,171 @@ impl CypressCompiler {
     #[must_use]
     pub fn options(&self) -> &CompilerOptions {
         &self.opts
+    }
+}
+
+impl Front<'_> {
+    /// Finish the front at `mapping`'s schedule: warp specialization and
+    /// pipelining (§4.2.5), kernel validation, code generation (§4.2.6)
+    /// and bytecode lowering. `mapping` may differ from the mapping the
+    /// front was built from only in its instances' `pipeline` and
+    /// `warpspecialize`; `fingerprint` is
+    /// [`CypressCompiler::fingerprint`] of the full inputs at `mapping`.
+    ///
+    /// # Errors
+    ///
+    /// [`CompileError::Unsupported`] when `mapping` differs in anything
+    /// else; otherwise propagates [`CompileError`] from warp
+    /// specialization, and wraps backend failures in
+    /// [`CompileError::Backend`].
+    pub fn finish(
+        &mut self,
+        mapping: &MappingSpec,
+        fingerprint: u64,
+    ) -> Result<Compiled, CompileError> {
+        if !schedule_siblings(&self.mapping, mapping) {
+            return Err(CompileError::Unsupported(
+                "a front is finished only at mappings that differ from its own in pipeline \
+                 depth and warp specialization alone"
+                    .into(),
+            ));
+        }
+        let mut pass_nanos = Vec::with_capacity(7);
+        let mut timed = |name: &str, since: std::time::Instant| {
+            pass_nanos.push((name.to_string(), since.elapsed().as_nanos() as u64));
+        };
+
+        // 5/6. Warp specialization, pipelining, and code generation
+        // (§4.2.5, §4.2.6).
+        let sched = warpspec::SchedOptions {
+            warpspecialize: mapping.iter().any(|i| i.warpspecialize),
+            pipeline: mapping.iter().map(|i| i.pipeline).max().unwrap_or(0).max(1),
+        };
+        let t = std::time::Instant::now();
+        let kernel = warpspec::lower(&self.prog, sched)?;
+        kernel
+            .validate(self.machine)
+            .map_err(|e| CompileError::Backend(e.to_string()))?;
+        timed("warpspec", t);
+
+        let t = std::time::Instant::now();
+        let cuda = crate::codegen::cuda::render(&kernel);
+        timed("codegen", t);
+
+        // 7. Bytecode lowering: compile the kernel body once into the flat
+        // instruction stream the simulator's dispatch loop executes.
+        let t = std::time::Instant::now();
+        let lowered = cypress_sim::bytecode::lower(&kernel)
+            .map_err(|e| CompileError::Backend(e.to_string()))?;
+        timed("lower", t);
+
+        // The front's passes ran once: the first finished kernel carries
+        // their time, later siblings read 0.
+        let front_nanos = self
+            .pass_nanos
+            .iter_mut()
+            .map(|(pass, ns)| (pass.clone(), std::mem::take(ns)));
+        pass_nanos.splice(0..0, front_nanos);
+
+        let smem_bytes = kernel.smem_bytes();
+        Ok(Compiled {
+            kernel,
+            cuda,
+            ir_dumps: self.ir_dumps.clone(),
+            copyelim_stats: self.copyelim_stats,
+            smem_bytes,
+            lowered,
+            fingerprint,
+            pass_nanos,
+        })
+    }
+}
+
+/// `true` when `a` and `b` bind the same instances identically apart
+/// from the two fields only warp specialization reads.
+fn schedule_siblings(a: &MappingSpec, b: &MappingSpec) -> bool {
+    let unscheduled = |m: &TaskMapping| TaskMapping {
+        warpspecialize: false,
+        pipeline: 0,
+        ..m.clone()
+    };
+    a.iter().count() == b.iter().count()
+        && a.iter().all(|i| {
+            b.instance(&i.instance)
+                .is_ok_and(|j| unscheduled(i) == unscheduled(j))
+        })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::kernels::gemm::{GemmConfig, GemmSpace};
+    use crate::kernels::space::{MappingConfig, MappingSpace, Shape};
+
+    fn compiler() -> CypressCompiler {
+        CypressCompiler::new(CompilerOptions {
+            machine: MachineConfig::test_gpu(),
+            ..Default::default()
+        })
+    }
+
+    fn gemm(cfg: GemmConfig) -> (TaskRegistry, MappingSpec, Vec<EntryArg>) {
+        GemmSpace
+            .build(&Shape::of(&[128, 128, 64]), &MappingConfig::Gemm(cfg))
+            .unwrap()
+    }
+
+    /// One front finished at every schedule of a tile reproduces each
+    /// solo compile, and its pass time is charged to the first kernel.
+    #[test]
+    fn one_front_finishes_every_schedule_sibling() {
+        let compiler = compiler();
+        let (reg, first, args) = gemm(GemmConfig::test());
+        let mut front = compiler.front(&reg, &first, "gemm", &args).unwrap();
+        for (i, (pipeline, warpspecialize)) in
+            [(2, true), (1, false), (3, true)].into_iter().enumerate()
+        {
+            let (reg, mapping, args) = gemm(GemmConfig {
+                pipeline,
+                warpspecialize,
+                ..GemmConfig::test()
+            });
+            let fp = compiler.fingerprint(&reg, &mapping, "gemm", &args);
+            let solo = compiler.compile(&reg, &mapping, "gemm", &args).unwrap();
+            let shared = front.finish(&mapping, fp).unwrap();
+            assert_eq!(shared.kernel, solo.kernel);
+            assert_eq!(shared.lowered, solo.lowered);
+            assert_eq!(shared.fingerprint, solo.fingerprint);
+            let passes: Vec<&str> = shared.pass_nanos.iter().map(|(p, _)| p.as_str()).collect();
+            assert_eq!(
+                passes,
+                [
+                    "depan",
+                    "vectorize",
+                    "copyelim",
+                    "alloc",
+                    "warpspec",
+                    "codegen",
+                    "lower"
+                ]
+            );
+            let front_ns: u64 = shared.pass_nanos[..4].iter().map(|(_, ns)| ns).sum();
+            assert_eq!(front_ns > 0, i == 0, "{:?}", shared.pass_nanos);
+        }
+    }
+
+    #[test]
+    fn a_front_rejects_a_mapping_that_is_not_a_schedule_sibling() {
+        let compiler = compiler();
+        let (reg, mapping, args) = gemm(GemmConfig::test());
+        let mut front = compiler.front(&reg, &mapping, "gemm", &args).unwrap();
+        let (_, other_tile, _) = gemm(GemmConfig {
+            v: 128,
+            ..GemmConfig::test()
+        });
+        assert!(matches!(
+            front.finish(&other_tile, 0),
+            Err(CompileError::Unsupported(_))
+        ));
     }
 }

@@ -163,6 +163,24 @@ impl MappingConfig {
         }
     }
 
+    /// This point with its schedule fields — pipeline depth and warp
+    /// specialization — cleared. Only warp specialization (§4.2.5) reads
+    /// them, so points with equal keys are schedule siblings: their
+    /// programs share one [`crate::compile::Front`].
+    #[must_use]
+    pub fn front_key(&self) -> MappingConfig {
+        match *self {
+            MappingConfig::Gemm(c) => MappingConfig::Gemm(GemmConfig {
+                pipeline: 0,
+                warpspecialize: false,
+                ..c
+            }),
+            MappingConfig::Attention(c) => {
+                MappingConfig::Attention(AttentionConfig { pipeline: 0, ..c })
+            }
+        }
+    }
+
     /// The GEMM-family payload, or a typed error.
     pub(crate) fn as_gemm(&self, kernel: &str) -> Result<GemmConfig, CompileError> {
         match self {

@@ -19,9 +19,11 @@
 //! [`compile::CypressCompiler`] runs the pass pipeline of Fig. 6 —
 //! dependence analysis, vectorization, copy elimination, resource
 //! allocation, warp specialization — and emits a [`cypress_sim::Kernel`]
-//! plus pseudo-CUDA. [`kernels`] contains the evaluation programs (GEMM,
-//! batched/dual GEMM, GEMM+reduction, FlashAttention-2/3), each behind a
-//! [`MappingSpace`] that enumerates, validates and prices its mappings.
+//! plus pseudo-CUDA; its first four passes form a [`Front`] that every
+//! schedule of one tile finishes from. [`kernels`] contains the
+//! evaluation programs (GEMM, batched/dual GEMM, GEMM+reduction,
+//! FlashAttention-2/3), each behind a [`MappingSpace`] that enumerates,
+//! validates and prices its mappings.
 //!
 //! # Example
 //!
@@ -61,7 +63,7 @@ pub mod ir;
 pub mod kernels;
 pub mod passes;
 
-pub use compile::{Compiled, CompilerOptions, CypressCompiler};
+pub use compile::{Compiled, CompilerOptions, CypressCompiler, Front};
 pub use error::CompileError;
 pub use fingerprint::fingerprint;
 pub use front::{

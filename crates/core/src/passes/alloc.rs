@@ -9,6 +9,10 @@
 //! the footprint fits the user's budget, thereby aliasing as little as
 //! possible. Pairs that end up aliased get write-after-read event
 //! dependencies so their live ranges cannot overlap.
+//!
+//! The compiler uses the result as the shared-memory budget check only:
+//! warp specialization declares one region per surviving shared tensor
+//! and reads neither `region_of` nor `war_pairs`.
 
 use crate::error::CompileError;
 use crate::front::machine::MemLevel;

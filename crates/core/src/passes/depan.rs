@@ -37,7 +37,7 @@ use cypress_tensor::DType;
 use std::collections::HashMap;
 
 /// A global tensor bound to the entrypoint task.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EntryArg {
     /// Name (for diagnostics).
     pub name: String,

@@ -32,7 +32,6 @@ use crate::front::machine::{MemLevel, ProcLevel};
 use crate::ir::{
     Block, EventId, EventType, IdxExpr, IrProgram, Op, OpKind, PartKind, TensorId, VarId,
 };
-use crate::passes::alloc::Allocation;
 use cypress_sim::{BinOp, Cond, Expr, Instr, Kernel, KernelBuilder, RedOp, RoleKind, Slice, UnOp};
 use std::collections::{HashMap, HashSet};
 
@@ -61,11 +60,7 @@ impl Default for SchedOptions {
 /// Returns [`CompileError::Unsupported`] for program shapes outside the
 /// prototype's lowering (the paper's compiler has analogous limits), and
 /// propagates backend validation failures.
-pub fn lower(
-    prog: &IrProgram,
-    _alloc: &Allocation,
-    opts: SchedOptions,
-) -> Result<Kernel, CompileError> {
+pub fn lower(prog: &IrProgram, opts: SchedOptions) -> Result<Kernel, CompileError> {
     Scheduler::new(prog, opts)?.build()
 }
 

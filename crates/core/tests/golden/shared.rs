@@ -4,7 +4,7 @@
 
 use cypress_core::kernels::attention::{Algorithm, AttentionSpace};
 use cypress_core::kernels::{batched, chain, comm, dual_gemm, gemm, gemm_reduction, reduction};
-use cypress_core::{MappingSpace, Shape};
+use cypress_core::{MappingConfig, MappingSpace, Shape};
 
 /// Every kernel family with the two shapes it is pinned at.
 pub fn families() -> Vec<(&'static str, Box<dyn MappingSpace>, [Shape; 2])> {
@@ -65,6 +65,22 @@ pub fn families() -> Vec<(&'static str, Box<dyn MappingSpace>, [Shape; 2])> {
             s(&[4, 512, 128], &[16, 4096, 128]),
         ),
     ]
+}
+
+/// `candidates` as groups of schedule siblings (equal
+/// [`MappingConfig::front_key`]), by index, groups and members in
+/// enumeration order: how `Session::sweep` groups its compiles.
+#[allow(dead_code)] // only the suites that compile through fronts
+pub fn schedule_siblings(candidates: &[MappingConfig]) -> Vec<Vec<usize>> {
+    let mut groups: Vec<(MappingConfig, Vec<usize>)> = Vec::new();
+    for (i, cfg) in candidates.iter().enumerate() {
+        let key = cfg.front_key();
+        match groups.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, members)) => members.push(i),
+            None => groups.push((key, vec![i])),
+        }
+    }
+    groups.into_iter().map(|(_, members)| members).collect()
 }
 
 /// Fail, naming the first differing lines, unless `actual` reproduces

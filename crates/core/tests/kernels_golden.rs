@@ -20,12 +20,13 @@
 //! and review the diff like any other golden file.
 
 use cypress_core::fingerprint::{source_identity, SourceIdentity};
+use cypress_core::{MappingSpec, TaskMapping};
 use cypress_sim::MachineConfig;
 use std::fmt::Write as _;
 
 #[path = "golden/shared.rs"]
 mod shared;
-use shared::{assert_matches_golden, families};
+use shared::{assert_matches_golden, families, schedule_siblings};
 
 const GOLDEN: &str = include_str!("golden/kernels.digests");
 
@@ -66,6 +67,51 @@ fn kernel_library_matches_golden_digests() {
         &digests(),
         "the kernel library no longer reproduces tests/golden/kernels.digests",
     );
+}
+
+/// Schedule siblings — candidates with one `MappingConfig::front_key` —
+/// build the same task registry and entry arguments, and mappings that
+/// differ only in the two fields warp specialization reads. That is
+/// what lets a sweep compile each group through one compiler `Front`,
+/// so any future space that breaks it fails here.
+#[test]
+fn schedule_siblings_differ_only_in_their_schedule() {
+    let unscheduled = |mapping: &MappingSpec| {
+        let mut instances: Vec<TaskMapping> = mapping
+            .iter()
+            .map(|i| TaskMapping {
+                pipeline: 0,
+                warpspecialize: false,
+                ..i.clone()
+            })
+            .collect();
+        instances.sort_by(|a, b| a.instance.cmp(&b.instance));
+        instances
+    };
+    let machine = MachineConfig::h100_sxm5();
+    let mut shared = 0;
+    for (family, space, shapes) in families() {
+        for shape in &shapes {
+            let candidates = space.candidates(&machine, shape);
+            for group in schedule_siblings(&candidates) {
+                let build = |i: usize| {
+                    space
+                        .build(shape, &candidates[i])
+                        .expect("candidates build")
+                };
+                let (reg, mapping, args) = build(group[0]);
+                for &i in &group[1..] {
+                    let (r, m, a) = build(i);
+                    let what = format!("{family} {shape} {}", candidates[i].encode());
+                    assert!(r == reg, "{what}: the task registry differs");
+                    assert_eq!(a, args, "{what}");
+                    assert_eq!(unscheduled(&m), unscheduled(&mapping), "{what}");
+                    shared += 1;
+                }
+            }
+        }
+    }
+    assert!(shared > 0, "some candidates share a front");
 }
 
 /// Rewrites the golden file from the current implementation (see the

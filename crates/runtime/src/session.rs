@@ -520,15 +520,9 @@ impl Session {
         let fp = self.fingerprint_of(program);
         let before = self.recorder.enabled().then(|| self.cache.stats());
         let compiler = &self.compiler;
-        let compiled = self.cache.get_or_compile(fp, || {
-            compiler.compile_with_fingerprint(
-                &program.registry,
-                &program.mapping,
-                &program.entry,
-                &program.args,
-                fp,
-            )
-        })?;
+        let compiled = self
+            .cache
+            .get_or_compile(fp, || compile_solo(compiler, program, fp))?;
         if let Some(before) = before {
             record_cache_lookup(self.recorder.as_mut(), &self.cache, fp, before, &compiled);
         }
@@ -819,6 +813,12 @@ impl Session {
     /// resource estimate and the compiler's allocator is the authority:
     /// candidates the builder or compiler rejects are skipped, not
     /// errors; simulation failures propagate.
+    ///
+    /// Misses are compiled one job per group of schedule siblings
+    /// (candidates with one [`cypress_core::MappingConfig::front_key`]):
+    /// the job builds the group's compiler front once, finishes every
+    /// member from it, and drops it, so at most `parallelism` fronts are
+    /// alive at once.
     fn sweep(
         &mut self,
         binding: &crate::program::SpaceBinding,
@@ -836,26 +836,27 @@ impl Session {
             let fp = self.fingerprint_of(&program);
             built.push((cfg, program, fp));
         }
-        // Compile the cache misses on the worker pool.
+        // Group the cache misses by front, in enumeration order, and
+        // compile the groups on the worker pool.
         let compiler = &self.compiler;
         let mut queued = HashSet::new();
-        let jobs: Vec<(u64, &Program)> = built
-            .iter()
-            .filter(|(_, _, fp)| self.cache.peek(*fp).is_none() && queued.insert(*fp))
-            .map(|(_, program, fp)| (*fp, program))
-            .collect();
+        let mut groups: Vec<(cypress_core::MappingConfig, Vec<(u64, &Program)>)> = Vec::new();
+        for (cfg, program, fp) in &built {
+            if self.cache.peek(*fp).is_some() || !queued.insert(*fp) {
+                continue;
+            }
+            let key = cfg.front_key();
+            match groups.iter_mut().find(|(k, _)| *k == key) {
+                Some((_, members)) => members.push((*fp, program)),
+                None => groups.push((key, vec![(*fp, program)])),
+            }
+        }
         let mut precompiled: HashMap<u64, Result<cypress_core::Compiled, _>> =
-            par::parallel_map(self.parallelism(), jobs, |(fp, p)| {
-                let result = compiler.compile_with_fingerprint(
-                    &p.registry,
-                    &p.mapping,
-                    &p.entry,
-                    &p.args,
-                    fp,
-                );
-                (fp, result)
+            par::parallel_map(self.parallelism(), groups, |(_, members)| {
+                compile_siblings(compiler, &members)
             })
             .into_iter()
+            .flatten()
             .collect();
         // Issue the lookups in candidate order; misses consume the
         // precompiled kernels (recompiling inline only if a bounded cache
@@ -866,15 +867,9 @@ impl Session {
         for (cfg, program, fp) in built {
             let before = self.recorder.enabled().then(|| self.cache.stats());
             let compiled = self.cache.get_or_compile(fp, || {
-                precompiled.remove(&fp).unwrap_or_else(|| {
-                    compiler.compile_with_fingerprint(
-                        &program.registry,
-                        &program.mapping,
-                        &program.entry,
-                        &program.args,
-                        fp,
-                    )
-                })
+                precompiled
+                    .remove(&fp)
+                    .unwrap_or_else(|| compile_solo(compiler, &program, fp))
             });
             match compiled {
                 Ok(compiled) => {
@@ -1294,6 +1289,45 @@ impl Session {
         self.solo_cycles.clear();
         self.fused_programs.clear();
         self.pool.clear();
+    }
+}
+
+/// Compile `program`, whose fingerprint is `fp`.
+fn compile_solo(
+    compiler: &CypressCompiler,
+    program: &Program,
+    fp: u64,
+) -> Result<Compiled, cypress_core::CompileError> {
+    compiler
+        .front(
+            &program.registry,
+            &program.mapping,
+            &program.entry,
+            &program.args,
+        )?
+        .finish(&program.mapping, fp)
+}
+
+/// Compile schedule siblings `(fingerprint, program)` through one front,
+/// built from the first: every member gets the front's error if it
+/// fails, and only the first finished kernel carries the front's pass
+/// time.
+fn compile_siblings(
+    compiler: &CypressCompiler,
+    members: &[(u64, &Program)],
+) -> Vec<(u64, Result<Compiled, cypress_core::CompileError>)> {
+    let Some(&(_, first)) = members.first() else {
+        return Vec::new();
+    };
+    match compiler.front(&first.registry, &first.mapping, &first.entry, &first.args) {
+        Ok(mut front) => members
+            .iter()
+            .map(|&(fp, p)| (fp, front.finish(&p.mapping, fp)))
+            .collect(),
+        Err(e) => members
+            .iter()
+            .map(|&(fp, _)| (fp, Err(e.clone())))
+            .collect(),
     }
 }
 

@@ -16,6 +16,7 @@
 
 use cypress_core::kernels::space::Shape;
 use cypress_core::kernels::{dual_gemm, gemm};
+use cypress_core::{MappingConfig, MappingSpace};
 use cypress_runtime::telemetry::TraceLog;
 use cypress_runtime::{
     Binding, Event, EventClass, FusionPolicy, NodeId, Program, SchedulePolicy, Session, TaskGraph,
@@ -199,6 +200,70 @@ fn host_compile_passes_require_the_opt_in() {
         passes.iter().any(|p| p == "codegen"),
         "a cache miss records each pipeline pass, got {passes:?}"
     );
+}
+
+/// A cold exhaustive sweep compiles each group of schedule siblings
+/// (candidates with one `MappingConfig::front_key`) through one compiler
+/// front: every cache miss reports all seven passes, and exactly one
+/// miss per group carries a non-zero `copyelim` time.
+#[test]
+fn a_sweep_times_each_front_once() {
+    let machine = MachineConfig::test_gpu();
+    let shape = Shape::of(&[128, 128, 128]);
+    let candidates = gemm::GemmSpace.candidates(&machine, &shape);
+    let mut fronts: Vec<MappingConfig> = Vec::new();
+    for key in candidates.iter().map(MappingConfig::front_key) {
+        if !fronts.contains(&key) {
+            fronts.push(key);
+        }
+    }
+    assert!(fronts.len() > 1 && fronts.len() < candidates.len());
+
+    let program = Program::from_space(Arc::new(gemm::GemmSpace), shape, &machine).unwrap();
+    let log = TraceLog::new().with_host();
+    let mut session = Session::new(machine).with_recorder(log.clone());
+    session.autotune(&program).unwrap();
+    assert_eq!(
+        session.metrics().cache.misses,
+        candidates.len() as u64,
+        "every candidate compiles"
+    );
+
+    // The `CompilePass` events of a miss follow its `CacheLookup`.
+    let mut misses: Vec<Vec<(String, u64)>> = Vec::new();
+    for event in log.events() {
+        match event {
+            Event::CacheLookup { hit: false, .. } => misses.push(Vec::new()),
+            Event::CompilePass { pass, host_ns } => {
+                misses
+                    .last_mut()
+                    .expect("a pass follows a miss")
+                    .push((pass, host_ns));
+            }
+            _ => {}
+        }
+    }
+    assert_eq!(misses.len(), candidates.len());
+    for passes in &misses {
+        let names: Vec<&str> = passes.iter().map(|(p, _)| p.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "depan",
+                "vectorize",
+                "copyelim",
+                "alloc",
+                "warpspec",
+                "codegen",
+                "lower"
+            ]
+        );
+    }
+    let timed_fronts = misses
+        .iter()
+        .filter(|passes| passes.iter().any(|(p, ns)| p == "copyelim" && *ns > 0))
+        .count();
+    assert_eq!(timed_fronts, fronts.len(), "one timed copyelim per front");
 }
 
 /// The Chrome-trace export round-trips through the bundled parser with

@@ -30,7 +30,7 @@
 //! exactly where the tree walk would.
 
 use std::collections::HashMap;
-use std::fmt::Write as _;
+use std::hash::Hash;
 
 use crate::apply::RSlice;
 use crate::error::SimError;
@@ -297,14 +297,13 @@ pub struct Program {
     pub(crate) shape_hash: u64,
 }
 
-/// FNV-1a over the kernel's debug representation: a cheap structural
+/// FNV-1a over the kernel's derived `Hash`: a cheap structural
 /// fingerprint tying a [`Program`] to the kernel it was lowered from.
-/// Every run recomputes it, so the formatter streams into the hash
-/// instead of building the string first.
+/// Every run recomputes it, so it hashes the fields themselves rather
+/// than a rendering of them.
 pub(crate) fn kernel_shape_hash(kernel: &Kernel) -> u64 {
     let mut h = Fnv64::new();
-    // The sink never fails, so neither does the formatter.
-    let _ = write!(h, "{kernel:?}");
+    kernel.hash(&mut h);
     h.finish()
 }
 
@@ -1014,10 +1013,32 @@ mod tests {
 
     #[test]
     fn shape_hash_distinguishes_kernels() {
+        use crate::instr::UnOp;
         let k1 = pipelined_kernel();
-        let mut k2 = k1.clone();
-        k2.name.push('x');
-        assert_ne!(kernel_shape_hash(&k1), kernel_shape_hash(&k2));
+        let mut renamed = k1.clone();
+        renamed.name.push('x');
+        // Float operands hash by their bits: `-0.0 == 0.0`, yet the fill
+        // is a different instruction.
+        let mut signed = k1.clone();
+        let Instr::Simt(SimtOp::Fill { value, .. }) = &mut signed.roles[1].body[0] else {
+            panic!("the compute role starts with its fill");
+        };
+        *value = -0.0;
+        let mut rescaled = k1.clone();
+        let Instr::Loop { body, .. } = &mut rescaled.roles[1].body[1] else {
+            panic!("then the main loop");
+        };
+        let Instr::If { then_, .. } = &mut body[1] else {
+            panic!("whose second instruction is the rescale branch");
+        };
+        let Instr::Simt(SimtOp::Map { op, .. }) = &mut then_[0] else {
+            panic!("a scaling map");
+        };
+        *op = UnOp::Scale(0.25);
+        for other in [renamed, signed, rescaled] {
+            assert_ne!(kernel_shape_hash(&k1), kernel_shape_hash(&other));
+        }
+        assert_eq!(kernel_shape_hash(&k1.clone()), kernel_shape_hash(&k1));
         assert_eq!(lower(&k1).unwrap().shape_hash, kernel_shape_hash(&k1));
     }
 }

@@ -9,9 +9,10 @@
 
 use crate::expr::{Cond, Expr};
 use crate::mem::Slice;
+use std::hash::{Hash, Hasher};
 
 /// One device instruction, executed by a role's instruction stream.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub enum Instr {
     /// Asynchronous TMA copy global→shared. On completion the TMA unit
     /// arrives mbarrier `bar` once.
@@ -300,6 +301,26 @@ pub enum SimtOp {
     },
 }
 
+/// Structural: the fill value hashes by its bits.
+impl Hash for SimtOp {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        std::mem::discriminant(self).hash(state);
+        match self {
+            SimtOp::Fill { dst, value } => (dst, value.to_bits()).hash(state),
+            SimtOp::Copy { src, dst } => (src, dst).hash(state),
+            SimtOp::Map { op, src, dst } => (op, src, dst).hash(state),
+            SimtOp::Zip { op, a, b, dst } => (op, a, b, dst).hash(state),
+            SimtOp::RowReduce {
+                op,
+                src,
+                dst,
+                include_dst,
+            } => (op, src, dst, include_dst).hash(state),
+            SimtOp::RowZip { op, src, row, dst } => (op, src, row, dst).hash(state),
+        }
+    }
+}
+
 impl SimtOp {
     /// Destination slice of the operation.
     #[must_use]
@@ -352,6 +373,16 @@ pub enum UnOp {
     Neg,
 }
 
+/// Structural: the scale factor hashes by its bits.
+impl Hash for UnOp {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        std::mem::discriminant(self).hash(state);
+        if let UnOp::Scale(c) = self {
+            c.to_bits().hash(state);
+        }
+    }
+}
+
 impl UnOp {
     /// Apply to one element.
     #[must_use]
@@ -366,7 +397,7 @@ impl UnOp {
 }
 
 /// Point-wise binary operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BinOp {
     /// Sum.
     Add,
@@ -395,7 +426,7 @@ impl BinOp {
 }
 
 /// Row-reduction operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RedOp {
     /// Sum of the row.
     Sum,

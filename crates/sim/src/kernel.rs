@@ -34,7 +34,7 @@ impl fmt::Display for RoleKind {
 }
 
 /// One role: an executor kind plus its instruction stream.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct Role {
     /// Executor kind.
     pub kind: RoleKind,
@@ -43,14 +43,14 @@ pub struct Role {
 }
 
 /// mbarrier declaration: how many arrivals complete one phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MbarDecl {
     /// Arrivals per phase (TMA completions count as one arrival each).
     pub expected: usize,
 }
 
 /// A complete device program.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct Kernel {
     /// Kernel name for reports.
     pub name: String,

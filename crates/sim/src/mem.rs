@@ -17,7 +17,7 @@ use crate::expr::Expr;
 use cypress_tensor::DType;
 
 /// Global-memory kernel parameter.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct ParamDecl {
     /// Name for diagnostics and pretty-printing.
     pub name: String,
@@ -42,7 +42,7 @@ impl ParamDecl {
 }
 
 /// Per-CTA shared-memory region.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct SmemDecl {
     /// Name for diagnostics.
     pub name: String,
@@ -72,7 +72,7 @@ impl SmemDecl {
 }
 
 /// Per-warpgroup register fragment (always FP32, like WGMMA accumulators).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct FragDecl {
     /// Name for diagnostics.
     pub name: String,
@@ -141,7 +141,7 @@ pub enum Space {
 ///     .extent(128, 64);
 /// assert_eq!(s.rows, 128);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct Slice {
     /// Target object.
     pub mem: MemRef,
