@@ -1,14 +1,20 @@
 //! The compiler driver: runs the pass pipeline of Fig. 6.
 //!
 //! The pipeline has a seam the paper already draws. Dependence
-//! analysis, vectorization, copy elimination and allocation
-//! (§4.2.1–4.2.4) never read a mapping's pipeline depth or warp
-//! specialization; only warp specialization (§4.2.5) does. So
-//! [`CypressCompiler::front`] runs the first four passes once into a
-//! [`Front`], and [`Front::finish`] lowers it at one schedule. A tuner
-//! whose candidates differ only in those two fields builds one front
-//! and finishes it per candidate; [`CypressCompiler::compile`] is one
-//! front finished once.
+//! analysis, vectorization and copy elimination (§4.2.1–4.2.3) never
+//! read a mapping's pipeline depth or warp specialization; only warp
+//! specialization (§4.2.5) does. So [`CypressCompiler::front`] runs the
+//! first three passes once into a [`Front`], and [`Front::finish`]
+//! lowers it at one schedule. A tuner whose candidates differ only in
+//! those two fields builds one front and finishes it per candidate;
+//! [`CypressCompiler::compile`] is one front finished once.
+//!
+//! Shared memory is not aliased (§4.2.4's allocator is not
+//! reproduced): warp specialization declares one region per surviving
+//! shared tensor, staged per pipeline stage, and the emitted kernel's
+//! validation against the machine is the one budget check.
+//! A [`crate::MappingSpace`]'s footprint predicts that byte count so its
+//! candidates are filtered before they are compiled.
 
 use crate::error::CompileError;
 use crate::front::mapping::{MappingSpec, TaskMapping};
@@ -16,15 +22,15 @@ use crate::front::task::TaskRegistry;
 use crate::ir::printer::print_program;
 use crate::ir::IrProgram;
 use crate::passes::depan::EntryArg;
-use crate::passes::{alloc, copyelim, depan, vectorize, warpspec};
-use cypress_sim::{Kernel, MachineConfig};
+use crate::passes::{copyelim, depan, vectorize, warpspec};
+use cypress_sim::{Kernel, KernelError, MachineConfig};
 
 /// Compiler configuration. The machine is the only input besides the
 /// program that decides the emitted kernel; `dump_ir` adds diagnostics.
 #[derive(Debug, Clone)]
 pub struct CompilerOptions {
-    /// Target machine (its shared memory per SM is the allocation budget;
-    /// the kernel is validated against it).
+    /// Target machine: the emitted kernel is validated against it, so
+    /// its shared memory per SM is the shared-memory budget.
     pub machine: MachineConfig,
     /// Keep per-pass IR dumps in the result.
     pub dump_ir: bool,
@@ -65,7 +71,7 @@ pub struct Compiled {
     /// never part of [`Compiled::fingerprint`], and downstream consumers
     /// (the runtime's telemetry layer) treat them as opt-in host-time
     /// fields. A kernel finished from a [`Front`] another kernel was
-    /// already finished from reads 0 for the four front passes: the
+    /// already finished from reads 0 for the three front passes: the
     /// front's time is charged once.
     pub pass_nanos: Vec<(String, u64)>,
 }
@@ -77,8 +83,8 @@ pub struct CypressCompiler {
 }
 
 /// A program through the front half of Fig. 6 — dependence analysis,
-/// vectorization, copy elimination and allocation — ready to be
-/// finished at any pipeline depth and warp-specialization choice.
+/// vectorization and copy elimination — ready to be finished at any
+/// pipeline depth and warp-specialization choice.
 ///
 /// Built by [`CypressCompiler::front`]; [`Front::finish`] runs the rest.
 #[derive(Debug, Clone)]
@@ -104,12 +110,14 @@ impl CypressCompiler {
 
     /// Compile a logical description + mapping specification into a device
     /// kernel (paper Fig. 6: dependence analysis → vectorization → copy
-    /// elimination → resource allocation → warp specialization → codegen).
+    /// elimination → warp specialization → codegen).
     ///
     /// # Errors
     ///
-    /// Propagates [`CompileError`] from any pass; backend validation
-    /// failures are wrapped in [`CompileError::Backend`].
+    /// Propagates [`CompileError`] from any pass, and
+    /// [`Front::finish`]'s errors: [`CompileError::OutOfSharedMemory`]
+    /// for a kernel over the machine's shared memory,
+    /// [`CompileError::Backend`] for its other validation failures.
     pub fn compile(
         &self,
         registry: &TaskRegistry,
@@ -123,13 +131,13 @@ impl CypressCompiler {
     }
 
     /// Run the passes that do not read the mapping's schedule fields:
-    /// dependence analysis (§4.2.1), vectorization (§4.2.2), copy
-    /// elimination (§4.2.3) and resource allocation (§4.2.4), whose
-    /// budget check rejects a program that cannot fit shared memory.
+    /// dependence analysis (§4.2.1), vectorization (§4.2.2) and copy
+    /// elimination (§4.2.3). Shared memory is checked only once the
+    /// schedule fixes the pipeline staging, by [`Front::finish`].
     ///
     /// # Errors
     ///
-    /// Propagates [`CompileError`] from any of the four passes.
+    /// Propagates [`CompileError`] from any of the three passes.
     pub fn front(
         &self,
         registry: &TaskRegistry,
@@ -140,7 +148,7 @@ impl CypressCompiler {
         let mut ir_dumps = Vec::new();
         // Pass wall-clock timings (observability only; kept out of the
         // fingerprint so cache keys and BENCH rows are unaffected).
-        let mut pass_nanos = Vec::with_capacity(4);
+        let mut pass_nanos = Vec::with_capacity(3);
         let mut timed = |name: &str, since: std::time::Instant| {
             pass_nanos.push((name.to_string(), since.elapsed().as_nanos() as u64));
         };
@@ -169,11 +177,6 @@ impl CypressCompiler {
         if self.opts.dump_ir {
             ir_dumps.push(("copyelim".to_string(), print_program(&prog)));
         }
-
-        // 4. Resource allocation (§4.2.4).
-        let t = std::time::Instant::now();
-        alloc::run(&prog, self.opts.machine.smem_per_sm)?;
-        timed("alloc", t);
 
         Ok(Front {
             machine: &self.opts.machine,
@@ -218,8 +221,9 @@ impl Front<'_> {
     ///
     /// [`CompileError::Unsupported`] when `mapping` differs in anything
     /// else; otherwise propagates [`CompileError`] from warp
-    /// specialization, and wraps backend failures in
-    /// [`CompileError::Backend`].
+    /// specialization, reports a kernel that stages more shared memory
+    /// than the machine has as [`CompileError::OutOfSharedMemory`], and
+    /// wraps other backend failures in [`CompileError::Backend`].
     pub fn finish(
         &mut self,
         mapping: &MappingSpec,
@@ -232,29 +236,34 @@ impl Front<'_> {
                     .into(),
             ));
         }
-        let mut pass_nanos = Vec::with_capacity(7);
+        let mut pass_nanos = Vec::with_capacity(6);
         let mut timed = |name: &str, since: std::time::Instant| {
             pass_nanos.push((name.to_string(), since.elapsed().as_nanos() as u64));
         };
 
-        // 5/6. Warp specialization, pipelining, and code generation
-        // (§4.2.5, §4.2.6).
+        // 4/5. Warp specialization, pipelining, and code generation
+        // (§4.2.5, §4.2.6). Validating the kernel is the shared-memory
+        // budget check.
         let sched = warpspec::SchedOptions {
             warpspecialize: mapping.iter().any(|i| i.warpspecialize),
             pipeline: mapping.iter().map(|i| i.pipeline).max().unwrap_or(0).max(1),
         };
         let t = std::time::Instant::now();
         let kernel = warpspec::lower(&self.prog, sched)?;
-        kernel
-            .validate(self.machine)
-            .map_err(|e| CompileError::Backend(e.to_string()))?;
+        kernel.validate(self.machine).map_err(|e| match e {
+            KernelError::SharedMemoryExceeded { used, limit } => CompileError::OutOfSharedMemory {
+                required: used,
+                limit,
+            },
+            e => CompileError::Backend(e.to_string()),
+        })?;
         timed("warpspec", t);
 
         let t = std::time::Instant::now();
         let cuda = crate::codegen::cuda::render(&kernel);
         timed("codegen", t);
 
-        // 7. Bytecode lowering: compile the kernel body once into the flat
+        // 6. Bytecode lowering: compile the kernel body once into the flat
         // instruction stream the simulator's dispatch loop executes.
         let t = std::time::Instant::now();
         let lowered = cypress_sim::bytecode::lower(&kernel)
@@ -345,15 +354,41 @@ mod tests {
                     "depan",
                     "vectorize",
                     "copyelim",
-                    "alloc",
                     "warpspec",
                     "codegen",
                     "lower"
                 ]
             );
-            let front_ns: u64 = shared.pass_nanos[..4].iter().map(|(_, ns)| ns).sum();
+            let front_ns: u64 = shared.pass_nanos[..3].iter().map(|(_, ns)| ns).sum();
             assert_eq!(front_ns > 0, i == 0, "{:?}", shared.pass_nanos);
         }
+    }
+
+    /// A program over the machine's shared memory — built directly, past
+    /// the space's `validate` — is rejected by the emitted kernel's
+    /// check with the typed error and the kernel's own byte count.
+    #[test]
+    fn a_kernel_over_shared_memory_is_a_typed_error() {
+        let machine = MachineConfig::h100_sxm5();
+        let compiler = CypressCompiler::new(CompilerOptions {
+            machine: machine.clone(),
+            ..Default::default()
+        });
+        let space = crate::kernels::comm::AllReduceSpace;
+        let (reg, mapping, args) = space
+            .build(
+                &Shape::of(&[4, 2048, 2048]),
+                &MappingConfig::Gemm(GemmConfig::h100()),
+            )
+            .unwrap();
+        assert_eq!(
+            compiler.compile(&reg, &mapping, space.entry(), &args).err(),
+            Some(CompileError::OutOfSharedMemory {
+                required: 327_680,
+                limit: machine.smem_per_sm,
+            })
+        );
+        assert_eq!(machine.smem_per_sm, 233_472);
     }
 
     #[test]

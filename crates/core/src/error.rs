@@ -78,16 +78,18 @@ pub enum CompileError {
     },
     /// Copy elimination was still rewriting the program when it ran out of
     /// fixpoint rounds (§4.2.3); the half-eliminated program is not handed
-    /// to resource allocation.
+    /// to warp specialization.
     CopyElimDiverged {
         /// Rounds executed (the pass's fixed bound).
         rounds: usize,
     },
-    /// Shared-memory allocation failed even with maximal aliasing (§4.2.4).
+    /// A CTA stages more shared memory than the machine has: reported by
+    /// the emitted kernel's validation, or predicted by a mapping space's
+    /// footprint before compiling. Shared tensors are never aliased.
     OutOfSharedMemory {
-        /// Bytes required with maximal aliasing.
+        /// Bytes one CTA stages.
         required: usize,
-        /// The mapping's limit.
+        /// The machine's shared memory per SM.
         limit: usize,
     },
     /// The program shape is outside what the prototype compiler lowers.
@@ -167,8 +169,8 @@ impl fmt::Display for CompileError {
             ),
             CompileError::OutOfSharedMemory { required, limit } => write!(
                 f,
-                "shared-memory allocation failed: {required} bytes required with maximal \
-                 aliasing, limit is {limit}; map fewer tensors to shared memory or raise the limit"
+                "out of shared memory: a CTA stages {required} bytes, limit is {limit}; map \
+                 fewer tensors to shared memory or choose smaller tiles or a shallower pipeline"
             ),
             CompileError::Unsupported(d) => write!(f, "unsupported program shape: {d}"),
             CompileError::Backend(d) => write!(f, "backend validation failed: {d}"),

@@ -4,8 +4,8 @@
 //! [`TaskMapping`] *instance* selects a task variant, a processor level,
 //! per-parameter memories, tunable bindings, and the instances child
 //! launches dispatch to. Instances also carry the processor-specific
-//! controls the paper describes: `warpspecialize`, `pipeline` depth, and a
-//! shared-memory budget for the resource allocator (§4.2.4).
+//! controls the paper describes: `warpspecialize` and `pipeline` depth.
+//! The shared-memory budget is the target machine's, not the mapping's.
 
 use crate::error::CompileError;
 use crate::front::machine::{MemLevel, ProcLevel};

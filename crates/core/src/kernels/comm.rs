@@ -257,6 +257,23 @@ mod tests {
         assert!(estimate(4).hbm_bytes > two.hbm_bytes);
     }
 
+    /// The footprint stages one tile per folded input: three ways at the
+    /// H100 default (`V = 256`) need four 64 KiB tiles, past the H100's
+    /// shared memory, so the builder falls back to a mapping that
+    /// compiles.
+    #[test]
+    fn three_way_all_reduce_builds_a_program_that_compiles() {
+        use crate::compile::{CompilerOptions, CypressCompiler};
+        let machine = MachineConfig::h100_sxm5();
+        let (reg, mapping, args) = build_all_reduce(3, 512, 512, &machine).unwrap();
+        let compiler = CypressCompiler::new(CompilerOptions {
+            machine,
+            ..Default::default()
+        });
+        let compiled = compiler.compile(&reg, &mapping, "allred", &args);
+        assert!(compiled.is_ok(), "{:?}", compiled.err());
+    }
+
     #[test]
     fn all_reduce_smem_budget_is_typed() {
         // A tile too large for the test GPU's 64 KiB shared memory.

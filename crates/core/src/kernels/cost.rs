@@ -42,8 +42,8 @@ pub struct CostEstimate {
     /// CTAs in the launch grid.
     pub ctas: usize,
     /// CTAs resident per SM, from the shared-memory / warp / scheduler
-    /// budgets (registers are not modeled; the compiler's allocator
-    /// remains the authority, as in the exhaustive sweep).
+    /// budgets (registers are not modeled; the compiled kernel's
+    /// validation remains the authority, as in the exhaustive sweep).
     pub occupancy: usize,
     /// Serial CTA depth per active SM: `ceil(ctas / min(ctas, sms))`.
     pub waves: usize,
@@ -65,12 +65,12 @@ pub struct CostEstimate {
 pub(crate) struct Launch {
     /// CTAs in the launch grid.
     pub ctas: usize,
-    /// Shared-memory bytes one CTA stages (a conservative over-estimate
-    /// of what the allocator and pipeline staging will bind; aliasing
-    /// only shrinks it).
+    /// Shared-memory bytes one CTA stages: the compiled kernel's
+    /// `smem_bytes` for every family but the chain, whose arm is an
+    /// estimate.
     pub smem_bytes: usize,
     /// Registers per thread the mapping pins up front; 0 where the
-    /// compiler's allocator is the only authority.
+    /// compiled kernel's validation is the only check.
     pub regs_per_thread: usize,
     /// What the CTAs move and compute; `None` for the families the
     /// model does not price.

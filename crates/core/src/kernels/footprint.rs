@@ -293,12 +293,12 @@ impl Footprint {
                 let c = cfg.as_gemm(kernel)?;
                 check_split(kernel, c.u, c.wgs, c.pipeline, None)?;
                 check_tiles(kernel, &[(m, "M", c.u, "U"), (n, "N", c.v, "V")])?;
-                // Staged at once: one inbound input tile, one radd-staged
-                // tile of the next input to fold in, and the
+                // Staged at once, each in its own region: the inbound
+                // tile of `X0`, one tile per input folded in, and the
                 // accumulator's outbound staging.
                 Ok(Launch {
                     ctas: (Checked::from(m / c.u) * (n / c.v)).get(kernel)?,
-                    smem_bytes: (Checked::from(c.u) * c.v * 3 * ELEM).get(kernel)?,
+                    smem_bytes: (Checked::from(c.u) * c.v * (inputs + 1) * ELEM).get(kernel)?,
                     regs_per_thread: 0,
                     // Every input streams in once, the output out once.
                     work: Some(Work::Streamed {
@@ -322,10 +322,10 @@ impl Footprint {
                 )?;
                 let [u, v, w] = [c.u, c.v, c.w].map(Checked::from);
                 // Resident at once: the shared-memory intermediate band
-                // (u x mid), both phases' pipelined operand tiles (the
-                // allocator does not alias across the two reduction
-                // loops), and the chunk store staging (the phase-1 and
-                // terminal stagings do alias).
+                // (u x mid), both phases' pipelined operand tiles, and
+                // one chunk store staging. Unlike the other arms this is
+                // not the compiled kernel's byte count: it misses some
+                // mappings' stagings and over-counts others.
                 let staged = (u * w + w * v) * c.pipeline * 2;
                 // Both phases' 64 x V chunk accumulators live in
                 // registers at once, spread over a warpgroup's 128

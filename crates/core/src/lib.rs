@@ -17,10 +17,12 @@
 //!   values, warp specialization and pipeline depth.
 //!
 //! [`compile::CypressCompiler`] runs the pass pipeline of Fig. 6 —
-//! dependence analysis, vectorization, copy elimination, resource
-//! allocation, warp specialization — and emits a [`cypress_sim::Kernel`]
-//! plus pseudo-CUDA; its first four passes form a [`Front`] that every
-//! schedule of one tile finishes from. [`kernels`] contains the
+//! dependence analysis, vectorization, copy elimination, warp
+//! specialization — and emits a [`cypress_sim::Kernel`] plus
+//! pseudo-CUDA; its first three passes form a [`Front`] that every
+//! schedule of one tile finishes from. Shared tensors are not aliased
+//! (§4.2.4's allocator is not reproduced): the emitted kernel's
+//! validation is the shared-memory check. [`kernels`] contains the
 //! evaluation programs (GEMM, batched/dual GEMM, GEMM+reduction,
 //! FlashAttention-2/3), each behind a [`MappingSpace`] that enumerates,
 //! validates and prices its mappings.

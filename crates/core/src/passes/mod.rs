@@ -1,8 +1,8 @@
 //! Compiler passes, in the order of the paper's Fig. 6: dependence
-//! analysis, vectorization, copy elimination, resource allocation, and
-//! warp specialization (with pipelining).
+//! analysis, vectorization, copy elimination, and warp specialization
+//! (with pipelining). There is no resource-allocation pass (§4.2.4):
+//! see [`crate::compile`] for where shared memory is checked.
 
-pub mod alloc;
 pub mod copyelim;
 pub mod depan;
 pub mod vectorize;

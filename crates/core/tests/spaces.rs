@@ -23,14 +23,18 @@
 //! cargo test --release -p cypress-core --test spaces -- --ignored regenerate
 //! ```
 //!
-//! The second half is the hostile-mapping table: a `MappingConfig` can
+//! Beside the digests sits the footprint ⇔ kernel contract: the bytes a
+//! footprint predicts are the bytes the compiled kernel stages, so
+//! `candidates` drops exactly the points the compiler would reject.
+//!
+//! The last part is the hostile-mapping table: a `MappingConfig` can
 //! come from a file (`MappingConfig::decode` ← a persisted tuning
 //! table), so no field value may panic `validate` or `estimate`, in
 //! either build profile.
 
 use cypress_core::kernels::attention::AttentionConfig;
 use cypress_core::kernels::gemm::GemmConfig;
-use cypress_core::{CompileError, MappingConfig, Shape};
+use cypress_core::{CompileError, CompilerOptions, CypressCompiler, MappingConfig, Shape};
 use cypress_sim::MachineConfig;
 use std::fmt::Write as _;
 
@@ -137,6 +141,54 @@ fn regenerate() {
     std::fs::write(path, digests()).expect("write golden file");
 }
 
+/// The footprint ⇔ kernel contract: a space's `validate` predicts the
+/// shared memory the compiler's emitted kernel stages, whose own
+/// validation is the budget check. Every candidate of every family at
+/// both pinned shapes, on both machines, compiles; and for every family
+/// but the chain (whose footprint is an estimate) the footprint is the
+/// compiled byte count exactly — `validate` accepts the point on a
+/// machine with just the kernel's `smem_bytes` and rejects it one byte
+/// lower.
+#[test]
+fn every_candidate_compiles_to_the_shared_memory_its_footprint_predicts() {
+    for (family, space, shapes) in families() {
+        for machine in [MachineConfig::h100_sxm5(), MachineConfig::test_gpu()] {
+            let compiler = CypressCompiler::new(CompilerOptions {
+                machine: machine.clone(),
+                ..Default::default()
+            });
+            for shape in &shapes {
+                for cfg in space.candidates(&machine, shape) {
+                    let what = format!("{family} {} {shape} {}", machine.name, cfg.encode());
+                    let (reg, mapping, args) = space.build(shape, &cfg).unwrap();
+                    let compiled = compiler
+                        .compile(&reg, &mapping, space.entry(), &args)
+                        .unwrap_or_else(|e| panic!("{what}: {e}"));
+                    if family == "chain" {
+                        continue;
+                    }
+                    let with_smem = |smem_per_sm| MachineConfig {
+                        smem_per_sm,
+                        ..machine.clone()
+                    };
+                    let exact = with_smem(compiled.smem_bytes);
+                    assert_eq!(space.validate(&exact, shape, &cfg), Ok(()), "{what}");
+                    let short = with_smem(compiled.smem_bytes - 1);
+                    assert!(
+                        matches!(
+                            space.validate(&short, shape, &cfg),
+                            Err(CompileError::OutOfSharedMemory { required, .. })
+                                if required == compiled.smem_bytes
+                        ),
+                        "{what}: the footprint is not the kernel's {} bytes",
+                        compiled.smem_bytes
+                    );
+                }
+            }
+        }
+    }
+}
+
 /// `cfg` with the field its token spells `field=` set to `value`, the
 /// way a tuning-table file would carry it; `None` when this kind of
 /// mapping has no such field.
@@ -161,7 +213,7 @@ fn unread(family: &str, field: &str, value: usize) -> bool {
     }
 }
 
-/// Every field of the honest default at a fitting shape, replaced in
+/// Every field of the honest default at a shape it fits, replaced in
 /// turn by 0, 2^40 and `usize::MAX`: `validate` answers with a typed
 /// error and `estimate` with `None` or a price — never a panic (the dev
 /// profile's overflow check) and never `Ok` off a wrapped product (the
@@ -186,13 +238,13 @@ fn hostile_mapping_values_are_typed_errors() {
                 }
             }
         }
-        let shape = &shapes[1];
-        let default = space.default_for(&machine);
-        assert_eq!(
-            space.validate(&machine, shape, &default),
-            Ok(()),
-            "{family}"
-        );
+        // The larger pinned shape the default fits (a four-way fold of
+        // the H100's 128 x 256 tile stages past its shared memory).
+        let shape = shapes
+            .iter()
+            .rev()
+            .find(|s| space.validate(&machine, s, &default).is_ok())
+            .unwrap_or_else(|| panic!("{family}: the default fits neither pinned shape"));
         for field in ["pipe", "u", "v", "w", "wgs", "br", "bc"] {
             for value in [0, 1 << 40, usize::MAX] {
                 let Some(cfg) = with_field(default, field, value) else {

@@ -547,9 +547,9 @@ impl Session {
     /// session's machine and shape (e.g. the program was built for a
     /// different machine — [`MappingPolicy::Autotune`] launches fall
     /// back to the program's own mapping on this error instead of
-    /// surfacing it). Candidates the compiler's allocator rejects are
-    /// skipped — a space's `validate` is a cheap estimate, the compiler
-    /// is the authority. Simulation failures still propagate.
+    /// surfacing it). Candidates the compiler rejects are skipped — a
+    /// space's `validate` predicts the kernel's budgets, the compiled
+    /// kernel's validation decides. Simulation failures still propagate.
     pub fn autotune(&mut self, program: &Program) -> Result<TunedMapping, RuntimeError> {
         self.autotune_with(program, TunerBudget::Exhaustive)
     }
@@ -809,10 +809,10 @@ impl Session {
     /// function of the candidate list alone), then solo-time each
     /// distinct compiled kernel on the pool. Returns `(cycles, config)`
     /// in candidate order, so the caller's first-wins tie break is
-    /// independent of the worker count. A space's `validate` is a cheap
-    /// resource estimate and the compiler's allocator is the authority:
-    /// candidates the builder or compiler rejects are skipped, not
-    /// errors; simulation failures propagate.
+    /// independent of the worker count. A space's `validate` predicts
+    /// the compiled kernel's budgets and the kernel's own validation
+    /// decides: candidates the builder or compiler rejects are skipped,
+    /// not errors; simulation failures propagate.
     ///
     /// Misses are compiled one job per group of schedule siblings
     /// (candidates with one [`cypress_core::MappingConfig::front_key`]):
@@ -884,9 +884,9 @@ impl Session {
                     }
                     resident.push((cfg, compiled));
                 }
-                // The compiler's allocator is the authority; its
-                // rejections are skipped, not errors (and emit nothing,
-                // like a failed `Session::compile`).
+                // The compiler is the authority; its rejections are
+                // skipped, not errors (and emit nothing, like a failed
+                // `Session::compile`).
                 Err(_) => continue,
             }
         }

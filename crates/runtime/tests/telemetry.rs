@@ -204,7 +204,7 @@ fn host_compile_passes_require_the_opt_in() {
 
 /// A cold exhaustive sweep compiles each group of schedule siblings
 /// (candidates with one `MappingConfig::front_key`) through one compiler
-/// front: every cache miss reports all seven passes, and exactly one
+/// front: every cache miss reports all six passes, and exactly one
 /// miss per group carries a non-zero `copyelim` time.
 #[test]
 fn a_sweep_times_each_front_once() {
@@ -252,7 +252,6 @@ fn a_sweep_times_each_front_once() {
                 "depan",
                 "vectorize",
                 "copyelim",
-                "alloc",
                 "warpspec",
                 "codegen",
                 "lower"

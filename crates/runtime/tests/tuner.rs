@@ -802,6 +802,30 @@ fn transfer_tuning_seeds_neighboring_shapes() {
     );
 }
 
+/// The all-reduce's footprint counts one staged tile per input, so the
+/// points a guided sweep ranks first are ones that compile: on the H100
+/// a four-way fold at 2048² tunes to `V = 128` under a budget of one,
+/// and an eight-way fold at 1024² to `V = 64` under a budget of two.
+#[test]
+fn guided_all_reduce_sweeps_time_points_that_compile() {
+    use cypress_core::kernels::comm::{self, AllReduceSpace};
+    use cypress_runtime::TunerBudget;
+    let machine = MachineConfig::h100_sxm5();
+    for ([ways, m, n], k, want_v) in [([4, 2048, 2048], 1, 128), ([8, 1024, 1024], 2, 64)] {
+        let built = comm::build_all_reduce(ways, m, n, &machine).unwrap();
+        let program = Program::from_parts(built, "allred")
+            .with_space(Arc::new(AllReduceSpace), Shape::of(&[ways, m, n]));
+        let mut session = Session::new(machine.clone());
+        let tuned = session
+            .autotune_with(&program, TunerBudget::TopK(k))
+            .unwrap_or_else(|e| panic!("{ways}x{m}x{n} TopK({k}): {e}"));
+        match tuned.config {
+            MappingConfig::Gemm(c) => assert_eq!(c.v, want_v, "{ways}x{m}x{n} TopK({k})"),
+            other => panic!("an all-reduce tuned to {other:?}"),
+        }
+    }
+}
+
 #[test]
 fn guided_policy_tensors_match_default_and_autotune_bitwise() {
     let machine = MachineConfig::test_gpu();

@@ -22,7 +22,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (registry, mapping, args) = gemm::build(m, n, k, &machine)?;
 
     // 2. Compile: dependence analysis -> vectorization -> copy elimination
-    //    -> resource allocation -> warp specialization -> codegen.
+    //    -> warp specialization -> codegen.
     let compiler = CypressCompiler::new(CompilerOptions {
         machine: machine.clone(),
         ..Default::default()
