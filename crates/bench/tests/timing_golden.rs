@@ -16,12 +16,21 @@
 //! ```
 //!
 //! and review the diff like any other golden file.
+//!
+//! The same corpus, its families compiled for the H100 and for the
+//! unit-test machine, plus the Cypress kernels of Fig. 13/14, holds
+//! bytecode lowering to proving every slice in bounds
+//! (`lowering_proves_every_slice_in_bounds`): a timing run then
+//! evaluates no slice origin at all.
 
 use cypress_baselines::{cublas, cudnn, fa3, thunderkittens, triton};
 use cypress_bench::{GEMM_SIZES, HEADS, HEAD_DIM, SEQ_LENS};
 use cypress_core::compile::{CompilerOptions, CypressCompiler};
 use cypress_core::fingerprint::Fnv64;
-use cypress_sim::{Kernel, MachineConfig, Simulator};
+use cypress_core::kernels::attention::{self, Algorithm};
+use cypress_core::kernels::{batched, dual_gemm, gemm, gemm_reduction};
+use cypress_core::CompileError;
+use cypress_sim::{bytecode, Kernel, MachineConfig, Simulator};
 use std::fmt::Write as _;
 
 #[path = "../../core/tests/golden/shared.rs"]
@@ -29,6 +38,125 @@ mod shared;
 use shared::{assert_matches_golden, families};
 
 const GOLDEN: &str = include_str!("golden/timing.digests");
+
+/// Kernels of the corpus that bytecode lowering cannot prove in bounds,
+/// each labelled as its golden line is and with the reason why. The
+/// coverage test fails on an unproven kernel missing here, and on an
+/// entry that lowering does prove.
+const UNPROVABLE: &[(&str, &str)] = &[];
+
+/// Families with no candidate on the unit-test machine at either pinned
+/// shape, and why; every other space is non-empty on both machines.
+const UNFIT_ON_TEST_GPU: &[(&str, &str)] = &[
+    (
+        "chain",
+        "no tiling fits 64 KiB of shared memory (the default needs 104 KiB)",
+    ),
+    (
+        "fa3",
+        "no tiling fits 64 KiB of shared memory (the default needs 128 KiB)",
+    ),
+];
+
+/// Every family × shape × candidate compiled for `machine`, labelled
+/// `family shape config`. A space is empty only where
+/// [`UNFIT_ON_TEST_GPU`] says so.
+fn family_kernels(machine: &MachineConfig) -> Vec<(String, Result<Kernel, CompileError>)> {
+    let compiler = CypressCompiler::new(CompilerOptions {
+        machine: machine.clone(),
+        ..Default::default()
+    });
+    let mut out = Vec::new();
+    for (family, space, shapes) in families() {
+        for shape in &shapes {
+            let candidates = space.candidates(machine, shape);
+            let unfit = machine.name == MachineConfig::test_gpu().name
+                && UNFIT_ON_TEST_GPU.iter().any(|(name, _)| *name == family);
+            assert_eq!(
+                candidates.is_empty(),
+                unfit,
+                "{} {family} {shape}: {} candidates",
+                machine.name,
+                candidates.len()
+            );
+            for cfg in candidates {
+                let (reg, mapping, args) = space.build(shape, &cfg).expect("candidates build");
+                let compiled = compiler.compile(&reg, &mapping, space.entry(), &args);
+                out.push((
+                    format!("{family} {shape} {}", cfg.encode()),
+                    compiled.map(|c| c.kernel),
+                ));
+            }
+        }
+    }
+    out
+}
+
+/// Every hand kernel at the Fig. 13/14 sizes, tuned (where the library
+/// tunes) on `sim`, labelled `hand name size`.
+fn hand_kernels(sim: &Simulator) -> Vec<(String, Kernel)> {
+    let mut out = Vec::new();
+    for s in GEMM_SIZES {
+        let hand = [
+            cublas::gemm_with(s, s, s, sim),
+            cublas::batched_gemm(4, s, s, s),
+            triton::gemm(s, s, s),
+            triton::batched_gemm(4, s, s, s),
+            triton::dual_gemm(s, s, s),
+            triton::gemm_reduction(s, s, s),
+        ];
+        out.extend(hand.map(|k| (format!("hand {} {s}", k.name), k)));
+    }
+    let sms = sim.machine().sms;
+    for seq in SEQ_LENS {
+        let hand = [
+            triton::attention(HEADS, seq, HEAD_DIM, sms),
+            thunderkittens::attention(HEADS, seq, HEAD_DIM, sms),
+            fa3::attention(HEADS, seq, HEAD_DIM, sms),
+            cudnn::attention_with(HEADS, seq, HEAD_DIM, sim),
+        ];
+        out.extend(hand.map(|k| (format!("hand {} {seq}", k.name), k)));
+    }
+    out
+}
+
+/// The Cypress kernels of Fig. 13/14 — each family's default mapping at
+/// the paper's sizes — labelled `cypress family size`.
+fn cypress_figure_kernels(machine: &MachineConfig) -> Vec<(String, Kernel)> {
+    let mut built = Vec::new();
+    for s in GEMM_SIZES {
+        built.push(("gemm", "gemm", s, gemm::build(s, s, s, machine)));
+        built.push(("batched", "bgemm", s, batched::build(4, s, s, s, machine)));
+        built.push(("dual_gemm", "dual", s, dual_gemm::build(s, s, s, machine)));
+        built.push((
+            "gemm_reduction",
+            "gr",
+            s,
+            gemm_reduction::build(s, s, s, machine),
+        ));
+    }
+    for seq in SEQ_LENS {
+        for (family, algorithm) in [("fa2", Algorithm::Fa2), ("fa3", Algorithm::Fa3)] {
+            let b = attention::build(algorithm, HEADS, seq, HEAD_DIM, machine);
+            built.push((family, "fa", seq, b));
+        }
+    }
+    let compiler = CypressCompiler::new(CompilerOptions {
+        machine: machine.clone(),
+        ..Default::default()
+    });
+    built
+        .into_iter()
+        .map(|(family, entry, size, b)| {
+            let label = format!("cypress {family} {size}");
+            let kernel = b
+                .and_then(|(reg, mapping, args)| compiler.compile(&reg, &mapping, entry, &args))
+                .unwrap_or_else(|e| panic!("{label}: {e}"))
+                .kernel;
+            (label, kernel)
+        })
+        .collect()
+}
 
 /// Time `kernel` and append its digest (or its typed error) to `out`.
 fn digest_line(out: &mut String, sim: &Simulator, kernel: &Kernel) {
@@ -52,52 +180,19 @@ fn digest_line(out: &mut String, sim: &Simulator, kernel: &Kernel) {
 fn digests() -> String {
     let machine = MachineConfig::h100_sxm5();
     let sim = Simulator::new(machine.clone());
-    let compiler = CypressCompiler::new(CompilerOptions {
-        machine: machine.clone(),
-        ..Default::default()
-    });
     let mut out = String::new();
-    for (family, space, shapes) in families() {
-        for shape in &shapes {
-            let candidates = space.candidates(&machine, shape);
-            assert!(!candidates.is_empty(), "{family} {shape}: empty space");
-            for cfg in candidates {
-                let (reg, mapping, args) = space.build(shape, &cfg).expect("candidates build");
-                let _ = write!(out, "{family} {shape} {} ", cfg.encode());
-                match compiler.compile(&reg, &mapping, space.entry(), &args) {
-                    Ok(compiled) => digest_line(&mut out, &sim, &compiled.kernel),
-                    Err(e) => {
-                        let _ = writeln!(out, "compile error: {e}");
-                    }
-                }
+    for (label, kernel) in family_kernels(&machine) {
+        let _ = write!(out, "{label} ");
+        match kernel {
+            Ok(kernel) => digest_line(&mut out, &sim, &kernel),
+            Err(e) => {
+                let _ = writeln!(out, "compile error: {e}");
             }
         }
     }
-    for s in GEMM_SIZES {
-        let hand = [
-            cublas::gemm_with(s, s, s, &sim),
-            cublas::batched_gemm(4, s, s, s),
-            triton::gemm(s, s, s),
-            triton::batched_gemm(4, s, s, s),
-            triton::dual_gemm(s, s, s),
-            triton::gemm_reduction(s, s, s),
-        ];
-        for kernel in &hand {
-            let _ = write!(out, "hand {} {s} ", kernel.name);
-            digest_line(&mut out, &sim, kernel);
-        }
-    }
-    for seq in SEQ_LENS {
-        let hand = [
-            triton::attention(HEADS, seq, HEAD_DIM, machine.sms),
-            thunderkittens::attention(HEADS, seq, HEAD_DIM, machine.sms),
-            fa3::attention(HEADS, seq, HEAD_DIM, machine.sms),
-            cudnn::attention_with(HEADS, seq, HEAD_DIM, &sim),
-        ];
-        for kernel in &hand {
-            let _ = write!(out, "hand {} {seq} ", kernel.name);
-            digest_line(&mut out, &sim, kernel);
-        }
+    for (label, kernel) in hand_kernels(&sim) {
+        let _ = write!(out, "{label} ");
+        digest_line(&mut out, &sim, &kernel);
     }
     out
 }
@@ -108,6 +203,42 @@ fn timing_reports_match_golden_digests() {
         GOLDEN,
         &digests(),
         "the timing engine no longer reproduces tests/golden/timing.digests",
+    );
+}
+
+/// `Program::unproven_ops` is 0 for every family candidate on both
+/// machines and every kernel of Fig. 13/14, Cypress's and the hand
+/// kernels, bar the kernels [`UNPROVABLE`] lists.
+#[test]
+fn lowering_proves_every_slice_in_bounds() {
+    let h100 = Simulator::new(MachineConfig::h100_sxm5());
+    let mut corpus = hand_kernels(&h100);
+    corpus.extend(cypress_figure_kernels(h100.machine()));
+    for machine in [MachineConfig::h100_sxm5(), MachineConfig::test_gpu()] {
+        for (label, kernel) in family_kernels(&machine) {
+            let label = format!("{} {label}", machine.name);
+            let kernel =
+                kernel.unwrap_or_else(|e| panic!("{label}: a candidate fails to compile: {e}"));
+            corpus.push((label, kernel));
+        }
+    }
+    let mut unproven = Vec::new();
+    for (label, kernel) in &corpus {
+        let program = bytecode::lower(kernel).unwrap_or_else(|e| panic!("{label}: {e}"));
+        let listed = UNPROVABLE.iter().any(|(name, _)| name == label);
+        match (program.unproven_ops(), listed) {
+            (0, false) => {}
+            (0, true) => unproven.push(format!("{label}: listed as unprovable, yet proven")),
+            (n, false) => unproven.push(format!("{label}: {n} unproven instruction(s)")),
+            (_, true) => {}
+        }
+    }
+    assert!(
+        unproven.is_empty(),
+        "{} of {} kernels disagree with UNPROVABLE:\n{}",
+        unproven.len(),
+        corpus.len(),
+        unproven.join("\n")
     );
 }
 

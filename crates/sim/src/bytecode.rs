@@ -8,19 +8,27 @@
 //! kernel**, producing a [`Program`]: a flat instruction stream with
 //!
 //! - index arithmetic compiled to a small register machine (`IdxOp`
-//!   preludes over virtual `i64` registers, constant-folded and
-//!   common-subexpression-eliminated per instruction),
+//!   preludes over virtual `i64` registers, constant-folded,
+//!   identity-folded and common-subexpression-eliminated per
+//!   instruction),
 //! - slice bounds (`prows`/`pcols`/`stages`) resolved from the kernel's
 //!   declarations at lowering time, and launch-constant slices (literal
 //!   origin, no prelude, in bounds) resolved outright (see
 //!   `BcSlice::fixed`),
+//! - *proven* instructions: lowering bounds every origin by interval
+//!   arithmetic over the grid, the enclosing loops' trip counts and the
+//!   enclosing then-blocks' conditions, and marks an instruction whose
+//!   slices all fit their objects (see `BcSlice::proven`). Such an
+//!   instruction cannot fail to resolve, so a timing run — which drops
+//!   what it resolves — issues it without evaluating its preludes,
 //! - transfer bytes, WGMMA FLOPs and SIMT cost factors pre-computed with
 //!   overflow-checked arithmetic.
 //!
 //! The engine's dispatch loop then executes bytecode positions one-to-one
 //! with the walked program — same program counters, same evaluation
-//! order, same error messages — so a bytecode run is **bit-identical** to
-//! an IR-walk run in both data and simulated time. That contract is
+//! order (a timing run skips only what cannot fail), same error messages
+//! — so a bytecode run is **bit-identical** to an IR-walk run in both
+//! data and simulated time. That contract is
 //! pinned by the three-way differential suites (scalar oracle vs fast
 //! IR-walk vs bytecode) and by the benchmark figures, which must
 //! regenerate bit-identically.
@@ -29,7 +37,7 @@
 //! overflow); division still reports [`EvalError::DivisionByZero`]
 //! exactly where the tree walk would.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
 
 use crate::apply::RSlice;
@@ -137,6 +145,15 @@ pub(crate) struct BcSlice {
     /// stays `None`, so the error is raised by the dynamic path when —
     /// and only if — the instruction executes, exactly like the walk.
     pub(crate) fixed: Option<RSlice>,
+    /// Every resolve of this slice succeeds: lowering bounded each of
+    /// the instruction's origins wherever it can run, and every slice of
+    /// the instruction fits its object. The mark is per instruction, not
+    /// per slice, because a slice's prelude may read a register an
+    /// earlier slice's prelude wrote (value numbering is per
+    /// instruction). A timing run issues a proven instruction without
+    /// evaluating anything; a functional run resolves it like any other,
+    /// and a failure there is a lowering bug, reported as such.
+    pub(crate) proven: bool,
 }
 
 impl BcSlice {
@@ -295,6 +312,17 @@ pub struct Program {
     pub(crate) roles: Vec<Vec<BcInstr>>,
     pub(crate) num_regs: usize,
     pub(crate) shape_hash: u64,
+    unproven: usize,
+}
+
+impl Program {
+    /// How many slice-bearing instructions lowering could not prove in
+    /// bounds (see the module documentation): the ones a timing run
+    /// still evaluates and bounds-checks on every execution.
+    #[must_use]
+    pub fn unproven_ops(&self) -> usize {
+        self.unproven
+    }
 }
 
 /// FNV-1a over the kernel's derived `Hash`: a cheap structural
@@ -316,26 +344,17 @@ pub(crate) fn kernel_shape_hash(kernel: &Kernel) -> u64 {
 /// errors instead of the index/overflow panics unchecked lowering would
 /// risk.
 pub fn lower(kernel: &Kernel) -> Result<Program, SimError> {
-    let mut ctx = Lower {
-        kernel,
-        cse: HashMap::new(),
-        next_reg: 0,
-        max_regs: 0,
-    };
+    let mut ctx = Lower::new(kernel);
     let roles = kernel
         .roles
         .iter()
-        .map(|r| {
-            flatten(&r.body)
-                .iter()
-                .map(|f| ctx.lower_flat(f))
-                .collect::<Result<Vec<_>, _>>()
-        })
+        .map(|r| ctx.lower_role(&flatten(&r.body)))
         .collect::<Result<Vec<_>, _>>()?;
     Ok(Program {
         roles,
         num_regs: ctx.max_regs as usize,
         shape_hash: kernel_shape_hash(kernel),
+        unproven: ctx.unproven,
     })
 }
 
@@ -346,6 +365,88 @@ enum ArithKind {
     Mul,
 }
 
+/// The closed interval `[lo, hi]` of values an index expression takes.
+#[derive(Clone, Copy)]
+struct Interval {
+    lo: i64,
+    hi: i64,
+}
+
+impl Interval {
+    fn point(v: i64) -> Self {
+        Interval { lo: v, hi: v }
+    }
+
+    /// The indices below `n`, `[0, n - 1]`; `None` when there are none.
+    fn below(n: i64) -> Option<Self> {
+        (n >= 1).then(|| Interval { lo: 0, hi: n - 1 })
+    }
+
+    /// `op` over every pair of values, by the four corners: exact for
+    /// `+`, `-` and `*`, which are monotone or bilinear. `None` when a
+    /// corner overflows, and so when some pair of values could.
+    fn corners(self, other: Self, op: fn(i64, i64) -> Option<i64>) -> Option<Self> {
+        let c = [
+            op(self.lo, other.lo)?,
+            op(self.lo, other.hi)?,
+            op(self.hi, other.lo)?,
+            op(self.hi, other.hi)?,
+        ];
+        Some(Interval {
+            lo: c.into_iter().min()?,
+            hi: c.into_iter().max()?,
+        })
+    }
+
+    /// The values in both; `None` when there are none.
+    fn meet(self, other: Self) -> Option<Self> {
+        let i = Interval {
+            lo: self.lo.max(other.lo),
+            hi: self.hi.min(other.hi),
+        };
+        (i.lo <= i.hi).then_some(i)
+    }
+
+    /// Whether every origin in `self`, plus `extent`, stays within
+    /// `bound`: what [`BcSlice::at`] checks of one value, here of all.
+    fn fits(self, extent: usize, bound: usize) -> bool {
+        self.lo >= 0
+            && usize::try_from(self.hi)
+                .ok()
+                .and_then(|hi| hi.checked_add(extent))
+                .is_some_and(|end| end <= bound)
+    }
+}
+
+/// What the engine's environment holds at the position being lowered,
+/// as intervals.
+#[derive(Default)]
+struct Scope {
+    /// The loop variables the role's program binds at more than one
+    /// `LoopStart`. Such a variable may be rebound, or unbound by a
+    /// nested loop's exit, under another loop over it, so nothing that
+    /// reads it is proven.
+    reused: HashSet<usize>,
+    /// The values of each loop variable bound wherever the position
+    /// runs: `[0, trips - 1]`. Absent are the variables that may be
+    /// unbound there, the `reused` ones, and those whose loop's trip
+    /// count lowering cannot bound above 0.
+    vars: HashMap<usize, Interval>,
+    /// What the condition of each enclosing then-block says of its
+    /// left operand; `None` when it says nothing lowering can use.
+    facts: Vec<(Expr, Option<Interval>)>,
+    /// Open loops and then-blocks, innermost last, with the position
+    /// that closes each: its `LoopEnd`, or the then-block's closing
+    /// `Jump`.
+    open: Vec<(usize, Opened)>,
+}
+
+#[derive(Clone, Copy)]
+enum Opened {
+    Loop(usize),
+    Then,
+}
+
 struct Lower<'a> {
     kernel: &'a Kernel,
     /// Per-instruction value numbering: an expression already lowered in
@@ -353,15 +454,154 @@ struct Lower<'a> {
     cse: HashMap<Expr, Scalar>,
     next_reg: u32,
     max_regs: u32,
+    /// The block indices' values, `[0, grid - 1]` per dimension.
+    block: [Option<Interval>; 3],
+    scope: Scope,
+    /// Whether every slice of the instruction being lowered fits its
+    /// object, so far.
+    fits: bool,
+    /// Slice-bearing instructions left unproven so far.
+    unproven: usize,
 }
 
-impl Lower<'_> {
+impl<'a> Lower<'a> {
+    fn new(kernel: &'a Kernel) -> Self {
+        Lower {
+            kernel,
+            cse: HashMap::new(),
+            next_reg: 0,
+            max_regs: 0,
+            block: kernel
+                .grid
+                .map(|n| i64::try_from(n).ok().and_then(Interval::below)),
+            scope: Scope::default(),
+            fits: true,
+            unproven: 0,
+        }
+    }
+
+    /// The values `e` takes wherever the position being lowered runs, or
+    /// `None` when lowering cannot bound them without doubt that the
+    /// evaluation succeeds: a variable out of scope, a possible `i64`
+    /// overflow, or a divisor that is not a positive constant.
+    fn interval(&self, e: &Expr) -> Option<Interval> {
+        let mut i = match e {
+            Expr::Lit(v) => Interval::point(*v),
+            Expr::Var(id) => *self.scope.vars.get(id)?,
+            Expr::BlockX => self.block[0]?,
+            Expr::BlockY => self.block[1]?,
+            Expr::BlockZ => self.block[2]?,
+            Expr::Add(a, b) => self
+                .interval(a)?
+                .corners(self.interval(b)?, i64::checked_add)?,
+            Expr::Sub(a, b) => self
+                .interval(a)?
+                .corners(self.interval(b)?, i64::checked_sub)?,
+            Expr::Mul(a, b) => self
+                .interval(a)?
+                .corners(self.interval(b)?, i64::checked_mul)?,
+            Expr::Div(a, b) | Expr::Mod(a, b) => {
+                let d = self.interval(b).filter(|d| d.lo == d.hi && d.lo > 0)?.lo;
+                let n = self.interval(a)?;
+                if matches!(e, Expr::Div(..)) {
+                    // Euclidean division by a positive divisor is monotone.
+                    Interval {
+                        lo: n.lo.div_euclid(d),
+                        hi: n.hi.div_euclid(d),
+                    }
+                } else if n.lo >= 0 && n.hi < d {
+                    n
+                } else {
+                    Interval { lo: 0, hi: d - 1 }
+                }
+            }
+        };
+        for (x, bound) in &self.scope.facts {
+            if let Some(b) = bound.filter(|_| x == e) {
+                i = i.meet(b)?;
+            }
+        }
+        Some(i)
+    }
+
+    /// Leave the loops and then-blocks that close at `pc`.
+    fn close_scopes(&mut self, pc: usize) {
+        while let Some(&(at, opened)) = self.scope.open.last() {
+            if at > pc {
+                break;
+            }
+            self.scope.open.pop();
+            match opened {
+                // The engine unbinds a loop's variable when it exits.
+                Opened::Loop(var) => {
+                    self.scope.vars.remove(&var);
+                }
+                Opened::Then => {
+                    self.scope.facts.pop();
+                }
+            }
+        }
+    }
+
+    /// Enter a loop over `var` whose `LoopEnd` is at `close`.
+    fn open_loop(&mut self, var: usize, count: &Expr, close: usize) {
+        // `count` is evaluated before `var` is bound.
+        let range = self.interval(count).and_then(|c| Interval::below(c.hi));
+        if let Some(r) = range.filter(|_| !self.scope.reused.contains(&var)) {
+            self.scope.vars.insert(var, r);
+        }
+        self.scope.open.push((close, Opened::Loop(var)));
+    }
+
+    /// Enter the then-block of `cond`, closed by the `Jump` at `close`.
+    /// Inside it the condition held when the branch was taken, and its
+    /// left operand still has that value: an operand lowering can bound
+    /// reads only variables one `LoopStart` binds, which is the enclosing
+    /// loop's, not one inside the then-block. (Where that loop does not
+    /// enclose the branch, the variable is unbound and the branch fails.)
+    fn open_then(&mut self, cond: &Cond, close: usize) {
+        let (x, bound) = match cond {
+            Cond::Lt(x, y) => (
+                x,
+                self.interval(y).and_then(|y| {
+                    Some(Interval {
+                        lo: i64::MIN,
+                        hi: y.hi.checked_sub(1)?,
+                    })
+                }),
+            ),
+            Cond::Ge(x, y) => (
+                x,
+                self.interval(y).map(|y| Interval {
+                    lo: y.lo,
+                    hi: i64::MAX,
+                }),
+            ),
+            Cond::Eq(x, y) => (x, self.interval(y)),
+        };
+        self.scope.facts.push((x.clone(), bound));
+        self.scope.open.push((close, Opened::Then));
+    }
+
     /// Reset the value-numbering scope; registers are reused across
     /// instructions (each instruction's prelude fully defines the
     /// registers it reads).
     fn begin_instr(&mut self) {
         self.cse.clear();
         self.next_reg = 0;
+        self.fits = true;
+    }
+
+    /// Mark all of the instruction's `slices` proven if every one fits
+    /// its object, and count the instruction unproven otherwise.
+    fn seal<'s>(&mut self, slices: impl IntoIterator<Item = &'s mut BcSlice>) {
+        if !self.fits {
+            self.unproven += 1;
+            return;
+        }
+        for s in slices {
+            s.proven = true;
+        }
     }
 
     fn alloc_reg(&mut self) -> u32 {
@@ -371,13 +611,36 @@ impl Lower<'_> {
         r
     }
 
-    fn lower_flat(&mut self, f: &Flat<'_>) -> Result<BcInstr, SimError> {
-        Ok(match f {
+    /// Lower a role's flat program, position by position in order, so
+    /// the scope tracks the loops and then-blocks enclosing each.
+    fn lower_role(&mut self, flat: &[Flat<'_>]) -> Result<Vec<BcInstr>, SimError> {
+        // Every role starts with no loop variable bound; `reused` is each
+        // id a second `LoopStart` binds.
+        let mut bound = HashSet::new();
+        self.scope = Scope {
+            reused: flat
+                .iter()
+                .filter_map(|f| match f {
+                    Flat::LoopStart { var, .. } => (!bound.insert(*var)).then_some(*var),
+                    _ => None,
+                })
+                .collect(),
+            ..Scope::default()
+        };
+        (0..flat.len())
+            .map(|pc| self.lower_flat(flat, pc))
+            .collect()
+    }
+
+    fn lower_flat(&mut self, flat: &[Flat<'_>], pc: usize) -> Result<BcInstr, SimError> {
+        self.close_scopes(pc);
+        Ok(match &flat[pc] {
             Flat::Op(instr) => BcInstr::Op(self.lower_op(instr)?),
             Flat::LoopStart { var, count, end } => {
                 self.begin_instr();
                 let mut pre = Vec::new();
                 let val = self.emit(count, &mut pre);
+                self.open_loop(*var, count, end - 1);
                 BcInstr::LoopStart {
                     var: *var,
                     count: SVal { pre, val },
@@ -405,6 +668,7 @@ impl Lower<'_> {
                         (CondKind::Eq, a, b)
                     }
                 };
+                self.open_then(cond, else_target - 1);
                 BcInstr::Branch {
                     cond: BcCond { pre, kind, a, b },
                     else_target: *else_target,
@@ -419,8 +683,9 @@ impl Lower<'_> {
         self.begin_instr();
         Ok(match instr {
             Instr::TmaLoad { src, dst, bar } => {
-                let src = self.lower_slice(src)?;
-                let dst = self.lower_slice(dst)?;
+                let mut src = self.lower_slice(src)?;
+                let mut dst = self.lower_slice(dst)?;
+                self.seal([&mut src, &mut dst]);
                 let bytes = self.slice_bytes(&src)?;
                 BcOp::TmaLoad {
                     src,
@@ -430,8 +695,9 @@ impl Lower<'_> {
                 }
             }
             Instr::CpAsyncLoad { src, dst, bar } => {
-                let src = self.lower_slice(src)?;
-                let dst = self.lower_slice(dst)?;
+                let mut src = self.lower_slice(src)?;
+                let mut dst = self.lower_slice(dst)?;
+                self.seal([&mut src, &mut dst]);
                 let bytes = self.slice_bytes(&src)?;
                 BcOp::CpAsyncLoad {
                     src,
@@ -441,8 +707,9 @@ impl Lower<'_> {
                 }
             }
             Instr::TmaStore { src, dst } => {
-                let src = self.lower_slice(src)?;
-                let dst = self.lower_slice(dst)?;
+                let mut src = self.lower_slice(src)?;
+                let mut dst = self.lower_slice(dst)?;
+                self.seal([&mut src, &mut dst]);
                 let bytes = self.slice_bytes(&src)?;
                 BcOp::TmaStore { src, dst, bytes }
             }
@@ -456,9 +723,10 @@ impl Lower<'_> {
                 accumulate,
                 transpose_b,
             } => {
-                let a = self.lower_slice(a)?;
-                let b = self.lower_slice(b)?;
-                let acc = self.lower_slice(acc)?;
+                let mut a = self.lower_slice(a)?;
+                let mut b = self.lower_slice(b)?;
+                let mut acc = self.lower_slice(acc)?;
+                self.seal([&mut a, &mut b, &mut acc]);
                 let a_elems = a.rows.checked_mul(a.cols).ok_or_else(|| overflow(&a))?;
                 // Same expression shape as the walk: 2 * |A| * N, left to
                 // right in f64, so the value is bit-identical.
@@ -483,7 +751,8 @@ impl Lower<'_> {
                 for s in op.sources() {
                     srcs.push(self.lower_slice(s)?);
                 }
-                let dst = self.lower_slice(op.dst())?;
+                let mut dst = self.lower_slice(op.dst())?;
+                self.seal(srcs.iter_mut().chain([&mut dst]));
                 let cost = self.simt_cost(op, &srcs, &dst)?;
                 BcOp::Simt {
                     op: op.clone(),
@@ -528,6 +797,11 @@ impl Lower<'_> {
         let stage = self.emit(&s.stage, &mut pre);
         let row0 = self.emit(&s.row0, &mut pre);
         let col0 = self.emit(&s.col0, &mut pre);
+        let within =
+            |e: &Expr, extent, bound| self.interval(e).is_some_and(|i| i.fits(extent, bound));
+        self.fits &= within(&s.stage, 1, stages)
+            && within(&s.row0, s.rows, prows)
+            && within(&s.col0, s.cols, pcols);
         let mut lowered = BcSlice {
             mem: s.mem,
             pre,
@@ -540,6 +814,7 @@ impl Lower<'_> {
             pcols,
             stages,
             fixed: None,
+            proven: false,
         };
         if let (true, Scalar::Imm(stage), Scalar::Imm(row0), Scalar::Imm(col0)) =
             (lowered.pre.is_empty(), stage, row0, col0)
@@ -637,6 +912,20 @@ impl Lower<'_> {
             if let Some(v) = folded {
                 return Scalar::Imm(v);
             }
+        }
+        // `x·1`, `1·x`, `x+0`, `0+x` and `x−0` are `x` (two immediates
+        // folded above) — unless `x` reads a variable: that read can raise
+        // `UnboundVar`, and dropping the op that makes it would let a
+        // later `CheckDiv` fire first.
+        let identity = match (kind, sa, sb) {
+            (ArithKind::Mul, x, Scalar::Imm(1))
+            | (ArithKind::Mul, Scalar::Imm(1), x)
+            | (ArithKind::Add | ArithKind::Sub, x, Scalar::Imm(0))
+            | (ArithKind::Add, Scalar::Imm(0), x) => Some(x),
+            _ => None,
+        };
+        if let Some(x @ (Scalar::Block(_) | Scalar::Reg(_))) = identity {
+            return x;
         }
         let dst = self.alloc_reg();
         pre.push(match kind {
@@ -776,12 +1065,7 @@ mod tests {
 
     /// Lower one expression as an SVal (fresh instruction scope).
     fn lower_expr(kernel: &Kernel, e: &Expr) -> (SVal, usize) {
-        let mut ctx = Lower {
-            kernel,
-            cse: HashMap::new(),
-            next_reg: 0,
-            max_regs: 0,
-        };
+        let mut ctx = Lower::new(kernel);
         ctx.begin_instr();
         let mut pre = Vec::new();
         let val = ctx.emit(e, &mut pre);
@@ -859,6 +1143,52 @@ mod tests {
             .filter(|op| matches!(op, IdxOp::Mul { .. }))
             .count();
         assert_eq!(muls, 2, "bx*128 emitted once, *2 once: {:?}", sval.pre);
+    }
+
+    /// The A tile of the compiled 4096³ GEMM, as the compiler writes its
+    /// origin — `(0 + ((bx·1 + 0)·128)) + 0·128` rows, `(0 + 0·4096) +
+    /// (i0·1 + 0)·64` columns — lowers to three operations, not nine.
+    #[test]
+    fn identities_fold_out_of_the_gemm_a_tile() {
+        let kernel = pipelined_kernel();
+        let (bx, i0, lit) = (Expr::block_x, || Expr::var(0), Expr::lit);
+        let row0 = (lit(0) + (bx() * 1 + 0) * 128) + lit(0) * 128;
+        let col0 = (lit(0) + lit(0) * 4096) + (i0() * 1 + 0) * 64;
+        let tile = Slice::param(1).at(row0, col0).extent(32, 16);
+        let s = Lower::new(&kernel).lower_slice(&tile).unwrap();
+        assert_eq!(
+            s.pre,
+            [
+                IdxOp::Mul {
+                    dst: 0,
+                    a: Scalar::Block(0),
+                    b: Scalar::Imm(128)
+                },
+                // `i0·1` stays: it is the read that raises `UnboundVar`.
+                IdxOp::Mul {
+                    dst: 1,
+                    a: Scalar::Var(0),
+                    b: Scalar::Imm(1)
+                },
+                IdxOp::Mul {
+                    dst: 2,
+                    a: Scalar::Reg(1),
+                    b: Scalar::Imm(64)
+                },
+            ]
+        );
+        assert_eq!((s.row0, s.col0), (Scalar::Reg(0), Scalar::Reg(2)));
+    }
+
+    /// Folding `i9·1` to a bare read of `i9` would let the divisor's
+    /// check, emitted first, fire ahead of the walk's `UnboundVar`.
+    #[test]
+    fn identity_folds_keep_error_precedence() {
+        let env = Env::for_block([0, 0, 0]);
+        let e = Expr::var(9) * 1 + Expr::lit(5) / 0;
+        let (walk, vm) = eval_both(&e, &env);
+        assert_eq!(walk, Err(EvalError::UnboundVar(9)));
+        assert_eq!(vm, walk);
     }
 
     /// A small pipelined kernel exercising every control construct: a DMA
@@ -977,15 +1307,7 @@ mod tests {
     #[test]
     fn launch_constant_slices_are_resolved_at_lowering() {
         let mut kernel = pipelined_kernel();
-        let lower_slice = |kernel: &Kernel, s: &Slice| {
-            let mut ctx = Lower {
-                kernel,
-                cse: HashMap::new(),
-                next_reg: 0,
-                max_regs: 0,
-            };
-            ctx.lower_slice(s).unwrap()
-        };
+        let lower_slice = |kernel: &Kernel, s: &Slice| Lower::new(kernel).lower_slice(s).unwrap();
         let whole = lower_slice(&kernel, &Slice::frag(0).extent(32, 32));
         let r = whole.fixed.expect("literal origin, in bounds");
         assert_eq!((r.stage, r.row0, r.col0, r.rows, r.cols), (0, 0, 0, 32, 32));
@@ -1009,6 +1331,213 @@ mod tests {
         kernel.frags[0].rows = 16;
         let shrunk = lower_slice(&kernel, &Slice::frag(0).extent(32, 32));
         assert_eq!(shrunk.fixed, None);
+    }
+
+    // ---- proofs ----------------------------------------------------------
+    //
+    // One role over a two-block grid, `A` (`T·R x C`), the two-stage `S`
+    // and the fragment `F`; each test counts what lowering leaves
+    // unproven.
+
+    const R: i64 = 8;
+    const T: i64 = 4;
+
+    fn lowered(body: Vec<Instr>) -> Program {
+        use crate::kernel::RoleKind;
+        use cypress_tensor::DType;
+        let mut b = crate::KernelBuilder::new("proofs", [2, 1, 1]);
+        b.param("A", (T * R) as usize, 8, DType::F16);
+        b.smem("S", R as usize, 8, DType::F16, 2);
+        b.frag("F", R as usize, 8);
+        b.role(RoleKind::Compute(0), body);
+        lower(&b.build()).unwrap()
+    }
+
+    fn unproven(body: Vec<Instr>) -> usize {
+        lowered(body).unproven_ops()
+    }
+
+    /// Copy the tile of `A` at row `origin` into `F`.
+    fn load(origin: Expr) -> Instr {
+        Instr::Simt(SimtOp::Copy {
+            src: Slice::param(0).at(origin, 0).extent(R as usize, 8),
+            dst: Slice::frag(0).extent(R as usize, 8),
+        })
+    }
+
+    /// Copy stage `stage` of `S` into `F`.
+    fn load_stage(stage: Expr) -> Instr {
+        Instr::Simt(SimtOp::Copy {
+            src: Slice::smem(0).stage(stage).extent(R as usize, 8),
+            dst: Slice::frag(0).extent(R as usize, 8),
+        })
+    }
+
+    fn repeat(var: usize, count: i64, body: Vec<Instr>) -> Instr {
+        Instr::Loop {
+            var,
+            count: Expr::lit(count),
+            body,
+        }
+    }
+
+    fn when(cond: Cond, then_: Vec<Instr>) -> Instr {
+        Instr::If {
+            cond,
+            then_,
+            else_: vec![],
+        }
+    }
+
+    #[test]
+    fn origins_are_proven_up_to_the_bound_and_no_further() {
+        let v = || Expr::var(0);
+        for (off, want) in [(0, 0), (1, 1), (-1, 1)] {
+            assert_eq!(
+                unproven(vec![repeat(0, T, vec![load(v() * R + off)])]),
+                want
+            );
+            // Blocks range over the grid: `bx <= 1`.
+            assert_eq!(
+                unproven(vec![load(Expr::block_x() * (T * R - R) + off)]),
+                want
+            );
+        }
+        assert_eq!(unproven(vec![repeat(0, T, vec![load_stage(v() % 2)])]), 0);
+        assert_eq!(unproven(vec![repeat(0, T, vec![load_stage(v() % 3)])]), 1);
+        // Proven or not, the mark is the instruction's: a slice's prelude
+        // may read a register another slice's prelude wrote.
+        let copy = |off| {
+            repeat(
+                0,
+                T,
+                vec![Instr::Simt(SimtOp::Copy {
+                    src: Slice::frag(0).at(v() / T, 0).extent(R as usize, 8),
+                    dst: Slice::param(0).at(v() * R + off, 0).extent(R as usize, 8),
+                })],
+            )
+        };
+        assert_eq!(unproven(vec![copy(0)]), 0);
+        let program = lowered(vec![copy(1)]);
+        let BcInstr::Op(BcOp::Simt { srcs, dst, .. }) = &program.roles[0][1] else {
+            panic!("the copy follows the loop header");
+        };
+        assert!(!srcs[0].proven && !dst.proven);
+        assert_eq!(program.unproven_ops(), 1);
+        let program = lowered(vec![copy(0)]);
+        let BcInstr::Op(BcOp::Simt { srcs, dst, .. }) = &program.roles[0][1] else {
+            panic!("the copy follows the loop header");
+        };
+        assert!(srcs[0].proven && dst.proven);
+    }
+
+    #[test]
+    fn guards_bound_their_left_operand_inside_the_then_block() {
+        let v = || Expr::var(0);
+        for (past, want) in [(0, 0), (1, 1)] {
+            let lt = when(
+                Cond::Lt(v() + 1, Expr::lit(T + past)),
+                vec![load((v() + 1) * R)],
+            );
+            let ge = when(
+                Cond::Ge(v() - 1, Expr::lit(-past)),
+                vec![load((v() - 1) * R)],
+            );
+            let eq = when(
+                Cond::Eq(v(), Expr::lit(past)),
+                vec![load((v() + T - 1) * R)],
+            );
+            for guarded in [lt, ge, eq] {
+                assert_eq!(unproven(vec![repeat(0, T, vec![guarded])]), want);
+            }
+        }
+        // Neither behind the then-block nor in the else-block.
+        let behind = vec![
+            when(Cond::Lt(v() + 1, Expr::lit(T)), vec![]),
+            load((v() + 1) * R),
+        ];
+        let otherwise = Instr::If {
+            cond: Cond::Lt(v() + 1, Expr::lit(T)),
+            then_: vec![],
+            else_: vec![load((v() + 1) * R)],
+        };
+        assert_eq!(unproven(vec![repeat(0, T, behind)]), 1);
+        assert_eq!(unproven(vec![repeat(0, T, vec![otherwise])]), 1);
+        // Nor over an operand reading a variable a nested loop rebinds.
+        let rebound = when(
+            Cond::Lt(v(), Expr::lit(1)),
+            vec![repeat(0, T, vec![load(v() * R + (T - 1) * R)])],
+        );
+        assert_eq!(unproven(vec![repeat(0, T, vec![rebound])]), 1);
+    }
+
+    #[test]
+    fn only_positive_constant_divisors_are_bounded() {
+        let v = || Expr::var(0);
+        for (d, want) in [(2, 0), (0, 1), (-2, 1)] {
+            assert_eq!(
+                unproven(vec![repeat(0, T, vec![load_stage(v() % d)])]),
+                want
+            );
+            assert_eq!(
+                unproven(vec![repeat(0, T, vec![load(v() * R * 2 / d)])]),
+                want
+            );
+        }
+        // In bounds — `-v·R + (T - 1)·R` — but not proven.
+        let negated = v() * R * 2 / -2 + (T - 1) * R;
+        assert_eq!(unproven(vec![repeat(0, T, vec![load(negated)])]), 1);
+        assert_eq!(
+            unproven(vec![repeat(0, T, vec![load_stage(v() % (v() + 2))])]),
+            1
+        );
+    }
+
+    #[test]
+    fn zero_trip_loops_bind_nothing() {
+        for (trips, want) in [(1, 0), (0, 1), (-1, 1)] {
+            assert_eq!(
+                unproven(vec![repeat(1, trips, vec![load(Expr::var(1) * R)])]),
+                want
+            );
+        }
+        // Skipped, a nested loop reusing `v` leaves it bound; lowering
+        // proves nothing that reads a variable two loops bind.
+        let after = vec![repeat(0, 0, vec![]), load(Expr::var(0) * R)];
+        assert_eq!(unproven(vec![repeat(0, T, after)]), 1);
+    }
+
+    #[test]
+    fn a_variable_two_loops_bind_is_never_bounded() {
+        let read = || load(Expr::var(0) * R);
+        for body in [
+            // Behind a nested loop reusing `v`, `v` is unbound.
+            vec![repeat(0, T, vec![repeat(0, 1, vec![]), read()])],
+            // Ahead of it too, from the second iteration of a loop in
+            // between.
+            vec![repeat(
+                0,
+                T,
+                vec![repeat(1, 2, vec![read(), repeat(0, 1, vec![])])],
+            )],
+            // And where a later loop over `v` cannot touch it.
+            vec![repeat(0, T, vec![read()]), repeat(0, T, vec![])],
+        ] {
+            assert_eq!(unproven(body), 1);
+        }
+        assert_eq!(unproven(vec![repeat(0, T, vec![read()])]), 0);
+    }
+
+    #[test]
+    fn unbound_and_overflowing_origins_are_not_proven() {
+        assert_eq!(unproven(vec![load(Expr::var(5) * R)]), 1);
+        // Behind its loop, a variable is unbound.
+        let behind = vec![repeat(0, T, vec![]), load(Expr::var(0) * R)];
+        assert_eq!(unproven(behind), 1);
+        // In bounds once the VM wraps, but no interval says so.
+        let wraps = (Expr::block_x() + i64::MAX) - i64::MAX;
+        assert_eq!(unproven(vec![load(wraps)]), 1);
+        assert_eq!(unproven(vec![load(Expr::block_x() * i64::MAX * 2)]), 1);
     }
 
     #[test]

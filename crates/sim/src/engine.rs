@@ -8,7 +8,10 @@
 //! - **Timing**: only the busiest SM's share of CTAs is simulated and data
 //!   is not touched; the discrete-event schedule (TMA queues, Tensor Core
 //!   occupancy, mbarrier phases, bandwidth contention) produces the launch
-//!   makespan. Used by the benchmark harness at paper-scale sizes.
+//!   makespan. Used by the benchmark harness at paper-scale sizes. Slice
+//!   origins are evaluated only where lowering could not prove them in
+//!   bounds (see `BcSlice::proven`): the rest can neither fail nor matter
+//!   when no data moves.
 //!
 //! Hardware units are modelled as *fluid FIFO queues*: a reservation of
 //! `amount` work on a queue with rate `r` completes no earlier than the
@@ -798,7 +801,7 @@ impl<'k> Engine<'k> {
     /// yielded (scheduled a resume or blocked); `false` if it completed
     /// inline. Byte counts, flop counts, and SIMT costs come pre-computed
     /// from the [`Program`], so only slice origins are evaluated per
-    /// invocation.
+    /// invocation — in a timing run, only those lowering left unproven.
     fn execute(&mut self, exec_id: usize, op: &'k BcOp) -> Result<bool, SimError> {
         match op {
             BcOp::TmaLoad {
@@ -863,8 +866,9 @@ impl<'k> Engine<'k> {
                 dst,
                 cost,
             } => {
-                // Every source resolves (and so bounds-checks) in both
-                // modes; only a functional run keeps the result.
+                // A timing run resolves (and so bounds-checks) only what
+                // lowering left unproven; only a functional run keeps the
+                // result.
                 let keep = self.data.is_some();
                 let mut rsrcs = Vec::new();
                 for s in srcs {
@@ -1134,12 +1138,25 @@ impl<'k> Engine<'k> {
     }
 
     /// Resolve a lowered slice. One that lowering already resolved (see
-    /// [`BcSlice::fixed`]) is returned as is; otherwise run the index
-    /// prelude, read the origin scalars, and bounds-check against the
-    /// extents baked in at lowering time.
+    /// [`BcSlice::fixed`]) is returned as is. A timing run drops what it
+    /// resolves, so it evaluates nothing of a slice lowering proved in
+    /// bounds ([`BcSlice::proven`]) and gets a placeholder at the
+    /// object's origin. Otherwise run the index prelude, read the origin
+    /// scalars, and bounds-check against the extents baked in at
+    /// lowering time.
     fn resolve(&mut self, exec_id: usize, s: &BcSlice) -> Result<RSlice, SimError> {
         if let Some(r) = s.fixed {
             return Ok(r);
+        }
+        if s.proven && self.data.is_none() {
+            return Ok(RSlice {
+                mem: s.mem,
+                stage: 0,
+                row0: 0,
+                col0: 0,
+                rows: s.rows,
+                cols: s.cols,
+            });
         }
         let env = &self.execs[exec_id].env;
         let origin = bytecode::run_pre(&mut self.idx_regs, env, &s.pre).and_then(|()| {
@@ -1149,8 +1166,20 @@ impl<'k> Engine<'k> {
                 bytecode::read_scalar(&self.idx_regs, env, s.col0)?,
             ))
         });
-        let (stage, row0, col0) = origin.map_err(|e| self.eval_err(exec_id, e))?;
-        s.at(stage, row0, col0)
+        let resolved = origin
+            .map_err(|e| self.eval_err(exec_id, e))
+            .and_then(|(stage, row0, col0)| s.at(stage, row0, col0));
+        match resolved {
+            // A timing run would have skipped this resolve.
+            Err(e) if s.proven => Err(SimError::Internal {
+                what: format!(
+                    "bytecode lowering proved a {}x{} slice of {:?} in bounds, so a timing \
+                     run skips resolving it, but the proof was wrong: {e}",
+                    s.rows, s.cols, s.mem
+                ),
+            }),
+            r => r,
+        }
     }
 
     // ---- functional data application -------------------------------------

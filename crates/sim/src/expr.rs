@@ -103,8 +103,9 @@ impl Expr {
         }
     }
 
-    /// `true` if the expression references any loop variable (used by the
-    /// engine's static pre-pass, which requires launch-constant trip counts).
+    /// `true` if the expression references any loop variable (used by
+    /// [`crate::Kernel::validate`], which rejects a loop trip count that
+    /// does with `KernelError::DynamicTripCount`).
     #[must_use]
     pub fn references_vars(&self) -> bool {
         match self {

@@ -11,9 +11,10 @@
 //! dev-dependencies).
 #![cfg(feature = "scalar-oracle")]
 
+use cypress_sim::expr::EvalError;
 use cypress_sim::{
-    bytecode, BinOp, Cond, Expr, Instr, KernelBuilder, MachineConfig, RedOp, RoleKind, SimtOp,
-    Simulator, Slice, UnOp,
+    bytecode, BinOp, Cond, Expr, Instr, KernelBuilder, MachineConfig, RedOp, RoleKind, SimError,
+    SimtOp, Simulator, Slice, UnOp,
 };
 use cypress_tensor::{DType, Tensor};
 use proptest::prelude::*;
@@ -22,11 +23,139 @@ use rand::{Rng, SeedableRng};
 
 const DTYPES: [DType; 3] = [DType::F16, DType::BF16, DType::F32];
 
+/// What a hazard may touch of the random kernel: the input `pa`
+/// (`rows * trips` rows), the output `po` (`rows` per block), the staged
+/// buffer `s` (`pipe` stages), the fragment `f`, and the main loop's
+/// variable `v` (`trips` iterations), in whose body hazards run.
+struct Hazards {
+    pa: usize,
+    po: usize,
+    s: usize,
+    f: usize,
+    v: usize,
+    rows: usize,
+    cols: usize,
+    trips: i64,
+    pipe: usize,
+}
+
+impl Hazards {
+    /// Copy the `rows x cols` tile of parameter `p` at row `origin` into
+    /// the fragment.
+    fn load(&self, p: usize, origin: Expr) -> Instr {
+        Instr::Simt(SimtOp::Copy {
+            src: Slice::param(p).at(origin, 0).extent(self.rows, self.cols),
+            dst: Slice::frag(self.f).extent(self.rows, self.cols),
+        })
+    }
+
+    /// One construct bytecode lowering must bound exactly or decline to
+    /// prove: an origin at its object's bound, one past it or negative; a
+    /// guard at the bound or one past it; a zero, negative or positive
+    /// divisor; a zero-trip loop; a nested loop reusing the main loop's
+    /// variable; a read behind a loop, or behind a guard, that the read
+    /// needs. Some fail at run time, and every run must fail alike.
+    fn draw(&self, rng: &mut StdRng, b: &mut KernelBuilder) -> Vec<Instr> {
+        let (v, rows, trips) = (Expr::var(self.v), self.rows as i64, self.trips);
+        let off = rng.gen_range(-1i64..2);
+        let past = rng.gen_range(0i64..2);
+        let zero_trip = rng.gen_range(-1i64..2);
+        match rng.gen_range(0usize..11) {
+            0 => vec![self.load(self.pa, v * rows + off)],
+            1 => vec![self.load(self.po, Expr::block_x() * rows + off)],
+            2 => vec![Instr::If {
+                cond: Cond::Lt(v.clone() + 1, Expr::lit(trips + past)),
+                then_: vec![self.load(self.pa, (v + 1) * rows)],
+                else_: vec![],
+            }],
+            3 => vec![Instr::If {
+                cond: Cond::Ge(v.clone() - 1, Expr::lit(-past)),
+                then_: vec![self.load(self.pa, (v - 1) * rows)],
+                else_: vec![],
+            }],
+            4 => vec![Instr::If {
+                cond: Cond::Eq(v.clone(), Expr::lit(0)),
+                then_: vec![self.load(self.pa, (v + trips - 1 + past) * rows)],
+                else_: vec![],
+            }],
+            5 => {
+                let pipe = self.pipe as i64;
+                let divisor = [0, -pipe, pipe][rng.gen_range(0usize..3)];
+                vec![
+                    Instr::Simt(SimtOp::Copy {
+                        src: Slice::smem(self.s)
+                            .stage(v.clone() % divisor)
+                            .extent(self.rows, self.cols),
+                        dst: Slice::frag(self.f).extent(self.rows, self.cols),
+                    }),
+                    self.load(
+                        self.pa,
+                        (v * rows * 2) / [0, -2, 2][rng.gen_range(0usize..3)],
+                    ),
+                ]
+            }
+            6 => {
+                let w = b.fresh_var();
+                vec![Instr::Loop {
+                    var: w,
+                    count: Expr::lit(zero_trip),
+                    body: vec![self.load(self.pa, Expr::var(w) * rows)],
+                }]
+            }
+            // Reusing `v` unbinds it on exit — unless the loop never ran.
+            7 => vec![
+                Instr::Loop {
+                    var: self.v,
+                    count: Expr::lit(zero_trip),
+                    body: vec![self.load(self.pa, v.clone() * rows)],
+                },
+                self.load(self.pa, v * rows),
+            ],
+            // A loop's variable is unbound behind it.
+            8 => {
+                let w = b.fresh_var();
+                vec![
+                    Instr::Loop {
+                        var: w,
+                        count: Expr::lit(1),
+                        body: vec![],
+                    },
+                    self.load(self.pa, Expr::var(w) * rows),
+                ]
+            }
+            // A guard says nothing behind its then-block.
+            9 => vec![
+                Instr::If {
+                    cond: Cond::Lt(v.clone() + 1, Expr::lit(trips)),
+                    then_: vec![],
+                    else_: vec![],
+                },
+                self.load(self.pa, (v + 1) * rows),
+            ],
+            // ... and from the second iteration of an enclosing loop on,
+            // also ahead of the nested loop.
+            _ => vec![Instr::Loop {
+                var: b.fresh_var(),
+                count: Expr::lit(2),
+                body: vec![
+                    self.load(self.pa, v * rows),
+                    Instr::Loop {
+                        var: self.v,
+                        count: Expr::lit(zero_trip),
+                        body: vec![],
+                    },
+                ],
+            }],
+        }
+    }
+}
+
 /// Build a random single-role kernel: a pipelined TMA load loop feeding a
 /// random SIMT op mix (map/zip/row-reduce/row-broadcast over random
 /// sub-slices of shared memory and fragments), a data-dependent `If`, and
-/// a final copy-out into a per-block band of the output parameter.
-fn random_kernel_and_params(seed: u64) -> (cypress_sim::Kernel, Vec<Tensor>) {
+/// a final copy-out into a per-block band of the output parameter. With
+/// `hazard`, the loop body also carries one of the [`Hazards`].
+fn random_kernel_and_params(seed: u64, hazard: bool) -> (cypress_sim::Kernel, Vec<Tensor>) {
     let mut rng = StdRng::seed_from_u64(seed);
     let rows = rng.gen_range(1usize..13);
     let cols = rng.gen_range(1usize..13);
@@ -83,6 +212,23 @@ fn random_kernel_and_params(seed: u64) -> (cypress_sim::Kernel, Vec<Tensor>) {
             dst: Slice::frag(f).extent(rows, cols),
         }),
     ];
+    // Drawn from its own stream, so a seed's kernel is otherwise the one
+    // it is without the hazard.
+    if hazard {
+        let mut hazard_rng = StdRng::seed_from_u64(seed ^ 0x4A7A_4D5E);
+        let h = Hazards {
+            pa,
+            po,
+            s,
+            f,
+            v,
+            rows,
+            cols,
+            trips,
+            pipe,
+        };
+        body.extend(h.draw(&mut hazard_rng, &mut b));
+    }
     for _ in 0..rng.gen_range(1usize..4) {
         let op = match rng.gen_range(0usize..5) {
             0 => SimtOp::Map {
@@ -154,20 +300,44 @@ fn random_kernel_and_params(seed: u64) -> (cypress_sim::Kernel, Vec<Tensor>) {
 }
 
 /// Run a kernel through all three functional paths and assert the
-/// tensors and the simulated cycle count are bit-identical.
-fn assert_three_way(kernel: &cypress_sim::Kernel, params: Vec<Tensor>) {
+/// tensors and the simulated cycle count are bit-identical, or that all
+/// fail with the same error. No run, timing runs included, may fail with
+/// [`SimError::Internal`]: a functional run reports that way a slice
+/// that lowering proved in bounds — so that a timing run skips resolving
+/// it — but that failed to resolve. Returns the functional outcome.
+fn assert_three_way(kernel: &cypress_sim::Kernel, params: Vec<Tensor>) -> Result<(), SimError> {
     let sim = Simulator::new(MachineConfig::test_gpu());
-    let byte = sim.run_functional(kernel, params.clone()).unwrap();
-    let walk = sim.run_functional_walk(kernel, params.clone()).unwrap();
-    let scalar = sim.run_functional_scalar(kernel, params.clone()).unwrap();
-    // The pre-lowered artifact path (what the runtime's kernel cache
-    // replays) must match the internal lowering exactly.
     let program = bytecode::lower(kernel).unwrap();
-    let cached = sim
-        .run_functional_lowered(kernel, &program, params)
-        .unwrap();
+    let byte = sim.run_functional(kernel, params.clone());
+    let others = [
+        ("walk", sim.run_functional_walk(kernel, params.clone())),
+        ("scalar", sim.run_functional_scalar(kernel, params.clone())),
+        // The pre-lowered artifact path (what the runtime's kernel cache
+        // replays) must match the internal lowering exactly.
+        (
+            "cached",
+            sim.run_functional_lowered(kernel, &program, params),
+        ),
+    ];
+    let timing = sim.run_timing_lowered(kernel, &program);
+    let internal = |e: &SimError| matches!(e, SimError::Internal { .. });
+    assert!(!byte.as_ref().is_err_and(internal), "bytecode: {byte:?}");
+    assert!(!timing.as_ref().is_err_and(internal), "timing: {timing:?}");
 
-    for (which, other) in [("walk", &walk), ("scalar", &scalar), ("cached", &cached)] {
+    for (which, other) in &others {
+        assert!(!other.as_ref().is_err_and(internal), "{which}: {other:?}");
+        let (byte, other) = match (&byte, other) {
+            (Ok(byte), Ok(other)) => (byte, other),
+            (Err(x), Err(y)) => {
+                assert_eq!(x, y, "bytecode vs {which}: errors diverge");
+                continue;
+            }
+            (x, y) => panic!(
+                "bytecode vs {which}: {:?} vs {:?}",
+                x.as_ref().err(),
+                y.as_ref().err()
+            ),
+        };
         assert_eq!(
             byte.report.cycles.to_bits(),
             other.report.cycles.to_bits(),
@@ -184,6 +354,11 @@ fn assert_three_way(kernel: &cypress_sim::Kernel, params: Vec<Tensor>) {
             }
         }
     }
+    // A timing run simulates a subset of the CTAs a functional run does.
+    if byte.is_ok() {
+        assert!(timing.is_ok(), "times: {timing:?}");
+    }
+    byte.map(drop)
 }
 
 proptest! {
@@ -191,7 +366,42 @@ proptest! {
     /// random kernels over random shapes, dtypes, and sub-slices.
     #[test]
     fn three_paths_agree_bitwise_on_random_kernels(seed in 0u64..1_000_000) {
-        let (kernel, params) = random_kernel_and_params(seed);
-        assert_three_way(&kernel, params);
+        let (kernel, params) = random_kernel_and_params(seed, false);
+        assert_three_way(&kernel, params).unwrap();
     }
+
+    /// The same kernels with a hazard spliced in agree bitwise where they
+    /// run, and fail alike — never with `SimError::Internal` — where they
+    /// do not.
+    #[test]
+    fn paths_fail_alike_on_hazards(seed in 0u64..1_000_000) {
+        let (kernel, params) = random_kernel_and_params(seed, true);
+        let _ = assert_three_way(&kernel, params);
+    }
+}
+
+/// The hazards do what they are there for: over a fixed run of seeds,
+/// kernels run clean and fail with each error they can raise.
+#[test]
+fn hazards_fail_every_way_they_can() {
+    let mut seen = [false; 5];
+    for seed in 0..256 {
+        let (kernel, params) = random_kernel_and_params(seed, true);
+        let i = match assert_three_way(&kernel, params) {
+            Ok(()) => 0,
+            Err(SimError::OutOfBounds { what }) if what.starts_with("negative") => 1,
+            Err(SimError::OutOfBounds { .. }) => 2,
+            Err(SimError::Eval {
+                source: EvalError::DivisionByZero,
+                ..
+            }) => 3,
+            Err(SimError::Eval {
+                source: EvalError::UnboundVar(_),
+                ..
+            }) => 4,
+            Err(e) => panic!("seed {seed}: {e}"),
+        };
+        seen[i] = true;
+    }
+    assert_eq!(seen, [true; 5], "ok, negative, past the bound, /0, unbound");
 }
