@@ -358,19 +358,31 @@ impl Family {
     }
 
     /// The entry tensors for an `m x n x k` problem.
+    ///
+    /// # Errors
+    ///
+    /// [`CompileError::Partition`] when the family has row-vector
+    /// accumulators, which hold one partial sum per `V`-wide block
+    /// column, and `V` is 0.
     pub(crate) fn entry_args(
         &self,
         m: usize,
         n: usize,
         k: usize,
         cfg: &GemmConfig,
-    ) -> Vec<EntryArg> {
+    ) -> Result<Vec<EntryArg>, CompileError> {
+        if cfg.v == 0 && !self.vec_accs.is_empty() {
+            return Err(CompileError::Partition(format!(
+                "`{}` tile V=0 leaves no partial-sum columns of N={n}",
+                self.task
+            )));
+        }
         let accs = self.accs.iter().map(|c| EntryArg::f16(*c, m, n));
         let partials = self.vec_accs.iter();
         let vecs = partials.map(|y| EntryArg::f16(*y, m, n / cfg.v));
         let rows = self.rows.iter().map(|a| EntryArg::f16(*a, m, k));
         let cols = self.cols.iter().map(|b| EntryArg::f16(*b, k, n));
-        accs.chain(vecs).chain(rows).chain(cols).collect()
+        Ok(accs.chain(vecs).chain(rows).chain(cols).collect())
     }
 
     /// Registry, mapping and entry arguments together.
@@ -380,7 +392,7 @@ impl Family {
         cfg: &GemmConfig,
     ) -> Result<(TaskRegistry, MappingSpec, Vec<EntryArg>), CompileError> {
         let mapping = MappingSpec::new(self.instances(cfg, None))?;
-        Ok((self.registry()?, mapping, self.entry_args(m, n, k, cfg)))
+        Ok((self.registry()?, mapping, self.entry_args(m, n, k, cfg)?))
     }
 }
 

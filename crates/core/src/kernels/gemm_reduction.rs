@@ -160,7 +160,7 @@ fn program(
     let mut instances = FAMILY.instances(cfg, None);
     let rsum_mems = vec![MemLevel::Register, MemLevel::Shared];
     instances.push(common::leaf_mapping("rsum", rsum_mems));
-    let args = FAMILY.entry_args(m, n, k, cfg);
+    let args = FAMILY.entry_args(m, n, k, cfg)?;
     Ok((reg, MappingSpec::new(instances)?, args))
 }
 

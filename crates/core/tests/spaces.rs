@@ -29,8 +29,8 @@
 //!
 //! The last part is the hostile-mapping table: a `MappingConfig` can
 //! come from a file (`MappingConfig::decode` ← a persisted tuning
-//! table), so no field value may panic `validate` or `estimate`, in
-//! either build profile.
+//! table), so no field value may panic `validate`, `estimate` or
+//! `build`, in either build profile.
 
 use cypress_core::kernels::attention::AttentionConfig;
 use cypress_core::kernels::gemm::GemmConfig;
@@ -215,9 +215,10 @@ fn unread(family: &str, field: &str, value: usize) -> bool {
 
 /// Every field of the honest default at a shape it fits, replaced in
 /// turn by 0, 2^40 and `usize::MAX`: `validate` answers with a typed
-/// error and `estimate` with `None` or a price — never a panic (the dev
-/// profile's overflow check) and never `Ok` off a wrapped product (the
-/// release profile). Then every extent of both pinned shapes, replaced
+/// error, `estimate` with `None` or a price and `build` with a program
+/// or a typed error — never a panic (the dev profile's overflow check)
+/// and never `Ok` off a wrapped product (the release profile). Then
+/// every extent of both pinned shapes, replaced
 /// in turn by 2^40 and 2^62: `validate`, `candidates`, `estimate` and
 /// `build` (at the default and at the first candidate) all return.
 #[test]
@@ -252,10 +253,11 @@ fn hostile_mapping_values_are_typed_errors() {
                 };
                 let verdict = space.validate(&machine, shape, &cfg);
                 let price = space.estimate(&machine, shape, &cfg);
+                let built = space.build(shape, &cfg);
                 let what = format!("{family} {shape} {}", cfg.encode());
                 if unread(family, field, value) {
                     assert_eq!(verdict, Ok(()), "{what}");
-                    assert!(space.build(shape, &cfg).is_ok(), "{what}");
+                    assert!(built.is_ok(), "{what}");
                     continue;
                 }
                 assert!(verdict.is_err(), "{what}: validated");

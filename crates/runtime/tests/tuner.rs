@@ -2,8 +2,11 @@
 //!
 //! 1. **Space soundness (property)**: for seeded random shapes over all
 //!    five paper kernels, *every* candidate the kernel's `MappingSpace`
-//!    emits compiles, and its functional output is bitwise identical to
-//!    the default mapping's — autotuning can never change results.
+//!    emits compiles, and its functional output through the runtime's
+//!    `Session` is bitwise identical to the default mapping's —
+//!    autotuning can never change results. (The workspace's
+//!    `tests/cross_crate.rs` checks the same over all ten families at the
+//!    compiler level.)
 //! 2. **Determinism**: two fresh sessions autotuning the same program
 //!    pick the same winner with the same cycle counts.
 //! 3. **Persistence**: tuning tables round-trip through their text

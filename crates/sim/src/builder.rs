@@ -29,7 +29,7 @@ use cypress_tensor::DType;
 ///     Instr::MbarWait { bar },
 /// ]);
 /// let kernel = b.build();
-/// assert_eq!(kernel.num_ctas(), 1);
+/// assert_eq!(kernel.grid, [1, 1, 1]);
 /// ```
 #[derive(Debug)]
 pub struct KernelBuilder {

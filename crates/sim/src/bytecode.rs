@@ -1,11 +1,11 @@
 //! Flat bytecode for the execution engine.
 //!
-//! Every launch of a kernel used to re-walk the instruction tree produced
-//! by [`crate::flatten`]: each slice origin re-evaluated its [`Expr`]
-//! tree, each device operation re-derived its byte and FLOP quantities,
-//! and each loop header re-interpreted its trip-count expression — per
-//! CTA, per iteration. [`lower`] performs that work **once per compiled
-//! kernel**, producing a [`Program`]: a flat instruction stream with
+//! A kernel's role bodies are trees of [`Instr`]s whose slice origins,
+//! loop trip counts and branch conditions are [`Expr`] trees. Rather
+//! than evaluate those trees and re-derive every byte and FLOP quantity
+//! per CTA and per iteration, [`lower`] does that work **once per
+//! compiled kernel**, producing a [`Program`]: a flat instruction stream
+//! with
 //!
 //! - index arithmetic compiled to a small register machine (`IdxOp`
 //!   preludes over virtual `i64` registers, constant-folded,
@@ -24,18 +24,17 @@
 //! - transfer bytes, WGMMA FLOPs and SIMT cost factors pre-computed with
 //!   overflow-checked arithmetic.
 //!
-//! The engine's dispatch loop then executes bytecode positions one-to-one
-//! with the walked program — same program counters, same evaluation
-//! order (a timing run skips only what cannot fail), same error messages
-//! — so a bytecode run is **bit-identical** to an IR-walk run in both
-//! data and simulated time. That contract is
-//! pinned by the three-way differential suites (scalar oracle vs fast
-//! IR-walk vs bytecode) and by the benchmark figures, which must
-//! regenerate bit-identically.
+//! Positions are one-to-one with the role's flattened program, so a
+//! program counter in an error context or a deadlock report names the
+//! flattened instruction. Index operations evaluate in [`Expr::eval`]'s
+//! order and fail with its errors where it would; this module's
+//! `vm_matches_expr_eval_*` tests hold the VM to it. A timing run skips
+//! only what cannot fail.
 //!
-//! Index registers use wrapping arithmetic (the VM never panics on
-//! overflow); division still reports [`EvalError::DivisionByZero`]
-//! exactly where the tree walk would.
+//! Index registers use wrapping arithmetic: the VM never panics on
+//! overflow, as [`Expr::eval`] does where overflow checks are on.
+//! Division still reports [`EvalError::DivisionByZero`] exactly where
+//! [`Expr::eval`] would.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
@@ -58,14 +57,14 @@ pub(crate) enum Scalar {
     /// Block index component (0 = x, 1 = y, 2 = z).
     Block(u8),
     /// Loop variable id, read through the executor's [`Env`] so unbound
-    /// uses fail exactly like the tree walk.
+    /// uses fail exactly like [`Expr::eval`].
     Var(usize),
     /// Virtual register written by an earlier [`IdxOp`] of the same
     /// instruction.
     Reg(u32),
 }
 
-/// One register-machine index operation. Arithmetic wraps (the walk's
+/// One register-machine index operation. Arithmetic wraps ([`Expr::eval`]'s
 /// release-mode behavior, made unconditional so the VM cannot panic);
 /// division and remainder use Euclidean semantics like [`Expr::eval`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,7 +80,7 @@ pub(crate) enum IdxOp {
     /// `dst = a.rem_euclid(b)`; `b == 0` raises division-by-zero.
     Mod { dst: u32, a: Scalar, b: Scalar },
     /// Raise division-by-zero if `b == 0`. Emitted between a divisor's
-    /// operations and a dividend's, replicating the tree walk's
+    /// operations and a dividend's, replicating [`Expr::eval`]'s
     /// divisor-first evaluation order so error precedence is identical.
     CheckDiv { b: Scalar },
 }
@@ -119,10 +118,11 @@ pub(crate) struct BcCond {
 /// and the owning object's bounds baked in from the kernel declarations.
 ///
 /// Each slice carries its **own** prelude (rather than one merged
-/// per-instruction prelude) because the walk resolves operand slices one
-/// at a time — evaluating, sign-checking and bounds-checking a source
-/// completely before touching the destination's expressions. Keeping that
-/// granularity preserves which error fires first when several would.
+/// per-instruction prelude) because the engine resolves operand slices
+/// one at a time, in operand order — evaluating, sign-checking and
+/// bounds-checking a source completely before touching the
+/// destination's expressions. Keeping that granularity fixes which error
+/// fires first when several would.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct BcSlice {
     pub(crate) mem: MemRef,
@@ -143,7 +143,7 @@ pub(crate) struct BcSlice {
     /// an origin [`BcSlice::at`] accepts. The engine returns it without
     /// evaluating anything. A constant origin that is *out of* bounds
     /// stays `None`, so the error is raised by the dynamic path when —
-    /// and only if — the instruction executes, exactly like the walk.
+    /// and only if — the instruction executes, in operand order.
     pub(crate) fixed: Option<RSlice>,
     /// Every resolve of this slice succeeds: lowering bounded each of
     /// the instruction's origins wherever it can run, and every slice of
@@ -204,9 +204,8 @@ impl BcSlice {
     }
 }
 
-/// Pre-computed cost factors of a SIMT operation, mirroring what the
-/// walk's `simt_cost` derives from resolved slices (all of it depends
-/// only on static extents and address spaces).
+/// Pre-computed cost factors of a SIMT operation (all of it depends only
+/// on static extents and address spaces).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct SimtCost {
     pub(crate) elems: f64,
@@ -275,8 +274,8 @@ pub(crate) enum BcOp {
 }
 
 /// One bytecode position. Mirrors [`Flat`] one-to-one — same indices,
-/// same jump targets — so program counters (and therefore error contexts
-/// and deadlock descriptions) are identical across frontends.
+/// same jump targets — so program counters in error contexts and
+/// deadlock descriptions name the flattened instruction.
 ///
 /// Real instruction streams are dominated by [`BcInstr::Op`], so boxing
 /// the large variant would put a pointer chase in the engine's hot
@@ -647,7 +646,7 @@ impl<'a> Lower<'a> {
                     end: *end,
                 }
             }
-            Flat::LoopEnd { .. } => BcInstr::LoopEnd,
+            Flat::LoopEnd => BcInstr::LoopEnd,
             Flat::Branch { cond, else_target } => {
                 self.begin_instr();
                 let mut pre = Vec::new();
@@ -728,8 +727,8 @@ impl<'a> Lower<'a> {
                 let mut acc = self.lower_slice(acc)?;
                 self.seal([&mut a, &mut b, &mut acc]);
                 let a_elems = a.rows.checked_mul(a.cols).ok_or_else(|| overflow(&a))?;
-                // Same expression shape as the walk: 2 * |A| * N, left to
-                // right in f64, so the value is bit-identical.
+                // 2 * |A| * N, left to right in f64: the timing golden
+                // digests pin the bits.
                 let flops = 2.0 * a_elems as f64 * acc.cols as f64;
                 let mut smem_bytes = self.slice_bytes(&b)?;
                 if a.mem.space() == Space::Shared {
@@ -793,7 +792,8 @@ impl<'a> Lower<'a> {
             }
         };
         let mut pre = Vec::new();
-        // Same order the walk resolves in: stage, then row, then column.
+        // The engine reads the origin in this order: stage, then row,
+        // then column.
         let stage = self.emit(&s.stage, &mut pre);
         let row0 = self.emit(&s.row0, &mut pre);
         let col0 = self.emit(&s.col0, &mut pre);
@@ -903,7 +903,7 @@ impl<'a> Lower<'a> {
         let sb = self.emit(b, pre);
         if let (Scalar::Imm(x), Scalar::Imm(y)) = (sa, sb) {
             // Fold only when exact: on overflow fall back to the runtime
-            // op (which wraps, the walk's release behavior).
+            // op (which wraps, `Expr::eval`'s release behavior).
             let folded = match kind {
                 ArithKind::Add => x.checked_add(y),
                 ArithKind::Sub => x.checked_sub(y),
@@ -937,9 +937,9 @@ impl<'a> Lower<'a> {
     }
 
     fn emit_divmod(&mut self, is_mod: bool, a: &Expr, b: &Expr, pre: &mut Vec<IdxOp>) -> Scalar {
-        // The walk evaluates the divisor first and zero-checks it before
-        // touching the dividend; replicate that order so a zero divisor
-        // outranks an unbound variable in the dividend.
+        // `Expr::eval` evaluates the divisor first and zero-checks it
+        // before touching the dividend; replicate that order so a zero
+        // divisor outranks an unbound variable in the dividend.
         let sb = self.emit(b, pre);
         let statically_nonzero = matches!(sb, Scalar::Imm(d) if d != 0);
         if !statically_nonzero {
@@ -999,7 +999,7 @@ pub(crate) fn read_scalar(regs: &[i64], env: &Env, s: Scalar) -> Result<i64, Eva
 
 /// Run an index-operation prelude over `regs`. Arithmetic wraps; division
 /// by zero and unbound variables surface as [`EvalError`] in the same
-/// order the tree walk raises them.
+/// order [`Expr::eval`] raises them.
 pub(crate) fn run_pre(regs: &mut [i64], env: &Env, ops: &[IdxOp]) -> Result<(), EvalError> {
     for op in ops {
         match *op {
@@ -1062,6 +1062,9 @@ pub(crate) fn eval_cond(regs: &mut [i64], env: &Env, c: &BcCond) -> Result<bool,
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::instr::{BinOp, UnOp};
+    use crate::kernel::RoleKind;
+    use cypress_tensor::{DType, Tensor};
 
     /// Lower one expression as an SVal (fresh instruction scope).
     fn lower_expr(kernel: &Kernel, e: &Expr) -> (SVal, usize) {
@@ -1084,7 +1087,7 @@ mod tests {
     }
 
     #[test]
-    fn vm_matches_tree_walk_on_arithmetic() {
+    fn vm_matches_expr_eval_on_arithmetic() {
         let mut env = Env::for_block([3, 5, 7]);
         env.bind(0, 11);
         let exprs = [
@@ -1096,28 +1099,28 @@ mod tests {
             Expr::lit(-1) % 3,
         ];
         for e in exprs {
-            let (walk, vm) = eval_both(&e, &env);
-            assert_eq!(walk, vm, "{e}");
+            let (eval, vm) = eval_both(&e, &env);
+            assert_eq!(eval, vm, "{e}");
         }
     }
 
     #[test]
-    fn vm_matches_tree_walk_on_errors() {
+    fn vm_matches_expr_eval_on_errors() {
         let env = Env::for_block([0, 0, 0]);
         // Unbound loop variable.
-        let (walk, vm) = eval_both(&(Expr::var(3) + 1), &env);
-        assert_eq!(walk, vm);
+        let (eval, vm) = eval_both(&(Expr::var(3) + 1), &env);
+        assert_eq!(eval, vm);
         assert_eq!(vm, Err(EvalError::UnboundVar(3)));
         // Division by a statically-zero divisor fires *before* the
-        // unbound dividend is touched — same precedence as the walk.
-        let (walk, vm) = eval_both(&(Expr::var(9) / 0), &env);
-        assert_eq!(walk, vm);
+        // unbound dividend is touched — same precedence as `Expr::eval`.
+        let (eval, vm) = eval_both(&(Expr::var(9) / 0), &env);
+        assert_eq!(eval, vm);
         assert_eq!(vm, Err(EvalError::DivisionByZero));
         // Runtime-zero divisor.
         let mut env = Env::for_block([0, 0, 0]);
         env.bind(0, 0);
-        let (walk, vm) = eval_both(&(Expr::lit(7) / Expr::var(0)), &env);
-        assert_eq!(walk, vm);
+        let (eval, vm) = eval_both(&(Expr::lit(7) / Expr::var(0)), &env);
+        assert_eq!(eval, vm);
         assert_eq!(vm, Err(EvalError::DivisionByZero));
     }
 
@@ -1181,24 +1184,20 @@ mod tests {
     }
 
     /// Folding `i9·1` to a bare read of `i9` would let the divisor's
-    /// check, emitted first, fire ahead of the walk's `UnboundVar`.
+    /// check, emitted first, fire ahead of `Expr::eval`'s `UnboundVar`.
     #[test]
     fn identity_folds_keep_error_precedence() {
         let env = Env::for_block([0, 0, 0]);
         let e = Expr::var(9) * 1 + Expr::lit(5) / 0;
-        let (walk, vm) = eval_both(&e, &env);
-        assert_eq!(walk, Err(EvalError::UnboundVar(9)));
-        assert_eq!(vm, walk);
+        let (eval, vm) = eval_both(&e, &env);
+        assert_eq!(eval, Err(EvalError::UnboundVar(9)));
+        assert_eq!(vm, eval);
     }
 
     /// A small pipelined kernel exercising every control construct: a DMA
     /// role driving staged TMA loads in a loop, and a compute role with a
     /// branch, WGMMA, and SIMT tail.
     fn pipelined_kernel() -> Kernel {
-        use crate::instr::{BinOp, UnOp};
-        use crate::kernel::RoleKind;
-        use cypress_tensor::DType;
-
         let mut b = crate::KernelBuilder::new("bc_test", [2, 1, 1]);
         let c = b.param("C", 64, 32, DType::F16);
         let a = b.param("A", 64, 32, DType::F16);
@@ -1283,11 +1282,11 @@ mod tests {
         assert_eq!(program.roles.len(), kernel.roles.len());
         for (role, bc) in kernel.roles.iter().zip(&program.roles) {
             let flat = flatten(&role.body);
-            assert_eq!(flat.len(), bc.len(), "one-to-one with the walked program");
+            assert_eq!(flat.len(), bc.len(), "one-to-one with the flat program");
             for (f, b) in flat.iter().zip(bc) {
                 match (f, b) {
                     (Flat::Op(_), BcInstr::Op(_))
-                    | (Flat::LoopEnd { .. }, BcInstr::LoopEnd)
+                    | (Flat::LoopEnd, BcInstr::LoopEnd)
                     | (Flat::End, BcInstr::End) => {}
                     (Flat::Jump(t), BcInstr::Jump(u)) => assert_eq!(t, u),
                     (Flat::LoopStart { end: t, .. }, BcInstr::LoopStart { end: u, .. }) => {
@@ -1297,7 +1296,7 @@ mod tests {
                         Flat::Branch { else_target: t, .. },
                         BcInstr::Branch { else_target: u, .. },
                     ) => assert_eq!(t, u),
-                    other => panic!("frontends disagree on instruction shape: {other:?}"),
+                    other => panic!("lowering changed the instruction shape: {other:?}"),
                 }
             }
         }
@@ -1333,6 +1332,94 @@ mod tests {
         assert_eq!(shrunk.fixed, None);
     }
 
+    /// One compute role over an 8 x 8 `A`, a two-stage `S` and `F`: fill
+    /// `F`, then — under `cond` — `op(a, s, f)`.
+    fn guarded(cond: Cond, op: impl FnOnce(usize, usize, usize) -> Instr) -> Kernel {
+        let mut b = crate::KernelBuilder::new("static_slices", [1, 1, 1]);
+        let a = b.param("A", 8, 8, DType::F16);
+        let s = b.smem("S", 8, 8, DType::F16, 2);
+        let f = b.frag("F", 8, 8);
+        let fill = Instr::Simt(SimtOp::Fill {
+            dst: Slice::frag(f).extent(8, 8),
+            value: 1.0,
+        });
+        b.role(
+            RoleKind::Compute(0),
+            vec![fill, when(cond, vec![op(a, s, f)])],
+        );
+        b.build()
+    }
+
+    /// A constant-origin slice that is out of bounds is an error of the
+    /// instruction that uses it, raised when (and only if) it executes —
+    /// never of lowering — in both modes, with its exact text, in operand
+    /// order.
+    #[test]
+    fn constant_out_of_bounds_slices_fail_when_they_execute() {
+        let sim = crate::Simulator::new(crate::MachineConfig::test_gpu());
+        // A timing and a functional run of `kernel`, which must agree.
+        let run_both = |kernel: &Kernel| {
+            let timing = sim.run_timing(kernel);
+            let params = vec![Tensor::zeros(DType::F16, &[8, 8])];
+            let functional = sim.run_functional(kernel, params).map(|run| run.report);
+            assert_eq!(timing, functional, "the modes disagree");
+            timing
+        };
+        let never = || Cond::Ge(Expr::block_x(), Expr::lit(1));
+        let always = || Cond::Ge(Expr::block_x(), Expr::lit(0));
+        let frag = |f| Slice::frag(f).extent(8, 8);
+        type Case = (fn(usize, usize) -> Slice, &'static str);
+        let cases: [Case; 3] = [
+            (
+                |_, s| Slice::smem(s).stage(2).extent(8, 8),
+                "slice of Smem(0): stage 2 origin (0,0) extent (8x8) exceeds (8x8 stages 2)",
+            ),
+            (
+                |a, _| Slice::param(a).at(4, 0).extent(8, 8),
+                "slice of Param(0): stage 0 origin (4,0) extent (8x8) exceeds (8x8 stages 1)",
+            ),
+            (
+                |a, _| Slice::param(a).at(-1, 0).extent(8, 8),
+                "negative slice origin (0,-1,0) of Param(0)",
+            ),
+        ];
+        for (bad, text) in cases {
+            let copy_in = |a, s, f| {
+                Instr::Simt(SimtOp::Copy {
+                    src: bad(a, s),
+                    dst: frag(f),
+                })
+            };
+            let clean = run_both(&guarded(never(), copy_in)).expect("untaken branch");
+            assert!(clean.events > 0);
+            let out_of_bounds = Err(SimError::OutOfBounds { what: text.into() });
+            assert_eq!(run_both(&guarded(always(), copy_in)), out_of_bounds);
+            // Operands resolve left to right: ahead of an unbound
+            // variable the constant slice's error wins, behind it the
+            // evaluation error (which names the pc) does.
+            let unbound = |f| Slice::frag(f).at(Expr::var(7), 0).extent(8, 8);
+            let first = run_both(&guarded(always(), |a, s, f| {
+                Instr::Simt(SimtOp::Copy {
+                    src: bad(a, s),
+                    dst: unbound(f),
+                })
+            }));
+            assert_eq!(first, out_of_bounds);
+            let second = run_both(&guarded(always(), |a, s, f| {
+                Instr::Simt(SimtOp::Zip {
+                    op: BinOp::Add,
+                    a: unbound(f),
+                    b: bad(a, s),
+                    dst: frag(f),
+                })
+            }));
+            assert!(
+                matches!(&second, Err(SimError::Eval { context, .. }) if context == "cta0/wg0 pc=2"),
+                "{second:?}"
+            );
+        }
+    }
+
     // ---- proofs ----------------------------------------------------------
     //
     // One role over a two-block grid, `A` (`T·R x C`), the two-stage `S`
@@ -1343,8 +1430,6 @@ mod tests {
     const T: i64 = 4;
 
     fn lowered(body: Vec<Instr>) -> Program {
-        use crate::kernel::RoleKind;
-        use cypress_tensor::DType;
         let mut b = crate::KernelBuilder::new("proofs", [2, 1, 1]);
         b.param("A", (T * R) as usize, 8, DType::F16);
         b.smem("S", R as usize, 8, DType::F16, 2);
@@ -1542,7 +1627,6 @@ mod tests {
 
     #[test]
     fn shape_hash_distinguishes_kernels() {
-        use crate::instr::UnOp;
         let k1 = pipelined_kernel();
         let mut renamed = k1.clone();
         renamed.name.push('x');

@@ -223,12 +223,6 @@ impl ConcurrentEngine {
         self
     }
 
-    /// The attached fault plan, if any.
-    #[must_use]
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.fault_plan.as_ref()
-    }
-
     /// Current simulated time in cycles.
     #[must_use]
     pub fn now(&self) -> f64 {

@@ -61,10 +61,6 @@ use cypress_tensor::{DType, Tensor};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-#[cfg(any(test, feature = "scalar-oracle"))]
-#[path = "walk.rs"]
-mod walk;
-
 const EVENT_LIMIT: u64 = 400_000_000;
 /// Synthetic named-barrier id used for `__syncthreads`.
 const SYNCTHREADS_ID: usize = usize::MAX;
@@ -324,14 +320,9 @@ pub(crate) struct Engine<'k> {
     apply_bytes: ApplyBytes,
     /// Route functional applies through the retained scalar reference
     /// interpreter (see [`apply::scalar`]) instead of the fast
-    /// resolved-view path — the bitwise oracle of tests and benchmarks.
-    #[cfg(any(test, feature = "scalar-oracle"))]
+    /// resolved-view path: the bitwise oracle of the tests.
+    #[cfg(feature = "scalar-oracle")]
     scalar: bool,
-    /// The flattened IR tree of every role once [`Engine::set_walk`]
-    /// switched the reference frontend on (see [`walk`]); `None`
-    /// executes `program`.
-    #[cfg(any(test, feature = "scalar-oracle"))]
-    walk: Option<walk::Flattened<'k>>,
 }
 
 impl<'k> Engine<'k> {
@@ -432,10 +423,8 @@ impl<'k> Engine<'k> {
             data,
             scratch: Scratch::default(),
             apply_bytes: ApplyBytes::default(),
-            #[cfg(any(test, feature = "scalar-oracle"))]
+            #[cfg(feature = "scalar-oracle")]
             scalar: false,
-            #[cfg(any(test, feature = "scalar-oracle"))]
-            walk: None,
         };
         eng.now = machine.kernel_launch_cycles;
         let first = eng.window.min(eng.n_sim as usize);
@@ -443,6 +432,13 @@ impl<'k> Engine<'k> {
             eng.launch_next_cta(eng.now);
         }
         Ok(eng)
+    }
+
+    /// Route all functional applies through the scalar reference
+    /// interpreter (the pre-optimization data path).
+    #[cfg(feature = "scalar-oracle")]
+    pub(crate) fn set_scalar(&mut self) {
+        self.scalar = true;
     }
 
     fn launch_next_cta(&mut self, at: f64) {
@@ -683,10 +679,6 @@ impl<'k> Engine<'k> {
             }
             self.execs[exec_id].pc += 1;
         }
-        #[cfg(any(test, feature = "scalar-oracle"))]
-        if self.walk.is_some() {
-            return self.resume_walk(exec_id);
-        }
         // Copy the `'k` reference out of `self`, so matching on an
         // instruction does not hold a borrow of the engine.
         let program = self.program;
@@ -696,8 +688,20 @@ impl<'k> Engine<'k> {
                 return Ok(());
             }
             match &program.roles[e.role][e.pc] {
+                // Retire the role, and when it was the CTA's last, the CTA,
+                // launching the next one in line.
                 BcInstr::End => {
-                    self.finish_role(exec_id);
+                    let cta = e.cta;
+                    self.execs[exec_id].done = true;
+                    let cta = &mut self.ctas[cta];
+                    cta.roles_done += 1;
+                    if cta.roles_done == self.kernel.roles.len() {
+                        self.finished += 1;
+                        self.running -= 1;
+                        if self.next_cta < self.n_sim && self.running < self.window {
+                            self.launch_next_cta(self.now);
+                        }
+                    }
                     return Ok(());
                 }
                 BcInstr::Jump(t) => {
@@ -707,15 +711,47 @@ impl<'k> Engine<'k> {
                     let taken =
                         bytecode::eval_cond(&mut self.idx_regs, &self.execs[exec_id].env, cond)
                             .map_err(|e| self.eval_err(exec_id, e))?;
-                    self.take_branch(exec_id, taken, *else_target);
+                    let e = &mut self.execs[exec_id];
+                    e.pc = if taken { e.pc + 1 } else { *else_target };
                 }
                 BcInstr::LoopStart { var, count, end } => {
                     let trips =
                         bytecode::eval_sval(&mut self.idx_regs, &self.execs[exec_id].env, count)
                             .map_err(|e| self.eval_err(exec_id, e))?;
-                    self.enter_loop(exec_id, *var, trips, *end);
+                    // A loop of no trips is skipped entirely.
+                    let e = &mut self.execs[exec_id];
+                    if trips <= 0 {
+                        e.pc = *end;
+                    } else {
+                        let (var, body) = (*var, e.pc + 1);
+                        e.loops.push(LoopCtx {
+                            var,
+                            iter: 0,
+                            trips,
+                            body,
+                        });
+                        e.env.bind(var, 0);
+                        e.pc = body;
+                    }
                 }
-                BcInstr::LoopEnd => self.loop_back_edge(exec_id)?,
+                // Start the next iteration or leave the loop.
+                BcInstr::LoopEnd => {
+                    let e = &mut self.execs[exec_id];
+                    let ctx = e.loops.last_mut().ok_or_else(|| SimError::Internal {
+                        what: "loop stack underflow at a loop back-edge".into(),
+                    })?;
+                    ctx.iter += 1;
+                    if ctx.iter < ctx.trips {
+                        let (var, iter, body) = (ctx.var, ctx.iter, ctx.body);
+                        e.env.bind(var, iter);
+                        e.pc = body;
+                    } else {
+                        let var = ctx.var;
+                        e.loops.pop();
+                        e.env.unbind(var);
+                        e.pc += 1;
+                    }
+                }
                 BcInstr::Op(op) => {
                     if self.execute(exec_id, op)? {
                         return Ok(());
@@ -723,66 +759,6 @@ impl<'k> Engine<'k> {
                     // Instruction completed inline; pc already advanced.
                 }
             }
-        }
-    }
-
-    /// A role reached the end of its program: retire it, and when it was
-    /// the CTA's last, retire the CTA and launch the next one in line.
-    fn finish_role(&mut self, exec_id: usize) {
-        self.execs[exec_id].done = true;
-        let cta = self.execs[exec_id].cta;
-        self.ctas[cta].roles_done += 1;
-        if self.ctas[cta].roles_done == self.kernel.roles.len() {
-            self.finished += 1;
-            self.running -= 1;
-            if self.next_cta < self.n_sim && self.running < self.window {
-                self.launch_next_cta(self.now);
-            }
-        }
-    }
-
-    /// A loop back-edge: start the next iteration or leave the loop.
-    fn loop_back_edge(&mut self, exec_id: usize) -> Result<(), SimError> {
-        let e = &mut self.execs[exec_id];
-        let ctx = e.loops.last_mut().ok_or_else(|| SimError::Internal {
-            what: "loop stack underflow at a loop back-edge".into(),
-        })?;
-        ctx.iter += 1;
-        if ctx.iter < ctx.trips {
-            let (var, iter, body) = (ctx.var, ctx.iter, ctx.body);
-            e.env.bind(var, iter);
-            e.pc = body;
-        } else {
-            let var = ctx.var;
-            e.loops.pop();
-            e.env.unbind(var);
-            e.pc += 1;
-        }
-        Ok(())
-    }
-
-    /// Take or skip a conditional branch.
-    fn take_branch(&mut self, exec_id: usize, taken: bool, else_target: usize) {
-        let pc = self.execs[exec_id].pc;
-        self.execs[exec_id].pc = if taken { pc + 1 } else { else_target };
-    }
-
-    /// Enter a counted loop with `trips` iterations (skipped entirely
-    /// when non-positive).
-    fn enter_loop(&mut self, exec_id: usize, var: usize, trips: i64, end: usize) {
-        if trips <= 0 {
-            self.execs[exec_id].pc = end;
-        } else {
-            let body = self.execs[exec_id].pc + 1;
-            let e = &mut self.execs[exec_id];
-            e.loops.push(LoopCtx {
-                var,
-                iter: 0,
-                trips,
-                body,
-            });
-            e.env.bind(var, 0);
-            e.pc = body;
         }
     }
 
@@ -812,7 +788,7 @@ impl<'k> Engine<'k> {
             } => {
                 let rsrc = self.resolve(exec_id, src)?;
                 let rdst = self.resolve(exec_id, dst)?;
-                self.issue_tma_load(exec_id, rsrc, rdst, *bar, *bytes);
+                self.issue_load(exec_id, rsrc, rdst, *bar, *bytes, false);
                 Ok(true)
             }
             BcOp::CpAsyncLoad {
@@ -823,7 +799,7 @@ impl<'k> Engine<'k> {
             } => {
                 let rsrc = self.resolve(exec_id, src)?;
                 let rdst = self.resolve(exec_id, dst)?;
-                self.issue_cp_async_load(exec_id, rsrc, rdst, *bar, *bytes);
+                self.issue_load(exec_id, rsrc, rdst, *bar, *bytes, true);
                 Ok(true)
             }
             BcOp::TmaStore { src, dst, bytes } => {
@@ -941,43 +917,32 @@ impl<'k> Engine<'k> {
         self.data.is_some().then(|| Box::new((src, dst)))
     }
 
-    /// `TmaLoad`: reserve TMA/L2/HBM for the transfer, arrive `bar` on
-    /// completion, and yield for the issue cost.
-    fn issue_tma_load(&mut self, exec_id: usize, rsrc: RSlice, rdst: RSlice, bar: u32, bytes: f64) {
-        let m = self.machine;
-        let t0 = self.now + m.tma_latency;
-        let a = self.tma_unit.reserve(t0, bytes);
-        let b = self.l2.reserve(t0, bytes);
-        let c = self.hbm.reserve(t0, bytes * (1.0 - self.l2_hit));
-        let done = a.max(b).max(c);
-        let copy = self.copy_payload(rsrc, rdst);
-        self.queue.push(
-            done,
-            EventKind::TmaDone {
-                exec: self.execs[exec_id].id,
-                bar: Some(bar),
-                copy,
-                is_store: false,
-            },
-        );
-        self.yield_for(exec_id, m.tma_issue_cycles);
-    }
-
-    /// `CpAsyncLoad`: like a TMA load, but addresses are generated by
-    /// SIMT threads — the issue occupies the issuing role proportionally
-    /// to the transfer size.
-    fn issue_cp_async_load(
+    /// `TmaLoad` / `CpAsyncLoad`: reserve the copy unit, L2 and HBM for
+    /// the transfer, arrive `bar` on completion, and yield for the issue
+    /// cost. A `cp.async` load's addresses are generated by SIMT threads,
+    /// so its issue occupies the issuing role in proportion to the
+    /// transfer size.
+    fn issue_load(
         &mut self,
         exec_id: usize,
         rsrc: RSlice,
         rdst: RSlice,
         bar: u32,
         bytes: f64,
+        cp_async: bool,
     ) {
         let m = self.machine;
-        let issue = m.simt_issue_cycles + bytes / 512.0;
-        let t0 = self.now + issue;
-        let a = self.cp_unit.reserve(t0, bytes);
+        let (issue, t0, unit) = if cp_async {
+            let issue = m.simt_issue_cycles + bytes / 512.0;
+            (issue, self.now + issue, &mut self.cp_unit)
+        } else {
+            (
+                m.tma_issue_cycles,
+                self.now + m.tma_latency,
+                &mut self.tma_unit,
+            )
+        };
+        let a = unit.reserve(t0, bytes);
         let b = self.l2.reserve(t0, bytes);
         let c = self.hbm.reserve(t0, bytes * (1.0 - self.l2_hit));
         let done = a.max(b).max(c);
@@ -1186,9 +1151,9 @@ impl<'k> Engine<'k> {
     //
     // The heavy lifting lives in [`apply`]: each resolved slice becomes a
     // flat-buffer view once per apply and the operation runs as bulk work
-    // over contiguous rows. Under `scalar` (tests, `scalar-oracle`
-    // feature) the retained per-element reference interpreter runs
-    // instead; both produce bitwise-identical tensors.
+    // over contiguous rows. Under `scalar` (the `scalar-oracle` feature)
+    // the retained per-element reference interpreter runs instead; both
+    // produce bitwise-identical tensors.
 
     /// Element type of a resolved slice's backing storage (fragments are
     /// unrounded `f32`).
@@ -1219,7 +1184,7 @@ impl<'k> Engine<'k> {
         let Some(data) = self.data.as_mut() else {
             return Ok(());
         };
-        #[cfg(any(test, feature = "scalar-oracle"))]
+        #[cfg(feature = "scalar-oracle")]
         if self.scalar {
             return apply::scalar::copy(kernel, data, cta, role, src, dst);
         }
@@ -1243,7 +1208,7 @@ impl<'k> Engine<'k> {
         let Some(data) = self.data.as_mut() else {
             return Ok(());
         };
-        #[cfg(any(test, feature = "scalar-oracle"))]
+        #[cfg(feature = "scalar-oracle")]
         if self.scalar {
             return apply::scalar::wgmma(
                 kernel,
@@ -1286,7 +1251,7 @@ impl<'k> Engine<'k> {
         let Some(data) = self.data.as_mut() else {
             return Ok(());
         };
-        #[cfg(any(test, feature = "scalar-oracle"))]
+        #[cfg(feature = "scalar-oracle")]
         if self.scalar {
             return apply::scalar::simt(kernel, data, cta, role, op, srcs, dst);
         }

@@ -107,7 +107,7 @@ impl Expr {
     /// [`crate::Kernel::validate`], which rejects a loop trip count that
     /// does with `KernelError::DynamicTripCount`).
     #[must_use]
-    pub fn references_vars(&self) -> bool {
+    pub(crate) fn references_vars(&self) -> bool {
         match self {
             Expr::Lit(_) | Expr::BlockX | Expr::BlockY | Expr::BlockZ => false,
             Expr::Var(_) => true,
@@ -235,7 +235,7 @@ impl Env {
     }
 
     /// Remove the binding for `id`.
-    pub fn unbind(&mut self, id: usize) {
+    pub(crate) fn unbind(&mut self, id: usize) {
         if let Some(slot) = self.vars.get_mut(id) {
             *slot = None;
         }

@@ -176,7 +176,7 @@ impl FaultPlan {
     /// The cycle `device` permanently fails at, if the plan kills it
     /// (the earliest such cycle when several entries target it).
     #[must_use]
-    pub fn device_loss_at(&self, device: usize) -> Option<f64> {
+    pub(crate) fn device_loss_at(&self, device: usize) -> Option<f64> {
         self.faults
             .iter()
             .filter_map(|f| match f {
@@ -198,7 +198,7 @@ impl FaultPlan {
     /// Throughput multiplier for `device` at cycle `now` (1.0 outside
     /// every slowdown window; overlapping windows multiply).
     #[must_use]
-    pub fn slowdown_factor(&self, device: usize, now: f64) -> f64 {
+    pub(crate) fn slowdown_factor(&self, device: usize, now: f64) -> f64 {
         let mut factor = 1.0;
         for f in &self.faults {
             if let Fault::Slowdown {
@@ -219,7 +219,7 @@ impl FaultPlan {
     /// Bandwidth multiplier for `link` at cycle `now` (1.0 outside
     /// every degradation window; overlapping windows multiply).
     #[must_use]
-    pub fn link_factor(&self, link: usize, now: f64) -> f64 {
+    pub(crate) fn link_factor(&self, link: usize, now: f64) -> f64 {
         let mut factor = 1.0;
         for f in &self.faults {
             if let Fault::LinkDegraded {
@@ -242,7 +242,7 @@ impl FaultPlan {
     /// or closes. The engine clips its fluid windows at these
     /// boundaries so rate changes integrate exactly.
     #[must_use]
-    pub fn next_boundary(&self, now: f64) -> Option<f64> {
+    pub(crate) fn next_boundary(&self, now: f64) -> Option<f64> {
         let mut next: Option<f64> = None;
         let mut consider = |t: f64| {
             if t > now && next.is_none_or(|n| t < n) {

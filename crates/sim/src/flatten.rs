@@ -2,7 +2,8 @@
 //!
 //! The engine executes a flat program with explicit jump targets instead of
 //! recursing into [`Instr::Loop`]/[`Instr::If`] bodies, so an executor's
-//! state is just a program counter plus a loop stack.
+//! state is just a program counter plus a loop stack. Bytecode lowering
+//! turns this program into its own, position for position.
 
 use crate::expr::{Cond, Expr};
 use crate::instr::Instr;
@@ -19,13 +20,8 @@ pub(crate) enum Flat<'k> {
         count: &'k Expr,
         end: usize,
     },
-    /// Loop back-edge; `start` is the matching [`Flat::LoopStart`].
-    LoopEnd {
-        #[allow(dead_code)]
-        var: usize,
-        #[allow(dead_code)]
-        start: usize,
-    },
+    /// Loop back-edge (targets live in the executor's loop stack).
+    LoopEnd,
     /// Conditional branch; the then-block follows, `else_target` is taken
     /// when the condition is false.
     Branch { cond: &'k Cond, else_target: usize },
@@ -54,10 +50,7 @@ fn emit<'k>(block: &'k [Instr], out: &mut Vec<Flat<'k>>) {
                     end: usize::MAX,
                 });
                 emit(body, out);
-                out.push(Flat::LoopEnd {
-                    var: *var,
-                    start: header,
-                });
+                out.push(Flat::LoopEnd);
                 let end = out.len();
                 if let Flat::LoopStart { end: e, .. } = &mut out[header] {
                     *e = end;
@@ -106,10 +99,7 @@ mod tests {
             Flat::LoopStart { end, .. } => assert_eq!(*end, 3),
             other => panic!("expected LoopStart, got {other:?}"),
         }
-        match &f[2] {
-            Flat::LoopEnd { start, .. } => assert_eq!(*start, 0),
-            other => panic!("expected LoopEnd, got {other:?}"),
-        }
+        assert!(matches!(f[2], Flat::LoopEnd));
         assert!(matches!(f[3], Flat::End));
     }
 

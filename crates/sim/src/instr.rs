@@ -349,7 +349,7 @@ impl SimtOp {
 
     /// `true` if the operation uses the special-function units (exp).
     #[must_use]
-    pub fn uses_sfu(&self) -> bool {
+    pub(crate) fn uses_sfu(&self) -> bool {
         matches!(
             self,
             SimtOp::Map {

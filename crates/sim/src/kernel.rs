@@ -77,7 +77,7 @@ pub struct Kernel {
 impl Kernel {
     /// Total CTAs in the grid.
     #[must_use]
-    pub fn num_ctas(&self) -> usize {
+    pub(crate) fn num_ctas(&self) -> usize {
         self.grid[0] * self.grid[1] * self.grid[2]
     }
 

@@ -25,18 +25,17 @@
 //!
 //! The engine executes one instruction set: the flat [`bytecode`] every
 //! entry point lowers a kernel to (once per compiled kernel in the
-//! runtime, which replays the cached [`Program`]). Functional data
-//! movement runs on a fast resolved-view path (each slice becomes a
-//! flat-buffer view once per apply; WGMMA is a blocked microkernel).
-//! Both have a retained reference implementation that exists only for
-//! tests to compare against, bit for bit — the per-invocation IR walk
-//! (`walk.rs`) and the scalar per-element interpreter — compiled under
-//! `cfg(test)` and the `scalar-oracle` feature, which exposes them as
-//! `Simulator::run_functional_walk` / `Simulator::run_functional_scalar`;
-//! a build without the feature contains neither. **Timing mode is
-//! unaffected by the data-path rewrite**: no data moves in timing runs,
-//! so the discrete-event schedule and every cycle count are exactly what
-//! they were under the scalar interpreter.
+//! runtime, which replays the cached [`Program`]). Its index arithmetic
+//! is held to [`Expr::eval`] by the bytecode module's own tests.
+//! Functional data movement runs on a fast resolved-view path (each
+//! slice becomes a flat-buffer view once per apply; WGMMA is a blocked
+//! microkernel), held bit for bit to a retained scalar per-element
+//! interpreter. That oracle compiles only under `cfg(test)` and the
+//! `scalar-oracle` feature, which exposes it as
+//! `Simulator::run_functional_scalar` (the same bytecode, scalar
+//! applies); a build without the feature does not contain it. No data
+//! moves in timing runs, so the discrete-event schedule and every cycle
+//! count are the same on either data path.
 //!
 //! # Example
 //!
@@ -75,7 +74,7 @@ pub mod engine;
 pub mod error;
 pub mod expr;
 pub mod fault;
-pub mod flatten;
+mod flatten;
 mod fnv;
 pub mod instr;
 pub mod kernel;
@@ -97,7 +96,7 @@ pub use kernel::{Kernel, KernelError, MbarDecl, Role, RoleKind, StaticTotals};
 pub use machine::{CostConstants, MachineConfig};
 pub use mem::{FragDecl, MemRef, ParamDecl, Slice, SmemDecl, Space};
 pub use report::{ApplyBytes, TimingReport};
-pub use topology::{nvlink_bytes_per_cycle, Link, Topology};
+pub use topology::{Link, Topology};
 
 use cypress_tensor::Tensor;
 use engine::{Engine, Mode};
@@ -203,40 +202,11 @@ impl Simulator {
         Self::finish_functional(engine.run()?)
     }
 
-    /// [`Simulator::run_functional`] through the reference IR tree walk
-    /// (the engine's walk frontend instead of its bytecode loop), with
-    /// the fast resolved-view data path. Kept as the middle leg of the
-    /// three-way differential suites and for the benchmark harness's
-    /// walk-vs-bytecode rows. Only available with the `scalar-oracle`
-    /// feature.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Simulator::run_functional`].
-    #[cfg(feature = "scalar-oracle")]
-    pub fn run_functional_walk(
-        &self,
-        kernel: &Kernel,
-        params: Vec<Tensor>,
-    ) -> Result<FunctionalRun, SimError> {
-        let program = bytecode::lower(kernel)?;
-        let mut engine = Engine::new(
-            kernel,
-            &self.machine,
-            Mode::Functional,
-            Some(params),
-            &program,
-        )?;
-        engine.set_walk();
-        Self::finish_functional(engine.run()?)
-    }
-
     /// [`Simulator::run_functional`] through the retained **scalar**
-    /// reference interpreter — the pre-optimization per-element data path
-    /// on top of the reference IR walk, kept as a bitwise oracle. Tests
-    /// diff the paths; the benchmark harness measures the fast path's
-    /// speedup against this one. Only available with the `scalar-oracle`
-    /// feature.
+    /// reference interpreter: the same bytecode program, with every
+    /// functional apply on the pre-optimization per-element data path,
+    /// kept as a bitwise oracle of the fast one. Only available with the
+    /// `scalar-oracle` feature.
     ///
     /// # Errors
     ///
@@ -255,7 +225,6 @@ impl Simulator {
             Some(params),
             &program,
         )?;
-        engine.set_walk();
         engine.set_scalar();
         Self::finish_functional(engine.run()?)
     }

@@ -196,7 +196,7 @@ impl Topology {
 /// NVLink-class bandwidth for `machine` in bytes per cycle, matched by
 /// name like [`crate::CostConstants::for_machine`].
 #[must_use]
-pub fn nvlink_bytes_per_cycle(machine: &MachineConfig) -> f64 {
+pub(crate) fn nvlink_bytes_per_cycle(machine: &MachineConfig) -> f64 {
     match machine.name {
         // NVLink 4: 900 GB/s aggregate per device at the 1.755 GHz core
         // clock ≈ 513 bytes/cycle.

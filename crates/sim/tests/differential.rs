@@ -1,14 +1,14 @@
-//! Three-way bitwise differential over randomized kernels: the retained
-//! scalar reference interpreter, the fast resolved-view apply path driven
-//! by the IR tree walk, and the flat bytecode VM (the default path) must
-//! produce bit-identical tensors *and* bit-identical simulated cycles on
-//! the same kernel — across random shapes, dtypes, sub-slices, pipeline
-//! depths, and SIMT op mixes.
+//! Bitwise differential over randomized kernels: the fast resolved-view
+//! apply path (the default), the retained scalar reference interpreter
+//! on the same bytecode, and a run of a program lowered ahead of time
+//! must produce bit-identical tensors *and* bit-identical simulated
+//! cycles on the same kernel — across random shapes, dtypes, sub-slices,
+//! pipeline depths, and SIMT op mixes.
 //!
-//! Requires the `scalar-oracle` feature (the CI job
-//! `cargo test -p cypress-sim --features scalar-oracle` runs it; the
-//! workspace build enables the feature through the facade crate's
-//! dev-dependencies).
+//! Requires the `scalar-oracle` feature: a workspace `cargo test`
+//! enables it through the facade crate's dev-dependencies, and
+//! `cargo test -p cypress-sim --features scalar-oracle` runs this crate
+//! alone with it.
 #![cfg(feature = "scalar-oracle")]
 
 use cypress_sim::expr::EvalError;
@@ -299,18 +299,17 @@ fn random_kernel_and_params(seed: u64, hazard: bool) -> (cypress_sim::Kernel, Ve
     (kernel, vec![a, o])
 }
 
-/// Run a kernel through all three functional paths and assert the
+/// Run a kernel through the three functional paths and assert the
 /// tensors and the simulated cycle count are bit-identical, or that all
 /// fail with the same error. No run, timing runs included, may fail with
 /// [`SimError::Internal`]: a functional run reports that way a slice
 /// that lowering proved in bounds — so that a timing run skips resolving
 /// it — but that failed to resolve. Returns the functional outcome.
-fn assert_three_way(kernel: &cypress_sim::Kernel, params: Vec<Tensor>) -> Result<(), SimError> {
+fn assert_paths_agree(kernel: &cypress_sim::Kernel, params: Vec<Tensor>) -> Result<(), SimError> {
     let sim = Simulator::new(MachineConfig::test_gpu());
     let program = bytecode::lower(kernel).unwrap();
     let byte = sim.run_functional(kernel, params.clone());
     let others = [
-        ("walk", sim.run_functional_walk(kernel, params.clone())),
         ("scalar", sim.run_functional_scalar(kernel, params.clone())),
         // The pre-lowered artifact path (what the runtime's kernel cache
         // replays) must match the internal lowering exactly.
@@ -362,12 +361,13 @@ fn assert_three_way(kernel: &cypress_sim::Kernel, params: Vec<Tensor>) -> Result
 }
 
 proptest! {
-    /// Scalar oracle, fast tree walk, and bytecode VM agree bitwise on
-    /// random kernels over random shapes, dtypes, and sub-slices.
+    /// The fast path, the scalar oracle and the pre-lowered program agree
+    /// bitwise on random kernels over random shapes, dtypes, and
+    /// sub-slices.
     #[test]
     fn three_paths_agree_bitwise_on_random_kernels(seed in 0u64..1_000_000) {
         let (kernel, params) = random_kernel_and_params(seed, false);
-        assert_three_way(&kernel, params).unwrap();
+        assert_paths_agree(&kernel, params).unwrap();
     }
 
     /// The same kernels with a hazard spliced in agree bitwise where they
@@ -376,7 +376,7 @@ proptest! {
     #[test]
     fn paths_fail_alike_on_hazards(seed in 0u64..1_000_000) {
         let (kernel, params) = random_kernel_and_params(seed, true);
-        let _ = assert_three_way(&kernel, params);
+        let _ = assert_paths_agree(&kernel, params);
     }
 }
 
@@ -387,7 +387,7 @@ fn hazards_fail_every_way_they_can() {
     let mut seen = [false; 5];
     for seed in 0..256 {
         let (kernel, params) = random_kernel_and_params(seed, true);
-        let i = match assert_three_way(&kernel, params) {
+        let i = match assert_paths_agree(&kernel, params) {
             Ok(()) => 0,
             Err(SimError::OutOfBounds { what }) if what.starts_with("negative") => 1,
             Err(SimError::OutOfBounds { .. }) => 2,

@@ -1,7 +1,9 @@
-//! Workspace-level integration tests: the Cypress compiler's output and the
-//! hand-scheduled baselines must agree functionally (they share the
-//! simulator, so any disagreement is a scheduling bug in one of them), and
-//! the whole stack must behave deterministically.
+//! Workspace-level integration tests: every mapping of every kernel
+//! family compiles to what the default computes, bit for bit on every
+//! functional path; the Cypress compiler's output and the hand-scheduled
+//! baselines must agree functionally (they share the simulator, so any
+//! disagreement is a scheduling bug in one of them); and the whole stack
+//! must behave deterministically.
 
 use cypress::baselines::hand::{gemm_kernel, GemmSchedule};
 use cypress::core::compile::{CompilerOptions, CypressCompiler};
@@ -11,11 +13,16 @@ use cypress::core::kernels::{
     attention, batched, chain, dual_gemm, gemm, gemm_reduction, reduction,
 };
 use cypress::core::passes::depan::EntryArg;
-use cypress::core::{MappingConfig, MappingSpace, Shape};
-use cypress::sim::{MachineConfig, Simulator};
+use cypress::core::{CompileError, MappingConfig, MappingSpace, Shape};
+use cypress::sim::{MachineConfig, SimError, Simulator};
 use cypress::tensor::{DType, Tensor};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
+
+#[allow(dead_code)] // the golden suites' helpers
+#[path = "../crates/core/tests/golden/shared.rs"]
+mod shared;
+use shared::families;
 
 #[test]
 fn cypress_and_hand_written_gemm_agree() {
@@ -90,12 +97,7 @@ fn fast_functional_path_matches_scalar_oracle_on_compiled_kernels() {
     let params = vec![Tensor::zeros(DType::F16, &[m, n]), a, b];
     let fast = sim.run_functional(&kernel.kernel, params.clone()).unwrap();
     let oracle = sim.run_functional_scalar(&kernel.kernel, params).unwrap();
-    for (p, (x, y)) in fast.params.iter().zip(&oracle.params).enumerate() {
-        assert_eq!(x.shape(), y.shape());
-        for (i, (a, b)) in x.data().iter().zip(y.data()).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "gemm param {p} elem {i}");
-        }
-    }
+    assert_bitwise("gemm", &fast.params, &oracle.params);
     assert_eq!(fast.report.cycles.to_bits(), oracle.report.cycles.to_bits());
 
     // Attention (FA2) over 2 heads, seq 128, head dim 64.
@@ -108,28 +110,14 @@ fn fast_functional_path_matches_scalar_oracle_on_compiled_kernels() {
     let params = vec![Tensor::zeros(DType::F16, &[heads * seq, dim]), q, kx, v];
     let fast = sim.run_functional(&kernel.kernel, params.clone()).unwrap();
     let oracle = sim.run_functional_scalar(&kernel.kernel, params).unwrap();
-    for (i, (a, b)) in fast.params[0]
-        .data()
-        .iter()
-        .zip(oracle.params[0].data())
-        .enumerate()
-    {
-        assert_eq!(a.to_bits(), b.to_bits(), "attention out elem {i}");
-    }
+    assert_bitwise("attention", &fast.params[..1], &oracle.params[..1]);
 }
 
-/// Build every entry parameter from its [`EntryArg`] descriptor: random
-/// data in the declared dtype/shape, seeded per kernel so the three
-/// paths see identical bits.
-fn random_params(args: &[EntryArg], rng: &mut StdRng) -> Vec<Tensor> {
-    args.iter()
-        .map(|a| Tensor::random(a.dtype, &[a.rows, a.cols], rng, -1.0, 1.0))
-        .collect()
-}
-
-/// Compile and run one kernel through all three functional paths —
-/// scalar reference interpreter, fast-apply tree walk, bytecode VM —
-/// and require bit-identical tensors and cycles.
+/// Compile and run one kernel through all three functional paths — fast
+/// bytecode, scalar reference interpreter, and a replay of the
+/// compiler's own pre-lowered `Compiled::lowered` (what the runtime
+/// replays on every launch) — and require bit-identical tensors and
+/// cycles.
 fn assert_three_way(
     name: &str,
     built: (TaskRegistry, MappingSpec, Vec<EntryArg>),
@@ -146,41 +134,31 @@ fn assert_three_way(
     let params = random_params(&args, &mut rng);
 
     let sim = Simulator::new(machine.clone());
-    let byte = sim
+    let fast = sim
         .run_functional(&compiled.kernel, params.clone())
-        .unwrap();
-    let walk = sim
-        .run_functional_walk(&compiled.kernel, params.clone())
         .unwrap();
     let scalar = sim
         .run_functional_scalar(&compiled.kernel, params.clone())
         .unwrap();
-    // The compiler's own cached lowering (what the runtime replays on
-    // every launch) must agree with the internal lowering too.
     let cached = sim
         .run_functional_lowered(&compiled.kernel, &compiled.lowered, params)
         .unwrap();
 
-    for (which, other) in [("walk", &walk), ("scalar", &scalar), ("cached", &cached)] {
+    for (which, other) in [("scalar", &scalar), ("cached", &cached)] {
         assert_eq!(
-            byte.report.cycles.to_bits(),
+            fast.report.cycles.to_bits(),
             other.report.cycles.to_bits(),
-            "{name}: bytecode vs {which} cycles diverge"
+            "{name}: fast vs {which} cycles diverge"
         );
-        for (p, (x, y)) in byte.params.iter().zip(&other.params).enumerate() {
-            assert_eq!(x.shape(), y.shape());
-            for (i, (a, b)) in x.data().iter().zip(y.data()).enumerate() {
-                assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "{name}: bytecode vs {which}, param {p} elem {i}"
-                );
-            }
-        }
+        assert_bitwise(
+            &format!("{name}: fast vs {which}"),
+            &fast.params,
+            &other.params,
+        );
     }
 }
 
-/// Scalar oracle, fast-apply tree walk, and bytecode VM agree bitwise on
+/// Fast bytecode, scalar oracle and pre-lowered replay agree bitwise on
 /// all five paper kernels plus the fused chained-GEMM and
 /// GEMM+Reduction kernels.
 #[test]
@@ -224,6 +202,149 @@ fn three_paths_agree_bitwise_on_paper_kernels() {
         &machine,
         7,
     );
+}
+
+/// Random data for every entry parameter, in its declared dtype and
+/// shape.
+fn random_params(args: &[EntryArg], rng: &mut StdRng) -> Vec<Tensor> {
+    args.iter()
+        .map(|a| Tensor::random(a.dtype, &[a.rows, a.cols], rng, -1.0, 1.0))
+        .collect()
+}
+
+/// A small shape of `family` on the test GPU: extents are multiples of
+/// its 64-wide tiles, except where a family pins one (the pinned
+/// GEMM+Reduction's `V = 256` columns; attention's 128-row bands and
+/// head dimension 64).
+fn small_shape(family: &str, rng: &mut StdRng) -> Shape {
+    let t = |rng: &mut StdRng| 64 * rng.gen_range(1usize..3);
+    Shape(match family {
+        "batched" => vec![rng.gen_range(1..3), t(rng), t(rng), t(rng)],
+        "gemm_reduction_pinned" => vec![t(rng), 256, t(rng)],
+        "chain" => vec![t(rng), t(rng), t(rng), t(rng)],
+        "reduction" => vec![t(rng), t(rng)],
+        "comm_all_reduce" => vec![rng.gen_range(2..4), t(rng), t(rng)],
+        "fa2" | "fa3" => vec![rng.gen_range(1..3), 128, 64],
+        _ => vec![t(rng), t(rng), t(rng)],
+    })
+}
+
+/// `cfg` with one field at a time forged to 0, 1, one past its value
+/// (off every tile grid) and 2^20, the way a tuning-table file could
+/// carry it.
+fn forged(cfg: MappingConfig) -> Vec<MappingConfig> {
+    let token = cfg.encode();
+    let (kind, fields) = token.split_once(':').unwrap();
+    let fields: Vec<&str> = fields.split(',').collect();
+    let mut out = Vec::new();
+    for (i, field) in fields.iter().enumerate() {
+        let (key, value) = field.split_once('=').unwrap();
+        let value: usize = value.parse().unwrap();
+        for forged in [0, 1, value + 1, 1 << 20] {
+            let mut fields = fields.iter().map(|f| f.to_string()).collect::<Vec<_>>();
+            fields[i] = format!("{key}={forged}");
+            out.push(MappingConfig::decode(&format!("{kind}:{}", fields.join(","))).unwrap());
+        }
+    }
+    out
+}
+
+/// Bit-for-bit equality of two functional runs' tensors.
+fn assert_bitwise(what: &str, got: &[Tensor], want: &[Tensor]) {
+    assert_eq!(got.len(), want.len(), "{what}: parameter count");
+    for (p, (g, w)) in got.iter().zip(want).enumerate() {
+        assert_eq!(g.shape(), w.shape(), "{what}: param {p} shape");
+        let diverged = g
+            .data()
+            .iter()
+            .zip(w.data())
+            .position(|(a, b)| a.to_bits() != b.to_bits());
+        assert_eq!(diverged, None, "{what}: param {p} diverges at that element");
+    }
+}
+
+/// The compile pipeline's contract over every kernel family, on the
+/// test GPU at a small random shape each: a mapping changes where tasks
+/// run, never what they compute.
+///
+/// - The default mapping (or, where the hand-tuned one does not fit the
+///   small machine, the space's first candidate) compiles. Its fast
+///   functional run equals, bit for bit, the scalar oracle's and the run
+///   of the compiler's own pre-lowered `Compiled::lowered`, cycles
+///   included.
+/// - Every `candidates()` point compiles, takes the same entry
+///   arguments and computes the default's tensors bit for bit.
+/// - The default with one field forged (see [`forged`]) ends in a typed
+///   `CompileError` or in a run that does not fail with
+///   `SimError::Internal`; nothing panics.
+#[test]
+fn every_mapping_compiles_to_what_the_default_computes() {
+    let machine = MachineConfig::test_gpu();
+    let compiler = CypressCompiler::new(CompilerOptions {
+        machine: machine.clone(),
+        ..Default::default()
+    });
+    let sim = Simulator::new(machine.clone());
+    let mut rng = StdRng::seed_from_u64(0x5AC3);
+    for (family, space, _) in families() {
+        let shape = small_shape(family, &mut rng);
+        let compile = |cfg: &MappingConfig| -> Result<_, CompileError> {
+            let (reg, mapping, args) = space.build(&shape, cfg)?;
+            Ok((
+                compiler.compile(&reg, &mapping, space.entry(), &args)?,
+                args,
+            ))
+        };
+        let default = space
+            .default_or_first_candidate(&machine, &shape)
+            .unwrap_or_else(|e| panic!("{family} {shape}: no mapping fits: {e}"));
+        let what = format!("{family} {shape} {}", default.encode());
+        let (compiled, args) = compile(&default).unwrap_or_else(|e| panic!("{what}: {e}"));
+        let params = random_params(&args, &mut rng);
+        let fast = sim
+            .run_functional(&compiled.kernel, params.clone())
+            .unwrap_or_else(|e| panic!("{what}: {e}"));
+        let scalar = sim
+            .run_functional_scalar(&compiled.kernel, params.clone())
+            .unwrap();
+        let lowered = sim
+            .run_functional_lowered(&compiled.kernel, &compiled.lowered, params.clone())
+            .unwrap();
+        for (path, other) in [("scalar oracle", &scalar), ("pre-lowered", &lowered)] {
+            let what = format!("{what}: fast path vs {path}");
+            assert_bitwise(&what, &other.params, &fast.params);
+            assert_eq!(
+                other.report.cycles.to_bits(),
+                fast.report.cycles.to_bits(),
+                "{what}: cycles"
+            );
+        }
+
+        let candidates = space.candidates(&machine, &shape);
+        assert!(candidates.contains(&default), "{what}: not a candidate");
+        for cfg in candidates.into_iter().filter(|cfg| *cfg != default) {
+            let what = format!("{family} {shape} {}", cfg.encode());
+            let (compiled, cfg_args) = compile(&cfg).unwrap_or_else(|e| panic!("{what}: {e}"));
+            assert_eq!(cfg_args, args, "{what}: entry arguments");
+            let run = sim
+                .run_functional(&compiled.kernel, params.clone())
+                .unwrap_or_else(|e| panic!("{what}: {e}"));
+            assert_bitwise(&what, &run.params, &fast.params);
+        }
+
+        for cfg in forged(default) {
+            let Ok((compiled, args)) = compile(&cfg) else {
+                continue;
+            };
+            let params = random_params(&args, &mut rng);
+            let run = sim.run_functional(&compiled.kernel, params);
+            assert!(
+                !matches!(run, Err(SimError::Internal { .. })),
+                "{family} {shape} {}: {run:?}",
+                cfg.encode()
+            );
+        }
+    }
 }
 
 #[test]
