@@ -11,8 +11,8 @@
 //! - [`fa3`]: the reference FlashAttention-3 (pingpong + persistent).
 //!
 //! Every baseline produces a [`cypress_sim::Kernel`] executed by the same
-//! simulator as the Cypress compiler's output, so comparisons isolate
-//! *scheduling structure*, exactly as DESIGN.md §1 argues.
+//! simulator, on the same machine model, as the Cypress compiler's
+//! output, so comparisons isolate *scheduling structure*.
 
 #![forbid(unsafe_code)]
 #![deny(clippy::too_many_lines)]

@@ -211,8 +211,9 @@ impl CypressCompiler {
 
 impl Front<'_> {
     /// Finish the front at `mapping`'s schedule: warp specialization and
-    /// pipelining (§4.2.5), kernel validation, code generation (§4.2.6)
-    /// and bytecode lowering. `mapping` may differ from the mapping the
+    /// pipelining (§4.2.5), the machine-budget check, bytecode lowering
+    /// (the kernel's structural check) and code generation (§4.2.6).
+    /// `mapping` may differ from the mapping the
     /// front was built from only in its instances' `pipeline` and
     /// `warpspecialize`; `fingerprint` is
     /// [`CypressCompiler::fingerprint`] of the full inputs at `mapping`.
@@ -242,8 +243,8 @@ impl Front<'_> {
         };
 
         // 4/5. Warp specialization, pipelining, and code generation
-        // (§4.2.5, §4.2.6). Validating the kernel is the shared-memory
-        // budget check.
+        // (§4.2.5, §4.2.6). Validating the kernel checks the machine
+        // budgets, shared memory among them; lowering checks its structure.
         let sched = warpspec::SchedOptions {
             warpspecialize: mapping.iter().any(|i| i.warpspecialize),
             pipeline: mapping.iter().map(|i| i.pipeline).max().unwrap_or(0).max(1),
@@ -259,16 +260,19 @@ impl Front<'_> {
         })?;
         timed("warpspec", t);
 
-        let t = std::time::Instant::now();
-        let cuda = crate::codegen::cuda::render(&kernel);
-        timed("codegen", t);
-
         // 6. Bytecode lowering: compile the kernel body once into the flat
-        // instruction stream the simulator's dispatch loop executes.
+        // instruction stream the simulator's dispatch loop executes. It is
+        // the structural check, so it runs ahead of the code generator,
+        // which indexes the declarations every slice names.
         let t = std::time::Instant::now();
         let lowered = cypress_sim::bytecode::lower(&kernel)
             .map_err(|e| CompileError::Backend(e.to_string()))?;
-        timed("lower", t);
+        let lower_nanos = t.elapsed().as_nanos() as u64;
+
+        let t = std::time::Instant::now();
+        let cuda = crate::codegen::cuda::render(&kernel);
+        timed("codegen", t);
+        pass_nanos.push(("lower".into(), lower_nanos));
 
         // The front's passes ran once: the first finished kernel carries
         // their time, later siblings read 0.

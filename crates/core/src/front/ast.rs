@@ -105,13 +105,13 @@ pub enum Privilege {
 impl Privilege {
     /// `true` if the privilege permits reading.
     #[must_use]
-    pub fn can_read(self) -> bool {
+    pub(crate) fn can_read(self) -> bool {
         matches!(self, Privilege::Read | Privilege::ReadWrite)
     }
 
     /// `true` if the privilege permits writing.
     #[must_use]
-    pub fn can_write(self) -> bool {
+    pub(crate) fn can_write(self) -> bool {
         matches!(self, Privilege::Write | Privilege::ReadWrite)
     }
 
@@ -219,7 +219,7 @@ impl LeafFn {
 
     /// `true` if the destination is also read (accumulators).
     #[must_use]
-    pub fn dst_reads(self) -> bool {
+    pub(crate) fn dst_reads(self) -> bool {
         matches!(
             self,
             LeafFn::MmaAccum | LeafFn::MmaAccumBT | LeafFn::RowMaxAccum | LeafFn::RowSumAccum

@@ -28,7 +28,7 @@ impl ProcLevel {
     /// `true` for the levels whose parallelism is implicit in the GPU
     /// programming model and flattened by the vectorization pass (§4.2.2).
     #[must_use]
-    pub fn is_intra_block(self) -> bool {
+    pub(crate) fn is_intra_block(self) -> bool {
         matches!(
             self,
             ProcLevel::Warpgroup | ProcLevel::Warp | ProcLevel::Thread
@@ -61,19 +61,6 @@ pub enum MemLevel {
     Shared,
     /// Per-thread register file (held at warpgroup granularity).
     Register,
-}
-
-impl MemLevel {
-    /// `true` if processors at `proc` can address this memory on Hopper.
-    #[must_use]
-    pub fn visible_from(self, proc: ProcLevel) -> bool {
-        match self {
-            MemLevel::None => true,
-            MemLevel::Global => true,
-            MemLevel::Shared => proc >= ProcLevel::Block,
-            MemLevel::Register => proc >= ProcLevel::Warpgroup,
-        }
-    }
 }
 
 impl fmt::Display for MemLevel {

@@ -55,7 +55,7 @@ impl TaskMapping {
     /// An instance named after the variant it runs — the common case: a
     /// variant bound at one point of the machine needs no second name.
     #[must_use]
-    pub fn for_variant(variant: &str, proc: ProcLevel, mems: Vec<MemLevel>) -> Self {
+    pub(crate) fn for_variant(variant: &str, proc: ProcLevel, mems: Vec<MemLevel>) -> Self {
         TaskMapping::new(variant, variant, proc, mems)
     }
 

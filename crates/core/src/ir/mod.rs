@@ -110,7 +110,7 @@ pub struct PartDecl {
 impl PartDecl {
     /// Shape of one piece.
     #[must_use]
-    pub fn piece_shape(&self) -> (usize, usize) {
+    pub(crate) fn piece_shape(&self) -> (usize, usize) {
         match &self.kind {
             PartKind::Blocks {
                 tile_rows,
@@ -127,7 +127,7 @@ impl PartDecl {
 
     /// `true` if distinct pieces never overlap (writes cannot race).
     #[must_use]
-    pub fn is_disjoint(&self) -> bool {
+    pub(crate) fn is_disjoint(&self) -> bool {
         match &self.kind {
             PartKind::Blocks { .. } => true,
             PartKind::Mma { replicated, .. } => !replicated,
@@ -216,7 +216,7 @@ impl TensorRef {
 
     /// `true` if any piece index along the path mentions `v`.
     #[must_use]
-    pub fn uses_var(&self, v: VarId) -> bool {
+    pub(crate) fn uses_var(&self, v: VarId) -> bool {
         self.path
             .iter()
             .any(|(_, idx)| idx.iter().any(|i| i.uses(v)))
@@ -235,7 +235,7 @@ pub enum EventType {
 impl EventType {
     /// Promote by prepending a dimension (vectorization, §4.2.2).
     #[must_use]
-    pub fn promoted(&self, extent: usize, proc: ProcLevel) -> EventType {
+    pub(crate) fn promoted(&self, extent: usize, proc: ProcLevel) -> EventType {
         match self {
             EventType::Unit => EventType::Array(vec![(extent, proc)]),
             EventType::Array(dims) => {
@@ -406,7 +406,7 @@ impl IrProgram {
     }
 
     /// Declare a partition.
-    pub fn add_part(
+    pub(crate) fn add_part(
         &mut self,
         name: impl Into<String>,
         parent: TensorId,

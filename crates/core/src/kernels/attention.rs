@@ -60,7 +60,7 @@ impl AttentionConfig {
 
     /// H100 FA3 mapping (smaller K/V tiles, two in flight).
     #[must_use]
-    pub fn fa3_h100() -> Self {
+    pub(crate) fn fa3_h100() -> Self {
         AttentionConfig {
             br: 128,
             bc: 64,

@@ -21,8 +21,8 @@
 //!   dependencies dissolve into program order;
 //! - **fragment re-aggregation**: warp- and thread-level MMA partition
 //!   path entries are dropped, so the 128 per-thread pieces of Fig. 4
-//!   become one warpgroup-granular instruction (the simulator computes at
-//!   fragment granularity; see DESIGN.md §1).
+//!   become one warpgroup-granular instruction (the simulator computes on
+//!   whole warpgroup fragments, not per thread: `cypress_sim::SimtOp`).
 
 #![deny(clippy::too_many_lines)]
 

@@ -10,10 +10,10 @@
 //!
 //! The cache is unbounded by default. Autotuning multiplies the number
 //! of compiled variants per session (every candidate of a mapping space
-//! passes through here), so [`KernelCache::set_capacity`] installs an
+//! passes through here), so `KernelCache::set_capacity` installs an
 //! LRU bound: when an insert exceeds the capacity, least-recently-used
 //! entries are evicted — never the entry the in-flight
-//! [`KernelCache::get_or_compile`] just produced, which is pinned until
+//! `KernelCache::get_or_compile` just produced, which is pinned until
 //! it has been returned to the caller.
 
 use cypress_core::{CompileError, Compiled};
@@ -72,7 +72,7 @@ impl KernelCache {
     /// Install (or remove, with `None`) the LRU bound. Shrinking below
     /// the current occupancy evicts least-recently-used entries
     /// immediately.
-    pub fn set_capacity(&mut self, capacity: Option<usize>) {
+    pub(crate) fn set_capacity(&mut self, capacity: Option<usize>) {
         self.capacity = capacity.map(|c| c.max(1));
         self.evict_over_capacity(None);
     }
@@ -111,7 +111,7 @@ impl KernelCache {
     ///
     /// Propagates the compiler's [`CompileError`] (failures are not
     /// cached; a later retry recompiles).
-    pub fn get_or_compile(
+    pub(crate) fn get_or_compile(
         &mut self,
         fingerprint: u64,
         compile: impl FnOnce() -> Result<Compiled, CompileError>,

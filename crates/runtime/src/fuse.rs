@@ -169,7 +169,7 @@ impl FusionPlan {
     /// Original node names each rewritten node replaced (empty for
     /// nodes that were not fused), indexed by rewritten-graph node.
     #[must_use]
-    pub fn replaced_by_node(&self) -> Vec<Vec<String>> {
+    pub(crate) fn replaced_by_node(&self) -> Vec<Vec<String>> {
         let mut out = vec![Vec::new(); self.graph.len()];
         for r in &self.rewrites {
             out[r.fused.index()] = r.replaced.clone();

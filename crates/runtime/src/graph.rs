@@ -214,7 +214,7 @@ impl TaskGraph {
     /// and the executor's ready-queue stream scheduler (edges are
     /// deduplicated per [`TaskGraph::dependencies`]).
     #[must_use]
-    pub fn dependency_edges(&self) -> (Vec<usize>, Vec<Vec<usize>>) {
+    pub(crate) fn dependency_edges(&self) -> (Vec<usize>, Vec<Vec<usize>>) {
         let n = self.nodes.len();
         let mut indegree = vec![0usize; n];
         let mut consumers: Vec<Vec<usize>> = vec![Vec::new(); n];

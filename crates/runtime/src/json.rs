@@ -3,7 +3,7 @@
 //! The offline build carries no `serde`, so every JSON file the
 //! workspace writes is rendered by hand — Chrome traces by
 //! [`crate::TraceSink`], `BENCH_figures.json` by `cypress-bench` — with
-//! [`json_num`] / [`json_str`], and read back through
+//! `json_num` / [`json_str`], and read back through
 //! [`JsonParser::parse`]: a recursive-descent parser over the whole
 //! grammar whose errors carry the byte offset they were raised at.
 
@@ -14,7 +14,7 @@ use std::fmt;
 /// shortest round-trip form. Non-finite values (never produced by the
 /// simulator) clamp to 0.
 #[must_use]
-pub fn json_num(x: f64) -> String {
+pub(crate) fn json_num(x: f64) -> String {
     if !x.is_finite() {
         return "0".to_string();
     }

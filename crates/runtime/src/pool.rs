@@ -9,9 +9,9 @@
 //! By default the pool is unbounded, which is right for a server that
 //! launches one graph shape forever — but a session serving
 //! *shape-diverse* graphs would otherwise park one buffer per distinct
-//! `(dtype, element count)` it ever sees. [`BufferPool::set_capacity`]
+//! `(dtype, element count)` it ever sees. `BufferPool::set_capacity`
 //! bounds the number of parked buffers (mirroring
-//! [`crate::KernelCache::set_capacity`]): when a release would exceed
+//! `KernelCache::set_capacity`): when a release would exceed
 //! the bound, the least-recently-released buffer is dropped, and
 //! [`PoolStats::evicted`] counts how many were let go.
 
@@ -57,7 +57,7 @@ impl BufferPool {
     /// Bound the pool to at most `capacity` parked buffers (`None`
     /// removes the bound). Shrinking below the current occupancy evicts
     /// the least-recently-released buffers immediately.
-    pub fn set_capacity(&mut self, capacity: Option<usize>) {
+    pub(crate) fn set_capacity(&mut self, capacity: Option<usize>) {
         self.capacity = capacity;
         if let Some(cap) = capacity {
             while self.free_len() > cap {
@@ -66,7 +66,7 @@ impl BufferPool {
         }
     }
 
-    /// Builder-style [`BufferPool::set_capacity`].
+    /// Builder-style `BufferPool::set_capacity`.
     #[must_use]
     pub fn with_capacity(mut self, capacity: usize) -> Self {
         self.set_capacity(Some(capacity));
@@ -100,7 +100,7 @@ impl BufferPool {
 
     /// A zeroed `rows x cols` tensor of `dtype`, reusing a released
     /// buffer when one of the right size exists.
-    pub fn acquire(&mut self, dtype: DType, rows: usize, cols: usize) -> Tensor {
+    pub(crate) fn acquire(&mut self, dtype: DType, rows: usize, cols: usize) -> Tensor {
         self.acquired += 1;
         let key = (dtype, rows * cols);
         if let Some((_, t)) = self.free.get_mut(&key).and_then(Vec::pop) {

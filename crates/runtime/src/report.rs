@@ -173,7 +173,7 @@ impl GraphReport {
     /// after a graph launch, and exactly what
     /// [`crate::TraceSink::chrome_json`] serializes.
     #[must_use]
-    pub fn trace_events(&self) -> Vec<crate::telemetry::Event> {
+    pub(crate) fn trace_events(&self) -> Vec<crate::telemetry::Event> {
         self.nodes
             .iter()
             .map(|n| crate::telemetry::Event::NodeSpan {

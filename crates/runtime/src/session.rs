@@ -563,7 +563,7 @@ impl Session {
     /// `total_cmp`, then the encoded config as tie break; unpriceable
     /// candidates are never pruned). If the session's [`TuningTable`]
     /// holds a winner for the *same kernel and machine at a neighboring
-    /// shape* ([`TuningTable::nearest_neighbor`]), that winner is added
+    /// shape* (`TuningTable::nearest_neighbor`), that winner is added
     /// to the timed set as a transfer seed — under `TopK(0)` it is the
     /// *only* candidate timed, so warm fleets re-tune new shapes at the
     /// cost of one simulation. The kept candidates then flow through

@@ -46,7 +46,7 @@ pub struct TunerStats {
     /// timed because they fell outside the sweep's top-k budget.
     pub pruned: u64,
     /// Sweeps seeded from a neighboring shape's winner (see
-    /// [`TuningTable::nearest_neighbor`]).
+    /// `TuningTable::nearest_neighbor`).
     pub transferred: u64,
 }
 
@@ -71,7 +71,7 @@ pub struct TunedMapping {
     /// The kernel entry name the winner was tuned for (`"gemm"`,
     /// `"fa"`, ...). Keys fingerprint the whole computation — argument
     /// shapes included — so this is what lets
-    /// [`TuningTable::nearest_neighbor`] relate entries tuned at
+    /// `TuningTable::nearest_neighbor` relate entries tuned at
     /// *different* shapes of the same kernel.
     pub entry: String,
     /// The winning mapping point.
@@ -224,7 +224,7 @@ impl TuningTable {
     /// transcendentals), so the choice is bit-stable across platforms;
     /// ties keep the first entry in canonical [`TuningKey`] order.
     #[must_use]
-    pub fn nearest_neighbor(
+    pub(crate) fn nearest_neighbor(
         &self,
         entry: &str,
         machine: u64,

@@ -167,7 +167,7 @@ mod tests {
         assert_eq!(b.fresh_var(), 1);
         b.role(RoleKind::Compute(0), vec![]);
         let k = b.build();
-        assert_eq!(k.num_ctas(), 4);
+        assert_eq!(crate::bytecode::lower(&k).unwrap().ctas, 4);
         k.validate(&MachineConfig::test_gpu()).unwrap();
     }
 }

@@ -4,8 +4,9 @@
 //! loop trip counts and branch conditions are [`Expr`] trees. Rather
 //! than evaluate those trees and re-derive every byte and FLOP quantity
 //! per CTA and per iteration, [`lower`] does that work **once per
-//! compiled kernel**, producing a [`Program`]: a flat instruction stream
-//! with
+//! compiled kernel**, in one walk of each role's tree that is also the
+//! kernel's structural check (see [`lower`]'s errors), producing a
+//! [`Program`]: a flat instruction stream with
 //!
 //! - index arithmetic compiled to a small register machine (`IdxOp`
 //!   preludes over virtual `i64` registers, constant-folded,
@@ -24,9 +25,11 @@
 //! - transfer bytes, WGMMA FLOPs and SIMT cost factors pre-computed with
 //!   overflow-checked arithmetic.
 //!
-//! Positions are one-to-one with the role's flattened program, so a
-//! program counter in an error context or a deadlock report names the
-//! flattened instruction. Index operations evaluate in [`Expr::eval`]'s
+//! Positions follow the tree in order: a loop is its `LoopStart`, its body
+//! and its `LoopEnd`; an `If` is its `Branch`, the then-block, a `Jump`
+//! over the else-block, and the else-block; each role ends in `End`. A
+//! program counter in an error context or a deadlock report names one of
+//! these positions. Index operations evaluate in [`Expr::eval`]'s
 //! order and fail with its errors where it would; this module's
 //! `vm_matches_expr_eval_*` tests hold the VM to it. A timing run skips
 //! only what cannot fail.
@@ -35,6 +38,7 @@
 //! overflow, as [`Expr::eval`] does where overflow checks are on.
 //! Division still reports [`EvalError::DivisionByZero`] exactly where
 //! [`Expr::eval`] would.
+#![deny(clippy::too_many_lines)]
 
 use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
@@ -42,10 +46,9 @@ use std::hash::Hash;
 use crate::apply::RSlice;
 use crate::error::SimError;
 use crate::expr::{Cond, Env, EvalError, Expr};
-use crate::flatten::{flatten, Flat};
 use crate::fnv::Fnv64;
 use crate::instr::{Instr, SimtOp};
-use crate::kernel::Kernel;
+use crate::kernel::{Kernel, KernelError, Role, RoleKind, StaticTotals};
 use crate::mem::{MemRef, Slice, Space};
 
 /// Operand of an index instruction: an immediate, a block index, a loop
@@ -273,9 +276,8 @@ pub(crate) enum BcOp {
     Syncthreads,
 }
 
-/// One bytecode position. Mirrors [`Flat`] one-to-one — same indices,
-/// same jump targets — so program counters in error contexts and
-/// deadlock descriptions name the flattened instruction.
+/// One bytecode position: a device operation, or the control flow a loop
+/// or an `If` is laid out with (see the module documentation).
 ///
 /// Real instruction streams are dominated by [`BcInstr::Op`], so boxing
 /// the large variant would put a pointer chase in the engine's hot
@@ -300,17 +302,22 @@ pub(crate) enum BcInstr {
 
 /// A kernel's functional body lowered once into flat bytecode.
 ///
-/// Produced by [`lower`], cached by the runtime alongside the compiled
-/// kernel, and executed by `Simulator::run_functional_lowered` /
-/// `Simulator::run_timing_lowered`. Executing a program against a kernel
-/// other than the one it was lowered from is rejected with a typed
-/// [`SimError::Internal`] (a structural hash of the kernel is stored at
-/// lowering time).
+/// Produced by [`lower`] for a structurally valid kernel only, cached by
+/// the runtime alongside the compiled kernel, and executed by
+/// `Simulator::run_functional_lowered` / `Simulator::run_timing_lowered`,
+/// which check just the machine budgets ([`Kernel::validate`]). Executing
+/// a program against a kernel other than the one it was lowered from is
+/// rejected with a typed [`SimError::Internal`] (a structural hash of the
+/// kernel is stored at lowering time).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Program {
     pub(crate) roles: Vec<Vec<BcInstr>>,
     pub(crate) num_regs: usize,
     pub(crate) shape_hash: u64,
+    /// CTAs in the grid; lowering checked the product.
+    pub(crate) ctas: usize,
+    /// The kernel's per-CTA totals, for the L2 estimate and the report.
+    pub(crate) totals: StaticTotals,
     unproven: usize,
 }
 
@@ -334,27 +341,63 @@ pub(crate) fn kernel_shape_hash(kernel: &Kernel) -> u64 {
     h.finish()
 }
 
-/// Lower `kernel`'s role bodies into a flat [`Program`].
+/// Check `kernel`'s structure and lower its role bodies into a flat
+/// [`Program`].
 ///
 /// # Errors
 ///
-/// Returns [`SimError::Internal`] if a slice references an undeclared
-/// memory object or a pre-computed quantity overflows `usize` — typed
-/// errors instead of the index/overflow panics unchecked lowering would
-/// risk.
+/// Returns [`SimError::Kernel`] with the first structural fault, roles
+/// and instructions in order: an empty grid or one whose CTA count
+/// overflows `usize`; no roles, more than one DMA warp or a duplicate
+/// role; a slice of an undeclared memory object, an empty slice, or one
+/// in an address space its instruction cannot access; an undeclared
+/// mbarrier; a copy whose extents differ; a DMA warp that computes; a
+/// named barrier for more parties than there are roles; a loop trip count
+/// that reads a loop variable. Returns [`SimError::Internal`] if a
+/// pre-computed quantity overflows `usize` or an index does not fit the
+/// event queue's `u32`.
 pub fn lower(kernel: &Kernel) -> Result<Program, SimError> {
+    let ctas = launch_shape(kernel)?;
     let mut ctx = Lower::new(kernel);
     let roles = kernel
         .roles
         .iter()
-        .map(|r| ctx.lower_role(&flatten(&r.body)))
+        .map(|r| ctx.lower_role(r))
         .collect::<Result<Vec<_>, _>>()?;
     Ok(Program {
         roles,
         num_regs: ctx.max_regs as usize,
         shape_hash: kernel_shape_hash(kernel),
+        ctas,
+        // Only now: the totals index the declarations every slice names.
+        totals: kernel.static_totals(),
         unproven: ctx.unproven,
     })
+}
+
+/// The CTAs in `kernel`'s grid, once the grid and the roles check out.
+fn launch_shape(kernel: &Kernel) -> Result<usize, KernelError> {
+    if kernel.grid.contains(&0) {
+        return Err(KernelError::EmptyGrid);
+    }
+    let ctas = kernel
+        .grid
+        .iter()
+        .try_fold(1usize, |n, &g| n.checked_mul(g))
+        .ok_or(KernelError::GridOverflow(kernel.grid))?;
+    let roles = &kernel.roles;
+    if roles.is_empty() {
+        return Err(KernelError::NoRoles);
+    }
+    if roles.iter().filter(|r| r.kind == RoleKind::Dma).count() > 1 {
+        return Err(KernelError::MultipleDmaWarps);
+    }
+    for (i, r) in roles.iter().enumerate() {
+        if roles[..i].iter().any(|earlier| earlier.kind == r.kind) {
+            return Err(KernelError::DuplicateRole(r.kind));
+        }
+    }
+    Ok(ctas)
 }
 
 #[derive(Clone, Copy)]
@@ -432,22 +475,16 @@ struct Scope {
     /// count lowering cannot bound above 0.
     vars: HashMap<usize, Interval>,
     /// What the condition of each enclosing then-block says of its
-    /// left operand; `None` when it says nothing lowering can use.
+    /// left operand, innermost last; `None` when it says nothing
+    /// lowering can use.
     facts: Vec<(Expr, Option<Interval>)>,
-    /// Open loops and then-blocks, innermost last, with the position
-    /// that closes each: its `LoopEnd`, or the then-block's closing
-    /// `Jump`.
-    open: Vec<(usize, Opened)>,
-}
-
-#[derive(Clone, Copy)]
-enum Opened {
-    Loop(usize),
-    Then,
 }
 
 struct Lower<'a> {
     kernel: &'a Kernel,
+    /// Whether the role being lowered is the DMA warp, which may only
+    /// move data and synchronize.
+    dma: bool,
     /// Per-instruction value numbering: an expression already lowered in
     /// this instruction reuses its operand instead of re-emitting ops.
     cse: HashMap<Expr, Scalar>,
@@ -467,6 +504,7 @@ impl<'a> Lower<'a> {
     fn new(kernel: &'a Kernel) -> Self {
         Lower {
             kernel,
+            dma: false,
             cse: HashMap::new(),
             next_reg: 0,
             max_regs: 0,
@@ -523,42 +561,22 @@ impl<'a> Lower<'a> {
         Some(i)
     }
 
-    /// Leave the loops and then-blocks that close at `pc`.
-    fn close_scopes(&mut self, pc: usize) {
-        while let Some(&(at, opened)) = self.scope.open.last() {
-            if at > pc {
-                break;
-            }
-            self.scope.open.pop();
-            match opened {
-                // The engine unbinds a loop's variable when it exits.
-                Opened::Loop(var) => {
-                    self.scope.vars.remove(&var);
-                }
-                Opened::Then => {
-                    self.scope.facts.pop();
-                }
-            }
-        }
-    }
-
-    /// Enter a loop over `var` whose `LoopEnd` is at `close`.
-    fn open_loop(&mut self, var: usize, count: &Expr, close: usize) {
+    /// Enter the body of a loop over `var`.
+    fn open_loop(&mut self, var: usize, count: &Expr) {
         // `count` is evaluated before `var` is bound.
         let range = self.interval(count).and_then(|c| Interval::below(c.hi));
         if let Some(r) = range.filter(|_| !self.scope.reused.contains(&var)) {
             self.scope.vars.insert(var, r);
         }
-        self.scope.open.push((close, Opened::Loop(var)));
     }
 
-    /// Enter the then-block of `cond`, closed by the `Jump` at `close`.
-    /// Inside it the condition held when the branch was taken, and its
-    /// left operand still has that value: an operand lowering can bound
-    /// reads only variables one `LoopStart` binds, which is the enclosing
-    /// loop's, not one inside the then-block. (Where that loop does not
-    /// enclose the branch, the variable is unbound and the branch fails.)
-    fn open_then(&mut self, cond: &Cond, close: usize) {
+    /// Enter the then-block of `cond`. Inside it the condition held when
+    /// the branch was taken, and its left operand still has that value:
+    /// an operand lowering can bound reads only variables one `LoopStart`
+    /// binds, which is the enclosing loop's, not one inside the
+    /// then-block. (Where that loop does not enclose the branch, the
+    /// variable is unbound and the branch fails.)
+    fn open_then(&mut self, cond: &Cond) {
         let (x, bound) = match cond {
             Cond::Lt(x, y) => (
                 x,
@@ -579,7 +597,6 @@ impl<'a> Lower<'a> {
             Cond::Eq(x, y) => (x, self.interval(y)),
         };
         self.scope.facts.push((x.clone(), bound));
-        self.scope.open.push((close, Opened::Then));
     }
 
     /// Reset the value-numbering scope; registers are reused across
@@ -610,187 +627,283 @@ impl<'a> Lower<'a> {
         r
     }
 
-    /// Lower a role's flat program, position by position in order, so
-    /// the scope tracks the loops and then-blocks enclosing each.
-    fn lower_role(&mut self, flat: &[Flat<'_>]) -> Result<Vec<BcInstr>, SimError> {
+    /// Check and lower one role's body, ended by [`BcInstr::End`].
+    fn lower_role(&mut self, role: &Role) -> Result<Vec<BcInstr>, SimError> {
         // Every role starts with no loop variable bound; `reused` is each
-        // id a second `LoopStart` binds.
+        // id a second loop binds.
+        let mut vars = Vec::new();
+        loop_vars(&role.body, &mut vars);
         let mut bound = HashSet::new();
         self.scope = Scope {
-            reused: flat
-                .iter()
-                .filter_map(|f| match f {
-                    Flat::LoopStart { var, .. } => (!bound.insert(*var)).then_some(*var),
-                    _ => None,
-                })
-                .collect(),
+            reused: vars.into_iter().filter(|v| !bound.insert(*v)).collect(),
             ..Scope::default()
         };
-        (0..flat.len())
-            .map(|pc| self.lower_flat(flat, pc))
-            .collect()
+        self.dma = role.kind == RoleKind::Dma;
+        let mut out = Vec::new();
+        self.lower_block(&role.body, &mut out)?;
+        out.push(BcInstr::End);
+        Ok(out)
     }
 
-    fn lower_flat(&mut self, flat: &[Flat<'_>], pc: usize) -> Result<BcInstr, SimError> {
-        self.close_scopes(pc);
-        Ok(match &flat[pc] {
-            Flat::Op(instr) => BcInstr::Op(self.lower_op(instr)?),
-            Flat::LoopStart { var, count, end } => {
-                self.begin_instr();
-                let mut pre = Vec::new();
-                let val = self.emit(count, &mut pre);
-                self.open_loop(*var, count, end - 1);
-                BcInstr::LoopStart {
-                    var: *var,
-                    count: SVal { pre, val },
-                    end: *end,
-                }
-            }
-            Flat::LoopEnd => BcInstr::LoopEnd,
-            Flat::Branch { cond, else_target } => {
-                self.begin_instr();
-                let mut pre = Vec::new();
-                let (kind, a, b) = match cond {
-                    Cond::Ge(x, y) => {
-                        let a = self.emit(x, &mut pre);
-                        let b = self.emit(y, &mut pre);
-                        (CondKind::Ge, a, b)
-                    }
-                    Cond::Lt(x, y) => {
-                        let a = self.emit(x, &mut pre);
-                        let b = self.emit(y, &mut pre);
-                        (CondKind::Lt, a, b)
-                    }
-                    Cond::Eq(x, y) => {
-                        let a = self.emit(x, &mut pre);
-                        let b = self.emit(y, &mut pre);
-                        (CondKind::Eq, a, b)
-                    }
-                };
-                self.open_then(cond, else_target - 1);
-                BcInstr::Branch {
-                    cond: BcCond { pre, kind, a, b },
-                    else_target: *else_target,
-                }
-            }
-            Flat::Jump(t) => BcInstr::Jump(*t),
-            Flat::End => BcInstr::End,
-        })
+    /// Lower a loop over `var`: its `LoopStart`, the body with `var` in
+    /// scope, and its `LoopEnd`.
+    fn lower_loop(
+        &mut self,
+        var: usize,
+        count: &Expr,
+        body: &[Instr],
+        out: &mut Vec<BcInstr>,
+    ) -> Result<(), SimError> {
+        if count.references_vars() {
+            return Err(KernelError::DynamicTripCount.into());
+        }
+        let mut pre = Vec::new();
+        let val = self.emit(count, &mut pre);
+        self.open_loop(var, count);
+        let start = out.len();
+        out.push(BcInstr::LoopStart {
+            var,
+            count: SVal { pre, val },
+            end: usize::MAX,
+        });
+        self.lower_block(body, out)?;
+        // The engine unbinds a loop's variable when it exits.
+        self.scope.vars.remove(&var);
+        out.push(BcInstr::LoopEnd);
+        patch(out, start);
+        Ok(())
     }
 
-    fn lower_op(&mut self, instr: &Instr) -> Result<BcOp, SimError> {
-        self.begin_instr();
-        Ok(match instr {
-            Instr::TmaLoad { src, dst, bar } => {
-                let mut src = self.lower_slice(src)?;
-                let mut dst = self.lower_slice(dst)?;
-                self.seal([&mut src, &mut dst]);
-                let bytes = self.slice_bytes(&src)?;
-                BcOp::TmaLoad {
-                    src,
-                    dst,
-                    bar: index32(*bar, "mbarrier index")?,
-                    bytes,
+    /// Lower an `If`: its `Branch`, the then-block under what `cond`
+    /// says, a `Jump` over the else-block, and the else-block.
+    fn lower_if(
+        &mut self,
+        cond: &Cond,
+        then_: &[Instr],
+        else_: &[Instr],
+        out: &mut Vec<BcInstr>,
+    ) -> Result<(), SimError> {
+        let (kind, x, y) = match cond {
+            Cond::Ge(x, y) => (CondKind::Ge, x, y),
+            Cond::Lt(x, y) => (CondKind::Lt, x, y),
+            Cond::Eq(x, y) => (CondKind::Eq, x, y),
+        };
+        let mut pre = Vec::new();
+        let a = self.emit(x, &mut pre);
+        let b = self.emit(y, &mut pre);
+        self.open_then(cond);
+        let branch = out.len();
+        out.push(BcInstr::Branch {
+            cond: BcCond { pre, kind, a, b },
+            else_target: usize::MAX,
+        });
+        self.lower_block(then_, out)?;
+        self.scope.facts.pop();
+        let jump = out.len();
+        out.push(BcInstr::Jump(usize::MAX));
+        patch(out, branch);
+        self.lower_block(else_, out)?;
+        patch(out, jump);
+        Ok(())
+    }
+
+    /// Check and lower `block` onto `out`. An operation is checked as it
+    /// is lowered, operand by operand, so an instruction with several
+    /// faults reports the one its operand order meets first.
+    fn lower_block(&mut self, block: &[Instr], out: &mut Vec<BcInstr>) -> Result<(), SimError> {
+        for instr in block {
+            self.begin_instr();
+            let op = match instr {
+                Instr::Loop { var, count, body } => {
+                    self.lower_loop(*var, count, body, out)?;
+                    continue;
                 }
-            }
-            Instr::CpAsyncLoad { src, dst, bar } => {
-                let mut src = self.lower_slice(src)?;
-                let mut dst = self.lower_slice(dst)?;
-                self.seal([&mut src, &mut dst]);
-                let bytes = self.slice_bytes(&src)?;
-                BcOp::CpAsyncLoad {
-                    src,
-                    dst,
-                    bar: index32(*bar, "mbarrier index")?,
-                    bytes,
+                Instr::If { cond, then_, else_ } => {
+                    self.lower_if(cond, then_, else_, out)?;
+                    continue;
                 }
-            }
-            Instr::TmaStore { src, dst } => {
-                let mut src = self.lower_slice(src)?;
-                let mut dst = self.lower_slice(dst)?;
-                self.seal([&mut src, &mut dst]);
-                let bytes = self.slice_bytes(&src)?;
-                BcOp::TmaStore { src, dst, bytes }
-            }
-            Instr::TmaStoreWait => BcOp::TmaStoreWait,
-            Instr::MbarArrive { bar } => BcOp::MbarArrive { bar: *bar },
-            Instr::MbarWait { bar } => BcOp::MbarWait { bar: *bar },
-            Instr::Wgmma {
-                a,
-                b,
-                acc,
-                accumulate,
-                transpose_b,
-            } => {
-                let mut a = self.lower_slice(a)?;
-                let mut b = self.lower_slice(b)?;
-                let mut acc = self.lower_slice(acc)?;
-                self.seal([&mut a, &mut b, &mut acc]);
-                let a_elems = a.rows.checked_mul(a.cols).ok_or_else(|| overflow(&a))?;
-                // 2 * |A| * N, left to right in f64: the timing golden
-                // digests pin the bits.
-                let flops = 2.0 * a_elems as f64 * acc.cols as f64;
-                let mut smem_bytes = self.slice_bytes(&b)?;
-                if a.mem.space() == Space::Shared {
-                    smem_bytes += self.slice_bytes(&a)?;
+                Instr::TmaLoad { src, dst, bar } | Instr::CpAsyncLoad { src, dst, bar } => {
+                    let spaces = [Space::Global, Space::Shared];
+                    let (src, dst, bytes) = self.lower_copy(src, dst, spaces, Some(*bar))?;
+                    let bar = index32(*bar, "mbarrier index")?;
+                    if matches!(instr, Instr::TmaLoad { .. }) {
+                        BcOp::TmaLoad {
+                            src,
+                            dst,
+                            bar,
+                            bytes,
+                        }
+                    } else {
+                        BcOp::CpAsyncLoad {
+                            src,
+                            dst,
+                            bar,
+                            bytes,
+                        }
+                    }
                 }
-                BcOp::Wgmma {
+                Instr::TmaStore { src, dst } => {
+                    let spaces = [Space::Shared, Space::Global];
+                    let (src, dst, bytes) = self.lower_copy(src, dst, spaces, None)?;
+                    BcOp::TmaStore { src, dst, bytes }
+                }
+                Instr::TmaStoreWait => BcOp::TmaStoreWait,
+                Instr::MbarArrive { bar } => BcOp::MbarArrive {
+                    bar: self.mbar(*bar)?,
+                },
+                Instr::MbarWait { bar } => BcOp::MbarWait {
+                    bar: self.mbar(*bar)?,
+                },
+                Instr::Wgmma {
                     a,
                     b,
                     acc,
-                    accumulate: *accumulate,
-                    transpose_b: *transpose_b,
-                    flops,
-                    smem_bytes,
+                    accumulate,
+                    transpose_b,
+                } => self.lower_wgmma(a, b, acc, *accumulate, *transpose_b)?,
+                Instr::WgmmaWait { pending } => {
+                    self.computes()?;
+                    BcOp::WgmmaWait { pending: *pending }
                 }
-            }
-            Instr::WgmmaWait { pending } => BcOp::WgmmaWait { pending: *pending },
-            Instr::Simt(op) => {
-                let mut srcs = Vec::new();
-                for s in op.sources() {
-                    srcs.push(self.lower_slice(s)?);
+                Instr::Simt(op) => self.lower_simt(op)?,
+                &Instr::NamedBarrier { id, parties } => {
+                    let roles = self.kernel.roles.len();
+                    if parties > roles {
+                        return Err(
+                            KernelError::BarrierPartiesExceedRoles { parties, roles }.into()
+                        );
+                    }
+                    BcOp::NamedBarrier { id, parties }
                 }
-                let mut dst = self.lower_slice(op.dst())?;
-                self.seal(srcs.iter_mut().chain([&mut dst]));
-                let cost = self.simt_cost(op, &srcs, &dst)?;
-                BcOp::Simt {
-                    op: op.clone(),
-                    srcs,
-                    dst,
-                    cost,
-                }
+                Instr::Syncthreads => BcOp::Syncthreads,
+            };
+            out.push(BcInstr::Op(op));
+        }
+        Ok(())
+    }
+
+    /// Check and lower a copy of `src` to `dst`, out of and into the two
+    /// `spaces`, arriving on mbarrier `bar` if it has one: its slices and
+    /// the bytes it moves, which both extents must agree on.
+    fn lower_copy(
+        &mut self,
+        src: &Slice,
+        dst: &Slice,
+        [from, to]: [Space; 2],
+        bar: Option<usize>,
+    ) -> Result<(BcSlice, BcSlice, f64), SimError> {
+        let mut lsrc = self.lower_slice(in_space(src, from)?)?;
+        let mut ldst = self.lower_slice(in_space(dst, to)?)?;
+        if let Some(bar) = bar {
+            self.mbar(bar)?;
+        }
+        // Widen to u128 so two extents that wrap to the same usize in a
+        // release build still compare unequal.
+        if (src.rows as u128) * (src.cols as u128) != (dst.rows as u128) * (dst.cols as u128) {
+            return Err(KernelError::CopyExtentMismatch {
+                src: (src.rows, src.cols),
+                dst: (dst.rows, dst.cols),
             }
-            Instr::NamedBarrier { id, parties } => BcOp::NamedBarrier {
-                id: *id,
-                parties: *parties,
-            },
-            Instr::Syncthreads => BcOp::Syncthreads,
-            Instr::Loop { .. } | Instr::If { .. } => {
-                return Err(SimError::Internal {
-                    what: "control flow reached bytecode lowering unflattened".into(),
-                })
-            }
+            .into());
+        }
+        self.seal([&mut lsrc, &mut ldst]);
+        let bytes = self.slice_bytes(&lsrc)?;
+        Ok((lsrc, ldst, bytes))
+    }
+
+    fn lower_wgmma(
+        &mut self,
+        a: &Slice,
+        b: &Slice,
+        acc: &Slice,
+        accumulate: bool,
+        transpose_b: bool,
+    ) -> Result<BcOp, SimError> {
+        self.computes()?;
+        if a.mem.space() == Space::Global || b.mem.space() != Space::Shared {
+            return Err(KernelError::IllegalOperandSpace.into());
+        }
+        let mut a = self.lower_slice(a)?;
+        let mut b = self.lower_slice(b)?;
+        let mut acc = self.lower_slice(in_space(acc, Space::Register)?)?;
+        self.seal([&mut a, &mut b, &mut acc]);
+        let a_elems = a.rows.checked_mul(a.cols).ok_or_else(|| overflow(&a))?;
+        // 2 * |A| * N, left to right in f64: the timing golden
+        // digests pin the bits.
+        let flops = 2.0 * a_elems as f64 * acc.cols as f64;
+        let mut smem_bytes = self.slice_bytes(&b)?;
+        if a.mem.space() == Space::Shared {
+            smem_bytes += self.slice_bytes(&a)?;
+        }
+        Ok(BcOp::Wgmma {
+            a,
+            b,
+            acc,
+            accumulate,
+            transpose_b,
+            flops,
+            smem_bytes,
         })
     }
 
-    fn lower_slice(&mut self, s: &Slice) -> Result<BcSlice, SimError> {
-        let undeclared = || SimError::Internal {
-            what: format!("bytecode lowering: slice references undeclared {:?}", s.mem),
-        };
-        let (prows, pcols, stages) = match s.mem {
-            MemRef::Param(i) => {
-                let p = self.kernel.params.get(i).ok_or_else(undeclared)?;
-                (p.rows, p.cols, 1)
-            }
-            MemRef::Smem(i) => {
-                let d = self.kernel.smem.get(i).ok_or_else(undeclared)?;
-                (d.rows, d.cols, d.stages)
-            }
-            MemRef::Frag(i) => {
-                let f = self.kernel.frags.get(i).ok_or_else(undeclared)?;
-                (f.rows, f.cols, 1)
-            }
-        };
+    fn lower_simt(&mut self, op: &SimtOp) -> Result<BcOp, SimError> {
+        let sources = op.sources();
+        let in_registers = |s: &Slice| s.mem.space() == Space::Register;
+        if self.dma && (in_registers(op.dst()) || sources.iter().any(|s| in_registers(s))) {
+            return Err(KernelError::DmaWarpComputes.into());
+        }
+        // A bad destination is reported ahead of a bad source, though the
+        // destination is lowered last.
+        self.declared(op.dst())?;
+        let mut srcs = sources
+            .into_iter()
+            .map(|s| self.lower_slice(s))
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut dst = self.lower_slice(op.dst())?;
+        self.seal(srcs.iter_mut().chain([&mut dst]));
+        let cost = self.simt_cost(op, &srcs, &dst)?;
+        Ok(BcOp::Simt {
+            op: op.clone(),
+            srcs,
+            dst,
+            cost,
+        })
+    }
+
+    /// Fail if the role being lowered is the DMA warp.
+    fn computes(&self) -> Result<(), KernelError> {
+        if self.dma {
+            return Err(KernelError::DmaWarpComputes);
+        }
+        Ok(())
+    }
+
+    /// `bar`, if the kernel declares it.
+    fn mbar(&self, bar: usize) -> Result<usize, KernelError> {
+        if bar >= self.kernel.mbars.len() {
+            return Err(KernelError::UnknownBarrier(bar));
+        }
+        Ok(bar)
+    }
+
+    /// The row, column and stage bounds of the object `s` slices, if the
+    /// kernel declares it and `s` is not empty.
+    fn declared(&self, s: &Slice) -> Result<(usize, usize, usize), KernelError> {
+        let k = self.kernel;
+        let bounds = match s.mem {
+            MemRef::Param(i) => k.params.get(i).map(|p| (p.rows, p.cols, 1)),
+            MemRef::Smem(i) => k.smem.get(i).map(|d| (d.rows, d.cols, d.stages)),
+            MemRef::Frag(i) => k.frags.get(i).map(|f| (f.rows, f.cols, 1)),
+        }
+        .ok_or(KernelError::UnknownMemoryObject(s.mem))?;
+        if s.rows == 0 || s.cols == 0 {
+            return Err(KernelError::EmptySlice(s.mem));
+        }
+        Ok(bounds)
+    }
+
+    fn lower_slice(&mut self, s: &Slice) -> Result<BcSlice, KernelError> {
+        let (prows, pcols, stages) = self.declared(s)?;
         let mut pre = Vec::new();
         // The engine reads the origin in this order: stage, then row,
         // then column.
@@ -966,6 +1079,43 @@ impl<'a> Lower<'a> {
         });
         Scalar::Reg(dst)
     }
+}
+
+/// Push the variable of every loop in `block`, once per loop.
+fn loop_vars(block: &[Instr], out: &mut Vec<usize>) {
+    for instr in block {
+        match instr {
+            Instr::Loop { var, body, .. } => {
+                out.push(*var);
+                loop_vars(body, out);
+            }
+            Instr::If { then_, else_, .. } => {
+                loop_vars(then_, out);
+                loop_vars(else_, out);
+            }
+            _ => {}
+        }
+    }
+}
+
+/// Point the `LoopStart`, `Branch` or `Jump` at `at` just past the end
+/// of `out`.
+fn patch(out: &mut [BcInstr], at: usize) {
+    let here = out.len();
+    if let BcInstr::LoopStart { end: t, .. }
+    | BcInstr::Branch { else_target: t, .. }
+    | BcInstr::Jump(t) = &mut out[at]
+    {
+        *t = here;
+    }
+}
+
+/// `s`, if it lives in `space`.
+fn in_space(s: &Slice, space: Space) -> Result<&Slice, KernelError> {
+    if s.mem.space() != space {
+        return Err(KernelError::IllegalOperandSpace);
+    }
+    Ok(s)
 }
 
 /// `i` as event-queue elements store indices: they index with `u32` to
@@ -1275,31 +1425,80 @@ mod tests {
         b.build()
     }
 
+    /// Each position of a role's program, with the target of a jump.
+    fn layout(role: &[BcInstr]) -> Vec<String> {
+        role.iter()
+            .map(|bc| match bc {
+                BcInstr::Op(_) => "op".to_string(),
+                BcInstr::LoopStart { end, .. } => format!("loop, exit {end}"),
+                BcInstr::LoopEnd => "loop end".into(),
+                BcInstr::Branch { else_target, .. } => format!("branch, else {else_target}"),
+                BcInstr::Jump(t) => format!("jump {t}"),
+                BcInstr::End => "end".into(),
+            })
+            .collect()
+    }
+
+    fn one_role_layout(body: Vec<Instr>) -> Vec<String> {
+        let mut b = crate::KernelBuilder::new("layout", [1, 1, 1]);
+        b.role(RoleKind::Compute(0), body);
+        layout(&lower(&b.build()).unwrap().roles[0])
+    }
+
+    #[test]
+    fn flat_loop_targets() {
+        let body = vec![Instr::Loop {
+            var: 0,
+            count: Expr::lit(3),
+            body: vec![Instr::Syncthreads],
+        }];
+        assert_eq!(
+            one_role_layout(body),
+            ["loop, exit 3", "op", "loop end", "end"]
+        );
+    }
+
+    #[test]
+    fn flat_if_targets() {
+        let body = vec![Instr::If {
+            cond: Cond::Ge(Expr::var(0), Expr::lit(1)),
+            then_: vec![Instr::Syncthreads],
+            else_: vec![Instr::Syncthreads, Instr::Syncthreads],
+        }];
+        assert_eq!(
+            one_role_layout(body),
+            ["branch, else 3", "op", "jump 5", "op", "op", "end"]
+        );
+    }
+
+    /// Program counters name these positions in error contexts and
+    /// deadlock reports: a loop is its header, body and back-edge, an
+    /// `If` its branch, then-block, jump and (here empty) else-block.
     #[test]
     fn lowered_program_mirrors_flat_shape() {
-        let kernel = pipelined_kernel();
-        let program = lower(&kernel).unwrap();
-        assert_eq!(program.roles.len(), kernel.roles.len());
-        for (role, bc) in kernel.roles.iter().zip(&program.roles) {
-            let flat = flatten(&role.body);
-            assert_eq!(flat.len(), bc.len(), "one-to-one with the flat program");
-            for (f, b) in flat.iter().zip(bc) {
-                match (f, b) {
-                    (Flat::Op(_), BcInstr::Op(_))
-                    | (Flat::LoopEnd, BcInstr::LoopEnd)
-                    | (Flat::End, BcInstr::End) => {}
-                    (Flat::Jump(t), BcInstr::Jump(u)) => assert_eq!(t, u),
-                    (Flat::LoopStart { end: t, .. }, BcInstr::LoopStart { end: u, .. }) => {
-                        assert_eq!(t, u);
-                    }
-                    (
-                        Flat::Branch { else_target: t, .. },
-                        BcInstr::Branch { else_target: u, .. },
-                    ) => assert_eq!(t, u),
-                    other => panic!("lowering changed the instruction shape: {other:?}"),
-                }
-            }
-        }
+        let program = lower(&pipelined_kernel()).unwrap();
+        assert_eq!(program.roles.len(), 2);
+        assert_eq!(
+            layout(&program.roles[0]),
+            ["loop, exit 4", "op", "op", "loop end", "end"]
+        );
+        assert_eq!(
+            layout(&program.roles[1]),
+            [
+                "op",
+                "loop, exit 9",
+                "op",
+                "branch, else 6",
+                "op",
+                "jump 6",
+                "op",
+                "op",
+                "loop end",
+                "op",
+                "op",
+                "end"
+            ]
+        );
     }
 
     /// Only a slice that cannot fail is resolved at lowering time.

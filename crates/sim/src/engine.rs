@@ -47,13 +47,14 @@
 //! run applies when a copy or MMA retires live in a `Box` beside the
 //! element, allocated only when data moves: a timing run's events own
 //! no heap memory.
+#![deny(clippy::too_many_lines)]
 
 use crate::apply::{self, FuncData, RSlice, Scratch};
 use crate::bytecode::{self, BcInstr, BcOp, BcSlice, Program, SimtCost};
 use crate::error::SimError;
 use crate::expr::{Env, EvalError};
 use crate::instr::SimtOp;
-use crate::kernel::{Kernel, RoleKind, StaticTotals};
+use crate::kernel::{Kernel, RoleKind};
 use crate::machine::MachineConfig;
 use crate::mem::MemRef;
 use crate::report::{ApplyBytes, TimingReport};
@@ -300,9 +301,6 @@ pub(crate) struct Engine<'k> {
     l2: Fluid,
     hbm: Fluid,
     l2_hit: f64,
-    /// Per-CTA static totals, computed once for the L2 estimate and the
-    /// report.
-    totals: StaticTotals,
     ctas: Vec<CtaState>,
     execs: Vec<Exec<'k>>,
     next_cta: u32,
@@ -333,6 +331,8 @@ impl<'k> Engine<'k> {
         params: Option<Vec<Tensor>>,
         program: &'k Program,
     ) -> Result<Self, SimError> {
+        // Lowering checked the structure; what is left is whether the
+        // machine can host a CTA, and that `program` is `kernel`'s.
         kernel.validate(machine)?;
         if program.shape_hash != bytecode::kernel_shape_hash(kernel) {
             return Err(SimError::Internal {
@@ -366,7 +366,7 @@ impl<'k> Engine<'k> {
             }
         }
 
-        let num_ctas = kernel.num_ctas();
+        let num_ctas = program.ctas;
         let active_sms = num_ctas.min(machine.sms).max(1);
         let ctas_per_sm = occupancy(kernel, machine);
         let (n_sim, window) = match mode {
@@ -375,10 +375,10 @@ impl<'k> Engine<'k> {
         };
         let n_sim = bytecode::index32(n_sim, "simulated CTA count")?;
 
-        // L2 hit estimate from the static footprint (see DESIGN.md §1):
-        // loads beyond each parameter's unique bytes are assumed L2 hits.
-        let totals = kernel.static_totals();
-        let total_loads = totals.load_bytes * num_ctas as f64;
+        // L2 hit estimate from the static footprint, a first-order model
+        // in place of an L2 simulation: loads beyond each parameter's
+        // unique bytes are assumed L2 hits.
+        let total_loads = program.totals.load_bytes * num_ctas as f64;
         let unique: f64 = kernel.params.iter().map(|p| p.size_bytes() as f64).sum();
         let l2_hit = if total_loads > 0.0 {
             (1.0 - unique / total_loads).clamp(0.0, 0.995)
@@ -410,7 +410,6 @@ impl<'k> Engine<'k> {
             l2: Fluid::new(machine.l2_bytes_per_cycle / share),
             hbm: Fluid::new(machine.hbm_bytes_per_cycle / share),
             l2_hit,
-            totals,
             ctas: Vec::new(),
             execs: Vec::new(),
             next_cta: 0,
@@ -598,8 +597,8 @@ impl<'k> Engine<'k> {
             });
         }
         let makespan = self.now;
-        let totals = self.totals;
-        let n = self.kernel.num_ctas() as f64;
+        let totals = self.program.totals;
+        let n = self.program.ctas as f64;
         let seconds = self.machine.cycles_to_seconds(makespan);
         let tc_flops = totals.tc_flops * n;
         let simt_flops = totals.simt_flops * n;
@@ -613,7 +612,7 @@ impl<'k> Engine<'k> {
             tc_utilization: (self.tc_unit.busy / makespan).min(1.0),
             tma_utilization: ((self.tma_unit.busy + self.cp_unit.busy) / makespan).min(1.0),
             simt_utilization: (self.simt_unit.busy / makespan).min(1.0),
-            ctas: self.kernel.num_ctas(),
+            ctas: self.program.ctas,
             simulated_ctas: self.n_sim as usize,
             active_sms: self.active_sms,
             ctas_per_sm: self.ctas_per_sm,

@@ -104,8 +104,8 @@ impl Expr {
     }
 
     /// `true` if the expression references any loop variable (used by
-    /// [`crate::Kernel::validate`], which rejects a loop trip count that
-    /// does with `KernelError::DynamicTripCount`).
+    /// bytecode lowering, which rejects a loop trip count that does with
+    /// `KernelError::DynamicTripCount`).
     #[must_use]
     pub(crate) fn references_vars(&self) -> bool {
         match self {

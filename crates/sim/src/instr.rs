@@ -236,8 +236,9 @@ impl Instr {
 
 /// Bulk SIMT math on slices, executed by a whole warpgroup.
 ///
-/// Operations are expressed at fragment granularity (the functional
-/// simulator computes on whole warpgroup fragments; see DESIGN.md). Row
+/// Operations are expressed at fragment granularity: the functional
+/// simulator computes on whole warpgroup fragments, never per thread, so
+/// one operation stands for what all 128 threads of the warpgroup do. Row
 /// vectors for broadcast/reduce operands have extent `rows × 1`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SimtOp {

@@ -6,12 +6,18 @@
 //! statically-scheduled instruction stream per *role*. Roles correspond to
 //! the warp-specialization structure of §4.2.5: one optional DMA warp plus
 //! one or more compute warpgroups.
+//!
+//! A kernel is checked in two halves. Its structure (grid, roles,
+//! declarations, address spaces, barriers, trip counts) is checked by
+//! [`crate::bytecode::lower`], in the one walk that lowers it; what the
+//! machine can host (shared memory, registers, warps) by
+//! [`Kernel::validate`].
+#![deny(clippy::too_many_lines)]
 
 use crate::expr::Env;
-use crate::instr::{Instr, SimtOp};
+use crate::instr::Instr;
 use crate::machine::MachineConfig;
-use crate::mem::{FragDecl, MemRef, ParamDecl, Slice, SmemDecl, Space};
-use std::collections::HashSet;
+use crate::mem::{FragDecl, MemRef, ParamDecl, Slice, SmemDecl};
 use std::fmt;
 
 /// The kind of executor a role runs on.
@@ -75,12 +81,6 @@ pub struct Kernel {
 }
 
 impl Kernel {
-    /// Total CTAs in the grid.
-    #[must_use]
-    pub(crate) fn num_ctas(&self) -> usize {
-        self.grid[0] * self.grid[1] * self.grid[2]
-    }
-
     /// Shared-memory bytes used by one CTA. Saturates on overflow so the
     /// budget check in [`Kernel::validate`] fires instead of wrapping.
     #[must_use]
@@ -126,37 +126,17 @@ impl Kernel {
         self.num_compute_warpgroups() * 4 + usize::from(self.has_dma_warp())
     }
 
-    /// Validate the kernel against `machine`, checking every structural
-    /// invariant the engine later relies on.
+    /// Check that `machine` can host one CTA of the kernel: its shared
+    /// memory, its registers per thread and its warps. Reads the
+    /// declarations and the roles, never an instruction; the structure is
+    /// [`crate::bytecode::lower`]'s to check.
     ///
     /// # Errors
     ///
-    /// Returns a [`KernelError`] describing the first violated invariant:
-    /// shared memory or register over-subscription, out-of-range memory or
-    /// barrier references, loop trip counts that are not launch-constant,
-    /// operations issued by a role that cannot perform them, or slices whose
-    /// address space is illegal for the instruction.
+    /// Returns the first budget exceeded, in that order:
+    /// [`KernelError::SharedMemoryExceeded`],
+    /// [`KernelError::RegistersExceeded`] or [`KernelError::TooManyWarps`].
     pub fn validate(&self, machine: &MachineConfig) -> Result<(), KernelError> {
-        if self.num_ctas() == 0 {
-            return Err(KernelError::EmptyGrid);
-        }
-        if self.roles.is_empty() {
-            return Err(KernelError::NoRoles);
-        }
-        let dma_count = self
-            .roles
-            .iter()
-            .filter(|r| r.kind == RoleKind::Dma)
-            .count();
-        if dma_count > 1 {
-            return Err(KernelError::MultipleDmaWarps);
-        }
-        let mut seen = HashSet::new();
-        for r in &self.roles {
-            if !seen.insert(r.kind) {
-                return Err(KernelError::DuplicateRole(r.kind));
-            }
-        }
         if self.smem_bytes() > machine.smem_per_sm {
             return Err(KernelError::SharedMemoryExceeded {
                 used: self.smem_bytes(),
@@ -175,134 +155,20 @@ impl Kernel {
                 limit: machine.max_warps_per_sm,
             });
         }
-        for role in &self.roles {
-            self.validate_block(&role.body, role.kind)?;
-        }
-        Ok(())
-    }
-
-    fn validate_block(&self, body: &[Instr], role: RoleKind) -> Result<(), KernelError> {
-        for instr in body {
-            match instr {
-                Instr::TmaLoad { src, dst, bar } | Instr::CpAsyncLoad { src, dst, bar } => {
-                    self.check_slice(src, Space::Global)?;
-                    self.check_slice(dst, Space::Shared)?;
-                    self.check_bar(*bar)?;
-                    self.check_same_extent(src, dst)?;
-                }
-                Instr::TmaStore { src, dst } => {
-                    self.check_slice(src, Space::Shared)?;
-                    self.check_slice(dst, Space::Global)?;
-                    self.check_same_extent(src, dst)?;
-                }
-                Instr::TmaStoreWait | Instr::Syncthreads => {}
-                Instr::MbarArrive { bar } | Instr::MbarWait { bar } => self.check_bar(*bar)?,
-                Instr::Wgmma { a, b, acc, .. } => {
-                    if role == RoleKind::Dma {
-                        return Err(KernelError::DmaWarpComputes);
-                    }
-                    if a.mem.space() == Space::Global || b.mem.space() != Space::Shared {
-                        return Err(KernelError::IllegalOperandSpace);
-                    }
-                    self.check_slice_exists(a)?;
-                    self.check_slice(b, Space::Shared)?;
-                    self.check_slice(acc, Space::Register)?;
-                }
-                Instr::WgmmaWait { .. } => {
-                    if role == RoleKind::Dma {
-                        return Err(KernelError::DmaWarpComputes);
-                    }
-                }
-                Instr::Simt(op) => {
-                    if role == RoleKind::Dma && self.simt_touches_registers(op) {
-                        return Err(KernelError::DmaWarpComputes);
-                    }
-                    self.check_slice_exists(op.dst())?;
-                    for s in op.sources() {
-                        self.check_slice_exists(s)?;
-                    }
-                }
-                Instr::NamedBarrier { parties, .. } => {
-                    if *parties > self.roles.len() {
-                        return Err(KernelError::BarrierPartiesExceedRoles {
-                            parties: *parties,
-                            roles: self.roles.len(),
-                        });
-                    }
-                }
-                Instr::Loop { count, body, .. } => {
-                    if count.references_vars() {
-                        return Err(KernelError::DynamicTripCount);
-                    }
-                    self.validate_block(body, role)?;
-                }
-                Instr::If { then_, else_, .. } => {
-                    self.validate_block(then_, role)?;
-                    self.validate_block(else_, role)?;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn simt_touches_registers(&self, op: &SimtOp) -> bool {
-        op.dst().mem.space() == Space::Register
-            || op
-                .sources()
-                .iter()
-                .any(|s| s.mem.space() == Space::Register)
-    }
-
-    fn check_bar(&self, bar: usize) -> Result<(), KernelError> {
-        if bar >= self.mbars.len() {
-            return Err(KernelError::UnknownBarrier(bar));
-        }
-        Ok(())
-    }
-
-    fn check_same_extent(&self, a: &Slice, b: &Slice) -> Result<(), KernelError> {
-        // Widen to u128 so two extents that wrap to the same usize in a
-        // release build still compare unequal.
-        if (a.rows as u128) * (a.cols as u128) != (b.rows as u128) * (b.cols as u128) {
-            return Err(KernelError::CopyExtentMismatch {
-                src: (a.rows, a.cols),
-                dst: (b.rows, b.cols),
-            });
-        }
-        Ok(())
-    }
-
-    fn check_slice(&self, s: &Slice, space: Space) -> Result<(), KernelError> {
-        if s.mem.space() != space {
-            return Err(KernelError::IllegalOperandSpace);
-        }
-        self.check_slice_exists(s)
-    }
-
-    fn check_slice_exists(&self, s: &Slice) -> Result<(), KernelError> {
-        let ok = match s.mem {
-            MemRef::Param(i) => i < self.params.len(),
-            MemRef::Smem(i) => i < self.smem.len(),
-            MemRef::Frag(i) => i < self.frags.len(),
-        };
-        if !ok {
-            return Err(KernelError::UnknownMemoryObject(s.mem));
-        }
-        if s.rows == 0 || s.cols == 0 {
-            return Err(KernelError::EmptySlice(s.mem));
-        }
         Ok(())
     }
 
     /// Static per-CTA totals used by the bandwidth model and for reporting:
     /// `(global_load_bytes, global_store_bytes, tc_flops, simt_flops)`.
+    /// Lowering stores them on the [`crate::Program`], once it has checked
+    /// that every slice names a declared object, which this indexes.
     ///
     /// Loop bodies are weighted by trip count, `If` branches by the maximum
     /// of the two sides (conservative). Trip counts are evaluated with the
     /// CTA-(0,0,0) environment; kernels with grid-dependent trip counts get
     /// an approximation, which only affects the L2 hit-rate estimate.
     #[must_use]
-    pub fn static_totals(&self) -> StaticTotals {
+    pub(crate) fn static_totals(&self) -> StaticTotals {
         let env = Env::for_block([0, 0, 0]);
         let mut t = StaticTotals::default();
         for role in &self.roles {
@@ -359,7 +225,8 @@ impl Kernel {
     }
 }
 
-/// Per-CTA static totals computed by [`Kernel::static_totals`].
+/// Per-CTA static totals of a kernel: what its instructions move and
+/// compute, loops weighted by their trip counts.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StaticTotals {
     /// Global-memory bytes loaded per CTA.
@@ -377,6 +244,8 @@ pub struct StaticTotals {
 pub enum KernelError {
     /// The grid has zero CTAs.
     EmptyGrid,
+    /// The grid, named here, has more CTAs than a `usize` counts.
+    GridOverflow([usize; 3]),
     /// The kernel declares no roles.
     NoRoles,
     /// More than one DMA warp was declared.
@@ -436,6 +305,9 @@ impl fmt::Display for KernelError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             KernelError::EmptyGrid => write!(f, "kernel grid is empty"),
+            KernelError::GridOverflow(grid) => {
+                write!(f, "kernel grid {grid:?} has more CTAs than a usize counts")
+            }
             KernelError::NoRoles => write!(f, "kernel declares no roles"),
             KernelError::MultipleDmaWarps => write!(f, "kernel declares more than one dma warp"),
             KernelError::DuplicateRole(k) => write!(f, "duplicate role {k}"),
@@ -482,8 +354,19 @@ impl std::error::Error for KernelError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bytecode::lower;
     use crate::expr::Expr;
+    use crate::SimError;
     use cypress_tensor::DType;
+
+    /// The structural fault lowering reports of `k`, if any.
+    fn structural(k: &Kernel) -> Result<(), KernelError> {
+        match lower(k) {
+            Ok(_) => Ok(()),
+            Err(SimError::Kernel(e)) => Err(e),
+            Err(e) => panic!("not a structural fault: {e}"),
+        }
+    }
 
     fn minimal_kernel() -> Kernel {
         Kernel {
@@ -520,7 +403,7 @@ mod tests {
     fn minimal_kernel_validates() {
         let k = minimal_kernel();
         k.validate(&MachineConfig::test_gpu()).unwrap();
-        assert_eq!(k.num_ctas(), 1);
+        assert_eq!(lower(&k).unwrap().ctas, 1);
         assert_eq!(k.smem_bytes(), 64 * 64 * 2 * 2);
         assert_eq!(k.warps_per_cta(), 4);
         assert!(!k.has_dma_warp());
@@ -584,10 +467,7 @@ mod tests {
                 transpose_b: false,
             }],
         }];
-        assert_eq!(
-            k.validate(&MachineConfig::test_gpu()),
-            Err(KernelError::DmaWarpComputes)
-        );
+        assert_eq!(structural(&k), Err(KernelError::DmaWarpComputes));
     }
 
     #[test]
@@ -598,20 +478,14 @@ mod tests {
             dst: Slice::smem(0).extent(8, 8),
             bar: 0,
         }];
-        assert_eq!(
-            k.validate(&MachineConfig::test_gpu()),
-            Err(KernelError::IllegalOperandSpace)
-        );
+        assert_eq!(structural(&k), Err(KernelError::IllegalOperandSpace));
     }
 
     #[test]
     fn unknown_barrier_detected() {
         let mut k = minimal_kernel();
         k.roles[0].body = vec![Instr::MbarWait { bar: 3 }];
-        assert_eq!(
-            k.validate(&MachineConfig::test_gpu()),
-            Err(KernelError::UnknownBarrier(3))
-        );
+        assert_eq!(structural(&k), Err(KernelError::UnknownBarrier(3)));
     }
 
     #[test]
@@ -626,10 +500,7 @@ mod tests {
                 body: vec![],
             }],
         }];
-        assert_eq!(
-            k.validate(&MachineConfig::test_gpu()),
-            Err(KernelError::DynamicTripCount)
-        );
+        assert_eq!(structural(&k), Err(KernelError::DynamicTripCount));
     }
 
     #[test]
@@ -641,7 +512,7 @@ mod tests {
             bar: 0,
         }];
         assert!(matches!(
-            k.validate(&MachineConfig::test_gpu()),
+            structural(&k),
             Err(KernelError::CopyExtentMismatch { .. })
         ));
     }
@@ -679,9 +550,26 @@ mod tests {
             kind: RoleKind::Compute(0),
             body: vec![],
         });
-        assert!(matches!(
-            k.validate(&MachineConfig::test_gpu()),
-            Err(KernelError::DuplicateRole(_))
-        ));
+        assert!(matches!(structural(&k), Err(KernelError::DuplicateRole(_))));
+    }
+
+    /// A grid whose CTA count overflows `usize` is named in a typed error:
+    /// the product is neither an overflow panic (dev profile) nor wrapped
+    /// to an empty grid (release).
+    #[test]
+    fn an_overflowing_grid_is_a_typed_error() {
+        let grid = [1usize << 33, 1 << 31, 1];
+        let mut b = crate::KernelBuilder::new("huge", grid);
+        b.role(RoleKind::Compute(0), vec![]);
+        let sim = crate::Simulator::new(MachineConfig::test_gpu());
+        let err = KernelError::GridOverflow(grid);
+        assert_eq!(
+            sim.run_timing(&b.build()),
+            Err(SimError::Kernel(err.clone()))
+        );
+        assert_eq!(
+            err.to_string(),
+            "kernel grid [8589934592, 2147483648, 1] has more CTAs than a usize counts"
+        );
     }
 }

@@ -1,7 +1,7 @@
 //! Discrete-event functional and timing simulator of a Hopper-class GPU.
 //!
-//! This crate is the hardware substrate of the Cypress reproduction (see
-//! DESIGN.md §1): instead of CUDA on an H100, compiled kernels target a
+//! This crate is the hardware substrate of the Cypress reproduction:
+//! instead of CUDA on an H100, compiled kernels target a
 //! [`Kernel`] device-program representation executed by [`Simulator`]. The
 //! simulated machine has the units the paper's generated code exercises:
 //!
@@ -25,8 +25,12 @@
 //!
 //! The engine executes one instruction set: the flat [`bytecode`] every
 //! entry point lowers a kernel to (once per compiled kernel in the
-//! runtime, which replays the cached [`Program`]). Its index arithmetic
-//! is held to [`Expr::eval`] by the bytecode module's own tests.
+//! runtime, which replays the cached [`Program`]). Lowering is the one
+//! walk of a kernel's instructions and its structural check, so a
+//! [`Program`] exists only for a structurally valid kernel; a run checks
+//! the machine budgets ([`Kernel::validate`]) and that the program is
+//! the kernel's. Its index arithmetic is held to [`Expr::eval`] by the
+//! bytecode module's own tests.
 //! Functional data movement runs on a fast resolved-view path (each
 //! slice becomes a flat-buffer view once per apply; WGMMA is a blocked
 //! microkernel), held bit for bit to a retained scalar per-element
@@ -74,7 +78,6 @@ pub mod engine;
 pub mod error;
 pub mod expr;
 pub mod fault;
-mod flatten;
 mod fnv;
 pub mod instr;
 pub mod kernel;

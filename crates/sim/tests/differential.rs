@@ -49,18 +49,49 @@ impl Hazards {
         })
     }
 
+    /// An instruction no kernel may hold, which lowering rejects: a slice
+    /// of an undeclared fragment, a copy into the wrong address space, a
+    /// wait on an undeclared mbarrier, unequal copy extents, or a nested
+    /// loop whose trip count reads `v`.
+    fn malformed(&self, rng: &mut StdRng, b: &mut KernelBuilder) -> Instr {
+        let tile = |s: Slice| s.extent(self.rows, self.cols);
+        match rng.gen_range(0usize..5) {
+            0 => Instr::Simt(SimtOp::Copy {
+                src: tile(Slice::frag(7)),
+                dst: tile(Slice::frag(self.f)),
+            }),
+            1 => Instr::TmaStore {
+                src: tile(Slice::smem(self.s)),
+                dst: tile(Slice::smem(self.s)),
+            },
+            2 => Instr::MbarWait { bar: 7 },
+            3 => Instr::TmaStore {
+                src: tile(Slice::smem(self.s)),
+                dst: Slice::param(self.po).extent(self.rows, self.cols + 1),
+            },
+            _ => Instr::Loop {
+                var: b.fresh_var(),
+                count: Expr::var(self.v) + 1,
+                body: vec![],
+            },
+        }
+    }
+
     /// One construct bytecode lowering must bound exactly or decline to
     /// prove: an origin at its object's bound, one past it or negative; a
     /// guard at the bound or one past it; a zero, negative or positive
     /// divisor; a zero-trip loop; a nested loop reusing the main loop's
     /// variable; a read behind a loop, or behind a guard, that the read
-    /// needs. Some fail at run time, and every run must fail alike.
+    /// needs; or a [`Hazards::malformed`] instruction. Some fail at run
+    /// time, the malformed ones at lowering, and every run must fail
+    /// alike.
     fn draw(&self, rng: &mut StdRng, b: &mut KernelBuilder) -> Vec<Instr> {
         let (v, rows, trips) = (Expr::var(self.v), self.rows as i64, self.trips);
         let off = rng.gen_range(-1i64..2);
         let past = rng.gen_range(0i64..2);
         let zero_trip = rng.gen_range(-1i64..2);
-        match rng.gen_range(0usize..11) {
+        match rng.gen_range(0usize..12) {
+            11 => vec![self.malformed(rng, b)],
             0 => vec![self.load(self.pa, v * rows + off)],
             1 => vec![self.load(self.po, Expr::block_x() * rows + off)],
             2 => vec![Instr::If {
@@ -301,13 +332,25 @@ fn random_kernel_and_params(seed: u64, hazard: bool) -> (cypress_sim::Kernel, Ve
 
 /// Run a kernel through the three functional paths and assert the
 /// tensors and the simulated cycle count are bit-identical, or that all
-/// fail with the same error. No run, timing runs included, may fail with
-/// [`SimError::Internal`]: a functional run reports that way a slice
-/// that lowering proved in bounds — so that a timing run skips resolving
-/// it — but that failed to resolve. Returns the functional outcome.
+/// fail with the same error. A kernel lowering rejects must be rejected
+/// as a [`SimError::Kernel`] by every path. No run, timing runs
+/// included, may fail with [`SimError::Internal`]: a functional run
+/// reports that way a slice that lowering proved in bounds — so that a
+/// timing run skips resolving it — but that failed to resolve. Returns
+/// the functional outcome.
 fn assert_paths_agree(kernel: &cypress_sim::Kernel, params: Vec<Tensor>) -> Result<(), SimError> {
     let sim = Simulator::new(MachineConfig::test_gpu());
-    let program = bytecode::lower(kernel).unwrap();
+    let program = match bytecode::lower(kernel) {
+        Ok(program) => program,
+        Err(e) => {
+            assert!(matches!(e, SimError::Kernel(_)), "lowering: {e:?}");
+            let scalar = sim.run_functional_scalar(kernel, params.clone()).err();
+            assert_eq!(scalar.as_ref(), Some(&e), "scalar");
+            assert_eq!(sim.run_timing(kernel).err().as_ref(), Some(&e), "timing");
+            assert_eq!(sim.run_functional(kernel, params).err(), Some(e.clone()));
+            return Err(e);
+        }
+    };
     let byte = sim.run_functional(kernel, params.clone());
     let others = [
         ("scalar", sim.run_functional_scalar(kernel, params.clone())),
@@ -384,7 +427,7 @@ proptest! {
 /// kernels run clean and fail with each error they can raise.
 #[test]
 fn hazards_fail_every_way_they_can() {
-    let mut seen = [false; 5];
+    let mut seen = [false; 6];
     for seed in 0..256 {
         let (kernel, params) = random_kernel_and_params(seed, true);
         let i = match assert_paths_agree(&kernel, params) {
@@ -399,9 +442,13 @@ fn hazards_fail_every_way_they_can() {
                 source: EvalError::UnboundVar(_),
                 ..
             }) => 4,
+            Err(SimError::Kernel(_)) => 5,
             Err(e) => panic!("seed {seed}: {e}"),
         };
         seen[i] = true;
     }
-    assert_eq!(seen, [true; 5], "ok, negative, past the bound, /0, unbound");
+    assert_eq!(
+        seen, [true; 6],
+        "ok, negative, past the bound, /0, unbound, malformed"
+    );
 }
