@@ -14,13 +14,16 @@
 //! alone — bit-identical across schedule policies and worker counts; the
 //! worker count changes wall time only.
 //!
-//! Both modes then time the same *timeline* (built by `timeline`): the
-//! graph's compute launches on their devices, plus — on a sharded
-//! topology — one link launch per cross-device transfer, numbered just
-//! before its first consumer. A transfer runs no kernel in either mode:
-//! its `Transfer` report comes from the link model, exactly like the
-//! `xfer:recover:` transfers a device loss inserts, and a functional
-//! consumer reads its producer's buffer directly.
+//! Both modes then time the same *timeline*. `timeline` is the one walk
+//! of a graph's bindings: it builds one launch per node, reading its
+//! producers' launches, and hands them to [`crate::shard`], which places
+//! them on the topology's devices and numbers a link launch for every
+//! cross-device transfer just before its first consumer. Every transfer
+//! launch — those and the `xfer:recover:` drains a device loss inserts —
+//! comes from one constructor, `Launch::transfer`. A transfer runs no
+//! kernel in either mode: its `Transfer` report comes from the link
+//! model, and a functional consumer reads its producer's buffer
+//! directly.
 //!
 //! In **timing** mode no data moves; per-node
 //! [`cypress_sim::TimingReport`]s are assembled into a
@@ -44,6 +47,8 @@
 //! device-loss half), so attaching a fault plan never changes which
 //! scheduler runs.
 
+#![deny(clippy::too_many_lines)]
+
 mod functional;
 mod recovery;
 mod schedule;
@@ -52,13 +57,13 @@ pub use functional::GraphRun;
 pub(crate) use functional::{remap_run, run_functional};
 pub(crate) use schedule::run_timing;
 
+use crate::error::RuntimeError;
 use crate::graph::{Binding, TaskGraph};
 use crate::session::FaultPolicy;
-use crate::shard::{self, ShardPlan};
+use crate::shard;
 use cypress_core::kernels::comm;
 use cypress_core::Compiled;
 use cypress_sim::{FaultPlan, MachineConfig, TimingReport, Topology};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// The fault-handling settings one graph launch runs under: the
@@ -156,7 +161,8 @@ pub(crate) enum Work {
 /// One launch of a graph's timing schedule.
 #[derive(Debug, Clone)]
 pub(crate) struct Launch {
-    /// Its span name: the node's, or `xfer:{producer}.{param}->d{dst}`.
+    /// Its span name: the node's, or a transfer's
+    /// `xfer:{producer}.{param}->d{dst}` (`xfer:recover:…` for a drain).
     pub name: String,
     /// The device it runs on (a transfer's destination).
     pub device: usize,
@@ -168,6 +174,32 @@ pub(crate) struct Launch {
 }
 
 impl Launch {
+    /// The link launch that moves `edge`'s buffer — parameter
+    /// `edge.param` of `producer` — onto device `dst`: a shard transfer
+    /// (`xfer:`, report kernel `xfer`) or, with `recover`, the
+    /// `xfer:recover:` drain a device loss inserts (report kernel: its
+    /// name).
+    pub(crate) fn transfer(
+        producer: &Launch,
+        edge: Edge,
+        dst: usize,
+        recover: bool,
+        topology: &Topology,
+    ) -> Launch {
+        let kind = if recover { "recover:" } else { "" };
+        let name = format!("xfer:{kind}{}.{}->d{dst}", producer.name, edge.param);
+        let kernel = if recover { &name } else { TRANSFER_KERNEL };
+        let transfer = Transfer::new(kernel, edge.bytes, (producer.device, dst), topology);
+        Launch {
+            name,
+            device: dst,
+            inputs: vec![edge],
+            // Placement load: the buffer at both ends of the link.
+            bytes: 2.0 * edge.bytes,
+            work: Work::Transfer(transfer),
+        }
+    }
+
     /// The launches it depends on (deduplicated, ascending).
     fn dependencies(&self) -> Vec<usize> {
         let mut deps: Vec<usize> = self.inputs.iter().map(|e| e.launch).collect();
@@ -186,75 +218,37 @@ impl Launch {
     }
 }
 
-/// Number `graph`'s launches as the scheduler runs them: its nodes in id
-/// order on the devices `shard` places them on (device 0 without a
-/// plan), each of the plan's transfers just before its first consumer.
-/// A consumer on another device than its producer reads the transfer.
+/// Number `graph`'s launches as the scheduler runs them — the one walk
+/// of its bindings: one device-0 launch per node in id order, reading
+/// its producers' launches, placed on `topology`'s devices by
+/// [`shard::place`] (which errors on a bad topology).
 pub(crate) fn timeline(
     graph: &TaskGraph,
-    shard: Option<&ShardPlan>,
     topology: &Topology,
-) -> Vec<Launch> {
-    let transfers = shard.map_or(&[][..], |s| &s.transfers);
-    let mut launches = Vec::with_capacity(graph.len() + transfers.len());
-    let mut launch_of = Vec::with_capacity(graph.len());
-    // (producer, param, destination device) -> its transfer's launch.
-    let mut moved = HashMap::new();
-    let mut pending = transfers.iter().peekable();
+) -> Result<Vec<Launch>, RuntimeError> {
+    let mut launches = Vec::with_capacity(graph.len());
     for (i, node) in graph.nodes().iter().enumerate() {
-        while let Some(t) = pending.next_if(|t| t.consumer == i) {
-            moved.insert((t.producer, t.param, t.dst), launches.len());
-            let producer = &graph.nodes()[t.producer].name;
-            launches.push(Launch {
-                name: format!("xfer:{producer}.{}->d{}", t.param, t.dst),
-                device: t.dst,
-                inputs: vec![Edge {
-                    launch: launch_of[t.producer],
-                    param: t.param,
-                    bytes: t.bytes,
-                }],
-                // Placement load: the buffer at both ends of the link.
-                bytes: 2.0 * t.bytes,
-                work: Work::Transfer(Transfer::new(
-                    TRANSFER_KERNEL,
-                    t.bytes,
-                    (t.src, t.dst),
-                    topology,
-                )),
-            });
-        }
-        let device = shard.map_or(0, |s| s.device_of[i]);
-        let bindings = node.bindings.iter().zip(&node.program.args);
-        let inputs = bindings
-            .filter_map(|(b, arg)| {
-                let Binding::Output { node: src, param } = b else {
-                    return None;
-                };
-                let bytes = comm::tensor_bytes(arg.rows, arg.cols);
-                Some(match moved.get(&(src.index(), *param, device)) {
-                    Some(&launch) => Edge {
-                        launch,
-                        param: 0,
-                        bytes,
-                    },
-                    None => Edge {
-                        launch: launch_of[src.index()],
-                        param: *param,
-                        bytes,
-                    },
-                })
-            })
-            .collect();
-        launch_of.push(launches.len());
-        launches.push(Launch {
+        let mut launch = Launch {
             name: node.name.clone(),
-            device,
-            inputs,
-            bytes: shard::node_bytes(graph, i),
+            device: 0,
+            inputs: Vec::new(),
+            bytes: 0.0,
             work: Work::Node(i),
-        });
+        };
+        for (b, arg) in node.bindings.iter().zip(&node.program.args) {
+            let bytes = comm::tensor_bytes(arg.rows, arg.cols);
+            launch.bytes += bytes;
+            if let Binding::Output { node, param } = *b {
+                launch.inputs.push(Edge {
+                    launch: node.index(),
+                    param,
+                    bytes,
+                });
+            }
+        }
+        launches.push(launch);
     }
-    launches
+    shard::place(launches, topology)
 }
 
 /// The [`TimingReport`] of a timeline span that occupies no SM: a link

@@ -129,13 +129,14 @@ impl Scheduler<'_> {
     }
 
     /// Re-place `moved` — incomplete nodes stranded on a lost device —
-    /// onto the `survivors` with the sharder's heaviest-input rule (see
-    /// [`shard::heaviest_input`]) against the *current* placement. Nodes
-    /// are re-placed in id order; load is tracked per physical device
-    /// over the planned launches. Returns the moved nodes' names in
-    /// re-plan order.
+    /// onto the `survivors` with the sharder's rule
+    /// ([`shard::heaviest_input`] over [`shard::input_bytes`]) against
+    /// the *current* placement. Nodes are re-placed in id order; load is
+    /// tracked per physical device over the planned launches. Returns
+    /// the moved nodes' names in re-plan order.
     fn replan(&mut self, moved: &[usize], survivors: &[usize]) -> Vec<String> {
-        let mut load = vec![0.0f64; self.topology.device_count()];
+        let devices = self.topology.device_count();
+        let mut load = vec![0.0f64; devices];
         for launch in &self.launches[..self.planned] {
             if let Some(slot) = load.get_mut(launch.device) {
                 *slot += launch.bytes;
@@ -143,13 +144,7 @@ impl Scheduler<'_> {
         }
         let mut names = Vec::with_capacity(moved.len());
         for &i in moved {
-            let mut in_bytes = vec![0.0f64; load.len()];
-            for edge in &self.launches[i].inputs {
-                let sdev = self.launches[edge.launch].device;
-                if survivors.contains(&sdev) {
-                    in_bytes[sdev] += edge.bytes;
-                }
-            }
+            let in_bytes = shard::input_bytes(&self.launches, &self.launches[i], devices);
             let dev = shard::heaviest_input(&in_bytes, &load, survivors.iter().copied());
             let launch = &mut self.launches[i];
             launch.device = dev;
@@ -164,17 +159,8 @@ impl Scheduler<'_> {
     /// launch id.
     fn add_recovery_transfer(&mut self, edge: Edge, dst: usize) -> usize {
         let (xid, p) = (self.launches.len(), edge.launch);
-        let producer = &self.launches[p];
-        let name = format!("xfer:recover:{}.{}->d{dst}", producer.name, edge.param);
-        let ends = (producer.device, dst);
-        let transfer = Transfer::new(&name, edge.bytes, ends, self.topology);
-        self.launches.push(Launch {
-            name,
-            device: dst,
-            inputs: vec![edge],
-            bytes: 2.0 * edge.bytes,
-            work: Work::Transfer(transfer),
-        });
+        let transfer = Launch::transfer(&self.launches[p], edge, dst, true, self.topology);
+        self.launches.push(transfer);
         self.launched_on.push(dst);
         self.stream_of.push(0);
         self.completed.push(false);

@@ -50,13 +50,13 @@
 use crate::cache::{CacheStats, KernelCache};
 use crate::error::RuntimeError;
 use crate::executor;
-use crate::executor::{FaultContext, GraphRun, Launch, NodeLaunch};
+use crate::executor::{FaultContext, GraphRun, Launch, NodeLaunch, Work};
 use crate::fuse::{self, FusedKernel, FusionPlan, FusionPolicy};
 use crate::graph::TaskGraph;
 use crate::pool::BufferPool;
 use crate::program::Program;
 use crate::report::GraphReport;
-use crate::shard::{self, PlacementPolicy};
+use crate::shard::PlacementPolicy;
 use crate::telemetry::{Event, MetricsSnapshot, NoopRecorder, Recorder};
 use crate::tuner::{key_for, TunedMapping, TunerBudget, TuningKey, TuningTable};
 use cypress_core::fingerprint::{combine, machine_fingerprint, target_fingerprint};
@@ -1028,24 +1028,34 @@ impl Session {
         Ok(plan)
     }
 
-    /// Place `graph`'s launches on `topology`'s devices under the
-    /// session's [`PlacementPolicy`]: below two devices every launch runs
-    /// on device 0, otherwise the shard plan's transfers join the
-    /// timeline, with their telemetry (one [`Event::ShardAssigned`] per
-    /// launch, one [`Event::LinkTransfer`] per transfer) and the comm
-    /// counters bumped.
+    /// Place `graph`'s launches on `topology`'s devices (see
+    /// [`crate::shard`]). On more than one device, count the transfer
+    /// launches into the comm counters and record one
+    /// [`Event::ShardAssigned`] per launch and one [`Event::LinkTransfer`]
+    /// per transfer launch.
     fn timeline(
         &mut self,
         graph: &TaskGraph,
         topology: &Topology,
     ) -> Result<Vec<Launch>, RuntimeError> {
-        if self.placement_policy.devices() < 2 {
-            return Ok(executor::timeline(graph, None, topology));
+        let timeline = executor::timeline(graph, topology)?;
+        if topology.device_count() < 2 {
+            return Ok(timeline);
         }
-        let plan = shard::plan(graph, topology)?;
-        self.metrics.comm_launches += plan.transfers.len() as u64;
-        self.metrics.link_bytes += plan.transfers.iter().map(|t| t.bytes).sum::<f64>() as u64;
-        let timeline = executor::timeline(graph, Some(&plan), topology);
+        let (mut transfers, mut link_bytes) = (Vec::new(), 0.0);
+        for launch in &timeline {
+            if let (Work::Transfer(t), [edge]) = (&launch.work, &launch.inputs[..]) {
+                link_bytes += edge.bytes;
+                transfers.push(Event::LinkTransfer {
+                    link: t.link,
+                    src: timeline[edge.launch].device,
+                    dst: launch.device,
+                    bytes: edge.bytes,
+                });
+            }
+        }
+        self.metrics.comm_launches += transfers.len() as u64;
+        self.metrics.link_bytes += link_bytes as u64;
         if self.recorder.enabled() {
             for launch in &timeline {
                 self.recorder.record(Event::ShardAssigned {
@@ -1053,13 +1063,8 @@ impl Session {
                     device: launch.device,
                 });
             }
-            for t in &plan.transfers {
-                self.recorder.record(Event::LinkTransfer {
-                    link: t.link,
-                    src: t.src,
-                    dst: t.dst,
-                    bytes: t.bytes,
-                });
+            for event in transfers {
+                self.recorder.record(event);
             }
         }
         Ok(timeline)
@@ -1071,10 +1076,7 @@ impl Session {
     /// `NodeId::index()`. Fused nodes carry the names of the nodes they
     /// replaced.
     fn prepare(&mut self, graph: &TaskGraph) -> Result<Prepared, RuntimeError> {
-        // One device for `SingleDevice`, an all-pairs NVLink mesh for
-        // `Sharded` — at one device the mesh *is* the single-device
-        // topology, which keeps `Sharded { devices: 1 }` bit-identical.
-        let topology = Topology::nvlink(self.machine(), self.placement_policy.devices());
+        let topology = self.placement_policy.topology(self.machine())?;
         let plan = self.fusion_plan(graph)?;
         let fused = plan.as_ref().map_or(graph, |p| &p.graph);
         let timeline = self.timeline(fused, &topology)?;

@@ -1,38 +1,43 @@
 //! Graph sharding across the devices of a [`Topology`].
 //!
 //! Under [`PlacementPolicy::Sharded`] the session partitions a
-//! [`TaskGraph`] across `N` simulated devices before launching it: every
-//! node is assigned a device, and every tensor-buffer edge that crosses
-//! a device boundary becomes a *transfer* — a link launch the scheduler
-//! charges to the link connecting the two devices, priced by the link
-//! model ([`cypress_sim::Link::transfer_cycles`]), with no copy kernel.
-//! Device-loss recovery drains stranded buffers with the same kind of
-//! launch.
+//! [`crate::TaskGraph`] across `N` simulated devices before launching
+//! it: every node is assigned a device, and every tensor-buffer edge
+//! that crosses a device boundary becomes a *transfer* — a link launch
+//! the scheduler charges to the link connecting the two devices, priced
+//! by the link model ([`cypress_sim::Link::transfer_cycles`]), with no
+//! copy kernel. Device-loss recovery drains stranded buffers with the
+//! same kind of launch.
 //!
-//! The crate-internal `plan` entry point returns a `ShardPlan`: the
-//! placement and the deduplicated `(producer, param, destination)`
-//! transfers. The graph itself is not rewritten. A functional launch
-//! runs it as written, every consumer reading its producer's buffer
-//! directly (a copy would be a bitwise identity), so tensors are bitwise
-//! identical across placement policies and device counts; only the
-//! timeline changes, where the executor numbers each transfer just
-//! before its first consumer.
+//! The sharder places *launches*, not graph nodes: the crate-internal
+//! `place` takes the timeline `executor::timeline` builds (one device-0
+//! launch per node, each reading its producers' launches) and returns it
+//! placed, with one transfer per distinct `(producer, param,
+//! destination)` numbered just before its first consumer, which then
+//! reads the transfer. The graph itself is not rewritten. A functional
+//! launch runs it as written, every consumer reading its producer's
+//! buffer directly (a copy would be a bitwise identity), so tensors are
+//! bitwise identical across placement policies and device counts; only
+//! the timeline changes.
 //!
-//! Placement is deterministic and cheap, in node-id order (which is the
-//! graph's schedule order — producers have lower ids):
+//! Placement is deterministic and cheap, in launch order (which is the
+//! graph's node-id order — producers have lower ids):
 //!
-//! - *root* nodes (no tensor-buffer inputs) round-robin across devices,
-//!   so independent fan-out work spreads immediately;
-//! - every other node follows its *heaviest input*
-//!   (`heaviest_input`): the device holding the most producer bytes
-//!   wins (fewest bytes crossing a link), ties broken toward the
-//!   least-loaded device, then the lowest id.
+//! - *root* launches (no tensor-buffer inputs) round-robin across
+//!   devices, so independent fan-out work spreads immediately;
+//! - every other launch follows its *heaviest input*
+//!   (`heaviest_input` over `input_bytes`): the device holding the most
+//!   producer bytes wins (fewest bytes crossing a link), ties broken
+//!   toward the least-loaded device, then the lowest id. Device-loss
+//!   recovery re-places stranded launches onto the survivors with the
+//!   same two functions.
+
+#![deny(clippy::too_many_lines)]
 
 use crate::error::RuntimeError;
-use crate::graph::{Binding, TaskGraph};
-use cypress_core::kernels::comm;
-use cypress_sim::Topology;
-use std::collections::HashSet;
+use crate::executor::Launch;
+use cypress_sim::{MachineConfig, Topology};
+use std::collections::hash_map::{Entry, HashMap};
 
 /// How a [`crate::Session`] places a graph's nodes onto simulated
 /// devices (mirrors [`crate::SchedulePolicy`] and
@@ -49,10 +54,17 @@ pub enum PlacementPolicy {
     /// [`PlacementPolicy::SingleDevice`], timeline included. Functional
     /// results are bitwise identical at every device count.
     Sharded {
-        /// Number of simulated devices (clamped to at least 1).
+        /// Number of simulated devices (clamped to at least 1). A launch
+        /// over more than 16 fails with [`RuntimeError::BadTopology`].
         devices: usize,
     },
 }
+
+/// The most devices a sharded launch places over: the mesh is all-pairs
+/// and [`Topology::validate`], run on every launch, is quadratic in its
+/// links, so its cost grows as `n^4` — 16 devices (120 links) stay
+/// cheap, and an unbounded count builds a mesh no memory holds.
+const MAX_DEVICES: usize = 16;
 
 impl PlacementPolicy {
     /// The device count this policy schedules over.
@@ -63,51 +75,39 @@ impl PlacementPolicy {
             PlacementPolicy::Sharded { devices } => devices.max(1),
         }
     }
+
+    /// The all-pairs NVLink mesh this policy schedules over: at one
+    /// device, the single-device topology, which keeps `Sharded {
+    /// devices: 1 }` bit-identical to [`PlacementPolicy::SingleDevice`].
+    ///
+    /// # Errors
+    ///
+    /// [`RuntimeError::BadTopology`] past 16 devices, before any mesh is
+    /// built.
+    pub(crate) fn topology(self, machine: &MachineConfig) -> Result<Topology, RuntimeError> {
+        match self.devices() {
+            n if n > MAX_DEVICES => Err(RuntimeError::BadTopology {
+                what: format!(
+                    "{n} devices requested, but a launch places over at most {MAX_DEVICES}"
+                ),
+            }),
+            n => Ok(Topology::nvlink(machine, n)),
+        }
+    }
 }
 
-/// One cross-device transfer: parameter `param` of node `producer`
-/// moved from the producer's device to a consumer's device.
-#[derive(Debug, Clone)]
-pub(crate) struct ShardTransfer {
-    /// The producing node.
-    pub producer: usize,
-    /// The producer parameter whose buffer moves.
-    pub param: usize,
-    /// The first node that reads it there: the transfer launches just
-    /// before it.
-    pub consumer: usize,
-    /// Producer's device.
-    pub src: usize,
-    /// Consumer's device.
-    pub dst: usize,
-    /// Index into [`Topology::links`] of the link it travels.
-    pub link: usize,
-    /// Bytes moved across the link.
-    pub bytes: f64,
+/// Bytes of `launch`'s inputs per device of their producers among
+/// `launches` — what [`heaviest_input`] weighs, at initial placement and
+/// when a device loss re-places stranded launches.
+pub(crate) fn input_bytes(launches: &[Launch], launch: &Launch, devices: usize) -> Vec<f64> {
+    let mut in_bytes = vec![0.0f64; devices];
+    for edge in &launch.inputs {
+        in_bytes[launches[edge.launch].device] += edge.bytes;
+    }
+    in_bytes
 }
 
-/// The result of sharding a graph: where every node runs, and which
-/// buffers cross a link to reach their consumers.
-#[derive(Debug)]
-pub(crate) struct ShardPlan {
-    /// Device of every graph node.
-    pub device_of: Vec<usize>,
-    /// One transfer per distinct `(producer, param, destination
-    /// device)`, in the order of their first consumers.
-    pub transfers: Vec<ShardTransfer>,
-}
-
-/// Bytes of one node's parameter buffers — the placement load metric.
-pub(crate) fn node_bytes(graph: &TaskGraph, node: usize) -> f64 {
-    graph.nodes()[node]
-        .program
-        .args
-        .iter()
-        .map(|a| comm::tensor_bytes(a.rows, a.cols))
-        .sum()
-}
-
-/// The device among `candidates` a node with `in_bytes` of input per
+/// The device among `candidates` a launch with `in_bytes` of input per
 /// device should run on: the most input bytes, ties broken toward the
 /// least `load`, then the lowest id (0 without candidates). With no
 /// input bytes anywhere this is the least-loaded candidate.
@@ -126,97 +126,131 @@ pub(crate) fn heaviest_input(
         .unwrap_or(0)
 }
 
-/// Assign every node a device: roots round-robin, everything else
-/// follows its heaviest input. Deterministic in node-id order.
-fn place(graph: &TaskGraph, devices: usize) -> Vec<usize> {
-    let mut device = vec![0usize; graph.len()];
-    let mut load = vec![0.0f64; devices];
-    let mut roots_seen = 0usize;
-    for (i, node) in graph.nodes().iter().enumerate() {
-        let mut in_bytes = vec![0.0f64; devices];
-        let mut has_edge = false;
-        for b in &node.bindings {
-            if let Binding::Output { node: src, param } = b {
-                has_edge = true;
-                let arg = &graph.nodes()[src.index()].program.args[*param];
-                in_bytes[device[src.index()]] += comm::tensor_bytes(arg.rows, arg.cols);
-            }
-        }
-        let dev = if has_edge {
-            heaviest_input(&in_bytes, &load, 0..devices)
-        } else {
-            let d = roots_seen % devices;
-            roots_seen += 1;
-            d
-        };
-        device[i] = dev;
-        load[dev] += node_bytes(graph, i);
-    }
-    device
-}
-
-/// Shard `graph` across the devices of `topology`: place every node,
-/// then list one transfer per distinct `(producer, param, destination
-/// device)` a cross-device edge needs — a buffer consumed twice on the
-/// same remote device crosses the link once.
+/// Place `launches` — one device-0 launch per graph node, in id order,
+/// as [`crate::executor::timeline`] builds them — across the devices of
+/// `topology`: roots round-robin, everything else follows its heaviest
+/// input. Then number one transfer per distinct `(producer, param,
+/// destination device)` just before its first consumer, which reads the
+/// transfer instead of the remote producer — a buffer consumed twice on
+/// the same remote device crosses the link once.
 ///
 /// # Errors
 ///
 /// Returns [`RuntimeError::BadTopology`] when the topology fails its
 /// own validation or lacks a link between two devices an edge connects.
-pub(crate) fn plan(graph: &TaskGraph, topology: &Topology) -> Result<ShardPlan, RuntimeError> {
+pub(crate) fn place(
+    mut launches: Vec<Launch>,
+    topology: &Topology,
+) -> Result<Vec<Launch>, RuntimeError> {
     topology
         .validate()
         .map_err(|what| RuntimeError::BadTopology { what })?;
-    let device_of = place(graph, topology.device_count());
-    let mut transfers = Vec::new();
-    let mut moved = HashSet::new();
-    for (consumer, node) in graph.nodes().iter().enumerate() {
-        let dst = device_of[consumer];
-        for b in &node.bindings {
-            let Binding::Output { node: src, param } = b else {
-                continue;
-            };
-            let (producer, param) = (src.index(), *param);
-            let src = device_of[producer];
-            if src == dst || !moved.insert((producer, param, dst)) {
+    let devices = topology.device_count();
+    let mut load = vec![0.0f64; devices];
+    let mut roots_seen = 0usize;
+    for i in 0..launches.len() {
+        let dev = if launches[i].inputs.is_empty() {
+            let d = roots_seen % devices;
+            roots_seen += 1;
+            d
+        } else {
+            let in_bytes = input_bytes(&launches, &launches[i], devices);
+            heaviest_input(&in_bytes, &load, 0..devices)
+        };
+        launches[i].device = dev;
+        load[dev] += launches[i].bytes;
+    }
+    let mut timeline: Vec<Launch> = Vec::with_capacity(launches.len());
+    // Node launch -> its timeline id; (producer, param, destination
+    // device) -> its transfer's timeline id.
+    let mut launch_of: Vec<usize> = Vec::with_capacity(launches.len());
+    let mut moved = HashMap::new();
+    for mut launch in launches {
+        let dst = launch.device;
+        for edge in &mut launch.inputs {
+            edge.launch = launch_of[edge.launch];
+            let producer = &timeline[edge.launch];
+            if producer.device == dst {
                 continue;
             }
-            let link = topology.link_between(src, dst).ok_or_else(|| {
-                let producer = &graph.nodes()[producer].name;
-                RuntimeError::BadTopology {
-                    what: format!(
-                        "edge `{producer}`.{param} -> `{}` needs a link between device {src} \
-                         and device {dst}, but the topology has none",
-                        node.name
-                    ),
+            let key = (edge.launch, edge.param, dst);
+            if let Entry::Vacant(slot) = moved.entry(key) {
+                if topology.link_between(producer.device, dst).is_none() {
+                    let what = format!(
+                        "edge `{}`.{} -> `{}` needs a link between device {} and device \
+                         {dst}, but the topology has none",
+                        producer.name, edge.param, launch.name, producer.device
+                    );
+                    return Err(RuntimeError::BadTopology { what });
                 }
-            })?;
-            let arg = &graph.nodes()[producer].program.args[param];
-            transfers.push(ShardTransfer {
-                producer,
-                param,
-                consumer,
-                src,
-                dst,
-                link,
-                bytes: comm::tensor_bytes(arg.rows, arg.cols),
-            });
+                slot.insert(timeline.len());
+                timeline.push(Launch::transfer(producer, *edge, dst, false, topology));
+            }
+            (edge.launch, edge.param) = (moved[&key], 0);
         }
+        launch_of.push(timeline.len());
+        timeline.push(launch);
     }
-    Ok(ShardPlan {
-        device_of,
-        transfers,
-    })
+    Ok(timeline)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::NodeId;
+    use crate::executor::{timeline, Work};
+    use crate::graph::{Binding, NodeId, TaskGraph};
     use crate::program::Program;
-    use cypress_core::kernels::gemm;
-    use cypress_sim::MachineConfig;
+    use cypress_core::kernels::{comm, gemm};
+
+    /// A transfer launch of a placed timeline, keyed back to graph nodes.
+    #[derive(Debug)]
+    struct Moved {
+        producer: usize,
+        param: usize,
+        /// The node launched next: the transfer's first consumer.
+        consumer: usize,
+        src: usize,
+        dst: usize,
+        link: usize,
+        bytes: f64,
+    }
+
+    /// What `graph`'s timeline on `topology` places: every node's
+    /// device, and its transfers in timeline order.
+    #[derive(Debug)]
+    struct Sharded {
+        device_of: Vec<usize>,
+        transfers: Vec<Moved>,
+    }
+
+    fn shard(graph: &TaskGraph, topology: &Topology) -> Result<Sharded, RuntimeError> {
+        let timeline = timeline(graph, topology)?;
+        let node = |launch: &Launch| match launch.work {
+            Work::Node(i) => Some(i),
+            Work::Transfer(_) => None,
+        };
+        let mut sharded = Sharded {
+            device_of: Vec::new(),
+            transfers: Vec::new(),
+        };
+        for (id, launch) in timeline.iter().enumerate() {
+            let Work::Transfer(t) = &launch.work else {
+                sharded.device_of.push(launch.device);
+                continue;
+            };
+            let edge = launch.inputs[0];
+            sharded.transfers.push(Moved {
+                producer: node(&timeline[edge.launch]).unwrap(),
+                param: edge.param,
+                consumer: timeline[id..].iter().find_map(node).unwrap(),
+                src: timeline[edge.launch].device,
+                dst: launch.device,
+                link: t.link,
+                bytes: edge.bytes,
+            });
+        }
+        Ok(sharded)
+    }
 
     fn gemm_program(d: usize) -> Program {
         Program::from_parts(
@@ -246,7 +280,7 @@ mod tests {
         for i in 0..4 {
             root(&mut g, &format!("g{i}"), 64);
         }
-        let plan = plan(&g, &Topology::nvlink(&machine, 2)).unwrap();
+        let plan = shard(&g, &Topology::nvlink(&machine, 2)).unwrap();
         assert!(plan.transfers.is_empty());
         assert_eq!(plan.device_of, vec![0, 1, 0, 1]);
     }
@@ -266,7 +300,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let plan = plan(&g, &Topology::nvlink(&machine, 2)).unwrap();
+        let plan = shard(&g, &Topology::nvlink(&machine, 2)).unwrap();
         // b sits with its producer: no bytes cross a link.
         assert!(plan.transfers.is_empty());
         assert_eq!(plan.device_of, vec![0, 0]);
@@ -286,7 +320,7 @@ mod tests {
         )
         .unwrap();
         let topology = Topology::nvlink(&machine, 2);
-        let plan = plan(&g, &topology).unwrap();
+        let plan = shard(&g, &topology).unwrap();
         assert_eq!(plan.device_of, vec![0, 1, 0]);
         assert_eq!(plan.transfers.len(), 1);
         let t = &plan.transfers[0];
@@ -316,7 +350,7 @@ mod tests {
             )
             .unwrap();
         }
-        let plan = plan(&g, &Topology::nvlink(&machine, 4)).unwrap();
+        let plan = shard(&g, &Topology::nvlink(&machine, 4)).unwrap();
         let t = &plan.transfers;
         assert!(t.len() >= 2, "{} transfers", t.len());
         assert!(t.windows(2).all(|w| w[0].consumer <= w[1].consumer));
@@ -324,7 +358,7 @@ mod tests {
             assert_ne!(x.src, x.dst);
             assert_eq!(x.src, plan.device_of[x.producer]);
             assert_eq!(x.dst, plan.device_of[x.consumer]);
-            let key = |y: &ShardTransfer| (y.producer, y.param, y.dst);
+            let key = |y: &Moved| (y.producer, y.param, y.dst);
             assert!(t[..i].iter().all(|y| key(y) != key(x)), "{x:?} repeats");
         }
     }
@@ -365,7 +399,7 @@ mod tests {
             )
             .unwrap();
         }
-        let plan = plan(&g, &Topology::nvlink(&machine, 2)).unwrap();
+        let plan = shard(&g, &Topology::nvlink(&machine, 2)).unwrap();
         // One transfer of b's buffer serves both consumers.
         assert_eq!(plan.transfers.len(), 1);
         assert_eq!(plan.transfers[0].consumer, 2);
@@ -387,7 +421,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let plan = plan(&g, &Topology::single(machine)).unwrap();
+        let plan = shard(&g, &Topology::single(machine)).unwrap();
         assert!(plan.transfers.is_empty());
         assert_eq!(plan.device_of, vec![0, 0]);
     }
@@ -399,14 +433,14 @@ mod tests {
             devices: Vec::new(),
             links: Vec::new(),
         };
-        let err = plan(&g, &empty).unwrap_err();
+        let err = shard(&g, &empty).unwrap_err();
         assert!(matches!(err, RuntimeError::BadTopology { .. }), "{err}");
 
         // Kernels are profiled and transfers priced against one machine:
         // a mixed topology is refused, not scheduled with device 0's numbers.
         let mut mixed = Topology::nvlink(&MachineConfig::test_gpu(), 2);
         mixed.devices[1] = MachineConfig::h100_sxm5();
-        let err = plan(&g, &mixed).unwrap_err();
+        let err = shard(&g, &mixed).unwrap_err();
         assert!(
             matches!(&err, RuntimeError::BadTopology { what } if what.contains("homogeneous")),
             "{err}"

@@ -43,8 +43,8 @@ use cypress_core::{Compiled, MappingConfig, MappingSpace};
 use cypress_runtime::telemetry::TraceLog;
 use cypress_runtime::{
     Binding, Event, EventClass, FaultPlan, FaultPolicy, FusionPolicy, GraphReport, GraphRun,
-    MappingPolicy, NodeId, PlacementPolicy, Program, Recovery, RuntimeError, SchedulePolicy,
-    Session, TaskGraph,
+    MappingPolicy, MetricsSnapshot, NodeId, PlacementPolicy, Program, Recovery, RuntimeError,
+    SchedulePolicy, Session, TaskGraph,
 };
 use cypress_sim::{MachineConfig, Simulator};
 use cypress_tensor::Tensor;
@@ -364,6 +364,46 @@ fn counted_launch(session: &mut Session, case: &Case) -> (Launch, [u64; 4]) {
     (launch, std::array::from_fn(|i| after[i] - before[i]))
 }
 
+/// A fault-free sharded launch reports its transfers alike on all three
+/// channels: the session's comm counters (`metrics`, this launch's
+/// deltas), the `LinkTransfer` events (count, endpoints, bytes) and the
+/// report's `xfer:` spans (count, endpoints, summed `load_bytes`), a
+/// span's source being its producer's span device. Returns how many
+/// transfers it compared.
+fn assert_transfers_agree(
+    report: &GraphReport,
+    metrics: &MetricsSnapshot,
+    events: &[Event],
+    label: &str,
+) -> usize {
+    let mut moved: Vec<(usize, usize, u64)> = events
+        .iter()
+        .filter_map(|e| match e {
+            Event::LinkTransfer {
+                src, dst, bytes, ..
+            } => Some((*src, *dst, *bytes as u64)),
+            _ => None,
+        })
+        .collect();
+    let device_of = |name: &str| report.nodes.iter().find(|n| n.node == name).unwrap().device;
+    let mut spans: Vec<(usize, usize, u64)> = report
+        .nodes
+        .iter()
+        .filter_map(|n| {
+            let (producer, _) = n.node.strip_prefix("xfer:")?.rsplit_once("->d")?;
+            let (producer, _) = producer.rsplit_once('.')?;
+            Some((device_of(producer), n.device, n.report.load_bytes as u64))
+        })
+        .collect();
+    let link_bytes = spans.iter().map(|s| s.2).sum::<u64>();
+    assert_eq!(metrics.comm_launches, spans.len() as u64, "{label}");
+    assert_eq!(metrics.link_bytes, link_bytes, "{label}");
+    moved.sort_unstable();
+    spans.sort_unstable();
+    assert_eq!(moved, spans, "LinkTransfer events vs xfer: spans ({label})");
+    spans.len()
+}
+
 /// What the property counts across its cases.
 #[derive(Default)]
 struct Tally {
@@ -373,6 +413,8 @@ struct Tally {
     reductions: usize,
     /// Cases whose event streams were compared.
     streams: usize,
+    /// Transfers held to the same account on all three channels.
+    transfers: usize,
 }
 
 /// One case: a graph drawn from `seed`, its nodes' kinds, its inputs,
@@ -527,7 +569,8 @@ fn check_case(
     let sim = Simulator::new(machine.clone());
     let log = TraceLog::new();
     let mut session = point.session(machine, seed);
-    if record {
+    let sharded = point.fault_free() && point.devices() > 1;
+    if record || sharded {
         session = session.with_recorder(log.clone());
     }
     let (cold, counts) = counted_launch(&mut session, case);
@@ -535,6 +578,11 @@ fn check_case(
     match &cold {
         Ok(run) => case.check_run(run, &sim, counts[2], tally),
         Err(err) => case.check_error(err),
+    }
+    if let (Ok(run), true) = (&cold, sharded) {
+        // A fresh session: its counters are the cold launch's deltas.
+        let metrics = session.metrics();
+        tally.transfers += assert_transfers_agree(&run.report, &metrics, &stream, label);
     }
 
     // The same launch warm: nothing compiled or tuned again, and every
@@ -689,6 +737,10 @@ fn every_policy_point_matches_the_oracle() {
     assert!(tally.chains > 0, "no GEMM->GEMM chain fused");
     assert!(tally.reductions > 0, "no GEMM+Reduction pair fused");
     assert_eq!(tally.streams, 32);
+    assert!(
+        tally.transfers > 0,
+        "no fault-free sharded case moved a buffer"
+    );
 }
 
 /// The fan-out graph: four independent GEMMs feeding a two-level

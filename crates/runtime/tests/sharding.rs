@@ -18,7 +18,8 @@ use cypress_core::kernels::{attention, gemm};
 use cypress_core::Shape;
 use cypress_runtime::telemetry::{Event, TraceLog, TraceSink};
 use cypress_runtime::{
-    Binding, MappingPolicy, PlacementPolicy, Program, SchedulePolicy, Session, TaskGraph,
+    Binding, MappingPolicy, PlacementPolicy, Program, RuntimeError, SchedulePolicy, Session,
+    TaskGraph,
 };
 use cypress_sim::MachineConfig;
 use std::sync::Arc;
@@ -237,4 +238,33 @@ fn two_devices_beat_one_on_fanout() {
         sharded.makespan,
         single.makespan
     );
+}
+
+/// A sharded launch places over at most 16 devices: past the bound every
+/// launch path fails with a typed error before it builds the all-pairs
+/// mesh (which at `usize::MAX` devices no memory holds), and at the
+/// bound a launch still runs.
+#[test]
+fn device_count_past_the_bound_is_a_typed_error() {
+    let machine = MachineConfig::test_gpu();
+    let (graph, _) = diamond(&machine);
+    let inputs = graph_inputs(&graph, 7);
+    let on = |devices| {
+        Session::new(machine.clone()).with_placement_policy(PlacementPolicy::Sharded { devices })
+    };
+    for devices in [17, 100_000, usize::MAX] {
+        let mut session = on(devices);
+        let errors = [
+            session.launch_timing(&graph).err(),
+            session.launch_functional(&graph, &inputs).err(),
+            session.compile_graph(&graph).err(),
+        ];
+        for err in errors {
+            assert!(
+                matches!(err, Some(RuntimeError::BadTopology { .. })),
+                "{devices} devices: {err:?}"
+            );
+        }
+    }
+    assert_eq!(on(16).launch_timing(&graph).unwrap().devices, 16);
 }

@@ -187,7 +187,7 @@ pub struct ConcurrentEngine {
     /// Injected faults; `None` (the default) is bit-identical to the
     /// pre-fault engine.
     fault_plan: Option<FaultPlan>,
-    /// Compute launches seen so far, per device (transient-fault
+    /// Compute launches admitted so far, per device (transient-fault
     /// matching).
     launch_counts: Vec<u64>,
     /// Loss cycle of each device that already died.
@@ -251,14 +251,14 @@ impl ConcurrentEngine {
     /// Admit a compute kernel on `device` at the current time; `id` is
     /// echoed back in its [`Completion`] (out of
     /// range clamps to the last device — callers validate their topology
-    /// before launching).
+    /// before launching). A launch onto a lost device, or onto an engine
+    /// without devices, retires at once as [`LaunchOutcome::DeviceLost`].
     pub fn launch_on(&mut self, id: usize, device: usize, profile: &KernelProfile) {
         let device = device.min(self.devices.len().saturating_sub(1));
-        let launch_index = self.launch_counts[device];
-        self.launch_counts[device] += 1;
-        if self.lost[device].is_some() {
-            // Launching onto a dead device fails immediately: a
-            // zero-length interval with a typed outcome, never a panic.
+        if self.lost.get(device).is_none_or(Option::is_some) {
+            // Launching onto a dead device — or onto an engine with no
+            // devices at all — fails immediately: a zero-length interval
+            // with a typed outcome, never a panic.
             self.pending.push_back(EngineStep::Retired {
                 completion: Completion {
                     id,
@@ -269,6 +269,8 @@ impl ConcurrentEngine {
             });
             return;
         }
+        let launch_index = self.launch_counts[device];
+        self.launch_counts[device] += 1;
         let transient = self
             .fault_plan
             .as_ref()
@@ -727,6 +729,26 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn launching_on_an_engine_without_devices_is_a_device_loss() {
+        let mut e = ConcurrentEngine::with_topology(&Topology {
+            devices: vec![],
+            links: vec![],
+        });
+        e.launch_on(0, 0, &profile("orphan", 100.0, 1.0, 0.0));
+        match e.step().unwrap() {
+            EngineStep::Retired {
+                completion,
+                outcome,
+            } => {
+                assert_eq!((completion.id, outcome), (0, LaunchOutcome::DeviceLost));
+                assert_eq!((completion.start, completion.end), (0.0, 0.0));
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        assert!(e.step().is_none(), "nothing else is in flight");
     }
 
     #[test]
