@@ -16,18 +16,20 @@
 //!   `a(i, k) * b(k, j)` — a multiply, then an add, never fused — in
 //!   ascending `k`: exactly the scalar interpreter's operation sequence,
 //!   so results are **bitwise identical**. The one source of that loop
-//!   is compiled at two widths: 4 x 8 (eight 4-lane accumulators, every
-//!   host) and 4 x 16 (eight 8-lane ones) inside a
-//!   `#[target_feature(enable = "avx2")]` wrapper that `wgmma_rows`
-//!   enters only after detecting AVX2 on the running CPU — this module's
-//!   one `unsafe` block. A wider vector holds more *outputs*; it never
-//!   touches the order of the sum within one, and neither `fma` nor
-//!   `mul_add` appears anywhere, so the two widths agree in every bit
-//!   (the oracle tests below run both on every host).
+//!   is compiled at three widths: 4 x 8 (eight 4-lane accumulators, every
+//!   host), 4 x 16 (eight 8-lane ones) inside a
+//!   `#[target_feature(enable = "avx2")]` wrapper, and 4 x 64 (sixteen
+//!   16-lane ones) inside a `#[target_feature(enable = "avx512f")]` one.
+//!   `wgmma_rows` enters the widest wrapper whose feature it detects on
+//!   the running CPU — this module's one `unsafe` block. A wider vector
+//!   holds more *outputs*; it never touches the order of the sum within
+//!   one, and neither `fma` contraction nor `mul_add` happens anywhere,
+//!   so the three widths agree in every bit (the oracle tests below run
+//!   each one the host has).
 //! - [`copy`] streams whole rows with [`DType::quantize_copy`] — no
 //!   per-element division/modulo, one dtype dispatch per row (per slice
 //!   when both sides are dense), and a branch-free quantizer the
-//!   compiler vectorizes, at the same two widths.
+//!   compiler vectorizes, at the same three widths.
 //! - [`simt`] stages each source row once and writes each destination row
 //!   through [`DType::quantize_slice`].
 //!
@@ -322,24 +324,37 @@ fn copy_rows(sbuf: &[f32], sv: &View, dbuf: &mut [f32], dv: &View) -> Result<(),
 // ---- wgmma -------------------------------------------------------------
 
 /// Tile shape of the microkernel: an `MR x W` block of outputs stays in
-/// registers across the k-loop, `W` being [`NR`] or [`NR_WIDE`] — eight
-/// accumulator vectors either way (4-lane on the portable path, 8-lane
-/// under AVX2), eight independent add chains, enough to cover the latency
-/// of one add. The width only decides which *outputs* share a vector;
-/// each lane is still one output's own multiply-then-add in ascending
-/// `k`, so the two widths cannot differ in a bit.
+/// registers across the k-loop, `W` being [`NR`], [`NR_AVX2`] or
+/// [`NR_AVX512`] — eight 4-lane accumulator vectors on the portable path,
+/// eight 8-lane ones under AVX2, sixteen 16-lane ones under AVX-512:
+/// enough independent add chains to cover the latency of one add. The
+/// width only decides which *outputs* share a vector; each lane is still
+/// one output's own multiply-then-add in ascending `k`, so no two widths
+/// can differ in a bit.
 const MR: usize = 4;
 /// Tile width of the portable instantiation: two 4-lane vectors a row.
 const NR: usize = 8;
 /// Tile width of the AVX2 instantiation: two 8-lane vectors a row.
 #[cfg(target_arch = "x86_64")]
-const NR_WIDE: usize = 2 * NR;
+const NR_AVX2: usize = 2 * NR;
+/// Tile width of the AVX-512 instantiation: four 16-lane vectors a row,
+/// so each `b` row loaded feeds `MR` rows and 64 columns of outputs.
+#[cfg(target_arch = "x86_64")]
+const NR_AVX512: usize = 8 * NR;
+
+/// The `lanes` cap the applies pass to [`wgmma_rows`]: none.
+const WIDEST: usize = usize::MAX;
 
 /// The register-tiled matrix-multiply microkernel over flat row-strided
 /// operands, `b` k-major (`b(kk, j)` at `bbuf[bv.row(kk) + j]`):
-/// [`wgmma_rows_at`] at the widest tile the host's vector unit holds.
+/// [`wgmma_rows_at`] at the widest tile the running CPU holds in vectors
+/// of at most `lanes` `f32` lanes — AVX-512F, else AVX2, else portable.
+/// The applies pass [`WIDEST`]; the tests pass 4, 8 and 16 to run every
+/// instantiation the CPU has.
 #[allow(clippy::too_many_arguments)]
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
 fn wgmma_rows(
+    lanes: usize,
     abuf: &[f32],
     av: &View,
     bbuf: &[f32],
@@ -350,19 +365,51 @@ fn wgmma_rows(
     accumulate: bool,
 ) {
     #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: the line above detected AVX2 on the running CPU, the one
-        // requirement of `wgmma_rows_avx2`.
-        return unsafe { wgmma_rows_avx2(abuf, av, bbuf, bv, out, cv, n, accumulate) };
+    // SAFETY: each wrapper is entered right after detecting its one
+    // requirement on the running CPU: `avx512f` for `wgmma_rows_avx512`,
+    // `avx2` for `wgmma_rows_avx2`.
+    unsafe {
+        if lanes >= 16 && std::arch::is_x86_feature_detected!("avx512f") {
+            return wgmma_rows_avx512(abuf, av, bbuf, bv, out, cv, n, accumulate);
+        }
+        if lanes >= 8 && std::arch::is_x86_feature_detected!("avx2") {
+            return wgmma_rows_avx2(abuf, av, bbuf, bv, out, cv, n, accumulate);
+        }
     }
     wgmma_rows_at::<NR>(abuf, av, bbuf, bv, out, cv, n, accumulate);
 }
 
-/// [`wgmma_rows_at`] at [`NR_WIDE`], compiled with AVX2 enabled: the
+/// [`wgmma_rows_at`] at [`NR_AVX512`], compiled with AVX-512F enabled: the
 /// whole `#[inline(always)]` chain below is instantiated inside this
-/// function, so its accumulators are YMM registers. Only `avx2` is
-/// enabled — never `fma`, and the source never writes `mul_add` — so the
-/// multiply and the add stay two roundings.
+/// function, so its sixteen accumulators are ZMM registers. `avx512f`
+/// implies `fma` (rustc enables the features it depends on), but nothing
+/// contracts: rustc never sets LLVM's `contract` flag on a float
+/// operation and the source never writes `mul_add`, so the multiply and
+/// the add stay two roundings.
+///
+/// # Safety
+///
+/// The running CPU must support AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn wgmma_rows_avx512(
+    abuf: &[f32],
+    av: &View,
+    bbuf: &[f32],
+    bv: &View,
+    out: &mut [f32],
+    cv: &View,
+    n: usize,
+    accumulate: bool,
+) {
+    wgmma_rows_at::<NR_AVX512>(abuf, av, bbuf, bv, out, cv, n, accumulate);
+}
+
+/// [`wgmma_rows_at`] at [`NR_AVX2`], compiled with AVX2 enabled: the
+/// accumulators are YMM registers. Only `avx2` is enabled — never `fma`,
+/// and the source never writes `mul_add` — so the multiply and the add
+/// stay two roundings.
 ///
 /// # Safety
 ///
@@ -380,20 +427,20 @@ unsafe fn wgmma_rows_avx2(
     n: usize,
     accumulate: bool,
 ) {
-    wgmma_rows_at::<NR_WIDE>(abuf, av, bbuf, bv, out, cv, n, accumulate);
+    wgmma_rows_at::<NR_AVX2>(abuf, av, bbuf, bv, out, cv, n, accumulate);
 }
 
 /// [`wgmma_rows`] at tile width `W`.
 ///
 /// Rows are taken `MR` at a time and columns `W` at a time through
-/// [`tile`]; the `m % MR` row tail runs as one-row tiles and the `n % W`
-/// column tail as at most one `NR`-wide tile, then one-column tiles
-/// (`tile::<1, 1>` is the scalar form). Whatever the tile, every output
-/// element `(i, j)` starts from its own initial value and adds
-/// `a(i, k) * b(k, j)` — a multiply, then an add — in ascending `k`
-/// order: exactly the scalar interpreter's operation sequence, so results
-/// are bitwise identical. Tiling only changes which *outputs* are in
-/// flight, never the order of operations within one.
+/// [`Strip::tile`]; the `m % MR` row tail runs as one-row tiles, and the
+/// `n % W` column tail as `NR`-wide tiles, then one-column tiles (a
+/// `1 x 1` tile is the scalar form). Whatever the tile, every output element
+/// `(i, j)` starts from its own initial value and adds `a(i, k) * b(k, j)`
+/// — a multiply, then an add — in ascending `k` order: exactly the scalar
+/// interpreter's operation sequence, so results are bitwise identical.
+/// Tiling only changes which *outputs* are in flight, never the order of
+/// operations within one.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn wgmma_rows_at<const W: usize>(
@@ -432,23 +479,21 @@ fn row_block<const R: usize, const W: usize>(
 ) {
     let a: [&[f32]; R] = std::array::from_fn(|r| &abuf[av.row(i0 + r)..av.row(i0 + r) + av.cols]);
     let c: [usize; R] = std::array::from_fn(|r| cv.row(i0 + r));
-    let mut tail = n - n % W;
-    for j0 in (0..tail).step_by(W) {
-        let c = c.map(|c| c + j0);
-        tile::<R, W>(a, bbuf, bv.base + j0, bv.stride, out, c, accumulate);
-    }
+    let strip = Strip {
+        a,
+        bbuf,
+        bv,
+        c,
+        n,
+        accumulate,
+    };
     // A wide tile leaves up to `W - 1` columns: the WGMMA shapes (`n` a
-    // multiple of 8) finish with one portable-width tile, not eight
-    // one-column ones.
-    if W > NR && n - tail >= NR {
-        let c = c.map(|c| c + tail);
-        tile::<R, NR>(a, bbuf, bv.base + tail, bv.stride, out, c, accumulate);
-        tail += NR;
+    // multiple of 8) finish with portable-width tiles, not one-column ones.
+    let mut j = strip.run::<W>(out, 0);
+    if W > NR {
+        j = strip.run::<NR>(out, j);
     }
-    for j0 in tail..n {
-        let c = c.map(|c| c + j0);
-        tile::<R, 1>(a, bbuf, bv.base + j0, bv.stride, out, c, accumulate);
-    }
+    strip.run::<1>(out, j);
     // Each element was written exactly once after its (optional)
     // accumulate read, so quantizing the finished rows is identical to
     // quantizing each store.
@@ -457,40 +502,58 @@ fn row_block<const R: usize, const W: usize>(
     }
 }
 
-/// One `R x C` tile: `out[c[r] + j] (+)= Σ_k a[r][k] * b(k, j)` for `j`
-/// in `0..C`, with `b(k, j)` at `bbuf[b0 + k * bstride + j]`. The
-/// accumulators are a local array the optimizer keeps in registers; each
-/// one sees its products in ascending `k` order.
-#[inline(always)]
-fn tile<const R: usize, const C: usize>(
-    a: [&[f32]; R],
-    bbuf: &[f32],
-    b0: usize,
-    bstride: usize,
-    out: &mut [f32],
+/// The operands of one [`row_block`]: `R` rows of `a`, `b` k-major
+/// (`b(k, j)` at `bbuf[bv.row(k) + j]`), and the offsets of the `R`
+/// output rows, `n` columns each.
+struct Strip<'a, const R: usize> {
+    a: [&'a [f32]; R],
+    bbuf: &'a [f32],
+    bv: &'a View,
     c: [usize; R],
+    n: usize,
     accumulate: bool,
-) {
-    let mut acc = [[0.0f32; C]; R];
-    if accumulate {
-        for (acc, c) in acc.iter_mut().zip(c) {
-            acc.copy_from_slice(&out[c..c + C]);
+}
+
+impl<const R: usize> Strip<'_, R> {
+    /// Run `R x C` tiles over columns `j..`, as many as fit in `n`, and
+    /// return the first column left.
+    #[inline(always)]
+    fn run<const C: usize>(&self, out: &mut [f32], mut j: usize) -> usize {
+        while self.n - j >= C {
+            self.tile::<C>(out, j);
+            j += C;
         }
+        j
     }
-    // Equal, loop-invariant lengths let the row loads below go unchecked.
-    let k = a[0].len();
-    let a = a.map(|row| &row[..k]);
-    for kk in 0..k {
-        let b = &bbuf[b0 + kk * bstride..][..C];
-        for (acc, row) in acc.iter_mut().zip(a) {
-            let a_ik = row[kk];
-            for (slot, b_kj) in acc.iter_mut().zip(b) {
-                *slot += a_ik * b_kj;
+
+    /// One `R x C` tile at column `j0`: `out[c[r] + j] (+)= Σ_k a[r][k] *
+    /// b(k, j)` for `j` in `j0..j0 + C`. The accumulators are a local
+    /// array the optimizer keeps in registers; each one sees its products
+    /// in ascending `k` order.
+    #[inline(always)]
+    fn tile<const C: usize>(&self, out: &mut [f32], j0: usize) {
+        let c = self.c.map(|c| c + j0);
+        let mut acc = [[0.0f32; C]; R];
+        if self.accumulate {
+            for (acc, c) in acc.iter_mut().zip(c) {
+                acc.copy_from_slice(&out[c..c + C]);
             }
         }
-    }
-    for (acc, c) in acc.iter().zip(c) {
-        out[c..c + C].copy_from_slice(acc);
+        // Equal, loop-invariant lengths let the row loads below go unchecked.
+        let k = self.a[0].len();
+        let a = self.a.map(|row| &row[..k]);
+        for kk in 0..k {
+            let b = &self.bbuf[self.bv.row(kk) + j0..][..C];
+            for (acc, row) in acc.iter_mut().zip(a) {
+                let a_ik = row[kk];
+                for (slot, b_kj) in acc.iter_mut().zip(b) {
+                    *slot += a_ik * b_kj;
+                }
+            }
+        }
+        for (acc, c) in acc.iter().zip(c) {
+            out[c..c + C].copy_from_slice(acc);
+        }
     }
 }
 
@@ -572,7 +635,7 @@ pub(crate) fn wgmma(
         // views coexist on split borrows.
         if let Some(abuf) = param_or_smem(params, smem, av.key) {
             let out = &mut frags[fc][fr][facc];
-            wgmma_rows(abuf, &av, bbuf, &bv, out, &cv, n, accumulate);
+            wgmma_rows(WIDEST, abuf, &av, bbuf, &bv, out, &cv, n, accumulate);
             return Ok(());
         }
         // `a` is a sibling fragment of the same warpgroup (the FA2
@@ -592,7 +655,7 @@ pub(crate) fn wgmma(
                 } else {
                     (&hi[0], &mut lo[facc])
                 };
-                wgmma_rows(abuf, &av, bbuf, &bv, out, &cv, n, accumulate);
+                wgmma_rows(WIDEST, abuf, &av, bbuf, &bv, out, &cv, n, accumulate);
                 return Ok(());
             }
         }
@@ -602,7 +665,9 @@ pub(crate) fn wgmma(
     // accumulator's buffer alone.
     let (sa, sb) = stage_operands(scratch, data, &av, &bv, n, transpose_b);
     let out = data.buf_mut(cv.key);
-    wgmma_rows(&scratch.a, &sa, &scratch.b, &sb, out, &cv, n, accumulate);
+    wgmma_rows(
+        WIDEST, &scratch.a, &sa, &scratch.b, &sb, out, &cv, n, accumulate,
+    );
     Ok(())
 }
 
@@ -1159,9 +1224,14 @@ mod tests {
         assert_bitwise_equal(&fast, &oracle, what);
     }
 
+    /// The `lanes` caps of [`wgmma_rows`] that select the portable, AVX2
+    /// and AVX-512 instantiations; a cap the CPU lacks the feature for
+    /// falls back to the next narrower one.
+    const LANES: [usize; 3] = [4, 8, 16];
+
     /// Run one `wgmma` through the fast path — at the width the host
-    /// dispatches to, and through the portable `NR`-wide chain called
-    /// directly, which an AVX2 host would otherwise never execute — and
+    /// dispatches to, and through each instantiation the host has called
+    /// directly, which a wider host would otherwise never execute — and
     /// the scalar oracle on copies of `data`, and compare every buffer
     /// bitwise.
     fn assert_wgmma_matches_oracle(
@@ -1202,13 +1272,17 @@ mod tests {
         .unwrap();
         assert_bitwise_equal(&fast, &oracle, what);
 
-        let mut portable = clone_data(data);
         let [av, bv, cv] = [a, b, acc].map(|s| View::of(kernel, 0, 0, s));
         let n = acc.cols;
-        let (sa, sb) = stage_operands(&mut scratch, &portable, &av, &bv, n, transpose_b);
-        let out = portable.buf_mut(cv.key);
-        wgmma_rows_at::<NR>(&scratch.a, &sa, &scratch.b, &sb, out, &cv, n, accumulate);
-        assert_bitwise_equal(&portable, &oracle, &format!("{what} (portable)"));
+        for lanes in LANES {
+            let mut direct = clone_data(data);
+            let (sa, sb) = stage_operands(&mut scratch, &direct, &av, &bv, n, transpose_b);
+            let out = direct.buf_mut(cv.key);
+            wgmma_rows(
+                lanes, &scratch.a, &sa, &scratch.b, &sb, out, &cv, n, accumulate,
+            );
+            assert_bitwise_equal(&direct, &oracle, &format!("{what} ({lanes} lanes)"));
+        }
     }
 
     #[test]
@@ -1310,10 +1384,13 @@ mod tests {
     fn wgmma_tiles_match_scalar_oracle() {
         let mut rng = StdRng::seed_from_u64(0x711E);
         // m and n at a multiple of the tile, one below and one above it —
-        // of both tile widths for n, plus the wide tile's `NR`-wide tail
-        // (24, 40, 72) and a tail of every kind at once (79).
+        // of all three tile widths for n — plus wide tiles followed by
+        // `NR`-wide tail tiles (24, 40, 48, 56, 72) and a tail of every
+        // kind at once (63, 79).
         let ms = [MR - 1, MR, MR + 1, 2 * MR, 2 * MR + 1, 16 * MR];
-        let ns = [7, 8, 9, 15, 16, 17, 24, 32, 33, 40, 72, 79];
+        let ns = [
+            7, 8, 9, 15, 16, 17, 24, 32, 33, 40, 48, 56, 63, 64, 65, 72, 79,
+        ];
         let placements = [
             Placement::SplitBorrow,
             Placement::SiblingFragment,

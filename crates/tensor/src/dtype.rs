@@ -50,16 +50,11 @@ impl DType {
     /// covers the whole row and `F32` is a no-op. The half types do not
     /// call the scalar conversions: they compute the `f32 → half → f32`
     /// round trip directly on the `f32` bits with selects instead of
-    /// branches, so the loop autovectorizes — 8 lanes wide where the host
-    /// has AVX2, 4 lanes otherwise, the same integer operations per lane.
+    /// branches, so the loop autovectorizes — 16 lanes wide where the
+    /// host has AVX-512F, 8 where it has AVX2, 4 otherwise, the same
+    /// integer operations per lane.
     pub fn quantize_slice(self, row: &mut [f32]) {
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: the line above detected AVX2 on the running CPU, the
-            // one requirement of `quantize_slice_avx2`.
-            return unsafe { quantize_slice_avx2(self, row) };
-        }
-        quantize_slice_lanes(self, row);
+        quantize_slice_upto(WIDEST, self, row);
     }
 
     /// Copy `src` into `dst`, quantizing each element to this dtype —
@@ -76,13 +71,7 @@ impl DType {
     /// [`slice::copy_from_slice`]).
     pub fn quantize_copy(self, src: &[f32], dst: &mut [f32]) {
         assert_eq!(src.len(), dst.len(), "quantize_copy length mismatch");
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: the line above detected AVX2 on the running CPU, the
-            // one requirement of `quantize_copy_avx2`.
-            return unsafe { quantize_copy_avx2(self, src, dst) };
-        }
-        quantize_copy_lanes(self, src, dst);
+        quantize_copy_upto(WIDEST, self, src, dst);
     }
 
     /// Relative tolerance appropriate for comparing results computed in this
@@ -108,9 +97,53 @@ impl fmt::Display for DType {
     }
 }
 
+/// The `lanes` cap [`DType::quantize_slice`] and [`DType::quantize_copy`]
+/// pass: none.
+const WIDEST: usize = usize::MAX;
+
+/// [`quantize_slice_lanes`] in the widest instantiation the running CPU
+/// executes with vectors of at most `lanes` `f32` lanes — AVX-512F, else
+/// AVX2, else portable. The public entry passes [`WIDEST`]; the tests
+/// pass 4, 8 and 16 to run every instantiation the CPU has.
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+fn quantize_slice_upto(lanes: usize, dtype: DType, row: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: each wrapper is entered right after detecting its one
+    // requirement on the running CPU: `avx512f` for
+    // `quantize_slice_avx512`, `avx2` for `quantize_slice_avx2`.
+    unsafe {
+        if lanes >= 16 && std::arch::is_x86_feature_detected!("avx512f") {
+            return quantize_slice_avx512(dtype, row);
+        }
+        if lanes >= 8 && std::arch::is_x86_feature_detected!("avx2") {
+            return quantize_slice_avx2(dtype, row);
+        }
+    }
+    quantize_slice_lanes(dtype, row);
+}
+
+/// [`quantize_copy_lanes`] dispatched like [`quantize_slice_upto`]
+/// (equal lengths already checked).
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+fn quantize_copy_upto(lanes: usize, dtype: DType, src: &[f32], dst: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: each wrapper is entered right after detecting its one
+    // requirement on the running CPU: `avx512f` for
+    // `quantize_copy_avx512`, `avx2` for `quantize_copy_avx2`.
+    unsafe {
+        if lanes >= 16 && std::arch::is_x86_feature_detected!("avx512f") {
+            return quantize_copy_avx512(dtype, src, dst);
+        }
+        if lanes >= 8 && std::arch::is_x86_feature_detected!("avx2") {
+            return quantize_copy_avx2(dtype, src, dst);
+        }
+    }
+    quantize_copy_lanes(dtype, src, dst);
+}
+
 /// The body of [`DType::quantize_slice`], inlined into each caller so it
 /// is compiled at that caller's vector width: once portable, once inside
-/// [`quantize_slice_avx2`].
+/// [`quantize_slice_avx2`], once inside [`quantize_slice_avx512`].
 #[inline(always)]
 fn quantize_slice_lanes(dtype: DType, row: &mut [f32]) {
     match dtype {
@@ -145,6 +178,33 @@ fn quantize_copy_lanes(dtype: DType, src: &[f32], dst: &mut [f32]) {
         }
         DType::F32 => dst.copy_from_slice(src),
     }
+}
+
+/// [`quantize_slice_lanes`] compiled with AVX-512F enabled: 16-lane
+/// integer vectors, the compares writing mask registers and the selects
+/// blending through them. `avx512f` implies `fma`, but the one float
+/// operation of the round trips is an add followed by a subtract, and
+/// rustc never sets LLVM's `contract` flag, so nothing fuses; the
+/// operations per element are the portable ones, so the bits are too.
+///
+/// # Safety
+///
+/// The running CPU must support AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn quantize_slice_avx512(dtype: DType, row: &mut [f32]) {
+    quantize_slice_lanes(dtype, row);
+}
+
+/// [`quantize_copy_lanes`] compiled with AVX-512F enabled.
+///
+/// # Safety
+///
+/// The running CPU must support AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn quantize_copy_avx512(dtype: DType, src: &[f32], dst: &mut [f32]) {
+    quantize_copy_lanes(dtype, src, dst);
 }
 
 /// [`quantize_slice_lanes`] compiled with AVX2 enabled: 8-lane integer
@@ -526,30 +586,39 @@ mod tests {
         }
     }
 
+    /// The `lanes` caps of the dispatch that select the portable, AVX2 and
+    /// AVX-512 instantiations; a cap the CPU lacks the feature for falls
+    /// back to the next narrower one.
+    const LANES: [usize; 3] = [4, 8, 16];
+
     /// Both bulk quantizers of `dt` agree with the scalar definition
-    /// `dt.quantize` on every value, bit for bit — at the width the host
-    /// dispatches to, and in the portable instantiation called directly
-    /// (which an AVX2 host would otherwise never execute).
+    /// `dt.quantize` on every value, bit for bit — through the public
+    /// entry points and through each instantiation the host has, called
+    /// directly (a wider host would otherwise never execute the narrower
+    /// ones). Each copy writes over the complement of the expected bits,
+    /// so an element it leaves unwritten fails.
     fn assert_bulk_matches_scalar(dt: DType, values: &[f32]) {
+        let expect: Vec<u32> = values.iter().map(|&v| dt.quantize(v).to_bits()).collect();
+        let check = |got: &[f32], what: &str| {
+            for ((v, got), expect) in values.iter().zip(got).zip(&expect) {
+                let bits = v.to_bits();
+                assert_eq!(got.to_bits(), *expect, "{dt} {what} of {bits:#010x}");
+            }
+        };
+        let poison: Vec<f32> = expect.iter().map(|&e| f32::from_bits(!e)).collect();
         let mut sliced = values.to_vec();
         dt.quantize_slice(&mut sliced);
-        let mut copied = vec![0.0f32; values.len()];
+        check(&sliced, "slice");
+        let mut copied = poison.clone();
         dt.quantize_copy(values, &mut copied);
-        let mut sliced_portable = values.to_vec();
-        quantize_slice_lanes(dt, &mut sliced_portable);
-        let mut copied_portable = vec![0.0f32; values.len()];
-        quantize_copy_lanes(dt, values, &mut copied_portable);
-        for (i, &v) in values.iter().enumerate() {
-            let expect = dt.quantize(v).to_bits();
-            let bits = v.to_bits();
-            for (got, what) in [
-                (sliced[i], "slice"),
-                (copied[i], "copy"),
-                (sliced_portable[i], "portable slice"),
-                (copied_portable[i], "portable copy"),
-            ] {
-                assert_eq!(got.to_bits(), expect, "{dt} {what} of {bits:#010x}");
-            }
+        check(&copied, "copy");
+        for lanes in LANES {
+            sliced.copy_from_slice(values);
+            quantize_slice_upto(lanes, dt, &mut sliced);
+            check(&sliced, &format!("{lanes}-lane slice"));
+            copied.copy_from_slice(&poison);
+            quantize_copy_upto(lanes, dt, values, &mut copied);
+            check(&copied, &format!("{lanes}-lane copy"));
         }
     }
 
