@@ -72,7 +72,8 @@ struct EdgeBuffers {
     /// the pool handed out (a `Zeros` acquisition, possibly moved
     /// downstream on its last use). Only those go back into the pool
     /// when their node drains; clones of external inputs and of shared
-    /// upstream buffers are plain allocations and are dropped, so a
+    /// upstream buffers are not the pool's (they share the original's
+    /// copy-on-write storage until written) and are dropped, so a
     /// serving loop never parks more than the pool handed out.
     pooled: Vec<Vec<bool>>,
 }
@@ -93,6 +94,9 @@ impl EdgeBuffers {
     /// Assemble the launch-parameter tensors of `id` from its bindings:
     /// externals are validated and cloned, upstream buffers are moved on
     /// their last use and cloned otherwise, `Zeros` come from the pool.
+    /// A clone shares the caller's (or producer's) storage, copy-on-write:
+    /// an input the kernel only reads is never copied, and one it stores
+    /// to is copied once, at its first write, leaving the original intact.
     fn materialize(
         &mut self,
         graph: &TaskGraph,
@@ -347,8 +351,9 @@ pub(crate) fn run_functional(
 /// timing report keeps the fused launches (with their `replaced`
 /// annotations) so the timeline shows what actually ran.
 pub(crate) fn remap_run(run: GraphRun, original: &TaskGraph, plan: &FusionPlan) -> GraphRun {
-    // Clone rather than move: several original slots can share one
-    // rewritten buffer (two fused members reading the same operand).
+    // Clone (a reference-count bump: tensor storage is copy-on-write)
+    // rather than move: several original slots can share one rewritten
+    // buffer (two fused members reading the same operand).
     let rewritten_results = run.results;
     let results = original
         .nodes()

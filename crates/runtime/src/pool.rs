@@ -103,8 +103,14 @@ impl BufferPool {
     pub(crate) fn acquire(&mut self, dtype: DType, rows: usize, cols: usize) -> Tensor {
         self.acquired += 1;
         let key = (dtype, rows * cols);
-        if let Some((_, t)) = self.free.get_mut(&key).and_then(Vec::pop) {
+        if let Some((_, mut t)) = self.free.get_mut(&key).and_then(Vec::pop) {
             self.reused += 1;
+            // Zero is exact in every dtype, so a buffer of the right shape
+            // is zeroed in place without a second quantizing pass.
+            if t.shape() == [rows, cols] {
+                t.data_mut().fill(0.0);
+                return t;
+            }
             let mut data = t.into_data();
             data.fill(0.0);
             // Same element count, so the reshape reuses the storage; a
@@ -170,6 +176,19 @@ mod tests {
         );
         let stats = pool.stats();
         assert_eq!((stats.acquired, stats.reused, stats.free), (2, 1, 0));
+    }
+
+    #[test]
+    fn same_shape_reuse_zeroes_in_place() {
+        let mut pool = BufferPool::new();
+        let mut t = pool.acquire(DType::BF16, 4, 8);
+        t.data_mut().fill(3.0);
+        let storage = t.data().as_ptr();
+        pool.release(t);
+        let t2 = pool.acquire(DType::BF16, 4, 8);
+        assert_eq!(t2.data().as_ptr(), storage, "the parked storage is reused");
+        assert!(t2.data().iter().all(|&v| v == 0.0));
+        assert_eq!((t2.dtype(), t2.shape()), (DType::BF16, &[4, 8][..]));
     }
 
     #[test]

@@ -191,6 +191,44 @@ fn linear_graph_matches_hand_composition() {
     );
 }
 
+/// A node that stores to a parameter bound to an external input writes
+/// its own copy: the caller's tensor keeps its bits. A parameter the
+/// node only reads is passed without a copy.
+#[test]
+fn writing_an_external_parameter_leaves_the_callers_tensor_intact() {
+    let machine = MachineConfig::test_gpu();
+    let one_gemm = |c: Binding| {
+        let mut graph = TaskGraph::new();
+        let args = vec![c, Binding::external("A"), Binding::external("B1")];
+        let node = graph
+            .add_node("gemm", gemm_program(64, 64, 64, &machine), args)
+            .unwrap();
+        (graph, node)
+    };
+    let (graph, node) = one_gemm(Binding::external("C"));
+    let mut inputs = test_inputs(8);
+    let mut rng = StdRng::seed_from_u64(9);
+    let c = Tensor::random(DType::F16, &[64, 64], &mut rng, -0.7, 0.7);
+    inputs.insert("C".to_string(), c.clone());
+    let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+
+    let mut session = Session::new(machine.clone());
+    let run = session.launch_functional(&graph, &inputs).unwrap();
+    let written = run.tensor(node, 0).unwrap();
+    assert_ne!(bits(written), bits(&c), "the node stores to C");
+    assert_eq!(bits(&inputs["C"]), bits(&c), "the caller's C is untouched");
+    assert_eq!(
+        run.tensor(node, 1).unwrap().data().as_ptr(),
+        inputs["A"].data().as_ptr(),
+        "a read-only input is not copied"
+    );
+
+    // What the node wrote is the product alone, as from a zeroed C.
+    let (zeroed, node) = one_gemm(Binding::Zeros);
+    let zeroed_run = session.launch_functional(&zeroed, &inputs).unwrap();
+    assert_eq!(bits(written), bits(zeroed_run.tensor(node, 0).unwrap()));
+}
+
 /// Timing mode accumulates one report per node and sums the makespans.
 #[test]
 fn timing_mode_reports_per_node_breakdown() {

@@ -56,11 +56,12 @@ use crate::expr::{Env, EvalError};
 use crate::instr::SimtOp;
 use crate::kernel::{Kernel, RoleKind};
 use crate::machine::MachineConfig;
-use crate::mem::MemRef;
+use crate::mem::{FragDecl, MemRef, SmemDecl};
 use crate::report::{ApplyBytes, TimingReport};
 use cypress_tensor::{DType, Tensor};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 const EVENT_LIMIT: u64 = 400_000_000;
 /// Synthetic named-barrier id used for `__syncthreads`.
@@ -268,6 +269,73 @@ impl EventQueue {
     }
 }
 
+/// Element count of a shared region (every stage), `None` on overflow.
+fn smem_len(d: &SmemDecl) -> Option<usize> {
+    d.rows.checked_mul(d.cols)?.checked_mul(d.stages)
+}
+
+/// Element count of a fragment, `None` on overflow.
+fn frag_len(f: &FragDecl) -> Option<usize> {
+    f.rows.checked_mul(f.cols)
+}
+
+/// Per-CTA shared-memory and fragment buffers, keyed by length. A run
+/// re-zeroes a parked one instead of page-faulting a fresh one; the zero
+/// fill is part of the functional model (a read before any write sees
+/// 0), so a reused buffer starts exactly as a fresh one does.
+#[derive(Default)]
+struct Buffers(HashMap<usize, Vec<Vec<f32>>>);
+
+impl Buffers {
+    /// A zeroed buffer of `n` elements, reusing a spare one if any.
+    fn zeroed(&mut self, n: usize) -> Vec<f32> {
+        match self.0.get_mut(&n).and_then(Vec::pop) {
+            Some(mut buf) => {
+                buf.fill(0.0);
+                buf
+            }
+            None => vec![0.0; n],
+        }
+    }
+
+    /// Total elements held (the size two sets compare by).
+    fn elements(&self) -> usize {
+        self.0.iter().map(|(n, bufs)| n * bufs.len()).sum()
+    }
+}
+
+/// What a simulator keeps between functional runs: at most one run's
+/// buffers, and which kernels have run.
+#[derive(Default)]
+pub(crate) struct Workspace {
+    /// Bytecode shape hashes of the kernels that ran functionally here.
+    /// Only a kernel seen before parks its buffers: a kernel that runs
+    /// once would leave them resident through whatever the caller does
+    /// next (a compile, a host oracle) for no run to reuse.
+    seen: HashSet<u64>,
+    parked: Buffers,
+}
+
+impl Workspace {
+    /// Park `bufs` as one run's set, replacing what is parked unless
+    /// that is larger.
+    fn park(workspace: &Mutex<Workspace>, bufs: impl Iterator<Item = Vec<f32>>) {
+        let mut own = Buffers::default();
+        for buf in bufs {
+            own.0.entry(buf.len()).or_default().push(buf);
+        }
+        let mut ws = lock(workspace);
+        if own.elements() >= ws.parked.elements() {
+            ws.parked = own;
+        }
+    }
+}
+
+/// Lock a workspace; a poisoned lock still guards whole buffers.
+fn lock(m: &Mutex<Workspace>) -> MutexGuard<'_, Workspace> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Execution mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mode {
@@ -311,6 +379,13 @@ pub(crate) struct Engine<'k> {
     active_sms: usize,
     ctas_per_sm: usize,
     data: Option<FuncData>,
+    /// Parked buffers this functional run re-zeroes instead of
+    /// allocating (see [`Engine::recycle_through`]).
+    spare: Buffers,
+    /// Where this run parks its own per-CTA buffers when it finishes
+    /// (`None` for a timing run and for a kernel's first functional run
+    /// on its simulator).
+    parked: Option<&'k Mutex<Workspace>>,
     /// Reusable staging buffers of the fast functional data path.
     scratch: Scratch,
     /// Per-dtype bytes touched by functional applies (always zero in
@@ -420,6 +495,8 @@ impl<'k> Engine<'k> {
             active_sms,
             ctas_per_sm,
             data,
+            spare: Buffers::default(),
+            parked: None,
             scratch: Scratch::default(),
             apply_bytes: ApplyBytes::default(),
             #[cfg(feature = "scalar-oracle")]
@@ -438,6 +515,30 @@ impl<'k> Engine<'k> {
     #[cfg(feature = "scalar-oracle")]
     pub(crate) fn set_scalar(&mut self) {
         self.scalar = true;
+    }
+
+    /// Recycle this functional run's per-CTA buffers through
+    /// `workspace`: take the set parked there, drop every buffer no
+    /// declaration of this kernel can use before anything is allocated,
+    /// and, if this kernel ran here before, park this run's own set when
+    /// it finishes (if it is at least as large as what is parked then).
+    /// A timing run moves no data and leaves `workspace` alone.
+    pub(crate) fn recycle_through(&mut self, workspace: &'k Mutex<Workspace>) {
+        if self.data.is_none() {
+            return;
+        }
+        let kernel = self.kernel;
+        let (repeat, mut spare) = {
+            let mut ws = lock(workspace);
+            let repeat = !ws.seen.insert(self.program.shape_hash);
+            (repeat, std::mem::take(&mut ws.parked))
+        };
+        spare.0.retain(|&n, _| {
+            kernel.smem.iter().any(|d| smem_len(d) == Some(n))
+                || kernel.frags.iter().any(|f| frag_len(f) == Some(n))
+        });
+        self.spare = spare;
+        self.parked = repeat.then_some(workspace);
     }
 
     fn launch_next_cta(&mut self, at: f64) {
@@ -471,48 +572,38 @@ impl<'k> Engine<'k> {
             roles_done: 0,
         });
         if self.data.is_some() {
-            let smem = self
-                .kernel
+            let kernel = self.kernel;
+            let spare = &mut self.spare;
+            let smem = kernel
                 .smem
                 .iter()
                 .map(|d| {
-                    let n = d
-                        .rows
-                        .checked_mul(d.cols)
-                        .and_then(|x| x.checked_mul(d.stages))
-                        .ok_or_else(|| SimError::Internal {
-                            what: format!(
-                                "shared region `{}` element count overflows usize",
-                                d.name
-                            ),
-                        })?;
-                    Ok(vec![0.0f32; n])
+                    let n = smem_len(d).ok_or_else(|| SimError::Internal {
+                        what: format!("shared region `{}` element count overflows usize", d.name),
+                    })?;
+                    Ok(spare.zeroed(n))
                 })
                 .collect::<Result<Vec<_>, SimError>>()?;
-            let frags =
-                self.kernel
-                    .roles
-                    .iter()
-                    .map(|r| match r.kind {
-                        RoleKind::Dma => Ok(Vec::new()),
-                        RoleKind::Compute(_) => self
-                            .kernel
-                            .frags
-                            .iter()
-                            .map(|f| {
-                                let n = f.rows.checked_mul(f.cols).ok_or_else(|| {
-                                    SimError::Internal {
-                                        what: format!(
-                                            "fragment `{}` element count overflows usize",
-                                            f.name
-                                        ),
-                                    }
-                                })?;
-                                Ok(vec![0.0f32; n])
-                            })
-                            .collect::<Result<Vec<_>, SimError>>(),
-                    })
-                    .collect::<Result<Vec<_>, SimError>>()?;
+            let frags = kernel
+                .roles
+                .iter()
+                .map(|r| match r.kind {
+                    RoleKind::Dma => Ok(Vec::new()),
+                    RoleKind::Compute(_) => kernel
+                        .frags
+                        .iter()
+                        .map(|f| {
+                            let n = frag_len(f).ok_or_else(|| SimError::Internal {
+                                what: format!(
+                                    "fragment `{}` element count overflows usize",
+                                    f.name
+                                ),
+                            })?;
+                            Ok(spare.zeroed(n))
+                        })
+                        .collect::<Result<Vec<_>, SimError>>(),
+                })
+                .collect::<Result<Vec<_>, SimError>>()?;
             if let Some(data) = &mut self.data {
                 data.smem.push(smem);
                 data.frags.push(frags);
@@ -621,7 +712,19 @@ impl<'k> Engine<'k> {
             l2_hit: self.l2_hit,
             events: self.event_count,
         };
-        Ok((report, self.data.map(|d| d.params), self.apply_bytes))
+        let params = self.data.map(|d| {
+            if let Some(parked) = self.parked {
+                Workspace::park(
+                    parked,
+                    d.smem
+                        .into_iter()
+                        .flatten()
+                        .chain(d.frags.into_iter().flatten().flatten()),
+                );
+            }
+            d.params
+        });
+        Ok((report, params, self.apply_bytes))
     }
 
     fn describe_blocked(&self) -> Vec<String> {
@@ -1282,6 +1385,160 @@ fn occupancy(kernel: &Kernel, machine: &MachineConfig) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Expr, Instr, KernelBuilder, Simulator, Slice};
+
+    /// Two CTAs, each filling its fragment with `value` and storing it
+    /// through an 8x8 shared region to its rows of `out`: leaves
+    /// non-zero values in every per-CTA buffer it uses.
+    fn dirtying_kernel(value: f32) -> Kernel {
+        let mut b = KernelBuilder::new("dirty", [2, 1, 1]);
+        let out = b.param("out", 16, 8, DType::F32);
+        let s = b.smem("s", 8, 8, DType::F16, 1);
+        let f = b.frag("f", 8, 8);
+        let rows = Expr::block_x() * 8;
+        b.role(
+            RoleKind::Compute(0),
+            vec![
+                Instr::Simt(SimtOp::Fill {
+                    dst: Slice::frag(f).extent(8, 8),
+                    value,
+                }),
+                Instr::Simt(SimtOp::Copy {
+                    src: Slice::frag(f).extent(8, 8),
+                    dst: Slice::smem(s).extent(8, 8),
+                }),
+                Instr::Simt(SimtOp::Copy {
+                    src: Slice::smem(s).extent(8, 8),
+                    dst: Slice::param(out).at(rows, 0).extent(8, 8),
+                }),
+            ],
+        );
+        b.build()
+    }
+
+    /// Two CTAs that store a shared region and a fragment — the same
+    /// element counts as [`dirtying_kernel`]'s, other shapes — before
+    /// anything writes them: the model says both read 0.
+    fn reading_kernel() -> Kernel {
+        let mut b = KernelBuilder::new("read-before-write", [2, 1, 1]);
+        let from_smem = b.param("from_smem", 8, 16, DType::F32);
+        let from_frag = b.param("from_frag", 32, 4, DType::F32);
+        let s = b.smem("s", 4, 16, DType::F16, 1);
+        let f = b.frag("f", 16, 4);
+        b.role(
+            RoleKind::Compute(0),
+            vec![
+                Instr::Simt(SimtOp::Copy {
+                    src: Slice::smem(s).extent(4, 16),
+                    dst: Slice::param(from_smem)
+                        .at(Expr::block_x() * 4, 0)
+                        .extent(4, 16),
+                }),
+                Instr::Simt(SimtOp::Copy {
+                    src: Slice::frag(f).extent(16, 4),
+                    dst: Slice::param(from_frag)
+                        .at(Expr::block_x() * 16, 0)
+                        .extent(16, 4),
+                }),
+            ],
+        );
+        b.build()
+    }
+
+    fn bits(params: &[Tensor]) -> Vec<Vec<u32>> {
+        params
+            .iter()
+            .map(|t| t.data().iter().map(|x| x.to_bits()).collect())
+            .collect()
+    }
+
+    #[test]
+    fn recycled_buffers_read_as_fresh_zeroed_ones() {
+        let reader = reading_kernel();
+        let inputs = || {
+            vec![
+                Tensor::full(DType::F32, &[8, 16], 1.0),
+                Tensor::full(DType::F32, &[32, 4], 1.0),
+            ]
+        };
+        let fresh = Simulator::new(MachineConfig::test_gpu())
+            .run_functional(&reader, inputs())
+            .unwrap();
+        assert!(fresh
+            .params
+            .iter()
+            .all(|t| t.data().iter().all(|&x| x == 0.0)));
+
+        // The second run of the dirtying kernel parks its buffers.
+        let sim = Simulator::new(MachineConfig::test_gpu());
+        let dirtying = dirtying_kernel(7.5);
+        for _ in 0..2 {
+            let dirty = sim
+                .run_functional(&dirtying, vec![Tensor::zeros(DType::F32, &[16, 8])])
+                .unwrap();
+            assert!(dirty.params[0].data().iter().all(|&x| x == 7.5));
+        }
+        assert_eq!(
+            lock(&sim.workspace).parked.0[&64].len(),
+            4,
+            "both CTAs' buffers parked"
+        );
+        let reused = sim.run_functional(&reader, inputs()).unwrap();
+        assert_eq!(bits(&reused.params), bits(&fresh.params));
+        assert_eq!(
+            reused.report.cycles.to_bits(),
+            fresh.report.cycles.to_bits()
+        );
+    }
+
+    #[test]
+    fn only_a_repeated_kernel_parks_and_a_run_drops_what_it_cannot_use() {
+        let sim = Simulator::new(MachineConfig::test_gpu());
+        let dirty = dirtying_kernel(1.0);
+        let run_dirty = || {
+            sim.run_functional(&dirty, vec![Tensor::zeros(DType::F32, &[16, 8])])
+                .unwrap();
+        };
+        run_dirty();
+        assert_eq!(lock(&sim.workspace).parked.elements(), 0, "first run");
+        run_dirty();
+        assert_eq!(lock(&sim.workspace).parked.elements(), 4 * 64);
+        let mut b = KernelBuilder::new("other-lengths", [1, 1, 1]);
+        let out = b.param("out", 4, 4, DType::F32);
+        let f = b.frag("f", 4, 4);
+        b.role(
+            RoleKind::Compute(0),
+            vec![Instr::Simt(SimtOp::Copy {
+                src: Slice::frag(f).extent(4, 4),
+                dst: Slice::param(out).extent(4, 4),
+            })],
+        );
+        let other = b.build();
+        let program = crate::bytecode::lower(&other).unwrap();
+        let mut engine = Engine::new(
+            &other,
+            &sim.machine,
+            Mode::Functional,
+            Some(vec![Tensor::zeros(DType::F32, &[4, 4])]),
+            &program,
+        )
+        .unwrap();
+        engine.recycle_through(&sim.workspace);
+        assert!(
+            engine.spare.0.is_empty(),
+            "no 64-element buffer fits `other`"
+        );
+        assert_eq!(
+            lock(&sim.workspace).parked.elements(),
+            0,
+            "the run took the parked set"
+        );
+
+        // Timing runs leave the parked set alone.
+        run_dirty();
+        sim.run_timing(&other).unwrap();
+        assert_eq!(lock(&sim.workspace).parked.elements(), 4 * 64);
+    }
 
     #[test]
     fn fluid_serializes() {

@@ -102,16 +102,37 @@ pub use report::{ApplyBytes, TimingReport};
 pub use topology::{Link, Topology};
 
 use cypress_tensor::Tensor;
-use engine::{Engine, Mode};
+use engine::{Engine, Mode, Workspace};
+use std::fmt;
+use std::sync::{Arc, Mutex};
 
 /// The simulator: a machine configuration plus launch entry points.
-#[derive(Debug, Clone)]
+///
+/// A functional run of a kernel that already ran functionally on this
+/// simulator leaves its per-CTA shared-memory and fragment buffers
+/// parked here (one run's worth, shared with its clones), and the next
+/// functional run re-zeroes the ones its kernel can use instead of
+/// allocating fresh ones. Results do not depend on what is parked.
+#[derive(Clone)]
 pub struct Simulator {
     machine: MachineConfig,
     /// Host worker threads batches of runs may use (see
     /// [`Simulator::with_parallelism`]). Single-kernel runs are always
     /// single-threaded and deterministic regardless of this setting.
     parallelism: usize,
+    /// The per-CTA shared-memory and fragment buffers a functional run
+    /// parked for the next one (at most one run's worth, shared by clones
+    /// and by the runs concurrent workers make).
+    workspace: Arc<Mutex<Workspace>>,
+}
+
+impl fmt::Debug for Simulator {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Simulator")
+            .field("machine", &self.machine)
+            .field("parallelism", &self.parallelism)
+            .finish_non_exhaustive()
+    }
 }
 
 /// Result of a functional run: the (mutated) parameter tensors plus the
@@ -135,6 +156,7 @@ impl Simulator {
         Simulator {
             machine,
             parallelism: par::available(),
+            workspace: Arc::default(),
         }
     }
 
@@ -195,13 +217,14 @@ impl Simulator {
         program: &bytecode::Program,
         params: Vec<Tensor>,
     ) -> Result<FunctionalRun, SimError> {
-        let engine = Engine::new(
+        let mut engine = Engine::new(
             kernel,
             &self.machine,
             Mode::Functional,
             Some(params),
             program,
         )?;
+        engine.recycle_through(&self.workspace);
         Self::finish_functional(engine.run()?)
     }
 
@@ -229,6 +252,7 @@ impl Simulator {
             &program,
         )?;
         engine.set_scalar();
+        engine.recycle_through(&self.workspace);
         Self::finish_functional(engine.run()?)
     }
 

@@ -9,8 +9,14 @@
 use crate::dtype::DType;
 use crate::error::TensorError;
 use rand::Rng;
+use std::sync::Arc;
 
 /// An owned dense tensor, stored row-major.
+///
+/// Storage is shared and copy-on-write: [`Clone`] is O(1) (it bumps a
+/// reference count), and the first write to a tensor whose storage is
+/// shared — through [`Tensor::set`] or [`Tensor::data_mut`] — copies it
+/// once, so no clone ever observes another's writes.
 ///
 /// # Example
 ///
@@ -26,7 +32,7 @@ use rand::Rng;
 pub struct Tensor {
     dtype: DType,
     shape: Vec<usize>,
-    data: Vec<f32>,
+    data: Arc<Vec<f32>>,
 }
 
 impl Tensor {
@@ -45,7 +51,7 @@ impl Tensor {
         Tensor {
             dtype,
             shape: shape.to_vec(),
-            data: vec![0.0; shape.iter().product()],
+            data: Arc::new(vec![0.0; shape.iter().product()]),
         }
     }
 
@@ -54,7 +60,7 @@ impl Tensor {
     pub fn full(dtype: DType, shape: &[usize], value: f32) -> Self {
         let mut t = Tensor::zeros(dtype, shape);
         let q = dtype.quantize(value);
-        t.data.fill(q);
+        t.data_mut().fill(q);
         t
     }
 
@@ -66,7 +72,7 @@ impl Tensor {
     #[must_use]
     pub fn random<R: Rng>(dtype: DType, shape: &[usize], rng: &mut R, lo: f32, hi: f32) -> Self {
         let mut t = Tensor::zeros(dtype, shape);
-        for v in &mut t.data {
+        for v in t.data_mut() {
             *v = dtype.quantize(rng.gen_range(lo..hi));
         }
         t
@@ -89,16 +95,17 @@ impl Tensor {
         Ok(Tensor {
             dtype,
             shape: shape.to_vec(),
-            data,
+            data: Arc::new(data),
         })
     }
 
     /// Consume the tensor, yielding its row-major storage. The inverse of
     /// [`Tensor::from_data`]; lets buffer pools recycle storage without a
-    /// copy.
+    /// copy when the storage is unshared. A tensor whose storage a clone
+    /// still shares yields a copy, and the clone is left intact.
     #[must_use]
     pub fn into_data(self) -> Vec<f32> {
-        self.data
+        Arc::unwrap_or_clone(self.data)
     }
 
     /// The element type.
@@ -143,7 +150,8 @@ impl Tensor {
     /// As [`Tensor::get`].
     pub fn set(&mut self, coord: &[usize], value: f32) -> Result<(), TensorError> {
         let off = self.offset(coord)?;
-        self.data[off] = self.dtype.quantize(value);
+        let q = self.dtype.quantize(value);
+        self.data_mut()[off] = q;
         Ok(())
     }
 
@@ -176,9 +184,10 @@ impl Tensor {
 
     /// Mutable raw row-major data. Callers are responsible for quantizing
     /// writes if they bypass [`Tensor::set`]; the simulator does so at its
-    /// store boundaries.
+    /// store boundaries. Storage a clone shares is copied here first (once:
+    /// the copy is this tensor's own), so the clone keeps its values.
     pub fn data_mut(&mut self) -> &mut [f32] {
-        &mut self.data
+        Arc::make_mut(&mut self.data).as_mut_slice()
     }
 
     /// Maximum absolute element-wise difference against `other`.
@@ -246,13 +255,14 @@ pub mod reference {
             });
         }
         let mut c = Tensor::zeros(out_dtype, &[m, n]);
+        let (a, b, out) = (a.data(), b.data(), c.data_mut());
         for i in 0..m {
             for j in 0..n {
                 let mut acc = 0.0f32;
                 for kk in 0..k {
-                    acc += a.data()[i * k + kk] * b.data()[kk * n + j];
+                    acc += a[i * k + kk] * b[kk * n + j];
                 }
-                c.data_mut()[i * n + j] = out_dtype.quantize(acc);
+                out[i * n + j] = out_dtype.quantize(acc);
             }
         }
         Ok(c)
@@ -272,6 +282,7 @@ pub mod reference {
         }
         let (m, n) = (x.shape()[0], x.shape()[1]);
         let mut out = Tensor::zeros(out_dtype, &[m, n]);
+        let dst = out.data_mut();
         for i in 0..m {
             let row = &x.data()[i * n..(i + 1) * n];
             let mx = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
@@ -280,7 +291,7 @@ pub mod reference {
                 denom += (v - mx).exp();
             }
             for (j, &v) in row.iter().enumerate() {
-                out.data_mut()[i * n + j] = out_dtype.quantize((v - mx).exp() / denom);
+                dst[i * n + j] = out_dtype.quantize((v - mx).exp() / denom);
             }
         }
         Ok(out)
@@ -324,9 +335,10 @@ pub mod reference {
         }
         let (m, n) = (x.shape()[0], x.shape()[1]);
         let mut out = Tensor::zeros(x.dtype(), &[n, m]);
+        let (src, dst) = (x.data(), out.data_mut());
         for i in 0..m {
             for j in 0..n {
-                out.data_mut()[j * m + i] = x.data()[i * n + j];
+                dst[j * m + i] = src[i * n + j];
             }
         }
         Ok(out)
@@ -347,12 +359,13 @@ pub mod reference {
         }
         let (m, n) = (x.shape()[0], x.shape()[1]);
         let mut out = Tensor::zeros(out_dtype, &[m, 1]);
+        let (src, dst) = (x.data(), out.data_mut());
         for i in 0..m {
             let mut acc = 0.0f32;
             for j in 0..n {
-                acc += x.data()[i * n + j];
+                acc += src[i * n + j];
             }
-            out.data_mut()[i] = out_dtype.quantize(acc);
+            dst[i] = out_dtype.quantize(acc);
         }
         Ok(out)
     }
@@ -455,6 +468,55 @@ mod tests {
         let b = Tensor::full(DType::F32, &[2, 2], 1.1);
         assert!(a.relative_error(&b).unwrap() > 0.05);
         assert_eq!(a.relative_error(&a).unwrap(), 0.0);
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn clone_shares_storage_until_either_side_writes() {
+        let mut rng = StdRng::seed_from_u64(11);
+        let original = Tensor::random(DType::F16, &[4, 6], &mut rng, -2.0, 2.0);
+        let want = bits(&original);
+
+        // A write through `set` copies the clone's storage, once.
+        let mut a = original.clone();
+        assert_eq!(a.data().as_ptr(), original.data().as_ptr());
+        a.set(&[1, 2], 9.0).unwrap();
+        assert_ne!(a.data().as_ptr(), original.data().as_ptr());
+        let copied = a.data().as_ptr();
+        a.set(&[3, 5], -9.0).unwrap();
+        assert_eq!(a.data().as_ptr(), copied, "an unshared tensor copied again");
+        assert_eq!(bits(&original), want);
+        assert_eq!(
+            (a.get(&[1, 2]).unwrap(), a.get(&[3, 5]).unwrap()),
+            (9.0, -9.0)
+        );
+
+        // A write through `data_mut` on the original leaves the clone intact.
+        let mut b = original.clone();
+        let clone = original.clone();
+        b.data_mut().fill(0.5);
+        assert!(b.data().iter().all(|&x| x == 0.5));
+        assert_eq!(bits(&clone), want);
+        assert_eq!(bits(&original), want);
+    }
+
+    #[test]
+    fn into_data_copies_only_shared_storage() {
+        let mut rng = StdRng::seed_from_u64(12);
+        let t = Tensor::random(DType::BF16, &[3, 5], &mut rng, -1.0, 1.0);
+        let want = bits(&t);
+        let keep = t.clone();
+        let data = t.into_data();
+        assert_ne!(data.as_ptr(), keep.data().as_ptr());
+        assert_eq!(data.iter().map(|x| x.to_bits()).collect::<Vec<_>>(), want);
+        assert_eq!(bits(&keep), want);
+
+        let ptr = keep.data().as_ptr();
+        let unshared = keep.into_data();
+        assert_eq!(unshared.as_ptr(), ptr, "an unshared tensor was copied");
     }
 
     #[test]
