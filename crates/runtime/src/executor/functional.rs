@@ -18,14 +18,16 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 /// The result of a functional graph launch: final parameter tensors of
-/// every retained node plus the timing report of the simulated schedule.
+/// every retained node plus a whole-graph report of the launch timeline.
 #[derive(Debug)]
 pub struct GraphRun {
     names: Vec<String>,
     /// Per node: final parameter tensors in declaration order (`None` for
     /// nodes whose buffers were recycled into the pool).
     results: Vec<Option<Vec<Option<Tensor>>>>,
-    /// Whole-graph timing of the same schedule.
+    /// The launch timeline scheduled over the functional-mode runs' node
+    /// reports. A functional run puts every CTA on one SM's units, so
+    /// these cycles are not [`crate::Session::launch_timing`]'s.
     pub report: GraphReport,
     /// Per-dtype bytes the functional data path moved across every node
     /// launch of this run — a deterministic function of the graph and

@@ -55,7 +55,7 @@ mod schedule;
 
 pub use functional::GraphRun;
 pub(crate) use functional::{remap_run, run_functional};
-pub(crate) use schedule::run_timing;
+pub(crate) use schedule::{run_timing, solo_report};
 
 use crate::error::RuntimeError;
 use crate::graph::{Binding, TaskGraph};

@@ -13,14 +13,16 @@ use cypress_core::Compiled;
 use cypress_sim::concurrent::{
     Completion, ConcurrentEngine, EngineStep, KernelProfile, LaunchOutcome,
 };
-use cypress_sim::{Simulator, TimingReport, Topology};
+use cypress_sim::{SimError, Simulator, TimingReport, Topology};
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Time `timeline`, whose compute launches run `nodes` (one per graph
-/// node).
+/// node), with each kernel's solo report read through `solo` (see
+/// [`solo_report`]): a warm launch re-simulates nothing.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_timing(
     simulator: &Simulator,
+    solo: &mut HashMap<u64, Option<TimingReport>>,
     topology: &Topology,
     nodes: &[NodeLaunch],
     timeline: Vec<Launch>,
@@ -28,25 +30,28 @@ pub(crate) fn run_timing(
     fault: &FaultContext,
     recorder: &mut dyn Recorder,
 ) -> Result<GraphReport, RuntimeError> {
-    // Solo-time each node once per distinct compiled kernel: graphs that
-    // repeat a program (the cache hands back the identical `Arc`) pay for
-    // one simulation, not one per node.
-    let mut by_kernel: HashMap<*const Compiled, TimingReport> = HashMap::new();
-    let mut reports = Vec::with_capacity(nodes.len());
-    for node in nodes {
-        let key = Arc::as_ptr(&node.compiled);
-        let report = match by_kernel.get(&key) {
-            Some(r) => r.clone(),
-            None => {
-                let r =
-                    simulator.run_timing_lowered(&node.compiled.kernel, &node.compiled.lowered)?;
-                by_kernel.insert(key, r.clone());
-                r
-            }
-        };
-        reports.push(report);
-    }
+    let reports = nodes
+        .iter()
+        .map(|node| solo_report(simulator, solo, &node.compiled))
+        .collect::<Result<Vec<_>, _>>()?;
     assemble_report(topology, nodes, &reports, timeline, policy, fault, recorder)
+}
+
+/// `compiled`'s solo timing report from `solo`, a session's memo keyed
+/// by compiled-kernel fingerprint, or simulated and memoized. A `None`
+/// entry (a kernel the fusion gate could not time) is simulated again,
+/// so the caller gets the typed error it would get without the memo.
+pub(crate) fn solo_report(
+    simulator: &Simulator,
+    solo: &mut HashMap<u64, Option<TimingReport>>,
+    compiled: &Compiled,
+) -> Result<TimingReport, SimError> {
+    if let Some(Some(report)) = solo.get(&compiled.fingerprint) {
+        return Ok(report.clone());
+    }
+    let report = simulator.run_timing_lowered(&compiled.kernel, &compiled.lowered)?;
+    solo.insert(compiled.fingerprint, Some(report.clone()));
+    Ok(report)
 }
 
 /// Assemble the whole-graph report of `timeline` from per-node solo

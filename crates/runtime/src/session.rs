@@ -272,12 +272,12 @@ pub struct Session {
     /// Keys whose space has no valid candidate on this machine, so warm
     /// fallback launches skip re-enumerating the candidate grid.
     untunable: HashSet<TuningKey>,
-    /// Solo makespans per compiled-kernel fingerprint — what the fusion
-    /// rewriter's simulator gate consults, memoized so warm launches pay
-    /// hash lookups instead of re-simulation. `None` is the verdict
-    /// "could not compile or time it", memoized too, so a rejected fused
-    /// kernel is compiled once per session rather than on every launch.
-    solo_cycles: HashMap<u64, Option<f64>>,
+    /// Solo timing reports per compiled-kernel fingerprint (the cache
+    /// key, which covers the machine): every solo timing the session
+    /// makes reads and fills this one memo, so a warm launch re-simulates
+    /// nothing. `None` is the fusion gate's memoized verdict "could not
+    /// compile or time it", so a rejected fused kernel is compiled once.
+    solo: HashMap<u64, Option<TimingReport>>,
     /// The fusion rewriter's fused programs per `FusedKernel` (rule plus
     /// fitted shape; with this session's machine, everything the build
     /// reads), so a warm launch reuses one program — its identity
@@ -317,7 +317,7 @@ impl Session {
             tuning: TuningTable::new(),
             tuned_launches: HashMap::new(),
             untunable: HashSet::new(),
-            solo_cycles: HashMap::new(),
+            solo: HashMap::new(),
             fused_programs: HashMap::new(),
             recorder: Box::new(NoopRecorder),
             metrics: MetricsSnapshot::default(),
@@ -890,13 +890,17 @@ impl Session {
                 Err(_) => continue,
             }
         }
-        // Solo-time each distinct kernel on the worker pool. Timing is
-        // deterministic per kernel, so deduplication cannot change any
-        // candidate's cycles.
+        // On the worker pool, solo-time each distinct kernel the session's
+        // memo does not hold yet, and memoize the reports. Timing is
+        // deterministic per kernel, so neither the memo nor the
+        // deduplication can change any candidate's cycles.
         let mut seen = HashSet::new();
         let sims: Vec<Arc<Compiled>> = resident
             .iter()
-            .filter(|(_, c)| seen.insert(c.fingerprint))
+            .filter(|(_, c)| {
+                !matches!(self.solo.get(&c.fingerprint), Some(Some(_)))
+                    && seen.insert(c.fingerprint)
+            })
             .map(|(_, c)| Arc::clone(c))
             .collect();
         let simulator = &self.simulator;
@@ -906,19 +910,16 @@ impl Session {
                 simulator.run_timing_lowered(&c.kernel, &c.lowered),
             )
         });
-        let mut cycles_by_fp = HashMap::new();
         for (fp, report) in timed {
-            cycles_by_fp.insert(fp, report?.cycles);
+            self.solo.insert(fp, Some(report?));
         }
         resident
             .into_iter()
-            .map(|(cfg, compiled)| {
-                let cycles = cycles_by_fp.get(&compiled.fingerprint).ok_or_else(|| {
-                    RuntimeError::Internal {
-                        what: "a resident autotune candidate was never timed".into(),
-                    }
-                })?;
-                Ok((*cycles, cfg))
+            .map(|(cfg, c)| {
+                Ok((
+                    executor::solo_report(simulator, &mut self.solo, &c)?.cycles,
+                    cfg,
+                ))
             })
             .collect()
     }
@@ -1155,8 +1156,9 @@ impl Session {
 
     /// Launch `graph` functionally: real data flows along the graph's
     /// tensor-buffer edges, `inputs` supplies the `External` bindings, and
-    /// the result holds every retained node's final tensors plus the
-    /// whole-graph timing report.
+    /// the result holds every retained node's final tensors plus a
+    /// whole-graph report built from functional-mode runs, whose cycles
+    /// are not the timing schedule's (see [`GraphRun::report`]).
     ///
     /// Under [`FusionPolicy::Auto`] the graph is first rewritten through
     /// the fusion rewriter (see [`crate::fuse`]); results stay addressed
@@ -1232,6 +1234,7 @@ impl Session {
         let prepared = self.prepare(graph)?;
         let report = executor::run_timing(
             &self.simulator,
+            &mut self.solo,
             &prepared.topology,
             &prepared.nodes,
             prepared.timeline,
@@ -1273,22 +1276,24 @@ impl Session {
     /// Returns [`RuntimeError`] on compile or simulation failure.
     pub fn run_timing(&mut self, program: &Program) -> Result<TimingReport, RuntimeError> {
         let launch = self.node_launch(program)?;
-        Ok(self
-            .simulator
-            .run_timing_lowered(&launch.compiled.kernel, &launch.compiled.lowered)?)
+        Ok(executor::solo_report(
+            &self.simulator,
+            &mut self.solo,
+            &launch.compiled,
+        )?)
     }
 
     /// Drop all cached kernels, pooled buffers and the session's launch
-    /// memos: the compiled autotuned winners, the fusion gate's solo
-    /// cycles and "could not evaluate" verdicts, and the fusion
-    /// rewriter's fused programs. The next launch rebuilds and re-times
-    /// what it needs and reports exactly what it reported before.
-    /// Counters, tuning results and the marks of untunable programs are
-    /// kept.
+    /// memos: the compiled autotuned winners, the solo timing reports
+    /// (with the fusion gate's "could not evaluate" verdicts), and the
+    /// fusion rewriter's fused programs. The next launch rebuilds and
+    /// re-times what it needs and reports exactly what it reported
+    /// before. Counters, tuning results and the marks of untunable
+    /// programs are kept.
     pub fn clear(&mut self) {
         self.cache.clear();
         self.tuned_launches.clear();
-        self.solo_cycles.clear();
+        self.solo.clear();
         self.fused_programs.clear();
         self.pool.clear();
     }
@@ -1363,24 +1368,22 @@ fn record_cache_lookup(
 
 impl fuse::FusionGate for Session {
     /// Solo cycles of `program`, compiled through the kernel cache and
-    /// memoized per fingerprint: what the fusion rewriter compares. A
-    /// program that does not compile (the rewriter's candidate did not
-    /// fit this machine after all) yields `None`, vetoing its rewrite —
-    /// memoized like a success, since compile and simulation are
-    /// deterministic in the fingerprint.
+    /// read through the session's solo-report memo: what the fusion
+    /// rewriter compares. A program that does not compile or time (the
+    /// rewriter's candidate did not fit this machine after all) yields
+    /// `None`, vetoing its rewrite — memoized like a success, since
+    /// compile and simulation are deterministic in the fingerprint.
     fn solo_cycles(&mut self, program: &Program) -> Option<f64> {
         let fp = self.fingerprint_of(program);
-        if let Some(&verdict) = self.solo_cycles.get(&fp) {
-            return verdict;
+        if !self.solo.contains_key(&fp) {
+            let verdict = self.compile(program).ok().and_then(|compiled| {
+                self.simulator
+                    .run_timing_lowered(&compiled.kernel, &compiled.lowered)
+                    .ok()
+            });
+            self.solo.insert(fp, verdict);
         }
-        let verdict = self.compile(program).ok().and_then(|compiled| {
-            self.simulator
-                .run_timing_lowered(&compiled.kernel, &compiled.lowered)
-                .ok()
-                .map(|report| report.cycles)
-        });
-        self.solo_cycles.insert(fp, verdict);
-        verdict
+        Some(self.solo.get(&fp)?.as_ref()?.cycles)
     }
 
     /// `kernel`'s program for this session's machine, built on first
@@ -1495,6 +1498,88 @@ mod tests {
         }
     }
 
+    /// Asserts that `a` and `b` agree field by field, every cycle count
+    /// by its bits.
+    fn assert_same_report(a: &GraphReport, b: &GraphReport, label: &str) {
+        assert_eq!(a.makespan.to_bits(), b.makespan.to_bits(), "{label}");
+        assert_eq!(
+            a.critical_path.to_bits(),
+            b.critical_path.to_bits(),
+            "{label}"
+        );
+        assert_eq!(a.nodes.len(), b.nodes.len(), "{label}");
+        for (x, y) in a.nodes.iter().zip(&b.nodes) {
+            let node = format!("{label}: {}", x.node);
+            assert_eq!(x.start.to_bits(), y.start.to_bits(), "{node}");
+            assert_eq!(x.end.to_bits(), y.end.to_bits(), "{node}");
+            assert_eq!(
+                x.report.cycles.to_bits(),
+                y.report.cycles.to_bits(),
+                "{node}"
+            );
+        }
+        assert_eq!(format!("{a:?}"), format!("{b:?}"), "{label}");
+    }
+
+    #[test]
+    fn one_memo_holds_every_solo_report_a_launch_needs() {
+        // Four distinct kernels: three GEMM shapes and the reduction.
+        let graph = graph(128);
+        let mut session = Session::new(MachineConfig::test_gpu());
+        session.launch_timing(&graph).unwrap();
+        let unfused: HashSet<u64> = session.solo.keys().copied().collect();
+        assert_eq!(unfused.len(), 4);
+        let transients = FaultPlan::new().with_transient(0, 0).with_transient(0, 2);
+        let mut last = None;
+        for streams in [1, 4] {
+            for devices in [1, 2] {
+                for fusion in [FusionPolicy::Off, FusionPolicy::Auto] {
+                    for plan in [FaultPlan::new(), transients.clone()] {
+                        let label =
+                            format!("{streams} streams, {devices} devices, {fusion:?}, {plan:?}");
+                        let point = move |s: Session| {
+                            s.with_policy(SchedulePolicy::Concurrent { streams })
+                                .with_placement_policy(PlacementPolicy::Sharded { devices })
+                                .with_fusion_policy(fusion)
+                                .with_fault_policy(FaultPolicy::Retry {
+                                    max_attempts: 3,
+                                    backoff: 0.0,
+                                })
+                                .with_fault_plan(plan.clone())
+                        };
+                        session = point(session);
+                        let warm = session.launch_timing(&graph).unwrap();
+                        let fresh = point(Session::new(MachineConfig::test_gpu()))
+                            .launch_timing(&graph)
+                            .unwrap();
+                        assert_same_report(&warm, &fresh, &label);
+                        // Only the fusion gate's kernels join the four.
+                        let fused: HashSet<u64> = session
+                            .fused_programs
+                            .values()
+                            .flatten()
+                            .map(|p| session.fingerprint_of(p))
+                            .collect();
+                        for fp in session.solo.keys() {
+                            assert!(unfused.contains(fp) || fused.contains(fp), "{label}");
+                        }
+                        last = Some((point, warm));
+                    }
+                }
+            }
+        }
+        assert!(
+            session.solo.len() > unfused.len(),
+            "the gate timed fused kernels"
+        );
+        let (point, before) = last.unwrap();
+        session.clear();
+        assert!(session.solo.is_empty());
+        session = point(session);
+        let after = session.launch_timing(&graph).unwrap();
+        assert_same_report(&after, &before, "after clear");
+    }
+
     #[test]
     fn clear_drops_the_fusion_memos_and_no_report_bit() {
         let graph = graph(64);
@@ -1503,7 +1588,7 @@ mod tests {
         let before = session.launch_timing(&graph).unwrap();
         let held = fused_programs(&mut session, &graph);
         session.clear();
-        assert!(session.fused_programs.is_empty() && session.solo_cycles.is_empty());
+        assert!(session.fused_programs.is_empty() && session.solo.is_empty());
         let after = session.launch_timing(&graph).unwrap();
         assert_eq!(format!("{after:?}"), format!("{before:?}"));
         for (old, new) in held.iter().zip(fused_programs(&mut session, &graph)) {

@@ -526,6 +526,65 @@ fn warm_autotuned_launches_skip_the_compiler_entirely() {
     assert!(session.metrics().cache.misses > warm_stats.misses);
 }
 
+/// A session memoizes solo timing reports by *compiled kernel*: under
+/// `Autotune` a node runs another kernel than the one its program was
+/// written with, so one warm session launching a graph under `Default`,
+/// `Autotune`, then `Default` again must report each time what a fresh
+/// session reports under that policy — and the cycles the tuner timed
+/// for the kernel that ran. A memo keyed by the node's program would
+/// hand the tuned launch the default kernel's report.
+#[test]
+fn warm_launches_across_mapping_policies_time_the_kernel_that_runs() {
+    let machine = MachineConfig::test_gpu();
+    let program = Program::from_space(
+        Arc::new(gemm::GemmSpace),
+        Shape::of(&[128, 128, 128]),
+        &machine,
+    )
+    .unwrap();
+    let mut graph = cypress_runtime::TaskGraph::new();
+    graph
+        .add_node(
+            "gemm",
+            program.clone(),
+            vec![
+                Binding::Zeros,
+                Binding::external("A"),
+                Binding::external("B"),
+            ],
+        )
+        .unwrap();
+    let tuned = Session::new(machine.clone()).autotune(&program).unwrap();
+    assert!(
+        tuned.tuned_cycles < tuned.default_cycles,
+        "the tuned winner must not be the default at this shape"
+    );
+    let mut session = Session::new(machine.clone());
+    for policy in [
+        MappingPolicy::Default,
+        MappingPolicy::Autotune,
+        MappingPolicy::Default,
+    ] {
+        session = session.with_mapping_policy(policy);
+        let warm = session.launch_timing(&graph).unwrap();
+        let fresh = Session::new(machine.clone())
+            .with_mapping_policy(policy)
+            .launch_timing(&graph)
+            .unwrap();
+        let cycles = match policy {
+            MappingPolicy::Default => tuned.default_cycles,
+            _ => tuned.tuned_cycles,
+        };
+        for (w, f) in warm.nodes.iter().zip(&fresh.nodes) {
+            assert_eq!(w.mapping, f.mapping, "{policy:?}");
+            assert_eq!(w.tuned_speedup.to_bits(), f.tuned_speedup.to_bits());
+            assert_eq!(w.report.cycles.to_bits(), f.report.cycles.to_bits());
+            assert_eq!(w.report.cycles.to_bits(), cycles.to_bits(), "{policy:?}");
+        }
+        assert_eq!(warm.makespan.to_bits(), fresh.makespan.to_bits());
+    }
+}
+
 #[test]
 fn import_tuning_invalidates_memoized_launches() {
     let machine = MachineConfig::test_gpu();
