@@ -213,14 +213,6 @@ impl TensorRef {
         self.path.push((part, idx));
         self
     }
-
-    /// `true` if any piece index along the path mentions `v`.
-    #[must_use]
-    pub(crate) fn uses_var(&self, v: VarId) -> bool {
-        self.path
-            .iter()
-            .any(|(_, idx)| idx.iter().any(|i| i.uses(v)))
-    }
 }
 
 /// Event types (Fig. 7: `et`): unit or a processor-annotated array.
@@ -474,14 +466,6 @@ mod tests {
         assert!(IdxExpr::var(3).uses(3));
         assert!(!IdxExpr::var(3).uses(2));
         assert!(!IdxExpr::constant(5).uses(5));
-    }
-
-    #[test]
-    fn tensor_ref_var_usage() {
-        let r = TensorRef::piece(0, 0, vec![IdxExpr::constant(0), IdxExpr::var(7)]);
-        assert!(r.uses_var(7));
-        assert!(!r.uses_var(8));
-        assert!(!TensorRef::whole(0).uses_var(7));
     }
 
     #[test]

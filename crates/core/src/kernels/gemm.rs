@@ -424,6 +424,26 @@ mod tests {
     }
 
     #[test]
+    fn a_family_without_an_accumulator_or_a_row_operand_is_unsupported() {
+        for family in [
+            Family {
+                accs: &[],
+                ..FAMILY
+            },
+            Family {
+                rows: &[],
+                ..FAMILY
+            },
+        ] {
+            let err = family.registry().err();
+            assert!(
+                matches!(&err, Some(CompileError::Unsupported(m)) if m.contains("needs a matrix accumulator")),
+                "{err:?}"
+            );
+        }
+    }
+
+    #[test]
     fn invalid_shape_is_a_typed_error_not_a_panic() {
         // 100 is not divisible by the default 64-row tile.
         let err = build(100, 128, 64, &MachineConfig::test_gpu());

@@ -4,14 +4,12 @@
 //! fresh allocation and a pair of copies at every launch site; this pass
 //! removes the ones that imply no real data movement, leaving exactly the
 //! copies that cross memory levels (which code generation turns into TMA
-//! transfers and register↔shared staging). The rewrite patterns are:
+//! transfers and register↔shared staging). Six rewrite patterns run, in
+//! this order each round:
 //!
-//! - **self-copy elimination** (Fig. 10d): `copy(t, t)` is erased,
-//! - **duplicate elimination** (Fig. 10c): a repeated identical copy with
-//!   no intervening write is erased,
 //! - **copy propagation** (the engine behind Fig. 10a spill elimination):
 //!   `copy(a, X); copy(X, b)` forwards to `copy(a, b)`,
-//! - **allocation forwarding** (Fig. 10a/10b generalized): a fresh
+//! - **allocation forwarding** (Fig. 10a generalized): a fresh
 //!   allocation whose only external partner is a single reference `r`
 //!   — via copy-ins, copy-outs, or both — is replaced by `r` everywhere,
 //!   provided the forwarding implies no memory-level change (`none`-mapped
@@ -21,7 +19,18 @@
 //!   with the (register) allocation those pieces are copied to/from —
 //!   this is how the block-level accumulator of Fig. 5 ends up existing
 //!   only as per-warpgroup register fragments,
+//! - **self-copy elimination** (Fig. 10d): `copy(t, t)` is erased,
+//! - **duplicate elimination** (Fig. 10c): a repeated identical copy with
+//!   no intervening write is erased,
 //! - **dead-copy elimination**: copies into tensors never read again.
+//!
+//! A `none`-mapped tensor used only through whole-tensor copies needs no
+//! pattern of its own: allocation forwarding (or piece identification)
+//! makes that rewrite in the same round. Fig. 10b's loop-invariant
+//! hoist is not implemented: the task trees already issue every
+//! loop-invariant load (attention's Q tile) before the loop, so there is
+//! nothing for it to move. Each of the six patterns is load-bearing —
+//! skipping any one of them changes the emitted IR of the golden corpus.
 //!
 //! Per §4.2.3, event-eliminating (spill-style) patterns run before
 //! dependence-preserving ones. Here the order changes only how many
@@ -32,6 +41,8 @@
 //! tensor `t` used?" share one `Uses` summary, built in a single walk
 //! and rebuilt only after a rewrite; canonical equality is decided in
 //! place on the references themselves.
+
+#![deny(clippy::too_many_lines)]
 
 use crate::error::CompileError;
 use crate::front::machine::MemLevel;
@@ -73,12 +84,10 @@ fn run_bounded(prog: &mut IrProgram, max_rounds: usize) -> Result<Stats, Compile
     let mut pass = Pass::new(prog);
     // Event-eliminating (spill-style) patterns first, then the
     // dependence-preserving ones, each in application order.
-    let patterns: [Pattern<'_>; 8] = [
+    let patterns: [Pattern<'_>; 6] = [
         Pass::copy_propagation,
         Pass::forward_allocations,
-        Pass::materialize_none,
         Pass::identify_pieces,
-        Pass::hoist_invariant_copies,
         Pass::self_copies,
         Pass::duplicate_copies,
         Pass::dead_copies,
@@ -319,9 +328,8 @@ fn filter_and_rewire(
 struct TensorUse {
     /// References to the tensor or a piece of it, over all ops.
     refs: u32,
-    /// Ops reading / writing it (base tensor).
+    /// Ops reading it (base tensor).
     reads: u32,
-    writes: u32,
 }
 
 /// What one walk learns about tensor `t`, while the walk still borrows
@@ -332,7 +340,6 @@ struct Facts<'a> {
     whole: u32,
     pieces: u32,
     reads: u32,
-    writes: u32,
     /// Whole-tensor copies of `t` onto itself.
     self_copies: u32,
     /// First *upstream* copy partner of the whole tensor — the reference a
@@ -342,8 +349,6 @@ struct Facts<'a> {
     /// child allocation are downstream and collapse on later rounds.
     upstream: Option<&'a TensorRef>,
     upstream_mixed: bool,
-    /// First materialized same-shape tensor copied whole to/from `t`.
-    whole_partner: Option<TensorId>,
     /// First materialized whole tensor copied to/from a single-level
     /// piece of `t`.
     piece_partner: Option<&'a TensorRef>,
@@ -364,8 +369,6 @@ struct Uses {
     tensors: Vec<TensorUse>,
     /// Allocation forwarding: `(t, r)`, replace `t` by `r`.
     forward: Option<(TensorId, TensorRef)>,
-    /// Whole-tensor identification of a `none` tensor: `(t, partner)`.
-    materialize: Option<(TensorId, TensorId)>,
     /// Piece identification: `(t, r)`, replace `t`'s pieces by `r`.
     identify: Option<(TensorId, TensorRef)>,
 }
@@ -395,9 +398,6 @@ impl Uses {
                 }
             }
             for_each_read(op, |t| facts[t].reads += 1);
-            if let Some(t) = op_write(op) {
-                facts[t].writes += 1;
-            }
             let OpKind::Copy { src, dst } = &op.kind else {
                 return;
             };
@@ -414,30 +414,25 @@ impl Uses {
                         }
                     }
                 }
-                if !ghost(t) || o == t || !other.path.is_empty() || decls[o].mem == MemLevel::None {
-                    continue;
-                }
-                if this.path.is_empty() {
-                    let same_shape =
-                        (decls[o].rows, decls[o].cols) == (decls[t].rows, decls[t].cols);
-                    if f.whole_partner.is_none() && same_shape {
-                        f.whole_partner = Some(o);
-                    }
-                } else if this.path.len() == 1 && f.piece_partner.is_none() {
+                if ghost(t)
+                    && o != t
+                    && other.path.is_empty()
+                    && decls[o].mem != MemLevel::None
+                    && this.path.len() == 1
+                    && f.piece_partner.is_none()
+                {
                     f.piece_partner = Some(other);
                 }
             }
         });
-        let tensors = 0..decls.len();
         let summary = |f: &Facts| TensorUse {
             refs: f.whole + f.pieces,
             reads: f.reads,
-            writes: f.writes,
         };
         Uses {
             valid: true,
             tensors: facts.iter().map(summary).collect(),
-            forward: tensors.clone().find_map(|t| {
+            forward: (0..decls.len()).find_map(|t| {
                 let (f, r) = (&facts[t], facts[t].upstream?);
                 // Forwarding must imply no memory-level change.
                 let same_mem =
@@ -445,11 +440,7 @@ impl Uses {
                 (decls[t].param.is_none() && f.self_copies == 0 && !f.upstream_mixed && same_mem)
                     .then(|| (t, r.clone()))
             }),
-            materialize: tensors.clone().find_map(|t| {
-                let f = &facts[t];
-                (f.pieces == 0).then_some((t, f.whole_partner?))
-            }),
-            identify: tensors.clone().find_map(|t| {
+            identify: (0..decls.len()).find_map(|t| {
                 let (f, r) = (&facts[t], facts[t].piece_partner?);
                 (f.whole == 0 && !f.pieces_mixed).then(|| (t, r.clone()))
             }),
@@ -618,18 +609,6 @@ impl<'p> Pass<'p> {
         true
     }
 
-    /// A `none`-mapped tensor used only through whole-tensor copies is
-    /// identified with its first materialized copy partner (the
-    /// whole-tensor analogue of `identify_pieces`; attention's score matrix
-    /// `S` takes this route into a register fragment).
-    fn materialize_none(&mut self) -> bool {
-        let Some((t, partner)) = self.uses().materialize.take() else {
-            return false;
-        };
-        self.rewrite_base(t, &TensorRef::whole(partner), 0);
-        true
-    }
-
     /// Piece identification: a `none`-mapped parent used exclusively
     /// through canonically identical per-processor pieces is identified
     /// with the materialized tensor those pieces are copied to/from, by
@@ -642,46 +621,6 @@ impl<'p> Pass<'p> {
         };
         self.rewrite_base(t, &r, 1);
         true
-    }
-
-    /// Fig. 10b (spill hoisting, simplified to the loop-invariant case):
-    /// a copy inside a `for` whose references do not use the loop variable,
-    /// whose source is never written, and whose destination is written only
-    /// by this copy, moves to the loop preamble. This hoists attention's
-    /// Q-tile load out of the K/V loop.
-    fn hoist_invariant_copies(&mut self) -> bool {
-        fn scan(block: &mut Block, tensors: &[TensorUse], hoisted: &mut bool) {
-            let mut i = 0;
-            while i < block.ops.len() {
-                if let OpKind::For { var, body, .. } = &mut block.ops[i].kind {
-                    let var = *var;
-                    // Recurse first.
-                    scan(body, tensors, hoisted);
-                    let invariant = body.ops.iter().position(|op| {
-                        matches!(&op.kind, OpKind::Copy { src, dst }
-                            if !src.uses_var(var)
-                                && !dst.uses_var(var)
-                                && tensors[src.tensor].writes == 0
-                                && tensors[dst.tensor].writes == 1
-                                && dst.path.is_empty())
-                    });
-                    if let Some(pos) = invariant {
-                        let mut op = body.ops.remove(pos);
-                        // The hoisted copy keeps no intra-loop preconditions.
-                        op.pre.clear();
-                        block.ops.insert(i, op);
-                        *hoisted = true;
-                        i += 1;
-                    }
-                }
-                i += 1;
-            }
-        }
-        let mut hoisted = false;
-        self.uses();
-        scan(&mut self.prog.body, &self.uses.tensors, &mut hoisted);
-        self.uses.valid &= !hoisted;
-        hoisted
     }
 
     /// Remove copies into tensors that are never read and are not parameters.
@@ -799,39 +738,6 @@ mod tests {
         let stats = run(&mut prog).expect("no panic, no error");
         assert_eq!(stats.removed_copies, 0);
         assert_eq!(results(&prog.body), [0, 1]);
-    }
-
-    /// `for v { copy(src, dst); call(dst -> acc); extra... }`
-    fn loop_program(extra: impl FnOnce(&TensorRef, &TensorRef) -> Vec<Op>) -> IrProgram {
-        let mut prog = IrProgram::new("loop");
-        let src = tensor(&mut prog, "src", MemLevel::Global, Some(0));
-        let dst = tensor(&mut prog, "dst", MemLevel::Shared, None);
-        let acc = tensor(&mut prog, "acc", MemLevel::Register, None);
-        let exp = OpKind::Call {
-            f: LeafFn::Exp,
-            args: vec![dst.clone(), acc.clone()],
-        };
-        let mut ops = vec![copy(1, &[], &src, &dst), op(2, &[1], exp)];
-        ops.extend(extra(&src, &acc));
-        let body = Block { ops };
-        let (var, extent) = (prog.fresh_var(), 4);
-        prog.body = Block {
-            ops: vec![op(9, &[], OpKind::For { var, extent, body })],
-        };
-        prog
-    }
-
-    #[test]
-    fn hoisting_moves_only_copies_whose_source_the_loop_leaves_alone() {
-        let mut invariant = loop_program(|_, _| Vec::new());
-        assert!(Pass::new(&mut invariant).hoist_invariant_copies());
-        assert_eq!(results(&invariant.body), [1, 9]);
-
-        // The loop writes the copy's source: every iteration must reload it.
-        let mut written = loop_program(|src, acc| vec![copy(3, &[2], acc, src)]);
-        let before = written.clone();
-        assert!(!Pass::new(&mut written).hoist_invariant_copies());
-        assert_eq!(written, before);
     }
 
     #[test]

@@ -11,6 +11,8 @@
 //! `pfor` loops at the BLOCK level are *not* flattened: they map onto the
 //! kernel grid during code generation.
 
+#![deny(clippy::too_many_lines)]
+
 use crate::ir::{Block, EvIdx, EventRef, EventType, IrProgram, Op, OpKind};
 use std::collections::{HashMap, HashSet};
 

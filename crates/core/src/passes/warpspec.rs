@@ -29,9 +29,7 @@
 use crate::error::CompileError;
 use crate::front::ast::LeafFn;
 use crate::front::machine::{MemLevel, ProcLevel};
-use crate::ir::{
-    Block, EventId, EventType, IdxExpr, IrProgram, Op, OpKind, PartKind, TensorId, VarId,
-};
+use crate::ir::{Block, EventType, IdxExpr, IrProgram, Op, OpKind, PartKind, TensorId, VarId};
 use cypress_sim::{BinOp, Cond, Expr, Instr, Kernel, KernelBuilder, RedOp, RoleKind, Slice, UnOp};
 use std::collections::{HashMap, HashSet};
 
@@ -82,27 +80,6 @@ struct Scheduler<'a> {
     prod_bar: HashMap<TensorId, usize>,
     cons_bar: HashMap<TensorId, usize>,
     copyout_bar: Option<usize>,
-    /// Mid-kernel store mode: a DMA store is followed by later DMA loads
-    /// (the shape fused producer→consumer kernels lower to). Terminal
-    /// stores keep the single `copyout_bar` handshake bit for bit;
-    /// mid-kernel stores get a per-staging-tensor generational handshake:
-    /// compute arrives `ready` once the staging data is written, the DMA
-    /// warp stores it, then arrives `done` so compute may overwrite the
-    /// staging buffer in the next generation.
-    mid_store: bool,
-    /// Staging tensor -> barrier the DMA warp waits on before storing
-    /// (parties: every compute warpgroup).
-    ready_bar: HashMap<TensorId, usize>,
-    /// Staging tensor -> barrier the DMA warp arrives at once the store
-    /// has landed (parties: the DMA warp alone).
-    done_bar: HashMap<TensorId, usize>,
-    /// Op (by result id) after which compute arrives at `ready` for
-    /// these staging tensors: the last write before the store.
-    arrive_ready_after: HashMap<EventId, Vec<TensorId>>,
-    /// Op (by result id) before which compute waits on `done` for these
-    /// staging tensors from the second generation of the given loop
-    /// variable onward: the first write per store generation.
-    wait_done_before: HashMap<EventId, Vec<(TensorId, VarId)>>,
     /// IR loop var -> sim loop var.
     var_map: HashMap<VarId, usize>,
     /// The innermost pipelined loop's variable (stage index source).
@@ -210,11 +187,6 @@ impl<'a> Scheduler<'a> {
             prod_bar: HashMap::new(),
             cons_bar: HashMap::new(),
             copyout_bar: None,
-            mid_store: false,
-            ready_bar: HashMap::new(),
-            done_bar: HashMap::new(),
-            arrive_ready_after: HashMap::new(),
-            wait_done_before: HashMap::new(),
             var_map: HashMap::new(),
             stage_var: None,
             loop_stack: Vec::new(),
@@ -312,13 +284,27 @@ impl<'a> Scheduler<'a> {
     }
 
     /// Barriers: one prod/cons pair per DMA-loaded smem tensor, plus a
-    /// copyout barrier if there is a DMA store fed by compute results —
-    /// or, in mid-store mode, the per-staging-tensor ready/done pairs.
+    /// copyout barrier if there is a DMA store fed by compute results.
+    ///
+    /// Every DMA store is terminal: compute arrives at the copyout barrier
+    /// after all of its work, and the DMA warp waits on it once before
+    /// its first store. A DMA load that follows a DMA store in program
+    /// order (a round trip through global memory) has no handshake and is
+    /// [`CompileError::Unsupported`] with or without warp specialization.
     fn declare_barriers(
         &mut self,
         loaded_in_loop: &HashSet<TensorId>,
         loaded_outside: &HashSet<TensorId>,
     ) -> Result<(), CompileError> {
+        let mut class_stream = Vec::new();
+        scan_classes(self.prog, self.body, &mut class_stream);
+        let last_load = class_stream.iter().rposition(|c| *c == Class::DmaLoad);
+        let first_store = class_stream.iter().position(|c| *c == Class::DmaStore);
+        if matches!((first_store, last_load), (Some(s), Some(l)) if s < l) {
+            return Err(CompileError::Unsupported(
+                "a DMA load follows a DMA store (global-memory round trip)".into(),
+            ));
+        }
         let mut all_loaded: Vec<TensorId> = loaded_in_loop.union(loaded_outside).copied().collect();
         all_loaded.sort_unstable();
         for t in all_loaded {
@@ -331,119 +317,24 @@ impl<'a> Scheduler<'a> {
             let c = self.builder.mbar(self.n_wgs);
             self.cons_bar.insert(t, c);
         }
-        // Program-order class stream: detects whether any DMA store is
-        // followed by a DMA load (a mid-kernel store→load chain, the
-        // shape fused kernels lower to).
-        let mut class_stream = Vec::new();
-        scan_classes(self.prog, self.body, &mut class_stream);
-        let last_load = class_stream.iter().rposition(|c| *c == Class::DmaLoad);
-        let first_store = class_stream.iter().position(|c| *c == Class::DmaStore);
-        self.mid_store = matches!((first_store, last_load), (Some(s), Some(l)) if s < l);
-        if self.mid_store {
-            self.analyze_mid_stores(self.body, None)?;
-        } else if first_store.is_some() {
+        if first_store.is_some() {
             self.copyout_bar = Some(self.builder.mbar(self.n_wgs));
-        }
-        Ok(())
-    }
-
-    // ---- mid-kernel store analysis ----------------------------------------
-
-    /// For every staging tensor stored in `block`, allocate its
-    /// ready/done barrier pair and record where compute arrives (after
-    /// the last staging write preceding the store) and where it must
-    /// wait for the previous generation's store to land (before the
-    /// first staging write, from the second iteration of the enclosing
-    /// loop onward). Mid-store mode only.
-    fn analyze_mid_stores(
-        &mut self,
-        block: &'a Block,
-        enclosing: Option<VarId>,
-    ) -> Result<(), CompileError> {
-        let prog = self.prog;
-        let mut stored: Vec<TensorId> = Vec::new();
-        for op in &block.ops {
-            if classify(prog, op) == Class::DmaStore {
-                if let OpKind::Copy { src, .. } = &op.kind {
-                    if !stored.contains(&src.tensor) {
-                        stored.push(src.tensor);
-                    }
-                }
-            }
-        }
-        for t in stored {
-            if self.ready_bar.contains_key(&t) {
-                return Err(CompileError::Unsupported(format!(
-                    "staging tensor `{}` is stored from more than one block",
-                    prog.tensors[t].name
-                )));
-            }
-            let first_store = block
-                .ops
-                .iter()
-                .position(|op| {
-                    classify(prog, op) == Class::DmaStore
-                        && matches!(&op.kind, OpKind::Copy { src, .. } if src.tensor == t)
-                })
-                .expect("tensor was collected from a store in this block");
-            let writes: Vec<usize> = (0..first_store)
-                .filter(|&i| subtree_writes(&block.ops[i], t))
-                .collect();
-            let Some(&last_write) = writes.last() else {
-                return Err(CompileError::Unsupported(format!(
-                    "mid-kernel store of `{}` has no preceding staging write",
-                    prog.tensors[t].name
-                )));
-            };
-            let ready = self.builder.mbar(self.n_wgs);
-            self.ready_bar.insert(t, ready);
-            let done = self.builder.mbar(1);
-            self.done_bar.insert(t, done);
-            self.arrive_ready_after
-                .entry(block.ops[last_write].result)
-                .or_default()
-                .push(t);
-            if let Some(var) = enclosing {
-                self.wait_done_before
-                    .entry(block.ops[writes[0]].result)
-                    .or_default()
-                    .push((t, var));
-            }
-        }
-        for op in &block.ops {
-            match &op.kind {
-                OpKind::For { var, body, .. } => self.analyze_mid_stores(body, Some(*var))?,
-                OpKind::Pfor { body, .. } => self.analyze_mid_stores(body, enclosing)?,
-                _ => {}
-            }
         }
         Ok(())
     }
 
     // ---- DMA role ---------------------------------------------------------
 
+    /// The DMA role's instructions for `block`: each load arrives at its
+    /// tensor's producer barrier, and the stores wait once on the copyout
+    /// barrier before the first of them and drain after the last
+    /// ([`Scheduler::declare_barriers`] guarantees no load follows).
     fn emit_dma(&mut self, block: &Block) -> Result<Vec<Instr>, CompileError> {
         let mut out = Vec::new();
         let mut pending_store = false;
-        // Mid-store mode: consecutive stores of one staging tensor form a
-        // group; the group is closed (await the stores, release the
-        // staging buffer to compute) before any other DMA work.
-        let mut open_group: Option<TensorId> = None;
-        let mut ready_waited: HashSet<TensorId> = HashSet::new();
-        macro_rules! close_group {
-            () => {
-                if let Some(t) = open_group.take() {
-                    out.push(Instr::TmaStoreWait);
-                    out.push(Instr::mbar_arrive(self.done_bar[&t]));
-                }
-            };
-        }
         for op in &block.ops {
             match (classify(self.prog, op), &op.kind) {
                 (Class::DmaLoad, OpKind::Copy { src, dst }) => {
-                    // A later load may read just-stored data back (the
-                    // fused-chain round trip): the store must land first.
-                    close_group!();
                     out.push(Instr::tma_load(
                         self.slice(src, 0)?,
                         self.slice(dst, 0)?,
@@ -451,17 +342,7 @@ impl<'a> Scheduler<'a> {
                     ));
                 }
                 (Class::DmaStore, OpKind::Copy { src, dst }) => {
-                    if self.mid_store {
-                        if open_group != Some(src.tensor) {
-                            close_group!();
-                            // Wait until every warpgroup has written this
-                            // generation of the staging tensor.
-                            if ready_waited.insert(src.tensor) {
-                                out.push(Instr::mbar_wait(self.ready_bar[&src.tensor]));
-                            }
-                            open_group = Some(src.tensor);
-                        }
-                    } else if let Some(co) = self.copyout_bar {
+                    if let Some(co) = self.copyout_bar {
                         if !pending_store {
                             out.push(Instr::mbar_wait(co));
                             pending_store = true;
@@ -470,14 +351,12 @@ impl<'a> Scheduler<'a> {
                     out.push(Instr::tma_store(self.slice(src, 0)?, self.slice(dst, 0)?));
                 }
                 (Class::Loop, OpKind::For { var, extent, body }) => {
-                    close_group!();
                     out.extend(self.dma_loop(*var, *extent, body)?);
                 }
                 (Class::Loop, _) => return Err(nested_pfor()),
                 _ => {}
             }
         }
-        close_group!();
         if pending_store {
             out.push(Instr::TmaStoreWait);
         }
@@ -565,9 +444,6 @@ impl<'a> Scheduler<'a> {
         // Bulk-synchronous mode: warpgroup 0 moves the data inline.
         let moves_data = !warpspec && wg == 0;
         for op in &block.ops {
-            if warpspec && self.mid_store {
-                self.wait_staging_stored(op, &mut out);
-            }
             match (classify(self.prog, op), &op.kind) {
                 (Class::DmaLoad, OpKind::Copy { src, dst }) if moves_data => {
                     out.push(Instr::tma_load(
@@ -596,36 +472,8 @@ impl<'a> Scheduler<'a> {
                 (Class::Loop, _) => return Err(nested_pfor()),
                 _ => {}
             }
-            // Mid-store handshake, arrive side: the staging data for a
-            // store generation is complete once its last write retires.
-            if warpspec && self.mid_store {
-                if let Some(list) = self.arrive_ready_after.get(&op.result) {
-                    out.extend(list.iter().map(|t| Instr::mbar_arrive(self.ready_bar[t])));
-                }
-            }
         }
         Ok(out)
-    }
-
-    /// Mid-store handshake, wait side: before overwriting a staging
-    /// tensor for the next store generation, the previous generation's
-    /// store must have landed.
-    fn wait_staging_stored(&self, op: &Op, out: &mut Vec<Instr>) {
-        let Some(list) = self.wait_done_before.get(&op.result) else {
-            return;
-        };
-        for (t, var) in list {
-            // Guard on the *global* generation ordinal, not the bare loop
-            // variable: like the pipeline guards, the skew must stay
-            // bounded even when an outer loop re-enters the store loop.
-            let ord = self
-                .stage_ordinal(*var)
-                .unwrap_or_else(|| Expr::var(self.var_map[var]));
-            out.push(Instr::when(
-                Cond::Ge(ord, Expr::lit(1)),
-                vec![Instr::mbar_wait(self.done_bar[t])],
-            ));
-        }
     }
 
     /// One compute op of this warpgroup: producer waits, Tensor Core
@@ -861,12 +709,12 @@ impl<'a> Scheduler<'a> {
         } else if let Some(reg) = self.region_of.get(&r.tensor) {
             let mut s = Slice::smem(*reg);
             if self.stages_of.get(&r.tensor).copied().unwrap_or(1) > 1 {
-                let v = self.stage_var.ok_or_else(|| {
-                    CompileError::Unsupported("pipelined buffer used outside its loop".into())
-                })?;
-                let ord = self.stage_ordinal(v).ok_or_else(|| {
-                    CompileError::Unsupported("pipelined buffer used outside its loop".into())
-                })?;
+                let ord = self
+                    .stage_var
+                    .and_then(|v| self.stage_ordinal(v))
+                    .ok_or_else(|| {
+                        CompileError::Unsupported("pipelined buffer used outside its loop".into())
+                    })?;
                 let pipe = self.opts.pipeline.max(1) as i64;
                 s = s.stage(ord % pipe);
             }
@@ -1008,18 +856,6 @@ fn direct_loads(prog: &IrProgram, b: &Block) -> Vec<TensorId> {
     out.sort_unstable();
     out.dedup();
     out
-}
-
-/// Does any op in this subtree write tensor `t` (compute writes only —
-/// a DMA store *reads* its staging source)?
-fn subtree_writes(op: &Op, t: TensorId) -> bool {
-    match &op.kind {
-        OpKind::Copy { dst, .. } => dst.tensor == t,
-        OpKind::Call { args, .. } => args.last().is_some_and(|d| d.tensor == t),
-        OpKind::For { body, .. } | OpKind::Pfor { body, .. } => {
-            body.ops.iter().any(|o| subtree_writes(o, t))
-        }
-    }
 }
 
 /// Tensor Core hazard: an outstanding `wgmma`'s read/write sets.

@@ -4,10 +4,14 @@
 //! patterns remove exactly the copies that imply no data movement.
 
 use cypress_core::ir::printer::print_program;
-use cypress_core::ir::OpKind;
+use cypress_core::ir::{
+    Block, EventType, IdxExpr, IrProgram, Op, OpKind, PartDecl, PartKind, TensorRef,
+};
 use cypress_core::kernels::gemm;
 use cypress_core::passes::{copyelim, depan, vectorize};
+use cypress_core::{LeafFn, MemLevel, ProcLevel};
 use cypress_sim::MachineConfig;
+use cypress_tensor::DType;
 
 fn analyzed() -> cypress_core::ir::IrProgram {
     let machine = MachineConfig::test_gpu();
@@ -160,4 +164,255 @@ fn none_memory_survivor_is_reported() {
             })
         );
     }
+}
+
+/// A hand-built program for `warpspec::lower`: 8×8 F16 tensors, unit
+/// events without preconditions.
+struct Hand(IrProgram);
+
+impl Hand {
+    fn tensor(&mut self, name: &str, mem: MemLevel, param: Option<usize>) -> TensorRef {
+        TensorRef::whole(self.0.add_tensor(name, 8, 8, DType::F16, mem, param))
+    }
+
+    /// A one-entry piece of `t` through a new partition of `kind`.
+    fn piece(&mut self, t: &TensorRef, kind: PartKind, idx: Vec<IdxExpr>) -> TensorRef {
+        let id = self.0.parts.len();
+        self.0.parts.push(PartDecl {
+            id,
+            name: format!("p{id}"),
+            parent: t.tensor,
+            kind,
+        });
+        TensorRef::piece(t.tensor, id, idx)
+    }
+
+    fn op(&mut self, kind: OpKind) -> Op {
+        Op {
+            result: self.0.fresh_event(),
+            ty: EventType::Unit,
+            pre: Vec::new(),
+            kind,
+        }
+    }
+
+    fn copy(&mut self, src: &TensorRef, dst: &TensorRef) -> Op {
+        let (src, dst) = (src.clone(), dst.clone());
+        self.op(OpKind::Copy { src, dst })
+    }
+
+    fn exp(&mut self, src: &TensorRef, dst: &TensorRef) -> Op {
+        let args = vec![src.clone(), dst.clone()];
+        self.op(OpKind::Call {
+            f: LeafFn::Exp,
+            args,
+        })
+    }
+
+    fn pfor(&mut self, proc: ProcLevel, ops: Vec<Op>) -> Op {
+        let var = self.0.fresh_var();
+        let body = Block { ops };
+        self.op(OpKind::Pfor {
+            var,
+            extent: 1,
+            proc,
+            body,
+        })
+    }
+
+    /// One BLOCK-level `pfor` around `ops`: the kernel grid.
+    fn grid(&mut self, ops: Vec<Op>) -> Vec<Op> {
+        vec![self.pfor(ProcLevel::Block, ops)]
+    }
+}
+
+const BLOCKS: PartKind = PartKind::Blocks {
+    tile_rows: 4,
+    tile_cols: 4,
+    grid_rows: 2,
+    grid_cols: 2,
+};
+
+/// One program per `CompileError::Unsupported` branch of `warpspec` that
+/// a hand-built `IrProgram` reaches, with the text each must report. The
+/// body builder gets the two parameters `x` and `y`.
+type UnsupportedCase = (&'static str, fn(&mut Hand, TensorRef, TensorRef) -> Vec<Op>);
+
+const UNSUPPORTED: [UnsupportedCase; 10] = [
+    ("more than 3 grid dimensions", |h, x, y| {
+        let mut ops = vec![h.exp(&x, &y)];
+        for _ in 0..4 {
+            ops = h.grid(ops);
+        }
+        ops
+    }),
+    (
+        "must launch a parallel grid of BLOCK-level tasks",
+        |h, x, y| vec![h.exp(&x, &y)],
+    ),
+    ("non-parameter global tensor `g`", |h, x, _| {
+        let g = h.tensor("g", MemLevel::Global, None);
+        let ops = vec![h.exp(&x, &g)];
+        h.grid(ops)
+    }),
+    ("a DMA load follows a DMA store", |h, x, y| {
+        let s = h.tensor("s", MemLevel::Shared, None);
+        let t = h.tensor("t", MemLevel::Shared, None);
+        let ops = vec![
+            h.copy(&x, &s),
+            h.exp(&s, &s),
+            h.copy(&s, &y),
+            h.copy(&y, &t),
+            h.exp(&t, &t),
+            h.copy(&t, &x),
+        ];
+        h.grid(ops)
+    }),
+    (
+        "blocks partitions are indexed with 2 coordinates",
+        |h, x, y| {
+            let piece = h.piece(&x, BLOCKS, vec![IdxExpr::constant(0)]);
+            let ops = vec![h.exp(&piece, &y)];
+            h.grid(ops)
+        },
+    ),
+    ("mma partitions above the warp level", |h, x, y| {
+        let mma = PartKind::Mma {
+            pieces: 1,
+            piece_rows: 8,
+            piece_cols: 8,
+            replicated: false,
+            level: ProcLevel::Warpgroup,
+        };
+        let piece = h.piece(&x, mma, vec![IdxExpr::constant(0)]);
+        let ops = vec![h.exp(&piece, &y)];
+        h.grid(ops)
+    }),
+    ("pipelined buffer used outside its loop", |h, x, y| {
+        let s = h.tensor("s", MemLevel::Shared, None);
+        let var = h.0.fresh_var();
+        let body = Block {
+            ops: vec![h.copy(&x, &s)],
+        };
+        let ops = vec![
+            h.op(OpKind::For {
+                var,
+                extent: 2,
+                body,
+            }),
+            h.exp(&s, &y),
+        ];
+        h.grid(ops)
+    }),
+    (
+        "WARP-level index survives fragment re-aggregation",
+        |h, x, y| {
+            let w = h.0.fresh_var();
+            h.0.proc_vars.insert(w, ProcLevel::Warp);
+            let idx = vec![IdxExpr::var(w), IdxExpr::constant(0)];
+            let piece = h.piece(&x, BLOCKS, idx);
+            let ops = vec![h.exp(&piece, &y)];
+            h.grid(ops)
+        },
+    ),
+    ("unmapped loop variable", |h, x, y| {
+        let v = h.0.fresh_var();
+        let idx = vec![IdxExpr::var(v), IdxExpr::constant(0)];
+        let piece = h.piece(&x, BLOCKS, idx);
+        let ops = vec![h.exp(&piece, &y)];
+        h.grid(ops)
+    }),
+    ("nested non-BLOCK pfor survived vectorization", |h, x, y| {
+        let ops = vec![h.exp(&x, &y)];
+        let ops = vec![h.pfor(ProcLevel::Warpgroup, ops)];
+        h.grid(ops)
+    }),
+];
+
+#[test]
+fn unsupported_program_shapes_are_typed_errors_in_both_schedules() {
+    // A program shape warp specialization cannot lower is rejected the
+    // same way whether or not the mapping asks for a DMA warp: §3.3, a
+    // mapping changes performance, never what compiles.
+    use cypress_core::passes::warpspec::{self, SchedOptions};
+    use cypress_core::CompileError;
+    for (expected, body) in UNSUPPORTED {
+        let mut h = Hand(IrProgram::new("hand"));
+        let x = h.tensor("x", MemLevel::Global, Some(0));
+        let y = h.tensor("y", MemLevel::Global, Some(1));
+        h.0.body.ops = body(&mut h, x, y);
+        for warpspecialize in [true, false] {
+            let opts = SchedOptions {
+                warpspecialize,
+                pipeline: 2,
+            };
+            match warpspec::lower(&h.0, opts) {
+                Err(CompileError::Unsupported(msg)) => assert!(
+                    msg.contains(expected),
+                    "warpspecialize={warpspecialize}: expected `{expected}`, got `{msg}`"
+                ),
+                other => panic!("warpspecialize={warpspecialize}, `{expected}`: got {other:?}"),
+            }
+        }
+    }
+}
+
+#[test]
+fn scalar_task_arguments_are_unsupported() {
+    use cypress_core::{
+        ArgExpr, CompileError, EntryArg, LeafFn, MappingSpec, ParamSig, Privilege, SExpr, Stmt,
+        TaskMapping, TaskRegistry, TaskVariant, VariantKind,
+    };
+    use cypress_tensor::DType;
+    let x = |privilege| ParamSig {
+        name: "X".into(),
+        dtype: DType::F16,
+        privilege,
+    };
+    let mut reg = TaskRegistry::new();
+    reg.register(TaskVariant {
+        task: "top".into(),
+        name: "top_host".into(),
+        kind: VariantKind::Inner,
+        params: vec![x(Privilege::ReadWrite)],
+        body: vec![Stmt::Launch {
+            task: "work".into(),
+            args: vec![ArgExpr::Scalar(SExpr::lit(1))],
+        }],
+    })
+    .unwrap();
+    reg.register(TaskVariant {
+        task: "work".into(),
+        name: "work_leaf".into(),
+        kind: VariantKind::Leaf,
+        params: vec![x(Privilege::Write)],
+        body: vec![Stmt::CallExternal {
+            f: LeafFn::Fill(0.0),
+            args: vec![ArgExpr::tensor("X")],
+        }],
+    })
+    .unwrap();
+    let top = TaskMapping::new(
+        "top_host",
+        "top_host",
+        ProcLevel::Host,
+        vec![MemLevel::Global],
+    );
+    let leaf = TaskMapping::new(
+        "work_leaf",
+        "work_leaf",
+        ProcLevel::Block,
+        vec![MemLevel::Global],
+    );
+    let mapping = MappingSpec::new(vec![top.calls(&["work_leaf"]).entrypoint(), leaf]).unwrap();
+    let args = [EntryArg {
+        name: "X".into(),
+        rows: 8,
+        cols: 8,
+        dtype: DType::F16,
+    }];
+    assert_eq!(
+        depan::analyze(&reg, &mapping, "scalar", &args),
+        Err(CompileError::Unsupported("scalar task arguments".into()))
+    );
 }
