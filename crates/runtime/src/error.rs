@@ -129,20 +129,6 @@ pub enum RuntimeError {
         /// The partial timing report up to the loss.
         report: Box<crate::GraphReport>,
     },
-    /// A per-node or whole-graph deadline expired mid-schedule (see
-    /// [`crate::Session::with_node_deadline`] /
-    /// [`crate::Session::with_graph_deadline`]). Carries the partial
-    /// [`crate::GraphReport`].
-    DeadlineExceeded {
-        /// What missed the deadline: a node name, or `"graph"`.
-        what: String,
-        /// The deadline, in cycles.
-        deadline: f64,
-        /// The cycle the deadline was discovered blown at.
-        at: f64,
-        /// The partial timing report up to the deadline.
-        report: Box<crate::GraphReport>,
-    },
     /// A runtime invariant was violated (a bug in the runtime itself,
     /// not in the caller's graph) — surfaced as a typed error instead
     /// of a panic so long-lived serving sessions degrade gracefully.
@@ -215,12 +201,6 @@ impl fmt::Display for RuntimeError {
             RuntimeError::DeviceLost { device, cycle, .. } => {
                 write!(f, "device {device} lost at cycle {cycle} and not recovered")
             }
-            RuntimeError::DeadlineExceeded {
-                what, deadline, at, ..
-            } => write!(
-                f,
-                "deadline of {deadline} cycles for `{what}` exceeded at cycle {at}"
-            ),
             RuntimeError::Internal { what } => {
                 write!(f, "runtime invariant violated: {what}")
             }

@@ -328,9 +328,9 @@ pub(crate) fn run_functional(
         Ok(report) => report,
         Err(e) => {
             // The schedule aborted (fail-fast fault, exhausted retry
-            // budget, blown deadline): every buffer the functional walk
-            // produced goes back into the pool so a long-lived session
-            // leaks nothing across failed launches.
+            // budget, unrecovered device loss): every buffer the
+            // functional walk produced goes back into the pool so a
+            // long-lived session leaks nothing across failed launches.
             for slot in edges.slots.drain(..).flatten() {
                 for t in slot.into_iter().flatten() {
                     pool.release(t);

@@ -67,9 +67,8 @@ use cypress_sim::{FaultPlan, MachineConfig, TimingReport, Topology};
 use std::sync::Arc;
 
 /// The fault-handling settings one graph launch runs under: the
-/// session's injected [`FaultPlan`], its [`FaultPolicy`], and the
-/// optional per-node / whole-graph deadlines. An inactive context (an
-/// empty plan, no deadlines — the default) leaves every schedule
+/// session's injected [`FaultPlan`] and its [`FaultPolicy`]. An inactive
+/// context (an empty plan — the default) leaves every schedule
 /// bit-identical to the pre-fault runtime.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct FaultContext {
@@ -78,12 +77,6 @@ pub(crate) struct FaultContext {
     pub plan: FaultPlan,
     /// How the scheduler reacts to injected faults.
     pub policy: FaultPolicy,
-    /// Max cycles from a node's first launch to its successful
-    /// retirement before the schedule aborts with
-    /// [`crate::RuntimeError::DeadlineExceeded`].
-    pub node_deadline: Option<f64>,
-    /// Max makespan in cycles before the schedule aborts.
-    pub graph_deadline: Option<f64>,
 }
 
 /// One node's compiled kernel plus the mapping annotation the session

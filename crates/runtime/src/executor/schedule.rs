@@ -58,9 +58,9 @@ pub(crate) fn solo_report(
 /// reports (indexed by graph node) on `policy.streams()` streams per
 /// device, injecting and recovering from the fault context's plan, and
 /// emit the run's events. A schedule that ended early — a fail-fast
-/// fault, an exhausted retry budget, a device loss with no survivor, a
-/// blown deadline — comes back as the matching typed [`RuntimeError`]
-/// carrying the partial report.
+/// fault, an exhausted retry budget, a device loss with no survivor —
+/// comes back as the matching typed [`RuntimeError`] carrying the
+/// partial report.
 pub(super) fn assemble_report(
     topology: &Topology,
     nodes: &[NodeLaunch],
@@ -223,8 +223,6 @@ pub(super) struct Scheduler<'a> {
     /// Completed planned launches (recovery transfers not counted).
     completed_planned: usize,
     attempts: Vec<u32>,
-    /// Cycle of each launch's first attempt (node deadlines run from it).
-    first_start: Vec<f64>,
     /// Launches whose relaunch is held back by a retry backoff window.
     deferred: HashMap<usize, f64>,
     /// Recovery transfers inserted by device losses.
@@ -275,7 +273,6 @@ impl<'a> Scheduler<'a> {
             completed: vec![false; n],
             completed_planned: 0,
             attempts: vec![0; n],
-            first_start: vec![0.0; n],
             deferred: HashMap::new(),
             loss: LossRecovery::default(),
             out: Sched::default(),
@@ -336,9 +333,6 @@ impl<'a> Scheduler<'a> {
             self.stream_of[next] = self.free[device].remove(0);
             self.launched_on[next] = device;
             if next < self.planned {
-                if self.attempts[next] == 0 {
-                    self.first_start[next] = self.engine.now();
-                }
                 self.attempts[next] += 1;
             }
             match &self.launches[next].work {
@@ -399,34 +393,11 @@ impl<'a> Scheduler<'a> {
             }
             if done.id < self.planned {
                 self.completed_planned += 1;
-                if let Some(deadline) = self.fault.node_deadline {
-                    if done.end - self.first_start[done.id] > deadline {
-                        let what = self.launches[done.id].name.clone();
-                        self.abort_on_deadline(what, deadline, done);
-                    }
-                }
             }
+            Ok(())
         } else {
-            self.fault(done, outcome)?;
+            self.fault(done, outcome)
         }
-        if let Some(deadline) = self.fault.graph_deadline {
-            if self.out.abort.is_none() && done.end > deadline {
-                self.abort_on_deadline("graph".to_string(), deadline, done);
-            }
-        }
-        Ok(())
-    }
-
-    /// End the schedule: `what` (a launch, or `"graph"`) blew `deadline`
-    /// when `done` retired.
-    fn abort_on_deadline(&mut self, what: String, deadline: f64, done: &Completion) {
-        let at = done.end;
-        self.out.abort = Some(Box::new(move |report| RuntimeError::DeadlineExceeded {
-            what,
-            deadline,
-            at,
-            report,
-        }));
     }
 
     /// A launch faulted (transiently, or as the casualty of a device

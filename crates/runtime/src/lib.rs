@@ -80,14 +80,12 @@
 //!   to a session without the telemetry layer.
 //! - **fault-tolerant execution** ([`FaultPolicy`]): attach a seeded
 //!   deterministic [`FaultPlan`] ([`Session::with_fault_plan`]) injecting
-//!   transient kernel faults, permanent device losses, and slowdown
-//!   windows into the simulated machine. Under the default
-//!   [`FaultPolicy::FailFast`] any fault surfaces as a typed
-//!   [`RuntimeError`] carrying a partial [`GraphReport`]; under
-//!   [`FaultPolicy::Retry`] transient faults re-execute the node (with
-//!   optional backoff and per-node / whole-graph deadlines,
-//!   [`Session::with_node_deadline`] / [`Session::with_graph_deadline`])
-//!   and a permanent device loss triggers **degraded re-sharding**: the
+//!   transient kernel faults and permanent device losses into the
+//!   simulated machine. Under the default [`FaultPolicy::FailFast`] any
+//!   fault surfaces as a typed [`RuntimeError`] carrying a partial
+//!   [`GraphReport`]; under [`FaultPolicy::Retry`] transient faults
+//!   re-execute the node (with optional backoff) and a permanent device
+//!   loss triggers **degraded re-sharding**: the
 //!   unexecuted frontier is re-planned onto the surviving devices,
 //!   recovery transfers re-route stranded buffers, and the run completes
 //!   with tensors bitwise identical to the fault-free run. Every

@@ -10,9 +10,8 @@
 //! launches one graph shape forever — but a session serving
 //! *shape-diverse* graphs would otherwise park one buffer per distinct
 //! `(dtype, element count)` it ever sees. `BufferPool::set_capacity`
-//! bounds the number of parked buffers (mirroring
-//! `KernelCache::set_capacity`): when a release would exceed
-//! the bound, the least-recently-released buffer is dropped, and
+//! bounds the number of parked buffers: when a release would exceed the
+//! bound, the least-recently-released buffer is dropped, and
 //! [`PoolStats::evicted`] counts how many were let go.
 
 use cypress_tensor::{DType, Tensor};

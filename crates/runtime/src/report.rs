@@ -221,47 +221,6 @@ impl GraphReport {
         );
         out
     }
-
-    /// [`GraphReport::breakdown`] as machine-readable CSV: a header
-    /// line, then one row per node in completion order. Numeric fields
-    /// print in Rust's shortest round-trip form (no display rounding),
-    /// so downstream tooling sees the exact simulated values; text
-    /// fields are quoted when they contain commas, quotes, or newlines.
-    #[must_use]
-    pub fn breakdown_csv(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::from(
-            "node,device,stream,start,end,cycles,share_pct,achieved_tflops,mapping,tuned_speedup,fused\n",
-        );
-        let total = self.makespan.max(1.0);
-        for n in &self.nodes {
-            let _ = writeln!(
-                out,
-                "{},{},{},{},{},{},{},{},{},{},{}",
-                csv_field(&n.node),
-                n.device,
-                n.stream,
-                n.start,
-                n.end,
-                n.report.cycles,
-                100.0 * n.report.cycles / total,
-                n.report.achieved_tflops,
-                csv_field(&n.mapping),
-                n.tuned_speedup,
-                csv_field(&n.replaced.join(", "))
-            );
-        }
-        out
-    }
-}
-
-/// Quote a CSV field when it contains a delimiter, quote, or newline.
-fn csv_field(s: &str) -> String {
-    if s.contains(',') || s.contains('"') || s.contains('\n') {
-        format!("\"{}\"", s.replace('"', "\"\""))
-    } else {
-        s.to_string()
-    }
 }
 
 #[cfg(test)]
@@ -344,26 +303,5 @@ mod tests {
                 end: 800.0,
             }
         );
-    }
-
-    #[test]
-    fn csv_rows_carry_exact_values() {
-        let csv = overlapped().breakdown_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 3, "{csv}");
-        assert_eq!(
-            lines[0],
-            "node,device,stream,start,end,cycles,share_pct,achieved_tflops,mapping,tuned_speedup,fused"
-        );
-        assert_eq!(lines[1], "a,0,0,0,1000,1000,100,1,default,1,");
-        assert_eq!(lines[2], "b,0,1,0,800,800,80,1,default,1,");
-    }
-
-    #[test]
-    fn csv_quotes_fields_with_delimiters() {
-        let mut r = overlapped();
-        r.nodes[0].replaced = vec!["up".into(), "down".into()];
-        let csv = r.breakdown_csv();
-        assert!(csv.contains("\"up, down\""), "{csv}");
     }
 }

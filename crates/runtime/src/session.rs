@@ -261,9 +261,8 @@ pub struct Session {
     mapping_policy: MappingPolicy,
     fusion_policy: FusionPolicy,
     placement_policy: PlacementPolicy,
-    /// The fault axes: injected plan, [`FaultPolicy`], and the per-node /
-    /// whole-graph deadlines (see the `with_fault_*` / `with_*_deadline`
-    /// builders).
+    /// The fault axes: injected plan and [`FaultPolicy`] (see the
+    /// `with_fault_*` builders).
     fault: FaultContext,
     tuning: TuningTable,
     /// Compiled winners per tuning key, so warm `Autotune` launches skip
@@ -394,34 +393,6 @@ impl Session {
     #[must_use]
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault.plan = plan;
-        self
-    }
-
-    /// Bound the cycles from a node's first launch to its successful
-    /// retirement: a node that exceeds the bound aborts the graph
-    /// launch with [`RuntimeError::DeadlineExceeded`] carrying the
-    /// partial report.
-    #[must_use]
-    pub fn with_node_deadline(mut self, deadline: f64) -> Self {
-        self.fault.node_deadline = Some(deadline);
-        self
-    }
-
-    /// Bound the whole schedule's makespan: a launch whose timeline
-    /// passes the bound aborts with [`RuntimeError::DeadlineExceeded`]
-    /// carrying the partial report.
-    #[must_use]
-    pub fn with_graph_deadline(mut self, deadline: f64) -> Self {
-        self.fault.graph_deadline = Some(deadline);
-        self
-    }
-
-    /// Bound the kernel cache to at most `capacity` compiled kernels
-    /// (LRU eviction). Autotuning compiles one kernel per candidate, so
-    /// bounded sessions keep memory flat.
-    #[must_use]
-    pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
-        self.cache.set_capacity(Some(capacity));
         self
     }
 
@@ -805,11 +776,11 @@ impl Session {
 
     /// The cold sweep: compile every cache-missing candidate on the
     /// worker pool, issue the cache lookups in candidate order (so
-    /// hit/miss counters, LRU behavior, and the recorded events are a
-    /// function of the candidate list alone), then solo-time each
-    /// distinct compiled kernel on the pool. Returns `(cycles, config)`
-    /// in candidate order, so the caller's first-wins tie break is
-    /// independent of the worker count. A space's `validate` predicts
+    /// hit/miss counters and the recorded events are a function of the
+    /// candidate list alone), then solo-time each distinct compiled
+    /// kernel on the pool. Returns `(cycles, config)` in candidate
+    /// order, so the caller's first-wins tie break is independent of
+    /// the worker count. A space's `validate` predicts
     /// the compiled kernel's budgets and the kernel's own validation
     /// decides: candidates the builder or compiler rejects are skipped,
     /// not errors; simulation failures propagate.
@@ -859,8 +830,9 @@ impl Session {
             .flatten()
             .collect();
         // Issue the lookups in candidate order; misses consume the
-        // precompiled kernels (recompiling inline only if a bounded cache
-        // evicted an entry mid-sweep). This is also where the
+        // precompiled kernels (recompiling inline only when a failing
+        // fingerprint the list holds twice misses a second time: failures
+        // are not cached). This is also where the
         // `CacheLookup` (and miss-side `CompilePass`) events are
         // emitted, in candidate order.
         let mut resident = Vec::with_capacity(built.len());
@@ -1115,8 +1087,7 @@ impl Session {
         let report = match outcome {
             Ok(report) => report,
             Err(RuntimeError::NodeFailed { report, .. })
-            | Err(RuntimeError::DeviceLost { report, .. })
-            | Err(RuntimeError::DeadlineExceeded { report, .. }) => report,
+            | Err(RuntimeError::DeviceLost { report, .. }) => report,
             Err(_) => return,
         };
         self.metrics.faults_injected += report.recovery.faults;
@@ -1338,10 +1309,10 @@ fn compile_siblings(
     }
 }
 
-/// Emit the [`Event::CacheLookup`] for one successful lookup (hit and
-/// eviction flags read from the cache's own counter deltas since
-/// `before`) and, on a miss, the opt-in host-time [`Event::CompilePass`]
-/// stream of the freshly compiled kernel.
+/// Emit the [`Event::CacheLookup`] for one successful lookup (the hit
+/// flag read from the cache's own counter delta since `before`) and, on
+/// a miss, the opt-in host-time [`Event::CompilePass`] stream of the
+/// freshly compiled kernel.
 fn record_cache_lookup(
     recorder: &mut dyn Recorder,
     cache: &KernelCache,
@@ -1349,12 +1320,10 @@ fn record_cache_lookup(
     before: CacheStats,
     compiled: &Compiled,
 ) {
-    let after = cache.stats();
-    let hit = after.hits > before.hits;
+    let hit = cache.stats().hits > before.hits;
     recorder.record(Event::CacheLookup {
         fingerprint: fp,
         hit,
-        evictions: after.evictions - before.evictions,
     });
     if !hit {
         for (pass, ns) in &compiled.pass_nanos {

@@ -430,21 +430,12 @@ mod tests {
     fn invalid_topology_is_a_typed_error() {
         let g = TaskGraph::new();
         let empty = Topology {
-            devices: Vec::new(),
+            machine: MachineConfig::test_gpu(),
+            devices: 0,
             links: Vec::new(),
         };
         let err = shard(&g, &empty).unwrap_err();
         assert!(matches!(err, RuntimeError::BadTopology { .. }), "{err}");
-
-        // Kernels are profiled and transfers priced against one machine:
-        // a mixed topology is refused, not scheduled with device 0's numbers.
-        let mut mixed = Topology::nvlink(&MachineConfig::test_gpu(), 2);
-        mixed.devices[1] = MachineConfig::h100_sxm5();
-        let err = shard(&g, &mixed).unwrap_err();
-        assert!(
-            matches!(&err, RuntimeError::BadTopology { what } if what.contains("homogeneous")),
-            "{err}"
-        );
     }
 
     #[test]

@@ -121,8 +121,6 @@ pub enum Event {
         fingerprint: u64,
         /// `true` when served without running the pass pipeline.
         hit: bool,
-        /// Entries the LRU bound dropped to make room on this lookup.
-        evictions: u64,
     },
     /// One autotune sweep resolved (freshly timed or served from the
     /// [`crate::TuningTable`]).
@@ -467,8 +465,8 @@ impl fmt::Display for MetricsSnapshot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "cache   hits {} | misses {} | evictions {} | entries {}",
-            self.cache.hits, self.cache.misses, self.cache.evictions, self.cache.entries
+            "cache   hits {} | misses {} | entries {}",
+            self.cache.hits, self.cache.misses, self.cache.entries
         )?;
         writeln!(
             f,

@@ -291,61 +291,6 @@ fn exhausted_retry_budget_returns_node_failed() {
     }
 }
 
-/// Deadlines are typed errors with partial reports — and generous
-/// deadlines never fire, at one stream or several.
-#[test]
-fn deadlines_return_typed_errors_with_partial_reports() {
-    let machine = MachineConfig::test_gpu();
-    let graph = gemm_fanout(&machine, 128);
-    for policy in [
-        SchedulePolicy::Serial,
-        SchedulePolicy::Concurrent { streams: 4 },
-    ] {
-        let mut session = Session::new(machine.clone()).with_policy(policy);
-        let clean = session.launch_timing(&graph).unwrap();
-
-        session = session.with_graph_deadline(clean.makespan * 0.5);
-        match session.launch_timing(&graph) {
-            Err(RuntimeError::DeadlineExceeded {
-                what,
-                deadline,
-                at,
-                report,
-            }) => {
-                assert_eq!(what, "graph", "{policy:?}");
-                assert!(at > deadline, "{policy:?}");
-                assert!(
-                    !report.nodes.is_empty() && report.nodes.len() < clean.nodes.len(),
-                    "the partial report stops mid-graph ({policy:?})"
-                );
-            }
-            other => panic!("expected DeadlineExceeded under {policy:?}, got {other:?}"),
-        }
-        session = session.with_graph_deadline(clean.makespan * 2.0);
-        session
-            .launch_timing(&graph)
-            .expect("a generous graph deadline never fires");
-
-        // Node deadlines on a session without a graph deadline.
-        let mut session = Session::new(machine.clone())
-            .with_policy(policy)
-            .with_node_deadline(1.0);
-        match session.launch_timing(&graph) {
-            Err(RuntimeError::DeadlineExceeded { what, .. }) => {
-                assert!(
-                    what.starts_with('g'),
-                    "node deadlines name the offender, got {what:?} ({policy:?})"
-                );
-            }
-            other => panic!("expected node DeadlineExceeded under {policy:?}, got {other:?}"),
-        }
-        session = session.with_node_deadline(clean.makespan * 2.0);
-        session
-            .launch_timing(&graph)
-            .expect("a generous node deadline never fires");
-    }
-}
-
 /// `FailFast` with a device-loss plan surfaces `DeviceLost` with the
 /// victim and cycle on the error.
 #[test]
@@ -369,34 +314,4 @@ fn failfast_device_loss_is_typed() {
         }
         other => panic!("expected DeviceLost, got {other:?}"),
     }
-}
-
-/// Slowdown and link-degradation windows stretch the clock without
-/// touching tensors: the degraded run completes under either policy
-/// with a makespan no shorter than the clean run.
-#[test]
-fn slow_windows_stretch_the_clock_not_the_tensors() {
-    let machine = MachineConfig::test_gpu();
-    let graph = gemm_fanout(&machine, 128);
-    let inputs = graph_inputs(&graph, 37);
-    let mut oracle = Session::new(machine.clone());
-    let baseline = oracle.launch_functional(&graph, &inputs).unwrap();
-    let mut session = Session::new(machine)
-        .with_placement_policy(PlacementPolicy::Sharded { devices: 2 })
-        .with_policy(SchedulePolicy::Concurrent { streams: 2 });
-    let clean = session.launch_timing(&graph).unwrap();
-    session = session.with_fault_plan(
-        FaultPlan::new()
-            .with_slowdown(0, 0.0, clean.makespan, 0.5)
-            .with_link_degraded(0, 0.0, clean.makespan, 0.25),
-    );
-    let run = session.launch_functional(&graph, &inputs).unwrap();
-    assert_runs_match(&baseline, &run, &graph, "slow windows");
-    assert!(
-        run.report.makespan >= clean.makespan,
-        "a half-speed device cannot finish earlier: {} < {}",
-        run.report.makespan,
-        clean.makespan
-    );
-    assert_eq!(run.report.recovery.faults, 0, "windows are not faults");
 }

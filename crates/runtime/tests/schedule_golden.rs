@@ -153,11 +153,7 @@ impl Faults {
 fn digest(h: &mut Fnv64, outcome: Result<&GraphReport, &RuntimeError>) {
     let report = match outcome {
         Ok(report) => report,
-        Err(
-            RuntimeError::NodeFailed { report, .. }
-            | RuntimeError::DeviceLost { report, .. }
-            | RuntimeError::DeadlineExceeded { report, .. },
-        ) => {
+        Err(RuntimeError::NodeFailed { report, .. } | RuntimeError::DeviceLost { report, .. }) => {
             h.write_str("partial");
             report
         }

@@ -253,30 +253,6 @@ fn sweep_matches_a_session_free_oracle_at_every_worker_count() {
     }
 }
 
-/// A bounded kernel cache behaves identically at every worker count: the
-/// sweep issues its lookups in candidate order, so the hit/miss/eviction
-/// sequence is a function of the candidate list alone.
-#[test]
-fn sweep_preserves_bounded_cache_semantics_across_worker_counts() {
-    let machine = MachineConfig::test_gpu();
-    let program = Program::from_space(
-        Arc::new(gemm::GemmSpace),
-        Shape::of(&[128, 128, 128]),
-        &machine,
-    )
-    .unwrap();
-    let mut one = Session::new(machine.clone())
-        .with_parallelism(1)
-        .with_cache_capacity(2);
-    let want = one.autotune(&program).unwrap();
-    let mut four = Session::new(machine)
-        .with_parallelism(4)
-        .with_cache_capacity(2);
-    let got = four.autotune(&program).unwrap();
-    assert_eq!(want, got);
-    assert_eq!(one.metrics().cache, four.metrics().cache);
-}
-
 #[test]
 fn tuning_tables_persist_across_sessions() {
     let machine = MachineConfig::test_gpu();
@@ -427,27 +403,6 @@ fn autotune_without_a_space_is_a_typed_error() {
         .run_timing(&plain)
         .unwrap();
     assert!(report.cycles > 0.0);
-}
-
-#[test]
-fn bounded_cache_survives_autotuning_sweeps() {
-    let machine = MachineConfig::test_gpu();
-    let program = Program::from_space(
-        Arc::new(gemm::GemmSpace),
-        Shape::of(&[128, 128, 128]),
-        &machine,
-    )
-    .unwrap();
-    let mut session = Session::new(machine).with_cache_capacity(2);
-    let tuned = session.autotune(&program).unwrap();
-    assert!(tuned.candidates > 2, "sweep exceeds the cache bound");
-    let stats = session.metrics().cache;
-    assert!(stats.evictions > 0, "the bound must have evicted");
-    assert!(stats.entries <= 2);
-    // The tuned program still launches fine (recompiles are transparent).
-    session = session.with_mapping_policy(MappingPolicy::Autotune);
-    let report = session.run_timing(&program).unwrap();
-    assert!((report.cycles - tuned.tuned_cycles).abs() < 1e-9);
 }
 
 #[test]

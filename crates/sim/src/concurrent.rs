@@ -147,7 +147,8 @@ struct Active {
     transient: bool,
 }
 
-/// Per-device resource capacities.
+/// One device's resource capacities (every device of a topology is the
+/// same machine).
 #[derive(Debug, Clone)]
 struct DeviceCaps {
     sms: f64,
@@ -179,7 +180,9 @@ impl DeviceCaps {
 /// model dependency-gated streams.
 #[derive(Debug)]
 pub struct ConcurrentEngine {
-    devices: Vec<DeviceCaps>,
+    caps: DeviceCaps,
+    /// Number of devices.
+    devices: usize,
     /// Bandwidth capacity per link, bytes per cycle.
     links: Vec<f64>,
     now: f64,
@@ -201,9 +204,10 @@ impl ConcurrentEngine {
     /// An idle machine of one or more devices at cycle 0.
     #[must_use]
     pub fn with_topology(topology: &Topology) -> Self {
-        let n = topology.devices.len();
+        let n = topology.devices;
         ConcurrentEngine {
-            devices: topology.devices.iter().map(DeviceCaps::of).collect(),
+            caps: DeviceCaps::of(&topology.machine),
+            devices: n,
             links: topology.links.iter().map(|l| l.bytes_per_cycle).collect(),
             now: 0.0,
             active: Vec::new(),
@@ -245,7 +249,7 @@ impl ConcurrentEngine {
     /// Number of devices the engine models.
     #[must_use]
     pub fn device_count(&self) -> usize {
-        self.devices.len()
+        self.devices
     }
 
     /// Admit a compute kernel on `device` at the current time; `id` is
@@ -254,7 +258,7 @@ impl ConcurrentEngine {
     /// before launching). A launch onto a lost device, or onto an engine
     /// without devices, retires at once as [`LaunchOutcome::DeviceLost`].
     pub fn launch_on(&mut self, id: usize, device: usize, profile: &KernelProfile) {
-        let device = device.min(self.devices.len().saturating_sub(1));
+        let device = device.min(self.devices.saturating_sub(1));
         if self.lost.get(device).is_none_or(Option::is_some) {
             // Launching onto a dead device — or onto an engine with no
             // devices at all — fails immediately: a zero-length interval
@@ -321,7 +325,7 @@ impl ConcurrentEngine {
     /// bandwidth. Kernels with no demand on a resource are not throttled
     /// by it; kernels on different devices never throttle each other.
     fn rates(&self) -> Vec<f64> {
-        let nd = self.devices.len();
+        let nd = self.devices;
         let mut sm_sum = vec![0.0f64; nd];
         let mut hbm_sum = vec![0.0f64; nd];
         let mut l2_sum = vec![0.0f64; nd];
@@ -338,35 +342,15 @@ impl ConcurrentEngine {
                 }
             }
         }
-        let sm_scale: Vec<f64> = self
-            .devices
+        let caps = &self.caps;
+        let sm_scale: Vec<f64> = sm_sum.iter().map(|&s| (caps.sms / s).min(1.0)).collect();
+        let hbm_scale: Vec<f64> = hbm_sum
             .iter()
-            .enumerate()
-            .map(|(d, caps)| (caps.sms / sm_sum[d]).min(1.0))
+            .map(|&s| if s > caps.hbm { caps.hbm / s } else { 1.0 })
             .collect();
-        let hbm_scale: Vec<f64> = self
-            .devices
+        let l2_scale: Vec<f64> = l2_sum
             .iter()
-            .enumerate()
-            .map(|(d, caps)| {
-                if hbm_sum[d] > caps.hbm {
-                    caps.hbm / hbm_sum[d]
-                } else {
-                    1.0
-                }
-            })
-            .collect();
-        let l2_scale: Vec<f64> = self
-            .devices
-            .iter()
-            .enumerate()
-            .map(|(d, caps)| {
-                if l2_sum[d] > caps.l2 {
-                    caps.l2 / l2_sum[d]
-                } else {
-                    1.0
-                }
-            })
+            .map(|&s| if s > caps.l2 { caps.l2 / s } else { 1.0 })
             .collect();
         let link_scale: Vec<f64> = self
             .links
@@ -383,10 +367,7 @@ impl ConcurrentEngine {
         self.active
             .iter()
             .map(|a| match a.link {
-                Some(l) => match &self.fault_plan {
-                    Some(plan) => link_scale[l] * plan.link_factor(l, self.now),
-                    None => link_scale[l],
-                },
+                Some(l) => link_scale[l],
                 None => {
                     let d = a.device;
                     let mut r = sm_scale[d];
@@ -396,10 +377,7 @@ impl ConcurrentEngine {
                     if a.l2 > 0.0 {
                         r = r.min(l2_scale[d]);
                     }
-                    match &self.fault_plan {
-                        Some(plan) => r * plan.slowdown_factor(d, self.now),
-                        None => r,
-                    }
+                    r
                 }
             })
             .collect()
@@ -414,7 +392,7 @@ impl ConcurrentEngine {
             return false;
         };
         let mut fired = false;
-        for device in 0..self.devices.len() {
+        for device in 0..self.devices {
             if self.lost[device].is_some() {
                 continue;
             }
@@ -477,10 +455,9 @@ impl ConcurrentEngine {
                     win_dt = dt;
                 }
             }
-            // Clip the fluid window at the next fault boundary (a device
-            // loss, or a slowdown/degradation window opening or closing)
-            // so rate changes integrate exactly. No plan, no boundaries —
-            // and the legacy arithmetic below runs unchanged.
+            // Clip the fluid window at the next device loss so it fires
+            // at its exact cycle. No plan, no boundaries — and the
+            // legacy arithmetic below runs unchanged.
             if let Some(boundary) = self
                 .fault_plan
                 .as_ref()
@@ -734,7 +711,8 @@ mod tests {
     #[test]
     fn launching_on_an_engine_without_devices_is_a_device_loss() {
         let mut e = ConcurrentEngine::with_topology(&Topology {
-            devices: vec![],
+            machine: machine4(),
+            devices: 0,
             links: vec![],
         });
         e.launch_on(0, 0, &profile("orphan", 100.0, 1.0, 0.0));
@@ -749,34 +727,6 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         assert!(e.step().is_none(), "nothing else is in flight");
-    }
-
-    #[test]
-    fn slowdown_windows_stretch_exactly() {
-        // 1000 solo cycles, with cycles [0, 500) at half speed: 500
-        // wall cycles buy 250 solo cycles, the remaining 750 run at
-        // full rate, so the kernel retires at 1250.
-        let plan = FaultPlan::new().with_slowdown(0, 0.0, 500.0, 0.5);
-        let mut e = engine().with_fault_plan(plan);
-        e.launch_on(0, 0, &profile("slow", 1000.0, 1.0, 0.0));
-        let c = advance(&mut e).unwrap();
-        assert!((c.end - 1250.0).abs() < 1e-9, "end {}", c.end);
-    }
-
-    #[test]
-    fn link_degradation_stretches_transfers_only() {
-        let topo = Topology::nvlink(&machine4(), 2);
-        let cap = topo.links[0].bytes_per_cycle;
-        // The link runs at quarter bandwidth forever (window far past
-        // the transfer): 1000 solo cycles become 4000.
-        let plan = FaultPlan::new().with_link_degraded(0, 0.0, 1e9, 0.25);
-        let mut e = ConcurrentEngine::with_topology(&topo).with_fault_plan(plan);
-        e.launch_transfer(0, 0, 1000.0, cap);
-        e.launch_on(1, 0, &profile("alu", 1000.0, 1.0, 0.0));
-        let first = advance(&mut e).unwrap();
-        assert_eq!((first.id, first.end), (1, 1000.0), "compute untouched");
-        let second = advance(&mut e).unwrap();
-        assert!((second.end - 4000.0).abs() < 1e-6, "end {}", second.end);
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! Seeded, deterministic fault injection for the concurrent engine.
 //!
 //! A [`FaultPlan`] is a pure description of what goes wrong during a
-//! simulated multi-device run — which device dies and when, which launch
-//! on which device fails transiently, which cycle windows run slow,
-//! which links degrade. Attach one to a
+//! simulated multi-device run — which device dies and when, and which
+//! launch on which device fails transiently. Attach one to a
 //! [`crate::ConcurrentEngine::with_fault_plan`] and faulted launches
 //! surface as typed [`crate::LaunchOutcome`]s instead of silent
 //! successes; the runtime layers retry and re-sharding policies on top.
@@ -39,31 +38,6 @@ pub enum Fault {
         device: usize,
         /// The per-device launch index that faults.
         launch: u64,
-    },
-    /// Device `device` runs at `factor` of its normal throughput for
-    /// cycles in `[from, until)`. `factor` must be in `(0, 1]`.
-    Slowdown {
-        /// The slowed device.
-        device: usize,
-        /// First slowed cycle.
-        from: f64,
-        /// First cycle back at full speed.
-        until: f64,
-        /// Throughput multiplier in `(0, 1]`.
-        factor: f64,
-    },
-    /// Link `link` carries `factor` of its normal bandwidth for cycles
-    /// in `[from, until)`. `factor` must be in `(0, 1]`; a heavily
-    /// degraded link models a partial partition that heals at `until`.
-    LinkDegraded {
-        /// Index into [`crate::Topology::links`].
-        link: usize,
-        /// First degraded cycle.
-        from: f64,
-        /// First cycle back at full bandwidth.
-        until: f64,
-        /// Bandwidth multiplier in `(0, 1]`.
-        factor: f64,
     },
 }
 
@@ -104,43 +78,6 @@ impl FaultPlan {
     #[must_use]
     pub fn with_transient(mut self, device: usize, launch: u64) -> Self {
         self.faults.push(Fault::Transient { device, launch });
-        self
-    }
-
-    /// Add a device slowdown window (see [`Fault::Slowdown`]). The
-    /// factor is clamped into `(0, 1]` and the window normalized so
-    /// `from <= until`.
-    #[must_use]
-    pub fn with_slowdown(mut self, device: usize, from: f64, until: f64, factor: f64) -> Self {
-        let (from, until) = if from <= until {
-            (from, until)
-        } else {
-            (until, from)
-        };
-        self.faults.push(Fault::Slowdown {
-            device,
-            from: from.max(0.0),
-            until: until.max(0.0),
-            factor: factor.clamp(f64::MIN_POSITIVE, 1.0),
-        });
-        self
-    }
-
-    /// Add a link degradation window (see [`Fault::LinkDegraded`]).
-    /// The factor is clamped into `(0, 1]` and the window normalized.
-    #[must_use]
-    pub fn with_link_degraded(mut self, link: usize, from: f64, until: f64, factor: f64) -> Self {
-        let (from, until) = if from <= until {
-            (from, until)
-        } else {
-            (until, from)
-        };
-        self.faults.push(Fault::LinkDegraded {
-            link,
-            from: from.max(0.0),
-            until: until.max(0.0),
-            factor: factor.clamp(f64::MIN_POSITIVE, 1.0),
-        });
         self
     }
 
@@ -195,71 +132,18 @@ impl FaultPlan {
         })
     }
 
-    /// Throughput multiplier for `device` at cycle `now` (1.0 outside
-    /// every slowdown window; overlapping windows multiply).
-    #[must_use]
-    pub(crate) fn slowdown_factor(&self, device: usize, now: f64) -> f64 {
-        let mut factor = 1.0;
-        for f in &self.faults {
-            if let Fault::Slowdown {
-                device: d,
-                from,
-                until,
-                factor: x,
-            } = f
-            {
-                if *d == device && now >= *from && now < *until {
-                    factor *= x;
-                }
-            }
-        }
-        factor
-    }
-
-    /// Bandwidth multiplier for `link` at cycle `now` (1.0 outside
-    /// every degradation window; overlapping windows multiply).
-    #[must_use]
-    pub(crate) fn link_factor(&self, link: usize, now: f64) -> f64 {
-        let mut factor = 1.0;
-        for f in &self.faults {
-            if let Fault::LinkDegraded {
-                link: l,
-                from,
-                until,
-                factor: x,
-            } = f
-            {
-                if *l == link && now >= *from && now < *until {
-                    factor *= x;
-                }
-            }
-        }
-        factor
-    }
-
-    /// The next cycle strictly after `now` at which the plan changes the
-    /// machine — a device dies, or a slowdown/degradation window opens
-    /// or closes. The engine clips its fluid windows at these
-    /// boundaries so rate changes integrate exactly.
+    /// The next cycle strictly after `now` at which a device dies. The
+    /// engine clips its fluid windows there so a loss fires at its exact
+    /// cycle.
     #[must_use]
     pub(crate) fn next_boundary(&self, now: f64) -> Option<f64> {
-        let mut next: Option<f64> = None;
-        let mut consider = |t: f64| {
-            if t > now && next.is_none_or(|n| t < n) {
-                next = Some(t);
-            }
-        };
-        for f in &self.faults {
-            match f {
-                Fault::DeviceLoss { at, .. } => consider(*at),
-                Fault::Slowdown { from, until, .. } | Fault::LinkDegraded { from, until, .. } => {
-                    consider(*from);
-                    consider(*until);
-                }
-                Fault::Transient { .. } => {}
-            }
-        }
-        next
+        self.faults
+            .iter()
+            .filter_map(|f| match f {
+                Fault::DeviceLoss { at, .. } if *at > now => Some(*at),
+                _ => None,
+            })
+            .min_by(f64::total_cmp)
     }
 }
 
@@ -282,9 +166,19 @@ mod tests {
         let plan = FaultPlan::new();
         assert!(plan.is_empty());
         assert_eq!(plan.device_loss_at(0), None);
-        assert_eq!(plan.slowdown_factor(0, 100.0), 1.0);
-        assert_eq!(plan.link_factor(0, 100.0), 1.0);
         assert_eq!(plan.next_boundary(0.0), None);
+
+        // A non-empty plan changes the machine only where a device dies;
+        // the earliest of two losses of one device is the one that fires.
+        let plan = FaultPlan::new()
+            .with_transient(0, 0)
+            .with_device_loss(2, 300.0)
+            .with_device_loss(2, 200.0);
+        assert_eq!(plan.device_loss_at(2), Some(200.0));
+        assert_eq!(plan.device_loss_at(0), None);
+        assert_eq!(plan.next_boundary(0.0), Some(200.0));
+        assert_eq!(plan.next_boundary(200.0), Some(300.0));
+        assert_eq!(plan.next_boundary(300.0), None);
     }
 
     #[test]
@@ -301,45 +195,6 @@ mod tests {
                 }
                 other => panic!("seeded plans are transient-only, got {other:?}"),
             }
-        }
-    }
-
-    #[test]
-    fn windows_report_factors_and_boundaries() {
-        let plan = FaultPlan::new()
-            .with_slowdown(1, 100.0, 200.0, 0.5)
-            .with_link_degraded(0, 150.0, 250.0, 0.25)
-            .with_device_loss(2, 300.0);
-        assert_eq!(plan.slowdown_factor(1, 99.0), 1.0);
-        assert_eq!(plan.slowdown_factor(1, 100.0), 0.5);
-        assert_eq!(plan.slowdown_factor(1, 200.0), 1.0);
-        assert_eq!(
-            plan.slowdown_factor(0, 150.0),
-            1.0,
-            "other devices full speed"
-        );
-        assert_eq!(plan.link_factor(0, 200.0), 0.25);
-        assert_eq!(plan.device_loss_at(2), Some(300.0));
-        assert_eq!(plan.next_boundary(0.0), Some(100.0));
-        assert_eq!(plan.next_boundary(100.0), Some(150.0));
-        assert_eq!(plan.next_boundary(250.0), Some(300.0));
-        assert_eq!(plan.next_boundary(300.0), None);
-    }
-
-    #[test]
-    fn builders_normalize_degenerate_inputs() {
-        let plan = FaultPlan::new().with_slowdown(0, 200.0, 100.0, 7.0);
-        match &plan.faults()[0] {
-            Fault::Slowdown {
-                from,
-                until,
-                factor,
-                ..
-            } => {
-                assert_eq!((*from, *until), (100.0, 200.0), "window normalized");
-                assert_eq!(*factor, 1.0, "factor clamped into (0, 1]");
-            }
-            other => panic!("unexpected {other:?}"),
         }
     }
 

@@ -2,13 +2,14 @@
 //! NVLink-class links.
 //!
 //! A [`Topology`] is the multi-device generalization of one
-//! [`MachineConfig`]: a list of devices (each with its own SMs, L2, and
-//! HBM) plus a list of [`Link`]s, each an unordered device pair with a
-//! shared bidirectional bandwidth and a fixed latency. The concurrent
-//! contention model ([`crate::ConcurrentEngine::with_topology`]) treats
-//! every link as one more fluid resource class: compute kernels contend
-//! only for their own device's SM/HBM/L2, while transfers on the same
-//! link split its bytes-per-cycle proportionally to demand.
+//! [`MachineConfig`]: a number of identical devices (each with its own
+//! SMs, L2, and HBM) plus a list of [`Link`]s, each an unordered device
+//! pair with a shared bidirectional bandwidth and a fixed latency. The
+//! concurrent contention model
+//! ([`crate::ConcurrentEngine::with_topology`]) treats every link as one
+//! more fluid resource class: compute kernels contend only for their own
+//! device's SM/HBM/L2, while transfers on the same link split its
+//! bytes-per-cycle proportionally to demand.
 //!
 //! [`Topology::nvlink`] builds the configuration the runtime's sharded
 //! placement uses: `n` identical devices, fully connected (every pair
@@ -57,11 +58,13 @@ impl Link {
     }
 }
 
-/// N simulated devices and the links between them.
+/// N identical simulated devices and the links between them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Topology {
-    /// Per-device machine configurations.
-    pub devices: Vec<MachineConfig>,
+    /// The machine every device is.
+    pub machine: MachineConfig,
+    /// Number of devices.
+    pub devices: usize,
     /// Inter-device links (unordered pairs, at most one per pair).
     pub links: Vec<Link>,
 }
@@ -71,7 +74,8 @@ impl Topology {
     #[must_use]
     pub fn single(machine: MachineConfig) -> Self {
         Topology {
-            devices: vec![machine],
+            machine,
+            devices: 1,
             links: Vec::new(),
         }
     }
@@ -97,7 +101,8 @@ impl Topology {
             }
         }
         Topology {
-            devices: vec![machine.clone(); n],
+            machine: machine.clone(),
+            devices: n,
             links,
         }
     }
@@ -105,20 +110,15 @@ impl Topology {
     /// Number of devices.
     #[must_use]
     pub fn device_count(&self) -> usize {
-        self.devices.len()
+        self.devices
     }
 
-    /// The machine every device is: a topology that passes
-    /// [`Topology::validate`] is homogeneous, so kernels are profiled and
-    /// transfers priced against this one configuration whatever device
-    /// they run on.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a topology without devices, which `validate` rejects.
+    /// The machine every device is: kernels are profiled and transfers
+    /// priced against this one configuration whatever device they run
+    /// on.
     #[must_use]
     pub fn machine(&self) -> &MachineConfig {
-        &self.devices[0]
+        &self.machine
     }
 
     /// Index of the link joining devices `a` and `b` (order-insensitive),
@@ -130,9 +130,8 @@ impl Topology {
         self.links.iter().position(|l| l.a == lo && l.b == hi)
     }
 
-    /// Structural validity: at least one device, every device the same
-    /// machine (see [`Topology::machine`]), link endpoints in range and
-    /// distinct, at most one link per pair, positive bandwidths and
+    /// Structural validity: at least one device, link endpoints in range
+    /// and distinct, at most one link per pair, positive bandwidths and
     /// finite non-negative latencies. Returns a description of the first
     /// violation — the runtime wraps it in its typed error.
     ///
@@ -140,17 +139,10 @@ impl Topology {
     ///
     /// A human-readable description of the violation.
     pub fn validate(&self) -> Result<(), String> {
-        if self.devices.is_empty() {
+        let n = self.devices;
+        if n == 0 {
             return Err("topology has no devices".to_string());
         }
-        if let Some(i) = self.devices.iter().position(|d| d != self.machine()) {
-            return Err(format!(
-                "device {i} ({}) differs from device 0 ({}): topologies must be homogeneous",
-                self.devices[i].name,
-                self.machine().name
-            ));
-        }
-        let n = self.devices.len();
         for (i, l) in self.links.iter().enumerate() {
             if l.a >= n || l.b >= n {
                 return Err(format!(
@@ -263,14 +255,11 @@ mod tests {
     fn validate_rejects_malformed_topologies() {
         let m = MachineConfig::test_gpu();
         let empty = Topology {
-            devices: vec![],
+            machine: m.clone(),
+            devices: 0,
             links: vec![],
         };
         assert!(empty.validate().unwrap_err().contains("no devices"));
-
-        let mut t = Topology::nvlink(&m, 2);
-        t.devices[1] = MachineConfig::h100_sxm5();
-        assert!(t.validate().unwrap_err().contains("homogeneous"));
 
         let mut t = Topology::nvlink(&m, 2);
         t.links[0].b = 5;

@@ -112,7 +112,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             max_attempts: 3,
             backoff: 0.0,
         })
-        .with_graph_deadline(clean.makespan * 4.0)
         .with_fault_plan(plan);
 
     // --- Recovery never changes bits -----------------------------------

@@ -347,6 +347,83 @@ fn every_mapping_compiles_to_what_the_default_computes() {
     }
 }
 
+/// Eight machines that each stretch one class of cost on the test GPU
+/// by two orders of magnitude or more: a schedule-dependent tensor
+/// shows up under at least one of them.
+fn perturbed_machines() -> Vec<(&'static str, MachineConfig)> {
+    let perturb = |what, change: fn(&mut MachineConfig)| {
+        let mut machine = MachineConfig::test_gpu();
+        change(&mut machine);
+        (what, machine)
+    };
+    vec![
+        perturb("TMA latency x200", |m| m.tma_latency *= 200.0),
+        perturb("WGMMA latency x200", |m| m.wgmma_latency *= 200.0),
+        perturb("TC rate /300", |m| m.tc_flops_per_cycle_per_sm /= 300.0),
+        perturb("TMA and cp.async rates /300", |m| {
+            m.tma_bytes_per_cycle_per_sm /= 300.0;
+            m.cp_async_bytes_per_cycle_per_sm /= 300.0;
+        }),
+        perturb("SIMT and SFU rates /300", |m| {
+            m.simt_flops_per_cycle_per_sm /= 300.0;
+            m.sfu_ops_per_cycle_per_sm /= 300.0;
+        }),
+        perturb("HBM and smem rates /300", |m| {
+            m.hbm_bytes_per_cycle /= 300.0;
+            m.smem_bytes_per_cycle_per_sm /= 300.0;
+        }),
+        perturb("barrier cost x500", |m| m.barrier_cycles *= 500.0),
+        perturb("issue costs x300", |m| {
+            m.tma_issue_cycles *= 300.0;
+            m.wgmma_issue_cycles *= 300.0;
+            m.simt_issue_cycles *= 300.0;
+        }),
+    ]
+}
+
+/// A race-free kernel computes the same tensors whatever speed each
+/// unit runs at. Every candidate of every family, compiled for the test
+/// GPU at a small random shape, runs on each of [`perturbed_machines`],
+/// and every run equals the run on the unperturbed machine bit for bit.
+/// A missing barrier wait shows up here even in a family with one
+/// candidate, which has no second mapping to be compared against.
+#[test]
+fn every_candidate_computes_the_same_tensors_at_every_unit_speed() {
+    let machine = MachineConfig::test_gpu();
+    let compiler = CypressCompiler::new(CompilerOptions {
+        machine: machine.clone(),
+        ..Default::default()
+    });
+    let sim = Simulator::new(machine.clone());
+    let perturbed: Vec<(&str, Simulator)> = perturbed_machines()
+        .into_iter()
+        .map(|(what, m)| (what, Simulator::new(m)))
+        .collect();
+    let mut rng = StdRng::seed_from_u64(0x7A1E);
+    for (family, space, _) in families() {
+        let shape = small_shape(family, &mut rng);
+        for cfg in space.candidates(&machine, &shape) {
+            let what = format!("{family} {shape} {}", cfg.encode());
+            let (reg, mapping, args) = space
+                .build(&shape, &cfg)
+                .unwrap_or_else(|e| panic!("{what}: {e}"));
+            let compiled = compiler
+                .compile(&reg, &mapping, space.entry(), &args)
+                .unwrap_or_else(|e| panic!("{what}: {e}"));
+            let params = random_params(&args, &mut rng);
+            let run = |sim: &Simulator| {
+                sim.run_functional_lowered(&compiled.kernel, &compiled.lowered, params.clone())
+                    .unwrap_or_else(|e| panic!("{what}: {e}"))
+                    .params
+            };
+            let want = run(&sim);
+            for (machine, sim) in &perturbed {
+                assert_bitwise(&format!("{what} under {machine}"), &run(sim), &want);
+            }
+        }
+    }
+}
+
 #[test]
 fn whole_stack_is_deterministic() {
     let machine = MachineConfig::h100_sxm5();
