@@ -30,8 +30,9 @@ use cypress_core::fingerprint::Fnv64;
 use cypress_core::kernels::attention::{self, Algorithm};
 use cypress_core::kernels::{batched, dual_gemm, gemm, gemm_reduction};
 use cypress_core::CompileError;
-use cypress_sim::{bytecode, Kernel, MachineConfig, Simulator};
+use cypress_sim::{bytecode, par, Kernel, MachineConfig, Simulator};
 use std::fmt::Write as _;
+use std::sync::OnceLock;
 
 #[path = "../../core/tests/golden/shared.rs"]
 mod shared;
@@ -206,24 +207,41 @@ fn timing_reports_match_golden_digests() {
     );
 }
 
-/// `Program::unproven_ops` is 0 for every family candidate on both
-/// machines and every kernel of Fig. 13/14, Cypress's and the hand
-/// kernels, bar the kernels [`UNPROVABLE`] lists.
-#[test]
-fn lowering_proves_every_slice_in_bounds() {
-    let h100 = Simulator::new(MachineConfig::h100_sxm5());
-    let mut corpus = hand_kernels(&h100);
-    corpus.extend(cypress_figure_kernels(h100.machine()));
-    for machine in [MachineConfig::h100_sxm5(), MachineConfig::test_gpu()] {
+/// The 544-kernel corpus, each kernel with the machine it was built
+/// for: the hand kernels and Cypress kernels of Fig. 13/14 on the H100,
+/// and every family candidate at both pinned shapes on the H100 and the
+/// unit-test machine. Compiled once for the tests that share it.
+fn corpus() -> &'static [(String, MachineConfig, Kernel)] {
+    static CORPUS: OnceLock<Vec<(String, MachineConfig, Kernel)>> = OnceLock::new();
+    CORPUS.get_or_init(build_corpus)
+}
+
+fn build_corpus() -> Vec<(String, MachineConfig, Kernel)> {
+    let h100 = MachineConfig::h100_sxm5();
+    let sim = Simulator::new(h100.clone());
+    let mut corpus: Vec<_> = hand_kernels(&sim)
+        .into_iter()
+        .chain(cypress_figure_kernels(&h100))
+        .map(|(label, kernel)| (label, h100.clone(), kernel))
+        .collect();
+    for machine in [h100, MachineConfig::test_gpu()] {
         for (label, kernel) in family_kernels(&machine) {
             let label = format!("{} {label}", machine.name);
             let kernel =
                 kernel.unwrap_or_else(|e| panic!("{label}: a candidate fails to compile: {e}"));
-            corpus.push((label, kernel));
+            corpus.push((label, machine.clone(), kernel));
         }
     }
+    corpus
+}
+
+/// `Program::unproven_ops` is 0 for every kernel of [`corpus`] bar the
+/// kernels [`UNPROVABLE`] lists.
+#[test]
+fn lowering_proves_every_slice_in_bounds() {
+    let corpus = corpus();
     let mut unproven = Vec::new();
-    for (label, kernel) in &corpus {
+    for (label, _, kernel) in corpus {
         let program = bytecode::lower(kernel).unwrap_or_else(|e| panic!("{label}: {e}"));
         let listed = UNPROVABLE.iter().any(|(name, _)| name == label);
         match (program.unproven_ops(), listed) {
@@ -239,6 +257,35 @@ fn lowering_proves_every_slice_in_bounds() {
         unproven.len(),
         corpus.len(),
         unproven.join("\n")
+    );
+}
+
+/// `Simulator::timing_floor` is a lower bound on the simulated cycles of
+/// every kernel of [`corpus`] on its own machine, and not a vacuous one:
+/// on some kernel its unit term reaches 80 % of the cycles past the
+/// launch.
+#[test]
+fn timing_floor_never_exceeds_simulated_cycles() {
+    let shares = par::parallel_map(par::available(), corpus().iter().collect(), |entry| {
+        let (label, machine, kernel) = entry;
+        let sim = Simulator::new(machine.clone());
+        let program = bytecode::lower(kernel).unwrap_or_else(|e| panic!("{label}: {e}"));
+        let cycles = sim
+            .run_timing_lowered(kernel, &program)
+            .unwrap_or_else(|e| panic!("{label}: {e}"))
+            .cycles;
+        let floor = sim.timing_floor(kernel, &program);
+        assert!(
+            floor <= cycles,
+            "{label}: floor {floor} above the simulated {cycles} cycles"
+        );
+        let launch = machine.kernel_launch_cycles + machine.cta_launch_cycles;
+        (floor - launch) / (cycles - launch)
+    });
+    let tightest = shares.into_iter().fold(0.0, f64::max);
+    assert!(
+        tightest >= 0.8,
+        "the floor's unit term reaches at most {tightest} of the cycles past the launch"
     );
 }
 

@@ -502,13 +502,25 @@ impl Session {
 
     /// Autotune `program`'s mapping: enumerate its space's candidates
     /// for this session's machine, compile each through the kernel cache,
-    /// time each with the simulator, and record the fastest in the
+    /// time them with the simulator, and record the fastest in the
     /// session's [`TuningTable`] keyed by `(computation fingerprint,
     /// shape, machine fingerprint)`. Repeated calls (and
     /// [`MappingPolicy::Autotune`] launches) are served from the table
     /// without re-timing. Ties go to the earliest candidate in the
     /// space's deterministic enumeration order, so two sessions tuning
     /// the same program always pick the same winner.
+    ///
+    /// The sweep simulates only the candidates that could win. It times
+    /// a *seed* first: the space's hand-tuned `default_for` mapping, or,
+    /// when that is not among the compiled candidates, the one the cost
+    /// model ranks best. It then skips every candidate whose
+    /// [`Simulator::timing_floor`] — a proven lower bound on its cycles —
+    /// is above the seed's cycles, or equal to them and later in
+    /// enumeration order (the tie would go to the seed), and times the
+    /// rest. The skipped set is a function of the candidate list alone,
+    /// so the winner is the one an exhaustive timing would pick, at
+    /// every worker count. [`crate::TunerStats::bounded`] counts the
+    /// skipped candidates.
     ///
     /// # Errors
     ///
@@ -520,7 +532,8 @@ impl Session {
     /// back to the program's own mapping on this error instead of
     /// surfacing it). Candidates the compiler rejects are skipped — a
     /// space's `validate` predicts the kernel's budgets, the compiled
-    /// kernel's validation decides. Simulation failures still propagate.
+    /// kernel's validation decides. Simulation failures of the
+    /// candidates the sweep times still propagate.
     pub fn autotune(&mut self, program: &Program) -> Result<TunedMapping, RuntimeError> {
         self.autotune_with(program, TunerBudget::Exhaustive)
     }
@@ -535,13 +548,13 @@ impl Session {
     /// candidates are never pruned). If the session's [`TuningTable`]
     /// holds a winner for the *same kernel and machine at a neighboring
     /// shape* (`TuningTable::nearest_neighbor`), that winner is added
-    /// to the timed set as a transfer seed — under `TopK(0)` it is the
-    /// *only* candidate timed, so warm fleets re-tune new shapes at the
+    /// to the kept set as a transfer seed — under `TopK(0)` it is the
+    /// *only* candidate, so warm fleets re-tune new shapes at the
     /// cost of one simulation. The kept candidates then flow through
-    /// the one sweep in enumeration order, so
-    /// `TopK(k >= candidates.len())` reproduces the exhaustive sweep bit
-    /// for bit — same winner, same kernel-cache traffic, same
-    /// `TunerCandidate` telemetry.
+    /// the one sweep in enumeration order — seed, floor skip and all —
+    /// so `TopK(k >= candidates.len())` reproduces the exhaustive sweep
+    /// bit for bit: same winner, same kernel-cache traffic, same
+    /// skipped candidates, same `TunerCandidate` telemetry.
     ///
     /// # Errors
     ///
@@ -556,42 +569,20 @@ impl Session {
                 entry: program.entry.clone(),
             });
         };
-        let machine = self.machine().clone();
         let key = key_for(program, &binding.shape, self.machine_fp);
-        if let Some(done) = self.tuning.get(&key) {
-            // Tables can be hand-edited or imported from elsewhere: a
-            // stored winner that no longer validates is re-tuned below
-            // (overwriting the bad entry) instead of being built blind.
-            if binding
-                .space
-                .validate(&machine, &binding.shape, &done.config)
-                .is_ok()
-            {
-                let done = done.clone();
-                if self.recorder.enabled() {
-                    self.recorder.record(Event::TunerSweep {
-                        entry: program.entry.clone(),
-                        shape: binding.shape.to_string(),
-                        candidates: done.candidates,
-                        winner: done.config.label(),
-                        default_cycles: done.default_cycles,
-                        tuned_cycles: done.tuned_cycles,
-                        cached: true,
-                    });
-                }
-                return Ok(done);
-            }
+        if let Some(done) = self.tuned_from_table(program, &binding, &key) {
+            return Ok(done);
         }
-
-        let default_cfg = binding.space.default_for(&machine);
-        let candidates = binding.space.candidates(&machine, &binding.shape);
+        let candidates = binding.space.candidates(self.machine(), &binding.shape);
         if candidates.is_empty() {
             // Nothing in the space is valid here; surface the default's
             // validation failure as the typed reason.
-            let reason = match binding
-                .space
-                .validate(&machine, &binding.shape, &default_cfg)
-            {
+            let machine = self.machine();
+            let reason = match binding.space.validate(
+                machine,
+                &binding.shape,
+                &binding.space.default_for(machine),
+            ) {
                 Err(e) => e,
                 Ok(()) => cypress_core::CompileError::Unsupported(format!(
                     "mapping space of `{}` emitted no candidates for shape {} on {}",
@@ -629,27 +620,90 @@ impl Session {
                 kept
             }
         };
-        let timed = self.sweep(&binding, candidates)?;
-        self.tuning.note_sweep(timed.len() as u64);
+        let swept = self.sweep(&binding, candidates)?;
+        let bounded = swept.iter().filter(|c| c.cycles.is_none()).count();
+        self.tuning
+            .note_sweep((swept.len() - bounded) as u64, bounded as u64);
         if self.recorder.enabled() {
-            for (cycles, cfg) in &timed {
+            for c in &swept {
                 self.recorder.record(Event::TunerCandidate {
                     entry: program.entry.clone(),
-                    config: cfg.label(),
-                    cycles: *cycles,
+                    config: c.config.label(),
+                    cycles: c.cycles,
+                    floor: c.floor,
                 });
             }
         }
+        let tuned = self.pick_winner(program, &binding, total, &swept)?;
+        self.tuning.insert(key, tuned.clone());
+        self.record_sweep(program, &binding, &tuned, false);
+        Ok(tuned)
+    }
+
+    /// The table's winner for `key`, if it holds one that still
+    /// validates. Tables can be hand-edited or imported from elsewhere:
+    /// a stored winner that no longer validates is re-tuned (overwriting
+    /// the bad entry) instead of being built blind.
+    fn tuned_from_table(
+        &mut self,
+        program: &Program,
+        binding: &crate::program::SpaceBinding,
+        key: &TuningKey,
+    ) -> Option<TunedMapping> {
+        let done = self.tuning.get(key)?;
+        binding
+            .space
+            .validate(self.machine(), &binding.shape, &done.config)
+            .ok()?;
+        let done = done.clone();
+        self.record_sweep(program, binding, &done, true);
+        Some(done)
+    }
+
+    /// Emit the [`Event::TunerSweep`] of a sweep that resolved to
+    /// `tuned`, from the table (`cached`) or freshly timed.
+    fn record_sweep(
+        &mut self,
+        program: &Program,
+        binding: &crate::program::SpaceBinding,
+        tuned: &TunedMapping,
+        cached: bool,
+    ) {
+        if self.recorder.enabled() {
+            self.recorder.record(Event::TunerSweep {
+                entry: program.entry.clone(),
+                shape: binding.shape.to_string(),
+                candidates: tuned.candidates,
+                winner: tuned.config.label(),
+                default_cycles: tuned.default_cycles,
+                tuned_cycles: tuned.tuned_cycles,
+                cached,
+            });
+        }
+    }
+
+    /// The winner of a sweep over `total` enumerated candidates: the
+    /// first timed candidate with the fewest cycles (strict `<` keeps the
+    /// earliest on ties, making the winner independent of session
+    /// history), reported against the hand-tuned default's cycles.
+    fn pick_winner(
+        &self,
+        program: &Program,
+        binding: &crate::program::SpaceBinding,
+        total: usize,
+        swept: &[SweptCandidate],
+    ) -> Result<TunedMapping, RuntimeError> {
+        let machine = self.machine();
+        let default_cfg = binding.space.default_for(machine);
         let mut default_cycles = None;
         let mut best: Option<(f64, cypress_core::MappingConfig)> = None;
-        for (cycles, cfg) in timed {
-            if cfg == default_cfg {
+        for c in swept {
+            let Some(cycles) = c.cycles else { continue };
+            if c.config == default_cfg {
                 default_cycles = Some(cycles);
             }
-            // Strict `<` keeps the earliest candidate on ties, making the
-            // winner independent of session history.
-            if best.as_ref().is_none_or(|(c, _)| cycles < *c) {
-                best = Some((cycles, cfg));
+            if best.as_ref().is_none_or(|(b, _)| cycles < *b) {
+                best = Some((cycles, c.config));
             }
         }
         let Some((tuned_cycles, config)) = best else {
@@ -661,22 +715,22 @@ impl Session {
                 )),
             });
         };
-        // When the hand-tuned default is itself invalid for this
-        // machine/shape (and therefore was never timed), report the
-        // winner as the baseline: speedup 1.0, never a below-1.0 ratio
-        // against a mapping that cannot run.
-        let default_cycles = default_cycles.unwrap_or(tuned_cycles);
         // Record the model's prediction for the winner on *every*
         // budget — exhaustive sweeps included — so a guided sweep with
         // `top_k >= candidates.len()` produces a bit-identical entry.
         let predicted = binding
             .space
-            .estimate(&machine, &binding.shape, &config)
+            .estimate(machine, &binding.shape, &config)
             .map(|e| e.cycles);
-        let tuned = TunedMapping {
+        Ok(TunedMapping {
             entry: binding.space.entry().to_string(),
             config,
-            default_cycles,
+            // When the hand-tuned default is itself invalid for this
+            // machine/shape (and therefore was never timed), report the
+            // winner as the baseline: speedup 1.0, never a below-1.0
+            // ratio against a mapping that cannot run. A default that
+            // compiled is the sweep's seed, so it was timed.
+            default_cycles: default_cycles.unwrap_or(tuned_cycles),
             tuned_cycles,
             predicted_cycles: predicted.unwrap_or(0.0),
             candidates: total,
@@ -685,55 +739,29 @@ impl Session {
             } else {
                 0
             },
-        };
-        self.tuning.insert(key, tuned.clone());
-        if self.recorder.enabled() {
-            self.recorder.record(Event::TunerSweep {
-                entry: program.entry.clone(),
-                shape: binding.shape.to_string(),
-                candidates: total,
-                winner: tuned.config.label(),
-                default_cycles: tuned.default_cycles,
-                tuned_cycles: tuned.tuned_cycles,
-                cached: false,
-            });
-        }
-        Ok(tuned)
+        })
     }
 
-    /// The guided tuner's selection pass: price every candidate with
-    /// the analytical cost model, keep the `k` best-predicted plus the
-    /// transfer seed, and return `(kept in enumeration order, pruned
-    /// count, transferred)`.
-    ///
-    /// Ranking is a deterministic total order — predicted cycles by
-    /// `total_cmp`, ties broken by the encoded config — and unpriceable
-    /// candidates (`estimate` returned `None`) sort ahead of every
-    /// priced one, so a kernel the model does not understand is never
-    /// pruned on its account. The transfer seed is the winner of the
-    /// nearest tuned neighbor shape, admitted only when it is also one
-    /// of *this* shape's enumerated candidates (which keeps, e.g., an
-    /// FA3 winner from seeding an FA2 sweep); if the budget is already
-    /// full it replaces the worst-ranked survivor.
-    fn rank_candidates(
+    /// `candidates`' indices in the cost model's order: predicted cycles
+    /// by `total_cmp`, ties broken by the encoded config, and unpriceable
+    /// candidates (`estimate` returned `None`) ahead of every priced one,
+    /// so a kernel the model does not understand is never ranked out on
+    /// its account.
+    fn by_prediction(
         &self,
         binding: &crate::program::SpaceBinding,
-        key: &TuningKey,
-        candidates: Vec<cypress_core::MappingConfig>,
-        k: usize,
-    ) -> (Vec<cypress_core::MappingConfig>, usize, bool) {
-        let machine = self.machine();
-        let total = candidates.len();
+        candidates: &[cypress_core::MappingConfig],
+    ) -> Vec<usize> {
         let priced: Vec<Option<f64>> = candidates
             .iter()
             .map(|cfg| {
                 binding
                     .space
-                    .estimate(machine, &binding.shape, cfg)
+                    .estimate(self.machine(), &binding.shape, cfg)
                     .map(|e| e.cycles)
             })
             .collect();
-        let mut order: Vec<usize> = (0..total).collect();
+        let mut order: Vec<usize> = (0..candidates.len()).collect();
         order.sort_by(|&a, &b| match (priced[a], priced[b]) {
             (None, None) => candidates[a].encode().cmp(&candidates[b].encode()),
             (None, Some(_)) => std::cmp::Ordering::Less,
@@ -742,6 +770,28 @@ impl Session {
                 .total_cmp(&y)
                 .then_with(|| candidates[a].encode().cmp(&candidates[b].encode())),
         });
+        order
+    }
+
+    /// The guided tuner's selection pass: rank every candidate
+    /// [`Session::by_prediction`], keep the `k` best plus the transfer
+    /// seed, and return `(kept in enumeration order, pruned count,
+    /// transferred)`.
+    ///
+    /// The transfer seed is the winner of the nearest tuned neighbor
+    /// shape, admitted only when it is also one of *this* shape's
+    /// enumerated candidates (which keeps, e.g., an FA3 winner from
+    /// seeding an FA2 sweep); if the budget is already full it replaces
+    /// the worst-ranked survivor.
+    fn rank_candidates(
+        &self,
+        binding: &crate::program::SpaceBinding,
+        key: &TuningKey,
+        candidates: Vec<cypress_core::MappingConfig>,
+        k: usize,
+    ) -> (Vec<cypress_core::MappingConfig>, usize, bool) {
+        let total = candidates.len();
+        let order = self.by_prediction(binding, &candidates);
         let keep = k.min(total);
         let mut selected = vec![false; total];
         for &i in order.iter().take(keep) {
@@ -777,13 +827,14 @@ impl Session {
     /// The cold sweep: compile every cache-missing candidate on the
     /// worker pool, issue the cache lookups in candidate order (so
     /// hit/miss counters and the recorded events are a function of the
-    /// candidate list alone), then solo-time each distinct compiled
-    /// kernel on the pool. Returns `(cycles, config)` in candidate
-    /// order, so the caller's first-wins tie break is independent of
-    /// the worker count. A space's `validate` predicts
-    /// the compiled kernel's budgets and the kernel's own validation
-    /// decides: candidates the builder or compiler rejects are skipped,
-    /// not errors; simulation failures propagate.
+    /// candidate list alone), then time the seed, skip the candidates
+    /// its cycles rule out, and time the rest (see [`Session::autotune`]).
+    /// Returns every compiled candidate in candidate order, so the
+    /// caller's first-wins tie break is independent of the worker count.
+    /// A space's `validate` predicts the compiled kernel's budgets and the
+    /// kernel's own validation decides: candidates the builder or
+    /// compiler rejects are skipped, not errors; simulation failures
+    /// propagate.
     ///
     /// Misses are compiled one job per group of schedule siblings
     /// (candidates with one [`cypress_core::MappingConfig::front_key`]):
@@ -794,7 +845,7 @@ impl Session {
         &mut self,
         binding: &crate::program::SpaceBinding,
         candidates: Vec<cypress_core::MappingConfig>,
-    ) -> Result<Vec<(f64, cypress_core::MappingConfig)>, RuntimeError> {
+    ) -> Result<Vec<SweptCandidate>, RuntimeError> {
         use cypress_sim::par;
         // Build every candidate program up front (cheap, pure); builder
         // rejections are skipped like compiler rejections.
@@ -862,21 +913,81 @@ impl Session {
                 Err(_) => continue,
             }
         }
-        // On the worker pool, solo-time each distinct kernel the session's
-        // memo does not hold yet, and memoize the reports. Timing is
-        // deterministic per kernel, so neither the memo nor the
-        // deduplication can change any candidate's cycles.
-        let mut seen = HashSet::new();
-        let sims: Vec<Arc<Compiled>> = resident
+        // Time the seed, then every candidate its cycles do not rule
+        // out. A floor above them, or equal to them later in enumeration
+        // order (first-wins ties keep the seed), cannot win. A floor
+        // below the seed's own is below its cycles too, so those
+        // candidates are timed beside the seed.
+        let configs: Vec<_> = resident.iter().map(|(cfg, _)| *cfg).collect();
+        let default_cfg = binding.space.default_for(self.machine());
+        let Some(seed) = configs
             .iter()
-            .filter(|(_, c)| {
+            .position(|cfg| *cfg == default_cfg)
+            .or_else(|| self.by_prediction(binding, &configs).first().copied())
+        else {
+            return Ok(Vec::new());
+        };
+        let floors: Vec<f64> = resident
+            .iter()
+            .map(|(_, c)| self.simulator.timing_floor(&c.kernel, &c.lowered))
+            .collect();
+        self.time_solo(
+            resident
+                .iter()
+                .zip(&floors)
+                .enumerate()
+                .filter(|&(i, (_, &floor))| i == seed || floor < floors[seed])
+                .map(|(_, ((_, c), _))| c),
+        )?;
+        let seed_cycles = self.solo_cycles(&resident[seed].1)?;
+        let timed: Vec<bool> = floors
+            .iter()
+            .enumerate()
+            .map(|(i, &floor)| {
+                i == seed || floor < seed_cycles || (floor == seed_cycles && i < seed)
+            })
+            .collect();
+        self.time_solo(
+            resident
+                .iter()
+                .zip(&timed)
+                .filter_map(|((_, c), &t)| t.then_some(c)),
+        )?;
+        resident
+            .into_iter()
+            .zip(floors.into_iter().zip(timed))
+            .map(|((config, c), (floor, timed))| {
+                Ok(SweptCandidate {
+                    config,
+                    floor,
+                    cycles: if timed {
+                        Some(self.solo_cycles(&c)?)
+                    } else {
+                        None
+                    },
+                })
+            })
+            .collect()
+    }
+
+    /// On the worker pool, solo-time each distinct kernel of `kernels`
+    /// the session's memo does not hold yet, and memoize the reports.
+    /// Timing is deterministic per kernel, so neither the memo nor the
+    /// deduplication can change any candidate's cycles.
+    fn time_solo<'a>(
+        &mut self,
+        kernels: impl IntoIterator<Item = &'a Arc<Compiled>>,
+    ) -> Result<(), RuntimeError> {
+        let mut seen = HashSet::new();
+        let sims: Vec<&Arc<Compiled>> = kernels
+            .into_iter()
+            .filter(|c| {
                 !matches!(self.solo.get(&c.fingerprint), Some(Some(_)))
                     && seen.insert(c.fingerprint)
             })
-            .map(|(_, c)| Arc::clone(c))
             .collect();
         let simulator = &self.simulator;
-        let timed = par::parallel_map(self.parallelism(), sims, |c| {
+        let timed = cypress_sim::par::parallel_map(self.parallelism(), sims, |c| {
             (
                 c.fingerprint,
                 simulator.run_timing_lowered(&c.kernel, &c.lowered),
@@ -885,15 +996,13 @@ impl Session {
         for (fp, report) in timed {
             self.solo.insert(fp, Some(report?));
         }
-        resident
-            .into_iter()
-            .map(|(cfg, c)| {
-                Ok((
-                    executor::solo_report(simulator, &mut self.solo, &c)?.cycles,
-                    cfg,
-                ))
-            })
-            .collect()
+        Ok(())
+    }
+
+    /// `compiled`'s solo cycles, from the memo [`Session::time_solo`]
+    /// filled.
+    fn solo_cycles(&mut self, compiled: &Compiled) -> Result<f64, RuntimeError> {
+        Ok(executor::solo_report(&self.simulator, &mut self.solo, compiled)?.cycles)
     }
 
     /// The program a node should launch under the session's
@@ -1268,6 +1377,15 @@ impl Session {
         self.fused_programs.clear();
         self.pool.clear();
     }
+}
+
+/// One compiled candidate of an autotune sweep, in enumeration order.
+struct SweptCandidate {
+    config: cypress_core::MappingConfig,
+    /// Its [`Simulator::timing_floor`].
+    floor: f64,
+    /// Its solo cycles; `None` when the floor ruled it out untimed.
+    cycles: Option<f64>,
 }
 
 /// Compile `program`, whose fingerprint is `fp`.

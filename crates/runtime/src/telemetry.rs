@@ -140,15 +140,19 @@ pub enum Event {
         /// `true` when the result came from the table without timing.
         cached: bool,
     },
-    /// One candidate timed during an autotune sweep, in the space's
-    /// deterministic enumeration order.
+    /// One compiled candidate of an autotune sweep, in the space's
+    /// deterministic enumeration order: timed, or ruled out by its floor.
     TunerCandidate {
         /// Entry task of the tuned program.
         entry: String,
         /// The candidate mapping's label.
         config: String,
-        /// Its solo sim cycles.
-        cycles: f64,
+        /// Its solo sim cycles; `None` when the sweep did not time it
+        /// because `floor` already ruled it out.
+        cycles: Option<f64>,
+        /// Its timing floor, a proven lower bound on its cycles
+        /// (`cypress_sim::Simulator::timing_floor`).
+        floor: f64,
     },
     /// A node's kernel ran (solo view), emitted post-run in ascending
     /// node-id order — independent of schedule policy and worker count.
@@ -475,12 +479,13 @@ impl fmt::Display for MetricsSnapshot {
         )?;
         writeln!(
             f,
-            "tuner   lookups {} | hits {} | sweeps {} | candidates timed {} | ranked {} | \
-             pruned {} | transferred {}",
+            "tuner   lookups {} | hits {} | sweeps {} | candidates timed {} | bounded {} | \
+             ranked {} | pruned {} | transferred {}",
             self.tuner.lookups,
             self.tuner.hits,
             self.tuner.sweeps,
             self.tuner.candidates_timed,
+            self.tuner.bounded,
             self.tuner.ranked,
             self.tuner.pruned,
             self.tuner.transferred

@@ -39,6 +39,12 @@ pub struct TunerStats {
     pub sweeps: u64,
     /// Candidates compiled and timed across all sweeps.
     pub candidates_timed: u64,
+    /// Candidates compiled but never timed across all sweeps: their
+    /// timing floor (a proven lower bound on their cycles) was above the
+    /// sweep's seed's cycles, or equal to them and later in enumeration
+    /// order, so they could not win (see `Session::autotune`). Every
+    /// compiled candidate is either timed or bounded.
+    pub bounded: u64,
     /// Candidates ranked by the analytical cost model across all guided
     /// sweeps (see [`cypress_core::kernels::cost`]).
     pub ranked: u64,
@@ -124,24 +130,30 @@ impl PartialEq for TuningTable {
     }
 }
 
-/// How much simulator time an autotune sweep may spend (see
-/// `Session::autotune` in this crate). The exhaustive budget reproduces
-/// the classic sweep bit for bit; a top-k budget ranks candidates with
-/// the analytical cost model first and pays the simulator only for the
-/// best-predicted `k`.
+/// Which candidates an autotune sweep considers (see
+/// `Session::autotune` in this crate). The exhaustive budget considers
+/// every candidate; a top-k budget ranks candidates with the analytical
+/// cost model first and considers only the best-predicted `k`. Either
+/// way the sweep then times a seed — the hand-tuned default when it is
+/// considered, else the best-predicted candidate — and skips every
+/// candidate whose timing floor is above the seed's cycles (or equal to
+/// them and later in enumeration order), so it simulates only the
+/// candidates that could win.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TunerBudget {
-    /// Compile and time every candidate (the PR-7 behavior).
+    /// Compile every candidate and time each one its floor does not
+    /// rule out.
     #[default]
     Exhaustive,
-    /// Rank all candidates analytically, then compile and time only the
-    /// `k` best-predicted (plus a transferred neighbor winner, when one
-    /// exists). `TopK(0)` times only the transferred seed — or the
-    /// single best-predicted candidate when no neighbor is known.
+    /// Rank all candidates analytically, then compile only the `k`
+    /// best-predicted (plus a transferred neighbor winner, when one
+    /// exists) and time each of them its floor does not rule out.
+    /// `TopK(0)` times only the transferred winner — or the single
+    /// best-predicted candidate when no neighbor is known.
     ///
     /// `TopK(k)` with `k >= candidates.len()` is bit-identical to
     /// [`TunerBudget::Exhaustive`]: same winner, same kernel-cache
-    /// traffic, same telemetry.
+    /// traffic, same skipped candidates, same telemetry.
     TopK(usize),
 }
 
@@ -188,11 +200,12 @@ impl TuningTable {
     }
 
     /// Count one completed sweep that timed `candidates_timed`
-    /// candidates.
-    pub(crate) fn note_sweep(&self, candidates_timed: u64) {
+    /// candidates and ruled `bounded` more out by their floors.
+    pub(crate) fn note_sweep(&self, candidates_timed: u64, bounded: u64) {
         let mut stats = self.stats.get();
         stats.sweeps += 1;
         stats.candidates_timed += candidates_timed;
+        stats.bounded += bounded;
         self.stats.set(stats);
     }
 
@@ -722,11 +735,11 @@ mod tests {
             machine: 0x1234,
         };
         assert!(table.get(&hit).is_some());
-        table.note_sweep(7);
+        table.note_sweep(7, 3);
         let s = table.stats();
         assert_eq!(
-            (s.lookups, s.hits, s.sweeps, s.candidates_timed),
-            (2, 1, 1, 7)
+            (s.lookups, s.hits, s.sweeps, s.candidates_timed, s.bounded),
+            (2, 1, 1, 7, 3)
         );
         // Counters never affect equality or the serialized text.
         assert_eq!(table, sample_table());

@@ -399,12 +399,25 @@ fn tuner_metrics_and_sweep_events_flow_through_the_session() {
     assert!(sweeps[1].0, "the second was served from the table");
     assert_eq!(sweeps[0].1, sweeps[1].1, "both name the same winner");
 
-    let candidates = log
+    // One event per compiled candidate: the timed ones carry cycles no
+    // lower than their floor, the bounded ones none.
+    let candidates: Vec<(Option<f64>, f64)> = log
         .events()
         .iter()
-        .filter(|e| matches!(e, Event::TunerCandidate { .. }))
-        .count() as u64;
-    assert_eq!(candidates, m.tuner.candidates_timed);
+        .filter_map(|e| match e {
+            Event::TunerCandidate { cycles, floor, .. } => Some((*cycles, *floor)),
+            _ => None,
+        })
+        .collect();
+    let timed = candidates.iter().filter(|(c, _)| c.is_some()).count() as u64;
+    assert_eq!(timed, m.tuner.candidates_timed, "{m}");
+    assert_eq!(candidates.len() as u64, timed + m.tuner.bounded, "{m}");
+    for (cycles, floor) in candidates {
+        assert!(
+            cycles.is_none_or(|c| floor <= c),
+            "floor {floor} > {cycles:?}"
+        );
+    }
 }
 
 /// Acceptance: the functional apply-path byte counters are
@@ -584,9 +597,13 @@ fn guided_ranking_is_a_host_span_with_counters() {
     assert_eq!(m.tuner.ranked, r as u64, "{m}");
     assert_eq!(m.tuner.pruned, p as u64, "{m}");
     assert_eq!(m.tuner.transferred, 0, "{m}");
-    assert_eq!(p as u64 + m.tuner.candidates_timed, r as u64, "{m}");
+    assert_eq!(
+        p as u64 + m.tuner.bounded + m.tuner.candidates_timed,
+        r as u64,
+        "{m}"
+    );
     let text = m.to_string();
-    for field in ["ranked", "pruned", "transferred"] {
+    for field in ["bounded", "ranked", "pruned", "transferred"] {
         assert!(text.contains(field), "{text}");
     }
 

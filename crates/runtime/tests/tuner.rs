@@ -20,6 +20,7 @@
 use cypress_core::kernels::space::{MappingConfig, MappingSpace, Shape};
 use cypress_core::kernels::{attention, batched, dual_gemm, gemm, gemm_reduction};
 use cypress_core::{CompilerOptions, CypressCompiler};
+use cypress_runtime::telemetry::{Event, TraceLog};
 use cypress_runtime::{Binding, MappingPolicy, Program, RuntimeError, Session, TuningTable};
 use cypress_sim::{MachineConfig, Simulator};
 use cypress_tensor::{DType, Tensor};
@@ -211,26 +212,49 @@ fn oracle_sweep(
 }
 
 /// The sweep is what the session-free oracle says it is, at every worker
-/// count: for every paper kernel, sessions tuning on 1, 2 and 8 workers
-/// pick the oracle's winner with the oracle's cycle counts and leave
-/// identical kernel-cache counters behind — the workers only change wall
-/// time.
+/// count: for every paper kernel on the test GPU, and for H100 FA3 at
+/// 16×2048×128 (where the floors rule out two of the four candidates),
+/// sessions tuning on 1, 2 and 8 workers pick the oracle's winner with
+/// the oracle's cycle counts — though they skip the candidates their
+/// floors rule out — and leave identical kernel-cache counters, timed
+/// and bounded counts and `TunerCandidate` streams behind: the workers
+/// only change wall time.
 #[test]
 fn sweep_matches_a_session_free_oracle_at_every_worker_count() {
-    let machine = MachineConfig::test_gpu();
+    let test_gpu = MachineConfig::test_gpu();
     let mut rng = StdRng::seed_from_u64(31);
-    for space in paper_spaces() {
-        let shape = random_shape(space.as_ref(), &mut rng);
+    let mut cases: Vec<_> = paper_spaces()
+        .into_iter()
+        .map(|space| {
+            let shape = random_shape(space.as_ref(), &mut rng);
+            (test_gpu.clone(), space, shape)
+        })
+        .collect();
+    cases.push((
+        MachineConfig::h100_sxm5(),
+        paper_spaces().pop().expect("FA3 is the last paper space"),
+        Shape::of(&[16, 2048, 128]),
+    ));
+    let mut bounded = 0;
+    for (machine, space, shape) in cases {
         let Ok(program) = Program::from_space(Arc::clone(&space), shape.clone(), &machine) else {
             continue;
         };
         let (config, tuned_cycles, default_cycles, candidates) =
             oracle_sweep(space.as_ref(), &shape, &machine);
         let mut cache_stats = None;
+        let mut sweep_record = None;
         for parallelism in [1, 2, 8] {
-            let mut session = Session::new(machine.clone()).with_parallelism(parallelism);
+            let log = TraceLog::new();
+            let mut session = Session::new(machine.clone())
+                .with_parallelism(parallelism)
+                .with_recorder(log.clone());
             let got = session.autotune(&program).unwrap();
-            let label = format!("{} {shape} at parallelism {parallelism}", space.entry());
+            let label = format!(
+                "{} {} {shape} at parallelism {parallelism}",
+                machine.name,
+                space.entry()
+            );
             assert_eq!(got.config, config, "{label}");
             assert_eq!(
                 got.tuned_cycles.to_bits(),
@@ -249,8 +273,47 @@ fn sweep_matches_a_session_free_oracle_at_every_worker_count() {
                 stats,
                 "cache counters depend on the worker count ({label})"
             );
+            let tuner = session.metrics().tuner;
+            let streamed: Vec<(String, Option<f64>, f64)> = log
+                .events()
+                .into_iter()
+                .filter_map(|e| match e {
+                    Event::TunerCandidate {
+                        config,
+                        cycles,
+                        floor,
+                        ..
+                    } => Some((config, cycles, floor)),
+                    _ => None,
+                })
+                .collect();
+            // The default seeds every sweep here: a candidate is timed
+            // exactly when its floor is below the default's cycles, or
+            // equal to them and earlier in enumeration order.
+            let default_label = space.default_for(&machine).label();
+            let seed = streamed
+                .iter()
+                .position(|(config, _, _)| *config == default_label)
+                .expect("the default compiles");
+            for (i, (config, cycles, floor)) in streamed.iter().enumerate() {
+                let timed =
+                    i == seed || *floor < default_cycles || (*floor == default_cycles && i < seed);
+                assert_eq!(
+                    cycles.is_some(),
+                    timed,
+                    "{label}: {config} has floor {floor}, the default {default_cycles} cycles"
+                );
+            }
+            let record = (tuner.candidates_timed, tuner.bounded, streamed);
+            assert_eq!(
+                *sweep_record.get_or_insert_with(|| record.clone()),
+                record,
+                "timed / bounded candidates depend on the worker count ({label})"
+            );
+            bounded += tuner.bounded;
         }
     }
+    assert!(bounded > 0, "no case ruled a candidate out");
 }
 
 #[test]
@@ -681,14 +744,24 @@ fn corrupted_table_entries_are_revalidated_and_retuned() {
 }
 
 /// One guided-vs-exhaustive comparison: returns (exhaustive result,
-/// exhaustive cache stats) from a fresh serial session.
+/// exhaustive cache stats, exhaustive `(candidates_timed, bounded)`)
+/// from a fresh serial session.
 fn tune_exhaustive(
     machine: &MachineConfig,
     program: &Program,
-) -> (cypress_runtime::TunedMapping, cypress_runtime::CacheStats) {
+) -> (
+    cypress_runtime::TunedMapping,
+    cypress_runtime::CacheStats,
+    (u64, u64),
+) {
     let mut session = Session::new(machine.clone());
     let tuned = session.autotune(program).unwrap();
-    (tuned, session.metrics().cache)
+    let stats = session.metrics().tuner;
+    (
+        tuned,
+        session.metrics().cache,
+        (stats.candidates_timed, stats.bounded),
+    )
 }
 
 proptest::proptest! {
@@ -719,7 +792,7 @@ proptest::proptest! {
         if total == 0 {
             return;
         }
-        let (exhaustive, exhaustive_cache) = tune_exhaustive(&machine, &program);
+        let (exhaustive, exhaustive_cache, exhaustive_timing) = tune_exhaustive(&machine, &program);
 
         // (1) full-budget guided == exhaustive, bit for bit.
         let mut full = Session::new(machine.clone());
@@ -735,6 +808,13 @@ proptest::proptest! {
         let stats = full.tuning_table().stats();
         proptest::prop_assert_eq!(stats.ranked as usize, total);
         proptest::prop_assert_eq!(stats.pruned, 0, "a covering budget must prune nothing");
+        proptest::prop_assert_eq!(
+            (stats.candidates_timed, stats.bounded),
+            exhaustive_timing,
+            "{} {}: full-budget guided timed or bounded other candidates",
+            space.entry(),
+            &shape
+        );
 
         // (2) half-budget guided: halved timing cost, near-best winner.
         let half = total.div_ceil(2);
@@ -750,7 +830,10 @@ proptest::proptest! {
             total,
             half
         );
-        proptest::prop_assert_eq!(stats.pruned as usize + stats.candidates_timed as usize, total);
+        proptest::prop_assert_eq!(
+            (stats.pruned + stats.bounded + stats.candidates_timed) as usize,
+            total
+        );
         proptest::prop_assert!(
             winner.tuned_cycles <= exhaustive.tuned_cycles * 1.05,
             "{} {}: guided winner {} cycles vs exhaustive {} (ratio {:.4})",
@@ -817,6 +900,86 @@ fn transfer_tuning_seeds_neighboring_shapes() {
             .unwrap_or(false),
         "the zero-budget winner must be an enumerated candidate"
     );
+}
+
+/// A guided set that leaves out the hand-tuned default seeds the sweep
+/// from the best-predicted candidate. On the test GPU at 128×384×128, a
+/// `TopK(2)` budget whose second slot goes to a transferred `V = 128`
+/// tile keeps the best-predicted `V = 64` tile and that one, not the
+/// default. The sweep times the `V = 64` tile and bounds the transferred
+/// tile, whose floor is above the `V = 64` tile's cycles.
+#[test]
+fn a_guided_set_without_the_default_seeds_from_the_best_predicted_candidate() {
+    use cypress_runtime::tuner::machine_fingerprint;
+    use cypress_runtime::{TunedMapping, TunerBudget, TuningKey};
+    let machine = MachineConfig::test_gpu();
+    let space = Arc::new(gemm::GemmSpace);
+    let shape = Shape::of(&[128, 384, 128]);
+    let program = Program::from_space(space.clone(), shape.clone(), &machine).unwrap();
+    let candidates = space.candidates(&machine, &shape);
+    let predicted = |c: &MappingConfig| space.estimate(&machine, &shape, c).unwrap().cycles;
+    let best_predicted = *candidates
+        .iter()
+        .min_by(|a, b| {
+            predicted(a)
+                .total_cmp(&predicted(b))
+                .then_with(|| a.encode().cmp(&b.encode()))
+        })
+        .unwrap();
+    let default = space.default_for(&machine);
+    let transferred = *candidates
+        .iter()
+        .find(|c| matches!(c, MappingConfig::Gemm(g) if g.v == 128))
+        .unwrap();
+    assert!(best_predicted != default && transferred != default);
+
+    let mut neighbor = TuningTable::new();
+    neighbor.insert(
+        TuningKey {
+            computation: 0,
+            shape: vec![128, 256, 128],
+            machine: machine_fingerprint(&machine),
+        },
+        TunedMapping {
+            entry: "gemm".into(),
+            config: transferred,
+            default_cycles: 1.0,
+            tuned_cycles: 1.0,
+            predicted_cycles: 0.0,
+            candidates: 1,
+            model_version: 0,
+        },
+    );
+    let log = TraceLog::new();
+    let mut session = Session::new(machine).with_recorder(log.clone());
+    session.import_tuning(neighbor);
+    let tuned = session
+        .autotune_with(&program, TunerBudget::TopK(2))
+        .unwrap();
+    let stats = session.metrics().tuner;
+    assert_eq!(
+        (stats.transferred, stats.candidates_timed, stats.bounded),
+        (1, 1, 1),
+        "{stats:?}"
+    );
+    assert_eq!(tuned.config, best_predicted);
+    let swept: HashMap<String, (Option<f64>, f64)> = log
+        .events()
+        .into_iter()
+        .filter_map(|e| match e {
+            Event::TunerCandidate {
+                config,
+                cycles,
+                floor,
+                ..
+            } => Some((config, (cycles, floor))),
+            _ => None,
+        })
+        .collect();
+    let (seed_cycles, _) = swept[&best_predicted.label()];
+    let (skipped, floor) = swept[&transferred.label()];
+    assert_eq!(skipped, None);
+    assert!(floor > seed_cycles.unwrap(), "{swept:?}");
 }
 
 /// The all-reduce's footprint counts one staged tile per input, so the

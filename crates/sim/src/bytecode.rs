@@ -48,7 +48,7 @@ use crate::error::SimError;
 use crate::expr::{Cond, Env, EvalError, Expr};
 use crate::fnv::Fnv64;
 use crate::instr::{Instr, SimtOp};
-use crate::kernel::{Kernel, KernelError, Role, RoleKind, StaticTotals};
+use crate::kernel::{wgmma_flops, Kernel, KernelError, Role, RoleKind, StaticTotals};
 use crate::mem::{MemRef, Slice, Space};
 
 /// Operand of an index instruction: an immediate, a block index, a loop
@@ -828,9 +828,7 @@ impl<'a> Lower<'a> {
         let mut acc = self.lower_slice(in_space(acc, Space::Register)?)?;
         self.seal([&mut a, &mut b, &mut acc]);
         let a_elems = a.rows.checked_mul(a.cols).ok_or_else(|| overflow(&a))?;
-        // 2 * |A| * N, left to right in f64: the timing golden
-        // digests pin the bits.
-        let flops = 2.0 * a_elems as f64 * acc.cols as f64;
+        let flops = wgmma_flops(a_elems as f64, acc.cols as f64);
         let mut smem_bytes = self.slice_bytes(&b)?;
         if a.mem.space() == Space::Shared {
             smem_bytes += self.slice_bytes(&a)?;

@@ -450,17 +450,7 @@ impl<'k> Engine<'k> {
         };
         let n_sim = bytecode::index32(n_sim, "simulated CTA count")?;
 
-        // L2 hit estimate from the static footprint, a first-order model
-        // in place of an L2 simulation: loads beyond each parameter's
-        // unique bytes are assumed L2 hits.
-        let total_loads = program.totals.load_bytes * num_ctas as f64;
-        let unique: f64 = kernel.params.iter().map(|p| p.size_bytes() as f64).sum();
-        let l2_hit = if total_loads > 0.0 {
-            (1.0 - unique / total_loads).clamp(0.0, 0.995)
-        } else {
-            0.0
-        };
-
+        let l2_hit = l2_hit(kernel, program);
         let share = active_sms as f64;
         let data = params.map(|params| FuncData {
             params,
@@ -707,7 +697,7 @@ impl<'k> Engine<'k> {
             simulated_ctas: self.n_sim as usize,
             active_sms: self.active_sms,
             ctas_per_sm: self.ctas_per_sm,
-            load_bytes: totals.load_bytes * n,
+            load_bytes: totals.load_bytes() * n,
             store_bytes: totals.store_bytes * n,
             l2_hit: self.l2_hit,
             events: self.event_count,
@@ -1359,6 +1349,60 @@ impl<'k> Engine<'k> {
         }
         apply::simt(kernel, data, &mut self.scratch, cta, role, op, srcs, dst)
     }
+}
+
+/// The L2 hit rate a run of `kernel` charges every load, estimated from
+/// the static footprint in place of an L2 simulation: loads beyond each
+/// parameter's unique bytes are assumed L2 hits.
+fn l2_hit(kernel: &Kernel, program: &Program) -> f64 {
+    let total_loads = program.totals.load_bytes() * program.ctas as f64;
+    let unique: f64 = kernel.params.iter().map(|p| p.size_bytes() as f64).sum();
+    if total_loads > 0.0 {
+        (1.0 - unique / total_loads).clamp(0.0, 0.995)
+    } else {
+        0.0
+    }
+}
+
+/// Relative slack under [`timing_floor`]'s unit time. The engine rounds
+/// each reservation's service time and its sum into the unit's clock, two
+/// roundings of at most 2⁻⁵³ of the makespan each, and a run makes fewer
+/// reservations than its `EVENT_LIMIT` events, so a unit's clock trails
+/// the exact sum of its work by less than `2 · EVENT_LIMIT · 2⁻⁵³`
+/// ≈ 9e-8 of the makespan.
+const FLOOR_SLACK: f64 = 1e-6;
+
+/// A lower bound on the `cycles` a timing run of `kernel` (lowered to
+/// `program`) reports, from the engine's own inputs. No unit starts
+/// before the kernel launch and the first CTA's launch, and the busiest
+/// SM runs `ceil(ctas / active_sms)` CTAs, each doing at least
+/// [`Kernel::floor_totals`]'s work on each unit: its Tensor Core FLOPs,
+/// TMA bytes (loads and stores) and `cp.async` bytes over that unit's
+/// rate, and its HBM bytes (loads past the L2 hit rate, and stores) over
+/// the SM's share of HBM bandwidth. The bound is the launch plus the
+/// slowest unit. A kernel whose trip counts read the block index gets
+/// the launch alone.
+pub(crate) fn timing_floor(kernel: &Kernel, machine: &MachineConfig, program: &Program) -> f64 {
+    let launch = machine.kernel_launch_cycles + machine.cta_launch_cycles;
+    let Some(t) = kernel.floor_totals() else {
+        return launch;
+    };
+    let active_sms = program.ctas.min(machine.sms).max(1);
+    let ctas = program.ctas.div_ceil(active_sms) as f64;
+    let hbm_bytes = t.load_bytes() * (1.0 - l2_hit(kernel, program)) + t.store_bytes;
+    let busiest = [
+        (t.tc_flops, machine.tc_flops_per_cycle_per_sm),
+        (
+            t.tma_load_bytes + t.store_bytes,
+            machine.tma_bytes_per_cycle_per_sm,
+        ),
+        (t.cp_async_bytes, machine.cp_async_bytes_per_cycle_per_sm),
+        (hbm_bytes, machine.hbm_bytes_per_cycle / active_sms as f64),
+    ]
+    .into_iter()
+    .map(|(work, rate)| ctas * work / rate)
+    .fold(0.0, f64::max);
+    launch + busiest * (1.0 - FLOOR_SLACK)
 }
 
 fn occupancy(kernel: &Kernel, machine: &MachineConfig) -> usize {

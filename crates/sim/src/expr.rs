@@ -118,6 +118,21 @@ impl Expr {
             | Expr::Mod(a, b) => a.references_vars() || b.references_vars(),
         }
     }
+
+    /// `true` if the expression reads the CTA index (a trip count that
+    /// does takes a different value on each CTA).
+    #[must_use]
+    pub(crate) fn references_block(&self) -> bool {
+        match self {
+            Expr::Lit(_) | Expr::Var(_) => false,
+            Expr::BlockX | Expr::BlockY | Expr::BlockZ => true,
+            Expr::Add(a, b)
+            | Expr::Sub(a, b)
+            | Expr::Mul(a, b)
+            | Expr::Div(a, b)
+            | Expr::Mod(a, b) => a.references_block() || b.references_block(),
+        }
+    }
 }
 
 impl From<i64> for Expr {

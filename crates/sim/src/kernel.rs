@@ -158,57 +158,77 @@ impl Kernel {
         Ok(())
     }
 
-    /// Static per-CTA totals used by the bandwidth model and for reporting:
-    /// `(global_load_bytes, global_store_bytes, tc_flops, simt_flops)`.
-    /// Lowering stores them on the [`crate::Program`], once it has checked
-    /// that every slice names a declared object, which this indexes.
+    /// Per-CTA totals for the L2 hit estimate and the report, stored on
+    /// the [`crate::Program`] by lowering once it has checked that every
+    /// slice names a declared object, which this indexes.
     ///
-    /// Loop bodies are weighted by trip count, `If` branches by the maximum
-    /// of the two sides (conservative). Trip counts are evaluated with the
-    /// CTA-(0,0,0) environment; kernels with grid-dependent trip counts get
-    /// an approximation, which only affects the L2 hit-rate estimate.
+    /// Loop bodies are weighted by their trip counts at CTA (0,0,0) and an
+    /// `If` by the *larger* of its two sides, so these are estimates, not
+    /// bounds: a kernel whose trip counts read the block index, or whose
+    /// guards skip work, is over- or under-counted for its other CTAs.
+    /// [`Kernel::floor_totals`] is the variant that errs one way only.
     #[must_use]
     pub(crate) fn static_totals(&self) -> StaticTotals {
+        self.totals_by(f64::max)
+    }
+
+    /// Per-CTA totals every CTA's run is proven to reach, for the timing
+    /// floor: an `If` weighs its *smaller* side (each unit's field on its
+    /// own), and a kernel with a loop trip count that reads the block
+    /// index, where CTA (0,0,0)'s counts bound no other CTA's, has none.
+    #[must_use]
+    pub(crate) fn floor_totals(&self) -> Option<StaticTotals> {
+        let reads_block = self.roles.iter().any(|r| trips_read_block(&r.body));
+        (!reads_block).then(|| self.totals_by(f64::min))
+    }
+
+    /// Both totals' one walk; `branch` merges an `If`'s two sides.
+    fn totals_by(&self, branch: fn(f64, f64) -> f64) -> StaticTotals {
         let env = Env::for_block([0, 0, 0]);
         let mut t = StaticTotals::default();
         for role in &self.roles {
-            self.accumulate(&role.body, &env, 1.0, &mut t);
+            self.accumulate(&role.body, &env, 1.0, branch, &mut t);
         }
         t
     }
 
-    fn accumulate(&self, body: &[Instr], env: &Env, weight: f64, t: &mut StaticTotals) {
+    fn accumulate(
+        &self,
+        body: &[Instr],
+        env: &Env,
+        weight: f64,
+        branch: fn(f64, f64) -> f64,
+        t: &mut StaticTotals,
+    ) {
         for instr in body {
             match instr {
-                Instr::TmaLoad { src, .. } | Instr::CpAsyncLoad { src, .. } => {
-                    t.load_bytes += weight * self.slice_bytes(src);
+                Instr::TmaLoad { src, .. } => t.tma_load_bytes += weight * self.slice_bytes(src),
+                Instr::CpAsyncLoad { src, .. } => {
+                    t.cp_async_bytes += weight * self.slice_bytes(src);
                 }
                 Instr::TmaStore { dst, .. } => {
                     t.store_bytes += weight * self.slice_bytes(dst);
                 }
-                Instr::Wgmma { a, b, .. } => {
-                    // flops = 2 * m * n * k; k is the shared extent.
-                    let m = a.rows as f64;
-                    let k = a.cols as f64;
-                    let n = if b.rows == a.cols { b.cols } else { b.rows } as f64;
-                    t.tc_flops += weight * 2.0 * m * n * k;
+                Instr::Wgmma { a, acc, .. } => {
+                    t.tc_flops += weight * wgmma_flops(a.num_elements() as f64, acc.cols as f64);
                 }
                 Instr::Simt(op) => {
                     t.simt_flops += weight * op.dst().num_elements() as f64;
                 }
                 Instr::Loop { count, body, .. } => {
                     let trips = count.eval(env).unwrap_or(0).max(0) as f64;
-                    self.accumulate(body, env, weight * trips, t);
+                    self.accumulate(body, env, weight * trips, branch, t);
                 }
                 Instr::If { then_, else_, .. } => {
                     let mut a = StaticTotals::default();
                     let mut b = StaticTotals::default();
-                    self.accumulate(then_, env, weight, &mut a);
-                    self.accumulate(else_, env, weight, &mut b);
-                    t.load_bytes += a.load_bytes.max(b.load_bytes);
-                    t.store_bytes += a.store_bytes.max(b.store_bytes);
-                    t.tc_flops += a.tc_flops.max(b.tc_flops);
-                    t.simt_flops += a.simt_flops.max(b.simt_flops);
+                    self.accumulate(then_, env, weight, branch, &mut a);
+                    self.accumulate(else_, env, weight, branch, &mut b);
+                    t.tma_load_bytes += branch(a.tma_load_bytes, b.tma_load_bytes);
+                    t.cp_async_bytes += branch(a.cp_async_bytes, b.cp_async_bytes);
+                    t.store_bytes += branch(a.store_bytes, b.store_bytes);
+                    t.tc_flops += branch(a.tc_flops, b.tc_flops);
+                    t.simt_flops += branch(a.simt_flops, b.simt_flops);
                 }
                 _ => {}
             }
@@ -225,18 +245,44 @@ impl Kernel {
     }
 }
 
+/// FLOPs of one `Wgmma`: `2 · |A| · N`, left to right in `f64` (the
+/// timing golden digests pin the bits the engine reserves).
+pub(crate) fn wgmma_flops(a_elems: f64, n: f64) -> f64 {
+    2.0 * a_elems * n
+}
+
+/// `true` if a loop trip count in `body` reads the block index.
+fn trips_read_block(body: &[Instr]) -> bool {
+    body.iter().any(|instr| match instr {
+        Instr::Loop { count, body, .. } => count.references_block() || trips_read_block(body),
+        Instr::If { then_, else_, .. } => trips_read_block(then_) || trips_read_block(else_),
+        _ => false,
+    })
+}
+
 /// Per-CTA static totals of a kernel: what its instructions move and
-/// compute, loops weighted by their trip counts.
+/// compute, loops weighted by their trip counts. Every field sums whole
+/// numbers, so it is exact in `f64` whatever the summation order.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StaticTotals {
-    /// Global-memory bytes loaded per CTA.
-    pub load_bytes: f64,
-    /// Global-memory bytes stored per CTA.
+    /// Global-memory bytes loaded per CTA through TMA.
+    pub tma_load_bytes: f64,
+    /// Global-memory bytes loaded per CTA through `cp.async`.
+    pub cp_async_bytes: f64,
+    /// Global-memory bytes stored per CTA (through TMA).
     pub store_bytes: f64,
     /// Tensor Core FLOPs per CTA.
     pub tc_flops: f64,
     /// SIMT FLOPs per CTA.
     pub simt_flops: f64,
+}
+
+impl StaticTotals {
+    /// Global-memory bytes loaded per CTA, through either copy unit.
+    #[must_use]
+    pub fn load_bytes(&self) -> f64 {
+        self.tma_load_bytes + self.cp_async_bytes
+    }
 }
 
 /// Kernel validation failure.
@@ -355,7 +401,7 @@ impl std::error::Error for KernelError {}
 mod tests {
     use super::*;
     use crate::bytecode::lower;
-    use crate::expr::Expr;
+    use crate::expr::{Cond, Expr};
     use crate::SimError;
     use cypress_tensor::DType;
 
@@ -539,8 +585,45 @@ mod tests {
             ],
         }];
         let t = k.static_totals();
-        assert_eq!(t.load_bytes, 4.0 * 256.0 * 2.0);
+        assert_eq!(t.load_bytes(), 4.0 * 256.0 * 2.0);
         assert_eq!(t.tc_flops, 4.0 * 2.0 * 64.0 * 64.0 * 16.0);
+        assert_eq!(k.floor_totals(), Some(t));
+    }
+
+    /// An `If` counts its larger side in the estimate and its smaller
+    /// side in the floor, field by field; a trip count that reads the
+    /// block index leaves the floor nothing to count.
+    #[test]
+    fn floor_totals_take_the_smaller_branch_and_no_block_dependent_trips() {
+        let load = |unit: fn(Slice, Slice) -> Instr, rows| {
+            unit(
+                Slice::param(0).extent(rows, 16),
+                Slice::smem(0).extent(rows, 16),
+            )
+        };
+        let tma = |src, dst| Instr::TmaLoad { src, dst, bar: 0 };
+        let cp = |src, dst| Instr::CpAsyncLoad { src, dst, bar: 0 };
+        let mut k = minimal_kernel();
+        k.roles[0].body = vec![Instr::If {
+            cond: Cond::Eq(Expr::block_x(), Expr::lit(0)),
+            then_: vec![load(tma, 16), load(cp, 4)],
+            else_: vec![load(tma, 8), load(cp, 12)],
+        }];
+        let estimate = k.static_totals();
+        assert_eq!(
+            (estimate.tma_load_bytes, estimate.cp_async_bytes),
+            (512.0, 384.0)
+        );
+        let floor = k.floor_totals().expect("no trip count reads the block");
+        assert_eq!((floor.tma_load_bytes, floor.cp_async_bytes), (256.0, 128.0));
+
+        k.roles[0].body = vec![Instr::Loop {
+            var: 0,
+            count: Expr::block_y() + Expr::lit(1),
+            body: vec![load(tma, 16)],
+        }];
+        assert_eq!(k.static_totals().tma_load_bytes, 512.0);
+        assert_eq!(k.floor_totals(), None);
     }
 
     #[test]
