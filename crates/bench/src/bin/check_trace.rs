@@ -5,8 +5,10 @@
 //! every span inside the declared makespan, and only use stream ids the
 //! metadata declares. Host-side spans (`cat == "host"` — compile
 //! passes and tuner ranking from `chrome_json_with_host`) run on a
-//! wall-clock timeline, so they are only checked for finite
-//! non-negative bounds, not against the stream/makespan invariants.
+//! wall-clock timeline, and tuner spans (`cat == "tuner"`, one autotune
+//! candidate each, on tracks of their own) measure a candidate, not the
+//! graph, so both are only checked for finite non-negative bounds, not
+//! against the stream/makespan invariants.
 //! A broken exporter fails the build instead of shipping a file
 //! Perfetto rejects.
 //!
@@ -14,6 +16,7 @@
 //! <trace.json>` (after `cargo run --example graph_overlap <trace.json>`
 //! has written it).
 
+use cypress_runtime::telemetry::ChromeSpan;
 use cypress_runtime::TraceSink;
 use std::process::ExitCode;
 
@@ -43,6 +46,7 @@ fn check(json: &str) -> Result<String, String> {
         return Err("trace has no spans".to_string());
     }
     let mut hosts = 0usize;
+    let mut tuner = 0usize;
     let mut prev = f64::NEG_INFINITY;
     for (i, span) in trace.spans.iter().enumerate() {
         if !span.ts.is_finite() || span.ts < 0.0 || !span.dur.is_finite() || span.dur < 0.0 {
@@ -57,6 +61,18 @@ fn check(json: &str) -> Result<String, String> {
         // checks, like `EventClass::Host` in determinism comparisons.
         if span.cat == "host" {
             hosts += 1;
+            continue;
+        }
+        // Tuner spans (`tune:<entry>:<config>`) each time one autotune
+        // candidate, not a graph node.
+        if span.cat == "tuner" {
+            if !span.name.starts_with("tune:") {
+                return Err(format!(
+                    "span {i} `{}`: a tuner span is named `tune:<entry>:<config>`",
+                    span.name
+                ));
+            }
+            tuner += 1;
             continue;
         }
         if span.ts < prev {
@@ -94,13 +110,14 @@ fn check(json: &str) -> Result<String, String> {
     // boundary (`reshard:dN`) only makes sense when the trace has a
     // surviving device to re-plan onto.
     let mut recoveries = 0usize;
-    for span in trace.spans.iter().filter(|s| s.cat != "host") {
+    let graph = |s: &&ChromeSpan| s.cat != "host" && s.cat != "tuner";
+    for span in trace.spans.iter().filter(graph) {
         if let Some(node) = span.name.strip_prefix("retry:") {
             recoveries += 1;
             let reran = trace
                 .spans
                 .iter()
-                .any(|other| other.cat != "host" && other.name == node && other.ts >= span.ts);
+                .any(|other| graph(&other) && other.name == node && other.ts >= span.ts);
             if !reran {
                 return Err(format!(
                     "span `{}`: no successful `{node}` span at or after ts {} — every \
@@ -124,9 +141,9 @@ fn check(json: &str) -> Result<String, String> {
         }
     }
     Ok(format!(
-        "{} spans on {devices} device(s) x {streams} streams ({hosts} host, \
+        "{} spans on {devices} device(s) x {streams} streams ({hosts} host, {tuner} tuner, \
          {recoveries} recovery), makespan {makespan} cycles",
-        trace.spans.len() - hosts
+        trace.spans.len() - hosts - tuner
     ))
 }
 
@@ -276,6 +293,36 @@ mod tests {
         let summary = check(&json).unwrap();
         assert!(summary.contains("2 spans"), "{summary}");
         assert!(summary.contains("2 host"), "{summary}");
+    }
+
+    fn tuner_span(name: &str, tid: usize, dur: f64, known: &str) -> String {
+        format!(
+            "{{\"name\":\"{name}\",\"cat\":\"tuner\",\"ph\":\"X\",\"ts\":0,\"dur\":{dur},\
+             \"pid\":1,\"tid\":{tid},\"args\":{{\"unit\":\"cycles\",\"floor\":10{known}}}}}"
+        )
+    }
+
+    #[test]
+    fn tuner_spans_are_exempt_from_stream_invariants() {
+        // Each candidate sits on its own track from 0 and may outlast
+        // the graph's makespan, whole, cut or bounded.
+        let json = trace(
+            META,
+            &[
+                &span("a", 0.0, 600.0, 0),
+                &tuner_span("tune:gemm:a", 0, 900.0, ",\"cycles\":900"),
+                &tuner_span("tune:gemm:b", 1, 5000.0, ",\"cut\":5000"),
+                &tuner_span("tune:gemm:c", 2, 10.0, ""),
+            ],
+        );
+        let summary = check(&json).unwrap();
+        assert!(summary.contains("1 spans"), "{summary}");
+        assert!(summary.contains("3 tuner"), "{summary}");
+        let unnamed = trace(
+            META,
+            &[&span("a", 0.0, 600.0, 0), &tuner_span("x", 0, 1.0, "")],
+        );
+        assert!(check(&unnamed).unwrap_err().contains("tune:<entry>"));
     }
 
     #[test]

@@ -21,7 +21,10 @@
 //! unit-test machine, plus the Cypress kernels of Fig. 13/14, holds
 //! bytecode lowering to proving every slice in bounds
 //! (`lowering_proves_every_slice_in_bounds`): a timing run then
-//! evaluates no slice origin at all.
+//! evaluates no slice origin at all. Its whole timing runs hold
+//! `Simulator::timing_floor` under the cycles and
+//! `Simulator::run_timing_bounded` to its contract
+//! (`timing_floor_never_exceeds_simulated_cycles`).
 
 use cypress_baselines::{cublas, cudnn, fa3, thunderkittens, triton};
 use cypress_bench::{GEMM_SIZES, HEADS, HEAD_DIM, SEQ_LENS};
@@ -34,8 +37,11 @@ use cypress_sim::{bytecode, par, Kernel, MachineConfig, Simulator};
 use std::fmt::Write as _;
 use std::sync::OnceLock;
 
+#[path = "../../sim/tests/common/bounded.rs"]
+mod bounded;
 #[path = "../../core/tests/golden/shared.rs"]
 mod shared;
+use bounded::{assert_bounded_run_stops, assert_bounded_runs_keep_their_contract};
 use shared::{assert_matches_golden, families};
 
 const GOLDEN: &str = include_str!("golden/timing.digests");
@@ -260,20 +266,49 @@ fn lowering_proves_every_slice_in_bounds() {
     );
 }
 
+/// Kernels of [`corpus`] whose whole timing run takes more events than
+/// this (60 test-machine candidates at the larger pinned shape, ≈ 85 %
+/// of the corpus's simulation time) are bounded at half their cycles
+/// only in tier-1; `bounded_runs_keep_their_contract_over_the_whole_corpus`
+/// bounds them at all three cutoffs.
+const LONG_RUN_EVENTS: u64 = 400_000;
+
 /// `Simulator::timing_floor` is a lower bound on the simulated cycles of
 /// every kernel of [`corpus`] on its own machine, and not a vacuous one:
 /// on some kernel its unit term reaches 80 % of the cycles past the
-/// launch.
+/// launch. The same whole run holds `Simulator::run_timing_bounded` to
+/// its contract (see [`floor_and_bounded_runs_hold`]).
 #[test]
 fn timing_floor_never_exceeds_simulated_cycles() {
+    floor_and_bounded_runs_hold(LONG_RUN_EVENTS);
+}
+
+/// [`timing_floor_never_exceeds_simulated_cycles`] with every kernel of
+/// the corpus bounded at all three cutoffs (≈ 3× the simulation).
+#[test]
+#[ignore = "bounds the longest runs of the corpus at every cutoff (slow)"]
+fn bounded_runs_keep_their_contract_over_the_whole_corpus() {
+    floor_and_bounded_runs_hold(u64::MAX);
+}
+
+/// Time every kernel of [`corpus`] whole, hold its floor under the
+/// cycles, and hold runs bounded at its cycles, just below them and at
+/// half of them to their contract — only the last for a kernel whose
+/// run takes more than `long_run_events` events.
+fn floor_and_bounded_runs_hold(long_run_events: u64) {
     let shares = par::parallel_map(par::available(), corpus().iter().collect(), |entry| {
         let (label, machine, kernel) = entry;
         let sim = Simulator::new(machine.clone());
         let program = bytecode::lower(kernel).unwrap_or_else(|e| panic!("{label}: {e}"));
-        let cycles = sim
+        let report = sim
             .run_timing_lowered(kernel, &program)
-            .unwrap_or_else(|e| panic!("{label}: {e}"))
-            .cycles;
+            .unwrap_or_else(|e| panic!("{label}: {e}"));
+        let cycles = report.cycles;
+        if report.events <= long_run_events {
+            assert_bounded_runs_keep_their_contract(&sim, kernel, &program, &report, label);
+        } else {
+            assert_bounded_run_stops(&sim, kernel, &program, cycles, 0.5 * cycles, label);
+        }
         let floor = sim.timing_floor(kernel, &program);
         assert!(
             floor <= cycles,

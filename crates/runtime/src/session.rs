@@ -46,6 +46,7 @@
 //! the scheduler overlaps communication with compute. Tensors are
 //! bitwise identical at every device count. `Sharded { devices: 1 }` is
 //! exactly `SingleDevice`, timeline included.
+#![deny(clippy::too_many_lines)]
 
 use crate::cache::{CacheStats, KernelCache};
 use crate::error::RuntimeError;
@@ -61,7 +62,7 @@ use crate::telemetry::{Event, MetricsSnapshot, NoopRecorder, Recorder};
 use crate::tuner::{key_for, TunedMapping, TunerBudget, TuningKey, TuningTable};
 use cypress_core::fingerprint::{combine, machine_fingerprint, target_fingerprint};
 use cypress_core::{Compiled, CompilerOptions, CypressCompiler, COST_MODEL_VERSION};
-use cypress_sim::{FaultPlan, MachineConfig, Simulator, TimingReport, Topology};
+use cypress_sim::{FaultPlan, MachineConfig, Simulator, TimingOutcome, TimingReport, Topology};
 use cypress_tensor::Tensor;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -510,17 +511,21 @@ impl Session {
     /// space's deterministic enumeration order, so two sessions tuning
     /// the same program always pick the same winner.
     ///
-    /// The sweep simulates only the candidates that could win. It times
-    /// a *seed* first: the space's hand-tuned `default_for` mapping, or,
-    /// when that is not among the compiled candidates, the one the cost
-    /// model ranks best. It then skips every candidate whose
-    /// [`Simulator::timing_floor`] — a proven lower bound on its cycles —
-    /// is above the seed's cycles, or equal to them and later in
-    /// enumeration order (the tie would go to the seed), and times the
-    /// rest. The skipped set is a function of the candidate list alone,
-    /// so the winner is the one an exhaustive timing would pick, at
-    /// every worker count. [`crate::TunerStats::bounded`] counts the
-    /// skipped candidates.
+    /// The sweep simulates only what could win. It times a *seed* first:
+    /// the space's hand-tuned `default_for` mapping, or, when that is not
+    /// among the compiled candidates, the one the cost model ranks best.
+    /// It then skips every candidate whose [`Simulator::timing_floor`] —
+    /// a proven lower bound on its cycles — is above the seed's cycles,
+    /// or equal to them and later in enumeration order (the tie would go
+    /// to the seed), and times the rest in one batch, each with
+    /// [`Simulator::run_timing_bounded`] at the seed's cycles: a run
+    /// stops once it is proven slower than the seed, and is neither
+    /// memoized nor a winner. A run as fast as the seed finishes, so
+    /// ties break as before. The skipped and the stopped sets are a
+    /// function of the candidate list alone, so the winner is the one an
+    /// exhaustive timing would pick, at every worker count.
+    /// [`crate::TunerStats::bounded`] counts the skipped candidates and
+    /// [`crate::TunerStats::cut`] the stopped ones.
     ///
     /// # Errors
     ///
@@ -533,7 +538,8 @@ impl Session {
     /// surfacing it). Candidates the compiler rejects are skipped — a
     /// space's `validate` predicts the kernel's budgets, the compiled
     /// kernel's validation decides. Simulation failures of the
-    /// candidates the sweep times still propagate.
+    /// candidates the sweep times still propagate, unless a bounded run
+    /// stops before it meets its failure.
     pub fn autotune(&mut self, program: &Program) -> Result<TunedMapping, RuntimeError> {
         self.autotune_with(program, TunerBudget::Exhaustive)
     }
@@ -621,15 +627,20 @@ impl Session {
             }
         };
         let swept = self.sweep(&binding, candidates)?;
-        let bounded = swept.iter().filter(|c| c.cycles.is_none()).count();
-        self.tuning
-            .note_sweep((swept.len() - bounded) as u64, bounded as u64);
+        let whole = swept.iter().filter(|c| c.cycles.is_some()).count();
+        let cut = swept.iter().filter(|c| c.cut.is_some()).count();
+        self.tuning.note_sweep(
+            (whole + cut) as u64,
+            cut as u64,
+            (swept.len() - whole - cut) as u64,
+        );
         if self.recorder.enabled() {
             for c in &swept {
                 self.recorder.record(Event::TunerCandidate {
                     entry: program.entry.clone(),
                     config: c.config.label(),
                     cycles: c.cycles,
+                    cut: c.cut,
                     floor: c.floor,
                 });
             }
@@ -824,40 +835,100 @@ impl Session {
         (kept, pruned, transferred)
     }
 
-    /// The cold sweep: compile every cache-missing candidate on the
-    /// worker pool, issue the cache lookups in candidate order (so
-    /// hit/miss counters and the recorded events are a function of the
-    /// candidate list alone), then time the seed, skip the candidates
-    /// its cycles rule out, and time the rest (see [`Session::autotune`]).
-    /// Returns every compiled candidate in candidate order, so the
-    /// caller's first-wins tie break is independent of the worker count.
-    /// A space's `validate` predicts the compiled kernel's budgets and the
-    /// kernel's own validation decides: candidates the builder or
-    /// compiler rejects are skipped, not errors; simulation failures
+    /// The cold sweep: compile the candidates (see
+    /// [`Session::compile_candidates`]), time the seed, skip the
+    /// candidates its cycles rule out, and time the rest bounded at the
+    /// seed's cycles (see [`Session::autotune`]). Returns every compiled
+    /// candidate in candidate order, so the caller's first-wins tie break
+    /// is independent of the worker count. Simulation failures
     /// propagate.
+    fn sweep(
+        &mut self,
+        binding: &crate::program::SpaceBinding,
+        candidates: Vec<cypress_core::MappingConfig>,
+    ) -> Result<Vec<SweptCandidate>, RuntimeError> {
+        let resident = self.compile_candidates(binding, candidates);
+        let configs: Vec<_> = resident.iter().map(|(cfg, _)| *cfg).collect();
+        let default_cfg = binding.space.default_for(self.machine());
+        let Some(seed) = configs
+            .iter()
+            .position(|cfg| *cfg == default_cfg)
+            .or_else(|| self.by_prediction(binding, &configs).first().copied())
+        else {
+            return Ok(Vec::new());
+        };
+        let seed_cycles = self.solo_cycles(&resident[seed].1)?;
+        // A floor above the seed's cycles, or equal to them later in
+        // enumeration order (first-wins ties keep the seed), cannot win.
+        // Every other candidate runs, and stops once it is proven slower
+        // than the seed: strictly, so a tie still runs whole.
+        let floors: Vec<f64> = resident
+            .iter()
+            .map(|(_, c)| self.simulator.timing_floor(&c.kernel, &c.lowered))
+            .collect();
+        let runs = |i: usize| {
+            i != seed && (floors[i] < seed_cycles || (floors[i] == seed_cycles && i < seed))
+        };
+        let outcomes = self.time_bounded(
+            resident
+                .iter()
+                .enumerate()
+                .filter_map(|(i, (_, c))| runs(i).then_some(c)),
+            seed_cycles,
+        )?;
+        Ok(resident
+            .iter()
+            .zip(floors.iter())
+            .enumerate()
+            .map(|(i, ((config, c), &floor))| {
+                let outcome = if i == seed {
+                    Some(Ok(seed_cycles))
+                } else if runs(i) {
+                    outcomes.get(&c.fingerprint).copied()
+                } else {
+                    None
+                };
+                SweptCandidate {
+                    config: *config,
+                    floor,
+                    cycles: outcome.and_then(Result::ok),
+                    cut: outcome.and_then(Result::err),
+                }
+            })
+            .collect())
+    }
+
+    /// Build every candidate's program and hash its identity on the
+    /// worker pool, compile the cache misses there too, and issue the
+    /// cache lookups in candidate order (so hit/miss counters and the
+    /// recorded events are a function of the candidate list alone).
+    /// Returns the candidates that compiled, in candidate order. A
+    /// space's `validate` predicts the compiled kernel's budgets and the
+    /// kernel's own validation decides: candidates the builder or
+    /// compiler rejects are skipped, not errors.
     ///
     /// Misses are compiled one job per group of schedule siblings
     /// (candidates with one [`cypress_core::MappingConfig::front_key`]):
     /// the job builds the group's compiler front once, finishes every
     /// member from it, and drops it, so at most `parallelism` fronts are
     /// alive at once.
-    fn sweep(
+    fn compile_candidates(
         &mut self,
         binding: &crate::program::SpaceBinding,
         candidates: Vec<cypress_core::MappingConfig>,
-    ) -> Result<Vec<SweptCandidate>, RuntimeError> {
+    ) -> Vec<(cypress_core::MappingConfig, Arc<Compiled>)> {
         use cypress_sim::par;
-        // Build every candidate program up front (cheap, pure); builder
-        // rejections are skipped like compiler rejections.
-        let mut built = Vec::with_capacity(candidates.len());
-        for cfg in candidates {
-            let Ok((registry, mapping, args)) = binding.space.build(&binding.shape, &cfg) else {
-                continue;
-            };
+        let target = self.target;
+        let built: Vec<_> = par::parallel_map(self.parallelism(), candidates, |cfg| {
+            let (registry, mapping, args) = binding.space.build(&binding.shape, &cfg).ok()?;
             let program = Program::new(registry, mapping, binding.space.entry(), args);
-            let fp = self.fingerprint_of(&program);
-            built.push((cfg, program, fp));
-        }
+            // `Session::fingerprint_of`, off the session.
+            let fp = combine(program.identity().source, target);
+            Some((cfg, program, fp))
+        })
+        .into_iter()
+        .flatten()
+        .collect();
         // Group the cache misses by front, in enumeration order, and
         // compile the groups on the worker pool.
         let compiler = &self.compiler;
@@ -883,9 +954,10 @@ impl Session {
         // Issue the lookups in candidate order; misses consume the
         // precompiled kernels (recompiling inline only when a failing
         // fingerprint the list holds twice misses a second time: failures
-        // are not cached). This is also where the
-        // `CacheLookup` (and miss-side `CompilePass`) events are
-        // emitted, in candidate order.
+        // are not cached). This is also where the `CacheLookup` (and
+        // miss-side `CompilePass`) events are emitted, in candidate
+        // order. The compiler's rejections emit nothing, like a failed
+        // `Session::compile`.
         let mut resident = Vec::with_capacity(built.len());
         for (cfg, program, fp) in built {
             let before = self.recorder.enabled().then(|| self.cache.stats());
@@ -894,113 +966,62 @@ impl Session {
                     .remove(&fp)
                     .unwrap_or_else(|| compile_solo(compiler, &program, fp))
             });
-            match compiled {
-                Ok(compiled) => {
-                    if let Some(before) = before {
-                        record_cache_lookup(
-                            self.recorder.as_mut(),
-                            &self.cache,
-                            fp,
-                            before,
-                            &compiled,
-                        );
-                    }
-                    resident.push((cfg, compiled));
+            if let Ok(compiled) = compiled {
+                if let Some(before) = before {
+                    record_cache_lookup(self.recorder.as_mut(), &self.cache, fp, before, &compiled);
                 }
-                // The compiler is the authority; its rejections are
-                // skipped, not errors (and emit nothing, like a failed
-                // `Session::compile`).
-                Err(_) => continue,
+                resident.push((cfg, compiled));
             }
         }
-        // Time the seed, then every candidate its cycles do not rule
-        // out. A floor above them, or equal to them later in enumeration
-        // order (first-wins ties keep the seed), cannot win. A floor
-        // below the seed's own is below its cycles too, so those
-        // candidates are timed beside the seed.
-        let configs: Vec<_> = resident.iter().map(|(cfg, _)| *cfg).collect();
-        let default_cfg = binding.space.default_for(self.machine());
-        let Some(seed) = configs
-            .iter()
-            .position(|cfg| *cfg == default_cfg)
-            .or_else(|| self.by_prediction(binding, &configs).first().copied())
-        else {
-            return Ok(Vec::new());
-        };
-        let floors: Vec<f64> = resident
-            .iter()
-            .map(|(_, c)| self.simulator.timing_floor(&c.kernel, &c.lowered))
-            .collect();
-        self.time_solo(
-            resident
-                .iter()
-                .zip(&floors)
-                .enumerate()
-                .filter(|&(i, (_, &floor))| i == seed || floor < floors[seed])
-                .map(|(_, ((_, c), _))| c),
-        )?;
-        let seed_cycles = self.solo_cycles(&resident[seed].1)?;
-        let timed: Vec<bool> = floors
-            .iter()
-            .enumerate()
-            .map(|(i, &floor)| {
-                i == seed || floor < seed_cycles || (floor == seed_cycles && i < seed)
-            })
-            .collect();
-        self.time_solo(
-            resident
-                .iter()
-                .zip(&timed)
-                .filter_map(|((_, c), &t)| t.then_some(c)),
-        )?;
         resident
-            .into_iter()
-            .zip(floors.into_iter().zip(timed))
-            .map(|((config, c), (floor, timed))| {
-                Ok(SweptCandidate {
-                    config,
-                    floor,
-                    cycles: if timed {
-                        Some(self.solo_cycles(&c)?)
-                    } else {
-                        None
-                    },
-                })
-            })
-            .collect()
     }
 
-    /// On the worker pool, solo-time each distinct kernel of `kernels`
-    /// the session's memo does not hold yet, and memoize the reports.
-    /// Timing is deterministic per kernel, so neither the memo nor the
-    /// deduplication can change any candidate's cycles.
-    fn time_solo<'a>(
+    /// On the worker pool, time each distinct kernel of `kernels`
+    /// bounded at `cutoff` ([`Simulator::run_timing_bounded`]), and
+    /// memoize every run that finished. Returns, by kernel fingerprint,
+    /// `Ok(cycles)` for a run that ended at or before `cutoff` and
+    /// `Err(bound)` for one that stopped. A kernel the memo already
+    /// holds within `cutoff` is not run; one it holds past `cutoff` runs
+    /// bounded like the rest, so each outcome is a function of the
+    /// kernel and `cutoff` alone.
+    fn time_bounded<'a>(
         &mut self,
         kernels: impl IntoIterator<Item = &'a Arc<Compiled>>,
-    ) -> Result<(), RuntimeError> {
+        cutoff: f64,
+    ) -> Result<HashMap<u64, Result<f64, f64>>, RuntimeError> {
+        let mut outcomes = HashMap::new();
         let mut seen = HashSet::new();
-        let sims: Vec<&Arc<Compiled>> = kernels
-            .into_iter()
-            .filter(|c| {
-                !matches!(self.solo.get(&c.fingerprint), Some(Some(_)))
-                    && seen.insert(c.fingerprint)
-            })
-            .collect();
+        let mut sims = Vec::new();
+        for c in kernels {
+            match self.solo.get(&c.fingerprint) {
+                Some(Some(report)) if report.cycles <= cutoff => {
+                    outcomes.insert(c.fingerprint, Ok(report.cycles));
+                }
+                _ if seen.insert(c.fingerprint) => sims.push(c),
+                _ => {}
+            }
+        }
         let simulator = &self.simulator;
         let timed = cypress_sim::par::parallel_map(self.parallelism(), sims, |c| {
-            (
-                c.fingerprint,
-                simulator.run_timing_lowered(&c.kernel, &c.lowered),
-            )
+            let outcome = simulator.run_timing_bounded(&c.kernel, &c.lowered, cutoff);
+            (c.fingerprint, outcome)
         });
-        for (fp, report) in timed {
-            self.solo.insert(fp, Some(report?));
+        for (fp, outcome) in timed {
+            let outcome = match outcome? {
+                TimingOutcome::Done(report) => {
+                    let cycles = report.cycles;
+                    self.solo.insert(fp, Some(report));
+                    Ok(cycles)
+                }
+                TimingOutcome::Exceeded { bound } => Err(bound),
+            };
+            outcomes.insert(fp, outcome);
         }
-        Ok(())
+        Ok(outcomes)
     }
 
-    /// `compiled`'s solo cycles, from the memo [`Session::time_solo`]
-    /// filled.
+    /// `compiled`'s solo cycles, from the session's memo or simulated
+    /// and memoized.
     fn solo_cycles(&mut self, compiled: &Compiled) -> Result<f64, RuntimeError> {
         Ok(executor::solo_report(&self.simulator, &mut self.solo, compiled)?.cycles)
     }
@@ -1384,8 +1405,11 @@ struct SweptCandidate {
     config: cypress_core::MappingConfig,
     /// Its [`Simulator::timing_floor`].
     floor: f64,
-    /// Its solo cycles; `None` when the floor ruled it out untimed.
+    /// Its solo cycles, when its run finished.
     cycles: Option<f64>,
+    /// The bound its run crossed when it stopped, proven slower than the
+    /// seed. With `cycles`, `None` when the floor ruled it out untimed.
+    cut: Option<f64>,
 }
 
 /// Compile `program`, whose fingerprint is `fp`.

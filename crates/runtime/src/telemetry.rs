@@ -141,15 +141,19 @@ pub enum Event {
         cached: bool,
     },
     /// One compiled candidate of an autotune sweep, in the space's
-    /// deterministic enumeration order: timed, or ruled out by its floor.
+    /// deterministic enumeration order: timed whole, cut, or ruled out by
+    /// its floor (`cycles` and `cut` both `None`).
     TunerCandidate {
         /// Entry task of the tuned program.
         entry: String,
         /// The candidate mapping's label.
         config: String,
-        /// Its solo sim cycles; `None` when the sweep did not time it
-        /// because `floor` already ruled it out.
+        /// Its solo sim cycles, when its timing run finished.
         cycles: Option<f64>,
+        /// The bound its timing run crossed when it stopped, proven
+        /// slower than the sweep's seed: above the seed's cycles, at or
+        /// below its own.
+        cut: Option<f64>,
         /// Its timing floor, a proven lower bound on its cycles
         /// (`cypress_sim::Simulator::timing_floor`).
         floor: f64,
@@ -479,12 +483,13 @@ impl fmt::Display for MetricsSnapshot {
         )?;
         writeln!(
             f,
-            "tuner   lookups {} | hits {} | sweeps {} | candidates timed {} | bounded {} | \
-             ranked {} | pruned {} | transferred {}",
+            "tuner   lookups {} | hits {} | sweeps {} | candidates timed {} | cut {} | \
+             bounded {} | ranked {} | pruned {} | transferred {}",
             self.tuner.lookups,
             self.tuner.hits,
             self.tuner.sweeps,
             self.tuner.candidates_timed,
+            self.tuner.cut,
             self.tuner.bounded,
             self.tuner.ranked,
             self.tuner.pruned,
@@ -609,22 +614,52 @@ impl TraceSink {
 
     /// [`TraceSink::chrome_json`] plus the trace's
     /// [`EventClass::Host`] events — compile passes and guided-tuner
-    /// ranking passes — appended as `cat:"host"` `"X"` spans.
+    /// ranking passes — appended as `cat:"host"` `"X"` spans, and its
+    /// [`Event::TunerCandidate`]s as `cat:"tuner"` ones.
     ///
     /// Host spans measure wall-clock nanoseconds on a synthetic
     /// timeline of their own (each starts where the previous host span
     /// ended), not sim cycles: they are observability, deliberately
     /// excluded from determinism checks the way
-    /// [`Event::CompilePass`]'s `host_ns` already is. Consumers
-    /// checking monotonicity, stream bounds, or makespan containment
-    /// must filter on `cat != "host"` (as `check_trace` does).
+    /// [`Event::CompilePass`]'s `host_ns` already is. A tuner span is
+    /// one candidate on a track of its own (`pid` 1, `tid` its place in
+    /// the trace's candidate stream), starting at 0 and lasting what
+    /// its sweep learned of its cycles: the whole run's, the bound a cut
+    /// run crossed, or the floor of a bounded one; `args` carries
+    /// `floor` and `cycles` or `cut`. Consumers checking monotonicity,
+    /// stream bounds, or makespan containment must filter on `cat !=
+    /// "host"` and `cat != "tuner"` (as `check_trace` does).
     #[must_use]
     pub fn chrome_json_with_host(report: &GraphReport, events: &[Event]) -> String {
         let mut out = Self::chrome_json(report);
         out.truncate(out.len() - "]}".len());
         let mut ts = 0.0;
+        let mut candidates = 0;
         for event in events {
             let (name, host_ns, extra) = match event {
+                Event::TunerCandidate {
+                    entry,
+                    config,
+                    cycles,
+                    cut,
+                    floor,
+                } => {
+                    let (known, dur) = match (cycles, cut) {
+                        (Some(c), _) => (format!(",\"cycles\":{}", json_num(*c)), *c),
+                        (None, Some(b)) => (format!(",\"cut\":{}", json_num(*b)), *b),
+                        (None, None) => (String::new(), *floor),
+                    };
+                    out.push_str(&format!(
+                        ",{{\"name\":{},\"cat\":\"tuner\",\"ph\":\"X\",\"ts\":0,\"dur\":{},\
+                         \"pid\":1,\"tid\":{candidates},\"args\":{{\"unit\":\"cycles\",\
+                         \"floor\":{}{known}}}}}",
+                        json_str(&format!("tune:{entry}:{config}")),
+                        json_num(dur),
+                        json_num(*floor),
+                    ));
+                    candidates += 1;
+                    continue;
+                }
                 Event::CompilePass { pass, host_ns } => {
                     (format!("compile:{pass}"), *host_ns, String::new())
                 }

@@ -16,6 +16,7 @@
 //! [`TuningTable::save`] / [`TuningTable::load`]) so tuning survives
 //! across sessions and processes; the offline build has no `serde`, so
 //! the round-trip is hand-rolled and locked by tests.
+#![deny(clippy::too_many_lines)]
 
 use crate::error::RuntimeError;
 use crate::program::Program;
@@ -37,13 +38,18 @@ pub struct TunerStats {
     pub hits: u64,
     /// Autotune sweeps that actually ran (cache misses of the table).
     pub sweeps: u64,
-    /// Candidates compiled and timed across all sweeps.
+    /// Candidates compiled and timed across all sweeps: every timing run
+    /// a sweep started, whether it ran whole or was cut.
     pub candidates_timed: u64,
+    /// Of [`TunerStats::candidates_timed`], the runs that stopped once
+    /// they were proven slower than the sweep's seed (see
+    /// `Session::autotune`).
+    pub cut: u64,
     /// Candidates compiled but never timed across all sweeps: their
     /// timing floor (a proven lower bound on their cycles) was above the
     /// sweep's seed's cycles, or equal to them and later in enumeration
     /// order, so they could not win (see `Session::autotune`). Every
-    /// compiled candidate is either timed or bounded.
+    /// compiled candidate is exactly one of whole, cut or bounded.
     pub bounded: u64,
     /// Candidates ranked by the analytical cost model across all guided
     /// sweeps (see [`cypress_core::kernels::cost`]).
@@ -135,10 +141,11 @@ impl PartialEq for TuningTable {
 /// every candidate; a top-k budget ranks candidates with the analytical
 /// cost model first and considers only the best-predicted `k`. Either
 /// way the sweep then times a seed — the hand-tuned default when it is
-/// considered, else the best-predicted candidate — and skips every
+/// considered, else the best-predicted candidate — skips every
 /// candidate whose timing floor is above the seed's cycles (or equal to
-/// them and later in enumeration order), so it simulates only the
-/// candidates that could win.
+/// them and later in enumeration order), and stops each other run once
+/// it is proven slower than the seed, so it simulates only what could
+/// win.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TunerBudget {
     /// Compile every candidate and time each one its floor does not
@@ -200,11 +207,13 @@ impl TuningTable {
     }
 
     /// Count one completed sweep that timed `candidates_timed`
-    /// candidates and ruled `bounded` more out by their floors.
-    pub(crate) fn note_sweep(&self, candidates_timed: u64, bounded: u64) {
+    /// candidates, `cut` of them stopped early, and ruled `bounded` more
+    /// out by their floors.
+    pub(crate) fn note_sweep(&self, candidates_timed: u64, cut: u64, bounded: u64) {
         let mut stats = self.stats.get();
         stats.sweeps += 1;
         stats.candidates_timed += candidates_timed;
+        stats.cut += cut;
         stats.bounded += bounded;
         self.stats.set(stats);
     }
@@ -735,11 +744,18 @@ mod tests {
             machine: 0x1234,
         };
         assert!(table.get(&hit).is_some());
-        table.note_sweep(7, 3);
+        table.note_sweep(7, 2, 3);
         let s = table.stats();
         assert_eq!(
-            (s.lookups, s.hits, s.sweeps, s.candidates_timed, s.bounded),
-            (2, 1, 1, 7, 3)
+            (
+                s.lookups,
+                s.hits,
+                s.sweeps,
+                s.candidates_timed,
+                s.cut,
+                s.bounded
+            ),
+            (2, 1, 1, 7, 2, 3)
         );
         // Counters never affect equality or the serialized text.
         assert_eq!(table, sample_table());

@@ -17,6 +17,7 @@
 use cypress_core::kernels::space::Shape;
 use cypress_core::kernels::{dual_gemm, gemm};
 use cypress_core::{MappingConfig, MappingSpace};
+use cypress_runtime::json::{JsonParser, JsonValue};
 use cypress_runtime::telemetry::TraceLog;
 use cypress_runtime::{
     Binding, Event, EventClass, FusionPolicy, NodeId, Program, SchedulePolicy, Session, TaskGraph,
@@ -399,23 +400,38 @@ fn tuner_metrics_and_sweep_events_flow_through_the_session() {
     assert!(sweeps[1].0, "the second was served from the table");
     assert_eq!(sweeps[0].1, sweeps[1].1, "both name the same winner");
 
-    // One event per compiled candidate: the timed ones carry cycles no
-    // lower than their floor, the bounded ones none.
-    let candidates: Vec<(Option<f64>, f64)> = log
+    // One event per compiled candidate, each exactly one of whole
+    // (cycles no lower than its floor), cut (a bound above the seed's
+    // cycles and no lower than its floor) or bounded (neither).
+    let candidates: Vec<(Option<f64>, Option<f64>, f64)> = log
         .events()
         .iter()
         .filter_map(|e| match e {
-            Event::TunerCandidate { cycles, floor, .. } => Some((*cycles, *floor)),
+            Event::TunerCandidate {
+                cycles, cut, floor, ..
+            } => Some((*cycles, *cut, *floor)),
             _ => None,
         })
         .collect();
-    let timed = candidates.iter().filter(|(c, _)| c.is_some()).count() as u64;
-    assert_eq!(timed, m.tuner.candidates_timed, "{m}");
-    assert_eq!(candidates.len() as u64, timed + m.tuner.bounded, "{m}");
-    for (cycles, floor) in candidates {
+    let whole = candidates.iter().filter(|(c, _, _)| c.is_some()).count() as u64;
+    let cut = candidates.iter().filter(|(_, b, _)| b.is_some()).count() as u64;
+    assert_eq!(whole + cut, m.tuner.candidates_timed, "{m}");
+    assert_eq!(cut, m.tuner.cut, "{m}");
+    assert_eq!(
+        candidates.len() as u64,
+        m.tuner.candidates_timed + m.tuner.bounded,
+        "{m}"
+    );
+    for (cycles, cut, floor) in candidates {
+        assert!(cycles.is_none() || cut.is_none(), "{cycles:?} and {cut:?}");
         assert!(
             cycles.is_none_or(|c| floor <= c),
             "floor {floor} > {cycles:?}"
+        );
+        assert!(
+            cut.is_none_or(|b| floor <= b && b > first.default_cycles),
+            "cut at {cut:?}: floor {floor}, seed {}",
+            first.default_cycles
         );
     }
 }
@@ -603,18 +619,50 @@ fn guided_ranking_is_a_host_span_with_counters() {
         "{m}"
     );
     let text = m.to_string();
-    for field in ["bounded", "ranked", "pruned", "transferred"] {
+    for field in ["cut", "bounded", "ranked", "pruned", "transferred"] {
         assert!(text.contains(field), "{text}");
     }
 
-    // Export a graph timeline with the host events appended: the graph
-    // spans are untouched and the ranking rides on the host timeline.
+    // Export a graph timeline with the host events and tuner candidates
+    // appended: the graph spans are untouched, the ranking rides on the
+    // host timeline, and each candidate is a tuner span carrying what
+    // its sweep learned.
     let (graph, _) = chain_graph(&machine);
     let report = session.launch_timing(&graph).unwrap();
-    let json = TraceSink::chrome_json_with_host(&report, &log.events());
+    let events = log.events();
+    let json = TraceSink::chrome_json_with_host(&report, &events);
     let trace = TraceSink::parse_chrome_json(&json).unwrap();
-    let (host, graph_spans): (Vec<_>, Vec<_>) = trace.spans.iter().partition(|s| s.cat == "host");
+    let (host, rest): (Vec<_>, Vec<_>) = trace.spans.iter().partition(|s| s.cat == "host");
+    let (tuner, graph_spans): (Vec<_>, Vec<_>) = rest.into_iter().partition(|s| s.cat == "tuner");
     assert_eq!(graph_spans.len(), report.nodes.len());
+    let swept: Vec<_> = events
+        .iter()
+        .filter_map(|e| match e {
+            Event::TunerCandidate {
+                config,
+                cycles,
+                cut,
+                ..
+            } => Some((config, *cycles, *cut)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(tuner.len(), swept.len());
+    let exported = JsonParser::parse(&json).unwrap();
+    let args: Vec<_> = exported
+        .get("traceEvents")
+        .and_then(JsonValue::as_array)
+        .unwrap()
+        .iter()
+        .filter(|e| e.get("cat").and_then(JsonValue::as_str) == Some("tuner"))
+        .map(|e| e.get("args").unwrap())
+        .collect();
+    for ((span, args), (config, cycles, cut)) in tuner.iter().zip(args).zip(swept) {
+        assert_eq!(span.name, format!("tune:gemm:{config}"));
+        let num = |k: &str| args.get(k).and_then(JsonValue::as_f64);
+        assert_eq!((num("cycles"), num("cut")), (cycles, cut), "{config}");
+        assert!(num("floor").is_some_and(|f| f <= span.dur), "{config}");
+    }
     assert!(
         host.iter().any(|s| s.name == "rank:gemm"),
         "host spans: {:?}",

@@ -171,13 +171,14 @@ fn autotune_results_are_cached_in_the_table() {
 /// What an exhaustive sweep must compute, spelled out without a
 /// session: enumerate, build, compile, solo-time every candidate in a
 /// plain loop; the first strict minimum wins. Candidates the builder or
-/// the compiler rejects are skipped. Returns `(winner, tuned cycles,
-/// default cycles, candidates enumerated)`.
+/// the compiler rejects are skipped. Returns the winner, its cycles, the
+/// default's cycles, the candidates enumerated and every compiled
+/// candidate's cycles by label.
 fn oracle_sweep(
     space: &dyn MappingSpace,
     shape: &Shape,
     machine: &MachineConfig,
-) -> (MappingConfig, f64, f64, usize) {
+) -> (MappingConfig, f64, f64, usize, HashMap<String, f64>) {
     let compiler = CypressCompiler::new(CompilerOptions {
         machine: machine.clone(),
         ..Default::default()
@@ -187,6 +188,7 @@ fn oracle_sweep(
     let candidates = space.candidates(machine, shape);
     let mut default_cycles = None;
     let mut best: Option<(f64, MappingConfig)> = None;
+    let mut timed = HashMap::new();
     for cfg in &candidates {
         let Ok((registry, mapping, args)) = space.build(shape, cfg) else {
             continue;
@@ -195,6 +197,7 @@ fn oracle_sweep(
             continue;
         };
         let cycles = simulator.run_timing(&compiled.kernel).unwrap().cycles;
+        timed.insert(cfg.label(), cycles);
         if *cfg == default_cfg {
             default_cycles = Some(cycles);
         }
@@ -208,6 +211,7 @@ fn oracle_sweep(
         tuned_cycles,
         default_cycles.unwrap_or(tuned_cycles),
         candidates.len(),
+        timed,
     )
 }
 
@@ -216,9 +220,10 @@ fn oracle_sweep(
 /// 16×2048×128 (where the floors rule out two of the four candidates),
 /// sessions tuning on 1, 2 and 8 workers pick the oracle's winner with
 /// the oracle's cycle counts — though they skip the candidates their
-/// floors rule out — and leave identical kernel-cache counters, timed
-/// and bounded counts and `TunerCandidate` streams behind: the workers
-/// only change wall time.
+/// floors rule out and cut the runs proven slower than the default —
+/// and leave identical kernel-cache counters, timed, cut and bounded
+/// counts and `TunerCandidate` streams behind: the workers only change
+/// wall time.
 #[test]
 fn sweep_matches_a_session_free_oracle_at_every_worker_count() {
     let test_gpu = MachineConfig::test_gpu();
@@ -235,12 +240,12 @@ fn sweep_matches_a_session_free_oracle_at_every_worker_count() {
         paper_spaces().pop().expect("FA3 is the last paper space"),
         Shape::of(&[16, 2048, 128]),
     ));
-    let mut bounded = 0;
+    let (mut bounded, mut cut) = (0, 0);
     for (machine, space, shape) in cases {
         let Ok(program) = Program::from_space(Arc::clone(&space), shape.clone(), &machine) else {
             continue;
         };
-        let (config, tuned_cycles, default_cycles, candidates) =
+        let (config, tuned_cycles, default_cycles, candidates, oracle) =
             oracle_sweep(space.as_ref(), &shape, &machine);
         let mut cache_stats = None;
         let mut sweep_record = None;
@@ -274,46 +279,63 @@ fn sweep_matches_a_session_free_oracle_at_every_worker_count() {
                 "cache counters depend on the worker count ({label})"
             );
             let tuner = session.metrics().tuner;
-            let streamed: Vec<(String, Option<f64>, f64)> = log
+            let streamed: Vec<(String, Option<f64>, Option<f64>, f64)> = log
                 .events()
                 .into_iter()
                 .filter_map(|e| match e {
                     Event::TunerCandidate {
                         config,
                         cycles,
+                        cut,
                         floor,
                         ..
-                    } => Some((config, cycles, floor)),
+                    } => Some((config, cycles, cut, floor)),
                     _ => None,
                 })
                 .collect();
-            // The default seeds every sweep here: a candidate is timed
+            // The default seeds every sweep here. A candidate is timed
             // exactly when its floor is below the default's cycles, or
-            // equal to them and earlier in enumeration order.
+            // equal to them and earlier in enumeration order; a timed
+            // one runs whole exactly when the oracle's cycles are at or
+            // below the default's, and is cut otherwise, at a bound
+            // between the two.
             let default_label = space.default_for(&machine).label();
             let seed = streamed
                 .iter()
-                .position(|(config, _, _)| *config == default_label)
+                .position(|(config, ..)| *config == default_label)
                 .expect("the default compiles");
-            for (i, (config, cycles, floor)) in streamed.iter().enumerate() {
+            for (i, (config, cycles, cut, floor)) in streamed.iter().enumerate() {
                 let timed =
                     i == seed || *floor < default_cycles || (*floor == default_cycles && i < seed);
+                let want = oracle[config];
+                let whole = timed && want <= default_cycles;
+                let why = format!(
+                    "{label}: {config} has floor {floor} and {want} cycles, \
+                     the default {default_cycles}"
+                );
                 assert_eq!(
-                    cycles.is_some(),
-                    timed,
-                    "{label}: {config} has floor {floor}, the default {default_cycles} cycles"
+                    cycles.map(f64::to_bits),
+                    whole.then_some(want.to_bits()),
+                    "{why}"
+                );
+                assert_eq!(cut.is_some(), timed && !whole, "{why}");
+                assert!(
+                    cut.is_none_or(|b| default_cycles < b && b <= want),
+                    "{why}: cut at {cut:?}"
                 );
             }
-            let record = (tuner.candidates_timed, tuner.bounded, streamed);
+            let record = (tuner.candidates_timed, tuner.cut, tuner.bounded, streamed);
             assert_eq!(
                 *sweep_record.get_or_insert_with(|| record.clone()),
                 record,
-                "timed / bounded candidates depend on the worker count ({label})"
+                "timed / cut / bounded candidates depend on the worker count ({label})"
             );
             bounded += tuner.bounded;
+            cut += tuner.cut;
         }
     }
     assert!(bounded > 0, "no case ruled a candidate out");
+    assert!(cut > 0, "no case cut a run");
 }
 
 #[test]

@@ -316,8 +316,13 @@ pub struct Program {
     pub(crate) shape_hash: u64,
     /// CTAs in the grid; lowering checked the product.
     pub(crate) ctas: usize,
-    /// The kernel's per-CTA totals, for the L2 estimate and the report.
+    /// The kernel's per-CTA totals, for the L2 estimate and the report
+    /// (see [`Kernel::totals`]).
     pub(crate) totals: StaticTotals,
+    /// The per-CTA work every CTA is proven to do, for the timing floor
+    /// and a bounded run's CTA-launch check; `None` when a trip count
+    /// reads the block index.
+    pub(crate) floor: Option<StaticTotals>,
     unproven: usize,
 }
 
@@ -364,13 +369,15 @@ pub fn lower(kernel: &Kernel) -> Result<Program, SimError> {
         .iter()
         .map(|r| ctx.lower_role(r))
         .collect::<Result<Vec<_>, _>>()?;
+    // Only now: the totals index the declarations every slice names.
+    let (totals, floor) = kernel.totals();
     Ok(Program {
         roles,
         num_regs: ctx.max_regs as usize,
         shape_hash: kernel_shape_hash(kernel),
         ctas,
-        // Only now: the totals index the declarations every slice names.
-        totals: kernel.static_totals(),
+        totals,
+        floor,
         unproven: ctx.unproven,
     })
 }

@@ -47,6 +47,31 @@
 //! run applies when a copy or MMA retires live in a `Box` beside the
 //! element, allocated only when data moves: a timing run's events own
 //! no heap memory.
+//!
+//! # Bounded runs
+//!
+//! A timing run may carry a cutoff (`Simulator::run_timing_bounded`; an
+//! unbounded run is the same loop with a cutoff of `+∞`, and pays one
+//! compare per event for it). It stops at the first of two points, each
+//! proving the run's `cycles` above the cutoff:
+//!
+//! - **An event past the cutoff.** `now` never decreases and its final
+//!   value is `cycles`, so `now > cutoff` bounds `cycles` by `now`.
+//! - **A CTA launch.** When a CTA is launched at `now`, the `R` CTAs
+//!   not launched before it (it included) start at
+//!   `now + cta_launch_cycles` or later, and each reserves at least `F`
+//!   cycles of work on one unit, `F` being one CTA's busiest-unit term
+//!   of `timing_floor`. A unit is a FIFO: a reservation made at or
+//!   after a time `T` starts no earlier than `T` and after every earlier
+//!   reservation ends, so the unit's last reservation ends no earlier
+//!   than `T` plus the service of everything reserved after `T`, and
+//!   every reservation's end is an event time. Hence
+//!   `cycles >= now + cta_launch_cycles + R·F`, whatever the occupancy.
+//!   `FLOOR_SLACK` is taken off the whole bound for the rounding of the
+//!   unit clocks.
+//!
+//! A run that ends at or before the cutoff meets neither point and is
+//! the unbounded run bit for bit.
 #![deny(clippy::too_many_lines)]
 
 use crate::apply::{self, FuncData, RSlice, Scratch};
@@ -336,6 +361,10 @@ fn lock(m: &Mutex<Workspace>) -> MutexGuard<'_, Workspace> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// What a whole run hands back: its report, a functional run's tensors
+/// and the bytes its functional applies moved.
+pub(crate) type Finished = (TimingReport, Option<Vec<Tensor>>, ApplyBytes);
+
 /// Execution mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mode {
@@ -358,6 +387,17 @@ pub(crate) struct Engine<'k> {
     queue: EventQueue,
     now: f64,
     event_count: u64,
+    /// The run stops at the first event past this time (see "Bounded
+    /// runs" in the module header): the cutoff, or `-∞` once a CTA
+    /// launch has proven `proven` above it.
+    stop_after: f64,
+    /// The largest lower bound on the run's cycles a CTA launch proved
+    /// above the cutoff (`0.0` until one does).
+    proven: f64,
+    /// One CTA's busiest-unit proven work, in cycles: the per-CTA term
+    /// of [`timing_floor`] (`0.0` in functional mode, and for a kernel
+    /// whose trip counts read the block index).
+    cta_floor: f64,
     // Per-SM units.
     tma_unit: Fluid,
     cp_unit: Fluid,
@@ -451,6 +491,15 @@ impl<'k> Engine<'k> {
         let n_sim = bytecode::index32(n_sim, "simulated CTA count")?;
 
         let l2_hit = l2_hit(kernel, program);
+        let cta_floor = match mode {
+            Mode::Functional => None,
+            Mode::Timing => floor_work(machine, program, l2_hit, active_sms),
+        }
+        .map_or(0.0, |work| {
+            work.into_iter()
+                .map(|(work, rate)| work / rate)
+                .fold(0.0, f64::max)
+        });
         let share = active_sms as f64;
         let data = params.map(|params| FuncData {
             params,
@@ -458,14 +507,17 @@ impl<'k> Engine<'k> {
             frags: Vec::new(),
         });
 
-        let mut eng = Engine {
+        Ok(Engine {
             kernel,
             machine,
             program,
             idx_regs: vec![0i64; program.num_regs],
             queue: EventQueue::default(),
-            now: 0.0,
+            now: machine.kernel_launch_cycles,
             event_count: 0,
+            stop_after: f64::INFINITY,
+            proven: 0.0,
+            cta_floor,
             tma_unit: Fluid::new(machine.tma_bytes_per_cycle_per_sm),
             cp_unit: Fluid::new(machine.cp_async_bytes_per_cycle_per_sm),
             tc_unit: Fluid::new(machine.tc_flops_per_cycle_per_sm),
@@ -491,13 +543,7 @@ impl<'k> Engine<'k> {
             apply_bytes: ApplyBytes::default(),
             #[cfg(feature = "scalar-oracle")]
             scalar: false,
-        };
-        eng.now = machine.kernel_launch_cycles;
-        let first = eng.window.min(eng.n_sim as usize);
-        for _ in 0..first {
-            eng.launch_next_cta(eng.now);
-        }
-        Ok(eng)
+        })
     }
 
     /// Route all functional applies through the scalar reference
@@ -536,6 +582,14 @@ impl<'k> Engine<'k> {
         self.next_cta += 1;
         self.running += 1;
         let start = at + self.machine.cta_launch_cycles;
+        // This CTA and every later one start at `start` or after (see
+        // "Bounded runs" in the module header).
+        let unlaunched = f64::from(self.n_sim - idx);
+        let bound = (start + unlaunched * self.cta_floor) * (1.0 - FLOOR_SLACK);
+        if bound > self.stop_after {
+            self.proven = self.proven.max(bound);
+            self.stop_after = f64::NEG_INFINITY;
+        }
         self.queue.push(start, EventKind::StartCta(idx));
     }
 
@@ -620,10 +674,26 @@ impl<'k> Engine<'k> {
         Ok(())
     }
 
-    /// Run to completion and produce the report (plus functional tensors).
-    pub(crate) fn run(
-        mut self,
-    ) -> Result<(TimingReport, Option<Vec<Tensor>>, ApplyBytes), SimError> {
+    /// Run to completion and produce the report, plus a functional run's
+    /// tensors and apply bytes.
+    pub(crate) fn run_whole(self) -> Result<Finished, SimError> {
+        self.run(f64::INFINITY)?
+            .map_err(|bound| SimError::Internal {
+                what: format!("a run without a cutoff stopped at a bound of {bound} cycles"),
+            })
+    }
+
+    /// Run to completion, or stop once the run is proven to end past
+    /// `cutoff` and return `Err(bound)`, where `cutoff < bound <=` the
+    /// cycles the whole run reports (see "Bounded runs" in the module
+    /// header). A run that ends at or before `cutoff` is bit for bit the
+    /// whole run.
+    pub(crate) fn run(mut self, cutoff: f64) -> Result<Result<Finished, f64>, SimError> {
+        self.stop_after = cutoff;
+        let first = self.window.min(self.n_sim as usize);
+        for _ in 0..first {
+            self.launch_next_cta(self.now);
+        }
         while let Some(ev) = self.queue.pop() {
             self.event_count += 1;
             if self.event_count > EVENT_LIMIT {
@@ -631,6 +701,9 @@ impl<'k> Engine<'k> {
             }
             debug_assert!(ev.time >= self.now - 1e-9);
             self.now = self.now.max(ev.time);
+            if self.now > self.stop_after {
+                return Ok(Err(self.proven.max(self.now)));
+            }
             match ev.kind {
                 EventKind::StartCta(linear) => self.start_cta(linear as usize)?,
                 EventKind::Resume(exec) => self.resume(exec as usize)?,
@@ -714,7 +787,7 @@ impl<'k> Engine<'k> {
             }
             d.params
         });
-        Ok((report, params, self.apply_bytes))
+        Ok(Ok((report, params, self.apply_bytes)))
     }
 
     fn describe_blocked(&self) -> Vec<String> {
@@ -1364,7 +1437,8 @@ fn l2_hit(kernel: &Kernel, program: &Program) -> f64 {
     }
 }
 
-/// Relative slack under [`timing_floor`]'s unit time. The engine rounds
+/// Relative slack under [`timing_floor`]'s unit time and a bounded run's
+/// CTA-launch bound. The engine rounds
 /// each reservation's service time and its sum into the unit's clock, two
 /// roundings of at most 2⁻⁵³ of the makespan each, and a run makes fewer
 /// reservations than its `EVENT_LIMIT` events, so a unit's clock trails
@@ -1376,21 +1450,38 @@ const FLOOR_SLACK: f64 = 1e-6;
 /// `program`) reports, from the engine's own inputs. No unit starts
 /// before the kernel launch and the first CTA's launch, and the busiest
 /// SM runs `ceil(ctas / active_sms)` CTAs, each doing at least
-/// [`Kernel::floor_totals`]'s work on each unit: its Tensor Core FLOPs,
-/// TMA bytes (loads and stores) and `cp.async` bytes over that unit's
-/// rate, and its HBM bytes (loads past the L2 hit rate, and stores) over
-/// the SM's share of HBM bandwidth. The bound is the launch plus the
-/// slowest unit. A kernel whose trip counts read the block index gets
-/// the launch alone.
+/// [`floor_work`] on each unit. The bound is the launch plus the slowest
+/// unit. A kernel whose trip counts read the block index gets the launch
+/// alone.
 pub(crate) fn timing_floor(kernel: &Kernel, machine: &MachineConfig, program: &Program) -> f64 {
     let launch = machine.kernel_launch_cycles + machine.cta_launch_cycles;
-    let Some(t) = kernel.floor_totals() else {
+    let active_sms = program.ctas.min(machine.sms).max(1);
+    let Some(work) = floor_work(machine, program, l2_hit(kernel, program), active_sms) else {
         return launch;
     };
-    let active_sms = program.ctas.min(machine.sms).max(1);
     let ctas = program.ctas.div_ceil(active_sms) as f64;
-    let hbm_bytes = t.load_bytes() * (1.0 - l2_hit(kernel, program)) + t.store_bytes;
-    let busiest = [
+    let busiest = work
+        .into_iter()
+        .map(|(work, rate)| ctas * work / rate)
+        .fold(0.0, f64::max);
+    launch + busiest * (1.0 - FLOOR_SLACK)
+}
+
+/// Each unit's `(work, rate)` for one CTA on an SM of `active_sms`, from
+/// the program's floor totals (`None` when it has none): its Tensor Core
+/// FLOPs, TMA bytes (loads and stores) and `cp.async` bytes over that
+/// unit's rate, and its HBM bytes (loads past the L2 hit rate, and
+/// stores) over the SM's share of HBM bandwidth. Every CTA reserves at
+/// least `work` on each unit.
+fn floor_work(
+    machine: &MachineConfig,
+    program: &Program,
+    l2_hit: f64,
+    active_sms: usize,
+) -> Option<[(f64, f64); 4]> {
+    let t = program.floor?;
+    let hbm_bytes = t.load_bytes() * (1.0 - l2_hit) + t.store_bytes;
+    Some([
         (t.tc_flops, machine.tc_flops_per_cycle_per_sm),
         (
             t.tma_load_bytes + t.store_bytes,
@@ -1398,11 +1489,7 @@ pub(crate) fn timing_floor(kernel: &Kernel, machine: &MachineConfig, program: &P
         ),
         (t.cp_async_bytes, machine.cp_async_bytes_per_cycle_per_sm),
         (hbm_bytes, machine.hbm_bytes_per_cycle / active_sms as f64),
-    ]
-    .into_iter()
-    .map(|(work, rate)| ctas * work / rate)
-    .fold(0.0, f64::max);
-    launch + busiest * (1.0 - FLOOR_SLACK)
+    ])
 }
 
 fn occupancy(kernel: &Kernel, machine: &MachineConfig) -> usize {

@@ -158,80 +158,73 @@ impl Kernel {
         Ok(())
     }
 
-    /// Per-CTA totals for the L2 hit estimate and the report, stored on
-    /// the [`crate::Program`] by lowering once it has checked that every
-    /// slice names a declared object, which this indexes.
+    /// Per-CTA totals, from one walk: `(estimate, floor)`, both stored
+    /// on the [`crate::Program`] by lowering once it has checked that
+    /// every slice names a declared object, which this indexes.
     ///
-    /// Loop bodies are weighted by their trip counts at CTA (0,0,0) and an
-    /// `If` by the *larger* of its two sides, so these are estimates, not
-    /// bounds: a kernel whose trip counts read the block index, or whose
-    /// guards skip work, is over- or under-counted for its other CTAs.
-    /// [`Kernel::floor_totals`] is the variant that errs one way only.
+    /// Loop bodies are weighted by their trip counts at CTA (0,0,0). The
+    /// *estimate* (for the L2 hit estimate and the report) weighs an
+    /// `If` by its larger side, so it is not a bound: a kernel whose trip
+    /// counts read the block index, or whose guards skip work, is over-
+    /// or under-counted for its other CTAs. The *floor* (for the timing
+    /// floor) is what every CTA's run is proven to reach: an `If` weighs
+    /// its smaller side (each unit's field on its own), and a kernel with
+    /// a loop trip count that reads the block index, where CTA (0,0,0)'s
+    /// counts bound no other CTA's, has none.
     #[must_use]
-    pub(crate) fn static_totals(&self) -> StaticTotals {
-        self.totals_by(f64::max)
-    }
-
-    /// Per-CTA totals every CTA's run is proven to reach, for the timing
-    /// floor: an `If` weighs its *smaller* side (each unit's field on its
-    /// own), and a kernel with a loop trip count that reads the block
-    /// index, where CTA (0,0,0)'s counts bound no other CTA's, has none.
-    #[must_use]
-    pub(crate) fn floor_totals(&self) -> Option<StaticTotals> {
-        let reads_block = self.roles.iter().any(|r| trips_read_block(&r.body));
-        (!reads_block).then(|| self.totals_by(f64::min))
-    }
-
-    /// Both totals' one walk; `branch` merges an `If`'s two sides.
-    fn totals_by(&self, branch: fn(f64, f64) -> f64) -> StaticTotals {
+    pub(crate) fn totals(&self) -> (StaticTotals, Option<StaticTotals>) {
         let env = Env::for_block([0, 0, 0]);
-        let mut t = StaticTotals::default();
+        let mut walk = TotalsWalk::default();
         for role in &self.roles {
-            self.accumulate(&role.body, &env, 1.0, branch, &mut t);
+            self.accumulate(&role.body, &env, 1.0, &mut walk);
         }
-        t
+        (walk.estimate, (!walk.reads_block).then_some(walk.floor))
     }
 
-    fn accumulate(
-        &self,
-        body: &[Instr],
-        env: &Env,
-        weight: f64,
-        branch: fn(f64, f64) -> f64,
-        t: &mut StaticTotals,
-    ) {
+    fn accumulate(&self, body: &[Instr], env: &Env, weight: f64, walk: &mut TotalsWalk) {
         for instr in body {
-            match instr {
-                Instr::TmaLoad { src, .. } => t.tma_load_bytes += weight * self.slice_bytes(src),
-                Instr::CpAsyncLoad { src, .. } => {
-                    t.cp_async_bytes += weight * self.slice_bytes(src);
-                }
-                Instr::TmaStore { dst, .. } => {
-                    t.store_bytes += weight * self.slice_bytes(dst);
-                }
-                Instr::Wgmma { a, acc, .. } => {
-                    t.tc_flops += weight * wgmma_flops(a.num_elements() as f64, acc.cols as f64);
-                }
-                Instr::Simt(op) => {
-                    t.simt_flops += weight * op.dst().num_elements() as f64;
-                }
+            let zero = StaticTotals::default();
+            let leaf = match instr {
+                Instr::TmaLoad { src, .. } => StaticTotals {
+                    tma_load_bytes: weight * self.slice_bytes(src),
+                    ..zero
+                },
+                Instr::CpAsyncLoad { src, .. } => StaticTotals {
+                    cp_async_bytes: weight * self.slice_bytes(src),
+                    ..zero
+                },
+                Instr::TmaStore { dst, .. } => StaticTotals {
+                    store_bytes: weight * self.slice_bytes(dst),
+                    ..zero
+                },
+                Instr::Wgmma { a, acc, .. } => StaticTotals {
+                    tc_flops: weight * wgmma_flops(a.num_elements() as f64, acc.cols as f64),
+                    ..zero
+                },
+                Instr::Simt(op) => StaticTotals {
+                    simt_flops: weight * op.dst().num_elements() as f64,
+                    ..zero
+                },
                 Instr::Loop { count, body, .. } => {
+                    walk.reads_block |= count.references_block();
                     let trips = count.eval(env).unwrap_or(0).max(0) as f64;
-                    self.accumulate(body, env, weight * trips, branch, t);
+                    self.accumulate(body, env, weight * trips, walk);
+                    continue;
                 }
                 Instr::If { then_, else_, .. } => {
-                    let mut a = StaticTotals::default();
-                    let mut b = StaticTotals::default();
-                    self.accumulate(then_, env, weight, branch, &mut a);
-                    self.accumulate(else_, env, weight, branch, &mut b);
-                    t.tma_load_bytes += branch(a.tma_load_bytes, b.tma_load_bytes);
-                    t.cp_async_bytes += branch(a.cp_async_bytes, b.cp_async_bytes);
-                    t.store_bytes += branch(a.store_bytes, b.store_bytes);
-                    t.tc_flops += branch(a.tc_flops, b.tc_flops);
-                    t.simt_flops += branch(a.simt_flops, b.simt_flops);
+                    let mut a = TotalsWalk::default();
+                    let mut b = TotalsWalk::default();
+                    self.accumulate(then_, env, weight, &mut a);
+                    self.accumulate(else_, env, weight, &mut b);
+                    walk.estimate.add_branch(&a.estimate, &b.estimate, f64::max);
+                    walk.floor.add_branch(&a.floor, &b.floor, f64::min);
+                    walk.reads_block |= a.reads_block || b.reads_block;
+                    continue;
                 }
-                _ => {}
-            }
+                _ => continue,
+            };
+            walk.estimate.add(&leaf);
+            walk.floor.add(&leaf);
         }
     }
 
@@ -249,15 +242,6 @@ impl Kernel {
 /// timing golden digests pin the bits the engine reserves).
 pub(crate) fn wgmma_flops(a_elems: f64, n: f64) -> f64 {
     2.0 * a_elems * n
-}
-
-/// `true` if a loop trip count in `body` reads the block index.
-fn trips_read_block(body: &[Instr]) -> bool {
-    body.iter().any(|instr| match instr {
-        Instr::Loop { count, body, .. } => count.references_block() || trips_read_block(body),
-        Instr::If { then_, else_, .. } => trips_read_block(then_) || trips_read_block(else_),
-        _ => false,
-    })
 }
 
 /// Per-CTA static totals of a kernel: what its instructions move and
@@ -283,6 +267,34 @@ impl StaticTotals {
     pub fn load_bytes(&self) -> f64 {
         self.tma_load_bytes + self.cp_async_bytes
     }
+
+    /// Add `other` field by field (adding a `0.0` leaves a field's bits
+    /// as they are).
+    fn add(&mut self, other: &Self) {
+        self.tma_load_bytes += other.tma_load_bytes;
+        self.cp_async_bytes += other.cp_async_bytes;
+        self.store_bytes += other.store_bytes;
+        self.tc_flops += other.tc_flops;
+        self.simt_flops += other.simt_flops;
+    }
+
+    /// Add `pick(a, b)` to each field, field by field.
+    fn add_branch(&mut self, a: &Self, b: &Self, pick: fn(f64, f64) -> f64) {
+        self.tma_load_bytes += pick(a.tma_load_bytes, b.tma_load_bytes);
+        self.cp_async_bytes += pick(a.cp_async_bytes, b.cp_async_bytes);
+        self.store_bytes += pick(a.store_bytes, b.store_bytes);
+        self.tc_flops += pick(a.tc_flops, b.tc_flops);
+        self.simt_flops += pick(a.simt_flops, b.simt_flops);
+    }
+}
+
+/// What [`Kernel::totals`]' walk has counted so far.
+#[derive(Default)]
+struct TotalsWalk {
+    estimate: StaticTotals,
+    floor: StaticTotals,
+    /// A loop trip count read the block index.
+    reads_block: bool,
 }
 
 /// Kernel validation failure.
@@ -584,10 +596,10 @@ mod tests {
                 },
             ],
         }];
-        let t = k.static_totals();
+        let (t, floor) = k.totals();
         assert_eq!(t.load_bytes(), 4.0 * 256.0 * 2.0);
         assert_eq!(t.tc_flops, 4.0 * 2.0 * 64.0 * 64.0 * 16.0);
-        assert_eq!(k.floor_totals(), Some(t));
+        assert_eq!(floor, Some(t));
     }
 
     /// An `If` counts its larger side in the estimate and its smaller
@@ -609,12 +621,12 @@ mod tests {
             then_: vec![load(tma, 16), load(cp, 4)],
             else_: vec![load(tma, 8), load(cp, 12)],
         }];
-        let estimate = k.static_totals();
+        let (estimate, floor) = k.totals();
         assert_eq!(
             (estimate.tma_load_bytes, estimate.cp_async_bytes),
             (512.0, 384.0)
         );
-        let floor = k.floor_totals().expect("no trip count reads the block");
+        let floor = floor.expect("no trip count reads the block");
         assert_eq!((floor.tma_load_bytes, floor.cp_async_bytes), (256.0, 128.0));
 
         k.roles[0].body = vec![Instr::Loop {
@@ -622,8 +634,9 @@ mod tests {
             count: Expr::block_y() + Expr::lit(1),
             body: vec![load(tma, 16)],
         }];
-        assert_eq!(k.static_totals().tma_load_bytes, 512.0);
-        assert_eq!(k.floor_totals(), None);
+        let (estimate, floor) = k.totals();
+        assert_eq!(estimate.tma_load_bytes, 512.0);
+        assert_eq!(floor, None);
     }
 
     #[test]

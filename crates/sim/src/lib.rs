@@ -98,7 +98,7 @@ pub use instr::{BinOp, Instr, RedOp, SimtOp, UnOp};
 pub use kernel::{Kernel, KernelError, MbarDecl, Role, RoleKind, StaticTotals};
 pub use machine::{CostConstants, MachineConfig};
 pub use mem::{FragDecl, MemRef, ParamDecl, Slice, SmemDecl, Space};
-pub use report::{ApplyBytes, TimingReport};
+pub use report::{ApplyBytes, TimingOutcome, TimingReport};
 pub use topology::{Link, Topology};
 
 use cypress_tensor::Tensor;
@@ -225,7 +225,7 @@ impl Simulator {
             program,
         )?;
         engine.recycle_through(&self.workspace);
-        Self::finish_functional(engine.run()?)
+        Self::finish_functional(engine.run_whole()?)
     }
 
     /// [`Simulator::run_functional`] through the retained **scalar**
@@ -253,11 +253,11 @@ impl Simulator {
         )?;
         engine.set_scalar();
         engine.recycle_through(&self.workspace);
-        Self::finish_functional(engine.run()?)
+        Self::finish_functional(engine.run_whole()?)
     }
 
     fn finish_functional(
-        (report, params, apply_bytes): (TimingReport, Option<Vec<Tensor>>, ApplyBytes),
+        (report, params, apply_bytes): engine::Finished,
     ) -> Result<FunctionalRun, SimError> {
         let params = params.ok_or_else(|| SimError::Internal {
             what: "a functional run returned no parameter tensors".into(),
@@ -296,8 +296,36 @@ impl Simulator {
         program: &bytecode::Program,
     ) -> Result<TimingReport, SimError> {
         let engine = Engine::new(kernel, &self.machine, Mode::Timing, None, program)?;
-        let (report, _, _) = engine.run()?;
-        Ok(report)
+        Ok(engine.run_whole()?.0)
+    }
+
+    /// [`Simulator::run_timing_lowered`] that stops as soon as the run
+    /// is proven to end past `cutoff` cycles: a tuner comparing
+    /// candidates against an incumbent need not finish a loser's run.
+    /// The result is [`TimingOutcome::Done`] with the report
+    /// [`Simulator::run_timing_lowered`] returns, bit for bit, whenever
+    /// that report's `cycles <= cutoff`, and otherwise
+    /// [`TimingOutcome::Exceeded`] with `cutoff < bound <= cycles`. The
+    /// run stops once the simulated clock passes `cutoff`, or earlier,
+    /// at a CTA launch, once the CTAs still to launch cannot finish by
+    /// it (see the `engine` module's "Bounded runs"). A NaN `cutoff`
+    /// never stops a run.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`Simulator::run_timing_lowered`], for the part
+    /// of the run simulated before it stops.
+    pub fn run_timing_bounded(
+        &self,
+        kernel: &Kernel,
+        program: &bytecode::Program,
+        cutoff: f64,
+    ) -> Result<TimingOutcome, SimError> {
+        let engine = Engine::new(kernel, &self.machine, Mode::Timing, None, program)?;
+        Ok(match engine.run(cutoff)? {
+            Ok((report, _, _)) => TimingOutcome::Done(report),
+            Err(bound) => TimingOutcome::Exceeded { bound },
+        })
     }
 
     /// A lower bound on [`Simulator::run_timing_lowered`]`(kernel,

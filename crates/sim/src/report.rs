@@ -145,6 +145,21 @@ impl fmt::Display for TimingReport {
     }
 }
 
+/// How a bounded timing run ended (see
+/// `Simulator::run_timing_bounded`).
+#[derive(Debug, Clone, PartialEq)]
+pub enum TimingOutcome {
+    /// The run ended at or before the cutoff: the report an unbounded
+    /// run returns, bit for bit.
+    Done(TimingReport),
+    /// The run stopped once it was proven to end past the cutoff.
+    Exceeded {
+        /// A proven lower bound on the cycles the whole run would
+        /// report, above the cutoff.
+        bound: f64,
+    },
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

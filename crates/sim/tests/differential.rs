@@ -3,7 +3,9 @@
 //! on the same bytecode, and a run of a program lowered ahead of time
 //! must produce bit-identical tensors *and* bit-identical simulated
 //! cycles on the same kernel — across random shapes, dtypes, sub-slices,
-//! pipeline depths, and SIMT op mixes.
+//! pipeline depths, and SIMT op mixes. A timing run bounded at three
+//! cutoffs keeps `Simulator::run_timing_bounded`'s contract on the same
+//! kernels.
 //!
 //! Requires the `scalar-oracle` feature: a workspace `cargo test`
 //! enables it through the facade crate's dev-dependencies, and
@@ -18,6 +20,11 @@ use cypress_sim::{
 };
 use cypress_tensor::{DType, Tensor};
 use proptest::prelude::*;
+
+mod common {
+    pub mod bounded;
+}
+use common::bounded::assert_bounded_runs_keep_their_contract;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -336,8 +343,9 @@ fn random_kernel_and_params(seed: u64, hazard: bool) -> (cypress_sim::Kernel, Ve
 /// as a [`SimError::Kernel`] by every path. No run, timing runs
 /// included, may fail with [`SimError::Internal`]: a functional run
 /// reports that way a slice that lowering proved in bounds — so that a
-/// timing run skips resolving it — but that failed to resolve. Returns
-/// the functional outcome.
+/// timing run skips resolving it — but that failed to resolve. A timing
+/// run that finishes holds `Simulator::run_timing_bounded` to its
+/// contract. Returns the functional outcome.
 fn assert_paths_agree(kernel: &cypress_sim::Kernel, params: Vec<Tensor>) -> Result<(), SimError> {
     let sim = Simulator::new(MachineConfig::test_gpu());
     let program = match bytecode::lower(kernel) {
@@ -399,6 +407,9 @@ fn assert_paths_agree(kernel: &cypress_sim::Kernel, params: Vec<Tensor>) -> Resu
     // A timing run simulates a subset of the CTAs a functional run does.
     if byte.is_ok() {
         assert!(timing.is_ok(), "times: {timing:?}");
+    }
+    if let Ok(report) = &timing {
+        assert_bounded_runs_keep_their_contract(&sim, kernel, &program, report, &kernel.name);
     }
     byte.map(drop)
 }
