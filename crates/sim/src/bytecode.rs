@@ -19,11 +19,14 @@
 //! - *proven* instructions: lowering bounds every origin by interval
 //!   arithmetic over the grid, the enclosing loops' trip counts and the
 //!   enclosing then-blocks' conditions, and marks an instruction whose
-//!   slices all fit their objects (see `BcSlice::proven`). Such an
+//!   slices all fit their objects (see `Operands::proven`). Such an
 //!   instruction cannot fail to resolve, so a timing run — which drops
-//!   what it resolves — issues it without evaluating its preludes,
+//!   what it resolves — issues it without building its operands,
 //! - transfer bytes, WGMMA FLOPs and SIMT cost factors pre-computed with
-//!   overflow-checked arithmetic.
+//!   overflow-checked arithmetic,
+//! - operand slices kept out of the instruction stream, in one table per
+//!   program that an instruction indexes (see `Operands`): what a
+//!   timing run fetches per event is a `BcInstr` of at most 72 bytes.
 //!
 //! Positions follow the tree in order: a loop is its `LoopStart`, its body
 //! and its `LoopEnd`; an `If` is its `Branch`, the then-block, a `Jump`
@@ -148,15 +151,6 @@ pub(crate) struct BcSlice {
     /// stays `None`, so the error is raised by the dynamic path when —
     /// and only if — the instruction executes, in operand order.
     pub(crate) fixed: Option<RSlice>,
-    /// Every resolve of this slice succeeds: lowering bounded each of
-    /// the instruction's origins wherever it can run, and every slice of
-    /// the instruction fits its object. The mark is per instruction, not
-    /// per slice, because a slice's prelude may read a register an
-    /// earlier slice's prelude wrote (value numbering is per
-    /// instruction). A timing run issues a proven instruction without
-    /// evaluating anything; a functional run resolves it like any other,
-    /// and a failure there is a lowering bug, reported as such.
-    pub(crate) proven: bool,
 }
 
 impl BcSlice {
@@ -207,6 +201,28 @@ impl BcSlice {
     }
 }
 
+/// The operand slices of one instruction: `len` consecutive entries of
+/// its [`Program`]'s slice table from `first`, in operand order — a
+/// copy's source and destination, a WGMMA's `a`, `b` and accumulator, a
+/// SIMT operation's sources and then its destination, so never more than
+/// [`MAX_OPERANDS`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Operands {
+    first: u32,
+    len: u32,
+    /// Every slice resolves: lowering bounded each origin wherever the
+    /// instruction can run, and every slice fits its object. The mark is
+    /// the instruction's, not a slice's, because a slice's prelude may
+    /// read a register an earlier slice's prelude wrote (value numbering
+    /// is per instruction). A timing run issues a proven instruction
+    /// without building its operands; a functional run resolves them like
+    /// any other, and a failure there is a lowering bug, reported as such.
+    pub(crate) proven: bool,
+}
+
+/// The most operand slices an instruction has.
+pub(crate) const MAX_OPERANDS: usize = 3;
+
 /// Pre-computed cost factors of a SIMT operation (all of it depends only
 /// on static extents and address spaces).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -221,40 +237,32 @@ pub(crate) struct SimtCost {
 /// A lowered device operation with its quantities pre-computed.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum BcOp {
-    /// TMA global→shared copy arriving `bar` on completion. `bar` is
-    /// narrowed here, once, because the completion event carries it (see
-    /// [`index32`]).
+    /// TMA global→shared copy of `operands` (source, destination)
+    /// arriving `bar` on completion. `bar` is narrowed here, once, because
+    /// the completion event carries it (see [`index32`]).
     TmaLoad {
-        src: BcSlice,
-        dst: BcSlice,
+        operands: Operands,
         bar: u32,
         bytes: f64,
     },
     /// `cp.async` global→shared copy arriving `bar` on completion.
     CpAsyncLoad {
-        src: BcSlice,
-        dst: BcSlice,
+        operands: Operands,
         bar: u32,
         bytes: f64,
     },
     /// TMA shared→global copy tracked by [`BcOp::TmaStoreWait`].
-    TmaStore {
-        src: BcSlice,
-        dst: BcSlice,
-        bytes: f64,
-    },
+    TmaStore { operands: Operands, bytes: f64 },
     /// Block until outstanding TMA stores drain.
     TmaStoreWait,
     /// Arrive mbarrier `bar` once.
     MbarArrive { bar: usize },
     /// Wait for the next phase of mbarrier `bar`.
     MbarWait { bar: usize },
-    /// Asynchronous Tensor Core MMA with pre-computed FLOPs and operand
-    /// shared-memory traffic.
+    /// Asynchronous Tensor Core MMA (`a`, `b`, accumulator) with
+    /// pre-computed FLOPs and operand shared-memory traffic.
     Wgmma {
-        a: BcSlice,
-        b: BcSlice,
-        acc: BcSlice,
+        operands: Operands,
         accumulate: bool,
         transpose_b: bool,
         flops: f64,
@@ -265,9 +273,8 @@ pub(crate) enum BcOp {
     /// Bulk SIMT operation. `op` is an owned clone so the engine's
     /// deferred apply can borrow it for the program's lifetime.
     Simt {
-        op: SimtOp,
-        srcs: Vec<BcSlice>,
-        dst: BcSlice,
+        op: Box<SimtOp>,
+        operands: Operands,
         cost: SimtCost,
     },
     /// Named-barrier arrive-and-wait.
@@ -279,10 +286,9 @@ pub(crate) enum BcOp {
 /// One bytecode position: a device operation, or the control flow a loop
 /// or an `If` is laid out with (see the module documentation).
 ///
-/// Real instruction streams are dominated by [`BcInstr::Op`], so boxing
-/// the large variant would put a pointer chase in the engine's hot
-/// dispatch loop to shrink the few control-flow positions between ops.
-#[allow(clippy::large_enum_variant)]
+/// The engine fetches one per step, so it is kept small: an operation's
+/// slices live in the [`Program`]'s table, which a timing run of a proven
+/// operation never reads, and a SIMT operation's tree is boxed.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum BcInstr {
     /// A device operation.
@@ -300,6 +306,9 @@ pub(crate) enum BcInstr {
     End,
 }
 
+// The engine fetches an instruction per step (see the type's doc).
+const _: () = assert!(std::mem::size_of::<BcInstr>() <= 72);
+
 /// A kernel's functional body lowered once into flat bytecode.
 ///
 /// Produced by [`lower`] for a structurally valid kernel only, cached by
@@ -312,6 +321,8 @@ pub(crate) enum BcInstr {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Program {
     pub(crate) roles: Vec<Vec<BcInstr>>,
+    /// Every instruction's operand slices (see [`Operands`]).
+    slices: Vec<BcSlice>,
     pub(crate) num_regs: usize,
     pub(crate) shape_hash: u64,
     /// CTAs in the grid; lowering checked the product.
@@ -333,6 +344,12 @@ impl Program {
     #[must_use]
     pub fn unproven_ops(&self) -> usize {
         self.unproven
+    }
+
+    /// The slices of `operands`, in operand order.
+    pub(crate) fn slices(&self, operands: Operands) -> &[BcSlice] {
+        let first = operands.first as usize;
+        &self.slices[first..first + operands.len as usize]
     }
 }
 
@@ -359,8 +376,8 @@ pub(crate) fn kernel_shape_hash(kernel: &Kernel) -> u64 {
 /// mbarrier; a copy whose extents differ; a DMA warp that computes; a
 /// named barrier for more parties than there are roles; a loop trip count
 /// that reads a loop variable. Returns [`SimError::Internal`] if a
-/// pre-computed quantity overflows `usize` or an index does not fit the
-/// event queue's `u32`.
+/// pre-computed quantity overflows `usize` or an index does not fit a
+/// `u32` (an mbarrier, or a slice of a program past 2³² of them).
 pub fn lower(kernel: &Kernel) -> Result<Program, SimError> {
     let ctas = launch_shape(kernel)?;
     let mut ctx = Lower::new(kernel);
@@ -373,6 +390,7 @@ pub fn lower(kernel: &Kernel) -> Result<Program, SimError> {
     let (totals, floor) = kernel.totals();
     Ok(Program {
         roles,
+        slices: ctx.slices,
         num_regs: ctx.max_regs as usize,
         shape_hash: kernel_shape_hash(kernel),
         ctas,
@@ -505,6 +523,8 @@ struct Lower<'a> {
     fits: bool,
     /// Slice-bearing instructions left unproven so far.
     unproven: usize,
+    /// The program's slice table so far (see [`Operands`]).
+    slices: Vec<BcSlice>,
 }
 
 impl<'a> Lower<'a> {
@@ -521,6 +541,7 @@ impl<'a> Lower<'a> {
             scope: Scope::default(),
             fits: true,
             unproven: 0,
+            slices: Vec::new(),
         }
     }
 
@@ -615,16 +636,22 @@ impl<'a> Lower<'a> {
         self.fits = true;
     }
 
-    /// Mark all of the instruction's `slices` proven if every one fits
-    /// its object, and count the instruction unproven otherwise.
-    fn seal<'s>(&mut self, slices: impl IntoIterator<Item = &'s mut BcSlice>) {
+    /// Append the instruction's `slices` to the table as its operands,
+    /// proven if every one fits its object, and count the instruction
+    /// unproven otherwise.
+    fn seal(&mut self, slices: impl IntoIterator<Item = BcSlice>) -> Result<Operands, SimError> {
+        let first = index32(self.slices.len(), "slice table index")?;
+        self.slices.extend(slices);
+        let len = self.slices.len() - first as usize;
+        debug_assert!(len <= MAX_OPERANDS);
         if !self.fits {
             self.unproven += 1;
-            return;
         }
-        for s in slices {
-            s.proven = true;
-        }
+        Ok(Operands {
+            first,
+            len: len as u32,
+            proven: self.fits,
+        })
     }
 
     fn alloc_reg(&mut self) -> u32 {
@@ -731,19 +758,17 @@ impl<'a> Lower<'a> {
                 }
                 Instr::TmaLoad { src, dst, bar } | Instr::CpAsyncLoad { src, dst, bar } => {
                     let spaces = [Space::Global, Space::Shared];
-                    let (src, dst, bytes) = self.lower_copy(src, dst, spaces, Some(*bar))?;
+                    let (operands, bytes) = self.lower_copy(src, dst, spaces, Some(*bar))?;
                     let bar = index32(*bar, "mbarrier index")?;
                     if matches!(instr, Instr::TmaLoad { .. }) {
                         BcOp::TmaLoad {
-                            src,
-                            dst,
+                            operands,
                             bar,
                             bytes,
                         }
                     } else {
                         BcOp::CpAsyncLoad {
-                            src,
-                            dst,
+                            operands,
                             bar,
                             bytes,
                         }
@@ -751,8 +776,8 @@ impl<'a> Lower<'a> {
                 }
                 Instr::TmaStore { src, dst } => {
                     let spaces = [Space::Shared, Space::Global];
-                    let (src, dst, bytes) = self.lower_copy(src, dst, spaces, None)?;
-                    BcOp::TmaStore { src, dst, bytes }
+                    let (operands, bytes) = self.lower_copy(src, dst, spaces, None)?;
+                    BcOp::TmaStore { operands, bytes }
                 }
                 Instr::TmaStoreWait => BcOp::TmaStoreWait,
                 Instr::MbarArrive { bar } => BcOp::MbarArrive {
@@ -798,9 +823,9 @@ impl<'a> Lower<'a> {
         dst: &Slice,
         [from, to]: [Space; 2],
         bar: Option<usize>,
-    ) -> Result<(BcSlice, BcSlice, f64), SimError> {
-        let mut lsrc = self.lower_slice(in_space(src, from)?)?;
-        let mut ldst = self.lower_slice(in_space(dst, to)?)?;
+    ) -> Result<(Operands, f64), SimError> {
+        let lsrc = self.lower_slice(in_space(src, from)?)?;
+        let ldst = self.lower_slice(in_space(dst, to)?)?;
         if let Some(bar) = bar {
             self.mbar(bar)?;
         }
@@ -813,9 +838,8 @@ impl<'a> Lower<'a> {
             }
             .into());
         }
-        self.seal([&mut lsrc, &mut ldst]);
         let bytes = self.slice_bytes(&lsrc)?;
-        Ok((lsrc, ldst, bytes))
+        Ok((self.seal([lsrc, ldst])?, bytes))
     }
 
     fn lower_wgmma(
@@ -830,10 +854,9 @@ impl<'a> Lower<'a> {
         if a.mem.space() == Space::Global || b.mem.space() != Space::Shared {
             return Err(KernelError::IllegalOperandSpace.into());
         }
-        let mut a = self.lower_slice(a)?;
-        let mut b = self.lower_slice(b)?;
-        let mut acc = self.lower_slice(in_space(acc, Space::Register)?)?;
-        self.seal([&mut a, &mut b, &mut acc]);
+        let a = self.lower_slice(a)?;
+        let b = self.lower_slice(b)?;
+        let acc = self.lower_slice(in_space(acc, Space::Register)?)?;
         let a_elems = a.rows.checked_mul(a.cols).ok_or_else(|| overflow(&a))?;
         let flops = wgmma_flops(a_elems as f64, acc.cols as f64);
         let mut smem_bytes = self.slice_bytes(&b)?;
@@ -841,9 +864,7 @@ impl<'a> Lower<'a> {
             smem_bytes += self.slice_bytes(&a)?;
         }
         Ok(BcOp::Wgmma {
-            a,
-            b,
-            acc,
+            operands: self.seal([a, b, acc])?,
             accumulate,
             transpose_b,
             flops,
@@ -860,17 +881,15 @@ impl<'a> Lower<'a> {
         // A bad destination is reported ahead of a bad source, though the
         // destination is lowered last.
         self.declared(op.dst())?;
-        let mut srcs = sources
+        let srcs = sources
             .into_iter()
             .map(|s| self.lower_slice(s))
             .collect::<Result<Vec<_>, _>>()?;
-        let mut dst = self.lower_slice(op.dst())?;
-        self.seal(srcs.iter_mut().chain([&mut dst]));
+        let dst = self.lower_slice(op.dst())?;
         let cost = self.simt_cost(op, &srcs, &dst)?;
         Ok(BcOp::Simt {
-            op: op.clone(),
-            srcs,
-            dst,
+            op: Box::new(op.clone()),
+            operands: self.seal(srcs.into_iter().chain([dst]))?,
             cost,
         })
     }
@@ -932,7 +951,6 @@ impl<'a> Lower<'a> {
             pcols,
             stages,
             fixed: None,
-            proven: false,
         };
         if let (true, Scalar::Imm(stage), Scalar::Imm(row0), Scalar::Imm(col0)) =
             (lowered.pre.is_empty(), stage, row0, col0)
@@ -1123,12 +1141,12 @@ fn in_space(s: &Slice, space: Space) -> Result<&Slice, KernelError> {
     Ok(s)
 }
 
-/// `i` as event-queue elements store indices: they index with `u32` to
-/// stay small, and a `what` that does not fit is a typed error, never a
-/// truncation.
+/// `i` as event-queue elements and [`Operands`] store indices: they index
+/// with `u32` to stay small, and a `what` that does not fit is a typed
+/// error, never a truncation.
 pub(crate) fn index32(i: usize, what: &str) -> Result<u32, SimError> {
     u32::try_from(i).map_err(|_| SimError::Internal {
-        what: format!("{what} {i} exceeds the event queue's u32 indices"),
+        what: format!("{what} {i} exceeds the simulator's u32 indices"),
     })
 }
 
@@ -1708,16 +1726,17 @@ mod tests {
         };
         assert_eq!(unproven(vec![copy(0)]), 0);
         let program = lowered(vec![copy(1)]);
-        let BcInstr::Op(BcOp::Simt { srcs, dst, .. }) = &program.roles[0][1] else {
+        let BcInstr::Op(BcOp::Simt { operands, .. }) = &program.roles[0][1] else {
             panic!("the copy follows the loop header");
         };
-        assert!(!srcs[0].proven && !dst.proven);
+        assert!(!operands.proven);
+        assert_eq!(program.slices(*operands).len(), 2);
         assert_eq!(program.unproven_ops(), 1);
         let program = lowered(vec![copy(0)]);
-        let BcInstr::Op(BcOp::Simt { srcs, dst, .. }) = &program.roles[0][1] else {
+        let BcInstr::Op(BcOp::Simt { operands, .. }) = &program.roles[0][1] else {
             panic!("the copy follows the loop header");
         };
-        assert!(srcs[0].proven && dst.proven);
+        assert!(operands.proven);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!   occupancy, mbarrier phases, bandwidth contention) produces the launch
 //!   makespan. Used by the benchmark harness at paper-scale sizes. Slice
 //!   origins are evaluated only where lowering could not prove them in
-//!   bounds (see `BcSlice::proven`): the rest can neither fail nor matter
+//!   bounds (see `Operands::proven`): the rest can neither fail nor matter
 //!   when no data moves.
 //!
 //! Hardware units are modelled as *fluid FIFO queues*: a reservation of
@@ -27,26 +27,37 @@
 //! [`f64::total_cmp`], then `seq`, a counter stamped when the event is
 //! scheduled — so no two events compare equal, and the pop sequence is a
 //! function of the scheduled set alone, not of how the set is stored.
-//! `EventQueue` stores it as a binary heap with a one-element *slot* in
-//! front. The commonest event is an executor's own `Resume` after an
-//! issue cost, and it is usually the earliest thing pending the moment it
-//! is scheduled; `yield_for`/`issue_simt` therefore *defer* it — stamp its
-//! `seq` and park it in the slot — instead of pushing it. `pop` returns
-//! the slot's event when it orders before the heap's top and otherwise
-//! trades it for the top, so ties (a barrier waiter woken for the same
-//! time with a lower `seq`) resolve exactly as one heap would resolve
-//! them. Both modes use the one queue; a slot-served event is counted in
+//! `EventQueue` stores it as a deque sorted earliest first, with a
+//! one-element *slot* in front. The commonest event is an executor's own
+//! `Resume` after an issue cost, and it is usually the earliest thing
+//! pending the moment it is scheduled; `retire_after` therefore *defers*
+//! it — stamps its `seq` and parks it in the slot — instead of inserting
+//! it. `pop` returns the slot's event unless the deque's front orders
+//! before it, so ties (a barrier waiter woken for the same time with a
+//! lower `seq`) resolve exactly as one heap would resolve them. Both
+//! modes use the one queue; a slot-served event is counted in
 //! `event_count` like any other, which is why [`TimingReport::events`]
 //! does not see the slot.
 //!
-//! The heap sifts elements by value and is short (about five entries at
-//! a pop on the paper's kernels), so what a sift costs is the size of an
-//! element, which is kept to 40 bytes: executor, CTA and
-//! mbarrier indices are `u32` (narrowed once, where they are minted, with
-//! a typed error instead of a truncation), and the operands a functional
-//! run applies when a copy or MMA retires live in a `Box` beside the
-//! element, allocated only when data moves: a timing run's events own
-//! no heap memory.
+//! The queue is short: at a pop, a timing run of the paper's kernels
+//! (`sim_timing`'s Fig. 13/14 set) has 6.1 events pending on average and
+//! at most 129, the slot and the event popped included, and the
+//! functional launches of `graph_functional` 8.1 and at most 18. At those
+//! depths a binary search and a short move beat a heap's sifts, and most
+//! inserts need neither: on GEMM 8192³ and FlashAttention-3 at 16384,
+//! 58 % of the events pushed order before every pending one (a
+//! woken waiter, a resume displaced from the slot) and 18 % after all of
+//! them (a late completion; in a functional grid, the same-time CTA
+//! launches it starts with), and those go on an end of the deque. A grid
+//! that keeps thousands pending pays for the rest with a move of up to
+//! half the queue. Elements move by value, so an `Event` is kept to 40
+//! bytes: executor, CTA and mbarrier indices are `u32` (narrowed once,
+//! where they are minted, with a typed error instead of a truncation),
+//! and the operands a functional run applies when a copy or MMA retires
+//! live in a `Box` beside the element, allocated only when data moves. So
+//! are a SIMT operation's, in an executor's pending `Work`: a timing
+//! run's events own no heap memory, and its instructions are issued
+//! without building operands (see `Engine::operands`).
 //!
 //! # Bounded runs
 //!
@@ -75,7 +86,7 @@
 #![deny(clippy::too_many_lines)]
 
 use crate::apply::{self, FuncData, RSlice, Scratch};
-use crate::bytecode::{self, BcInstr, BcOp, BcSlice, Program, SimtCost};
+use crate::bytecode::{self, BcInstr, BcOp, BcSlice, Operands, Program, SimtCost, MAX_OPERANDS};
 use crate::error::SimError;
 use crate::expr::{Env, EvalError};
 use crate::instr::SimtOp;
@@ -84,13 +95,10 @@ use crate::machine::MachineConfig;
 use crate::mem::{FragDecl, MemRef, SmemDecl};
 use crate::report::{ApplyBytes, TimingReport};
 use cypress_tensor::{DType, Tensor};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 const EVENT_LIMIT: u64 = 400_000_000;
-/// Synthetic named-barrier id used for `__syncthreads`.
-const SYNCTHREADS_ID: usize = usize::MAX;
 
 /// A fluid FIFO resource.
 #[derive(Debug, Clone)]
@@ -128,12 +136,21 @@ struct LoopCtx {
     body: usize,
 }
 
+/// A CTA barrier an executor can wait at: a named barrier by its
+/// kernel-given id, or the CTA-wide one `Syncthreads` waits at, which no
+/// id reaches.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Barrier {
+    Named(usize),
+    Cta,
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Blocked {
     Mbar(usize),
     Wgmma(usize),
     Stores,
-    Named(usize),
+    Barrier(Barrier),
 }
 
 /// Deferred effect applied when an executor's in-flight instruction retires.
@@ -143,12 +160,49 @@ enum Work<'k> {
     /// Consume one phase token of an mbarrier, then advance.
     ConsumeMbar(usize),
     /// Apply a resolved SIMT operation (functional mode), then advance.
-    Simt {
-        op: &'k SimtOp,
-        srcs: Vec<RSlice>,
-        dst: RSlice,
-    },
+    Simt(Box<SimtWork<'k>>),
 }
+
+/// A SIMT operation and its resolved operands: its sources, then its
+/// destination.
+struct SimtWork<'k> {
+    op: &'k SimtOp,
+    operands: Resolved,
+}
+
+/// An instruction's operand slices, resolved in operand order (see
+/// `bytecode::Operands`).
+#[derive(Clone, Copy)]
+struct Resolved {
+    slices: [RSlice; MAX_OPERANDS],
+    len: usize,
+}
+
+impl Resolved {
+    /// A copy's source and destination.
+    fn copy(self) -> Box<(RSlice, RSlice)> {
+        let [src, dst, _] = self.slices;
+        Box::new((src, dst))
+    }
+
+    /// A SIMT operation's sources and destination.
+    fn simt(&self) -> (&[RSlice], &RSlice) {
+        let (dst, srcs) = self.slices[..self.len]
+            .split_last()
+            .expect("a SIMT operation has a destination");
+        (srcs, dst)
+    }
+}
+
+/// What fills the unused entries of a [`Resolved`].
+const NO_SLICE: RSlice = RSlice {
+    mem: MemRef::Frag(0),
+    stage: 0,
+    row0: 0,
+    col0: 0,
+    rows: 0,
+    cols: 0,
+};
 
 struct Exec<'k> {
     /// This executor's index in `Engine::execs` as events carry it,
@@ -167,6 +221,15 @@ struct Exec<'k> {
     done: bool,
 }
 
+impl<'k> Exec<'k> {
+    /// Unblock this executor: it resumes at `at`, retiring `work`.
+    fn satisfy(&mut self, queue: &mut EventQueue, work: Work<'k>, at: f64) {
+        self.blocked = None;
+        self.pending = Some(work);
+        queue.push(at, EventKind::Resume(self.id));
+    }
+}
+
 #[derive(Debug, Default)]
 struct MbarState {
     arrived: usize,
@@ -182,7 +245,10 @@ struct NamedState {
 
 struct CtaState {
     mbars: Vec<MbarState>,
+    /// The named barriers the CTA's roles have met, by id.
     named: Vec<(usize, NamedState)>,
+    /// The CTA-wide barrier ([`Barrier::Cta`]).
+    cta_wide: NamedState,
     roles_done: usize,
 }
 
@@ -221,8 +287,11 @@ struct Event {
     kind: EventKind,
 }
 
-// The heap moves elements by value on every sift (see the module header).
+// The queue moves elements by value on every insert (see the module
+// header), and the engine fetches an instruction and takes an executor's
+// pending work once per event.
 const _: () = assert!(std::mem::size_of::<Event>() <= 40);
+const _: () = assert!(std::mem::size_of::<Option<Work<'static>>>() <= 16);
 
 impl PartialEq for Event {
     fn eq(&self, other: &Self) -> bool {
@@ -243,12 +312,13 @@ impl Ord for Event {
     }
 }
 
-/// The pending events: a heap with a one-element slot in front of it
-/// (see the module header). Pops in `(time, seq)` order.
+/// The pending events: a sorted queue with a one-element slot in front
+/// of it (see the module header). Pops in `(time, seq)` order.
 #[derive(Default)]
 struct EventQueue {
-    heap: BinaryHeap<Reverse<Event>>,
-    /// A deferred event, not (yet) in the heap.
+    /// Scheduled events, earliest first.
+    sorted: VecDeque<Event>,
+    /// A deferred event, not (yet) in `sorted`.
     slot: Option<Event>,
     seq: u64,
 }
@@ -263,34 +333,44 @@ impl EventQueue {
         }
     }
 
-    /// Schedule an event through the heap.
+    /// Schedule an event through the sorted queue.
     fn push(&mut self, time: f64, kind: EventKind) {
         let ev = self.stamp(time, kind);
-        self.heap.push(Reverse(ev));
+        self.insert(ev);
     }
 
     /// Schedule an event that is likely the next to pop: it waits in the
-    /// slot, and an event already waiting there moves to the heap.
+    /// slot, and an event already waiting there moves to the queue.
     fn defer(&mut self, time: f64, kind: EventKind) {
         let ev = self.stamp(time, kind);
         if let Some(earlier) = self.slot.replace(ev) {
-            self.heap.push(Reverse(earlier));
+            self.insert(earlier);
+        }
+    }
+
+    /// Put `ev` after every event that orders before it. Most events
+    /// order before every pending one (a woken waiter, an executor's
+    /// resume displaced from the slot) or after all of them (a late
+    /// completion, a functional grid's same-time CTA launches): those
+    /// go on an end without a search.
+    fn insert(&mut self, ev: Event) {
+        match (self.sorted.front(), self.sorted.back()) {
+            (Some(first), _) if ev < *first => self.sorted.push_front(ev),
+            (_, Some(last)) if *last > ev => {
+                let at = self.sorted.partition_point(|e| *e < ev);
+                self.sorted.insert(at, ev);
+            }
+            _ => self.sorted.push_back(ev),
         }
     }
 
     /// Remove the earliest event.
     fn pop(&mut self) -> Option<Event> {
-        let Some(mut ev) = self.slot.take() else {
-            return self.heap.pop().map(|Reverse(ev)| ev);
-        };
-        if let Some(mut top) = self.heap.peek_mut() {
-            if top.0 < ev {
-                // The heap's earliest orders first: hand it out and leave
-                // the slot's event in its place (one sift, on drop).
-                std::mem::swap(&mut top.0, &mut ev);
-            }
+        match (&self.slot, self.sorted.front()) {
+            (Some(slot), Some(front)) if front < slot => self.sorted.pop_front(),
+            (Some(_), _) => self.slot.take(),
+            (None, _) => self.sorted.pop_front(),
         }
-        Some(ev)
     }
 }
 
@@ -613,6 +693,7 @@ impl<'k> Engine<'k> {
                 .map(|_| MbarState::default())
                 .collect(),
             named: Vec::new(),
+            cta_wide: NamedState::default(),
             roles_done: 0,
         });
         if self.data.is_some() {
@@ -727,7 +808,7 @@ impl<'k> Engine<'k> {
                         if self.execs[exec].blocked == Some(Blocked::Stores)
                             && self.execs[exec].outstanding_stores == 0
                         {
-                            self.satisfy(exec, Work::Advance, self.now);
+                            self.execs[exec].satisfy(&mut self.queue, Work::Advance, self.now);
                         }
                     }
                 }
@@ -739,7 +820,7 @@ impl<'k> Engine<'k> {
                     self.execs[exec].outstanding_wgmma -= 1;
                     if let Some(Blocked::Wgmma(pending)) = self.execs[exec].blocked {
                         if self.execs[exec].outstanding_wgmma <= pending {
-                            self.satisfy(exec, Work::Advance, self.now);
+                            self.execs[exec].satisfy(&mut self.queue, Work::Advance, self.now);
                         }
                     }
                 }
@@ -800,18 +881,15 @@ impl<'k> Engine<'k> {
                     Some(Blocked::Mbar(b)) => format!("waiting mbar {b}"),
                     Some(Blocked::Wgmma(p)) => format!("waiting wgmma<= {p}"),
                     Some(Blocked::Stores) => "waiting tma stores".into(),
-                    Some(Blocked::Named(id)) => format!("waiting named barrier {id}"),
+                    Some(Blocked::Barrier(Barrier::Named(id))) => {
+                        format!("waiting named barrier {id}")
+                    }
+                    Some(Blocked::Barrier(Barrier::Cta)) => "waiting syncthreads".into(),
                     None => "runnable (engine bug)".into(),
                 };
                 format!("cta{}/{} pc={} {}", e.cta, role, e.pc, why)
             })
             .collect()
-    }
-
-    fn satisfy(&mut self, exec: usize, work: Work<'k>, at: f64) {
-        self.execs[exec].blocked = None;
-        self.execs[exec].pending = Some(work);
-        self.queue.push(at, EventKind::Resume(self.execs[exec].id));
     }
 
     fn mbar_arrive(&mut self, cta: usize, bar: usize) {
@@ -821,10 +899,11 @@ impl<'k> Engine<'k> {
         if st.arrived >= expected {
             st.arrived = 0;
             st.phases += 1;
-            let waiters = std::mem::take(&mut st.waiters);
             let wake = self.now + self.machine.barrier_cycles;
-            for w in waiters {
-                self.satisfy(w, Work::ConsumeMbar(bar), wake);
+            // Drained, not taken: the list keeps its capacity for the
+            // next phase's waiters.
+            for w in st.waiters.drain(..) {
+                self.execs[w].satisfy(&mut self.queue, Work::ConsumeMbar(bar), wake);
             }
         }
     }
@@ -838,8 +917,9 @@ impl<'k> Engine<'k> {
                 Work::ConsumeMbar(bar) => {
                     self.execs[exec_id].bar_tokens[bar] += 1;
                 }
-                Work::Simt { op, srcs, dst } => {
-                    self.apply_simt(exec_id, op, &srcs, &dst)?;
+                Work::Simt(work) => {
+                    let (srcs, dst) = work.operands.simt();
+                    self.apply_simt(exec_id, work.op, srcs, dst)?;
                 }
             }
             self.execs[exec_id].pc += 1;
@@ -941,123 +1021,108 @@ impl<'k> Engine<'k> {
     /// Execute one bytecode operation. Returns `true` if the executor
     /// yielded (scheduled a resume or blocked); `false` if it completed
     /// inline. Byte counts, flop counts, and SIMT costs come pre-computed
-    /// from the [`Program`], so only slice origins are evaluated per
-    /// invocation — in a timing run, only those lowering left unproven.
+    /// from the [`Program`]; the mode decides only whether operands are
+    /// built (see [`Engine::operands`]).
     fn execute(&mut self, exec_id: usize, op: &'k BcOp) -> Result<bool, SimError> {
         match op {
             BcOp::TmaLoad {
-                src,
-                dst,
+                operands,
                 bar,
                 bytes,
             } => {
-                let rsrc = self.resolve(exec_id, src)?;
-                let rdst = self.resolve(exec_id, dst)?;
-                self.issue_load(exec_id, rsrc, rdst, *bar, *bytes, false);
+                let copy = self.operands(exec_id, *operands)?.map(Resolved::copy);
+                self.issue_load(exec_id, copy, *bar, *bytes, false);
                 Ok(true)
             }
             BcOp::CpAsyncLoad {
-                src,
-                dst,
+                operands,
                 bar,
                 bytes,
             } => {
-                let rsrc = self.resolve(exec_id, src)?;
-                let rdst = self.resolve(exec_id, dst)?;
-                self.issue_load(exec_id, rsrc, rdst, *bar, *bytes, true);
+                let copy = self.operands(exec_id, *operands)?.map(Resolved::copy);
+                self.issue_load(exec_id, copy, *bar, *bytes, true);
                 Ok(true)
             }
-            BcOp::TmaStore { src, dst, bytes } => {
-                let rsrc = self.resolve(exec_id, src)?;
-                let rdst = self.resolve(exec_id, dst)?;
-                self.issue_tma_store(exec_id, rsrc, rdst, *bytes);
+            BcOp::TmaStore { operands, bytes } => {
+                let copy = self.operands(exec_id, *operands)?.map(Resolved::copy);
+                self.issue_tma_store(exec_id, copy, *bytes);
                 Ok(true)
             }
             BcOp::TmaStoreWait => self.step_tma_store_wait(exec_id),
             BcOp::MbarArrive { bar } => self.step_mbar_arrive(exec_id, *bar),
             BcOp::MbarWait { bar } => self.step_mbar_wait(exec_id, *bar),
             BcOp::Wgmma {
-                a,
-                b,
-                acc,
+                operands,
                 accumulate,
                 transpose_b,
                 flops,
                 smem_bytes,
             } => {
-                let ra = self.resolve(exec_id, a)?;
-                let rb = self.resolve(exec_id, b)?;
-                let racc = self.resolve(exec_id, acc)?;
-                self.issue_wgmma(
-                    exec_id,
-                    ra,
-                    rb,
-                    racc,
-                    *accumulate,
-                    *transpose_b,
-                    *flops,
-                    *smem_bytes,
-                );
+                let mma = self.operands(exec_id, *operands)?.map(|r| {
+                    let [a, b, acc] = r.slices;
+                    Box::new(MmaOperands {
+                        a,
+                        b,
+                        acc,
+                        accumulate: *accumulate,
+                        transpose_b: *transpose_b,
+                    })
+                });
+                self.issue_wgmma(exec_id, mma, *flops, *smem_bytes);
                 Ok(true)
             }
             BcOp::WgmmaWait { pending } => self.step_wgmma_wait(exec_id, *pending),
-            BcOp::Simt {
-                op,
-                srcs,
-                dst,
-                cost,
-            } => {
-                // A timing run resolves (and so bounds-checks) only what
-                // lowering left unproven; only a functional run keeps the
-                // result.
-                let keep = self.data.is_some();
-                let mut rsrcs = Vec::new();
-                for s in srcs {
-                    let r = self.resolve(exec_id, s)?;
-                    if keep {
-                        rsrcs.push(r);
-                    }
-                }
-                let rdst = self.resolve(exec_id, dst)?;
-                self.issue_simt(exec_id, op, rsrcs, rdst, cost);
+            BcOp::Simt { op, operands, cost } => {
+                let work = self
+                    .operands(exec_id, *operands)?
+                    .map_or(Work::Advance, |operands| {
+                        Work::Simt(Box::new(SimtWork { op, operands }))
+                    });
+                let dur = self.simt_reserve(cost);
+                self.retire_after(exec_id, dur, work);
                 Ok(true)
             }
-            BcOp::NamedBarrier { id, parties } => self.named_barrier(exec_id, *id, *parties),
+            &BcOp::NamedBarrier { id, parties } => {
+                self.barrier(exec_id, Barrier::Named(id), parties)
+            }
             BcOp::Syncthreads => {
                 let parties = self.kernel.roles.len();
-                self.named_barrier(exec_id, SYNCTHREADS_ID, parties)
+                self.barrier(exec_id, Barrier::Cta, parties)
             }
         }
     }
 
-    fn named_barrier(
+    fn barrier(
         &mut self,
         exec_id: usize,
-        id: usize,
+        barrier: Barrier,
         parties: usize,
     ) -> Result<bool, SimError> {
-        let cta = self.execs[exec_id].cta;
-        let pos = self.ctas[cta].named.iter().position(|(nid, _)| *nid == id);
-        let pos = match pos {
-            Some(p) => p,
-            None => {
-                self.ctas[cta].named.push((id, NamedState::default()));
-                self.ctas[cta].named.len() - 1
+        let cta = &mut self.ctas[self.execs[exec_id].cta];
+        let st = match barrier {
+            Barrier::Cta => &mut cta.cta_wide,
+            Barrier::Named(id) => {
+                let pos = match cta.named.iter().position(|(nid, _)| *nid == id) {
+                    Some(p) => p,
+                    None => {
+                        cta.named.push((id, NamedState::default()));
+                        cta.named.len() - 1
+                    }
+                };
+                &mut cta.named[pos].1
             }
         };
-        let st = &mut self.ctas[cta].named[pos].1;
         st.arrived += 1;
         if st.arrived >= parties {
             st.arrived = 0;
-            let waiters = std::mem::take(&mut st.waiters);
             let wake = self.now + self.machine.barrier_cycles;
-            for w in waiters {
-                self.satisfy(w, Work::Advance, wake);
+            for w in st.waiters.drain(..) {
+                self.execs[w].satisfy(&mut self.queue, Work::Advance, wake);
             }
             self.yield_for(exec_id, self.machine.barrier_cycles);
         } else {
             st.waiters.push(exec_id);
-            self.execs[exec_id].blocked = Some(Blocked::Named(id));
+            self.execs[exec_id].blocked = Some(Blocked::Barrier(barrier));
         }
         Ok(true)
     }
@@ -1076,22 +1141,16 @@ impl<'k> Engine<'k> {
         self.queue.defer(self.now + cycles, EventKind::Resume(e.id));
     }
 
-    /// The operands a completion event applies: boxed beside the event
-    /// when data moves, nothing in timing mode.
-    fn copy_payload(&self, src: RSlice, dst: RSlice) -> Option<Box<(RSlice, RSlice)>> {
-        self.data.is_some().then(|| Box::new((src, dst)))
-    }
-
     /// `TmaLoad` / `CpAsyncLoad`: reserve the copy unit, L2 and HBM for
     /// the transfer, arrive `bar` on completion, and yield for the issue
     /// cost. A `cp.async` load's addresses are generated by SIMT threads,
     /// so its issue occupies the issuing role in proportion to the
-    /// transfer size.
+    /// transfer size. `copy` is what a functional run applies when the
+    /// transfer completes.
     fn issue_load(
         &mut self,
         exec_id: usize,
-        rsrc: RSlice,
-        rdst: RSlice,
+        copy: Option<Box<(RSlice, RSlice)>>,
         bar: u32,
         bytes: f64,
         cp_async: bool,
@@ -1111,7 +1170,6 @@ impl<'k> Engine<'k> {
         let b = self.l2.reserve(t0, bytes);
         let c = self.hbm.reserve(t0, bytes * (1.0 - self.l2_hit));
         let done = a.max(b).max(c);
-        let copy = self.copy_payload(rsrc, rdst);
         self.queue.push(
             done,
             EventKind::TmaDone {
@@ -1125,14 +1183,13 @@ impl<'k> Engine<'k> {
     }
 
     /// `TmaStore`: stores write through L2 to HBM at full size.
-    fn issue_tma_store(&mut self, exec_id: usize, rsrc: RSlice, rdst: RSlice, bytes: f64) {
+    fn issue_tma_store(&mut self, exec_id: usize, copy: Option<Box<(RSlice, RSlice)>>, bytes: f64) {
         let m = self.machine;
         let t0 = self.now + m.tma_latency;
         let a = self.tma_unit.reserve(t0, bytes);
         let b = self.l2.reserve(t0, bytes);
         let c = self.hbm.reserve(t0, bytes);
         let done = a.max(b).max(c);
-        let copy = self.copy_payload(rsrc, rdst);
         self.execs[exec_id].outstanding_stores += 1;
         self.queue.push(
             done,
@@ -1147,16 +1204,12 @@ impl<'k> Engine<'k> {
     }
 
     /// `Wgmma`: reserve the Tensor Core for `flops` and the
-    /// shared-memory port for the operands that stream from smem.
-    #[allow(clippy::too_many_arguments)]
+    /// shared-memory port for the operands that stream from smem. `mma`
+    /// is what a functional run applies when it retires.
     fn issue_wgmma(
         &mut self,
         exec_id: usize,
-        ra: RSlice,
-        rb: RSlice,
-        racc: RSlice,
-        accumulate: bool,
-        transpose_b: bool,
+        mma: Option<Box<MmaOperands>>,
         flops: f64,
         smem_bytes: f64,
     ) {
@@ -1164,39 +1217,11 @@ impl<'k> Engine<'k> {
         let t0 = self.now + m.wgmma_latency;
         let mut done = self.tc_unit.reserve(t0, flops);
         done = done.max(self.smem_unit.reserve(t0, smem_bytes));
-        let mma = self.data.is_some().then(|| {
-            Box::new(MmaOperands {
-                a: ra,
-                b: rb,
-                acc: racc,
-                accumulate,
-                transpose_b,
-            })
-        });
         let e = &mut self.execs[exec_id];
         e.outstanding_wgmma += 1;
         self.queue
             .push(done, EventKind::WgmmaDone { exec: e.id, mma });
         self.yield_for(exec_id, m.wgmma_issue_cycles);
-    }
-
-    /// `Simt`: reserve the cost's units now; the data apply is deferred
-    /// to the retire event.
-    fn issue_simt(
-        &mut self,
-        exec_id: usize,
-        op: &'k SimtOp,
-        srcs: Vec<RSlice>,
-        dst: RSlice,
-        cost: &SimtCost,
-    ) {
-        let dur = self.simt_reserve(cost);
-        let work = if self.data.is_some() {
-            Work::Simt { op, srcs, dst }
-        } else {
-            Work::Advance
-        };
-        self.retire_after(exec_id, dur, work);
     }
 
     /// Reserve the units a SIMT operation touches and return its
@@ -1267,26 +1292,53 @@ impl<'k> Engine<'k> {
         }
     }
 
+    /// The slices of an instruction's `operands`, resolved in operand
+    /// order, when the run moves data (`None` when it does not). A timing
+    /// run builds nothing of an instruction lowering proved in bounds
+    /// ([`Operands::proven`]): it could not fail and would be dropped. Of
+    /// any other instruction it resolves, and so evaluates and
+    /// bounds-checks, every slice, failing exactly where a functional run
+    /// fails.
+    fn operands(
+        &mut self,
+        exec_id: usize,
+        operands: Operands,
+    ) -> Result<Option<Resolved>, SimError> {
+        let moves = self.data.is_some();
+        if operands.proven && !moves {
+            return Ok(None);
+        }
+        let mut out = Resolved {
+            slices: [NO_SLICE; MAX_OPERANDS],
+            len: 0,
+        };
+        let program = self.program;
+        for s in program.slices(operands) {
+            out.slices[out.len] = match self.resolve(exec_id, s) {
+                // A timing run would have skipped this resolve.
+                Err(e) if operands.proven => {
+                    return Err(SimError::Internal {
+                        what: format!(
+                            "bytecode lowering proved a {}x{} slice of {:?} in bounds, so a \
+                             timing run skips resolving it, but the proof was wrong: {e}",
+                            s.rows, s.cols, s.mem
+                        ),
+                    })
+                }
+                r => r?,
+            };
+            out.len += 1;
+        }
+        Ok(moves.then_some(out))
+    }
+
     /// Resolve a lowered slice. One that lowering already resolved (see
-    /// [`BcSlice::fixed`]) is returned as is. A timing run drops what it
-    /// resolves, so it evaluates nothing of a slice lowering proved in
-    /// bounds ([`BcSlice::proven`]) and gets a placeholder at the
-    /// object's origin. Otherwise run the index prelude, read the origin
-    /// scalars, and bounds-check against the extents baked in at
-    /// lowering time.
+    /// [`BcSlice::fixed`]) is returned as is; otherwise run the index
+    /// prelude, read the origin scalars, and bounds-check against the
+    /// extents baked in at lowering time.
     fn resolve(&mut self, exec_id: usize, s: &BcSlice) -> Result<RSlice, SimError> {
         if let Some(r) = s.fixed {
             return Ok(r);
-        }
-        if s.proven && self.data.is_none() {
-            return Ok(RSlice {
-                mem: s.mem,
-                stage: 0,
-                row0: 0,
-                col0: 0,
-                rows: s.rows,
-                cols: s.cols,
-            });
         }
         let env = &self.execs[exec_id].env;
         let origin = bytecode::run_pre(&mut self.idx_regs, env, &s.pre).and_then(|()| {
@@ -1296,20 +1348,9 @@ impl<'k> Engine<'k> {
                 bytecode::read_scalar(&self.idx_regs, env, s.col0)?,
             ))
         });
-        let resolved = origin
+        origin
             .map_err(|e| self.eval_err(exec_id, e))
-            .and_then(|(stage, row0, col0)| s.at(stage, row0, col0));
-        match resolved {
-            // A timing run would have skipped this resolve.
-            Err(e) if s.proven => Err(SimError::Internal {
-                what: format!(
-                    "bytecode lowering proved a {}x{} slice of {:?} in bounds, so a timing \
-                     run skips resolving it, but the proof was wrong: {e}",
-                    s.rows, s.cols, s.mem
-                ),
-            }),
-            r => r,
-        }
+            .and_then(|(stage, row0, col0)| s.at(stage, row0, col0))
     }
 
     // ---- functional data application -------------------------------------
@@ -1517,6 +1558,8 @@ fn occupancy(kernel: &Kernel, machine: &MachineConfig) -> usize {
 mod tests {
     use super::*;
     use crate::{Expr, Instr, KernelBuilder, Simulator, Slice};
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
 
     /// Two CTAs, each filling its fragment with `value` and storing it
     /// through an 8x8 shared region to its rows of `out`: leaves
@@ -1779,6 +1822,88 @@ mod tests {
             }
         }
         while p.pop().is_some() {}
-        assert!(p.queue.slot.is_none() && p.queue.heap.is_empty());
+        assert!(p.queue.slot.is_none() && p.queue.sorted.is_empty());
+
+        // Deep: thousands pending, as a functional grid of thousands of
+        // CTAs keeps, with bursts of same-time pushes like the launch of
+        // its CTAs. Schedules outnumber pops, so the queue grows, and
+        // times spread wider, so most inserts land mid-queue.
+        let mut p = Pair::default();
+        let mut now = 0.0;
+        let mut deepest = 0;
+        for _ in 0..8 {
+            let burst = now + 1.0;
+            for _ in 0..1_024 {
+                p.schedule(burst, false);
+            }
+            for _ in 0..4_000 {
+                let time = now + 0.5 * f64::from(rng.gen_range(0..64u32));
+                match rng.gen_range(0..8u32) {
+                    0..=2 => p.schedule(time, false),
+                    3 => p.schedule(time, true),
+                    4 | 5 => {
+                        if let Some((bits, _)) = p.pop() {
+                            now = f64::from_bits(bits);
+                        }
+                    }
+                    _ => p.schedule(now, false),
+                }
+                deepest = deepest.max(p.queue.sorted.len());
+            }
+        }
+        assert!(deepest > 5_000, "the queue reached {deepest} events");
+        while p.pop().is_some() {}
+        assert!(p.queue.slot.is_none() && p.queue.sorted.is_empty());
+    }
+
+    /// `Syncthreads` waits at a barrier of its own: no named-barrier id,
+    /// `usize::MAX` included, reaches it. `wg0` waits at `Syncthreads`
+    /// first; `wg1` stages a tile, passes a one-party named barrier with
+    /// that id, and then meets `wg0`. Were the two one barrier, `wg1`'s
+    /// named barrier would release `wg0` and its `Syncthreads` would wait
+    /// alone: a deadlock.
+    #[test]
+    fn no_named_barrier_id_reaches_syncthreads() {
+        let mut b = KernelBuilder::new("barriers", [1, 1, 1]);
+        let out = b.param("out", 8, 8, DType::F32);
+        let s = b.smem("s", 8, 8, DType::F32, 1);
+        let f = b.frag("f", 8, 8);
+        let tile = |mem: Slice| mem.extent(8, 8);
+        b.role(
+            RoleKind::Compute(0),
+            vec![
+                Instr::Syncthreads,
+                Instr::Simt(SimtOp::Copy {
+                    src: tile(Slice::smem(s)),
+                    dst: tile(Slice::param(out)),
+                }),
+            ],
+        );
+        b.role(
+            RoleKind::Compute(1),
+            vec![
+                Instr::Simt(SimtOp::Fill {
+                    dst: tile(Slice::frag(f)),
+                    value: 2.0,
+                }),
+                Instr::Simt(SimtOp::Copy {
+                    src: tile(Slice::frag(f)),
+                    dst: tile(Slice::smem(s)),
+                }),
+                Instr::NamedBarrier {
+                    id: usize::MAX,
+                    parties: 1,
+                },
+                Instr::Syncthreads,
+            ],
+        );
+        let kernel = b.build();
+        let sim = Simulator::new(MachineConfig::test_gpu());
+        let timing = sim.run_timing(&kernel).expect("timing run");
+        let run = sim
+            .run_functional(&kernel, vec![Tensor::zeros(DType::F32, &[8, 8])])
+            .expect("functional run");
+        assert!(run.params[0].data().iter().all(|&x| x == 2.0));
+        assert_eq!(timing, run.report);
     }
 }
