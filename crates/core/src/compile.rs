@@ -6,7 +6,8 @@
 //! specialization (§4.2.5) does. So [`CypressCompiler::front`] runs the
 //! first three passes once into a [`Front`], and [`Front::finish`]
 //! lowers it at one schedule. A tuner whose candidates differ only in
-//! those two fields builds one front and finishes it per candidate;
+//! those two fields builds one program and one front for all of them
+//! and finishes the front per candidate;
 //! [`CypressCompiler::compile`] is one front finished once.
 //!
 //! Shared memory is not aliased (§4.2.4's allocator is not

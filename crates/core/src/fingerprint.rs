@@ -42,7 +42,13 @@
 //! independent of `HashMap` iteration order (which differs between
 //! processes and instances). The computation hash is a prefix of the
 //! source stream, so both come out of one walk of the registry — the
-//! part that dominates the cost.
+//! part that dominates the cost. FNV-1a has no finalizer, so the
+//! computation hash is also the stream's state at that point:
+//! [`resume_source`] continues from it with another mapping. An
+//! autotune sweep (`cypress-runtime`'s `Session::sweep`) walks one
+//! registry per group of schedule siblings and resumes the source
+//! stream once per sibling; [`source_identity`] itself is that walk and
+//! that resume, so the two cannot drift apart.
 
 use crate::front::mapping::MappingSpec;
 use crate::front::task::TaskRegistry;
@@ -66,6 +72,8 @@ pub struct SourceIdentity {
 
 /// Hash a compile's source. Independent of any machine or compiler
 /// option, so the result can be memoized with the source it describes.
+/// It is [`SourceIdentity::computation`] and then, from it,
+/// [`resume_source`] — the one rendering of a mapping's records.
 #[must_use]
 pub fn source_identity(
     registry: &TaskRegistry,
@@ -91,9 +99,23 @@ pub fn source_identity(
         h.write_args(format_args!("{v:?}"));
     }
     let computation = h.finish();
+    SourceIdentity {
+        computation,
+        source: resume_source(computation, mapping),
+    }
+}
 
+/// The [`SourceIdentity::source`] of `mapping` over the computation
+/// whose hash is `computation`, without walking the registry again:
+/// the source stream resumed where the computation hash ended (FNV-1a
+/// has no finalizer, so `computation` is the stream's state). An
+/// autotune sweep hashes one registry per group of schedule siblings
+/// and each sibling's mapping from here.
+#[must_use]
+pub fn resume_source(computation: u64, mapping: &MappingSpec) -> u64 {
     // Mapping: instances sorted by name, tunables sorted by key (the one
     // map-shaped field inside `TaskMapping`).
+    let mut h = Fnv64::resume(computation);
     h.write_str("cypress-fingerprint-v2");
     let mut instances: Vec<_> = mapping.iter().collect();
     instances.sort_by(|a, b| a.instance.cmp(&b.instance));
@@ -116,11 +138,7 @@ pub fn source_identity(
         }
     }
     h.write_str("smem_limit None");
-
-    SourceIdentity {
-        computation,
-        source: h.finish(),
-    }
+    h.finish()
 }
 
 /// The machine's record stream: its `Debug` rendering covers every

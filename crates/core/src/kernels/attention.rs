@@ -128,13 +128,22 @@ impl MappingSpace for AttentionSpace {
         }
     }
 
+    fn mapping(&self, shape: &Shape, cfg: &MappingConfig) -> Result<MappingSpec, CompileError> {
+        let [heads, ..] = shape.expect_dims::<3>("fa")?;
+        mapping(self.algorithm, heads, &cfg.as_attention("fa")?)
+    }
+
     fn build(
         &self,
         shape: &Shape,
         cfg: &MappingConfig,
     ) -> Result<(TaskRegistry, MappingSpec, Vec<EntryArg>), CompileError> {
-        let cfg = cfg.as_attention("fa")?;
-        program(self.algorithm, shape.expect_dims("fa")?, &cfg)
+        let attention = cfg.as_attention("fa")?;
+        let [heads, seq, head_dim] = shape.expect_dims("fa")?;
+        let reg = registry(self.algorithm, head_dim, &attention)?;
+        let rows = footprint::folded_rows("fa", heads, seq)?;
+        let args = ["O", "Q", "K", "V"].map(|t| EntryArg::f16(t, rows, head_dim));
+        Ok((reg, self.mapping(shape, cfg)?, args.to_vec()))
     }
 }
 
@@ -165,12 +174,12 @@ pub fn build(
     )
 }
 
-/// The program of `algorithm` at `cfg`.
-fn program(
+/// The task tree of `algorithm` at `cfg`, over heads of `head_dim`.
+fn registry(
     algorithm: Algorithm,
-    [heads, seq, head_dim]: [usize; 3],
+    head_dim: usize,
     cfg: &AttentionConfig,
-) -> Result<(TaskRegistry, MappingSpec, Vec<EntryArg>), CompileError> {
+) -> Result<TaskRegistry, CompileError> {
     let mut reg = TaskRegistry::new();
     common::register_clear(&mut reg, "clear")?;
     common::register_store(&mut reg, "store")?;
@@ -183,10 +192,7 @@ fn program(
     register_step(&mut reg, cfg.bc, "fstep", ("ftile", "ftile_fa2"), &fa2)?;
     register_step(&mut reg, cfg.bc, "fstep3", ("ftile3", "ftile_fa3"), &fa3)?;
     register_levels(&mut reg, algorithm)?;
-
-    let rows = footprint::folded_rows("fa", heads, seq)?;
-    let args = ["O", "Q", "K", "V"].map(|t| EntryArg::f16(t, rows, head_dim));
-    Ok((reg, mapping(algorithm, heads, cfg)?, args.to_vec()))
+    Ok(reg)
 }
 
 /// The warpgroup-level leaves of a step with the memories their

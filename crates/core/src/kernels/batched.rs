@@ -46,12 +46,41 @@ impl MappingSpace for BatchedGemmSpace {
         Grid::GEMM
     }
 
+    /// The GEMM family's instances under a host level that peels the
+    /// batch.
+    fn mapping(&self, shape: &Shape, cfg: &MappingConfig) -> Result<MappingSpec, CompileError> {
+        let [batch, ..] = shape.expect_dims::<4>("bgemm")?;
+        let cfg = cfg.as_gemm("bgemm")?;
+        let global = vec![MemLevel::Global; 3];
+        let mut instances = vec![
+            TaskMapping::for_variant("bgemm_host", ProcLevel::Host, global)
+                .tunable("L", batch as i64)
+                .calls(&["gemm_grid"])
+                .entrypoint(),
+        ];
+        // The per-matrix grid reuses the `gemm_host` *variant* at BLOCK
+        // level — the same logical description bound to a different
+        // machine point, the reuse §3.2 promises.
+        let grid = Some(("gemm_grid", ProcLevel::Block));
+        instances.extend(gemm::FAMILY.instances(&cfg, grid));
+        MappingSpec::new(instances)
+    }
+
     fn build(
         &self,
         shape: &Shape,
         cfg: &MappingConfig,
     ) -> Result<(TaskRegistry, MappingSpec, Vec<EntryArg>), CompileError> {
-        program(shape.expect_dims("bgemm")?, &cfg.as_gemm("bgemm")?)
+        let [batch, m, n, k] = shape.expect_dims("bgemm")?;
+        let reg = registry()?;
+        let mapping = self.mapping(shape, cfg)?;
+        let rows = |extent| footprint::folded_rows("bgemm", batch, extent);
+        let args = vec![
+            EntryArg::f16("C", rows(m)?, n),
+            EntryArg::f16("A", rows(m)?, k),
+            EntryArg::f16("B", rows(k)?, n),
+        ];
+        Ok((reg, mapping, args))
     }
 }
 
@@ -71,12 +100,8 @@ pub fn build(
     build_default(&BatchedGemmSpace, &[batch, m, n, k], machine)
 }
 
-/// The program at `cfg`: the GEMM family's tree under a host level that
-/// peels the batch.
-fn program(
-    [batch, m, n, k]: [usize; 4],
-    cfg: &GemmConfig,
-) -> Result<(TaskRegistry, MappingSpec, Vec<EntryArg>), CompileError> {
+/// The GEMM family's tree under a host level that peels the batch.
+fn registry() -> Result<TaskRegistry, CompileError> {
     // The per-matrix levels are exactly the plain GEMM tree.
     let mut reg = gemm::FAMILY.registry()?;
 
@@ -100,25 +125,5 @@ fn program(
         Stmt::prange(&["l"], vec![SExpr::var("L")], vec![per_matrix]),
     ];
     common::register_inner(&mut reg, "bgemm", "bgemm_host", params, host)?;
-
-    let global = vec![MemLevel::Global; 3];
-    let mut instances = vec![
-        TaskMapping::for_variant("bgemm_host", ProcLevel::Host, global)
-            .tunable("L", batch as i64)
-            .calls(&["gemm_grid"])
-            .entrypoint(),
-    ];
-    // The per-matrix grid reuses the `gemm_host` *variant* at BLOCK level —
-    // the same logical description bound to a different machine point, the
-    // reuse §3.2 promises.
-    let grid = Some(("gemm_grid", ProcLevel::Block));
-    instances.extend(gemm::FAMILY.instances(cfg, grid));
-
-    let rows = |extent| footprint::folded_rows("bgemm", batch, extent);
-    let args = vec![
-        EntryArg::f16("C", rows(m)?, n),
-        EntryArg::f16("A", rows(m)?, k),
-        EntryArg::f16("B", rows(k)?, n),
-    ];
-    Ok((reg, MappingSpec::new(instances)?, args))
+    Ok(reg)
 }

@@ -86,12 +86,41 @@ impl MappingSpace for ChainSpace {
         Grid::GEMM
     }
 
+    /// Two phases of the plain GEMM under the chain's own host and
+    /// block levels.
+    fn mapping(&self, _: &Shape, cfg: &MappingConfig) -> Result<MappingSpec, CompileError> {
+        let cfg = cfg.as_gemm("chain")?;
+        let global = vec![MemLevel::Global; 4];
+        let block_calls = ["clear_tile", "gemm_tile", "store_tile"];
+        let mut instances = vec![
+            TaskMapping::for_variant("chain_host", ProcLevel::Host, global.clone())
+                .tunable("U", cfg.u as i64)
+                .tunable("V", cfg.v as i64)
+                .calls(&["chain_block"])
+                .entrypoint(),
+            common::accumulate_block_instance("chain_block", global, &cfg, &block_calls)
+                .tunable("V", cfg.v as i64),
+        ];
+        // Both phases are the plain GEMM from its tile level down (the
+        // family lists its host and block instances first).
+        instances.extend(gemm::FAMILY.instances(&cfg, None).into_iter().skip(2));
+        MappingSpec::new(instances)
+    }
+
     fn build(
         &self,
         shape: &Shape,
         cfg: &MappingConfig,
     ) -> Result<(TaskRegistry, MappingSpec, Vec<EntryArg>), CompileError> {
-        program(shape.expect_dims("chain")?, &cfg.as_gemm("chain")?)
+        let [m, n, k, mid] = shape.expect_dims("chain")?;
+        let reg = registry()?;
+        let args = vec![
+            EntryArg::f16("C", m, n),
+            EntryArg::f16("A", m, k),
+            EntryArg::f16("B1", k, mid),
+            EntryArg::f16("B2", mid, n),
+        ];
+        Ok((reg, self.mapping(shape, cfg)?, args))
     }
 }
 
@@ -116,12 +145,8 @@ pub fn build(
     build_fitted(&ChainSpace, &[m, n, k, mid], machine)
 }
 
-/// The program at `cfg`: two phases of the plain GEMM under the chain's
-/// own host and block levels.
-fn program(
-    [m, n, k, mid]: [usize; 4],
-    cfg: &GemmConfig,
-) -> Result<(TaskRegistry, MappingSpec, Vec<EntryArg>), CompileError> {
+/// The plain GEMM's tree plus the chain's own host and block levels.
+fn registry() -> Result<TaskRegistry, CompileError> {
     let mut reg = gemm::FAMILY.registry()?;
     let params = vec![
         p("C", Privilege::ReadWrite),
@@ -131,29 +156,7 @@ fn program(
     ];
     common::register_inner(&mut reg, "chain", "chain_host", params.clone(), host_body())?;
     common::register_inner(&mut reg, "chain", "chain_block", params, block_body())?;
-
-    let global = vec![MemLevel::Global; 4];
-    let block_calls = ["clear_tile", "gemm_tile", "store_tile"];
-    let mut instances = vec![
-        TaskMapping::for_variant("chain_host", ProcLevel::Host, global.clone())
-            .tunable("U", cfg.u as i64)
-            .tunable("V", cfg.v as i64)
-            .calls(&["chain_block"])
-            .entrypoint(),
-        common::accumulate_block_instance("chain_block", global, cfg, &block_calls)
-            .tunable("V", cfg.v as i64),
-    ];
-    // Both phases are the plain GEMM from its tile level down (the
-    // family lists its host and block instances first).
-    instances.extend(gemm::FAMILY.instances(cfg, None).into_iter().skip(2));
-
-    let args = vec![
-        EntryArg::f16("C", m, n),
-        EntryArg::f16("A", m, k),
-        EntryArg::f16("B1", k, mid),
-        EntryArg::f16("B2", mid, n),
-    ];
-    Ok((reg, MappingSpec::new(instances)?, args))
+    Ok(reg)
 }
 
 /// Host: one CTA per (row band, output-column chunk). Each CTA reads

@@ -48,16 +48,11 @@ fn register_accumulate(reg: &mut TaskRegistry, task: &str) -> Result<(), Compile
     common::register_leaf(reg, task, params, LeafFn::AddExt, &["T", "X", "T"])
 }
 
-/// Build `Y[m,n] = X0 + X1 + … + X{ways-1}` at `cfg`.
-fn program(
-    ways: usize,
-    m: usize,
-    n: usize,
-    cfg: &GemmConfig,
-) -> Result<(TaskRegistry, MappingSpec, Vec<EntryArg>), CompileError> {
+/// The all-reduce's task tree for `ways` inputs.
+fn registry(ways: usize) -> Result<TaskRegistry, CompileError> {
     footprint::fold_inputs("allred", ways)?;
-    let inputs: Vec<String> = (0..ways).map(|i| format!("X{i}")).collect();
-    let (first, rest) = (&inputs[0], &inputs[1..]);
+    let tensors = tensors(ways);
+    let (first, rest) = (&tensors[1], &tensors[2..]);
     let mut reg = TaskRegistry::new();
     // Inbound X → T copy and outbound T → Y copy share the vec-store
     // task shape; only the mapping's memory placement differs.
@@ -65,11 +60,8 @@ fn program(
     common::register_vec_store(&mut reg, "xout")?;
     register_accumulate(&mut reg, "radd")?;
 
-    let tensors: Vec<&str> = std::iter::once("Y")
-        .chain(inputs.iter().map(String::as_str))
-        .collect();
     let mut params = vec![p("Y", Privilege::Write)];
-    params.extend(inputs.iter().map(|x| p(x, Privilege::Read)));
+    params.extend(tensors[1..].iter().map(|x| p(x, Privilege::Read)));
 
     let [u, v, i, j] = ["U", "V", "i", "j"].map(SExpr::var);
     let extents = [
@@ -79,7 +71,8 @@ fn program(
     let mut host = vec![Stmt::tunable("U"), Stmt::tunable("V")];
     host.extend(extents.clone());
     let mut tiles = Vec::new();
-    tiled(&tensors, [&u, &v], [&i, &j], &mut host, &mut tiles);
+    let names: Vec<&str> = tensors.iter().map(String::as_str).collect();
+    tiled(&names, [&u, &v], [&i, &j], &mut host, &mut tiles);
     let grid = vec![SExpr::var("M") / u, SExpr::var("N") / v];
     let launch = Stmt::launch("allred", tiles);
     host.push(Stmt::prange(&["i", "j"], grid, vec![launch]));
@@ -95,31 +88,13 @@ fn program(
     block.extend(rest.iter().map(|x| Stmt::launch_whole("radd", &["T", x])));
     block.push(Stmt::launch_whole("xout", &["T", "Y"]));
     common::register_inner(&mut reg, "allred", "allred_block", params, block)?;
+    Ok(reg)
+}
 
-    let global = vec![MemLevel::Global; tensors.len()];
-    let mut instances = vec![
-        TaskMapping::for_variant("allred_host", ProcLevel::Host, global.clone())
-            .tunable("U", cfg.u as i64)
-            .tunable("V", cfg.v as i64)
-            .calls(&["allred_block"])
-            .entrypoint(),
-        TaskMapping::for_variant("allred_block", ProcLevel::Block, global).calls(&[
-            "xin_tile",
-            "radd_tile",
-            "xout_tile",
-        ]),
-    ];
-    // The inbound copy is the vec-store task shape with the memory
-    // placement reversed: the *source* is staged through shared memory
-    // and the destination lands in register fragments.
-    let inbound = [MemLevel::Shared, MemLevel::Register];
-    instances.extend(common::band_mappings("xin", cfg.wgs, &inbound));
-    // `X` staged in shared memory, `T` held in register fragments.
-    instances.extend(common::vec_store_mappings("radd", cfg.wgs));
-    instances.extend(common::vec_store_mappings("xout", cfg.wgs));
-
-    let args = tensors.iter().map(|t| EntryArg::f16(*t, m, n)).collect();
-    Ok((reg, MappingSpec::new(instances)?, args))
+/// The kernel's tensors: the output `Y`, then the inputs `X0 … X{ways-1}`.
+fn tensors(ways: usize) -> Vec<String> {
+    let inputs = (0..ways).map(|i| format!("X{i}"));
+    std::iter::once("Y".to_string()).chain(inputs).collect()
 }
 
 /// The all-reduce mapping space: shape `[ways, m, n]` for
@@ -160,13 +135,46 @@ impl MappingSpace for AllReduceSpace {
         }
     }
 
+    fn mapping(&self, shape: &Shape, cfg: &MappingConfig) -> Result<MappingSpec, CompileError> {
+        let [ways, ..] = shape.expect_dims::<3>("allred")?;
+        footprint::fold_inputs("allred", ways)?;
+        let cfg = cfg.as_gemm("allred")?;
+        let global = vec![MemLevel::Global; ways + 1];
+        let mut instances = vec![
+            TaskMapping::for_variant("allred_host", ProcLevel::Host, global.clone())
+                .tunable("U", cfg.u as i64)
+                .tunable("V", cfg.v as i64)
+                .calls(&["allred_block"])
+                .entrypoint(),
+            TaskMapping::for_variant("allred_block", ProcLevel::Block, global).calls(&[
+                "xin_tile",
+                "radd_tile",
+                "xout_tile",
+            ]),
+        ];
+        // The inbound copy is the vec-store task shape with the memory
+        // placement reversed: the *source* is staged through shared
+        // memory and the destination lands in register fragments.
+        let inbound = [MemLevel::Shared, MemLevel::Register];
+        instances.extend(common::band_mappings("xin", cfg.wgs, &inbound));
+        // `X` staged in shared memory, `T` held in register fragments.
+        instances.extend(common::vec_store_mappings("radd", cfg.wgs));
+        instances.extend(common::vec_store_mappings("xout", cfg.wgs));
+        MappingSpec::new(instances)
+    }
+
     fn build(
         &self,
         shape: &Shape,
         cfg: &MappingConfig,
     ) -> Result<(TaskRegistry, MappingSpec, Vec<EntryArg>), CompileError> {
         let [ways, m, n] = shape.expect_dims("allred")?;
-        program(ways, m, n, &cfg.as_gemm("allred")?)
+        let reg = registry(ways)?;
+        let args = tensors(ways)
+            .iter()
+            .map(|t| EntryArg::f16(t, m, n))
+            .collect();
+        Ok((reg, self.mapping(shape, cfg)?, args))
     }
 }
 

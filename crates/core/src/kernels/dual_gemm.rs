@@ -52,12 +52,17 @@ impl MappingSpace for DualGemmSpace {
         }
     }
 
+    fn mapping(&self, _: &Shape, cfg: &MappingConfig) -> Result<MappingSpec, CompileError> {
+        FAMILY.mapping(&cfg.as_gemm("dual")?)
+    }
+
     fn build(
         &self,
         shape: &Shape,
         cfg: &MappingConfig,
     ) -> Result<(TaskRegistry, MappingSpec, Vec<EntryArg>), CompileError> {
-        FAMILY.program(shape.expect_dims("dual")?, &cfg.as_gemm("dual")?)
+        let dims = shape.expect_dims("dual")?;
+        FAMILY.program(dims, &cfg.as_gemm("dual")?, self.mapping(shape, cfg)?)
     }
 }
 

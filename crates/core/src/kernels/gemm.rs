@@ -96,12 +96,17 @@ impl MappingSpace for GemmSpace {
         Grid::GEMM
     }
 
+    fn mapping(&self, _: &Shape, cfg: &MappingConfig) -> Result<MappingSpec, CompileError> {
+        FAMILY.mapping(&cfg.as_gemm("gemm")?)
+    }
+
     fn build(
         &self,
         shape: &Shape,
         cfg: &MappingConfig,
     ) -> Result<(TaskRegistry, MappingSpec, Vec<EntryArg>), CompileError> {
-        FAMILY.program(shape.expect_dims("gemm")?, &cfg.as_gemm("gemm")?)
+        let dims = shape.expect_dims("gemm")?;
+        FAMILY.program(dims, &cfg.as_gemm("gemm")?, self.mapping(shape, cfg)?)
     }
 }
 
@@ -385,13 +390,19 @@ impl Family {
         Ok(accs.chain(vecs).chain(rows).chain(cols).collect())
     }
 
-    /// Registry, mapping and entry arguments together.
+    /// The family's mapping specification at `cfg`.
+    pub(crate) fn mapping(&self, cfg: &GemmConfig) -> Result<MappingSpec, CompileError> {
+        MappingSpec::new(self.instances(cfg, None))
+    }
+
+    /// Registry and entry arguments around `mapping`, the family's
+    /// mapping at `cfg`.
     pub(crate) fn program(
         &self,
         [m, n, k]: [usize; 3],
         cfg: &GemmConfig,
+        mapping: MappingSpec,
     ) -> Result<(TaskRegistry, MappingSpec, Vec<EntryArg>), CompileError> {
-        let mapping = MappingSpec::new(self.instances(cfg, None))?;
         Ok((self.registry()?, mapping, self.entry_args(m, n, k, cfg)?))
     }
 }

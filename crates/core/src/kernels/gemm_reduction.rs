@@ -57,12 +57,33 @@ impl MappingSpace for GemmReductionSpace {
         }
     }
 
+    fn mapping(&self, _: &Shape, cfg: &MappingConfig) -> Result<MappingSpec, CompileError> {
+        let mut instances = FAMILY.instances(&cfg.as_gemm("gr")?, None);
+        let rsum_mems = vec![MemLevel::Register, MemLevel::Shared];
+        instances.push(common::leaf_mapping("rsum", rsum_mems));
+        MappingSpec::new(instances)
+    }
+
+    /// The family's tree plus the `rsum` leaf its warpgroup body
+    /// launches.
     fn build(
         &self,
         shape: &Shape,
         cfg: &MappingConfig,
     ) -> Result<(TaskRegistry, MappingSpec, Vec<EntryArg>), CompileError> {
-        program(shape.expect_dims("gr")?, &cfg.as_gemm("gr")?)
+        let [m, n, k] = shape.expect_dims("gr")?;
+        let gemm = cfg.as_gemm("gr")?;
+        let mut reg = FAMILY.registry()?;
+        let rsum_params = vec![p("Y", Privilege::ReadWrite), p("A", Privilege::Read)];
+        common::register_leaf(
+            &mut reg,
+            "rsum",
+            rsum_params,
+            LeafFn::RowSumAccum,
+            &["A", "Y"],
+        )?;
+        let args = FAMILY.entry_args(m, n, k, &gemm)?;
+        Ok((reg, self.mapping(shape, cfg)?, args))
     }
 }
 
@@ -118,6 +139,10 @@ impl MappingSpace for PinnedVSpace {
         GemmReductionSpace.validate(machine, shape, cfg)
     }
 
+    fn mapping(&self, shape: &Shape, cfg: &MappingConfig) -> Result<MappingSpec, CompileError> {
+        GemmReductionSpace.mapping(shape, cfg)
+    }
+
     fn build(
         &self,
         shape: &Shape,
@@ -140,28 +165,6 @@ pub fn build(
     machine: &MachineConfig,
 ) -> Result<(TaskRegistry, MappingSpec, Vec<EntryArg>), CompileError> {
     build_default(&GemmReductionSpace, &[m, n, k], machine)
-}
-
-/// The program at `cfg`: the family's tree plus the `rsum` leaf its
-/// warpgroup body launches.
-fn program(
-    [m, n, k]: [usize; 3],
-    cfg: &GemmConfig,
-) -> Result<(TaskRegistry, MappingSpec, Vec<EntryArg>), CompileError> {
-    let mut reg = FAMILY.registry()?;
-    let rsum_params = vec![p("Y", Privilege::ReadWrite), p("A", Privilege::Read)];
-    common::register_leaf(
-        &mut reg,
-        "rsum",
-        rsum_params,
-        LeafFn::RowSumAccum,
-        &["A", "Y"],
-    )?;
-    let mut instances = FAMILY.instances(cfg, None);
-    let rsum_mems = vec![MemLevel::Register, MemLevel::Shared];
-    instances.push(common::leaf_mapping("rsum", rsum_mems));
-    let args = FAMILY.entry_args(m, n, k, cfg)?;
-    Ok((reg, MappingSpec::new(instances)?, args))
 }
 
 /// Fig. 5a with a row-vector accumulator beside `C`. Per warpgroup: the

@@ -58,12 +58,33 @@ impl MappingSpace for ReductionSpace {
         }
     }
 
+    fn mapping(&self, _: &Shape, cfg: &MappingConfig) -> Result<MappingSpec, CompileError> {
+        let cfg = cfg.as_gemm("reduce")?;
+        let global = vec![MemLevel::Global; 2];
+        let staged = [MemLevel::Register, MemLevel::Shared];
+        let block_calls = ["vclear_tile", "rstep_tile", "vstore_tile"];
+        let mut instances = vec![
+            TaskMapping::for_variant("red_host", ProcLevel::Host, global.clone())
+                .tunable("U", cfg.u as i64)
+                .calls(&["red_block"])
+                .entrypoint(),
+            common::accumulate_block_instance("red_block", global, &cfg, &block_calls),
+            common::row_split_instance("rstep_tile", "rstep_tile", cfg.wgs, &staged, "rsum_leaf"),
+            common::leaf_mapping("rsum", staged.to_vec()),
+        ];
+        instances.extend(common::vec_clear_mappings("vclear", cfg.wgs));
+        instances.extend(common::vec_store_mappings("vstore", cfg.wgs));
+        MappingSpec::new(instances)
+    }
+
     fn build(
         &self,
         shape: &Shape,
         cfg: &MappingConfig,
     ) -> Result<(TaskRegistry, MappingSpec, Vec<EntryArg>), CompileError> {
-        program(shape.expect_dims("reduce")?, &cfg.as_gemm("reduce")?)
+        let [m, k] = shape.expect_dims("reduce")?;
+        let args = vec![EntryArg::f16("Y", m, 1), EntryArg::f16("A", m, k)];
+        Ok((registry()?, self.mapping(shape, cfg)?, args))
     }
 }
 
@@ -82,12 +103,9 @@ pub fn build(
     build_default(&ReductionSpace, &[m, k], machine)
 }
 
-/// The program at `cfg`: host bands, a block-level fold over `W`-wide
-/// slices, and the warpgroup row split down to the `rsum` leaf.
-fn program(
-    [m, k]: [usize; 2],
-    cfg: &GemmConfig,
-) -> Result<(TaskRegistry, MappingSpec, Vec<EntryArg>), CompileError> {
+/// Host bands, a block-level fold over `W`-wide slices, and the
+/// warpgroup row split down to the `rsum` leaf.
+fn registry() -> Result<TaskRegistry, CompileError> {
     let mut reg = TaskRegistry::new();
     common::register_vec_clear(&mut reg, "vclear", 0.0)?;
     common::register_vec_store(&mut reg, "vstore")?;
@@ -142,24 +160,7 @@ fn program(
     let split = [("Y", one), ("A", SExpr::var("W"))];
     let tile = common::row_split(("M", "A"), &[("W", "A", 1)], &split, &[], "rsum");
     common::register_inner(&mut reg, "rstep", "rstep_tile", params, tile)?;
-
-    let global = vec![MemLevel::Global; 2];
-    let staged = [MemLevel::Register, MemLevel::Shared];
-    let block_calls = ["vclear_tile", "rstep_tile", "vstore_tile"];
-    let mut instances = vec![
-        TaskMapping::for_variant("red_host", ProcLevel::Host, global.clone())
-            .tunable("U", cfg.u as i64)
-            .calls(&["red_block"])
-            .entrypoint(),
-        common::accumulate_block_instance("red_block", global, cfg, &block_calls),
-        common::row_split_instance("rstep_tile", "rstep_tile", cfg.wgs, &staged, "rsum_leaf"),
-        common::leaf_mapping("rsum", staged.to_vec()),
-    ];
-    instances.extend(common::vec_clear_mappings("vclear", cfg.wgs));
-    instances.extend(common::vec_store_mappings("vstore", cfg.wgs));
-
-    let args = vec![EntryArg::f16("Y", m, 1), EntryArg::f16("A", m, k)];
-    Ok((reg, MappingSpec::new(instances)?, args))
+    Ok(reg)
 }
 
 #[cfg(test)]

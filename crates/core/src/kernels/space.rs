@@ -14,7 +14,8 @@
 //!   problem shape. Points that blow the shared-memory budget or do not
 //!   divide the problem are filtered through [`MappingSpace::validate`],
 //!   which reports a typed [`CompileError`] rather than panicking;
-//! - [`MappingSpace::build`] — the program at a given point.
+//! - [`MappingSpace::build`] — the program at a given point, and
+//!   [`MappingSpace::mapping`] — its mapping specification alone.
 //!
 //! Spaces only enumerate *functionally transparent* dimensions: every
 //! candidate a space emits computes bitwise-identical outputs to the
@@ -238,11 +239,11 @@ impl Grid {
 
 /// An enumerable, validated mapping space for one kernel.
 ///
-/// An implementor states the five facts that differ between kernels —
+/// An implementor states the six facts that differ between kernels —
 /// [`entry`](MappingSpace::entry), [`default_for`](MappingSpace::default_for),
-/// [`footprint`](MappingSpace::footprint), [`grid`](MappingSpace::grid)
-/// and [`build`](MappingSpace::build) — and gets `validate`,
-/// `candidates` and `estimate` from them.
+/// [`footprint`](MappingSpace::footprint), [`grid`](MappingSpace::grid),
+/// [`mapping`](MappingSpace::mapping) and [`build`](MappingSpace::build)
+/// — and gets `validate`, `candidates` and `estimate` from them.
 ///
 /// The trait is object-safe so a runtime can carry `Arc<dyn MappingSpace>`
 /// next to a compiled program; `candidates` therefore returns a `Vec`
@@ -367,6 +368,26 @@ pub trait MappingSpace: fmt::Debug + Send + Sync {
         }
         out
     }
+
+    /// The mapping specification of the kernel's program at `cfg`:
+    /// exactly the [`MappingSpec`] that [`build`](MappingSpace::build)
+    /// returns there, which calls this, so each space writes its mapping
+    /// once.
+    ///
+    /// The contract an autotune sweep relies on: points with one
+    /// [`MappingConfig::front_key`] — *schedule siblings* — build the
+    /// same registry and entry arguments, and one builds exactly when
+    /// another does; they differ only in their mapping. A sweep builds
+    /// one program per group of siblings and asks every other member
+    /// for its mapping alone (`kernels_golden.rs`'s
+    /// `schedule_siblings_differ_only_in_their_schedule` holds every
+    /// family to this).
+    ///
+    /// # Errors
+    ///
+    /// [`CompileError`] for a malformed shape or config, or a mapping
+    /// [`MappingSpec::new`] rejects.
+    fn mapping(&self, shape: &Shape, cfg: &MappingConfig) -> Result<MappingSpec, CompileError>;
 
     /// Build the kernel's program at `cfg`.
     ///

@@ -19,7 +19,9 @@
 //!
 //! and review the diff like any other golden file.
 
-use cypress_core::fingerprint::{source_identity, SourceIdentity};
+use cypress_core::fingerprint::{
+    combine, fingerprint, resume_source, source_identity, target_fingerprint, SourceIdentity,
+};
 use cypress_core::{MappingSpec, TaskMapping};
 use cypress_sim::MachineConfig;
 use std::fmt::Write as _;
@@ -70,10 +72,15 @@ fn kernel_library_matches_golden_digests() {
 }
 
 /// Schedule siblings — candidates with one `MappingConfig::front_key` —
-/// build the same task registry and entry arguments, and mappings that
-/// differ only in the two fields warp specialization reads. That is
-/// what lets a sweep compile each group through one compiler `Front`,
-/// so any future space that breaks it fails here.
+/// build the same task registry and entry arguments (one builds exactly
+/// when another does), and mappings that differ only in the two fields
+/// warp specialization reads. That is what lets a sweep build and hash
+/// one program per group, compile the group through one compiler
+/// `Front`, and give every other member only its `MappingSpace::mapping`
+/// and a source hash resumed from the group's computation hash. So each
+/// member's `build` mapping must hash like its `mapping`, and the
+/// resumed hash must be the compile fingerprint of its own full build:
+/// on both machines, so any future space that breaks it fails here.
 #[test]
 fn schedule_siblings_differ_only_in_their_schedule() {
     let unscheduled = |mapping: &MappingSpec| {
@@ -88,25 +95,47 @@ fn schedule_siblings_differ_only_in_their_schedule() {
         instances.sort_by(|a, b| a.instance.cmp(&b.instance));
         instances
     };
-    let machine = MachineConfig::h100_sxm5();
     let mut shared = 0;
     for (family, space, shapes) in families() {
-        for shape in &shapes {
-            let candidates = space.candidates(&machine, shape);
-            for group in schedule_siblings(&candidates) {
-                let build = |i: usize| {
-                    space
-                        .build(shape, &candidates[i])
-                        .expect("candidates build")
-                };
-                let (reg, mapping, args) = build(group[0]);
-                for &i in &group[1..] {
-                    let (r, m, a) = build(i);
-                    let what = format!("{family} {shape} {}", candidates[i].encode());
-                    assert!(r == reg, "{what}: the task registry differs");
-                    assert_eq!(a, args, "{what}");
-                    assert_eq!(unscheduled(&m), unscheduled(&mapping), "{what}");
-                    shared += 1;
+        let entry = space.entry();
+        for machine in [MachineConfig::h100_sxm5(), MachineConfig::test_gpu()] {
+            let target = target_fingerprint(&machine);
+            for shape in &shapes {
+                let candidates = space.candidates(&machine, shape);
+                for group in schedule_siblings(&candidates) {
+                    let first = space.build(shape, &candidates[group[0]]);
+                    for &i in &group {
+                        let cfg = candidates[i];
+                        let what = format!("{family} {} {shape} {}", machine.name, cfg.encode());
+                        let built = space.build(shape, &cfg);
+                        assert_eq!(
+                            built.is_ok(),
+                            first.is_ok(),
+                            "{what}: builds unlike its group"
+                        );
+                        let (Ok((r, m, a)), Ok((reg, mapping, args))) = (&built, &first) else {
+                            continue;
+                        };
+                        assert!(r == reg, "{what}: the task registry differs");
+                        assert_eq!(a, args, "{what}");
+                        assert_eq!(unscheduled(m), unscheduled(mapping), "{what}");
+                        let alone = space
+                            .mapping(shape, &cfg)
+                            .unwrap_or_else(|e| panic!("{what}: `mapping` failed: {e}"));
+                        let own = source_identity(r, m, entry, a);
+                        assert_eq!(
+                            resume_source(own.computation, &alone),
+                            own.source,
+                            "{what}: `mapping` hashes unlike `build`'s mapping"
+                        );
+                        let computation = source_identity(reg, mapping, entry, args).computation;
+                        assert_eq!(
+                            combine(resume_source(computation, &alone), target),
+                            fingerprint(r, m, entry, a, &machine),
+                            "{what}: the resumed fingerprint is not its full build's"
+                        );
+                        shared += usize::from(i != group[0]);
+                    }
                 }
             }
         }

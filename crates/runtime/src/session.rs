@@ -60,7 +60,9 @@ use crate::report::GraphReport;
 use crate::shard::PlacementPolicy;
 use crate::telemetry::{Event, MetricsSnapshot, NoopRecorder, Recorder};
 use crate::tuner::{key_for, TunedMapping, TunerBudget, TuningKey, TuningTable};
-use cypress_core::fingerprint::{combine, machine_fingerprint, target_fingerprint};
+use cypress_core::fingerprint::{
+    combine, machine_fingerprint, resume_source, source_identity, target_fingerprint,
+};
 use cypress_core::{Compiled, CompilerOptions, CypressCompiler, COST_MODEL_VERSION};
 use cypress_sim::{FaultPlan, MachineConfig, Simulator, TimingOutcome, TimingReport, Topology};
 use cypress_tensor::Tensor;
@@ -492,9 +494,16 @@ impl Session {
         let fp = self.fingerprint_of(program);
         let before = self.recorder.enabled().then(|| self.cache.stats());
         let compiler = &self.compiler;
-        let compiled = self
-            .cache
-            .get_or_compile(fp, || compile_solo(compiler, program, fp))?;
+        let compiled = self.cache.get_or_compile(fp, || {
+            compiler
+                .front(
+                    &program.registry,
+                    &program.mapping,
+                    &program.entry,
+                    &program.args,
+                )?
+                .finish(&program.mapping, fp)
+        })?;
         if let Some(before) = before {
             record_cache_lookup(self.recorder.as_mut(), &self.cache, fp, before, &compiled);
         }
@@ -835,12 +844,13 @@ impl Session {
         (kept, pruned, transferred)
     }
 
-    /// The cold sweep: compile the candidates (see
-    /// [`Session::compile_candidates`]), time the seed, skip the
-    /// candidates its cycles rule out, and time the rest bounded at the
-    /// seed's cycles (see [`Session::autotune`]). Returns every compiled
-    /// candidate in candidate order, so the caller's first-wins tie break
-    /// is independent of the worker count. Simulation failures
+    /// The cold sweep: compile the candidates — one worker job per group
+    /// of schedule siblings, which builds and hashes the group's program
+    /// once (see [`Session::compile_candidates`]) — then time the seed,
+    /// skip the candidates its cycles rule out, and time the rest bounded
+    /// at the seed's cycles (see [`Session::autotune`]). Returns every
+    /// compiled candidate in candidate order, so the caller's first-wins
+    /// tie break is independent of the worker count. Simulation failures
     /// propagate.
     fn sweep(
         &mut self,
@@ -898,74 +908,71 @@ impl Session {
             .collect())
     }
 
-    /// Build every candidate's program and hash its identity on the
-    /// worker pool, compile the cache misses there too, and issue the
-    /// cache lookups in candidate order (so hit/miss counters and the
-    /// recorded events are a function of the candidate list alone).
-    /// Returns the candidates that compiled, in candidate order. A
-    /// space's `validate` predicts the compiled kernel's budgets and the
-    /// kernel's own validation decides: candidates the builder or
-    /// compiler rejects are skipped, not errors.
+    /// Compile the candidates through the kernel cache, one worker job
+    /// per group of schedule siblings (candidates with one
+    /// [`cypress_core::MappingConfig::front_key`]), and return the ones
+    /// that compiled, in candidate order. A space's `validate` predicts
+    /// the compiled kernel's budgets and the kernel's own validation
+    /// decides: candidates the builder or compiler rejects are skipped,
+    /// not errors.
     ///
-    /// Misses are compiled one job per group of schedule siblings
-    /// (candidates with one [`cypress_core::MappingConfig::front_key`]):
-    /// the job builds the group's compiler front once, finishes every
-    /// member from it, and drops it, so at most `parallelism` fronts are
-    /// alive at once.
+    /// A job builds its group's program once — the first member that
+    /// builds — and hashes its registry once; every other member adds
+    /// only its [`cypress_core::MappingSpace::mapping`], hashed by
+    /// resuming the source stream from the group's computation hash
+    /// ([`cypress_core::fingerprint::resume_source`]). The job then
+    /// compiles the group's cache misses through one compiler front and
+    /// drops the program, so at most `parallelism` programs and fronts
+    /// are alive at once. Siblings differ only in their mapping (the
+    /// [`cypress_core::MappingSpace::mapping`] contract), so every
+    /// fingerprint is the one a solo [`Session::compile`] of the
+    /// member's full `build` computes.
+    ///
+    /// The lookups are issued afterwards, in candidate order, so hit/miss
+    /// counters and the `CacheLookup` (and miss-side `CompilePass`) events
+    /// are a function of the candidate list alone; a miss takes its
+    /// group's kernel. Each distinct missing fingerprint compiles once:
+    /// a job compiles each of its fingerprints once, and the front-key
+    /// fields a space's grid varies are fields its mapping carries, so
+    /// no fingerprint falls in two groups. The compiler's rejections
+    /// emit nothing, like a failed `Session::compile`.
     fn compile_candidates(
         &mut self,
         binding: &crate::program::SpaceBinding,
         candidates: Vec<cypress_core::MappingConfig>,
     ) -> Vec<(cypress_core::MappingConfig, Arc<Compiled>)> {
-        use cypress_sim::par;
-        let target = self.target;
-        let built: Vec<_> = par::parallel_map(self.parallelism(), candidates, |cfg| {
-            let (registry, mapping, args) = binding.space.build(&binding.shape, &cfg).ok()?;
-            let program = Program::new(registry, mapping, binding.space.entry(), args);
-            // `Session::fingerprint_of`, off the session.
-            let fp = combine(program.identity().source, target);
-            Some((cfg, program, fp))
-        })
-        .into_iter()
-        .flatten()
-        .collect();
-        // Group the cache misses by front, in enumeration order, and
-        // compile the groups on the worker pool.
-        let compiler = &self.compiler;
-        let mut queued = HashSet::new();
-        let mut groups: Vec<(cypress_core::MappingConfig, Vec<(u64, &Program)>)> = Vec::new();
-        for (cfg, program, fp) in &built {
-            if self.cache.peek(*fp).is_some() || !queued.insert(*fp) {
-                continue;
-            }
+        let mut groups: Vec<(cypress_core::MappingConfig, Vec<_>)> = Vec::new();
+        for (i, cfg) in candidates.into_iter().enumerate() {
             let key = cfg.front_key();
             match groups.iter_mut().find(|(k, _)| *k == key) {
-                Some((_, members)) => members.push((*fp, program)),
-                None => groups.push((key, vec![(*fp, program)])),
+                Some((_, members)) => members.push((i, cfg)),
+                None => groups.push((key, vec![(i, cfg)])),
             }
         }
-        let mut precompiled: HashMap<u64, Result<cypress_core::Compiled, _>> =
-            par::parallel_map(self.parallelism(), groups, |(_, members)| {
-                compile_siblings(compiler, &members)
-            })
-            .into_iter()
-            .flatten()
-            .collect();
-        // Issue the lookups in candidate order; misses consume the
-        // precompiled kernels (recompiling inline only when a failing
-        // fingerprint the list holds twice misses a second time: failures
-        // are not cached). This is also where the `CacheLookup` (and
-        // miss-side `CompilePass`) events are emitted, in candidate
-        // order. The compiler's rejections emit nothing, like a failed
-        // `Session::compile`.
+        let (compiler, cache, target) = (&self.compiler, &self.cache, self.target);
+        let jobs = cypress_sim::par::parallel_map(self.parallelism(), groups, |(_, members)| {
+            compile_group(compiler, cache, target, binding, members)
+        });
+        let mut built = Vec::new();
+        let mut precompiled = HashMap::new();
+        for (members, compiled) in jobs {
+            built.extend(members);
+            precompiled.extend(compiled);
+        }
+        built.sort_unstable_by_key(|&(i, ..)| i);
         let mut resident = Vec::with_capacity(built.len());
-        for (cfg, program, fp) in built {
+        for (_, cfg, fp) in built {
             let before = self.recorder.enabled().then(|| self.cache.stats());
-            let compiled = self.cache.get_or_compile(fp, || {
-                precompiled
-                    .remove(&fp)
-                    .unwrap_or_else(|| compile_solo(compiler, &program, fp))
-            });
+            // A failure is not cached, so a fingerprint the list holds
+            // twice misses again: its error stays for the second lookup.
+            let compiled = self
+                .cache
+                .get_or_compile(fp, || match precompiled.get(&fp) {
+                    Some(Err(e)) => Err(e.clone()),
+                    _ => precompiled
+                        .remove(&fp)
+                        .expect("a sweep's group compiles every fingerprint the cache misses"),
+                });
             if let Ok(compiled) = compiled {
                 if let Some(before) = before {
                     record_cache_lookup(self.recorder.as_mut(), &self.cache, fp, before, &compiled);
@@ -1412,43 +1419,66 @@ struct SweptCandidate {
     cut: Option<f64>,
 }
 
-/// Compile `program`, whose fingerprint is `fp`.
-fn compile_solo(
-    compiler: &CypressCompiler,
-    program: &Program,
-    fp: u64,
-) -> Result<Compiled, cypress_core::CompileError> {
-    compiler
-        .front(
-            &program.registry,
-            &program.mapping,
-            &program.entry,
-            &program.args,
-        )?
-        .finish(&program.mapping, fp)
-}
+/// A member of a sweep's group that built: `(candidate index, config,
+/// fingerprint)`.
+type Member = (usize, cypress_core::MappingConfig, u64);
 
-/// Compile schedule siblings `(fingerprint, program)` through one front,
-/// built from the first: every member gets the front's error if it
-/// fails, and only the first finished kernel carries the front's pass
-/// time.
-fn compile_siblings(
+/// A fingerprint a sweep's group compiled, and what the compiler said.
+type Compile = (u64, Result<Compiled, cypress_core::CompileError>);
+
+/// One worker job of [`Session::compile_candidates`]: the schedule
+/// siblings `members` (`(candidate index, config)`, in candidate order)
+/// of `binding`'s space. Builds the program of the first member that
+/// builds and hashes its source once; every later member adds only its
+/// mapping and a source hash resumed from the group's computation hash.
+/// Compiles the members `cache` misses (each fingerprint once) through
+/// one front, built from the first of them: every miss gets the front's
+/// error if it fails, and only the first finished kernel carries the
+/// front's pass time. Returns the members that built, with their
+/// fingerprints, and the compiled misses.
+fn compile_group(
     compiler: &CypressCompiler,
-    members: &[(u64, &Program)],
-) -> Vec<(u64, Result<Compiled, cypress_core::CompileError>)> {
-    let Some(&(_, first)) = members.first() else {
-        return Vec::new();
+    cache: &KernelCache,
+    target: u64,
+    binding: &crate::program::SpaceBinding,
+    members: Vec<(usize, cypress_core::MappingConfig)>,
+) -> (Vec<Member>, Vec<Compile>) {
+    let (space, shape, entry) = (&binding.space, &binding.shape, binding.space.entry());
+    let mut members = members.into_iter();
+    let Some(((i, cfg), (registry, mapping, args))) = members
+        .by_ref()
+        .find_map(|(i, cfg)| Some(((i, cfg), space.build(shape, &cfg).ok()?)))
+    else {
+        return (Vec::new(), Vec::new());
     };
-    match compiler.front(&first.registry, &first.mapping, &first.entry, &first.args) {
-        Ok(mut front) => members
+    let identity = source_identity(&registry, &mapping, entry, &args);
+    let mut built = vec![(i, cfg, combine(identity.source, target), mapping)];
+    built.extend(members.filter_map(|(i, cfg)| {
+        let mapping = space.mapping(shape, &cfg).ok()?;
+        let source = resume_source(identity.computation, &mapping);
+        Some((i, cfg, combine(source, target), mapping))
+    }));
+    let mut queued = HashSet::new();
+    let misses: Vec<_> = built
+        .iter()
+        .filter(|(_, _, fp, _)| cache.peek(*fp).is_none() && queued.insert(*fp))
+        .collect();
+    let compiled = match misses
+        .first()
+        .map(|(.., first)| compiler.front(&registry, first, entry, &args))
+    {
+        None => Vec::new(),
+        Some(Ok(mut front)) => misses
             .iter()
-            .map(|&(fp, p)| (fp, front.finish(&p.mapping, fp)))
+            .map(|(_, _, fp, mapping)| (*fp, front.finish(mapping, *fp)))
             .collect(),
-        Err(e) => members
+        Some(Err(e)) => misses
             .iter()
-            .map(|&(fp, _)| (fp, Err(e.clone())))
+            .map(|(_, _, fp, _)| (*fp, Err(e.clone())))
             .collect(),
-    }
+    };
+    let built = built.into_iter().map(|(i, cfg, fp, _)| (i, cfg, fp));
+    (built.collect(), compiled)
 }
 
 /// Emit the [`Event::CacheLookup`] for one successful lookup (the hit

@@ -16,6 +16,9 @@
 //!    tensors bit-identical to `MappingPolicy::Default`, never report a
 //!    per-node `tuned_speedup` below 1.0, and never lose to the default
 //!    on the serial makespan.
+//! 5. **Sweep fingerprints**: a sweep hashes one program per group of
+//!    schedule siblings, and still caches every candidate under the
+//!    fingerprint a solo compile of its full build computes.
 
 use cypress_core::kernels::space::{MappingConfig, MappingSpace, Shape};
 use cypress_core::kernels::{attention, batched, dual_gemm, gemm, gemm_reduction};
@@ -166,6 +169,43 @@ fn autotune_results_are_cached_in_the_table() {
     assert_eq!(first, second);
     assert_eq!(session.metrics().cache.misses, misses);
     assert_eq!(session.tuning_table().len(), 1);
+}
+
+/// A sweep's fingerprints are the ones a solo compile computes: the
+/// sweep builds one program per group of schedule siblings and hashes
+/// every other member's mapping from the group's computation hash, so
+/// after one cold sweep per paper space, `Session::compile` of every
+/// candidate's full `build` is a kernel-cache hit.
+#[test]
+fn every_swept_candidate_compiles_from_the_cache() {
+    use cypress_runtime::TunerBudget;
+    let machine = MachineConfig::test_gpu();
+    for space in paper_spaces() {
+        let shape = match space.entry() {
+            "bgemm" => Shape::of(&[2, 128, 128, 64]),
+            "fa" => Shape::of(&[1, 256, 64]),
+            _ => Shape::of(&[128, 128, 64]),
+        };
+        let program = Program::from_space(Arc::clone(&space), shape.clone(), &machine).unwrap();
+        let mut session = Session::new(machine.clone());
+        session
+            .autotune_with(&program, TunerBudget::Exhaustive)
+            .unwrap();
+        let misses = session.metrics().cache.misses;
+        for cfg in space.candidates(&machine, &shape) {
+            let what = format!("{} {shape} {}", space.entry(), cfg.label());
+            let parts = space.build(&shape, &cfg).unwrap();
+            let candidate = Program::from_parts(parts, space.entry());
+            session
+                .compile(&candidate)
+                .unwrap_or_else(|e| panic!("{what}: {e}"));
+            assert_eq!(
+                session.metrics().cache.misses,
+                misses,
+                "{what}: the sweep cached it under another fingerprint"
+            );
+        }
+    }
 }
 
 /// What an exhaustive sweep must compute, spelled out without a

@@ -28,6 +28,15 @@ impl Fnv64 {
         Fnv64::default()
     }
 
+    /// An accumulator that continues the stream whose
+    /// [`finish`](Fnv64::finish) was `state`: FNV-1a has no finalizer,
+    /// so a hash *is* its stream state, and writing more records after
+    /// `resume(h.finish())` ends where writing them to `h` would.
+    #[must_use]
+    pub fn resume(state: u64) -> Self {
+        Fnv64(state)
+    }
+
     /// Fold `bytes` into the accumulator.
     pub fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
@@ -119,5 +128,15 @@ mod tests {
         let mut streamed = Fnv64::new();
         streamed.write_args(format_args!("rec {value:?} {}", 7));
         assert_eq!(formatted.finish(), streamed.finish());
+    }
+
+    #[test]
+    fn a_resumed_stream_ends_where_the_whole_stream_does() {
+        let mut whole = Fnv64::new();
+        whole.write_str("head");
+        let mut resumed = Fnv64::resume(whole.finish());
+        whole.write_str("tail");
+        resumed.write_str("tail");
+        assert_eq!(resumed.finish(), whole.finish());
     }
 }

@@ -11,15 +11,24 @@
 //! behavior, with no threads spawned at all.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 /// The number of worker threads the host offers (at least 1). Used as the
 /// default parallelism of [`crate::Simulator`] and the runtime session.
+///
+/// The value is read once per process and memoized:
+/// [`std::thread::available_parallelism`] re-reads the cgroup quota and
+/// the affinity mask on every call, and every cold session asks. A
+/// process that changes its own affinity after the first call keeps the
+/// first answer.
 #[must_use]
 pub fn available() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
+    static AVAILABLE: OnceLock<usize> = OnceLock::new();
+    *AVAILABLE.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1)
+    })
 }
 
 /// Apply `f` to every item on up to `parallelism` scoped worker threads,
