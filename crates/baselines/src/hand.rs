@@ -65,7 +65,7 @@ impl GemmSchedule {
 
     /// A Triton-class schedule.
     #[must_use]
-    pub fn triton() -> Self {
+    pub(crate) fn triton() -> Self {
         GemmSchedule {
             warpspec: false,
             serialize_dual: true,

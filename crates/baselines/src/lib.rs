@@ -53,17 +53,11 @@ pub fn autotune_with(sim: &Simulator, candidates: Vec<Kernel>) -> Kernel {
 /// cuBLAS-class GEMM baselines.
 pub mod cublas {
     use super::hand::{gemm_kernel, GemmSchedule};
-    use cypress_sim::{Kernel, MachineConfig, Simulator};
+    use cypress_sim::{Kernel, Simulator};
 
-    /// Autotuned FP16 GEMM.
-    #[must_use]
-    pub fn gemm(m: usize, n: usize, k: usize, machine: &MachineConfig) -> Kernel {
-        gemm_with(m, n, k, &Simulator::new(machine.clone()))
-    }
-
-    /// [`gemm`] timed through a caller-owned simulator — a loop over
-    /// many GEMM shapes shares one [`Simulator`] across all its
-    /// autotuning sweeps.
+    /// Autotuned FP16 GEMM, timed through a caller-owned simulator — a
+    /// loop over many GEMM shapes shares one [`Simulator`] across all
+    /// its autotuning sweeps.
     #[must_use]
     pub fn gemm_with(m: usize, n: usize, k: usize, sim: &Simulator) -> Kernel {
         let mut cands = Vec::new();
@@ -208,16 +202,10 @@ pub mod fa3 {
 /// cuDNN-class fused attention (autotuned expert kernel).
 pub mod cudnn {
     use super::hand::{attention_kernel, AttentionSchedule};
-    use cypress_sim::{Kernel, MachineConfig, Simulator};
+    use cypress_sim::{Kernel, Simulator};
 
-    /// Autotuned fused attention.
-    #[must_use]
-    pub fn attention(heads: usize, seq: usize, d: usize, machine: &MachineConfig) -> Kernel {
-        attention_with(heads, seq, d, &Simulator::new(machine.clone()))
-    }
-
-    /// [`attention`] timed through a caller-owned simulator — shares
-    /// one [`Simulator`] across a sweep of attention shapes.
+    /// Autotuned fused attention, timed through a caller-owned simulator
+    /// — shares one [`Simulator`] across a sweep of attention shapes.
     #[must_use]
     pub fn attention_with(heads: usize, seq: usize, d: usize, sim: &Simulator) -> Kernel {
         let machine = sim.machine();

@@ -10,7 +10,7 @@ use std::fmt::Write as _;
 
 /// Render `kernel` as pseudo-CUDA.
 #[must_use]
-pub fn render(kernel: &Kernel) -> String {
+pub(crate) fn render(kernel: &Kernel) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "__global__ void {}(", kernel.name);
     for (i, p) in kernel.params.iter().enumerate() {

@@ -1,4 +1,4 @@
 //! Final code generation artifacts: the device kernel (produced by
 //! [`crate::passes::warpspec`]) and a pseudo-CUDA rendering for inspection.
 
-pub mod cuda;
+pub(crate) mod cuda;

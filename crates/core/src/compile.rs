@@ -202,12 +202,6 @@ impl CypressCompiler {
     ) -> u64 {
         crate::fingerprint::fingerprint(registry, mapping, name, entry_args, &self.opts.machine)
     }
-
-    /// The options this compiler was constructed with.
-    #[must_use]
-    pub fn options(&self) -> &CompilerOptions {
-        &self.opts
-    }
 }
 
 impl Front<'_> {

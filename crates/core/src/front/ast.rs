@@ -54,7 +54,7 @@ impl SExpr {
 
     /// Ceiling division helper.
     #[must_use]
-    pub fn cdiv(a: SExpr, b: SExpr) -> Self {
+    pub(crate) fn cdiv(a: SExpr, b: SExpr) -> Self {
         SExpr::CDiv(Box::new(a), Box::new(b))
     }
 }
@@ -118,7 +118,7 @@ impl Privilege {
     /// `true` if `child` does not exceed `self` (a task may not launch a
     /// sub-task requesting more than it holds, §3.2).
     #[must_use]
-    pub fn covers(self, child: Privilege) -> bool {
+    pub(crate) fn covers(self, child: Privilege) -> bool {
         (!child.can_read() || self.can_read()) && (!child.can_write() || self.can_write())
     }
 }
@@ -206,7 +206,7 @@ pub enum LeafFn {
 impl LeafFn {
     /// Number of arguments (destination last).
     #[must_use]
-    pub fn arity(self) -> usize {
+    pub(crate) fn arity(self) -> usize {
         match self {
             LeafFn::Fill(_) => 1,
             LeafFn::CopyExt | LeafFn::Exp | LeafFn::Scale(_) => 2,
@@ -314,7 +314,7 @@ pub enum Stmt {
 impl Stmt {
     /// `name = value`.
     #[must_use]
-    pub fn let_(name: impl Into<String>, value: SExpr) -> Self {
+    pub(crate) fn let_(name: impl Into<String>, value: SExpr) -> Self {
         Stmt::Let {
             name: name.into(),
             value,
@@ -323,13 +323,18 @@ impl Stmt {
 
     /// `name = tunable(int)`.
     #[must_use]
-    pub fn tunable(name: impl Into<String>) -> Self {
+    pub(crate) fn tunable(name: impl Into<String>) -> Self {
         Stmt::Tunable { name: name.into() }
     }
 
     /// `name = make_tensor(rows, cols, dtype)`.
     #[must_use]
-    pub fn make_tensor(name: impl Into<String>, rows: SExpr, cols: SExpr, dtype: DType) -> Self {
+    pub(crate) fn make_tensor(
+        name: impl Into<String>,
+        rows: SExpr,
+        cols: SExpr,
+        dtype: DType,
+    ) -> Self {
         Stmt::MakeTensor {
             name: name.into(),
             rows,
@@ -340,7 +345,7 @@ impl Stmt {
 
     /// `name = partition_by_blocks(tensor, (tile_rows, tile_cols))`.
     #[must_use]
-    pub fn blocks(
+    pub(crate) fn blocks(
         name: impl Into<String>,
         tensor: impl Into<String>,
         tile_rows: SExpr,
@@ -356,7 +361,7 @@ impl Stmt {
 
     /// `name = partition_by_mma(tensor, level, operand)`.
     #[must_use]
-    pub fn mma(
+    pub(crate) fn mma(
         name: impl Into<String>,
         tensor: impl Into<String>,
         level: MmaLevel,
@@ -372,7 +377,7 @@ impl Stmt {
 
     /// `launch(task, args)`.
     #[must_use]
-    pub fn launch(task: impl Into<String>, args: Vec<ArgExpr>) -> Self {
+    pub(crate) fn launch(task: impl Into<String>, args: Vec<ArgExpr>) -> Self {
         Stmt::Launch {
             task: task.into(),
             args,
@@ -381,13 +386,13 @@ impl Stmt {
 
     /// `launch(task, tensors...)` with every argument a whole tensor.
     #[must_use]
-    pub fn launch_whole(task: impl Into<String>, tensors: &[&str]) -> Self {
+    pub(crate) fn launch_whole(task: impl Into<String>, tensors: &[&str]) -> Self {
         Stmt::launch(task, tensors.iter().map(|t| ArgExpr::tensor(*t)).collect())
     }
 
     /// `for var in srange(extent): body`.
     #[must_use]
-    pub fn srange(var: impl Into<String>, extent: SExpr, body: Vec<Stmt>) -> Self {
+    pub(crate) fn srange(var: impl Into<String>, extent: SExpr, body: Vec<Stmt>) -> Self {
         Stmt::SRange {
             var: var.into(),
             extent,
@@ -397,7 +402,7 @@ impl Stmt {
 
     /// `for vars in prange(extents): body`.
     #[must_use]
-    pub fn prange(vars: &[&str], extents: Vec<SExpr>, body: Vec<Stmt>) -> Self {
+    pub(crate) fn prange(vars: &[&str], extents: Vec<SExpr>, body: Vec<Stmt>) -> Self {
         Stmt::PRange {
             vars: vars.iter().map(|v| (*v).to_string()).collect(),
             extents,
@@ -407,7 +412,7 @@ impl Stmt {
 
     /// `call-external(f, tensors...)`, destination last.
     #[must_use]
-    pub fn call_external(f: LeafFn, tensors: &[&str]) -> Self {
+    pub(crate) fn call_external(f: LeafFn, tensors: &[&str]) -> Self {
         Stmt::CallExternal {
             f,
             args: tensors.iter().map(|t| ArgExpr::tensor(*t)).collect(),

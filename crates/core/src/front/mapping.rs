@@ -75,14 +75,14 @@ impl TaskMapping {
 
     /// Request warp specialization.
     #[must_use]
-    pub fn warpspecialize(mut self) -> Self {
+    pub(crate) fn warpspecialize(mut self) -> Self {
         self.warpspecialize = true;
         self
     }
 
     /// Set the pipeline depth.
     #[must_use]
-    pub fn pipeline(mut self, depth: usize) -> Self {
+    pub(crate) fn pipeline(mut self, depth: usize) -> Self {
         self.pipeline = depth;
         self
     }
@@ -151,7 +151,7 @@ impl MappingSpec {
     /// # Errors
     ///
     /// Returns [`CompileError::UnknownInstance`] if absent.
-    pub fn instance(&self, name: &str) -> Result<&TaskMapping, CompileError> {
+    pub(crate) fn instance(&self, name: &str) -> Result<&TaskMapping, CompileError> {
         if name == self.entry.instance {
             return Ok(&self.entry);
         }

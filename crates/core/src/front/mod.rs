@@ -1,6 +1,6 @@
 //! The Cypress frontend: logical description and mapping specification.
 
-pub mod ast;
+pub(crate) mod ast;
 pub mod machine;
 pub mod mapping;
 pub mod task;

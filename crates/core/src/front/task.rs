@@ -87,15 +87,6 @@ impl TaskVariant {
         }
         walk(self, &self.body)
     }
-
-    /// The privilege of parameter `name`, if it exists.
-    #[must_use]
-    pub fn param_privilege(&self, name: &str) -> Option<Privilege> {
-        self.params
-            .iter()
-            .find(|p| p.name == name)
-            .map(|p| p.privilege)
-    }
 }
 
 /// Registry of all task variants of a program. Two registries are equal

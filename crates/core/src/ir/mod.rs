@@ -53,14 +53,6 @@ pub struct TensorDecl {
     pub promotable: bool,
 }
 
-impl TensorDecl {
-    /// Bytes this tensor would occupy if materialized.
-    #[must_use]
-    pub fn size_bytes(&self) -> usize {
-        self.rows * self.cols * self.dtype.size_bytes()
-    }
-}
-
 /// How a partition decomposes its parent (IR-level record of the paper's
 /// two partitioning operators).
 #[derive(Debug, Clone, PartialEq)]
@@ -169,7 +161,7 @@ impl IdxExpr {
 
     /// `true` if the index mentions `v`.
     #[must_use]
-    pub fn uses(&self, v: VarId) -> bool {
+    pub(crate) fn uses(&self, v: VarId) -> bool {
         self.var == Some(v)
     }
 }
@@ -205,13 +197,6 @@ impl TensorRef {
             tensor,
             path: vec![(part, idx)],
         }
-    }
-
-    /// Append a nested piece selection.
-    #[must_use]
-    pub fn then(mut self, part: PartId, idx: Vec<IdxExpr>) -> Self {
-        self.path.push((part, idx));
-        self
     }
 }
 
@@ -476,7 +461,7 @@ mod tests {
         assert_eq!(p.fresh_var(), 0);
         let t = p.add_tensor("A", 4, 4, DType::F16, MemLevel::Global, Some(0));
         assert_eq!(t, 0);
-        assert_eq!(p.tensors[t].size_bytes(), 32);
+        assert_eq!((p.tensors[t].rows, p.tensors[t].cols), (4, 4));
         assert_eq!(p.op_count(), 0);
     }
 }

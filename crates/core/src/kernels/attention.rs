@@ -71,7 +71,7 @@ impl AttentionConfig {
 
     /// Small mapping for the unit-test machine.
     #[must_use]
-    pub fn test() -> Self {
+    pub(crate) fn test() -> Self {
         AttentionConfig {
             br: 128,
             bc: 64,
@@ -84,7 +84,7 @@ impl AttentionConfig {
     /// parts get the paper's FA2/FA3 mappings, the test machine the small
     /// one).
     #[must_use]
-    pub fn for_machine(algorithm: Algorithm, machine: &MachineConfig) -> Self {
+    pub(crate) fn for_machine(algorithm: Algorithm, machine: &MachineConfig) -> Self {
         if common::is_h100_class(machine) {
             match algorithm {
                 Algorithm::Fa2 => AttentionConfig::fa2_h100(),

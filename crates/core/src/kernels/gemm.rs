@@ -63,7 +63,7 @@ impl GemmConfig {
     /// paper's hand-tuned H100 mapping on H100-class parts, the small
     /// unit-test mapping elsewhere.
     #[must_use]
-    pub fn for_machine(machine: &MachineConfig) -> Self {
+    pub(crate) fn for_machine(machine: &MachineConfig) -> Self {
         if common::is_h100_class(machine) {
             GemmConfig::h100()
         } else {

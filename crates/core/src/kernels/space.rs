@@ -228,7 +228,7 @@ impl Grid {
     /// rows across warpgroups interacts with warp specialization in ways
     /// the functional guarantee does not cover. A kernel for which a
     /// tile is structural pins it: `Grid { w: &[], ..Grid::GEMM }`.
-    pub const GEMM: Grid = Grid {
+    pub(crate) const GEMM: Grid = Grid {
         wgs: &[],
         v: &[64, 128, 256],
         w: &[32, 64],

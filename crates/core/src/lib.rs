@@ -9,7 +9,7 @@
 //!
 //! A Cypress program has two parts (§3):
 //!
-//! - the **logical description** ([`front::task`], [`front::ast`]): tasks
+//! - the **logical description** ([`front::task`], [`front::Stmt`]): tasks
 //!   over tensors with declared privileges, decomposed via `srange` /
 //!   `prange` and the `blocks` / `mma` partitioning operators;
 //! - the **mapping specification** ([`front::mapping`]): which variant
@@ -55,10 +55,13 @@
 //! ```
 
 #![forbid(unsafe_code)]
+// `pub` is for what another crate may name: an item that is `pub` but
+// unreachable from the crate root must say `pub(crate)`.
+#![deny(unreachable_pub)]
 
-pub mod codegen;
+mod codegen;
 pub mod compile;
-pub mod error;
+mod error;
 pub mod fingerprint;
 pub mod front;
 pub mod ir;

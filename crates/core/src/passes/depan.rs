@@ -53,7 +53,7 @@ impl EntryArg {
     /// An f16 `rows x cols` entry tensor (every evaluation kernel's
     /// operands are f16).
     #[must_use]
-    pub fn f16(name: impl Into<String>, rows: usize, cols: usize) -> Self {
+    pub(crate) fn f16(name: impl Into<String>, rows: usize, cols: usize) -> Self {
         EntryArg {
             name: name.into(),
             rows,

@@ -28,7 +28,7 @@ pub struct CacheStats {
 
 /// Fingerprint-keyed store of compiled kernels.
 #[derive(Debug, Default)]
-pub struct KernelCache {
+pub(crate) struct KernelCache {
     entries: HashMap<u64, Arc<Compiled>>,
     hits: u64,
     misses: u64,
@@ -37,7 +37,7 @@ pub struct KernelCache {
 impl KernelCache {
     /// An empty cache.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         KernelCache::default()
     }
 
@@ -64,13 +64,13 @@ impl KernelCache {
 
     /// Peek without counting or compiling.
     #[must_use]
-    pub fn peek(&self, fingerprint: u64) -> Option<Arc<Compiled>> {
+    pub(crate) fn peek(&self, fingerprint: u64) -> Option<Arc<Compiled>> {
         self.entries.get(&fingerprint).map(Arc::clone)
     }
 
     /// Counters and occupancy.
     #[must_use]
-    pub fn stats(&self) -> CacheStats {
+    pub(crate) fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits,
             misses: self.misses,
@@ -79,7 +79,7 @@ impl KernelCache {
     }
 
     /// Drop every entry (counters are kept).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.entries.clear();
     }
 }

@@ -10,7 +10,7 @@ use crate::graph::{Binding, NodeId, TaskGraph};
 use crate::pool::BufferPool;
 use crate::report::GraphReport;
 use crate::session::SchedulePolicy;
-use crate::telemetry::{Event, Recorder};
+use crate::telemetry::{Event, TraceLog};
 use cypress_core::Compiled;
 use cypress_sim::{ApplyBytes, Simulator, TimingReport, Topology};
 use cypress_tensor::Tensor;
@@ -105,7 +105,7 @@ impl EdgeBuffers {
         id: NodeId,
         inputs: &HashMap<String, Tensor>,
         pool: &mut BufferPool,
-        recorder: &mut dyn Recorder,
+        recorder: Option<&TraceLog>,
     ) -> Result<Vec<Tensor>, RuntimeError> {
         let node = &graph.nodes()[id.index()];
         let mut params = Vec::with_capacity(node.bindings.len());
@@ -169,10 +169,10 @@ impl EdgeBuffers {
                 Binding::Zeros => {
                     // The reuse flag comes from the pool's own counter
                     // delta, so the event agrees with `PoolStats`.
-                    let before = recorder.enabled().then(|| pool.stats());
+                    let before = recorder.map(|log| (log, pool.stats()));
                     let t = pool.acquire(arg.dtype, arg.rows, arg.cols);
-                    if let Some(before) = before {
-                        recorder.record(Event::PoolAcquire {
+                    if let Some((log, before)) = before {
+                        log.record(Event::PoolAcquire {
                             dtype: arg.dtype,
                             rows: arg.rows,
                             cols: arg.cols,
@@ -201,7 +201,7 @@ impl EdgeBuffers {
         graph: &TaskGraph,
         id: NodeId,
         pool: &mut BufferPool,
-        recorder: &mut dyn Recorder,
+        recorder: Option<&TraceLog>,
     ) {
         for dep in graph.dependencies(id) {
             if self.total_remaining[dep.0] == 0 && !keeps_buffers(graph, dep.0, &self.total_initial)
@@ -211,12 +211,12 @@ impl EdgeBuffers {
                         let Some(t) = t.filter(|_| pooled) else {
                             continue;
                         };
-                        let before = recorder.enabled().then(|| pool.stats());
+                        let before = recorder.map(|log| (log, pool.stats()));
                         let dtype = t.dtype();
                         let elements = t.shape().iter().product();
                         pool.release(t);
-                        if let Some(before) = before {
-                            recorder.record(Event::PoolRelease {
+                        if let Some((log, before)) = before {
+                            log.record(Event::PoolRelease {
                                 dtype,
                                 elements,
                                 evictions: pool.stats().evicted - before.evicted,
@@ -254,7 +254,7 @@ pub(crate) fn run_functional(
     pool: &mut BufferPool,
     policy: SchedulePolicy,
     fault: &FaultContext,
-    recorder: &mut dyn Recorder,
+    recorder: Option<&TraceLog>,
 ) -> Result<GraphRun, RuntimeError> {
     let mut edges = EdgeBuffers::new(graph);
     let mut reports: Vec<Option<TimingReport>> = vec![None; graph.len()];
@@ -264,8 +264,8 @@ pub(crate) fn run_functional(
     let mut wave: Vec<usize> = (0..graph.len()).filter(|&i| indegree[i] == 0).collect();
     let mut wave_index = 0usize;
     while !wave.is_empty() {
-        if recorder.enabled() {
-            recorder.record(Event::WaveScheduled {
+        if let Some(log) = recorder {
+            log.record(Event::WaveScheduled {
                 wave: wave_index,
                 nodes: wave.clone(),
             });

@@ -8,7 +8,7 @@ use super::{FaultContext, Launch, NodeLaunch, Work};
 use crate::error::RuntimeError;
 use crate::report::{GraphReport, NodeTiming, Recovery};
 use crate::session::{FaultPolicy, SchedulePolicy};
-use crate::telemetry::{Event, Recorder};
+use crate::telemetry::{Event, TraceLog};
 use cypress_core::Compiled;
 use cypress_sim::concurrent::{
     Completion, ConcurrentEngine, EngineStep, KernelProfile, LaunchOutcome,
@@ -28,7 +28,7 @@ pub(crate) fn run_timing(
     timeline: Vec<Launch>,
     policy: SchedulePolicy,
     fault: &FaultContext,
-    recorder: &mut dyn Recorder,
+    recorder: Option<&TraceLog>,
 ) -> Result<GraphReport, RuntimeError> {
     let reports = nodes
         .iter()
@@ -68,7 +68,7 @@ pub(super) fn assemble_report(
     timeline: Vec<Launch>,
     policy: SchedulePolicy,
     fault: &FaultContext,
-    recorder: &mut dyn Recorder,
+    recorder: Option<&TraceLog>,
 ) -> Result<GraphReport, RuntimeError> {
     let streams = policy.streams();
     let critical_path = critical_path(&timeline, reports);
@@ -76,7 +76,7 @@ pub(super) fn assemble_report(
     // order, independent of how the launches actually ran (and of what a
     // device loss re-routes).
     let mut executed = Vec::new();
-    if recorder.enabled() {
+    if recorder.is_some() {
         for launch in &timeline {
             let report = launch.report(reports);
             executed.push(Event::NodeExecuted {
@@ -87,9 +87,9 @@ pub(super) fn assemble_report(
         }
     }
     let sched = Scheduler::new(topology, timeline, nodes, reports, streams, fault).run()?;
-    if recorder.enabled() {
+    if let Some(log) = recorder {
         for ev in sched.events {
-            recorder.record(ev);
+            log.record(ev);
         }
     }
     let report = GraphReport {
@@ -105,9 +105,9 @@ pub(super) fn assemble_report(
         return Err(abort(Box::new(report)));
     }
     // Then the schedule's `NodeSpan` timeline in completion order.
-    if recorder.enabled() {
+    if let Some(log) = recorder {
         for ev in executed.into_iter().chain(report.trace_events()) {
-            recorder.record(ev);
+            log.record(ev);
         }
     }
     Ok(report)

@@ -162,7 +162,7 @@ pub(crate) struct FusionPlan {
 impl FusionPlan {
     /// Where original `(node, param)` lives in the rewritten graph.
     #[must_use]
-    pub fn target(&self, node: usize, param: usize) -> Option<(usize, usize)> {
+    pub(crate) fn target(&self, node: usize, param: usize) -> Option<(usize, usize)> {
         *self.param_map.get(node)?.get(param)?
     }
 

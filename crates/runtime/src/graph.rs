@@ -164,17 +164,6 @@ impl TaskGraph {
         Ok(())
     }
 
-    /// The node behind a handle.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::UnknownNode`] for a stale handle.
-    pub fn node(&self, id: NodeId) -> Result<&Node, RuntimeError> {
-        self.nodes
-            .get(id.0)
-            .ok_or(RuntimeError::UnknownNode { id: id.0 })
-    }
-
     /// All nodes, in insertion order.
     #[must_use]
     pub fn nodes(&self) -> &[Node] {
@@ -195,7 +184,7 @@ impl TaskGraph {
 
     /// The direct producers of `id` (deduplicated, ascending).
     #[must_use]
-    pub fn dependencies(&self, id: NodeId) -> Vec<NodeId> {
+    pub(crate) fn dependencies(&self, id: NodeId) -> Vec<NodeId> {
         let mut deps: Vec<usize> = self.nodes[id.0]
             .bindings
             .iter()
@@ -269,23 +258,6 @@ impl TaskGraph {
             }
         }
         counts
-    }
-
-    /// External input names the graph needs at launch (deduplicated, in
-    /// first-use order).
-    #[must_use]
-    pub fn external_inputs(&self) -> Vec<String> {
-        let mut names = Vec::new();
-        for node in &self.nodes {
-            for b in &node.bindings {
-                if let Binding::External(name) = b {
-                    if !names.contains(name) {
-                        names.push(name.clone());
-                    }
-                }
-            }
-        }
-        names
     }
 }
 
@@ -411,7 +383,6 @@ mod tests {
         assert_eq!(g.schedule(), vec![a, b, c]);
         assert_eq!(g.dependencies(c), vec![a, b]);
         assert_eq!(g.consumer_counts()[a.index()][0], 1);
-        assert_eq!(g.external_inputs(), vec!["A".to_string(), "B".to_string()]);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! - [`Session`]: the long-lived object owning a **compiled-kernel
 //!   cache** keyed by the stable fingerprint of
 //!   `(tasks, mapping, entry args, machine)` — a repeated launch
-//!   skips the Fig. 6 pass pipeline entirely — plus a [`BufferPool`] that
+//!   skips the Fig. 6 pass pipeline entirely — plus a buffer pool that
 //!   recycles intermediate tensors across launches;
 //! - an executor that schedules the graph over
 //!   [`cypress_sim::Simulator`], threading output tensors of one launch
@@ -49,8 +49,7 @@
 //!   confirms the fused launch beats the launches it replaces. Results
 //!   are bitwise identical to [`FusionPolicy::Off`]; only launch count
 //!   and timeline change, and every fused launch's
-//!   [`NodeTiming::replaced`] names the original nodes (see the
-//!   [`fuse`] docs).
+//!   [`NodeTiming::replaced`] names the original nodes.
 //! - a [`PlacementPolicy`] on the session enabling **multi-device
 //!   sharded execution** ([`PlacementPolicy::Sharded`]): the graph is
 //!   partitioned across N simulated devices connected by NVLink-class
@@ -59,8 +58,7 @@
 //!   and the scheduler overlaps communication with compute. Tensors
 //!   are bitwise identical across placement policies and device counts,
 //!   and `Sharded { devices: 1 }` is exactly
-//!   [`PlacementPolicy::SingleDevice`], timeline included (see the
-//!   [`shard`] docs);
+//!   [`PlacementPolicy::SingleDevice`], timeline included;
 //! - **host-side parallelism** on the session
 //!   ([`Session::with_parallelism`], default = available cores): the
 //!   functional executor runs each ready wave of nodes on a scoped
@@ -69,15 +67,15 @@
 //!   bit-identical at every worker count (`1` is byte-for-byte the
 //!   serial path); only wall time changes.
 //! - **deterministic observability** ([`telemetry`]): attach a
-//!   [`Recorder`] with [`Session::with_recorder`] to trace the whole
+//!   [`TraceLog`] with [`Session::with_recorder`] to trace the whole
 //!   execution path — graph submissions, fusion decisions with their
 //!   sim-confirmed margins, cache and pool traffic, autotune sweeps,
 //!   wave scheduling, per-node spans in sim cycles — read one unified
 //!   [`MetricsSnapshot`] from [`Session::metrics`], and export any
 //!   [`GraphReport`] timeline to Perfetto-loadable Chrome-trace JSON
-//!   with [`TraceSink::chrome_json`]. With no recorder attached (the
-//!   default) nothing is constructed and every result is byte-identical
-//!   to a session without the telemetry layer.
+//!   with [`TraceSink::chrome_json`]. With no log attached (the
+//!   default) no event is constructed and every result is
+//!   byte-identical to a session without the telemetry layer.
 //! - **fault-tolerant execution** ([`FaultPolicy`]): attach a seeded
 //!   deterministic [`FaultPlan`] ([`Session::with_fault_plan`]) injecting
 //!   transient kernel faults and permanent device losses into the
@@ -133,34 +131,36 @@
 //! ```
 
 #![forbid(unsafe_code)]
+// `pub` is for what another crate may name: an item that is `pub` but
+// unreachable from the crate root must say `pub(crate)`.
+#![deny(unreachable_pub)]
 
-pub mod cache;
-pub mod error;
-pub mod executor;
-pub mod fuse;
-pub mod graph;
+mod cache;
+mod error;
+mod executor;
+mod fuse;
+mod graph;
 pub mod json;
-pub mod pool;
-pub mod program;
-pub mod report;
-pub mod session;
-pub mod shard;
+mod pool;
+mod program;
+mod report;
+mod session;
+mod shard;
 pub mod telemetry;
 pub mod tuner;
 
-pub use cache::{CacheStats, KernelCache};
+pub use cache::CacheStats;
 pub use cypress_sim::{ApplyBytes, Fault, FaultPlan};
 pub use error::RuntimeError;
 pub use executor::GraphRun;
 pub use fuse::FusionPolicy;
 pub use graph::{Binding, Node, NodeId, TaskGraph};
-pub use pool::{BufferPool, PoolStats};
+pub use pool::PoolStats;
 pub use program::{Program, ProgramParts, SpaceBinding};
 pub use report::{GraphReport, NodeTiming, Recovery};
 pub use session::{CompiledGraph, FaultPolicy, MappingPolicy, SchedulePolicy, Session};
 pub use shard::PlacementPolicy;
 pub use telemetry::{
-    ChromeSpan, ChromeTrace, Event, EventClass, MetricsSnapshot, NoopRecorder, Recorder, TraceLog,
-    TraceSink,
+    ChromeSpan, ChromeTrace, Event, EventClass, MetricsSnapshot, TraceLog, TraceSink,
 };
 pub use tuner::{TunedMapping, TunerBudget, TunerStats, TuningKey, TuningTable};

@@ -35,7 +35,7 @@ pub struct PoolStats {
 /// A free-list of tensors keyed by `(dtype, element count)`, optionally
 /// bounded with least-recently-released eviction.
 #[derive(Debug, Default)]
-pub struct BufferPool {
+pub(crate) struct BufferPool {
     /// Parked buffers per size class, tagged with their release stamp.
     free: HashMap<(DType, usize), Vec<(u64, Tensor)>>,
     /// Monotonic release counter (the LRU clock).
@@ -49,7 +49,7 @@ pub struct BufferPool {
 impl BufferPool {
     /// An empty, unbounded pool.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         BufferPool::default()
     }
 
@@ -63,13 +63,6 @@ impl BufferPool {
                 self.evict_oldest();
             }
         }
-    }
-
-    /// Builder-style `BufferPool::set_capacity`.
-    #[must_use]
-    pub fn with_capacity(mut self, capacity: usize) -> Self {
-        self.set_capacity(Some(capacity));
-        self
     }
 
     fn free_len(&self) -> usize {
@@ -123,7 +116,7 @@ impl BufferPool {
 
     /// Return a buffer to the pool for later reuse, evicting the
     /// least-recently-released buffer when the pool is at capacity.
-    pub fn release(&mut self, t: Tensor) {
+    pub(crate) fn release(&mut self, t: Tensor) {
         if self.capacity == Some(0) {
             self.evicted += 1;
             return;
@@ -140,7 +133,7 @@ impl BufferPool {
 
     /// Counters and occupancy.
     #[must_use]
-    pub fn stats(&self) -> PoolStats {
+    pub(crate) fn stats(&self) -> PoolStats {
         PoolStats {
             acquired: self.acquired,
             reused: self.reused,
@@ -151,7 +144,7 @@ impl BufferPool {
     }
 
     /// Drop all parked buffers (counters and the capacity are kept).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.free.clear();
     }
 }
@@ -202,7 +195,8 @@ mod tests {
 
     #[test]
     fn bounded_pool_evicts_least_recently_released() {
-        let mut pool = BufferPool::new().with_capacity(2);
+        let mut pool = BufferPool::new();
+        pool.set_capacity(Some(2));
         // Three distinct size classes: the first released gets evicted.
         for size in [4usize, 8, 16] {
             let t = pool.acquire(DType::F16, size, 1);
@@ -222,7 +216,8 @@ mod tests {
 
     #[test]
     fn zero_capacity_parks_nothing() {
-        let mut pool = BufferPool::new().with_capacity(0);
+        let mut pool = BufferPool::new();
+        pool.set_capacity(Some(0));
         let t = pool.acquire(DType::F16, 4, 4);
         pool.release(t);
         assert_eq!(pool.stats().free, 0);

@@ -14,34 +14,6 @@
 //! mappings and transparently swap the winner in. [`Program::from_space`]
 //! builds a bound program at the space's hand-tuned default, so an
 //! untuned launch is bit-identical to the plain builders.
-//!
-//! # Immutable, shared, self-identifying
-//!
-//! A `Program` is a handle to [`ProgramParts`] behind an [`Arc`]. The
-//! parts are readable by plain field access through `Deref`
-//! (`program.registry`, `&node.program.args`, `program.space`) and are
-//! never writable after construction: there is no `DerefMut`, no setter,
-//! and [`Program::with_space`] builds a new value. That is what makes
-//! two things sound:
-//!
-//! - **Clones share everything.** `Program::clone` bumps a reference
-//!   count, so every graph the runtime rebuilds from another (the fusion
-//!   and shard rewrites, [`crate::Session::compile_graph`]) shares its
-//!   nodes' registries and mappings with the source graph.
-//! - **The identity is computed once.** The parts memoize their
-//!   target-free [`SourceIdentity`] — the hash a warm launch needs to
-//!   find its compiled kernel — on first use; every clone sees the memo.
-//!   The same goes for which library kernel the parts are, the deep
-//!   registry comparison the fusion rewriter matches members by.
-//!
-//! The identity is *structural*, never the allocation's address: it is
-//! the hash [`cypress_core::fingerprint::source_identity`] computes from
-//! the parts, so a program rebuilt from scratch has the identity of the
-//! original and hits the same cache entries, and nothing
-//! target-dependent is stored — a session combines the program's source
-//! hash with its own target hash, so one program launched through
-//! sessions with different machines or compiler options still gets
-//! different fingerprints.
 
 use crate::fuse::{self, LibraryKernel};
 use cypress_core::fingerprint::{source_identity, SourceIdentity};
@@ -64,8 +36,36 @@ pub struct SpaceBinding {
     pub shape: Shape,
 }
 
-/// One compilable Cypress program: an immutable, cheaply cloned handle
-/// (see the [module docs](self)). Dereferences to its [`ProgramParts`].
+/// One compilable Cypress program: an immutable, cheaply cloned handle.
+/// Dereferences to its [`ProgramParts`].
+///
+/// # Immutable, shared, self-identifying
+///
+/// A `Program` is a handle to [`ProgramParts`] behind an [`Arc`]. The
+/// parts are readable by plain field access through `Deref`
+/// (`program.registry`, `&node.program.args`, `program.space`) and are
+/// never writable after construction: there is no `DerefMut`, no setter,
+/// and [`Program::with_space`] builds a new value. That is what makes
+/// two things sound:
+///
+/// - **Clones share everything.** `Program::clone` bumps a reference
+///   count, so every graph the runtime rebuilds from another (the fusion
+///   and shard rewrites, [`crate::Session::compile_graph`]) shares its
+///   nodes' registries and mappings with the source graph.
+/// - **The identity is computed once.** The parts memoize their
+///   target-free [`SourceIdentity`] — the hash a warm launch needs to
+///   find its compiled kernel — on first use; every clone sees the memo.
+///   The same goes for which library kernel the parts are, the deep
+///   registry comparison the fusion rewriter matches members by.
+///
+/// The identity is *structural*, never the allocation's address: it is
+/// the hash [`cypress_core::fingerprint::source_identity`] computes from
+/// the parts, so a program rebuilt from scratch has the identity of the
+/// original and hits the same cache entries, and nothing
+/// target-dependent is stored — a session combines the program's source
+/// hash with its own target hash, so one program launched through
+/// sessions with different machines or compiler options still gets
+/// different fingerprints.
 #[derive(Debug, Clone)]
 pub struct Program {
     parts: Arc<ProgramParts>,
@@ -245,7 +245,7 @@ impl Program {
     /// Declared privilege of entry parameter `idx`, if the entry variant
     /// declares its signature (used to distinguish outputs from inputs).
     #[must_use]
-    pub fn param_privilege(&self, idx: usize) -> Option<Privilege> {
+    pub(crate) fn param_privilege(&self, idx: usize) -> Option<Privilege> {
         let entry_variant = &self.mapping.entry().variant;
         let variant = self.registry.variant(entry_variant).ok()?;
         let sig = variant.params.get(idx)?;

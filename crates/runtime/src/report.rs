@@ -152,15 +152,6 @@ impl GraphReport {
         }
     }
 
-    /// The timing of the node called `name`, if it ran.
-    #[must_use]
-    pub fn node(&self, name: &str) -> Option<&TimingReport> {
-        self.nodes
-            .iter()
-            .find(|n| n.node == name)
-            .map(|n| &n.report)
-    }
-
     /// The timeline entry of the node called `name`, if it ran.
     #[must_use]
     pub fn timeline(&self, name: &str) -> Option<&NodeTiming> {

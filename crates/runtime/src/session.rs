@@ -58,7 +58,7 @@ use crate::pool::BufferPool;
 use crate::program::Program;
 use crate::report::GraphReport;
 use crate::shard::PlacementPolicy;
-use crate::telemetry::{Event, MetricsSnapshot, NoopRecorder, Recorder};
+use crate::telemetry::{Event, MetricsSnapshot, TraceLog};
 use crate::tuner::{key_for, TunedMapping, TunerBudget, TuningKey, TuningTable};
 use cypress_core::fingerprint::{
     combine, machine_fingerprint, resume_source, source_identity, target_fingerprint,
@@ -98,7 +98,7 @@ pub enum SchedulePolicy {
 impl SchedulePolicy {
     /// The stream count the policy schedules onto (1 for serial).
     #[must_use]
-    pub fn streams(&self) -> usize {
+    pub(crate) fn streams(&self) -> usize {
         match self {
             SchedulePolicy::Serial => 1,
             SchedulePolicy::Concurrent { streams } => (*streams).max(1),
@@ -160,7 +160,7 @@ pub enum FaultPolicy {
     /// `retry:`-prefixed spans in the timeline) after an optional
     /// backoff window; a permanent device loss evicts the device and
     /// the run degrades onto the survivors — unexecuted nodes re-shard
-    /// (see [`crate::shard`]), stranded buffers drain over the links as
+    /// (see [`PlacementPolicy`]), stranded buffers drain over the links as
     /// `xfer:recover:` spans — and the launch completes with
     /// bitwise-identical tensors and a populated
     /// [`GraphReport::recovery`] section.
@@ -286,10 +286,10 @@ pub struct Session {
     /// already hashed — instead of building and hashing it afresh.
     /// `None` marks a kernel with no valid mapping on this machine.
     fused_programs: HashMap<FusedKernel, Option<Program>>,
-    /// Telemetry sink every launch reports to (see
-    /// [`Session::with_recorder`]); [`NoopRecorder`] by default, so the
-    /// hot path constructs no events.
-    recorder: Box<dyn Recorder>,
+    /// The event log every launch reports to (see
+    /// [`Session::with_recorder`]); `None` by default, so the hot path
+    /// constructs no events.
+    recorder: Option<TraceLog>,
     /// Counters no component stats struct carries (fusion decisions,
     /// comm launches, fault counters, functional apply bytes). Its
     /// `cache` / `pool` / `tuner` fields stay at their defaults:
@@ -321,7 +321,7 @@ impl Session {
             untunable: HashSet::new(),
             solo: HashMap::new(),
             fused_programs: HashMap::new(),
-            recorder: Box::new(NoopRecorder),
+            recorder: None,
             metrics: MetricsSnapshot::default(),
         }
     }
@@ -353,7 +353,7 @@ impl Session {
     }
 
     /// Choose whether graph launches are rewritten through the fusion
-    /// rewriter (see [`crate::fuse`]). [`FusionPolicy::Off`] launches
+    /// rewriter (see [`FusionPolicy`]). [`FusionPolicy::Off`] launches
     /// graphs exactly as written; [`FusionPolicy::Auto`] collapses
     /// producer→consumer patterns into the paper's fused kernels when
     /// the simulator confirms the fused launch wins — functional results
@@ -365,7 +365,7 @@ impl Session {
     }
 
     /// Choose how subsequent graph launches are placed onto simulated
-    /// devices (see [`crate::shard`]).
+    /// devices.
     /// [`PlacementPolicy::SingleDevice`] keeps everything on one
     /// device; [`PlacementPolicy::Sharded`] partitions each graph
     /// across N devices connected by NVLink-class links, launching a
@@ -409,14 +409,13 @@ impl Session {
         self
     }
 
-    /// Attach a telemetry [`Recorder`] that subsequent launches report
-    /// to. The usual sink is a [`crate::TraceLog`] clone — keep one
-    /// handle, hand the session the other, read the events after
-    /// launching. Replacing the recorder drops the previous one; pass
-    /// [`NoopRecorder`] to detach.
+    /// Attach an event log that subsequent launches report to. Clones
+    /// of a [`TraceLog`] share one buffer: keep one handle, hand the
+    /// session the other, read the events after launching. Attaching a
+    /// log replaces the previous one.
     #[must_use]
-    pub fn with_recorder(mut self, recorder: impl Recorder + 'static) -> Self {
-        self.recorder = Box::new(recorder);
+    pub fn with_recorder(mut self, log: TraceLog) -> Self {
+        self.recorder = Some(log);
         self
     }
 
@@ -436,7 +435,7 @@ impl Session {
 
     /// The host worker threads the session currently uses.
     #[must_use]
-    pub fn parallelism(&self) -> usize {
+    pub(crate) fn parallelism(&self) -> usize {
         self.simulator.parallelism()
     }
 
@@ -492,7 +491,7 @@ impl Session {
     /// Propagates [`RuntimeError::Compile`] from the pass pipeline.
     pub fn compile(&mut self, program: &Program) -> Result<Arc<Compiled>, RuntimeError> {
         let fp = self.fingerprint_of(program);
-        let before = self.recorder.enabled().then(|| self.cache.stats());
+        let before = self.recorder.is_some().then(|| self.cache.stats());
         let compiler = &self.compiler;
         let compiled = self.cache.get_or_compile(fp, || {
             compiler
@@ -504,8 +503,8 @@ impl Session {
                 )?
                 .finish(&program.mapping, fp)
         })?;
-        if let Some(before) = before {
-            record_cache_lookup(self.recorder.as_mut(), &self.cache, fp, before, &compiled);
+        if let (Some(log), Some(before)) = (&self.recorder, before) {
+            record_cache_lookup(log, &self.cache, fp, before, &compiled);
         }
         Ok(compiled)
     }
@@ -622,8 +621,8 @@ impl Session {
                     self.rank_candidates(&binding, &key, candidates, k);
                 self.tuning
                     .note_ranking(total as u64, pruned as u64, transferred);
-                if self.recorder.enabled() {
-                    self.recorder.record(Event::TunerRanked {
+                if let Some(log) = &self.recorder {
+                    log.record(Event::TunerRanked {
                         entry: program.entry.clone(),
                         shape: binding.shape.to_string(),
                         ranked: total,
@@ -643,9 +642,9 @@ impl Session {
             cut as u64,
             (swept.len() - whole - cut) as u64,
         );
-        if self.recorder.enabled() {
+        if let Some(log) = &self.recorder {
             for c in &swept {
-                self.recorder.record(Event::TunerCandidate {
+                log.record(Event::TunerCandidate {
                     entry: program.entry.clone(),
                     config: c.config.label(),
                     cycles: c.cycles,
@@ -683,14 +682,14 @@ impl Session {
     /// Emit the [`Event::TunerSweep`] of a sweep that resolved to
     /// `tuned`, from the table (`cached`) or freshly timed.
     fn record_sweep(
-        &mut self,
+        &self,
         program: &Program,
         binding: &crate::program::SpaceBinding,
         tuned: &TunedMapping,
         cached: bool,
     ) {
-        if self.recorder.enabled() {
-            self.recorder.record(Event::TunerSweep {
+        if let Some(log) = &self.recorder {
+            log.record(Event::TunerSweep {
                 entry: program.entry.clone(),
                 shape: binding.shape.to_string(),
                 candidates: tuned.candidates,
@@ -962,7 +961,7 @@ impl Session {
         built.sort_unstable_by_key(|&(i, ..)| i);
         let mut resident = Vec::with_capacity(built.len());
         for (_, cfg, fp) in built {
-            let before = self.recorder.enabled().then(|| self.cache.stats());
+            let before = self.recorder.is_some().then(|| self.cache.stats());
             // A failure is not cached, so a fingerprint the list holds
             // twice misses again: its error stays for the second lookup.
             let compiled = self
@@ -974,8 +973,8 @@ impl Session {
                         .expect("a sweep's group compiles every fingerprint the cache misses"),
                 });
             if let Ok(compiled) = compiled {
-                if let Some(before) = before {
-                    record_cache_lookup(self.recorder.as_mut(), &self.cache, fp, before, &compiled);
+                if let (Some(log), Some(before)) = (&self.recorder, before) {
+                    record_cache_lookup(log, &self.cache, fp, before, &compiled);
                 }
                 resident.push((cfg, compiled));
             }
@@ -1114,10 +1113,10 @@ impl Session {
             self.metrics.fusion_applied += plan.rewrites.len() as u64;
         }
         self.metrics.fusion_declined += declined.len() as u64;
-        if self.recorder.enabled() {
+        if let Some(log) = &self.recorder {
             if let Some(plan) = &plan {
                 for r in &plan.rewrites {
-                    self.recorder.record(Event::FusionApplied {
+                    log.record(Event::FusionApplied {
                         rule: r.rule,
                         fused: plan.graph.nodes()[r.fused.index()].name.clone(),
                         replaced: r.replaced.clone(),
@@ -1127,7 +1126,7 @@ impl Session {
                 }
             }
             for d in declined {
-                self.recorder.record(Event::FusionDeclined {
+                log.record(Event::FusionDeclined {
                     rule: d.rule,
                     replaced: d.replaced,
                     fused_cycles: d.fused_cycles,
@@ -1166,15 +1165,15 @@ impl Session {
         }
         self.metrics.comm_launches += transfers.len() as u64;
         self.metrics.link_bytes += link_bytes as u64;
-        if self.recorder.enabled() {
+        if let Some(log) = &self.recorder {
             for launch in &timeline {
-                self.recorder.record(Event::ShardAssigned {
+                log.record(Event::ShardAssigned {
                     node: launch.name.clone(),
                     device: launch.device,
                 });
             }
             for event in transfers {
-                self.recorder.record(event);
+                log.record(event);
             }
         }
         Ok(timeline)
@@ -1208,9 +1207,9 @@ impl Session {
     }
 
     /// Announce a graph launch to the recorder.
-    fn record_submitted(&mut self, graph: &TaskGraph, mode: &'static str) {
-        if self.recorder.enabled() {
-            self.recorder.record(Event::GraphSubmitted {
+    fn record_submitted(&self, graph: &TaskGraph, mode: &'static str) {
+        if let Some(log) = &self.recorder {
+            log.record(Event::GraphSubmitted {
                 nodes: graph.len(),
                 mode,
             });
@@ -1251,7 +1250,7 @@ impl Session {
             &mut self.pool,
             self.policy,
             &self.fault,
-            self.recorder.as_mut(),
+            self.recorder.as_ref(),
         );
         self.note_recovery(run.as_ref().map(|run| &run.report));
         let run = run?;
@@ -1269,7 +1268,7 @@ impl Session {
     /// are not the timing schedule's (see [`GraphRun::report`]).
     ///
     /// Under [`FusionPolicy::Auto`] the graph is first rewritten through
-    /// the fusion rewriter (see [`crate::fuse`]); results stay addressed
+    /// the fusion rewriter; results stay addressed
     /// by *this* graph's node ids and are bitwise identical to the
     /// unfused launch, while the report shows the fused launches (each
     /// [`crate::NodeTiming::replaced`] lists the original nodes).
@@ -1348,7 +1347,7 @@ impl Session {
             prepared.timeline,
             self.policy,
             &self.fault,
-            self.recorder.as_mut(),
+            self.recorder.as_ref(),
         );
         self.note_recovery(report.as_ref());
         report
@@ -1486,20 +1485,20 @@ fn compile_group(
 /// a miss, the opt-in host-time [`Event::CompilePass`] stream of the
 /// freshly compiled kernel.
 fn record_cache_lookup(
-    recorder: &mut dyn Recorder,
+    log: &TraceLog,
     cache: &KernelCache,
     fp: u64,
     before: CacheStats,
     compiled: &Compiled,
 ) {
     let hit = cache.stats().hits > before.hits;
-    recorder.record(Event::CacheLookup {
+    log.record(Event::CacheLookup {
         fingerprint: fp,
         hit,
     });
     if !hit {
         for (pass, ns) in &compiled.pass_nanos {
-            recorder.record(Event::CompilePass {
+            log.record(Event::CompilePass {
                 pass: pass.clone(),
                 host_ns: *ns,
             });

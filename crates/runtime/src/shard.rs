@@ -69,7 +69,7 @@ const MAX_DEVICES: usize = 16;
 impl PlacementPolicy {
     /// The device count this policy schedules over.
     #[must_use]
-    pub fn devices(self) -> usize {
+    pub(crate) fn devices(self) -> usize {
         match self {
             PlacementPolicy::SingleDevice => 1,
             PlacementPolicy::Sharded { devices } => devices.max(1),

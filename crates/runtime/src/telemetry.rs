@@ -5,13 +5,12 @@
 //! outcomes, fusion-rewrite decisions. This module unifies them behind
 //! three small pieces:
 //!
-//! - **[`Recorder`] / [`Event`]** — a span/event stream threaded through
+//! - **[`TraceLog`] / [`Event`]** — a span/event stream threaded through
 //!   the whole execution path (graph submission, fusion rewrites with
 //!   their sim-confirmed win margins, kernel-cache lookups, buffer-pool
 //!   traffic, autotune sweeps, wave scheduling, per-node execution).
-//!   Attach one with [`crate::Session::with_recorder`]; the default is
-//!   the zero-cost [`NoopRecorder`], whose `enabled() == false` means
-//!   event payloads are never even constructed.
+//!   Attach a log with [`crate::Session::with_recorder`]; a session
+//!   without one never constructs an event payload.
 //! - **[`MetricsSnapshot`]** — one snapshot unifying the existing stats
 //!   structs plus the session's own counters (fusion rewrites
 //!   applied/declined, comm and fault counters, per-dtype functional
@@ -325,35 +324,6 @@ impl Event {
     }
 }
 
-/// Sink for runtime [`Event`]s.
-///
-/// The session consults [`Recorder::enabled`] before building any event
-/// payload, so a disabled recorder (the default [`NoopRecorder`]) keeps
-/// the hot path free of allocation and formatting — attaching telemetry
-/// is strictly opt-in.
-pub trait Recorder: fmt::Debug + Send {
-    /// `false` lets emission sites skip constructing events entirely.
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    /// Consume one event.
-    fn record(&mut self, event: Event);
-}
-
-/// The default recorder: records nothing and reports itself disabled,
-/// so sessions without telemetry pay nothing.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NoopRecorder;
-
-impl Recorder for NoopRecorder {
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    fn record(&mut self, _event: Event) {}
-}
-
 /// A shared, cloneable in-memory event log.
 ///
 /// Clones share one underlying buffer, so the idiom is: keep one handle,
@@ -413,9 +383,13 @@ impl TraceLog {
         self.lock().is_empty()
     }
 
-    /// Drop all recorded events (the handle stays attached).
-    pub fn clear(&self) {
-        self.lock().clear();
+    /// Append `event`, unless it is an [`EventClass::Host`] event and
+    /// the log was not built [`TraceLog::with_host`].
+    pub(crate) fn record(&self, event: Event) {
+        if !self.host && event.class() == EventClass::Host {
+            return;
+        }
+        self.lock().push(event);
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, Vec<Event>> {
@@ -424,15 +398,6 @@ impl TraceLog {
         self.shared
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-}
-
-impl Recorder for TraceLog {
-    fn record(&mut self, event: Event) {
-        if !self.host && event.class() == EventClass::Host {
-            return;
-        }
-        self.lock().push(event);
     }
 }
 
@@ -763,28 +728,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn noop_recorder_is_disabled_and_drops_events() {
-        let mut r = NoopRecorder;
-        assert!(!r.enabled());
-        r.record(Event::GraphSubmitted {
-            nodes: 1,
-            mode: "timing",
-        });
-        // Nothing observable: NoopRecorder holds no state by
-        // construction (it is a unit struct).
-    }
-
-    #[test]
     fn trace_log_clones_share_the_buffer() {
         let log = TraceLog::new();
-        let mut handle = log.clone();
+        let handle = log.clone();
         handle.record(Event::GraphSubmitted {
             nodes: 3,
             mode: "functional",
         });
         assert_eq!(log.len(), 1);
-        log.clear();
-        assert!(log.is_empty());
     }
 
     #[test]
@@ -794,10 +745,10 @@ mod tests {
             host_ns: 123,
         };
         assert_eq!(host_event.class(), EventClass::Host);
-        let mut default_log = TraceLog::new();
+        let default_log = TraceLog::new();
         default_log.record(host_event.clone());
         assert!(default_log.is_empty());
-        let mut host_log = TraceLog::new().with_host();
+        let host_log = TraceLog::new().with_host();
         host_log.record(host_event);
         assert_eq!(host_log.len(), 1);
     }

@@ -32,7 +32,7 @@ use std::path::Path;
 /// with the same entries are equal however they were exercised.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TunerStats {
-    /// Winner lookups through [`TuningTable::get`].
+    /// Winner lookups in the table.
     pub lookups: u64,
     /// Lookups that found a tuned entry.
     pub hits: u64,
@@ -191,7 +191,7 @@ impl TuningTable {
     /// The tuned winner for `key`, if present. Counts one lookup (and a
     /// hit when found) in [`TuningTable::stats`].
     #[must_use]
-    pub fn get(&self, key: &TuningKey) -> Option<&TunedMapping> {
+    pub(crate) fn get(&self, key: &TuningKey) -> Option<&TunedMapping> {
         let found = self.entries.get(key);
         let mut stats = self.stats.get();
         stats.lookups += 1;
@@ -286,7 +286,7 @@ impl TuningTable {
     }
 
     /// Merge another table in; `other`'s entries win on key collisions.
-    pub fn merge(&mut self, other: TuningTable) {
+    pub(crate) fn merge(&mut self, other: TuningTable) {
         self.entries.extend(other.entries);
     }
 
@@ -329,7 +329,8 @@ impl TuningTable {
     ///
     /// Returns [`RuntimeError::BadTuningTable`] on a wrong header
     /// (including the retired `cypress-tuning-v1`), a malformed or
-    /// blank entry line, a duplicate key, or an entry whose
+    /// blank entry line, a cycle count that is not a finite,
+    /// non-negative number, a duplicate key, or an entry whose
     /// `model_version` is newer than this build's
     /// [`COST_MODEL_VERSION`] — predictions from a future model must
     /// not be silently reinterpreted. Every entry error names its line
@@ -374,9 +375,16 @@ impl TuningTable {
                 .collect::<Result<_, _>>()?;
             let config = MappingConfig::decode(config)
                 .ok_or_else(|| bad(format!("line {}: bad mapping config `{config}`", i + 2)))?;
-            let parse_f64 = |s: &str, what: &str| {
-                s.parse::<f64>()
-                    .map_err(|e| bad(format!("line {}: bad {what} `{s}`: {e}", i + 2)))
+            // Cycle counts are finite and non-negative: `f64::from_str`
+            // also reads `NaN`, `inf` and `-5`, which would turn into a
+            // meaningless `TunedMapping::speedup`.
+            let parse_cycles = |s: &str, what: &str| match s.parse::<f64>() {
+                Ok(x) if x.is_finite() && x >= 0.0 => Ok(x),
+                Ok(_) => Err(bad(format!(
+                    "line {}: bad {what} `{s}`: not a finite, non-negative cycle count",
+                    i + 2
+                ))),
+                Err(e) => Err(bad(format!("line {}: bad {what} `{s}`: {e}", i + 2))),
             };
             let key = TuningKey {
                 computation: parse_hex(comp, "computation fingerprint")?,
@@ -409,9 +417,9 @@ impl TuningTable {
                 TunedMapping {
                     entry: (*entry).to_string(),
                     config,
-                    default_cycles: parse_f64(default_cycles, "default cycles")?,
-                    tuned_cycles: parse_f64(tuned_cycles, "tuned cycles")?,
-                    predicted_cycles: parse_f64(predicted_cycles, "predicted cycles")?,
+                    default_cycles: parse_cycles(default_cycles, "default cycles")?,
+                    tuned_cycles: parse_cycles(tuned_cycles, "tuned cycles")?,
+                    predicted_cycles: parse_cycles(predicted_cycles, "predicted cycles")?,
                     candidates: candidates
                         .parse()
                         .map_err(|e| bad(format!("line {}: bad candidate count: {e}", i + 2)))?,
@@ -530,6 +538,27 @@ mod tests {
         assert!(TuningTable::from_text(&text).is_err());
         let truncated = sample_table().to_text().replace("gemm:", "mystery:");
         assert!(TuningTable::from_text(&truncated).is_err());
+        // `f64::from_str` reads these, but none is a cycle count: in
+        // every cycle field each is rejected, naming its line and field.
+        let text = sample_table().to_text();
+        for (field, what) in [
+            (5, "default cycles"),
+            (6, "tuned cycles"),
+            (7, "predicted cycles"),
+        ] {
+            for value in ["NaN", "inf", "-inf", "-5"] {
+                let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+                let mut fields: Vec<&str> = lines[1].split(' ').collect();
+                fields[field] = value;
+                lines[1] = fields.join(" ");
+                let err = TuningTable::from_text(&lines.join("\n")).unwrap_err();
+                assert!(
+                    err.to_string()
+                        .contains(&format!("line 2: bad {what} `{value}`")),
+                    "{what} = {value}: {err}"
+                );
+            }
+        }
     }
 
     #[test]

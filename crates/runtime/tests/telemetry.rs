@@ -1,10 +1,10 @@
 //! Integration contract of the telemetry layer
 //! (`cypress_runtime::telemetry`):
 //!
-//! 1. **Zero-cost default**: sessions ship with the disabled
-//!    `NoopRecorder`; attaching a `TraceLog` never changes tensors or
-//!    reports, it only observes them, and host-time events stay out of
-//!    the stream unless explicitly opted in.
+//! 1. **Zero-cost default**: sessions ship with no event log;
+//!    attaching a `TraceLog` never changes tensors or reports, it only
+//!    observes them, and host-time events stay out of the stream unless
+//!    explicitly opted in.
 //! 2. **Chrome-trace round-trip**: `TraceSink::chrome_json` output
 //!    parses back with `TraceSink::parse_chrome_json`, timestamps are
 //!    monotone, and every parsed span matches the `GraphReport`

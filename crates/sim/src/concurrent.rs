@@ -246,12 +246,6 @@ impl ConcurrentEngine {
         }
     }
 
-    /// Number of devices the engine models.
-    #[must_use]
-    pub fn device_count(&self) -> usize {
-        self.devices
-    }
-
     /// Admit a compute kernel on `device` at the current time; `id` is
     /// echoed back in its [`Completion`] (out of
     /// range clamps to the last device — callers validate their topology
@@ -568,7 +562,7 @@ mod tests {
         // perfectly when placed on different devices of a 2-GPU topology.
         let topo = Topology::nvlink(&machine4(), 2);
         let mut e = ConcurrentEngine::with_topology(&topo);
-        assert_eq!(e.device_count(), 2);
+        assert_eq!(e.devices, 2);
         e.launch_on(0, 0, &profile("a", 1000.0, 4.0, 0.0));
         e.launch_on(1, 1, &profile("b", 1000.0, 4.0, 0.0));
         let first = advance(&mut e).unwrap();

@@ -447,7 +447,7 @@ pub(crate) type Finished = (TimingReport, Option<Vec<Tensor>>, ApplyBytes);
 
 /// Execution mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Mode {
+pub(crate) enum Mode {
     /// All CTAs, real data.
     Functional,
     /// Busiest SM only, no data.

@@ -258,7 +258,7 @@ impl Env {
 
     /// The value bound to loop variable `id`, if any.
     #[must_use]
-    pub fn var(&self, id: usize) -> Option<i64> {
+    pub(crate) fn var(&self, id: usize) -> Option<i64> {
         self.vars.get(id).copied().flatten()
     }
 }

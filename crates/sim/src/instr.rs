@@ -325,7 +325,7 @@ impl Hash for SimtOp {
 impl SimtOp {
     /// Destination slice of the operation.
     #[must_use]
-    pub fn dst(&self) -> &Slice {
+    pub(crate) fn dst(&self) -> &Slice {
         match self {
             SimtOp::Fill { dst, .. }
             | SimtOp::Copy { dst, .. }
@@ -338,7 +338,7 @@ impl SimtOp {
 
     /// All slices the operation reads.
     #[must_use]
-    pub fn sources(&self) -> Vec<&Slice> {
+    pub(crate) fn sources(&self) -> Vec<&Slice> {
         match self {
             SimtOp::Fill { .. } => vec![],
             SimtOp::Copy { src, .. } | SimtOp::Map { src, .. } => vec![src],
@@ -387,7 +387,7 @@ impl Hash for UnOp {
 impl UnOp {
     /// Apply to one element.
     #[must_use]
-    pub fn apply(self, x: f32) -> f32 {
+    pub(crate) fn apply(self, x: f32) -> f32 {
         match self {
             UnOp::Exp => x.exp(),
             UnOp::Recip => 1.0 / x,
@@ -415,7 +415,7 @@ pub enum BinOp {
 impl BinOp {
     /// Apply to one pair of elements.
     #[must_use]
-    pub fn apply(self, a: f32, b: f32) -> f32 {
+    pub(crate) fn apply(self, a: f32, b: f32) -> f32 {
         match self {
             BinOp::Add => a + b,
             BinOp::Sub => a - b,
@@ -438,7 +438,7 @@ pub enum RedOp {
 impl RedOp {
     /// Identity element of the reduction.
     #[must_use]
-    pub fn identity(self) -> f32 {
+    pub(crate) fn identity(self) -> f32 {
         match self {
             RedOp::Sum => 0.0,
             RedOp::Max => f32::NEG_INFINITY,
@@ -447,7 +447,7 @@ impl RedOp {
 
     /// Combine two partial results.
     #[must_use]
-    pub fn apply(self, a: f32, b: f32) -> f32 {
+    pub(crate) fn apply(self, a: f32, b: f32) -> f32 {
         match self {
             RedOp::Sum => a + b,
             RedOp::Max => a.max(b),

@@ -122,7 +122,7 @@ impl Kernel {
 
     /// Warps per CTA (4 per compute warpgroup, 1 for a DMA warp).
     #[must_use]
-    pub fn warps_per_cta(&self) -> usize {
+    pub(crate) fn warps_per_cta(&self) -> usize {
         self.num_compute_warpgroups() * 4 + usize::from(self.has_dma_warp())
     }
 
@@ -248,7 +248,7 @@ pub(crate) fn wgmma_flops(a_elems: f64, n: f64) -> f64 {
 /// compute, loops weighted by their trip counts. Every field sums whole
 /// numbers, so it is exact in `f64` whatever the summation order.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct StaticTotals {
+pub(crate) struct StaticTotals {
     /// Global-memory bytes loaded per CTA through TMA.
     pub tma_load_bytes: f64,
     /// Global-memory bytes loaded per CTA through `cp.async`.
@@ -264,7 +264,7 @@ pub struct StaticTotals {
 impl StaticTotals {
     /// Global-memory bytes loaded per CTA, through either copy unit.
     #[must_use]
-    pub fn load_bytes(&self) -> f64 {
+    pub(crate) fn load_bytes(&self) -> f64 {
         self.tma_load_bytes + self.cp_async_bytes
     }
 

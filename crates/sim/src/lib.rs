@@ -69,22 +69,25 @@
 // The only `unsafe` in this crate is the guarded call of a
 // `#[target_feature]` function; each one says why it is sound.
 #![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
+// `pub` is for what another crate may name: an item that is `pub` but
+// unreachable from the crate root must say `pub(crate)`.
+#![deny(unreachable_pub)]
 
 pub(crate) mod apply;
-pub mod builder;
+mod builder;
 pub mod bytecode;
 pub mod concurrent;
-pub mod engine;
-pub mod error;
+mod engine;
+mod error;
 pub mod expr;
-pub mod fault;
+mod fault;
 mod fnv;
-pub mod instr;
-pub mod kernel;
-pub mod machine;
+mod instr;
+mod kernel;
+mod machine;
 pub mod mem;
 pub mod par;
-pub mod report;
+mod report;
 pub mod topology;
 
 pub use builder::KernelBuilder;
@@ -95,7 +98,7 @@ pub use expr::{Cond, Env, Expr};
 pub use fault::{Fault, FaultPlan};
 pub use fnv::Fnv64;
 pub use instr::{BinOp, Instr, RedOp, SimtOp, UnOp};
-pub use kernel::{Kernel, KernelError, MbarDecl, Role, RoleKind, StaticTotals};
+pub use kernel::{Kernel, KernelError, MbarDecl, Role, RoleKind};
 pub use machine::{CostConstants, MachineConfig};
 pub use mem::{FragDecl, MemRef, ParamDecl, Slice, SmemDecl, Space};
 pub use report::{ApplyBytes, TimingOutcome, TimingReport};

@@ -34,7 +34,7 @@ impl ParamDecl {
     /// hostile declaration reads as "too big" at validation instead of
     /// wrapping to a small number in release builds.
     #[must_use]
-    pub fn size_bytes(&self) -> usize {
+    pub(crate) fn size_bytes(&self) -> usize {
         self.rows
             .saturating_mul(self.cols)
             .saturating_mul(self.dtype.size_bytes())
@@ -63,7 +63,7 @@ impl SmemDecl {
     /// hostile declaration fails the shared-memory budget check instead
     /// of wrapping past it in release builds.
     #[must_use]
-    pub fn size_bytes(&self) -> usize {
+    pub(crate) fn size_bytes(&self) -> usize {
         self.rows
             .saturating_mul(self.cols)
             .saturating_mul(self.dtype.size_bytes())
@@ -87,7 +87,7 @@ impl FragDecl {
     /// Saturates on overflow so oversized fragments fail the register
     /// budget check instead of wrapping under it in release builds.
     #[must_use]
-    pub fn regs_per_thread(&self) -> usize {
+    pub(crate) fn regs_per_thread(&self) -> usize {
         self.rows.saturating_mul(self.cols).div_ceil(128)
     }
 }
@@ -107,7 +107,7 @@ pub enum MemRef {
 impl MemRef {
     /// The address space this reference lives in.
     #[must_use]
-    pub fn space(self) -> Space {
+    pub(crate) fn space(self) -> Space {
         match self {
             MemRef::Param(_) => Space::Global,
             MemRef::Smem(_) => Space::Shared,
@@ -213,7 +213,7 @@ impl Slice {
 
     /// Number of elements covered.
     #[must_use]
-    pub fn num_elements(&self) -> usize {
+    pub(crate) fn num_elements(&self) -> usize {
         self.rows * self.cols
     }
 }

@@ -26,7 +26,7 @@ pub struct ApplyBytes {
 
 impl ApplyBytes {
     /// Add `bytes` to the bucket of `dtype`.
-    pub fn add(&mut self, dtype: DType, bytes: u64) {
+    pub(crate) fn add(&mut self, dtype: DType, bytes: u64) {
         match dtype {
             DType::F16 => self.f16 += bytes,
             DType::BF16 => self.bf16 += bytes,

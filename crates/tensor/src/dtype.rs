@@ -73,17 +73,6 @@ impl DType {
         assert_eq!(src.len(), dst.len(), "quantize_copy length mismatch");
         quantize_copy_upto(WIDEST, self, src, dst);
     }
-
-    /// Relative tolerance appropriate for comparing results computed in this
-    /// dtype against an f32 reference (used by tests and examples).
-    #[must_use]
-    pub fn tolerance(self) -> f32 {
-        match self {
-            DType::F16 => 5e-2,
-            DType::BF16 => 1e-1,
-            DType::F32 => 1e-5,
-        }
-    }
 }
 
 impl fmt::Display for DType {
@@ -296,13 +285,6 @@ fn bf16_round_trip(x: f32) -> f32 {
 pub struct f16(u16);
 
 impl f16 {
-    /// Positive infinity.
-    pub const INFINITY: f16 = f16(0x7C00);
-    /// The largest finite `f16`, 65504.
-    pub const MAX: f16 = f16(0x7BFF);
-    /// One.
-    pub const ONE: f16 = f16(0x3C00);
-
     /// Construct from raw IEEE binary16 bits.
     #[must_use]
     pub fn from_bits(bits: u16) -> Self {
@@ -411,12 +393,6 @@ impl f16 {
         };
         f32::from_bits(bits)
     }
-
-    /// `true` if this value is NaN.
-    #[must_use]
-    pub fn is_nan(self) -> bool {
-        (self.0 & 0x7C00) == 0x7C00 && (self.0 & 0x03FF) != 0
-    }
 }
 
 impl From<f16> for f32 {
@@ -437,21 +413,9 @@ impl fmt::Display for f16 {
 pub struct bf16(u16);
 
 impl bf16 {
-    /// Construct from raw bfloat16 bits.
-    #[must_use]
-    pub fn from_bits(bits: u16) -> Self {
-        bf16(bits)
-    }
-
-    /// The raw bfloat16 bits.
-    #[must_use]
-    pub fn to_bits(self) -> u16 {
-        self.0
-    }
-
     /// Convert from `f32` with round-to-nearest-even.
     #[must_use]
-    pub fn from_f32(x: f32) -> Self {
+    pub(crate) fn from_f32(x: f32) -> Self {
         let bits = x.to_bits();
         if x.is_nan() {
             // Quiet the NaN; keep it a NaN after truncation.
@@ -469,14 +433,8 @@ impl bf16 {
 
     /// Convert to `f32` exactly.
     #[must_use]
-    pub fn to_f32(self) -> f32 {
+    pub(crate) fn to_f32(self) -> f32 {
         f32::from_bits(u32::from(self.0) << 16)
-    }
-
-    /// `true` if this value is NaN.
-    #[must_use]
-    pub fn is_nan(self) -> bool {
-        (self.0 & 0x7F80) == 0x7F80 && (self.0 & 0x007F) != 0
     }
 }
 
@@ -508,23 +466,22 @@ mod tests {
     #[test]
     fn f16_one_has_canonical_bits() {
         assert_eq!(f16::from_f32(1.0).to_bits(), 0x3C00);
-        assert_eq!(f16::ONE.to_f32(), 1.0);
+        assert_eq!(f16::from_bits(0x3C00).to_f32(), 1.0);
     }
 
     #[test]
     fn f16_overflow_is_infinity() {
-        assert_eq!(f16::from_f32(70000.0).to_bits(), f16::INFINITY.to_bits());
+        assert_eq!(f16::from_f32(70000.0).to_bits(), 0x7C00);
         assert_eq!(f16::from_f32(-70000.0).to_bits(), 0xFC00);
     }
 
     #[test]
     fn f16_max_is_65504() {
-        assert_eq!(f16::MAX.to_f32(), 65504.0);
+        assert_eq!(f16::from_bits(0x7BFF).to_f32(), 65504.0);
     }
 
     #[test]
     fn f16_nan_propagates() {
-        assert!(f16::from_f32(f32::NAN).is_nan());
         assert!(f16::from_f32(f32::NAN).to_f32().is_nan());
     }
 
@@ -566,7 +523,7 @@ mod tests {
 
     #[test]
     fn bf16_nan_stays_nan() {
-        assert!(bf16::from_f32(f32::NAN).is_nan());
+        assert!(bf16::from_f32(f32::NAN).to_f32().is_nan());
     }
 
     #[test]

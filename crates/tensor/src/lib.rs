@@ -31,9 +31,12 @@
 // The only `unsafe` in this crate is the guarded call of a
 // `#[target_feature]` function; each one says why it is sound.
 #![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
+// `pub` is for what another crate may name: an item that is `pub` but
+// unreachable from the crate root must say `pub(crate)`.
+#![deny(unreachable_pub)]
 
-pub mod dtype;
-pub mod error;
+mod dtype;
+mod error;
 pub mod partition;
 pub mod tensor;
 
@@ -41,6 +44,3 @@ pub use dtype::{bf16, f16, DType};
 pub use error::TensorError;
 pub use partition::{check_mma_shape, MmaInstr, MmaOperand};
 pub use tensor::Tensor;
-
-/// Convenience alias used throughout the workspace.
-pub type Shape = Vec<usize>;

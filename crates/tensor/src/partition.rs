@@ -32,19 +32,13 @@ impl MmaInstr {
 
     /// Rows of the accumulator.
     #[must_use]
-    pub fn m(self) -> usize {
+    pub(crate) fn m(self) -> usize {
         self.m
-    }
-
-    /// Columns of the accumulator.
-    #[must_use]
-    pub fn n(self) -> usize {
-        self.n
     }
 
     /// Reduction depth of one instruction.
     #[must_use]
-    pub fn k(self) -> usize {
+    pub(crate) fn k(self) -> usize {
         self.k
     }
 }
@@ -161,7 +155,7 @@ mod tests {
     #[test]
     fn wgmma_instruction_family() {
         let i = MmaInstr::wgmma_64x256x16();
-        assert_eq!((i.m(), i.n(), i.k()), (64, 256, 16));
+        assert_eq!((i.m, i.n, i.k), (64, 256, 16));
         assert_eq!(i.to_string(), "wgmma.m64n256k16");
     }
 }

@@ -326,7 +326,7 @@ pub mod reference {
     /// # Errors
     ///
     /// Returns [`TensorError::RankMismatch`] for non-matrix input.
-    pub fn transpose(x: &Tensor) -> Result<Tensor, TensorError> {
+    pub(crate) fn transpose(x: &Tensor) -> Result<Tensor, TensorError> {
         if x.shape().len() != 2 {
             return Err(TensorError::RankMismatch {
                 expected: 2,
