@@ -556,13 +556,25 @@ impl Attention {
 
     /// The K/V loop of one work item around `step`.
     fn kv_loop(&self, step: Vec<Instr>) -> Instr {
-        let trips = self.seq / (self.tiles.len() * self.s.bc);
-        Instr::repeat(self.jvar, trips as i64, step)
+        Instr::repeat(self.jvar, self.kv_trips(), step)
     }
 
+    /// K/V iterations per work item.
+    fn kv_trips(&self) -> i64 {
+        (self.seq / (self.tiles.len() * self.s.bc)) as i64
+    }
+
+    /// The DMA warp refills a K/V stage only once the compute warpgroups
+    /// released it. They arrive on `cons` once per K/V iteration of every
+    /// work item, so a CTA that runs several items counts its iterations
+    /// across them.
     fn dma_role(&self) -> Vec<Instr> {
+        let mut iteration = Expr::var(self.jvar);
+        if self.work_per_cta > 1 {
+            iteration = Expr::var(self.wvar) * self.kv_trips() + iteration;
+        }
         let mut step = vec![Instr::when(
-            Cond::Ge(Expr::var(self.jvar), Expr::lit(self.kv_stage as i64)),
+            Cond::Ge(iteration, Expr::lit(self.kv_stage as i64)),
             vec![Instr::mbar_wait(self.cons)],
         )];
         step.extend(self.kv_loads(Instr::tma_load));

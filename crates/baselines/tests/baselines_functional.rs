@@ -113,7 +113,9 @@ fn attention_schedule(pingpong: bool, persistent: bool, bulk_sync: bool) -> Atte
     }
 }
 
-fn check_attention(s: AttentionSchedule, heads: usize, seq: usize, d: usize) {
+/// Run `s` over `heads` heads of `seq x d` against the host oracle and
+/// return the output.
+fn check_attention(s: AttentionSchedule, heads: usize, seq: usize, d: usize) -> Tensor {
     let machine = MachineConfig::test_gpu();
     let k = attention_kernel("t", heads, seq, d, machine.sms, s);
     let mut rng = StdRng::seed_from_u64(35);
@@ -138,6 +140,7 @@ fn check_attention(s: AttentionSchedule, heads: usize, seq: usize, d: usize) {
         let err = sl(&run.params[0]).relative_error(&want).unwrap();
         assert!(err < 3e-2, "head {h} relative error {err}");
     }
+    run.params.into_iter().next().unwrap()
 }
 
 #[test]
@@ -153,6 +156,12 @@ fn pingpong_fa3_matches_reference() {
 #[test]
 fn persistent_fa3_matches_reference() {
     check_attention(attention_schedule(true, true, false), 2, 256, 64);
+    // Eight work items over the test GPU's four SMs: each CTA runs two,
+    // so its DMA warp refills K/V stages across an item boundary. It
+    // computes what one CTA per item computes, bit for bit.
+    let persistent = check_attention(attention_schedule(true, true, false), 4, 256, 64);
+    let per_item = check_attention(attention_schedule(true, false, false), 4, 256, 64);
+    assert_eq!(persistent.data(), per_item.data());
 }
 
 #[test]

@@ -1,33 +1,33 @@
 //! The functional executor: real tensors move along the graph's
-//! tensor-buffer edges one ready wave at a time, then the same launches
-//! are timed by the scheduler.
+//! tensor-buffer edges one ready wave at a time. It times nothing: a
+//! launch's report is its timing schedule, which the session assembles
+//! before any data moves.
 
-use super::schedule::assemble_report;
-use super::{FaultContext, Launch, NodeLaunch};
+use super::NodeLaunch;
 use crate::error::RuntimeError;
 use crate::fuse::FusionPlan;
 use crate::graph::{Binding, NodeId, TaskGraph};
 use crate::pool::BufferPool;
 use crate::report::GraphReport;
-use crate::session::SchedulePolicy;
 use crate::telemetry::{Event, TraceLog};
 use cypress_core::Compiled;
-use cypress_sim::{ApplyBytes, Simulator, TimingReport, Topology};
+use cypress_sim::{ApplyBytes, Simulator};
 use cypress_tensor::Tensor;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 /// The result of a functional graph launch: final parameter tensors of
-/// every retained node plus a whole-graph report of the launch timeline.
+/// every retained node plus the whole-graph timing schedule of the
+/// launch.
 #[derive(Debug)]
 pub struct GraphRun {
     names: Vec<String>,
     /// Per node: final parameter tensors in declaration order (`None` for
     /// nodes whose buffers were recycled into the pool).
     results: Vec<Option<Vec<Option<Tensor>>>>,
-    /// The launch timeline scheduled over the functional-mode runs' node
-    /// reports. A functional run puts every CTA on one SM's units, so
-    /// these cycles are not [`crate::Session::launch_timing`]'s.
+    /// The launch's timing schedule: what
+    /// [`crate::Session::launch_timing`] reports for the same graph on
+    /// the same session, bit for bit.
     pub report: GraphReport,
     /// Per-dtype bytes the functional data path moved across every node
     /// launch of this run — a deterministic function of the graph and
@@ -229,35 +229,31 @@ impl EdgeBuffers {
     }
 }
 
-/// `nodes` is indexed by `NodeId::index()` (one entry per graph node),
-/// and `timeline` is how the scheduler times them. The graph runs as
-/// written on any placement: a consumer on another device reads its
-/// producer's buffer directly, since the transfer between them would be
-/// a bitwise copy. Each *ready wave* of nodes (all dependencies satisfied) runs on the
-/// scoped worker pool; inputs are materialized, results joined and
-/// drained producers recycled serially, in ascending node order per
-/// wave. That order — and with it the buffer pool's traffic and the
-/// `WaveScheduled` / `PoolAcquire` / `PoolRelease` events — is a function
-/// of the graph alone: the simulator's worker count changes wall time
-/// only (one worker runs each wave inline, see [`cypress_sim::par`]). Each launch is
-/// a deterministic function of its input tensors (and pooled buffers are
-/// handed out zeroed), so tensors and reports are bit-identical at every
+/// Move `graph`'s data and return it with `report`, the launch's timing
+/// schedule. `nodes` is indexed by `NodeId::index()` (one entry per
+/// graph node). The graph runs as written on any placement: a consumer
+/// on another device reads its producer's buffer directly, since the
+/// transfer between them would be a bitwise copy. Each *ready wave* of
+/// nodes (all dependencies satisfied) runs on the scoped worker pool;
+/// inputs are materialized, results joined and drained producers
+/// recycled serially, in ascending node order per wave. That order — and
+/// with it the buffer pool's traffic and the `WaveScheduled` /
+/// `PoolAcquire` / `PoolRelease` events — is a function of the graph
+/// alone: the simulator's worker count changes wall time only (one
+/// worker runs each wave inline, see [`cypress_sim::par`]). Each launch
+/// is a deterministic function of its input tensors (and pooled buffers
+/// are handed out zeroed), so tensors are bit-identical at every
 /// parallelism level.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_functional(
     simulator: &Simulator,
-    topology: &Topology,
     graph: &TaskGraph,
     nodes: &[NodeLaunch],
-    timeline: Vec<Launch>,
     inputs: &HashMap<String, Tensor>,
     pool: &mut BufferPool,
-    policy: SchedulePolicy,
-    fault: &FaultContext,
     recorder: Option<&TraceLog>,
+    report: GraphReport,
 ) -> Result<GraphRun, RuntimeError> {
     let mut edges = EdgeBuffers::new(graph);
-    let mut reports: Vec<Option<TimingReport>> = vec![None; graph.len()];
     let mut apply_bytes = ApplyBytes::default();
 
     let (mut indegree, consumers) = graph.dependency_edges();
@@ -294,7 +290,6 @@ pub(crate) fn run_functional(
         for (idx, run) in runs {
             let run = run?;
             apply_bytes.merge(run.apply_bytes);
-            reports[idx] = Some(run.report);
             edges.store(NodeId(idx), run.params);
         }
         for &idx in &wave {
@@ -312,33 +307,6 @@ pub(crate) fn run_functional(
         next.sort_unstable();
         wave = next;
     }
-
-    let reports: Vec<TimingReport> = reports
-        .into_iter()
-        .map(|r| {
-            r.ok_or_else(|| RuntimeError::Internal {
-                what: "a scheduled node never ran (the schedule is topological, so this is a \
-                       runtime bug)"
-                    .into(),
-            })
-        })
-        .collect::<Result<_, _>>()?;
-    let report = assemble_report(topology, nodes, &reports, timeline, policy, fault, recorder);
-    let report = match report {
-        Ok(report) => report,
-        Err(e) => {
-            // The schedule aborted (fail-fast fault, exhausted retry
-            // budget, unrecovered device loss): every buffer the
-            // functional walk produced goes back into the pool so a
-            // long-lived session leaks nothing across failed launches.
-            for slot in edges.slots.drain(..).flatten() {
-                for t in slot.into_iter().flatten() {
-                    pool.release(t);
-                }
-            }
-            return Err(e);
-        }
-    };
     Ok(GraphRun {
         names: graph.nodes().iter().map(|n| n.name.clone()).collect(),
         results: edges.slots,

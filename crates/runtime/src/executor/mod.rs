@@ -1,35 +1,20 @@
-//! Graph execution over the simulator: the functional wave executor and
-//! the ready-queue timing schedule.
+//! Graph execution over the simulator: the ready-queue timing schedule
+//! and the functional wave executor.
 //!
-//! The executor launches each node's compiled kernel on
-//! [`cypress_sim::Simulator`]. In **functional** mode (`functional.rs`)
-//! it threads real tensors along the graph's tensor-buffer edges — the
-//! output buffers of one launch become the input buffers of the next —
-//! recycling dead intermediates through the [`crate::BufferPool`]. There
-//! is one executor: each ready wave of nodes runs on
-//! [`cypress_sim::par`]'s scoped pool (inline when there is one worker
-//! or one node), with inputs materialized, results joined and drained
-//! producers recycled serially in ascending node order. Data movement,
-//! pool traffic and recorded events are therefore functions of the graph
-//! alone — bit-identical across schedule policies and worker counts; the
-//! worker count changes wall time only.
-//!
-//! Both modes then time the same *timeline*. `timeline` is the one walk
-//! of a graph's bindings: it builds one launch per node, reading its
+//! Every graph launch is timed one way. `timeline` is the one walk of a
+//! graph's bindings: it builds one launch per node, reading its
 //! producers' launches, and hands them to [`crate::shard`], which places
 //! them on the topology's devices and numbers a link launch for every
 //! cross-device transfer just before its first consumer. Every transfer
 //! launch — those and the `xfer:recover:` drains a device loss inserts —
 //! comes from one constructor, `Launch::transfer`. A transfer runs no
-//! kernel in either mode: its `Transfer` report comes from the link
-//! model, and a functional consumer reads its producer's buffer
-//! directly.
+//! kernel: its `Transfer` report comes from the link model.
 //!
-//! In **timing** mode no data moves; per-node
-//! [`cypress_sim::TimingReport`]s are assembled into a
-//! [`crate::GraphReport`] by one ready-queue scheduler (`schedule.rs`)
-//! that assigns independent launches to the simulated streams of their
-//! device. Co-resident launches contend for SMs, L2, and HBM through
+//! `run_timing` (`schedule.rs`) assembles each kernel's solo
+//! [`cypress_sim::TimingReport`] (from the session's memo) into a
+//! [`crate::GraphReport`] with one ready-queue scheduler that assigns
+//! independent launches to the simulated streams of their device.
+//! Co-resident launches contend for SMs, L2, and HBM through
 //! [`cypress_sim::concurrent::ConcurrentEngine`], transfers for their
 //! link; dependents are released as upstream launches retire. Ready
 //! launches and free streams are taken lowest-id-first, so schedules stay
@@ -46,6 +31,21 @@
 //! The same scheduler absorbs injected faults (`recovery.rs` holds the
 //! device-loss half), so attaching a fault plan never changes which
 //! scheduler runs.
+//!
+//! A **functional** launch is that timing report plus data: the session
+//! schedules the graph first, then `run_functional` (`functional.rs`)
+//! launches each node's compiled kernel on [`cypress_sim::Simulator`]
+//! and threads real tensors along the graph's tensor-buffer edges — the
+//! output buffers of one launch become the input buffers of the next —
+//! recycling dead intermediates through the [`crate::BufferPool`]. A
+//! consumer on another device reads its producer's buffer directly.
+//! Each ready wave of nodes runs on [`cypress_sim::par`]'s scoped pool
+//! (inline when there is one worker or one node), with inputs
+//! materialized, results joined and drained producers recycled serially
+//! in ascending node order. Data movement, pool traffic and recorded
+//! events are therefore functions of the graph alone — bit-identical
+//! across schedule policies and worker counts; the worker count changes
+//! wall time only.
 
 #![deny(clippy::too_many_lines)]
 

@@ -76,7 +76,8 @@ impl Scheduler<'_> {
                     .copied()
                     .filter(|&c| c < n && !self.completed[c])
                     .min();
-                self.launches[i].device = follow.map_or(survivors[0], |c| self.launches[c].device);
+                let device = follow.map_or(survivors[0], |c| self.launches[c].device);
+                self.launches.to_mut()[i].device = device;
                 moved_names.push(self.launches[i].name.clone());
             }
             let launch = &self.launches[i];
@@ -85,7 +86,7 @@ impl Scheduler<'_> {
             };
             let ends = (self.launches[edge.launch].device, launch.device);
             let rerouted = Transfer::new(&t.report.kernel, edge.bytes, ends, self.topology);
-            self.launches[i].work = Work::Transfer(rerouted);
+            self.launches.to_mut()[i].work = Work::Transfer(rerouted);
         }
         // 3. Cover every now-cross-device edge into an incomplete compute
         //    node with a recovery transfer that drains the producer's
@@ -146,7 +147,7 @@ impl Scheduler<'_> {
         for &i in moved {
             let in_bytes = shard::input_bytes(&self.launches, &self.launches[i], devices);
             let dev = shard::heaviest_input(&in_bytes, &load, survivors.iter().copied());
-            let launch = &mut self.launches[i];
+            let launch = &mut self.launches.to_mut()[i];
             launch.device = dev;
             load[dev] += launch.bytes;
             names.push(launch.name.clone());
@@ -160,7 +161,7 @@ impl Scheduler<'_> {
     fn add_recovery_transfer(&mut self, edge: Edge, dst: usize) -> usize {
         let (xid, p) = (self.launches.len(), edge.launch);
         let transfer = Launch::transfer(&self.launches[p], edge, dst, true, self.topology);
-        self.launches.push(transfer);
+        self.launches.to_mut().push(transfer);
         self.launched_on.push(dst);
         self.stream_of.push(0);
         self.completed.push(false);

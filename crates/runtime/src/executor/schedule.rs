@@ -7,78 +7,50 @@ use super::recovery::LossRecovery;
 use super::{FaultContext, Launch, NodeLaunch, Work};
 use crate::error::RuntimeError;
 use crate::report::{GraphReport, NodeTiming, Recovery};
-use crate::session::{FaultPolicy, SchedulePolicy};
+use crate::session::{FaultPolicy, Prepared, SchedulePolicy};
 use crate::telemetry::{Event, TraceLog};
 use cypress_core::Compiled;
 use cypress_sim::concurrent::{
     Completion, ConcurrentEngine, EngineStep, KernelProfile, LaunchOutcome,
 };
 use cypress_sim::{SimError, Simulator, TimingReport, Topology};
+use std::borrow::Cow;
 use std::collections::HashMap;
 
-/// Time `timeline`, whose compute launches run `nodes` (one per graph
-/// node), with each kernel's solo report read through `solo` (see
-/// [`solo_report`]): a warm launch re-simulates nothing.
-#[allow(clippy::too_many_arguments)]
+/// The whole-graph report of `prepared`'s timeline on `policy.streams()`
+/// streams per device, from each kernel's solo report read through
+/// `solo` (see [`solo_report`]: a warm launch re-simulates nothing),
+/// injecting and recovering from the fault context's plan, and emit the
+/// run's events. A schedule that ended early — a fail-fast fault, an
+/// exhausted retry budget, a device loss with no survivor — comes back
+/// as the matching typed [`RuntimeError`] carrying the partial report.
 pub(crate) fn run_timing(
     simulator: &Simulator,
     solo: &mut HashMap<u64, Option<TimingReport>>,
-    topology: &Topology,
-    nodes: &[NodeLaunch],
-    timeline: Vec<Launch>,
+    prepared: &Prepared,
     policy: SchedulePolicy,
     fault: &FaultContext,
     recorder: Option<&TraceLog>,
 ) -> Result<GraphReport, RuntimeError> {
+    let Prepared {
+        topology,
+        nodes,
+        timeline,
+        ..
+    } = prepared;
     let reports = nodes
         .iter()
         .map(|node| solo_report(simulator, solo, &node.compiled))
         .collect::<Result<Vec<_>, _>>()?;
-    assemble_report(topology, nodes, &reports, timeline, policy, fault, recorder)
-}
-
-/// `compiled`'s solo timing report from `solo`, a session's memo keyed
-/// by compiled-kernel fingerprint, or simulated and memoized. A `None`
-/// entry (a kernel the fusion gate could not time) is simulated again,
-/// so the caller gets the typed error it would get without the memo.
-pub(crate) fn solo_report(
-    simulator: &Simulator,
-    solo: &mut HashMap<u64, Option<TimingReport>>,
-    compiled: &Compiled,
-) -> Result<TimingReport, SimError> {
-    if let Some(Some(report)) = solo.get(&compiled.fingerprint) {
-        return Ok(report.clone());
-    }
-    let report = simulator.run_timing_lowered(&compiled.kernel, &compiled.lowered)?;
-    solo.insert(compiled.fingerprint, Some(report.clone()));
-    Ok(report)
-}
-
-/// Assemble the whole-graph report of `timeline` from per-node solo
-/// reports (indexed by graph node) on `policy.streams()` streams per
-/// device, injecting and recovering from the fault context's plan, and
-/// emit the run's events. A schedule that ended early — a fail-fast
-/// fault, an exhausted retry budget, a device loss with no survivor —
-/// comes back as the matching typed [`RuntimeError`] carrying the
-/// partial report.
-pub(super) fn assemble_report(
-    topology: &Topology,
-    nodes: &[NodeLaunch],
-    reports: &[TimingReport],
-    timeline: Vec<Launch>,
-    policy: SchedulePolicy,
-    fault: &FaultContext,
-    recorder: Option<&TraceLog>,
-) -> Result<GraphReport, RuntimeError> {
     let streams = policy.streams();
-    let critical_path = critical_path(&timeline, reports);
+    let critical_path = critical_path(timeline, &reports);
     // The policy-invariant `NodeExecuted` stream in ascending launch-id
     // order, independent of how the launches actually ran (and of what a
     // device loss re-routes).
     let mut executed = Vec::new();
     if recorder.is_some() {
-        for launch in &timeline {
-            let report = launch.report(reports);
+        for launch in timeline {
+            let report = launch.report(&reports);
             executed.push(Event::NodeExecuted {
                 node: launch.name.clone(),
                 kernel: report.kernel.clone(),
@@ -86,7 +58,7 @@ pub(super) fn assemble_report(
             });
         }
     }
-    let sched = Scheduler::new(topology, timeline, nodes, reports, streams, fault).run()?;
+    let sched = Scheduler::new(topology, timeline, nodes, &reports, streams, fault).run()?;
     if let Some(log) = recorder {
         for ev in sched.events {
             log.record(ev);
@@ -110,6 +82,23 @@ pub(super) fn assemble_report(
             log.record(ev);
         }
     }
+    Ok(report)
+}
+
+/// `compiled`'s solo timing report from `solo`, a session's memo keyed
+/// by compiled-kernel fingerprint, or simulated and memoized. A `None`
+/// entry (a kernel the fusion gate could not time) is simulated again,
+/// so the caller gets the typed error it would get without the memo.
+pub(crate) fn solo_report(
+    simulator: &Simulator,
+    solo: &mut HashMap<u64, Option<TimingReport>>,
+    compiled: &Compiled,
+) -> Result<TimingReport, SimError> {
+    if let Some(Some(report)) = solo.get(&compiled.fingerprint) {
+        return Ok(report.clone());
+    }
+    let report = simulator.run_timing_lowered(&compiled.kernel, &compiled.lowered)?;
+    solo.insert(compiled.fingerprint, Some(report.clone()));
     Ok(report)
 }
 
@@ -197,9 +186,9 @@ pub(super) fn span(
 /// vector below grows with them.
 pub(super) struct Scheduler<'a> {
     pub(super) topology: &'a Topology,
-    /// Every launch; a device loss rewrites their devices and transfers
-    /// in place.
-    pub(super) launches: Vec<Launch>,
+    /// Every launch: the prepared timeline, borrowed until a device loss
+    /// copies it to rewrite devices and transfers and append drains.
+    pub(super) launches: Cow<'a, [Launch]>,
     /// The timeline's length: its compute launches and shard transfers.
     pub(super) planned: usize,
     /// Kernel, solo report and profile per graph node.
@@ -233,7 +222,7 @@ pub(super) struct Scheduler<'a> {
 impl<'a> Scheduler<'a> {
     fn new(
         topology: &'a Topology,
-        launches: Vec<Launch>,
+        launches: &'a [Launch],
         nodes: &'a [NodeLaunch],
         reports: &'a [TimingReport],
         streams: usize,
@@ -255,7 +244,7 @@ impl<'a> Scheduler<'a> {
         Scheduler {
             topology,
             launched_on: launches.iter().map(|l| l.device).collect(),
-            launches,
+            launches: Cow::Borrowed(launches),
             planned: n,
             nodes,
             reports,

@@ -19,10 +19,10 @@
 //!   skips the Fig. 6 pass pipeline entirely — plus a buffer pool that
 //!   recycles intermediate tensors across launches;
 //! - an executor that schedules the graph over
-//!   [`cypress_sim::Simulator`], threading output tensors of one launch
-//!   into the inputs of the next (functional mode) or assembling a
-//!   whole-graph [`GraphReport`] with a per-node stream timeline (timing
-//!   mode);
+//!   [`cypress_sim::Simulator`] into a whole-graph [`GraphReport`] with
+//!   a per-node stream timeline — what every launch reports — and, in
+//!   functional mode, then threads output tensors of one launch into the
+//!   inputs of the next;
 //! - a [`SchedulePolicy`] on the session setting the stream count of
 //!   the one ready-queue scheduler: one stream per device (the default
 //!   [`SchedulePolicy::Serial`] — on one device the makespan is the sum

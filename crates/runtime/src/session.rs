@@ -203,18 +203,18 @@ pub struct CompiledGraph {
 /// mapping policies: the product of the one preparation step every
 /// launch shares (see `Session::prepare`).
 #[derive(Debug)]
-struct Prepared {
+pub(crate) struct Prepared {
     /// The fusion rewrite, when the session's policy rewrote the graph.
     plan: Option<FusionPlan>,
     /// The device topology the timeline was placed on, so a compiled
     /// graph replays against the same links.
-    topology: Topology,
+    pub(crate) topology: Topology,
     /// One launch per node of the executed graph: the fused graph when
     /// `plan` is set, the submitted graph otherwise.
-    nodes: Vec<NodeLaunch>,
+    pub(crate) nodes: Vec<NodeLaunch>,
     /// How the scheduler times them: the nodes on their devices, with a
     /// link transfer before each cross-device consumer.
-    timeline: Vec<Launch>,
+    pub(crate) timeline: Vec<Launch>,
 }
 
 impl Prepared {
@@ -1232,28 +1232,41 @@ impl Session {
         self.metrics.nodes_resharded += report.recovery.resharded_nodes.len() as u64;
     }
 
-    /// Run a prepared graph functionally against `inputs` and re-address
-    /// the results to `graph`'s node ids.
+    /// The timing schedule of a prepared graph under the session's
+    /// schedule policy and fault context, its recovery counted into the
+    /// session metrics: what every graph launch reports.
+    fn schedule(&mut self, prepared: &Prepared) -> Result<GraphReport, RuntimeError> {
+        let report = executor::run_timing(
+            &self.simulator,
+            &mut self.solo,
+            prepared,
+            self.policy,
+            &self.fault,
+            self.recorder.as_ref(),
+        );
+        self.note_recovery(report.as_ref());
+        report
+    }
+
+    /// Schedule a prepared graph, then run it functionally against
+    /// `inputs` and re-address the results to `graph`'s node ids. A
+    /// schedule that fails moves no data.
     fn launch_prepared(
         &mut self,
         graph: &TaskGraph,
         prepared: &Prepared,
         inputs: &HashMap<String, Tensor>,
     ) -> Result<GraphRun, RuntimeError> {
+        let report = self.schedule(prepared)?;
         let run = executor::run_functional(
             &self.simulator,
-            &prepared.topology,
             prepared.graph(graph),
             &prepared.nodes,
-            prepared.timeline.clone(),
             inputs,
             &mut self.pool,
-            self.policy,
-            &self.fault,
             self.recorder.as_ref(),
-        );
-        self.note_recovery(run.as_ref().map(|run| &run.report));
-        let run = run?;
+            report,
+        )?;
         self.metrics.apply_bytes.merge(run.apply_bytes);
         Ok(match &prepared.plan {
             Some(plan) => executor::remap_run(run, graph, plan),
@@ -1263,9 +1276,11 @@ impl Session {
 
     /// Launch `graph` functionally: real data flows along the graph's
     /// tensor-buffer edges, `inputs` supplies the `External` bindings, and
-    /// the result holds every retained node's final tensors plus a
-    /// whole-graph report built from functional-mode runs, whose cycles
-    /// are not the timing schedule's (see [`GraphRun::report`]).
+    /// the result holds every retained node's final tensors plus the
+    /// whole-graph timing schedule — [`Session::launch_timing`]'s report,
+    /// bit for bit (see [`GraphRun::report`]). The schedule comes first:
+    /// a launch whose schedule fails returns its typed error before any
+    /// data moves or the pool hands out a buffer.
     ///
     /// Under [`FusionPolicy::Auto`] the graph is first rewritten through
     /// the fusion rewriter; results stay addressed
@@ -1275,8 +1290,9 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// Returns [`RuntimeError`] on compile failure, missing or mis-shaped
-    /// inputs, or simulation failure.
+    /// Returns [`RuntimeError`] on compile failure, a failed schedule
+    /// (see [`Session::launch_timing`]), missing or mis-shaped inputs, or
+    /// simulation failure.
     pub fn launch_functional(
         &mut self,
         graph: &TaskGraph,
@@ -1309,12 +1325,13 @@ impl Session {
     /// Launch a [`CompiledGraph`] functionally against fresh `inputs`:
     /// the repeat-launch half of [`Session::compile_graph`]. Equivalent
     /// to [`Session::launch_functional`] on the handle's graph — same
-    /// tensors, bit for bit — minus all per-launch compilation work.
+    /// tensors and the same timing schedule, bit for bit — minus all
+    /// per-launch compilation work.
     ///
     /// # Errors
     ///
-    /// Returns [`RuntimeError`] on missing or mis-shaped inputs, or on
-    /// simulation failure.
+    /// Returns [`RuntimeError`] on a failed schedule, missing or
+    /// mis-shaped inputs, or simulation failure.
     pub fn launch_compiled(
         &mut self,
         compiled: &CompiledGraph,
@@ -1339,18 +1356,7 @@ impl Session {
     pub fn launch_timing(&mut self, graph: &TaskGraph) -> Result<GraphReport, RuntimeError> {
         self.record_submitted(graph, "timing");
         let prepared = self.prepare(graph)?;
-        let report = executor::run_timing(
-            &self.simulator,
-            &mut self.solo,
-            &prepared.topology,
-            &prepared.nodes,
-            prepared.timeline,
-            self.policy,
-            &self.fault,
-            self.recorder.as_ref(),
-        );
-        self.note_recovery(report.as_ref());
-        report
+        self.schedule(&prepared)
     }
 
     /// Compile (with caching) and functionally run a single program —

@@ -213,43 +213,41 @@ fn pool_reuse_is_counted_across_repeated_launches() {
     assert_eq!(after.reused, before.reused);
 }
 
-/// A failed launch leaks nothing: under `FailFast` a firing fault plan
-/// returns a typed error and every in-flight buffer — including the
-/// sink's undelivered result params — is parked back in the pool,
-/// leaving the session warm for the next launch.
+/// A failed launch moves no data: under `FailFast` a firing fault plan
+/// returns its typed error from the schedule, before the pool hands out
+/// a buffer or a kernel runs, so the next launch runs as the first
+/// launch of a clean session would.
 #[test]
-fn failed_launch_reclaims_every_in_flight_buffer() {
+fn failed_launch_moves_no_data() {
     use cypress_runtime::{FaultPlan, RuntimeError};
     let machine = MachineConfig::test_gpu();
     let (graph, _, s) = diamond(&machine, false);
     let ins = inputs(7);
 
     let mut clean = Session::new(machine.clone());
-    clean.launch_functional(&graph, &ins).unwrap();
-    let ok = clean.metrics().pool;
+    let want = clean.launch_functional(&graph, &ins).unwrap();
+    let ok = clean.metrics();
 
     let mut session = Session::new(machine).with_fault_plan(FaultPlan::new().with_transient(0, 0));
     let err = session.launch_functional(&graph, &ins).unwrap_err();
     assert!(matches!(err, RuntimeError::NodeFailed { .. }), "{err}");
-    let failed = session.metrics().pool;
-    assert_eq!(failed.acquired, ok.acquired, "same functional traffic");
+    let failed = session.metrics();
     assert_eq!(
-        failed.free,
-        ok.free + 4,
-        "the sink's four undelivered params are parked too"
+        failed.pool,
+        Default::default(),
+        "the pool handed out nothing"
     );
+    assert_eq!(failed.apply_bytes, Default::default(), "no kernel ran");
 
-    // The pool really is warm: dropping the plan, the next launch
-    // succeeds and serves every `Zeros` acquisition from the pool.
     session = session.with_fault_plan(FaultPlan::new());
     let run = session.launch_functional(&graph, &ins).unwrap();
-    let warm = session.metrics().pool;
+    let warm = session.metrics();
+    assert_eq!(warm.pool, ok.pool);
+    assert_eq!(warm.apply_bytes, ok.apply_bytes);
     assert_eq!(
-        warm.reused,
-        failed.reused + 4,
-        "all Zeros served from the reclaimed buffers"
+        run.tensor(s, 0).unwrap().data(),
+        want.tensor(s, 0).unwrap().data()
     );
-    assert!(run.tensor(s, 0).is_some());
 }
 
 /// Four independent GEMMs feeding two dual-GEMM combiners feeding a

@@ -1,12 +1,13 @@
 //! Golden digests of sharded schedules.
 //!
 //! `tests/golden/schedules.digests` pins one FNV-64 per case over what a
-//! timing launch and a functional launch of the case report: every
-//! span's name, device, stream and the bits of its start and end, its
-//! report's kernel and the bits of its cycles, then the makespan, the
-//! critical path and the recovery section. A case is a graph — the
-//! `common` builders, a two-producer fan-in, or one of 16 seeded random
-//! DAGs — on 2 or 4 devices × `Serial` / `Concurrent { streams: 4 }` ×
+//! timing launch of the case reports: every span's name, device, stream
+//! and the bits of its start and end, its report's kernel and the bits
+//! of its cycles, then the makespan, the critical path and the recovery
+//! section. A functional launch of every case must report the same, bit
+//! for bit. A case is a graph — the `common` builders, a two-producer
+//! fan-in, one GEMM of many CTAs, or one of 16 seeded random DAGs — on 2
+//! or 4 devices × `Serial` / `Concurrent { streams: 4 }` ×
 //! fusion off / auto × no faults / two transients / the loss of the last
 //! device at half the clean makespan, on the unit-test machine under
 //! `MappingPolicy::Default`. Transients retry after a backoff on four
@@ -56,6 +57,14 @@ fn fan_in(machine: &MachineConfig) -> TaskGraph {
     let sum = gemm_node(&mut graph, "sum", &program, x, y);
     let [x, y] = [sum, light].map(|p| Binding::output(p, 0));
     gemm_node(&mut graph, "out", &program, x, y);
+    graph
+}
+
+/// One GEMM of `256 x 256` operands: a launch of many CTAs.
+fn gemm256(machine: &MachineConfig) -> TaskGraph {
+    let mut graph = TaskGraph::new();
+    let [a, b] = ["A", "B"].map(Binding::external);
+    gemm_node(&mut graph, "gemm", &gemm_program(machine, 256), a, b);
     graph
 }
 
@@ -109,6 +118,7 @@ fn graphs(machine: &MachineConfig) -> Vec<(String, TaskGraph)> {
         ("fanout".to_string(), gemm_fanout(machine, 128)),
         ("diamond".to_string(), diamond(machine).0),
         ("fan_in".to_string(), fan_in(machine)),
+        ("gemm256".to_string(), gemm256(machine)),
     ];
     for seed in 0..16 {
         graphs.push((format!("dag{seed}"), random_dag(machine, seed)));
@@ -187,7 +197,9 @@ fn digest(h: &mut Fnv64, outcome: Result<&GraphReport, &RuntimeError>) {
     ));
 }
 
-/// One line per graph × devices × schedule × fusion × faults.
+/// One line per graph × devices × schedule × fusion × faults, each
+/// case's functional launch held to its timing launch's report (or
+/// error) bit for bit.
 fn digests() -> String {
     let machine = MachineConfig::test_gpu();
     let mut session = Session::new(machine.clone()).with_parallelism(1);
@@ -209,15 +221,17 @@ fn digests() -> String {
                     let clean = session.launch_timing(&graph).unwrap().makespan;
                     for faults in [Faults::None, Faults::Transients, Faults::LastDeviceLost] {
                         session = faults.apply(session, devices, clean);
-                        let mut h = Fnv64::new();
-                        digest(&mut h, session.launch_timing(&graph).as_ref());
+                        let case = format!("{name} d{devices} {schedule:?} {fusion:?} {faults:?}");
+                        let timing = session.launch_timing(&graph);
                         let run = session.launch_functional(&graph, &inputs);
-                        digest(&mut h, run.as_ref().map(|run| &run.report));
-                        let _ = writeln!(
-                            out,
-                            "{name} d{devices} {schedule:?} {fusion:?} {faults:?} {:016x}",
-                            h.finish()
+                        assert_eq!(
+                            format!("{:?}", run.as_ref().map(|run| &run.report)),
+                            format!("{:?}", timing.as_ref()),
+                            "functional vs timing report: {case}"
                         );
+                        let mut h = Fnv64::new();
+                        digest(&mut h, timing.as_ref());
+                        let _ = writeln!(out, "{case} {:016x}", h.finish());
                     }
                 }
             }

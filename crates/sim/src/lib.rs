@@ -16,9 +16,9 @@
 //!   effect comes from).
 //!
 //! Two modes (see [`Simulator::run_functional`] and
-//! [`Simulator::run_timing`]): functional runs move real data for
-//! correctness checks; timing runs reproduce the schedule at paper-scale
-//! problem sizes in milliseconds of host time. On top of solo timing,
+//! [`Simulator::run_timing`]): functional runs move real data and report
+//! no time; timing runs reproduce the schedule at paper-scale problem
+//! sizes in milliseconds of host time. On top of solo timing,
 //! the [`concurrent`] contention model (shared SMs, L2, and HBM)
 //! co-schedules kernels distilled to [`KernelProfile`]s, which is what
 //! the runtime's multi-stream graph scheduler builds on.
@@ -138,14 +138,14 @@ impl fmt::Debug for Simulator {
     }
 }
 
-/// Result of a functional run: the (mutated) parameter tensors plus the
-/// timing report of the same schedule.
+/// Result of a functional run: the (mutated) parameter tensors. It
+/// reports no time; [`Simulator::run_timing`] does.
 #[derive(Debug, Clone)]
 pub struct FunctionalRun {
     /// Parameter tensors after execution, in declaration order.
     pub params: Vec<Tensor>,
-    /// Timing report for the simulated schedule.
-    pub report: TimingReport,
+    /// Discrete events the run processed.
+    pub events: u64,
     /// Per-dtype bytes the functional data path moved (see
     /// [`ApplyBytes`]); a deterministic function of the kernel and grid.
     pub apply_bytes: ApplyBytes,
@@ -206,8 +206,8 @@ impl Simulator {
     /// [`Simulator::run_functional`] with a pre-lowered bytecode
     /// [`Program`] (see [`bytecode::lower`]). The runtime lowers once per
     /// compiled kernel and replays the program on every launch, skipping
-    /// the per-invocation lowering; schedules and tensors are
-    /// bit-identical to [`Simulator::run_functional`]'s.
+    /// the per-invocation lowering; tensors and events are bit-identical
+    /// to [`Simulator::run_functional`]'s.
     ///
     /// # Errors
     ///
@@ -267,7 +267,7 @@ impl Simulator {
         })?;
         Ok(FunctionalRun {
             params,
-            report,
+            events: report.events,
             apply_bytes,
         })
     }

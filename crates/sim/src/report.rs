@@ -61,7 +61,7 @@ impl fmt::Display for ApplyBytes {
     }
 }
 
-/// Result of a timing (or functional) simulation of one kernel launch.
+/// Result of a timing simulation of one kernel launch.
 ///
 /// Utilization figures refer to the simulated (busiest) SM; the benchmark
 /// harness uses [`TimingReport::seconds`] and computes figure-specific

@@ -1,8 +1,8 @@
 //! Bitwise differential over randomized kernels: the fast resolved-view
 //! apply path (the default), the retained scalar reference interpreter
 //! on the same bytecode, and a run of a program lowered ahead of time
-//! must produce bit-identical tensors *and* bit-identical simulated
-//! cycles on the same kernel — across random shapes, dtypes, sub-slices,
+//! must produce bit-identical tensors *and* equal event counts on the
+//! same kernel — across random shapes, dtypes, sub-slices,
 //! pipeline depths, and SIMT op mixes. A timing run bounded at three
 //! cutoffs keeps `Simulator::run_timing_bounded`'s contract on the same
 //! kernels.
@@ -338,7 +338,7 @@ fn random_kernel_and_params(seed: u64, hazard: bool) -> (cypress_sim::Kernel, Ve
 }
 
 /// Run a kernel through the three functional paths and assert the
-/// tensors and the simulated cycle count are bit-identical, or that all
+/// tensors are bit-identical and the event counts equal, or that all
 /// fail with the same error. A kernel lowering rejects must be rejected
 /// as a [`SimError::Kernel`] by every path. No run, timing runs
 /// included, may fail with [`SimError::Internal`]: a functional run
@@ -389,9 +389,8 @@ fn assert_paths_agree(kernel: &cypress_sim::Kernel, params: Vec<Tensor>) -> Resu
             ),
         };
         assert_eq!(
-            byte.report.cycles.to_bits(),
-            other.report.cycles.to_bits(),
-            "bytecode vs {which}: cycles diverge"
+            byte.events, other.events,
+            "bytecode vs {which}: event counts diverge"
         );
         for (p, (x, y)) in byte.params.iter().zip(&other.params).enumerate() {
             assert_eq!(x.shape(), y.shape(), "bytecode vs {which}: param {p} shape");

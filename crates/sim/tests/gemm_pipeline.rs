@@ -123,8 +123,8 @@ fn functional_and_timing_agree_on_schedule_length() {
     let f = sim.run_functional(&kernel, vec![a, b, c]).unwrap();
     let t = sim.run_timing(&kernel).unwrap();
     // One CTA only: functional (all CTAs) and timing (busiest SM) simulate
-    // the same work and must agree exactly.
-    assert_eq!(f.report.cycles, t.cycles);
+    // the same work, event for event.
+    assert_eq!(f.events, t.events);
 }
 
 /// A pre-lowered program is accepted for the kernel it was lowered from

@@ -1,6 +1,6 @@
 //! Quickstart: compile the paper's GEMM task tree (Fig. 5), inspect the
-//! generated warp-specialized pseudo-CUDA, and run it functionally on the
-//! simulated GPU against a host reference.
+//! generated warp-specialized pseudo-CUDA, run it functionally on the
+//! simulated GPU against a host reference, and time it.
 //!
 //! ```sh
 //! cargo run --release --example quickstart
@@ -45,8 +45,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let run = sim.run_functional(&compiled.kernel, vec![c, a, b])?;
     let err = run.params[0].relative_error(&want)?;
     println!("relative error vs reference: {err:.2e}");
-    println!("{}", run.report);
     assert!(err < 1e-2);
+
+    // 4. Time it: a functional run checks the data, a timing run
+    //    simulates the schedule.
+    println!("{}", sim.run_timing(&compiled.kernel)?);
     println!("OK");
     Ok(())
 }

@@ -127,7 +127,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // concurrent scheduler runs one node at a time and the makespan
     // stays pinned to the critical path (= the serial sum). Contrast
     // with `examples/graph_overlap.rs`, where a fan-out graph overlaps.
-    let serial_timing = session.launch_timing(&graph)?;
+    // The functional launch's report is the serial timing schedule.
+    let serial_timing = &run.report;
     session = session.with_policy(SchedulePolicy::Concurrent { streams: 2 });
     let conc_timing = session.launch_timing(&graph)?;
     session = session.with_policy(SchedulePolicy::Serial);

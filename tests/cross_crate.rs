@@ -98,7 +98,7 @@ fn fast_functional_path_matches_scalar_oracle_on_compiled_kernels() {
     let fast = sim.run_functional(&kernel.kernel, params.clone()).unwrap();
     let oracle = sim.run_functional_scalar(&kernel.kernel, params).unwrap();
     assert_bitwise("gemm", &fast.params, &oracle.params);
-    assert_eq!(fast.report.cycles.to_bits(), oracle.report.cycles.to_bits());
+    assert_eq!(fast.events, oracle.events);
 
     // Attention (FA2) over 2 heads, seq 128, head dim 64.
     let (heads, seq, dim) = (2, 128, 64);
@@ -117,7 +117,7 @@ fn fast_functional_path_matches_scalar_oracle_on_compiled_kernels() {
 /// bytecode, scalar reference interpreter, and a replay of the
 /// compiler's own pre-lowered `Compiled::lowered` (what the runtime
 /// replays on every launch) — and require bit-identical tensors and
-/// cycles.
+/// equal event counts.
 fn assert_three_way(
     name: &str,
     built: (TaskRegistry, MappingSpec, Vec<EntryArg>),
@@ -146,9 +146,8 @@ fn assert_three_way(
 
     for (which, other) in [("scalar", &scalar), ("cached", &cached)] {
         assert_eq!(
-            fast.report.cycles.to_bits(),
-            other.report.cycles.to_bits(),
-            "{name}: fast vs {which} cycles diverge"
+            fast.events, other.events,
+            "{name}: fast vs {which} event counts diverge"
         );
         assert_bitwise(
             &format!("{name}: fast vs {which}"),
@@ -270,8 +269,8 @@ fn assert_bitwise(what: &str, got: &[Tensor], want: &[Tensor]) {
 /// - The default mapping (or, where the hand-tuned one does not fit the
 ///   small machine, the space's first candidate) compiles. Its fast
 ///   functional run equals, bit for bit, the scalar oracle's and the run
-///   of the compiler's own pre-lowered `Compiled::lowered`, cycles
-///   included.
+///   of the compiler's own pre-lowered `Compiled::lowered`, event
+///   count included.
 /// - Every `candidates()` point compiles, takes the same entry
 ///   arguments and computes the default's tensors bit for bit.
 /// - The default with one field forged (see [`forged`]) ends in a typed
@@ -313,11 +312,7 @@ fn every_mapping_compiles_to_what_the_default_computes() {
         for (path, other) in [("scalar oracle", &scalar), ("pre-lowered", &lowered)] {
             let what = format!("{what}: fast path vs {path}");
             assert_bitwise(&what, &other.params, &fast.params);
-            assert_eq!(
-                other.report.cycles.to_bits(),
-                fast.report.cycles.to_bits(),
-                "{what}: cycles"
-            );
+            assert_eq!(other.events, fast.events, "{what}: events");
         }
 
         let candidates = space.candidates(&machine, &shape);
