@@ -13,19 +13,33 @@
 //!   waits on them. A `transpose_b` operand is packed k-major once per
 //!   apply into [`Scratch`] and fed to the same tile. Each output
 //!   element still starts from its own initial value and adds
-//!   `a(i, k) * b(k, j)` — a multiply, then an add, never fused — in
-//!   ascending `k`: exactly the scalar interpreter's operation sequence,
-//!   so results are **bitwise identical**. The one source of that loop
-//!   is compiled at three widths: 4 x 8 (eight 4-lane accumulators, every
-//!   host), 4 x 16 (eight 8-lane ones) inside a
+//!   `a(i, k) * b(k, j)` in ascending `k`: the scalar interpreter's
+//!   sequence of roundings, so results are **bitwise identical**. The one
+//!   source of that loop is compiled at three widths: 4 x 8 (eight 4-lane
+//!   accumulators, every host), 4 x 16 (eight 8-lane ones) inside a
 //!   `#[target_feature(enable = "avx2")]` wrapper, and 4 x 64 (sixteen
 //!   16-lane ones) inside a `#[target_feature(enable = "avx512f")]` one.
 //!   `wgmma_rows` enters the widest wrapper whose feature it detects on
 //!   the running CPU — this module's one `unsafe` block. A wider vector
 //!   holds more *outputs*; it never touches the order of the sum within
-//!   one, and neither `fma` contraction nor `mul_add` happens anywhere,
-//!   so the three widths agree in every bit (the oracle tests below run
+//!   one, so the widths agree in every bit (the oracle tests below run
 //!   each one the host has).
+//!
+//!   The scalar oracle multiplies, then adds: two roundings. A fused
+//!   multiply-add rounds once, and agrees with them exactly when the
+//!   product is exact in `f32`. It is when both operands are `F16` shared
+//!   memory ([`exact_products`]): every store into shared memory is
+//!   quantized to its dtype, so its elements are exact halves, and the
+//!   product of two finite halves has at most 22 significant bits and a
+//!   magnitude of 0 or between 2⁻⁴⁸ and 65504², well inside `f32`'s
+//!   normal range (`cypress-tensor`'s `exhaustive` test checks all
+//!   63 488² pairs); an infinite factor gives ±∞ or NaN either way. So
+//!   `fma(a, b, c)` rounds `c + a·b` exactly where the oracle's add does,
+//!   for every `c`. For those operands the AVX-512F tile and the AVX2 one
+//!   (where the CPU has FMA) use `mul_add`, one instruction instead of
+//!   two; the portable tile, fragment operands (FA2's P·V), `BF16` (whose
+//!   products can fall below `f32`'s normal range) and `F32` multiply,
+//!   then add.
 //! - [`copy`] streams whole rows with [`DType::quantize_copy`] — no
 //!   per-element division/modulo, one dtype dispatch per row (per slice
 //!   when both sides are dense), and a branch-free quantizer the
@@ -345,16 +359,28 @@ const NR_AVX512: usize = 8 * NR;
 /// The `lanes` cap the applies pass to [`wgmma_rows`]: none.
 const WIDEST: usize = usize::MAX;
 
+/// Whether every product of `a`'s and `b`'s elements is exact in `f32`:
+/// both are shared memory of dtype `F16` (see the module header).
+/// Parameters do not qualify, whatever their dtype: `Tensor::data_mut`
+/// stores unquantized values behind a half dtype.
+fn exact_products(a: &View, b: &View) -> bool {
+    let half_smem = |v: &View| matches!(v.key, BufKey::Smem { .. }) && v.dtype == DType::F16;
+    half_smem(a) && half_smem(b)
+}
+
 /// The register-tiled matrix-multiply microkernel over flat row-strided
 /// operands, `b` k-major (`b(kk, j)` at `bbuf[bv.row(kk) + j]`):
 /// [`wgmma_rows_at`] at the widest tile the running CPU holds in vectors
 /// of at most `lanes` `f32` lanes — AVX-512F, else AVX2, else portable.
 /// The applies pass [`WIDEST`]; the tests pass 4, 8 and 16 to run every
-/// instantiation the CPU has.
+/// instantiation the CPU has. Where `exact` ([`exact_products`]), the
+/// AVX-512F tile and the AVX2 one (where the CPU has FMA) fuse each
+/// multiply and add (see the module header).
 #[allow(clippy::too_many_arguments)]
 #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
 fn wgmma_rows(
     lanes: usize,
+    exact: bool,
     abuf: &[f32],
     av: &View,
     bbuf: &[f32],
@@ -365,27 +391,35 @@ fn wgmma_rows(
     accumulate: bool,
 ) {
     #[cfg(target_arch = "x86_64")]
-    // SAFETY: each wrapper is entered right after detecting its one
-    // requirement on the running CPU: `avx512f` for `wgmma_rows_avx512`,
-    // `avx2` for `wgmma_rows_avx2`.
+    // SAFETY: each wrapper is entered right after detecting its
+    // requirements on the running CPU: `avx512f` for `wgmma_rows_avx512`,
+    // `avx2` for `wgmma_rows_avx2`, `avx2` and `fma` for
+    // `wgmma_rows_avx2_fma`.
     unsafe {
         if lanes >= 16 && std::arch::is_x86_feature_detected!("avx512f") {
-            return wgmma_rows_avx512(abuf, av, bbuf, bv, out, cv, n, accumulate);
+            return if exact {
+                wgmma_rows_avx512::<true>(abuf, av, bbuf, bv, out, cv, n, accumulate)
+            } else {
+                wgmma_rows_avx512::<false>(abuf, av, bbuf, bv, out, cv, n, accumulate)
+            };
         }
         if lanes >= 8 && std::arch::is_x86_feature_detected!("avx2") {
+            if exact && std::arch::is_x86_feature_detected!("fma") {
+                return wgmma_rows_avx2_fma(abuf, av, bbuf, bv, out, cv, n, accumulate);
+            }
             return wgmma_rows_avx2(abuf, av, bbuf, bv, out, cv, n, accumulate);
         }
     }
-    wgmma_rows_at::<NR>(abuf, av, bbuf, bv, out, cv, n, accumulate);
+    wgmma_rows_at::<NR, false>(abuf, av, bbuf, bv, out, cv, n, accumulate);
 }
 
 /// [`wgmma_rows_at`] at [`NR_AVX512`], compiled with AVX-512F enabled: the
 /// whole `#[inline(always)]` chain below is instantiated inside this
 /// function, so its sixteen accumulators are ZMM registers. `avx512f`
-/// implies `fma` (rustc enables the features it depends on), but nothing
-/// contracts: rustc never sets LLVM's `contract` flag on a float
-/// operation and the source never writes `mul_add`, so the multiply and
-/// the add stay two roundings.
+/// implies `fma` (rustc enables the features it depends on), so under
+/// `FUSED` each `mul_add` is one `vfmadd`. Nothing contracts otherwise:
+/// rustc never sets LLVM's `contract` flag on a float operation, so the
+/// unfused multiply and add stay two roundings.
 ///
 /// # Safety
 ///
@@ -393,7 +427,7 @@ fn wgmma_rows(
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 #[allow(clippy::too_many_arguments)]
-unsafe fn wgmma_rows_avx512(
+unsafe fn wgmma_rows_avx512<const FUSED: bool>(
     abuf: &[f32],
     av: &View,
     bbuf: &[f32],
@@ -403,13 +437,12 @@ unsafe fn wgmma_rows_avx512(
     n: usize,
     accumulate: bool,
 ) {
-    wgmma_rows_at::<NR_AVX512>(abuf, av, bbuf, bv, out, cv, n, accumulate);
+    wgmma_rows_at::<NR_AVX512, FUSED>(abuf, av, bbuf, bv, out, cv, n, accumulate);
 }
 
 /// [`wgmma_rows_at`] at [`NR_AVX2`], compiled with AVX2 enabled: the
-/// accumulators are YMM registers. Only `avx2` is enabled — never `fma`,
-/// and the source never writes `mul_add` — so the multiply and the add
-/// stay two roundings.
+/// accumulators are YMM registers. Only `avx2` is enabled — never `fma` —
+/// so the multiply and the add stay two roundings.
 ///
 /// # Safety
 ///
@@ -427,23 +460,46 @@ unsafe fn wgmma_rows_avx2(
     n: usize,
     accumulate: bool,
 ) {
-    wgmma_rows_at::<NR_AVX2>(abuf, av, bbuf, bv, out, cv, n, accumulate);
+    wgmma_rows_at::<NR_AVX2, false>(abuf, av, bbuf, bv, out, cv, n, accumulate);
 }
 
-/// [`wgmma_rows`] at tile width `W`.
+/// [`wgmma_rows_avx2`] with `fma` enabled too, for exact products only
+/// (see [`wgmma_rows`]): each `mul_add` is one `vfmadd`.
+///
+/// # Safety
+///
+/// The running CPU must support AVX2 and FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn wgmma_rows_avx2_fma(
+    abuf: &[f32],
+    av: &View,
+    bbuf: &[f32],
+    bv: &View,
+    out: &mut [f32],
+    cv: &View,
+    n: usize,
+    accumulate: bool,
+) {
+    wgmma_rows_at::<NR_AVX2, true>(abuf, av, bbuf, bv, out, cv, n, accumulate);
+}
+
+/// [`wgmma_rows`] at tile width `W`, fused (`mul_add`) under `FUSED`.
 ///
 /// Rows are taken `MR` at a time and columns `W` at a time through
 /// [`Strip::tile`]; the `m % MR` row tail runs as one-row tiles, and the
 /// `n % W` column tail as `NR`-wide tiles, then one-column tiles (a
 /// `1 x 1` tile is the scalar form). Whatever the tile, every output element
 /// `(i, j)` starts from its own initial value and adds `a(i, k) * b(k, j)`
-/// — a multiply, then an add — in ascending `k` order: exactly the scalar
-/// interpreter's operation sequence, so results are bitwise identical.
-/// Tiling only changes which *outputs* are in flight, never the order of
-/// operations within one.
+/// in ascending `k` order — a multiply, then an add, or under `FUSED`
+/// one `mul_add` of exact products, which rounds to the same value: the
+/// scalar interpreter's sequence of results, so results are bitwise
+/// identical. Tiling only changes which *outputs* are in flight, never
+/// the order of operations within one.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn wgmma_rows_at<const W: usize>(
+fn wgmma_rows_at<const W: usize, const FUSED: bool>(
     abuf: &[f32],
     av: &View,
     bbuf: &[f32],
@@ -455,10 +511,10 @@ fn wgmma_rows_at<const W: usize>(
 ) {
     let full = av.rows - av.rows % MR;
     for i0 in (0..full).step_by(MR) {
-        row_block::<MR, W>(abuf, av, bbuf, bv, out, cv, n, accumulate, i0);
+        row_block::<MR, W, FUSED>(abuf, av, bbuf, bv, out, cv, n, accumulate, i0);
     }
     for i0 in full..av.rows {
-        row_block::<1, W>(abuf, av, bbuf, bv, out, cv, n, accumulate, i0);
+        row_block::<1, W, FUSED>(abuf, av, bbuf, bv, out, cv, n, accumulate, i0);
     }
 }
 
@@ -466,7 +522,7 @@ fn wgmma_rows_at<const W: usize>(
 /// the store quantization of the finished rows.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn row_block<const R: usize, const W: usize>(
+fn row_block<const R: usize, const W: usize, const FUSED: bool>(
     abuf: &[f32],
     av: &View,
     bbuf: &[f32],
@@ -489,11 +545,11 @@ fn row_block<const R: usize, const W: usize>(
     };
     // A wide tile leaves up to `W - 1` columns: the WGMMA shapes (`n` a
     // multiple of 8) finish with portable-width tiles, not one-column ones.
-    let mut j = strip.run::<W>(out, 0);
+    let mut j = strip.run::<W, FUSED>(out, 0);
     if W > NR {
-        j = strip.run::<NR>(out, j);
+        j = strip.run::<NR, FUSED>(out, j);
     }
-    strip.run::<1>(out, j);
+    strip.run::<1, FUSED>(out, j);
     // Each element was written exactly once after its (optional)
     // accumulate read, so quantizing the finished rows is identical to
     // quantizing each store.
@@ -518,9 +574,9 @@ impl<const R: usize> Strip<'_, R> {
     /// Run `R x C` tiles over columns `j..`, as many as fit in `n`, and
     /// return the first column left.
     #[inline(always)]
-    fn run<const C: usize>(&self, out: &mut [f32], mut j: usize) -> usize {
+    fn run<const C: usize, const FUSED: bool>(&self, out: &mut [f32], mut j: usize) -> usize {
         while self.n - j >= C {
-            self.tile::<C>(out, j);
+            self.tile::<C, FUSED>(out, j);
             j += C;
         }
         j
@@ -529,9 +585,9 @@ impl<const R: usize> Strip<'_, R> {
     /// One `R x C` tile at column `j0`: `out[c[r] + j] (+)= Σ_k a[r][k] *
     /// b(k, j)` for `j` in `j0..j0 + C`. The accumulators are a local
     /// array the optimizer keeps in registers; each one sees its products
-    /// in ascending `k` order.
+    /// in ascending `k` order, fused under `FUSED`.
     #[inline(always)]
-    fn tile<const C: usize>(&self, out: &mut [f32], j0: usize) {
+    fn tile<const C: usize, const FUSED: bool>(&self, out: &mut [f32], j0: usize) {
         let c = self.c.map(|c| c + j0);
         let mut acc = [[0.0f32; C]; R];
         if self.accumulate {
@@ -547,7 +603,11 @@ impl<const R: usize> Strip<'_, R> {
             for (acc, row) in acc.iter_mut().zip(a) {
                 let a_ik = row[kk];
                 for (slot, b_kj) in acc.iter_mut().zip(b) {
-                    *slot += a_ik * b_kj;
+                    *slot = if FUSED {
+                        a_ik.mul_add(*b_kj, *slot)
+                    } else {
+                        *slot + a_ik * b_kj
+                    };
                 }
             }
         }
@@ -609,6 +669,7 @@ pub(crate) fn wgmma(
     let av = View::of(kernel, cta, role, a);
     let bv = View::of(kernel, cta, role, b);
     let cv = View::of(kernel, cta, role, acc);
+    let exact = exact_products(&av, &bv);
     let FuncData {
         params,
         smem,
@@ -635,7 +696,7 @@ pub(crate) fn wgmma(
         // views coexist on split borrows.
         if let Some(abuf) = param_or_smem(params, smem, av.key) {
             let out = &mut frags[fc][fr][facc];
-            wgmma_rows(WIDEST, abuf, &av, bbuf, &bv, out, &cv, n, accumulate);
+            wgmma_rows(WIDEST, exact, abuf, &av, bbuf, &bv, out, &cv, n, accumulate);
             return Ok(());
         }
         // `a` is a sibling fragment of the same warpgroup (the FA2
@@ -655,7 +716,7 @@ pub(crate) fn wgmma(
                 } else {
                     (&hi[0], &mut lo[facc])
                 };
-                wgmma_rows(WIDEST, abuf, &av, bbuf, &bv, out, &cv, n, accumulate);
+                wgmma_rows(WIDEST, exact, abuf, &av, bbuf, &bv, out, &cv, n, accumulate);
                 return Ok(());
             }
         }
@@ -666,7 +727,7 @@ pub(crate) fn wgmma(
     let (sa, sb) = stage_operands(scratch, data, &av, &bv, n, transpose_b);
     let out = data.buf_mut(cv.key);
     wgmma_rows(
-        WIDEST, &scratch.a, &sa, &scratch.b, &sb, out, &cv, n, accumulate,
+        WIDEST, exact, &scratch.a, &sa, &scratch.b, &sb, out, &cv, n, accumulate,
     );
     Ok(())
 }
@@ -1004,6 +1065,7 @@ pub(crate) mod scalar {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Buffers;
     use crate::instr::{BinOp, RedOp, SimtOp, UnOp};
     use crate::kernel::{Role, RoleKind};
     use crate::mem::{FragDecl, ParamDecl, Slice, SmemDecl};
@@ -1069,10 +1131,16 @@ mod tests {
                     .expect("shape matches data")
             })
             .collect();
+        // Quantized too: every store into shared memory is, and the fused
+        // WGMMA path relies on it (see `exact_products`).
         let smem = vec![kernel
             .smem
             .iter()
-            .map(|d| fill(d.rows * d.cols * d.stages, rng))
+            .map(|d| {
+                let mut buf = fill(d.rows * d.cols * d.stages, rng);
+                d.dtype.quantize_slice(&mut buf);
+                buf
+            })
             .collect()];
         let frags = vec![vec![kernel
             .frags
@@ -1278,8 +1346,9 @@ mod tests {
             let mut direct = clone_data(data);
             let (sa, sb) = stage_operands(&mut scratch, &direct, &av, &bv, n, transpose_b);
             let out = direct.buf_mut(cv.key);
+            let exact = exact_products(&av, &bv);
             wgmma_rows(
-                lanes, &scratch.a, &sa, &scratch.b, &sb, out, &cv, n, accumulate,
+                lanes, exact, &scratch.a, &sa, &scratch.b, &sb, out, &cv, n, accumulate,
             );
             assert_bitwise_equal(&direct, &oracle, &format!("{what} ({lanes} lanes)"));
         }
@@ -1476,6 +1545,95 @@ mod tests {
         assert!(matches!(err, Err(SimError::OutOfBounds { .. })));
     }
 
+    /// A random SIMT operation writing `dst` and its resolved sources,
+    /// each in another memory object than `dst` or `dst` itself (the
+    /// in-place `RowZip`/`Map` the compiler emits); `None` when the draw
+    /// does not fit. Sources are drawn before the operator, both sources
+    /// of a binary operation whether or not the first fits.
+    fn random_simt(
+        kernel: &Kernel,
+        dst: RSlice,
+        rng: &mut StdRng,
+    ) -> Option<(SimtOp, Vec<RSlice>)> {
+        let (rows, cols) = (dst.rows, dst.cols);
+        let source = |rng: &mut StdRng, rows: usize, cols: usize| -> Option<RSlice> {
+            if rng.gen_bool(0.25) && rows == dst.rows && cols == dst.cols {
+                return Some(dst);
+            }
+            let sm = random_mem(kernel, rng);
+            if sm == dst.mem {
+                return None;
+            }
+            random_slice(kernel, sm, rows, cols, rng)
+        };
+        // Dummy embedded slices: the applies operate on the resolved
+        // `srcs`/`dst` slices, not the op's own (unresolved) ones.
+        let ph = || Slice::frag(0);
+        Some(match rng.gen_range(0..5) {
+            0 => (
+                SimtOp::Fill {
+                    dst: ph(),
+                    value: rng.gen_range(-2.0..2.0),
+                },
+                Vec::new(),
+            ),
+            1 => {
+                let s = source(rng, rows, cols)?;
+                (
+                    SimtOp::Map {
+                        op: [UnOp::Exp, UnOp::Neg, UnOp::Recip, UnOp::Scale(1.5)]
+                            [rng.gen_range(0..4)],
+                        src: ph(),
+                        dst: ph(),
+                    },
+                    vec![s],
+                )
+            }
+            2 => {
+                let (s0, s1) = (source(rng, rows, cols), source(rng, rows, cols));
+                let (s0, s1) = (s0?, s1?);
+                (
+                    SimtOp::Zip {
+                        op: [BinOp::Add, BinOp::Mul, BinOp::Max][rng.gen_range(0..3)],
+                        a: ph(),
+                        b: ph(),
+                        dst: ph(),
+                    },
+                    vec![s0, s1],
+                )
+            }
+            3 => {
+                if cols != 1 {
+                    return None; // reductions write a column vector
+                }
+                let src_cols = rng.gen_range(1..6);
+                let s = source(rng, rows, src_cols)?;
+                (
+                    SimtOp::RowReduce {
+                        op: [RedOp::Sum, RedOp::Max][rng.gen_range(0..2)],
+                        src: ph(),
+                        dst: ph(),
+                        include_dst: rng.gen_bool(0.5),
+                    },
+                    vec![s],
+                )
+            }
+            _ => {
+                let (s0, s1) = (source(rng, rows, cols), source(rng, rows, 1));
+                let (s0, s1) = (s0?, s1?);
+                (
+                    SimtOp::RowZip {
+                        op: [BinOp::Mul, BinOp::Sub, BinOp::Div][rng.gen_range(0..3)],
+                        src: ph(),
+                        row: ph(),
+                        dst: ph(),
+                    },
+                    vec![s0, s1],
+                )
+            }
+        })
+    }
+
     #[test]
     fn simt_matches_scalar_oracle() {
         let mut rng = StdRng::seed_from_u64(0xABAD_1DEA);
@@ -1488,93 +1646,8 @@ mod tests {
             let Some(dst) = random_slice(&kernel, dm, rows, cols, &mut rng) else {
                 continue;
             };
-            // Sources either live elsewhere or alias the destination
-            // slice exactly (the in-place RowZip/Map the compiler emits).
-            let source = |rng: &mut StdRng, rows: usize, cols: usize| -> Option<RSlice> {
-                if rng.gen_bool(0.25) && rows == dst.rows && cols == dst.cols {
-                    return Some(dst);
-                }
-                let sm = random_mem(&kernel, rng);
-                if sm == dm {
-                    return None;
-                }
-                random_slice(&kernel, sm, rows, cols, rng)
-            };
-            // Dummy embedded slices: the applies operate on the resolved
-            // `srcs`/`dst` slices, not the op's own (unresolved) ones.
-            let ph = || Slice::frag(0);
-            let (op, srcs): (SimtOp, Vec<RSlice>) = match rng.gen_range(0..5) {
-                0 => (
-                    SimtOp::Fill {
-                        dst: ph(),
-                        value: rng.gen_range(-2.0..2.0),
-                    },
-                    Vec::new(),
-                ),
-                1 => {
-                    let Some(s) = source(&mut rng, rows, cols) else {
-                        continue;
-                    };
-                    (
-                        SimtOp::Map {
-                            op: [UnOp::Exp, UnOp::Neg, UnOp::Recip, UnOp::Scale(1.5)]
-                                [rng.gen_range(0..4)],
-                            src: ph(),
-                            dst: ph(),
-                        },
-                        vec![s],
-                    )
-                }
-                2 => {
-                    let (Some(s0), Some(s1)) =
-                        (source(&mut rng, rows, cols), source(&mut rng, rows, cols))
-                    else {
-                        continue;
-                    };
-                    (
-                        SimtOp::Zip {
-                            op: [BinOp::Add, BinOp::Mul, BinOp::Max][rng.gen_range(0..3)],
-                            a: ph(),
-                            b: ph(),
-                            dst: ph(),
-                        },
-                        vec![s0, s1],
-                    )
-                }
-                3 => {
-                    if cols != 1 {
-                        continue; // reductions write a column vector
-                    }
-                    let src_cols = rng.gen_range(1..6);
-                    let Some(s) = source(&mut rng, rows, src_cols) else {
-                        continue;
-                    };
-                    (
-                        SimtOp::RowReduce {
-                            op: [RedOp::Sum, RedOp::Max][rng.gen_range(0..2)],
-                            src: ph(),
-                            dst: ph(),
-                            include_dst: rng.gen_bool(0.5),
-                        },
-                        vec![s],
-                    )
-                }
-                _ => {
-                    let (Some(s0), Some(s1)) =
-                        (source(&mut rng, rows, cols), source(&mut rng, rows, 1))
-                    else {
-                        continue;
-                    };
-                    (
-                        SimtOp::RowZip {
-                            op: [BinOp::Mul, BinOp::Sub, BinOp::Div][rng.gen_range(0..3)],
-                            src: ph(),
-                            row: ph(),
-                            dst: ph(),
-                        },
-                        vec![s0, s1],
-                    )
-                }
+            let Some((op, srcs)) = random_simt(&kernel, dst, &mut rng) else {
+                continue;
             };
             let mut fast = clone_data(&data);
             let mut oracle = clone_data(&data);
@@ -1583,6 +1656,137 @@ mod tests {
             scalar::simt(&kernel, &mut oracle, 0, 0, &op, &srcs, &dst).unwrap();
             assert_bitwise_equal(&fast, &oracle, "simt");
             cases += 1;
+        }
+    }
+
+    /// Whether every element of `buf` is a value of `dtype`.
+    fn quantized(dtype: DType, buf: &[f32]) -> bool {
+        buf.iter()
+            .all(|&x| dtype.quantize(x).to_bits() == x.to_bits())
+    }
+
+    /// The invariant [`exact_products`] rests on: half-precision shared
+    /// memory holds only values of its dtype. It starts as the engine's
+    /// zero fill, fresh or recycled from a dirty buffer, and stays so
+    /// through copies and SIMT operations from unquantized fragments and
+    /// from a parameter written through `Tensor::data_mut`. A copy into
+    /// shared memory that skips the quantize fails it.
+    #[test]
+    fn half_shared_memory_holds_only_values_of_its_dtype() {
+        let mut rng = StdRng::seed_from_u64(0x0A_F160);
+        for case in 0..200 {
+            let mut kernel = random_kernel(&mut rng);
+            let dtype = [DType::F16, DType::BF16][case % 2];
+            kernel.smem[0].dtype = dtype;
+            let mut data = random_data(&kernel, &mut rng);
+            for x in data.params[0].data_mut() {
+                *x = rng.gen_range(-2.0f32..2.0);
+            }
+            let d = &kernel.smem[0];
+            let n = d.rows * d.cols * d.stages;
+            let mut spare = Buffers::default();
+            if case % 4 >= 2 {
+                spare.give(vec![rng.gen_range(-2.0f32..2.0); n]);
+            }
+            data.smem[0][0] = spare.zeroed(n);
+            assert!(quantized(dtype, &data.smem[0][0]), "case {case}: zero fill");
+            let mut scratch = Scratch::default();
+            for step in 0..20 {
+                let (rows, cols) = (rng.gen_range(1..6), rng.gen_range(1..6));
+                let Some(dst) = random_slice(&kernel, MemRef::Smem(0), rows, cols, &mut rng) else {
+                    continue;
+                };
+                if rng.gen_bool(0.5) {
+                    let sm = [MemRef::Param(0), MemRef::Frag(0)][rng.gen_range(0..2)];
+                    let Some(src) = random_slice(&kernel, sm, rows, cols, &mut rng) else {
+                        continue;
+                    };
+                    copy(&kernel, &mut data, &mut scratch, 0, 0, &src, &dst).unwrap();
+                } else if let Some((op, srcs)) = random_simt(&kernel, dst, &mut rng) {
+                    simt(&kernel, &mut data, &mut scratch, 0, 0, &op, &srcs, &dst).unwrap();
+                }
+                assert!(
+                    quantized(dtype, &data.smem[0][0]),
+                    "case {case} step {step}: {dtype:?} shared memory"
+                );
+            }
+        }
+    }
+
+    /// Half-precision operands at the edges of the format — ±65504,
+    /// 2⁻²⁴ (the least subnormal), 2⁻¹⁴ (the least normal), ±0 and ±∞ —
+    /// against `f32` accumulators near overflow, in the subnormal range
+    /// and cancelling a product exactly: the fused tiles (both operands
+    /// `F16` shared memory) agree with the scalar multiply-then-add in
+    /// every bit, at every width the host has.
+    #[test]
+    fn fused_wgmma_matches_the_oracle_at_the_edges_of_half() {
+        let mut rng = StdRng::seed_from_u64(0x0F16_ED6E);
+        let edges = [65504.0f32, 2f32.powi(-24), 2f32.powi(-14), 0.0, 1.0, 1.5];
+        let operand = |rng: &mut StdRng| -> f32 {
+            let x = match rng.gen_range(0..40) {
+                0 => f32::INFINITY,
+                1..=16 => edges[rng.gen_range(0..edges.len())],
+                _ => DType::F16.quantize(rng.gen_range(-2.0f32..2.0)),
+            };
+            if rng.gen_bool(0.5) {
+                -x
+            } else {
+                x
+            }
+        };
+        let accumulator = |rng: &mut StdRng| -> f32 {
+            let x = match rng.gen_range(0..5) {
+                0 => f32::MAX * [1.0, 0.999_999_9, 0.5][rng.gen_range(0..3)],
+                1 => f32::from_bits(rng.gen_range(1..0x0080_0000)),
+                2 => f32::MIN_POSITIVE,
+                3 => edges[rng.gen_range(0..edges.len())] * edges[rng.gen_range(0..edges.len())],
+                _ => rng.gen_range(-2.0f32..2.0),
+            };
+            if rng.gen_bool(0.5) {
+                -x
+            } else {
+                x
+            }
+        };
+        let shapes = [1, 4, 5, 16]
+            .into_iter()
+            .flat_map(|m| [8, 17, 64, 79].map(|n| (m, n)));
+        let flags = [(false, false), (false, true), (true, false), (true, true)];
+        for ((m, n), (transpose_b, accumulate)) in
+            shapes.flat_map(|shape| flags.map(|flag| (shape, flag)))
+        {
+            let mut kernel = tile_kernel(DType::F16, &mut rng);
+            kernel.smem[1].dtype = DType::F16;
+            let mut data = random_data(&kernel, &mut rng);
+            for buf in &mut data.smem[0] {
+                buf.iter_mut().for_each(|x| *x = operand(&mut rng));
+            }
+            for buf in &mut data.frags[0][0] {
+                buf.iter_mut().for_each(|x| *x = accumulator(&mut rng));
+            }
+            let k = [1, 3, 16][rng.gen_range(0..3)];
+            let (br, bc) = if transpose_b { (n, k) } else { (k, n) };
+            let slice = |mem, rows, cols, rng: &mut StdRng| {
+                random_slice(&kernel, mem, rows, cols, rng).expect("fits 80 x 80")
+            };
+            let a = slice(MemRef::Smem(0), m, k, &mut rng);
+            let b = slice(MemRef::Smem(1), br, bc, &mut rng);
+            let acc = slice(MemRef::Frag(0), m, n, &mut rng);
+            assert!(exact_products(
+                &View::of(&kernel, 0, 0, &a),
+                &View::of(&kernel, 0, 0, &b)
+            ));
+            let what =
+                format!("edges {m}x{n}x{k} transpose_b={transpose_b} accumulate={accumulate}");
+            assert_wgmma_matches_oracle(
+                &kernel,
+                &data,
+                [&a, &b, &acc],
+                accumulate,
+                transpose_b,
+                &what,
+            );
         }
     }
 }

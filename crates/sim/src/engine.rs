@@ -4,7 +4,14 @@
 //!
 //! - **Functional**: every CTA of the grid runs and data really moves, so
 //!   results can be checked against host oracles. Used by tests and
-//!   examples at small problem sizes.
+//!   examples at small problem sizes. The CTAs run one at a time, in
+//!   grid order: the next launches when one retires, and a retired CTA's
+//!   shared-memory and fragment buffers go to the next CTA to start,
+//!   which re-zeroes them, once none of its copies or WGMMAs is still in
+//!   flight (a role may end with a TMA store pending). So a run holds
+//!   one or two CTAs' buffers, and its tensors depend on the order of
+//!   CTAs only where two CTAs touch one global element and one of them
+//!   writes it: a race.
 //! - **Timing**: only the busiest SM's share of CTAs is simulated and data
 //!   is not touched; the discrete-event schedule (TMA queues, Tensor Core
 //!   occupancy, mbarrier phases, bandwidth contention) produces the launch
@@ -41,16 +48,17 @@
 //!
 //! The queue is short: at a pop, a timing run of the paper's kernels
 //! (`sim_timing`'s Fig. 13/14 set) has 6.1 events pending on average and
-//! at most 129, the slot and the event popped included, and the
-//! functional launches of `graph_functional` 8.1 and at most 18. At those
-//! depths a binary search and a short move beat a heap's sifts, and most
-//! inserts need neither: on GEMM 8192³ and FlashAttention-3 at 16384,
-//! 58 % of the events pushed order before every pending one (a
-//! woken waiter, a resume displaced from the slot) and 18 % after all of
-//! them (a late completion; in a functional grid, the same-time CTA
-//! launches it starts with), and those go on an end of the deque. A grid
-//! that keeps thousands pending pays for the rest with a move of up to
-//! half the queue. Elements move by value, so an `Event` is kept to 40
+//! at most 129, the slot and the event popped included, the functional
+//! launches of `graph_functional` 3.8 and at most 9, and a
+//! functional grid of 1 024 CTAs (a test-GPU GEMM 2048² x 128) 2.9 and at
+//! most 6: one CTA's roles and transfers. At those depths a binary search
+//! and a short move beat a heap's sifts, and most inserts need neither:
+//! on GEMM 8192³ and FlashAttention-3 at 16384, 58 % of the events
+//! pushed order before every pending one (a woken waiter, a resume
+//! displaced from the slot) and 18 % after all of them (a late
+//! completion), and those go on an end of the deque. A queue of
+//! thousands would pay for the rest with a move of up to half of it.
+//! Elements move by value, so an `Event` is kept to 40
 //! bytes: executor, CTA and mbarrier indices are `u32` (narrowed once,
 //! where they are minted, with a typed error instead of a truncation),
 //! and the operands a functional run applies when a copy or MMA retires
@@ -94,6 +102,7 @@ use crate::kernel::{Kernel, RoleKind};
 use crate::machine::MachineConfig;
 use crate::mem::{FragDecl, MemRef, SmemDecl};
 use crate::report::{ApplyBytes, TimingReport};
+use crate::FunctionalRun;
 use cypress_tensor::{DType, Tensor};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -250,6 +259,9 @@ struct CtaState {
     /// The CTA-wide barrier ([`Barrier::Cta`]).
     cta_wide: NamedState,
     roles_done: usize,
+    /// Copies and WGMMAs issued and not yet retired: a functional run
+    /// applies each when it retires, to this CTA's buffers.
+    in_flight: usize,
 }
 
 /// Operands of an in-flight WGMMA, applied when it retires (functional
@@ -351,8 +363,7 @@ impl EventQueue {
     /// Put `ev` after every event that orders before it. Most events
     /// order before every pending one (a woken waiter, an executor's
     /// resume displaced from the slot) or after all of them (a late
-    /// completion, a functional grid's same-time CTA launches): those
-    /// go on an end without a search.
+    /// completion): those go on an end without a search.
     fn insert(&mut self, ev: Event) {
         match (self.sorted.front(), self.sorted.back()) {
             (Some(first), _) if ev < *first => self.sorted.push_front(ev),
@@ -384,16 +395,22 @@ fn frag_len(f: &FragDecl) -> Option<usize> {
     f.rows.checked_mul(f.cols)
 }
 
-/// Per-CTA shared-memory and fragment buffers, keyed by length. A run
-/// re-zeroes a parked one instead of page-faulting a fresh one; the zero
-/// fill is part of the functional model (a read before any write sees
-/// 0), so a reused buffer starts exactly as a fresh one does.
+/// Per-CTA shared-memory and fragment buffers, keyed by length. A CTA
+/// re-zeroes one an earlier CTA retired, or an earlier run parked,
+/// instead of page-faulting a fresh one; the zero fill is part of the
+/// functional model (a read before any write sees 0), so a reused buffer
+/// starts exactly as a fresh one does.
 #[derive(Default)]
-struct Buffers(HashMap<usize, Vec<Vec<f32>>>);
+pub(crate) struct Buffers(HashMap<usize, Vec<Vec<f32>>>);
 
 impl Buffers {
+    /// Keep `buf` for a later [`Buffers::zeroed`] of its length.
+    pub(crate) fn give(&mut self, buf: Vec<f32>) {
+        self.0.entry(buf.len()).or_default().push(buf);
+    }
+
     /// A zeroed buffer of `n` elements, reusing a spare one if any.
-    fn zeroed(&mut self, n: usize) -> Vec<f32> {
+    pub(crate) fn zeroed(&mut self, n: usize) -> Vec<f32> {
         match self.0.get_mut(&n).and_then(Vec::pop) {
             Some(mut buf) => {
                 buf.fill(0.0);
@@ -410,7 +427,7 @@ impl Buffers {
 }
 
 /// What a simulator keeps between functional runs: at most one run's
-/// buffers, and which kernels have run.
+/// spare buffers, and which kernels have run.
 #[derive(Default)]
 pub(crate) struct Workspace {
     /// Bytecode shape hashes of the kernels that ran functionally here.
@@ -422,13 +439,9 @@ pub(crate) struct Workspace {
 }
 
 impl Workspace {
-    /// Park `bufs` as one run's set, replacing what is parked unless
+    /// Park `own` as one run's set, replacing what is parked unless
     /// that is larger.
-    fn park(workspace: &Mutex<Workspace>, bufs: impl Iterator<Item = Vec<f32>>) {
-        let mut own = Buffers::default();
-        for buf in bufs {
-            own.0.entry(buf.len()).or_default().push(buf);
-        }
+    fn park(workspace: &Mutex<Workspace>, own: Buffers) {
         let mut ws = lock(workspace);
         if own.elements() >= ws.parked.elements() {
             ws.parked = own;
@@ -440,10 +453,6 @@ impl Workspace {
 fn lock(m: &Mutex<Workspace>) -> MutexGuard<'_, Workspace> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
-
-/// What a whole run hands back: its report, a functional run's tensors
-/// and the bytes its functional applies moved.
-pub(crate) type Finished = (TimingReport, Option<Vec<Tensor>>, ApplyBytes);
 
 /// Execution mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -499,12 +508,13 @@ pub(crate) struct Engine<'k> {
     active_sms: usize,
     ctas_per_sm: usize,
     data: Option<FuncData>,
-    /// Parked buffers this functional run re-zeroes instead of
-    /// allocating (see [`Engine::recycle_through`]).
+    /// Buffers this functional run re-zeroes instead of allocating: the
+    /// set parked before it (see [`Engine::recycle_through`]) and those
+    /// of the CTAs it has retired.
     spare: Buffers,
-    /// Where this run parks its own per-CTA buffers when it finishes
-    /// (`None` for a timing run and for a kernel's first functional run
-    /// on its simulator).
+    /// Where this run parks `spare` when it finishes (`None` for a
+    /// timing run and for a kernel's first functional run on its
+    /// simulator).
     parked: Option<&'k Mutex<Workspace>>,
     /// Reusable staging buffers of the fast functional data path.
     scratch: Scratch,
@@ -565,7 +575,7 @@ impl<'k> Engine<'k> {
         let active_sms = num_ctas.min(machine.sms).max(1);
         let ctas_per_sm = occupancy(kernel, machine);
         let (n_sim, window) = match mode {
-            Mode::Functional => (num_ctas, num_ctas),
+            Mode::Functional => (num_ctas, 1),
             Mode::Timing => (num_ctas.div_ceil(active_sms), ctas_per_sm),
         };
         let n_sim = bytecode::index32(n_sim, "simulated CTA count")?;
@@ -636,7 +646,7 @@ impl<'k> Engine<'k> {
     /// Recycle this functional run's per-CTA buffers through
     /// `workspace`: take the set parked there, drop every buffer no
     /// declaration of this kernel can use before anything is allocated,
-    /// and, if this kernel ran here before, park this run's own set when
+    /// and, if this kernel ran here before, park the run's spare set when
     /// it finishes (if it is at least as large as what is parked then).
     /// A timing run moves no data and leaves `workspace` alone.
     pub(crate) fn recycle_through(&mut self, workspace: &'k Mutex<Workspace>) {
@@ -695,6 +705,7 @@ impl<'k> Engine<'k> {
             named: Vec::new(),
             cta_wide: NamedState::default(),
             roles_done: 0,
+            in_flight: 0,
         });
         if self.data.is_some() {
             let kernel = self.kernel;
@@ -755,21 +766,51 @@ impl<'k> Engine<'k> {
         Ok(())
     }
 
-    /// Run to completion and produce the report, plus a functional run's
-    /// tensors and apply bytes.
-    pub(crate) fn run_whole(self) -> Result<Finished, SimError> {
-        self.run(f64::INFINITY)?
+    /// Run a timing run to completion and produce its report.
+    pub(crate) fn run_whole(mut self) -> Result<TimingReport, SimError> {
+        self.run_to_end()?;
+        Ok(self.report())
+    }
+
+    /// Run a timing run to completion, or stop once it is proven to end
+    /// past `cutoff` and return `Err(bound)`, where `cutoff < bound <=`
+    /// the cycles the whole run reports (see "Bounded runs" in the
+    /// module header). A run that ends at or before `cutoff` is bit for
+    /// bit the whole run.
+    pub(crate) fn run(mut self, cutoff: f64) -> Result<Result<TimingReport, f64>, SimError> {
+        Ok(self.simulate(cutoff)?.map(|()| self.report()))
+    }
+
+    /// Run a functional run to completion: its tensors, event count and
+    /// apply bytes. It builds no report.
+    pub(crate) fn run_functional(mut self) -> Result<FunctionalRun, SimError> {
+        self.run_to_end()?;
+        let data = self.data.ok_or_else(|| SimError::Internal {
+            what: "a functional run holds no parameter tensors".into(),
+        })?;
+        // Every CTA retired with nothing in flight, so every per-CTA
+        // buffer is in `spare` now.
+        if let Some(parked) = self.parked {
+            Workspace::park(parked, self.spare);
+        }
+        Ok(FunctionalRun {
+            params: data.params,
+            events: self.event_count,
+            apply_bytes: self.apply_bytes,
+        })
+    }
+
+    /// [`Engine::simulate`] without a cutoff.
+    fn run_to_end(&mut self) -> Result<(), SimError> {
+        self.simulate(f64::INFINITY)?
             .map_err(|bound| SimError::Internal {
                 what: format!("a run without a cutoff stopped at a bound of {bound} cycles"),
             })
     }
 
-    /// Run to completion, or stop once the run is proven to end past
-    /// `cutoff` and return `Err(bound)`, where `cutoff < bound <=` the
-    /// cycles the whole run reports (see "Bounded runs" in the module
-    /// header). A run that ends at or before `cutoff` is bit for bit the
-    /// whole run.
-    pub(crate) fn run(mut self, cutoff: f64) -> Result<Result<Finished, f64>, SimError> {
+    /// Process events until none is pending, or until the run is proven
+    /// to end past `cutoff` (`Err(bound)`, see [`Engine::run`]).
+    fn simulate(&mut self, cutoff: f64) -> Result<Result<(), f64>, SimError> {
         self.stop_after = cutoff;
         let first = self.window.min(self.n_sim as usize);
         for _ in 0..first {
@@ -799,8 +840,8 @@ impl<'k> Engine<'k> {
                         let (src, dst) = *copy;
                         self.apply_copy(exec, &src, &dst)?;
                     }
+                    let cta = self.execs[exec].cta;
                     if let Some(bar) = bar {
-                        let cta = self.execs[exec].cta;
                         self.mbar_arrive(cta, bar as usize);
                     }
                     if is_store {
@@ -811,6 +852,7 @@ impl<'k> Engine<'k> {
                             self.execs[exec].satisfy(&mut self.queue, Work::Advance, self.now);
                         }
                     }
+                    self.landed(cta);
                 }
                 EventKind::WgmmaDone { exec, mma } => {
                     let exec = exec as usize;
@@ -823,6 +865,7 @@ impl<'k> Engine<'k> {
                             self.execs[exec].satisfy(&mut self.queue, Work::Advance, self.now);
                         }
                     }
+                    self.landed(self.execs[exec].cta);
                 }
             }
         }
@@ -831,13 +874,18 @@ impl<'k> Engine<'k> {
                 blocked: self.describe_blocked(),
             });
         }
+        Ok(Ok(()))
+    }
+
+    /// The report of a finished timing run.
+    fn report(&self) -> TimingReport {
         let makespan = self.now;
         let totals = self.program.totals;
         let n = self.program.ctas as f64;
         let seconds = self.machine.cycles_to_seconds(makespan);
         let tc_flops = totals.tc_flops * n;
         let simt_flops = totals.simt_flops * n;
-        let report = TimingReport {
+        TimingReport {
             kernel: self.kernel.name.clone(),
             cycles: makespan,
             seconds,
@@ -855,20 +903,32 @@ impl<'k> Engine<'k> {
             store_bytes: totals.store_bytes * n,
             l2_hit: self.l2_hit,
             events: self.event_count,
-        };
-        let params = self.data.map(|d| {
-            if let Some(parked) = self.parked {
-                Workspace::park(
-                    parked,
-                    d.smem
-                        .into_iter()
-                        .flatten()
-                        .chain(d.frags.into_iter().flatten().flatten()),
-                );
+        }
+    }
+
+    /// A copy or WGMMA of `cta` retired (and, in a functional run, was
+    /// applied).
+    fn landed(&mut self, cta: usize) {
+        self.ctas[cta].in_flight -= 1;
+        self.release_if_idle(cta);
+    }
+
+    /// Once `cta` has retired and nothing it issued is in flight, nothing
+    /// reads or writes its shared memory or fragments again: a
+    /// functional run hands them to `spare`, where the next CTA to start
+    /// re-zeroes them.
+    fn release_if_idle(&mut self, cta: usize) {
+        let state = &self.ctas[cta];
+        if state.in_flight > 0 || state.roles_done < self.kernel.roles.len() {
+            return;
+        }
+        if let Some(data) = &mut self.data {
+            let smem = std::mem::take(&mut data.smem[cta]);
+            let frags = std::mem::take(&mut data.frags[cta]);
+            for buf in smem.into_iter().chain(frags.into_iter().flatten()) {
+                self.spare.give(buf);
             }
-            d.params
-        });
-        Ok(Ok((report, params, self.apply_bytes)))
+        }
     }
 
     fn describe_blocked(&self) -> Vec<String> {
@@ -938,11 +998,11 @@ impl<'k> Engine<'k> {
                 BcInstr::End => {
                     let cta = e.cta;
                     self.execs[exec_id].done = true;
-                    let cta = &mut self.ctas[cta];
-                    cta.roles_done += 1;
-                    if cta.roles_done == self.kernel.roles.len() {
+                    self.ctas[cta].roles_done += 1;
+                    if self.ctas[cta].roles_done == self.kernel.roles.len() {
                         self.finished += 1;
                         self.running -= 1;
+                        self.release_if_idle(cta);
                         if self.next_cta < self.n_sim && self.running < self.window {
                             self.launch_next_cta(self.now);
                         }
@@ -1170,6 +1230,7 @@ impl<'k> Engine<'k> {
         let b = self.l2.reserve(t0, bytes);
         let c = self.hbm.reserve(t0, bytes * (1.0 - self.l2_hit));
         let done = a.max(b).max(c);
+        self.ctas[self.execs[exec_id].cta].in_flight += 1;
         self.queue.push(
             done,
             EventKind::TmaDone {
@@ -1191,6 +1252,7 @@ impl<'k> Engine<'k> {
         let c = self.hbm.reserve(t0, bytes);
         let done = a.max(b).max(c);
         self.execs[exec_id].outstanding_stores += 1;
+        self.ctas[self.execs[exec_id].cta].in_flight += 1;
         self.queue.push(
             done,
             EventKind::TmaDone {
@@ -1219,6 +1281,7 @@ impl<'k> Engine<'k> {
         done = done.max(self.smem_unit.reserve(t0, smem_bytes));
         let e = &mut self.execs[exec_id];
         e.outstanding_wgmma += 1;
+        self.ctas[e.cta].in_flight += 1;
         self.queue
             .push(done, EventKind::WgmmaDone { exec: e.id, mma });
         self.yield_for(exec_id, m.wgmma_issue_cycles);
@@ -1643,7 +1706,8 @@ mod tests {
             .iter()
             .all(|t| t.data().iter().all(|&x| x == 0.0)));
 
-        // The second run of the dirtying kernel parks its buffers.
+        // The second run of the dirtying kernel parks its buffers: one
+        // CTA's set, which its second CTA re-zeroed and dirtied again.
         let sim = Simulator::new(MachineConfig::test_gpu());
         let dirtying = dirtying_kernel(7.5);
         for _ in 0..2 {
@@ -1652,11 +1716,10 @@ mod tests {
                 .unwrap();
             assert!(dirty.params[0].data().iter().all(|&x| x == 7.5));
         }
-        assert_eq!(
-            lock(&sim.workspace).parked.0[&64].len(),
-            4,
-            "both CTAs' buffers parked"
-        );
+        let ws = lock(&sim.workspace);
+        assert_eq!(ws.parked.0[&64].len(), 2, "one CTA's buffers parked");
+        assert!(ws.parked.0[&64].iter().flatten().all(|&x| x == 7.5));
+        drop(ws);
         let reused = sim.run_functional(&reader, inputs()).unwrap();
         assert_eq!(bits(&reused.params), bits(&fresh.params));
         assert_eq!(reused.events, fresh.events);
@@ -1673,7 +1736,7 @@ mod tests {
         run_dirty();
         assert_eq!(lock(&sim.workspace).parked.elements(), 0, "first run");
         run_dirty();
-        assert_eq!(lock(&sim.workspace).parked.elements(), 4 * 64);
+        assert_eq!(lock(&sim.workspace).parked.elements(), 2 * 64);
         let mut b = KernelBuilder::new("other-lengths", [1, 1, 1]);
         let out = b.param("out", 4, 4, DType::F32);
         let f = b.frag("f", 4, 4);
@@ -1708,7 +1771,7 @@ mod tests {
         // Timing runs leave the parked set alone.
         run_dirty();
         sim.run_timing(&other).unwrap();
-        assert_eq!(lock(&sim.workspace).parked.elements(), 4 * 64);
+        assert_eq!(lock(&sim.workspace).parked.elements(), 2 * 64);
     }
 
     #[test]
@@ -1821,9 +1884,7 @@ mod tests {
         while p.pop().is_some() {}
         assert!(p.queue.slot.is_none() && p.queue.sorted.is_empty());
 
-        // Deep: thousands pending, as a functional grid of thousands of
-        // CTAs keeps, with bursts of same-time pushes like the launch of
-        // its CTAs. Schedules outnumber pops, so the queue grows, and
+        // Deep: thousands pending, with bursts of same-time pushes. Schedules outnumber pops, so the queue grows, and
         // times spread wider, so most inserts land mid-queue.
         let mut p = Pair::default();
         let mut now = 0.0;

@@ -111,9 +111,10 @@ use std::sync::{Arc, Mutex};
 
 /// The simulator: a machine configuration plus launch entry points.
 ///
-/// A functional run of a kernel that already ran functionally on this
-/// simulator leaves its per-CTA shared-memory and fragment buffers
-/// parked here (one run's worth, shared with its clones), and the next
+/// A functional run keeps one CTA in flight and hands a retired CTA's
+/// shared-memory and fragment buffers to the next. A run of a kernel
+/// that already ran functionally on this simulator leaves them parked
+/// here (one run's spare set, shared with its clones), and the next
 /// functional run re-zeroes the ones its kernel can use instead of
 /// allocating fresh ones. Results do not depend on what is parked.
 #[derive(Clone)]
@@ -124,8 +125,8 @@ pub struct Simulator {
     /// single-threaded and deterministic regardless of this setting.
     parallelism: usize,
     /// The per-CTA shared-memory and fragment buffers a functional run
-    /// parked for the next one (at most one run's worth, shared by clones
-    /// and by the runs concurrent workers make).
+    /// parked for the next one (one run's spare set, shared by clones and
+    /// by the runs concurrent workers make).
     workspace: Arc<Mutex<Workspace>>,
 }
 
@@ -228,7 +229,7 @@ impl Simulator {
             program,
         )?;
         engine.recycle_through(&self.workspace);
-        Self::finish_functional(engine.run_whole()?)
+        engine.run_functional()
     }
 
     /// [`Simulator::run_functional`] through the retained **scalar**
@@ -256,20 +257,7 @@ impl Simulator {
         )?;
         engine.set_scalar();
         engine.recycle_through(&self.workspace);
-        Self::finish_functional(engine.run_whole()?)
-    }
-
-    fn finish_functional(
-        (report, params, apply_bytes): engine::Finished,
-    ) -> Result<FunctionalRun, SimError> {
-        let params = params.ok_or_else(|| SimError::Internal {
-            what: "a functional run returned no parameter tensors".into(),
-        })?;
-        Ok(FunctionalRun {
-            params,
-            events: report.events,
-            apply_bytes,
-        })
+        engine.run_functional()
     }
 
     /// Execute `kernel` in timing mode: no data moves; the busiest SM's
@@ -299,7 +287,7 @@ impl Simulator {
         program: &bytecode::Program,
     ) -> Result<TimingReport, SimError> {
         let engine = Engine::new(kernel, &self.machine, Mode::Timing, None, program)?;
-        Ok(engine.run_whole()?.0)
+        engine.run_whole()
     }
 
     /// [`Simulator::run_timing_lowered`] that stops as soon as the run
@@ -326,7 +314,7 @@ impl Simulator {
     ) -> Result<TimingOutcome, SimError> {
         let engine = Engine::new(kernel, &self.machine, Mode::Timing, None, program)?;
         Ok(match engine.run(cutoff)? {
-            Ok((report, _, _)) => TimingOutcome::Done(report),
+            Ok(report) => TimingOutcome::Done(report),
             Err(bound) => TimingOutcome::Exceeded { bound },
         })
     }

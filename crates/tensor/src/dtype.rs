@@ -677,6 +677,32 @@ mod tests {
         }
     }
 
+    /// Every product of two finite `f16` values is exact in `f32` (at
+    /// most 22 significant bits, magnitude 0 or between 2⁻⁴⁸ and
+    /// 65504²): the simulator's fused WGMMA tiles rest on it. All 63 488²
+    /// pairs, each product compared with the exact one in `f64`. Run in
+    /// release: `cargo test --release -p cypress-tensor -- --ignored exhaustive`.
+    #[test]
+    #[ignore = "walks all 2^32 pairs of finite halves; run in release"]
+    fn exhaustive_products_of_finite_halves_are_exact_in_f32() {
+        let halves: Vec<f32> = (0..=u16::MAX)
+            .map(f16::from_bits)
+            .map(f16::to_f32)
+            .filter(|x| x.is_finite())
+            .collect();
+        assert_eq!(halves.len(), 63_488);
+        for &a in &halves {
+            let inexact = halves
+                .iter()
+                .filter(|&&b| {
+                    let exact = f64::from(a) * f64::from(b);
+                    f64::from(a * b).to_bits() != exact.to_bits()
+                })
+                .count();
+            assert_eq!(inexact, 0, "{a} times {inexact} halves");
+        }
+    }
+
     #[test]
     fn half_subnormal_underflow_flushes_below_two_pow_minus_24() {
         let two_pow_m24 = 0x3380_0000u32;
