@@ -309,7 +309,7 @@ fn floor_and_bounded_runs_hold(long_run_events: u64) {
         } else {
             assert_bounded_run_stops(&sim, kernel, &program, cycles, 0.5 * cycles, label);
         }
-        let floor = sim.timing_floor(kernel, &program);
+        let floor = sim.timing_floor(&program);
         assert!(
             floor <= cycles,
             "{label}: floor {floor} above the simulated {cycles} cycles"

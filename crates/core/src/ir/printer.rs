@@ -26,14 +26,13 @@ pub fn print_program(p: &IrProgram) -> String {
             pt.id, pt.parent, pt.kind
         );
     }
-    print_block(p, &p.body, 1, &mut out);
+    print_block(&p.body, 1, &mut out);
     out.push('}');
     out.push('\n');
     out
 }
 
-#[allow(clippy::only_used_in_recursion)]
-fn print_block(p: &IrProgram, b: &Block, indent: usize, out: &mut String) {
+fn print_block(b: &Block, indent: usize, out: &mut String) {
     let pad = "  ".repeat(indent);
     for op in &b.ops {
         let ty = fmt_type(&op.ty);
@@ -63,7 +62,7 @@ fn print_block(p: &IrProgram, b: &Block, indent: usize, out: &mut String) {
                     "{pad}%e{}: {ty} = for i{var} in [0, {extent}), {pre} do",
                     op.result
                 );
-                print_block(p, body, indent + 1, out);
+                print_block(body, indent + 1, out);
             }
             OpKind::Pfor {
                 var,
@@ -76,7 +75,7 @@ fn print_block(p: &IrProgram, b: &Block, indent: usize, out: &mut String) {
                     "{pad}%e{}: {ty} = pfor i{var} in [0, {extent}) @{proc}, {pre} do",
                     op.result
                 );
-                print_block(p, body, indent + 1, out);
+                print_block(body, indent + 1, out);
             }
         }
     }

@@ -873,7 +873,7 @@ impl Session {
         // than the seed: strictly, so a tie still runs whole.
         let floors: Vec<f64> = resident
             .iter()
-            .map(|(_, c)| self.simulator.timing_floor(&c.kernel, &c.lowered))
+            .map(|(_, c)| self.simulator.timing_floor(&c.lowered))
             .collect();
         let runs = |i: usize| {
             i != seed && (floors[i] < seed_cycles || (floors[i] == seed_cycles && i < seed))

@@ -61,11 +61,10 @@
 //! dtypes and slices and asserts bitwise equality.
 
 use crate::error::SimError;
+use crate::instr::SimtOp;
 use crate::kernel::Kernel;
 use crate::mem::MemRef;
 use cypress_tensor::{DType, Tensor};
-
-use crate::instr::SimtOp;
 
 /// A slice with all expressions evaluated for a specific CTA/iteration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -76,6 +75,79 @@ pub(crate) struct RSlice {
     pub(crate) col0: usize,
     pub(crate) rows: usize,
     pub(crate) cols: usize,
+}
+
+/// Where an apply runs: the kernel whose declarations shape its slices,
+/// and the CTA and role whose shared memory and fragments it touches.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct At<'k> {
+    pub(crate) kernel: &'k Kernel,
+    pub(crate) cta: usize,
+    pub(crate) role: usize,
+}
+
+impl At<'_> {
+    /// Element type of `mem`'s storage (fragments are unrounded `f32`).
+    pub(crate) fn dtype(self, mem: MemRef) -> DType {
+        match mem {
+            MemRef::Param(i) => self.kernel.params[i].dtype,
+            MemRef::Smem(i) => self.kernel.smem[i].dtype,
+            MemRef::Frag(_) => DType::F32,
+        }
+    }
+}
+
+/// Operands of a WGMMA: `acc (+)= a @ b`, `b` transposed under
+/// `transpose_b`.
+#[derive(Debug)]
+pub(crate) struct MmaOperands {
+    pub(crate) a: RSlice,
+    pub(crate) b: RSlice,
+    pub(crate) acc: RSlice,
+    pub(crate) accumulate: bool,
+    pub(crate) transpose_b: bool,
+}
+
+/// One functional apply: a retired copy, WGMMA or SIMT operation and its
+/// resolved operands.
+#[derive(Clone, Copy)]
+pub(crate) enum Apply<'a> {
+    Copy {
+        src: &'a RSlice,
+        dst: &'a RSlice,
+    },
+    Wgmma(&'a MmaOperands),
+    Simt {
+        op: &'a SimtOp,
+        srcs: &'a [RSlice],
+        dst: &'a RSlice,
+    },
+}
+
+impl<'a> Apply<'a> {
+    /// Every slice it reads or writes, in operand order.
+    pub(crate) fn slices(self) -> impl Iterator<Item = &'a RSlice> {
+        let (srcs, fixed): (&[RSlice], [Option<&RSlice>; 3]) = match self {
+            Apply::Copy { src, dst } => (&[], [Some(src), Some(dst), None]),
+            Apply::Wgmma(m) => (&[], [Some(&m.a), Some(&m.b), Some(&m.acc)]),
+            Apply::Simt { srcs, dst, .. } => (srcs, [Some(dst), None, None]),
+        };
+        srcs.iter().chain(fixed.into_iter().flatten())
+    }
+
+    /// Apply it to `data` at `at` on the fast data path.
+    pub(crate) fn run(
+        self,
+        at: At<'_>,
+        data: &mut FuncData,
+        scratch: &mut Scratch,
+    ) -> Result<(), SimError> {
+        match self {
+            Apply::Copy { src, dst } => copy(at, data, scratch, src, dst),
+            Apply::Wgmma(mma) => wgmma(at, data, scratch, mma),
+            Apply::Simt { op, srcs, dst } => simt(at, data, scratch, op, srcs, dst),
+        }
+    }
 }
 
 /// `[cta][region]` flat shared-memory buffers covering all stages.
@@ -122,10 +194,11 @@ struct View {
 }
 
 impl View {
-    /// Resolve `s` against `kernel`'s declarations for the executor at
-    /// `(cta, role)`. `s` has already been bounds-checked by the engine's
-    /// slice resolution.
-    fn of(kernel: &Kernel, cta: usize, role: usize, s: &RSlice) -> View {
+    /// Resolve `s` against the kernel's declarations for the executor
+    /// `at`. `s` has already been bounds-checked by the engine's slice
+    /// resolution.
+    fn of(at: At<'_>, s: &RSlice) -> View {
+        let At { kernel, cta, role } = at;
         match s.mem {
             MemRef::Param(p) => {
                 let d = &kernel.params[p];
@@ -240,17 +313,15 @@ fn smem_or_frag<'a>(smem: &'a SmemPool, frags: &'a FragPool, key: BufKey) -> Opt
 /// Bulk copy `src` into `dst`, reading the source linearly in the
 /// destination's row-major order (the TMA/`cp.async` reshape semantics of
 /// the scalar interpreter) and quantizing stores to the destination dtype.
-pub(crate) fn copy(
-    kernel: &Kernel,
+fn copy(
+    at: At<'_>,
     data: &mut FuncData,
     scratch: &mut Scratch,
-    cta: usize,
-    role: usize,
     src: &RSlice,
     dst: &RSlice,
 ) -> Result<(), SimError> {
-    let sv = View::of(kernel, cta, role, src);
-    let dv = View::of(kernel, cta, role, dst);
+    let sv = View::of(at, src);
+    let dv = View::of(at, dst);
     // Cross-pool copies — every TMA/`cp.async` transfer (param ↔ smem)
     // and most SIMT copies — run zero-copy on split borrows.
     let FuncData {
@@ -368,28 +439,30 @@ fn exact_products(a: &View, b: &View) -> bool {
     half_smem(a) && half_smem(b)
 }
 
-/// The register-tiled matrix-multiply microkernel over flat row-strided
-/// operands, `b` k-major (`b(kk, j)` at `bbuf[bv.row(kk) + j]`):
-/// [`wgmma_rows_at`] at the widest tile the running CPU holds in vectors
-/// of at most `lanes` `f32` lanes — AVX-512F, else AVX2, else portable.
-/// The applies pass [`WIDEST`]; the tests pass 4, 8 and 16 to run every
-/// instantiation the CPU has. Where `exact` ([`exact_products`]), the
-/// AVX-512F tile and the AVX2 one (where the CPU has FMA) fuse each
-/// multiply and add (see the module header).
-#[allow(clippy::too_many_arguments)]
-#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
-fn wgmma_rows(
-    lanes: usize,
-    exact: bool,
-    abuf: &[f32],
-    av: &View,
-    bbuf: &[f32],
-    bv: &View,
-    out: &mut [f32],
-    cv: &View,
+/// The read-only operands of one run of the microkernel: `a` row-major
+/// through `av`, `b` k-major (`b(kk, j)` at `bbuf[bv.row(kk) + j]`), the
+/// view `cv` of the output the caller passes beside them, its `n`
+/// columns, and whether the products add to what the output holds.
+struct Gemm<'a> {
+    abuf: &'a [f32],
+    av: View,
+    bbuf: &'a [f32],
+    bv: View,
+    cv: View,
     n: usize,
     accumulate: bool,
-) {
+}
+
+/// The register-tiled matrix-multiply microkernel over flat row-strided
+/// operands: [`wgmma_rows_at`] at the widest tile the running CPU holds
+/// in vectors of at most `lanes` `f32` lanes — AVX-512F, else AVX2, else
+/// portable. The applies pass [`WIDEST`]; the tests pass 4, 8 and 16 to
+/// run every instantiation the CPU has. Where the products are exact
+/// ([`exact_products`]), the AVX-512F tile and the AVX2 one (where the
+/// CPU has FMA) fuse each multiply and add (see the module header).
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+fn wgmma_rows(lanes: usize, g: &Gemm<'_>, out: &mut [f32]) {
+    let exact = exact_products(&g.av, &g.bv);
     #[cfg(target_arch = "x86_64")]
     // SAFETY: each wrapper is entered right after detecting its
     // requirements on the running CPU: `avx512f` for `wgmma_rows_avx512`,
@@ -398,19 +471,19 @@ fn wgmma_rows(
     unsafe {
         if lanes >= 16 && std::arch::is_x86_feature_detected!("avx512f") {
             return if exact {
-                wgmma_rows_avx512::<true>(abuf, av, bbuf, bv, out, cv, n, accumulate)
+                wgmma_rows_avx512::<true>(g, out)
             } else {
-                wgmma_rows_avx512::<false>(abuf, av, bbuf, bv, out, cv, n, accumulate)
+                wgmma_rows_avx512::<false>(g, out)
             };
         }
         if lanes >= 8 && std::arch::is_x86_feature_detected!("avx2") {
             if exact && std::arch::is_x86_feature_detected!("fma") {
-                return wgmma_rows_avx2_fma(abuf, av, bbuf, bv, out, cv, n, accumulate);
+                return wgmma_rows_avx2_fma(g, out);
             }
-            return wgmma_rows_avx2(abuf, av, bbuf, bv, out, cv, n, accumulate);
+            return wgmma_rows_avx2(g, out);
         }
     }
-    wgmma_rows_at::<NR, false>(abuf, av, bbuf, bv, out, cv, n, accumulate);
+    wgmma_rows_at::<NR, false>(g, out);
 }
 
 /// [`wgmma_rows_at`] at [`NR_AVX512`], compiled with AVX-512F enabled: the
@@ -426,18 +499,8 @@ fn wgmma_rows(
 /// The running CPU must support AVX-512F.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn wgmma_rows_avx512<const FUSED: bool>(
-    abuf: &[f32],
-    av: &View,
-    bbuf: &[f32],
-    bv: &View,
-    out: &mut [f32],
-    cv: &View,
-    n: usize,
-    accumulate: bool,
-) {
-    wgmma_rows_at::<NR_AVX512, FUSED>(abuf, av, bbuf, bv, out, cv, n, accumulate);
+unsafe fn wgmma_rows_avx512<const FUSED: bool>(g: &Gemm<'_>, out: &mut [f32]) {
+    wgmma_rows_at::<NR_AVX512, FUSED>(g, out);
 }
 
 /// [`wgmma_rows_at`] at [`NR_AVX2`], compiled with AVX2 enabled: the
@@ -449,18 +512,8 @@ unsafe fn wgmma_rows_avx512<const FUSED: bool>(
 /// The running CPU must support AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn wgmma_rows_avx2(
-    abuf: &[f32],
-    av: &View,
-    bbuf: &[f32],
-    bv: &View,
-    out: &mut [f32],
-    cv: &View,
-    n: usize,
-    accumulate: bool,
-) {
-    wgmma_rows_at::<NR_AVX2, false>(abuf, av, bbuf, bv, out, cv, n, accumulate);
+unsafe fn wgmma_rows_avx2(g: &Gemm<'_>, out: &mut [f32]) {
+    wgmma_rows_at::<NR_AVX2, false>(g, out);
 }
 
 /// [`wgmma_rows_avx2`] with `fma` enabled too, for exact products only
@@ -471,18 +524,8 @@ unsafe fn wgmma_rows_avx2(
 /// The running CPU must support AVX2 and FMA.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn wgmma_rows_avx2_fma(
-    abuf: &[f32],
-    av: &View,
-    bbuf: &[f32],
-    bv: &View,
-    out: &mut [f32],
-    cv: &View,
-    n: usize,
-    accumulate: bool,
-) {
-    wgmma_rows_at::<NR_AVX2, true>(abuf, av, bbuf, bv, out, cv, n, accumulate);
+unsafe fn wgmma_rows_avx2_fma(g: &Gemm<'_>, out: &mut [f32]) {
+    wgmma_rows_at::<NR_AVX2, true>(g, out);
 }
 
 /// [`wgmma_rows`] at tile width `W`, fused (`mul_add`) under `FUSED`.
@@ -498,41 +541,33 @@ unsafe fn wgmma_rows_avx2_fma(
 /// identical. Tiling only changes which *outputs* are in flight, never
 /// the order of operations within one.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn wgmma_rows_at<const W: usize, const FUSED: bool>(
-    abuf: &[f32],
-    av: &View,
-    bbuf: &[f32],
-    bv: &View,
-    out: &mut [f32],
-    cv: &View,
-    n: usize,
-    accumulate: bool,
-) {
-    let full = av.rows - av.rows % MR;
+fn wgmma_rows_at<const W: usize, const FUSED: bool>(g: &Gemm<'_>, out: &mut [f32]) {
+    let full = g.av.rows - g.av.rows % MR;
     for i0 in (0..full).step_by(MR) {
-        row_block::<MR, W, FUSED>(abuf, av, bbuf, bv, out, cv, n, accumulate, i0);
+        row_block::<MR, W, FUSED>(g, out, i0);
     }
-    for i0 in full..av.rows {
-        row_block::<1, W, FUSED>(abuf, av, bbuf, bv, out, cv, n, accumulate, i0);
+    for i0 in full..g.av.rows {
+        row_block::<1, W, FUSED>(g, out, i0);
     }
 }
 
 /// Output rows `i0..i0 + R` of [`wgmma_rows_at`]: all `n` columns, then
 /// the store quantization of the finished rows.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
 fn row_block<const R: usize, const W: usize, const FUSED: bool>(
-    abuf: &[f32],
-    av: &View,
-    bbuf: &[f32],
-    bv: &View,
+    g: &Gemm<'_>,
     out: &mut [f32],
-    cv: &View,
-    n: usize,
-    accumulate: bool,
     i0: usize,
 ) {
+    let Gemm {
+        abuf,
+        ref av,
+        bbuf,
+        ref bv,
+        ref cv,
+        n,
+        accumulate,
+    } = *g;
     let a: [&[f32]; R] = std::array::from_fn(|r| &abuf[av.row(i0 + r)..av.row(i0 + r) + av.cols]);
     let c: [usize; R] = std::array::from_fn(|r| cv.row(i0 + r));
     let strip = Strip {
@@ -641,19 +676,19 @@ fn pack_k_major(pack: &mut Vec<f32>, buf: &[f32], bv: &View, n: usize) -> View {
 /// `acc`). The kernel validator guarantees `acc` is a register fragment
 /// and `b` shared memory, so the common shapes run zero-copy on split
 /// borrows; anything else stages operands through `scratch`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn wgmma(
-    kernel: &Kernel,
+fn wgmma(
+    at: At<'_>,
     data: &mut FuncData,
     scratch: &mut Scratch,
-    cta: usize,
-    role: usize,
-    a: &RSlice,
-    b: &RSlice,
-    acc: &RSlice,
-    accumulate: bool,
-    transpose_b: bool,
+    mma: &MmaOperands,
 ) -> Result<(), SimError> {
+    let MmaOperands {
+        ref a,
+        ref b,
+        ref acc,
+        accumulate,
+        transpose_b,
+    } = *mma;
     let (m, k) = (a.rows, a.cols);
     let n = acc.cols;
     let bk = if transpose_b { b.cols } else { b.rows };
@@ -666,10 +701,9 @@ pub(crate) fn wgmma(
             ),
         });
     }
-    let av = View::of(kernel, cta, role, a);
-    let bv = View::of(kernel, cta, role, b);
-    let cv = View::of(kernel, cta, role, acc);
-    let exact = exact_products(&av, &bv);
+    let av = View::of(at, a);
+    let bv = View::of(at, b);
+    let cv = View::of(at, acc);
     let FuncData {
         params,
         smem,
@@ -692,11 +726,20 @@ pub(crate) fn wgmma(
         } else {
             (bbuf, bv)
         };
+        let g = Gemm {
+            abuf: &[],
+            av,
+            bbuf,
+            bv,
+            cv,
+            n,
+            accumulate,
+        };
         // Accumulator in the register pool, operands elsewhere: all three
         // views coexist on split borrows.
         if let Some(abuf) = param_or_smem(params, smem, av.key) {
             let out = &mut frags[fc][fr][facc];
-            wgmma_rows(WIDEST, exact, abuf, &av, bbuf, &bv, out, &cv, n, accumulate);
+            wgmma_rows(WIDEST, &Gemm { abuf, ..g }, out);
             return Ok(());
         }
         // `a` is a sibling fragment of the same warpgroup (the FA2
@@ -716,7 +759,7 @@ pub(crate) fn wgmma(
                 } else {
                     (&hi[0], &mut lo[facc])
                 };
-                wgmma_rows(WIDEST, exact, abuf, &av, bbuf, &bv, out, &cv, n, accumulate);
+                wgmma_rows(WIDEST, &Gemm { abuf, ..g }, out);
                 return Ok(());
             }
         }
@@ -724,11 +767,17 @@ pub(crate) fn wgmma(
     // Anything else (hand-built kernels the validator admits but the
     // compiler never emits): stage both operands, then write through the
     // accumulator's buffer alone.
-    let (sa, sb) = stage_operands(scratch, data, &av, &bv, n, transpose_b);
-    let out = data.buf_mut(cv.key);
-    wgmma_rows(
-        WIDEST, exact, &scratch.a, &sa, &scratch.b, &sb, out, &cv, n, accumulate,
-    );
+    let (av, bv) = stage_operands(scratch, data, &av, &bv, n, transpose_b);
+    let g = Gemm {
+        abuf: &scratch.a,
+        av,
+        bbuf: &scratch.b,
+        bv,
+        cv,
+        n,
+        accumulate,
+    };
+    wgmma_rows(WIDEST, &g, data.buf_mut(cv.key));
     Ok(())
 }
 
@@ -769,18 +818,15 @@ fn stage_operands(
 /// with one dtype dispatch. Row-by-row processing preserves the scalar
 /// interpreter's ordering even when an operation runs in place (the
 /// destination slice aliasing a source slice exactly).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn simt(
-    kernel: &Kernel,
+fn simt(
+    at: At<'_>,
     data: &mut FuncData,
     scratch: &mut Scratch,
-    cta: usize,
-    role: usize,
     op: &SimtOp,
     srcs: &[RSlice],
     dst: &RSlice,
 ) -> Result<(), SimError> {
-    let dv = View::of(kernel, cta, role, dst);
+    let dv = View::of(at, dst);
     match op {
         SimtOp::Fill { value, .. } => {
             let q = dv.dtype.quantize(*value);
@@ -790,10 +836,10 @@ pub(crate) fn simt(
             }
         }
         SimtOp::Copy { .. } => {
-            copy(kernel, data, scratch, cta, role, &srcs[0], dst)?;
+            copy(at, data, scratch, &srcs[0], dst)?;
         }
         SimtOp::Map { op, .. } => {
-            let sv = View::of(kernel, cta, role, &srcs[0]);
+            let sv = View::of(at, &srcs[0]);
             for i in 0..dv.rows {
                 stage_row(&mut scratch.a, data.buf(sv.key), &sv, i, dv.cols);
                 let row = &mut data.buf_mut(dv.key)[dv.row(i)..dv.row(i) + dv.cols];
@@ -804,8 +850,8 @@ pub(crate) fn simt(
             }
         }
         SimtOp::Zip { op, .. } => {
-            let s0 = View::of(kernel, cta, role, &srcs[0]);
-            let s1 = View::of(kernel, cta, role, &srcs[1]);
+            let s0 = View::of(at, &srcs[0]);
+            let s1 = View::of(at, &srcs[1]);
             for i in 0..dv.rows {
                 stage_row(&mut scratch.a, data.buf(s0.key), &s0, i, dv.cols);
                 stage_row(&mut scratch.b, data.buf(s1.key), &s1, i, dv.cols);
@@ -819,7 +865,7 @@ pub(crate) fn simt(
         SimtOp::RowReduce {
             op, include_dst, ..
         } => {
-            let sv = View::of(kernel, cta, role, &srcs[0]);
+            let sv = View::of(at, &srcs[0]);
             for i in 0..dv.rows {
                 stage_row(&mut scratch.a, data.buf(sv.key), &sv, i, sv.cols);
                 let out = data.buf_mut(dv.key);
@@ -835,8 +881,8 @@ pub(crate) fn simt(
             }
         }
         SimtOp::RowZip { op, .. } => {
-            let s0 = View::of(kernel, cta, role, &srcs[0]);
-            let s1 = View::of(kernel, cta, role, &srcs[1]);
+            let s0 = View::of(at, &srcs[0]);
+            let s1 = View::of(at, &srcs[1]);
             for i in 0..dv.rows {
                 let r = data.buf(s1.key)[s1.row(i)];
                 stage_row(&mut scratch.a, data.buf(s0.key), &s0, i, dv.cols);
@@ -867,21 +913,25 @@ fn stage_row(out: &mut Vec<f32>, buf: &[f32], v: &View, i: usize, width: usize) 
 /// differential tests.
 #[cfg(any(test, feature = "scalar-oracle"))]
 pub(crate) mod scalar {
-    use super::{FuncData, RSlice};
+    #[cfg(feature = "scalar-oracle")]
+    use super::Apply;
+    use super::{At, FuncData, MmaOperands, RSlice};
     use crate::error::SimError;
     use crate::instr::SimtOp;
-    use crate::kernel::Kernel;
     use crate::mem::MemRef;
 
-    fn read_elem(
-        kernel: &Kernel,
-        data: &FuncData,
-        cta: usize,
-        role: usize,
-        s: &RSlice,
-        i: usize,
-        j: usize,
-    ) -> f32 {
+    /// Apply `apply` to `data` at `at`, element by element.
+    #[cfg(feature = "scalar-oracle")]
+    pub(crate) fn run(at: At<'_>, data: &mut FuncData, apply: Apply<'_>) -> Result<(), SimError> {
+        match apply {
+            Apply::Copy { src, dst } => copy(at, data, src, dst),
+            Apply::Wgmma(mma) => wgmma(at, data, mma),
+            Apply::Simt { op, srcs, dst } => simt(at, data, op, srcs, dst),
+        }
+    }
+
+    fn read_elem(at: At<'_>, data: &FuncData, s: &RSlice, i: usize, j: usize) -> f32 {
+        let At { kernel, cta, role } = at;
         match s.mem {
             MemRef::Param(p) => {
                 let cols = kernel.params[p].cols;
@@ -899,17 +949,8 @@ pub(crate) mod scalar {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn write_elem(
-        kernel: &Kernel,
-        data: &mut FuncData,
-        cta: usize,
-        role: usize,
-        s: &RSlice,
-        i: usize,
-        j: usize,
-        v: f32,
-    ) {
+    fn write_elem(at: At<'_>, data: &mut FuncData, s: &RSlice, i: usize, j: usize, v: f32) {
+        let At { kernel, cta, role } = at;
         match s.mem {
             MemRef::Param(p) => {
                 let cols = kernel.params[p].cols;
@@ -930,10 +971,8 @@ pub(crate) mod scalar {
     }
 
     pub(crate) fn copy(
-        kernel: &Kernel,
+        at: At<'_>,
         data: &mut FuncData,
-        cta: usize,
-        role: usize,
         src: &RSlice,
         dst: &RSlice,
     ) -> Result<(), SimError> {
@@ -942,24 +981,24 @@ pub(crate) mod scalar {
         for idx in 0..dst.rows * dst.cols {
             let (di, dj) = (idx / dst.cols, idx % dst.cols);
             let (si, sj) = (idx / src.cols, idx % src.cols);
-            let v = read_elem(kernel, data, cta, role, src, si, sj);
-            write_elem(kernel, data, cta, role, dst, di, dj, v);
+            let v = read_elem(at, data, src, si, sj);
+            write_elem(at, data, dst, di, dj, v);
         }
         Ok(())
     }
 
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn wgmma(
-        kernel: &Kernel,
+        at: At<'_>,
         data: &mut FuncData,
-        cta: usize,
-        role: usize,
-        a: &RSlice,
-        b: &RSlice,
-        acc: &RSlice,
-        accumulate: bool,
-        transpose_b: bool,
+        mma: &MmaOperands,
     ) -> Result<(), SimError> {
+        let MmaOperands {
+            ref a,
+            ref b,
+            ref acc,
+            accumulate,
+            transpose_b,
+        } = *mma;
         let (m, k) = (a.rows, a.cols);
         let n = acc.cols;
         let bk = if transpose_b { b.cols } else { b.rows };
@@ -975,30 +1014,28 @@ pub(crate) mod scalar {
         for i in 0..m {
             for j in 0..n {
                 let mut v = if accumulate {
-                    read_elem(kernel, data, cta, role, acc, i, j)
+                    read_elem(at, data, acc, i, j)
                 } else {
                     0.0
                 };
                 for kk in 0..k {
-                    let av = read_elem(kernel, data, cta, role, a, i, kk);
+                    let av = read_elem(at, data, a, i, kk);
                     let bv = if transpose_b {
-                        read_elem(kernel, data, cta, role, b, j, kk)
+                        read_elem(at, data, b, j, kk)
                     } else {
-                        read_elem(kernel, data, cta, role, b, kk, j)
+                        read_elem(at, data, b, kk, j)
                     };
                     v += av * bv;
                 }
-                write_elem(kernel, data, cta, role, acc, i, j, v);
+                write_elem(at, data, acc, i, j, v);
             }
         }
         Ok(())
     }
 
     pub(crate) fn simt(
-        kernel: &Kernel,
+        at: At<'_>,
         data: &mut FuncData,
-        cta: usize,
-        role: usize,
         op: &SimtOp,
         srcs: &[RSlice],
         dst: &RSlice,
@@ -1007,18 +1044,18 @@ pub(crate) mod scalar {
             SimtOp::Fill { value, .. } => {
                 for i in 0..dst.rows {
                     for j in 0..dst.cols {
-                        write_elem(kernel, data, cta, role, dst, i, j, *value);
+                        write_elem(at, data, dst, i, j, *value);
                     }
                 }
             }
             SimtOp::Copy { .. } => {
-                copy(kernel, data, cta, role, &srcs[0], dst)?;
+                copy(at, data, &srcs[0], dst)?;
             }
             SimtOp::Map { op, .. } => {
                 for i in 0..dst.rows {
                     for j in 0..dst.cols {
-                        let v = op.apply(read_elem(kernel, data, cta, role, &srcs[0], i, j));
-                        write_elem(kernel, data, cta, role, dst, i, j, v);
+                        let v = op.apply(read_elem(at, data, &srcs[0], i, j));
+                        write_elem(at, data, dst, i, j, v);
                     }
                 }
             }
@@ -1026,10 +1063,10 @@ pub(crate) mod scalar {
                 for i in 0..dst.rows {
                     for j in 0..dst.cols {
                         let v = op.apply(
-                            read_elem(kernel, data, cta, role, &srcs[0], i, j),
-                            read_elem(kernel, data, cta, role, &srcs[1], i, j),
+                            read_elem(at, data, &srcs[0], i, j),
+                            read_elem(at, data, &srcs[1], i, j),
                         );
-                        write_elem(kernel, data, cta, role, dst, i, j, v);
+                        write_elem(at, data, dst, i, j, v);
                     }
                 }
             }
@@ -1038,22 +1075,22 @@ pub(crate) mod scalar {
             } => {
                 for i in 0..dst.rows {
                     let mut acc = if *include_dst {
-                        read_elem(kernel, data, cta, role, dst, i, 0)
+                        read_elem(at, data, dst, i, 0)
                     } else {
                         op.identity()
                     };
                     for j in 0..srcs[0].cols {
-                        acc = op.apply(acc, read_elem(kernel, data, cta, role, &srcs[0], i, j));
+                        acc = op.apply(acc, read_elem(at, data, &srcs[0], i, j));
                     }
-                    write_elem(kernel, data, cta, role, dst, i, 0, acc);
+                    write_elem(at, data, dst, i, 0, acc);
                 }
             }
             SimtOp::RowZip { op, .. } => {
                 for i in 0..dst.rows {
-                    let r = read_elem(kernel, data, cta, role, &srcs[1], i, 0);
+                    let r = read_elem(at, data, &srcs[1], i, 0);
                     for j in 0..dst.cols {
-                        let v = op.apply(read_elem(kernel, data, cta, role, &srcs[0], i, j), r);
-                        write_elem(kernel, data, cta, role, dst, i, j, v);
+                        let v = op.apply(read_elem(at, data, &srcs[0], i, j), r);
+                        write_elem(at, data, dst, i, j, v);
                     }
                 }
             }
@@ -1073,6 +1110,15 @@ mod tests {
     use rand::{Rng, SeedableRng};
 
     const DTYPES: [DType; 3] = [DType::F16, DType::BF16, DType::F32];
+
+    /// The one CTA and role the tests' data holds.
+    fn at0(kernel: &Kernel) -> At<'_> {
+        At {
+            kernel,
+            cta: 0,
+            role: 0,
+        }
+    }
 
     /// A kernel whose declarations (not roles) drive the applies: one
     /// parameter, one multi-stage shared region, and three fragments per
@@ -1267,7 +1313,7 @@ mod tests {
             ] {
                 let src = random_slice(&kernel, sm, 5, cols, &mut rng).expect("fits 80 x 80");
                 let dst = random_slice(&kernel, dm, 5, cols, &mut rng).expect("fits 80 x 80");
-                let dense = View::of(&kernel, 0, 0, &dst).stride == cols;
+                let dense = View::of(at0(&kernel), &dst).stride == cols;
                 assert_eq!(dense, cols == 80);
                 let what = format!("copy {cols} wide {sm:?} -> {dm:?}");
                 assert_copy_matches_oracle(&kernel, &data, &src, &dst, &what);
@@ -1287,8 +1333,8 @@ mod tests {
         let mut fast = clone_data(data);
         let mut oracle = clone_data(data);
         let mut scratch = Scratch::default();
-        copy(kernel, &mut fast, &mut scratch, 0, 0, src, dst).unwrap();
-        scalar::copy(kernel, &mut oracle, 0, 0, src, dst).unwrap();
+        copy(at0(kernel), &mut fast, &mut scratch, src, dst).unwrap();
+        scalar::copy(at0(kernel), &mut oracle, src, dst).unwrap();
         assert_bitwise_equal(&fast, &oracle, what);
     }
 
@@ -1313,43 +1359,33 @@ mod tests {
         let mut fast = clone_data(data);
         let mut oracle = clone_data(data);
         let mut scratch = Scratch::default();
-        wgmma(
-            kernel,
-            &mut fast,
-            &mut scratch,
-            0,
-            0,
-            a,
-            b,
-            acc,
+        let mma = MmaOperands {
+            a: *a,
+            b: *b,
+            acc: *acc,
             accumulate,
             transpose_b,
-        )
-        .unwrap();
-        scalar::wgmma(
-            kernel,
-            &mut oracle,
-            0,
-            0,
-            a,
-            b,
-            acc,
-            accumulate,
-            transpose_b,
-        )
-        .unwrap();
+        };
+        wgmma(at0(kernel), &mut fast, &mut scratch, &mma).unwrap();
+        scalar::wgmma(at0(kernel), &mut oracle, &mma).unwrap();
         assert_bitwise_equal(&fast, &oracle, what);
 
-        let [av, bv, cv] = [a, b, acc].map(|s| View::of(kernel, 0, 0, s));
+        let [av, bv, cv] = [a, b, acc].map(|s| View::of(at0(kernel), s));
         let n = acc.cols;
         for lanes in LANES {
             let mut direct = clone_data(data);
             let (sa, sb) = stage_operands(&mut scratch, &direct, &av, &bv, n, transpose_b);
             let out = direct.buf_mut(cv.key);
-            let exact = exact_products(&av, &bv);
-            wgmma_rows(
-                lanes, exact, &scratch.a, &sa, &scratch.b, &sb, out, &cv, n, accumulate,
-            );
+            let g = Gemm {
+                abuf: &scratch.a,
+                av: sa,
+                bbuf: &scratch.b,
+                bv: sb,
+                cv,
+                n,
+                accumulate,
+            };
+            wgmma_rows(lanes, &g, out);
             assert_bitwise_equal(&direct, &oracle, &format!("{what} ({lanes} lanes)"));
         }
     }
@@ -1530,18 +1566,14 @@ mod tests {
             rows,
             cols,
         };
-        let err = wgmma(
-            &kernel,
-            &mut data,
-            &mut scratch,
-            0,
-            0,
-            &slice(1, 2),
-            &slice(3, 1),
-            &slice(1, 1),
-            false,
-            false,
-        );
+        let mma = MmaOperands {
+            a: slice(1, 2),
+            b: slice(3, 1),
+            acc: slice(1, 1),
+            accumulate: false,
+            transpose_b: false,
+        };
+        let err = wgmma(at0(&kernel), &mut data, &mut scratch, &mma);
         assert!(matches!(err, Err(SimError::OutOfBounds { .. })));
     }
 
@@ -1652,8 +1684,8 @@ mod tests {
             let mut fast = clone_data(&data);
             let mut oracle = clone_data(&data);
             let mut scratch = Scratch::default();
-            simt(&kernel, &mut fast, &mut scratch, 0, 0, &op, &srcs, &dst).unwrap();
-            scalar::simt(&kernel, &mut oracle, 0, 0, &op, &srcs, &dst).unwrap();
+            simt(at0(&kernel), &mut fast, &mut scratch, &op, &srcs, &dst).unwrap();
+            scalar::simt(at0(&kernel), &mut oracle, &op, &srcs, &dst).unwrap();
             assert_bitwise_equal(&fast, &oracle, "simt");
             cases += 1;
         }
@@ -1701,9 +1733,9 @@ mod tests {
                     let Some(src) = random_slice(&kernel, sm, rows, cols, &mut rng) else {
                         continue;
                     };
-                    copy(&kernel, &mut data, &mut scratch, 0, 0, &src, &dst).unwrap();
+                    copy(at0(&kernel), &mut data, &mut scratch, &src, &dst).unwrap();
                 } else if let Some((op, srcs)) = random_simt(&kernel, dst, &mut rng) {
-                    simt(&kernel, &mut data, &mut scratch, 0, 0, &op, &srcs, &dst).unwrap();
+                    simt(at0(&kernel), &mut data, &mut scratch, &op, &srcs, &dst).unwrap();
                 }
                 assert!(
                     quantized(dtype, &data.smem[0][0]),
@@ -1774,8 +1806,8 @@ mod tests {
             let b = slice(MemRef::Smem(1), br, bc, &mut rng);
             let acc = slice(MemRef::Frag(0), m, n, &mut rng);
             assert!(exact_products(
-                &View::of(&kernel, 0, 0, &a),
-                &View::of(&kernel, 0, 0, &b)
+                &View::of(at0(&kernel), &a),
+                &View::of(at0(&kernel), &b)
             ));
             let what =
                 format!("edges {m}x{n}x{k} transpose_b={transpose_b} accumulate={accumulate}");

@@ -23,7 +23,9 @@
 //!   instruction cannot fail to resolve, so a timing run — which drops
 //!   what it resolves — issues it without building its operands,
 //! - transfer bytes, WGMMA FLOPs and SIMT cost factors pre-computed with
-//!   overflow-checked arithmetic,
+//!   overflow-checked arithmetic, and summed as each operation is lowered
+//!   into the kernel's per-CTA totals, their floor and its L2 hit
+//!   estimate (see [`Program`]'s fields),
 //! - operand slices kept out of the instruction stream, in one table per
 //!   program that an instruction indexes (see `Operands`): what a
 //!   timing run fetches per event is a `BcInstr` of at most 72 bytes.
@@ -51,7 +53,7 @@ use crate::error::SimError;
 use crate::expr::{Cond, Env, EvalError, Expr};
 use crate::fnv::Fnv64;
 use crate::instr::{Instr, SimtOp};
-use crate::kernel::{wgmma_flops, Kernel, KernelError, Role, RoleKind, StaticTotals};
+use crate::kernel::{Kernel, KernelError, Role, RoleKind};
 use crate::mem::{MemRef, Slice, Space};
 
 /// Operand of an index instruction: an immediate, a block index, a loop
@@ -327,13 +329,23 @@ pub struct Program {
     pub(crate) shape_hash: u64,
     /// CTAs in the grid; lowering checked the product.
     pub(crate) ctas: usize,
-    /// The kernel's per-CTA totals, for the L2 estimate and the report
-    /// (see [`Kernel::totals`]).
+    /// The kernel's per-CTA totals, for the L2 hit estimate and the
+    /// report: every operation's bytes or FLOPs, a loop body's weighted
+    /// by its trip count at CTA (0,0,0) and an `If` by its larger side.
+    /// So it is not a bound: a kernel whose trip counts read the block
+    /// index, or whose guards skip work, is over- or under-counted for
+    /// its other CTAs.
     pub(crate) totals: StaticTotals,
     /// The per-CTA work every CTA is proven to do, for the timing floor
-    /// and a bounded run's CTA-launch check; `None` when a trip count
-    /// reads the block index.
+    /// and a bounded run's CTA-launch check: the same sums with an `If`
+    /// weighed by its smaller side, each field on its own. `None` when a
+    /// loop trip count reads the block index, where CTA (0,0,0)'s counts
+    /// bound no other CTA's.
     pub(crate) floor: Option<StaticTotals>,
+    /// The L2 hit rate a run charges every global load, estimated from
+    /// the totals in place of an L2 simulation: loads beyond each
+    /// parameter's unique bytes are assumed hits.
+    pub(crate) l2_hit: f64,
     unproven: usize,
 }
 
@@ -353,6 +365,47 @@ impl Program {
     }
 }
 
+/// FLOPs of one `Wgmma`: `2 · |A| · N`, left to right in `f64` (the
+/// timing golden digests pin the bits the engine reserves).
+fn wgmma_flops(a_elems: f64, n: f64) -> f64 {
+    2.0 * a_elems * n
+}
+
+/// Per-CTA static totals of a kernel: what its instructions move and
+/// compute, loops weighted by their trip counts. Every field sums whole
+/// numbers, so it is exact in `f64` whatever the summation order.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub(crate) struct StaticTotals {
+    /// Global-memory bytes loaded per CTA through TMA.
+    pub tma_load_bytes: f64,
+    /// Global-memory bytes loaded per CTA through `cp.async`.
+    pub cp_async_bytes: f64,
+    /// Global-memory bytes stored per CTA (through TMA): the bytes of
+    /// each store's destination.
+    pub store_bytes: f64,
+    /// Tensor Core FLOPs per CTA.
+    pub tc_flops: f64,
+    /// SIMT FLOPs per CTA: each operation's destination elements.
+    pub simt_flops: f64,
+}
+
+impl StaticTotals {
+    /// Global-memory bytes loaded per CTA, through either copy unit.
+    #[must_use]
+    pub(crate) fn load_bytes(&self) -> f64 {
+        self.tma_load_bytes + self.cp_async_bytes
+    }
+
+    /// Add `pick(a, b)` to each field, field by field.
+    fn add_branch(&mut self, a: &Self, b: &Self, pick: fn(f64, f64) -> f64) {
+        self.tma_load_bytes += pick(a.tma_load_bytes, b.tma_load_bytes);
+        self.cp_async_bytes += pick(a.cp_async_bytes, b.cp_async_bytes);
+        self.store_bytes += pick(a.store_bytes, b.store_bytes);
+        self.tc_flops += pick(a.tc_flops, b.tc_flops);
+        self.simt_flops += pick(a.simt_flops, b.simt_flops);
+    }
+}
+
 /// FNV-1a over the kernel's derived `Hash`: a cheap structural
 /// fingerprint tying a [`Program`] to the kernel it was lowered from.
 /// Every run recomputes it, so it hashes the fields themselves rather
@@ -364,7 +417,8 @@ pub(crate) fn kernel_shape_hash(kernel: &Kernel) -> u64 {
 }
 
 /// Check `kernel`'s structure and lower its role bodies into a flat
-/// [`Program`].
+/// [`Program`], summing its totals, their floor and its L2 hit estimate
+/// in the same walk.
 ///
 /// # Errors
 ///
@@ -376,8 +430,10 @@ pub(crate) fn kernel_shape_hash(kernel: &Kernel) -> u64 {
 /// mbarrier; a copy whose extents differ; a DMA warp that computes; a
 /// named barrier for more parties than there are roles; a loop trip count
 /// that reads a loop variable. Returns [`SimError::Internal`] if a
-/// pre-computed quantity overflows `usize` or an index does not fit a
-/// `u32` (an mbarrier, or a slice of a program past 2³² of them).
+/// pre-computed quantity (a copy's bytes, a store's destination bytes, a
+/// WGMMA's or a SIMT operation's elements) overflows `usize` or an index
+/// does not fit a `u32` (an mbarrier, or a slice of a program past 2³²
+/// of them).
 pub fn lower(kernel: &Kernel) -> Result<Program, SimError> {
     let ctas = launch_shape(kernel)?;
     let mut ctx = Lower::new(kernel);
@@ -386,8 +442,14 @@ pub fn lower(kernel: &Kernel) -> Result<Program, SimError> {
         .iter()
         .map(|r| ctx.lower_role(r))
         .collect::<Result<Vec<_>, _>>()?;
-    // Only now: the totals index the declarations every slice names.
-    let (totals, floor) = kernel.totals();
+    let totals = ctx.totals;
+    let loads = totals.load_bytes() * ctas as f64;
+    let unique: f64 = kernel.params.iter().map(|p| p.size_bytes() as f64).sum();
+    let l2_hit = if loads > 0.0 {
+        (1.0 - unique / loads).clamp(0.0, 0.995)
+    } else {
+        0.0
+    };
     Ok(Program {
         roles,
         slices: ctx.slices,
@@ -395,7 +457,8 @@ pub fn lower(kernel: &Kernel) -> Result<Program, SimError> {
         shape_hash: kernel_shape_hash(kernel),
         ctas,
         totals,
-        floor,
+        floor: (!ctx.reads_block).then_some(ctx.floor),
+        l2_hit,
         unproven: ctx.unproven,
     })
 }
@@ -525,6 +588,14 @@ struct Lower<'a> {
     unproven: usize,
     /// The program's slice table so far (see [`Operands`]).
     slices: Vec<BcSlice>,
+    /// The product of the enclosing loops' trip counts at CTA (0,0,0).
+    weight: f64,
+    /// [`Program::totals`] and [`Program::floor`] so far (of the branch
+    /// being lowered, inside an `If`).
+    totals: StaticTotals,
+    floor: StaticTotals,
+    /// A loop trip count read the block index: the program has no floor.
+    reads_block: bool,
 }
 
 impl<'a> Lower<'a> {
@@ -542,7 +613,19 @@ impl<'a> Lower<'a> {
             fits: true,
             unproven: 0,
             slices: Vec::new(),
+            weight: 1.0,
+            totals: StaticTotals::default(),
+            floor: StaticTotals::default(),
+            reads_block: false,
         }
+    }
+
+    /// Count `amount` of one unit's work, weighted by the enclosing
+    /// loops' trips, in the totals and the floor.
+    fn count(&mut self, field: fn(&mut StaticTotals) -> &mut f64, amount: f64) {
+        let weighted = self.weight * amount;
+        *field(&mut self.totals) += weighted;
+        *field(&mut self.floor) += weighted;
     }
 
     /// The values `e` takes wherever the position being lowered runs, or
@@ -700,7 +783,12 @@ impl<'a> Lower<'a> {
             count: SVal { pre, val },
             end: usize::MAX,
         });
+        self.reads_block |= count.references_block();
+        let trips = count.eval(&Env::for_block([0; 3])).unwrap_or(0).max(0) as f64;
+        let outer = self.weight;
+        self.weight *= trips;
         self.lower_block(body, out)?;
+        self.weight = outer;
         // The engine unbinds a loop's variable when it exits.
         self.scope.vars.remove(&var);
         out.push(BcInstr::LoopEnd);
@@ -709,7 +797,8 @@ impl<'a> Lower<'a> {
     }
 
     /// Lower an `If`: its `Branch`, the then-block under what `cond`
-    /// says, a `Jump` over the else-block, and the else-block.
+    /// says, a `Jump` over the else-block, and the else-block. The totals
+    /// count its larger side, the floor its smaller one.
     fn lower_if(
         &mut self,
         cond: &Cond,
@@ -731,14 +820,28 @@ impl<'a> Lower<'a> {
             cond: BcCond { pre, kind, a, b },
             else_target: usize::MAX,
         });
+        let outer = self.take_sums();
         self.lower_block(then_, out)?;
+        let then_sums = self.take_sums();
         self.scope.facts.pop();
         let jump = out.len();
         out.push(BcInstr::Jump(usize::MAX));
         patch(out, branch);
         self.lower_block(else_, out)?;
+        let else_sums = self.take_sums();
+        (self.totals, self.floor) = outer;
+        self.totals.add_branch(&then_sums.0, &else_sums.0, f64::max);
+        self.floor.add_branch(&then_sums.1, &else_sums.1, f64::min);
         patch(out, jump);
         Ok(())
+    }
+
+    /// The totals and the floor so far, leaving both at zero.
+    fn take_sums(&mut self) -> (StaticTotals, StaticTotals) {
+        (
+            std::mem::take(&mut self.totals),
+            std::mem::take(&mut self.floor),
+        )
     }
 
     /// Check and lower `block` onto `out`. An operation is checked as it
@@ -758,15 +861,17 @@ impl<'a> Lower<'a> {
                 }
                 Instr::TmaLoad { src, dst, bar } | Instr::CpAsyncLoad { src, dst, bar } => {
                     let spaces = [Space::Global, Space::Shared];
-                    let (operands, bytes) = self.lower_copy(src, dst, spaces, Some(*bar))?;
+                    let (operands, bytes, _) = self.lower_copy(src, dst, spaces, Some(*bar))?;
                     let bar = index32(*bar, "mbarrier index")?;
                     if matches!(instr, Instr::TmaLoad { .. }) {
+                        self.count(|t| &mut t.tma_load_bytes, bytes);
                         BcOp::TmaLoad {
                             operands,
                             bar,
                             bytes,
                         }
                     } else {
+                        self.count(|t| &mut t.cp_async_bytes, bytes);
                         BcOp::CpAsyncLoad {
                             operands,
                             bar,
@@ -776,7 +881,8 @@ impl<'a> Lower<'a> {
                 }
                 Instr::TmaStore { src, dst } => {
                     let spaces = [Space::Shared, Space::Global];
-                    let (operands, bytes) = self.lower_copy(src, dst, spaces, None)?;
+                    let (operands, bytes, stored) = self.lower_copy(src, dst, spaces, None)?;
+                    self.count(|t| &mut t.store_bytes, stored);
                     BcOp::TmaStore { operands, bytes }
                 }
                 Instr::TmaStoreWait => BcOp::TmaStoreWait,
@@ -815,15 +921,17 @@ impl<'a> Lower<'a> {
     }
 
     /// Check and lower a copy of `src` to `dst`, out of and into the two
-    /// `spaces`, arriving on mbarrier `bar` if it has one: its slices and
-    /// the bytes it moves, which both extents must agree on.
+    /// `spaces`, arriving on mbarrier `bar` if it has one: its slices, the
+    /// bytes it moves (its source's; both extents must agree on the
+    /// elements) and the bytes of its side in global memory, which differ
+    /// from those where a store changes the element type.
     fn lower_copy(
         &mut self,
         src: &Slice,
         dst: &Slice,
         [from, to]: [Space; 2],
         bar: Option<usize>,
-    ) -> Result<(Operands, f64), SimError> {
+    ) -> Result<(Operands, f64, f64), SimError> {
         let lsrc = self.lower_slice(in_space(src, from)?)?;
         let ldst = self.lower_slice(in_space(dst, to)?)?;
         if let Some(bar) = bar {
@@ -839,7 +947,12 @@ impl<'a> Lower<'a> {
             .into());
         }
         let bytes = self.slice_bytes(&lsrc)?;
-        Ok((self.seal([lsrc, ldst])?, bytes))
+        let global = if to == Space::Global {
+            self.slice_bytes(&ldst)?
+        } else {
+            bytes
+        };
+        Ok((self.seal([lsrc, ldst])?, bytes, global))
     }
 
     fn lower_wgmma(
@@ -859,6 +972,7 @@ impl<'a> Lower<'a> {
         let acc = self.lower_slice(in_space(acc, Space::Register)?)?;
         let a_elems = a.rows.checked_mul(a.cols).ok_or_else(|| overflow(&a))?;
         let flops = wgmma_flops(a_elems as f64, acc.cols as f64);
+        self.count(|t| &mut t.tc_flops, flops);
         let mut smem_bytes = self.slice_bytes(&b)?;
         if a.mem.space() == Space::Shared {
             smem_bytes += self.slice_bytes(&a)?;
@@ -887,6 +1001,7 @@ impl<'a> Lower<'a> {
             .collect::<Result<Vec<_>, _>>()?;
         let dst = self.lower_slice(op.dst())?;
         let cost = self.simt_cost(op, &srcs, &dst)?;
+        self.count(|t| &mut t.simt_flops, self.slice_elems(&dst)?);
         Ok(BcOp::Simt {
             op: Box::new(op.clone()),
             operands: self.seal(srcs.into_iter().chain([dst]))?,
@@ -1851,6 +1966,118 @@ mod tests {
         let wraps = (Expr::block_x() + i64::MAX) - i64::MAX;
         assert_eq!(unproven(vec![load(wraps)]), 1);
         assert_eq!(unproven(vec![load(Expr::block_x() * i64::MAX * 2)]), 1);
+    }
+
+    // ---- totals ----------------------------------------------------------
+
+    /// One compute role running `body` over `A` (64 x 64 `F16`), the
+    /// two-stage `sA` (64 x 64 `F16`), the fragment `acc`, one mbarrier
+    /// and `sC` (64 x 64 `F32`).
+    fn totals_kernel(body: Vec<Instr>) -> Kernel {
+        let mut b = crate::KernelBuilder::new("totals", [1, 1, 1]);
+        b.param("A", 64, 64, DType::F16);
+        b.smem("sA", 64, 64, DType::F16, 2);
+        b.frag("acc", 64, 64);
+        b.mbar(1);
+        b.smem("sC", 64, 64, DType::F32, 1);
+        b.role(RoleKind::Compute(0), body);
+        b.build()
+    }
+
+    /// A loop body counts once per trip. A store counts the bytes of its
+    /// destination: 16 x 16 `F32` elements stored into `F16` reach global
+    /// memory as 512 bytes, not the source's 1 024.
+    #[test]
+    fn static_totals_weight_loops() {
+        let k = totals_kernel(vec![Instr::Loop {
+            var: 0,
+            count: Expr::lit(4),
+            body: vec![
+                Instr::TmaLoad {
+                    src: Slice::param(0).extent(16, 16),
+                    dst: Slice::smem(0).extent(16, 16),
+                    bar: 0,
+                },
+                Instr::Wgmma {
+                    a: Slice::smem(0).extent(64, 16),
+                    b: Slice::smem(0).extent(16, 64),
+                    acc: Slice::frag(0).extent(64, 64),
+                    accumulate: true,
+                    transpose_b: false,
+                },
+                Instr::TmaStore {
+                    src: Slice::smem(1).extent(16, 16),
+                    dst: Slice::param(0).extent(16, 16),
+                },
+            ],
+        }]);
+        let program = lower(&k).unwrap();
+        let t = program.totals;
+        assert_eq!(t.load_bytes(), 4.0 * 256.0 * 2.0);
+        assert_eq!(t.tc_flops, 4.0 * 2.0 * 64.0 * 64.0 * 16.0);
+        assert_eq!(t.store_bytes, 4.0 * 256.0 * 2.0);
+        assert_eq!(program.floor, Some(t));
+    }
+
+    /// An `If` counts its larger side in the estimate and its smaller
+    /// side in the floor, field by field; a trip count that reads the
+    /// block index leaves the floor nothing to count.
+    #[test]
+    fn floor_totals_take_the_smaller_branch_and_no_block_dependent_trips() {
+        let load = |unit: fn(Slice, Slice) -> Instr, rows| {
+            unit(
+                Slice::param(0).extent(rows, 16),
+                Slice::smem(0).extent(rows, 16),
+            )
+        };
+        let tma = |src, dst| Instr::TmaLoad { src, dst, bar: 0 };
+        let cp = |src, dst| Instr::CpAsyncLoad { src, dst, bar: 0 };
+        let program = lower(&totals_kernel(vec![Instr::If {
+            cond: Cond::Eq(Expr::block_x(), Expr::lit(0)),
+            then_: vec![load(tma, 16), load(cp, 4)],
+            else_: vec![load(tma, 8), load(cp, 12)],
+        }]))
+        .unwrap();
+        let estimate = program.totals;
+        assert_eq!(
+            (estimate.tma_load_bytes, estimate.cp_async_bytes),
+            (512.0, 384.0)
+        );
+        let floor = program.floor.expect("no trip count reads the block");
+        assert_eq!((floor.tma_load_bytes, floor.cp_async_bytes), (256.0, 128.0));
+
+        let program = lower(&totals_kernel(vec![Instr::Loop {
+            var: 0,
+            count: Expr::block_y() + Expr::lit(1),
+            body: vec![load(tma, 16)],
+        }]))
+        .unwrap();
+        assert_eq!(program.totals.tma_load_bytes, 512.0);
+        assert_eq!(program.floor, None);
+    }
+
+    /// A store whose destination's bytes overflow `usize` — a 2³¹ x 2³¹
+    /// `F16` shared slice into an `F32` parameter: 2⁶³ bytes read, 2⁶⁴
+    /// written — is a typed error of lowering, and so of a run, not an
+    /// overflow panic (dev profile) or a wrapped total (release).
+    #[test]
+    fn an_overflowing_store_is_a_typed_error() {
+        let n = 1usize << 31;
+        let mut b = crate::KernelBuilder::new("huge-store", [1, 1, 1]);
+        let out = b.param("out", n, n, DType::F32);
+        let s = b.smem("s", n, n, DType::F16, 1);
+        b.role(
+            RoleKind::Compute(0),
+            vec![Instr::TmaStore {
+                src: Slice::smem(s).extent(n, n),
+                dst: Slice::param(out).extent(n, n),
+            }],
+        );
+        let kernel = b.build();
+        let internal = |r: Result<(), SimError>| matches!(r, Err(SimError::Internal { .. }));
+        assert!(internal(lower(&kernel).map(drop)));
+        let sim = crate::Simulator::new(crate::MachineConfig::test_gpu());
+        assert!(internal(sim.run_timing(&kernel).map(drop)));
     }
 
     #[test]

@@ -18,7 +18,10 @@
 //!   makespan. Used by the benchmark harness at paper-scale sizes. Slice
 //!   origins are evaluated only where lowering could not prove them in
 //!   bounds (see `Operands::proven`): the rest can neither fail nor matter
-//!   when no data moves.
+//!   when no data moves. The L2 hit rate a run charges global loads, the
+//!   report's byte and FLOP totals and the per-CTA work of
+//!   [`timing_floor`] are the [`Program`]'s, summed by the walk that
+//!   lowered it: the engine reads no instruction of the [`Kernel`].
 //!
 //! Hardware units are modelled as *fluid FIFO queues*: a reservation of
 //! `amount` work on a queue with rate `r` completes no earlier than the
@@ -93,7 +96,7 @@
 //! the unbounded run bit for bit.
 #![deny(clippy::too_many_lines)]
 
-use crate::apply::{self, FuncData, RSlice, Scratch};
+use crate::apply::{Apply, At, FuncData, MmaOperands, RSlice, Scratch};
 use crate::bytecode::{self, BcInstr, BcOp, BcSlice, Operands, Program, SimtCost, MAX_OPERANDS};
 use crate::error::SimError;
 use crate::expr::{Env, EvalError};
@@ -103,7 +106,7 @@ use crate::machine::MachineConfig;
 use crate::mem::{FragDecl, MemRef, SmemDecl};
 use crate::report::{ApplyBytes, TimingReport};
 use crate::FunctionalRun;
-use cypress_tensor::{DType, Tensor};
+use cypress_tensor::Tensor;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -262,17 +265,6 @@ struct CtaState {
     /// Copies and WGMMAs issued and not yet retired: a functional run
     /// applies each when it retires, to this CTA's buffers.
     in_flight: usize,
-}
-
-/// Operands of an in-flight WGMMA, applied when it retires (functional
-/// mode only).
-#[derive(Debug)]
-struct MmaOperands {
-    a: RSlice,
-    b: RSlice,
-    acc: RSlice,
-    accumulate: bool,
-    transpose_b: bool,
 }
 
 #[derive(Debug)]
@@ -580,10 +572,9 @@ impl<'k> Engine<'k> {
         };
         let n_sim = bytecode::index32(n_sim, "simulated CTA count")?;
 
-        let l2_hit = l2_hit(kernel, program);
         let cta_floor = match mode {
             Mode::Functional => None,
-            Mode::Timing => floor_work(machine, program, l2_hit, active_sms),
+            Mode::Timing => floor_work(machine, program, active_sms),
         }
         .map_or(0.0, |work| {
             work.into_iter()
@@ -616,7 +607,7 @@ impl<'k> Engine<'k> {
             smem_unit: Fluid::new(machine.smem_bytes_per_cycle_per_sm),
             l2: Fluid::new(machine.l2_bytes_per_cycle / share),
             hbm: Fluid::new(machine.hbm_bytes_per_cycle / share),
-            l2_hit,
+            l2_hit: program.l2_hit,
             ctas: Vec::new(),
             execs: Vec::new(),
             next_cta: 0,
@@ -837,8 +828,8 @@ impl<'k> Engine<'k> {
                 } => {
                     let exec = exec as usize;
                     if let Some(copy) = copy {
-                        let (src, dst) = *copy;
-                        self.apply_copy(exec, &src, &dst)?;
+                        let (src, dst) = &*copy;
+                        self.apply(exec, Apply::Copy { src, dst })?;
                     }
                     let cta = self.execs[exec].cta;
                     if let Some(bar) = bar {
@@ -856,8 +847,8 @@ impl<'k> Engine<'k> {
                 }
                 EventKind::WgmmaDone { exec, mma } => {
                     let exec = exec as usize;
-                    if let Some(m) = mma {
-                        self.apply_wgmma(exec, &m.a, &m.b, &m.acc, m.accumulate, m.transpose_b)?;
+                    if let Some(mma) = mma {
+                        self.apply(exec, Apply::Wgmma(&mma))?;
                     }
                     self.execs[exec].outstanding_wgmma -= 1;
                     if let Some(Blocked::Wgmma(pending)) = self.execs[exec].blocked {
@@ -978,8 +969,8 @@ impl<'k> Engine<'k> {
                     self.execs[exec_id].bar_tokens[bar] += 1;
                 }
                 Work::Simt(work) => {
-                    let (srcs, dst) = work.operands.simt();
-                    self.apply_simt(exec_id, work.op, srcs, dst)?;
+                    let (op, (srcs, dst)) = (work.op, work.operands.simt());
+                    self.apply(exec_id, Apply::Simt { op, srcs, dst })?;
                 }
             }
             self.execs[exec_id].pc += 1;
@@ -1416,128 +1407,33 @@ impl<'k> Engine<'k> {
             .and_then(|(stage, row0, col0)| s.at(stage, row0, col0))
     }
 
-    // ---- functional data application -------------------------------------
-    //
-    // The heavy lifting lives in [`apply`]: each resolved slice becomes a
-    // flat-buffer view once per apply and the operation runs as bulk work
-    // over contiguous rows. Under `scalar` (the `scalar-oracle` feature)
-    // the retained per-element reference interpreter runs instead; both
-    // produce bitwise-identical tensors.
-
-    /// Element type of a resolved slice's backing storage (fragments are
-    /// unrounded `f32`).
-    fn slice_dtype(&self, mem: MemRef) -> DType {
-        match mem {
-            MemRef::Param(i) => self.kernel.params[i].dtype,
-            MemRef::Smem(i) => self.kernel.smem[i].dtype,
-            MemRef::Frag(_) => DType::F32,
-        }
-    }
-
-    /// Account the bytes a functional apply touches, per element type.
-    /// Called only on the functional path, so timing counters stay zero.
-    fn count_apply<'s>(&mut self, slices: impl IntoIterator<Item = &'s RSlice>) {
-        for s in slices {
-            let dtype = self.slice_dtype(s.mem);
+    /// Apply a retired copy, WGMMA or SIMT operation of `exec_id` to its
+    /// CTA's data, and count the bytes it touches per element type. The
+    /// work is [`Apply::run`]'s, each resolved slice a flat-buffer view
+    /// and the operation bulk work over contiguous rows; under `scalar`
+    /// (the `scalar-oracle` feature) the retained per-element reference
+    /// interpreter runs instead, to bitwise-identical tensors. A timing
+    /// run moves no data, so it applies and counts nothing.
+    fn apply(&mut self, exec_id: usize, apply: Apply<'_>) -> Result<(), SimError> {
+        let Some(data) = self.data.as_mut() else {
+            return Ok(());
+        };
+        let e = &self.execs[exec_id];
+        let at = At {
+            kernel: self.kernel,
+            cta: e.cta,
+            role: e.role,
+        };
+        for s in apply.slices() {
+            let dtype = at.dtype(s.mem);
             let bytes = (s.rows * s.cols * dtype.size_bytes()) as u64;
             self.apply_bytes.add(dtype, bytes);
         }
-    }
-
-    fn apply_copy(&mut self, exec_id: usize, src: &RSlice, dst: &RSlice) -> Result<(), SimError> {
-        let (cta, role) = (self.execs[exec_id].cta, self.execs[exec_id].role);
-        let kernel = self.kernel;
-        if self.data.is_some() {
-            self.count_apply([src, dst]);
-        }
-        let Some(data) = self.data.as_mut() else {
-            return Ok(());
-        };
         #[cfg(feature = "scalar-oracle")]
         if self.scalar {
-            return apply::scalar::copy(kernel, data, cta, role, src, dst);
+            return crate::apply::scalar::run(at, data, apply);
         }
-        apply::copy(kernel, data, &mut self.scratch, cta, role, src, dst)
-    }
-
-    fn apply_wgmma(
-        &mut self,
-        exec_id: usize,
-        a: &RSlice,
-        b: &RSlice,
-        acc: &RSlice,
-        accumulate: bool,
-        transpose_b: bool,
-    ) -> Result<(), SimError> {
-        let (cta, role) = (self.execs[exec_id].cta, self.execs[exec_id].role);
-        let kernel = self.kernel;
-        if self.data.is_some() {
-            self.count_apply([a, b, acc]);
-        }
-        let Some(data) = self.data.as_mut() else {
-            return Ok(());
-        };
-        #[cfg(feature = "scalar-oracle")]
-        if self.scalar {
-            return apply::scalar::wgmma(
-                kernel,
-                data,
-                cta,
-                role,
-                a,
-                b,
-                acc,
-                accumulate,
-                transpose_b,
-            );
-        }
-        apply::wgmma(
-            kernel,
-            data,
-            &mut self.scratch,
-            cta,
-            role,
-            a,
-            b,
-            acc,
-            accumulate,
-            transpose_b,
-        )
-    }
-
-    fn apply_simt(
-        &mut self,
-        exec_id: usize,
-        op: &SimtOp,
-        srcs: &[RSlice],
-        dst: &RSlice,
-    ) -> Result<(), SimError> {
-        let (cta, role) = (self.execs[exec_id].cta, self.execs[exec_id].role);
-        let kernel = self.kernel;
-        if self.data.is_some() {
-            self.count_apply(srcs.iter().chain([dst]));
-        }
-        let Some(data) = self.data.as_mut() else {
-            return Ok(());
-        };
-        #[cfg(feature = "scalar-oracle")]
-        if self.scalar {
-            return apply::scalar::simt(kernel, data, cta, role, op, srcs, dst);
-        }
-        apply::simt(kernel, data, &mut self.scratch, cta, role, op, srcs, dst)
-    }
-}
-
-/// The L2 hit rate a run of `kernel` charges every load, estimated from
-/// the static footprint in place of an L2 simulation: loads beyond each
-/// parameter's unique bytes are assumed L2 hits.
-fn l2_hit(kernel: &Kernel, program: &Program) -> f64 {
-    let total_loads = program.totals.load_bytes() * program.ctas as f64;
-    let unique: f64 = kernel.params.iter().map(|p| p.size_bytes() as f64).sum();
-    if total_loads > 0.0 {
-        (1.0 - unique / total_loads).clamp(0.0, 0.995)
-    } else {
-        0.0
+        apply.run(at, data, &mut self.scratch)
     }
 }
 
@@ -1550,17 +1446,17 @@ fn l2_hit(kernel: &Kernel, program: &Program) -> f64 {
 /// ≈ 9e-8 of the makespan.
 const FLOOR_SLACK: f64 = 1e-6;
 
-/// A lower bound on the `cycles` a timing run of `kernel` (lowered to
-/// `program`) reports, from the engine's own inputs. No unit starts
+/// A lower bound on the `cycles` a timing run of `program` reports, from
+/// the engine's own inputs, all of them the program's. No unit starts
 /// before the kernel launch and the first CTA's launch, and the busiest
 /// SM runs `ceil(ctas / active_sms)` CTAs, each doing at least
 /// [`floor_work`] on each unit. The bound is the launch plus the slowest
 /// unit. A kernel whose trip counts read the block index gets the launch
 /// alone.
-pub(crate) fn timing_floor(kernel: &Kernel, machine: &MachineConfig, program: &Program) -> f64 {
+pub(crate) fn timing_floor(machine: &MachineConfig, program: &Program) -> f64 {
     let launch = machine.kernel_launch_cycles + machine.cta_launch_cycles;
     let active_sms = program.ctas.min(machine.sms).max(1);
-    let Some(work) = floor_work(machine, program, l2_hit(kernel, program), active_sms) else {
+    let Some(work) = floor_work(machine, program, active_sms) else {
         return launch;
     };
     let ctas = program.ctas.div_ceil(active_sms) as f64;
@@ -1574,17 +1470,16 @@ pub(crate) fn timing_floor(kernel: &Kernel, machine: &MachineConfig, program: &P
 /// Each unit's `(work, rate)` for one CTA on an SM of `active_sms`, from
 /// the program's floor totals (`None` when it has none): its Tensor Core
 /// FLOPs, TMA bytes (loads and stores) and `cp.async` bytes over that
-/// unit's rate, and its HBM bytes (loads past the L2 hit rate, and
-/// stores) over the SM's share of HBM bandwidth. Every CTA reserves at
-/// least `work` on each unit.
+/// unit's rate, and its HBM bytes (loads past the program's L2 hit rate,
+/// and stores) over the SM's share of HBM bandwidth. Every CTA reserves
+/// at least `work` on each unit.
 fn floor_work(
     machine: &MachineConfig,
     program: &Program,
-    l2_hit: f64,
     active_sms: usize,
 ) -> Option<[(f64, f64); 4]> {
     let t = program.floor?;
-    let hbm_bytes = t.load_bytes() * (1.0 - l2_hit) + t.store_bytes;
+    let hbm_bytes = t.load_bytes() * (1.0 - program.l2_hit) + t.store_bytes;
     Some([
         (t.tc_flops, machine.tc_flops_per_cycle_per_sm),
         (
@@ -1621,6 +1516,7 @@ fn occupancy(kernel: &Kernel, machine: &MachineConfig) -> usize {
 mod tests {
     use super::*;
     use crate::{Expr, Instr, KernelBuilder, Simulator, Slice};
+    use cypress_tensor::DType;
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
 

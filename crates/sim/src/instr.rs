@@ -485,7 +485,7 @@ mod tests {
             dst: Slice::frag(2).extent(4, 4),
         };
         assert_eq!(op.sources().len(), 2);
-        assert_eq!(op.dst().num_elements(), 16);
+        assert_eq!((op.dst().rows, op.dst().cols), (4, 4));
         assert!(!op.uses_sfu());
         let e = SimtOp::Map {
             op: UnOp::Exp,

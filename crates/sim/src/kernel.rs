@@ -14,10 +14,9 @@
 //! [`Kernel::validate`].
 #![deny(clippy::too_many_lines)]
 
-use crate::expr::Env;
 use crate::instr::Instr;
 use crate::machine::MachineConfig;
-use crate::mem::{FragDecl, MemRef, ParamDecl, Slice, SmemDecl};
+use crate::mem::{FragDecl, MemRef, ParamDecl, SmemDecl};
 use std::fmt;
 
 /// The kind of executor a role runs on.
@@ -157,144 +156,6 @@ impl Kernel {
         }
         Ok(())
     }
-
-    /// Per-CTA totals, from one walk: `(estimate, floor)`, both stored
-    /// on the [`crate::Program`] by lowering once it has checked that
-    /// every slice names a declared object, which this indexes.
-    ///
-    /// Loop bodies are weighted by their trip counts at CTA (0,0,0). The
-    /// *estimate* (for the L2 hit estimate and the report) weighs an
-    /// `If` by its larger side, so it is not a bound: a kernel whose trip
-    /// counts read the block index, or whose guards skip work, is over-
-    /// or under-counted for its other CTAs. The *floor* (for the timing
-    /// floor) is what every CTA's run is proven to reach: an `If` weighs
-    /// its smaller side (each unit's field on its own), and a kernel with
-    /// a loop trip count that reads the block index, where CTA (0,0,0)'s
-    /// counts bound no other CTA's, has none.
-    #[must_use]
-    pub(crate) fn totals(&self) -> (StaticTotals, Option<StaticTotals>) {
-        let env = Env::for_block([0, 0, 0]);
-        let mut walk = TotalsWalk::default();
-        for role in &self.roles {
-            self.accumulate(&role.body, &env, 1.0, &mut walk);
-        }
-        (walk.estimate, (!walk.reads_block).then_some(walk.floor))
-    }
-
-    fn accumulate(&self, body: &[Instr], env: &Env, weight: f64, walk: &mut TotalsWalk) {
-        for instr in body {
-            let zero = StaticTotals::default();
-            let leaf = match instr {
-                Instr::TmaLoad { src, .. } => StaticTotals {
-                    tma_load_bytes: weight * self.slice_bytes(src),
-                    ..zero
-                },
-                Instr::CpAsyncLoad { src, .. } => StaticTotals {
-                    cp_async_bytes: weight * self.slice_bytes(src),
-                    ..zero
-                },
-                Instr::TmaStore { dst, .. } => StaticTotals {
-                    store_bytes: weight * self.slice_bytes(dst),
-                    ..zero
-                },
-                Instr::Wgmma { a, acc, .. } => StaticTotals {
-                    tc_flops: weight * wgmma_flops(a.num_elements() as f64, acc.cols as f64),
-                    ..zero
-                },
-                Instr::Simt(op) => StaticTotals {
-                    simt_flops: weight * op.dst().num_elements() as f64,
-                    ..zero
-                },
-                Instr::Loop { count, body, .. } => {
-                    walk.reads_block |= count.references_block();
-                    let trips = count.eval(env).unwrap_or(0).max(0) as f64;
-                    self.accumulate(body, env, weight * trips, walk);
-                    continue;
-                }
-                Instr::If { then_, else_, .. } => {
-                    let mut a = TotalsWalk::default();
-                    let mut b = TotalsWalk::default();
-                    self.accumulate(then_, env, weight, &mut a);
-                    self.accumulate(else_, env, weight, &mut b);
-                    walk.estimate.add_branch(&a.estimate, &b.estimate, f64::max);
-                    walk.floor.add_branch(&a.floor, &b.floor, f64::min);
-                    walk.reads_block |= a.reads_block || b.reads_block;
-                    continue;
-                }
-                _ => continue,
-            };
-            walk.estimate.add(&leaf);
-            walk.floor.add(&leaf);
-        }
-    }
-
-    fn slice_bytes(&self, s: &Slice) -> f64 {
-        let elem = match s.mem {
-            MemRef::Param(i) => self.params[i].dtype.size_bytes(),
-            MemRef::Smem(i) => self.smem[i].dtype.size_bytes(),
-            MemRef::Frag(_) => 4,
-        };
-        (s.num_elements() * elem) as f64
-    }
-}
-
-/// FLOPs of one `Wgmma`: `2 · |A| · N`, left to right in `f64` (the
-/// timing golden digests pin the bits the engine reserves).
-pub(crate) fn wgmma_flops(a_elems: f64, n: f64) -> f64 {
-    2.0 * a_elems * n
-}
-
-/// Per-CTA static totals of a kernel: what its instructions move and
-/// compute, loops weighted by their trip counts. Every field sums whole
-/// numbers, so it is exact in `f64` whatever the summation order.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub(crate) struct StaticTotals {
-    /// Global-memory bytes loaded per CTA through TMA.
-    pub tma_load_bytes: f64,
-    /// Global-memory bytes loaded per CTA through `cp.async`.
-    pub cp_async_bytes: f64,
-    /// Global-memory bytes stored per CTA (through TMA).
-    pub store_bytes: f64,
-    /// Tensor Core FLOPs per CTA.
-    pub tc_flops: f64,
-    /// SIMT FLOPs per CTA.
-    pub simt_flops: f64,
-}
-
-impl StaticTotals {
-    /// Global-memory bytes loaded per CTA, through either copy unit.
-    #[must_use]
-    pub(crate) fn load_bytes(&self) -> f64 {
-        self.tma_load_bytes + self.cp_async_bytes
-    }
-
-    /// Add `other` field by field (adding a `0.0` leaves a field's bits
-    /// as they are).
-    fn add(&mut self, other: &Self) {
-        self.tma_load_bytes += other.tma_load_bytes;
-        self.cp_async_bytes += other.cp_async_bytes;
-        self.store_bytes += other.store_bytes;
-        self.tc_flops += other.tc_flops;
-        self.simt_flops += other.simt_flops;
-    }
-
-    /// Add `pick(a, b)` to each field, field by field.
-    fn add_branch(&mut self, a: &Self, b: &Self, pick: fn(f64, f64) -> f64) {
-        self.tma_load_bytes += pick(a.tma_load_bytes, b.tma_load_bytes);
-        self.cp_async_bytes += pick(a.cp_async_bytes, b.cp_async_bytes);
-        self.store_bytes += pick(a.store_bytes, b.store_bytes);
-        self.tc_flops += pick(a.tc_flops, b.tc_flops);
-        self.simt_flops += pick(a.simt_flops, b.simt_flops);
-    }
-}
-
-/// What [`Kernel::totals`]' walk has counted so far.
-#[derive(Default)]
-struct TotalsWalk {
-    estimate: StaticTotals,
-    floor: StaticTotals,
-    /// A loop trip count read the block index.
-    reads_block: bool,
 }
 
 /// Kernel validation failure.
@@ -413,7 +274,8 @@ impl std::error::Error for KernelError {}
 mod tests {
     use super::*;
     use crate::bytecode::lower;
-    use crate::expr::{Cond, Expr};
+    use crate::expr::Expr;
+    use crate::mem::Slice;
     use crate::SimError;
     use cypress_tensor::DType;
 
@@ -573,70 +435,6 @@ mod tests {
             structural(&k),
             Err(KernelError::CopyExtentMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn static_totals_weight_loops() {
-        let mut k = minimal_kernel();
-        k.roles[0].body = vec![Instr::Loop {
-            var: 0,
-            count: Expr::lit(4),
-            body: vec![
-                Instr::TmaLoad {
-                    src: Slice::param(0).extent(16, 16),
-                    dst: Slice::smem(0).extent(16, 16),
-                    bar: 0,
-                },
-                Instr::Wgmma {
-                    a: Slice::smem(0).extent(64, 16),
-                    b: Slice::smem(0).extent(16, 64),
-                    acc: Slice::frag(0).extent(64, 64),
-                    accumulate: true,
-                    transpose_b: false,
-                },
-            ],
-        }];
-        let (t, floor) = k.totals();
-        assert_eq!(t.load_bytes(), 4.0 * 256.0 * 2.0);
-        assert_eq!(t.tc_flops, 4.0 * 2.0 * 64.0 * 64.0 * 16.0);
-        assert_eq!(floor, Some(t));
-    }
-
-    /// An `If` counts its larger side in the estimate and its smaller
-    /// side in the floor, field by field; a trip count that reads the
-    /// block index leaves the floor nothing to count.
-    #[test]
-    fn floor_totals_take_the_smaller_branch_and_no_block_dependent_trips() {
-        let load = |unit: fn(Slice, Slice) -> Instr, rows| {
-            unit(
-                Slice::param(0).extent(rows, 16),
-                Slice::smem(0).extent(rows, 16),
-            )
-        };
-        let tma = |src, dst| Instr::TmaLoad { src, dst, bar: 0 };
-        let cp = |src, dst| Instr::CpAsyncLoad { src, dst, bar: 0 };
-        let mut k = minimal_kernel();
-        k.roles[0].body = vec![Instr::If {
-            cond: Cond::Eq(Expr::block_x(), Expr::lit(0)),
-            then_: vec![load(tma, 16), load(cp, 4)],
-            else_: vec![load(tma, 8), load(cp, 12)],
-        }];
-        let (estimate, floor) = k.totals();
-        assert_eq!(
-            (estimate.tma_load_bytes, estimate.cp_async_bytes),
-            (512.0, 384.0)
-        );
-        let floor = floor.expect("no trip count reads the block");
-        assert_eq!((floor.tma_load_bytes, floor.cp_async_bytes), (256.0, 128.0));
-
-        k.roles[0].body = vec![Instr::Loop {
-            var: 0,
-            count: Expr::block_y() + Expr::lit(1),
-            body: vec![load(tma, 16)],
-        }];
-        let (estimate, floor) = k.totals();
-        assert_eq!(estimate.tma_load_bytes, 512.0);
-        assert_eq!(floor, None);
     }
 
     #[test]

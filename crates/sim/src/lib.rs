@@ -319,15 +319,14 @@ impl Simulator {
         })
     }
 
-    /// A lower bound on [`Simulator::run_timing_lowered`]`(kernel,
-    /// program)`'s `cycles`, without running the engine: the kernel and
-    /// CTA launch plus the slowest of the busiest SM's Tensor Core, TMA,
-    /// `cp.async` and HBM work over its rate (a roofline floor). A tuner
-    /// that has timed a candidate skips every one whose floor is above
-    /// it. The bound holds for every kernel that times; `program` must be
-    /// `kernel`'s lowering, as there.
+    /// A lower bound on the `cycles` of every timing run of `program`
+    /// ([`Simulator::run_timing_lowered`]), without running the engine:
+    /// the kernel and CTA launch plus the slowest of the busiest SM's
+    /// Tensor Core, TMA, `cp.async` and HBM work over its rate (a roofline
+    /// floor), from the totals lowering summed. A tuner that has timed a
+    /// candidate skips every one whose floor is above it.
     #[must_use]
-    pub fn timing_floor(&self, kernel: &Kernel, program: &bytecode::Program) -> f64 {
-        engine::timing_floor(kernel, &self.machine, program)
+    pub fn timing_floor(&self, program: &bytecode::Program) -> f64 {
+        engine::timing_floor(&self.machine, program)
     }
 }

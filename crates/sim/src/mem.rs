@@ -210,12 +210,6 @@ impl Slice {
         self.stage = stage.into();
         self
     }
-
-    /// Number of elements covered.
-    #[must_use]
-    pub(crate) fn num_elements(&self) -> usize {
-        self.rows * self.cols
-    }
 }
 
 #[cfg(test)]
@@ -300,7 +294,7 @@ mod tests {
         let mut env = Env::default();
         env.bind(0, 7);
         assert_eq!(s.stage.eval(&env).unwrap(), 1);
-        assert_eq!(s.num_elements(), 256);
+        assert_eq!((s.rows, s.cols), (16, 16));
         assert_eq!(s.mem.space(), Space::Shared);
         assert_eq!(Slice::param(0).mem.space(), Space::Global);
         assert_eq!(Slice::frag(0).mem.space(), Space::Register);
