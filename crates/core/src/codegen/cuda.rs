@@ -6,7 +6,7 @@
 //! golden-tested against the shape of Fig. 1b.
 
 use cypress_sim::{Cond, Expr, Instr, Kernel, RoleKind, SimtOp};
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 /// Render `kernel` as pseudo-CUDA.
 #[must_use]
@@ -77,7 +77,7 @@ pub(crate) fn render(kernel: &Kernel) -> String {
 }
 
 fn render_instr(k: &Kernel, instr: &Instr, depth: usize, out: &mut String) {
-    let pad = "  ".repeat(depth);
+    let pad = indent(depth);
     match instr {
         Instr::TmaLoad { src, dst, bar } => {
             let _ = writeln!(
@@ -135,7 +135,7 @@ fn render_instr(k: &Kernel, instr: &Instr, depth: usize, out: &mut String) {
         Instr::WgmmaWait { pending } => {
             let _ = writeln!(out, "{pad}warpgroup_wait<{pending}>();");
         }
-        Instr::Simt(op) => render_simt(k, op, &pad, out),
+        Instr::Simt(op) => render_simt(k, op, depth, out),
         Instr::NamedBarrier { id, parties } => {
             let _ = writeln!(out, "{pad}bar.sync({id}, {parties});");
         }
@@ -153,12 +153,7 @@ fn render_instr(k: &Kernel, instr: &Instr, depth: usize, out: &mut String) {
             let _ = writeln!(out, "{pad}}}");
         }
         Instr::If { cond, then_, else_ } => {
-            let c = match cond {
-                Cond::Ge(a, b) => format!("{a} >= {b}"),
-                Cond::Lt(a, b) => format!("{a} < {b}"),
-                Cond::Eq(a, b) => format!("{a} == {b}"),
-            };
-            let _ = writeln!(out, "{pad}if ({c}) {{");
+            let _ = writeln!(out, "{pad}if ({}) {{", condition(cond));
             for i in then_ {
                 render_instr(k, i, depth + 1, out);
             }
@@ -175,7 +170,8 @@ fn render_instr(k: &Kernel, instr: &Instr, depth: usize, out: &mut String) {
     }
 }
 
-fn render_simt(k: &Kernel, op: &SimtOp, pad: &str, out: &mut String) {
+fn render_simt(k: &Kernel, op: &SimtOp, depth: usize, out: &mut String) {
+    let pad = indent(depth);
     match op {
         SimtOp::Fill { dst, value } => {
             let _ = writeln!(out, "{pad}fill({}, {value});", slice(k, dst));
@@ -225,21 +221,34 @@ fn render_simt(k: &Kernel, op: &SimtOp, pad: &str, out: &mut String) {
     }
 }
 
-fn slice(k: &Kernel, s: &cypress_sim::Slice) -> String {
-    let name = match s.mem {
-        cypress_sim::MemRef::Param(i) => k.params[i].name.clone(),
-        cypress_sim::MemRef::Smem(i) => k.smem[i].name.clone(),
-        cypress_sim::MemRef::Frag(i) => k.frags[i].name.clone(),
-    };
-    let stage = if matches!(s.stage, Expr::Lit(0)) {
-        String::new()
-    } else {
-        format!("[{}]", s.stage)
-    };
-    format!(
-        "{name}{stage}[{}:{}x{}][{}:{}x1]",
-        s.row0, s.rows, 1, s.col0, s.cols
-    )
+/// Two spaces per level of `depth`.
+fn indent(depth: usize) -> impl fmt::Display {
+    fmt::from_fn(move |f| write!(f, "{:1$}", "", 2 * depth))
+}
+
+/// `s` as the renderer writes it, formatted straight into the output.
+fn slice<'a>(k: &'a Kernel, s: &'a cypress_sim::Slice) -> impl fmt::Display + 'a {
+    fmt::from_fn(move |f| {
+        let name = match s.mem {
+            cypress_sim::MemRef::Param(i) => &k.params[i].name,
+            cypress_sim::MemRef::Smem(i) => &k.smem[i].name,
+            cypress_sim::MemRef::Frag(i) => &k.frags[i].name,
+        };
+        f.write_str(name)?;
+        if !matches!(s.stage, Expr::Lit(0)) {
+            write!(f, "[{}]", s.stage)?;
+        }
+        write!(f, "[{}:{}x{}][{}:{}x1]", s.row0, s.rows, 1, s.col0, s.cols)
+    })
+}
+
+/// An `If`'s condition, formatted straight into the output.
+fn condition(cond: &Cond) -> impl fmt::Display + '_ {
+    fmt::from_fn(move |f| match cond {
+        Cond::Ge(a, b) => write!(f, "{a} >= {b}"),
+        Cond::Lt(a, b) => write!(f, "{a} < {b}"),
+        Cond::Eq(a, b) => write!(f, "{a} == {b}"),
+    })
 }
 
 #[cfg(test)]

@@ -374,14 +374,20 @@ pub trait MappingSpace: fmt::Debug + Send + Sync {
     /// returns there, which calls this, so each space writes its mapping
     /// once.
     ///
-    /// The contract an autotune sweep relies on: points with one
-    /// [`MappingConfig::front_key`] — *schedule siblings* — build the
-    /// same registry and entry arguments, and one builds exactly when
-    /// another does; they differ only in their mapping. A sweep builds
-    /// one program per group of siblings and asks every other member
-    /// for its mapping alone (`kernels_golden.rs`'s
-    /// `schedule_siblings_differ_only_in_their_schedule` holds every
-    /// family to this).
+    /// The contract an autotune sweep relies on, in two parts:
+    ///
+    /// - every point of [`candidates`](MappingSpace::candidates) builds
+    ///   one task registry and one entry-argument list, and builds
+    ///   exactly when this returns `Ok`: the registry reads the shape,
+    ///   never a config field. A sweep builds and hashes one program,
+    ///   the first candidate that builds, and asks every candidate for
+    ///   its mapping alone (`kernels_golden.rs`'s
+    ///   `every_candidate_builds_one_program` holds every family to
+    ///   this);
+    /// - points with one [`MappingConfig::front_key`] — *schedule
+    ///   siblings* — differ only in their mapping's schedule fields, so
+    ///   they compile through one [`crate::compile::Front`]
+    ///   (`schedule_siblings_differ_only_in_their_schedule`).
     ///
     /// # Errors
     ///

@@ -71,16 +71,57 @@ fn kernel_library_matches_golden_digests() {
     );
 }
 
+/// Every candidate of a space builds one task registry and one entry
+/// argument list, and builds exactly when `MappingSpace::mapping`
+/// returns `Ok`: the contract that lets a sweep build and hash the first
+/// candidate that builds and give every other candidate only its
+/// mapping. On both machines, at both pinned shapes, so a space whose
+/// registry reads a config field fails here.
+#[test]
+fn every_candidate_builds_one_program() {
+    let mut shared = 0;
+    for (family, space, shapes) in families() {
+        for machine in [MachineConfig::h100_sxm5(), MachineConfig::test_gpu()] {
+            for shape in &shapes {
+                let mut first = None;
+                for cfg in space.candidates(&machine, shape) {
+                    let what = format!("{family} {} {shape} {}", machine.name, cfg.encode());
+                    let built = space.build(shape, &cfg);
+                    assert_eq!(
+                        built.is_ok(),
+                        space.mapping(shape, &cfg).is_ok(),
+                        "{what}: `build` and `mapping` disagree"
+                    );
+                    let Ok((registry, _, args)) = built else {
+                        continue;
+                    };
+                    let Some((reg, a)) = &first else {
+                        first = Some((registry, args));
+                        continue;
+                    };
+                    assert!(
+                        registry == *reg,
+                        "{what}: the task registry differs from the first candidate's"
+                    );
+                    assert_eq!(args, *a, "{what}: the entry arguments differ");
+                    shared += 1;
+                }
+            }
+        }
+    }
+    assert!(shared > 0, "some candidates share a program");
+}
+
 /// Schedule siblings — candidates with one `MappingConfig::front_key` —
 /// build the same task registry and entry arguments (one builds exactly
 /// when another does), and mappings that differ only in the two fields
-/// warp specialization reads. That is what lets a sweep build and hash
-/// one program per group, compile the group through one compiler
-/// `Front`, and give every other member only its `MappingSpace::mapping`
-/// and a source hash resumed from the group's computation hash. So each
-/// member's `build` mapping must hash like its `mapping`, and the
-/// resumed hash must be the compile fingerprint of its own full build:
-/// on both machines, so any future space that breaks it fails here.
+/// warp specialization reads. That is what lets a sweep compile a group
+/// through one compiler `Front`, and give each candidate only its
+/// `MappingSpace::mapping` and a source hash resumed from the sweep's
+/// computation hash. So each member's `build` mapping must hash like
+/// its `mapping`, and the resumed hash must be the compile fingerprint
+/// of its own full build: on both machines, so any future space that
+/// breaks it fails here.
 #[test]
 fn schedule_siblings_differ_only_in_their_schedule() {
     let unscheduled = |mapping: &MappingSpec| {

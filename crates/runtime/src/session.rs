@@ -843,9 +843,9 @@ impl Session {
         (kept, pruned, transferred)
     }
 
-    /// The cold sweep: compile the candidates — one worker job per group
-    /// of schedule siblings, which builds and hashes the group's program
-    /// once (see [`Session::compile_candidates`]) — then time the seed,
+    /// The cold sweep: compile the candidates — one program built and
+    /// hashed per sweep, one worker job per group of schedule siblings
+    /// (see [`Session::compile_candidates`]) — then time the seed,
     /// skip the candidates its cycles rule out, and time the rest bounded
     /// at the seed's cycles (see [`Session::autotune`]). Returns every
     /// compiled candidate in candidate order, so the caller's first-wins
@@ -915,17 +915,18 @@ impl Session {
     /// decides: candidates the builder or compiler rejects are skipped,
     /// not errors.
     ///
-    /// A job builds its group's program once — the first member that
-    /// builds — and hashes its registry once; every other member adds
-    /// only its [`cypress_core::MappingSpace::mapping`], hashed by
-    /// resuming the source stream from the group's computation hash
-    /// ([`cypress_core::fingerprint::resume_source`]). The job then
-    /// compiles the group's cache misses through one compiler front and
-    /// drops the program, so at most `parallelism` programs and fronts
-    /// are alive at once. Siblings differ only in their mapping (the
-    /// [`cypress_core::MappingSpace::mapping`] contract), so every
+    /// The sweep builds one program — the first candidate that builds —
+    /// and hashes its registry once: every candidate of a space builds
+    /// the same registry and entry arguments, and builds exactly when
+    /// its [`cypress_core::MappingSpace::mapping`] does (that method's
+    /// contract). Every job shares the program, and each member adds
+    /// only its mapping, hashed by resuming the source stream from the
+    /// program's computation hash
+    /// ([`cypress_core::fingerprint::resume_source`]), so every
     /// fingerprint is the one a solo [`Session::compile`] of the
-    /// member's full `build` computes.
+    /// member's full `build` computes. A job compiles its group's cache
+    /// misses through one compiler front and drops it, so at most
+    /// `parallelism` fronts are alive at once.
     ///
     /// The lookups are issued afterwards, in candidate order, so hit/miss
     /// counters and the `CacheLookup` (and miss-side `CompilePass`) events
@@ -940,6 +941,19 @@ impl Session {
         binding: &crate::program::SpaceBinding,
         candidates: Vec<cypress_core::MappingConfig>,
     ) -> Vec<(cypress_core::MappingConfig, Arc<Compiled>)> {
+        let (space, shape) = (&binding.space, &binding.shape);
+        let Some((registry, mapping, args)) = candidates
+            .iter()
+            .find_map(|cfg| space.build(shape, cfg).ok())
+        else {
+            return Vec::new();
+        };
+        let computation = source_identity(&registry, &mapping, space.entry(), &args).computation;
+        let program = SweepProgram {
+            registry,
+            args,
+            computation,
+        };
         let mut groups: Vec<(cypress_core::MappingConfig, Vec<_>)> = Vec::new();
         for (i, cfg) in candidates.into_iter().enumerate() {
             let key = cfg.front_key();
@@ -950,7 +964,7 @@ impl Session {
         }
         let (compiler, cache, target) = (&self.compiler, &self.cache, self.target);
         let jobs = cypress_sim::par::parallel_map(self.parallelism(), groups, |(_, members)| {
-            compile_group(compiler, cache, target, binding, members)
+            compile_group(compiler, cache, target, binding, &program, members)
         });
         let mut built = Vec::new();
         let mut precompiled = HashMap::new();
@@ -1431,38 +1445,41 @@ type Member = (usize, cypress_core::MappingConfig, u64);
 /// A fingerprint a sweep's group compiled, and what the compiler said.
 type Compile = (u64, Result<Compiled, cypress_core::CompileError>);
 
+/// The program every candidate of a sweep builds alike (see
+/// [`Session::compile_candidates`]): its task registry, its entry
+/// arguments, and their [`cypress_core::fingerprint::SourceIdentity::computation`].
+struct SweepProgram {
+    registry: cypress_core::TaskRegistry,
+    args: Vec<cypress_core::EntryArg>,
+    computation: u64,
+}
+
 /// One worker job of [`Session::compile_candidates`]: the schedule
 /// siblings `members` (`(candidate index, config)`, in candidate order)
-/// of `binding`'s space. Builds the program of the first member that
-/// builds and hashes its source once; every later member adds only its
-/// mapping and a source hash resumed from the group's computation hash.
-/// Compiles the members `cache` misses (each fingerprint once) through
-/// one front, built from the first of them: every miss gets the front's
-/// error if it fails, and only the first finished kernel carries the
-/// front's pass time. Returns the members that built, with their
-/// fingerprints, and the compiled misses.
+/// of `binding`'s space, over the sweep's one `program`. Each member
+/// that has a mapping adds it and a source hash resumed from the
+/// program's computation hash. Compiles the members `cache` misses (each
+/// fingerprint once) through one front, built from the first of them:
+/// every miss gets the front's error if it fails, and only the first
+/// finished kernel carries the front's pass time. Returns the members
+/// that built, with their fingerprints, and the compiled misses.
 fn compile_group(
     compiler: &CypressCompiler,
     cache: &KernelCache,
     target: u64,
     binding: &crate::program::SpaceBinding,
+    program: &SweepProgram,
     members: Vec<(usize, cypress_core::MappingConfig)>,
 ) -> (Vec<Member>, Vec<Compile>) {
     let (space, shape, entry) = (&binding.space, &binding.shape, binding.space.entry());
-    let mut members = members.into_iter();
-    let Some(((i, cfg), (registry, mapping, args))) = members
-        .by_ref()
-        .find_map(|(i, cfg)| Some(((i, cfg), space.build(shape, &cfg).ok()?)))
-    else {
-        return (Vec::new(), Vec::new());
-    };
-    let identity = source_identity(&registry, &mapping, entry, &args);
-    let mut built = vec![(i, cfg, combine(identity.source, target), mapping)];
-    built.extend(members.filter_map(|(i, cfg)| {
-        let mapping = space.mapping(shape, &cfg).ok()?;
-        let source = resume_source(identity.computation, &mapping);
-        Some((i, cfg, combine(source, target), mapping))
-    }));
+    let built: Vec<_> = members
+        .into_iter()
+        .filter_map(|(i, cfg)| {
+            let mapping = space.mapping(shape, &cfg).ok()?;
+            let source = resume_source(program.computation, &mapping);
+            Some((i, cfg, combine(source, target), mapping))
+        })
+        .collect();
     let mut queued = HashSet::new();
     let misses: Vec<_> = built
         .iter()
@@ -1470,7 +1487,7 @@ fn compile_group(
         .collect();
     let compiled = match misses
         .first()
-        .map(|(.., first)| compiler.front(&registry, first, entry, &args))
+        .map(|(.., first)| compiler.front(&program.registry, first, entry, &program.args))
     {
         None => Vec::new(),
         Some(Ok(mut front)) => misses

@@ -16,9 +16,9 @@
 //!    tensors bit-identical to `MappingPolicy::Default`, never report a
 //!    per-node `tuned_speedup` below 1.0, and never lose to the default
 //!    on the serial makespan.
-//! 5. **Sweep fingerprints**: a sweep hashes one program per group of
-//!    schedule siblings, and still caches every candidate under the
-//!    fingerprint a solo compile of its full build computes.
+//! 5. **Sweep fingerprints**: a sweep builds and hashes one program,
+//!    and still caches every candidate under the fingerprint a solo
+//!    compile of its full build computes.
 
 use cypress_core::kernels::space::{MappingConfig, MappingSpace, Shape};
 use cypress_core::kernels::{attention, batched, dual_gemm, gemm, gemm_reduction};
@@ -172,8 +172,8 @@ fn autotune_results_are_cached_in_the_table() {
 }
 
 /// A sweep's fingerprints are the ones a solo compile computes: the
-/// sweep builds one program per group of schedule siblings and hashes
-/// every other member's mapping from the group's computation hash, so
+/// sweep builds one program and hashes every candidate's mapping from
+/// its computation hash, so
 /// after one cold sweep per paper space, `Session::compile` of every
 /// candidate's full `build` is a kernel-cache hit.
 #[test]

@@ -10,8 +10,9 @@
 //!
 //! - index arithmetic compiled to a small register machine (`IdxOp`
 //!   preludes over virtual `i64` registers, constant-folded,
-//!   identity-folded and common-subexpression-eliminated per
-//!   instruction),
+//!   identity-folded and value-numbered per instruction: an operation
+//!   is keyed by its kind and lowered operands, so two trees that lower
+//!   to one operation share its register),
 //! - slice bounds (`prows`/`pcols`/`stages`) resolved from the kernel's
 //!   declarations at lowering time, and launch-constant slices (literal
 //!   origin, no prelude, in bounds) resolved outright (see
@@ -58,7 +59,7 @@ use crate::mem::{MemRef, Slice, Space};
 
 /// Operand of an index instruction: an immediate, a block index, a loop
 /// variable read from the executor's environment, or a virtual register.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) enum Scalar {
     /// Constant, folded at lowering time.
     Imm(i64),
@@ -488,11 +489,41 @@ fn launch_shape(kernel: &Kernel) -> Result<usize, KernelError> {
     Ok(ctas)
 }
 
-#[derive(Clone, Copy)]
-enum ArithKind {
+/// An index operation's kind: with its two lowered operands, the key
+/// [`Lower`]'s value numbering looks an operation up by.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+enum OpKind {
     Add,
     Sub,
     Mul,
+    Div,
+    Mod,
+}
+
+impl OpKind {
+    /// `x op y` at lowering time, when it is exact: `None` on overflow
+    /// (the runtime op wraps, `Expr::eval`'s release behavior) and for a
+    /// zero divisor (the runtime op raises the error).
+    fn fold(self, x: i64, y: i64) -> Option<i64> {
+        match self {
+            OpKind::Add => x.checked_add(y),
+            OpKind::Sub => x.checked_sub(y),
+            OpKind::Mul => x.checked_mul(y),
+            OpKind::Div => x.checked_div_euclid(y),
+            OpKind::Mod => x.checked_rem_euclid(y),
+        }
+    }
+
+    /// The operation writing `a op b` to register `dst`.
+    fn op(self, dst: u32, a: Scalar, b: Scalar) -> IdxOp {
+        match self {
+            OpKind::Add => IdxOp::Add { dst, a, b },
+            OpKind::Sub => IdxOp::Sub { dst, a, b },
+            OpKind::Mul => IdxOp::Mul { dst, a, b },
+            OpKind::Div => IdxOp::Div { dst, a, b },
+            OpKind::Mod => IdxOp::Mod { dst, a, b },
+        }
+    }
 }
 
 /// The closed interval `[lo, hi]` of values an index expression takes.
@@ -573,9 +604,14 @@ struct Lower<'a> {
     /// Whether the role being lowered is the DMA warp, which may only
     /// move data and synchronize.
     dma: bool,
-    /// Per-instruction value numbering: an expression already lowered in
-    /// this instruction reuses its operand instead of re-emitting ops.
-    cse: HashMap<Expr, Scalar>,
+    /// Per-instruction value numbering: the register of each operation
+    /// already emitted in this instruction, by its kind and lowered
+    /// operands. An operation with the same key reuses it, whichever
+    /// tree it came from. Its first error cannot change: the reused
+    /// operation ran earlier in the same instruction, on the same values.
+    numbered: HashMap<(OpKind, Scalar, Scalar), u32>,
+    /// The divisors already zero-checked in this instruction.
+    checked: HashSet<Scalar>,
     next_reg: u32,
     max_regs: u32,
     /// The block indices' values, `[0, grid - 1]` per dimension.
@@ -603,7 +639,8 @@ impl<'a> Lower<'a> {
         Lower {
             kernel,
             dma: false,
-            cse: HashMap::new(),
+            numbered: HashMap::new(),
+            checked: HashSet::new(),
             next_reg: 0,
             max_regs: 0,
             block: kernel
@@ -714,7 +751,8 @@ impl<'a> Lower<'a> {
     /// instructions (each instruction's prelude fully defines the
     /// registers it reads).
     fn begin_instr(&mut self) {
-        self.cse.clear();
+        self.numbered.clear();
+        self.checked.clear();
         self.next_reg = 0;
         self.fits = true;
     }
@@ -1129,38 +1167,28 @@ impl<'a> Lower<'a> {
         })
     }
 
+    /// Lower `e` onto `pre`, children first, and return the operand
+    /// holding its value.
     fn emit(&mut self, e: &Expr, pre: &mut Vec<IdxOp>) -> Scalar {
-        if let Some(&s) = self.cse.get(e) {
-            return s;
-        }
-        let s = match e {
+        match e {
             Expr::Lit(v) => Scalar::Imm(*v),
             Expr::Var(id) => Scalar::Var(*id),
             Expr::BlockX => Scalar::Block(0),
             Expr::BlockY => Scalar::Block(1),
             Expr::BlockZ => Scalar::Block(2),
-            Expr::Add(a, b) => self.emit_arith(ArithKind::Add, a, b, pre),
-            Expr::Sub(a, b) => self.emit_arith(ArithKind::Sub, a, b, pre),
-            Expr::Mul(a, b) => self.emit_arith(ArithKind::Mul, a, b, pre),
-            Expr::Div(a, b) => self.emit_divmod(false, a, b, pre),
-            Expr::Mod(a, b) => self.emit_divmod(true, a, b, pre),
-        };
-        self.cse.insert(e.clone(), s);
-        s
+            Expr::Add(a, b) => self.emit_arith(OpKind::Add, a, b, pre),
+            Expr::Sub(a, b) => self.emit_arith(OpKind::Sub, a, b, pre),
+            Expr::Mul(a, b) => self.emit_arith(OpKind::Mul, a, b, pre),
+            Expr::Div(a, b) => self.emit_divmod(OpKind::Div, a, b, pre),
+            Expr::Mod(a, b) => self.emit_divmod(OpKind::Mod, a, b, pre),
+        }
     }
 
-    fn emit_arith(&mut self, kind: ArithKind, a: &Expr, b: &Expr, pre: &mut Vec<IdxOp>) -> Scalar {
+    fn emit_arith(&mut self, kind: OpKind, a: &Expr, b: &Expr, pre: &mut Vec<IdxOp>) -> Scalar {
         let sa = self.emit(a, pre);
         let sb = self.emit(b, pre);
         if let (Scalar::Imm(x), Scalar::Imm(y)) = (sa, sb) {
-            // Fold only when exact: on overflow fall back to the runtime
-            // op (which wraps, `Expr::eval`'s release behavior).
-            let folded = match kind {
-                ArithKind::Add => x.checked_add(y),
-                ArithKind::Sub => x.checked_sub(y),
-                ArithKind::Mul => x.checked_mul(y),
-            };
-            if let Some(v) = folded {
+            if let Some(v) = kind.fold(x, y) {
                 return Scalar::Imm(v);
             }
         }
@@ -1169,52 +1197,48 @@ impl<'a> Lower<'a> {
         // `UnboundVar`, and dropping the op that makes it would let a
         // later `CheckDiv` fire first.
         let identity = match (kind, sa, sb) {
-            (ArithKind::Mul, x, Scalar::Imm(1))
-            | (ArithKind::Mul, Scalar::Imm(1), x)
-            | (ArithKind::Add | ArithKind::Sub, x, Scalar::Imm(0))
-            | (ArithKind::Add, Scalar::Imm(0), x) => Some(x),
+            (OpKind::Mul, x, Scalar::Imm(1))
+            | (OpKind::Mul, Scalar::Imm(1), x)
+            | (OpKind::Add | OpKind::Sub, x, Scalar::Imm(0))
+            | (OpKind::Add, Scalar::Imm(0), x) => Some(x),
             _ => None,
         };
         if let Some(x @ (Scalar::Block(_) | Scalar::Reg(_))) = identity {
             return x;
         }
-        let dst = self.alloc_reg();
-        pre.push(match kind {
-            ArithKind::Add => IdxOp::Add { dst, a: sa, b: sb },
-            ArithKind::Sub => IdxOp::Sub { dst, a: sa, b: sb },
-            ArithKind::Mul => IdxOp::Mul { dst, a: sa, b: sb },
-        });
-        Scalar::Reg(dst)
+        self.number(kind, sa, sb, pre)
     }
 
-    fn emit_divmod(&mut self, is_mod: bool, a: &Expr, b: &Expr, pre: &mut Vec<IdxOp>) -> Scalar {
+    fn emit_divmod(&mut self, kind: OpKind, a: &Expr, b: &Expr, pre: &mut Vec<IdxOp>) -> Scalar {
         // `Expr::eval` evaluates the divisor first and zero-checks it
         // before touching the dividend; replicate that order so a zero
-        // divisor outranks an unbound variable in the dividend.
+        // divisor outranks an unbound variable in the dividend. A divisor
+        // checked earlier in the instruction passed, or the instruction
+        // failed there.
         let sb = self.emit(b, pre);
         let statically_nonzero = matches!(sb, Scalar::Imm(d) if d != 0);
-        if !statically_nonzero {
+        if !statically_nonzero && self.checked.insert(sb) {
             pre.push(IdxOp::CheckDiv { b: sb });
         }
         let sa = self.emit(a, pre);
         if let (Scalar::Imm(x), Scalar::Imm(d)) = (sa, sb) {
-            if d != 0 {
-                let folded = if is_mod {
-                    x.checked_rem_euclid(d)
-                } else {
-                    x.checked_div_euclid(d)
-                };
-                if let Some(v) = folded {
-                    return Scalar::Imm(v);
-                }
+            if let Some(v) = kind.fold(x, d) {
+                return Scalar::Imm(v);
             }
         }
+        self.number(kind, sa, sb, pre)
+    }
+
+    /// The register holding `a kind b`: the one an identical operation
+    /// of this instruction already wrote, or a fresh one written by a new
+    /// operation on `pre`.
+    fn number(&mut self, kind: OpKind, a: Scalar, b: Scalar, pre: &mut Vec<IdxOp>) -> Scalar {
+        if let Some(&r) = self.numbered.get(&(kind, a, b)) {
+            return Scalar::Reg(r);
+        }
         let dst = self.alloc_reg();
-        pre.push(if is_mod {
-            IdxOp::Mod { dst, a: sa, b: sb }
-        } else {
-            IdxOp::Div { dst, a: sa, b: sb }
-        });
+        pre.push(kind.op(dst, a, b));
+        self.numbered.insert((kind, a, b), dst);
         Scalar::Reg(dst)
     }
 }
@@ -1480,6 +1504,115 @@ mod tests {
         let (eval, vm) = eval_both(&e, &env);
         assert_eq!(eval, Err(EvalError::UnboundVar(9)));
         assert_eq!(vm, eval);
+    }
+
+    /// `bx·128` and `(bx·1)·(64·2)` are two trees but one operation,
+    /// `Mul { Block(0), Imm(128) }`: the second reuses the first's
+    /// register, in one prelude and across an instruction's slices.
+    #[test]
+    fn distinct_trees_that_lower_to_one_operation_share_its_register() {
+        let kernel = empty_kernel();
+        let (bx, i0, lit) = (Expr::block_x, || Expr::var(0), Expr::lit);
+        let e = (bx() * 128 + i0()) + (bx() * 1) * (lit(64) * 2);
+        let (sval, regs) = lower_expr(&kernel, &e);
+        assert_eq!(
+            sval.pre,
+            [
+                IdxOp::Mul {
+                    dst: 0,
+                    a: Scalar::Block(0),
+                    b: Scalar::Imm(128)
+                },
+                IdxOp::Add {
+                    dst: 1,
+                    a: Scalar::Reg(0),
+                    b: Scalar::Var(0)
+                },
+                IdxOp::Add {
+                    dst: 2,
+                    a: Scalar::Reg(1),
+                    b: Scalar::Reg(0)
+                },
+            ]
+        );
+        assert_eq!((sval.val, regs), (Scalar::Reg(2), 3));
+        let kernel = pipelined_kernel();
+        let mut ctx = Lower::new(&kernel);
+        ctx.begin_instr();
+        let a = ctx
+            .lower_slice(&Slice::param(1).at(bx() * 32, lit(0)).extent(32, 16))
+            .unwrap();
+        let b = ctx
+            .lower_slice(
+                &Slice::param(1)
+                    .at((bx() + 0) * (lit(16) * 2), lit(16))
+                    .extent(32, 16),
+            )
+            .unwrap();
+        assert_eq!(a.row0, Scalar::Reg(0));
+        assert!(b.pre.is_empty(), "{:?}", b.pre);
+        assert_eq!(b.row0, Scalar::Reg(0));
+    }
+
+    /// A divisor that is not a constant is zero-checked once per
+    /// instruction, however many divisions read it.
+    #[test]
+    fn a_repeated_divisor_is_checked_once() {
+        let kernel = empty_kernel();
+        let (i0, i1) = (|| Expr::var(0), || Expr::var(1));
+        let e = i0() / i1() + (i0() + 1) % i1() + (i0() * 2) / i1();
+        let (sval, _) = lower_expr(&kernel, &e);
+        let checks: Vec<_> = sval
+            .pre
+            .iter()
+            .filter(|op| matches!(op, IdxOp::CheckDiv { .. }))
+            .collect();
+        assert_eq!(checks, [&IdxOp::CheckDiv { b: Scalar::Var(1) }]);
+        // `i1·1` keeps its op (it reads a variable), so the third
+        // division's divisor is a register, checked on its own.
+        let e = i0() / i1() + (i0() * 2) / (i1() * 1) + i0() % (i1() * 1);
+        let (sval, _) = lower_expr(&kernel, &e);
+        let checks = sval
+            .pre
+            .iter()
+            .filter(|op| matches!(op, IdxOp::CheckDiv { .. }))
+            .count();
+        assert_eq!(checks, 2, "{:?}", sval.pre);
+    }
+
+    /// Shared operations and checked divisors leave which error fires
+    /// first where `Expr::eval` has it, over every binding of a zero or
+    /// non-zero divisor and a bound or unbound dividend.
+    #[test]
+    fn shared_operations_keep_error_precedence() {
+        let (i0, i1, i2) = (|| Expr::var(0), || Expr::var(1), || Expr::var(2));
+        let exprs = [
+            i0() / i1() + i2() / i1(),
+            i2() * 3 + i0() % i1() + (i2() * 3) / i1(),
+            (i0() + 1) / i1() + (i0() + 1) / (i1() + 0),
+            i2() / (i1() * 1) + i0() % i1() + i2() / (i1() * 1),
+            (i0() / i1()) / (i2() / i1()),
+            i1() / (i0() - i0()) + i2() * 1,
+        ];
+        for e in &exprs {
+            for i1_val in [None, Some(0), Some(3)] {
+                for (i0_val, i2_val) in [
+                    (None, None),
+                    (Some(5), None),
+                    (None, Some(7)),
+                    (Some(5), Some(7)),
+                ] {
+                    let mut env = Env::for_block([0, 0, 0]);
+                    for (var, val) in [(0, i0_val), (1, i1_val), (2, i2_val)] {
+                        if let Some(v) = val {
+                            env.bind(var, v);
+                        }
+                    }
+                    let (eval, vm) = eval_both(e, &env);
+                    assert_eq!(eval, vm, "{e} at i0={i0_val:?} i1={i1_val:?} i2={i2_val:?}");
+                }
+            }
+        }
     }
 
     /// A small pipelined kernel exercising every control construct: a DMA
