@@ -379,9 +379,9 @@ pub trait MappingSpace: fmt::Debug + Send + Sync {
     /// - every point of [`candidates`](MappingSpace::candidates) builds
     ///   one task registry and one entry-argument list, and builds
     ///   exactly when this returns `Ok`: the registry reads the shape,
-    ///   never a config field. A sweep builds and hashes one program,
-    ///   the first candidate that builds, and asks every candidate for
-    ///   its mapping alone (`kernels_golden.rs`'s
+    ///   never a config field. A sweep compiles the program it is
+    ///   given, which this space built at the swept shape, and asks
+    ///   every candidate for its mapping alone (`kernels_golden.rs`'s
     ///   `every_candidate_builds_one_program` holds every family to
     ///   this);
     /// - points with one [`MappingConfig::front_key`] — *schedule

@@ -42,15 +42,6 @@ pub struct SchedOptions {
     pub pipeline: usize,
 }
 
-impl Default for SchedOptions {
-    fn default() -> Self {
-        SchedOptions {
-            warpspecialize: true,
-            pipeline: 2,
-        }
-    }
-}
-
 /// Lower the optimized IR to a device kernel.
 ///
 /// # Errors

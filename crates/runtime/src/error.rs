@@ -74,8 +74,9 @@ pub enum RuntimeError {
         name: String,
     },
     /// Autotuning was requested for a program that carries no
-    /// [`crate::SpaceBinding`] (only programs built via
-    /// [`crate::Program::from_space`] / `with_space` are tunable).
+    /// [`crate::SpaceBinding`] (only programs a space built, through
+    /// [`crate::Program::from_space`] or
+    /// [`crate::Program::from_space_at`], are tunable).
     NoMappingSpace {
         /// The program's entry task.
         entry: String,
@@ -177,7 +178,7 @@ impl fmt::Display for RuntimeError {
             RuntimeError::NoMappingSpace { entry } => write!(
                 f,
                 "program `{entry}` carries no mapping space; build it with \
-                 Program::from_space (or attach one with with_space) to autotune"
+                 Program::from_space or Program::from_space_at to autotune"
             ),
             RuntimeError::Untunable { entry, reason } => write!(
                 f,

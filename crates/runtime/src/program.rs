@@ -13,7 +13,9 @@
 //! [`crate::tuner`]) can enumerate and time the space's candidate
 //! mappings and transparently swap the winner in. [`Program::from_space`]
 //! builds a bound program at the space's hand-tuned default, so an
-//! untuned launch is bit-identical to the plain builders.
+//! untuned launch is bit-identical to the plain builders, and
+//! [`Program::from_space_at`] at any other valid mapping. Only a space
+//! attaches a binding, to a program it built at the binding's shape.
 
 use crate::fuse::{self, LibraryKernel};
 use cypress_core::fingerprint::{source_identity, SourceIdentity};
@@ -44,9 +46,10 @@ pub struct SpaceBinding {
 /// A `Program` is a handle to [`ProgramParts`] behind an [`Arc`]. The
 /// parts are readable by plain field access through `Deref`
 /// (`program.registry`, `&node.program.args`, `program.space`) and are
-/// never writable after construction: there is no `DerefMut`, no setter,
-/// and [`Program::with_space`] builds a new value. That is what makes
-/// two things sound:
+/// never writable after construction: there is no `DerefMut` and no
+/// setter, and a [`SpaceBinding`] is attached only by the constructor
+/// that built the parts from that space at that shape. That is what
+/// makes three things sound:
 ///
 /// - **Clones share everything.** `Program::clone` bumps a reference
 ///   count, so every graph the runtime rebuilds from another (the fusion
@@ -57,6 +60,11 @@ pub struct SpaceBinding {
 ///   find its compiled kernel — on first use; every clone sees the memo.
 ///   The same goes for which library kernel the parts are, the deep
 ///   registry comparison the fusion rewriter matches members by.
+/// - **A sweep compiles the program it is given.** Every candidate of
+///   a bound program's space builds the program's registry and entry
+///   arguments, so [`crate::Session::autotune`] compiles each candidate
+///   from them and its mapping alone, hashed from the memoized
+///   computation hash.
 ///
 /// The identity is *structural*, never the allocation's address: it is
 /// the hash [`cypress_core::fingerprint::source_identity`] computes from
@@ -157,8 +165,7 @@ impl Program {
         machine: &MachineConfig,
     ) -> Result<Self, CompileError> {
         let cfg = space.default_for(machine);
-        space.validate(machine, &shape, &cfg)?;
-        Program::bound(space, shape, &cfg)
+        Program::from_space_at(space, shape, &cfg, machine)
     }
 
     /// [`Program::from_space`] for the kernels the runtime inserts on
@@ -176,15 +183,26 @@ impl Program {
         machine: &MachineConfig,
     ) -> Result<Self, CompileError> {
         let cfg = space.default_or_first_candidate(machine, &shape)?;
-        Program::bound(space, shape, &cfg)
+        Program::from_space_at(space, shape, &cfg, machine)
     }
 
-    /// `space`'s program for `shape` at `cfg`, carrying the binding.
-    fn bound(
+    /// [`Program::from_space`] at the mapping `cfg` instead of the
+    /// space's default: `space`'s program for `shape` at `cfg`,
+    /// carrying the [`SpaceBinding`]. A binding exists only on a program
+    /// its space built at its shape, which is what lets a sweep compile
+    /// every candidate from the program's own registry and arguments.
+    ///
+    /// # Errors
+    ///
+    /// [`CompileError`] when `cfg` is invalid for this machine/shape
+    /// combination, or the space cannot build it.
+    pub fn from_space_at(
         space: Arc<dyn MappingSpace>,
         shape: Shape,
         cfg: &MappingConfig,
+        machine: &MachineConfig,
     ) -> Result<Self, CompileError> {
+        space.validate(machine, &shape, cfg)?;
         let (registry, mapping, args) = space.build(&shape, cfg)?;
         let entry = space.entry().to_string();
         Ok(Program::build(
@@ -194,29 +212,6 @@ impl Program {
             args,
             Some(SpaceBinding { space, shape }),
         ))
-    }
-
-    /// This program with a [`SpaceBinding`] attached (the program must
-    /// have been built from the same space and shape). Builds a new
-    /// value: a handle nobody else holds gives up its parts, a shared
-    /// one is copied and its other holders are unaffected. The binding
-    /// is part of neither the identity nor the library classification,
-    /// so memoized ones carry over.
-    #[must_use]
-    pub fn with_space(self, space: Arc<dyn MappingSpace>, shape: Shape) -> Self {
-        let mut parts = Arc::try_unwrap(self.parts).unwrap_or_else(|shared| ProgramParts {
-            registry: shared.registry.clone(),
-            mapping: shared.mapping.clone(),
-            entry: shared.entry.clone(),
-            args: shared.args.clone(),
-            space: None,
-            identity: shared.identity.clone(),
-            library: shared.library.clone(),
-        });
-        parts.space = Some(SpaceBinding { space, shape });
-        Program {
-            parts: Arc::new(parts),
-        }
     }
 
     /// The target-free identity of `(registry, mapping, entry, args)`,
@@ -318,25 +313,6 @@ mod tests {
         assert_eq!(original.clone().identity(), id);
         assert_eq!(gemm_program().identity(), id);
         assert_eq!(original.identity(), id, "asking twice changes nothing");
-    }
-
-    #[test]
-    fn with_space_rebuilds_and_keeps_the_identity() {
-        let shape = Shape::of(&[128, 128, 64]);
-        let plain = gemm_program();
-        let id = plain.identity();
-        // A shared handle is copied: the other holder stays unbound.
-        let bound = plain
-            .clone()
-            .with_space(Arc::new(gemm::GemmSpace), shape.clone());
-        assert!(plain.space.is_none());
-        assert!(bound.space.is_some());
-        assert!(!bound.shares_parts_with(&plain));
-        assert_eq!(bound.identity(), id);
-        // A sole handle gives up its parts; the binding never enters
-        // the identity either way.
-        let sole = gemm_program().with_space(Arc::new(gemm::GemmSpace), shape);
-        assert_eq!(sole.identity(), id);
     }
 
     #[test]

@@ -60,9 +60,7 @@ use crate::report::GraphReport;
 use crate::shard::PlacementPolicy;
 use crate::telemetry::{Event, MetricsSnapshot, TraceLog};
 use crate::tuner::{key_for, TunedMapping, TunerBudget, TuningKey, TuningTable};
-use cypress_core::fingerprint::{
-    combine, machine_fingerprint, resume_source, source_identity, target_fingerprint,
-};
+use cypress_core::fingerprint::{combine, machine_fingerprint, resume_source, target_fingerprint};
 use cypress_core::{Compiled, CompilerOptions, CypressCompiler, COST_MODEL_VERSION};
 use cypress_sim::{FaultPlan, MachineConfig, Simulator, TimingOutcome, TimingReport, Topology};
 use cypress_tensor::Tensor;
@@ -634,7 +632,7 @@ impl Session {
                 kept
             }
         };
-        let swept = self.sweep(&binding, candidates)?;
+        let swept = self.sweep(program, &binding, candidates)?;
         let whole = swept.iter().filter(|c| c.cycles.is_some()).count();
         let cut = swept.iter().filter(|c| c.cut.is_some()).count();
         self.tuning.note_sweep(
@@ -843,9 +841,9 @@ impl Session {
         (kept, pruned, transferred)
     }
 
-    /// The cold sweep: compile the candidates — one program built and
-    /// hashed per sweep, one worker job per group of schedule siblings
-    /// (see [`Session::compile_candidates`]) — then time the seed,
+    /// The cold sweep: compile the candidates from `program` — one
+    /// worker job per group of schedule siblings (see
+    /// [`Session::compile_candidates`]) — then time the seed,
     /// skip the candidates its cycles rule out, and time the rest bounded
     /// at the seed's cycles (see [`Session::autotune`]). Returns every
     /// compiled candidate in candidate order, so the caller's first-wins
@@ -853,10 +851,11 @@ impl Session {
     /// propagate.
     fn sweep(
         &mut self,
+        program: &Program,
         binding: &crate::program::SpaceBinding,
         candidates: Vec<cypress_core::MappingConfig>,
     ) -> Result<Vec<SweptCandidate>, RuntimeError> {
-        let resident = self.compile_candidates(binding, candidates);
+        let resident = self.compile_candidates(program, binding, candidates);
         let configs: Vec<_> = resident.iter().map(|(cfg, _)| *cfg).collect();
         let default_cfg = binding.space.default_for(self.machine());
         let Some(seed) = configs
@@ -915,13 +914,14 @@ impl Session {
     /// decides: candidates the builder or compiler rejects are skipped,
     /// not errors.
     ///
-    /// The sweep builds one program — the first candidate that builds —
-    /// and hashes its registry once: every candidate of a space builds
-    /// the same registry and entry arguments, and builds exactly when
-    /// its [`cypress_core::MappingSpace::mapping`] does (that method's
-    /// contract). Every job shares the program, and each member adds
-    /// only its mapping, hashed by resuming the source stream from the
-    /// program's computation hash
+    /// The sweep builds nothing but mappings: `program` is bound to
+    /// `binding`'s space, which built it at `binding`'s shape, and every
+    /// candidate of a space builds the same registry and entry
+    /// arguments, and builds exactly when its
+    /// [`cypress_core::MappingSpace::mapping`] does (that method's
+    /// contract). Every job shares `program`, and each member adds only
+    /// its mapping, hashed by resuming the source stream from the
+    /// program's memoized computation hash
     /// ([`cypress_core::fingerprint::resume_source`]), so every
     /// fingerprint is the one a solo [`Session::compile`] of the
     /// member's full `build` computes. A job compiles its group's cache
@@ -938,22 +938,10 @@ impl Session {
     /// emit nothing, like a failed `Session::compile`.
     fn compile_candidates(
         &mut self,
+        program: &Program,
         binding: &crate::program::SpaceBinding,
         candidates: Vec<cypress_core::MappingConfig>,
     ) -> Vec<(cypress_core::MappingConfig, Arc<Compiled>)> {
-        let (space, shape) = (&binding.space, &binding.shape);
-        let Some((registry, mapping, args)) = candidates
-            .iter()
-            .find_map(|cfg| space.build(shape, cfg).ok())
-        else {
-            return Vec::new();
-        };
-        let computation = source_identity(&registry, &mapping, space.entry(), &args).computation;
-        let program = SweepProgram {
-            registry,
-            args,
-            computation,
-        };
         let mut groups: Vec<(cypress_core::MappingConfig, Vec<_>)> = Vec::new();
         for (i, cfg) in candidates.into_iter().enumerate() {
             let key = cfg.front_key();
@@ -964,7 +952,7 @@ impl Session {
         }
         let (compiler, cache, target) = (&self.compiler, &self.cache, self.target);
         let jobs = cypress_sim::par::parallel_map(self.parallelism(), groups, |(_, members)| {
-            compile_group(compiler, cache, target, binding, &program, members)
+            compile_group(compiler, cache, target, binding, program, members)
         });
         let mut built = Vec::new();
         let mut precompiled = HashMap::new();
@@ -1445,20 +1433,11 @@ type Member = (usize, cypress_core::MappingConfig, u64);
 /// A fingerprint a sweep's group compiled, and what the compiler said.
 type Compile = (u64, Result<Compiled, cypress_core::CompileError>);
 
-/// The program every candidate of a sweep builds alike (see
-/// [`Session::compile_candidates`]): its task registry, its entry
-/// arguments, and their [`cypress_core::fingerprint::SourceIdentity::computation`].
-struct SweepProgram {
-    registry: cypress_core::TaskRegistry,
-    args: Vec<cypress_core::EntryArg>,
-    computation: u64,
-}
-
 /// One worker job of [`Session::compile_candidates`]: the schedule
 /// siblings `members` (`(candidate index, config)`, in candidate order)
-/// of `binding`'s space, over the sweep's one `program`. Each member
-/// that has a mapping adds it and a source hash resumed from the
-/// program's computation hash. Compiles the members `cache` misses (each
+/// of `binding`'s space, over the swept `program`. Each member that has
+/// a mapping adds it and a source hash resumed from the program's
+/// computation hash. Compiles the members `cache` misses (each
 /// fingerprint once) through one front, built from the first of them:
 /// every miss gets the front's error if it fails, and only the first
 /// finished kernel carries the front's pass time. Returns the members
@@ -1468,15 +1447,16 @@ fn compile_group(
     cache: &KernelCache,
     target: u64,
     binding: &crate::program::SpaceBinding,
-    program: &SweepProgram,
+    program: &Program,
     members: Vec<(usize, cypress_core::MappingConfig)>,
 ) -> (Vec<Member>, Vec<Compile>) {
-    let (space, shape, entry) = (&binding.space, &binding.shape, binding.space.entry());
+    let (space, shape) = (&binding.space, &binding.shape);
+    let computation = program.identity().computation;
     let built: Vec<_> = members
         .into_iter()
         .filter_map(|(i, cfg)| {
             let mapping = space.mapping(shape, &cfg).ok()?;
-            let source = resume_source(program.computation, &mapping);
+            let source = resume_source(computation, &mapping);
             Some((i, cfg, combine(source, target), mapping))
         })
         .collect();
@@ -1487,7 +1467,7 @@ fn compile_group(
         .collect();
     let compiled = match misses
         .first()
-        .map(|(.., first)| compiler.front(&program.registry, first, entry, &program.args))
+        .map(|(.., first)| compiler.front(&program.registry, first, &program.entry, &program.args))
     {
         None => Vec::new(),
         Some(Ok(mut front)) => misses

@@ -101,7 +101,7 @@ fn kinds(machine: &MachineConfig) -> Vec<Kind> {
             .compile(registry, mapping, &plain.entry, &plain.args)
             .unwrap();
         let solo = sim.run_timing(&compiled.kernel).unwrap().cycles;
-        let bound = plain.clone().with_space(space, shape);
+        let bound = Program::from_space_at(space, shape, &cfg, sim.machine()).unwrap();
         Kind {
             plain,
             bound,
