@@ -73,10 +73,11 @@ fn kernel_library_matches_golden_digests() {
 
 /// Every candidate of a space builds one task registry and one entry
 /// argument list, and builds exactly when `MappingSpace::mapping`
-/// returns `Ok`: the contract that lets a sweep build and hash the first
-/// candidate that builds and give every other candidate only its
-/// mapping. On both machines, at both pinned shapes, so a space whose
-/// registry reads a config field fails here.
+/// returns `Ok`: the contract that lets a sweep compile every candidate
+/// from the caller's program, built once by the space at its shape, and
+/// give each candidate only its mapping. On both machines, at both
+/// pinned shapes, so a space whose registry reads a config field fails
+/// here.
 #[test]
 fn every_candidate_builds_one_program() {
     let mut shared = 0;

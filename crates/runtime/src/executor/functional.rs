@@ -50,12 +50,6 @@ impl GraphRun {
     }
 }
 
-/// `true` if `node`'s buffers survive the launch: sinks (nothing consumes
-/// them) and explicitly retained nodes.
-fn keeps_buffers(graph: &TaskGraph, node: usize, total_consumers: &[usize]) -> bool {
-    graph.nodes()[node].retain || total_consumers[node] == 0
-}
-
 /// Tensor-buffer edge bookkeeping of the functional executor: which
 /// producer slots still have pending consumers, when a buffer's last use
 /// lets it move instead of clone, and when a drained producer's pooled
@@ -63,8 +57,9 @@ fn keeps_buffers(graph: &TaskGraph, node: usize, total_consumers: &[usize]) -> b
 struct EdgeBuffers {
     /// Pending consumers per `(node, param)`.
     per_param: Vec<Vec<usize>>,
-    /// Total consumers each node started with.
-    total_initial: Vec<usize>,
+    /// Per node: whether its buffers outlive the launch
+    /// ([`TaskGraph::kept`]).
+    kept: Vec<bool>,
     /// Total consumers each node still has.
     total_remaining: Vec<usize>,
     /// Produced tensors per node (`None` until the node ran, entries
@@ -83,11 +78,10 @@ struct EdgeBuffers {
 impl EdgeBuffers {
     fn new(graph: &TaskGraph) -> Self {
         let per_param = graph.consumer_counts();
-        let total_initial: Vec<usize> = per_param.iter().map(|c| c.iter().sum()).collect();
         EdgeBuffers {
-            total_remaining: total_initial.clone(),
+            total_remaining: per_param.iter().map(|c| c.iter().sum()).collect(),
             per_param,
-            total_initial,
+            kept: graph.kept(),
             slots: vec![None; graph.len()],
             pooled: vec![Vec::new(); graph.len()],
         }
@@ -158,8 +152,7 @@ impl EdgeBuffers {
                         .as_mut()
                         .and_then(|s| s.get_mut(*param))
                         .ok_or_else(missing)?;
-                    let last_use = self.per_param[src.0][*param] == 0
-                        && !keeps_buffers(graph, src.0, &self.total_initial);
+                    let last_use = self.per_param[src.0][*param] == 0 && !self.kept[src.0];
                     if last_use {
                         (slot.take().ok_or_else(missing)?, self.pooled[src.0][*param])
                     } else {
@@ -204,8 +197,7 @@ impl EdgeBuffers {
         recorder: Option<&TraceLog>,
     ) {
         for dep in graph.dependencies(id) {
-            if self.total_remaining[dep.0] == 0 && !keeps_buffers(graph, dep.0, &self.total_initial)
-            {
+            if self.total_remaining[dep.0] == 0 && !self.kept[dep.0] {
                 if let Some(rest) = self.slots[dep.0].take() {
                     for (t, &pooled) in rest.into_iter().zip(&self.pooled[dep.0]) {
                         let Some(t) = t.filter(|_| pooled) else {
@@ -256,17 +248,25 @@ pub(crate) fn run_functional(
     let mut edges = EdgeBuffers::new(graph);
     let mut apply_bytes = ApplyBytes::default();
 
-    let (mut indegree, consumers) = graph.dependency_edges();
-    let mut wave: Vec<usize> = (0..graph.len()).filter(|&i| indegree[i] == 0).collect();
-    let mut wave_index = 0usize;
-    while !wave.is_empty() {
+    // A node's wave is one past its latest producer's; producers come
+    // first in id order, so one pass fills every wave in ascending order.
+    let mut level = vec![0usize; graph.len()];
+    let mut waves: Vec<Vec<usize>> = Vec::new();
+    for i in 0..graph.len() {
+        let deps = graph.dependencies(NodeId(i));
+        level[i] = deps.iter().map(|d| level[d.0] + 1).max().unwrap_or(0);
+        if level[i] == waves.len() {
+            waves.push(Vec::new());
+        }
+        waves[level[i]].push(i);
+    }
+    for (wave_index, wave) in waves.into_iter().enumerate() {
         if let Some(log) = recorder {
             log.record(Event::WaveScheduled {
                 wave: wave_index,
                 nodes: wave.clone(),
             });
         }
-        wave_index += 1;
         // Materialize inputs serially in ascending node order (the
         // take-vs-clone bookkeeping is order-sensitive), then run the
         // whole wave on the worker pool.
@@ -295,17 +295,6 @@ pub(crate) fn run_functional(
         for &idx in &wave {
             edges.recycle_drained(graph, NodeId(idx), pool, recorder);
         }
-        let mut next = Vec::new();
-        for &idx in &wave {
-            for &c in &consumers[idx] {
-                indegree[c] -= 1;
-                if indegree[c] == 0 {
-                    next.push(c);
-                }
-            }
-        }
-        next.sort_unstable();
-        wave = next;
     }
     Ok(GraphRun {
         names: graph.nodes().iter().map(|n| n.name.clone()).collect(),

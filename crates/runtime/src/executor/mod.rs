@@ -61,7 +61,6 @@ use crate::error::RuntimeError;
 use crate::graph::{Binding, TaskGraph};
 use crate::session::FaultPolicy;
 use crate::shard;
-use cypress_core::kernels::comm;
 use cypress_core::Compiled;
 use cypress_sim::{FaultPlan, MachineConfig, TimingReport, Topology};
 use std::sync::Arc;
@@ -229,7 +228,7 @@ pub(crate) fn timeline(
             work: Work::Node(i),
         };
         for (b, arg) in node.bindings.iter().zip(&node.program.args) {
-            let bytes = comm::tensor_bytes(arg.rows, arg.cols);
+            let bytes = arg.rows as f64 * arg.cols as f64 * arg.dtype.size_bytes() as f64;
             launch.bytes += bytes;
             if let Binding::Output { node, param } = *b {
                 launch.inputs.push(Edge {

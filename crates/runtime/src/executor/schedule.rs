@@ -237,10 +237,7 @@ impl<'a> Scheduler<'a> {
                 consumers[dep].push(i);
             }
         }
-        let mut engine = ConcurrentEngine::with_topology(topology);
-        if !fault.plan.is_empty() {
-            engine = engine.with_fault_plan(fault.plan.clone());
-        }
+        let engine = ConcurrentEngine::with_topology(topology).with_fault_plan(fault.plan.clone());
         Scheduler {
             topology,
             launched_on: launches.iter().map(|l| l.device).collect(),

@@ -107,40 +107,31 @@ pub enum FusionPolicy {
     Auto,
 }
 
-/// One applied rewrite: which fused node replaced which originals, and
-/// the sim-confirmed win margin that justified it.
+/// What the simulator gate measured for one matched candidate. It
+/// applies when `fused_cycles <= unfused_cycles` and is declined
+/// otherwise. Candidates the gate could not evaluate at all (the fused
+/// kernel does not compile here) get no verdict.
+#[derive(Debug, Clone)]
+pub(crate) struct FusionVerdict {
+    /// The rewrite rule that matched (`"dual_chain"` or
+    /// `"gemm_reduction"`).
+    pub rule: &'static str,
+    /// Names of the original nodes the fused launch replaces.
+    pub replaced: Vec<String>,
+    /// Solo sim cycles of the fused launch.
+    pub fused_cycles: f64,
+    /// Summed solo sim cycles of the launches it replaces.
+    pub unfused_cycles: f64,
+}
+
+/// One applied rewrite: the fused node and the verdict that justified
+/// it.
 #[derive(Debug, Clone)]
 pub(crate) struct FusionRewrite {
     /// The fused node in the rewritten graph.
     pub fused: NodeId,
-    /// The rewrite rule that fired (`"dual_chain"` or
-    /// `"gemm_reduction"`).
-    pub rule: &'static str,
-    /// Names of the original nodes the fused launch replaced.
-    pub replaced: Vec<String>,
-    /// Solo sim cycles of the fused launch (what the gate measured).
-    pub fused_cycles: f64,
-    /// Summed solo sim cycles of the replaced launches; the win margin
-    /// is `unfused_cycles - fused_cycles >= 0` for every applied
-    /// rewrite.
-    pub unfused_cycles: f64,
-}
-
-/// A matched candidate the simulator gate measured and rejected: the
-/// fused launch would have been slower than the launches it replaces.
-/// Candidates the gate could not evaluate at all (the fused kernel does
-/// not compile here) are skipped silently, not declined.
-#[derive(Debug, Clone)]
-pub(crate) struct FusionDecline {
-    /// The rewrite rule that matched.
-    pub rule: &'static str,
-    /// Names of the nodes that stayed unfused.
-    pub replaced: Vec<String>,
-    /// Solo sim cycles of the rejected fused launch.
-    pub fused_cycles: f64,
-    /// Summed solo sim cycles of the unfused launches (the faster
-    /// side).
-    pub unfused_cycles: f64,
+    /// What the gate measured for it (`fused_cycles <= unfused_cycles`).
+    pub verdict: FusionVerdict,
 }
 
 /// A fusion rewrite of a graph — at least one rule fired: the rewritten
@@ -172,7 +163,7 @@ impl FusionPlan {
     pub(crate) fn replaced_by_node(&self) -> Vec<Vec<String>> {
         let mut out = vec![Vec::new(); self.graph.len()];
         for r in &self.rewrites {
-            out[r.fused.index()] = r.replaced.clone();
+            out[r.fused.index()] = r.verdict.replaced.clone();
         }
         out
     }
@@ -248,10 +239,6 @@ struct Candidate {
     /// entry is one bound to a fused-away intermediate, which is never
     /// materialized.
     param_remap: Vec<(usize, usize, usize)>,
-    /// Gate measurements, filled in by `plan` once the candidate passes
-    /// (zero until then).
-    fused_cycles: f64,
-    unfused_cycles: f64,
 }
 
 /// How the simulator judges one candidate: solo cycles of the fused
@@ -272,58 +259,44 @@ pub(crate) trait FusionGate {
 /// Plan fusion over `graph` on `gate`'s machine: match candidates, let
 /// `gate` veto the ones that do not pay, and rebuild the graph with the
 /// survivors applied. Returns the rewrite — `None` when nothing fused,
-/// in which case no graph is built — and the candidates the gate
-/// measured and rejected, in match order.
+/// in which case no graph is built — and the verdicts of the candidates
+/// the gate measured and rejected, in match order.
 pub(crate) fn plan(
     graph: &TaskGraph,
     gate: &mut dyn FusionGate,
-) -> Result<(Option<FusionPlan>, Vec<FusionDecline>), RuntimeError> {
+) -> Result<(Option<FusionPlan>, Vec<FusionVerdict>), RuntimeError> {
     let candidates = match_candidates(graph, gate);
-    let mut accepted: Vec<Candidate> = Vec::new();
-    let mut declined: Vec<FusionDecline> = Vec::new();
+    let mut accepted = Vec::new();
+    let mut declined = Vec::new();
     let mut used = vec![false; graph.len()];
-    for mut cand in candidates {
+    for cand in candidates {
         if cand.members.iter().any(|&m| used[m]) {
             continue;
         }
         let Some(fused_cycles) = gate.solo_cycles(&cand.program) else {
             continue;
         };
-        let mut unfused = 0.0f64;
-        let mut ok = true;
-        for &m in &cand.members {
-            match gate.solo_cycles(&graph.nodes()[m].program) {
-                Some(c) => unfused += c,
-                None => {
-                    ok = false;
-                    break;
-                }
-            }
-        }
-        if !ok {
+        let members = cand.members.iter().map(|&m| &graph.nodes()[m]);
+        let unfused: Option<f64> = members.clone().map(|n| gate.solo_cycles(&n.program)).sum();
+        let Some(unfused_cycles) = unfused else {
             continue;
-        }
-        if fused_cycles > unfused {
+        };
+        let verdict = FusionVerdict {
+            rule: cand.kernel.rule(),
+            replaced: members.map(|n| n.name.clone()).collect(),
+            fused_cycles,
+            unfused_cycles,
+        };
+        if fused_cycles > unfused_cycles {
             // Measured and lost: worth reporting, unlike candidates the
             // gate could not evaluate at all.
-            declined.push(FusionDecline {
-                rule: cand.kernel.rule(),
-                replaced: cand
-                    .members
-                    .iter()
-                    .map(|&m| graph.nodes()[m].name.clone())
-                    .collect(),
-                fused_cycles,
-                unfused_cycles: unfused,
-            });
+            declined.push(verdict);
             continue;
         }
         for &m in &cand.members {
             used[m] = true;
         }
-        cand.fused_cycles = fused_cycles;
-        cand.unfused_cycles = unfused;
-        accepted.push(cand);
+        accepted.push((cand, verdict));
     }
     let plan = if accepted.is_empty() {
         None
@@ -342,48 +315,32 @@ pub(crate) enum LibraryKernel {
     Reduction,
 }
 
-/// Which library kernel `program` is, if any. Read through
+/// Which library kernel `program` *is*, if any, not merely which it is
+/// named and shaped like: the rewrite replaces the member by a kernel
+/// built from the library's definition, so a look-alike (`C = A·B + 1`
+/// under the entry name `gemm`) must not match. A library kernel's task
+/// registry depends on neither shape nor mapping, so one canonical copy,
+/// built once, identifies a member by comparison; name and arity go
+/// first because they settle almost every miss for free. Read through
 /// [`Program::library_kernel`], which memoizes it beside the identity.
 pub(crate) fn classify(program: &Program) -> Option<LibraryKernel> {
-    if is_library_gemm(program) {
-        Some(LibraryKernel::Gemm)
-    } else if is_library_reduction(program) {
-        Some(LibraryKernel::Reduction)
-    } else {
-        None
-    }
-}
-
-/// Whether `program` *is* the library GEMM, not merely named and shaped
-/// like it: the rewrite replaces the member by a kernel built from the
-/// library's definition, so a look-alike (`C = A·B + 1` under the entry
-/// name `gemm`) must not match. The library GEMM's task registry depends
-/// on neither shape nor mapping, so one canonical copy, built once,
-/// identifies a member by comparison; name and arity go first because
-/// they settle almost every miss for free.
-fn is_library_gemm(program: &Program) -> bool {
-    static LIBRARY: OnceLock<Option<TaskRegistry>> = OnceLock::new();
-    let library = || {
-        let cfg = MappingConfig::Gemm(GemmConfig::test());
-        let parts = gemm::GemmSpace.build(&Shape::of(&[64, 64, 64]), &cfg);
-        parts.ok().map(|(registry, ..)| registry)
-    };
-    program.entry == "gemm"
-        && program.args.len() == 3
-        && LIBRARY.get_or_init(library).as_ref() == Some(&program.registry)
-}
-
-/// [`is_library_gemm`] for the standalone row-reduction.
-fn is_library_reduction(program: &Program) -> bool {
-    static LIBRARY: OnceLock<Option<TaskRegistry>> = OnceLock::new();
-    let library = || {
-        let cfg = MappingConfig::Gemm(GemmConfig::test());
-        let parts = reduction::ReductionSpace.build(&Shape::of(&[64, 64]), &cfg);
-        parts.ok().map(|(registry, ..)| registry)
-    };
-    program.entry == "reduce"
-        && program.args.len() == 2
-        && LIBRARY.get_or_init(library).as_ref() == Some(&program.registry)
+    static LIBRARY: [OnceLock<Option<TaskRegistry>>; 2] = [OnceLock::new(), OnceLock::new()];
+    [LibraryKernel::Gemm, LibraryKernel::Reduction]
+        .into_iter()
+        .find(|&kind| {
+            let (entry, arity, space, shape): (_, _, &dyn MappingSpace, &[usize]) = match kind {
+                LibraryKernel::Gemm => ("gemm", 3, &gemm::GemmSpace, &[64, 64, 64]),
+                LibraryKernel::Reduction => ("reduce", 2, &reduction::ReductionSpace, &[64, 64]),
+            };
+            let library = || {
+                let cfg = MappingConfig::Gemm(GemmConfig::test());
+                let parts = space.build(&Shape::of(shape), &cfg);
+                parts.ok().map(|(registry, ..)| registry)
+            };
+            program.entry == entry
+                && program.args.len() == arity
+                && LIBRARY[kind as usize].get_or_init(library).as_ref() == Some(&program.registry)
+        })
 }
 
 /// Pattern-match all fusion candidates, deterministically (ascending
@@ -471,8 +428,6 @@ fn match_chains(
             // The consumer's A slot (the dead intermediate) is the one
             // parameter the fused launch no longer materializes.
             param_remap: vec![(j, 0, 0), (i, 1, 1), (i, 2, 2), (j, 2, 3)],
-            fused_cycles: 0.0,
-            unfused_cycles: 0.0,
         });
     }
 }
@@ -502,8 +457,9 @@ fn match_gemm_reductions(
                 continue;
             }
             // Both must read the same A (the reduction of a GEMM's
-            // *output* is a different dataflow and stays unfused).
-            if !same_source(&ng.bindings[1], &nr.bindings[1]) {
+            // *output* is a different dataflow and stays unfused); two
+            // `Zeros` are two fresh buffers, not one source.
+            if ng.bindings[1] == Binding::Zeros || ng.bindings[1] != nr.bindings[1] {
                 continue;
             }
             let (m, n) = (ng.program.args[0].rows, ng.program.args[0].cols);
@@ -551,43 +507,29 @@ fn match_gemm_reductions(
                 program,
                 bindings,
                 param_remap: vec![(g, 0, 0), (g, 1, 2), (g, 2, 3), (r, 0, 1), (r, 1, 2)],
-                fused_cycles: 0.0,
-                unfused_cycles: 0.0,
             });
             break;
         }
     }
 }
 
-/// Two bindings denote the same tensor source.
-fn same_source(a: &Binding, b: &Binding) -> bool {
-    match (a, b) {
-        (Binding::External(x), Binding::External(y)) => x == y,
-        (
-            Binding::Output {
-                node: nx,
-                param: px,
-            },
-            Binding::Output {
-                node: ny,
-                param: py,
-            },
-        ) => nx == ny && px == py,
-        _ => false,
-    }
-}
-
 /// Rebuild the graph with `accepted` rewrites applied, producing the
 /// original→rewritten parameter map.
-fn apply(graph: &TaskGraph, accepted: Vec<Candidate>) -> Result<FusionPlan, RuntimeError> {
-    let mut at_position: Vec<Option<&Candidate>> = vec![None; graph.len()];
-    let mut member_of: Vec<Option<&Candidate>> = vec![None; graph.len()];
-    for cand in &accepted {
-        at_position[cand.position] = Some(cand);
+fn apply(
+    graph: &TaskGraph,
+    accepted: Vec<(Candidate, FusionVerdict)>,
+) -> Result<FusionPlan, RuntimeError> {
+    let mut member = vec![false; graph.len()];
+    for (cand, _) in &accepted {
         for &m in &cand.members {
-            member_of[m] = Some(cand);
+            member[m] = true;
         }
     }
+    // A fused node must be retained whenever any of its members' buffers
+    // outlived the unfused launch, or fusing could drop a result the
+    // unfused graph returns (a member that was a sink can stop being one
+    // once its partner's consumers hang off the fused node).
+    let kept = graph.kept();
 
     let mut fused = TaskGraph::new();
     let mut param_map: Vec<Vec<Option<(usize, usize)>>> = graph
@@ -596,16 +538,6 @@ fn apply(graph: &TaskGraph, accepted: Vec<Candidate>) -> Result<FusionPlan, Runt
         .map(|n| vec![None; n.program.args.len()])
         .collect();
     let mut rewrites = Vec::new();
-    // A node's buffers survive an unfused launch when it is retained or
-    // a sink; a fused node must therefore be retained whenever any of
-    // its members was kept, or fusing could drop a result the unfused
-    // graph returns (a member that was a sink can stop being one once
-    // its partner's consumers hang off the fused node).
-    let total_consumers: Vec<usize> = graph
-        .consumer_counts()
-        .iter()
-        .map(|c| c.iter().sum())
-        .collect();
 
     let remap =
         |param_map: &[Vec<Option<(usize, usize)>>], b: &Binding| -> Result<Binding, RuntimeError> {
@@ -627,42 +559,24 @@ fn apply(graph: &TaskGraph, accepted: Vec<Candidate>) -> Result<FusionPlan, Runt
             })
         };
 
+    // Accepted candidates are in position order, one per position.
+    let mut accepted = accepted.into_iter().peekable();
     for idx in 0..graph.len() {
-        if let Some(cand) = at_position[idx] {
+        if let Some((cand, verdict)) = accepted.next_if(|(cand, _)| cand.position == idx) {
             let bindings = cand
                 .bindings
                 .iter()
                 .map(|b| remap(&param_map, b))
                 .collect::<Result<Vec<_>, _>>()?;
-            let name = cand
-                .members
-                .iter()
-                .map(|&m| graph.nodes()[m].name.as_str())
-                .collect::<Vec<_>>()
-                .join("+");
-            let id = fused.add_node(&name, cand.program.clone(), bindings)?;
-            let member_kept = cand
-                .members
-                .iter()
-                .any(|&m| graph.nodes()[m].retain || total_consumers[m] == 0);
-            if member_kept {
+            let id = fused.add_node(&verdict.replaced.join("+"), cand.program, bindings)?;
+            if cand.members.iter().any(|&m| kept[m]) {
                 fused.retain(id)?;
             }
             for &(member, member_param, fused_param) in &cand.param_remap {
                 param_map[member][member_param] = Some((id.index(), fused_param));
             }
-            rewrites.push(FusionRewrite {
-                fused: id,
-                rule: cand.kernel.rule(),
-                replaced: cand
-                    .members
-                    .iter()
-                    .map(|&m| graph.nodes()[m].name.clone())
-                    .collect(),
-                fused_cycles: cand.fused_cycles,
-                unfused_cycles: cand.unfused_cycles,
-            });
-        } else if member_of[idx].is_none() {
+            rewrites.push(FusionRewrite { fused: id, verdict });
+        } else if !member[idx] {
             let node = &graph.nodes()[idx];
             let bindings = node
                 .bindings
@@ -767,11 +681,11 @@ mod tests {
         let plan = plan.expect("the chain fuses");
         assert_eq!(plan.graph.len(), 1);
         assert_eq!(plan.rewrites.len(), 1);
-        assert_eq!(plan.rewrites[0].rule, "dual_chain");
-        assert_eq!(plan.rewrites[0].replaced, vec!["up", "down"]);
+        assert_eq!(plan.rewrites[0].verdict.rule, "dual_chain");
+        assert_eq!(plan.rewrites[0].verdict.replaced, vec!["up", "down"]);
         // AlwaysFuse scores every program 1.0: fused 1.0 vs 2 members.
-        assert_eq!(plan.rewrites[0].fused_cycles, 1.0);
-        assert_eq!(plan.rewrites[0].unfused_cycles, 2.0);
+        assert_eq!(plan.rewrites[0].verdict.fused_cycles, 1.0);
+        assert_eq!(plan.rewrites[0].verdict.unfused_cycles, 2.0);
         assert!(declined.is_empty());
         assert_eq!(plan.graph.nodes()[0].name, "up+down");
         // The consumer's C maps to the fused C; the dead intermediate
@@ -863,7 +777,7 @@ mod tests {
         let (plan, _) = plan(&g, &mut always_fuse()).unwrap();
         let plan = plan.expect("the pair fuses");
         assert_eq!(plan.graph.len(), 1);
-        assert_eq!(plan.rewrites[0].rule, "gemm_reduction");
+        assert_eq!(plan.rewrites[0].verdict.rule, "gemm_reduction");
         assert_eq!(plan.target(0, 0), Some((0, 0)), "gemm C -> gr C");
         assert_eq!(plan.target(1, 0), Some((0, 1)), "reduction Y -> gr Y");
     }

@@ -5,9 +5,8 @@
 //! buffer comes from: an external tensor supplied at launch, the buffer of
 //! an earlier node's parameter (a tensor-buffer *edge*), or a fresh zeroed
 //! buffer from the session's pool. Because a binding can only reference a
-//! node that already exists, graphs are acyclic by construction; the
-//! executor still computes an explicit dependency order so schedules stay
-//! deterministic and independent of insertion quirks.
+//! node that already exists, graphs are acyclic by construction and
+//! insertion order is a topological schedule.
 
 use crate::error::RuntimeError;
 use crate::program::Program;
@@ -25,7 +24,7 @@ impl NodeId {
 }
 
 /// Where one entry parameter's buffer comes from.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Binding {
     /// Supplied by the caller at launch, keyed by name.
     External(String),
@@ -198,46 +197,23 @@ impl TaskGraph {
         deps.into_iter().map(NodeId).collect()
     }
 
-    /// Per-node indegree and consumer lists of the dependency DAG — the
-    /// adjacency shared by Kahn's algorithm in [`TaskGraph::schedule`]
-    /// and the executor's ready-queue stream scheduler (edges are
-    /// deduplicated per [`TaskGraph::dependencies`]).
-    #[must_use]
-    pub(crate) fn dependency_edges(&self) -> (Vec<usize>, Vec<Vec<usize>>) {
-        let n = self.nodes.len();
-        let mut indegree = vec![0usize; n];
-        let mut consumers: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (i, degree) in indegree.iter_mut().enumerate() {
-            for dep in self.dependencies(NodeId(i)) {
-                *degree += 1;
-                consumers[dep.0].push(i);
-            }
-        }
-        (indegree, consumers)
-    }
-
-    /// A deterministic topological schedule: Kahn's algorithm with a
-    /// smallest-id tie-break, so equal graphs always execute in the same
-    /// order regardless of how their edges were declared.
+    /// The launch order: insertion order. An `Output` binding may only
+    /// name a node already in the graph, so every node comes after its
+    /// producers and insertion order is already topological.
     #[must_use]
     pub fn schedule(&self) -> Vec<NodeId> {
-        let n = self.nodes.len();
-        let (mut indegree, consumers) = self.dependency_edges();
-        // Min-heap over ids via sorted ready list (graphs are small).
-        let mut ready: Vec<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
-        let mut order = Vec::with_capacity(n);
-        while let Some(&next) = ready.iter().min() {
-            ready.retain(|&x| x != next);
-            order.push(NodeId(next));
-            for &c in &consumers[next] {
-                indegree[c] -= 1;
-                if indegree[c] == 0 {
-                    ready.push(c);
-                }
-            }
-        }
-        debug_assert_eq!(order.len(), n, "graphs are acyclic by construction");
-        order
+        (0..self.nodes.len()).map(NodeId).collect()
+    }
+
+    /// Per node: whether its buffers outlive a launch — it is retained,
+    /// or nothing consumes it (a sink).
+    #[must_use]
+    pub(crate) fn kept(&self) -> Vec<bool> {
+        self.nodes
+            .iter()
+            .zip(self.consumer_counts())
+            .map(|(n, counts)| n.retain || counts.iter().all(|&c| c == 0))
+            .collect()
     }
 
     /// How many edges consume each `(node, param)` buffer — what the
@@ -383,6 +359,40 @@ mod tests {
         assert_eq!(g.schedule(), vec![a, b, c]);
         assert_eq!(g.dependencies(c), vec![a, b]);
         assert_eq!(g.consumer_counts()[a.index()][0], 1);
+    }
+
+    #[test]
+    fn an_edge_from_a_node_not_yet_added_is_rejected() {
+        let operands = || {
+            vec![
+                Binding::Zeros,
+                Binding::external("A"),
+                Binding::external("B"),
+            ]
+        };
+        let mut larger = TaskGraph::new();
+        larger
+            .add_node("a", gemm_program(64, 64, 64), operands())
+            .unwrap();
+        let foreign = larger
+            .add_node("b", gemm_program(64, 64, 64), operands())
+            .unwrap();
+        let mut g = TaskGraph::new();
+        g.add_node("a", gemm_program(64, 64, 64), operands())
+            .unwrap();
+        let err = g
+            .add_node(
+                "c",
+                gemm_program(64, 64, 64),
+                vec![
+                    Binding::Zeros,
+                    Binding::output(foreign, 0),
+                    Binding::external("B"),
+                ],
+            )
+            .unwrap_err();
+        assert!(matches!(err, RuntimeError::UnknownNode { id: 1 }), "{err}");
+        assert_eq!(g.len(), 1);
     }
 
     #[test]

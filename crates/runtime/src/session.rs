@@ -1118,12 +1118,13 @@ impl Session {
         if let Some(log) = &self.recorder {
             if let Some(plan) = &plan {
                 for r in &plan.rewrites {
+                    let v = &r.verdict;
                     log.record(Event::FusionApplied {
-                        rule: r.rule,
+                        rule: v.rule,
                         fused: plan.graph.nodes()[r.fused.index()].name.clone(),
-                        replaced: r.replaced.clone(),
-                        fused_cycles: r.fused_cycles,
-                        unfused_cycles: r.unfused_cycles,
+                        replaced: v.replaced.clone(),
+                        fused_cycles: v.fused_cycles,
+                        unfused_cycles: v.unfused_cycles,
                     });
                 }
             }

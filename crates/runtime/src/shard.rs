@@ -331,6 +331,42 @@ mod tests {
     }
 
     #[test]
+    fn an_edge_is_sized_by_its_dtype() {
+        use cypress_tensor::DType;
+        let machine = MachineConfig::test_gpu();
+        let program = |m: usize, f32_param: Option<usize>| {
+            let (registry, mapping, mut args) = gemm::build(m, 64, 64, &machine).unwrap();
+            if let Some(p) = f32_param {
+                args[p].dtype = DType::F32;
+            }
+            Program::new(registry, mapping, "gemm", args)
+        };
+        let operands = || {
+            vec![
+                Binding::Zeros,
+                Binding::external("A"),
+                Binding::external("B"),
+            ]
+        };
+        let mut g = TaskGraph::new();
+        // a's 64x64 F32 output (16 KiB) is lighter than b's 256x64 F16
+        // one (32 KiB), so c follows b and a's buffer crosses the link.
+        let a = g.add_node("a", program(64, Some(0)), operands()).unwrap();
+        let b = g.add_node("b", program(256, None), operands()).unwrap();
+        g.add_node(
+            "c",
+            program(256, Some(2)),
+            vec![Binding::Zeros, Binding::output(b, 0), Binding::output(a, 0)],
+        )
+        .unwrap();
+        let plan = shard(&g, &Topology::nvlink(&machine, 2)).unwrap();
+        assert_eq!(plan.device_of, vec![0, 1, 1]);
+        assert_eq!(plan.transfers.len(), 1);
+        assert_eq!(plan.transfers[0].producer, 0);
+        assert_eq!(plan.transfers[0].bytes, (64 * 64 * 4) as f64);
+    }
+
+    #[test]
     fn transfers_are_distinct_and_listed_by_first_consumer() {
         let machine = MachineConfig::test_gpu();
         let mut g = TaskGraph::new();

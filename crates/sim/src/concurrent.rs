@@ -187,9 +187,9 @@ pub struct ConcurrentEngine {
     links: Vec<f64>,
     now: f64,
     active: Vec<Active>,
-    /// Injected faults; `None` (the default) is bit-identical to the
-    /// pre-fault engine.
-    fault_plan: Option<FaultPlan>,
+    /// Injected faults; the empty plan (the default) is bit-identical to
+    /// the pre-fault engine.
+    fault_plan: FaultPlan,
     /// Compute launches admitted so far, per device (transient-fault
     /// matching).
     launch_counts: Vec<u64>,
@@ -211,7 +211,7 @@ impl ConcurrentEngine {
             links: topology.links.iter().map(|l| l.bytes_per_cycle).collect(),
             now: 0.0,
             active: Vec::new(),
-            fault_plan: None,
+            fault_plan: FaultPlan::new(),
             launch_counts: vec![0; n],
             lost: vec![None; n],
             pending: VecDeque::new(),
@@ -223,7 +223,7 @@ impl ConcurrentEngine {
     /// [`ConcurrentEngine::step`] surface faults as typed outcomes.
     #[must_use]
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault_plan = Some(plan);
+        self.fault_plan = plan;
         self
     }
 
@@ -269,10 +269,7 @@ impl ConcurrentEngine {
         }
         let launch_index = self.launch_counts[device];
         self.launch_counts[device] += 1;
-        let transient = self
-            .fault_plan
-            .as_ref()
-            .is_some_and(|p| p.transient_hits(device, launch_index));
+        let transient = self.fault_plan.transient_hits(device, launch_index);
         self.active.push(Active {
             id,
             start: self.now,
@@ -382,15 +379,12 @@ impl ConcurrentEngine {
     /// flight on the dead device (their intervals end at the current
     /// cycle). Returns `true` when anything fired.
     fn process_due_losses(&mut self) -> bool {
-        let Some(plan) = self.fault_plan.clone() else {
-            return false;
-        };
         let mut fired = false;
         for device in 0..self.devices {
             if self.lost[device].is_some() {
                 continue;
             }
-            let Some(at) = plan.device_loss_at(device) else {
+            let Some(at) = self.fault_plan.device_loss_at(device) else {
                 continue;
             };
             if at > self.now {
@@ -450,13 +444,9 @@ impl ConcurrentEngine {
                 }
             }
             // Clip the fluid window at the next device loss so it fires
-            // at its exact cycle. No plan, no boundaries — and the
+            // at its exact cycle. No loss, no boundaries — and the
             // legacy arithmetic below runs unchanged.
-            if let Some(boundary) = self
-                .fault_plan
-                .as_ref()
-                .and_then(|p| p.next_boundary(self.now))
-            {
+            if let Some(boundary) = self.fault_plan.next_boundary(self.now) {
                 if self.now + win_dt > boundary {
                     let dt = boundary - self.now;
                     self.now = boundary;

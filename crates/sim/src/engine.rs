@@ -1,6 +1,7 @@
 //! Discrete-event execution engine.
 //!
-//! The engine executes a [`Kernel`] in one of two modes:
+//! The engine executes a [`Kernel`] in one of two modes, set by whether
+//! it is handed parameter tensors:
 //!
 //! - **Functional**: every CTA of the grid runs and data really moves, so
 //!   results can be checked against host oracles. Used by tests and
@@ -446,15 +447,6 @@ fn lock(m: &Mutex<Workspace>) -> MutexGuard<'_, Workspace> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Execution mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Mode {
-    /// All CTAs, real data.
-    Functional,
-    /// Busiest SM only, no data.
-    Timing,
-}
-
 pub(crate) struct Engine<'k> {
     kernel: &'k Kernel,
     machine: &'k MachineConfig,
@@ -524,7 +516,6 @@ impl<'k> Engine<'k> {
     pub(crate) fn new(
         kernel: &'k Kernel,
         machine: &'k MachineConfig,
-        mode: Mode,
         params: Option<Vec<Tensor>>,
         program: &'k Program,
     ) -> Result<Self, SimError> {
@@ -566,17 +557,19 @@ impl<'k> Engine<'k> {
         let num_ctas = program.ctas;
         let active_sms = num_ctas.min(machine.sms).max(1);
         let ctas_per_sm = occupancy(kernel, machine);
-        let (n_sim, window) = match mode {
-            Mode::Functional => (num_ctas, 1),
-            Mode::Timing => (num_ctas.div_ceil(active_sms), ctas_per_sm),
+        // A functional run moves data through all CTAs one at a time; a
+        // timing run simulates the busiest SM's share of them.
+        let (n_sim, window, floor) = match params {
+            Some(_) => (num_ctas, 1, None),
+            None => (
+                num_ctas.div_ceil(active_sms),
+                ctas_per_sm,
+                floor_work(machine, program, active_sms),
+            ),
         };
         let n_sim = bytecode::index32(n_sim, "simulated CTA count")?;
 
-        let cta_floor = match mode {
-            Mode::Functional => None,
-            Mode::Timing => floor_work(machine, program, active_sms),
-        }
-        .map_or(0.0, |work| {
+        let cta_floor = floor.map_or(0.0, |work| {
             work.into_iter()
                 .map(|(work, rate)| work / rate)
                 .fold(0.0, f64::max)
@@ -757,12 +750,6 @@ impl<'k> Engine<'k> {
         Ok(())
     }
 
-    /// Run a timing run to completion and produce its report.
-    pub(crate) fn run_whole(mut self) -> Result<TimingReport, SimError> {
-        self.run_to_end()?;
-        Ok(self.report())
-    }
-
     /// Run a timing run to completion, or stop once it is proven to end
     /// past `cutoff` and return `Err(bound)`, where `cutoff < bound <=`
     /// the cycles the whole run reports (see "Bounded runs" in the
@@ -791,8 +778,8 @@ impl<'k> Engine<'k> {
         })
     }
 
-    /// [`Engine::simulate`] without a cutoff.
-    fn run_to_end(&mut self) -> Result<(), SimError> {
+    /// Run to completion: [`Engine::simulate`] without a cutoff.
+    pub(crate) fn run_to_end(&mut self) -> Result<(), SimError> {
         self.simulate(f64::INFINITY)?
             .map_err(|bound| SimError::Internal {
                 what: format!("a run without a cutoff stopped at a bound of {bound} cycles"),
@@ -869,7 +856,7 @@ impl<'k> Engine<'k> {
     }
 
     /// The report of a finished timing run.
-    fn report(&self) -> TimingReport {
+    pub(crate) fn report(&self) -> TimingReport {
         let makespan = self.now;
         let totals = self.program.totals;
         let n = self.program.ctas as f64;
@@ -1072,8 +1059,8 @@ impl<'k> Engine<'k> {
     /// Execute one bytecode operation. Returns `true` if the executor
     /// yielded (scheduled a resume or blocked); `false` if it completed
     /// inline. Byte counts, flop counts, and SIMT costs come pre-computed
-    /// from the [`Program`]; the mode decides only whether operands are
-    /// built (see [`Engine::operands`]).
+    /// from the [`Program`]; whether the run moves data decides only
+    /// whether operands are built (see [`Engine::operands`]).
     fn execute(&mut self, exec_id: usize, op: &'k BcOp) -> Result<bool, SimError> {
         match op {
             BcOp::TmaLoad {
@@ -1648,7 +1635,6 @@ mod tests {
         let mut engine = Engine::new(
             &other,
             &sim.machine,
-            Mode::Functional,
             Some(vec![Tensor::zeros(DType::F32, &[4, 4])]),
             &program,
         )

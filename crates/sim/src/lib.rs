@@ -105,7 +105,7 @@ pub use report::{ApplyBytes, TimingOutcome, TimingReport};
 pub use topology::{Link, Topology};
 
 use cypress_tensor::Tensor;
-use engine::{Engine, Mode, Workspace};
+use engine::{Engine, Workspace};
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
@@ -221,13 +221,7 @@ impl Simulator {
         program: &bytecode::Program,
         params: Vec<Tensor>,
     ) -> Result<FunctionalRun, SimError> {
-        let mut engine = Engine::new(
-            kernel,
-            &self.machine,
-            Mode::Functional,
-            Some(params),
-            program,
-        )?;
+        let mut engine = Engine::new(kernel, &self.machine, Some(params), program)?;
         engine.recycle_through(&self.workspace);
         engine.run_functional()
     }
@@ -248,13 +242,7 @@ impl Simulator {
         params: Vec<Tensor>,
     ) -> Result<FunctionalRun, SimError> {
         let program = bytecode::lower(kernel)?;
-        let mut engine = Engine::new(
-            kernel,
-            &self.machine,
-            Mode::Functional,
-            Some(params),
-            &program,
-        )?;
+        let mut engine = Engine::new(kernel, &self.machine, Some(params), &program)?;
         engine.set_scalar();
         engine.recycle_through(&self.workspace);
         engine.run_functional()
@@ -286,8 +274,9 @@ impl Simulator {
         kernel: &Kernel,
         program: &bytecode::Program,
     ) -> Result<TimingReport, SimError> {
-        let engine = Engine::new(kernel, &self.machine, Mode::Timing, None, program)?;
-        engine.run_whole()
+        let mut engine = Engine::new(kernel, &self.machine, None, program)?;
+        engine.run_to_end()?;
+        Ok(engine.report())
     }
 
     /// [`Simulator::run_timing_lowered`] that stops as soon as the run
@@ -312,7 +301,7 @@ impl Simulator {
         program: &bytecode::Program,
         cutoff: f64,
     ) -> Result<TimingOutcome, SimError> {
-        let engine = Engine::new(kernel, &self.machine, Mode::Timing, None, program)?;
+        let engine = Engine::new(kernel, &self.machine, None, program)?;
         Ok(match engine.run(cutoff)? {
             Ok(report) => TimingOutcome::Done(report),
             Err(bound) => TimingOutcome::Exceeded { bound },
